@@ -54,20 +54,16 @@ type AblationShardJSON struct {
 
 // AblationFusedKJSON flattens an AblationFusedKCell for serialization.
 type AblationFusedKJSON struct {
-	Graph            string  `json:"graph"`
-	LogN             int     `json:"logn"`
-	K                int     `json:"k"`
-	Batches          int     `json:"batches"`
-	EdgesApplied     int64   `json:"edges_applied"`
-	FusedRefreshSec  float64 `json:"fused_refresh_sec"`
-	LegacyRefreshSec float64 `json:"legacy_refresh_sec"`
-	FusedNsPerEdge   float64 `json:"fused_ns_per_edge"`
-	LegacyNsPerEdge  float64 `json:"legacy_ns_per_edge"`
-	Speedup          float64 `json:"speedup"`
-	Hoists           int64   `json:"hoists"`
-	GateSkips        int64   `json:"gate_skips"`
-	BlockSweeps      int64   `json:"block_sweeps"`
-	Verified         bool    `json:"verified"`
+	Graph           string  `json:"graph"`
+	LogN            int     `json:"logn"`
+	K               int     `json:"k"`
+	Batches         int     `json:"batches"`
+	EdgesApplied    int64   `json:"edges_applied"`
+	FusedRefreshSec float64 `json:"fused_refresh_sec"`
+	FusedNsPerEdge  float64 `json:"fused_ns_per_edge"`
+	Hoists          int64   `json:"hoists"`
+	GateSkips       int64   `json:"gate_skips"`
+	BlockSweeps     int64   `json:"block_sweeps"`
 }
 
 // AblationDeltaFlatJSON flattens an AblationDeltaFlatResult for
@@ -211,13 +207,9 @@ func (r *Report) AddAblationFusedK(cells []AblationFusedKCell) {
 		r.AblationFusedK = append(r.AblationFusedK, AblationFusedKJSON{
 			Graph: c.Graph, LogN: c.LogN, K: c.K,
 			Batches: c.Batches, EdgesApplied: c.EdgesApplied,
-			FusedRefreshSec:  c.FusedRefresh.Seconds(),
-			LegacyRefreshSec: c.LegacyRefresh.Seconds(),
-			FusedNsPerEdge:   c.FusedNsPerEdge,
-			LegacyNsPerEdge:  c.LegacyNsPerEdge,
-			Speedup:          c.Speedup,
-			Hoists:           c.Hoists, GateSkips: c.GateSkips, BlockSweeps: c.BlockSweeps,
-			Verified: c.Verified,
+			FusedRefreshSec: c.FusedRefresh.Seconds(),
+			FusedNsPerEdge:  c.FusedNsPerEdge,
+			Hoists:          c.Hoists, GateSkips: c.GateSkips, BlockSweeps: c.BlockSweeps,
 		})
 	}
 }

@@ -45,7 +45,7 @@ type cmpCfg struct {
 	skipProbeVersion bool
 }
 
-// CheckSchedule replays the schedule six ways and returns the combined
+// CheckSchedule replays the schedule five ways and returns the combined
 // verdict:
 //
 //   - flat (base): mirrors on, every successful result verified against
@@ -56,10 +56,7 @@ type cmpCfg struct {
 //   - split: each insert batch applied as two sub-batches — batch-split
 //     invariance (compared on everything but version numbering);
 //   - delete-reinsert: after the last op, half the surviving edges are
-//     deleted and reinserted — the probe matrix must still agree;
-//   - fusedoff: the same workload with the fused width-K kernels
-//     disabled — kernel-generation invariance, compared on everything
-//     including reported versions.
+//     deleted and reinserted — the probe matrix must still agree.
 func CheckSchedule(s *Schedule, opts Options) Verdict {
 	corrupt := opts.CorruptDelta
 	base := replay(s, variant{name: "flat", flatten: true, corrupt: corrupt})
@@ -81,10 +78,6 @@ func CheckSchedule(s *Schedule, opts Options) Verdict {
 	delre := replay(s, variant{name: "delre", flatten: true, deleteReinsert: true, corrupt: corrupt})
 	reasons = append(reasons, delre.divergences...)
 	reasons = append(reasons, compareObs(base, delre, "delete-reinsert", cmpCfg{skipProbeVersion: true})...)
-
-	fusedoff := replay(s, variant{name: "fusedoff", flatten: true, fusedOff: true, corrupt: corrupt})
-	reasons = append(reasons, fusedoff.divergences...)
-	reasons = append(reasons, compareObs(base, fusedoff, "fused-vs-legacy", cmpCfg{})...)
 
 	if len(reasons) > maxReasons {
 		reasons = reasons[:maxReasons]

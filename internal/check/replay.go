@@ -51,11 +51,6 @@ type variant struct {
 	// and reinserts exactly what was deleted; the probe phase must then
 	// observe the identical final graph.
 	deleteReinsert bool
-	// fusedOff replays with the fused width-K SoA kernels disabled, so
-	// the legacy interleaved kernel generation answers the same workload
-	// (kernel-generation invariance: every fixpoint is unique, so the
-	// two generations must agree bit for bit, versions included).
-	fusedOff bool
 	// corrupt arms the streamgraph skew seam (the checker's self-test).
 	corrupt bool
 }
@@ -121,10 +116,6 @@ type replayer struct {
 // variant, verifying every successful result against the CSR oracle for
 // the version the result reports.
 func replay(s *Schedule, v variant) *replayResult {
-	if v.fusedOff {
-		prev := engine.SetFusedKernels(false)
-		defer engine.SetFusedKernels(prev)
-	}
 	g := streamgraph.New(s.N, false)
 	if v.corrupt {
 		g.Seam().SetSkewDelta(true)

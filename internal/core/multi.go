@@ -90,11 +90,10 @@ func (h *simpleHandler) queryMulti(ctx context.Context, s *System, sources []gra
 		n := g.NumVertices()
 		st = engine.NewState(p, n, w)
 		// Δ-initialize each slot from its own best standing root,
-		// directly into the state's storage — a zero-copy column view on
-		// contiguous layouts, a parallel strided write through StrideView
-		// otherwise (covers both the interleaved and the slot-blocked
-		// width-K layouts). Each slot is an O(N) parallel pass, so
-		// cancellation is honored between slots too.
+		// directly into the state's storage — a zero-copy column view at
+		// width 1, a parallel strided write through StrideView into the
+		// slot-blocked storage otherwise. Each slot is an O(N) parallel
+		// pass, so cancellation is honored between slots too.
 		for j, u := range sources {
 			if err := ctx.Err(); err != nil {
 				return &engine.CanceledError{Cause: err}
@@ -115,7 +114,7 @@ func (h *simpleHandler) queryMulti(ctx context.Context, s *System, sources []gra
 		return nil, err
 	}
 	defer release()
-	seeds, masks := sourceSeeds(sources)
+	seeds, masks := engine.SourceSeeds(sources)
 	res.Stats, err = st.RunPushCtx(ctx, view, seeds, masks)
 	if err != nil {
 		return nil, err

@@ -314,7 +314,7 @@ func (h *simpleHandler) refreshSubscribed(view engine.View, sources []graph.Vert
 				triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, standing)
 			}
 		}
-		seeds, masks := sourceSeeds(chunk)
+		seeds, masks := engine.SourceSeeds(chunk)
 		st.RunPush(view, seeds, masks)
 		for j := range chunk {
 			// Column always copies, so each subscriber gets its own slice.

@@ -677,7 +677,7 @@ func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		return nil, err
 	}
 	defer release()
-	seeds, masks := sourceSeeds(sources)
+	seeds, masks := engine.SourceSeeds(sources)
 	stats, err := st.RunPushCtx(ctx, view, seeds, masks)
 	if err != nil {
 		return nil, err
@@ -708,23 +708,6 @@ func (h *radiiHandler) queryFull(ctx context.Context, g engine.View, u graph.Ver
 		Radius: props.RadiiEstimate(values, n, len(sources)),
 		Stats:  stats, Elapsed: time.Since(start),
 	}, nil
-}
-
-// sourceSeeds folds duplicate sources into combined masks.
-func sourceSeeds(sources []graph.VertexID) ([]graph.VertexID, []uint64) {
-	seeds := make([]graph.VertexID, 0, len(sources))
-	masks := make([]uint64, 0, len(sources))
-	index := make(map[graph.VertexID]int, len(sources))
-	for k, s := range sources {
-		if i, ok := index[s]; ok {
-			masks[i] |= 1 << uint(k)
-			continue
-		}
-		index[s] = len(seeds)
-		seeds = append(seeds, s)
-		masks = append(masks, 1<<uint(k))
-	}
-	return seeds, masks
 }
 
 // ---------------------------------------------------------------------

@@ -10,18 +10,17 @@
 // Theorem 4.4 of the paper requires for Δ-based incremental evaluation to
 // be correct.
 //
-// Two kernel generations coexist (see kernel.go): the fused width-K
-// struct-of-arrays kernels (the default) and the original interleaved
-// kernels, kept verbatim as the reference implementation for the
-// `-ablate fusedK` comparison and the differential checker's
-// fused-vs-legacy replay. SetFusedKernels picks the generation.
+// The kernels (kernel.go, pull.go) hoist a vertex's source values into a
+// register block, relax through a devirtualized scalar op where the
+// problem names one, and are picked from the state's width alone: K=1
+// runs the scalar kernel over the contiguous Values array, K>1 the
+// width-K kernel over NewState's slot-blocked storage.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -138,9 +137,7 @@ type Stats struct {
 	DenseIterations int
 	// Hoists counts per-vertex source-block register loads performed by
 	// the fused push kernels: one per processed frontier vertex (per
-	// destination window when the dense sweep is cache-blocked). The
-	// legacy kernels never hoist, so the counter doubles as a "which
-	// kernel ran" witness.
+	// destination window when the dense sweep is cache-blocked).
 	Hoists int64
 	// GateSkips counts active (vertex, slot) pairs whose hoisted source
 	// value was still at the problem's gate (init) value, pruned from the
@@ -163,25 +160,7 @@ func (s *Stats) Add(other Stats) {
 	s.BlockSweeps += other.BlockSweeps
 }
 
-// fusedKernels selects the kernel generation for new states and K=1
-// runs: the fused width-K struct-of-arrays kernels (true, the default)
-// or the original interleaved kernels (false). Flipping it mid-run is
-// safe — both generations compute identical fixpoints — but a K>1
-// state keeps the value layout it was allocated with, and the layout,
-// not the flag, picks its kernel thereafter.
-var fusedKernels atomic.Bool
-
-func init() { fusedKernels.Store(true) }
-
-// SetFusedKernels toggles the fused SoA kernels and returns the previous
-// setting, so scoped callers (the fusedK ablation, the differential
-// checker's legacy replay, tests) can restore it.
-func SetFusedKernels(on bool) (prev bool) { return fusedKernels.Swap(on) }
-
-// FusedKernels reports whether new evaluations use the fused kernels.
-func FusedKernels() bool { return fusedKernels.Load() }
-
-// lineWords is one cache line in uint64s. It is both the SoA slot-block
+// lineWords is one cache line in uint64s. It is both the slot-block
 // width (8 slots per block, so one vertex's block is one cache line) and
 // the vertex-count padding granularity.
 const lineWords = 8
@@ -193,30 +172,27 @@ func padVerts(n int) int { return (n + lineWords - 1) &^ (lineWords - 1) }
 // the persistent artifact of standing queries: it survives across graph
 // updates and is resumed incrementally.
 //
-// Storage has two layouts. K=1 states (and K>1 states built while the
-// fused kernels are off, or assembled as literals by callers) keep the
-// original interleaved array in Values. K>1 states allocated by NewState
-// under the fused kernels use a slot-blocked column-block layout
-// instead: slots are grouped into blocks of lineWords (8), and within a
-// block the storage is vertex-major — one vertex's 8 slot values occupy
-// one cache line. A width-64 hoist or multi-slot relaxation therefore
-// touches 8 consecutive lines instead of 64 lines scattered one per
-// 8·padN-byte column, which is what makes the width-K kernels win once
-// the value arrays outgrow the last-level cache. The accessors below
-// work on either layout; the layout decides which kernel generation an
-// evaluation runs (see RunPushCtx).
+// Storage follows the width. A K=1 state keeps its one column
+// contiguously in Values. A K>1 state exists only as NewState's
+// slot-blocked storage: slots are grouped into blocks of lineWords (8),
+// and within a block the storage is vertex-major — one vertex's 8 slot
+// values occupy one cache line. A width-64 hoist or multi-slot relaxation
+// therefore touches 8 consecutive lines instead of 64 lines scattered one
+// per 8·padN-byte column, which is what makes the width-K kernels win
+// once the value arrays outgrow the last-level cache. The accessors below
+// work on either width.
 type State struct {
 	P Problem
 	K int
 	N int
-	// Values is the interleaved value array (len N*K, stride K:
-	// Values[v*K+k]). nil on SoA states — use the accessors, or
-	// Interleaved for a stride-K materialization.
+	// Values is the K=1 value array (Values[v], len N). nil on K>1
+	// states — use the accessors, or Interleaved for a stride-K
+	// materialization.
 	Values []uint64
-	// cols is the slot-blocked storage: ceil(K/8) blocks of padN·8 words,
-	// slot k's value of vertex v at
+	// cols is the K>1 slot-blocked storage: ceil(K/8) blocks of padN·8
+	// words, slot k's value of vertex v at
 	// cols[(k/8)·padN·8 + v·8 + k%8]. Slots K..ceil(K/8)·8-1 are padding
-	// lanes pinned at the init value. nil on interleaved states.
+	// lanes pinned at the init value. nil on K=1 states.
 	cols []uint64
 	padN int
 }
@@ -228,21 +204,25 @@ func NewState(p Problem, n, k int) *State {
 	}
 	st := &State{P: p, K: k, N: n}
 	init := p.InitValue()
-	if k > 1 && fusedKernels.Load() {
+	if k > 1 {
 		st.padN = padVerts(n)
 		blocks := (k + lineWords - 1) / lineWords
 		st.cols = make([]uint64, blocks*st.padN*lineWords)
 		parallel.For(len(st.cols), func(i int) { st.cols[i] = init })
 		return st
 	}
-	st.Values = make([]uint64, n*k)
-	parallel.For(n*k, func(i int) { st.Values[i] = init })
+	st.Values = make([]uint64, n)
+	parallel.For(n, func(i int) { st.Values[i] = init })
 	return st
 }
 
-// SoA reports whether the state stores its values column-major (the
-// fused width-K layout).
-func (st *State) SoA() bool { return st.cols != nil }
+// checkStorage panics on a K>1 state assembled as a literal: only
+// NewState builds the slot-blocked storage the width-K kernels index.
+func (st *State) checkStorage() {
+	if st.K > 1 && st.cols == nil {
+		panic("engine: a K>1 State must be allocated by NewState")
+	}
+}
 
 // slotOff returns slot k's base offset in the slot-blocked slab: the
 // value of (v, k) lives at cols[slotOff(k) + v·lineWords].
@@ -255,7 +235,7 @@ func (st *State) Value(v graph.VertexID, k int) uint64 {
 	if st.cols != nil {
 		return st.cols[st.slotOff(k)+int(v)*lineWords]
 	}
-	return st.Values[int(v)*st.K+k]
+	return st.Values[v]
 }
 
 // SetValue stores the value of vertex v under query slot k. It is a
@@ -266,7 +246,7 @@ func (st *State) SetValue(v graph.VertexID, k int, val uint64) {
 		st.cols[st.slotOff(k)+int(v)*lineWords] = val
 		return
 	}
-	st.Values[int(v)*st.K+k] = val
+	st.Values[v] = val
 }
 
 // SetSource initializes slot k's source vertex.
@@ -282,15 +262,15 @@ func (st *State) Column(k int) []uint64 {
 		parallel.ForGrain(st.N, 1024, func(v int) { out[v] = cols[base+v*lineWords] })
 		return out
 	}
-	parallel.For(st.N, func(v int) { out[v] = st.Values[v*st.K+k] })
+	copy(out, st.Values)
 	return out
 }
 
 // ColumnView returns slot k's values as a zero-copy view when the
-// layout stores the column contiguously — only K=1 states qualify (both
-// the slot-blocked and the interleaved K>1 layouts stride their
-// columns). The view aliases the state. On ok=false, callers fall back
-// to Column (a copy) or StrideView (zero-copy strided access).
+// column is stored contiguously — only K=1 states qualify (the
+// slot-blocked K>1 storage strides its columns). The view aliases the
+// state. On ok=false, callers fall back to Column (a copy) or StrideView
+// (zero-copy strided access).
 func (st *State) ColumnView(k int) (col []uint64, ok bool) {
 	if st.cols == nil && st.K == 1 {
 		return st.Values[:st.N], true
@@ -299,20 +279,31 @@ func (st *State) ColumnView(k int) (col []uint64, ok bool) {
 }
 
 // StrideView returns slot k's values as a zero-copy strided view valid
-// on every layout: the value of (v, k) is arr[v*stride+off]. The view
+// at every width: the value of (v, k) is arr[v*stride+off]. The view
 // aliases the state; (arr, stride, off) feed triangle's strided
-// Δ-initialization directly. Interleaved states return (Values, K, k);
-// slot-blocked states return the slab with the cache-line stride.
+// Δ-initialization directly. K=1 states return (Values, 1, 0); K>1
+// states return the slab with the cache-line stride.
 func (st *State) StrideView(k int) (arr []uint64, stride, off int) {
 	if st.cols != nil {
 		return st.cols, lineWords, st.slotOff(k)
 	}
-	return st.Values, st.K, k
+	return st.Values, 1, 0
+}
+
+// StrideViews is StrideView for every slot at once — arr and stride are
+// the same for all of a state's slots, only the offset differs: the
+// value of (v, k) is arr[v*stride+offs[k]].
+func (st *State) StrideViews() (arr []uint64, stride int, offs []int) {
+	offs = make([]int, st.K)
+	for k := range offs {
+		arr, stride, offs[k] = st.StrideView(k)
+	}
+	return arr, stride, offs
 }
 
 // Interleaved materializes the stride-K interleaved array
 // (out[v*K+k] = Value(v,k)) — the wire format of batched query results.
-// Interleaved states return Values itself (no copy); SoA states gather.
+// K=1 states return Values itself (no copy); K>1 states gather.
 func (st *State) Interleaved() []uint64 {
 	if st.cols == nil {
 		return st.Values
@@ -345,8 +336,7 @@ func (st *State) Clone() *State {
 	return out
 }
 
-// Grow extends the state to n vertices (new vertices at init value),
-// preserving the layout.
+// Grow extends the state to n vertices (new vertices at init value).
 func (st *State) Grow(n int) {
 	if n <= st.N {
 		return
@@ -368,9 +358,9 @@ func (st *State) Grow(n int) {
 		st.N = n
 		return
 	}
-	vals := make([]uint64, n*st.K)
+	vals := make([]uint64, n)
 	copy(vals, st.Values)
-	for i := st.N * st.K; i < len(vals); i++ {
+	for i := st.N; i < len(vals); i++ {
 		vals[i] = init
 	}
 	st.N = n
@@ -464,13 +454,18 @@ func (st *State) RunPush(g View, seeds []graph.VertexID, seedMasks []uint64) Sta
 // so a canceled user query never corrupts anything — the state belongs to
 // the query and is simply discarded.
 //
-// Kernel selection: SoA states always run the fused width-K kernel
+// Kernel selection follows the width: K>1 states run the width-K kernel
 // (hoisted source blocks, devirtualized relaxations, cache-blocked dense
-// sweeps over an ArcView); interleaved K>1 states always run the legacy
-// kernel; K=1 states run whichever generation SetFusedKernels selects —
-// their layout is identical either way. All generations compute
-// bit-identical values.
+// sweeps over an ArcView), K=1 states its scalar specialization.
+//
+// Several RunPushCtx calls may run concurrently on one state, each over
+// its own view (the shard router's scatter rounds do): every value word
+// is read with an atomic load and improved by CAS, and all other working
+// state is per call, so by Theorem 4.4 the shared values only ever move
+// monotonically toward the fixpoint. The views must not outgrow the
+// state — Grow is not safe against a running kernel.
 func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID, seedMasks []uint64) (Stats, error) {
+	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
 		st.Grow(n)
@@ -499,32 +494,27 @@ func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID,
 
 	// Pick the kernel for this run (see the doc comment above).
 	var process func(c *workCounter, u graph.VertexID)
-	var kc *pushKCtx // non-nil selects the width-K SoA kernel
-	switch {
-	case st.cols != nil:
+	var kc *pushKCtx // non-nil selects the width-K kernel
+	if K > 1 {
 		kc = &pushKCtx{
 			g: g, fv: fv, p: p,
-			K: K, cols: st.cols, soff: make([]int, K),
+			K: K, cols: st.cols,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
-		for k := range kc.soff {
-			kc.soff[k] = st.slotOff(k)
-		}
+		_, _, kc.soff = st.StrideViews()
 		kc.spec, kc.hasSpec = kernelSpecFor(p)
 		if av, ok := g.(ArcView); ok && blockWindows(K, n) > 1 {
 			kc.av = av
 			kc.windows = blockWindows(K, n)
 		}
 		process = kc.process
-	case K == 1 && fusedKernels.Load():
+	} else {
 		k1 := &push1Ctx{
 			g: g, fv: fv, p: p, vals: st.Values,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
 		k1.spec, k1.hasSpec = kernelSpecFor(p)
 		process = k1.process
-	default:
-		process = st.legacyProcess(g, fv, cur.masks, nextMasks, inNext)
 	}
 
 	var canceled error
@@ -601,64 +591,6 @@ func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID,
 	return stats, canceled
 }
 
-// legacyProcess is the original interleaved push vertex function, kept
-// verbatim as the reference kernel: one atomic source load and one
-// interface-dispatched Relax per (edge × active slot).
-func (st *State) legacyProcess(g View, fv FlatView, curMasks, nextMasks []uint64, inNext *bitset.Atomic) func(c *workCounter, u graph.VertexID) {
-	K := st.K
-	p := st.P
-	return func(c *workCounter, u graph.VertexID) {
-		mask := curMasks[u]
-		if mask == 0 {
-			return
-		}
-		curMasks[u] = 0
-		c.acts += int64(bits.OnesCount64(mask))
-		base := int(u) * K
-		var r, w int64
-		if fv != nil {
-			// Flat fast path: plain loops over the adjacency slices.
-			dsts, ws := fv.OutSpan(u)
-			for i, d := range dsts {
-				wgt := ws[i]
-				dbase := int(d) * K
-				for m := mask; m != 0; m &= m - 1 {
-					k := bits.TrailingZeros64(m)
-					srcVal := atomic.LoadUint64(&st.Values[base+k])
-					cand, ok := p.Relax(srcVal, wgt)
-					if !ok {
-						continue
-					}
-					r++
-					if casImprove(&st.Values[dbase+k], cand, p) {
-						w++
-						markActive(nextMasks, inNext, d, k)
-					}
-				}
-			}
-		} else {
-			g.ForEachOut(u, func(d graph.VertexID, wgt graph.Weight) {
-				dbase := int(d) * K
-				for m := mask; m != 0; m &= m - 1 {
-					k := bits.TrailingZeros64(m)
-					srcVal := atomic.LoadUint64(&st.Values[base+k])
-					cand, ok := p.Relax(srcVal, wgt)
-					if !ok {
-						continue
-					}
-					r++
-					if casImprove(&st.Values[dbase+k], cand, p) {
-						w++
-						markActive(nextMasks, inNext, d, k)
-					}
-				}
-			})
-		}
-		c.relax += r
-		c.upd += w
-	}
-}
-
 // markActive atomically ors query bit k into v's next-frontier mask and
 // registers v in the next frontier set.
 func markActive(masks []uint64, set *bitset.Atomic, v graph.VertexID, k int) {
@@ -704,100 +636,6 @@ func (st *State) RunPull(g View, stats *Stats) {
 	_ = st.RunPullCtx(context.Background(), g, stats)
 }
 
-// RunPullCtx is RunPull with cooperative cancellation, checked once per
-// dense round. On cancellation it returns a *CanceledError; the state
-// holds the partially-improved (still sound, not converged) values.
-//
-// Kernel selection mirrors RunPushCtx: SoA states run the fused pull
-// (owner-exclusive register accumulation, no CAS — each vertex writes
-// only its own block); interleaved K>1 states run the legacy pull; K=1
-// follows SetFusedKernels.
-func (st *State) RunPullCtx(ctx context.Context, g View, stats *Stats) error {
-	if st.cols != nil || (st.K == 1 && fusedKernels.Load()) {
-		return st.runPullFused(ctx, g, stats)
-	}
-	return st.runPullLegacy(ctx, g, stats)
-}
-
-// runPullLegacy is the original interleaved pull kernel, kept verbatim
-// as the reference implementation.
-func (st *State) runPullLegacy(ctx context.Context, g View, stats *Stats) error {
-	n := g.NumVertices()
-	if n > st.N {
-		st.Grow(n)
-	}
-	fv, _ := g.(FlatView)
-	K := st.K
-	p := st.P
-	counters := make([]workCounter, parallel.MaxWorkers())
-	var canceled error
-	for {
-		if err := ctx.Err(); err != nil {
-			canceled = &CanceledError{Iterations: stats.Iterations, Cause: err}
-			break
-		}
-		stats.Iterations++
-		var changed atomic.Bool
-		parallel.ForRangeID(n, 64, func(wid, start, end int) {
-			c := &counters[wid]
-			var r, w int64
-			for v := start; v < end; v++ {
-				base := v * K
-				if fv != nil {
-					// Flat fast path: plain loops over the adjacency
-					// slices.
-					dsts, ws := fv.OutSpan(graph.VertexID(v))
-					for i, d := range dsts {
-						wgt := ws[i]
-						dbase := int(d) * K
-						for k := 0; k < K; k++ {
-							nv := atomic.LoadUint64(&st.Values[dbase+k])
-							cand, ok := p.Relax(nv, wgt)
-							if !ok {
-								continue
-							}
-							r++
-							if casImprove(&st.Values[base+k], cand, p) {
-								w++
-							}
-						}
-					}
-				} else {
-					g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, wgt graph.Weight) {
-						dbase := int(d) * K
-						for k := 0; k < K; k++ {
-							nv := atomic.LoadUint64(&st.Values[dbase+k])
-							cand, ok := p.Relax(nv, wgt)
-							if !ok {
-								continue
-							}
-							r++
-							if casImprove(&st.Values[base+k], cand, p) {
-								w++
-							}
-						}
-					})
-				}
-			}
-			c.acts += int64(K) * int64(end-start)
-			c.relax += r
-			c.upd += w
-			if w > 0 {
-				changed.Store(true)
-			}
-		})
-		if !changed.Load() {
-			break
-		}
-	}
-	for i := range counters {
-		stats.Activations += counters[i].acts
-		stats.Relaxations += counters[i].relax
-		stats.Updates += counters[i].upd
-	}
-	return canceled
-}
-
 // Run performs a full (from-scratch) K-wide push evaluation with one
 // source per query slot. It is the non-incremental baseline of Table 3.
 func Run(g View, p Problem, sources []graph.VertexID) (*State, Stats) {
@@ -809,21 +647,31 @@ func Run(g View, p Problem, sources []graph.VertexID) (*State, Stats) {
 // cancellation the partial state is still returned alongside the error.
 func RunCtx(ctx context.Context, g View, p Problem, sources []graph.VertexID) (*State, Stats, error) {
 	st := NewState(p, g.NumVertices(), len(sources))
-	seeds := make([]graph.VertexID, 0, len(sources))
-	masks := make([]uint64, 0, len(sources))
-	seen := make(map[graph.VertexID]int)
 	for k, s := range sources {
 		st.SetSource(s, k)
-		if i, ok := seen[s]; ok {
+	}
+	seeds, masks := SourceSeeds(sources)
+	stats, err := st.RunPushCtx(ctx, g, seeds, masks)
+	return st, stats, err
+}
+
+// SourceSeeds builds the first frontier of a width-len(sources)
+// evaluation whose slot k starts at sources[k]: one seed per distinct
+// source, its mask carrying the bit of every slot that names it.
+func SourceSeeds(sources []graph.VertexID) (seeds []graph.VertexID, masks []uint64) {
+	seeds = make([]graph.VertexID, 0, len(sources))
+	masks = make([]uint64, 0, len(sources))
+	index := make(map[graph.VertexID]int, len(sources))
+	for k, s := range sources {
+		if i, ok := index[s]; ok {
 			masks[i] |= 1 << uint(k)
 			continue
 		}
-		seen[s] = len(seeds)
+		index[s] = len(seeds)
 		seeds = append(seeds, s)
 		masks = append(masks, 1<<uint(k))
 	}
-	stats, err := st.RunPushCtx(ctx, g, seeds, masks)
-	return st, stats, err
+	return seeds, masks
 }
 
 // RunReverse performs a full pull-model evaluation of the reversed query

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"strings"
 	"testing"
 
 	"tripoline/internal/engine"
@@ -157,64 +158,61 @@ func TestRunOnSnapshotMatchesCSR(t *testing.T) {
 }
 
 func TestStateGrow(t *testing.T) {
-	// Both layouts: the SoA state NewState builds with fused kernels on,
-	// and the interleaved one it builds with them off.
-	for _, fused := range []bool{true, false} {
-		prev := engine.SetFusedKernels(fused)
-		st := engine.NewState(props.SSSP{}, 4, 2)
-		engine.SetFusedKernels(prev)
-		if st.SoA() != fused {
-			t.Fatalf("fused=%v: SoA=%v", fused, st.SoA())
-		}
+	// Both storages: contiguous at K=1, slot-blocked above.
+	for _, k := range []int{1, 2} {
+		st := engine.NewState(props.SSSP{}, 4, k)
 		st.SetSource(1, 0)
 		st.Grow(10)
 		if st.N != 10 {
-			t.Fatalf("fused=%v grow: N=%d", fused, st.N)
+			t.Fatalf("K=%d grow: N=%d", k, st.N)
 		}
 		if st.Value(1, 0) != 0 {
-			t.Fatalf("fused=%v: grow lost source value", fused)
+			t.Fatalf("K=%d: grow lost source value", k)
 		}
-		if st.Value(9, 1) != props.Unreached {
-			t.Fatalf("fused=%v: grown slots not at init value", fused)
+		if st.Value(9, k-1) != props.Unreached {
+			t.Fatalf("K=%d: grown slots not at init value", k)
 		}
 	}
 }
 
 func TestStateColumnAndClone(t *testing.T) {
-	for _, fused := range []bool{true, false} {
-		prev := engine.SetFusedKernels(fused)
-		st := engine.NewState(props.BFS{}, 3, 2)
-		engine.SetFusedKernels(prev)
+	for _, k := range []int{1, 2} {
+		st := engine.NewState(props.BFS{}, 3, k)
 		for v := 0; v < 3; v++ {
-			st.SetValue(graph.VertexID(v), 0, uint64(2*v))
-			st.SetValue(graph.VertexID(v), 1, uint64(2*v+1))
-		}
-		col := st.Column(1)
-		if col[0] != 1 || col[1] != 3 || col[2] != 5 {
-			t.Fatalf("fused=%v: column = %v", fused, col)
-		}
-		if view, ok := st.ColumnView(1); ok {
-			if view[0] != 1 || view[1] != 3 || view[2] != 5 {
-				t.Fatalf("fused=%v: column view = %v", fused, view)
+			for j := 0; j < k; j++ {
+				st.SetValue(graph.VertexID(v), j, uint64(k*v+j))
 			}
 		}
-		// StrideView must address every layout: value(v,k) = arr[v*stride+off].
-		arr, stride, off := st.StrideView(1)
+		last := k - 1
+		col := st.Column(last)
+		view, contiguous := st.ColumnView(last)
+		if contiguous != (k == 1) {
+			t.Fatalf("K=%d: ColumnView ok=%v", k, contiguous)
+		}
+		// StrideView must address every width: value(v,j) = arr[v*stride+off].
+		arr, stride, off := st.StrideView(last)
 		for v := 0; v < 3; v++ {
-			if got := arr[v*stride+off]; got != uint64(2*v+1) {
-				t.Fatalf("fused=%v: StrideView(1)[%d] = %d", fused, v, got)
+			want := uint64(k*v + last)
+			if col[v] != want {
+				t.Fatalf("K=%d: column = %v", k, col)
+			}
+			if contiguous && view[v] != want {
+				t.Fatalf("K=%d: column view = %v", k, view)
+			}
+			if got := arr[v*stride+off]; got != want {
+				t.Fatalf("K=%d: StrideView(%d)[%d] = %d", k, last, v, got)
 			}
 		}
 		inter := st.Interleaved()
-		for i := uint64(0); i < 6; i++ {
-			if inter[i] != i {
-				t.Fatalf("fused=%v: interleaved = %v", fused, inter)
+		for i := range inter {
+			if inter[i] != uint64(i) {
+				t.Fatalf("K=%d: interleaved = %v", k, inter)
 			}
 		}
 		cl := st.Clone()
 		cl.SetValue(0, 0, 99)
 		if st.Value(0, 0) == 99 {
-			t.Fatalf("fused=%v: clone aliases original", fused)
+			t.Fatalf("K=%d: clone aliases original", k)
 		}
 	}
 }
@@ -228,6 +226,26 @@ func TestNewStatePanicsOnBadK(t *testing.T) {
 				}
 			}()
 			engine.NewState(props.SSSP{}, 1, k)
+		}()
+	}
+}
+
+// A K>1 State literal has no slot-blocked storage for the width-K
+// kernels to index; both entry points must say so by name rather than
+// fault on a nil slice.
+func TestRunPanicsOnLiteralWideState(t *testing.T) {
+	g := randomCSR(4, 8, true, 5)
+	for name, run := range map[string]func(*engine.State){
+		"push": func(st *engine.State) { st.RunPush(g, []graph.VertexID{0}, []uint64{1}) },
+		"pull": func(st *engine.State) { st.RunPull(g, new(engine.Stats)) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "must be allocated by NewState") {
+					t.Fatalf("%s: recovered %q, want the NewState panic", name, msg)
+				}
+			}()
+			run(&engine.State{P: props.SSSP{}, K: 2, N: 4, Values: make([]uint64, 8)})
 		}()
 	}
 }

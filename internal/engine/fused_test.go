@@ -1,10 +1,13 @@
 package engine_test
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/oracle"
 	"tripoline/internal/props"
 	"tripoline/internal/xrand"
 )
@@ -29,7 +32,7 @@ func pickSources(n, k int, rng *xrand.RNG) []graph.VertexID {
 
 // requireSameValues compares two states element-wise through the
 // layout-independent accessor. The relaxation lattice has a unique
-// fixpoint, so the comparison is exact regardless of kernel generation.
+// fixpoint, so the comparison is exact.
 func requireSameValues(t *testing.T, label string, a, b *engine.State, n, k int) {
 	t.Helper()
 	for v := 0; v < n; v++ {
@@ -42,11 +45,26 @@ func requireSameValues(t *testing.T, label string, a, b *engine.State, n, k int)
 	}
 }
 
-// TestFusedWidthSweepEquivalence is the tentpole's correctness spine:
-// for every registered problem and K ∈ {1,4,16,64}, the fused width-K
-// kernel must be bit-identical to (a) the legacy interleaved kernel on
-// the same batch, (b) K independent K=1 evaluations, and (c) the fused
-// kernel running on a view with no flat fast path. Push and pull both.
+// requireOracle holds every slot of st to the sequential oracle's answer
+// for that slot's source (ref is oracle.BestPath for push evaluations,
+// oracle.BestPathTo for reversed ones).
+func requireOracle(t *testing.T, label string, st *engine.State, g *graph.CSR, sources []graph.VertexID,
+	ref func(*graph.CSR, engine.Problem, graph.VertexID) []uint64) {
+	t.Helper()
+	for j, s := range sources {
+		for v, want := range ref(g, st.P, s) {
+			if got := st.Value(graph.VertexID(v), j); got != want {
+				t.Fatalf("%s slot %d (source %d): value(%d) %#x, oracle %#x", label, j, s, v, got, want)
+			}
+		}
+	}
+}
+
+// TestFusedWidthSweepEquivalence is the kernels' correctness spine: for
+// every registered problem and K ∈ {1,4,16,64}, the width-K evaluation
+// must be bit-identical to (a) the sequential oracle, slot by slot,
+// (b) K independent K=1 evaluations, and (c) the same evaluation on a
+// view with no flat fast path. Push and pull both.
 func TestFusedWidthSweepEquivalence(t *testing.T) {
 	const n, m = 300, 3000
 	g := randomCSR(n, m, true, 61)
@@ -60,17 +78,7 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 			sources := pickSources(n, k, rng)
 
 			fused, _ := engine.Run(g, p, sources)
-			if k > 1 && !fused.SoA() {
-				t.Fatalf("%s K=%d: fused run did not pick the SoA layout", name, k)
-			}
-
-			prev := engine.SetFusedKernels(false)
-			legacy, _ := engine.Run(g, p, sources)
-			engine.SetFusedKernels(prev)
-			if legacy.SoA() {
-				t.Fatalf("%s K=%d: legacy run picked the SoA layout", name, k)
-			}
-			requireSameValues(t, name+" push fused-vs-legacy", fused, legacy, n, k)
+			requireOracle(t, name+" push", fused, g, sources, oracle.BestPath)
 
 			tree, _ := engine.Run(forestView{g}, p, sources)
 			requireSameValues(t, name+" push flat-vs-tree", fused, tree, n, k)
@@ -86,10 +94,10 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 			}
 
 			fusedRev, _ := engine.RunReverse(g, p, sources)
-			prev = engine.SetFusedKernels(false)
-			legacyRev, _ := engine.RunReverse(g, p, sources)
-			engine.SetFusedKernels(prev)
-			requireSameValues(t, name+" pull fused-vs-legacy", fusedRev, legacyRev, n, k)
+			requireOracle(t, name+" pull", fusedRev, g, sources, oracle.BestPathTo)
+
+			treeRev, _ := engine.RunReverse(forestView{g}, p, sources)
+			requireSameValues(t, name+" pull flat-vs-tree", fusedRev, treeRev, n, k)
 
 			for j, s := range sources {
 				single, _ := engine.RunReverse(g, p, []graph.VertexID{s})
@@ -105,9 +113,9 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 }
 
 // TestFusedForcedRepresentations pins the frontier representation to
-// each side of the Ligra-style switch and checks the fused kernel
-// against the legacy one on both, so neither the sparse per-vertex path
-// nor the dense mask sweep hides behind the heuristic.
+// each side of the Ligra-style switch and checks the width-K kernel
+// against the oracle on both, so neither the sparse per-vertex path nor
+// the dense mask sweep hides behind the heuristic.
 func TestFusedForcedRepresentations(t *testing.T) {
 	const n, m, k = 256, 2600, 16
 	g := randomCSR(n, m, true, 71)
@@ -127,10 +135,7 @@ func TestFusedForcedRepresentations(t *testing.T) {
 			defer func() { *engine.DenseFractionForTest = oldFrac }()
 
 			fused, fusedStats := engine.Run(g, props.SSSP{}, sources)
-			prev := engine.SetFusedKernels(false)
-			legacy, _ := engine.Run(g, props.SSSP{}, sources)
-			engine.SetFusedKernels(prev)
-			requireSameValues(t, mode.name, fused, legacy, n, k)
+			requireOracle(t, mode.name, fused, g, sources, oracle.BestPath)
 
 			if mode.name == "dense" && fusedStats.DenseIterations == 0 {
 				t.Fatal("forced-dense run recorded no dense iterations")
@@ -147,8 +152,8 @@ func TestFusedForcedRepresentations(t *testing.T) {
 
 // TestFusedWindowedDenseSweep shrinks the cache-blocking budget until
 // the dense sweep must split into many destination windows, then checks
-// the windowed result against the legacy kernel and that the sweeps
-// were actually counted. Re-hoisting the register block per window is
+// the windowed result against the oracle and that the sweeps were
+// actually counted. Re-hoisting the register block per window is
 // only sound for monotonic problems — this is the test that would catch
 // a cursor or mask-lifetime bug in that machinery.
 func TestFusedWindowedDenseSweep(t *testing.T) {
@@ -168,17 +173,14 @@ func TestFusedWindowedDenseSweep(t *testing.T) {
 
 	for name, p := range props.Registry() {
 		fused, stats := engine.Run(g, p, sources)
-		prev := engine.SetFusedKernels(false)
-		legacy, _ := engine.Run(g, p, sources)
-		engine.SetFusedKernels(prev)
-		requireSameValues(t, name+" windowed", fused, legacy, n, k)
+		requireOracle(t, name+" windowed", fused, g, sources, oracle.BestPath)
 		if stats.BlockSweeps == 0 {
 			t.Fatalf("%s: no windowed sweeps recorded despite tiny budget", name)
 		}
 	}
 }
 
-// TestFusedStatsSurface checks the new counters flow into Stats and
+// TestFusedStatsSurface checks the kernel counters flow into Stats and
 // through Add, so the server metrics and bench reports can trust them.
 func TestFusedStatsSurface(t *testing.T) {
 	a := engine.Stats{Hoists: 1, GateSkips: 2, BlockSweeps: 3}
@@ -191,5 +193,66 @@ func TestFusedStatsSurface(t *testing.T) {
 	_, stats := engine.Run(g, props.BFS{}, pickSources(128, 8, xrand.New(97)))
 	if stats.Hoists == 0 {
 		t.Fatal("width-8 fused run recorded no hoists")
+	}
+}
+
+// TestConcurrentPushSharedState pins the contract the shard router's
+// scatter rounds depend on: S goroutines may call RunPushCtx at once on
+// one width-16 state, each over its own arc partition of the graph. Every
+// value word is only ever CAS-improved, so re-seeding each round from the
+// vertices that moved, until nothing moves, must land every slot on the
+// union graph's fixpoint.
+func TestConcurrentPushSharedState(t *testing.T) {
+	const n, m, k, shards = 300, 3000, 16, 4
+	union := randomCSR(n, m, true, 101)
+	// Deal the union's (deduplicated) arcs round-robin into the partitions.
+	own := make([][]graph.Edge, shards)
+	for v, i := 0, 0; v < n; v++ {
+		union.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
+			own[i%shards] = append(own[i%shards], graph.Edge{Src: graph.VertexID(v), Dst: d, W: w})
+			i++
+		})
+	}
+	parts := make([]*graph.CSR, shards)
+	for i := range parts {
+		parts[i] = graph.FromEdges(n, own[i], true)
+	}
+	sources := pickSources(n, k, xrand.New(103))
+	sources[k-1] = sources[0] // one source shared by two slots
+
+	for name, p := range props.Registry() {
+		st := engine.NewState(p, n, k)
+		for j, s := range sources {
+			st.SetSource(s, j)
+		}
+		seeds, masks := engine.SourceSeeds(sources)
+		for len(seeds) > 0 {
+			prev := st.Clone()
+			var wg sync.WaitGroup
+			for _, part := range parts {
+				wg.Add(1)
+				go func(part *graph.CSR) {
+					defer wg.Done()
+					if _, err := st.RunPushCtx(context.Background(), part, seeds, masks); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+				}(part)
+			}
+			wg.Wait()
+			seeds, masks = seeds[:0], masks[:0]
+			for v := 0; v < n; v++ {
+				var moved uint64
+				for j := 0; j < k; j++ {
+					if st.Value(graph.VertexID(v), j) != prev.Value(graph.VertexID(v), j) {
+						moved |= 1 << uint(j)
+					}
+				}
+				if moved != 0 {
+					seeds = append(seeds, graph.VertexID(v))
+					masks = append(masks, moved)
+				}
+			}
+		}
+		requireOracle(t, name+" shared-state", st, union, sources, oracle.BestPath)
 	}
 }

@@ -1,16 +1,17 @@
-// Fused width-K kernels over the struct-of-arrays value layout.
+// Push kernels: the width-K kernel over the slot-blocked value storage
+// and its K=1 specialization over the contiguous value array.
 //
 // Three ideas, layered:
 //
-//  1. Register-block hoisting. The legacy push kernel re-loads the source
-//     value atomically per (edge × active slot) — at K=64 one edge costs
-//     up to 64 dependent atomic loads. The fused kernel hoists the
-//     frontier vertex's active-slot values into a stack block once per
-//     vertex before the edge loop. This is sound for monotonic problems:
-//     if another worker improves the source concurrently, it also
-//     re-marks the vertex active (markActive), so the improvement
-//     propagates in a later superstep; the hoisted (stale but still
-//     sound) values can only under-propagate, never corrupt.
+//  1. Register-block hoisting. Re-loading the source value atomically per
+//     (edge × active slot) costs up to 64 dependent atomic loads per edge
+//     at K=64. The kernel instead hoists the frontier vertex's
+//     active-slot values into a stack block once per vertex before the
+//     edge loop. This is sound for monotonic problems: if another worker
+//     improves the source concurrently, it also re-marks the vertex
+//     active (markActive), so the improvement propagates in a later
+//     superstep; the hoisted (stale but still sound) values can only
+//     under-propagate, never corrupt.
 //
 //  2. Devirtualized relaxation. All of package props' problems relax with
 //     one of six scalar ops; KernelSpec names the op so the kernel's edge
@@ -20,18 +21,15 @@
 //
 //  3. Cache-blocked dense sweeps. A dense superstep over a flat mirror
 //     touches K·N·8 bytes of destination values with power-law-random
-//     access. When that working set exceeds windowBudget, the fused
-//     kernel splits the vertex ID space into ascending destination
-//     windows and runs one pass per window, advancing a per-vertex arc
-//     cursor through the destination-sorted adjacency, so each pass's
-//     random writes land in a bounded value window.
+//     access. When that working set exceeds windowBudget, the kernel
+//     splits the vertex ID space into ascending destination windows and
+//     runs one pass per window, advancing a per-vertex arc cursor through
+//     the destination-sorted adjacency, so each pass's random writes land
+//     in a bounded value window.
 //
-// All fused kernels compute values bit-identical to the legacy kernels:
-// same CAS improve-or-retry order, same scalar ops (the spec ops are
-// transcriptions of the props implementations, covered by the width-sweep
-// equivalence tests and the -ablate fusedK verification). Work counters
-// may differ slightly — the legacy kernel re-reads sources mid-edge-loop
-// and can relax a slot the fused kernel defers to the next superstep.
+// The spec ops are transcriptions of the props implementations; the
+// width-sweep tests hold every problem and width to the sequential
+// oracle, to K independent K=1 runs and to the tree-view run.
 package engine
 
 import (
@@ -168,8 +166,8 @@ func blockWindows(k, n int) int {
 	return w
 }
 
-// pushKCtx is the per-run context of the fused width-K push kernel over
-// an SoA state.
+// pushKCtx is the per-run context of the width-K push kernel over a
+// slot-blocked (K>1) state.
 type pushKCtx struct {
 	g       View
 	fv      FlatView
@@ -440,14 +438,28 @@ func (kc *pushKCtx) process(c *workCounter, u graph.VertexID) {
 	}
 	kc.curMasks[u] = 0
 	c.acts += int64(bits.OnesCount64(mask))
+	if kc.fv == nil {
+		kc.processTree(c, u, mask)
+		return
+	}
 	var src [64]uint64
 	live := kc.hoist(u, mask, &src, c)
 	if live == 0 {
 		return
 	}
-	if kc.fv != nil {
-		dsts, ws := kc.fv.OutSpan(u)
-		kc.relaxSpan(c, dsts, ws, &src, live)
+	dsts, ws := kc.fv.OutSpan(u)
+	kc.relaxSpan(c, dsts, ws, &src, live)
+}
+
+// processTree is process's hoist and edge loop over a view with no flat
+// adjacency. It is its own function because the ForEachOut closure
+// captures the register block, which moves the block to the heap — one
+// 512-byte allocation per frontier vertex that the flat path must not
+// pay.
+func (kc *pushKCtx) processTree(c *workCounter, u graph.VertexID, mask uint64) {
+	var src [64]uint64
+	live := kc.hoist(u, mask, &src, c)
+	if live == 0 {
 		return
 	}
 	kc.g.ForEachOut(u, func(d graph.VertexID, w graph.Weight) {

@@ -1,20 +1,19 @@
-// Fused pull kernel: owner-exclusive register accumulation.
+// Pull kernel: owner-exclusive register accumulation.
 //
-// In the pull model each vertex writes only its own value block — the
-// legacy kernel still paid a CAS per improvement out of symmetry with
-// push, but no other worker ever writes those words. The fused kernel
-// exploits the exclusivity: it snapshots the vertex's block into a stack
-// register block with plain reads (race-free — concurrent workers only
+// In the pull model each vertex writes only its own value block — no
+// other worker ever writes those words. The kernel exploits the
+// exclusivity: it snapshots the vertex's block into a stack register
+// block with plain reads (race-free — concurrent workers only
 // atomic-load these words, and the owner is the sole writer), accumulates
 // improvements in registers across the whole edge loop, and publishes
 // each improved slot with a single atomic store at the end. Neighbor
 // reads stay atomic loads, pairing with those stores.
 //
-// Improvements become visible to other vertices one edge-loop later than
-// the legacy kernel's immediate CAS, which can only defer work to the
-// next round — the round loop repeats until no vertex improves, and the
-// fixpoint of a monotonic problem is unique, so converged values are
-// bit-identical to the legacy kernel's.
+// Improvements become visible to other vertices only after the owner's
+// edge loop, which can only defer work to the next round — the round loop
+// repeats until no vertex improves, and the fixpoint of a monotonic
+// problem is unique. The exclusivity holds within one evaluation only:
+// unlike RunPushCtx, concurrent RunPullCtx calls must not share a state.
 package engine
 
 import (
@@ -26,10 +25,9 @@ import (
 	"tripoline/internal/parallel"
 )
 
-// pullCtx parameterizes the fused pull kernel over the two value
-// layouts: value (v,k) lives at vals[v*vw+soff[k]] — slot-blocked states
-// use vw=lineWords with the block-strided slot offsets, interleaved
-// states vw=K with soff[k]=k.
+// pullCtx parameterizes the pull kernel over the state's storage: value
+// (v,k) lives at vals[v*vw+soff[k]] — State.StrideViews' (arr, stride,
+// offs).
 type pullCtx struct {
 	p       Problem
 	spec    KernelSpec
@@ -42,8 +40,8 @@ type pullCtx struct {
 
 // edge relaxes one in-edge (weight w, neighbor block at dbase) against
 // the register block cur, improving cur in place. Returns the mask of
-// slots improved by this edge; c.relax counts attempts exactly like the
-// legacy kernel (one per non-gated neighbor slot).
+// slots improved by this edge; c.relax counts one attempt per non-gated
+// neighbor slot.
 func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint64) uint64 {
 	vals, soff := pc.vals, pc.soff
 	K := pc.K
@@ -161,8 +159,11 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 	return improved
 }
 
-// runPullFused is the fused pull evaluation (see the file comment).
-func (st *State) runPullFused(ctx context.Context, g View, stats *Stats) error {
+// RunPullCtx is RunPull with cooperative cancellation, checked once per
+// dense round. On cancellation it returns a *CanceledError; the state
+// holds the partially-improved (still sound, not converged) values.
+func (st *State) RunPullCtx(ctx context.Context, g View, stats *Stats) error {
+	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
 		st.Grow(n)
@@ -171,19 +172,7 @@ func (st *State) runPullFused(ctx context.Context, g View, stats *Stats) error {
 	K := st.K
 	pc := &pullCtx{p: st.P, K: K}
 	pc.spec, pc.hasSpec = kernelSpecFor(st.P)
-	pc.soff = make([]int, K)
-	if st.cols != nil {
-		pc.vals, pc.vw = st.cols, lineWords
-	} else {
-		pc.vals, pc.vw = st.Values, st.K
-	}
-	for k := range pc.soff {
-		if st.cols != nil {
-			pc.soff[k] = st.slotOff(k)
-		} else {
-			pc.soff[k] = k
-		}
-	}
+	pc.vals, pc.vw, pc.soff = st.StrideViews()
 	counters := make([]workCounter, parallel.MaxWorkers())
 	var canceled error
 	for {

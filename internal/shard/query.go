@@ -19,12 +19,12 @@ import (
 // coherent cut of the partitioned graph.
 //
 // Vertex-specific problems run scatter/gather rounds over one shared
-// value array: each round runs every shard's push kernel concurrently
-// against the same CAS-relaxed values (the hand-built interleaved
-// State layout selects the atomic legacy/width-1 kernels, so the only
-// cross-goroutine memory is touched atomically), then the gather step
-// diffs the array against its pre-round copy to build the next
-// cross-shard frontier. Rounds repeat until no value moves. Because
+// engine.State: each round runs every shard's push kernel concurrently
+// against the same values (the push kernels read every value word with
+// an atomic load and improve it by CAS, and keep all other working state
+// per call, so sharing the state is sound — see engine.RunPushCtx), then
+// the gather step diffs the state against its pre-round copy to build
+// the next cross-shard frontier. Rounds repeat until no value moves. Because
 // every problem relaxes monotonically from a sound initialization, the
 // rounds converge to the same unique fixpoint a single-system
 // evaluation reaches — bit-identical for the integer problems.
@@ -174,25 +174,13 @@ func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []gra
 		}
 	}
 	start := time.Now()
-	p := r.probs[problem]
 	w := len(sources)
-	n := e.n
-	vals := makeInit(n*w, p.InitValue())
-	col := make([]uint64, n)
-	for j, src := range sources {
-		if err := ctx.Err(); err != nil {
-			return nil, &engine.CanceledError{Cause: err}
-		}
-		fillInit(col, p.InitValue())
-		r.mergeDelta(problem, src, e, col)
-		col[src] = p.SourceValue()
-		for v := 0; v < n; v++ {
-			vals[v*w+j] = col[v]
-		}
+	st, _, err := r.deltaState(ctx, e, problem, r.probs[problem], sources)
+	if err != nil {
+		return nil, err
 	}
-	st := &engine.State{P: p, K: w, N: n, Values: vals}
-	seeds, masks := seedsFromInit(vals, w, p.InitValue(), sources)
-	stats, err := r.runRounds(ctx, e, st, seeds, masks, w)
+	seeds, masks := seedsFromInit(st, sources)
+	stats, err := r.runRounds(ctx, e, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +189,7 @@ func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []gra
 	// values themselves are what QueryMany guarantees.
 	return &core.MultiResult{
 		Problem: problem, Sources: sources,
-		Values: st.Values, Width: w,
+		Values: st.Interleaved(), Width: w,
 		Stats:   stats,
 		Slots:   make([]int, w),
 		PropURs: make([]uint64, w),
@@ -228,16 +216,51 @@ func (r *Router) mergeDelta(problem string, u graph.VertexID, e *entry, init []u
 	return any
 }
 
+// deltaState allocates the width-len(sources) state of an incremental
+// evaluation at entry e and Δ-initializes it slot by slot: slot j merges
+// every shard's best standing bound for (problem, sources[j]) — straight
+// into the state's column at width 1, through a scratch column written
+// back by StrideView above it — and then plants its source. incremental
+// reports whether any shard contributed a bound. Each slot is an O(S·N)
+// pass, so cancellation is honored between slots.
+func (r *Router) deltaState(ctx context.Context, e *entry, problem string, p engine.Problem, sources []graph.VertexID) (st *engine.State, incremental bool, err error) {
+	st = engine.NewState(p, e.n, len(sources))
+	var scratch []uint64
+	for j, src := range sources {
+		if err := ctx.Err(); err != nil {
+			return nil, false, &engine.CanceledError{Cause: err}
+		}
+		col, contiguous := st.ColumnView(j)
+		if !contiguous {
+			if scratch == nil {
+				scratch = make([]uint64, e.n)
+			}
+			fillInit(scratch, p.InitValue())
+			col = scratch
+		}
+		if r.mergeDelta(problem, src, e, col) {
+			incremental = true
+		}
+		if !contiguous {
+			arr, stride, off := st.StrideView(j)
+			for v, val := range col {
+				arr[v*stride+off] = val
+			}
+		}
+		st.SetSource(src, j)
+	}
+	return st, incremental, nil
+}
+
 func (r *Router) querySimple(ctx context.Context, e *entry, name string, u graph.VertexID) (*core.QueryResult, error) {
 	start := time.Now()
-	p := r.probs[name]
-	n := e.n
-	init := makeInit(n, p.InitValue())
-	incremental := r.mergeDelta(name, u, e, init)
-	init[u] = p.SourceValue()
-	st := &engine.State{P: p, K: 1, N: n, Values: init}
-	seeds, masks := seedsFromInit(init, 1, p.InitValue(), []graph.VertexID{u})
-	stats, err := r.runRounds(ctx, e, st, seeds, masks, 1)
+	sources := []graph.VertexID{u}
+	st, incremental, err := r.deltaState(ctx, e, name, r.probs[name], sources)
+	if err != nil {
+		return nil, err
+	}
+	seeds, masks := seedsFromInit(st, sources)
+	stats, err := r.runRounds(ctx, e, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
@@ -255,33 +278,20 @@ func (r *Router) queryRadii(ctx context.Context, e *entry, u graph.VertexID) (*c
 	n := e.n
 	sources := core.RadiiSources(u, n)
 	w := len(sources)
-	p := props.SSSP{}
-	vals := makeInit(n*w, p.InitValue())
-	col := make([]uint64, n)
-	incremental := false
-	for j, src := range sources {
-		if err := ctx.Err(); err != nil {
-			return nil, &engine.CanceledError{Cause: err}
-		}
-		fillInit(col, p.InitValue())
-		if r.mergeDelta("SSSP", src, e, col) {
-			incremental = true
-		}
-		col[src] = p.SourceValue()
-		for v := 0; v < n; v++ {
-			vals[v*w+j] = col[v]
-		}
-	}
-	st := &engine.State{P: p, K: w, N: n, Values: vals}
-	seeds, masks := seedsFromInit(vals, w, p.InitValue(), sources)
-	stats, err := r.runRounds(ctx, e, st, seeds, masks, w)
+	st, incremental, err := r.deltaState(ctx, e, "SSSP", props.SSSP{}, sources)
 	if err != nil {
 		return nil, err
 	}
+	seeds, masks := seedsFromInit(st, sources)
+	stats, err := r.runRounds(ctx, e, st, seeds, masks)
+	if err != nil {
+		return nil, err
+	}
+	values := st.Interleaved()
 	return &core.QueryResult{
 		Problem: "Radii", Source: u,
-		Values: st.Values, Width: w,
-		Radius: props.RadiiEstimate(st.Values, n, w),
+		Values: values, Width: w,
+		Radius: props.RadiiEstimate(values, n, w),
 		Stats:  stats, Elapsed: time.Since(start),
 		Incremental: incremental,
 		Version:     e.global,
@@ -297,8 +307,8 @@ func (r *Router) querySSNSP(ctx context.Context, e *entry, u graph.VertexID) (*c
 	initCopy := append([]uint64(nil), init...)
 	init[u] = p.SourceValue()
 	st := &engine.State{P: p, K: 1, N: n, Values: init}
-	seeds, masks := seedsFromInit(init, 1, p.InitValue(), []graph.VertexID{u})
-	stats, err := r.runRounds(ctx, e, st, seeds, masks, 1)
+	seeds, masks := seedsFromInit(st, []graph.VertexID{u})
+	stats, err := r.runRounds(ctx, e, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +370,7 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 		init := makeInit(n, p.InitValue())
 		init[u] = p.SourceValue()
 		st := &engine.State{P: p, K: 1, N: n, Values: init}
-		stats, err := r.runRounds(ctx, e, st, []graph.VertexID{u}, []uint64{1}, 1)
+		stats, err := r.runRounds(ctx, e, st, []graph.VertexID{u}, []uint64{1})
 		if err != nil {
 			return nil, err
 		}
@@ -378,21 +388,20 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 		n := e.n
 		sources := core.RadiiSources(u, n)
 		w := len(sources)
-		p := props.SSSP{}
-		vals := makeInit(n*w, p.InitValue())
+		st := engine.NewState(props.SSSP{}, n, w)
 		for j, src := range sources {
-			vals[int(src)*w+j] = p.SourceValue()
+			st.SetSource(src, j)
 		}
-		st := &engine.State{P: p, K: w, N: n, Values: vals}
-		seeds, masks := sourceSeedMasks(sources)
-		stats, err := r.runRounds(ctx, e, st, seeds, masks, w)
+		seeds, masks := engine.SourceSeeds(sources)
+		stats, err := r.runRounds(ctx, e, st, seeds, masks)
 		if err != nil {
 			return nil, err
 		}
+		values := st.Interleaved()
 		return &core.QueryResult{
 			Problem: "Radii", Source: u,
-			Values: st.Values, Width: w,
-			Radius: props.RadiiEstimate(st.Values, n, w),
+			Values: values, Width: w,
+			Radius: props.RadiiEstimate(values, n, w),
 			Stats:  stats, Elapsed: time.Since(start),
 			Version: e.global,
 		}, nil
@@ -424,17 +433,17 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 // ---------------------------------------------------------------------
 // Scatter/gather rounds.
 
-// runRounds drives one query's value array to the union fixpoint. Each
-// round scatters the current frontier to every shard — all shards run
-// their push kernels concurrently against the shared state, each over
-// its own pinned flat (or tree) view — then gathers by diffing the
-// values against the pre-round copy: any vertex that moved becomes next
-// round's frontier, in every shard (its new value must be re-offered
-// across arcs the improving shard does not own). Monotone relaxation
-// over a finite lattice terminates with an empty diff.
-func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seeds []graph.VertexID, masks []uint64, w int) (engine.Stats, error) {
+// runRounds drives one query's state to the union fixpoint. Each round
+// scatters the current frontier to every shard — all shards run their
+// push kernels concurrently against the shared state, each over its own
+// pinned flat (or tree) view — then gathers by diffing the values
+// against the pre-round copy: any vertex that moved becomes next round's
+// frontier, in every shard (its new value must be re-offered across arcs
+// the improving shard does not own). Monotone relaxation over a finite
+// lattice terminates with an empty diff.
+func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seeds []graph.VertexID, masks []uint64) (engine.Stats, error) {
 	var total engine.Stats
-	prev := make([]uint64, len(st.Values))
+	prev := st.Clone()
 	type scatterRep struct {
 		stats engine.Stats
 		err   error
@@ -444,7 +453,6 @@ func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seed
 	// nothing can park on a channel (goroleak-certified by construction).
 	reps := make([]scatterRep, r.s)
 	for len(seeds) > 0 {
-		copy(prev, st.Values)
 		var wg sync.WaitGroup
 		for i := 0; i < r.s; i++ {
 			wg.Add(1)
@@ -485,24 +493,28 @@ func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seed
 		}
 		r.met.noteScatter(r.s)
 		mStart := time.Now()
-		seeds, masks = diffSeeds(prev, st.Values, w)
+		seeds, masks = diffSeeds(prev, st)
 		r.met.noteMerge(time.Since(mStart))
 	}
 	return total, nil
 }
 
-// diffSeeds builds the next cross-shard frontier: vertex v carries slot
-// j's bit when its slot-j value moved during the round.
-func diffSeeds(prev, cur []uint64, w int) ([]graph.VertexID, []uint64) {
+// diffSeeds builds the next cross-shard frontier — vertex v carries slot
+// j's bit when its slot-j value moved during the round — and catches
+// prev up with cur, so prev is the next round's pre-round copy.
+func diffSeeds(prev, cur *engine.State) ([]graph.VertexID, []uint64) {
 	var (
 		seeds []graph.VertexID
 		masks []uint64
 	)
-	n := len(cur) / w
-	for v := 0; v < n; v++ {
+	ca, stride, offs := cur.StrideViews()
+	pa, _, _ := prev.StrideView(0)
+	for v := 0; v < cur.N; v++ {
+		base := v * stride
 		var m uint64
-		for j := 0; j < w; j++ {
-			if cur[v*w+j] != prev[v*w+j] {
+		for j, off := range offs {
+			if c := ca[base+off]; c != pa[base+off] {
+				pa[base+off] = c
 				m |= 1 << uint(j)
 			}
 		}
@@ -520,7 +532,7 @@ func diffSeeds(prev, cur []uint64, w int) ([]graph.VertexID, []uint64) {
 // re-offer their bounds), with each query's source bit OR-ed in
 // explicitly — a source whose SourceValue equals InitValue would
 // otherwise never be seeded.
-func seedsFromInit(init []uint64, w int, initVal uint64, sources []graph.VertexID) ([]graph.VertexID, []uint64) {
+func seedsFromInit(st *engine.State, sources []graph.VertexID) ([]graph.VertexID, []uint64) {
 	srcMask := make(map[graph.VertexID]uint64, len(sources))
 	for j, s := range sources {
 		srcMask[s] |= 1 << uint(j)
@@ -529,11 +541,13 @@ func seedsFromInit(init []uint64, w int, initVal uint64, sources []graph.VertexI
 		seeds []graph.VertexID
 		masks []uint64
 	)
-	n := len(init) / w
-	for v := 0; v < n; v++ {
+	initVal := st.P.InitValue()
+	arr, stride, offs := st.StrideViews()
+	for v := 0; v < st.N; v++ {
+		base := v * stride
 		m := srcMask[graph.VertexID(v)]
-		for j := 0; j < w; j++ {
-			if init[v*w+j] != initVal {
+		for j, off := range offs {
+			if arr[base+off] != initVal {
 				m |= 1 << uint(j)
 			}
 		}
@@ -541,24 +555,6 @@ func seedsFromInit(init []uint64, w int, initVal uint64, sources []graph.VertexI
 			seeds = append(seeds, graph.VertexID(v))
 			masks = append(masks, m)
 		}
-	}
-	return seeds, masks
-}
-
-// sourceSeedMasks folds duplicate sources into combined slot masks (the
-// full-evaluation analogue of core's sourceSeeds).
-func sourceSeedMasks(sources []graph.VertexID) ([]graph.VertexID, []uint64) {
-	seeds := make([]graph.VertexID, 0, len(sources))
-	masks := make([]uint64, 0, len(sources))
-	index := make(map[graph.VertexID]int, len(sources))
-	for k, s := range sources {
-		if i, ok := index[s]; ok {
-			masks[i] |= 1 << uint(k)
-			continue
-		}
-		index[s] = len(seeds)
-		seeds = append(seeds, s)
-		masks = append(masks, 1<<uint(k))
 	}
 	return seeds, masks
 }

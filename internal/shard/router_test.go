@@ -214,18 +214,23 @@ func TestQueryMany(t *testing.T) {
 	p := newPair(t, 120, true, 4, []string{"SSSP"})
 	p.insert(t, randBatch(rng, 120, 300))
 	sources := []graph.VertexID{4, 9, 9, 33, 77}
-	mr, err := p.rt.QueryMany("SSSP", sources)
-	if err != nil {
-		t.Fatalf("QueryMany: %v", err)
-	}
-	for j, u := range sources {
-		want, err := p.ref.Query("SSSP", u)
+	// Width 9 crosses a slot block of the width-K state (8 slots) and
+	// leaves 7 padding lanes; width 5 stays inside one block. Both name
+	// one source twice.
+	for _, sources := range [][]graph.VertexID{sources, {4, 9, 9, 33, 77, 0, 119, 51, 64}} {
+		mr, err := p.rt.QueryMany("SSSP", sources)
 		if err != nil {
-			t.Fatalf("ref query %d: %v", u, err)
+			t.Fatalf("QueryMany: %v", err)
 		}
-		for v := range want.Values {
-			if got := mr.Value(graph.VertexID(v), j); got != want.Values[v] {
-				t.Fatalf("QueryMany slot %d vertex %d: %d vs %d", j, v, got, want.Values[v])
+		for j, u := range sources {
+			want, err := p.ref.Query("SSSP", u)
+			if err != nil {
+				t.Fatalf("ref query %d: %v", u, err)
+			}
+			for v := range want.Values {
+				if got := mr.Value(graph.VertexID(v), j); got != want.Values[v] {
+					t.Fatalf("QueryMany width %d slot %d vertex %d: %d vs %d", len(sources), j, v, got, want.Values[v])
+				}
 			}
 		}
 	}

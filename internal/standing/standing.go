@@ -196,10 +196,10 @@ func (m *Manager) noteVersion(g engine.View) {
 
 // StandingColumn returns slot k's converged forward property column
 // (property(r_k, x) for every x). It is a zero-copy view into the
-// standing state when the layout stores columns contiguously (K=1), and
-// a parallel strided copy on the width-K layouts (interleaved and
-// slot-blocked alike); either way the caller must treat it as read-only
-// and use it before the next maintenance pass.
+// standing state at K=1, where the column is stored contiguously, and a
+// parallel strided copy out of the slot-blocked storage at K>1; either
+// way the caller must treat it as read-only and use it before the next
+// maintenance pass.
 func (m *Manager) StandingColumn(k int) []uint64 {
 	if col, ok := m.Forward.ColumnView(k); ok {
 		return col
