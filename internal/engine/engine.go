@@ -1,5 +1,5 @@
 // Package engine implements Tripoline's vertex-centric evaluation runtime:
-// a frontier-based push-model engine, a dense pull-model engine for
+// a frontier-based push-model engine, a change-driven pull-model engine for
 // reversed queries on directed graphs (the dual-model evaluation of §4.2),
 // and a K-wide batch mode that evaluates up to 64 queries of the same type
 // simultaneously under one combined frontier (§4.5).
@@ -126,7 +126,10 @@ type Problem interface {
 
 // Stats accumulates work counters for one evaluation. Activations is the
 // number of vertex-function evaluations (per active (vertex, query) pair),
-// the numerator/denominator of the activation ratio R_act (Eq. 11).
+// the numerator/denominator of the activation ratio R_act (Eq. 11). The
+// pull model counts the pairs it actually re-evaluated: K per dirty vertex
+// in round 0, and in a filtered sweep the slots a vertex relaxed because
+// an out-neighbor improved them — not K·N per round.
 type Stats struct {
 	Activations int64
 	Relaxations int64 // edge relaxations attempted
@@ -622,18 +625,32 @@ func casImprove(addr *uint64, cand uint64, p Problem) bool {
 	}
 }
 
-// RunPull evaluates the state to convergence with the pull model: each
-// round, every vertex recomputes its value from its out-neighbors'
-// values. With property(x) interpreted as property(x, source), this
-// computes the reversed query q⁻¹ of §4.2 using only the out-edge
-// representation — the dual-model evaluation. Rounds repeat until a
-// fixpoint; each round counts one activation per (vertex, query) pair.
+// RunPull re-stabilizes the state with the pull model: a vertex recomputes
+// its value from its out-neighbors' values. With property(x) interpreted
+// as property(x, source), this computes the reversed query q⁻¹ of §4.2
+// using only the out-edge representation — the dual-model evaluation.
 //
-// Values must be pre-initialized (sources at SourceValue). The same entry
-// point also resumes incrementally: calling it on a converged state after
-// a graph update costs one verification round plus whatever changed.
-func (st *State) RunPull(g View, stats *Stats) {
-	_ = st.RunPullCtx(context.Background(), g, stats)
+// The state must be a fixpoint of g except at the dirty vertices: those
+// whose out-arc set changed (the distinct sources of an insert batch) or
+// whose own value slots were reset from outside (a deletion repair).
+// dirty must not repeat a vertex. The cost is round 0 — the dirty
+// vertices over all their out-arcs at all K slots — plus one filtered
+// sweep per propagation round, which scans every arc but relaxes only
+// the slots its head improved in the round before (see pull.go). An
+// empty dirty list costs nothing: no round runs.
+func (st *State) RunPull(g View, dirty []graph.VertexID, stats *Stats) {
+	_ = st.RunPullCtx(context.Background(), g, dirty, stats)
+}
+
+// RunPullAll is the from-scratch entry of the pull model: every vertex is
+// dirty. Values must be pre-initialized (sources at SourceValue, the rest
+// at the init value).
+func (st *State) RunPullAll(g View, stats *Stats) {
+	all := make([]graph.VertexID, g.NumVertices())
+	for v := range all {
+		all[v] = graph.VertexID(v)
+	}
+	st.RunPull(g, all, stats)
 }
 
 // Run performs a full (from-scratch) K-wide push evaluation with one
@@ -682,6 +699,6 @@ func RunReverse(g View, p Problem, sources []graph.VertexID) (*State, Stats) {
 		st.SetSource(s, k)
 	}
 	var stats Stats
-	st.RunPull(g, &stats)
+	st.RunPullAll(g, &stats)
 	return st, stats
 }

@@ -237,7 +237,7 @@ func TestRunPanicsOnLiteralWideState(t *testing.T) {
 	g := randomCSR(4, 8, true, 5)
 	for name, run := range map[string]func(*engine.State){
 		"push": func(st *engine.State) { st.RunPush(g, []graph.VertexID{0}, []uint64{1}) },
-		"pull": func(st *engine.State) { st.RunPull(g, new(engine.Stats)) },
+		"pull": func(st *engine.State) { st.RunPullAll(g, new(engine.Stats)) },
 	} {
 		func() {
 			defer func() {

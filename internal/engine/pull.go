@@ -1,19 +1,35 @@
-// Pull kernel: owner-exclusive register accumulation.
+// Pull kernel: change-driven, owner-exclusive register accumulation.
 //
-// In the pull model each vertex writes only its own value block — no
-// other worker ever writes those words. The kernel exploits the
-// exclusivity: it snapshots the vertex's block into a stack register
-// block with plain reads (race-free — concurrent workers only
-// atomic-load these words, and the owner is the sole writer), accumulates
-// improvements in registers across the whole edge loop, and publishes
-// each improved slot with a single atomic store at the end. Neighbor
-// reads stay atomic loads, pairing with those stores.
+// In the pull model a vertex recomputes its value block from its
+// out-neighbors' blocks, so property(x, source) is evaluated over the
+// out-edge representation alone (§4.2, no transposed mirror). The kernel
+// re-evaluates only what can have changed:
 //
-// Improvements become visible to other vertices only after the owner's
-// edge loop, which can only defer work to the next round — the round loop
-// repeats until no vertex improves, and the fixpoint of a monotonic
-// problem is unique. The exclusivity holds within one evaluation only:
-// unlike RunPushCtx, concurrent RunPullCtx calls must not share a state.
+//   - Round 0 evaluates the dirty vertices — those whose out-arc set or
+//     own value slots were changed from outside — over all their out-arcs
+//     at all K slots, and records per vertex the mask of slots it improved.
+//   - Every later round is a filtered sweep: for each vertex v and out-arc
+//     (v, d, w) it loads d's improved-slot mask from the previous round,
+//     skips the arc when the mask is zero (one load instead of K
+//     relaxations), and otherwise relaxes only the slots in the mask.
+//     Rounds repeat until one improves nothing.
+//
+// Why it is exact. The caller hands in a state that is a fixpoint except
+// at the dirty vertices, so a vertex can improve only through a changed
+// out-arc set (it is dirty) or through an out-neighbor that improved.
+// Neighbor values are read with atomic loads: an improvement published
+// earlier in the same round is either seen now or offered again next round
+// through its mask. The problems are monotonic and the fixpoint unique
+// (Theorem 4.4), so the result is the one an every-vertex-every-round pull
+// converges to, bit for bit.
+//
+// Each vertex writes only its own value block and its own mask word — no
+// other worker ever writes them. The kernel exploits the exclusivity: it
+// hoists the slots it is about to relax into a register block, accumulates
+// improvements there across the whole edge loop, and publishes each
+// improved slot with a single atomic store at the end. The exclusivity
+// holds within one evaluation only: unlike RunPushCtx, concurrent
+// RunPullCtx calls must not share a state.
 package engine
 
 import (
@@ -25,30 +41,51 @@ import (
 	"tripoline/internal/parallel"
 )
 
-// pullCtx parameterizes the pull kernel over the state's storage: value
-// (v,k) lives at vals[v*vw+soff[k]] — State.StrideViews' (arr, stride,
-// offs).
+// pullCtx parameterizes the pull kernel over the graph and the state's
+// storage: value (v,k) lives at vals[v*vw+soff[k]] — State.StrideViews'
+// (arr, stride, offs).
 type pullCtx struct {
+	g       View
+	fv      FlatView // nil when g has no slice fast path
 	p       Problem
 	spec    KernelSpec
 	hasSpec bool
-	K       int
+	full    uint64 // the all-K-slots mask
 	vals    []uint64
 	vw      int
 	soff    []int
+	// hot[d] is the mask of slots d improved in the previous round; nil in
+	// round 0, where every arc of a dirty vertex is relaxed at all slots.
+	// improved[v] receives the mask of slots v improves in this round.
+	hot, improved []uint64
 }
 
-// edge relaxes one in-edge (weight w, neighbor block at dbase) against
-// the register block cur, improving cur in place. Returns the mask of
-// slots improved by this edge; c.relax counts one attempt per non-gated
-// neighbor slot.
-func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint64) uint64 {
+// pullWorker is one worker's register block, counters and per-vertex
+// accumulators, indexed by the stable worker id so none of it is
+// reallocated per chunk or per vertex.
+type pullWorker struct {
+	cur  [64]uint64
+	c    workCounter
+	pc   *pullCtx
+	base int // the current vertex's block offset, v*vw
+	// have is the mask of slots hoisted into cur for the current vertex,
+	// improved the mask of slots some arc improved.
+	have, improved uint64
+	// arcFn is pw.arc bound once, the callback of the ForEachOut fallback.
+	arcFn func(graph.VertexID, graph.Weight)
+}
+
+// edge relaxes one out-arc (weight w, neighbor block at dbase) against
+// the register block cur at the slots in mask, improving cur in place.
+// Returns the mask of slots improved by this arc; c.relax counts one
+// attempt per non-gated neighbor slot.
+func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint64, mask uint64) uint64 {
 	vals, soff := pc.vals, pc.soff
-	K := pc.K
 	var improved uint64
 	if !pc.hasSpec {
 		p := pc.p
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			cand, ok := p.Relax(nv, w)
 			if !ok {
@@ -66,7 +103,8 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 	switch pc.spec.Kind {
 	case RelaxAddWeight:
 		wv := uint64(w)
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			if nv == gate {
 				continue
@@ -78,7 +116,8 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 			}
 		}
 	case RelaxAddOne:
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			if nv == gate {
 				continue
@@ -91,7 +130,8 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 		}
 	case RelaxMinWeight:
 		wv := uint64(w)
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			if nv == gate {
 				continue
@@ -108,7 +148,8 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 		}
 	case RelaxMaxWeight:
 		wv := uint64(w)
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			if nv == gate {
 				continue
@@ -125,7 +166,8 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 		}
 	case RelaxMulSat:
 		wv := uint64(w)
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			if nv == gate {
 				continue
@@ -139,7 +181,8 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 		}
 	case RelaxConst:
 		cand := pc.spec.Const
-		for k := 0; k < K; k++ {
+		for m := mask; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
 			nv := atomic.LoadUint64(&vals[dbase+soff[k]])
 			if nv == gate {
 				continue
@@ -159,77 +202,138 @@ func (pc *pullCtx) edge(c *workCounter, dbase int, w graph.Weight, cur *[64]uint
 	return improved
 }
 
+// relax relaxes out-arc (·, d, w) of the current vertex at the slots in m
+// (non-zero). Slots are hoisted on first use, so a vertex with no hot
+// out-neighbor reads one mask word per arc and nothing else.
+func (pw *pullWorker) relax(d graph.VertexID, w graph.Weight, m uint64) {
+	pc := pw.pc
+	for need := m &^ pw.have; need != 0; need &= need - 1 {
+		k := bits.TrailingZeros64(need)
+		pw.cur[k] = atomic.LoadUint64(&pc.vals[pw.base+pc.soff[k]])
+	}
+	pw.have |= m
+	pw.improved |= pc.edge(&pw.c, int(d)*pc.vw, w, &pw.cur, m)
+}
+
+// arc is relax behind the hot filter, for views without the slice path.
+func (pw *pullWorker) arc(d graph.VertexID, w graph.Weight) {
+	m := pw.pc.full
+	if hot := pw.pc.hot; hot != nil {
+		if m = hot[d]; m == 0 {
+			return
+		}
+	}
+	pw.relax(d, w, m)
+}
+
+// vertex re-evaluates v: every out-arc whose head is hot (all of them in
+// round 0) is relaxed at the hot slots against v's register block, the
+// improved slots are published, and their mask is returned.
+func (pw *pullWorker) vertex(v graph.VertexID) uint64 {
+	pc := pw.pc
+	pw.base = int(v) * pc.vw
+	pw.have, pw.improved = 0, 0
+	switch hot := pc.hot; {
+	case pc.fv == nil:
+		pc.g.ForEachOut(v, pw.arcFn)
+	case hot == nil:
+		dsts, ws := pc.fv.OutSpan(v)
+		for i, d := range dsts {
+			pw.relax(d, ws[i], pc.full)
+		}
+	default:
+		dsts, ws := pc.fv.OutSpan(v)
+		for i, d := range dsts {
+			if m := hot[d]; m != 0 {
+				pw.relax(d, ws[i], m)
+			}
+		}
+	}
+	for m := pw.improved; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		atomic.StoreUint64(&pc.vals[pw.base+pc.soff[k]], pw.cur[k])
+	}
+	pw.c.acts += int64(bits.OnesCount64(pw.have))
+	pw.c.upd += int64(bits.OnesCount64(pw.improved))
+	return pw.improved
+}
+
 // RunPullCtx is RunPull with cooperative cancellation, checked once per
-// dense round. On cancellation it returns a *CanceledError; the state
-// holds the partially-improved (still sound, not converged) values.
-func (st *State) RunPullCtx(ctx context.Context, g View, stats *Stats) error {
+// round. On cancellation it returns a *CanceledError; the state holds the
+// partially-improved (still sound, not converged) values.
+func (st *State) RunPullCtx(ctx context.Context, g View, dirty []graph.VertexID, stats *Stats) error {
 	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
 		st.Grow(n)
 	}
-	fv, _ := g.(FlatView)
-	K := st.K
-	pc := &pullCtx{p: st.P, K: K}
+	if len(dirty) == 0 {
+		return nil
+	}
+	pc := &pullCtx{g: g, p: st.P, full: ^uint64(0) >> uint(64-st.K)}
+	pc.fv, _ = g.(FlatView)
 	pc.spec, pc.hasSpec = kernelSpecFor(st.P)
 	pc.vals, pc.vw, pc.soff = st.StrideViews()
-	counters := make([]workCounter, parallel.MaxWorkers())
-	var canceled error
-	for {
-		if err := ctx.Err(); err != nil {
-			canceled = &CanceledError{Iterations: stats.Iterations, Cause: err}
-			break
-		}
+	workers := make([]pullWorker, parallel.MaxWorkers())
+	for i := range workers {
+		pw := &workers[i]
+		pw.pc, pw.arcFn = pc, pw.arc
+	}
+	scr := getPushScratch(st.N)
+
+	// round runs one parallel pass over count vertices (vertexAt names the
+	// i-th), recording each one's improved-slot mask, and reports whether
+	// any improved.
+	round := func(count, grain int, vertexAt func(i int) graph.VertexID) bool {
 		stats.Iterations++
-		var changed atomic.Bool
-		parallel.ForRangeID(n, 64, func(wid, start, end int) {
-			c := &counters[wid]
-			vals, vw, soff := pc.vals, pc.vw, pc.soff
-			var cur [64]uint64
-			var w int64
-			for v := start; v < end; v++ {
-				base := v * vw
-				// Owner snapshot: only this worker writes v's block, so
-				// the plain reads are race-free; every improved slot is
-				// re-published below with an atomic store that the other
-				// workers' atomic neighbor loads pair with.
-				for k := 0; k < K; k++ {
-					cur[k] = vals[base+soff[k]]
-				}
-				var improvedAll uint64
-				if fv != nil {
-					dsts, ws := fv.OutSpan(graph.VertexID(v))
-					for i, d := range dsts {
-						imp := pc.edge(c, int(d)*vw, ws[i], &cur)
-						w += int64(bits.OnesCount64(imp))
-						improvedAll |= imp
-					}
-				} else {
-					g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, wgt graph.Weight) {
-						imp := pc.edge(c, int(d)*vw, wgt, &cur)
-						w += int64(bits.OnesCount64(imp))
-						improvedAll |= imp
-					})
-				}
-				for m := improvedAll; m != 0; m &= m - 1 {
-					k := bits.TrailingZeros64(m)
-					atomic.StoreUint64(&vals[base+soff[k]], cur[k])
-				}
+		var any atomic.Bool
+		parallel.ForRangeID(count, grain, func(wid, start, end int) {
+			pw := &workers[wid]
+			var seen uint64
+			for i := start; i < end; i++ {
+				v := vertexAt(i)
+				imp := pw.vertex(v)
+				pc.improved[v] = imp
+				seen |= imp
 			}
-			c.acts += int64(K) * int64(end-start)
-			c.upd += w
-			if w > 0 {
-				changed.Store(true)
+			if seen != 0 {
+				any.Store(true)
 			}
 		})
-		if !changed.Load() {
-			break
-		}
+		return any.Load()
 	}
-	for i := range counters {
-		stats.Activations += counters[i].acts
-		stats.Relaxations += counters[i].relax
-		stats.Updates += counters[i].upd
+
+	var canceled error
+	stop := func() bool {
+		if err := ctx.Err(); err != nil {
+			canceled = &CanceledError{Iterations: stats.Iterations, Cause: err}
+		}
+		return canceled != nil
+	}
+	pc.improved = scr.masks
+	more := !stop() && round(len(dirty), 16, func(i int) graph.VertexID { return dirty[i] })
+	pc.hot, pc.improved = scr.masks, scr.next
+	swept := false
+	for more && !stop() {
+		more = round(n, 256, func(i int) graph.VertexID { return graph.VertexID(i) })
+		pc.hot, pc.improved = pc.improved, pc.hot
+		swept = true
+	}
+	for i := range workers {
+		stats.Activations += workers[i].c.acts
+		stats.Relaxations += workers[i].c.relax
+		stats.Updates += workers[i].c.upd
+	}
+	// Hand the scratch back drained. A sweep overwrites every mask word, so
+	// the last one (it improved nothing) left its output all zero; the
+	// masks it read are the ones to clear. A round 0 that improved nothing
+	// wrote only zeros. A canceled run may leave both arrays live, so its
+	// scratch is dropped, like RunPushCtx's.
+	if canceled == nil {
+		if swept {
+			clear(pc.improved)
+		}
+		putPushScratch(scr)
 	}
 	return canceled
 }

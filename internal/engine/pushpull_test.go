@@ -10,12 +10,12 @@ import (
 )
 
 // Property: on a symmetric (undirected) graph, the push-based
-// sparse/dense hybrid and the pure dense pull loop converge to the
-// identical fixpoint for every registered problem, any source set, and
-// any K. The relaxation lattice has a unique fixpoint, so the comparison
-// is exact — bit for bit, including Viterbi's float-encoded
-// probabilities (each value is a product accumulated in path order,
-// which neither schedule changes).
+// sparse/dense hybrid and the from-scratch (every vertex dirty) pull
+// converge to the identical fixpoint for every registered problem, any
+// source set, and any K. The relaxation lattice has a unique fixpoint,
+// so the comparison is exact — bit for bit, including Viterbi's
+// float-encoded probabilities (each value is a product accumulated in
+// path order, which neither schedule changes).
 //
 // Undirected is required, not a convenience: RunPull improves a vertex
 // from its *out*-neighbors' values, which on a directed graph computes
@@ -60,7 +60,7 @@ func TestPushPullEquivalenceProperty(t *testing.T) {
 				pull.SetSource(s, i)
 			}
 			var pullStats engine.Stats
-			pull.RunPull(g, &pullStats)
+			pull.RunPullAll(g, &pullStats)
 
 			for v := 0; v < sh.n; v++ {
 				for j := 0; j < k; j++ {

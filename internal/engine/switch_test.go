@@ -132,11 +132,11 @@ func TestFlatFastPathMatchesFallback(t *testing.T) {
 	fp := NewState(minPlus{}, n, 1)
 	fp.SetSource(0, 0)
 	var fpStats Stats
-	fp.RunPull(g, &fpStats)
+	fp.RunPullAll(g, &fpStats)
 	tp := NewState(minPlus{}, n, 1)
 	tp.SetSource(0, 0)
 	var tpStats Stats
-	tp.RunPull(treeOnly{g}, &tpStats)
+	tp.RunPullAll(treeOnly{g}, &tpStats)
 	for v := range fp.Values {
 		if fp.Values[v] != tp.Values[v] {
 			t.Fatalf("pull vertex %d: flat=%d tree=%d", v, fp.Values[v], tp.Values[v])
@@ -145,33 +145,49 @@ func TestFlatFastPathMatchesFallback(t *testing.T) {
 }
 
 func TestPushScratchPoolReuse(t *testing.T) {
-	// Drain whatever is pooled, then verify a run leaves reusable,
-	// fully drained scratch behind.
-	for {
-		if s, _ := pushScratchPool.Get().(*pushScratch); s == nil {
-			break
-		}
-	}
 	const n, burst = 256, 64
 	g := burstGraph(n, burst)
-	runMinPlus(g, n)
-
-	s, _ := pushScratchPool.Get().(*pushScratch)
-	if s == nil {
-		t.Skip("pool evicted the scratch (GC ran); nothing to verify")
+	evaluations := map[string]func(){
+		"push": func() { runMinPlus(g, n) },
+		// The reversed query from the far end: round 0 improves the last
+		// hop, so filtered sweeps follow and both mask arrays get written.
+		"pull": func() {
+			st := NewState(minPlus{}, n, 1)
+			st.SetSource(graph.VertexID(3+burst), 0)
+			var stats Stats
+			st.RunPullAll(g, &stats)
+			if st.Values[0] != 4 || stats.Iterations < 2 {
+				t.Fatalf("pull: value(0)=%d after %d rounds", st.Values[0], stats.Iterations)
+			}
+		},
 	}
-	if len(s.masks) != n || len(s.next) != n {
-		t.Fatalf("pooled scratch sized %d/%d, want %d", len(s.masks), len(s.next), n)
-	}
-	for i := 0; i < n; i++ {
-		if s.masks[i] != 0 || s.next[i] != 0 {
-			t.Fatalf("pooled scratch dirty at %d: masks=%d next=%d", i, s.masks[i], s.next[i])
+	for name, evaluate := range evaluations {
+		// Drain whatever is pooled, then verify a run leaves reusable,
+		// fully drained scratch behind.
+		for {
+			if s, _ := pushScratchPool.Get().(*pushScratch); s == nil {
+				break
+			}
 		}
+		evaluate()
+
+		s, _ := pushScratchPool.Get().(*pushScratch)
+		if s == nil {
+			t.Skip("pool evicted the scratch (GC ran); nothing to verify")
+		}
+		if len(s.masks) != n || len(s.next) != n {
+			t.Fatalf("%s: pooled scratch sized %d/%d, want %d", name, len(s.masks), len(s.next), n)
+		}
+		for i := 0; i < n; i++ {
+			if s.masks[i] != 0 || s.next[i] != 0 {
+				t.Fatalf("%s: pooled scratch dirty at %d: masks=%d next=%d", name, i, s.masks[i], s.next[i])
+			}
+		}
+		if s.inNext.Count() != 0 {
+			t.Fatalf("%s: pooled bitset has %d set bits", name, s.inNext.Count())
+		}
+		pushScratchPool.Put(s)
 	}
-	if s.inNext.Count() != 0 {
-		t.Fatalf("pooled bitset has %d set bits", s.inNext.Count())
-	}
-	pushScratchPool.Put(s)
 
 	// A smaller graph must reuse the larger buffers; results unchanged.
 	small := burstGraph(64, 8)

@@ -58,27 +58,7 @@ type Manager struct {
 // snapshot. directed selects dual-model maintenance.
 func New(p engine.Problem, g engine.View, roots []graph.VertexID, directed bool) *Manager {
 	m := &Manager{Problem: p, Roots: roots, directed: directed}
-	start := time.Now()
-	m.noteVersion(g)
-	m.Forward = engine.NewState(p, g.NumVertices(), len(roots))
-	seeds := make([]graph.VertexID, len(roots))
-	masks := make([]uint64, len(roots))
-	for k, r := range roots {
-		m.Forward.SetSource(r, k)
-		seeds[k] = r
-		masks[k] = 1 << uint(k)
-	}
-	m.TotalStats.Add(m.Forward.RunPush(g, seeds, masks))
-	if directed {
-		m.Reverse = engine.NewState(p, g.NumVertices(), len(roots))
-		for k, r := range roots {
-			m.Reverse.SetSource(r, k)
-		}
-		var st engine.Stats
-		m.Reverse.RunPull(g, &st)
-		m.TotalStats.Add(st)
-	}
-	m.LastMaintain = time.Since(start)
+	m.Rebuild(g)
 	return m
 }
 
@@ -92,11 +72,7 @@ func (m *Manager) K() int { return len(m.Roots) }
 // iterations until the values stabilize again (§2, Figure 2-(c)).
 func (m *Manager) Update(g engine.View, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
-	var stats engine.Stats
-	fullMask := uint64(1)<<uint(len(m.Roots)) - 1
-	if len(m.Roots) == 64 {
-		fullMask = ^uint64(0)
-	}
+	fullMask := maskFor(len(m.Roots))
 	masks := m.maskScratch
 	if cap(masks) < len(changed) {
 		masks = make([]uint64, len(changed))
@@ -109,12 +85,15 @@ func (m *Manager) Update(g engine.View, changed []graph.VertexID) engine.Stats {
 	m.maskScratch = masks
 	m.noteVersion(g)
 	m.Forward.Grow(g.NumVertices())
-	stats.Add(m.Forward.RunPush(g, changed, masks))
+	stats := m.Forward.RunPush(g, changed, masks)
 	if m.Reverse != nil {
+		// The reversed state can move only at a vertex that gained an
+		// out-arc or downstream of one, so the same sources are the pull's
+		// dirty set. Round 0 relaxes all their out-arcs, not the batch's
+		// arcs: InsertEdges is first-wins, and a re-inserted arc must not
+		// be relaxed at the batch's weight.
 		m.Reverse.Grow(g.NumVertices())
-		var st engine.Stats
-		m.Reverse.RunPull(g, &st)
-		stats.Add(st)
+		m.Reverse.RunPull(g, changed, &stats)
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
@@ -127,29 +106,27 @@ func (m *Manager) Update(g engine.View, changed []graph.VertexID) engine.Stats {
 // (Update) relies on.
 func (m *Manager) Rebuild(g engine.View) engine.Stats {
 	start := time.Now()
-	var stats engine.Stats
 	m.noteVersion(g)
-	m.Forward = engine.NewState(m.Problem, g.NumVertices(), len(m.Roots))
-	seeds := make([]graph.VertexID, len(m.Roots))
-	masks := make([]uint64, len(m.Roots))
-	for k, r := range m.Roots {
-		m.Forward.SetSource(r, k)
-		seeds[k] = r
-		masks[k] = 1 << uint(k)
-	}
-	stats.Add(m.Forward.RunPush(g, seeds, masks))
+	m.Forward = m.rootedState(g)
+	seeds, masks := engine.SourceSeeds(m.Roots)
+	stats := m.Forward.RunPush(g, seeds, masks)
 	if m.directed {
-		m.Reverse = engine.NewState(m.Problem, g.NumVertices(), len(m.Roots))
-		for k, r := range m.Roots {
-			m.Reverse.SetSource(r, k)
-		}
-		var st engine.Stats
-		m.Reverse.RunPull(g, &st)
-		stats.Add(st)
+		m.Reverse = m.rootedState(g)
+		m.Reverse.RunPullAll(g, &stats)
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
 	return stats
+}
+
+// rootedState allocates a width-K state over g with slot k's root at the
+// source value and everything else at the init value.
+func (m *Manager) rootedState(g engine.View) *engine.State {
+	st := engine.NewState(m.Problem, g.NumVertices(), len(m.Roots))
+	for k, r := range m.Roots {
+		st.SetSource(r, k)
+	}
+	return st
 }
 
 // PropUR returns property(u, r_k) for every standing root: on undirected

@@ -59,6 +59,37 @@ func TestDirectedKeepsReverse(t *testing.T) {
 	}
 }
 
+// TestDuplicateBatchDoesNoWork: a batch whose arcs all exist already
+// (first-wins, so new weights are ignored) changes no adjacency, and
+// Update must run no round at all — in particular no verification sweep
+// of the reversed state, which stays bit-identical.
+func TestDuplicateBatchDoesNoWork(t *testing.T) {
+	edges := gen.Uniform(120, 900, 8, 3)
+	g := streamgraph.FromEdges(120, edges, true)
+	roots := []graph.VertexID{5, 77}
+	m := standing.New(props.SSSP{}, g.Acquire(), roots, true)
+	before := m.Reverse.Clone()
+
+	dup := append([]graph.Edge(nil), edges[100:160]...)
+	for i := range dup {
+		dup[i].W++
+	}
+	snap, changed := g.InsertEdges(dup)
+	if len(changed) != 0 {
+		t.Fatalf("an all-duplicate batch changed sources %v", changed)
+	}
+	if stats := m.Update(snap, changed); stats != (engine.Stats{}) {
+		t.Fatalf("an all-duplicate batch did work: %+v", stats)
+	}
+	for v := 0; v < 120; v++ {
+		for k := range roots {
+			if got, want := m.Reverse.Value(graph.VertexID(v), k), before.Value(graph.VertexID(v), k); got != want {
+				t.Fatalf("reverse value(%d,%d) moved: %d, was %d", v, k, got, want)
+			}
+		}
+	}
+}
+
 // TestUpdateMatchesFreshEvaluation streams several batches and verifies
 // the incrementally maintained standing state equals a from-scratch
 // evaluation after every batch — for a minimizing and a maximizing

@@ -1,6 +1,8 @@
 package standing
 
 import (
+	"math/bits"
+	"sync/atomic"
 	"time"
 
 	"tripoline/internal/engine"
@@ -33,11 +35,15 @@ import (
 // into the tainted region, and iteration converges over that region
 // only.
 //
-// The reversed standing state (directed graphs) is recovered
-// conservatively: vertices that can reach a deleted arc's source are
-// reset and the pull fixpoint re-run. Witness tracking for the pull
-// model would need per-round in-neighbor witnesses; the conservative
-// path is sound and the reverse state converges in O(diameter) rounds.
+// The reversed standing state (directed graphs) is recovered the same
+// way over out-arcs only. A reversed value val(z) = property(z, r)
+// derives through one of z's out-arcs, so the seeds are the deleted arcs'
+// sources and taint spreads from an arc's head to its tail; with no
+// in-edge index, each propagation round is a filtered sweep — every
+// vertex scans its out-arcs and tests only those whose head gained taint
+// bits in the round before. The tainted slots are reset and the tainted
+// vertices handed to the change-driven pull as its dirty set: untainted
+// values are exact already, so nothing else can move.
 
 // UpdateDeletions re-stabilizes the standing queries after edge
 // deletions. It must be called with the post-deletion snapshot while the
@@ -54,8 +60,7 @@ func (m *Manager) UpdateDeletions(g engine.View, deleted []graph.Edge, undirecte
 
 	if m.Reverse != nil {
 		m.Reverse.Grow(g.NumVertices())
-		rTaint := m.taintReverse(g, deleted, undirected)
-		stats.Add(m.repairReverse(g, rTaint))
+		stats.Add(m.repairReverse(g, m.taintReverse(g, deleted, undirected)))
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
@@ -112,7 +117,7 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 		g.ForEachOut(x, func(y graph.VertexID, w graph.Weight) {
 			var add uint64
 			for mk := mask; mk != 0; mk &= mk - 1 {
-				k := trailingBit(mk)
+				k := bits.TrailingZeros64(mk)
 				vx := st.Value(x, k)
 				if vx == init {
 					continue
@@ -144,7 +149,7 @@ func (m *Manager) repairForward(g engine.View, taint []uint64) engine.Stats {
 	parallel.ForGrain(n, 256, func(v int) {
 		mask := taint[v]
 		for mk := mask; mk != 0; mk &= mk - 1 {
-			st.SetValue(graph.VertexID(v), trailingBit(mk), init)
+			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mk), init)
 		}
 	})
 	seeds := make([]graph.VertexID, 0, n)
@@ -168,9 +173,11 @@ func (m *Manager) repairForward(g engine.View, taint []uint64) engine.Stats {
 // taintReverse computes per-slot taint masks for the reversed state.
 // A reversed value val(z) = property(z, r) derives through one of z's
 // out-arcs (z, y, w): the witness test is val(z) == Relax(val(y), w).
-// Seeds are the deleted arcs' sources; propagation runs pull-style
-// rounds (a vertex checks its surviving out-arcs against tainted
-// neighbors), so only the out-edge representation is needed.
+// Seeds are the deleted arcs' sources. Each propagation round sweeps all
+// vertices in parallel; z tests an arc only at the slots its head gained
+// in the previous round and writes only taint[z], so the rounds need no
+// atomics and only the out-edge representation. Returns nil when no
+// deleted arc was a witness.
 func (m *Manager) taintReverse(g engine.View, deleted []graph.Edge, undirected bool) []uint64 {
 	st := m.Reverse
 	p := m.Problem
@@ -179,19 +186,31 @@ func (m *Manager) taintReverse(g engine.View, deleted []graph.Edge, undirected b
 	init := p.InitValue()
 	taint := make([]uint64, n)
 
+	// witness returns the slots of mask in which arc (z, y, w) derives
+	// z's value from y's.
+	witness := func(z, y graph.VertexID, w graph.Weight, mask uint64) uint64 {
+		var hit uint64
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			k := bits.TrailingZeros64(mk)
+			vy := st.Value(y, k)
+			if vy == init {
+				continue
+			}
+			if cand, ok := p.Relax(vy, w); ok && cand == st.Value(z, k) {
+				hit |= 1 << uint(k)
+			}
+		}
+		return hit
+	}
+
+	seeded := false
 	seed := func(a, b graph.VertexID, w graph.Weight) {
 		if int(a) >= n || int(b) >= n {
 			return
 		}
-		for k := 0; k < K; k++ {
-			vb := st.Value(b, k)
-			if vb == init {
-				continue
-			}
-			cand, ok := p.Relax(vb, w)
-			if ok && cand == st.Value(a, k) {
-				taint[a] |= 1 << uint(k)
-			}
+		if hit := witness(a, b, w, maskFor(K)); hit != 0 {
+			taint[a] |= hit
+			seeded = true
 		}
 	}
 	for _, e := range deleted {
@@ -200,54 +219,75 @@ func (m *Manager) taintReverse(g engine.View, deleted []graph.Edge, undirected b
 			seed(e.Dst, e.Src, e.W)
 		}
 	}
-
-	for {
-		changed := false
-		for z := 0; z < n; z++ {
-			g.ForEachOut(graph.VertexID(z), func(y graph.VertexID, w graph.Weight) {
-				ty := taint[y]
-				if ty == 0 {
-					return
-				}
-				for mk := ty &^ taint[z]; mk != 0; mk &= mk - 1 {
-					k := trailingBit(mk)
-					vy := st.Value(y, k)
-					if vy == init {
-						continue
-					}
-					cand, ok := p.Relax(vy, w)
-					if ok && cand == st.Value(graph.VertexID(z), k) {
-						taint[z] |= 1 << uint(k)
-						changed = true
-					}
-				}
-			})
-		}
-		if !changed {
-			return taint
-		}
+	if !seeded {
+		return nil
 	}
+
+	// gained[y] is the mask of taint bits y gained in the previous round
+	// (the seeds, at first); next receives this round's.
+	gained := append([]uint64(nil), taint...)
+	next := make([]uint64, n)
+	fv, _ := g.(engine.FlatView)
+	for more := true; more; gained, next = next, gained {
+		var any atomic.Bool
+		parallel.ForRange(n, 256, func(start, end int) {
+			var z graph.VertexID
+			var have, add uint64
+			arc := func(y graph.VertexID, w graph.Weight) {
+				if mk := gained[y] &^ (have | add); mk != 0 {
+					add |= witness(z, y, w, mk)
+				}
+			}
+			var seen uint64
+			for v := start; v < end; v++ {
+				z, have, add = graph.VertexID(v), taint[v], 0
+				if fv != nil {
+					dsts, ws := fv.OutSpan(z)
+					for i, y := range dsts {
+						if gained[y] != 0 {
+							arc(y, ws[i])
+						}
+					}
+				} else {
+					g.ForEachOut(z, arc)
+				}
+				taint[v] = have | add
+				next[v] = add
+				seen |= add
+			}
+			if seen != 0 {
+				any.Store(true)
+			}
+		})
+		more = any.Load()
+	}
+	return taint
 }
 
-// repairReverse resets tainted reversed value slots and resumes the pull
-// fixpoint (untainted values participate automatically — pull reads all
-// neighbors every round).
+// repairReverse resets tainted reversed value slots and re-stabilizes
+// with the tainted vertices as the pull's dirty set: round 0 re-derives
+// them from their (exact) untainted out-neighbors, and the filtered
+// sweeps carry the recovered values up the tainted region.
 func (m *Manager) repairReverse(g engine.View, taint []uint64) engine.Stats {
 	st := m.Reverse
-	p := m.Problem
-	init := p.InitValue()
-	parallel.ForGrain(st.N, 256, func(v int) {
-		for mk := taint[v]; mk != 0; mk &= mk - 1 {
-			st.SetValue(graph.VertexID(v), trailingBit(mk), init)
+	init := m.Problem.InitValue()
+	var dirty []graph.VertexID
+	for v, mask := range taint {
+		if mask == 0 {
+			continue
 		}
-	})
+		dirty = append(dirty, graph.VertexID(v))
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mk), init)
+		}
+	}
 	for k, r := range m.Roots {
-		if int(r) < st.N {
+		if int(r) < len(taint) && taint[r]&(1<<uint(k)) != 0 {
 			st.SetSource(r, k)
 		}
 	}
 	var stats engine.Stats
-	st.RunPull(g, &stats)
+	st.RunPull(g, dirty, &stats)
 	return stats
 }
 
@@ -256,13 +296,4 @@ func maskFor(k int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1)<<uint(k) - 1
-}
-
-func trailingBit(x uint64) int {
-	k := 0
-	for x&1 == 0 {
-		x >>= 1
-		k++
-	}
-	return k
 }

@@ -12,37 +12,68 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
+// storedArcs lists the arcs of snap that keep selects, at their stored
+// weights — the form UpdateDeletions' witness test needs.
+func storedArcs(snap *streamgraph.Snapshot, keep func(src, dst graph.VertexID) bool) []graph.Edge {
+	var arcs []graph.Edge
+	for v := 0; v < snap.NumVertices(); v++ {
+		src := graph.VertexID(v)
+		snap.ForEachOut(src, func(dst graph.VertexID, w graph.Weight) {
+			if keep(src, dst) {
+				arcs = append(arcs, graph.Edge{Src: src, Dst: dst, W: w})
+			}
+		})
+	}
+	return arcs
+}
+
 // TestUpdateDeletionsMatchesRebuild checks the trimmed recovery against
-// a from-scratch rebuild for minimizing and maximizing problems, on
-// directed (with reverse state) and undirected graphs.
+// the from-scratch oracle for minimizing and maximizing problems, on
+// directed (with reverse state) and undirected graphs, over three
+// deletion batches: a mixed slice of the edge list; every arc into a
+// root, which taints that root's whole in-neighbourhood in the reversed
+// state; and the arcs into a sink, which on the directed graph taint
+// nothing there (the sink reaches no root, so no reversed value derives
+// through it).
 func TestUpdateDeletionsMatchesRebuild(t *testing.T) {
+	const n, sink = 141, 140
+	roots := []graph.VertexID{2, 40, 99}
+	edges := gen.Uniform(sink, 1300, 8, 91)
+	for _, src := range []graph.VertexID{5, 40, 77} {
+		edges = append(edges, graph.Edge{Src: src, Dst: sink, W: 3})
+	}
+	batches := map[string]func(src, dst graph.VertexID) bool{
+		"mixed":         func(src, dst graph.VertexID) bool { return (src+dst)%9 == 0 },
+		"into a root":   func(src, dst graph.VertexID) bool { return dst == roots[0] },
+		"into the sink": func(src, dst graph.VertexID) bool { return dst == sink },
+	}
 	for _, directed := range []bool{true, false} {
 		for _, p := range []engine.Problem{props.SSSP{}, props.SSWP{}, props.SSR{}} {
-			edges := gen.Uniform(140, 1300, 8, 91)
-			g := streamgraph.New(140, directed)
-			g.InsertEdges(edges)
-			roots := []graph.VertexID{2, 40, 99}
-			m := standing.New(p, g.Acquire(), roots, directed)
+			for name, keep := range batches {
+				g := streamgraph.New(n, directed)
+				g.InsertEdges(edges)
+				m := standing.New(p, g.Acquire(), roots, directed)
 
-			del := edges[100:220]
-			snap, _ := g.DeleteEdges(del)
-			m.UpdateDeletions(snap, del, !directed)
+				del := storedArcs(g.Acquire(), keep)
+				snap, _ := g.DeleteEdges(del)
+				m.UpdateDeletions(snap, del, !directed)
 
-			csr := snap.CSR(directed)
-			for k, r := range roots {
-				want := oracle.BestPath(csr, p, r)
-				for v := 0; v < 140; v++ {
-					if m.Forward.Value(graph.VertexID(v), k) != want[v] {
-						t.Fatalf("%s directed=%v: trimmed forward root %d vertex %d = %d, want %d",
-							p.Name(), directed, r, v, m.Forward.Value(graph.VertexID(v), k), want[v])
+				csr := snap.CSR(directed)
+				for k, r := range roots {
+					want := oracle.BestPath(csr, p, r)
+					for v := 0; v < n; v++ {
+						if m.Forward.Value(graph.VertexID(v), k) != want[v] {
+							t.Fatalf("%s directed=%v, %s: trimmed forward root %d vertex %d = %d, want %d",
+								p.Name(), directed, name, r, v, m.Forward.Value(graph.VertexID(v), k), want[v])
+						}
 					}
-				}
-				if directed {
-					wantRev := oracle.BestPathTo(csr, p, r)
-					for v := 0; v < 140; v++ {
-						if m.Reverse.Value(graph.VertexID(v), k) != wantRev[v] {
-							t.Fatalf("%s: trimmed reverse root %d vertex %d = %d, want %d",
-								p.Name(), r, v, m.Reverse.Value(graph.VertexID(v), k), wantRev[v])
+					if directed {
+						wantRev := oracle.BestPathTo(csr, p, r)
+						for v := 0; v < n; v++ {
+							if m.Reverse.Value(graph.VertexID(v), k) != wantRev[v] {
+								t.Fatalf("%s, %s: trimmed reverse root %d vertex %d = %d, want %d",
+									p.Name(), name, r, v, m.Reverse.Value(graph.VertexID(v), k), wantRev[v])
+							}
 						}
 					}
 				}
