@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -24,16 +23,6 @@ import (
 	"tripoline/internal/bench"
 	"tripoline/internal/gen"
 )
-
-// commitID best-effort resolves the current git revision for the
-// dashboard JSON; empty when not running from a checkout.
-func commitID() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
 
 func main() {
 	var (
@@ -50,9 +39,7 @@ func main() {
 		graphs   = flag.String("graphs", "", "comma-separated graph subset (default: all four)")
 		ablate   = flag.String("ablate", "", "comma-separated ablations to run (flat, deltaflat, batch, selection, dual, fusedK, shard)")
 		logn     = flag.Int("logn", 16, "log2 vertex count for the fusedK kernel and shard sweeps")
-		kernJSON = flag.String("kerneljson", "BENCH_kernels.json", "dashboard-format output for the fusedK sweep (empty disables)")
 		shards   = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the shard sweep")
-		shdJSON  = flag.String("shardjson", "BENCH_shard.json", "dashboard-format output for the shard sweep (empty disables)")
 		seed     = flag.Uint64("seed", 0x7121, "experiment seed")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		verify   = flag.Bool("verify", false, "run the cross-validation self-check instead of benchmarks")
@@ -193,22 +180,7 @@ func main() {
 				})
 			case "fusedK", "fusedk":
 				run("ablation fusedK", func() {
-					cells := bench.AblationFusedK(os.Stdout, *logn, o.BatchSize, []int{1, 4, 16, 64}, o.Seed)
-					report.AddAblationFusedK(cells)
-					if *kernJSON == "" {
-						return
-					}
-					f, err := os.Create(*kernJSON)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-						os.Exit(1)
-					}
-					defer f.Close()
-					if err := bench.WriteKernelBenchJSON(f, cells, commitID(), time.Now()); err != nil {
-						fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-						os.Exit(1)
-					}
-					fmt.Printf("wrote %s\n", *kernJSON)
+					report.AddAblationFusedK(bench.AblationFusedK(os.Stdout, *logn, o.BatchSize, []int{1, 4, 16, 64}, o.Seed))
 				})
 			case "shard":
 				run("ablation shard", func() {
@@ -221,22 +193,7 @@ func main() {
 						}
 						counts = append(counts, c)
 					}
-					cells := bench.AblationShard(os.Stdout, *logn, o.BatchSize, o.K, counts, o.Seed)
-					report.AddAblationShard(cells)
-					if *shdJSON == "" {
-						return
-					}
-					f, err := os.Create(*shdJSON)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-						os.Exit(1)
-					}
-					defer f.Close()
-					if err := bench.WriteShardBenchJSON(f, cells, commitID(), time.Now()); err != nil {
-						fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-						os.Exit(1)
-					}
-					fmt.Printf("wrote %s\n", *shdJSON)
+					report.AddAblationShard(bench.AblationShard(os.Stdout, *logn, o.BatchSize, o.K, counts, o.Seed))
 				})
 			default:
 				fmt.Fprintf(os.Stderr, "unknown ablation %q (want flat, deltaflat, batch, selection, dual, fusedK, shard)\n", a)

@@ -6,7 +6,7 @@
 //
 //	tripoline-loadgen -scenario query-heavy -duration 10s          # self-hosted target
 //	tripoline-loadgen -target http://host:8080 -scenario all       # live server
-//	tripoline-loadgen -scenario all -duration 5s -json BENCH_loadgen.json -max-inflight 4,16,64
+//	tripoline-loadgen -scenario all -duration 5s -max-inflight 4,16,64  # scenarios + saturation sweep
 //	tripoline-loadgen -conform                                     # S=1 vs S=4 conformance + 429 probe
 //
 // With no -target the driver self-hosts an in-process server built the
@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -29,16 +28,6 @@ import (
 
 	"tripoline/internal/loadgen"
 )
-
-// commitID best-effort resolves the current git revision for the
-// dashboard JSON; empty when not running from a checkout.
-func commitID() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "local"
-	}
-	return strings.TrimSpace(string(out))
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tripoline-loadgen:", err)
@@ -53,7 +42,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "closed-loop worker count (0 = scenario default)")
 		rate     = flag.Float64("rate", 0, "offered req/s across all workers (0 = scenario default, negative = unpaced)")
 		seed     = flag.Uint64("seed", 0x51ab, "deterministic op-stream seed")
-		jsonPath = flag.String("json", "", "write dashboard-format results to this file (e.g. BENCH_loadgen.json)")
 		sweepArg = flag.String("max-inflight", "", "comma-separated admission settings for a saturation sweep over self-hosted servers (e.g. 4,16,64)")
 		conform  = flag.Bool("conform", false, "run the S=1 vs S=4 conformance replay and 429 admission probe, then exit")
 		shards   = flag.Int("shards", 1, "self-hosted shard count (ignored with -target)")
@@ -88,7 +76,6 @@ func main() {
 		HistoryCapacity: 16, CacheEntries: 256,
 	}
 
-	var reports []*loadgen.Report
 	exitCode := 0
 	for _, sc := range scenarios {
 		cfg := loadgen.Config{
@@ -123,13 +110,11 @@ func main() {
 		if len(rep.ContractViolations()) > 0 {
 			exitCode = 1
 		}
-		reports = append(reports, rep)
 		if rep.Interrupted {
 			break // SIGINT: summarize what ran, skip the remaining scenarios
 		}
 	}
 
-	var sweep []loadgen.SweepPoint
 	if *sweepArg != "" && ctx.Err() == nil {
 		settings, err := parseInts(*sweepArg)
 		if err != nil {
@@ -159,25 +144,9 @@ func main() {
 			sweepHost.Vertices = 32768
 			sweepHost.Edges = 0 // re-derive 8x from the new size
 		}
-		sweep, err = loadgen.SaturationSweep(ctx, sweepHost, sc, settings, sweepWorkers, *duration, *seed, os.Stdout)
-		if err != nil && ctx.Err() == nil {
+		if _, err := loadgen.SaturationSweep(ctx, sweepHost, sc, settings, sweepWorkers, *duration, *seed, os.Stdout); err != nil && ctx.Err() == nil {
 			fatal(err)
 		}
-	}
-
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := loadgen.WriteBenchJSON(f, reports, sweep, commitID(), time.Now()); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	os.Exit(exitCode)
 }

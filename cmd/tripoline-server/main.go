@@ -90,38 +90,27 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight, *queueDepth),
 		server.WithSubscriptionBuffer(*subBuffer),
 	}
-	var srv *server.Server
+	var be core.Backend
 	if *shards > 1 {
 		r := shard.New(n, directedGraph, *shards, *k)
 		r.ApplyBatch(edges)
-		for _, p := range strings.Split(*probs, ",") {
-			if err := r.Enable(p); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *resultCache > 0 {
-			r.EnableResultCache(*resultCache)
-		}
-		fmt.Printf("tripoline-server: %d vertices, %d arcs, %d shards, problems %v, listening on %s\n",
-			r.NumVertices(), r.NumEdges(), r.Shards(), r.Enabled(), *addr)
-		srv = server.NewSharded(r, serverOpts...)
+		be = r
 	} else {
 		g := streamgraph.New(n, directedGraph)
 		g.InsertEdges(edges)
-		sys := core.NewSystem(g, *k)
-		for _, p := range strings.Split(*probs, ",") {
-			if err := sys.Enable(p); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *resultCache > 0 {
-			sys.EnableResultCache(*resultCache)
-		}
-		snap := g.Acquire()
-		fmt.Printf("tripoline-server: %d vertices, %d arcs, problems %v, listening on %s\n",
-			snap.NumVertices(), snap.NumEdges(), sys.Enabled(), *addr)
-		srv = server.New(sys, g, serverOpts...)
+		be = core.NewSystem(g, *k)
 	}
+	for _, p := range strings.Split(*probs, ",") {
+		if err := be.Enable(p); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if *resultCache > 0 {
+		be.EnableResultCache(*resultCache)
+	}
+	fmt.Printf("tripoline-server: %d vertices, %d arcs, %d shard(s), problems %v, listening on %s\n",
+		be.NumVertices(), be.NumEdges(), be.Shards(), be.Enabled(), *addr)
+	srv := server.New(be, serverOpts...)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop admitting (503), let

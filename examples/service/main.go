@@ -49,7 +49,7 @@ func main() {
 	}
 	// Production-shaped options: a per-query deadline (enforced by the
 	// engine at superstep boundaries) and a bounded admission gate.
-	api := server.New(sys, g,
+	api := server.New(sys,
 		server.WithQueryTimeout(5*time.Second),
 		server.WithMaxInFlight(4, 16),
 	)
@@ -213,7 +213,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	apiS := server.NewSharded(router, server.WithQueryTimeout(5*time.Second))
+	apiS := server.New(router, server.WithQueryTimeout(5*time.Second))
 	srvS := &http.Server{Handler: apiS}
 	go srvS.Serve(lnS)
 	defer srvS.Close()

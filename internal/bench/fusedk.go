@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -116,60 +115,4 @@ func AblationFusedK(w io.Writer, logn, batchSize int, widths []int, seed uint64)
 			cell.Hoists, cell.GateSkips, cell.BlockSweeps)
 	}
 	return cells
-}
-
-// kernelBenchFile mirrors the github-action-benchmark data.js shape
-// (window.BENCHMARK_DATA), so the sweep can feed the same dashboards
-// without a converter.
-type kernelBenchFile struct {
-	LastUpdate int64                         `json:"lastUpdate"`
-	RepoURL    string                        `json:"repoUrl"`
-	Entries    map[string][]kernelBenchEntry `json:"entries"`
-}
-
-type kernelBenchEntry struct {
-	Commit  kernelBenchCommit `json:"commit"`
-	Date    int64             `json:"date"`
-	Tool    string            `json:"tool"`
-	Benches []kernelBench     `json:"benches"`
-}
-
-type kernelBenchCommit struct {
-	ID        string `json:"id"`
-	Message   string `json:"message"`
-	Timestamp string `json:"timestamp"`
-}
-
-type kernelBench struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-	Extra string  `json:"extra,omitempty"`
-}
-
-// WriteKernelBenchJSON serializes the kernel width sweep as one
-// dashboard entry with two series per width: ns per applied edge and ns
-// per standing refresh.
-func WriteKernelBenchJSON(w io.Writer, cells []AblationFusedKCell, commit string, ts time.Time) error {
-	entry := kernelBenchEntry{
-		Commit: kernelBenchCommit{ID: commit, Message: "fused width-K kernel sweep", Timestamp: ts.UTC().Format(time.RFC3339)},
-		Date:   ts.UnixMilli(),
-		Tool:   "go",
-	}
-	for _, c := range cells {
-		base := fmt.Sprintf("fusedK/%s/K=%d", c.Graph, c.K)
-		extra := fmt.Sprintf("batches=%d", c.Batches)
-		entry.Benches = append(entry.Benches,
-			kernelBench{Name: base + "/fused_ns_per_edge", Value: c.FusedNsPerEdge, Unit: "ns/edge", Extra: extra},
-			kernelBench{Name: base + "/fused_ns_per_refresh", Value: float64(c.FusedRefresh.Nanoseconds()), Unit: "ns/refresh"},
-		)
-	}
-	file := kernelBenchFile{
-		LastUpdate: ts.UnixMilli(),
-		RepoURL:    "",
-		Entries:    map[string][]kernelBenchEntry{"Kernels": {entry}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(file)
 }

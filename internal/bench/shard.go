@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -193,31 +192,4 @@ func AblationShard(w io.Writer, logn, batchSize, k int, shardCounts []int, seed 
 			c.Batches, c.Queries, c.Verified)
 	}
 	return cells
-}
-
-// WriteShardBenchJSON serializes the shard sweep in the dashboard
-// data.js shape (same format as the kernel sweep), one entry with three
-// series per shard count.
-func WriteShardBenchJSON(w io.Writer, cells []AblationShardCell, commit string, ts time.Time) error {
-	entry := kernelBenchEntry{
-		Commit: kernelBenchCommit{ID: commit, Message: "sharded core sweep", Timestamp: ts.UTC().Format(time.RFC3339)},
-		Date:   ts.UnixMilli(),
-		Tool:   "go",
-	}
-	for _, c := range cells {
-		base := fmt.Sprintf("shard/%s/S=%d", c.Graph, c.Shards)
-		extra := fmt.Sprintf("apply_speedup=%.2fx query_speedup=%.2fx verified=%v", c.ApplySpeedup, c.QuerySpeedup, c.Verified)
-		entry.Benches = append(entry.Benches,
-			kernelBench{Name: base + "/apply_edges_per_sec", Value: c.ApplyEdgesPerSec, Unit: "edges/s", Extra: extra},
-			kernelBench{Name: base + "/delta_queries_per_sec", Value: c.QueriesPerSec, Unit: "q/s"},
-			kernelBench{Name: base + "/full_queries_per_sec", Value: c.FullPerSec, Unit: "q/s"},
-		)
-	}
-	file := kernelBenchFile{
-		LastUpdate: ts.UnixMilli(),
-		Entries:    map[string][]kernelBenchEntry{"Shards": {entry}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(file)
 }

@@ -8,8 +8,11 @@ import (
 )
 
 // Δ-result cache: answers to user queries, keyed by (problem, source)
-// and stamped with the snapshot version they were computed at. The cache
-// leans on two properties of the system:
+// and stamped with the version they were computed at — a snapshot
+// version under a System, a barrier global version under a shard.Router.
+// The cache never reads a version itself; its owner passes the current
+// one to Get and the superseded/new pair to Advance. It leans on two
+// properties of the system:
 //
 //   - a QueryResult is an exact fixpoint for the version it reports, and
 //     stays exact for that version forever (snapshots are immutable), so
@@ -21,18 +24,13 @@ import (
 //     list is empty the graph content is identical and every cached
 //     answer is re-stamped to the new version for free.
 //
-// Entries pin the flat mirror of the version they were computed at
-// (Flat.Retain), keeping the mirror's slabs out of the recycler while
-// the entry is current — a cached answer can then be revalidated or
-// extended against exactly the CSR it came from without a rebuild. Pins
-// are dropped as soon as the system advances past the entry's version
-// (the writer retires the mirror then anyway, so holding on would block
-// slab recycling for no benefit); the cached values themselves are
-// copies and outlive the mirror.
+// Entries hold copies of the answer and nothing else: no mirror, view or
+// snapshot is referenced, so a cached entry carries no release
+// obligation.
 //
-// All operations are O(1) under one mutex: the serving layer consults
-// the cache *before* its admission gate, so a lookup must never be the
-// contended path.
+// All operations are O(1) under one mutex (Advance's re-stamp walk
+// aside): the serving layer consults the cache *before* its admission
+// gate, so a lookup must never be the contended path.
 
 // DefaultCacheEntries is the capacity EnableResultCache(0) selects.
 const DefaultCacheEntries = 1024
@@ -46,7 +44,6 @@ type CacheMetrics struct {
 	Misses      uint64 // lookups that found nothing servable
 	Evictions   uint64 // entries dropped by LRU pressure
 	Restamps    uint64 // entries re-stamped by empty-changed batches
-	Pinned      int    // entries currently holding a mirror pin
 }
 
 type cacheKey struct {
@@ -62,21 +59,16 @@ type cacheEntry struct {
 	// batchStamp is the cache's mutation counter when the entry was last
 	// computed or re-stamped; batches-since = cache.batches - batchStamp.
 	batchStamp uint64
-	// pin releases the Retain on the mirror of res.Version (nil when the
-	// mirror was unavailable or the pin already dropped).
-	pin func()
 }
 
-// resultCache is the LRU Δ-result cache. One per System, enabled by
-// EnableResultCache.
-type resultCache struct {
+// ResultCache is the LRU Δ-result cache, one per backend. A nil
+// *ResultCache is a valid disabled cache: Put and Advance do nothing,
+// lookups miss without counting, Metrics reports the zero value.
+type ResultCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      *list.List // front = most recently used; values are *cacheEntry
 	entries map[cacheKey]*list.Element
-	// pinned lists the entries holding a mirror pin; every pin is for the
-	// current version, so advancing releases the whole slice at once.
-	pinned []*cacheEntry
 	// batches counts mutations that actually changed the graph (non-empty
 	// changed-source list); it is the denominator of entry staleness.
 	batches uint64
@@ -84,37 +76,24 @@ type resultCache struct {
 	hits, staleServed, misses, evictions, restamps uint64
 }
 
-func newResultCache(capacity int) *resultCache {
+// NewResultCache creates a cache holding up to capacity entries
+// (capacity <= 0 selects DefaultCacheEntries).
+func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	return &resultCache{
+	return &ResultCache{
 		cap:     capacity,
 		ll:      list.New(),
 		entries: make(map[cacheKey]*list.Element, capacity),
 	}
 }
 
-// EnableResultCache turns on the Δ-result cache with the given LRU
-// capacity (entries <= 0 selects DefaultCacheEntries). Every successful
-// QueryCtx answer is cached; CachedQuery serves them under the
-// stale=ok / min_version policy. Enabling is idempotent for a given
-// capacity and must happen before serving starts (it is not synchronized
-// against concurrent queries).
-func (s *System) EnableResultCache(entries int) {
-	s.cache = newResultCache(entries)
-}
-
-// ResultCacheMetrics reports cache activity (zero value when the cache
-// is disabled).
-func (s *System) ResultCacheMetrics() CacheMetrics {
-	if s.cache == nil {
+// Metrics reports cache activity.
+func (c *ResultCache) Metrics() CacheMetrics {
+	if c == nil {
 		return CacheMetrics{}
 	}
-	return s.cache.metrics()
-}
-
-func (c *resultCache) metrics() CacheMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheMetrics{
@@ -125,34 +104,19 @@ func (c *resultCache) metrics() CacheMetrics {
 		Misses:      c.misses,
 		Evictions:   c.evictions,
 		Restamps:    c.restamps,
-		Pinned:      len(c.pinned),
 	}
 }
 
-// cacheStore copies res into the cache, replacing any older entry for
-// the same (problem, source). Called by QueryCtx after a successful
-// Δ-based evaluation; the caller keeps ownership of res.
-func (s *System) cacheStore(res *QueryResult) {
-	c := s.cache
+// Put copies res into the cache, replacing any older entry for the same
+// (problem, source); the caller keeps ownership of res. Only the answer
+// is retained — work counters and timings describe the evaluation that
+// produced it, not a later cache hit.
+func (c *ResultCache) Put(res *QueryResult) {
 	if c == nil {
 		return
 	}
-	// Pin the mirror of the result's version while the entry is current.
-	// Acquire-then-match keeps this race-free: if a batch already advanced
-	// past res.Version the versions differ and no pin is taken (the entry
-	// is born stale, which the policy handles).
-	var pin func()
-	if snap := s.G.Acquire(); snap.Version() == res.Version {
-		if f := snap.BuiltFlat(); f != nil && f.Retain() {
-			pin = f.Release
-		}
-	}
-	c.put(res, pin)
-}
-
-func (c *resultCache) put(res *QueryResult, pin func()) {
 	key := cacheKey{problem: res.Problem, source: res.Source}
-	e := &cacheEntry{key: key, batchStamp: 0, pin: pin}
+	e := &cacheEntry{key: key}
 	e.res = QueryResult{
 		Problem:     res.Problem,
 		Source:      res.Source,
@@ -162,87 +126,34 @@ func (c *resultCache) put(res *QueryResult, pin func()) {
 		Radius:      res.Radius,
 		Incremental: res.Incremental,
 		Version:     res.Version,
-		versionSet:  true,
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e.batchStamp = c.batches
 	if old, ok := c.entries[key]; ok {
-		oe := old.Value.(*cacheEntry)
-		c.dropPin(oe)
 		old.Value = e
 		c.ll.MoveToFront(old)
-	} else {
-		c.entries[key] = c.ll.PushFront(e)
-		for c.ll.Len() > c.cap {
-			back := c.ll.Back()
-			be := back.Value.(*cacheEntry)
-			c.dropPin(be)
-			c.ll.Remove(back)
-			delete(c.entries, be.key)
-			c.evictions++
-		}
-	}
-	if pin != nil {
-		c.pinned = append(c.pinned, e)
-	}
-	c.mu.Unlock()
-}
-
-// dropPin releases e's mirror pin and removes it from the pinned list.
-// Caller holds c.mu.
-func (c *resultCache) dropPin(e *cacheEntry) {
-	if e.pin == nil {
 		return
 	}
-	e.pin()
-	e.pin = nil
-	for i, p := range c.pinned {
-		if p == e {
-			c.pinned = append(c.pinned[:i], c.pinned[i+1:]...)
-			break
-		}
+	c.entries[key] = c.ll.PushFront(e)
+	for c.ll.Len() > c.cap {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.entries, back.Value.(*cacheEntry).key)
+		c.evictions++
 	}
 }
 
-// CachedQuery serves a cached answer for (problem, u) under the serving
-// policy: the entry must satisfy entry.Version >= minVersion, and unless
-// staleOK it must be current (entry.Version equal to the latest snapshot
-// version). On a hit it returns a fresh copy of the result — exact for
-// the version it reports — plus the number of graph-changing batches
-// applied since that version (the Age analogue). ok=false on a miss or
-// when the cache is disabled.
-func (s *System) CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (res *QueryResult, staleBatches uint64, ok bool) {
-	c := s.cache
+// Get serves a cached answer for (problem, u) under the serving policy:
+// the entry must satisfy entry.Version >= minVersion, and unless staleOK
+// it must be current (entry.Version == curVersion, the owner's latest
+// version). On a hit it returns a caller-owned copy of the result —
+// exact for the version it reports — plus the number of graph-changing
+// batches applied since that version (the Age analogue).
+func (c *ResultCache) Get(problem string, u graph.VertexID, minVersion uint64, staleOK bool, curVersion uint64) (res *QueryResult, staleBatches uint64, ok bool) {
 	if c == nil {
 		return nil, 0, false
 	}
-	return c.get(problem, u, minVersion, staleOK, s.G.Acquire().Version())
-}
-
-// CachedQueryAt serves a cached answer whose version matches exactly —
-// the /v1/queryat fast path. Historical answers never go stale at their
-// own version, so no policy beyond the exact match applies.
-func (s *System) CachedQueryAt(problem string, u graph.VertexID, version uint64) (*QueryResult, bool) {
-	c := s.cache
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	el, found := c.entries[cacheKey{problem: problem, source: u}]
-	if !found || el.Value.(*cacheEntry).res.Version != version {
-		c.misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	c.ll.MoveToFront(el)
-	c.hits++
-	out := copyResult(&e.res)
-	c.mu.Unlock()
-	return out, true
-}
-
-func (c *resultCache) get(problem string, u graph.VertexID, minVersion uint64, staleOK bool, curVersion uint64) (*QueryResult, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.entries[cacheKey{problem: problem, source: u}]
@@ -256,53 +167,49 @@ func (c *resultCache) get(problem string, u graph.VertexID, minVersion uint64, s
 		return nil, 0, false
 	}
 	c.ll.MoveToFront(el)
-	stale := c.batches - e.batchStamp
 	c.hits++
 	if e.res.Version != curVersion {
 		c.staleServed++
 	}
-	return copyResult(&e.res), stale, true
+	out := e.res
+	out.Values = append([]uint64(nil), e.res.Values...)
+	out.Counts = append([]uint64(nil), e.res.Counts...)
+	return &out, c.batches - e.batchStamp, true
 }
 
-// copyResult returns a caller-owned copy of a cached result.
-func copyResult(r *QueryResult) *QueryResult {
-	out := *r
-	out.Values = append([]uint64(nil), r.Values...)
-	out.Counts = append([]uint64(nil), r.Counts...)
-	return &out
+// GetAt serves a cached answer whose version matches exactly — the
+// /v1/queryat fast path. An answer at version v is exact at v forever,
+// so this is Get with v as both the floor and the current version.
+func (c *ResultCache) GetAt(problem string, u graph.VertexID, version uint64) (*QueryResult, bool) {
+	res, _, ok := c.Get(problem, u, version, false, version)
+	return res, ok
 }
 
-// cacheAdvance tells the cache one mutation superseded prevVersion with
+// Advance tells the cache one mutation superseded prevVersion with
 // newVersion under the given changed-source list. An empty changed list
 // means newVersion's graph content is identical to prevVersion's, so
 // entries that were exact at prevVersion are equally exact at newVersion
 // and are re-stamped for free (the stable-vertex-values payoff in its
 // extreme form) — entries already stale before prevVersion describe an
 // older graph and must keep their old stamp. A non-empty changed list
-// advances the mutation counter, aging every entry. Mirror pins are
-// dropped either way — the writer retires the previous version's mirror
-// on advance, and the pins were what kept its slabs from recycling.
-func (s *System) cacheAdvance(changed []graph.VertexID, prevVersion, newVersion uint64) {
-	c := s.cache
+// advances the mutation counter, aging every entry.
+func (c *ResultCache) Advance(changed []graph.VertexID, prevVersion, newVersion uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	for _, e := range c.pinned {
-		e.pin()
-		e.pin = nil
-	}
-	c.pinned = c.pinned[:0]
-	if len(changed) == 0 {
-		for el := c.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			if e.res.Version == prevVersion && prevVersion < newVersion {
-				e.res.Version = newVersion
-				c.restamps++
-			}
-		}
-	} else {
+	defer c.mu.Unlock()
+	if len(changed) > 0 {
 		c.batches++
+		return
 	}
-	c.mu.Unlock()
+	if prevVersion >= newVersion {
+		return
+	}
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.res.Version == prevVersion {
+			e.res.Version = newVersion
+			c.restamps++
+		}
+	}
 }

@@ -162,24 +162,6 @@ func TestCacheQueryAt(t *testing.T) {
 	}
 }
 
-// TestCachePinsReleasedOnAdvance: entries pin the current mirror; a
-// graph mutation releases every pin so the retired slabs can recycle.
-func TestCachePinsReleasedOnAdvance(t *testing.T) {
-	sys, _, edges := buildSystem(t, false, "BFS")
-	sys.EnableResultCache(8)
-
-	if _, err := sys.Query("BFS", 13); err != nil {
-		t.Fatal(err)
-	}
-	if m := sys.ResultCacheMetrics(); m.Pinned != 1 {
-		t.Fatalf("pinned = %d after query, want 1", m.Pinned)
-	}
-	sys.ApplyBatch(edges[1000:1100])
-	if m := sys.ResultCacheMetrics(); m.Pinned != 0 {
-		t.Fatalf("pinned = %d after batch, want 0", m.Pinned)
-	}
-}
-
 // TestCacheDisabledIsInert: with no cache enabled the lookup paths
 // report misses without side effects.
 func TestCacheDisabledIsInert(t *testing.T) {

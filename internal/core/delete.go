@@ -24,8 +24,8 @@ type trimmer interface {
 	recoverDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats
 }
 
-// ApplyDeletions removes a batch of edges from the streaming graph and
-// recovers every enabled standing query.
+// ApplyDeletionsCtx removes a batch of edges from the streaming graph
+// and recovers every enabled standing query.
 //
 // Deletions break the monotonicity that incremental resumption depends
 // on (a converged distance may now be *too good*). Handlers that track
@@ -33,15 +33,11 @@ type trimmer interface {
 // re-derive only values that depended on a deleted arc — the
 // KickStarter idea the paper cites); the whole-graph handlers
 // re-evaluate from scratch, which is always sound.
-func (s *System) ApplyDeletions(batch []graph.Edge) BatchReport {
-	rep, _ := s.ApplyDeletionsCtx(context.Background(), batch)
-	return rep
-}
-
-// ApplyDeletionsCtx is ApplyDeletions with context-based admission: like
-// ApplyBatchCtx, cancellation is honored only before the mutation begins;
-// once started, deletion recovery always completes so the standing state
-// stays converged for its snapshot version.
+//
+// Admission is context-based: like ApplyBatchCtx, cancellation is
+// honored only before the mutation begins; once started, deletion
+// recovery always completes so the standing state stays converged for
+// its snapshot version.
 func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (BatchReport, error) {
 	if err := ctx.Err(); err != nil {
 		return BatchReport{}, &engine.CanceledError{Cause: err}
@@ -89,9 +85,10 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 	}
 	// With an empty changed list the graph content is identical, so
 	// subscribers have nothing to learn and cached answers are merely
-	// re-stamped to the new version (cacheAdvance handles both cases).
+	// re-stamped to the new version (ResultCache.Advance handles both
+	// cases).
 	rep.StandingElapsed = time.Since(start)
-	s.cacheAdvance(changed, prevVersion(parent, snap), snap.Version())
+	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
 	s.advance(parent, snap)
 	return rep, nil
 }

@@ -64,15 +64,10 @@ func pinHistorical(snap *streamgraph.Snapshot, flatten bool) (engine.View, func(
 	return snap, releaseNoop
 }
 
-// QueryAt answers a user query against the retained snapshot with the
-// given version, via full evaluation.
-func (s *System) QueryAt(version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
-	return s.QueryAtCtx(context.Background(), version, problem, u)
-}
-
-// QueryAtCtx is QueryAt with cooperative cancellation — historical
-// queries are full evaluations, the most expensive kind, so deadlines
-// matter most here.
+// QueryAtCtx answers a user query against the retained snapshot with
+// the given version, via full evaluation under cooperative cancellation —
+// historical queries are the most expensive kind, so deadlines matter
+// most here.
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
 	if s.history == nil {
 		return nil, fmt.Errorf("core: history not enabled: %w", ErrNoSuchVersion)
@@ -100,7 +95,6 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 		return nil, err
 	}
 	res.Version = version
-	res.versionSet = true
 	return res, nil
 }
 

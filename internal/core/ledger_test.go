@@ -12,10 +12,10 @@ import (
 
 // TestLedgerCrossCheck is the dynamic half of the refbalance contract:
 // it drives every pin-taking subsystem at once — concurrent queries
-// (pinView), the Δ-result cache (cacheStore's retain-guard), history
-// queries over evicted snapshots (pinHistorical), and subscription
-// fan-out — then lands a final batch with no readers so cacheAdvance
-// drops its pins and advance retires the parent mirror, and asserts the
+// (pinView), history queries over evicted snapshots (pinHistorical) and
+// subscription fan-out, with the Δ-result cache on (its entries are
+// copies and must add no pin of their own) — then lands a final batch
+// with no readers so advance retires the parent mirror, and asserts the
 // ledger accounts for every Retain. Run under -race in CI; a non-empty
 // report here is either a refbalance false negative or a real leak.
 func TestLedgerCrossCheck(t *testing.T) {
@@ -75,10 +75,9 @@ func TestLedgerCrossCheck(t *testing.T) {
 
 	sys.Unsubscribe(sub)
 
-	// Final batch with no subscribers and no queries after it: the cache
-	// drops its pins on the mutation and the parent mirror retires, so
-	// only un-retired owner references remain — which the ledger does
-	// not count as leaks.
+	// Final batch with no subscribers and no queries after it: the
+	// parent mirror retires, so only un-retired owner references remain —
+	// which the ledger does not count as leaks.
 	sys.ApplyBatch(edges[900:1000])
 
 	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {

@@ -43,16 +43,11 @@ type multiQuerier interface {
 	queryMulti(ctx context.Context, s *System, sources []graph.VertexID) (*MultiResult, error)
 }
 
-// QueryMany evaluates up to 64 same-problem user queries in one batched
-// Δ-based evaluation. The result values are identical to issuing each
-// Query separately; the work is the batch-mode coalesced version.
-func (s *System) QueryMany(problem string, sources []graph.VertexID) (*MultiResult, error) {
-	return s.QueryManyCtx(context.Background(), problem, sources)
-}
-
-// QueryManyCtx is QueryMany with cooperative cancellation: one deadline
-// covers the whole batch (the batch runs under a single combined
-// frontier, so per-query cancellation is not meaningful).
+// QueryManyCtx evaluates up to 64 same-problem user queries in one
+// batched Δ-based evaluation. The result values are identical to issuing
+// each QueryCtx separately; the work is the batch-mode coalesced
+// version. One deadline covers the whole batch (it runs under a single
+// combined frontier, so per-query cancellation is not meaningful).
 func (s *System) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*MultiResult, error) {
 	h, err := s.lookup(problem)
 	if err != nil {

@@ -172,11 +172,6 @@ func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.Verte
 	return sub, nil
 }
 
-// Subscribe is SubscribeCtx with the background context.
-func (s *System) Subscribe(problem string, u graph.VertexID, buffer int) (*Subscription, error) {
-	return s.SubscribeCtx(context.Background(), problem, u, buffer)
-}
-
 // Unsubscribe deregisters sub and closes its frame channel. Idempotent.
 func (s *System) Unsubscribe(sub *Subscription) {
 	s.subMu.Lock()

@@ -67,10 +67,6 @@ type QueryResult struct {
 	// standing state last converged at for the whole-graph problems, and
 	// the requested version for QueryAt.
 	Version uint64
-	// versionSet marks handlers that stamped Version themselves (the
-	// whole-graph handlers answer from standing state, whose version can
-	// trail or lead the pinned view under concurrent writes).
-	versionSet bool
 }
 
 // BatchReport summarizes one applied update batch.
@@ -142,7 +138,7 @@ type System struct {
 	// post-deletion snapshot.
 	stMu sync.RWMutex
 	// cache, when non-nil, is the Δ-result cache (see cache.go).
-	cache *resultCache
+	cache *ResultCache
 	// subMu guards the subscription registry (see subscribe.go). Lock
 	// order: stMu before subMu — the writer refreshes subscriptions
 	// inside its exclusive window.
@@ -355,16 +351,10 @@ func (s *System) EnableCustom(p engine.Problem) error {
 // Enabled lists enabled problems in enable order.
 func (s *System) Enabled() []string { return append([]string(nil), s.order...) }
 
-// ApplyBatch inserts an edge batch into the streaming graph and
-// incrementally re-stabilizes every enabled standing query.
-func (s *System) ApplyBatch(batch []graph.Edge) BatchReport {
-	rep, _ := s.ApplyBatchCtx(context.Background(), batch)
-	return rep
-}
-
-// ApplyBatchCtx is ApplyBatch with context-based admission: a context
-// that is already canceled (or past its deadline) rejects the batch
-// before any mutation, returning an ErrCanceled-wrapping error. Once the
+// ApplyBatchCtx inserts an edge batch into the streaming graph and
+// incrementally re-stabilizes every enabled standing query. Admission is
+// context-based: a context that is already canceled (or past its
+// deadline) rejects the batch before any mutation, returning an ErrCanceled-wrapping error. Once the
 // insertion begins the batch always runs to completion, standing
 // maintenance included — honoring cancellation mid-maintenance would
 // leave some problems' standing state stale relative to the new snapshot
@@ -397,9 +387,7 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchRe
 	sr := s.refreshSubscriptions(view)
 	rep.Subscribers, rep.FramesSent, rep.FramesDropped, rep.RefreshElapsed =
 		sr.subscribers, sr.sent, sr.dropped, sr.elapsed
-	// Release cache pins before advance retires the parent mirror, so its
-	// slabs recycle immediately.
-	s.cacheAdvance(changed, prevVersion(parent, snap), snap.Version())
+	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
 	s.advance(parent, snap)
 	return rep, nil
 }
@@ -442,13 +430,9 @@ func (s *System) checkSource(u graph.VertexID) error {
 	return nil
 }
 
-// Query answers a user query with Δ-based incremental evaluation.
-func (s *System) Query(name string, u graph.VertexID) (*QueryResult, error) {
-	return s.QueryCtx(context.Background(), name, u)
-}
-
-// QueryCtx is Query with cooperative cancellation: the engine checks ctx
-// at every superstep boundary, so a deadline or a dropped client stops
+// QueryCtx answers a user query with Δ-based incremental evaluation
+// under cooperative cancellation: the engine checks ctx at every
+// superstep boundary, so a deadline or a dropped client stops
 // the convergence loop promptly and the call returns an
 // ErrCanceled-wrapping error. The standing arrays are never touched by a
 // user query (Δ-initialization copies out of them), so cancellation at
@@ -466,7 +450,7 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 	if err != nil {
 		return nil, err
 	}
-	s.cacheStore(res)
+	s.cache.Put(res)
 	return res, nil
 }
 
@@ -519,13 +503,9 @@ func (s *System) DeltaMergeInto(problem string, u graph.VertexID, wantVersion ui
 	return slot, propUR, true
 }
 
-// QueryFull answers a user query with a from-scratch (non-incremental)
-// evaluation — the baseline the paper's speedups compare against.
-func (s *System) QueryFull(name string, u graph.VertexID) (*QueryResult, error) {
-	return s.QueryFullCtx(context.Background(), name, u)
-}
-
-// QueryFullCtx is QueryFull with cooperative cancellation (see QueryCtx).
+// QueryFullCtx answers a user query with a from-scratch
+// (non-incremental) evaluation — the baseline the paper's speedups
+// compare against — under cooperative cancellation (see QueryCtx).
 func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
 	h, err := s.lookup(name)
 	if err != nil {
@@ -541,7 +521,6 @@ func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 		return nil, err
 	}
 	res.Version = viewVersion(view)
-	res.versionSet = true
 	return res, nil
 }
 
@@ -584,7 +563,7 @@ func (h *simpleHandler) queryDelta(ctx context.Context, s *System, u graph.Verte
 		Values: st.Values, Width: 1,
 		Stats: stats, Elapsed: time.Since(start),
 		Incremental: true, StandingSlot: slot, PropUR: propUR,
-		Version: viewVersion(view), versionSet: true,
+		Version: viewVersion(view),
 	}, nil
 }
 
@@ -689,7 +668,7 @@ func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		Radius: props.RadiiEstimate(values, n, w),
 		Stats:  stats, Elapsed: time.Since(start),
 		Incremental: true,
-		Version:     viewVersion(view), versionSet: true,
+		Version:     viewVersion(view),
 	}, nil
 }
 
@@ -786,7 +765,7 @@ func (h *ssnspHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		Stats: stats, CountStats: res.CountStats,
 		Elapsed:     time.Since(start),
 		Incremental: true, StandingSlot: slot, PropUR: propUR,
-		Version: viewVersion(view), versionSet: true,
+		Version: viewVersion(view),
 	}, nil
 }
 
@@ -847,7 +826,7 @@ func (h *pageRankHandler) queryDelta(_ context.Context, _ *System, u graph.Verte
 	v := h.version
 	h.mu.RUnlock()
 	return &QueryResult{Problem: "PageRank", Source: u, Values: vals, Width: 1, Incremental: true,
-		Version: v, versionSet: true}, nil
+		Version: v}, nil
 }
 
 func (h *pageRankHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {
@@ -895,7 +874,7 @@ func (h *ccHandler) queryDelta(_ context.Context, _ *System, u graph.VertexID) (
 	v := h.version
 	h.mu.RUnlock()
 	return &QueryResult{Problem: "CC", Source: u, Values: vals, Width: 1, Incremental: true,
-		Version: v, versionSet: true}, nil
+		Version: v}, nil
 }
 
 func (h *ccHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {

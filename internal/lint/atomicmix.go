@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Atomicmix enforces the async-safe monotonic-update invariant of
@@ -31,19 +30,6 @@ import (
 //     what parallel.For and go statements run concurrently, so a plain
 //     element access there races with the CAS loop. Straight-line
 //     accesses before the workers start or after they join are allowed.
-//
-// One idiom is carved out of the element rule: the owner-snapshot
-// register block of the fused pull kernel. There, each worker owns a
-// disjoint set of elements outright — it snapshots them with plain
-// reads, accumulates in registers, and republishes each element with an
-// atomic store at the same index. That plain read cannot race (the
-// owner is the only writer; everyone else only atomic-loads), so a
-// plain element READ is exempt when the same function literal also
-// atomic-stores to the same slice at a textually identical index and
-// performs no other plain writes or read-modify-write atomics
-// (CAS/Add/Swap) on that slice: a CAS would mean the elements are
-// contended after all, and a plain write would be an unpublished
-// mutation.
 var Atomicmix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "atomically-updated words must not also be accessed plainly where it races",
@@ -54,14 +40,6 @@ var Atomicmix = &Analyzer{
 // sync/atomic function or a parallel CAS helper (the first argument of
 // the form &expr), or nil.
 func atomicCallArg(info *types.Info, call *ast.CallExpr) ast.Expr {
-	expr, _ := atomicCallTarget(info, call)
-	return expr
-}
-
-// atomicCallTarget is atomicCallArg also reporting the called function's
-// name, so callers can tell plain loads/stores from read-modify-write
-// updates (CAS/Add/Swap).
-func atomicCallTarget(info *types.Info, call *ast.CallExpr) (ast.Expr, string) {
 	if !isPkgCall(info, call, "sync/atomic",
 		"LoadInt32", "LoadInt64", "LoadUint32", "LoadUint64", "LoadUintptr", "LoadPointer",
 		"StoreInt32", "StoreInt64", "StoreUint32", "StoreUint64", "StoreUintptr", "StorePointer",
@@ -70,19 +48,15 @@ func atomicCallTarget(info *types.Info, call *ast.CallExpr) (ast.Expr, string) {
 		"CompareAndSwapInt32", "CompareAndSwapInt64", "CompareAndSwapUint32",
 		"CompareAndSwapUint64", "CompareAndSwapUintptr", "CompareAndSwapPointer") &&
 		!isPkgCall(info, call, "tripoline/internal/parallel", "CASMinUint64", "AddUint64") {
-		return nil, ""
+		return nil
 	}
 	if len(call.Args) == 0 {
-		return nil, ""
-	}
-	name := ""
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		name = sel.Sel.Name
+		return nil
 	}
 	if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
-		return ast.Unparen(u.X), name
+		return ast.Unparen(u.X)
 	}
-	return nil, ""
+	return nil
 }
 
 // isAtomicType reports whether t is one of sync/atomic's method-based
@@ -162,9 +136,6 @@ func runAtomicmix(pass *Pass) {
 			if !withinFuncLit(stack) || addressTaken(idx, stack) {
 				return true
 			}
-			if ownerSnapshotRead(info, idx, obj, stack) {
-				return true
-			}
 			pass.Reportf(idx.Pos(),
 				"%s is accessed atomically elsewhere in %s; this plain element access runs inside a closure (a concurrent worker body) and races with the atomic updates — use atomic.LoadUint64/StoreUint64",
 				exprText(idx.X), key.fn.Name.Name)
@@ -208,84 +179,6 @@ func runAtomicmix(pass *Pass) {
 			})
 		}
 	}
-}
-
-// ownerSnapshotRead reports whether the plain element access idx (on the
-// atomically-tracked slice obj) is the legal owner-snapshot idiom: a
-// READ inside a function literal that also atomic-stores to the same
-// slice at a textually identical index, with no read-modify-write
-// atomics (CAS/Add/Swap) and no plain element writes on that slice in
-// the same literal. The matching store is the publish of the owner's
-// register block; a textually identical index pins the read and the
-// store to the same owned elements.
-func ownerSnapshotRead(info *types.Info, idx *ast.IndexExpr, obj types.Object, stack []ast.Node) bool {
-	if isAssignTarget(idx, stack) {
-		return false
-	}
-	lit := innermostFuncLit(stack)
-	if lit == nil {
-		return false
-	}
-	want := types.ExprString(idx.Index)
-	storeMatched := false
-	disqualified := false
-	inspectStack(lit, func(n ast.Node, s []ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.CallExpr:
-			target, name := atomicCallTarget(info, e)
-			tIdx, isIdx := target.(*ast.IndexExpr)
-			if !isIdx || baseObject(info, tIdx.X) != obj {
-				return true
-			}
-			if strings.HasPrefix(name, "Store") {
-				if types.ExprString(tIdx.Index) == want {
-					storeMatched = true
-				}
-				return true
-			}
-			if !strings.HasPrefix(name, "Load") {
-				disqualified = true // CAS/Add/Swap: the elements are contended
-			}
-		case *ast.IndexExpr:
-			if e == idx || baseObject(info, e.X) != obj {
-				return true
-			}
-			if isAssignTarget(e, s) {
-				disqualified = true
-			}
-		}
-		return true
-	})
-	return storeMatched && !disqualified
-}
-
-// isAssignTarget reports whether expr is written by its parent statement
-// (assignment left-hand side or ++/--).
-func isAssignTarget(expr ast.Expr, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	switch p := stack[len(stack)-1].(type) {
-	case *ast.AssignStmt:
-		for _, l := range p.Lhs {
-			if ast.Unparen(l) == expr {
-				return true
-			}
-		}
-	case *ast.IncDecStmt:
-		return ast.Unparen(p.X) == expr
-	}
-	return false
-}
-
-// innermostFuncLit returns the deepest function literal on the stack.
-func innermostFuncLit(stack []ast.Node) *ast.FuncLit {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if lit, ok := stack[i].(*ast.FuncLit); ok {
-			return lit
-		}
-	}
-	return nil
 }
 
 // withinFuncLit reports whether the stack passes through a function

@@ -15,7 +15,8 @@ import (
 //   - calling Release/RetireFlat on the retained value;
 //   - retargeting (`pin = f.Release`) — the obligation moves to pin;
 //   - forwarding to a callee whose summary releases that parameter
-//     (resultCache.put, which stores into the tracked cacheEntry.pin);
+//     (the golden fixture's keep, which stores into the tracked
+//     entry.pin; the real tree currently has no such callee);
 //   - returning the carrier (ownership transfers to the caller, whose
 //     own body is then checked against the producer's summary);
 //   - storing the carrier into a tracked teardown field or sending it

@@ -10,9 +10,10 @@ import (
 // intraprocedural (plus ad-hoc wrapper classification in poolbalance);
 // the ownership analyzers refbalance and goroleak need to see *through*
 // calls: pinView's `return f, f.Release` hands a pin obligation to its
-// caller, resultCache.put discharges one by storing the release-func in
-// a field that dropPin later invokes, and a `go worker(ch)` statement
-// blocks wherever worker does. summarize computes, bottom-up over the
+// caller, a callee may discharge one by storing the release-func in a
+// field that a teardown method later invokes (keep/entry.pin/drop in
+// testdata/src/refbalance), and a `go worker(ch)` statement blocks
+// wherever worker does. summarize computes, bottom-up over the
 // call graph the type-checked module already encodes, one FuncSummary
 // per declared function:
 //
@@ -79,8 +80,9 @@ type GoSite struct {
 type Summaries struct {
 	funcs map[*types.Func]*FuncSummary
 	// tracked holds struct fields with a teardown site somewhere in the
-	// module: a func-typed field some function invokes (cacheEntry.pin),
-	// or a refcounted field some function Releases (Snapshot.flat).
+	// module: a func-typed field some function invokes (the refbalance
+	// fixture's entry.pin), or a refcounted field some function Releases
+	// (Snapshot.flat).
 	// Storing an owned value into a tracked field is a legal transfer.
 	tracked map[types.Object]bool
 	// closed holds channel objects that some function in the module

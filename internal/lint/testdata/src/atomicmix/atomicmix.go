@@ -98,11 +98,12 @@ func addrHandOff(vals []uint64) {
 	wg.Wait()
 }
 
-// --- legal 4: owner-snapshot register block (fused pull kernel) -------
+// --- violation 4: owner-snapshot register block ------------------------
 //
-// Each worker owns vals[v] outright: it snapshots the word with a plain
-// read, accumulates in a register, and republishes with an atomic store
-// at the textually identical index. Neighbors are only atomic-loaded.
+// Each worker owns vals[v] outright, snapshots it with a plain read and
+// republishes with an atomic store at the same index. Even so the read
+// is flagged: the rule has no ownership carve-out, the snapshot must be
+// an atomic load (as the fused pull kernel's hoist is).
 
 func ownerSnapshot(vals []uint64, n int) {
 	var wg sync.WaitGroup
@@ -110,67 +111,11 @@ func ownerSnapshot(vals []uint64, n int) {
 	go func() {
 		defer wg.Done()
 		for v := 0; v < n; v++ {
-			cur := vals[v] // owner-snapshot read: legal
+			cur := vals[v] // want "races with the atomic updates"
 			if nv := atomic.LoadUint64(&vals[(v+1)%n]); nv < cur {
 				cur = nv
 			}
 			atomic.StoreUint64(&vals[v], cur)
-		}
-	}()
-	wg.Wait()
-}
-
-// --- violation 4: snapshot read but the slice is CASed in the closure --
-//
-// A CAS means the elements are contended after all — the plain read is
-// not an owner snapshot and stays flagged.
-
-func snapshotWithCAS(vals []uint64, n int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := 0; v < n; v++ {
-			cur := vals[v] // want "races with the atomic updates"
-			atomic.StoreUint64(&vals[v], cur)
-			atomic.CompareAndSwapUint64(&vals[(v+1)%n], 0, cur)
-		}
-	}()
-	wg.Wait()
-}
-
-// --- violation 5: store at a different index than the read ------------
-//
-// Without a store back to the same element, the read is of words some
-// other worker may own — still flagged.
-
-func snapshotWrongIndex(vals []uint64, n int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := 0; v < n; v++ {
-			cur := vals[v+1] // want "races with the atomic updates"
-			atomic.StoreUint64(&vals[v], cur)
-		}
-	}()
-	wg.Wait()
-}
-
-// --- violation 6: owner store plus a plain element write --------------
-//
-// A plain write next to the published store is an unpublished mutation;
-// both plain accesses stay flagged.
-
-func snapshotPlainWrite(vals []uint64, n int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := 0; v < n; v++ {
-			cur := vals[v] // want "races with the atomic updates"
-			atomic.StoreUint64(&vals[v], cur)
-			vals[v] = cur + 1 // want "races with the atomic updates"
 		}
 	}()
 	wg.Wait()

@@ -138,8 +138,8 @@ func legalForward() *entry {
 	return keep(release)
 }
 
-// legalRetarget is the cacheStore shape: the obligation moves from the
-// retained value to the bound release-func, then to the callee.
+// legalRetarget moves the obligation from the retained value to the
+// bound release-func, then to the callee.
 func legalRetarget() *entry {
 	var pinFn func()
 	if m := current; m.Retain() {

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -254,84 +253,4 @@ func (rep *Report) WriteText(w io.Writer) {
 	for _, v := range rep.ContractViolations() {
 		fmt.Fprintf(w, "  CONTRACT VIOLATION: %s\n", v)
 	}
-}
-
-// ---------------------------------------------------------------------
-// BENCH_loadgen.json — the per-PR trajectory file, in the same
-// github-action-benchmark data.js shape the kernel and shard sweeps
-// emit, so all three feed the same dashboards.
-
-type benchFile struct {
-	LastUpdate int64                   `json:"lastUpdate"`
-	RepoURL    string                  `json:"repoUrl"`
-	Entries    map[string][]benchEntry `json:"entries"`
-}
-
-type benchEntry struct {
-	Commit  benchCommit `json:"commit"`
-	Date    int64       `json:"date"`
-	Tool    string      `json:"tool"`
-	Benches []benchItem `json:"benches"`
-}
-
-type benchCommit struct {
-	ID        string `json:"id"`
-	Message   string `json:"message"`
-	Timestamp string `json:"timestamp"`
-}
-
-type benchItem struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-	Extra string  `json:"extra,omitempty"`
-}
-
-// WriteBenchJSON serializes scenario reports plus the saturation sweep
-// as one dashboard entry: per-endpoint p50/p99/p999 series, achieved
-// RPS per scenario, and the saturation curve per -max-inflight setting.
-func WriteBenchJSON(w io.Writer, reports []*Report, sweep []SweepPoint, commit string, ts time.Time) error {
-	entry := benchEntry{
-		Commit: benchCommit{ID: commit, Message: "loadgen scenario + saturation sweep", Timestamp: ts.UTC().Format(time.RFC3339)},
-		Date:   ts.UnixMilli(),
-		Tool:   "go",
-	}
-	for _, rep := range reports {
-		base := "loadgen/" + rep.Scenario
-		entry.Benches = append(entry.Benches, benchItem{
-			Name: base + "/achieved_rps", Value: rep.AchievedRPS, Unit: "req/s",
-			Extra: fmt.Sprintf("workers=%d total=%d seconds=%.1f", rep.Workers, rep.Total, rep.Seconds),
-		})
-		for _, k := range sortedKeys(rep.Ops) {
-			or := rep.Ops[k]
-			if or.Count == 0 {
-				continue
-			}
-			entry.Benches = append(entry.Benches,
-				benchItem{Name: base + "/" + k + "/p50", Value: or.P50 * 1e3, Unit: "ms", Extra: fmt.Sprintf("count=%d", or.Count)},
-				benchItem{Name: base + "/" + k + "/p99", Value: or.P99 * 1e3, Unit: "ms"},
-				benchItem{Name: base + "/" + k + "/p999", Value: or.P999 * 1e3, Unit: "ms"},
-			)
-		}
-	}
-	for _, pt := range sweep {
-		base := fmt.Sprintf("loadgen/saturation/max-inflight=%d", pt.MaxInFlight)
-		entry.Benches = append(entry.Benches,
-			benchItem{
-				Name: base + "/achieved_rps", Value: pt.AchievedRPS, Unit: "req/s",
-				Extra: fmt.Sprintf("total=%d rejected=%d workers=%d", pt.Total, pt.Rejected, pt.Workers),
-			},
-			benchItem{Name: base + "/p50", Value: pt.P50 * 1e3, Unit: "ms"},
-			benchItem{Name: base + "/p99", Value: pt.P99 * 1e3, Unit: "ms"},
-			benchItem{Name: base + "/p999", Value: pt.P999 * 1e3, Unit: "ms"},
-		)
-	}
-	file := benchFile{
-		LastUpdate: ts.UnixMilli(),
-		RepoURL:    "",
-		Entries:    map[string][]benchEntry{"Loadgen": {entry}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(file)
 }

@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -147,68 +145,6 @@ func TestRunDrainUnderLoad(t *testing.T) {
 	}
 	if v := rep.ContractViolations(); len(v) != 0 {
 		t.Fatalf("contract violations: %v", v)
-	}
-}
-
-// TestWriteBenchJSON pins the dashboard format: entries under one suite
-// key, each bench with name/value/unit, valid JSON after the data.js
-// prefix.
-func TestWriteBenchJSON(t *testing.T) {
-	rep := &Report{
-		Scenario: "query-heavy", Seconds: 2, Total: 200, AchievedRPS: 100,
-		Ops: map[string]OpReport{
-			"query": {Count: 150, P50: 0.001, P99: 0.004, P999: 0.009},
-			"stats": {Count: 50, P50: 0.0002, P99: 0.0005, P999: 0.0009},
-		},
-	}
-	sweep := []SweepPoint{
-		{MaxInFlight: 2, Workers: 8, AchievedRPS: 50, P99: 0.01, Rejected: 5},
-		{MaxInFlight: 8, Workers: 8, AchievedRPS: 180, P99: 0.02, Rejected: 0},
-	}
-	var buf bytes.Buffer
-	ts := time.UnixMilli(1700000000000)
-	if err := WriteBenchJSON(&buf, []*Report{rep}, sweep, "deadbeef", ts); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		LastUpdate int64 `json:"lastUpdate"`
-		Entries    map[string][]struct {
-			Commit struct {
-				ID string `json:"id"`
-			} `json:"commit"`
-			Benches []struct {
-				Name  string  `json:"name"`
-				Value float64 `json:"value"`
-				Unit  string  `json:"unit"`
-			} `json:"benches"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("payload not JSON: %v", err)
-	}
-	if doc.LastUpdate != 1700000000000 {
-		t.Fatalf("lastUpdate %d", doc.LastUpdate)
-	}
-	runs, ok := doc.Entries["Loadgen"]
-	if !ok || len(runs) != 1 {
-		t.Fatalf("entries missing Loadgen run: %v", doc.Entries)
-	}
-	names := make(map[string]bool)
-	for _, b := range runs[0].Benches {
-		names[b.Name] = true
-	}
-	for _, want := range []string{
-		"loadgen/query-heavy/achieved_rps",
-		"loadgen/query-heavy/query/p99",
-		"loadgen/saturation/max-inflight=2/achieved_rps",
-		"loadgen/saturation/max-inflight=8/p99",
-	} {
-		if !names[want] {
-			t.Fatalf("bench %q missing; have %v", want, names)
-		}
-	}
-	if runs[0].Commit.ID != "deadbeef" {
-		t.Fatalf("commit id %q", runs[0].Commit.ID)
 	}
 }
 

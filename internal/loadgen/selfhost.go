@@ -25,7 +25,7 @@ type SelfHostConfig struct {
 	Directed  bool
 	Problems  []string // default SSWP, SSSP, BFS
 	K         int      // standing queries per problem; default 16
-	Shards    int      // 1 = unsharded core behind server.New
+	Shards    int      // 1 = unsharded core.System, >1 = shard.Router
 	Seed      uint64
 
 	MaxInFlight  int // 0 = unbounded admission
@@ -92,39 +92,28 @@ func SelfHost(cfg SelfHostConfig) (*Target, error) {
 		server.WithMaxInFlight(cfg.MaxInFlight, cfg.QueueDepth),
 		server.WithSubscriptionBuffer(cfg.SubBuffer),
 	}
-	var srv *server.Server
+	var be core.Backend
 	if cfg.Shards > 1 {
 		r := shard.New(cfg.Vertices, cfg.Directed, cfg.Shards, cfg.K)
 		r.ApplyBatch(edges)
-		for _, p := range cfg.Problems {
-			if err := r.Enable(p); err != nil {
-				return nil, fmt.Errorf("loadgen: selfhost: %w", err)
-			}
-		}
-		if cfg.HistoryCapacity > 0 {
-			r.EnableHistory(cfg.HistoryCapacity)
-		}
-		if cfg.CacheEntries > 0 {
-			r.EnableResultCache(cfg.CacheEntries)
-		}
-		srv = server.NewSharded(r, opts...)
+		be = r
 	} else {
 		g := streamgraph.New(cfg.Vertices, cfg.Directed)
 		g.InsertEdges(edges)
-		sys := core.NewSystem(g, cfg.K)
-		for _, p := range cfg.Problems {
-			if err := sys.Enable(p); err != nil {
-				return nil, fmt.Errorf("loadgen: selfhost: %w", err)
-			}
-		}
-		if cfg.HistoryCapacity > 0 {
-			sys.EnableHistory(cfg.HistoryCapacity)
-		}
-		if cfg.CacheEntries > 0 {
-			sys.EnableResultCache(cfg.CacheEntries)
-		}
-		srv = server.New(sys, g, opts...)
+		be = core.NewSystem(g, cfg.K)
 	}
+	for _, p := range cfg.Problems {
+		if err := be.Enable(p); err != nil {
+			return nil, fmt.Errorf("loadgen: selfhost: %w", err)
+		}
+	}
+	if cfg.HistoryCapacity > 0 {
+		be.EnableHistory(cfg.HistoryCapacity)
+	}
+	if cfg.CacheEntries > 0 {
+		be.EnableResultCache(cfg.CacheEntries)
+	}
+	srv := server.New(be, opts...)
 	ts := httptest.NewServer(srv)
 	return &Target{URL: ts.URL, Shards: cfg.Shards, srv: srv, ts: ts}, nil
 }

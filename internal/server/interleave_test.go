@@ -46,7 +46,7 @@ func TestInterleavedWritesAndReads(t *testing.T) {
 	// Retain every version so the audit can reconstruct any graph a
 	// response claims to be about.
 	sys.EnableHistory(1 << 14)
-	srv := server.New(sys, g)
+	srv := server.New(sys)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

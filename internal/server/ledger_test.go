@@ -24,7 +24,8 @@ func TestLedgerServingPath(t *testing.T) {
 
 	ts, _, _ := newServingStack(t, "BFS")
 
-	// Warm the cache (pins the current mirror via cacheStore).
+	// Warm the cache. Each query pins the current mirror only while it
+	// evaluates; the cached entries are copies and hold no pin.
 	for _, src := range []string{"3", "7", "11"} {
 		resp, err := http.Get(ts.URL + "/v1/query?problem=BFS&source=" + src)
 		if err != nil {
@@ -47,8 +48,8 @@ func TestLedgerServingPath(t *testing.T) {
 	readEvent(t, br) // delta frame at the new version
 	resp.Body.Close()
 
-	// Final batch with no readers: cacheAdvance drops its pins and the
-	// parent mirror retires; only owner references remain.
+	// Final batch with no readers: the parent mirror retires and only
+	// owner references remain.
 	postJSON(t, ts.URL+"/v1/batch",
 		map[string]any{"edges": []map[string]any{{"src": 8, "dst": 43, "w": 2}}}, &rep)
 

@@ -26,7 +26,7 @@ func newLifecycleServer(t *testing.T, opts ...server.Option) (*httptest.Server, 
 	if err := sys.Enable("SSSP"); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(sys, g, opts...)
+	srv := server.New(sys, opts...)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -145,7 +145,7 @@ func TestQueryDeadline504(t *testing.T) {
 	if err := sys.Enable("SSSP"); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(sys, g, server.WithQueryTimeout(time.Millisecond))
+	srv := server.New(sys, server.WithQueryTimeout(time.Millisecond))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

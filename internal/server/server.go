@@ -51,58 +51,17 @@ import (
 	"tripoline/internal/graph"
 	"tripoline/internal/metrics"
 	"tripoline/internal/shard"
-	"tripoline/internal/streamgraph"
 )
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) code
 // reported when a query was abandoned because the client went away.
 const StatusClientClosedRequest = 499
 
-// backend is the serving surface the HTTP layer needs — the method set
-// shared by an unsharded core.System (wrapped with its graph for the
-// stats accessors) and a sharded shard.Router. Every handler goes
-// through this interface, so the endpoints behave identically over one
-// core or S hash-partitioned ones.
-type backend interface {
-	Enabled() []string
-	NumVertices() int
-	NumEdges() int64
-	Version() uint64
-	Directed() bool
-	QueryCtx(ctx context.Context, problem string, u graph.VertexID) (*core.QueryResult, error)
-	QueryFullCtx(ctx context.Context, problem string, u graph.VertexID) (*core.QueryResult, error)
-	QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*core.QueryResult, error)
-	QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*core.MultiResult, error)
-	ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (*core.QueryResult, uint64, bool)
-	CachedQueryAt(problem string, u graph.VertexID, version uint64) (*core.QueryResult, bool)
-	SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
-	Unsubscribe(sub *core.Subscription)
-	Subscribers() int
-	ResultCacheMetrics() core.CacheMetrics
-	SetMirrorMetrics(m *streamgraph.MirrorMetrics)
-}
-
-// coreBackend adapts the unsharded pair (core.System, its graph) to the
-// backend interface; the graph supplies the topology accessors the
-// system doesn't carry.
-type coreBackend struct {
-	*core.System
-	g *streamgraph.Graph
-}
-
-func (b coreBackend) NumVertices() int { return b.g.Acquire().NumVertices() }
-func (b coreBackend) NumEdges() int64  { return b.g.Acquire().NumEdges() }
-func (b coreBackend) Version() uint64  { return b.g.Acquire().Version() }
-func (b coreBackend) Directed() bool   { return b.g.Directed() }
-
-func (b coreBackend) SetMirrorMetrics(m *streamgraph.MirrorMetrics) { b.g.SetMirrorMetrics(m) }
-
-// Server is the HTTP front end over one Tripoline system.
+// Server is the HTTP front end over one Tripoline backend. Every handler
+// goes through core.Backend, so the endpoints behave identically over
+// one core.System or a shard.Router's S hash-partitioned ones.
 type Server struct {
-	sys    backend
-	shards int // 1 for an unsharded backend
+	sys core.Backend
 
 	// writeMu serializes graph mutations; queries need no lock (they
 	// operate on acquired snapshots and read-only standing arrays, which
@@ -179,40 +138,20 @@ func WithSubscriptionBuffer(n int) Option {
 	return func(s *Server) { s.subBuffer = n }
 }
 
-// New wraps a system. The caller keeps ownership: batches may also be
+// New serves a backend. The caller keeps ownership: batches may also be
 // applied directly as long as they are not concurrent with ServeHTTP
 // writes (use the server's endpoints once serving).
-func New(sys *core.System, g *streamgraph.Graph, opts ...Option) *Server {
-	return newServer(coreBackend{System: sys, g: g}, 1, nil, opts)
-}
-
-// NewSharded serves a shard.Router: the same endpoints, answered by
-// scatter/gather over the router's hash-partitioned cores. The router's
-// per-shard counters (tripoline_shard_*) are registered into the server
-// registry, and one shared mirror-metrics instrument is fanned out to
-// every shard's graph so /v1/stats and /v1/metrics report mirror and
-// cache activity aggregated across all shards.
-func NewSharded(r *shard.Router, opts ...Option) *Server {
-	return newServer(r, r.Shards(), r.SetMetrics, opts)
-}
-
-func newServer(be backend, shards int, shardMetrics func(*shard.Metrics), opts []Option) *Server {
-	s := &Server{sys: be, shards: shards, mux: http.NewServeMux(), drainCh: make(chan struct{})}
+func New(be core.Backend, opts ...Option) *Server {
+	s := &Server{sys: be, mux: http.NewServeMux(), drainCh: make(chan struct{})}
 	for _, o := range opts {
 		o(s)
 	}
 	if s.met == nil {
 		s.met = newServerMetrics(metrics.NewRegistry())
 	}
-	// Route the graph's mirror-maintenance instruments (delta vs. full
-	// builds, bytes copied vs. walked, slab recycler traffic) into the
-	// server registry so they surface in /v1/stats and /v1/metrics. A
-	// sharded backend fans the same instrument out to every shard's
-	// graph, so the counters aggregate across shards by construction.
-	s.sys.SetMirrorMetrics(streamgraph.RegisterMirrorMetrics(s.met.reg))
-	if shardMetrics != nil {
-		shardMetrics(shard.RegisterMetrics(s.met.reg))
-	}
+	// The backend's own instruments (mirror maintenance, and a router's
+	// tripoline_shard_* counters) surface in /v1/stats and /v1/metrics.
+	s.sys.RegisterMetrics(s.met.reg)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/query", s.cached(s.tryCachedQuery, s.lifecycle("query", s.queryTimeout, s.handleQuery)))
@@ -223,6 +162,9 @@ func newServer(be backend, shards int, shardMetrics func(*shard.Metrics), opts [
 	s.mux.HandleFunc("POST /v1/delete", s.lifecycle("write", s.writeTimeout, s.handleDelete))
 	return s
 }
+
+// NewSharded is New for a shard.Router.
+func NewSharded(r *shard.Router, opts ...Option) *Server { return New(r, opts...) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -413,8 +355,16 @@ type statsResponse struct {
 	Metrics  map[string]any `json:"metrics"`
 	// Cache summarizes the Δ-result cache (all zero when disabled);
 	// Subscribers is the live subscription count.
-	Cache       core.CacheMetrics `json:"cache"`
-	Subscribers int               `json:"subscribers"`
+	Cache       cacheStats `json:"cache"`
+	Subscribers int        `json:"subscribers"`
+}
+
+// cacheStats is the wire form of the stats body's "cache" object. Pinned
+// is a retired counter (cached entries no longer pin mirrors) reported as
+// 0 so the body keeps its shape.
+type cacheStats struct {
+	core.CacheMetrics
+	Pinned int
 }
 
 type queryResponse struct {
@@ -488,10 +438,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Edges:       s.sys.NumEdges(),
 		Version:     s.sys.Version(),
 		Directed:    s.sys.Directed(),
-		Shards:      s.shards,
+		Shards:      s.sys.Shards(),
 		Problems:    s.sys.Enabled(),
 		Metrics:     s.met.reg.Snapshot(),
-		Cache:       s.sys.ResultCacheMetrics(),
+		Cache:       cacheStats{CacheMetrics: s.sys.ResultCacheMetrics()},
 		Subscribers: s.sys.Subscribers(),
 	})
 }

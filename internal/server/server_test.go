@@ -27,7 +27,7 @@ func newTestServer(t *testing.T, problems ...string) (*httptest.Server, *streamg
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(server.New(sys, g))
+	ts := httptest.NewServer(server.New(sys))
 	t.Cleanup(ts.Close)
 	return ts, g
 }
@@ -208,7 +208,7 @@ func TestQueryAtEndpoint(t *testing.T) {
 	}
 	sys.EnableHistory(4)
 	oldVersion := g.Acquire().Version()
-	ts := httptest.NewServer(server.New(sys, g))
+	ts := httptest.NewServer(server.New(sys))
 	t.Cleanup(ts.Close)
 
 	// Mutate through the API so history records the new version.

@@ -33,7 +33,7 @@ func newServingStack(t *testing.T, problems ...string) (*httptest.Server, *serve
 			t.Fatal(err)
 		}
 	}
-	srv := server.New(sys, g)
+	srv := server.New(sys)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, srv, sys

@@ -30,9 +30,9 @@ type Metrics struct {
 	GatherMergeNanos *metrics.Counter
 }
 
-// RegisterMetrics registers the router's instruments on reg (idempotent
-// by name) and returns them bundled for Router.SetMetrics.
-func RegisterMetrics(reg *metrics.Registry) *Metrics {
+// registerMetrics registers the router's instruments on reg (idempotent
+// by name).
+func registerMetrics(reg *metrics.Registry) *Metrics {
 	return &Metrics{
 		Batches: reg.Counter("tripoline_shard_batches_total",
 			"Update batches admitted by the shard router."),

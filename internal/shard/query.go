@@ -40,15 +40,10 @@ import (
 // the union's arcs, and the chain of triangle inequalities from the
 // source restores exactness.
 
-// Query answers a user query with Δ-based incremental evaluation,
-// gathered across shards.
-func (r *Router) Query(name string, u graph.VertexID) (*core.QueryResult, error) {
-	return r.QueryCtx(context.Background(), name, u)
-}
-
-// QueryCtx is Query with cooperative cancellation (checked every engine
-// superstep in every shard; the first canceled shard run aborts the
-// gather).
+// QueryCtx answers a user query with Δ-based incremental evaluation,
+// gathered across shards, under cooperative cancellation (checked every
+// engine superstep in every shard; the first canceled shard run aborts
+// the gather).
 func (r *Router) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error) {
 	if r.single() {
 		return r.shards[0].QueryCtx(ctx, name, u)
@@ -80,19 +75,13 @@ func (r *Router) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 	if err != nil {
 		return nil, err
 	}
-	if r.cache != nil {
-		r.cache.put(res)
-	}
+	r.cache.Put(res)
 	return res, nil
 }
 
-// QueryFull answers a user query with a from-scratch evaluation over the
-// union graph — the non-incremental baseline.
-func (r *Router) QueryFull(name string, u graph.VertexID) (*core.QueryResult, error) {
-	return r.QueryFullCtx(context.Background(), name, u)
-}
-
-// QueryFullCtx is QueryFull with cooperative cancellation.
+// QueryFullCtx answers a user query with a from-scratch evaluation over
+// the union graph — the non-incremental baseline — under cooperative
+// cancellation.
 func (r *Router) QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error) {
 	if r.single() {
 		return r.shards[0].QueryFullCtx(ctx, name, u)
@@ -108,15 +97,10 @@ func (r *Router) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 	return r.fullAt(ctx, kind, name, e, u)
 }
 
-// QueryAt answers a user query against the retained barrier entry with
-// the given global version, via full evaluation (standing state tracks
-// only the latest version, so Δ-initialization is invalid for older
-// cuts — same reasoning as core's history path).
-func (r *Router) QueryAt(version uint64, problem string, u graph.VertexID) (*core.QueryResult, error) {
-	return r.QueryAtCtx(context.Background(), version, problem, u)
-}
-
-// QueryAtCtx is QueryAt with cooperative cancellation.
+// QueryAtCtx answers a user query against the retained barrier entry
+// with the given global version, via full evaluation (standing state
+// tracks only the latest version, so Δ-initialization is invalid for
+// older cuts — same reasoning as core's history path).
 func (r *Router) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*core.QueryResult, error) {
 	if r.single() {
 		return r.shards[0].QueryAtCtx(ctx, version, problem, u)
@@ -143,13 +127,8 @@ func (r *Router) QueryAtCtx(ctx context.Context, version uint64, problem string,
 	return r.fullAt(ctx, kind, problem, e, u)
 }
 
-// QueryMany evaluates up to 64 same-problem user queries in one batched
-// scatter/gather evaluation (simple problems only, like core).
-func (r *Router) QueryMany(problem string, sources []graph.VertexID) (*core.MultiResult, error) {
-	return r.QueryManyCtx(context.Background(), problem, sources)
-}
-
-// QueryManyCtx is QueryMany with cooperative cancellation.
+// QueryManyCtx evaluates up to 64 same-problem user queries in one
+// batched scatter/gather evaluation (simple problems only, like core).
 func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*core.MultiResult, error) {
 	if r.single() {
 		return r.shards[0].QueryManyCtx(ctx, problem, sources)

@@ -49,6 +49,7 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/metrics"
 	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
 )
@@ -65,8 +66,9 @@ const (
 )
 
 // Router hash-partitions a streaming graph across S core.System shards
-// under a versioned cross-shard snapshot barrier. Methods mirror
-// core.System's so the facade and server treat either interchangeably.
+// under a versioned cross-shard snapshot barrier. It implements
+// core.Backend, so the facade and server treat it and a lone core.System
+// interchangeably.
 type Router struct {
 	s        int
 	directed bool
@@ -104,8 +106,10 @@ type Router struct {
 	ccLast    time.Duration
 
 	histOn bool
-	cache  *routerCache
-	met    *Metrics
+	// cache, when non-nil, is the Δ-result cache of an S>1 router, keyed
+	// by global version (S=1 uses its lone System's).
+	cache *core.ResultCache
+	met   *Metrics
 }
 
 // New creates a router over S empty shard graphs spanning n vertices.
@@ -311,17 +315,11 @@ func (r *Router) Enabled() []string {
 	return append([]string(nil), r.order...)
 }
 
-// ApplyBatch inserts an edge batch, splitting it across shards and
-// advancing the global version by one.
-func (r *Router) ApplyBatch(batch []graph.Edge) core.BatchReport {
-	rep, _ := r.ApplyBatchCtx(context.Background(), batch)
-	return rep
-}
-
-// ApplyBatchCtx is ApplyBatch with context-based admission: cancellation
-// is honored while waiting for the apply token, never after — an
-// admitted mutation always completes so the barrier never publishes a
-// half-applied vector.
+// ApplyBatchCtx inserts an edge batch, splitting it across shards and
+// advancing the global version by one. Admission is context-based:
+// cancellation is honored while waiting for the apply token, never
+// after — an admitted mutation always completes so the barrier never
+// publishes a half-applied vector.
 func (r *Router) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error) {
 	if r.single() {
 		return r.shards[0].ApplyBatchCtx(ctx, batch)
@@ -333,15 +331,8 @@ func (r *Router) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.Ba
 	return r.apply(batch, false), nil
 }
 
-// ApplyDeletions removes an edge batch across shards, advancing the
-// global version by one.
-func (r *Router) ApplyDeletions(batch []graph.Edge) core.BatchReport {
-	rep, _ := r.ApplyDeletionsCtx(context.Background(), batch)
-	return rep
-}
-
-// ApplyDeletionsCtx is ApplyDeletions with context-based admission (see
-// ApplyBatchCtx).
+// ApplyDeletionsCtx removes an edge batch across shards, advancing the
+// global version by one, with ApplyBatchCtx's admission semantics.
 func (r *Router) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error) {
 	if r.single() {
 		return r.shards[0].ApplyDeletionsCtx(ctx, batch)
@@ -436,9 +427,7 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 	agg.StandingElapsed = time.Since(start)
 
 	r.bar.publish(e)
-	if r.cache != nil {
-		r.cache.advance(changed, prev.global, global)
-	}
+	r.cache.Advance(changed, prev.global, global)
 	r.met.noteBatch(fan)
 	return agg
 }
@@ -600,7 +589,7 @@ func (r *Router) EnableResultCache(entries int) {
 		r.shards[0].EnableResultCache(entries)
 		return
 	}
-	r.cache = newRouterCache(entries)
+	r.cache = core.NewResultCache(entries)
 }
 
 // CachedQuery serves a cached answer under the stale=ok / min_version
@@ -609,10 +598,7 @@ func (r *Router) CachedQuery(problem string, u graph.VertexID, minVersion uint64
 	if r.single() {
 		return r.shards[0].CachedQuery(problem, u, minVersion, staleOK)
 	}
-	if r.cache == nil {
-		return nil, 0, false
-	}
-	return r.cache.get(problem, u, minVersion, staleOK, r.bar.latest().global)
+	return r.cache.Get(problem, u, minVersion, staleOK, r.bar.latest().global)
 }
 
 // CachedQueryAt serves a cached answer whose global version matches
@@ -621,10 +607,7 @@ func (r *Router) CachedQueryAt(problem string, u graph.VertexID, version uint64)
 	if r.single() {
 		return r.shards[0].CachedQueryAt(problem, u, version)
 	}
-	if r.cache == nil {
-		return nil, false
-	}
-	return r.cache.getAt(problem, u, version)
+	return r.cache.GetAt(problem, u, version)
 }
 
 // ResultCacheMetrics reports cache activity (zero value when disabled).
@@ -632,10 +615,7 @@ func (r *Router) ResultCacheMetrics() core.CacheMetrics {
 	if r.single() {
 		return r.shards[0].ResultCacheMetrics()
 	}
-	if r.cache == nil {
-		return core.CacheMetrics{}
-	}
-	return r.cache.metrics()
+	return r.cache.Metrics()
 }
 
 // SubscribeCtx registers a standing subscription. Subscriptions push
@@ -648,11 +628,6 @@ func (r *Router) SubscribeCtx(ctx context.Context, problem string, u graph.Verte
 		return r.shards[0].SubscribeCtx(ctx, problem, u, buffer)
 	}
 	return nil, fmt.Errorf("shard: subscriptions on a %d-shard router: %w", r.s, core.ErrSubscribeUnsupported)
-}
-
-// Subscribe is SubscribeCtx without cancellation.
-func (r *Router) Subscribe(problem string, u graph.VertexID, buffer int) (*core.Subscription, error) {
-	return r.SubscribeCtx(context.Background(), problem, u, buffer)
 }
 
 // Unsubscribe closes a subscription (no-op on S>1, which never hands
@@ -706,16 +681,17 @@ func (r *Router) StandingMaintainTime(name string) (time.Duration, error) {
 	return worst, nil
 }
 
-// SetMirrorMetrics points every shard's mirror maintenance at one shared
-// instrument block, so /v1/stats aggregation is a single read.
-func (r *Router) SetMirrorMetrics(m *streamgraph.MirrorMetrics) {
+// RegisterMetrics registers the router's tripoline_shard_* instruments
+// on reg and points every shard's mirror maintenance at one shared
+// instrument block, so the mirror counters aggregate across shards by
+// construction.
+func (r *Router) RegisterMetrics(reg *metrics.Registry) {
+	m := streamgraph.RegisterMirrorMetrics(reg)
 	for _, g := range r.graphs {
 		g.SetMirrorMetrics(m)
 	}
+	r.met = registerMetrics(reg)
 }
-
-// SetMetrics attaches the router's tripoline_shard_* instruments.
-func (r *Router) SetMetrics(m *Metrics) { r.met = m }
 
 // checkSource validates a query source against a barrier entry's union
 // vertex count.

@@ -296,47 +296,6 @@ func TestQueryAt(t *testing.T) {
 	}
 }
 
-// TestRouterCache pins the global-version-keyed cache semantics on S>1:
-// hit after Query, stale policy, restamp on no-op batches.
-func TestRouterCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := newPair(t, 80, true, 4, []string{"SSSP"})
-	p.rt.EnableResultCache(8)
-	batch := randBatch(rng, 80, 100)
-	p.insert(t, batch)
-	if _, _, ok := p.rt.CachedQuery("SSSP", 7, 0, true); ok {
-		t.Fatal("cache hit before any query")
-	}
-	res, err := p.rt.Query("SSSP", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, stale, ok := p.rt.CachedQuery("SSSP", 7, 0, true)
-	if !ok || stale != 0 || !valuesMatch("SSSP", cached.Values, res.Values) {
-		t.Fatalf("fresh hit: ok=%v stale=%d", ok, stale)
-	}
-	// Re-inserting the identical batch changes nothing (first-wins dedup):
-	// the merged changed list is empty, so the entry is restamped to the
-	// new global version and still serves exact.
-	p.insert(t, batch)
-	if _, _, ok := p.rt.CachedQuery("SSSP", 7, p.rt.Version(), false); !ok {
-		t.Fatal("no-op batch should restamp cached entry to the new version")
-	}
-	// A genuinely new batch leaves the entry stale; exact-only misses,
-	// stale=ok serves with staleness 1.
-	p.insert(t, randBatch(rng, 80, 50))
-	if _, _, ok := p.rt.CachedQuery("SSSP", 7, 0, false); ok {
-		t.Fatal("exact-only should miss after a real batch")
-	}
-	if _, stale, ok := p.rt.CachedQuery("SSSP", 7, 0, true); !ok || stale != 1 {
-		t.Fatalf("stale=ok should serve with staleness 1, got ok=%v stale=%d", ok, stale)
-	}
-	m := p.rt.ResultCacheMetrics()
-	if m.Hits == 0 || m.Restamps == 0 {
-		t.Fatalf("cache metrics not accounted: %+v", m)
-	}
-}
-
 // TestSubscribeUnsupported pins the S>1 subscription contract.
 func TestSubscribeUnsupported(t *testing.T) {
 	p := newPair(t, 10, true, 2, []string{"BFS"})

@@ -90,8 +90,8 @@ func ledgerRetire(f *Flat) {
 
 // LedgerReport returns the mirrors holding reader pins beyond any
 // legitimate un-retired owner reference, oldest version first. An empty
-// report at teardown (after a final batch has advanced the version and
-// dropped cache pins) means every Retain found its Release.
+// report at teardown (after a final batch has advanced the version)
+// means every Retain found its Release.
 func LedgerReport() []LedgerLeak {
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tripoline/internal/core"
+	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 	"tripoline/internal/xrand"
@@ -42,8 +43,11 @@ type Config struct {
 type Cost struct {
 	K        int
 	Standing time.Duration // standing-query re-stabilization per batch
-	Query    time.Duration // average Δ-based user query
-	Total    time.Duration // Standing + QueriesPerBatch×Query
+	// StandingWork is the counted engine work behind Standing, summed over
+	// the measured batches — the same cost, independent of machine load.
+	StandingWork engine.Stats
+	Query        time.Duration // average Δ-based user query
+	Total        time.Duration // Standing + QueriesPerBatch×Query
 }
 
 // Result is the tuning outcome.
@@ -110,6 +114,7 @@ func measureK(cfg Config, k int) (Cost, error) {
 		}
 		rep := sys.ApplyBatch(b)
 		c.Standing += rep.StandingElapsed
+		c.StandingWork.Add(rep.StandingStats)
 		batches++
 	}
 	if batches > 0 {

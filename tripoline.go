@@ -29,6 +29,12 @@
 //	defer cancel()
 //	res, err := sys.QueryCtx(ctx, "SSWP", u)
 //
+// Every evaluating or mutating call has this context form; the plain
+// forms (Query, ApplyBatch, …) run under context.Background(). History
+// retention, query recording, the Δ-result cache and sharding are fixed
+// at construction through options (WithHistory, WithQueryRecording,
+// WithResultCache, WithShards) — there are no post-construction toggles.
+//
 // Failures are reported through the sentinel errors ErrUnknownProblem,
 // ErrSourceOutOfRange, ErrNoSuchVersion and ErrCanceled (test with
 // errors.Is). Cancellation is always safe: a user query evaluates on
@@ -42,7 +48,6 @@ package tripoline
 import (
 	"context"
 	"io"
-	"time"
 
 	"tripoline/internal/core"
 	"tripoline/internal/engine"
@@ -210,45 +215,13 @@ func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }
 }
 
-// backend is the method set shared by the unsharded core.System and the
-// sharded shard.Router; the facade delegates to whichever the options
-// selected.
-type backend interface {
-	Enable(name string) error
-	EnableCustom(p engine.Problem) error
-	Enabled() []string
-	ApplyBatch(batch []graph.Edge) core.BatchReport
-	ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	ApplyDeletions(batch []graph.Edge) core.BatchReport
-	ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	Query(name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryFull(name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryMany(name string, sources []graph.VertexID) (*core.MultiResult, error)
-	QueryManyCtx(ctx context.Context, name string, sources []graph.VertexID) (*core.MultiResult, error)
-	QueryAt(version uint64, name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryAtCtx(ctx context.Context, version uint64, name string, u graph.VertexID) (*core.QueryResult, error)
-	EnableHistory(capacity int)
-	HistoryVersions() []uint64
-	RecordQueries(on bool)
-	ReselectRoots(problem string) error
-	EnableResultCache(entries int)
-	CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (*core.QueryResult, uint64, bool)
-	ResultCacheMetrics() core.CacheMetrics
-	Subscribe(problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
-	SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
-	Unsubscribe(sub *core.Subscription)
-	Subscribers() int
-	StandingMaintainTime(name string) (time.Duration, error)
-}
-
 // System couples a streaming graph with standing-query maintenance and
-// Δ-based user query evaluation.
+// Δ-based user query evaluation. It delegates to one core.Backend — an
+// unsharded core.System or a shard.Router, whichever the options
+// selected.
 type System struct {
-	inner  backend
-	g      *Graph
-	shards int
+	inner core.Backend
+	g     *Graph
 }
 
 // NewSystem wraps a streaming graph. With WithShards(s), s > 1, the
@@ -260,14 +233,11 @@ func NewSystem(g *Graph, opts ...Option) *System {
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.shards < 1 {
-		c.shards = 1
-	}
-	s := &System{g: g, shards: c.shards}
-	if c.shards == 1 {
-		s.inner = core.NewSystem(g.inner, c.k)
-	} else {
+	s := &System{g: g}
+	if c.shards > 1 {
 		s.inner = newShardedBackend(g.inner, c.shards, c.k)
+	} else {
+		s.inner = core.NewSystem(g.inner, c.k)
 	}
 	if c.history > 0 {
 		s.inner.EnableHistory(c.history)
@@ -314,7 +284,7 @@ func newShardedBackend(g *streamgraph.Graph, shards, k int) *shard.Router {
 func (s *System) Graph() *Graph { return s.g }
 
 // Shards reports the number of shard cores (1 for an unsharded system).
-func (s *System) Shards() int { return s.shards }
+func (s *System) Shards() int { return s.inner.Shards() }
 
 // Enable sets up and fully evaluates standing queries for a problem.
 // Recognized names: BFS, SSSP, SSWP, SSNP, Viterbi, SSR, Radii, SSNSP,
@@ -333,7 +303,10 @@ func (s *System) Enabled() []string { return s.inner.Enabled() }
 
 // ApplyBatch inserts edges and incrementally re-stabilizes every enabled
 // problem's standing queries.
-func (s *System) ApplyBatch(batch []Edge) BatchReport { return s.inner.ApplyBatch(batch) }
+func (s *System) ApplyBatch(batch []Edge) BatchReport {
+	rep, _ := s.inner.ApplyBatchCtx(context.Background(), batch)
+	return rep
+}
 
 // ApplyBatchCtx is ApplyBatch with context-based admission: a canceled
 // ctx is honored only before the mutation begins (returning an error
@@ -350,7 +323,8 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []Edge) (BatchReport, 
 // resumption relies on, so recovery re-evaluates the standing queries
 // from scratch — always sound, if slower than an insertion batch.
 func (s *System) ApplyDeletions(batch []Edge) BatchReport {
-	return s.inner.ApplyDeletions(batch)
+	rep, _ := s.inner.ApplyDeletionsCtx(context.Background(), batch)
+	return rep
 }
 
 // ApplyDeletionsCtx is ApplyDeletions with context-based admission (the
@@ -363,7 +337,7 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []Edge) (BatchRepo
 // Query evaluates a user query with Δ-based incremental evaluation: any
 // source vertex, no a priori registration needed.
 func (s *System) Query(problem string, source VertexID) (*QueryResult, error) {
-	return s.inner.Query(problem, source)
+	return s.inner.QueryCtx(context.Background(), problem, source)
 }
 
 // QueryCtx is Query with cooperative cancellation: the engine checks ctx
@@ -377,7 +351,7 @@ func (s *System) QueryCtx(ctx context.Context, problem string, source VertexID) 
 // QueryFull evaluates a user query from scratch (the non-incremental
 // baseline). Results are identical to Query's; only the work differs.
 func (s *System) QueryFull(problem string, source VertexID) (*QueryResult, error) {
-	return s.inner.QueryFull(problem, source)
+	return s.inner.QueryFullCtx(context.Background(), problem, source)
 }
 
 // QueryFullCtx is QueryFull with cooperative cancellation (see QueryCtx).
@@ -393,7 +367,7 @@ type MultiResult = core.MultiResult
 // identical values to per-query Query calls, with the graph and value
 // arrays traversed once.
 func (s *System) QueryMany(problem string, sources []VertexID) (*MultiResult, error) {
-	return s.inner.QueryMany(problem, sources)
+	return s.inner.QueryManyCtx(context.Background(), problem, sources)
 }
 
 // QueryManyCtx is QueryMany with cooperative cancellation (see QueryCtx).
@@ -401,19 +375,13 @@ func (s *System) QueryManyCtx(ctx context.Context, problem string, sources []Ver
 	return s.inner.QueryManyCtx(ctx, problem, sources)
 }
 
-// EnableHistory retains up to capacity past snapshots for QueryAt.
-//
-// Deprecated: pass WithHistory(capacity) to NewSystem instead; the
-// option form configures the system before any serving starts.
-func (s *System) EnableHistory(capacity int) { s.inner.EnableHistory(capacity) }
-
 // HistoryVersions lists the retained snapshot versions.
 func (s *System) HistoryVersions() []uint64 { return s.inner.HistoryVersions() }
 
 // QueryAt evaluates a query against a retained historical version (full
 // evaluation — Δ-based bounds are only valid for the live version).
 func (s *System) QueryAt(version uint64, problem string, source VertexID) (*QueryResult, error) {
-	return s.inner.QueryAt(version, problem, source)
+	return s.inner.QueryAtCtx(context.Background(), version, problem, source)
 }
 
 // QueryAtCtx is QueryAt with cooperative cancellation (see QueryCtx) —
@@ -422,13 +390,6 @@ func (s *System) QueryAt(version uint64, problem string, source VertexID) (*Quer
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, source VertexID) (*QueryResult, error) {
 	return s.inner.QueryAtCtx(ctx, version, problem, source)
 }
-
-// RecordQueries toggles recording of user-query sources into a workload
-// histogram consumed by ReselectRoots.
-//
-// Deprecated: pass WithQueryRecording() to NewSystem instead; the option
-// form configures the system before any serving starts.
-func (s *System) RecordQueries(on bool) { s.inner.RecordQueries(on) }
 
 // ReselectRoots re-roots a problem's standing queries using the recorded
 // query distribution blended with topology — the paper's §5 refinement
@@ -470,7 +431,7 @@ type (
 // from the client's last received state, so applying frames in order is
 // always exact. Call Unsubscribe when done.
 func (s *System) Subscribe(problem string, source VertexID, buffer int) (*Subscription, error) {
-	return s.inner.Subscribe(problem, source, buffer)
+	return s.inner.SubscribeCtx(context.Background(), problem, source, buffer)
 }
 
 // SubscribeCtx is Subscribe with cooperative cancellation of the initial

@@ -170,13 +170,12 @@ func TestFacadeErrors(t *testing.T) {
 func TestFacadeHistoryAndReselect(t *testing.T) {
 	g := tripoline.NewGraph(8, tripoline.Undirected)
 	g.InsertEdges(ringEdges(8, 1))
-	sys := tripoline.NewSystem(g, tripoline.WithStandingQueries(2))
+	sys := tripoline.NewSystem(g, tripoline.WithStandingQueries(2),
+		tripoline.WithHistory(4), tripoline.WithQueryRecording())
 	if err := sys.Enable("BFS"); err != nil {
 		t.Fatal(err)
 	}
-	sys.EnableHistory(4)
 	v0 := g.Acquire().Version()
-	sys.RecordQueries(true)
 
 	sys.ApplyBatch([]tripoline.Edge{{Src: 0, Dst: 4, W: 1}})
 	if len(sys.HistoryVersions()) != 2 {
