@@ -64,8 +64,8 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		Changed:        changed,
 	}
 	start := time.Now()
+	undirected := !s.G.Directed()
 	if len(changed) > 0 {
-		undirected := !s.G.Directed()
 		// Deletions invalidate span reuse (an unchanged vertex's span may
 		// alias arcs that no longer exist downstream of it), so the mirror
 		// is rebuilt in full — the data-structure analogue of the standing
@@ -82,11 +82,19 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		sr := s.refreshSubscriptions(view)
 		rep.Subscribers, rep.FramesSent, rep.FramesDropped, rep.RefreshElapsed =
 			sr.subscribers, sr.sent, sr.dropped, sr.elapsed
+	} else {
+		// With an empty changed list the graph content is identical, so
+		// subscribers have nothing to learn and cached answers are merely
+		// re-stamped to the new version (ResultCache.Advance handles both
+		// cases). The standing state is converged on the new version as it
+		// stands, and has to say so: DeltaMergeInto and the next insertion's
+		// maintenance both go by the version it records.
+		for _, name := range s.order {
+			if h, ok := s.handlers[name].(trimmer); ok {
+				h.recoverDeletions(snap, nil, undirected)
+			}
+		}
 	}
-	// With an empty changed list the graph content is identical, so
-	// subscribers have nothing to learn and cached answers are merely
-	// re-stamped to the new version (ResultCache.Advance handles both
-	// cases).
 	rep.StandingElapsed = time.Since(start)
 	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
 	s.advance(parent, snap)
@@ -132,7 +140,9 @@ func (h *radiiHandler) recoverDeletions(g engine.View, deleted []graph.Edge, und
 func (h *ssnspHandler) recoverDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats {
 	start := time.Now()
 	stats := h.mgr.UpdateDeletions(g, deleted, undirected)
-	h.recount(g)
+	if len(deleted) > 0 {
+		h.recount(g)
+	}
 	h.last = time.Since(start)
 	return stats
 }

@@ -1,0 +1,71 @@
+package engine_test
+
+import (
+	"runtime"
+	"testing"
+
+	"tripoline/internal/engine"
+	"tripoline/internal/graph"
+	"tripoline/internal/oracle"
+	"tripoline/internal/props"
+	"tripoline/internal/streamgraph"
+	"tripoline/internal/xrand"
+)
+
+// TestArcRoundSharedEndpoints runs the arc round with two workers over
+// batches whose arcs share tails and heads heavily: a few dozen vertices
+// are tail and head of several hundred stored arcs, so runs straddle chunk
+// boundaries, many tails relax into one head (the push's CAS) and a tail's
+// whole run must land on one worker (the pull's owner-exclusive stores,
+// which forArcRuns guarantees by handing a run to the chunk its first arc
+// falls in). Run it under -race; every slot is held to the oracle.
+func TestArcRoundSharedEndpoints(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, core, base, batches, batchEdges = 60, 30, 150, 4, 350
+	rng := xrand.New(307)
+	for name, p := range props.Registry() {
+		for _, k := range []int{1, 16} {
+			sources := pickSources(n, k, rng)
+			edges := make([]graph.Edge, base)
+			for i := range edges {
+				edges[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(16))}
+			}
+			g := streamgraph.FromEdges(n, edges, true)
+			fwd, _ := engine.Run(g.Acquire(), p, sources)
+			rev, _ := engine.RunReverse(g.Acquire(), p, sources)
+			for b := 0; b < batches; b++ {
+				batch := make([]graph.Edge, batchEdges)
+				for i := range batch {
+					batch[i] = graph.Edge{Src: graph.VertexID(rng.Intn(core)), Dst: graph.VertexID(rng.Intn(core)), W: graph.Weight(1 + rng.Intn(16))}
+				}
+				snap, _ := g.InsertEdges(batch)
+				arcs, ok := snap.InsertedArcs()
+				if !ok || (b == 0 && len(arcs) < 128) {
+					t.Fatalf("%s: batch %d recorded %d arcs (ok=%v); want several chunks' worth", name, b, len(arcs), ok)
+				}
+				flat := snap.Flatten()
+				fwd.RunPushArcs(flat, arcs)
+				var stats engine.Stats
+				rev.RunPullArcs(flat, arcs, &stats)
+				csr := snap.CSR(true)
+				requireOracle(t, name+" forward after arc round", fwd, csr, sources, oracle.BestPath)
+				requireOracle(t, name+" reverse after arc round", rev, csr, sources, oracle.BestPathTo)
+			}
+		}
+	}
+}
+
+// TestArcRoundRejectsUnsortedArcs: one tail split over two runs could be
+// handed to two workers, so an arc list that is not sorted by source is
+// refused outright.
+func TestArcRoundRejectsUnsortedArcs(t *testing.T) {
+	g := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}}, true)
+	st := engine.NewState(props.BFS{}, 3, 1)
+	st.SetSource(0, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unsorted arc list was accepted")
+		}
+	}()
+	st.RunPushArcs(g, []graph.Edge{{Src: 1, Dst: 2, W: 1}, {Src: 0, Dst: 1, W: 1}})
+}

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,33 +10,6 @@ import (
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
 )
-
-// consultCtx "times out" after a fixed number of Err() consults — a
-// deterministic stand-in for a wall-clock deadline firing
-// mid-convergence. The engine consults the context once per superstep
-// boundary, so the cancellation point is exact. A real 1ms timer made
-// these tests flaky: under -race it can expire before the first
-// superstep (zero iterations) on a slow machine, or never fire on a
-// fast one.
-type consultCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func newConsultCtx(consults int) *consultCtx {
-	c := &consultCtx{Context: context.Background()}
-	c.left.Store(int64(consults))
-	return c
-}
-
-func (c *consultCtx) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-func (c *consultCtx) Done() <-chan struct{} { return nil }
 
 // chainCSR builds a path 0-1-2-...-(n-1): the worst case for superstep
 // count (diameter n), so a push evaluation has n tiny supersteps and a
@@ -54,7 +26,7 @@ func chainCSR(n int, t *testing.T) *graph.CSR {
 func TestRunPushCtxCancelsMidConvergence(t *testing.T) {
 	g := chainCSR(200_000, t)
 	// The diameter-200k chain needs ~200k supersteps; cut it off after 64.
-	ctx := newConsultCtx(64)
+	ctx := engine.NewConsultCtx(64)
 	start := time.Now()
 	st, stats, err := engine.RunCtx(ctx, g, props.BFS{}, []graph.VertexID{0})
 	elapsed := time.Since(start)
@@ -125,15 +97,11 @@ func TestRunPullCtxCancels(t *testing.T) {
 	g := chainCSR(100_000, t)
 	n := g.NumVertices()
 	last := graph.VertexID(n - 1)
-	all := make([]graph.VertexID, n)
-	for v := range all {
-		all[v] = graph.VertexID(v)
-	}
 	st := engine.NewState(props.BFS{}, n, 1)
 	st.SetSource(last, 0)
 	var stats engine.Stats
 	start := time.Now()
-	err := st.RunPullCtx(newConsultCtx(16), g, all, &stats)
+	err := st.RunPullAllCtx(engine.NewConsultCtx(16), g, &stats)
 	if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}

@@ -101,6 +101,21 @@ type Versioned interface {
 	Version() uint64
 }
 
+// ArcDelta is optionally implemented by versioned views that also record
+// how they differ from the version before them (*streamgraph.Snapshot and
+// *streamgraph.Flat both do). State that converged on version v-1 is
+// re-stabilized on version v by relaxing just these arcs (RunPushArcs,
+// RunPullArcs) — the batch's cost follows what it stored, not the degrees
+// of the vertices it touched.
+type ArcDelta interface {
+	Versioned
+	// InsertedArcs returns the arcs this version added to its predecessor,
+	// at the weights the graph holds for them and sorted by source; ok is
+	// false when the version was not produced by an insertion. The slice
+	// aliases the view and must not be modified.
+	InsertedArcs() (arcs []graph.Edge, ok bool)
+}
+
 // Problem defines one vertex-specific graph problem over encoded values.
 // Implementations must be monotonic (Relax never yields a value worse than
 // its input chain) and async-safe; all of package props' problems are.
@@ -129,7 +144,10 @@ type Problem interface {
 // the numerator/denominator of the activation ratio R_act (Eq. 11). The
 // pull model counts the pairs it actually re-evaluated: K per dirty vertex
 // in round 0, and in a filtered sweep the slots a vertex relaxed because
-// an out-neighbor improved them — not K·N per round.
+// an out-neighbor improved them — not K·N per round. An arc round
+// (RunPushArcs, RunPullArcs) evaluates no vertex function: it is one
+// iteration whose work shows in Relaxations, Updates, Hoists (one per
+// distinct tail) and GateSkips only.
 type Stats struct {
 	Activations int64
 	Relaxations int64 // edge relaxations attempted
@@ -140,7 +158,8 @@ type Stats struct {
 	DenseIterations int
 	// Hoists counts per-vertex source-block register loads performed by
 	// the fused push kernels: one per processed frontier vertex (per
-	// destination window when the dense sweep is cache-blocked).
+	// destination window when the dense sweep is cache-blocked), and one
+	// per distinct tail of an arc round in either model.
 	Hoists int64
 	// GateSkips counts active (vertex, slot) pairs whose hoisted source
 	// value was still at the problem's gate (init) value, pruned from the
@@ -169,6 +188,9 @@ func (s *Stats) Add(other Stats) {
 const lineWords = 8
 
 func padVerts(n int) int { return (n + lineWords - 1) &^ (lineWords - 1) }
+
+// fullMask is the slot mask with all of a K-wide state's K bits set.
+func fullMask(k int) uint64 { return ^uint64(0) >> uint(64-k) }
 
 // State is a K-wide evaluation state: for each vertex v and query slot
 // k < K, Value(v, k) is the encoded value of v under query k. State is
@@ -468,6 +490,35 @@ func (st *State) RunPush(g View, seeds []graph.VertexID, seedMasks []uint64) Sta
 // monotonically toward the fixpoint. The views must not outgrow the
 // state — Grow is not safe against a running kernel.
 func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID, seedMasks []uint64) (Stats, error) {
+	return st.runPush(ctx, g, seeds, seedMasks, nil)
+}
+
+// RunPushArcs re-stabilizes a state that is a fixpoint of g without the
+// given arcs — g is the graph those arcs were inserted into, arcs sorted
+// by Src at the weights g holds (ArcDelta.InsertedArcs). Round 0 relaxes
+// each arc once, tail→head at all K slots; the heads it improves are the
+// first frontier and the push continues from them as usual. An old arc
+// whose tail did not move still satisfies its inequality, so nothing else
+// needs looking at: the cost is the arcs plus what they move. An empty
+// list costs nothing. Round 0 counts as one iteration, its work as
+// relaxations, updates and one hoist per distinct tail — no vertex
+// function runs in it, so it adds no activations.
+func (st *State) RunPushArcs(g View, arcs []graph.Edge) Stats {
+	stats, _ := st.RunPushArcsCtx(context.Background(), g, arcs)
+	return stats
+}
+
+// RunPushArcsCtx is RunPushArcs with cooperative cancellation (see
+// RunPushCtx).
+func (st *State) RunPushArcsCtx(ctx context.Context, g View, arcs []graph.Edge) (Stats, error) {
+	return st.runPush(ctx, g, nil, nil, arcs)
+}
+
+// runPush is the push model's one loop. The first superstep comes from one
+// of two producers: the seed frontier (processed like every later one), or
+// arcs, relaxed individually by the kernel's arc round — both feed the
+// same next-frontier masks.
+func (st *State) runPush(ctx context.Context, g View, seeds []graph.VertexID, seedMasks []uint64, arcs []graph.Edge) (Stats, error) {
 	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
@@ -495,8 +546,9 @@ func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID,
 	p := st.P
 	counters := make([]workCounter, parallel.MaxWorkers())
 
-	// Pick the kernel for this run (see the doc comment above).
+	// Pick the kernel for this run (see RunPushCtx).
 	var process func(c *workCounter, u graph.VertexID)
+	var tail func(c *workCounter, run []graph.Edge)
 	var kc *pushKCtx // non-nil selects the width-K kernel
 	if K > 1 {
 		kc = &pushKCtx{
@@ -510,20 +562,21 @@ func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID,
 			kc.av = av
 			kc.windows = blockWindows(K, n)
 		}
-		process = kc.process
+		process, tail = kc.process, kc.tail
 	} else {
 		k1 := &push1Ctx{
 			g: g, fv: fv, p: p, vals: st.Values,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
 		k1.spec, k1.hasSpec = kernelSpecFor(p)
-		process = k1.process
+		process, tail = k1.process, k1.tail
 	}
 
 	var canceled error
 	dense := false
 	active := len(cur.verts)
-	for active > 0 {
+	arcRound := len(arcs) > 0
+	for active > 0 || arcRound {
 		if err := ctx.Err(); err != nil {
 			canceled = &CanceledError{Iterations: stats.Iterations, Cause: err}
 			break
@@ -532,7 +585,10 @@ func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID,
 		if onIteration != nil {
 			onIteration(dense)
 		}
-		if dense {
+		if arcRound {
+			arcRound = false
+			forArcRuns(arcs, func(wid int, run []graph.Edge) { tail(&counters[wid], run) })
+		} else if dense {
 			stats.DenseIterations++
 			if kc != nil && kc.av != nil {
 				if cap(scr.cursors) < n {
@@ -631,26 +687,33 @@ func casImprove(addr *uint64, cand uint64, p Problem) bool {
 // using only the out-edge representation — the dual-model evaluation.
 //
 // The state must be a fixpoint of g except at the dirty vertices: those
-// whose out-arc set changed (the distinct sources of an insert batch) or
-// whose own value slots were reset from outside (a deletion repair).
-// dirty must not repeat a vertex. The cost is round 0 — the dirty
-// vertices over all their out-arcs at all K slots — plus one filtered
-// sweep per propagation round, which scans every arc but relaxes only
-// the slots its head improved in the round before (see pull.go). An
-// empty dirty list costs nothing: no round runs.
+// whose own value slots were reset from outside (a deletion repair) or
+// whose out-arc set changed in a way the caller cannot name arc by arc
+// (RunPullArcs is the entry for the arcs an insertion stored). dirty must
+// not repeat a vertex. The cost is round 0 — the dirty vertices over all
+// their out-arcs at all K slots — plus one filtered sweep per propagation
+// round, which scans every arc but relaxes only the slots its head
+// improved in the round before (see pull.go). An empty dirty list costs
+// nothing: no round runs.
 func (st *State) RunPull(g View, dirty []graph.VertexID, stats *Stats) {
 	_ = st.RunPullCtx(context.Background(), g, dirty, stats)
+}
+
+// RunPullArcs is the pull-model dual of RunPushArcs: the state must be a
+// fixpoint of g without the given arcs (sorted by Src, at the weights g
+// holds). Round 0 relaxes each arc once, head→tail at all K slots, and the
+// tails it improves are the first hot set of the filtered sweeps. An old
+// arc whose head did not move still satisfies its inequality. Round 0 is
+// accounted like RunPushArcs'; an empty list costs nothing.
+func (st *State) RunPullArcs(g View, arcs []graph.Edge, stats *Stats) {
+	_ = st.RunPullArcsCtx(context.Background(), g, arcs, stats)
 }
 
 // RunPullAll is the from-scratch entry of the pull model: every vertex is
 // dirty. Values must be pre-initialized (sources at SourceValue, the rest
 // at the init value).
 func (st *State) RunPullAll(g View, stats *Stats) {
-	all := make([]graph.VertexID, g.NumVertices())
-	for v := range all {
-		all[v] = graph.VertexID(v)
-	}
-	st.RunPull(g, all, stats)
+	_ = st.RunPullAllCtx(context.Background(), g, stats)
 }
 
 // Run performs a full (from-scratch) K-wide push evaluation with one

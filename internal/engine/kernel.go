@@ -451,6 +451,19 @@ func (kc *pushKCtx) process(c *workCounter, u graph.VertexID) {
 	kc.relaxSpan(c, dsts, ws, &src, live)
 }
 
+// tail is the arc round's unit of work: relax the arcs of run, which share
+// a tail, into their heads at all K slots from one hoist of the tail.
+func (kc *pushKCtx) tail(c *workCounter, run []graph.Edge) {
+	var src [64]uint64
+	live := kc.hoist(run[0].Src, fullMask(kc.K), &src, c)
+	if live == 0 {
+		return
+	}
+	for _, a := range run {
+		kc.relaxEdge(c, a.Dst, a.W, &src, live)
+	}
+}
+
 // processTree is process's hoist and edge loop over a view with no flat
 // adjacency. It is its own function because the ForEachOut closure
 // captures the register block, which moves the block to the heap — one
@@ -569,33 +582,50 @@ func (kc *push1Ctx) process(c *workCounter, u graph.VertexID) {
 		})
 		return
 	}
-	p := kc.p
 	if kc.fv != nil {
 		dsts, ws := kc.fv.OutSpan(u)
 		for i, d := range dsts {
-			cand, ok := p.Relax(src, ws[i])
-			if !ok {
-				continue
-			}
-			c.relax++
-			if casImprove(&kc.vals[d], cand, p) {
-				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
-			}
+			kc.genericEdge(c, d, ws[i], src)
 		}
 		return
 	}
 	kc.g.ForEachOut(u, func(d graph.VertexID, w graph.Weight) {
-		cand, ok := p.Relax(src, w)
-		if !ok {
-			return
-		}
-		c.relax++
-		if casImprove(&kc.vals[d], cand, p) {
-			c.upd++
-			markActive(kc.nextMasks, kc.inNext, d, 0)
-		}
+		kc.genericEdge(c, d, w, src)
 	})
+}
+
+// genericEdge relaxes one edge through the Problem interface, for problems
+// that name no fused op.
+func (kc *push1Ctx) genericEdge(c *workCounter, d graph.VertexID, w graph.Weight, src uint64) {
+	cand, ok := kc.p.Relax(src, w)
+	if !ok {
+		return
+	}
+	c.relax++
+	if casImprove(&kc.vals[d], cand, kc.p) {
+		c.upd++
+		markActive(kc.nextMasks, kc.inNext, d, 0)
+	}
+}
+
+// tail is the arc round's unit of work at K=1: relax the arcs of run,
+// which share a tail, into their heads from one load of the tail's value.
+func (kc *push1Ctx) tail(c *workCounter, run []graph.Edge) {
+	c.hoists++
+	src := atomic.LoadUint64(&kc.vals[run[0].Src])
+	if !kc.hasSpec {
+		for _, a := range run {
+			kc.genericEdge(c, a.Dst, a.W, src)
+		}
+		return
+	}
+	if src == kc.spec.Gate {
+		c.gates++
+		return
+	}
+	for _, a := range run {
+		kc.specEdge(c, a.Dst, a.W, src)
+	}
 }
 
 // flatEdges is the devirtualized flat-adjacency edge loop of the K=1
@@ -670,8 +700,9 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 	}
 }
 
-// specEdge relaxes one edge under the spec on the non-flat (tree view)
-// path, where the per-edge closure call dominates anyway.
+// specEdge relaxes one edge under the spec where edges arrive one at a time
+// — the non-flat (tree view) path, where the per-edge closure call
+// dominates anyway, and the arc round.
 func (kc *push1Ctx) specEdge(c *workCounter, d graph.VertexID, w graph.Weight, src uint64) {
 	var cand uint64
 	switch kc.spec.Kind {

@@ -5,31 +5,39 @@
 // out-edge representation alone (§4.2, no transposed mirror). The kernel
 // re-evaluates only what can have changed:
 //
-//   - Round 0 evaluates the dirty vertices — those whose out-arc set or
-//     own value slots were changed from outside — over all their out-arcs
-//     at all K slots, and records per vertex the mask of slots it improved.
+//   - Round 0 produces the first hot set — per vertex, the mask of slots it
+//     improved — from one of two descriptions of what changed. Arcs (an
+//     insertion: the arcs the batch stored) are relaxed head→tail, each
+//     tail over its listed arcs only, at all K slots. Dirty vertices (a
+//     deletion repair reset their slots, or every vertex when evaluating
+//     from scratch) are re-evaluated over all their out-arcs at all K
+//     slots.
 //   - Every later round is a filtered sweep: for each vertex v and out-arc
 //     (v, d, w) it loads d's improved-slot mask from the previous round,
 //     skips the arc when the mask is zero (one load instead of K
 //     relaxations), and otherwise relaxes only the slots in the mask.
 //     Rounds repeat until one improves nothing.
 //
-// Why it is exact. The caller hands in a state that is a fixpoint except
-// at the dirty vertices, so a vertex can improve only through a changed
-// out-arc set (it is dirty) or through an out-neighbor that improved.
-// Neighbor values are read with atomic loads: an improvement published
-// earlier in the same round is either seen now or offered again next round
-// through its mask. The problems are monotonic and the fixpoint unique
-// (Theorem 4.4), so the result is the one an every-vertex-every-round pull
-// converges to, bit for bit.
+// Why it is exact. The caller hands in a state that is a fixpoint of the
+// graph except for the listed arcs, or except at the dirty vertices. An
+// arc (v, d, w) that is not listed and whose head did not move still
+// satisfies value(v) ⪯ Relax(value(d), w), so a vertex can improve only
+// through a listed arc, by being dirty, or through an out-neighbor that
+// improved — which is what round 0 and the sweeps examine. Neighbor values
+// are read with atomic loads: an improvement published earlier in the same
+// round is either seen now or offered again next round through its mask.
+// The problems are monotonic and the fixpoint unique (Theorem 4.4), so the
+// result is the one an every-vertex-every-round pull converges to, bit for
+// bit.
 //
 // Each vertex writes only its own value block and its own mask word — no
-// other worker ever writes them. The kernel exploits the exclusivity: it
-// hoists the slots it is about to relax into a register block, accumulates
-// improvements there across the whole edge loop, and publishes each
-// improved slot with a single atomic store at the end. The exclusivity
-// holds within one evaluation only: unlike RunPushCtx, concurrent
-// RunPullCtx calls must not share a state.
+// other worker ever writes them; the arc round keeps that by handing all
+// the listed arcs of one tail to one worker (forArcRuns). The kernel
+// exploits the exclusivity: it hoists the slots it is about to relax into a
+// register block, accumulates improvements there across the whole edge
+// loop, and publishes each improved slot with a single atomic store at the
+// end. The exclusivity holds within one evaluation only: unlike
+// RunPushCtx, concurrent pull calls must not share a state.
 package engine
 
 import (
@@ -55,7 +63,7 @@ type pullCtx struct {
 	vw      int
 	soff    []int
 	// hot[d] is the mask of slots d improved in the previous round; nil in
-	// round 0, where every arc of a dirty vertex is relaxed at all slots.
+	// round 0, which relaxes what it is handed at all slots.
 	// improved[v] receives the mask of slots v improves in this round.
 	hot, improved []uint64
 }
@@ -226,13 +234,32 @@ func (pw *pullWorker) arc(d graph.VertexID, w graph.Weight) {
 	pw.relax(d, w, m)
 }
 
-// vertex re-evaluates v: every out-arc whose head is hot (all of them in
-// round 0) is relaxed at the hot slots against v's register block, the
-// improved slots are published, and their mask is returned.
+// open starts the re-evaluation of vertex v: nothing hoisted, nothing
+// improved yet.
+func (pw *pullWorker) open(v graph.VertexID) {
+	pw.base = int(v) * pw.pc.vw
+	pw.have, pw.improved = 0, 0
+}
+
+// publish stores the slots improved since open into the vertex's block and
+// returns their mask.
+func (pw *pullWorker) publish() uint64 {
+	pc := pw.pc
+	for m := pw.improved; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		atomic.StoreUint64(&pc.vals[pw.base+pc.soff[k]], pw.cur[k])
+	}
+	pw.c.upd += int64(bits.OnesCount64(pw.improved))
+	return pw.improved
+}
+
+// vertex re-evaluates v: every out-arc whose head is hot (all of them for
+// a dirty vertex in round 0) is relaxed at the hot slots against v's
+// register block, the improved slots are published, and their mask is
+// returned.
 func (pw *pullWorker) vertex(v graph.VertexID) uint64 {
 	pc := pw.pc
-	pw.base = int(v) * pc.vw
-	pw.have, pw.improved = 0, 0
+	pw.open(v)
 	switch hot := pc.hot; {
 	case pc.fv == nil:
 		pc.g.ForEachOut(v, pw.arcFn)
@@ -249,28 +276,88 @@ func (pw *pullWorker) vertex(v graph.VertexID) uint64 {
 			}
 		}
 	}
-	for m := pw.improved; m != 0; m &= m - 1 {
-		k := bits.TrailingZeros64(m)
-		atomic.StoreUint64(&pc.vals[pw.base+pc.soff[k]], pw.cur[k])
-	}
 	pw.c.acts += int64(bits.OnesCount64(pw.have))
-	pw.c.upd += int64(bits.OnesCount64(pw.improved))
-	return pw.improved
+	return pw.publish()
 }
+
+// tail re-evaluates the common tail of run over those arcs alone, at all K
+// slots. The tail's other out-arcs are not looked at — no vertex function
+// runs — so the work counts as relaxations and one hoist, not as
+// activations.
+func (pw *pullWorker) tail(run []graph.Edge) uint64 {
+	pw.open(run[0].Src)
+	pw.c.hoists++
+	for _, a := range run {
+		pw.relax(a.Dst, a.W, pw.pc.full)
+	}
+	return pw.publish()
+}
+
+// forArcRuns calls body(worker, run) once for every maximal run of arcs
+// sharing a tail, in parallel: workers claim chunks of the list, and a run
+// belongs to the chunk its first arc falls in. arcs must be sorted by Src
+// (ArcDelta.InsertedArcs is), so each tail is handed to exactly one worker
+// — the exclusivity the pull's per-vertex accumulation rests on, and what
+// lets the push hoist a tail once per run. An unsorted list is a caller
+// bug and panics before any worker starts.
+func forArcRuns(arcs []graph.Edge, body func(worker int, run []graph.Edge)) {
+	for i := 1; i < len(arcs); i++ {
+		if arcs[i].Src < arcs[i-1].Src {
+			panic("engine: arc list not sorted by source")
+		}
+	}
+	parallel.ForRangeID(len(arcs), 64, func(wid, start, end int) {
+		for start < end && start > 0 && arcs[start].Src == arcs[start-1].Src {
+			start++ // the run in progress belongs to the chunk before
+		}
+		for start < end {
+			stop := start + 1
+			for stop < len(arcs) && arcs[stop].Src == arcs[start].Src {
+				stop++
+			}
+			body(wid, arcs[start:stop])
+			start = stop
+		}
+	})
+}
+
+func vertexAtIndex(i int) graph.VertexID { return graph.VertexID(i) }
 
 // RunPullCtx is RunPull with cooperative cancellation, checked once per
 // round. On cancellation it returns a *CanceledError; the state holds the
 // partially-improved (still sound, not converged) values.
 func (st *State) RunPullCtx(ctx context.Context, g View, dirty []graph.VertexID, stats *Stats) error {
+	return st.runPull(ctx, g, len(dirty), func(i int) graph.VertexID { return dirty[i] }, nil, stats)
+}
+
+// RunPullAllCtx is RunPullAll with cooperative cancellation (see
+// RunPullCtx).
+func (st *State) RunPullAllCtx(ctx context.Context, g View, stats *Stats) error {
+	return st.runPull(ctx, g, g.NumVertices(), vertexAtIndex, nil, stats)
+}
+
+// RunPullArcsCtx is RunPullArcs with cooperative cancellation (see
+// RunPullCtx).
+func (st *State) RunPullArcsCtx(ctx context.Context, g View, arcs []graph.Edge, stats *Stats) error {
+	return st.runPull(ctx, g, 0, nil, arcs, stats)
+}
+
+// runPull is the pull model's one loop: a round 0 that produces the first
+// hot set, then filtered sweeps until one improves nothing. Round 0 has
+// two producers. Dirty vertices (dirty of them, dirtyAt naming the i-th)
+// are re-evaluated over all their out-arcs. Arcs are relaxed head→tail,
+// each tail over its listed arcs only. Both publish through the same
+// register block into the same mask array the first sweep reads.
+func (st *State) runPull(ctx context.Context, g View, dirty int, dirtyAt func(i int) graph.VertexID, arcs []graph.Edge, stats *Stats) error {
 	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
 		st.Grow(n)
 	}
-	if len(dirty) == 0 {
+	if dirty == 0 && len(arcs) == 0 {
 		return nil
 	}
-	pc := &pullCtx{g: g, p: st.P, full: ^uint64(0) >> uint(64-st.K)}
+	pc := &pullCtx{g: g, p: st.P, full: fullMask(st.K)}
 	pc.fv, _ = g.(FlatView)
 	pc.spec, pc.hasSpec = kernelSpecFor(st.P)
 	pc.vals, pc.vw, pc.soff = st.StrideViews()
@@ -302,6 +389,19 @@ func (st *State) RunPullCtx(ctx context.Context, g View, dirty []graph.VertexID,
 		})
 		return any.Load()
 	}
+	// arcRound is round 0 over arcs. The scratch masks start out zero, so
+	// only the tails that improved are written.
+	arcRound := func() bool {
+		stats.Iterations++
+		var any atomic.Bool
+		forArcRuns(arcs, func(wid int, run []graph.Edge) {
+			if imp := workers[wid].tail(run); imp != 0 {
+				pc.improved[run[0].Src] = imp
+				any.Store(true)
+			}
+		})
+		return any.Load()
+	}
 
 	var canceled error
 	stop := func() bool {
@@ -311,18 +411,27 @@ func (st *State) RunPullCtx(ctx context.Context, g View, dirty []graph.VertexID,
 		return canceled != nil
 	}
 	pc.improved = scr.masks
-	more := !stop() && round(len(dirty), 16, func(i int) graph.VertexID { return dirty[i] })
+	more := false
+	switch {
+	case stop():
+	case len(arcs) > 0:
+		more = arcRound()
+	default:
+		more = round(dirty, 16, dirtyAt)
+	}
 	pc.hot, pc.improved = scr.masks, scr.next
 	swept := false
 	for more && !stop() {
-		more = round(n, 256, func(i int) graph.VertexID { return graph.VertexID(i) })
+		more = round(n, 256, vertexAtIndex)
 		pc.hot, pc.improved = pc.improved, pc.hot
 		swept = true
 	}
 	for i := range workers {
-		stats.Activations += workers[i].c.acts
-		stats.Relaxations += workers[i].c.relax
-		stats.Updates += workers[i].c.upd
+		c := &workers[i].c
+		stats.Activations += c.acts
+		stats.Relaxations += c.relax
+		stats.Updates += c.upd
+		stats.Hoists += c.hoists
 	}
 	// Hand the scratch back drained. A sweep overwrites every mask word, so
 	// the last one (it improved nothing) left its output all zero; the

@@ -18,8 +18,9 @@ import (
 // every slot is held to the sequential oracle here. For every registered
 // problem and width, on the slice view and on the tree view: a
 // from-scratch (every vertex dirty) evaluation, then 20 insert batches
-// each re-stabilized with InsertEdges' changed sources as the dirty set.
-// Batches re-insert existing arcs at other weights, which first-wins
+// each re-stabilized with InsertEdges' changed sources as the dirty set —
+// and, on a third state, with the snapshot's recorded arcs through the arc
+// round. Batches re-insert existing arcs at other weights, which first-wins
 // insertion must ignore.
 func TestChangeDrivenPullMatchesOracle(t *testing.T) {
 	const n, preload, batches, batchEdges = 100, 300, 20, 20
@@ -39,6 +40,7 @@ func TestChangeDrivenPullMatchesOracle(t *testing.T) {
 			tree, _ := engine.RunReverse(snap, p, sources)
 			requireOracle(t, name+" from scratch", flat, csr, sources, oracle.BestPathTo)
 			requireSameValues(t, name+" from scratch flat-vs-tree", flat, tree, n, k)
+			byArcs := flat.Clone()
 
 			for b := 0; b < batches; b++ {
 				lo := preload + b*batchEdges
@@ -53,8 +55,11 @@ func TestChangeDrivenPullMatchesOracle(t *testing.T) {
 				var stats engine.Stats
 				flat.RunPull(csr, changed, &stats)
 				tree.RunPull(snap, changed, &stats)
+				arcs, _ := snap.InsertedArcs()
+				byArcs.RunPullArcs(snap, arcs, &stats)
 				requireOracle(t, name+" after batch", flat, csr, sources, oracle.BestPathTo)
 				requireSameValues(t, name+" after batch flat-vs-tree", flat, tree, n, k)
+				requireSameValues(t, name+" after batch dirty-vs-arcs", flat, byArcs, n, k)
 			}
 		}
 	}

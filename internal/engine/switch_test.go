@@ -7,6 +7,7 @@ package engine
 // cycle here, so they use a minimal min-plus problem of their own.
 
 import (
+	"errors"
 	"testing"
 
 	"tripoline/internal/graph"
@@ -46,6 +47,18 @@ func burstGraph(n, burst int) *graph.CSR {
 	}
 	edges = append(edges, graph.Edge{Src: graph.VertexID(2 + burst), Dst: graph.VertexID(3 + burst), W: 1})
 	return graph.FromEdges(n, edges, true)
+}
+
+// allArcs lists every arc of g, sorted by source.
+func allArcs(g *graph.CSR) []graph.Edge {
+	var arcs []graph.Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		dsts, ws := g.OutSpan(graph.VertexID(v))
+		for i, d := range dsts {
+			arcs = append(arcs, graph.Edge{Src: graph.VertexID(v), Dst: d, W: ws[i]})
+		}
+	}
+	return arcs
 }
 
 func runMinPlus(g View, n int) (*State, Stats) {
@@ -147,8 +160,19 @@ func TestFlatFastPathMatchesFallback(t *testing.T) {
 func TestPushScratchPoolReuse(t *testing.T) {
 	const n, burst = 256, 64
 	g := burstGraph(n, burst)
+	arcs := allArcs(g)
 	evaluations := map[string]func(){
 		"push": func() { runMinPlus(g, n) },
+		// A state holding only its source is a fixpoint of the graph without
+		// any of its arcs, so every arc may be handed to the arc round: it
+		// improves the first hop and the push carries on from there.
+		"push-arcs": func() {
+			st := NewState(minPlus{}, n, 1)
+			st.SetSource(0, 0)
+			if stats := st.RunPushArcs(g, arcs); st.Values[3+burst] != 4 || stats.Iterations < 2 {
+				t.Fatalf("push-arcs: value(%d)=%d after %d rounds", 3+burst, st.Values[3+burst], stats.Iterations)
+			}
+		},
 		// The reversed query from the far end: round 0 improves the last
 		// hop, so filtered sweeps follow and both mask arrays get written.
 		"pull": func() {
@@ -158,6 +182,15 @@ func TestPushScratchPoolReuse(t *testing.T) {
 			st.RunPullAll(g, &stats)
 			if st.Values[0] != 4 || stats.Iterations < 2 {
 				t.Fatalf("pull: value(0)=%d after %d rounds", st.Values[0], stats.Iterations)
+			}
+		},
+		"pull-arcs": func() {
+			st := NewState(minPlus{}, n, 1)
+			st.SetSource(graph.VertexID(3+burst), 0)
+			var stats Stats
+			st.RunPullArcs(g, arcs, &stats)
+			if st.Values[0] != 4 || stats.Iterations < 2 {
+				t.Fatalf("pull-arcs: value(0)=%d after %d rounds", st.Values[0], stats.Iterations)
 			}
 		},
 	}
@@ -195,5 +228,35 @@ func TestPushScratchPoolReuse(t *testing.T) {
 	if st.Values[1] != 1 || st.Values[10] != 3 || st.Values[11] != 4 {
 		t.Fatalf("reused-scratch run wrong: v1=%d v10=%d v11=%d",
 			st.Values[1], st.Values[10], st.Values[11])
+	}
+}
+
+// TestCanceledArcPullDropsScratch: an arc-seeded pull canceled between its
+// arc round and the first sweep holds live masks in its scratch, so — like
+// a canceled push — it must not hand the scratch back to the pool. The
+// values it did reach are sound.
+func TestCanceledArcPullDropsScratch(t *testing.T) {
+	const n, burst = 256, 64
+	g := burstGraph(n, burst)
+	for {
+		if s, _ := pushScratchPool.Get().(*pushScratch); s == nil {
+			break
+		}
+	}
+	st := NewState(minPlus{}, n, 1)
+	st.SetSource(graph.VertexID(3+burst), 0)
+	var stats Stats
+	// One consult lets the arc round run; the second, before the first
+	// sweep, cancels.
+	err := st.RunPullArcsCtx(NewConsultCtx(1), g, allArcs(g), &stats)
+	var ce *CanceledError
+	if !errors.As(err, &ce) || ce.Iterations != 1 || stats.Iterations != 1 {
+		t.Fatalf("err = %v, stats = %+v: want cancellation after the arc round", err, stats)
+	}
+	if st.Values[2+burst] != 1 || st.Values[0] != mpUnreached {
+		t.Fatalf("partial values: last hop %d, far end %d", st.Values[2+burst], st.Values[0])
+	}
+	if s, _ := pushScratchPool.Get().(*pushScratch); s != nil {
+		t.Fatal("a canceled arc-seeded pull returned its live scratch to the pool")
 	}
 }

@@ -306,3 +306,71 @@ func TestSubscribeUnsupported(t *testing.T) {
 		t.Fatalf("Subscribers() = %d", got)
 	}
 }
+
+// TestDeletionKeepsDeltaWarmStart: a deletion publishes a new version on
+// every shard it reaches, and each shard's standing state must record that
+// it converged on it — DeltaMergeInto gates on exactly that, so a shard
+// that forgets answers the next Δ-queries from the init value until it
+// happens to receive an insert. Insert → delete → query must stay
+// incremental, both for a deletion that removes nothing (the graph is the
+// same, so the Δ bounds must be too) and for one that removes stored arcs.
+func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
+	const n, u = 200, graph.VertexID(17)
+	rng := rand.New(rand.NewSource(23))
+	p := newPair(t, n, true, 2, []string{"SSSP"})
+	batch := randBatch(rng, n, 900)
+	p.insert(t, batch)
+	stored := make(map[[2]graph.VertexID]bool, len(batch))
+	for _, e := range batch {
+		stored[[2]graph.VertexID{e.Src, e.Dst}] = true
+	}
+	var absent []graph.Edge
+	for v := graph.VertexID(0); v < n; v++ {
+		if d := (v + 1) % n; !stored[[2]graph.VertexID{v, d}] {
+			absent = append(absent, graph.Edge{Src: v, Dst: d})
+		}
+	}
+	// bothShards fails the test unless the batch reaches both shards.
+	bothShards := func(batch []graph.Edge) {
+		t.Helper()
+		for i, part := range p.rt.split(batch) {
+			if len(part) == 0 {
+				t.Fatalf("shard %d receives none of the %d deletions", i, len(batch))
+			}
+		}
+	}
+	// warmStart is the merged Δ-initialization the router would start the
+	// query from, every shard required to contribute. (Activation counts at
+	// S>1 depend on how the scatter rounds interleave, so the bounds
+	// themselves are what is compared.)
+	warmStart := func(when string) []uint64 {
+		t.Helper()
+		res, err := p.rt.Query("SSSP", u)
+		if err != nil || !res.Incremental {
+			t.Fatalf("query %s: incremental=%v err=%v", when, res != nil && res.Incremental, err)
+		}
+		init := make([]uint64, n)
+		for i := range init {
+			init[i] = math.MaxUint64
+		}
+		e := p.rt.bar.latest()
+		for i, sys := range p.rt.shards {
+			if _, _, ok := sys.DeltaMergeInto("SSSP", u, e.vec[i], init); !ok {
+				t.Fatalf("%s: shard %d's standing state does not stand on the version the barrier pinned", when, i)
+			}
+		}
+		return init
+	}
+	before := warmStart("before any deletion")
+
+	bothShards(absent)
+	p.remove(t, absent)
+	if after := warmStart("after a no-op deletion"); !valuesMatch("SSSP", before, after) {
+		t.Fatal("a deletion that removed nothing changed the Δ bounds")
+	}
+
+	bothShards(batch[:40])
+	p.remove(t, batch[:40])
+	warmStart("after a deletion")
+	p.compareQueries(t, "SSSP", []graph.VertexID{u, 3, 150})
+}

@@ -8,7 +8,10 @@
 // the K is picked by argmin property(u, r) under the problem's order
 // (Eq. 15). Maintenance uses the batch mode of §4.5: all K queries share
 // one combined frontier and one K-wide value array, so the graph and the
-// value arrays are traversed once per update instead of K times.
+// value arrays are traversed once per update instead of K times. An
+// insertion batch is absorbed by relaxing the arcs it stored and resuming
+// from the endpoints that improved (Update); a deletion by witness-based
+// trimming (UpdateDeletions).
 //
 // For directed graphs the manager additionally maintains the reversed
 // standing query q⁻¹(r) (property(x, r) for all x) using the pull model
@@ -44,14 +47,11 @@ type Manager struct {
 	TotalStats engine.Stats
 	// LastVersion is the snapshot version the standing state last
 	// converged on, when the evaluation view carries one
-	// (engine.Versioned); 0 before any versioned maintenance.
+	// (engine.Versioned) — every maintenance path records it; 0 when the
+	// last view carried none.
 	LastVersion uint64
-
-	// maskScratch backs Update's per-changed-source seed masks. Update
-	// runs on every batch and the engine reads the masks only during
-	// initial seeding, so one scratch slice per manager is safe: the
-	// manager is maintained by the single writer.
-	maskScratch []uint64
+	// versioned tells a recorded version 0 from "the last view had none".
+	versioned bool
 }
 
 // New fully evaluates the K standing queries rooted at roots on the given
@@ -66,38 +66,52 @@ func New(p engine.Problem, g engine.View, roots []graph.VertexID, directed bool)
 func (m *Manager) K() int { return len(m.Roots) }
 
 // Update incrementally re-stabilizes every standing query after a batch of
-// edge insertions. changed lists the distinct source vertices of the new
-// arcs (as returned by streamgraph.Graph.InsertEdges): re-activating
-// exactly those vertices with their current values resumes the BSP
-// iterations until the values stabilize again (§2, Figure 2-(c)).
+// edge insertions. The state is a fixpoint of the graph before the batch,
+// so only the arcs the batch stored can violate it (§2, Figure 2-(c)):
+// each is relaxed once at all K slots — tail→head into Forward, head→tail
+// into Reverse — and the evaluation resumes from the endpoints that
+// improved. The cost follows the arcs stored and what they move, not the
+// degrees of the vertices they touch.
+//
+// The arcs come from the view when it records them (engine.ArcDelta) and
+// the state converged on exactly the version before it. Otherwise changed —
+// the distinct source vertices of the new arcs, sorted, as returned by
+// streamgraph.Graph.InsertEdges — stands in conservatively: every out-arc
+// of a changed source is relaxed the same way.
 func (m *Manager) Update(g engine.View, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
-	fullMask := maskFor(len(m.Roots))
-	masks := m.maskScratch
-	if cap(masks) < len(changed) {
-		masks = make([]uint64, len(changed))
-	} else {
-		masks = masks[:len(changed)]
-	}
-	for i := range masks {
-		masks[i] = fullMask
-	}
-	m.maskScratch = masks
+	arcs := m.insertedArcs(g, changed)
 	m.noteVersion(g)
-	m.Forward.Grow(g.NumVertices())
-	stats := m.Forward.RunPush(g, changed, masks)
+	stats := m.Forward.RunPushArcs(g, arcs)
 	if m.Reverse != nil {
-		// The reversed state can move only at a vertex that gained an
-		// out-arc or downstream of one, so the same sources are the pull's
-		// dirty set. Round 0 relaxes all their out-arcs, not the batch's
-		// arcs: InsertEdges is first-wins, and a re-inserted arc must not
-		// be relaxed at the batch's weight.
-		m.Reverse.Grow(g.NumVertices())
-		m.Reverse.RunPull(g, changed, &stats)
+		m.Reverse.RunPullArcs(g, arcs, &stats)
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
 	return stats
+}
+
+// insertedArcs returns the arcs Update must relax to carry the state onto
+// g: the view's own insertion record when the state sits on the version
+// just before it, else all out-arcs of changed, at the weights g holds
+// (InsertEdges is first-wins, so never the batch's own weights).
+func (m *Manager) insertedArcs(g engine.View, changed []graph.VertexID) []graph.Edge {
+	if d, ok := g.(engine.ArcDelta); ok && m.versioned && m.LastVersion+1 == d.Version() {
+		if arcs, ok := d.InsertedArcs(); ok {
+			return arcs
+		}
+	}
+	total := 0
+	for _, v := range changed {
+		total += g.Degree(v)
+	}
+	arcs := make([]graph.Edge, 0, total)
+	for _, v := range changed {
+		g.ForEachOut(v, func(d graph.VertexID, w graph.Weight) {
+			arcs = append(arcs, graph.Edge{Src: v, Dst: d, W: w})
+		})
+	}
+	return arcs
 }
 
 // Rebuild re-evaluates every standing query from scratch on the given
@@ -163,11 +177,12 @@ func (m *Manager) Select(u graph.VertexID) (slot int, propUR uint64) {
 	return triangle.SelectStanding(m.Problem, m.PropURInto(buf[:0], u))
 }
 
-// noteVersion records the evaluation view's snapshot version when it
-// carries one.
+// noteVersion records the snapshot version of the view the state is about
+// to converge on, or that the view carries none.
 func (m *Manager) noteVersion(g engine.View) {
+	m.LastVersion, m.versioned = 0, false
 	if v, ok := g.(engine.Versioned); ok {
-		m.LastVersion = v.Version()
+		m.LastVersion, m.versioned = v.Version(), true
 	}
 }
 

@@ -49,14 +49,16 @@ import (
 // deletions. It must be called with the post-deletion snapshot while the
 // manager still holds the pre-deletion converged values (i.e. call it
 // immediately after Graph.DeleteEdges). deleted lists the logical edges
-// removed; undirected adds the mirror arcs to the taint seeds.
+// removed; undirected adds the mirror arcs to the taint seeds. A deletion
+// that removed nothing still published a version: call it with no edges,
+// which costs nothing and records that the state stands on that version.
 func (m *Manager) UpdateDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats {
 	start := time.Now()
 	var stats engine.Stats
 
+	m.noteVersion(g)
 	m.Forward.Grow(g.NumVertices())
-	taint := m.taintForward(g, deleted, undirected)
-	stats.Add(m.repairForward(g, taint))
+	stats.Add(m.repairForward(g, m.taintForward(g, deleted, undirected)))
 
 	if m.Reverse != nil {
 		m.Reverse.Grow(g.NumVertices())
@@ -68,7 +70,7 @@ func (m *Manager) UpdateDeletions(g engine.View, deleted []graph.Edge, undirecte
 }
 
 // taintForward computes the per-slot taint masks over the pre-deletion
-// values.
+// values. Returns nil when no deleted arc was a witness.
 func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected bool) []uint64 {
 	st := m.Forward
 	p := m.Problem
@@ -103,6 +105,9 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 		if undirected {
 			seed(e.Dst, e.Src, e.W)
 		}
+	}
+	if len(frontier) == 0 {
+		return nil
 	}
 
 	// Propagate witnesses over the surviving arcs. Sequential worklist —
@@ -140,6 +145,9 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 // with every vertex seeded under its untainted mask (plus tainted roots
 // under their own slot).
 func (m *Manager) repairForward(g engine.View, taint []uint64) engine.Stats {
+	if taint == nil {
+		return engine.Stats{}
+	}
 	st := m.Forward
 	p := m.Problem
 	init := p.InitValue()

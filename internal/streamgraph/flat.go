@@ -30,6 +30,10 @@ type Flat struct {
 	wgt     []graph.Weight
 	n       int
 	version uint64
+	// inserted/insertion are the snapshot's insertion record, carried so
+	// the mirror is the same ArcDelta view the snapshot is.
+	inserted  []graph.Edge
+	insertion bool
 
 	// shared/offs/arcs tie the mirror to the recycler that owns its
 	// backing slabs; refs counts the owner (the snapshot, dropped by
@@ -184,6 +188,7 @@ func buildFlat(s *Snapshot) *Flat {
 	met.FullBuilds.Inc()
 	met.WalkedBytes.Add(mirrorBytes(off[n], int64(n)))
 	f := &Flat{off: off, adj: adj, wgt: wgt, n: n, version: s.version,
+		inserted: s.inserted, insertion: s.insertion,
 		shared: sh, offs: offs, arcs: arcs}
 	f.refs.Store(1)
 	ledgerBuilt(f)
@@ -334,6 +339,7 @@ func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 	met.CopiedBytes.Add((m-walked)*arcBytes + int64(oldN+1)*offEntryBytes)
 
 	f := &Flat{off: off, adj: adj, wgt: wgt, n: n, version: s.version,
+		inserted: s.inserted, insertion: s.insertion,
 		shared: sh, offs: offs, arcs: arcs}
 	f.refs.Store(1)
 	ledgerBuilt(f)
@@ -418,6 +424,12 @@ func (f *Flat) NumEdges() int64 { return f.off[f.n] }
 // Version returns the version of the snapshot this mirror was built
 // from.
 func (f *Flat) Version() uint64 { return f.version }
+
+// InsertedArcs is Snapshot.InsertedArcs of the snapshot this mirror was
+// built from.
+func (f *Flat) InsertedArcs() (arcs []graph.Edge, ok bool) {
+	return f.inserted, f.insertion
+}
 
 // Degree returns the out-degree of v.
 func (f *Flat) Degree(v graph.VertexID) int {

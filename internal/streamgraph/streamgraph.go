@@ -31,6 +31,12 @@ type Snapshot struct {
 	m       int64
 	version uint64
 
+	// inserted records, on a snapshot published by InsertEdges, the arcs
+	// that batch actually stored (see InsertedArcs); insertion marks such
+	// a snapshot, whose record may be empty.
+	inserted  []graph.Edge
+	insertion bool
+
 	// flat is the lazily built flat-adjacency mirror of this version
 	// (see Flatten/FlattenFrom). Built at most once per snapshot and
 	// shared by all readers. Its backing slabs come from the graph-wide
@@ -53,6 +59,18 @@ func (s *Snapshot) NumEdges() int64 { return s.m }
 // Version returns the monotonically increasing version number (0 for the
 // initial snapshot, +1 per applied batch).
 func (s *Snapshot) Version() uint64 { return s.version }
+
+// InsertedArcs returns the arcs by which this version differs from the
+// one before it, when InsertEdges published it: every arc the batch
+// stored, at the weight the graph holds for it, sorted by source, with the
+// mirrored arcs on undirected graphs. Arcs the batch offered but first-wins
+// insertion skipped (present already, or repeated within the batch) are
+// not in it. ok is false on the initial snapshot and on one published by
+// DeleteEdges. The slice aliases the snapshot and must not be modified.
+// Together with Version this is the engine's ArcDelta view.
+func (s *Snapshot) InsertedArcs() (arcs []graph.Edge, ok bool) {
+	return s.inserted, s.insertion
+}
 
 // Degree returns the out-degree of v.
 func (s *Snapshot) Degree(v graph.VertexID) int {
@@ -207,34 +225,44 @@ func (g *Graph) InsertEdges(batch []graph.Edge) (*Snapshot, []graph.VertexID) {
 	// Each source's new edge tree can be built independently; the table
 	// update itself is sequential path-copying (cheap relative to the
 	// per-vertex tree merges). First-wins: arcs already present (or
-	// duplicated within the batch) are skipped.
+	// duplicated within the batch) are skipped; stored[i] keeps the ones
+	// source i took, compacted in place over its share of the batch.
 	trees := make([]ctree.Tree, len(sources))
-	added := make([]int64, len(sources))
+	stored := make([][]uint64, len(sources))
 	parallel.For(len(sources), func(i int) {
 		src := sources[i]
 		t := table.Get(int(src))
-		for _, e := range bySrc[src] {
+		offered := bySrc[src]
+		kept := offered[:0]
+		for _, e := range offered {
 			if _, exists := t.Find(ctree.Key(e)); exists {
 				continue
 			}
 			t = t.Insert(e)
-			added[i]++
+			kept = append(kept, e)
 		}
-		trees[i] = t
+		trees[i], stored[i] = t, kept
 	})
-	var m int64 = old.m
+	total := 0
+	for _, kept := range stored {
+		total += len(kept)
+	}
+	inserted := make([]graph.Edge, 0, total)
 	actual := sources[:0]
 	for i, src := range sources {
-		if added[i] == 0 {
+		if len(stored[i]) == 0 {
 			continue
 		}
 		table = table.Set(int(src), trees[i])
-		m += added[i]
+		for _, e := range stored[i] {
+			inserted = append(inserted, graph.Edge{Src: src, Dst: ctree.Key(e), W: ctree.Payload(e)})
+		}
 		actual = append(actual, src)
 	}
 	sources = actual
 
-	snap := &Snapshot{table: table, n: n, m: m, version: old.version + 1, shared: g.shared}
+	snap := &Snapshot{table: table, n: n, m: old.m + int64(total), version: old.version + 1,
+		inserted: inserted, insertion: true, shared: g.shared}
 	g.latest.Store(snap)
 	return snap, sources
 }
