@@ -251,16 +251,3 @@ func BenchmarkAblationDualModel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationFlat compares the flat-adjacency fast path (per-
-// snapshot CSR mirror + FlatView engine kernels) against the C-tree
-// walk, end to end: standing maintenance plus user queries both ways.
-func BenchmarkAblationFlat(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationFlat(out(), "TW-sim", "SSSP", 1, 16, 8, 10_000, 5)
-		if i == 0 {
-			b.Logf("build=%v standing %.2fx Δ-queries %.2fx full %.2fx",
-				res.FlattenBuild, res.StandingSpeedup, res.DeltaSpeedup, res.FullSpeedup)
-		}
-	}
-}

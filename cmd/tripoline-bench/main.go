@@ -37,7 +37,7 @@ func main() {
 		batches  = flag.Int("batches", 1, "update batches applied per load point (paper: 5)")
 		probs    = flag.String("problems", "", "comma-separated problem subset (default: all eight)")
 		graphs   = flag.String("graphs", "", "comma-separated graph subset (default: all four)")
-		ablate   = flag.String("ablate", "", "comma-separated ablations to run (flat, deltaflat, batch, selection, dual, fusedK, shard)")
+		ablate   = flag.String("ablate", "", "comma-separated ablations to run (deltaflat, batch, selection, dual, fusedK, shard)")
 		logn     = flag.Int("logn", 16, "log2 vertex count for the fusedK kernel and shard sweeps")
 		shards   = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the shard sweep")
 		seed     = flag.Uint64("seed", 0x7121, "experiment seed")
@@ -143,13 +143,6 @@ func main() {
 		for _, a := range strings.Split(*ablate, ",") {
 			selected = true
 			switch strings.TrimSpace(a) {
-			case "flat":
-				run("ablation flat", func() {
-					for _, g := range graphsForAblation {
-						report.AddAblationFlat(bench.AblationFlat(
-							os.Stdout, g, "SSSP", o.Scale, o.K, o.Queries, o.BatchSize, o.Seed))
-					}
-				})
 			case "deltaflat":
 				run("ablation deltaflat", func() {
 					for _, g := range graphsForAblation {
@@ -196,7 +189,7 @@ func main() {
 					report.AddAblationShard(bench.AblationShard(os.Stdout, *logn, o.BatchSize, o.K, counts, o.Seed))
 				})
 			default:
-				fmt.Fprintf(os.Stderr, "unknown ablation %q (want flat, deltaflat, batch, selection, dual, fusedK, shard)\n", a)
+				fmt.Fprintf(os.Stderr, "unknown ablation %q (want deltaflat, batch, selection, dual, fusedK, shard)\n", a)
 				os.Exit(2)
 			}
 		}

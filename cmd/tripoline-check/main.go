@@ -1,7 +1,7 @@
 // Command tripoline-check runs the workload-replay differential checker
 // (internal/check): it generates seeded op schedules, replays each
-// through a full core.System five ways (flat mirrors, tree view,
-// shuffled batches, split batches, delete-then-reinsert), verifies every
+// through a full core.System four ways (as written, shuffled batches,
+// split batches, delete-then-reinsert), verifies every
 // successful query against a from-scratch sequential oracle, and exits
 // nonzero on any divergence. Diverging schedules are dd-minimized and,
 // with -repro-dir, written out in the textual repro format that

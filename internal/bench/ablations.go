@@ -55,22 +55,24 @@ func AblationBatchMode(w io.Writer, gname string, scale, k, batchSize int, seed 
 
 	// Batched: one manager with K slots.
 	g, roots := build()
-	batched := standing.New(props.SSSP{}, g.Acquire(), roots, cfg.Directed)
+	batched := standing.New(props.SSSP{}, g.Acquire().Flatten(), roots, cfg.Directed)
 	snap, changed := g.InsertEdges(stream.Batches[0])
+	view := snap.Flatten()
 	start := time.Now()
-	batched.Update(snap, changed)
+	batched.Update(view, changed)
 	res.BatchedTime = time.Since(start)
 
 	// Separate: K single-query managers updated one after another.
 	g2, roots2 := build()
 	managers := make([]*standing.Manager, k)
 	for i, r := range roots2 {
-		managers[i] = standing.New(props.SSSP{}, g2.Acquire(), []graph.VertexID{r}, cfg.Directed)
+		managers[i] = standing.New(props.SSSP{}, g2.Acquire().Flatten(), []graph.VertexID{r}, cfg.Directed)
 	}
 	snap2, changed2 := g2.InsertEdges(stream.Batches[0])
+	view2 := snap2.Flatten()
 	start = time.Now()
 	for _, m := range managers {
-		m.Update(snap2, changed2)
+		m.Update(view2, changed2)
 	}
 	res.SeparateTime = time.Since(start)
 
@@ -139,8 +141,9 @@ func AblationSelection(w io.Writer, gname, problem string, scale, k, queries int
 	cfgG := setup.G
 	snap := cfgG.Acquire()
 	roots := topRoots(snap, k)
+	view := snap.Flatten()
 	p := props.Registry()[problem]
-	mgr := standing.New(p, snap, roots, cfgG.Directed())
+	mgr := standing.New(p, view, roots, cfgG.Directed())
 	qs := setup.SampleQueries(queries, seed+77)
 
 	res := AblationSelectionResult{Problem: problem}
@@ -164,13 +167,13 @@ func AblationSelection(w io.Writer, gname, problem string, scale, k, queries int
 	for _, pol := range policies {
 		var sum float64
 		for _, u := range qs {
-			full, fullT := timedRun(snap, p, u)
+			full, fullT := timedRun(view, p, u)
 			pu := mgr.PropUR(u)
 			slot := pol.pick(pu)
 			init := triangle.DeltaInit(p, u, pu[slot], mgr.StandingColumn(slot))
 			st := &engine.State{P: p, K: 1, N: len(init), Values: init}
 			t0 := time.Now()
-			st.RunPush(snap, []graph.VertexID{u}, []uint64{1})
+			st.RunPush(view, []graph.VertexID{u}, []uint64{1})
 			dT := time.Since(t0)
 			for v := range full.Values {
 				if full.Values[v] != st.Values[v] {
@@ -188,7 +191,7 @@ func AblationSelection(w io.Writer, gname, problem string, scale, k, queries int
 	return res
 }
 
-func timedRun(g engine.View, p engine.Problem, u graph.VertexID) (*engine.State, time.Duration) {
+func timedRun(g engine.ArcView, p engine.Problem, u graph.VertexID) (*engine.State, time.Duration) {
 	t0 := time.Now()
 	st, _ := engine.Run(g, p, []graph.VertexID{u})
 	return st, time.Since(t0)
@@ -217,10 +220,11 @@ func AblationDualModel(w io.Writer, gname string, scale int, seed uint64) Ablati
 	snap := g.Acquire()
 	root := topRoots(snap, 1)[0]
 	p := props.SSSP{}
+	view := snap.Flatten()
 
 	var res AblationDualModelResult
 	t0 := time.Now()
-	pull, _ := engine.RunReverse(snap, p, []graph.VertexID{root})
+	pull, _ := engine.RunReverse(view, p, []graph.VertexID{root})
 	res.PullTime = time.Since(t0)
 
 	t1 := time.Now()

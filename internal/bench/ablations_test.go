@@ -59,25 +59,3 @@ func TestAblationDualModelRejectsUndirected(t *testing.T) {
 	}()
 	AblationDualModel(nil, "OR-sim", 1, 1)
 }
-
-func TestAblationFlat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation smoke test")
-	}
-	var buf bytes.Buffer
-	res := AblationFlat(&buf, "LJ-sim", "SSSP", 1, 8, 6, 2000, 5)
-	if res.FlattenBuild <= 0 || res.FlatStanding <= 0 || res.TreeStanding <= 0 {
-		t.Fatalf("times %+v", res)
-	}
-	if res.FlatDeltaSec <= 0 || res.TreeDeltaSec <= 0 || res.FlatFullSec <= 0 {
-		t.Fatalf("query seconds %+v", res)
-	}
-	// The point of the mirror: the specialized kernels must not lose to
-	// the C-tree walk on from-scratch evaluations.
-	if res.FullSpeedup < 1 {
-		t.Logf("warning: flat path slower on this run: %.2fx", res.FullSpeedup)
-	}
-	if !strings.Contains(buf.String(), "Ablation (flat") {
-		t.Fatal("no output")
-	}
-}

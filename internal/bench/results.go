@@ -26,7 +26,6 @@ type Report struct {
 	DD                []DDResult                  `json:"dd,omitempty"`
 	Fig11             map[string][]float64        `json:"figure11,omitempty"`
 	Fig12             map[string][]Figure12Bucket `json:"figure12,omitempty"`
-	AblationFlat      []AblationFlatJSON          `json:"ablation_flat,omitempty"`
 	AblationDeltaFlat []AblationDeltaFlatJSON     `json:"ablation_deltaflat,omitempty"`
 	AblationFusedK    []AblationFusedKJSON        `json:"ablation_fusedk,omitempty"`
 	AblationShard     []AblationShardJSON         `json:"ablation_shard,omitempty"`
@@ -79,24 +78,6 @@ type AblationDeltaFlatJSON struct {
 	CopiedBytes     int64   `json:"copied_bytes"`
 	WalkedBytes     int64   `json:"walked_bytes"`
 	RecyclerHitRate float64 `json:"recycler_hit_rate"`
-}
-
-// AblationFlatJSON flattens an AblationFlatResult for serialization.
-type AblationFlatJSON struct {
-	Graph           string  `json:"graph"`
-	Problem         string  `json:"problem"`
-	K               int     `json:"k"`
-	Queries         int     `json:"queries"`
-	FlattenBuildSec float64 `json:"flatten_build_sec"`
-	TreeStandingSec float64 `json:"tree_standing_sec"`
-	FlatStandingSec float64 `json:"flat_standing_sec"`
-	TreeDeltaSec    float64 `json:"tree_delta_sec"`
-	FlatDeltaSec    float64 `json:"flat_delta_sec"`
-	TreeFullSec     float64 `json:"tree_full_sec"`
-	FlatFullSec     float64 `json:"flat_full_sec"`
-	StandingSpeedup float64 `json:"standing_speedup"`
-	DeltaSpeedup    float64 `json:"delta_speedup"`
-	FullSpeedup     float64 `json:"full_speedup"`
 }
 
 // Table3JSON flattens a Table3Cell for serialization.
@@ -171,21 +152,6 @@ func (r *Report) AddTable5(rows []Table5Row) {
 		}
 		r.Table5 = append(r.Table5, j)
 	}
-}
-
-// AddAblationFlat records one flat-mirror ablation point.
-func (r *Report) AddAblationFlat(a AblationFlatResult) {
-	r.AblationFlat = append(r.AblationFlat, AblationFlatJSON{
-		Graph: a.Graph, Problem: a.Problem, K: a.K, Queries: a.Queries,
-		FlattenBuildSec: a.FlattenBuild.Seconds(),
-		TreeStandingSec: a.TreeStanding.Seconds(),
-		FlatStandingSec: a.FlatStanding.Seconds(),
-		TreeDeltaSec:    a.TreeDeltaSec, FlatDeltaSec: a.FlatDeltaSec,
-		TreeFullSec: a.TreeFullSec, FlatFullSec: a.FlatFullSec,
-		StandingSpeedup: a.StandingSpeedup,
-		DeltaSpeedup:    a.DeltaSpeedup,
-		FullSpeedup:     a.FullSpeedup,
-	})
 }
 
 // AddAblationDeltaFlat records delta-flatten ablation points.

@@ -9,8 +9,7 @@ import (
 
 // Options configures a check run.
 type Options struct {
-	// CorruptDelta arms the streamgraph skew seam in every flat-mirror
-	// replay: each delta-patched mirror build silently corrupts one arc.
+	// CorruptDelta arms the streamgraph skew seam in every replay: each delta-patched mirror build silently corrupts one arc.
 	// This is the checker's self-test — a harness that cannot catch a
 	// deliberately broken delta patch validates nothing — and the
 	// acceptance gate requires the resulting divergence to dd-minimize to
@@ -45,13 +44,13 @@ type cmpCfg struct {
 	skipProbeVersion bool
 }
 
-// CheckSchedule replays the schedule five ways and returns the combined
+// CheckSchedule replays the schedule four ways and returns the combined
 // verdict:
 //
-//   - flat (base): mirrors on, every successful result verified against
-//     the sequential CSR oracle for the version it reports;
-//   - tree: same workload evaluated on the C-tree view — flat vs. tree
-//     equivalence, including reported versions;
+//   - base: every successful result verified against the sequential CSR
+//     oracle, materialized from the C-tree, for the version it reports —
+//     the proof that the mirrors the system evaluates over match the tree
+//     they mirror (the CorruptDelta self-test shows it bites);
 //   - shuffle: each batch's edges permuted — insertion-order invariance;
 //   - split: each insert batch applied as two sub-batches — batch-split
 //     invariance (compared on everything but version numbering);
@@ -59,23 +58,19 @@ type cmpCfg struct {
 //     deleted and reinserted — the probe matrix must still agree.
 func CheckSchedule(s *Schedule, opts Options) Verdict {
 	corrupt := opts.CorruptDelta
-	base := replay(s, variant{name: "flat", flatten: true, corrupt: corrupt})
+	base := replay(s, variant{name: "base", corrupt: corrupt})
 	v := Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops), Queries: len(base.obs), Faults: base.faults}
 	reasons := append([]string(nil), base.divergences...)
 
-	tree := replay(s, variant{name: "tree"})
-	reasons = append(reasons, tree.divergences...)
-	reasons = append(reasons, compareObs(base, tree, "flat-vs-tree", cmpCfg{})...)
-
-	shuffle := replay(s, variant{name: "shuffle", flatten: true, shuffle: true, corrupt: corrupt})
+	shuffle := replay(s, variant{name: "shuffle", shuffle: true, corrupt: corrupt})
 	reasons = append(reasons, shuffle.divergences...)
 	reasons = append(reasons, compareObs(base, shuffle, "shuffle", cmpCfg{})...)
 
-	split := replay(s, variant{name: "split", flatten: true, split: 2, corrupt: corrupt})
+	split := replay(s, variant{name: "split", split: 2, corrupt: corrupt})
 	reasons = append(reasons, split.divergences...)
 	reasons = append(reasons, compareObs(base, split, "split", cmpCfg{skipQueryAt: true, skipVersions: true})...)
 
-	delre := replay(s, variant{name: "delre", flatten: true, deleteReinsert: true, corrupt: corrupt})
+	delre := replay(s, variant{name: "delre", deleteReinsert: true, corrupt: corrupt})
 	reasons = append(reasons, delre.divergences...)
 	reasons = append(reasons, compareObs(base, delre, "delete-reinsert", cmpCfg{skipProbeVersion: true})...)
 

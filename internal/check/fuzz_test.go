@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzCheckSchedule feeds arbitrary mutated schedule encodings through
-// Decode and the full five-variant checker. The invariant is twofold:
+// Decode and the full four-replay checker. The invariant is twofold:
 // malformed input must be rejected by Decode (never panic the replayer),
 // and any input Decode accepts describes a legal workload whose replays
 // must agree — a divergence here is a real engine/core/streamgraph bug,

@@ -33,13 +33,11 @@ const (
 )
 
 // variant describes one way of replaying a schedule. The base variant
-// (flat mirrors, batches as written) is cross-checked against the CSR
-// oracle inline; the metamorphic variants replay the same logical
+// (batches as written) is cross-checked against the CSR oracle inline; the metamorphic variants replay the same logical
 // workload through different code paths and must observe the same
 // results.
 type variant struct {
-	name    string
-	flatten bool
+	name string
 	// shuffle permutes each batch's edges (order invariance: the graph is
 	// a set of edges, and first-wins dedup happened at Decode).
 	shuffle bool
@@ -121,7 +119,6 @@ func replay(s *Schedule, v variant) *replayResult {
 		g.Seam().SetSkewDelta(true)
 	}
 	sys := core.NewSystem(g, replayK)
-	sys.SetFlatten(v.flatten)
 	for _, p := range Problems {
 		if err := sys.Enable(p); err != nil {
 			panic("check: enable " + p + ": " + err.Error())

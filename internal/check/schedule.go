@@ -4,12 +4,11 @@
 // they trigger), user queries at arbitrary sources, historical queries,
 // cancellations at chosen supersteps, concurrent readers, and injected
 // mirror-lifecycle faults — and cross-checks every observable result
-// against two independent oracles: a from-scratch sequential
-// recomputation on a materialized CSR (internal/oracle) and a tree-view
-// (non-flat) replay of the same schedule. On top of the oracles it
-// checks metamorphic invariants: batch-split invariance, insertion-order
-// invariance within a batch, delete-then-reinsert identity, and flat vs.
-// tree equivalence at every version. Divergences are shrunk through
+// against a from-scratch sequential recomputation (internal/oracle) on a
+// CSR materialized from the C-tree, never from the mirror the system
+// evaluated over. On top of the oracle it checks metamorphic invariants:
+// batch-split invariance, insertion-order invariance within a batch and
+// delete-then-reinsert identity. Divergences are shrunk through
 // internal/dd's ddmin into checked-in repros (testdata/repros).
 package check
 
@@ -58,7 +57,8 @@ const (
 	// deterministic.
 	OpEvict
 	// OpDenyRetain runs a query with Flat.Retain forced to fail, driving
-	// the reader down core.pinView's tree-fallback path.
+	// the reader down core.PinMirror's build-on-miss path: it evaluates
+	// over a private mirror it builds and frees.
 	OpDenyRetain
 
 	numOpKinds

@@ -76,7 +76,6 @@ type servingReplayer struct {
 func CheckServingSchedule(s *Schedule) ServingVerdict {
 	g := streamgraph.New(s.N, false)
 	sys := core.NewSystem(g, replayK)
-	sys.SetFlatten(true)
 	for _, p := range Problems {
 		if err := sys.Enable(p); err != nil {
 			panic("check: enable " + p + ": " + err.Error())

@@ -7,13 +7,14 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
+	"tripoline/internal/streamgraph"
 )
 
 // rebuilder is implemented by handlers that can recover from
 // non-monotone graph changes (edge deletions) by re-evaluating their
 // standing state from scratch.
 type rebuilder interface {
-	rebuild(g engine.View) engine.Stats
+	rebuild(g *streamgraph.Flat) engine.Stats
 }
 
 // trimmer is implemented by handlers that support KickStarter-style
@@ -21,7 +22,10 @@ type rebuilder interface {
 // whose derivation witnessed a deleted arc are reset and re-derived,
 // instead of a full re-evaluation.
 type trimmer interface {
-	recoverDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats
+	recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats
+	// stampVersion records that the standing state, untouched, is converged
+	// on the given version too — a deletion that removed nothing.
+	stampVersion(version uint64)
 }
 
 // ApplyDeletionsCtx removes a batch of edges from the streaming graph
@@ -70,7 +74,7 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		// alias arcs that no longer exist downstream of it), so the mirror
 		// is rebuilt in full — the data-structure analogue of the standing
 		// Rebuild recovery path.
-		view := s.viewOf(snap)
+		view := snap.Flatten()
 		for _, name := range s.order {
 			switch h := s.handlers[name].(type) {
 			case trimmer:
@@ -88,10 +92,11 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		// re-stamped to the new version (ResultCache.Advance handles both
 		// cases). The standing state is converged on the new version as it
 		// stands, and has to say so: DeltaMergeInto and the next insertion's
-		// maintenance both go by the version it records.
+		// maintenance both go by the version it records. No mirror is built
+		// for a version nobody may ever evaluate over.
 		for _, name := range s.order {
 			if h, ok := s.handlers[name].(trimmer); ok {
-				h.recoverDeletions(snap, nil, undirected)
+				h.stampVersion(snap.Version())
 			}
 		}
 	}
@@ -129,38 +134,40 @@ func resolveDeletionWeights(view engine.View, batch []graph.Edge) []graph.Edge {
 	return out
 }
 
-func (h *simpleHandler) recoverDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats {
+func (h *simpleHandler) recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats {
 	return h.mgr.UpdateDeletions(g, deleted, undirected)
 }
 
-func (h *radiiHandler) recoverDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats {
+func (h *radiiHandler) recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats {
 	return h.mgr.UpdateDeletions(g, deleted, undirected)
 }
 
-func (h *ssnspHandler) recoverDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats {
+func (h *ssnspHandler) recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats {
 	start := time.Now()
 	stats := h.mgr.UpdateDeletions(g, deleted, undirected)
-	if len(deleted) > 0 {
-		h.recount(g)
-	}
+	h.recount(g)
 	h.last = time.Since(start)
 	return stats
 }
 
-func (h *pageRankHandler) rebuild(g engine.View) engine.Stats {
+func (h *simpleHandler) stampVersion(v uint64) { h.mgr.StampVersion(v) }
+func (h *radiiHandler) stampVersion(v uint64)  { h.mgr.StampVersion(v) }
+func (h *ssnspHandler) stampVersion(v uint64)  { h.mgr.StampVersion(v) }
+
+func (h *pageRankHandler) rebuild(g *streamgraph.Flat) engine.Stats {
 	start := time.Now()
 	res := props.PageRank(g, 0.85, 100, 1e-9)
 	h.ranks = res.Ranks
-	h.version = viewVersion(g)
+	h.version = g.Version()
 	h.last = time.Since(start)
 	return engine.Stats{Iterations: res.Iterations}
 }
 
-func (h *ccHandler) rebuild(g engine.View) engine.Stats {
+func (h *ccHandler) rebuild(g *streamgraph.Flat) engine.Stats {
 	start := time.Now()
 	st, stats := props.ConnectedComponents(g)
 	h.st = st
-	h.version = viewVersion(g)
+	h.version = g.Version()
 	h.last = time.Since(start)
 	return stats
 }

@@ -48,15 +48,16 @@ func TestDeltaFlattenSmoke(t *testing.T) {
 }
 
 // TestSystemDeltaMirrorEquivalence runs the same batch/query sequence
-// through a delta-mirrored system and a tree-view system (SetFlatten
-// false) and requires identical query results at every version — the
-// end-to-end proof that delta-patched mirrors are transparent.
+// through a delta-patching system and one whose every mirror is rebuilt in
+// full from the C-tree (Seam().SetForceFull) and requires identical query
+// results at every version — the end-to-end proof that delta-patched
+// mirrors are transparent.
 func TestSystemDeltaMirrorEquivalence(t *testing.T) {
-	build := func(flatten bool) (*System, *rand.Rand) {
+	build := func(forceFull bool) (*System, *rand.Rand) {
 		rng := rand.New(rand.NewSource(23))
 		g := streamgraph.FromEdges(512, deltaTestBatch(rng, 4000, 512), true)
+		g.Seam().SetForceFull(forceFull)
 		sys := NewSystem(g, 8)
-		sys.SetFlatten(flatten)
 		for _, p := range []string{"BFS", "SSSP"} {
 			if err := sys.Enable(p); err != nil {
 				t.Fatal(err)
@@ -64,22 +65,22 @@ func TestSystemDeltaMirrorEquivalence(t *testing.T) {
 		}
 		return sys, rng
 	}
-	flat, rngA := build(true)
-	tree, rngB := build(false)
+	delta, rngA := build(false)
+	full, rngB := build(true)
 
 	for round := 0; round < 4; round++ {
 		// Same pseudo-random batch on both systems (same seed stream).
 		ba := deltaTestBatch(rngA, 60, 540)
 		bb := deltaTestBatch(rngB, 60, 540)
-		flat.ApplyBatch(ba)
-		tree.ApplyBatch(bb)
+		delta.ApplyBatch(ba)
+		full.ApplyBatch(bb)
 		for _, p := range []string{"BFS", "SSSP"} {
 			for _, u := range []graph.VertexID{0, 17, 311} {
-				ra, err := flat.Query(p, u)
+				ra, err := delta.Query(p, u)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rb, err := tree.Query(p, u)
+				rb, err := full.Query(p, u)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,16 +90,18 @@ func TestSystemDeltaMirrorEquivalence(t *testing.T) {
 				}
 				for x := range ra.Values {
 					if ra.Values[x] != rb.Values[x] {
-						t.Fatalf("round %d %s(%d): value[%d] = %d (delta mirror) vs %d (tree)",
+						t.Fatalf("round %d %s(%d): value[%d] = %d (delta mirror) vs %d (full rebuild)",
 							round, p, u, x, ra.Values[x], rb.Values[x])
 					}
 				}
 			}
 		}
 	}
-	if flat.G.MirrorMetrics().DeltaBuilds.Value() < 4 {
-		t.Fatalf("delta system took the delta path %d times, want ≥ 4",
-			flat.G.MirrorMetrics().DeltaBuilds.Value())
+	if n := delta.G.MirrorMetrics().DeltaBuilds.Value(); n < 4 {
+		t.Fatalf("delta system took the delta path %d times, want ≥ 4", n)
+	}
+	if n := full.G.MirrorMetrics().DeltaBuilds.Value(); n != 0 {
+		t.Fatalf("force-full system took the delta path %d times", n)
 	}
 }
 
@@ -148,7 +151,7 @@ func TestHistoryTrimRecyclesMirrors(t *testing.T) {
 	if met.SlabPuts.Value() < 8 {
 		t.Fatalf("SlabPuts = %d, want ≥ 8 after five advances under a 2-deep history", met.SlabPuts.Value())
 	}
-	// Historical queries still work (tree view, mirrors retired or not).
+	// Historical queries still work, mirrors retired or not.
 	vs := sys.HistoryVersions()
 	if _, err := sys.QueryAt(vs[0], "BFS", 3); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 )
@@ -47,27 +46,15 @@ func (s *System) HistoryAt(version uint64) (*streamgraph.Snapshot, bool) {
 	return s.history.AtVersion(version)
 }
 
-// pinHistorical returns the evaluation view for one historical query.
-// Old snapshots usually serve from the tree (advance retires a parent's
-// mirror as soon as the next version's is built), but the latest
-// retained version still owns its mirror; pinning it keeps the slabs
-// alive even if a batch or a history eviction retires the mirror while
-// the query is running. BuiltFlat never triggers a build — paying a full
-// O(V+E) mirror build for a one-off historical query would be wasted
-// work.
-func pinHistorical(snap *streamgraph.Snapshot, flatten bool) (engine.View, func()) {
-	if flatten {
-		if f := snap.BuiltFlat(); f != nil && f.Retain() {
-			return f, f.Release
-		}
-	}
-	return snap, releaseNoop
-}
-
 // QueryAtCtx answers a user query against the retained snapshot with
 // the given version, via full evaluation under cooperative cancellation —
 // historical queries are the most expensive kind, so deadlines matter
-// most here.
+// most here. The latest retained version still owns its mirror; an older
+// one's was retired when the next version's was built, so the query
+// builds, evaluates over and frees a mirror of its own (PinMirror): a
+// one-off O(V+E) build plus a flat run costs less than the same run over
+// the tree did for the weighted problems, somewhat more for BFS
+// (EXPERIMENTS.md "One adjacency path").
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
 	if s.history == nil {
 		return nil, fmt.Errorf("core: history not enabled: %w", ErrNoSuchVersion)
@@ -88,7 +75,7 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 		return nil, fmt.Errorf("core: source %d out of range (version %d has %d vertices): %w",
 			u, version, n, ErrSourceOutOfRange)
 	}
-	view, release := pinHistorical(snap, s.flatten)
+	view, release := PinMirror(snap)
 	defer release()
 	res, err := h.queryFull(ctx, view, u)
 	if err != nil {

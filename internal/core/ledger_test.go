@@ -11,8 +11,8 @@ import (
 )
 
 // TestLedgerCrossCheck is the dynamic half of the refbalance contract:
-// it drives every pin-taking subsystem at once — concurrent queries
-// (pinView), history queries over evicted snapshots (pinHistorical) and
+// it drives every pin-taking subsystem at once — concurrent queries,
+// history queries over evicted snapshots (both through PinMirror) and
 // subscription fan-out, with the Δ-result cache on (its entries are
 // copies and must add no pin of their own) — then lands a final batch
 // with no readers so advance retires the parent mirror, and asserts the

@@ -7,6 +7,7 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/streamgraph"
 	"tripoline/internal/triangle"
 )
 
@@ -81,7 +82,7 @@ func (h *simpleHandler) queryMulti(ctx context.Context, s *System, sources []gra
 		Slots: make([]int, w), PropURs: make([]uint64, w),
 	}
 	var st *engine.State
-	view, release, err := s.pinShared(func(g engine.View) error {
+	view, release, err := s.pinShared(func(g *streamgraph.Flat) error {
 		n := g.NumVertices()
 		st = engine.NewState(p, n, w)
 		// Δ-initialize each slot from its own best standing root,
@@ -115,7 +116,7 @@ func (h *simpleHandler) queryMulti(ctx context.Context, s *System, sources []gra
 		return nil, err
 	}
 	res.Values = st.Interleaved()
-	res.Version = viewVersion(view)
+	res.Version = view.Version()
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/standing"
+	"tripoline/internal/streamgraph"
 )
 
 // Query-distribution-aware root reselection (§5's sketched refinement):
@@ -41,7 +42,7 @@ func (s *System) observe(u graph.VertexID) {
 // reselecter is implemented by handlers whose standing roots can be
 // re-chosen at runtime.
 type reselecter interface {
-	reselect(g engine.View, roots []graph.VertexID) engine.Stats
+	reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats
 }
 
 // ReselectRoots re-roots the named problem's standing queries using the
@@ -64,21 +65,21 @@ func (s *System) ReselectRoots(problem string) error {
 	// exactly like batch maintenance does.
 	s.stMu.Lock()
 	defer s.stMu.Unlock()
-	r.reselect(s.viewOf(snap), roots)
+	r.reselect(snap.Flatten(), roots)
 	return nil
 }
 
-func (h *simpleHandler) reselect(g engine.View, roots []graph.VertexID) engine.Stats {
+func (h *simpleHandler) reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats {
 	h.mgr.Roots = roots
 	return h.mgr.Rebuild(g)
 }
 
-func (h *radiiHandler) reselect(g engine.View, roots []graph.VertexID) engine.Stats {
+func (h *radiiHandler) reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats {
 	h.mgr.Roots = roots
 	return h.mgr.Rebuild(g)
 }
 
-func (h *ssnspHandler) reselect(g engine.View, roots []graph.VertexID) engine.Stats {
+func (h *ssnspHandler) reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats {
 	h.mgr.Roots = roots
 	stats := h.mgr.Rebuild(g)
 	h.recount(g)

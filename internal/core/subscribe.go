@@ -9,6 +9,7 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
+	"tripoline/internal/streamgraph"
 	"tripoline/internal/triangle"
 )
 
@@ -100,7 +101,7 @@ func (sub *Subscription) Version() uint64 { return sub.baseVersion }
 // immutable-by-convention shared copies): they become subscriber
 // baselines and frame payloads.
 type subRefresher interface {
-	refreshSubscribed(view engine.View, sources []graph.VertexID) (vals, counts [][]uint64, version uint64)
+	refreshSubscribed(view *streamgraph.Flat, sources []graph.VertexID) (vals, counts [][]uint64, version uint64)
 }
 
 // DefaultSubscriptionBuffer is the frame-channel capacity
@@ -203,7 +204,7 @@ type subRefreshReport struct {
 // the post-maintenance view and pushes frames. Writer-side only: the
 // caller holds stMu exclusively (lock order stMu → subMu), so the
 // standing arrays are quiescent and handlers refresh without locking.
-func (s *System) refreshSubscriptions(view engine.View) subRefreshReport {
+func (s *System) refreshSubscriptions(view *streamgraph.Flat) subRefreshReport {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	var rep subRefreshReport
@@ -287,7 +288,7 @@ func diffValues(base, next []uint64) []VertexDelta {
 // problems): the fused width-K user-query batch of queryMulti, run in
 // chunks of ≤64 slots, minus the pinning — the writer already holds the
 // exclusive lock and hands in the post-maintenance view.
-func (h *simpleHandler) refreshSubscribed(view engine.View, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
+func (h *simpleHandler) refreshSubscribed(view *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
 	p := h.mgr.Problem
 	n := view.NumVertices()
 	out := make([][]uint64, len(sources))
@@ -316,13 +317,13 @@ func (h *simpleHandler) refreshSubscribed(view engine.View, sources []graph.Vert
 			out[base+j] = st.Column(j)
 		}
 	}
-	return out, nil, viewVersion(view)
+	return out, nil, view.Version()
 }
 
 // refreshSubscribed for SSNSP: per-source Δ-initialized level round plus
 // exact recount (counting is not batchable across sources — each count
 // round is driven by its own level array).
-func (h *ssnspHandler) refreshSubscribed(view engine.View, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
+func (h *ssnspHandler) refreshSubscribed(view *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
 	vals := make([][]uint64, len(sources))
 	counts := make([][]uint64, len(sources))
 	for i, u := range sources {
@@ -331,14 +332,14 @@ func (h *ssnspHandler) refreshSubscribed(view engine.View, sources []graph.Verte
 		vals[i] = res.Levels
 		counts[i] = res.Counts
 	}
-	return vals, counts, viewVersion(view)
+	return vals, counts, view.Version()
 }
 
 // refreshSubscribed for PageRank: every subscriber shares one copy of
 // the freshly converged ranks (the answer is source-independent), so the
 // fan-out cost is one O(N) copy per batch regardless of subscriber
 // count. The version is the one the ranks converged at.
-func (h *pageRankHandler) refreshSubscribed(_ engine.View, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
+func (h *pageRankHandler) refreshSubscribed(_ *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
 	shared := make([]uint64, len(h.ranks))
 	for i, r := range h.ranks {
 		shared[i] = floatBits(r)
@@ -352,7 +353,7 @@ func (h *pageRankHandler) refreshSubscribed(_ engine.View, sources []graph.Verte
 
 // refreshSubscribed for CC: like PageRank, one shared copy of the
 // converged labels.
-func (h *ccHandler) refreshSubscribed(_ engine.View, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
+func (h *ccHandler) refreshSubscribed(_ *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
 	shared := append([]uint64(nil), h.st.Values...)
 	vals := make([][]uint64, len(sources))
 	for i := range vals {

@@ -97,13 +97,13 @@ type BatchReport struct {
 // deliberately does not — a half-maintained standing set would desync
 // from its snapshot version, so updates always run to completion.
 type handler interface {
-	update(g engine.View, changed []graph.VertexID) engine.Stats
+	update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats
 	lastMaintain() time.Duration
 	// queryDelta answers a Δ-initialized query. It receives the System
-	// (not a pinned view) because pinning and Δ-initialization must
+	// (not a pinned mirror) because pinning and Δ-initialization must
 	// happen atomically with respect to mutations — see pinShared.
 	queryDelta(ctx context.Context, s *System, u graph.VertexID) (*QueryResult, error)
-	queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error)
+	queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error)
 }
 
 // System is a Tripoline instance over one streaming graph.
@@ -119,9 +119,6 @@ type System struct {
 	// history, when non-nil, retains past snapshots for QueryAt
 	// (see EnableHistory).
 	history *streamgraph.History
-	// flatten selects the evaluation view handed to the engine: the
-	// snapshot's flat CSR mirror (default) or the C-tree directly.
-	flatten bool
 	// cur is the snapshot produced by the most recent mutation through
 	// this system (initially the construction-time snapshot). The single
 	// writer uses it to delta-patch the next version's mirror from the
@@ -159,41 +156,17 @@ func NewSystem(g *streamgraph.Graph, k int) *System {
 	if k > 64 {
 		k = 64
 	}
-	return &System{G: g, K: k, handlers: make(map[string]handler), flatten: true, cur: g.Acquire()}
+	return &System{G: g, K: k, handlers: make(map[string]handler), cur: g.Acquire()}
 }
 
-// SetFlatten toggles the flat-adjacency fast path. When on (the default)
-// every standing maintenance pass and user query evaluates over the
-// snapshot's flat CSR mirror (built once per snapshot version, shared by
-// all readers, dropped with the snapshot); when off the engine walks the
-// C-tree directly. Results are identical either way — the toggle exists
-// for the `-ablate flat` experiment and for memory-constrained runs that
-// would rather not hold the mirror.
-func (s *System) SetFlatten(on bool) { s.flatten = on }
-
-// viewOf returns the engine view of snap under the current flatten
-// setting. Flatten is cached per snapshot (sync.Once), so repeated calls
-// against one version pay the build exactly once. Writer-side only —
-// query paths use pinView, which holds a reference against concurrent
-// slab recycling.
-func (s *System) viewOf(snap *streamgraph.Snapshot) engine.View {
-	if s.flatten {
-		return snap.Flatten()
-	}
-	return snap
-}
-
-// updateView returns the evaluation view for the standing maintenance
-// that follows an insertion batch. On the flat path the new snapshot's
-// mirror is delta-patched from the parent version's mirror using the
-// batch's changed-source list — O(|changed| + Δdegree + memcpy) instead
-// of a full O(V+E) walk — falling back to a full build when the parent
-// mirror was never materialized (FlattenFrom itself also falls back if
-// the delta preconditions don't hold, e.g. after out-of-band mutations).
-func (s *System) updateView(parent, snap *streamgraph.Snapshot, changed []graph.VertexID) engine.View {
-	if !s.flatten {
-		return snap
-	}
+// updateView returns the mirror the standing maintenance that follows an
+// insertion batch evaluates over. It is delta-patched from the parent
+// version's mirror using the batch's changed-source list — O(|changed| +
+// Δdegree + memcpy) instead of a full O(V+E) walk — with a full build when
+// the parent's was never materialized (FlattenFrom itself also falls back
+// if the delta preconditions don't hold, e.g. after out-of-band
+// mutations). Writer-side only: query paths pin (PinMirror).
+func updateView(parent, snap *streamgraph.Snapshot, changed []graph.VertexID) *streamgraph.Flat {
 	if parent != nil {
 		if pf := parent.BuiltFlat(); pf != nil {
 			return snap.FlattenFrom(pf, changed)
@@ -214,28 +187,21 @@ func (s *System) advance(parent, snap *streamgraph.Snapshot) {
 	s.recordHistory()
 }
 
-// pinView acquires the evaluation view for one user query together with
-// its release callback. On the flat path the mirror is pinned
-// (Flat.Retain) so the writer retiring the snapshot mid-query cannot
-// recycle the slabs under the reader; a failed pin means a batch
-// retired the mirror between Acquire and Retain, so re-acquiring
-// observes the newer version. The tree view needs no pin — C-tree nodes
-// are immutable and garbage-collected.
-func (s *System) pinView() (engine.View, func()) {
-	if s.flatten {
-		for attempt := 0; attempt < 2; attempt++ {
-			snap := s.G.Acquire()
-			if f := snap.Flatten(); f.Retain() {
-				return f, f.Release
-			}
-		}
-		// Two consecutive retirements mid-acquire: serve this query from
-		// the tree rather than loop against a hot writer.
+// PinMirror is the view contract's read side, the one way a reader gets
+// something to evaluate over: the C-tree snapshot is the store, its flat
+// mirror is what is evaluated, and a pin is retain-or-build. The snapshot's
+// shared mirror (built on first use) is retained so a writer retiring it
+// mid-query cannot recycle the slabs under the reader; when it can no
+// longer be retained — a batch or a history eviction retired and drained
+// it — the reader builds a mirror of its own, which the release frees.
+// Either way the view is exactly snap's version.
+func PinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, func()) {
+	if f := snap.Flatten(); f.Retain() {
+		return f, f.Release
 	}
-	return s.G.Acquire(), releaseNoop
+	f := snap.MaterializeFlat()
+	return f, f.Release
 }
-
-func releaseNoop() {}
 
 // pinShared pins an evaluation view whose version is consistent with the
 // standing state and runs initFn while the standing read lock is held:
@@ -249,24 +215,15 @@ func releaseNoop() {}
 // the standing state and must not run the engine; the caller runs the
 // engine on the returned (pinned) view after pinShared returns, outside
 // the lock, so reader parallelism is preserved.
-func (s *System) pinShared(initFn func(engine.View) error) (engine.View, func(), error) {
+func (s *System) pinShared(initFn func(*streamgraph.Flat) error) (*streamgraph.Flat, func(), error) {
 	s.stMu.RLock()
 	defer s.stMu.RUnlock()
-	view, release := s.pinView()
+	view, release := PinMirror(s.G.Acquire())
 	if err := initFn(view); err != nil {
 		release()
 		return nil, nil, err
 	}
 	return view, release, nil
-}
-
-// viewVersion reports the snapshot version an evaluation view mirrors
-// (0 for unversioned views, which only occur in tests).
-func viewVersion(g engine.View) uint64 {
-	if v, ok := g.(engine.Versioned); ok {
-		return v.Version()
-	}
-	return 0
 }
 
 // TopDegreeRoots returns the top-k out-degree vertices of the snapshot —
@@ -304,7 +261,7 @@ func (s *System) Enable(name string) error {
 	}
 	snap := s.G.Acquire()
 	roots := TopDegreeRoots(snap, s.K)
-	view := s.viewOf(snap)
+	view := snap.Flatten()
 	var h handler
 	switch name {
 	case "BFS", "SSSP", "SSWP", "SSNP", "Viterbi", "SSR":
@@ -324,7 +281,7 @@ func (s *System) Enable(name string) error {
 	s.handlers[name] = h
 	s.order = append(s.order, name)
 	// The enable-time snapshot becomes the delta-patch parent of the
-	// first batch (its mirror was just materialized by viewOf above).
+	// first batch (its mirror was just materialized above).
 	s.cur = snap
 	return nil
 }
@@ -342,7 +299,7 @@ func (s *System) EnableCustom(p engine.Problem) error {
 	}
 	snap := s.G.Acquire()
 	roots := TopDegreeRoots(snap, s.K)
-	s.handlers[name] = &simpleHandler{mu: &s.stMu, mgr: standing.New(p, s.viewOf(snap), roots, s.G.Directed())}
+	s.handlers[name] = &simpleHandler{mu: &s.stMu, mgr: standing.New(p, snap.Flatten(), roots, s.G.Directed())}
 	s.order = append(s.order, name)
 	s.cur = snap
 	return nil
@@ -379,7 +336,7 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchRe
 		Changed:        changed,
 	}
 	start := time.Now()
-	view := s.updateView(parent, snap, changed)
+	view := updateView(parent, snap, changed)
 	for _, name := range s.order {
 		rep.StandingStats.Add(s.handlers[name].update(view, changed))
 	}
@@ -514,13 +471,13 @@ func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 	if err := s.checkSource(u); err != nil {
 		return nil, err
 	}
-	view, release := s.pinView()
+	view, release := PinMirror(s.G.Acquire())
 	defer release()
 	res, err := h.queryFull(ctx, view, u)
 	if err != nil {
 		return nil, err
 	}
-	res.Version = viewVersion(view)
+	res.Version = view.Version()
 	return res, nil
 }
 
@@ -532,7 +489,7 @@ type simpleHandler struct {
 	mgr *standing.Manager
 }
 
-func (h *simpleHandler) update(g engine.View, changed []graph.VertexID) engine.Stats {
+func (h *simpleHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
 	return h.mgr.Update(g, changed)
 }
 
@@ -545,7 +502,7 @@ func (h *simpleHandler) queryDelta(ctx context.Context, s *System, u graph.Verte
 		slot   int
 		propUR uint64
 	)
-	view, release, err := s.pinShared(func(engine.View) error {
+	view, release, err := s.pinShared(func(*streamgraph.Flat) error {
 		init, slot, propUR = h.mgr.DeltaFor(u)
 		return nil
 	})
@@ -563,11 +520,11 @@ func (h *simpleHandler) queryDelta(ctx context.Context, s *System, u graph.Verte
 		Values: st.Values, Width: 1,
 		Stats: stats, Elapsed: time.Since(start),
 		Incremental: true, StandingSlot: slot, PropUR: propUR,
-		Version: viewVersion(view),
+		Version: view.Version(),
 	}, nil
 }
 
-func (h *simpleHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {
+func (h *simpleHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
 	start := time.Now()
 	st, stats, err := engine.RunCtx(ctx, g, h.mgr.Problem, []graph.VertexID{u})
 	if err != nil {
@@ -591,11 +548,11 @@ type radiiHandler struct {
 	mgr *standing.Manager // SSSP standing queries reused per slot
 }
 
-func newRadiiHandler(mu *sync.RWMutex, g engine.View, roots []graph.VertexID, directed bool) *radiiHandler {
+func newRadiiHandler(mu *sync.RWMutex, g *streamgraph.Flat, roots []graph.VertexID, directed bool) *radiiHandler {
 	return &radiiHandler{mu: mu, mgr: standing.New(props.SSSP{}, g, roots, directed)}
 }
 
-func (h *radiiHandler) update(g engine.View, changed []graph.VertexID) engine.Stats {
+func (h *radiiHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
 	return h.mgr.Update(g, changed)
 }
 
@@ -627,7 +584,7 @@ func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		sources []graph.VertexID
 		n, w    int
 	)
-	view, release, err := s.pinShared(func(g engine.View) error {
+	view, release, err := s.pinShared(func(g *streamgraph.Flat) error {
 		n = g.NumVertices()
 		sources = radiiSources(u, n)
 		w = len(sources)
@@ -668,11 +625,11 @@ func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		Radius: props.RadiiEstimate(values, n, w),
 		Stats:  stats, Elapsed: time.Since(start),
 		Incremental: true,
-		Version:     viewVersion(view),
+		Version:     view.Version(),
 	}, nil
 }
 
-func (h *radiiHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {
+func (h *radiiHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
 	start := time.Now()
 	n := g.NumVertices()
 	sources := radiiSources(u, n)
@@ -702,7 +659,7 @@ type ssnspHandler struct {
 	last   time.Duration
 }
 
-func newSSNSPHandler(mu *sync.RWMutex, g engine.View, roots []graph.VertexID, directed bool) *ssnspHandler {
+func newSSNSPHandler(mu *sync.RWMutex, g *streamgraph.Flat, roots []graph.VertexID, directed bool) *ssnspHandler {
 	start := time.Now()
 	h := &ssnspHandler{mu: mu, mgr: standing.New(props.BFS{}, g, roots, directed)}
 	h.recount(g)
@@ -710,7 +667,7 @@ func newSSNSPHandler(mu *sync.RWMutex, g engine.View, roots []graph.VertexID, di
 	return h
 }
 
-func (h *ssnspHandler) recount(g engine.View) {
+func (h *ssnspHandler) recount(g *streamgraph.Flat) {
 	h.counts = h.counts[:0]
 	for k, r := range h.mgr.Roots {
 		res := countRoundFromLevels(g, r, h.mgr.Forward, k)
@@ -720,13 +677,13 @@ func (h *ssnspHandler) recount(g engine.View) {
 
 // countRoundFromLevels recounts shortest paths for root slot k using the
 // standing BFS levels.
-func countRoundFromLevels(g engine.View, root graph.VertexID, st *engine.State, k int) []uint64 {
+func countRoundFromLevels(g *streamgraph.Flat, root graph.VertexID, st *engine.State, k int) []uint64 {
 	levels := st.Column(k)
 	res := props.CountShortestPaths(g, root, levels)
 	return res
 }
 
-func (h *ssnspHandler) update(g engine.View, changed []graph.VertexID) engine.Stats {
+func (h *ssnspHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
 	stats := h.mgr.Update(g, changed)
 	h.recount(g)
@@ -743,7 +700,7 @@ func (h *ssnspHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		slot   int
 		propUR uint64
 	)
-	view, release, err := s.pinShared(func(engine.View) error {
+	view, release, err := s.pinShared(func(*streamgraph.Flat) error {
 		init, slot, propUR = h.mgr.DeltaFor(u)
 		return nil
 	})
@@ -765,11 +722,11 @@ func (h *ssnspHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		Stats: stats, CountStats: res.CountStats,
 		Elapsed:     time.Since(start),
 		Incremental: true, StandingSlot: slot, PropUR: propUR,
-		Version: viewVersion(view),
+		Version: view.Version(),
 	}, nil
 }
 
-func (h *ssnspHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {
+func (h *ssnspHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
 	start := time.Now()
 	res, err := props.RunSSNSPCtx(ctx, g, u)
 	if err != nil {
@@ -797,17 +754,17 @@ type pageRankHandler struct {
 	last    time.Duration
 }
 
-func newPageRankHandler(mu *sync.RWMutex, g engine.View) *pageRankHandler {
+func newPageRankHandler(mu *sync.RWMutex, g *streamgraph.Flat) *pageRankHandler {
 	start := time.Now()
 	res := props.PageRank(g, 0.85, 100, 1e-9)
-	return &pageRankHandler{mu: mu, ranks: res.Ranks, version: viewVersion(g), last: time.Since(start)}
+	return &pageRankHandler{mu: mu, ranks: res.Ranks, version: g.Version(), last: time.Since(start)}
 }
 
-func (h *pageRankHandler) update(g engine.View, _ []graph.VertexID) engine.Stats {
+func (h *pageRankHandler) update(g *streamgraph.Flat, _ []graph.VertexID) engine.Stats {
 	start := time.Now()
 	res := props.PageRankFrom(g, h.ranks, 0.85, 100, 1e-9)
 	h.ranks = res.Ranks
-	h.version = viewVersion(g)
+	h.version = g.Version()
 	h.last = time.Since(start)
 	return engine.Stats{Iterations: res.Iterations}
 }
@@ -829,7 +786,7 @@ func (h *pageRankHandler) queryDelta(_ context.Context, _ *System, u graph.Verte
 		Version: v}, nil
 }
 
-func (h *pageRankHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {
+func (h *pageRankHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
 	start := time.Now()
 	res, err := props.PageRankCtx(ctx, g, 0.85, 100, 1e-9)
 	if err != nil {
@@ -850,16 +807,16 @@ type ccHandler struct {
 	last    time.Duration
 }
 
-func newCCHandler(mu *sync.RWMutex, g engine.View) *ccHandler {
+func newCCHandler(mu *sync.RWMutex, g *streamgraph.Flat) *ccHandler {
 	start := time.Now()
 	st, _ := props.ConnectedComponents(g)
-	return &ccHandler{mu: mu, st: st, version: viewVersion(g), last: time.Since(start)}
+	return &ccHandler{mu: mu, st: st, version: g.Version(), last: time.Since(start)}
 }
 
-func (h *ccHandler) update(g engine.View, changed []graph.VertexID) engine.Stats {
+func (h *ccHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
 	stats := props.ResumeConnectedComponents(g, h.st, changed)
-	h.version = viewVersion(g)
+	h.version = g.Version()
 	h.last = time.Since(start)
 	return stats
 }
@@ -877,7 +834,7 @@ func (h *ccHandler) queryDelta(_ context.Context, _ *System, u graph.VertexID) (
 		Version: v}, nil
 }
 
-func (h *ccHandler) queryFull(ctx context.Context, g engine.View, u graph.VertexID) (*QueryResult, error) {
+func (h *ccHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
 	start := time.Now()
 	st, stats, err := props.ConnectedComponentsCtx(ctx, g)
 	if err != nil {

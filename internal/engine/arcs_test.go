@@ -31,19 +31,19 @@ func TestArcRoundSharedEndpoints(t *testing.T) {
 				edges[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(16))}
 			}
 			g := streamgraph.FromEdges(n, edges, true)
-			fwd, _ := engine.Run(g.Acquire(), p, sources)
-			rev, _ := engine.RunReverse(g.Acquire(), p, sources)
+			fwd, _ := engine.Run(g.Acquire().Flatten(), p, sources)
+			rev, _ := engine.RunReverse(g.Acquire().Flatten(), p, sources)
 			for b := 0; b < batches; b++ {
 				batch := make([]graph.Edge, batchEdges)
 				for i := range batch {
 					batch[i] = graph.Edge{Src: graph.VertexID(rng.Intn(core)), Dst: graph.VertexID(rng.Intn(core)), W: graph.Weight(1 + rng.Intn(16))}
 				}
 				snap, _ := g.InsertEdges(batch)
-				arcs, ok := snap.InsertedArcs()
+				flat := snap.Flatten()
+				arcs, ok := flat.InsertedArcs()
 				if !ok || (b == 0 && len(arcs) < 128) {
 					t.Fatalf("%s: batch %d recorded %d arcs (ok=%v); want several chunks' worth", name, b, len(arcs), ok)
 				}
-				flat := snap.Flatten()
 				fwd.RunPushArcs(flat, arcs)
 				var stats engine.Stats
 				rev.RunPullArcs(flat, arcs, &stats)

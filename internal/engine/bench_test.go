@@ -55,26 +55,15 @@ func BenchmarkPullReverseSSSP(b *testing.B) {
 	}
 }
 
-func BenchmarkPushOverSnapshot(b *testing.B) {
-	// The same BFS over the tree-backed streaming snapshot, to expose the
-	// C-tree traversal overhead relative to flat CSR arrays.
-	cfg := gen.Config{Name: "bench", LogN: 14, AvgDegree: 16, Directed: false, Seed: 1}
-	sg := streamgraph.FromEdges(cfg.N(), gen.RMAT(cfg), false)
-	snap := sg.Acquire()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Run(snap, props.BFS{}, []graph.VertexID{0})
-	}
-}
-
 func BenchmarkIncrementalResume(b *testing.B) {
 	// Cost of re-stabilizing one standing query after a 1K-edge batch.
 	cfg := gen.Config{Name: "bench", LogN: 14, AvgDegree: 16, Directed: false, Seed: 3}
 	edges := gen.RMAT(cfg)
 	cut := len(edges) - 1000
 	sg := streamgraph.FromEdges(cfg.N(), edges[:cut], false)
-	st, _ := engine.Run(sg.Acquire(), props.SSSP{}, []graph.VertexID{0})
+	st, _ := engine.Run(sg.Acquire().Flatten(), props.SSSP{}, []graph.VertexID{0})
 	snap, changed := sg.InsertEdges(edges[cut:])
+	flat := snap.Flatten()
 	masks := make([]uint64, len(changed))
 	for i := range masks {
 		masks[i] = 1
@@ -83,6 +72,6 @@ func BenchmarkIncrementalResume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Resuming an already-converged state is idempotent, so each
 		// iteration measures the verification sweep from the batch seeds.
-		st.RunPush(snap, changed, masks)
+		st.RunPush(flat, changed, masks)
 	}
 }

@@ -58,41 +58,38 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 // Unwrap exposes the context error for errors.Is(err, context.DeadlineExceeded).
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// View is the read-only graph interface the engine evaluates over. Both
-// *streamgraph.Snapshot and *graph.CSR satisfy it.
+// View is the iteration interface of code that is not a kernel: PageRank,
+// the SSNSP counting round, the reachability and verification helpers, the
+// oracles. *streamgraph.Snapshot, *streamgraph.Flat and *graph.CSR all
+// satisfy it.
 type View interface {
 	NumVertices() int
 	Degree(v graph.VertexID) int
 	ForEachOut(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight))
 }
 
-// FlatView is the engine's fast-path extension of View: a graph whose
-// adjacency is stored in flat arrays and can be handed out as slices.
-// RunPush/RunPull detect it by type assertion and iterate edges with
-// plain loops — no closure or interface call per edge — falling back to
-// ForEachOut otherwise. *graph.CSR and *streamgraph.Flat satisfy it;
-// the tree-backed *streamgraph.Snapshot deliberately does not, so
-// callers choose when to pay the one-time Flatten.
-type FlatView interface {
+// ArcView is what every kernel and every standing-maintenance entry point
+// evaluates over: a graph whose adjacency lives in flat arrays. The C-tree
+// is the versioned store; a flat mirror of one version is what is
+// evaluated, so edge iteration is a plain loop over two slices with no
+// closure or interface call per edge. *graph.CSR and *streamgraph.Flat
+// satisfy it; the tree-backed *streamgraph.Snapshot deliberately does not,
+// so handing a snapshot to a kernel does not compile.
+type ArcView interface {
 	View
 	// OutSpan returns v's sorted out-neighbor and weight slices. The
 	// slices alias the graph and must not be modified.
 	OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight)
-}
-
-// ArcView is the further extension the cache-blocked dense sweep needs:
-// the whole CSR arc arrays at once. off has NumVertices()+1 entries and
-// v's arcs are adj[off[v]:off[v+1]] (destination-sorted, weights at the
-// same positions). The slices alias the graph and must not be modified.
-// *graph.CSR and *streamgraph.Flat satisfy it.
-type ArcView interface {
-	FlatView
+	// Arcs returns the whole CSR arc arrays at once, for the cache-blocked
+	// dense sweep: off has NumVertices()+1 entries and v's arcs are
+	// adj[off[v]:off[v+1]] (destination-sorted, weights at the same
+	// positions). The slices alias the graph and must not be modified.
 	Arcs() (off []int64, adj []graph.VertexID, wgt []graph.Weight)
 }
 
 // Versioned is optionally implemented by views that carry the snapshot
-// version they were materialized from (*streamgraph.Snapshot and
-// *streamgraph.Flat both do). Consumers use it to pair evaluation state
+// version they were materialized from (*streamgraph.Flat does, a static
+// *graph.CSR does not). Consumers use it to pair evaluation state
 // with the graph version it converged on — standing maintenance records
 // it so the "standing state matches its snapshot version" invariant is
 // observable rather than implied.
@@ -102,8 +99,8 @@ type Versioned interface {
 }
 
 // ArcDelta is optionally implemented by versioned views that also record
-// how they differ from the version before them (*streamgraph.Snapshot and
-// *streamgraph.Flat both do). State that converged on version v-1 is
+// how they differ from the version before them (*streamgraph.Flat does).
+// State that converged on version v-1 is
 // re-stabilized on version v by relaxing just these arcs (RunPushArcs,
 // RunPullArcs) — the batch's cost follows what it stored, not the degrees
 // of the vertices it touched.
@@ -428,8 +425,8 @@ type pushScratch struct {
 	masks, next []uint64
 	inNext      *bitset.Atomic
 	// cursors backs the cache-blocked dense sweep's per-vertex arc
-	// positions. Allocated lazily (only width-K runs over an ArcView use
-	// it) and never needs draining: each blocked iteration re-seeds it
+	// positions. Allocated lazily (only blocked width-K runs use it) and
+	// never needs draining: each blocked iteration re-seeds it
 	// from the arc offsets before reading it.
 	cursors []int64
 }
@@ -465,7 +462,7 @@ func putPushScratch(s *pushScratch) { pushScratchPool.Put(s) }
 // the desired initial values — callers choose between full evaluation
 // (init values + sources), Δ-based initialization, or resumed incremental
 // state. Returns work statistics.
-func (st *State) RunPush(g View, seeds []graph.VertexID, seedMasks []uint64) Stats {
+func (st *State) RunPush(g ArcView, seeds []graph.VertexID, seedMasks []uint64) Stats {
 	stats, _ := st.RunPushCtx(context.Background(), g, seeds, seedMasks)
 	return stats
 }
@@ -481,7 +478,7 @@ func (st *State) RunPush(g View, seeds []graph.VertexID, seedMasks []uint64) Sta
 //
 // Kernel selection follows the width: K>1 states run the width-K kernel
 // (hoisted source blocks, devirtualized relaxations, cache-blocked dense
-// sweeps over an ArcView), K=1 states its scalar specialization.
+// sweeps), K=1 states its scalar specialization.
 //
 // Several RunPushCtx calls may run concurrently on one state, each over
 // its own view (the shard router's scatter rounds do): every value word
@@ -489,7 +486,7 @@ func (st *State) RunPush(g View, seeds []graph.VertexID, seedMasks []uint64) Sta
 // state is per call, so by Theorem 4.4 the shared values only ever move
 // monotonically toward the fixpoint. The views must not outgrow the
 // state — Grow is not safe against a running kernel.
-func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID, seedMasks []uint64) (Stats, error) {
+func (st *State) RunPushCtx(ctx context.Context, g ArcView, seeds []graph.VertexID, seedMasks []uint64) (Stats, error) {
 	return st.runPush(ctx, g, seeds, seedMasks, nil)
 }
 
@@ -503,14 +500,14 @@ func (st *State) RunPushCtx(ctx context.Context, g View, seeds []graph.VertexID,
 // list costs nothing. Round 0 counts as one iteration, its work as
 // relaxations, updates and one hoist per distinct tail — no vertex
 // function runs in it, so it adds no activations.
-func (st *State) RunPushArcs(g View, arcs []graph.Edge) Stats {
+func (st *State) RunPushArcs(g ArcView, arcs []graph.Edge) Stats {
 	stats, _ := st.RunPushArcsCtx(context.Background(), g, arcs)
 	return stats
 }
 
 // RunPushArcsCtx is RunPushArcs with cooperative cancellation (see
 // RunPushCtx).
-func (st *State) RunPushArcsCtx(ctx context.Context, g View, arcs []graph.Edge) (Stats, error) {
+func (st *State) RunPushArcsCtx(ctx context.Context, g ArcView, arcs []graph.Edge) (Stats, error) {
 	return st.runPush(ctx, g, nil, nil, arcs)
 }
 
@@ -518,13 +515,12 @@ func (st *State) RunPushArcsCtx(ctx context.Context, g View, arcs []graph.Edge) 
 // of two producers: the seed frontier (processed like every later one), or
 // arcs, relaxed individually by the kernel's arc round — both feed the
 // same next-frontier masks.
-func (st *State) runPush(ctx context.Context, g View, seeds []graph.VertexID, seedMasks []uint64, arcs []graph.Edge) (Stats, error) {
+func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID, seedMasks []uint64, arcs []graph.Edge) (Stats, error) {
 	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
 		st.Grow(n)
 	}
-	fv, _ := g.(FlatView)
 	var stats Stats
 	scr := getPushScratch(st.N)
 	cur := frontier{masks: scr.masks}
@@ -552,20 +548,17 @@ func (st *State) runPush(ctx context.Context, g View, seeds []graph.VertexID, se
 	var kc *pushKCtx // non-nil selects the width-K kernel
 	if K > 1 {
 		kc = &pushKCtx{
-			g: g, fv: fv, p: p,
+			g: g, p: p,
 			K: K, cols: st.cols,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
 		_, _, kc.soff = st.StrideViews()
 		kc.spec, kc.hasSpec = kernelSpecFor(p)
-		if av, ok := g.(ArcView); ok && blockWindows(K, n) > 1 {
-			kc.av = av
-			kc.windows = blockWindows(K, n)
-		}
+		kc.windows = blockWindows(K, n)
 		process, tail = kc.process, kc.tail
 	} else {
 		k1 := &push1Ctx{
-			g: g, fv: fv, p: p, vals: st.Values,
+			g: g, p: p, vals: st.Values,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
 		k1.spec, k1.hasSpec = kernelSpecFor(p)
@@ -590,7 +583,7 @@ func (st *State) runPush(ctx context.Context, g View, seeds []graph.VertexID, se
 			forArcRuns(arcs, func(wid int, run []graph.Edge) { tail(&counters[wid], run) })
 		} else if dense {
 			stats.DenseIterations++
-			if kc != nil && kc.av != nil {
+			if kc != nil && kc.windows > 1 {
 				if cap(scr.cursors) < n {
 					scr.cursors = make([]int64, n)
 				}
@@ -695,7 +688,7 @@ func casImprove(addr *uint64, cand uint64, p Problem) bool {
 // round, which scans every arc but relaxes only the slots its head
 // improved in the round before (see pull.go). An empty dirty list costs
 // nothing: no round runs.
-func (st *State) RunPull(g View, dirty []graph.VertexID, stats *Stats) {
+func (st *State) RunPull(g ArcView, dirty []graph.VertexID, stats *Stats) {
 	_ = st.RunPullCtx(context.Background(), g, dirty, stats)
 }
 
@@ -705,27 +698,27 @@ func (st *State) RunPull(g View, dirty []graph.VertexID, stats *Stats) {
 // tails it improves are the first hot set of the filtered sweeps. An old
 // arc whose head did not move still satisfies its inequality. Round 0 is
 // accounted like RunPushArcs'; an empty list costs nothing.
-func (st *State) RunPullArcs(g View, arcs []graph.Edge, stats *Stats) {
+func (st *State) RunPullArcs(g ArcView, arcs []graph.Edge, stats *Stats) {
 	_ = st.RunPullArcsCtx(context.Background(), g, arcs, stats)
 }
 
 // RunPullAll is the from-scratch entry of the pull model: every vertex is
 // dirty. Values must be pre-initialized (sources at SourceValue, the rest
 // at the init value).
-func (st *State) RunPullAll(g View, stats *Stats) {
+func (st *State) RunPullAll(g ArcView, stats *Stats) {
 	_ = st.RunPullAllCtx(context.Background(), g, stats)
 }
 
 // Run performs a full (from-scratch) K-wide push evaluation with one
 // source per query slot. It is the non-incremental baseline of Table 3.
-func Run(g View, p Problem, sources []graph.VertexID) (*State, Stats) {
+func Run(g ArcView, p Problem, sources []graph.VertexID) (*State, Stats) {
 	st, stats, _ := RunCtx(context.Background(), g, p, sources)
 	return st, stats
 }
 
 // RunCtx is Run with cooperative cancellation (see RunPushCtx). On
 // cancellation the partial state is still returned alongside the error.
-func RunCtx(ctx context.Context, g View, p Problem, sources []graph.VertexID) (*State, Stats, error) {
+func RunCtx(ctx context.Context, g ArcView, p Problem, sources []graph.VertexID) (*State, Stats, error) {
 	st := NewState(p, g.NumVertices(), len(sources))
 	for k, s := range sources {
 		st.SetSource(s, k)
@@ -756,7 +749,7 @@ func SourceSeeds(sources []graph.VertexID) (seeds []graph.VertexID, masks []uint
 
 // RunReverse performs a full pull-model evaluation of the reversed query
 // q⁻¹(source): afterwards Value(x, k) = property(x, sources[k]).
-func RunReverse(g View, p Problem, sources []graph.VertexID) (*State, Stats) {
+func RunReverse(g ArcView, p Problem, sources []graph.VertexID) (*State, Stats) {
 	st := NewState(p, g.NumVertices(), len(sources))
 	for k, s := range sources {
 		st.SetSource(s, k)

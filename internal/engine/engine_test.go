@@ -12,6 +12,9 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
+// The two adjacency stores a kernel can evaluate over.
+var _, _ engine.ArcView = (*streamgraph.Flat)(nil), (*graph.CSR)(nil)
+
 func randomCSR(n, m int, directed bool, seed uint64) *graph.CSR {
 	return graph.FromEdges(n, gen.Uniform(n, m, 16, seed), directed)
 }
@@ -120,12 +123,13 @@ func TestIncrementalResumeEqualsFresh(t *testing.T) {
 	edges := gen.Uniform(200, 2400, 16, 47)
 	sg := streamgraph.New(200, true)
 	sg.InsertEdges(edges[:1200])
-	snap1 := sg.Acquire()
+	snap1 := sg.Acquire().Flatten()
 
 	src := graph.VertexID(2)
 	st, _ := engine.Run(snap1, props.SSSP{}, []graph.VertexID{src})
 
-	snap2, changed := sg.InsertEdges(edges[1200:])
+	next, changed := sg.InsertEdges(edges[1200:])
+	snap2 := next.Flatten()
 	masks := make([]uint64, len(changed))
 	for i := range masks {
 		masks[i] = 1
@@ -141,17 +145,17 @@ func TestIncrementalResumeEqualsFresh(t *testing.T) {
 	}
 }
 
-func TestRunOnSnapshotMatchesCSR(t *testing.T) {
+func TestRunOnMirrorMatchesCSR(t *testing.T) {
 	edges := gen.Uniform(150, 1300, 8, 53)
 	sg := streamgraph.FromEdges(150, edges, false)
-	snap := sg.Acquire()
+	mirror := sg.Acquire().Flatten()
 	csr := graph.FromEdges(150, edges, false)
 	for _, p := range []engine.Problem{props.SSSP{}, props.SSWP{}} {
-		a, _ := engine.Run(snap, p, []graph.VertexID{4})
+		a, _ := engine.Run(mirror, p, []graph.VertexID{4})
 		b, _ := engine.Run(csr, p, []graph.VertexID{4})
 		for v := 0; v < 150; v++ {
 			if a.Values[v] != b.Values[v] {
-				t.Fatalf("%s: snapshot vs CSR differ at %d", p.Name(), v)
+				t.Fatalf("%s: mirror vs CSR differ at %d", p.Name(), v)
 			}
 		}
 	}

@@ -12,16 +12,6 @@ import (
 	"tripoline/internal/xrand"
 )
 
-// forestView wraps a View hiding OutSpan/Arcs, forcing the engine's
-// ForEachOut fallback (the tree path of the delta-patched mirror).
-type forestView struct{ g engine.View }
-
-func (t forestView) NumVertices() int            { return t.g.NumVertices() }
-func (t forestView) Degree(v graph.VertexID) int { return t.g.Degree(v) }
-func (t forestView) ForEachOut(v graph.VertexID, f func(graph.VertexID, graph.Weight)) {
-	t.g.ForEachOut(v, f)
-}
-
 func pickSources(n, k int, rng *xrand.RNG) []graph.VertexID {
 	sources := make([]graph.VertexID, k)
 	for i := range sources {
@@ -62,9 +52,8 @@ func requireOracle(t *testing.T, label string, st *engine.State, g *graph.CSR, s
 
 // TestFusedWidthSweepEquivalence is the kernels' correctness spine: for
 // every registered problem and K ∈ {1,4,16,64}, the width-K evaluation
-// must be bit-identical to (a) the sequential oracle, slot by slot,
-// (b) K independent K=1 evaluations, and (c) the same evaluation on a
-// view with no flat fast path. Push and pull both.
+// must be bit-identical to (a) the sequential oracle, slot by slot, and
+// (b) K independent K=1 evaluations. Push and pull both.
 func TestFusedWidthSweepEquivalence(t *testing.T) {
 	const n, m = 300, 3000
 	g := randomCSR(n, m, true, 61)
@@ -80,9 +69,6 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 			fused, _ := engine.Run(g, p, sources)
 			requireOracle(t, name+" push", fused, g, sources, oracle.BestPath)
 
-			tree, _ := engine.Run(forestView{g}, p, sources)
-			requireSameValues(t, name+" push flat-vs-tree", fused, tree, n, k)
-
 			for j, s := range sources {
 				single, _ := engine.Run(g, p, []graph.VertexID{s})
 				for v := 0; v < n; v++ {
@@ -95,9 +81,6 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 
 			fusedRev, _ := engine.RunReverse(g, p, sources)
 			requireOracle(t, name+" pull", fusedRev, g, sources, oracle.BestPathTo)
-
-			treeRev, _ := engine.RunReverse(forestView{g}, p, sources)
-			requireSameValues(t, name+" pull flat-vs-tree", fusedRev, treeRev, n, k)
 
 			for j, s := range sources {
 				single, _ := engine.RunReverse(g, p, []graph.VertexID{s})

@@ -19,8 +19,7 @@
 //     of two interface calls per (edge × slot). Problems without a spec
 //     fall back to interface dispatch — still hoisted, still correct.
 //
-//  3. Cache-blocked dense sweeps. A dense superstep over a flat mirror
-//     touches K·N·8 bytes of destination values with power-law-random
+//  3. Cache-blocked dense sweeps. A dense superstep touches K·N·8 bytes of destination values with power-law-random
 //     access. When that working set exceeds windowBudget, the kernel
 //     splits the vertex ID space into ascending destination windows and
 //     runs one pass per window, advancing a per-vertex arc cursor through
@@ -29,7 +28,7 @@
 //
 // The spec ops are transcriptions of the props implementations; the
 // width-sweep tests hold every problem and width to the sequential
-// oracle, to K independent K=1 runs and to the tree-view run.
+// oracle and to K independent K=1 runs.
 package engine
 
 import (
@@ -169,9 +168,7 @@ func blockWindows(k, n int) int {
 // pushKCtx is the per-run context of the width-K push kernel over a
 // slot-blocked (K>1) state.
 type pushKCtx struct {
-	g       View
-	fv      FlatView
-	av      ArcView // non-nil enables the cache-blocked dense sweep
+	g       ArcView
 	p       Problem
 	spec    KernelSpec
 	hasSpec bool
@@ -180,7 +177,8 @@ type pushKCtx struct {
 	// soff[k] is slot k's base offset in the slot-blocked slab; the value
 	// of (v, k) is cols[soff[k] + v·lineWords]. Precomputed so the hot
 	// loops pay one add per slot access.
-	soff    []int
+	soff []int
+	// windows > 1 selects the cache-blocked dense sweep.
 	windows int
 
 	curMasks  []uint64
@@ -438,16 +436,12 @@ func (kc *pushKCtx) process(c *workCounter, u graph.VertexID) {
 	}
 	kc.curMasks[u] = 0
 	c.acts += int64(bits.OnesCount64(mask))
-	if kc.fv == nil {
-		kc.processTree(c, u, mask)
-		return
-	}
 	var src [64]uint64
 	live := kc.hoist(u, mask, &src, c)
 	if live == 0 {
 		return
 	}
-	dsts, ws := kc.fv.OutSpan(u)
+	dsts, ws := kc.g.OutSpan(u)
 	kc.relaxSpan(c, dsts, ws, &src, live)
 }
 
@@ -464,22 +458,6 @@ func (kc *pushKCtx) tail(c *workCounter, run []graph.Edge) {
 	}
 }
 
-// processTree is process's hoist and edge loop over a view with no flat
-// adjacency. It is its own function because the ForEachOut closure
-// captures the register block, which moves the block to the heap — one
-// 512-byte allocation per frontier vertex that the flat path must not
-// pay.
-func (kc *pushKCtx) processTree(c *workCounter, u graph.VertexID, mask uint64) {
-	var src [64]uint64
-	live := kc.hoist(u, mask, &src, c)
-	if live == 0 {
-		return
-	}
-	kc.g.ForEachOut(u, func(d graph.VertexID, w graph.Weight) {
-		kc.relaxEdge(c, d, w, &src, live)
-	})
-}
-
 // denseWindowed is the cache-blocked dense superstep: kc.windows passes
 // over the frontier, pass wi relaxing only arcs whose destination falls
 // in the wi-th ascending window of the vertex ID space. cursors[v]
@@ -491,7 +469,7 @@ func (kc *pushKCtx) processTree(c *workCounter, u graph.VertexID, mask uint64) {
 // — each hoist sees equal-or-better values, which is sound for the same
 // monotonicity reason as hoisting itself.
 func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int64) {
-	off, adj, wgt := kc.av.Arcs()
+	off, adj, wgt := kc.g.Arcs()
 	windows := kc.windows
 	span := (n + windows - 1) / windows
 	for wi := 0; wi < windows; wi++ {
@@ -548,8 +526,7 @@ func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int64
 // arithmetic — the frontier mask is a plain active bit and the value
 // array is indexed by vertex directly.
 type push1Ctx struct {
-	g       View
-	fv      FlatView
+	g       ArcView
 	p       Problem
 	spec    KernelSpec
 	hasSpec bool
@@ -573,25 +550,13 @@ func (kc *push1Ctx) process(c *workCounter, u graph.VertexID) {
 			c.gates++
 			return
 		}
-		if kc.fv != nil {
-			kc.flatEdges(c, u, src)
-			return
-		}
-		kc.g.ForEachOut(u, func(d graph.VertexID, w graph.Weight) {
-			kc.specEdge(c, d, w, src)
-		})
+		kc.flatEdges(c, u, src)
 		return
 	}
-	if kc.fv != nil {
-		dsts, ws := kc.fv.OutSpan(u)
-		for i, d := range dsts {
-			kc.genericEdge(c, d, ws[i], src)
-		}
-		return
+	dsts, ws := kc.g.OutSpan(u)
+	for i, d := range dsts {
+		kc.genericEdge(c, d, ws[i], src)
 	}
-	kc.g.ForEachOut(u, func(d graph.VertexID, w graph.Weight) {
-		kc.genericEdge(c, d, w, src)
-	})
 }
 
 // genericEdge relaxes one edge through the Problem interface, for problems
@@ -628,11 +593,10 @@ func (kc *push1Ctx) tail(c *workCounter, run []graph.Edge) {
 	}
 }
 
-// flatEdges is the devirtualized flat-adjacency edge loop of the K=1
-// kernel: the spec switch is hoisted out of the edge loop entirely, so
+// flatEdges is the devirtualized edge loop of the K=1 kernel: the spec switch is hoisted out of the edge loop entirely, so
 // each case is a tight loop of load/op/CAS over the arc span.
 func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
-	dsts, ws := kc.fv.OutSpan(u)
+	dsts, ws := kc.g.OutSpan(u)
 	vals := kc.vals
 	switch kc.spec.Kind {
 	case RelaxAddWeight:
@@ -701,8 +665,7 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 }
 
 // specEdge relaxes one edge under the spec where edges arrive one at a time
-// — the non-flat (tree view) path, where the per-edge closure call
-// dominates anyway, and the arc round.
+// — the arc round.
 func (kc *push1Ctx) specEdge(c *workCounter, d graph.VertexID, w graph.Weight, src uint64) {
 	var cand uint64
 	switch kc.spec.Kind {

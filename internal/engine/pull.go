@@ -53,8 +53,7 @@ import (
 // storage: value (v,k) lives at vals[v*vw+soff[k]] — State.StrideViews'
 // (arr, stride, offs).
 type pullCtx struct {
-	g       View
-	fv      FlatView // nil when g has no slice fast path
+	g       ArcView
 	p       Problem
 	spec    KernelSpec
 	hasSpec bool
@@ -79,8 +78,6 @@ type pullWorker struct {
 	// have is the mask of slots hoisted into cur for the current vertex,
 	// improved the mask of slots some arc improved.
 	have, improved uint64
-	// arcFn is pw.arc bound once, the callback of the ForEachOut fallback.
-	arcFn func(graph.VertexID, graph.Weight)
 }
 
 // edge relaxes one out-arc (weight w, neighbor block at dbase) against
@@ -223,17 +220,6 @@ func (pw *pullWorker) relax(d graph.VertexID, w graph.Weight, m uint64) {
 	pw.improved |= pc.edge(&pw.c, int(d)*pc.vw, w, &pw.cur, m)
 }
 
-// arc is relax behind the hot filter, for views without the slice path.
-func (pw *pullWorker) arc(d graph.VertexID, w graph.Weight) {
-	m := pw.pc.full
-	if hot := pw.pc.hot; hot != nil {
-		if m = hot[d]; m == 0 {
-			return
-		}
-	}
-	pw.relax(d, w, m)
-}
-
 // open starts the re-evaluation of vertex v: nothing hoisted, nothing
 // improved yet.
 func (pw *pullWorker) open(v graph.VertexID) {
@@ -260,16 +246,12 @@ func (pw *pullWorker) publish() uint64 {
 func (pw *pullWorker) vertex(v graph.VertexID) uint64 {
 	pc := pw.pc
 	pw.open(v)
-	switch hot := pc.hot; {
-	case pc.fv == nil:
-		pc.g.ForEachOut(v, pw.arcFn)
-	case hot == nil:
-		dsts, ws := pc.fv.OutSpan(v)
+	dsts, ws := pc.g.OutSpan(v)
+	if hot := pc.hot; hot == nil {
 		for i, d := range dsts {
 			pw.relax(d, ws[i], pc.full)
 		}
-	default:
-		dsts, ws := pc.fv.OutSpan(v)
+	} else {
 		for i, d := range dsts {
 			if m := hot[d]; m != 0 {
 				pw.relax(d, ws[i], m)
@@ -326,19 +308,19 @@ func vertexAtIndex(i int) graph.VertexID { return graph.VertexID(i) }
 // RunPullCtx is RunPull with cooperative cancellation, checked once per
 // round. On cancellation it returns a *CanceledError; the state holds the
 // partially-improved (still sound, not converged) values.
-func (st *State) RunPullCtx(ctx context.Context, g View, dirty []graph.VertexID, stats *Stats) error {
+func (st *State) RunPullCtx(ctx context.Context, g ArcView, dirty []graph.VertexID, stats *Stats) error {
 	return st.runPull(ctx, g, len(dirty), func(i int) graph.VertexID { return dirty[i] }, nil, stats)
 }
 
 // RunPullAllCtx is RunPullAll with cooperative cancellation (see
 // RunPullCtx).
-func (st *State) RunPullAllCtx(ctx context.Context, g View, stats *Stats) error {
+func (st *State) RunPullAllCtx(ctx context.Context, g ArcView, stats *Stats) error {
 	return st.runPull(ctx, g, g.NumVertices(), vertexAtIndex, nil, stats)
 }
 
 // RunPullArcsCtx is RunPullArcs with cooperative cancellation (see
 // RunPullCtx).
-func (st *State) RunPullArcsCtx(ctx context.Context, g View, arcs []graph.Edge, stats *Stats) error {
+func (st *State) RunPullArcsCtx(ctx context.Context, g ArcView, arcs []graph.Edge, stats *Stats) error {
 	return st.runPull(ctx, g, 0, nil, arcs, stats)
 }
 
@@ -348,7 +330,7 @@ func (st *State) RunPullArcsCtx(ctx context.Context, g View, arcs []graph.Edge, 
 // are re-evaluated over all their out-arcs. Arcs are relaxed head→tail,
 // each tail over its listed arcs only. Both publish through the same
 // register block into the same mask array the first sweep reads.
-func (st *State) runPull(ctx context.Context, g View, dirty int, dirtyAt func(i int) graph.VertexID, arcs []graph.Edge, stats *Stats) error {
+func (st *State) runPull(ctx context.Context, g ArcView, dirty int, dirtyAt func(i int) graph.VertexID, arcs []graph.Edge, stats *Stats) error {
 	st.checkStorage()
 	n := g.NumVertices()
 	if n > st.N {
@@ -358,13 +340,11 @@ func (st *State) runPull(ctx context.Context, g View, dirty int, dirtyAt func(i 
 		return nil
 	}
 	pc := &pullCtx{g: g, p: st.P, full: fullMask(st.K)}
-	pc.fv, _ = g.(FlatView)
 	pc.spec, pc.hasSpec = kernelSpecFor(st.P)
 	pc.vals, pc.vw, pc.soff = st.StrideViews()
 	workers := make([]pullWorker, parallel.MaxWorkers())
 	for i := range workers {
-		pw := &workers[i]
-		pw.pc, pw.arcFn = pc, pw.arc
+		workers[i].pc = pc
 	}
 	scr := getPushScratch(st.N)
 

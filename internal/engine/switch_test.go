@@ -1,7 +1,7 @@
 package engine
 
-// In-package tests for the frontier representation switch and the
-// FlatView fast path. They live inside the package (rather than
+// In-package tests for the frontier representation switch and the scratch
+// pool. They live inside the package (rather than
 // engine_test) to pin denseFraction and observe the per-iteration
 // representation via the onIteration hook; props would be an import
 // cycle here, so they use a minimal min-plus problem of their own.
@@ -61,7 +61,7 @@ func allArcs(g *graph.CSR) []graph.Edge {
 	return arcs
 }
 
-func runMinPlus(g View, n int) (*State, Stats) {
+func runMinPlus(g ArcView, n int) (*State, Stats) {
 	st := NewState(minPlus{}, n, 1)
 	st.SetSource(0, 0)
 	stats := st.RunPush(g, []graph.VertexID{0}, []uint64{1})
@@ -108,51 +108,6 @@ func TestDenseSparseSwitchBothWays(t *testing.T) {
 	for v := range st.Values {
 		if st.Values[v] != sp.Values[v] {
 			t.Fatalf("vertex %d: mixed=%d forced-sparse=%d", v, st.Values[v], sp.Values[v])
-		}
-	}
-}
-
-// treeOnly wraps a FlatView hiding its OutSpan, forcing the engine's
-// ForEachOut fallback path.
-type treeOnly struct{ g View }
-
-func (t treeOnly) NumVertices() int            { return t.g.NumVertices() }
-func (t treeOnly) Degree(v graph.VertexID) int { return t.g.Degree(v) }
-func (t treeOnly) ForEachOut(v graph.VertexID, f func(graph.VertexID, graph.Weight)) {
-	t.g.ForEachOut(v, f)
-}
-
-func TestFlatFastPathMatchesFallback(t *testing.T) {
-	const n, burst = 512, 128
-	g := burstGraph(n, burst)
-
-	flat, flatStats := runMinPlus(g, n)           // *graph.CSR is a FlatView
-	tree, treeStats := runMinPlus(treeOnly{g}, n) // fallback path
-
-	// Work counters vary with scheduling, but the frontier progression is
-	// deterministic for this graph.
-	if flatStats.Iterations != treeStats.Iterations ||
-		flatStats.DenseIterations != treeStats.DenseIterations {
-		t.Fatalf("iterations diverged: flat=%+v tree=%+v", flatStats, treeStats)
-	}
-	for v := range flat.Values {
-		if flat.Values[v] != tree.Values[v] {
-			t.Fatalf("vertex %d: flat=%d tree=%d", v, flat.Values[v], tree.Values[v])
-		}
-	}
-
-	// Pull model: same duality.
-	fp := NewState(minPlus{}, n, 1)
-	fp.SetSource(0, 0)
-	var fpStats Stats
-	fp.RunPullAll(g, &fpStats)
-	tp := NewState(minPlus{}, n, 1)
-	tp.SetSource(0, 0)
-	var tpStats Stats
-	tp.RunPullAll(treeOnly{g}, &tpStats)
-	for v := range fp.Values {
-		if fp.Values[v] != tp.Values[v] {
-			t.Fatalf("pull vertex %d: flat=%d tree=%d", v, fp.Values[v], tp.Values[v])
 		}
 	}
 }

@@ -8,19 +8,21 @@ import (
 
 // Refbalance enforces the mirror pin protocol interprocedurally: every
 // successful Flat.Retain() and every received release obligation (a
-// release-func result of a summarized call, e.g. pinView's) must reach
-// a discharge on all paths out of the function. Recognized discharges:
+// release-func result of a summarized call, e.g. core.PinMirror's, which
+// hands out the mirror it retained — or built, on a miss — with its
+// release) must reach a discharge on all paths out of the function.
+// Recognized discharges:
 //
 //   - calling the release-func (directly, deferred, or via `go`);
 //   - calling Release/RetireFlat on the retained value;
 //   - retargeting (`pin = f.Release`) — the obligation moves to pin;
 //   - forwarding to a callee whose summary releases that parameter
-//     (the golden fixture's keep, which stores into the tracked
-//     entry.pin; the real tree currently has no such callee);
+//     (the golden fixture's keep and finish; the real tree currently has
+//     no such callee);
 //   - returning the carrier (ownership transfers to the caller, whose
 //     own body is then checked against the producer's summary);
-//   - storing the carrier into a tracked teardown field or sending it
-//     on a channel (hand-off).
+//   - storing the retained value into a tracked teardown field or
+//     sending the carrier on a channel (hand-off).
 //
 // The error-result waiver mirrors the house contract of pinShared: on a
 // path guarded by `err != nil` for the err returned alongside the
@@ -293,8 +295,9 @@ func (rc *refChecker) walkSeq(ob *refOb, stmts []ast.Stmt) bool {
 }
 
 // assignStep applies one assignment to the obligation: retargets
-// (`pin = f.Release`), tracked-field stores, discharging call results,
-// and composite-literal stores into tracked fields.
+// (`pin = f.Release`), stores of the retained value into a tracked field,
+// discharging call results, and composite-literal stores into tracked
+// fields.
 func (rc *refChecker) assignStep(ob *refOb, s *ast.AssignStmt) {
 	info := rc.pkg.Info
 	for i, rhs := range s.Rhs {
@@ -302,10 +305,6 @@ func (rc *refChecker) assignStep(ob *refOb, s *ast.AssignStmt) {
 			break
 		}
 		if releaseMethodValue(info, rhs) == ob.obj && ob.obj != nil {
-			if fo := fieldObjOf(info, s.Lhs[i]); fo != nil && rc.sum.TrackedField(fo) {
-				ob.released = true
-				continue
-			}
 			if obj := identObj(info, s.Lhs[i]); obj != nil {
 				ob.obj = obj // obligation moves to the bound release-func
 				continue

@@ -9,11 +9,12 @@ import (
 // Interprocedural function summaries. The original five analyzers are
 // intraprocedural (plus ad-hoc wrapper classification in poolbalance);
 // the ownership analyzers refbalance and goroleak need to see *through*
-// calls: pinView's `return f, f.Release` hands a pin obligation to its
-// caller, a callee may discharge one by storing the release-func in a
-// field that a teardown method later invokes (keep/entry.pin/drop in
-// testdata/src/refbalance), and a `go worker(ch)` statement blocks
-// wherever worker does. summarize computes, bottom-up over the
+// calls: core.PinMirror's `return f, f.Release` hands a pin obligation to
+// its caller — whether f is the shared mirror it retained or the private
+// one it built on a miss — a callee may discharge one by storing the
+// retained value in a field that a teardown method later Releases
+// (keep/entry.m/drop in testdata/src/refbalance), and a `go worker(ch)`
+// statement blocks wherever worker does. summarize computes, bottom-up over the
 // call graph the type-checked module already encodes, one FuncSummary
 // per declared function:
 //
@@ -32,7 +33,7 @@ import (
 //     forever on a channel operation with no escape edge.
 //
 // Summaries are computed to a fixpoint (the module's wrapper chains are
-// shallow — pinView → pinShared → queryDelta is the deepest — but the
+// shallow — PinMirror → pinShared → queryDelta is the deepest — but the
 // iteration makes depth a non-issue), and both new analyzers read the
 // same Summaries object, so the two passes agree on what an ownership
 // transfer is.
@@ -80,9 +81,7 @@ type GoSite struct {
 type Summaries struct {
 	funcs map[*types.Func]*FuncSummary
 	// tracked holds struct fields with a teardown site somewhere in the
-	// module: a func-typed field some function invokes (the refbalance
-	// fixture's entry.pin), or a refcounted field some function Releases
-	// (Snapshot.flat).
+	// module: a refcounted field some function Releases (Snapshot.flat).
 	// Storing an owned value into a tracked field is a legal transfer.
 	tracked map[types.Object]bool
 	// closed holds channel objects that some function in the module
@@ -176,13 +175,6 @@ func (s *Summaries) scanModuleFacts(pass *Pass) {
 				if len(call.Args) == 1 && isBuiltinCall(info, call, "close") {
 					if obj := baseObject(info, call.Args[0]); obj != nil {
 						s.closed[obj] = true
-					}
-				}
-				// x.f(...) where f is a func-typed struct field marks the
-				// field as having a teardown site.
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.FieldVal {
-						s.tracked[selection.Obj()] = true
 					}
 				}
 				// x.f.Release() / x.f.RetireFlat() marks the refcounted
@@ -432,10 +424,10 @@ func litStoresObjTracked(info *types.Info, lit *ast.CompositeLit, obj types.Obje
 
 // updateReturns recomputes ReturnsRelease: a result is marked when some
 // return statement hands back a release obligation at that position — a
-// Release method value, a local carrying an obligation (a successful
-// Retain receiver, a received release-func, or a received retained
-// value), or, when no func-typed result is marked, the retained value
-// itself. It reports whether anything changed.
+// Release method value, a local carrying an obligation (a received
+// release-func), or, when that return carries no func-typed obligation,
+// a retained value itself (a successful Retain receiver or a received
+// retained value). It reports whether anything changed.
 func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 	info := fs.Pkg.Info
 
@@ -484,14 +476,20 @@ func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 		return true
 	})
 
-	// Candidate marks, collected across ALL return statements before the
-	// prefer-func rule is applied: when any result position carries a
-	// release callback, the callback alone is the obligation — marking a
-	// co-returned retained value too would saddle every caller with a
-	// phantom second obligation for the value the callback releases
-	// (pinView's `return f, f.Release` / fallback `return snap, noop`).
-	funcCand := make(map[int]bool)
-	valueCand := make(map[int]bool)
+	// Per return statement, a release callback among the results is the
+	// whole obligation: marking a co-returned retained value too would
+	// saddle every caller with a phantom second obligation for the value
+	// the callback releases (PinMirror's `return f, f.Release`). Only a
+	// return with no callback hands out the retained value itself.
+	changed := false
+	mark := func(positions []int) {
+		for _, i := range positions {
+			if !fs.ReturnsRelease[i] {
+				fs.ReturnsRelease[i] = true
+				changed = true
+			}
+		}
+	}
 	ast.Inspect(fs.Decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // a literal's returns are not this function's
@@ -500,37 +498,27 @@ func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 		if !ok || len(ret.Results) != len(fs.ReturnsRelease) {
 			return true
 		}
+		var funcs, values []int
 		for i, r := range ret.Results {
 			if releaseMethodValue(info, r) != nil {
-				funcCand[i] = true
+				funcs = append(funcs, i)
 				continue
 			}
 			if obj := identObj(info, r); obj != nil {
 				if carriers[obj] {
-					funcCand[i] = true
+					funcs = append(funcs, i)
 				} else if retained[obj] {
-					valueCand[i] = true
+					values = append(values, i)
 				}
 			}
 		}
+		if len(funcs) > 0 {
+			mark(funcs)
+		} else {
+			mark(values)
+		}
 		return true
 	})
-
-	changed := false
-	mark := func(i int) {
-		if i >= 0 && i < len(fs.ReturnsRelease) && !fs.ReturnsRelease[i] {
-			fs.ReturnsRelease[i] = true
-			changed = true
-		}
-	}
-	for i := range funcCand {
-		mark(i)
-	}
-	if len(funcCand) == 0 {
-		for i := range valueCand {
-			mark(i)
-		}
-	}
 	return changed
 }
 

@@ -2,8 +2,9 @@
 // the mirror pin protocol in miniature. mirror carries the recognized
 // refcount shape (Retain() bool paired with Release()), pin/pinChecked
 // are getters whose summaries transfer the obligation to callers, entry
-// has a tracked teardown field (drop calls it), and keep is a releasing
-// callee (its summary discharges the parameter it stores).
+// has a tracked teardown field (drop Releases it), and keep and finish
+// are releasing callees (their summaries discharge the parameter they
+// store or call).
 package refbalance
 
 import "errors"
@@ -25,13 +26,15 @@ var current = &mirror{refs: 1}
 func use(m *mirror) {}
 
 // pin transfers the obligation to the caller via the returned
-// release-func: legal (the getter shape of pinView).
+// release-func: legal (the getter shape of core.PinMirror — retain the
+// shared mirror, or on a miss build one the caller owns; either way the
+// value goes out with its release).
 func pin() (*mirror, func()) {
-	m := current
-	if m.Retain() {
+	if m := current; m.Retain() {
 		return m, m.Release
 	}
-	return m, func() {}
+	m := &mirror{refs: 1}
+	return m, m.Release
 }
 
 // pinChecked pairs the obligation with an error result; on the error
@@ -46,21 +49,28 @@ func pinChecked() (*mirror, func(), error) {
 	return m, release, nil
 }
 
-// entry has a tracked teardown field: drop invokes pin, so storing a
-// release-func there is a recognized ownership transfer.
-type entry struct{ pin func() }
+// entry has a tracked teardown field: drop Releases m, so storing a
+// retained mirror there is a recognized ownership transfer.
+type entry struct{ m *mirror }
 
 func (e *entry) drop() {
-	if e.pin != nil {
-		e.pin()
+	if e.m != nil {
+		e.m.Release()
 	}
 }
 
 // keep discharges its parameter by stashing it in the tracked field.
-func keep(f func()) *entry { return &entry{pin: f} }
+func keep(m *mirror) *entry { return &entry{m: m} }
 
-// holder's field has no teardown site anywhere in the package, so a
-// store into it loses the obligation.
+// finish discharges its parameter by calling it.
+func finish(f func()) {
+	if f != nil {
+		f()
+	}
+}
+
+// holder's func-typed field is no teardown site — only a refcounted field
+// something Releases is — so a store into it loses the obligation.
 type holder struct{ f func() }
 
 // ---------------------------------------------------------------- violations
@@ -125,25 +135,32 @@ func legalErrGuard() (int, error) {
 	return m.refs, nil
 }
 
-// legalStash transfers the obligation into the tracked teardown field.
+// legalStash transfers the retained mirror into the tracked teardown
+// field.
 func legalStash() *entry {
-	_, release := pin()
-	e := &entry{pin: release}
+	m := current
+	if !m.Retain() {
+		return nil
+	}
+	e := &entry{m: m}
 	return e
 }
 
-// legalForward hands the obligation to a releasing callee.
+// legalForward hands the retained mirror to a releasing callee.
 func legalForward() *entry {
-	_, release := pin()
-	return keep(release)
+	m := current
+	if !m.Retain() {
+		return nil
+	}
+	return keep(m)
 }
 
 // legalRetarget moves the obligation from the retained value to the
-// bound release-func, then to the callee.
-func legalRetarget() *entry {
+// bound release-func, then to the callee that calls it.
+func legalRetarget() {
 	var pinFn func()
 	if m := current; m.Retain() {
 		pinFn = m.Release
 	}
-	return keep(pinFn)
+	finish(pinFn)
 }

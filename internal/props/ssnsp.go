@@ -46,7 +46,7 @@ type SSNSPResult struct {
 }
 
 // RunSSNSP evaluates SSNSP from scratch.
-func RunSSNSP(g engine.View, src graph.VertexID) *SSNSPResult {
+func RunSSNSP(g engine.ArcView, src graph.VertexID) *SSNSPResult {
 	res, _ := RunSSNSPCtx(context.Background(), g, src)
 	return res
 }
@@ -55,7 +55,7 @@ func RunSSNSP(g engine.View, src graph.VertexID) *SSNSPResult {
 // round (engine supersteps) and the counting round (BFS-DAG levels) check
 // ctx at their iteration boundaries. On cancellation it returns
 // (nil, *engine.CanceledError).
-func RunSSNSPCtx(ctx context.Context, g engine.View, src graph.VertexID) (*SSNSPResult, error) {
+func RunSSNSPCtx(ctx context.Context, g engine.ArcView, src graph.VertexID) (*SSNSPResult, error) {
 	st := engine.NewState(BFS{}, g.NumVertices(), 1)
 	st.SetSource(src, 0)
 	levelStats, err := st.RunPushCtx(ctx, g, []graph.VertexID{src}, []uint64{1})
@@ -74,14 +74,14 @@ func RunSSNSPCtx(ctx context.Context, g engine.View, src graph.VertexID) (*SSNSP
 // be a valid upper bound per the BFS triangle (e.g. produced by
 // triangle.DeltaInit); the level round resumes from it, then the counting
 // round runs exactly.
-func RunSSNSPDelta(g engine.View, src graph.VertexID, initLevels []uint64) *SSNSPResult {
+func RunSSNSPDelta(g engine.ArcView, src graph.VertexID, initLevels []uint64) *SSNSPResult {
 	res, _ := RunSSNSPDeltaCtx(context.Background(), g, src, initLevels)
 	return res
 }
 
 // RunSSNSPDeltaCtx is RunSSNSPDelta with cooperative cancellation (see
 // RunSSNSPCtx).
-func RunSSNSPDeltaCtx(ctx context.Context, g engine.View, src graph.VertexID, initLevels []uint64) (*SSNSPResult, error) {
+func RunSSNSPDeltaCtx(ctx context.Context, g engine.ArcView, src graph.VertexID, initLevels []uint64) (*SSNSPResult, error) {
 	n := g.NumVertices()
 	st := &engine.State{P: BFS{}, K: 1, N: n, Values: initLevels}
 	st.Grow(n)

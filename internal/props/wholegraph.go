@@ -41,46 +41,59 @@ func (CCLabel) Combine(a, b uint64) uint64 {
 	return b
 }
 
+// NewCCState returns the state connected components starts from over n
+// vertices — every vertex holding its own ID — and its first frontier,
+// every vertex.
+func NewCCState(n int) (st *engine.State, seeds []graph.VertexID, masks []uint64) {
+	st = engine.NewState(CCLabel{}, n, 1)
+	seeds = make([]graph.VertexID, n)
+	for v := range seeds {
+		st.Values[v] = uint64(v)
+		seeds[v] = graph.VertexID(v)
+	}
+	return st, seeds, onesMasks(n)
+}
+
+// GrowCCState extends converged CC labels to n vertices, each new vertex
+// holding its own ID.
+func GrowCCState(st *engine.State, n int) {
+	old := st.N
+	st.Grow(n)
+	for v := old; v < n; v++ {
+		st.Values[v] = uint64(v)
+	}
+}
+
+// onesMasks is the K=1 seed mask list: slot 0 active at each of n seeds.
+func onesMasks(n int) []uint64 {
+	masks := make([]uint64, n)
+	for i := range masks {
+		masks[i] = 1
+	}
+	return masks
+}
+
 // ConnectedComponents computes per-vertex component labels (the minimum
 // vertex ID in the component, following arcs in the stored direction — on
 // undirected graphs these are the true connected components).
-func ConnectedComponents(g engine.View) (*engine.State, engine.Stats) {
+func ConnectedComponents(g engine.ArcView) (*engine.State, engine.Stats) {
 	st, stats, _ := ConnectedComponentsCtx(context.Background(), g)
 	return st, stats
 }
 
 // ConnectedComponentsCtx is ConnectedComponents with cooperative
 // cancellation at superstep boundaries (see engine.RunPushCtx).
-func ConnectedComponentsCtx(ctx context.Context, g engine.View) (*engine.State, engine.Stats, error) {
-	n := g.NumVertices()
-	st := engine.NewState(CCLabel{}, n, 1)
-	seeds := make([]graph.VertexID, n)
-	masks := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		st.Values[v] = uint64(v)
-		seeds[v] = graph.VertexID(v)
-		masks[v] = 1
-	}
+func ConnectedComponentsCtx(ctx context.Context, g engine.ArcView) (*engine.State, engine.Stats, error) {
+	st, seeds, masks := NewCCState(g.NumVertices())
 	stats, err := st.RunPushCtx(ctx, g, seeds, masks)
 	return st, stats, err
 }
 
 // ResumeConnectedComponents incrementally re-stabilizes CC labels after a
 // batch of edge insertions whose distinct sources are changed.
-func ResumeConnectedComponents(g engine.View, st *engine.State, changed []graph.VertexID) engine.Stats {
-	n := g.NumVertices()
-	if n > st.N {
-		old := st.N
-		st.Grow(n)
-		for v := old; v < n; v++ {
-			st.Values[v] = uint64(v)
-		}
-	}
-	masks := make([]uint64, len(changed))
-	for i := range masks {
-		masks[i] = 1
-	}
-	return st.RunPush(g, changed, masks)
+func ResumeConnectedComponents(g engine.ArcView, st *engine.State, changed []graph.VertexID) engine.Stats {
+	GrowCCState(st, g.NumVertices())
+	return st.RunPush(g, changed, onesMasks(len(changed)))
 }
 
 // PageRankResult holds ranks and the work performed.

@@ -39,11 +39,10 @@ func TestResumeConnectedComponents(t *testing.T) {
 	edges := gen.Uniform(150, 280, 4, 3)
 	sg := streamgraph.New(150, false)
 	sg.InsertEdges(edges[:140])
-	snap := sg.Acquire()
-	st, _ := props.ConnectedComponents(snap)
+	st, _ := props.ConnectedComponents(sg.Acquire().Flatten())
 
 	snap2, changed := sg.InsertEdges(edges[140:])
-	props.ResumeConnectedComponents(snap2, st, changed)
+	props.ResumeConnectedComponents(snap2.Flatten(), st, changed)
 
 	want := oracle.Components(snap2.CSR(false))
 	for v := 0; v < 150; v++ {

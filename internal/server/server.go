@@ -355,16 +355,8 @@ type statsResponse struct {
 	Metrics  map[string]any `json:"metrics"`
 	// Cache summarizes the Δ-result cache (all zero when disabled);
 	// Subscribers is the live subscription count.
-	Cache       cacheStats `json:"cache"`
-	Subscribers int        `json:"subscribers"`
-}
-
-// cacheStats is the wire form of the stats body's "cache" object. Pinned
-// is a retired counter (cached entries no longer pin mirrors) reported as
-// 0 so the body keeps its shape.
-type cacheStats struct {
-	core.CacheMetrics
-	Pinned int
+	Cache       core.CacheMetrics `json:"cache"`
+	Subscribers int               `json:"subscribers"`
 }
 
 type queryResponse struct {
@@ -441,7 +433,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Shards:      s.sys.Shards(),
 		Problems:    s.sys.Enabled(),
 		Metrics:     s.met.reg.Snapshot(),
-		Cache:       cacheStats{CacheMetrics: s.sys.ResultCacheMetrics()},
+		Cache:       s.sys.ResultCacheMetrics(),
 		Subscribers: s.sys.Subscribers(),
 	})
 }

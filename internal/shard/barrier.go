@@ -10,8 +10,8 @@ import (
 // pins and a strong reference to each shard's snapshot at exactly that
 // vector. Snapshots are purely functional, so holding S of them per
 // retained global version costs a few pointers; flat mirrors are NOT
-// pinned here — queries pin them per shard run (pinShardView) and fall
-// back to the tree when a mirror was already retired.
+// pinned here — a query pins its entry's S mirrors once (pinEntry),
+// building its own copy of any that was already retired.
 type entry struct {
 	global uint64
 	vec    []uint64

@@ -11,6 +11,7 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
+	"tripoline/internal/streamgraph"
 )
 
 // Query paths of the sharded router. All of them evaluate against one
@@ -19,7 +20,8 @@ import (
 // coherent cut of the partitioned graph.
 //
 // Vertex-specific problems run scatter/gather rounds over one shared
-// engine.State: each round runs every shard's push kernel concurrently
+// engine.State over the entry's S mirrors, pinned once per query
+// (pinEntry): each round runs every shard's push kernel concurrently
 // against the same values (the push kernels read every value word with
 // an atomic load and improve it by CAS, and keep all other working state
 // per call, so sharing the state is sound — see engine.RunPushCtx), then
@@ -158,8 +160,10 @@ func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []gra
 	if err != nil {
 		return nil, err
 	}
+	views, release := pinEntry(e)
+	defer release()
 	seeds, masks := seedsFromInit(st, sources)
-	stats, err := r.runRounds(ctx, e, st, seeds, masks)
+	stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
@@ -238,8 +242,10 @@ func (r *Router) querySimple(ctx context.Context, e *entry, name string, u graph
 	if err != nil {
 		return nil, err
 	}
+	views, release := pinEntry(e)
+	defer release()
 	seeds, masks := seedsFromInit(st, sources)
-	stats, err := r.runRounds(ctx, e, st, seeds, masks)
+	stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +267,10 @@ func (r *Router) queryRadii(ctx context.Context, e *entry, u graph.VertexID) (*c
 	if err != nil {
 		return nil, err
 	}
+	views, release := pinEntry(e)
+	defer release()
 	seeds, masks := seedsFromInit(st, sources)
-	stats, err := r.runRounds(ctx, e, st, seeds, masks)
+	stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
@@ -286,15 +294,17 @@ func (r *Router) querySSNSP(ctx context.Context, e *entry, u graph.VertexID) (*c
 	initCopy := append([]uint64(nil), init...)
 	init[u] = p.SourceValue()
 	st := &engine.State{P: p, K: 1, N: n, Values: init}
+	views, release := pinEntry(e)
+	defer release()
 	seeds, masks := seedsFromInit(st, []graph.VertexID{u})
-	stats, err := r.runRounds(ctx, e, st, seeds, masks)
+	stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 	if err != nil {
 		return nil, err
 	}
 	// The counting round is an exact per-level sweep — integer sums over
-	// arcs, order-independent, so it runs once over the tree-backed union
-	// rather than per shard.
-	counts := props.CountShortestPaths(treeUnion(e), u, st.Values)
+	// arcs, order-independent, so it runs once over the union rather than
+	// per shard.
+	counts := props.CountShortestPaths(unionOf(views), u, st.Values)
 	res := &core.QueryResult{
 		Problem: "SSNSP", Source: u,
 		Values: st.Values, Width: 1, Counts: counts,
@@ -337,6 +347,8 @@ func (r *Router) queryCC(u graph.VertexID) *core.QueryResult {
 
 func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *entry, u graph.VertexID) (*core.QueryResult, error) {
 	start := time.Now()
+	views, release := pinEntry(e)
+	defer release()
 	switch kind {
 	case kindSimple, kindSSNSP:
 		var p engine.Problem
@@ -349,7 +361,7 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 		init := makeInit(n, p.InitValue())
 		init[u] = p.SourceValue()
 		st := &engine.State{P: p, K: 1, N: n, Values: init}
-		stats, err := r.runRounds(ctx, e, st, []graph.VertexID{u}, []uint64{1})
+		stats, err := r.runRoundsCtx(ctx, views, st, []graph.VertexID{u}, []uint64{1})
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +372,7 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 			Version: e.global,
 		}
 		if kind == kindSSNSP {
-			res.Counts = props.CountShortestPaths(treeUnion(e), u, st.Values)
+			res.Counts = props.CountShortestPaths(unionOf(views), u, st.Values)
 		}
 		return res, nil
 	case kindRadii:
@@ -372,7 +384,7 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 			st.SetSource(src, j)
 		}
 		seeds, masks := engine.SourceSeeds(sources)
-		stats, err := r.runRounds(ctx, e, st, seeds, masks)
+		stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +397,7 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 			Version: e.global,
 		}, nil
 	case kindPageRank:
-		res, err := props.PageRankCtx(ctx, treeUnion(e), 0.85, 100, 1e-9)
+		res, err := props.PageRankCtx(ctx, unionOf(views), 0.85, 100, 1e-9)
 		if err != nil {
 			return nil, err
 		}
@@ -397,12 +409,13 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 			Stats: engine.Stats{Iterations: res.Iterations}, Elapsed: time.Since(start),
 			Version: e.global}, nil
 	case kindCC:
-		st, stats, err := props.ConnectedComponentsCtx(ctx, treeUnion(e))
+		st, seeds, masks := props.NewCCState(e.n)
+		stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 		if err != nil {
 			return nil, err
 		}
 		return &core.QueryResult{Problem: "CC", Source: u,
-			Values: append([]uint64(nil), st.Values...), Width: 1,
+			Values: st.Values, Width: 1,
 			Stats: stats, Elapsed: time.Since(start),
 			Version: e.global}, nil
 	}
@@ -412,15 +425,15 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 // ---------------------------------------------------------------------
 // Scatter/gather rounds.
 
-// runRounds drives one query's state to the union fixpoint. Each round
-// scatters the current frontier to every shard — all shards run their
-// push kernels concurrently against the shared state, each over its own
-// pinned flat (or tree) view — then gathers by diffing the values
-// against the pre-round copy: any vertex that moved becomes next round's
-// frontier, in every shard (its new value must be re-offered across arcs
-// the improving shard does not own). Monotone relaxation over a finite
+// runRoundsCtx drives one state to the union fixpoint — a user query's, or
+// the router's CC labels. Each round scatters the current frontier to every
+// shard — all shards run their push kernels concurrently against the shared
+// state, each over its own pinned mirror — then gathers by diffing the
+// values against the pre-round copy: any vertex that moved becomes next
+// round's frontier, in every shard (its new value must be re-offered across
+// arcs the improving shard does not own). Monotone relaxation over a finite
 // lattice terminates with an empty diff.
-func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seeds []graph.VertexID, masks []uint64) (engine.Stats, error) {
+func (r *Router) runRoundsCtx(ctx context.Context, views []*streamgraph.Flat, st *engine.State, seeds []graph.VertexID, masks []uint64) (engine.Stats, error) {
 	var total engine.Stats
 	prev := st.Clone()
 	type scatterRep struct {
@@ -437,8 +450,7 @@ func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seed
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				view, release := pinShardView(e.snaps[i])
-				defer release()
+				view := views[i]
 				// Only this shard's in-range seeds: a vertex born after an
 				// insertion that grew a different shard does not exist here,
 				// and the engine sizes its scratch by the view.
@@ -476,6 +488,13 @@ func (r *Router) runRounds(ctx context.Context, e *entry, st *engine.State, seed
 		r.met.noteMerge(time.Since(mStart))
 	}
 	return total, nil
+}
+
+// runRounds is runRoundsCtx for the evaluations nothing can cancel: setup
+// (Enable) and an admitted mutation's whole-graph maintenance.
+func (r *Router) runRounds(views []*streamgraph.Flat, st *engine.State, seeds []graph.VertexID, masks []uint64) engine.Stats {
+	stats, _ := r.runRoundsCtx(context.Background(), views, st, seeds, masks)
+	return stats
 }
 
 // diffSeeds builds the next cross-shard frontier — vertex v carries slot

@@ -28,10 +28,11 @@
 //     SSSP family, executed in place. The merged init is sound but not
 //     triangle-consistent for the union, so every initialized vertex is
 //     seeded (see querySimple for the chain argument).
-//   - PageRank and CC are maintained at the router over the union view
-//     (warm-started float iteration / resumed min-label join across
-//     shard boundary vertices), mirroring core's handlers batch for
-//     batch so version stamps line up with a single system's.
+//   - PageRank and CC are maintained at the router — PageRank as a
+//     warm-started float iteration over the union view, CC as a CCLabel
+//     state resumed through the same scatter/gather rounds (the min-label
+//     join across shard boundary vertices) — mirroring core's handlers
+//     batch for batch so version stamps line up with a single system's.
 //
 // A single-shard router routes every call straight to its one
 // core.System, so S=1 is bit-identical to an unsharded deployment by
@@ -219,7 +220,7 @@ func (r *Router) single() bool { return r.s == 1 }
 // router the vertex-specific problems enable their Δ-bound problem on
 // every shard (Radii shares the SSSP standing set, SSNSP the BFS one),
 // while PageRank and CC initialize router-level whole-graph state over
-// the union view. Enable is setup-phase API: like core.System.Enable it
+// the union of the shards' mirrors. Enable is setup-phase API: like core.System.Enable it
 // is not synchronized against concurrent mutations or queries.
 func (r *Router) Enable(name string) error {
 	if r.single() {
@@ -260,16 +261,19 @@ func (r *Router) Enable(name string) error {
 		r.shardOn[sp] = true
 	}
 	e := r.bar.latest()
+	views, release := pinEntry(e)
+	defer release()
 	switch kind {
 	case kindPageRank:
 		start := time.Now()
-		res := props.PageRank(treeUnion(e), 0.85, 100, 1e-9)
+		res := props.PageRank(unionOf(views), 0.85, 100, 1e-9)
 		r.wgMu.Lock()
 		r.prRanks, r.prVersion, r.prLast = res.Ranks, e.global, time.Since(start)
 		r.wgMu.Unlock()
 	case kindCC:
 		start := time.Now()
-		st, _ := props.ConnectedComponents(treeUnion(e))
+		st, seeds, masks := props.NewCCState(e.n)
+		r.runRounds(views, st, seeds, masks)
 		r.wgMu.Lock()
 		r.ccSt, r.ccVersion, r.ccLast = st, e.global, time.Since(start)
 		r.wgMu.Unlock()
@@ -438,9 +442,11 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 // insertions always warm-start PageRank and resume CC (stamping the new
 // global version even for no-op batches); deletions rebuild both from
 // scratch only when the union actually changed, keeping the old stamps
-// otherwise. Caller holds the apply token, so the unpinned flat union is
-// safe and this goroutine is the only writer of the state — each result
-// is computed off-lock and swapped in under wgMu.
+// otherwise. Caller holds the apply token, so this goroutine is the only
+// writer of the state — each result is computed off-lock and swapped in
+// under wgMu. PageRank iterates over the union of the entry's mirrors; CC
+// is a CCLabel state driven through the same scatter/gather rounds as any
+// engine-driven query.
 func (r *Router) maintainWholeGraph(e *entry, changed []graph.VertexID, deletions bool) engine.Stats {
 	var stats engine.Stats
 	_, prOn := r.kinds["PageRank"]
@@ -451,8 +457,10 @@ func (r *Router) maintainWholeGraph(e *entry, changed []graph.VertexID, deletion
 	if deletions && len(changed) == 0 {
 		return stats
 	}
-	uv := tokenUnion(e)
+	views, release := pinEntry(e)
+	defer release()
 	if prOn {
+		uv := unionOf(views)
 		start := time.Now()
 		var res *props.PageRankResult
 		if deletions {
@@ -468,18 +476,21 @@ func (r *Router) maintainWholeGraph(e *entry, changed []graph.VertexID, deletion
 	if ccOn {
 		start := time.Now()
 		var (
-			st *engine.State
-			s  engine.Stats
+			st    *engine.State
+			seeds []graph.VertexID
+			masks []uint64
 		)
 		if deletions {
-			st, s = props.ConnectedComponents(uv)
+			st, seeds, masks = props.NewCCState(e.n)
 		} else {
 			// Resume mutates the state in place; clone first so concurrent
 			// CC queries keep reading the previous converged labels until
 			// the swap below.
 			st = r.ccSt.Clone()
-			s = props.ResumeConnectedComponents(uv, st, changed)
+			props.GrowCCState(st, e.n)
+			seeds, masks = changed, makeInit(len(changed), 1)
 		}
+		s := r.runRounds(views, st, seeds, masks)
 		stats.Add(s)
 		r.wgMu.Lock()
 		r.ccSt, r.ccVersion, r.ccLast = st, e.global, time.Since(start)
@@ -527,7 +538,8 @@ func (r *Router) Directed() bool { return r.directed }
 
 // EnableHistory begins retaining barrier entries for QueryAt: up to
 // capacity global versions stay addressable, each pinning its per-shard
-// snapshot vector (C-trees only — flat mirrors are pinned per query).
+// snapshot vector (C-trees only — flat mirrors are pinned, or rebuilt,
+// per query).
 func (r *Router) EnableHistory(capacity int) {
 	if r.single() {
 		r.shards[0].EnableHistory(capacity)

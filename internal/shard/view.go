@@ -1,97 +1,66 @@
 package shard
 
 import (
+	"tripoline/internal/core"
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 )
 
-// pinShardView acquires one shard's evaluation view for one engine run,
-// together with its release callback. The flat mirror is preferred when
-// it is already built and can be pinned (Flat.Retain), so the kernels
-// get slice-based adjacency; a failed pin means the shard's writer
-// retired the mirror between the barrier publish and this query, in
-// which case the immutable C-tree snapshot serves the run instead —
-// never a rebuild on the query path.
-func pinShardView(snap *streamgraph.Snapshot) (engine.View, func()) {
-	if f := snap.BuiltFlat(); f != nil && f.Retain() {
-		return f, f.Release
+// pinEntry pins the S mirrors of one barrier entry, once, for everything
+// one query (or one mutation's whole-graph maintenance) evaluates over it,
+// under core's view contract: each shard's mirror is retained, or — when
+// the shard's writer has since retired it, as for an old entry addressed
+// by QueryAt — built privately. The release drops all S pins.
+func pinEntry(e *entry) ([]*streamgraph.Flat, func()) {
+	views := make([]*streamgraph.Flat, len(e.snaps))
+	releases := make([]func(), len(e.snaps))
+	for i, s := range e.snaps {
+		views[i], releases[i] = core.PinMirror(s)
 	}
-	return snap, releaseNoop
+	return views, func() {
+		for _, release := range releases {
+			release()
+		}
+	}
 }
 
-func releaseNoop() {}
-
-// tokenView is the apply-path counterpart of pinShardView: while the
-// router's apply token is held, nothing can retire a shard's latest
-// mirror (every retire site sits inside a shard mutation, and shard
-// mutations run only under the token), so the flat may be used without a
-// pin. Must not be called from query paths.
-func tokenView(snap *streamgraph.Snapshot) engine.View {
-	if f := snap.BuiltFlat(); f != nil {
-		return f
-	}
-	return snap
-}
-
-// unionView presents S per-shard snapshots as one engine.View over the
-// union graph. Every logical arc lives in exactly one shard (directed
-// edges are routed by source, undirected ones by their smaller
+// unionView presents S per-shard mirrors as one engine.View over the
+// union graph, for the evaluations that are not kernels (PageRank, the
+// SSNSP counting round). Every logical arc lives in exactly one shard
+// (directed edges are routed by source, undirected ones by their smaller
 // endpoint), so the union is a disjoint union and no arc is visited
 // twice. Per-vertex neighbor order is shard-major rather than globally
-// destination-sorted — irrelevant for the integer fixpoint problems and
-// within convergence tolerance for PageRank's float accumulation.
+// destination-sorted — irrelevant for integer sums and within convergence
+// tolerance for PageRank's float accumulation.
 //
 // Shards can disagree on vertex count when an insertion grew only the
 // shard that owned the growing edge, so every access is bounds-guarded
 // per shard.
 type unionView struct {
-	views   []engine.View
-	ns      []int
-	n       int
-	version uint64
+	views []*streamgraph.Flat
+	n     int
 }
 
-// newUnionView builds the union of the given per-shard views, reporting
-// the supplied global version through engine.Versioned.
-func newUnionView(views []engine.View, version uint64) *unionView {
-	u := &unionView{views: views, ns: make([]int, len(views)), version: version}
-	for i, v := range views {
-		u.ns[i] = v.NumVertices()
-		if u.ns[i] > u.n {
-			u.n = u.ns[i]
+// unionOf builds the union of the given (pinned) per-shard mirrors.
+func unionOf(views []*streamgraph.Flat) *unionView {
+	u := &unionView{views: views}
+	for _, v := range views {
+		if n := v.NumVertices(); n > u.n {
+			u.n = n
 		}
 	}
 	return u
 }
 
-// treeUnion is the query-path union view: C-tree snapshots only, which
-// need no pinning (nodes are immutable and garbage-collected), so the
-// view can be built and dropped without reference bookkeeping.
-func treeUnion(e *entry) *unionView {
-	views := make([]engine.View, len(e.snaps))
-	for i, s := range e.snaps {
-		views[i] = s
-	}
-	return newUnionView(views, e.global)
-}
-
-// tokenUnion is the apply-path union view: per-shard flats without pins,
-// legal only while the apply token is held (see tokenView).
-func tokenUnion(e *entry) *unionView {
-	views := make([]engine.View, len(e.snaps))
-	for i, s := range e.snaps {
-		views[i] = tokenView(s)
-	}
-	return newUnionView(views, e.global)
-}
+var _ engine.View = (*unionView)(nil)
 
 func (u *unionView) NumVertices() int { return u.n }
 
 func (u *unionView) Degree(v graph.VertexID) int {
 	d := 0
-	for i, view := range u.views {
-		if int(v) < u.ns[i] {
+	for _, view := range u.views {
+		if int(v) < view.NumVertices() {
 			d += view.Degree(v)
 		}
 	}
@@ -99,12 +68,9 @@ func (u *unionView) Degree(v graph.VertexID) int {
 }
 
 func (u *unionView) ForEachOut(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight)) {
-	for i, view := range u.views {
-		if int(v) < u.ns[i] {
+	for _, view := range u.views {
+		if int(v) < view.NumVertices() {
 			view.ForEachOut(v, f)
 		}
 	}
 }
-
-// Version implements engine.Versioned with the router's global version.
-func (u *unionView) Version() uint64 { return u.version }

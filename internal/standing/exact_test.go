@@ -44,7 +44,7 @@ func requireExact(t *testing.T, label string, m *standing.Manager, snap *streamg
 // property(u, r) only weakens Δ-initialization, answers stay right — and
 // the differential checker replays undirected graphs only, so Reverse is
 // held to the oracle here and nowhere else. Directed and undirected
-// streams, flat and tree views, K ∈ {1, 4, 16, 64}, all six simple
+// streams, K ∈ {1, 4, 16, 64}, all six simple
 // problems; every Forward and Reverse slot is compared after every step of
 // a schedule that mixes plain inserts with intra-batch duplicates, arcs
 // re-inserted at another weight (first-wins must keep the stored one),
@@ -59,17 +59,15 @@ func TestStandingStaysExact(t *testing.T) {
 	}
 	for name, p := range props.Registry() {
 		for _, directed := range []bool{true, false} {
-			for _, flat := range []bool{true, false} {
-				for _, k := range widths {
-					label := fmt.Sprintf("%s directed=%v flat=%v K=%d", name, directed, flat, k)
-					runExactSchedule(t, label, p, directed, flat, k, n, preload, steps, batchEdges)
-				}
+			for _, k := range widths {
+				label := fmt.Sprintf("%s directed=%v K=%d", name, directed, k)
+				runExactSchedule(t, label, p, directed, k, n, preload, steps, batchEdges)
 			}
 		}
 	}
 }
 
-func runExactSchedule(t *testing.T, label string, p engine.Problem, directed, flat bool, k, n, preload, steps, batchEdges int) {
+func runExactSchedule(t *testing.T, label string, p engine.Problem, directed bool, k, n, preload, steps, batchEdges int) {
 	t.Helper()
 	rng := xrand.New(uint64(1009*k + 31*len(label)))
 	randomEdge := func(limit int) graph.Edge {
@@ -93,10 +91,7 @@ func runExactSchedule(t *testing.T, label string, p engine.Problem, directed, fl
 			}
 		}
 	}
-	view := func(prev *streamgraph.Snapshot, changed []graph.VertexID) engine.View {
-		if !flat {
-			return snap
-		}
+	view := func(prev *streamgraph.Snapshot, changed []graph.VertexID) *streamgraph.Flat {
 		if prev != nil {
 			return snap.FlattenFrom(prev.BuiltFlat(), changed)
 		}
@@ -216,11 +211,11 @@ func TestConservativeListMatchesRecordedDelta(t *testing.T) {
 	}
 	for name, p := range props.Registry() {
 		g := streamgraph.FromEdges(n, edges[:1200], true)
-		recorded := standing.New(p, g.Acquire(), roots, true)
-		fallback := standing.New(p, g.Acquire(), roots, true)
+		recorded := standing.New(p, g.Acquire().Flatten(), roots, true)
+		fallback := standing.New(p, g.Acquire().Flatten(), roots, true)
 		for lo := 1200; lo < len(edges); lo += 100 {
 			snap, changed := g.InsertEdges(edges[lo : lo+100])
-			rs := recorded.Update(snap, changed)
+			rs := recorded.Update(snap.Flatten(), changed)
 			// A CSR carries neither version nor record.
 			fs := fallback.Update(snap.CSR(true), changed)
 			if rs.Relaxations > fs.Relaxations {
@@ -259,25 +254,15 @@ func TestHubArcCostsOneArc(t *testing.T) {
 	for i := range roots {
 		roots[i] = graph.VertexID(i + 1)
 	}
-	for _, flat := range []bool{true, false} {
-		g := streamgraph.FromEdges(int(far)+1, edges, true)
-		var view engine.View = g.Acquire()
-		if flat {
-			view = g.Acquire().Flatten()
-		}
-		m := standing.New(props.SSSP{}, view, roots, true)
-		snap, changed := g.InsertEdges([]graph.Edge{{Src: 0, Dst: far, W: 50}})
-		if g.Acquire().Degree(0) < 1000 {
-			t.Fatalf("hub degree %d", g.Acquire().Degree(0))
-		}
-		view = snap
-		if flat {
-			view = snap.Flatten()
-		}
-		stats := m.Update(view, changed)
-		if stats.Relaxations == 0 || stats.Relaxations > 2*k || stats.Activations != 0 || stats.Iterations != 2 {
-			t.Fatalf("flat=%v: one arc out of the hub cost %+v, want at most %d relaxations in 2 rounds", flat, stats, 2*k)
-		}
-		requireExact(t, "hub arc", m, snap, true)
+	g := streamgraph.FromEdges(int(far)+1, edges, true)
+	m := standing.New(props.SSSP{}, g.Acquire().Flatten(), roots, true)
+	snap, changed := g.InsertEdges([]graph.Edge{{Src: 0, Dst: far, W: 50}})
+	if g.Acquire().Degree(0) < 1000 {
+		t.Fatalf("hub degree %d", g.Acquire().Degree(0))
 	}
+	stats := m.Update(snap.Flatten(), changed)
+	if stats.Relaxations == 0 || stats.Relaxations > 2*k || stats.Activations != 0 || stats.Iterations != 2 {
+		t.Fatalf("one arc out of the hub cost %+v, want at most %d relaxations in 2 rounds", stats, 2*k)
+	}
+	requireExact(t, "hub arc", m, snap, true)
 }

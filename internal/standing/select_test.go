@@ -92,7 +92,7 @@ func TestWeightedRootsImproveHotspotQueries(t *testing.T) {
 	}
 
 	propAt := func(roots []graph.VertexID) uint64 {
-		m := standing.New(props.SSSP{}, snap, roots, false)
+		m := standing.New(props.SSSP{}, snap.Flatten(), roots, false)
 		_, prop := m.Select(hotspot)
 		return prop
 	}

@@ -55,8 +55,8 @@ type Manager struct {
 }
 
 // New fully evaluates the K standing queries rooted at roots on the given
-// snapshot. directed selects dual-model maintenance.
-func New(p engine.Problem, g engine.View, roots []graph.VertexID, directed bool) *Manager {
+// mirror. directed selects dual-model maintenance.
+func New(p engine.Problem, g engine.ArcView, roots []graph.VertexID, directed bool) *Manager {
 	m := &Manager{Problem: p, Roots: roots, directed: directed}
 	m.Rebuild(g)
 	return m
@@ -78,7 +78,7 @@ func (m *Manager) K() int { return len(m.Roots) }
 // the distinct source vertices of the new arcs, sorted, as returned by
 // streamgraph.Graph.InsertEdges — stands in conservatively: every out-arc
 // of a changed source is relaxed the same way.
-func (m *Manager) Update(g engine.View, changed []graph.VertexID) engine.Stats {
+func (m *Manager) Update(g engine.ArcView, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
 	arcs := m.insertedArcs(g, changed)
 	m.noteVersion(g)
@@ -95,7 +95,7 @@ func (m *Manager) Update(g engine.View, changed []graph.VertexID) engine.Stats {
 // g: the view's own insertion record when the state sits on the version
 // just before it, else all out-arcs of changed, at the weights g holds
 // (InsertEdges is first-wins, so never the batch's own weights).
-func (m *Manager) insertedArcs(g engine.View, changed []graph.VertexID) []graph.Edge {
+func (m *Manager) insertedArcs(g engine.ArcView, changed []graph.VertexID) []graph.Edge {
 	if d, ok := g.(engine.ArcDelta); ok && m.versioned && m.LastVersion+1 == d.Version() {
 		if arcs, ok := d.InsertedArcs(); ok {
 			return arcs
@@ -107,9 +107,10 @@ func (m *Manager) insertedArcs(g engine.View, changed []graph.VertexID) []graph.
 	}
 	arcs := make([]graph.Edge, 0, total)
 	for _, v := range changed {
-		g.ForEachOut(v, func(d graph.VertexID, w graph.Weight) {
-			arcs = append(arcs, graph.Edge{Src: v, Dst: d, W: w})
-		})
+		dsts, ws := g.OutSpan(v)
+		for i, d := range dsts {
+			arcs = append(arcs, graph.Edge{Src: v, Dst: d, W: ws[i]})
+		}
 	}
 	return arcs
 }
@@ -118,7 +119,7 @@ func (m *Manager) insertedArcs(g engine.View, changed []graph.VertexID) []graph.
 // snapshot, keeping the same roots. It is the recovery path after edge
 // deletions, which break the monotonicity that incremental resumption
 // (Update) relies on.
-func (m *Manager) Rebuild(g engine.View) engine.Stats {
+func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 	start := time.Now()
 	m.noteVersion(g)
 	m.Forward = m.rootedState(g)
@@ -135,7 +136,7 @@ func (m *Manager) Rebuild(g engine.View) engine.Stats {
 
 // rootedState allocates a width-K state over g with slot k's root at the
 // source value and everything else at the init value.
-func (m *Manager) rootedState(g engine.View) *engine.State {
+func (m *Manager) rootedState(g engine.ArcView) *engine.State {
 	st := engine.NewState(m.Problem, g.NumVertices(), len(m.Roots))
 	for k, r := range m.Roots {
 		st.SetSource(r, k)
@@ -179,11 +180,20 @@ func (m *Manager) Select(u graph.VertexID) (slot int, propUR uint64) {
 
 // noteVersion records the snapshot version of the view the state is about
 // to converge on, or that the view carries none.
-func (m *Manager) noteVersion(g engine.View) {
+func (m *Manager) noteVersion(g engine.ArcView) {
 	m.LastVersion, m.versioned = 0, false
 	if v, ok := g.(engine.Versioned); ok {
-		m.LastVersion, m.versioned = v.Version(), true
+		m.StampVersion(v.Version())
 	}
+}
+
+// StampVersion records that the state is converged on the given snapshot
+// version. Every maintenance pass stamps the version of the view it ran
+// over; a caller stamps directly when a version was published whose graph
+// is the one the state already stands on (a deletion that removed
+// nothing), so that no view of it has to be built just to say so.
+func (m *Manager) StampVersion(version uint64) {
+	m.LastVersion, m.versioned = version, true
 }
 
 // StandingColumn returns slot k's converged forward property column

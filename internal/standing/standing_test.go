@@ -17,7 +17,7 @@ func TestNewEvaluatesAllRoots(t *testing.T) {
 	g := streamgraph.FromEdges(150, edges, false)
 	snap := g.Acquire()
 	roots := []graph.VertexID{2, 50, 99}
-	m := standing.New(props.SSSP{}, snap, roots, false)
+	m := standing.New(props.SSSP{}, snap.Flatten(), roots, false)
 	if m.K() != 3 {
 		t.Fatalf("K=%d", m.K())
 	}
@@ -43,7 +43,7 @@ func TestDirectedKeepsReverse(t *testing.T) {
 	g := streamgraph.FromEdges(120, edges, true)
 	snap := g.Acquire()
 	roots := []graph.VertexID{5, 77}
-	m := standing.New(props.SSSP{}, snap, roots, true)
+	m := standing.New(props.SSSP{}, snap.Flatten(), roots, true)
 	if m.Reverse == nil {
 		t.Fatal("directed manager missing reverse state")
 	}
@@ -67,7 +67,7 @@ func TestDuplicateBatchDoesNoWork(t *testing.T) {
 	edges := gen.Uniform(120, 900, 8, 3)
 	g := streamgraph.FromEdges(120, edges, true)
 	roots := []graph.VertexID{5, 77}
-	m := standing.New(props.SSSP{}, g.Acquire(), roots, true)
+	m := standing.New(props.SSSP{}, g.Acquire().Flatten(), roots, true)
 	before := m.Reverse.Clone()
 
 	dup := append([]graph.Edge(nil), edges[100:160]...)
@@ -78,7 +78,7 @@ func TestDuplicateBatchDoesNoWork(t *testing.T) {
 	if len(changed) != 0 {
 		t.Fatalf("an all-duplicate batch changed sources %v", changed)
 	}
-	if stats := m.Update(snap, changed); stats != (engine.Stats{}) {
+	if stats := m.Update(snap.Flatten(), changed); stats != (engine.Stats{}) {
 		t.Fatalf("an all-duplicate batch did work: %+v", stats)
 	}
 	for v := 0; v < 120; v++ {
@@ -101,10 +101,10 @@ func TestUpdateMatchesFreshEvaluation(t *testing.T) {
 			g := streamgraph.New(130, directed)
 			g.InsertEdges(edges[:800])
 			roots := []graph.VertexID{1, 9, 64}
-			m := standing.New(p, g.Acquire(), roots, directed)
+			m := standing.New(p, g.Acquire().Flatten(), roots, directed)
 			for i := 800; i < len(edges); i += 125 {
 				snap, changed := g.InsertEdges(edges[i:min(i+125, len(edges))])
-				m.Update(snap, changed)
+				m.Update(snap.Flatten(), changed)
 				csr := snap.CSR(directed)
 				for k, r := range roots {
 					want := oracle.BestPath(csr, p, r)
@@ -133,9 +133,9 @@ func TestUpdateMatchesFreshEvaluation(t *testing.T) {
 func TestUpdateWithVertexGrowth(t *testing.T) {
 	g := streamgraph.New(10, false)
 	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}})
-	m := standing.New(props.BFS{}, g.Acquire(), []graph.VertexID{0}, false)
+	m := standing.New(props.BFS{}, g.Acquire().Flatten(), []graph.VertexID{0}, false)
 	snap, changed := g.InsertEdges([]graph.Edge{{Src: 2, Dst: 30, W: 1}})
-	m.Update(snap, changed)
+	m.Update(snap.Flatten(), changed)
 	if m.Forward.Value(30, 0) != 3 {
 		t.Fatalf("level(30)=%d, want 3", m.Forward.Value(30, 0))
 	}
@@ -144,7 +144,7 @@ func TestUpdateWithVertexGrowth(t *testing.T) {
 func TestPropURUndirectedSymmetry(t *testing.T) {
 	edges := gen.Uniform(100, 900, 8, 11)
 	g := streamgraph.FromEdges(100, edges, false)
-	m := standing.New(props.SSSP{}, g.Acquire(), []graph.VertexID{4, 42}, false)
+	m := standing.New(props.SSSP{}, g.Acquire().Flatten(), []graph.VertexID{4, 42}, false)
 	u := graph.VertexID(17)
 	got := m.PropUR(u)
 	if got[0] != m.Forward.Value(u, 0) || got[1] != m.Forward.Value(u, 1) {
@@ -159,7 +159,7 @@ func TestSelectPicksBestRoot(t *testing.T) {
 		edges = append(edges, graph.Edge{Src: v, Dst: v + 1, W: 1})
 	}
 	g := streamgraph.FromEdges(10, edges, false)
-	m := standing.New(props.SSSP{}, g.Acquire(), []graph.VertexID{0, 8}, false)
+	m := standing.New(props.SSSP{}, g.Acquire().Flatten(), []graph.VertexID{0, 8}, false)
 	slot, prop := m.Select(7)
 	if slot != 1 || prop != 1 {
 		t.Fatalf("selected slot %d prop %d, want slot 1 prop 1", slot, prop)
@@ -170,7 +170,7 @@ func TestDeltaForProducesValidInit(t *testing.T) {
 	edges := gen.Uniform(140, 1100, 8, 13)
 	g := streamgraph.FromEdges(140, edges, false)
 	snap := g.Acquire()
-	m := standing.New(props.SSNP{}, snap, []graph.VertexID{3, 70}, false)
+	m := standing.New(props.SSNP{}, snap.Flatten(), []graph.VertexID{3, 70}, false)
 	u := graph.VertexID(33)
 	init, _, _ := m.DeltaFor(u)
 	// Δ values must never be better than the true converged values.
@@ -193,9 +193,9 @@ func TestMaxWidthK64(t *testing.T) {
 	for i := range roots {
 		roots[i] = graph.VertexID(i)
 	}
-	m := standing.New(props.BFS{}, g.Acquire(), roots, false)
+	m := standing.New(props.BFS{}, g.Acquire().Flatten(), roots, false)
 	snap, changed := g.InsertEdges([]graph.Edge{{Src: 0, Dst: 79, W: 1}})
-	m.Update(snap, changed)
+	m.Update(snap.Flatten(), changed)
 	csr := snap.CSR(false)
 	for _, k := range []int{0, 31, 63} {
 		want := oracle.BestPath(csr, props.BFS{}, roots[k])

@@ -50,9 +50,10 @@ import (
 // manager still holds the pre-deletion converged values (i.e. call it
 // immediately after Graph.DeleteEdges). deleted lists the logical edges
 // removed; undirected adds the mirror arcs to the taint seeds. A deletion
-// that removed nothing still published a version: call it with no edges,
-// which costs nothing and records that the state stands on that version.
-func (m *Manager) UpdateDeletions(g engine.View, deleted []graph.Edge, undirected bool) engine.Stats {
+// that removed nothing still published a version: StampVersion records
+// that the state stands on it (calling this with no edges does the same,
+// at the price of a view).
+func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
 	start := time.Now()
 	var stats engine.Stats
 
@@ -71,7 +72,7 @@ func (m *Manager) UpdateDeletions(g engine.View, deleted []graph.Edge, undirecte
 
 // taintForward computes the per-slot taint masks over the pre-deletion
 // values. Returns nil when no deleted arc was a witness.
-func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected bool) []uint64 {
+func (m *Manager) taintForward(g engine.ArcView, deleted []graph.Edge, undirected bool) []uint64 {
 	st := m.Forward
 	p := m.Problem
 	n := st.N
@@ -119,7 +120,8 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 		x := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		mask := taint[x]
-		g.ForEachOut(x, func(y graph.VertexID, w graph.Weight) {
+		dsts, ws := g.OutSpan(x)
+		for i, y := range dsts {
 			var add uint64
 			for mk := mask; mk != 0; mk &= mk - 1 {
 				k := bits.TrailingZeros64(mk)
@@ -127,7 +129,7 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 				if vx == init {
 					continue
 				}
-				cand, ok := p.Relax(vx, w)
+				cand, ok := p.Relax(vx, ws[i])
 				if ok && cand == st.Value(y, k) && taint[y]&(1<<uint(k)) == 0 {
 					add |= 1 << uint(k)
 				}
@@ -136,7 +138,7 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 				taint[y] |= add
 				frontier = append(frontier, y)
 			}
-		})
+		}
 	}
 	return taint
 }
@@ -144,7 +146,7 @@ func (m *Manager) taintForward(g engine.View, deleted []graph.Edge, undirected b
 // repairForward resets tainted value slots and resumes the evaluation
 // with every vertex seeded under its untainted mask (plus tainted roots
 // under their own slot).
-func (m *Manager) repairForward(g engine.View, taint []uint64) engine.Stats {
+func (m *Manager) repairForward(g engine.ArcView, taint []uint64) engine.Stats {
 	if taint == nil {
 		return engine.Stats{}
 	}
@@ -186,7 +188,7 @@ func (m *Manager) repairForward(g engine.View, taint []uint64) engine.Stats {
 // in the previous round and writes only taint[z], so the rounds need no
 // atomics and only the out-edge representation. Returns nil when no
 // deleted arc was a witness.
-func (m *Manager) taintReverse(g engine.View, deleted []graph.Edge, undirected bool) []uint64 {
+func (m *Manager) taintReverse(g engine.ArcView, deleted []graph.Edge, undirected bool) []uint64 {
 	st := m.Reverse
 	p := m.Problem
 	n := st.N
@@ -235,29 +237,18 @@ func (m *Manager) taintReverse(g engine.View, deleted []graph.Edge, undirected b
 	// (the seeds, at first); next receives this round's.
 	gained := append([]uint64(nil), taint...)
 	next := make([]uint64, n)
-	fv, _ := g.(engine.FlatView)
 	for more := true; more; gained, next = next, gained {
 		var any atomic.Bool
 		parallel.ForRange(n, 256, func(start, end int) {
-			var z graph.VertexID
-			var have, add uint64
-			arc := func(y graph.VertexID, w graph.Weight) {
-				if mk := gained[y] &^ (have | add); mk != 0 {
-					add |= witness(z, y, w, mk)
-				}
-			}
 			var seen uint64
 			for v := start; v < end; v++ {
-				z, have, add = graph.VertexID(v), taint[v], 0
-				if fv != nil {
-					dsts, ws := fv.OutSpan(z)
-					for i, y := range dsts {
-						if gained[y] != 0 {
-							arc(y, ws[i])
-						}
+				z, have := graph.VertexID(v), taint[v]
+				var add uint64
+				dsts, ws := g.OutSpan(z)
+				for i, y := range dsts {
+					if mk := gained[y] &^ (have | add); mk != 0 {
+						add |= witness(z, y, ws[i], mk)
 					}
-				} else {
-					g.ForEachOut(z, arc)
 				}
 				taint[v] = have | add
 				next[v] = add
@@ -276,7 +267,7 @@ func (m *Manager) taintReverse(g engine.View, deleted []graph.Edge, undirected b
 // with the tainted vertices as the pull's dirty set: round 0 re-derives
 // them from their (exact) untainted out-neighbors, and the filtered
 // sweeps carry the recovered values up the tainted region.
-func (m *Manager) repairReverse(g engine.View, taint []uint64) engine.Stats {
+func (m *Manager) repairReverse(g engine.ArcView, taint []uint64) engine.Stats {
 	st := m.Reverse
 	init := m.Problem.InitValue()
 	var dirty []graph.VertexID

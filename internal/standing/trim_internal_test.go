@@ -21,10 +21,11 @@ func TestReverseRepairIsChangeDriven(t *testing.T) {
 	sinkArcs := []graph.Edge{{Src: 7, Dst: sink, W: 2}, {Src: 60, Dst: sink, W: 5}}
 	g := streamgraph.New(n, true)
 	g.InsertEdges(append(edges, sinkArcs...))
-	m := New(props.SSSP{}, g.Acquire(), []graph.VertexID{1, 60, 99}, true)
+	m := New(props.SSSP{}, g.Acquire().Flatten(), []graph.VertexID{1, 60, 99}, true)
 	before := m.Reverse.Clone()
 
-	snap, _ := g.DeleteEdges(sinkArcs)
+	next, _ := g.DeleteEdges(sinkArcs)
+	snap := next.Flatten()
 	taint := m.taintReverse(snap, sinkArcs, false)
 	if taint != nil {
 		t.Fatalf("arcs into a sink tainted the reversed state: %v", taint)
@@ -46,7 +47,8 @@ func TestReverseRepairIsChangeDriven(t *testing.T) {
 	snap.ForEachOut(7, func(d graph.VertexID, w graph.Weight) {
 		del = append(del, graph.Edge{Src: 7, Dst: d, W: w})
 	})
-	snap, _ = g.DeleteEdges(del)
+	next, _ = g.DeleteEdges(del)
+	snap = next.Flatten()
 	taint = m.taintReverse(snap, del, false)
 	if taint == nil || taint[7] == 0 {
 		t.Fatalf("deleting every out-arc of vertex 7 did not taint it: %v", taint)

@@ -52,11 +52,11 @@ func TestUpdateDeletionsMatchesRebuild(t *testing.T) {
 			for name, keep := range batches {
 				g := streamgraph.New(n, directed)
 				g.InsertEdges(edges)
-				m := standing.New(p, g.Acquire(), roots, directed)
+				m := standing.New(p, g.Acquire().Flatten(), roots, directed)
 
 				del := storedArcs(g.Acquire(), keep)
 				snap, _ := g.DeleteEdges(del)
-				m.UpdateDeletions(snap, del, !directed)
+				m.UpdateDeletions(snap.Flatten(), del, !directed)
 
 				csr := snap.CSR(directed)
 				for k, r := range roots {
@@ -88,10 +88,10 @@ func TestTrimLeavesTrueFixpoint(t *testing.T) {
 	edges := gen.Uniform(120, 1100, 8, 93)
 	g := streamgraph.New(120, true)
 	g.InsertEdges(edges)
-	m := standing.New(props.SSNP{}, g.Acquire(), []graph.VertexID{1, 60}, true)
+	m := standing.New(props.SSNP{}, g.Acquire().Flatten(), []graph.VertexID{1, 60}, true)
 	del := edges[50:150]
 	snap, _ := g.DeleteEdges(del)
-	m.UpdateDeletions(snap, del, false)
+	m.UpdateDeletions(snap.Flatten(), del, false)
 	if vs := m.Forward.CheckConverged(snap, 4); len(vs) != 0 {
 		t.Fatalf("forward state not a fixpoint after trim: %+v", vs)
 	}
@@ -114,11 +114,11 @@ func TestUpdateDeletionsRootEdgeCut(t *testing.T) {
 	}
 	g := streamgraph.New(5, true)
 	g.InsertEdges(edges)
-	m := standing.New(props.BFS{}, g.Acquire(), []graph.VertexID{0, 2}, true)
+	m := standing.New(props.BFS{}, g.Acquire().Flatten(), []graph.VertexID{0, 2}, true)
 
 	del := []graph.Edge{{Src: 0, Dst: 1, W: 1}}
 	snap, _ := g.DeleteEdges(del)
-	m.UpdateDeletions(snap, del, false)
+	m.UpdateDeletions(snap.Flatten(), del, false)
 
 	// Root 0 now reaches nothing; root 2 still reaches 3, 4.
 	if m.Forward.Value(1, 0) != props.Unreached || m.Forward.Value(4, 0) != props.Unreached {
@@ -157,12 +157,12 @@ func TestUpdateDeletionsIsCheaperThanRebuild(t *testing.T) {
 		t.Skip("no degree-1 vertices in this instance")
 	}
 
-	mTrim := standing.New(props.SSSP{}, g.Acquire(), roots, true)
-	mFull := standing.New(props.SSSP{}, g.Acquire(), roots, true)
+	mTrim := standing.New(props.SSSP{}, g.Acquire().Flatten(), roots, true)
+	mFull := standing.New(props.SSSP{}, g.Acquire().Flatten(), roots, true)
 	snap, _ := g.DeleteEdges(del)
 
-	trimStats := mTrim.UpdateDeletions(snap, del, false)
-	fullStats := mFull.Rebuild(snap)
+	trimStats := mTrim.UpdateDeletions(snap.Flatten(), del, false)
+	fullStats := mFull.Rebuild(snap.Flatten())
 
 	for k := range roots {
 		for v := 0; v < cfg.N(); v++ {

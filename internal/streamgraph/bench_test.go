@@ -52,53 +52,6 @@ func BenchmarkSnapshotEdgeTraversal(b *testing.B) {
 	}
 }
 
-// BenchmarkFlattenVsTree compares whole-graph edge iteration over the
-// flat mirror (OutSpan plain loops) against the C-tree snapshot path
-// (ForEachOut closure per edge) — the per-edge cost the engine's
-// FlatView fast path eliminates. The build sub-benchmark prices the
-// one-time Flatten a new snapshot version pays.
-func BenchmarkFlattenVsTree(b *testing.B) {
-	cfg := gen.Config{Name: "bench", LogN: 14, AvgDegree: 12, Directed: true, Seed: 3}
-	g := FromEdges(cfg.N(), gen.RMAT(cfg), true)
-	snap := g.Acquire()
-	m := snap.NumEdges()
-
-	b.Run("tree", func(b *testing.B) {
-		b.SetBytes(m * 8)
-		for i := 0; i < b.N; i++ {
-			var sum uint64
-			for v := 0; v < snap.NumVertices(); v++ {
-				snap.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
-					sum += uint64(d) + uint64(w)
-				})
-			}
-			sinkFlat = sum
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		f := snap.Flatten()
-		b.SetBytes(m * 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var sum uint64
-			for v := 0; v < f.NumVertices(); v++ {
-				adj, wgt := f.OutSpan(graph.VertexID(v))
-				for j, d := range adj {
-					sum += uint64(d) + uint64(wgt[j])
-				}
-			}
-			sinkFlat = sum
-		}
-	})
-	b.Run("build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			buildFlat(snap)
-		}
-	})
-}
-
-var sinkFlat uint64
-
 // BenchmarkFlattenFromVsFull prices one mirror build per batch size: the
 // delta patch from the parent mirror (MaterializeFlatFrom) against a
 // full rebuild (MaterializeFlat) of the same snapshot. Every iteration

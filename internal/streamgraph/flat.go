@@ -17,9 +17,9 @@ import (
 // maintenance rounds plus every user query until the next batch, and a
 // flat slab turns each of those per-edge tree walks into an array scan.
 //
-// A Flat satisfies the engine's View interface (plus its FlatView fast
-// path via OutSpan), so it can be passed anywhere a snapshot can. Its
-// arrays are immutable while at least one reference is held; the slabs
+// A Flat is the engine's ArcView: the C-tree snapshot is the versioned
+// store, its mirror is what kernels and standing maintenance evaluate
+// over. Its arrays are immutable while at least one reference is held; the slabs
 // backing them come from the graph's recycler and return there when the
 // last reference drops (see Retain/Release and Snapshot.RetireFlat), so
 // readers that outlive the snapshot's tenure as the latest version must
@@ -30,8 +30,8 @@ type Flat struct {
 	wgt     []graph.Weight
 	n       int
 	version uint64
-	// inserted/insertion are the snapshot's insertion record, carried so
-	// the mirror is the same ArcDelta view the snapshot is.
+	// inserted/insertion are the snapshot's insertion record (see
+	// InsertedArcs).
 	inserted  []graph.Edge
 	insertion bool
 
@@ -77,7 +77,7 @@ func (s *Snapshot) Flatten() *Flat {
 // path built it.
 func (s *Snapshot) FlattenFrom(prev *Flat, changed []graph.VertexID) *Flat {
 	s.flatOnce.Do(func() {
-		s.flat = s.MaterializeFlatFrom(prev, changed)
+		s.flat = buildFlatDelta(s, prev, changed)
 		s.flatBuilt.Store(true)
 	})
 	return s.flat
@@ -109,15 +109,28 @@ func (s *Snapshot) RetireFlat() {
 }
 
 // MaterializeFlat builds a fresh, uncached mirror of the snapshot (full
-// walk). The caller owns the sole reference and must Release it;
-// benchmarks and ablations use this to measure builds without the
+// walk). The caller owns the sole reference and must Release it: a reader
+// that could not retain the shared mirror evaluates over one of these
+// (core.PinMirror), and benchmarks use it to measure builds without the
 // per-snapshot cache getting in the way.
-func (s *Snapshot) MaterializeFlat() *Flat { return buildFlat(s) }
+func (s *Snapshot) MaterializeFlat() *Flat {
+	f := buildFlat(s)
+	ledgerPrivate(f)
+	return f
+}
 
 // MaterializeFlatFrom is FlattenFrom without the per-snapshot cache: it
 // builds a fresh mirror (delta-patched when the preconditions hold, full
 // otherwise) that the caller owns and must Release.
 func (s *Snapshot) MaterializeFlatFrom(prev *Flat, changed []graph.VertexID) *Flat {
+	f := buildFlatDelta(s, prev, changed)
+	ledgerPrivate(f)
+	return f
+}
+
+// buildFlatDelta delta-patches prev into s's mirror when the preconditions
+// hold and the seam does not force the full path, else builds in full.
+func buildFlatDelta(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 	if deltaPatchable(s, prev, changed) && !s.fs().seam.forceFull.Load() {
 		return buildFlatFrom(s, prev, changed)
 	}
@@ -425,8 +438,14 @@ func (f *Flat) NumEdges() int64 { return f.off[f.n] }
 // from.
 func (f *Flat) Version() uint64 { return f.version }
 
-// InsertedArcs is Snapshot.InsertedArcs of the snapshot this mirror was
-// built from.
+// InsertedArcs returns the arcs by which this version differs from the
+// one before it, when InsertEdges published it: every arc the batch
+// stored, at the weight the graph holds for it, sorted by source, with the
+// mirrored arcs on undirected graphs. Arcs the batch offered but first-wins
+// insertion skipped (present already, or repeated within the batch) are
+// not in it. ok is false on the initial snapshot and on one published by
+// DeleteEdges. The slice aliases the mirror and must not be modified.
+// Together with Version this is the engine's ArcDelta view.
 func (f *Flat) InsertedArcs() (arcs []graph.Edge, ok bool) {
 	return f.inserted, f.insertion
 }
@@ -438,16 +457,13 @@ func (f *Flat) Degree(v graph.VertexID) int {
 
 // OutSpan returns the out-neighbor and weight slices of v, sorted by
 // destination. The slices alias the mirror and must not be modified.
-// This is the engine's FlatView fast path: edge iteration becomes a
-// plain loop over two arrays, with no interface or closure call per
-// edge.
 func (f *Flat) OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
 	lo, hi := f.off[v], f.off[v+1]
 	return f.adj[lo:hi], f.wgt[lo:hi]
 }
 
-// Arcs exposes the mirror's whole arc arrays at once (the engine's
-// ArcView interface, used by the cache-blocked dense sweep): v's arcs
+// Arcs exposes the mirror's whole arc arrays at once (used by the
+// engine's cache-blocked dense sweep): v's arcs
 // are adj[off[v]:off[v+1]], destination-sorted, weights at the same
 // positions. The slices alias the mirror and must not be modified.
 func (f *Flat) Arcs() ([]int64, []graph.VertexID, []graph.Weight) {
@@ -455,8 +471,7 @@ func (f *Flat) Arcs() ([]int64, []graph.VertexID, []graph.Weight) {
 }
 
 // ForEachOut calls fn(dst, w) for every out-edge of v in ascending
-// destination order (View-interface compatibility; the engine prefers
-// OutSpan).
+// destination order (the engine.View iteration non-kernel code uses).
 func (f *Flat) ForEachOut(v graph.VertexID, fn func(dst graph.VertexID, w graph.Weight)) {
 	lo, hi := f.off[v], f.off[v+1]
 	for i := lo; i < hi; i++ {

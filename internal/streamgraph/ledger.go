@@ -22,8 +22,9 @@ import (
 const ledgerOn = true
 
 // ledgerRec is the live account of one mirror: its current reference
-// count as the ledger saw it, whether the owner reference has been
-// dropped (RetireFlat), and the net outstanding Retain sites.
+// count as the ledger saw it, whether a snapshot's owner reference is
+// among them (dropped by RetireFlat, never there on a caller-owned
+// mirror), and the net outstanding Retain sites.
 type ledgerRec struct {
 	version      uint64
 	live         int64
@@ -59,6 +60,19 @@ func ledgerBuilt(f *Flat) {
 	ledgerLive[f] = &ledgerRec{version: f.version, live: 1, retains: map[string]int{}}
 }
 
+// ledgerPrivate marks a caller-owned mirror (MaterializeFlat[From]): no
+// snapshot owns a reference, so the one it was born with is its builder's
+// pin — outstanding, like any Retain, until the builder releases it.
+func ledgerPrivate(f *Flat) {
+	site := ledgerSite()
+	ledgerMu.Lock()
+	defer ledgerMu.Unlock()
+	if r := ledgerLive[f]; r != nil {
+		r.ownerDropped = true
+		r.retains[site]++
+	}
+}
+
 func ledgerRetain(f *Flat) {
 	site := ledgerSite()
 	ledgerMu.Lock()
@@ -91,7 +105,8 @@ func ledgerRetire(f *Flat) {
 // LedgerReport returns the mirrors holding reader pins beyond any
 // legitimate un-retired owner reference, oldest version first. An empty
 // report at teardown (after a final batch has advanced the version)
-// means every Retain found its Release.
+// means every Retain found its Release and every caller-owned mirror was
+// released by its builder.
 func LedgerReport() []LedgerLeak {
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()

@@ -10,6 +10,7 @@ package streamgraph
 const ledgerOn = false
 
 func ledgerBuilt(*Flat)   {}
+func ledgerPrivate(*Flat) {}
 func ledgerRetain(*Flat)  {}
 func ledgerRelease(*Flat) {}
 func ledgerRetire(*Flat)  {}

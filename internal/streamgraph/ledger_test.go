@@ -63,15 +63,18 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 }
 
-// TestLedgerCallerOwnedMirror covers the MaterializeFlat path: the
-// caller's sole reference counts as the owner until released.
+// TestLedgerCallerOwnedMirror covers the MaterializeFlat path: no
+// snapshot owns the mirror, so its sole reference is its builder's pin —
+// reported, with the building site, until the builder releases it.
 func TestLedgerCallerOwnedMirror(t *testing.T) {
 	streamgraph.LedgerReset()
 	cfg := gen.Config{Name: "ledger2", LogN: 8, AvgDegree: 6, Directed: false, Seed: 4}
 	g := streamgraph.FromEdges(cfg.N(), gen.RMAT(cfg), true)
 	f := g.Acquire().MaterializeFlat()
-	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {
-		t.Fatalf("caller-owned mirror reported as leak: %+v", leaks)
+	leaks := streamgraph.LedgerReport()
+	if len(leaks) != 1 || leaks[0].Pins != 1 || len(leaks[0].Sites) != 1 ||
+		!strings.Contains(leaks[0].Sites[0], "ledger_test.go") {
+		t.Fatalf("unreleased caller-owned mirror: report = %+v, want one 1-pin leak born here", leaks)
 	}
 	f.Release()
 	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {

@@ -8,8 +8,8 @@ import (
 
 // FaultSeam is a build-tag-free injection point for the differential
 // checker (internal/check): it lets a test harness force the rare
-// branches of the mirror lifecycle — Retain failing (reader falls back
-// to the tree view), FlattenFrom refusing the delta patch (full
+// branches of the mirror lifecycle — Retain failing (the reader builds
+// a private mirror), FlattenFrom refusing the delta patch (full
 // rebuild), and a deliberately skewed delta patch (the checker's
 // self-test: a harness that cannot catch a corrupted mirror validates
 // nothing) — deterministically instead of waiting for a race to produce
@@ -29,7 +29,7 @@ type FaultSeam struct {
 func (g *Graph) Seam() *FaultSeam { return &g.shared.seam }
 
 // SetDenyRetain makes every Flat.Retain on this graph's mirrors report
-// failure, forcing readers onto the tree-fallback path of core.pinView.
+// failure, forcing readers onto the build-on-miss path of core.PinMirror.
 func (fs *FaultSeam) SetDenyRetain(on bool) { fs.denyRetain.Store(on) }
 
 // SetForceFull makes MaterializeFlatFrom (and therefore FlattenFrom)

@@ -32,8 +32,8 @@ type Snapshot struct {
 	version uint64
 
 	// inserted records, on a snapshot published by InsertEdges, the arcs
-	// that batch actually stored (see InsertedArcs); insertion marks such
-	// a snapshot, whose record may be empty.
+	// that batch actually stored (see Flat.InsertedArcs); insertion marks
+	// such a snapshot, whose record may be empty.
 	inserted  []graph.Edge
 	insertion bool
 
@@ -59,18 +59,6 @@ func (s *Snapshot) NumEdges() int64 { return s.m }
 // Version returns the monotonically increasing version number (0 for the
 // initial snapshot, +1 per applied batch).
 func (s *Snapshot) Version() uint64 { return s.version }
-
-// InsertedArcs returns the arcs by which this version differs from the
-// one before it, when InsertEdges published it: every arc the batch
-// stored, at the weight the graph holds for it, sorted by source, with the
-// mirrored arcs on undirected graphs. Arcs the batch offered but first-wins
-// insertion skipped (present already, or repeated within the batch) are
-// not in it. ok is false on the initial snapshot and on one published by
-// DeleteEdges. The slice aliases the snapshot and must not be modified.
-// Together with Version this is the engine's ArcDelta view.
-func (s *Snapshot) InsertedArcs() (arcs []graph.Edge, ok bool) {
-	return s.inserted, s.insertion
-}
 
 // Degree returns the out-degree of v.
 func (s *Snapshot) Degree(v graph.VertexID) int {

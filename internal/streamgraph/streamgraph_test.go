@@ -221,18 +221,19 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 	<-done
 }
 
-// TestInsertedArcsRecordsWhatWasStored: the snapshot's insertion record
-// is exactly the arcs the batch stored — sorted by source, at the stored
-// weight, mirrors included on an undirected graph, and without what
-// first-wins insertion skipped (arcs present already or repeated within
-// the batch). The mirror built from the snapshot carries the same record;
-// the initial snapshot and one published by a deletion carry none.
+// TestInsertedArcsRecordsWhatWasStored: the insertion record a version's
+// mirror carries is exactly the arcs the batch stored — sorted by source,
+// at the stored weight, mirrors included on an undirected graph, and
+// without what first-wins insertion skipped (arcs present already or
+// repeated within the batch). A full build and a delta patch carry the
+// same record; the initial snapshot's mirror and one published by a
+// deletion carry none.
 func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 	g := New(4, false)
-	if _, ok := g.Acquire().InsertedArcs(); ok {
+	if _, ok := g.Acquire().Flatten().InsertedArcs(); ok {
 		t.Fatal("the initial snapshot claims an insertion record")
 	}
-	g.InsertEdges([]graph.Edge{{Src: 2, Dst: 3, W: 5}})
+	parent, _ := g.InsertEdges([]graph.Edge{{Src: 2, Dst: 3, W: 5}})
 	snap, changed := g.InsertEdges([]graph.Edge{
 		{Src: 3, Dst: 2, W: 9}, // stored already (as the mirror of 2–3)
 		{Src: 1, Dst: 0, W: 7},
@@ -244,9 +245,9 @@ func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 		{Src: 1, Dst: 0, W: 7},
 		{Src: 2, Dst: 0, W: 4},
 	}
-	for _, view := range []interface {
-		InsertedArcs() ([]graph.Edge, bool)
-	}{snap, snap.Flatten(), snap.FlattenFrom(nil, changed)} {
+	patched := snap.MaterializeFlatFrom(parent.Flatten(), changed)
+	defer patched.Release()
+	for _, view := range []*Flat{snap.Flatten(), patched} {
 		got, ok := view.InsertedArcs()
 		if !ok || len(got) != len(want) {
 			t.Fatalf("recorded %v (ok=%v), want %v", got, ok, want)
@@ -262,11 +263,11 @@ func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 	}
 
 	dup, changed := g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}})
-	if arcs, ok := dup.InsertedArcs(); !ok || len(arcs) != 0 || len(changed) != 0 {
+	if arcs, ok := dup.Flatten().InsertedArcs(); !ok || len(arcs) != 0 || len(changed) != 0 {
 		t.Fatalf("an all-duplicate batch recorded %v (ok=%v), changed %v", arcs, ok, changed)
 	}
 	del, _ := g.DeleteEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	if _, ok := del.InsertedArcs(); ok {
+	if _, ok := del.Flatten().InsertedArcs(); ok {
 		t.Fatal("a snapshot published by a deletion claims an insertion record")
 	}
 }
