@@ -92,7 +92,7 @@ func (o *oracleSet) ssnspAt(ver uint64, src graph.VertexID) [2][]uint64 {
 // verifyAt compares one answer for (problem, src) against the
 // from-scratch oracle at the version it reports, returning "" on
 // agreement or a one-line reason on the first difference. counts is
-// consulted only for SSNSP.
+// consulted only for SSNSP; BFS is its level half.
 func (o *oracleSet) verifyAt(problem string, src graph.VertexID, version uint64, values, counts []uint64) string {
 	csr := o.csrAt(version)
 	if csr == nil {
@@ -102,7 +102,7 @@ func (o *oracleSet) verifyAt(problem string, src graph.VertexID, version uint64,
 		return fmt.Sprintf("%d values for %d vertices", len(values), csr.N)
 	}
 	switch problem {
-	case "SSNSP":
+	case "SSNSP", "BFS":
 		want := o.ssnspAt(version, src)
 		for x := range values {
 			if values[x] != want[0][x] {

@@ -185,14 +185,15 @@ func (r *replayer) step(i int, op Op) {
 		r.observe(i, op, false, res, err, false)
 	case OpCancel:
 		// PageRank and CC answer Δ-queries instantly from standing state,
-		// so cancellation can only bite on their full evaluations; SSNSP's
-		// incremental run itself has supersteps to cancel.
+		// so cancellation can only bite on their full evaluations; a
+		// problem with a standing set has supersteps to cancel in its
+		// incremental run itself.
 		ctx := newCancelCtx(op.Step)
 		var (
 			res *core.QueryResult
 			err error
 		)
-		if op.Problem == "SSNSP" {
+		if def, _ := core.LookupProblem(op.Problem); def.Base != nil {
 			res, err = r.sys.QueryCtx(ctx, op.Problem, op.Source)
 		} else {
 			res, err = r.sys.QueryFullCtx(ctx, op.Problem, op.Source)

@@ -22,13 +22,15 @@ import (
 	"tripoline/internal/xrand"
 )
 
-// Problems are the standing queries every replay enables, covering the
-// three evaluation strategies the system has: SSNSP (Δ-initialized
-// vertex-specific query with an exact recount round), PageRank
-// (whole-graph, resumed float iteration), and CC (whole-graph, resumed
-// min-label propagation). Graphs are always undirected so the CC
+// Problems are the problems every replay enables, covering what the
+// system has: a standing set with two readers — BFS (Δ-initialized
+// vertex-specific query) and SSNSP (the same evaluation over the same
+// set, plus an exact recount round), so every schedule drives a shared
+// set through each fault with both — and the two maintained answers,
+// PageRank (whole-graph, resumed float iteration) and CC (whole-graph,
+// resumed min-label propagation). Graphs are always undirected so the CC
 // min-label fixpoint equals the oracle's union-find components.
-var Problems = []string{"SSNSP", "PageRank", "CC"}
+var Problems = []string{"SSNSP", "PageRank", "CC", "BFS"}
 
 // OpKind enumerates the schedule operations.
 type OpKind uint8

@@ -93,7 +93,7 @@ func (r *shardReplayer) step(i int, op Op) {
 			res *core.QueryResult
 			err error
 		)
-		if op.Problem == "SSNSP" {
+		if def, _ := core.LookupProblem(op.Problem); def.Base != nil {
 			res, err = r.rt.QueryCtx(ctx, op.Problem, op.Source)
 		} else {
 			res, err = r.rt.QueryFullCtx(ctx, op.Problem, op.Source)

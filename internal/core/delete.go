@@ -6,37 +6,17 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/props"
-	"tripoline/internal/streamgraph"
 )
-
-// rebuilder is implemented by handlers that can recover from
-// non-monotone graph changes (edge deletions) by re-evaluating their
-// standing state from scratch.
-type rebuilder interface {
-	rebuild(g *streamgraph.Flat) engine.Stats
-}
-
-// trimmer is implemented by handlers that support KickStarter-style
-// trimmed deletion recovery (package standing): only the value slots
-// whose derivation witnessed a deleted arc are reset and re-derived,
-// instead of a full re-evaluation.
-type trimmer interface {
-	recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats
-	// stampVersion records that the standing state, untouched, is converged
-	// on the given version too — a deletion that removed nothing.
-	stampVersion(version uint64)
-}
 
 // ApplyDeletionsCtx removes a batch of edges from the streaming graph
 // and recovers every enabled standing query.
 //
 // Deletions break the monotonicity that incremental resumption depends
-// on (a converged distance may now be *too good*). Handlers that track
-// the triangle problems recover with witness-based trimming (reset and
-// re-derive only values that depended on a deleted arc — the
-// KickStarter idea the paper cites); the whole-graph handlers
-// re-evaluate from scratch, which is always sound.
+// on (a converged distance may now be *too good*). Standing sets recover
+// with witness-based trimming (package standing: reset and re-derive only
+// values that depended on a deleted arc — the KickStarter idea the paper
+// cites); the maintained whole-graph answers re-evaluate from scratch,
+// which is always sound.
 //
 // Admission is context-based: like ApplyBatchCtx, cancellation is
 // honored only before the mutation begins; once started, deletion
@@ -75,13 +55,11 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		// is rebuilt in full — the data-structure analogue of the standing
 		// Rebuild recovery path.
 		view := snap.Flatten()
-		for _, name := range s.order {
-			switch h := s.handlers[name].(type) {
-			case trimmer:
-				rep.StandingStats.Add(h.recoverDeletions(view, resolved, undirected))
-			case rebuilder:
-				rep.StandingStats.Add(h.rebuild(view))
-			}
+		for _, set := range s.sets {
+			rep.StandingStats.Add(set.UpdateDeletions(view, resolved, undirected))
+		}
+		for _, ans := range s.answers {
+			rep.StandingStats.Add(ans.rebuild(view))
 		}
 		sr := s.refreshSubscriptions(view)
 		rep.Subscribers, rep.FramesSent, rep.FramesDropped, rep.RefreshElapsed =
@@ -94,10 +72,8 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		// stands, and has to say so: DeltaMergeInto and the next insertion's
 		// maintenance both go by the version it records. No mirror is built
 		// for a version nobody may ever evaluate over.
-		for _, name := range s.order {
-			if h, ok := s.handlers[name].(trimmer); ok {
-				h.stampVersion(snap.Version())
-			}
+		for _, set := range s.sets {
+			set.StampVersion(snap.Version())
 		}
 	}
 	rep.StandingElapsed = time.Since(start)
@@ -132,42 +108,4 @@ func resolveDeletionWeights(view engine.View, batch []graph.Edge) []graph.Edge {
 		})
 	}
 	return out
-}
-
-func (h *simpleHandler) recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats {
-	return h.mgr.UpdateDeletions(g, deleted, undirected)
-}
-
-func (h *radiiHandler) recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats {
-	return h.mgr.UpdateDeletions(g, deleted, undirected)
-}
-
-func (h *ssnspHandler) recoverDeletions(g *streamgraph.Flat, deleted []graph.Edge, undirected bool) engine.Stats {
-	start := time.Now()
-	stats := h.mgr.UpdateDeletions(g, deleted, undirected)
-	h.recount(g)
-	h.last = time.Since(start)
-	return stats
-}
-
-func (h *simpleHandler) stampVersion(v uint64) { h.mgr.StampVersion(v) }
-func (h *radiiHandler) stampVersion(v uint64)  { h.mgr.StampVersion(v) }
-func (h *ssnspHandler) stampVersion(v uint64)  { h.mgr.StampVersion(v) }
-
-func (h *pageRankHandler) rebuild(g *streamgraph.Flat) engine.Stats {
-	start := time.Now()
-	res := props.PageRank(g, 0.85, 100, 1e-9)
-	h.ranks = res.Ranks
-	h.version = g.Version()
-	h.last = time.Since(start)
-	return engine.Stats{Iterations: res.Iterations}
-}
-
-func (h *ccHandler) rebuild(g *streamgraph.Flat) engine.Stats {
-	start := time.Now()
-	st, stats := props.ConnectedComponents(g)
-	h.st = st
-	h.version = g.Version()
-	h.last = time.Since(start)
-	return stats
 }

@@ -29,8 +29,12 @@ var (
 	// (context.Canceled or context.DeadlineExceeded).
 	ErrCanceled = engine.ErrCanceled
 
-	// ErrSubscribeUnsupported: SubscribeCtx named a problem whose handler
-	// cannot batch-refresh subscriptions (Radii's width-16 answers do not
-	// fit the per-vertex delta frame model).
+	// ErrSubscribeUnsupported: SubscribeCtx named a problem whose answer is
+	// not one value per vertex (Radii's width-16 answers do not fit the
+	// per-vertex delta frame model).
 	ErrSubscribeUnsupported = errors.New("problem does not support subscriptions")
+
+	// ErrReservedName: EnableCustom was handed a problem named after a
+	// built-in (see CustomProblem).
+	ErrReservedName = errors.New("custom problem name is reserved for a built-in")
 )

@@ -1,0 +1,7 @@
+package core
+
+import "tripoline/internal/standing"
+
+// StandingSets exposes the system's standing sets, in creation order, so
+// tests can assert on the managers' own counters.
+func (s *System) StandingSets() []*standing.Manager { return s.sets }

@@ -69,9 +69,10 @@ func TestRadiiSlotsMatchSSSPOracle(t *testing.T) {
 	}
 }
 
-// TestSSNSPHandlerStandingCountsFreshAfterBatch: standing SSNSP counts
-// must reflect the post-batch graph (they are recomputed per update).
-func TestSSNSPHandlerStandingCountsFreshAfterBatch(t *testing.T) {
+// TestSSNSPQueryMatchesOracleAfterBatch: an SSNSP query's levels and
+// counts reflect the post-batch graph — the levels Δ-initialized from the
+// maintained BFS set, the counts recounted exactly per query.
+func TestSSNSPQueryMatchesOracleAfterBatch(t *testing.T) {
 	edges := gen.Uniform(100, 800, 4, 79)
 	g := streamgraph.New(100, true)
 	g.InsertEdges(edges[:600])

@@ -64,7 +64,7 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 		return nil, fmt.Errorf("core: version %d not retained (have %v): %w",
 			version, s.history.Versions(), ErrNoSuchVersion)
 	}
-	h, err := s.lookup(problem)
+	pr, err := s.lookup(problem)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 	}
 	view, release := PinMirror(snap)
 	defer release()
-	res, err := h.queryFull(ctx, view, u)
+	res, err := pr.queryFull(ctx, view, u)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/standing"
-	"tripoline/internal/streamgraph"
 )
 
 // Query-distribution-aware root reselection (§5's sketched refinement):
@@ -39,24 +37,19 @@ func (s *System) observe(u graph.VertexID) {
 	}
 }
 
-// reselecter is implemented by handlers whose standing roots can be
-// re-chosen at runtime.
-type reselecter interface {
-	reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats
-}
-
-// ReselectRoots re-roots the named problem's standing queries using the
-// recorded query distribution blended with topology
-// (standing.WeightedRoots), then fully evaluates the new roots. It is
-// the periodic adaptation step for workloads whose query hotspots drift.
+// ReselectRoots re-roots the standing set that bounds the named problem
+// using the recorded query distribution blended with topology
+// (standing.WeightedRoots), then fully evaluates the new roots. The set
+// is what is re-rooted: every enabled problem sharing it (Radii with
+// SSSP, SSNSP with BFS) selects from the new roots afterwards. It is the
+// periodic adaptation step for workloads whose query hotspots drift.
 // Without recorded history the selection equals the top-degree rule.
 func (s *System) ReselectRoots(problem string) error {
-	h, err := s.lookup(problem)
+	pr, err := s.lookup(problem)
 	if err != nil {
 		return err
 	}
-	r, ok := h.(reselecter)
-	if !ok {
+	if pr.set == nil {
 		return fmt.Errorf("core: problem %q does not use standing roots", problem)
 	}
 	snap := s.G.Acquire()
@@ -65,23 +58,7 @@ func (s *System) ReselectRoots(problem string) error {
 	// exactly like batch maintenance does.
 	s.stMu.Lock()
 	defer s.stMu.Unlock()
-	r.reselect(snap.Flatten(), roots)
+	pr.set.Roots = roots
+	pr.set.Rebuild(snap.Flatten())
 	return nil
-}
-
-func (h *simpleHandler) reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats {
-	h.mgr.Roots = roots
-	return h.mgr.Rebuild(g)
-}
-
-func (h *radiiHandler) reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats {
-	h.mgr.Roots = roots
-	return h.mgr.Rebuild(g)
-}
-
-func (h *ssnspHandler) reselect(g *streamgraph.Flat, roots []graph.VertexID) engine.Stats {
-	h.mgr.Roots = roots
-	stats := h.mgr.Rebuild(g)
-	h.recount(g)
-	return stats
 }

@@ -8,9 +8,7 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
-	"tripoline/internal/triangle"
 )
 
 // Subscriptions treat a user query as a continuously maintained
@@ -93,17 +91,6 @@ func (sub *Subscription) Frames() <-chan ResultFrame { return sub.frames }
 // Version returns the version of the last delivered frame.
 func (sub *Subscription) Version() uint64 { return sub.baseVersion }
 
-// subRefresher is implemented by handlers whose problems support
-// subscriptions: given the post-maintenance view and the subscribed
-// sources, recompute each source's answer. Called by the writer inside
-// the exclusive stMu window, so implementations read standing state
-// without further locking. Returned slices must be freshly allocated (or
-// immutable-by-convention shared copies): they become subscriber
-// baselines and frame payloads.
-type subRefresher interface {
-	refreshSubscribed(view *streamgraph.Flat, sources []graph.VertexID) (vals, counts [][]uint64, version uint64)
-}
-
 // DefaultSubscriptionBuffer is the frame-channel capacity
 // SubscribeCtx(buffer<=0) selects. One slot would livelock a client that
 // polls between batches; a handful absorbs bursts without letting a dead
@@ -113,14 +100,14 @@ const DefaultSubscriptionBuffer = 8
 // SubscribeCtx registers a subscription for (problem, u), computes its
 // initial answer (the engine honors ctx like any user query), and
 // delivers it as the snapshot frame. The caller must eventually call
-// Unsubscribe. Problems whose handlers cannot batch-refresh (Radii)
+// Unsubscribe. Problems whose answer is not one value per vertex (Radii)
 // return an ErrSubscribeUnsupported-wrapping error.
 func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*Subscription, error) {
-	h, err := s.lookup(problem)
+	pr, err := s.lookup(problem)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := h.(subRefresher); !ok {
+	if !pr.Subscribable() {
 		return nil, fmt.Errorf("core: problem %q does not support subscriptions: %w", problem, ErrSubscribeUnsupported)
 	}
 	if err := s.checkSource(u); err != nil {
@@ -144,7 +131,7 @@ func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.Verte
 	s.subs[sub.id] = sub
 	s.subMu.Unlock()
 
-	res, err := h.queryDelta(ctx, s, u)
+	res, err := s.queryDelta(ctx, pr, u)
 	if err != nil {
 		s.Unsubscribe(sub)
 		return nil, err
@@ -203,7 +190,7 @@ type subRefreshReport struct {
 // refreshSubscriptions recomputes every ready subscription's answer on
 // the post-maintenance view and pushes frames. Writer-side only: the
 // caller holds stMu exclusively (lock order stMu → subMu), so the
-// standing arrays are quiescent and handlers refresh without locking.
+// standing state is quiescent and refresh reads it without locking.
 func (s *System) refreshSubscriptions(view *streamgraph.Flat) subRefreshReport {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
@@ -227,12 +214,11 @@ func (s *System) refreshSubscriptions(view *streamgraph.Flat) subRefreshReport {
 			continue
 		}
 		sort.Slice(list, func(a, b int) bool { return list[a].id < list[b].id })
-		r := s.handlers[name].(subRefresher)
 		sources := make([]graph.VertexID, len(list))
 		for i, sub := range list {
 			sources[i] = sub.Source
 		}
-		vals, counts, version := r.refreshSubscribed(view, sources)
+		vals, counts, version := s.problems[name].refresh(view, sources)
 		for i, sub := range list {
 			frame := ResultFrame{
 				Kind: "delta", Problem: name, Source: sub.Source, Version: version,
@@ -281,83 +267,54 @@ func diffValues(base, next []uint64) []VertexDelta {
 	return out
 }
 
-// ---------------------------------------------------------------------
-// Handler refresh implementations.
+// refresh is refreshCtx for the writer: an admitted mutation's maintenance
+// is not cancelable, so neither is the refresh inside it, and cancellation
+// is the only way refreshCtx fails.
+func (pr *problem) refresh(view *streamgraph.Flat, sources []graph.VertexID) (vals, counts [][]uint64, version uint64) {
+	vals, counts, version, _ = pr.refreshCtx(context.Background(), view, sources)
+	return vals, counts, version
+}
 
-// refreshSubscribed for the six simple triangle problems (and custom
-// problems): the fused width-K user-query batch of queryMulti, run in
-// chunks of ≤64 slots, minus the pinning — the writer already holds the
-// exclusive lock and hands in the post-maintenance view.
-func (h *simpleHandler) refreshSubscribed(view *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
-	p := h.mgr.Problem
-	n := view.NumVertices()
-	out := make([][]uint64, len(sources))
-	for base := 0; base < len(sources); base += 64 {
-		end := base + 64
-		if end > len(sources) {
-			end = len(sources)
+// refreshCtx recomputes the problem's answer for every subscribed source
+// on the writer's post-maintenance view: the Δ-based evaluation of a fresh
+// QueryCtx, minus the pinning (the writer holds the exclusive lock and
+// hands in the view), fused ≤64 sources per engine run, with the finish
+// step per source. counts is nil unless the problem has any. The returned
+// slices are fresh — they become subscriber baselines and frame payloads —
+// except that a maintained answer, being source-independent, is copied
+// once and shared by all its subscribers.
+func (pr *problem) refreshCtx(ctx context.Context, view *streamgraph.Flat, sources []graph.VertexID) (vals, counts [][]uint64, version uint64, err error) {
+	vals = make([][]uint64, len(sources))
+	if pr.set == nil {
+		shared, version := pr.ans.values()
+		for i := range vals {
+			vals[i] = shared
 		}
-		chunk := sources[base:end]
-		w := len(chunk)
-		st := engine.NewState(p, n, w)
+		return vals, nil, version, nil
+	}
+	for base := 0; base < len(sources); base += 64 {
+		chunk := sources[base:min(base+64, len(sources))]
+		ev, err := deltaInit(ctx, pr.set, chunk)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if err := ev.run(ctx, view); err != nil {
+			return nil, nil, 0, err
+		}
 		for j, u := range chunk {
-			slot, propUR := h.mgr.Select(u)
-			standing := h.mgr.StandingColumn(slot)
-			if dst, ok := st.ColumnView(j); ok {
-				triangle.DeltaInitInto(dst, p, u, propUR, standing)
-			} else {
-				arr, stride, off := st.StrideView(j)
-				triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, standing)
+			// Column always copies, so each subscriber gets its own slice.
+			res, err := pr.Answer(ctx, view, u, ev.st.Column(j), 1, engine.Stats{})
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			vals[base+j] = res.Values
+			if res.Counts != nil {
+				if counts == nil {
+					counts = make([][]uint64, len(sources))
+				}
+				counts[base+j] = res.Counts
 			}
 		}
-		seeds, masks := engine.SourceSeeds(chunk)
-		st.RunPush(view, seeds, masks)
-		for j := range chunk {
-			// Column always copies, so each subscriber gets its own slice.
-			out[base+j] = st.Column(j)
-		}
 	}
-	return out, nil, view.Version()
-}
-
-// refreshSubscribed for SSNSP: per-source Δ-initialized level round plus
-// exact recount (counting is not batchable across sources — each count
-// round is driven by its own level array).
-func (h *ssnspHandler) refreshSubscribed(view *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
-	vals := make([][]uint64, len(sources))
-	counts := make([][]uint64, len(sources))
-	for i, u := range sources {
-		init, _, _ := h.mgr.DeltaFor(u)
-		res := props.RunSSNSPDelta(view, u, init)
-		vals[i] = res.Levels
-		counts[i] = res.Counts
-	}
-	return vals, counts, view.Version()
-}
-
-// refreshSubscribed for PageRank: every subscriber shares one copy of
-// the freshly converged ranks (the answer is source-independent), so the
-// fan-out cost is one O(N) copy per batch regardless of subscriber
-// count. The version is the one the ranks converged at.
-func (h *pageRankHandler) refreshSubscribed(_ *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
-	shared := make([]uint64, len(h.ranks))
-	for i, r := range h.ranks {
-		shared[i] = floatBits(r)
-	}
-	vals := make([][]uint64, len(sources))
-	for i := range vals {
-		vals[i] = shared
-	}
-	return vals, nil, h.version
-}
-
-// refreshSubscribed for CC: like PageRank, one shared copy of the
-// converged labels.
-func (h *ccHandler) refreshSubscribed(_ *streamgraph.Flat, sources []graph.VertexID) ([][]uint64, [][]uint64, uint64) {
-	shared := append([]uint64(nil), h.st.Values...)
-	vals := make([][]uint64, len(sources))
-	for i := range vals {
-		vals[i] = shared
-	}
-	return vals, nil, h.version
+	return vals, counts, view.Version(), nil
 }

@@ -7,7 +7,9 @@
 //
 //   - the streaming graph engine (package streamgraph, Aspen-like);
 //   - the standing query evaluation module (package standing), which
-//     incrementally maintains K pre-selected queries per enabled problem;
+//     incrementally maintains K pre-selected queries per standing set —
+//     one set per distinct engine problem the enabled problems evaluate
+//     (problems.go);
 //   - the user query evaluation module, which answers arbitrary-source
 //     queries via Δ-based incremental evaluation (package triangle);
 //   - the programming interface: engine.Problem supplies the vertex
@@ -22,14 +24,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/props"
 	"tripoline/internal/standing"
 	"tripoline/internal/streamgraph"
 	"tripoline/internal/triangle"
@@ -58,8 +58,8 @@ type QueryResult struct {
 	Elapsed    time.Duration
 	// Incremental reports whether Δ-based initialization was used.
 	Incremental bool
-	// StandingSlot and PropUR record the chosen standing query (Eq. 15)
-	// for incremental runs of the simple problems.
+	// StandingSlot and PropUR record the standing query chosen for u
+	// (Eq. 15) on incremental runs from a standing set.
 	StandingSlot int
 	PropUR       uint64
 	// Version is the snapshot version the result is valid for: the pinned
@@ -90,29 +90,21 @@ type BatchReport struct {
 	RefreshElapsed time.Duration
 }
 
-// handler is the per-problem strategy: simple triangle problems, Radii,
-// SSNSP, and the whole-graph queries each maintain and answer differently.
-// Query evaluation takes the request context and stops at the engine's
-// superstep boundaries when it is canceled; standing maintenance (update)
-// deliberately does not — a half-maintained standing set would desync
-// from its snapshot version, so updates always run to completion.
-type handler interface {
-	update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats
-	lastMaintain() time.Duration
-	// queryDelta answers a Δ-initialized query. It receives the System
-	// (not a pinned mirror) because pinning and Δ-initialization must
-	// happen atomically with respect to mutations — see pinShared.
-	queryDelta(ctx context.Context, s *System, u graph.VertexID) (*QueryResult, error)
-	queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error)
-}
-
 // System is a Tripoline instance over one streaming graph.
 type System struct {
-	G        *streamgraph.Graph
-	K        int
-	handlers map[string]handler
-	// order preserves enable order for deterministic iteration.
-	order []string
+	G *streamgraph.Graph
+	K int
+	// problems holds the enabled problems; order preserves enable order
+	// for deterministic iteration.
+	problems map[string]*problem
+	order    []string
+	// sets holds one standing set per distinct ProblemDef.Base (found by
+	// its name), in creation order: whichever enabled problem needs a set
+	// first creates it (its roots are chosen then) and every later problem
+	// with the same Base shares it, so a batch maintains each set once.
+	// answers are the Base-less problems' maintained answers.
+	sets    []*standing.Manager
+	answers []handler
 	// hist, when non-nil, records user-query sources for
 	// ReselectRoots (see RecordQueries).
 	hist *standing.QueryHistogram
@@ -145,7 +137,7 @@ type System struct {
 }
 
 // NewSystem wraps a streaming graph. k is the number of standing queries
-// per problem (clamped to [1, 64]; 0 selects DefaultK).
+// per standing set (clamped to [1, 64]; 0 selects DefaultK).
 func NewSystem(g *streamgraph.Graph, k int) *System {
 	if k == 0 {
 		k = DefaultK
@@ -156,7 +148,7 @@ func NewSystem(g *streamgraph.Graph, k int) *System {
 	if k > 64 {
 		k = 64
 	}
-	return &System{G: g, K: k, handlers: make(map[string]handler), cur: g.Acquire()}
+	return &System{G: g, K: k, problems: make(map[string]*problem), cur: g.Acquire()}
 }
 
 // updateView returns the mirror the standing maintenance that follows an
@@ -252,38 +244,27 @@ func TopDegreeRoots(s *streamgraph.Snapshot, k int) []graph.VertexID {
 	return out
 }
 
-// Enable sets up standing queries for the named problem ("BFS", "SSSP",
-// "SSWP", "SSNP", "Viterbi", "SSR", "Radii", "SSNSP", "PageRank", "CC")
-// by fully evaluating them on the current snapshot.
+// problem is an enabled problem: its definition plus the standing set
+// that bounds it (shared with every enabled problem of the same Base) or,
+// for a Base-less problem, its maintained answer.
+type problem struct {
+	ProblemDef
+	set *standing.Manager
+	ans handler
+}
+
+// Enable sets up the named problem ("BFS", "SSSP", "SSWP", "SSNP",
+// "Viterbi", "SSR", "Radii", "SSNSP", "PageRank", "CC" — see
+// LookupProblem). The standing set of its Base is fully evaluated on the
+// current snapshot, at the top-K-degree roots, unless an enabled problem
+// already maintains it — Radii shares SSSP's set and SSNSP shares BFS's,
+// in whichever order they are enabled.
 func (s *System) Enable(name string) error {
-	if _, dup := s.handlers[name]; dup {
-		return fmt.Errorf("core: problem %s already enabled", name)
-	}
-	snap := s.G.Acquire()
-	roots := TopDegreeRoots(snap, s.K)
-	view := snap.Flatten()
-	var h handler
-	switch name {
-	case "BFS", "SSSP", "SSWP", "SSNP", "Viterbi", "SSR":
-		p := props.Registry()[name]
-		h = &simpleHandler{mu: &s.stMu, mgr: standing.New(p, view, roots, s.G.Directed())}
-	case "Radii":
-		h = newRadiiHandler(&s.stMu, view, roots, s.G.Directed())
-	case "SSNSP":
-		h = newSSNSPHandler(&s.stMu, view, roots, s.G.Directed())
-	case "PageRank":
-		h = newPageRankHandler(&s.stMu, view)
-	case "CC":
-		h = newCCHandler(&s.stMu, view)
-	default:
+	def, ok := LookupProblem(name)
+	if !ok {
 		return fmt.Errorf("core: unknown problem %q: %w", name, ErrUnknownProblem)
 	}
-	s.handlers[name] = h
-	s.order = append(s.order, name)
-	// The enable-time snapshot becomes the delta-patch parent of the
-	// first batch (its mirror was just materialized above).
-	s.cur = snap
-	return nil
+	return s.enable(def)
 }
 
 // EnableCustom sets up standing queries for a user-defined problem: any
@@ -291,17 +272,44 @@ func (s *System) Enable(name string) error {
 // Combine/Better satisfy the graph triangle inequality for the property
 // it computes (Definition 3.1) gets the full Δ-based treatment — the
 // programming interface of §5. The problem is registered under
-// p.Name(), which must not collide with an enabled problem.
+// p.Name(), which must not be a built-in's name (ErrReservedName) nor
+// collide with an enabled problem.
 func (s *System) EnableCustom(p engine.Problem) error {
-	name := p.Name()
-	if _, dup := s.handlers[name]; dup {
-		return fmt.Errorf("core: problem %s already enabled", name)
+	def, err := CustomProblem(p)
+	if err != nil {
+		return err
+	}
+	return s.enable(def)
+}
+
+func (s *System) enable(def ProblemDef) error {
+	if _, dup := s.problems[def.Name]; dup {
+		return fmt.Errorf("core: problem %s already enabled", def.Name)
 	}
 	snap := s.G.Acquire()
-	roots := TopDegreeRoots(snap, s.K)
-	s.handlers[name] = &simpleHandler{mu: &s.stMu, mgr: standing.New(p, snap.Flatten(), roots, s.G.Directed())}
-	s.order = append(s.order, name)
+	pr := &problem{ProblemDef: def}
+	if def.Base == nil {
+		pr.ans = def.maintain(snap.Flatten())
+		s.answers = append(s.answers, pr.ans)
+	} else if pr.set = s.setFor(def.Base.Name()); pr.set == nil {
+		pr.set = standing.New(def.Base, snap.Flatten(), TopDegreeRoots(snap, s.K), s.G.Directed())
+		s.sets = append(s.sets, pr.set)
+	}
+	s.problems[def.Name] = pr
+	s.order = append(s.order, def.Name)
+	// The enable-time snapshot becomes the delta-patch parent of the
+	// first batch.
 	s.cur = snap
+	return nil
+}
+
+// setFor returns the standing set maintained for the named Base, or nil.
+func (s *System) setFor(base string) *standing.Manager {
+	for _, set := range s.sets {
+		if set.Problem.Name() == base {
+			return set
+		}
+	}
 	return nil
 }
 
@@ -337,8 +345,11 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchRe
 	}
 	start := time.Now()
 	view := updateView(parent, snap, changed)
-	for _, name := range s.order {
-		rep.StandingStats.Add(s.handlers[name].update(view, changed))
+	for _, set := range s.sets {
+		rep.StandingStats.Add(set.Update(view, changed))
+	}
+	for _, ans := range s.answers {
+		rep.StandingStats.Add(ans.update(view, changed))
 	}
 	rep.StandingElapsed = time.Since(start)
 	sr := s.refreshSubscriptions(view)
@@ -359,23 +370,28 @@ func prevVersion(parent, snap *streamgraph.Snapshot) uint64 {
 	return parent.Version()
 }
 
-// StandingMaintainTime returns the wall time of the named problem's most
-// recent standing-query (re-)evaluation.
+// StandingMaintainTime returns the wall time of the most recent
+// (re-)evaluation of the standing set that bounds the named problem — the
+// set's, so problems sharing one report the same figure — or of its
+// maintained answer.
 func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
-	h, ok := s.handlers[name]
-	if !ok {
-		return 0, fmt.Errorf("core: problem %q not enabled: %w", name, ErrUnknownProblem)
+	pr, err := s.lookup(name)
+	if err != nil {
+		return 0, err
 	}
-	return h.lastMaintain(), nil
+	if pr.set == nil {
+		return pr.ans.lastMaintain(), nil
+	}
+	return pr.set.LastMaintain, nil
 }
 
-// lookup resolves an enabled problem's handler.
-func (s *System) lookup(name string) (handler, error) {
-	h, ok := s.handlers[name]
+// lookup resolves an enabled problem.
+func (s *System) lookup(name string) (*problem, error) {
+	pr, ok := s.problems[name]
 	if !ok {
 		return nil, fmt.Errorf("core: problem %q not enabled: %w", name, ErrUnknownProblem)
 	}
-	return h, nil
+	return pr, nil
 }
 
 // checkSource validates a user-query source against the current graph.
@@ -395,7 +411,7 @@ func (s *System) checkSource(u graph.VertexID) error {
 // user query (Δ-initialization copies out of them), so cancellation at
 // any point is safe.
 func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
-	h, err := s.lookup(name)
+	pr, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +419,7 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 		return nil, err
 	}
 	s.observe(u)
-	res, err := h.queryDelta(ctx, s, u)
+	res, err := s.queryDelta(ctx, pr, u)
 	if err != nil {
 		return nil, err
 	}
@@ -411,19 +427,143 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 	return res, nil
 }
 
+// queryDelta answers one user query incrementally: read off the
+// maintained answer, or evaluate Δ-based from the problem's standing set.
+func (s *System) queryDelta(ctx context.Context, pr *problem, u graph.VertexID) (*QueryResult, error) {
+	if pr.set == nil {
+		// Nothing to cancel.
+		s.stMu.RLock()
+		vals, version := pr.ans.values()
+		s.stMu.RUnlock()
+		return &QueryResult{Problem: pr.Name, Source: u, Values: vals, Width: 1, Incremental: true, Version: version}, nil
+	}
+	start := time.Now()
+	ev, view, release, err := s.evalDelta(ctx, pr.set, func(n int) []graph.VertexID { return pr.Sources(u, n) })
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	res, err := pr.Answer(ctx, view, u, ev.st.Interleaved(), ev.st.K, ev.stats)
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	res.Incremental, res.StandingSlot, res.PropUR = true, ev.slots[0], ev.propURs[0]
+	res.Version = view.Version()
+	return res, nil
+}
+
+// evaluation is one Δ-based evaluation of a standing set's problem from
+// sources, one slot each: deltaInit prepares it out of the standing
+// arrays, run converges it.
+type evaluation struct {
+	sources []graph.VertexID
+	st      *engine.State
+	stats   engine.Stats
+	// slots and propURs record each source's chosen standing root (Eq. 15).
+	slots   []int
+	propURs []uint64
+}
+
+// deltaInit allocates the width-len(sources) state and Δ-initializes each
+// slot from its own best standing root, straight into the state's
+// storage. The caller holds stMu (shared under pinShared, or exclusive in
+// the writer's window) and runs the engine after letting go of the shared
+// lock. Each slot is an O(N) parallel pass, so cancellation is honored
+// between slots as well as inside the engine run.
+func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.VertexID) (*evaluation, error) {
+	p, n, w := set.Problem, set.Forward.N, len(sources)
+	ev := &evaluation{sources: sources, slots: make([]int, w), propURs: make([]uint64, w)}
+	if w == 1 {
+		// The one column is written whole by the Δ-init below, so it is not
+		// filled with the init value first: a width-1 query over a min/max
+		// problem is little more than this pass.
+		ev.st = &engine.State{P: p, K: 1, N: n, Values: make([]uint64, n)}
+	} else {
+		ev.st = engine.NewState(p, n, w)
+	}
+	for j, u := range sources {
+		if err := ctx.Err(); err != nil {
+			return nil, &engine.CanceledError{Cause: err}
+		}
+		slot, propUR := set.Select(u)
+		ev.slots[j], ev.propURs[j] = slot, propUR
+		col := set.StandingColumn(slot)
+		if dst, ok := ev.st.ColumnView(j); ok {
+			triangle.DeltaInitInto(dst, p, u, propUR, col)
+		} else {
+			arr, stride, off := ev.st.StrideView(j)
+			triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, col)
+		}
+	}
+	return ev, nil
+}
+
+// run converges the Δ-initialized state over view.
+func (ev *evaluation) run(ctx context.Context, view *streamgraph.Flat) (err error) {
+	seeds, masks := engine.SourceSeeds(ev.sources)
+	ev.stats, err = ev.st.RunPushCtx(ctx, view, seeds, masks)
+	return err
+}
+
+// evalDelta is the one Δ-based evaluation every reader runs: pin the
+// latest mirror and Δ-initialize from set as one step under the shared
+// lock (pinShared), then converge on the pinned view outside it. The
+// sources may depend on the pinned view's vertex count. The caller
+// releases the view once it has read the answer off it.
+func (s *System) evalDelta(ctx context.Context, set *standing.Manager, sourcesOf func(n int) []graph.VertexID) (*evaluation, *streamgraph.Flat, func(), error) {
+	var ev *evaluation
+	view, release, err := s.pinShared(func(g *streamgraph.Flat) (err error) {
+		ev, err = deltaInit(ctx, set, sourcesOf(g.NumVertices()))
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := ev.run(ctx, view); err != nil {
+		release()
+		return nil, nil, nil, err
+	}
+	return ev, view, release, nil
+}
+
+// queryFull answers one user query from scratch over view: the
+// maintained answer's own full evaluation, or the engine from the
+// problem's sources.
+func (pr *problem) queryFull(ctx context.Context, view *streamgraph.Flat, u graph.VertexID) (res *QueryResult, err error) {
+	start := time.Now()
+	if pr.set == nil {
+		vals, stats, err := pr.ans.full(ctx, view)
+		if err != nil {
+			return nil, err
+		}
+		res = &QueryResult{Problem: pr.Name, Source: u, Values: vals, Width: 1, Stats: stats}
+	} else {
+		st, stats, err := engine.RunCtx(ctx, view, pr.Base, pr.Sources(u, view.NumVertices()))
+		if err != nil {
+			return nil, err
+		}
+		if res, err = pr.Answer(ctx, view, u, st.Interleaved(), st.K, stats); err != nil {
+			return nil, err
+		}
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
 // DeltaMergeInto folds this system's best Δ(u, r*) initialization for
 // the named problem into init: init[x] becomes the better of its current
 // value and Combine(property(u, r*), property(r*, x)), computed from the
-// standing state under the shared lock. The merge happens only when the
-// standing state's converged version equals wantVersion — the caller (the
+// problem's standing set under the shared lock. The merge happens only
+// when the set's converged version equals wantVersion — the caller (the
 // shard router) pins a snapshot vector first and must never pair standing
 // bounds from a different version with it, because newer bounds can be
 // *too good* for the pinned view and monotone relaxation cannot recover
 // from that. It returns the chosen standing slot and property(u, r*)
-// alongside ok=false when the problem is not a simple triangle problem,
-// not enabled, or the version gate fails — in which case init is
-// untouched, which is always sound (the caller falls back to the default
-// initialization for this system's share of the bounds).
+// alongside ok=false when the problem is not enabled, has no standing
+// set, or the version gate fails — in which case init is untouched, which
+// is always sound (the caller falls back to the default initialization
+// for this system's share of the bounds).
 //
 // The merged bounds are computed over this system's graph only. When that
 // graph is one shard of a larger partitioned graph, its properties are
@@ -431,22 +571,18 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 // monotonically under edge insertion), so the merged Δ remains a sound —
 // merely weaker — initialization for evaluation over the union.
 func (s *System) DeltaMergeInto(problem string, u graph.VertexID, wantVersion uint64, init []uint64) (slot int, propUR uint64, ok bool) {
-	h, err := s.lookup(problem)
-	if err != nil {
-		return 0, 0, false
-	}
-	sh, isSimple := h.(*simpleHandler)
-	if !isSimple {
+	pr, err := s.lookup(problem)
+	if err != nil || pr.set == nil {
 		return 0, 0, false
 	}
 	s.stMu.RLock()
 	defer s.stMu.RUnlock()
-	if sh.mgr.LastVersion != wantVersion || int(u) >= s.G.Acquire().NumVertices() {
+	if pr.set.LastVersion != wantVersion || int(u) >= s.G.Acquire().NumVertices() {
 		return 0, 0, false
 	}
-	p := sh.mgr.Problem
-	slot, propUR = sh.mgr.Select(u)
-	col := sh.mgr.StandingColumn(slot)
+	p := pr.set.Problem
+	slot, propUR = pr.set.Select(u)
+	col := pr.set.StandingColumn(slot)
 	n := len(init)
 	if len(col) < n {
 		n = len(col)
@@ -464,7 +600,7 @@ func (s *System) DeltaMergeInto(problem string, u graph.VertexID, wantVersion ui
 // (non-incremental) evaluation — the baseline the paper's speedups
 // compare against — under cooperative cancellation (see QueryCtx).
 func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
-	h, err := s.lookup(name)
+	pr, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -473,375 +609,10 @@ func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 	}
 	view, release := PinMirror(s.G.Acquire())
 	defer release()
-	res, err := h.queryFull(ctx, view, u)
+	res, err := pr.queryFull(ctx, view, u)
 	if err != nil {
 		return nil, err
 	}
 	res.Version = view.Version()
 	return res, nil
 }
-
-// ---------------------------------------------------------------------
-// simple problems: BFS, SSSP, SSWP, SSNP, Viterbi, SSR
-
-type simpleHandler struct {
-	mu  *sync.RWMutex // the System's stMu; guards mgr's arrays
-	mgr *standing.Manager
-}
-
-func (h *simpleHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
-	return h.mgr.Update(g, changed)
-}
-
-func (h *simpleHandler) lastMaintain() time.Duration { return h.mgr.LastMaintain }
-
-func (h *simpleHandler) queryDelta(ctx context.Context, s *System, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	var (
-		init   []uint64
-		slot   int
-		propUR uint64
-	)
-	view, release, err := s.pinShared(func(*streamgraph.Flat) error {
-		init, slot, propUR = h.mgr.DeltaFor(u)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	st := &engine.State{P: h.mgr.Problem, K: 1, N: len(init), Values: init}
-	stats, err := st.RunPushCtx(ctx, view, []graph.VertexID{u}, []uint64{1})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{
-		Problem: h.mgr.Problem.Name(), Source: u,
-		Values: st.Values, Width: 1,
-		Stats: stats, Elapsed: time.Since(start),
-		Incremental: true, StandingSlot: slot, PropUR: propUR,
-		Version: view.Version(),
-	}, nil
-}
-
-func (h *simpleHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	st, stats, err := engine.RunCtx(ctx, g, h.mgr.Problem, []graph.VertexID{u})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{
-		Problem: h.mgr.Problem.Name(), Source: u,
-		Values: st.Values, Width: 1,
-		Stats: stats, Elapsed: time.Since(start),
-	}, nil
-}
-
-// ---------------------------------------------------------------------
-// Radii: a 16-wide SSSP whose radius estimate is the largest finite
-// distance (Table 1's dist1..dist16). A Radii user query rooted at u runs
-// sources {u, h_2..h_16} where the helpers are deterministic in u; each
-// slot is Δ-initialized independently via the SSSP triangle.
-
-type radiiHandler struct {
-	mu  *sync.RWMutex
-	mgr *standing.Manager // SSSP standing queries reused per slot
-}
-
-func newRadiiHandler(mu *sync.RWMutex, g *streamgraph.Flat, roots []graph.VertexID, directed bool) *radiiHandler {
-	return &radiiHandler{mu: mu, mgr: standing.New(props.SSSP{}, g, roots, directed)}
-}
-
-func (h *radiiHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
-	return h.mgr.Update(g, changed)
-}
-
-func (h *radiiHandler) lastMaintain() time.Duration { return h.mgr.LastMaintain }
-
-// RadiiSources derives the deterministic SSSP sources of a Radii query
-// rooted at u over an n-vertex graph: slot 0 is u itself and the
-// remaining props.NumRadiiSources-1 helpers are a splitmix-style
-// sequence seeded by u. Exported so the shard router evaluates the
-// identical source set when it scatters a Radii query across shards.
-func RadiiSources(u graph.VertexID, n int) []graph.VertexID { return radiiSources(u, n) }
-
-// radiiSources derives the query's 16 SSSP sources from u.
-func radiiSources(u graph.VertexID, n int) []graph.VertexID {
-	out := make([]graph.VertexID, props.NumRadiiSources)
-	out[0] = u
-	seed := uint64(u)*0x9E3779B97F4A7C15 + 1
-	for i := 1; i < len(out); i++ {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		out[i] = graph.VertexID((seed >> 17) % uint64(n))
-	}
-	return out
-}
-
-func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	var (
-		st      *engine.State
-		sources []graph.VertexID
-		n, w    int
-	)
-	view, release, err := s.pinShared(func(g *streamgraph.Flat) error {
-		n = g.NumVertices()
-		sources = radiiSources(u, n)
-		w = len(sources)
-		st = engine.NewState(props.SSSP{}, n, w)
-		// Δ-initialize each slot from its best standing root, directly
-		// into the state's storage (zero-copy column views on contiguous
-		// layouts, parallel strided writes otherwise). Each slot is an
-		// O(N) pass, so the 16-slot setup honors cancellation between
-		// slots as well as inside the engine run.
-		for j, src := range sources {
-			if err := ctx.Err(); err != nil {
-				return &engine.CanceledError{Cause: err}
-			}
-			slot, propUR := h.mgr.Select(src)
-			standing := h.mgr.StandingColumn(slot)
-			if dst, ok := st.ColumnView(j); ok {
-				triangle.DeltaInitInto(dst, props.SSSP{}, src, propUR, standing)
-			} else {
-				arr, stride, off := st.StrideView(j)
-				triangle.DeltaInitStridedInto(arr, stride, off, props.SSSP{}, src, propUR, standing)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	seeds, masks := engine.SourceSeeds(sources)
-	stats, err := st.RunPushCtx(ctx, view, seeds, masks)
-	if err != nil {
-		return nil, err
-	}
-	values := st.Interleaved()
-	return &QueryResult{
-		Problem: "Radii", Source: u,
-		Values: values, Width: w,
-		Radius: props.RadiiEstimate(values, n, w),
-		Stats:  stats, Elapsed: time.Since(start),
-		Incremental: true,
-		Version:     view.Version(),
-	}, nil
-}
-
-func (h *radiiHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	n := g.NumVertices()
-	sources := radiiSources(u, n)
-	st, stats, err := engine.RunCtx(ctx, g, props.SSSP{}, sources)
-	if err != nil {
-		return nil, err
-	}
-	values := st.Interleaved()
-	return &QueryResult{
-		Problem: "Radii", Source: u,
-		Values: values, Width: len(sources),
-		Radius: props.RadiiEstimate(values, n, len(sources)),
-		Stats:  stats, Elapsed: time.Since(start),
-	}, nil
-}
-
-// ---------------------------------------------------------------------
-// SSNSP: BFS levels maintained as standing queries (K-wide), per-root
-// shortest-path counts recomputed after every batch (counting is not
-// incrementally resumable — see props.SSNSPResult). User queries reuse
-// the BFS triangle for the level round and recount exactly.
-
-type ssnspHandler struct {
-	mu     *sync.RWMutex
-	mgr    *standing.Manager // BFS levels
-	counts [][]uint64        // per-root counts, refreshed each update
-	last   time.Duration
-}
-
-func newSSNSPHandler(mu *sync.RWMutex, g *streamgraph.Flat, roots []graph.VertexID, directed bool) *ssnspHandler {
-	start := time.Now()
-	h := &ssnspHandler{mu: mu, mgr: standing.New(props.BFS{}, g, roots, directed)}
-	h.recount(g)
-	h.last = time.Since(start)
-	return h
-}
-
-func (h *ssnspHandler) recount(g *streamgraph.Flat) {
-	h.counts = h.counts[:0]
-	for k, r := range h.mgr.Roots {
-		res := countRoundFromLevels(g, r, h.mgr.Forward, k)
-		h.counts = append(h.counts, res)
-	}
-}
-
-// countRoundFromLevels recounts shortest paths for root slot k using the
-// standing BFS levels.
-func countRoundFromLevels(g *streamgraph.Flat, root graph.VertexID, st *engine.State, k int) []uint64 {
-	levels := st.Column(k)
-	res := props.CountShortestPaths(g, root, levels)
-	return res
-}
-
-func (h *ssnspHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
-	start := time.Now()
-	stats := h.mgr.Update(g, changed)
-	h.recount(g)
-	h.last = time.Since(start)
-	return stats
-}
-
-func (h *ssnspHandler) lastMaintain() time.Duration { return h.last }
-
-func (h *ssnspHandler) queryDelta(ctx context.Context, s *System, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	var (
-		init   []uint64
-		slot   int
-		propUR uint64
-	)
-	view, release, err := s.pinShared(func(*streamgraph.Flat) error {
-		init, slot, propUR = h.mgr.DeltaFor(u)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	initCopy := append([]uint64(nil), init...)
-	res, err := props.RunSSNSPDeltaCtx(ctx, view, u, init)
-	if err != nil {
-		return nil, err
-	}
-	res.PredicateRate = props.PredicateRate(initCopy, res.Levels)
-	stats := res.LevelStats
-	stats.Add(res.CountStats)
-	return &QueryResult{
-		Problem: "SSNSP", Source: u,
-		Values: res.Levels, Width: 1, Counts: res.Counts,
-		Stats: stats, CountStats: res.CountStats,
-		Elapsed:     time.Since(start),
-		Incremental: true, StandingSlot: slot, PropUR: propUR,
-		Version: view.Version(),
-	}, nil
-}
-
-func (h *ssnspHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	res, err := props.RunSSNSPCtx(ctx, g, u)
-	if err != nil {
-		return nil, err
-	}
-	stats := res.LevelStats
-	stats.Add(res.CountStats)
-	return &QueryResult{
-		Problem: "SSNSP", Source: u,
-		Values: res.Levels, Width: 1, Counts: res.Counts,
-		Stats: stats, CountStats: res.CountStats,
-		Elapsed: time.Since(start),
-	}, nil
-}
-
-// ---------------------------------------------------------------------
-// Whole-graph queries (no triangle needed): the system maintains them
-// incrementally like classic streaming systems and answers from the
-// standing state directly.
-
-type pageRankHandler struct {
-	mu      *sync.RWMutex
-	ranks   []float64
-	version uint64 // snapshot version the ranks converged at
-	last    time.Duration
-}
-
-func newPageRankHandler(mu *sync.RWMutex, g *streamgraph.Flat) *pageRankHandler {
-	start := time.Now()
-	res := props.PageRank(g, 0.85, 100, 1e-9)
-	return &pageRankHandler{mu: mu, ranks: res.Ranks, version: g.Version(), last: time.Since(start)}
-}
-
-func (h *pageRankHandler) update(g *streamgraph.Flat, _ []graph.VertexID) engine.Stats {
-	start := time.Now()
-	res := props.PageRankFrom(g, h.ranks, 0.85, 100, 1e-9)
-	h.ranks = res.Ranks
-	h.version = g.Version()
-	h.last = time.Since(start)
-	return engine.Stats{Iterations: res.Iterations}
-}
-
-func (h *pageRankHandler) lastMaintain() time.Duration { return h.last }
-
-func (h *pageRankHandler) queryDelta(_ context.Context, _ *System, u graph.VertexID) (*QueryResult, error) {
-	// Answered instantly from the standing ranks — nothing to cancel. The
-	// reported version is the one the ranks last converged at, which can
-	// differ from the latest snapshot while a mutation is in flight.
-	h.mu.RLock()
-	vals := make([]uint64, len(h.ranks))
-	for i, r := range h.ranks {
-		vals[i] = floatBits(r)
-	}
-	v := h.version
-	h.mu.RUnlock()
-	return &QueryResult{Problem: "PageRank", Source: u, Values: vals, Width: 1, Incremental: true,
-		Version: v}, nil
-}
-
-func (h *pageRankHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	res, err := props.PageRankCtx(ctx, g, 0.85, 100, 1e-9)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]uint64, len(res.Ranks))
-	for i, r := range res.Ranks {
-		vals[i] = floatBits(r)
-	}
-	return &QueryResult{Problem: "PageRank", Source: u, Values: vals, Width: 1,
-		Stats: engine.Stats{Iterations: res.Iterations}, Elapsed: time.Since(start)}, nil
-}
-
-type ccHandler struct {
-	mu      *sync.RWMutex
-	st      *engine.State
-	version uint64 // snapshot version the labels converged at
-	last    time.Duration
-}
-
-func newCCHandler(mu *sync.RWMutex, g *streamgraph.Flat) *ccHandler {
-	start := time.Now()
-	st, _ := props.ConnectedComponents(g)
-	return &ccHandler{mu: mu, st: st, version: g.Version(), last: time.Since(start)}
-}
-
-func (h *ccHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
-	start := time.Now()
-	stats := props.ResumeConnectedComponents(g, h.st, changed)
-	h.version = g.Version()
-	h.last = time.Since(start)
-	return stats
-}
-
-func (h *ccHandler) lastMaintain() time.Duration { return h.last }
-
-func (h *ccHandler) queryDelta(_ context.Context, _ *System, u graph.VertexID) (*QueryResult, error) {
-	// Answered instantly from the standing labels — nothing to cancel.
-	// The version reported is the one the labels converged at.
-	h.mu.RLock()
-	vals := append([]uint64(nil), h.st.Values...)
-	v := h.version
-	h.mu.RUnlock()
-	return &QueryResult{Problem: "CC", Source: u, Values: vals, Width: 1, Incremental: true,
-		Version: v}, nil
-}
-
-func (h *ccHandler) queryFull(ctx context.Context, g *streamgraph.Flat, u graph.VertexID) (*QueryResult, error) {
-	start := time.Now()
-	st, stats, err := props.ConnectedComponentsCtx(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{Problem: "CC", Source: u, Values: append([]uint64(nil), st.Values...),
-		Width: 1, Stats: stats, Elapsed: time.Since(start)}, nil
-}
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -1,6 +1,7 @@
 package props_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -181,17 +182,28 @@ func TestBetterIsStrictOrder(t *testing.T) {
 	}
 }
 
+// runSSNSP is SSNSP's two rounds: BFS levels, then the exact count.
+func runSSNSP(t *testing.T, g *graph.CSR, src graph.VertexID) (levels, counts []uint64) {
+	t.Helper()
+	levels = runOne(t, props.BFS{}, g, src)
+	counts, _, err := props.CountShortestPaths(context.Background(), g, src, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return levels, counts
+}
+
 func TestSSNSPMatchesOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		g := graph.FromEdges(120, gen.Uniform(120, 700, 4, seed), true)
-		res := props.RunSSNSP(g, 5)
+		levels, counts := runSSNSP(t, g, 5)
 		wantLevels, wantCounts := oracle.CountShortestPaths(g, 5)
 		for v := 0; v < g.N; v++ {
-			if res.Levels[v] != wantLevels[v] {
-				t.Fatalf("seed %d: level[%d]=%d, want %d", seed, v, res.Levels[v], wantLevels[v])
+			if levels[v] != wantLevels[v] {
+				t.Fatalf("seed %d: level[%d]=%d, want %d", seed, v, levels[v], wantLevels[v])
 			}
-			if res.Counts[v] != wantCounts[v] {
-				t.Fatalf("seed %d: count[%d]=%d, want %d", seed, v, res.Counts[v], wantCounts[v])
+			if counts[v] != wantCounts[v] {
+				t.Fatalf("seed %d: count[%d]=%d, want %d", seed, v, counts[v], wantCounts[v])
 			}
 		}
 	}
@@ -202,43 +214,12 @@ func TestSSNSPDiamondCounts(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{
 		{Src: 0, Dst: 1, W: 1}, {Src: 0, Dst: 2, W: 1}, {Src: 1, Dst: 3, W: 1}, {Src: 2, Dst: 3, W: 1},
 	}, true)
-	res := props.RunSSNSP(g, 0)
-	if res.Counts[3] != 2 {
-		t.Fatalf("count[3]=%d, want 2", res.Counts[3])
+	_, counts := runSSNSP(t, g, 0)
+	if counts[3] != 2 {
+		t.Fatalf("count[3]=%d, want 2", counts[3])
 	}
-	if res.Counts[0] != 1 {
-		t.Fatalf("count[0]=%d, want 1", res.Counts[0])
-	}
-}
-
-func TestSSNSPDeltaEqualsFull(t *testing.T) {
-	g := graph.FromEdges(150, gen.Uniform(150, 900, 4, 9), true)
-	full := props.RunSSNSP(g, 7)
-	// Build a Δ-init for levels from a standing BFS at a high-degree root.
-	root := graph.VertexID(0)
-	standing := oracle.BestPath(g, props.BFS{}, root)
-	toRoot := oracle.BestPathTo(g, props.BFS{}, root)
-	init := triangle.DeltaInit(props.BFS{}, 7, toRoot[7], standing)
-	delta := props.RunSSNSPDelta(g, 7, init)
-	for v := 0; v < g.N; v++ {
-		if full.Levels[v] != delta.Levels[v] {
-			t.Fatalf("levels differ at %d", v)
-		}
-		if full.Counts[v] != delta.Counts[v] {
-			t.Fatalf("counts differ at %d: %d vs %d", v, full.Counts[v], delta.Counts[v])
-		}
-	}
-}
-
-func TestPredicateRate(t *testing.T) {
-	final := []uint64{0, 1, 2, props.Unreached}
-	init := []uint64{0, 1, 5, props.Unreached}
-	got := props.PredicateRate(init, final)
-	if got < 0.66 || got > 0.67 {
-		t.Fatalf("rate=%v, want 2/3", got)
-	}
-	if props.PredicateRate(nil, []uint64{props.Unreached}) != 0 {
-		t.Fatal("all-unreachable rate must be 0")
+	if counts[0] != 1 {
+		t.Fatalf("count[0]=%d, want 1", counts[0])
 	}
 }
 

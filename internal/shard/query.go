@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -50,31 +49,18 @@ func (r *Router) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 	if r.single() {
 		return r.shards[0].QueryCtx(ctx, name, u)
 	}
-	kind, ok := r.kinds[name]
-	if !ok {
-		return nil, fmt.Errorf("shard: problem %q not enabled: %w", name, core.ErrUnknownProblem)
+	def, err := r.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	e := r.bar.latest()
 	if err := checkSource(u, e); err != nil {
 		return nil, err
 	}
-	var (
-		res *core.QueryResult
-		err error
-	)
-	switch kind {
-	case kindSimple:
-		res, err = r.querySimple(ctx, e, name, u)
-	case kindRadii:
-		res, err = r.queryRadii(ctx, e, u)
-	case kindSSNSP:
-		res, err = r.querySSNSP(ctx, e, u)
-	case kindPageRank:
-		res, err = r.queryPageRank(u), nil
-	case kindCC:
-		res, err = r.queryCC(u), nil
-	}
-	if err != nil {
+	var res *core.QueryResult
+	if def.Base == nil {
+		res = r.queryWholeGraph(name, u)
+	} else if res, err = r.queryDelta(ctx, e, def, u); err != nil {
 		return nil, err
 	}
 	r.cache.Put(res)
@@ -88,15 +74,15 @@ func (r *Router) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 	if r.single() {
 		return r.shards[0].QueryFullCtx(ctx, name, u)
 	}
-	kind, ok := r.kinds[name]
-	if !ok {
-		return nil, fmt.Errorf("shard: problem %q not enabled: %w", name, core.ErrUnknownProblem)
+	def, err := r.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	e := r.bar.latest()
 	if err := checkSource(u, e); err != nil {
 		return nil, err
 	}
-	return r.fullAt(ctx, kind, name, e, u)
+	return r.fullAt(ctx, def, e, u)
 }
 
 // QueryAtCtx answers a user query against the retained barrier entry
@@ -115,9 +101,9 @@ func (r *Router) QueryAtCtx(ctx context.Context, version uint64, problem string,
 		return nil, fmt.Errorf("shard: version %d not retained (have %v): %w",
 			version, r.bar.versions(), core.ErrNoSuchVersion)
 	}
-	kind, ok := r.kinds[problem]
-	if !ok {
-		return nil, fmt.Errorf("shard: problem %q not enabled: %w", problem, core.ErrUnknownProblem)
+	def, err := r.lookup(problem)
+	if err != nil {
+		return nil, err
 	}
 	// In range for the queried version's union — the graph may have grown
 	// since.
@@ -126,20 +112,20 @@ func (r *Router) QueryAtCtx(ctx context.Context, version uint64, problem string,
 			u, version, e.n, core.ErrSourceOutOfRange)
 	}
 	// fullAt stamps e.global, which IS the requested version.
-	return r.fullAt(ctx, kind, problem, e, u)
+	return r.fullAt(ctx, def, e, u)
 }
 
 // QueryManyCtx evaluates up to 64 same-problem user queries in one
-// batched scatter/gather evaluation (simple problems only, like core).
+// batched scatter/gather evaluation (the problems core batches).
 func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*core.MultiResult, error) {
 	if r.single() {
 		return r.shards[0].QueryManyCtx(ctx, problem, sources)
 	}
-	kind, ok := r.kinds[problem]
-	if !ok {
-		return nil, fmt.Errorf("shard: problem %q not enabled: %w", problem, core.ErrUnknownProblem)
+	def, err := r.lookup(problem)
+	if err != nil {
+		return nil, err
 	}
-	if kind != kindSimple {
+	if !def.Batchable() {
 		return nil, fmt.Errorf("shard: problem %q does not support batched user queries", problem)
 	}
 	if len(sources) == 0 {
@@ -156,7 +142,7 @@ func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []gra
 	}
 	start := time.Now()
 	w := len(sources)
-	st, _, err := r.deltaState(ctx, e, problem, r.probs[problem], sources)
+	st, _, err := r.deltaState(ctx, e, def, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +168,7 @@ func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []gra
 }
 
 // ---------------------------------------------------------------------
-// Per-kind incremental paths.
+// Incremental and full evaluation against one barrier entry.
 
 // mergeDelta folds every shard's best standing Δ-bound for (problem, u)
 // at the entry's pinned version into init, reporting whether any shard
@@ -200,13 +186,14 @@ func (r *Router) mergeDelta(problem string, u graph.VertexID, e *entry, init []u
 }
 
 // deltaState allocates the width-len(sources) state of an incremental
-// evaluation at entry e and Δ-initializes it slot by slot: slot j merges
-// every shard's best standing bound for (problem, sources[j]) — straight
+// evaluation of def at entry e and Δ-initializes it slot by slot: slot j
+// merges every shard's best standing bound for sources[j] — straight
 // into the state's column at width 1, through a scratch column written
 // back by StrideView above it — and then plants its source. incremental
 // reports whether any shard contributed a bound. Each slot is an O(S·N)
 // pass, so cancellation is honored between slots.
-func (r *Router) deltaState(ctx context.Context, e *entry, problem string, p engine.Problem, sources []graph.VertexID) (st *engine.State, incremental bool, err error) {
+func (r *Router) deltaState(ctx context.Context, e *entry, def core.ProblemDef, sources []graph.VertexID) (st *engine.State, incremental bool, err error) {
+	p := def.Base
 	st = engine.NewState(p, e.n, len(sources))
 	var scratch []uint64
 	for j, src := range sources {
@@ -221,7 +208,7 @@ func (r *Router) deltaState(ctx context.Context, e *entry, problem string, p eng
 			fillInit(scratch, p.InitValue())
 			col = scratch
 		}
-		if r.mergeDelta(problem, src, e, col) {
+		if r.mergeDelta(def.Name, src, e, col) {
 			incremental = true
 		}
 		if !contiguous {
@@ -235,10 +222,15 @@ func (r *Router) deltaState(ctx context.Context, e *entry, problem string, p eng
 	return st, incremental, nil
 }
 
-func (r *Router) querySimple(ctx context.Context, e *entry, name string, u graph.VertexID) (*core.QueryResult, error) {
+// queryDelta answers a user query of a problem with a standing set: the
+// merged Δ-initialization, scatter/gather rounds to the union fixpoint,
+// then the definition's finish step — one exact pass over the union (the
+// SSNSP count is integer sums over arcs, order-independent), never per
+// shard.
+func (r *Router) queryDelta(ctx context.Context, e *entry, def core.ProblemDef, u graph.VertexID) (*core.QueryResult, error) {
 	start := time.Now()
-	sources := []graph.VertexID{u}
-	st, incremental, err := r.deltaState(ctx, e, name, r.probs[name], sources)
+	sources := def.Sources(u, e.n)
+	st, incremental, err := r.deltaState(ctx, e, def, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -249,137 +241,42 @@ func (r *Router) querySimple(ctx context.Context, e *entry, name string, u graph
 	if err != nil {
 		return nil, err
 	}
-	return &core.QueryResult{
-		Problem: name, Source: u,
-		Values: st.Values, Width: 1,
-		Stats: stats, Elapsed: time.Since(start),
-		Incremental: incremental,
-		Version:     e.global,
-	}, nil
-}
-
-func (r *Router) queryRadii(ctx context.Context, e *entry, u graph.VertexID) (*core.QueryResult, error) {
-	start := time.Now()
-	n := e.n
-	sources := core.RadiiSources(u, n)
-	w := len(sources)
-	st, incremental, err := r.deltaState(ctx, e, "SSSP", props.SSSP{}, sources)
+	res, err := def.Answer(ctx, unionOf(views), u, st.Interleaved(), st.K, stats)
 	if err != nil {
 		return nil, err
 	}
-	views, release := pinEntry(e)
-	defer release()
-	seeds, masks := seedsFromInit(st, sources)
-	stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
-	if err != nil {
-		return nil, err
-	}
-	values := st.Interleaved()
-	return &core.QueryResult{
-		Problem: "Radii", Source: u,
-		Values: values, Width: w,
-		Radius: props.RadiiEstimate(values, n, w),
-		Stats:  stats, Elapsed: time.Since(start),
-		Incremental: incremental,
-		Version:     e.global,
-	}, nil
-}
-
-func (r *Router) querySSNSP(ctx context.Context, e *entry, u graph.VertexID) (*core.QueryResult, error) {
-	start := time.Now()
-	p := props.BFS{}
-	n := e.n
-	init := makeInit(n, p.InitValue())
-	incremental := r.mergeDelta("BFS", u, e, init)
-	initCopy := append([]uint64(nil), init...)
-	init[u] = p.SourceValue()
-	st := &engine.State{P: p, K: 1, N: n, Values: init}
-	views, release := pinEntry(e)
-	defer release()
-	seeds, masks := seedsFromInit(st, []graph.VertexID{u})
-	stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
-	if err != nil {
-		return nil, err
-	}
-	// The counting round is an exact per-level sweep — integer sums over
-	// arcs, order-independent, so it runs once over the union rather than
-	// per shard.
-	counts := props.CountShortestPaths(unionOf(views), u, st.Values)
-	res := &core.QueryResult{
-		Problem: "SSNSP", Source: u,
-		Values: st.Values, Width: 1, Counts: counts,
-		Stats: stats, Elapsed: time.Since(start),
-		Incremental: incremental,
-		Version:     e.global,
-	}
-	_ = props.PredicateRate(initCopy, st.Values) // predicate satisfaction is per-shard telemetry; not reported here
+	res.Elapsed, res.Incremental, res.Version = time.Since(start), incremental, e.global
 	return res, nil
 }
 
-func (r *Router) queryPageRank(u graph.VertexID) *core.QueryResult {
-	// Answered instantly from the router-maintained standing ranks; the
-	// reported version is the global version the ranks converged at,
-	// which can trail the latest while a mutation is in flight.
+// queryWholeGraph answers PageRank or CC instantly from the
+// router-maintained standing state; the reported version is the global
+// version it converged at, which can trail the latest while a mutation is
+// in flight.
+func (r *Router) queryWholeGraph(name string, u graph.VertexID) *core.QueryResult {
+	res := &core.QueryResult{Problem: name, Source: u, Width: 1, Incremental: true}
 	r.wgMu.RLock()
-	vals := make([]uint64, len(r.prRanks))
-	for i, rank := range r.prRanks {
-		vals[i] = floatBits(rank)
+	defer r.wgMu.RUnlock()
+	if name == "PageRank" {
+		res.Values, res.Version = core.RankBits(r.prRanks), r.prVersion
+	} else {
+		res.Values, res.Version = append([]uint64(nil), r.ccSt.Values...), r.ccVersion
 	}
-	v := r.prVersion
-	r.wgMu.RUnlock()
-	return &core.QueryResult{Problem: "PageRank", Source: u, Values: vals, Width: 1,
-		Incremental: true, Version: v}
+	return res
 }
 
-func (r *Router) queryCC(u graph.VertexID) *core.QueryResult {
-	r.wgMu.RLock()
-	vals := append([]uint64(nil), r.ccSt.Values...)
-	v := r.ccVersion
-	r.wgMu.RUnlock()
-	return &core.QueryResult{Problem: "CC", Source: u, Values: vals, Width: 1,
-		Incremental: true, Version: v}
-}
-
-// ---------------------------------------------------------------------
-// Full (non-incremental) evaluation against one barrier entry, shared by
-// QueryFull and QueryAt. The result's Version is the entry's global
-// version.
-
-func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *entry, u graph.VertexID) (*core.QueryResult, error) {
+// fullAt is the full (non-incremental) evaluation against one barrier
+// entry, shared by QueryFull and QueryAt. The result's Version is the
+// entry's global version.
+func (r *Router) fullAt(ctx context.Context, def core.ProblemDef, e *entry, u graph.VertexID) (*core.QueryResult, error) {
 	start := time.Now()
 	views, release := pinEntry(e)
 	defer release()
-	switch kind {
-	case kindSimple, kindSSNSP:
-		var p engine.Problem
-		if kind == kindSSNSP {
-			p = props.BFS{}
-		} else {
-			p = r.probs[name]
-		}
-		n := e.n
-		init := makeInit(n, p.InitValue())
-		init[u] = p.SourceValue()
-		st := &engine.State{P: p, K: 1, N: n, Values: init}
-		stats, err := r.runRoundsCtx(ctx, views, st, []graph.VertexID{u}, []uint64{1})
-		if err != nil {
-			return nil, err
-		}
-		res := &core.QueryResult{
-			Problem: name, Source: u,
-			Values: st.Values, Width: 1,
-			Stats: stats, Elapsed: time.Since(start),
-			Version: e.global,
-		}
-		if kind == kindSSNSP {
-			res.Counts = props.CountShortestPaths(unionOf(views), u, st.Values)
-		}
-		return res, nil
-	case kindRadii:
-		n := e.n
-		sources := core.RadiiSources(u, n)
-		w := len(sources)
-		st := engine.NewState(props.SSSP{}, n, w)
+	var res *core.QueryResult
+	switch {
+	case def.Base != nil:
+		sources := def.Sources(u, e.n)
+		st := engine.NewState(def.Base, e.n, len(sources))
 		for j, src := range sources {
 			st.SetSource(src, j)
 		}
@@ -388,38 +285,26 @@ func (r *Router) fullAt(ctx context.Context, kind problemKind, name string, e *e
 		if err != nil {
 			return nil, err
 		}
-		values := st.Interleaved()
-		return &core.QueryResult{
-			Problem: "Radii", Source: u,
-			Values: values, Width: w,
-			Radius: props.RadiiEstimate(values, n, w),
-			Stats:  stats, Elapsed: time.Since(start),
-			Version: e.global,
-		}, nil
-	case kindPageRank:
-		res, err := props.PageRankCtx(ctx, unionOf(views), 0.85, 100, 1e-9)
+		if res, err = def.Answer(ctx, unionOf(views), u, st.Interleaved(), st.K, stats); err != nil {
+			return nil, err
+		}
+	case def.Name == "PageRank":
+		pr, err := props.PageRankCtx(ctx, unionOf(views), 0.85, 100, 1e-9)
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]uint64, len(res.Ranks))
-		for i, rank := range res.Ranks {
-			vals[i] = floatBits(rank)
-		}
-		return &core.QueryResult{Problem: "PageRank", Source: u, Values: vals, Width: 1,
-			Stats: engine.Stats{Iterations: res.Iterations}, Elapsed: time.Since(start),
-			Version: e.global}, nil
-	case kindCC:
+		res = &core.QueryResult{Problem: def.Name, Source: u, Values: core.RankBits(pr.Ranks), Width: 1,
+			Stats: engine.Stats{Iterations: pr.Iterations}}
+	default:
 		st, seeds, masks := props.NewCCState(e.n)
 		stats, err := r.runRoundsCtx(ctx, views, st, seeds, masks)
 		if err != nil {
 			return nil, err
 		}
-		return &core.QueryResult{Problem: "CC", Source: u,
-			Values: st.Values, Width: 1,
-			Stats: stats, Elapsed: time.Since(start),
-			Version: e.global}, nil
+		res = &core.QueryResult{Problem: def.Name, Source: u, Values: st.Values, Width: 1, Stats: stats}
 	}
-	return nil, fmt.Errorf("shard: problem %q not enabled: %w", name, core.ErrUnknownProblem)
+	res.Elapsed, res.Version = time.Since(start), e.global
+	return res, nil
 }
 
 // ---------------------------------------------------------------------
@@ -568,5 +453,3 @@ func fillInit(dst []uint64, v uint64) {
 		dst[i] = v
 	}
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -18,21 +18,25 @@
 // names one coherent cut of the partitioned graph, and QueryAt can
 // address any retained cut.
 //
-// Query evaluation gathers per problem class:
+// What a named problem is comes from core's table (core.ProblemDef); the
+// router only supplies how an evaluation gathers:
 //
-//   - Simple triangle problems (and Radii's 16 SSSP slots, SSNSP's BFS
-//     round): each shard folds its best standing Δ-bound into a shared
-//     initialization (core.System.DeltaMergeInto), then scatter/gather
-//     rounds run every shard's kernel against one shared CAS-relaxed
-//     value array until no value moves — the min-merge for the
-//     SSSP family, executed in place. The merged init is sound but not
+//   - Problems with a standing set (every Base: the simple problems,
+//     Radii's 16 SSSP slots, SSNSP's BFS round) are enabled by name on
+//     every shard. Each shard folds its best standing Δ-bound into a
+//     shared initialization (core.System.DeltaMergeInto), then
+//     scatter/gather rounds run every shard's kernel against one shared
+//     CAS-relaxed value array until no value moves — the min-merge for
+//     the SSSP family, executed in place — and the definition's finish
+//     step runs once over the union. The merged init is sound but not
 //     triangle-consistent for the union, so every initialized vertex is
-//     seeded (see querySimple for the chain argument).
+//     seeded (see query.go for the chain argument).
 //   - PageRank and CC are maintained at the router — PageRank as a
 //     warm-started float iteration over the union view, CC as a CCLabel
 //     state resumed through the same scatter/gather rounds (the min-label
-//     join across shard boundary vertices) — mirroring core's handlers
-//     batch for batch so version stamps line up with a single system's.
+//     join across shard boundary vertices) — mirroring core's maintained
+//     answers batch for batch so version stamps line up with a single
+//     system's.
 //
 // A single-shard router routes every call straight to its one
 // core.System, so S=1 is bit-identical to an unsharded deployment by
@@ -55,17 +59,6 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-// problemKind selects the gather strategy for an enabled problem.
-type problemKind uint8
-
-const (
-	kindSimple problemKind = iota
-	kindRadii
-	kindSSNSP
-	kindPageRank
-	kindCC
-)
-
 // Router hash-partitions a streaming graph across S core.System shards
 // under a versioned cross-shard snapshot barrier. It implements
 // core.Backend, so the facade and server treat it and a lone core.System
@@ -85,14 +78,10 @@ type Router struct {
 	// apply semantics).
 	tok chan struct{}
 
-	// order preserves enable order; kinds/probs/shardProblem describe
-	// each enabled problem's gather strategy, engine.Problem, and the
-	// problem name enabled on every shard for its Δ-bounds ("" = none).
-	order        []string
-	kinds        map[string]problemKind
-	probs        map[string]engine.Problem
-	shardProblem map[string]string
-	shardOn      map[string]bool
+	// defs holds the enabled problems' definitions; order preserves
+	// enable order.
+	order []string
+	defs  map[string]core.ProblemDef
 
 	// Whole-graph standing state, maintained by the token holder and
 	// read by queries under wgMu. The maintainer computes off-lock (it
@@ -144,13 +133,10 @@ func New(n int, directed bool, shards, k int) *Router {
 		k = (k + shards - 1) / shards
 	}
 	r := &Router{
-		s:            shards,
-		directed:     directed,
-		tok:          make(chan struct{}, 1),
-		kinds:        make(map[string]problemKind),
-		probs:        make(map[string]engine.Problem),
-		shardProblem: make(map[string]string),
-		shardOn:      make(map[string]bool),
+		s:        shards,
+		directed: directed,
+		tok:      make(chan struct{}, 1),
+		defs:     make(map[string]core.ProblemDef),
 	}
 	snaps := make([]*streamgraph.Snapshot, shards)
 	for i := 0; i < shards; i++ {
@@ -216,12 +202,13 @@ func (r *Router) Shards() int { return r.s }
 // every call delegates to the lone core.System unchanged.
 func (r *Router) single() bool { return r.s == 1 }
 
-// Enable sets up standing queries for the named problem. On a sharded
-// router the vertex-specific problems enable their Δ-bound problem on
-// every shard (Radii shares the SSSP standing set, SSNSP the BFS one),
-// while PageRank and CC initialize router-level whole-graph state over
-// the union of the shards' mirrors. Enable is setup-phase API: like core.System.Enable it
-// is not synchronized against concurrent mutations or queries.
+// Enable sets up the named problem. On a sharded router a problem with a
+// standing set is enabled under its own name on every shard (each shard
+// shares the set among its problems exactly like a lone System), while
+// PageRank and CC initialize router-level whole-graph state over the union
+// of the shards' mirrors. Enable is setup-phase API: like
+// core.System.Enable it is not synchronized against concurrent mutations
+// or queries.
 func (r *Router) Enable(name string) error {
 	if r.single() {
 		if err := r.shards[0].Enable(name); err != nil {
@@ -230,62 +217,15 @@ func (r *Router) Enable(name string) error {
 		r.order = append(r.order, name)
 		return nil
 	}
-	if _, dup := r.kinds[name]; dup {
-		return fmt.Errorf("shard: problem %s already enabled", name)
-	}
-	var (
-		kind problemKind
-		sp   string
-	)
-	switch name {
-	case "BFS", "SSSP", "SSWP", "SSNP", "Viterbi", "SSR":
-		kind, sp = kindSimple, name
-		r.probs[name] = props.Registry()[name]
-	case "Radii":
-		kind, sp = kindRadii, "SSSP"
-	case "SSNSP":
-		kind, sp = kindSSNSP, "BFS"
-	case "PageRank":
-		kind = kindPageRank
-	case "CC":
-		kind = kindCC
-	default:
+	def, ok := core.LookupProblem(name)
+	if !ok {
 		return fmt.Errorf("shard: unknown problem %q: %w", name, core.ErrUnknownProblem)
 	}
-	if sp != "" && !r.shardOn[sp] {
-		for _, sys := range r.shards {
-			if err := sys.Enable(sp); err != nil {
-				return err
-			}
-		}
-		r.shardOn[sp] = true
-	}
-	e := r.bar.latest()
-	views, release := pinEntry(e)
-	defer release()
-	switch kind {
-	case kindPageRank:
-		start := time.Now()
-		res := props.PageRank(unionOf(views), 0.85, 100, 1e-9)
-		r.wgMu.Lock()
-		r.prRanks, r.prVersion, r.prLast = res.Ranks, e.global, time.Since(start)
-		r.wgMu.Unlock()
-	case kindCC:
-		start := time.Now()
-		st, seeds, masks := props.NewCCState(e.n)
-		r.runRounds(views, st, seeds, masks)
-		r.wgMu.Lock()
-		r.ccSt, r.ccVersion, r.ccLast = st, e.global, time.Since(start)
-		r.wgMu.Unlock()
-	}
-	r.kinds[name] = kind
-	r.shardProblem[name] = sp
-	r.order = append(r.order, name)
-	return nil
+	return r.enable(def, func(sys *core.System) error { return sys.Enable(name) })
 }
 
 // EnableCustom sets up standing queries for a user-defined triangle
-// problem on every shard (the simple-problem treatment).
+// problem on every shard.
 func (r *Router) EnableCustom(p engine.Problem) error {
 	if r.single() {
 		if err := r.shards[0].EnableCustom(p); err != nil {
@@ -294,20 +234,46 @@ func (r *Router) EnableCustom(p engine.Problem) error {
 		r.order = append(r.order, p.Name())
 		return nil
 	}
-	name := p.Name()
-	if _, dup := r.kinds[name]; dup {
-		return fmt.Errorf("shard: problem %s already enabled", name)
+	def, err := core.CustomProblem(p)
+	if err != nil {
+		return err
 	}
-	for _, sys := range r.shards {
-		if err := sys.EnableCustom(p); err != nil {
-			return err
+	return r.enable(def, func(sys *core.System) error { return sys.EnableCustom(p) })
+}
+
+// enable registers def on an S>1 router: onShard enables it on each shard
+// when it has a standing set, otherwise its whole-graph state is evaluated
+// here over the latest entry.
+func (r *Router) enable(def core.ProblemDef, onShard func(*core.System) error) error {
+	if _, dup := r.defs[def.Name]; dup {
+		return fmt.Errorf("shard: problem %s already enabled", def.Name)
+	}
+	if def.Base != nil {
+		for _, sys := range r.shards {
+			if err := onShard(sys); err != nil {
+				return err
+			}
+		}
+	} else {
+		e := r.bar.latest()
+		views, release := pinEntry(e)
+		defer release()
+		start := time.Now()
+		if def.Name == "PageRank" {
+			res := props.PageRank(unionOf(views), 0.85, 100, 1e-9)
+			r.wgMu.Lock()
+			r.prRanks, r.prVersion, r.prLast = res.Ranks, e.global, time.Since(start)
+			r.wgMu.Unlock()
+		} else {
+			st, seeds, masks := props.NewCCState(e.n)
+			r.runRounds(views, st, seeds, masks)
+			r.wgMu.Lock()
+			r.ccSt, r.ccVersion, r.ccLast = st, e.global, time.Since(start)
+			r.wgMu.Unlock()
 		}
 	}
-	r.shardOn[name] = true
-	r.kinds[name] = kindSimple
-	r.probs[name] = p
-	r.shardProblem[name] = name
-	r.order = append(r.order, name)
+	r.defs[def.Name] = def
+	r.order = append(r.order, def.Name)
 	return nil
 }
 
@@ -437,8 +403,8 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 }
 
 // maintainWholeGraph re-stabilizes the router-level PageRank and CC
-// state for the new barrier entry, mirroring core's per-batch handler
-// semantics exactly so version stamps agree with a single system's:
+// state for the new barrier entry, mirroring core's maintained answers
+// exactly so version stamps agree with a single system's:
 // insertions always warm-start PageRank and resume CC (stamping the new
 // global version even for no-op batches); deletions rebuild both from
 // scratch only when the union actually changed, keeping the old stamps
@@ -449,8 +415,8 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 // engine-driven query.
 func (r *Router) maintainWholeGraph(e *entry, changed []graph.VertexID, deletions bool) engine.Stats {
 	var stats engine.Stats
-	_, prOn := r.kinds["PageRank"]
-	_, ccOn := r.kinds["CC"]
+	_, prOn := r.defs["PageRank"]
+	_, ccOn := r.defs["CC"]
 	if !prOn && !ccOn {
 		return stats
 	}
@@ -570,8 +536,8 @@ func (r *Router) RecordQueries(on bool) {
 	}
 }
 
-// ReselectRoots re-roots the named problem's standing queries. On a
-// sharded router each shard re-selects over its own subgraph (without
+// ReselectRoots re-roots the standing set that bounds the named problem.
+// On a sharded router each shard re-selects over its own subgraph (without
 // recorded query history that equals the per-shard top-degree rule,
 // which is exactly how sharded roots were chosen at Enable time).
 // Whole-graph problems have no standing roots and reject, mirroring
@@ -580,15 +546,15 @@ func (r *Router) ReselectRoots(problem string) error {
 	if r.single() {
 		return r.shards[0].ReselectRoots(problem)
 	}
-	kind, ok := r.kinds[problem]
-	if !ok {
-		return fmt.Errorf("shard: problem %q not enabled: %w", problem, core.ErrUnknownProblem)
+	def, err := r.lookup(problem)
+	if err != nil {
+		return err
 	}
-	if kind == kindPageRank || kind == kindCC {
+	if def.Base == nil {
 		return fmt.Errorf("shard: problem %q does not use standing roots", problem)
 	}
 	for _, sys := range r.shards {
-		if err := sys.ReselectRoots(r.shardProblem[problem]); err != nil {
+		if err := sys.ReselectRoots(problem); err != nil {
 			return err
 		}
 	}
@@ -659,30 +625,28 @@ func (r *Router) Subscribers() int {
 }
 
 // StandingMaintainTime reports the most recent standing re-stabilization
-// wall time for the named problem: the slowest shard for the
-// vertex-specific problems (shards maintain concurrently), the router's
-// own pass for the whole-graph ones.
+// wall time for the named problem: the slowest shard's standing set
+// (shards maintain concurrently), or the router's own pass for the
+// whole-graph problems.
 func (r *Router) StandingMaintainTime(name string) (time.Duration, error) {
 	if r.single() {
 		return r.shards[0].StandingMaintainTime(name)
 	}
-	kind, ok := r.kinds[name]
-	if !ok {
-		return 0, fmt.Errorf("shard: problem %q not enabled: %w", name, core.ErrUnknownProblem)
+	def, err := r.lookup(name)
+	if err != nil {
+		return 0, err
 	}
-	switch kind {
-	case kindPageRank:
+	if def.Base == nil {
 		r.wgMu.RLock()
 		defer r.wgMu.RUnlock()
-		return r.prLast, nil
-	case kindCC:
-		r.wgMu.RLock()
-		defer r.wgMu.RUnlock()
+		if name == "PageRank" {
+			return r.prLast, nil
+		}
 		return r.ccLast, nil
 	}
 	var worst time.Duration
 	for _, sys := range r.shards {
-		d, err := sys.StandingMaintainTime(r.shardProblem[name])
+		d, err := sys.StandingMaintainTime(name)
 		if err != nil {
 			return 0, err
 		}
@@ -703,6 +667,15 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 		g.SetMirrorMetrics(m)
 	}
 	r.met = registerMetrics(reg)
+}
+
+// lookup resolves an enabled problem's definition on an S>1 router.
+func (r *Router) lookup(name string) (core.ProblemDef, error) {
+	def, ok := r.defs[name]
+	if !ok {
+		return def, fmt.Errorf("shard: problem %q not enabled: %w", name, core.ErrUnknownProblem)
+	}
+	return def, nil
 }
 
 // checkSource validates a query source against a barrier entry's union

@@ -208,12 +208,3 @@ func (m *Manager) StandingColumn(k int) []uint64 {
 	}
 	return m.Forward.Column(k)
 }
-
-// DeltaFor materializes the Δ(u, r*) initialization array for a user
-// query rooted at u, using the best standing query. It returns the init
-// values, the chosen slot, and property(u, r*).
-func (m *Manager) DeltaFor(u graph.VertexID) (init []uint64, slot int, propUR uint64) {
-	slot, propUR = m.Select(u)
-	init = triangle.DeltaInit(m.Problem, u, propUR, m.StandingColumn(slot))
-	return init, slot, propUR
-}

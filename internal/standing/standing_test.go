@@ -10,6 +10,7 @@ import (
 	"tripoline/internal/props"
 	"tripoline/internal/standing"
 	"tripoline/internal/streamgraph"
+	"tripoline/internal/triangle"
 )
 
 func TestNewEvaluatesAllRoots(t *testing.T) {
@@ -166,15 +167,16 @@ func TestSelectPicksBestRoot(t *testing.T) {
 	}
 }
 
-func TestDeltaForProducesValidInit(t *testing.T) {
+func TestSelectedColumnProducesValidInit(t *testing.T) {
 	edges := gen.Uniform(140, 1100, 8, 13)
 	g := streamgraph.FromEdges(140, edges, false)
 	snap := g.Acquire()
 	m := standing.New(props.SSNP{}, snap.Flatten(), []graph.VertexID{3, 70}, false)
 	u := graph.VertexID(33)
-	init, _, _ := m.DeltaFor(u)
-	// Δ values must never be better than the true converged values.
 	p := props.SSNP{}
+	slot, propUR := m.Select(u)
+	init := triangle.DeltaInit(p, u, propUR, m.StandingColumn(slot))
+	// Δ values must never be better than the true converged values.
 	want := oracle.BestPath(snap.CSR(false), p, u)
 	for v := range want {
 		if p.Better(init[v], want[v]) {

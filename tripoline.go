@@ -76,6 +76,9 @@ var (
 	// ErrSubscribeUnsupported reports a Subscribe on a problem whose
 	// answers do not fit the per-vertex delta frame model (Radii).
 	ErrSubscribeUnsupported = core.ErrSubscribeUnsupported
+	// ErrReservedName reports an EnableProblem whose problem is named
+	// after a built-in.
+	ErrReservedName = core.ErrReservedName
 )
 
 // VertexID identifies a vertex; IDs are dense starting at 0.
@@ -286,16 +289,21 @@ func (s *System) Graph() *Graph { return s.g }
 // Shards reports the number of shard cores (1 for an unsharded system).
 func (s *System) Shards() int { return s.inner.Shards() }
 
-// Enable sets up and fully evaluates standing queries for a problem.
-// Recognized names: BFS, SSSP, SSWP, SSNP, Viterbi, SSR, Radii, SSNSP,
-// PageRank, CC.
+// Enable sets up a problem. Recognized names: BFS, SSSP, SSWP, SSNP,
+// Viterbi, SSR, Radii, SSNSP, PageRank, CC. Its standing queries are
+// fully evaluated at the top-K-degree roots of the current graph — unless
+// an enabled problem already maintains the same standing set: Radii is 16
+// SSSP slots and shares SSSP's set, SSNSP counts over BFS levels and
+// shares BFS's, in whichever order they are enabled, so enabling both of
+// a pair costs one evaluation and one maintenance pass per batch.
 func (s *System) Enable(problem string) error { return s.inner.Enable(problem) }
 
 // EnableProblem registers a custom problem: implement Problem with a
 // monotonic, async-safe Relax and triangle-compatible Combine/Better,
 // and the system maintains standing queries for it and answers
 // arbitrary-source user queries Δ-based — the paper's programming
-// interface. See examples/customproblem.
+// interface. See examples/customproblem. A problem named after a
+// built-in is rejected with ErrReservedName.
 func (s *System) EnableProblem(p Problem) error { return s.inner.EnableCustom(p) }
 
 // Enabled lists the enabled problems.
@@ -459,8 +467,10 @@ func BuiltinProblems() []string {
 	return append(props.Names(), "PageRank", "CC")
 }
 
-// StandingMaintainTime reports the wall time the named problem spent in
-// its most recent standing-query (re-)evaluation.
+// StandingMaintainTime reports the wall time, in seconds, of the most
+// recent (re-)evaluation of the standing set that bounds the named
+// problem. The figure is the set's: SSSP and Radii report the same time,
+// as do BFS and SSNSP (whose exact per-query count is not standing work).
 func (s *System) StandingMaintainTime(problem string) (float64, error) {
 	d, err := s.inner.StandingMaintainTime(problem)
 	return d.Seconds(), err

@@ -1,6 +1,7 @@
 package tripoline_test
 
 import (
+	"errors"
 	"testing"
 
 	"tripoline"
@@ -153,6 +154,40 @@ func TestFacadeCustomProblem(t *testing.T) {
 	// Ring of 32: the farthest vertex is 16 hops away.
 	if full.Values[(3+16)%32] != 16 {
 		t.Fatalf("hops=%d, want 16", full.Values[(3+16)%32])
+	}
+}
+
+// renamed registers leastHops under another name.
+type renamed struct {
+	leastHops
+	name string
+}
+
+func (p renamed) Name() string { return p.name }
+
+// TestEnableProblemRejectsBuiltinNames: standing sets are keyed by problem
+// name, so a custom problem may not take a built-in's — at any shard
+// count, whether or not that built-in (or one sharing its set) is enabled.
+func TestEnableProblemRejectsBuiltinNames(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		g := tripoline.NewGraph(32, tripoline.Undirected)
+		g.InsertEdges(ringEdges(32, 7))
+		sys := tripoline.NewSystem(g, tripoline.WithShards(shards))
+		if err := sys.Enable("Radii"); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range tripoline.BuiltinProblems() {
+			err := sys.EnableProblem(renamed{name: name})
+			if !errors.Is(err, tripoline.ErrReservedName) {
+				t.Fatalf("S=%d: custom problem named %s: got %v, want ErrReservedName", shards, name, err)
+			}
+		}
+		if got := sys.Enabled(); len(got) != 1 || got[0] != "Radii" {
+			t.Fatalf("S=%d: rejected problems left a trace: %v", shards, got)
+		}
+		if err := sys.EnableProblem(renamed{name: "Hops"}); err != nil {
+			t.Fatalf("S=%d: fresh custom name rejected: %v", shards, err)
+		}
 	}
 }
 
