@@ -212,42 +212,3 @@ func BenchmarkBatchedUserQueries(b *testing.B) {
 		b.Logf("batched relaxations=%d vs %d summed singles", multi.Stats.Relaxations, singles)
 	}
 }
-
-// --- ablations: measurements behind the §4.5/§4.2 design choices ------
-
-// BenchmarkAblationBatchMode compares maintaining K standing queries in
-// batch mode (one K-wide state, combined frontier) vs K separate
-// single-query evaluations.
-func BenchmarkAblationBatchMode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationBatchMode(out(), "TW-sim", 1, 16, 10_000, 5)
-		if i == 0 {
-			b.Logf("batched=%v separate=%v → batch mode %.2fx cheaper",
-				res.BatchedTime, res.SeparateTime, res.BatchedSpeedup)
-		}
-	}
-}
-
-// BenchmarkAblationSelection compares the Eq. 15 standing-root pick
-// against a fixed and the worst root.
-func BenchmarkAblationSelection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationSelection(out(), "TW-sim", "SSSP", 1, 16, 8, 5)
-		if i == 0 {
-			b.Logf("best=%.2fx fixed=%.2fx worst=%.2fx",
-				res.BestSpeedup, res.FixedSpeedup, res.WorstSpeedup)
-		}
-	}
-}
-
-// BenchmarkAblationDualModel compares the pull-based reversed query on
-// the one-way representation against transpose materialization + push.
-func BenchmarkAblationDualModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := bench.AblationDualModel(out(), "TW-sim", 1, 5)
-		if i == 0 {
-			b.Logf("pull=%v transpose=%v (+%d arcs materialized)",
-				res.PullTime, res.TransposeTime, res.ExtraArcs)
-		}
-	}
-}

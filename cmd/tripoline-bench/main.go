@@ -7,6 +7,7 @@
 //	tripoline-bench -figure 11               # one figure
 //	tripoline-bench -all                     # the whole evaluation
 //	tripoline-bench -all -queries 256 -repeats 3 -scale 2   # closer to paper scale
+//	tripoline-bench -autotune -graphs TW-sim -problems SSSP -qpb 8   # §5's K auto-tuner
 //
 // Every experiment is deterministic in -seed. Expect minutes at default
 // sizes and hours at paper-methodology sizes.
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"tripoline/internal/bench"
-	"tripoline/internal/gen"
 )
 
 func main() {
@@ -37,12 +37,11 @@ func main() {
 		batches  = flag.Int("batches", 1, "update batches applied per load point (paper: 5)")
 		probs    = flag.String("problems", "", "comma-separated problem subset (default: all eight)")
 		graphs   = flag.String("graphs", "", "comma-separated graph subset (default: all four)")
-		ablate   = flag.String("ablate", "", "comma-separated ablations to run (deltaflat, batch, selection, dual, fusedK, shard)")
-		logn     = flag.Int("logn", 16, "log2 vertex count for the fusedK kernel and shard sweeps")
-		shards   = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the shard sweep")
 		seed     = flag.Uint64("seed", 0x7121, "experiment seed")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		verify   = flag.Bool("verify", false, "run the cross-validation self-check instead of benchmarks")
+		autotune = flag.Bool("autotune", false, "auto-tune K for the first -graphs/-problems entry instead of running benchmarks")
+		qpb      = flag.Float64("qpb", 4, "expected user queries per update batch (for -autotune)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -82,6 +81,14 @@ func main() {
 	}
 	if *graphs != "" {
 		o.Graphs = strings.Split(*graphs, ",")
+	}
+
+	if *autotune {
+		if _, err := bench.Autotune(o, *qpb); err != nil {
+			fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	report := bench.NewReport(o, time.Now())
@@ -135,67 +142,8 @@ func main() {
 		selected = true
 		run("figure 12", func() { report.Fig12 = bench.Figure12(o) })
 	}
-	if *ablate != "" {
-		graphsForAblation := o.Graphs
-		if len(graphsForAblation) == 0 {
-			graphsForAblation = []string{"OR-sim", "FR-sim", "LJ-sim", "TW-sim"}
-		}
-		for _, a := range strings.Split(*ablate, ",") {
-			selected = true
-			switch strings.TrimSpace(a) {
-			case "deltaflat":
-				run("ablation deltaflat", func() {
-					for _, g := range graphsForAblation {
-						report.AddAblationDeltaFlat(bench.AblationDeltaFlat(
-							os.Stdout, g, o.Scale, nil, o.Repeats, o.Seed))
-					}
-				})
-			case "batch":
-				run("ablation batch", func() {
-					for _, g := range graphsForAblation {
-						bench.AblationBatchMode(os.Stdout, g, o.Scale, o.K, o.BatchSize, o.Seed)
-					}
-				})
-			case "selection":
-				run("ablation selection", func() {
-					for _, g := range graphsForAblation {
-						bench.AblationSelection(os.Stdout, g, "SSSP", o.Scale, o.K, o.Queries, o.Seed)
-					}
-				})
-			case "dual":
-				run("ablation dual", func() {
-					for _, g := range graphsForAblation {
-						if cfg, ok := gen.ByName(g, o.Scale); !ok || !cfg.Directed {
-							continue // the dual-model tradeoff only exists on directed graphs
-						}
-						bench.AblationDualModel(os.Stdout, g, o.Scale, o.Seed)
-					}
-				})
-			case "fusedK", "fusedk":
-				run("ablation fusedK", func() {
-					report.AddAblationFusedK(bench.AblationFusedK(os.Stdout, *logn, o.BatchSize, []int{1, 4, 16, 64}, o.Seed))
-				})
-			case "shard":
-				run("ablation shard", func() {
-					var counts []int
-					for _, s := range strings.Split(*shards, ",") {
-						var c int
-						if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &c); err != nil || c < 1 {
-							fmt.Fprintf(os.Stderr, "bad -shards entry %q\n", s)
-							os.Exit(2)
-						}
-						counts = append(counts, c)
-					}
-					report.AddAblationShard(bench.AblationShard(os.Stdout, *logn, o.BatchSize, o.K, counts, o.Seed))
-				})
-			default:
-				fmt.Fprintf(os.Stderr, "unknown ablation %q (want deltaflat, batch, selection, dual, fusedK, shard)\n", a)
-				os.Exit(2)
-			}
-		}
-	}
 	if !selected {
-		fmt.Fprintln(os.Stderr, "nothing selected: pass -all, -table N, -figure N, or -ablate NAME")
+		fmt.Fprintln(os.Stderr, "nothing selected: pass -all, -table N, -figure N, -verify, or -autotune")
 		flag.Usage()
 		os.Exit(2)
 	}

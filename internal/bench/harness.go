@@ -87,8 +87,6 @@ func (o Options) withDefaults() Options {
 // loaded the initial fraction, enabled the problems, and applied
 // BatchesPerPoint update batches.
 type Setup struct {
-	Name    string
-	Cfg     gen.Config
 	Sys     *core.System
 	G       *streamgraph.Graph
 	Stream  gen.Stream
@@ -102,37 +100,16 @@ func Prepare(name string, scale int, loadFrac float64, batchSize, k, batches int
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown graph %q", name)
 	}
-	return prepareStream(name, cfg, gen.RMAT(cfg), loadFrac, batchSize, k, batches, problems, seed)
-}
-
-// PrepareEdges is Prepare over an externally supplied edge list (e.g. a
-// weighted edge-list file), following the same load/stream methodology.
-func PrepareEdges(name string, n int, edges []graph.Edge, directed bool, loadFrac float64, batchSize, k, batches int, problems []string, seed uint64) (*Setup, error) {
-	cfg := gen.Config{Name: name, Directed: directed}
-	for 1<<cfg.LogN < n {
-		cfg.LogN++
-	}
-	stream := gen.MakeStream(n, edges, directed, loadFrac, batchSize, seed)
-	g := streamgraph.New(n, directed)
-	g.InsertEdges(stream.Initial)
-	return finishSetup(name, cfg, g, stream, k, batches, problems)
-}
-
-func prepareStream(name string, cfg gen.Config, edges []graph.Edge, loadFrac float64, batchSize, k, batches int, problems []string, seed uint64) (*Setup, error) {
-	stream := gen.MakeStream(cfg.N(), edges, cfg.Directed, loadFrac, batchSize, seed)
+	stream := gen.MakeStream(cfg.N(), gen.RMAT(cfg), cfg.Directed, loadFrac, batchSize, seed)
 	g := streamgraph.New(cfg.N(), cfg.Directed)
 	g.InsertEdges(stream.Initial)
-	return finishSetup(name, cfg, g, stream, k, batches, problems)
-}
-
-func finishSetup(name string, cfg gen.Config, g *streamgraph.Graph, stream gen.Stream, k, batches int, problems []string) (*Setup, error) {
 	sys := core.NewSystem(g, k)
 	for _, p := range problems {
 		if err := sys.Enable(p); err != nil {
 			return nil, err
 		}
 	}
-	s := &Setup{Name: name, Cfg: cfg, Sys: sys, G: g, Stream: stream}
+	s := &Setup{Sys: sys, G: g, Stream: stream}
 	for i := 0; i < batches && i < len(stream.Batches); i++ {
 		sys.ApplyBatch(stream.Batches[i])
 		s.applied++
@@ -142,13 +119,13 @@ func finishSetup(name string, cfg gen.Config, g *streamgraph.Graph, stream gen.S
 
 // ApplyNextBatch streams one more update batch; it reports false when the
 // stream is exhausted.
-func (s *Setup) ApplyNextBatch() (core.BatchReport, bool) {
+func (s *Setup) ApplyNextBatch() bool {
 	if s.applied >= len(s.Stream.Batches) {
-		return core.BatchReport{}, false
+		return false
 	}
-	rep := s.Sys.ApplyBatch(s.Stream.Batches[s.applied])
+	s.Sys.ApplyBatch(s.Stream.Batches[s.applied])
 	s.applied++
-	return rep, true
+	return true
 }
 
 // SampleQueries draws count distinct non-trivial user query sources

@@ -172,6 +172,28 @@ func TestTable5Smoke(t *testing.T) {
 	}
 }
 
+func TestAutotuneSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness smoke test")
+	}
+	var buf bytes.Buffer
+	res, err := Autotune(tiny(&buf), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Costs) == 0 || res.Best == 0 {
+		t.Fatalf("result %+v", res)
+	}
+	if !strings.Contains(buf.String(), "SSSP on LJ-60") || !strings.Contains(buf.String(), "auto-tuned K") {
+		t.Fatalf("output %q", buf.String())
+	}
+	o := tiny(&buf)
+	o.Graphs = []string{"nope"}
+	if _, err := Autotune(o, 2); err == nil {
+		t.Fatal("unknown graph accepted")
+	}
+}
+
 func TestTable6Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test")

@@ -20,64 +20,12 @@ type Report struct {
 		Seed      uint64    `json:"seed"`
 		Timestamp time.Time `json:"timestamp"`
 	} `json:"meta"`
-	Table3            []Table3JSON                `json:"table3,omitempty"`
-	Table4            []Table4JSON                `json:"table4,omitempty"`
-	Table5            []Table5JSON                `json:"table5,omitempty"`
-	DD                []DDResult                  `json:"dd,omitempty"`
-	Fig11             map[string][]float64        `json:"figure11,omitempty"`
-	Fig12             map[string][]Figure12Bucket `json:"figure12,omitempty"`
-	AblationDeltaFlat []AblationDeltaFlatJSON     `json:"ablation_deltaflat,omitempty"`
-	AblationFusedK    []AblationFusedKJSON        `json:"ablation_fusedk,omitempty"`
-	AblationShard     []AblationShardJSON         `json:"ablation_shard,omitempty"`
-}
-
-// AblationShardJSON flattens an AblationShardCell for serialization.
-type AblationShardJSON struct {
-	Graph            string  `json:"graph"`
-	LogN             int     `json:"logn"`
-	Shards           int     `json:"shards"`
-	Batches          int     `json:"batches"`
-	EdgesApplied     int64   `json:"edges_applied"`
-	ApplySec         float64 `json:"apply_sec"`
-	ApplyEdgesPerSec float64 `json:"apply_edges_per_sec"`
-	Queries          int     `json:"queries"`
-	DeltaQuerySec    float64 `json:"delta_query_sec"`
-	DeltaQPS         float64 `json:"delta_qps"`
-	FullQuerySec     float64 `json:"full_query_sec"`
-	FullQPS          float64 `json:"full_qps"`
-	ApplySpeedup     float64 `json:"apply_speedup"`
-	QuerySpeedup     float64 `json:"query_speedup"`
-	FullSpeedup      float64 `json:"full_speedup"`
-	Verified         bool    `json:"verified"`
-}
-
-// AblationFusedKJSON flattens an AblationFusedKCell for serialization.
-type AblationFusedKJSON struct {
-	Graph           string  `json:"graph"`
-	LogN            int     `json:"logn"`
-	K               int     `json:"k"`
-	Batches         int     `json:"batches"`
-	EdgesApplied    int64   `json:"edges_applied"`
-	FusedRefreshSec float64 `json:"fused_refresh_sec"`
-	FusedNsPerEdge  float64 `json:"fused_ns_per_edge"`
-	Hoists          int64   `json:"hoists"`
-	GateSkips       int64   `json:"gate_skips"`
-	BlockSweeps     int64   `json:"block_sweeps"`
-}
-
-// AblationDeltaFlatJSON flattens an AblationDeltaFlatResult for
-// serialization.
-type AblationDeltaFlatJSON struct {
-	Graph           string  `json:"graph"`
-	BatchSize       int     `json:"batch_size"`
-	ChangedSources  int     `json:"changed_sources"`
-	TouchedFrac     float64 `json:"touched_frac"`
-	DeltaBuildSec   float64 `json:"delta_build_sec"`
-	FullBuildSec    float64 `json:"full_build_sec"`
-	Speedup         float64 `json:"speedup"`
-	CopiedBytes     int64   `json:"copied_bytes"`
-	WalkedBytes     int64   `json:"walked_bytes"`
-	RecyclerHitRate float64 `json:"recycler_hit_rate"`
+	Table3 []Table3JSON                `json:"table3,omitempty"`
+	Table4 []Table4JSON                `json:"table4,omitempty"`
+	Table5 []Table5JSON                `json:"table5,omitempty"`
+	DD     []DDResult                  `json:"dd,omitempty"`
+	Fig11  map[string][]float64        `json:"figure11,omitempty"`
+	Fig12  map[string][]Figure12Bucket `json:"figure12,omitempty"`
 }
 
 // Table3JSON flattens a Table3Cell for serialization.
@@ -151,53 +99,6 @@ func (r *Report) AddTable5(rows []Table5Row) {
 			j.StandingSec[p] = d.Seconds()
 		}
 		r.Table5 = append(r.Table5, j)
-	}
-}
-
-// AddAblationDeltaFlat records delta-flatten ablation points.
-func (r *Report) AddAblationDeltaFlat(rs []AblationDeltaFlatResult) {
-	for _, a := range rs {
-		r.AblationDeltaFlat = append(r.AblationDeltaFlat, AblationDeltaFlatJSON{
-			Graph: a.Graph, BatchSize: a.BatchSize,
-			ChangedSources: a.ChangedSources, TouchedFrac: a.TouchedFrac,
-			DeltaBuildSec: a.DeltaBuild.Seconds(), FullBuildSec: a.FullBuild.Seconds(),
-			Speedup: a.Speedup, CopiedBytes: a.CopiedBytes, WalkedBytes: a.WalkedBytes,
-			RecyclerHitRate: a.RecyclerHitRate,
-		})
-	}
-}
-
-// AddAblationFusedK records fused-kernel width-sweep points.
-func (r *Report) AddAblationFusedK(cells []AblationFusedKCell) {
-	for _, c := range cells {
-		r.AblationFusedK = append(r.AblationFusedK, AblationFusedKJSON{
-			Graph: c.Graph, LogN: c.LogN, K: c.K,
-			Batches: c.Batches, EdgesApplied: c.EdgesApplied,
-			FusedRefreshSec: c.FusedRefresh.Seconds(),
-			FusedNsPerEdge:  c.FusedNsPerEdge,
-			Hoists:          c.Hoists, GateSkips: c.GateSkips, BlockSweeps: c.BlockSweeps,
-		})
-	}
-}
-
-// AddAblationShard records shard-count sweep points.
-func (r *Report) AddAblationShard(cells []AblationShardCell) {
-	for _, c := range cells {
-		r.AblationShard = append(r.AblationShard, AblationShardJSON{
-			Graph: c.Graph, LogN: c.LogN, Shards: c.Shards,
-			Batches: c.Batches, EdgesApplied: c.EdgesApplied,
-			ApplySec:         c.ApplyTotal.Seconds(),
-			ApplyEdgesPerSec: c.ApplyEdgesPerSec,
-			Queries:          c.Queries,
-			DeltaQuerySec:    c.QueryTotal.Seconds(),
-			DeltaQPS:         c.QueriesPerSec,
-			FullQuerySec:     c.FullTotal.Seconds(),
-			FullQPS:          c.FullPerSec,
-			ApplySpeedup:     c.ApplySpeedup,
-			QuerySpeedup:     c.QuerySpeedup,
-			FullSpeedup:      c.FullSpeedup,
-			Verified:         c.Verified,
-		})
 	}
 }
 

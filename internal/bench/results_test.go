@@ -24,6 +24,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}})
 	r.DD = []DDResult{{Graph: "LJ-sim", Frac: 1.0, Problem: "SSSP", PlainRed: 100, TriRed: 40, Reduction: 2.5}}
 	r.Fig11 = map[string][]float64{"SSWP": {1, 2, 3}}
+	r.Fig12 = map[string][]Figure12Bucket{"SSSP": {{PropUR: 3, MeanSpeedup: 4.5, N: 2}}}
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -50,6 +51,9 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if len(back.Fig11["SSWP"]) != 3 {
 		t.Fatalf("fig11 %+v", back.Fig11)
+	}
+	if len(back.Fig12["SSSP"]) != 1 || back.Fig12["SSSP"][0].MeanSpeedup != 4.5 {
+		t.Fatalf("fig12 %+v", back.Fig12)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"tripoline/internal/oracle"
 	"tripoline/internal/props"
 	"tripoline/internal/triangle"
+	"tripoline/internal/tuner"
 	"tripoline/internal/xrand"
 )
 
@@ -217,6 +218,32 @@ func Table5(o Options, ks []int) []Table5Row {
 	return rows
 }
 
+// Autotune runs §5's basic K auto-tuner on the first of o.Graphs and
+// o.Problems, preloaded to 60% as in Tables 5–6, for a workload of qpb
+// user queries per update batch, and prints the measured cost of each
+// candidate K and the chosen one.
+func Autotune(o Options, qpb float64) (tuner.Result, error) {
+	o = o.withDefaults()
+	gname, problem := o.Graphs[0], o.Problems[0]
+	cfg, ok := gen.ByName(gname, o.Scale)
+	if !ok {
+		return tuner.Result{}, fmt.Errorf("bench: unknown graph %q", gname)
+	}
+	stream := gen.MakeStream(cfg.N(), gen.RMAT(cfg), cfg.Directed, 0.6, o.BatchSize, o.Seed)
+	res, err := tuner.TuneK(tuner.Config{
+		N: cfg.N(), Directed: cfg.Directed,
+		Initial: stream.Initial, Batches: stream.Batches,
+		Problem: problem, QueriesPerBatch: qpb, Seed: o.Seed,
+	})
+	if err != nil {
+		return tuner.Result{}, err
+	}
+	fmt.Fprintf(o.Out, "workload: %s on %s-60, %g user queries per %d-edge batch\n",
+		problem, shortName(gname), qpb, o.BatchSize)
+	fmt.Fprint(o.Out, res.String())
+	return res, nil
+}
+
 // Table6 reproduces the update-batch-size sweep: standing query
 // evaluation time per batch size (the paper's Table 6 used 1K–500K on
 // LJ-60 and FR-60; sizes here scale with the stand-in graphs).
@@ -240,7 +267,7 @@ func Table6(o Options, sizes []int) map[string]map[int]map[string]time.Duration 
 			if err != nil {
 				panic(err)
 			}
-			if _, ok := setup.ApplyNextBatch(); !ok {
+			if !setup.ApplyNextBatch() {
 				continue
 			}
 			out[gname][bs] = map[string]time.Duration{}

@@ -201,6 +201,20 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// enter admits a request into the inflight group, or refuses it once
+// Drain has begun. Testing the flag and counting the request under
+// drainMu orders every Add before Drain's Wait: a request refused here
+// never runs, and one admitted here is waited for.
+func (s *Server) enter() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
+}
+
 // gate is the bounded-concurrency admission control: sem caps the
 // evaluations running, queued/maxQueue cap the ones waiting for a slot.
 type gate struct {
@@ -248,15 +262,11 @@ func (g *gate) release() { <-g.sem }
 // deterministically; nil in production.
 var testHookAdmitted func(kind string)
 
-// lifecycle wraps a handler with the full request lifecycle: drain
-// check, admission gate, per-endpoint deadline, in-flight accounting,
-// and latency/outcome metrics.
+// lifecycle wraps a handler with the full request lifecycle: admission
+// gate, drain check and in-flight accounting, per-endpoint deadline, and
+// latency/outcome metrics.
 func (s *Server) lifecycle(kind string, timeout time.Duration, h func(ctx context.Context, w http.ResponseWriter, r *http.Request) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.isDraining() {
-			writeErr(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
 		if s.gate != nil {
 			if err := s.gate.acquire(r.Context()); err != nil {
 				if errors.Is(err, errSaturated) {
@@ -270,7 +280,12 @@ func (s *Server) lifecycle(kind string, timeout time.Duration, h func(ctx contex
 			}
 			defer s.gate.release()
 		}
-		s.inflight.Add(1)
+		// After the gate, so a request still queued when Drain begins is
+		// refused rather than run after Drain returned.
+		if !s.enter() {
+			writeErr(w, http.StatusServiceUnavailable, "server is draining")
+			return
+		}
 		defer s.inflight.Done()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)

@@ -41,10 +41,11 @@ import (
 const defaultPollWait = 30 * time.Second
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
+	if !s.enter() {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
+	defer s.inflight.Done()
 	q := r.URL.Query()
 	problem := q.Get("problem")
 	srcStr := q.Get("src")
@@ -61,8 +62,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 

@@ -144,16 +144,11 @@ func (m *Manager) rootedState(g engine.ArcView) *engine.State {
 	return st
 }
 
-// PropUR returns property(u, r_k) for every standing root: on undirected
-// graphs this is Forward.Value(u, k) (paths are symmetric); on directed
-// graphs it comes from the reversed state.
-func (m *Manager) PropUR(u graph.VertexID) []uint64 {
-	return m.PropURInto(nil, u)
-}
-
-// PropURInto is PropUR writing into dst (grown when too small), so hot
-// paths that call it per query — or per slot, like Radii — can reuse one
-// buffer instead of allocating K words each time.
+// PropURInto writes property(u, r_k) for every standing root into dst
+// (grown when too small): on undirected graphs this is Forward.Value(u, k)
+// (paths are symmetric); on directed graphs it comes from the reversed
+// state. Hot paths that call it per query — or per slot, like Radii —
+// reuse one buffer instead of allocating K words each time.
 func (m *Manager) PropURInto(dst []uint64, u graph.VertexID) []uint64 {
 	if cap(dst) < len(m.Roots) {
 		dst = make([]uint64, len(m.Roots))

@@ -147,9 +147,9 @@ func TestPropURUndirectedSymmetry(t *testing.T) {
 	g := streamgraph.FromEdges(100, edges, false)
 	m := standing.New(props.SSSP{}, g.Acquire().Flatten(), []graph.VertexID{4, 42}, false)
 	u := graph.VertexID(17)
-	got := m.PropUR(u)
+	got := m.PropURInto(nil, u)
 	if got[0] != m.Forward.Value(u, 0) || got[1] != m.Forward.Value(u, 1) {
-		t.Fatal("PropUR must read the forward state on undirected graphs")
+		t.Fatal("PropURInto must read the forward state on undirected graphs")
 	}
 }
 
