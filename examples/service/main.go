@@ -198,11 +198,11 @@ func main() {
 	}
 	r.Body.Close()
 
-	// Sharded serving: the same API over four hash-partitioned cores.
-	// Queries scatter to every shard and gather into exactly the answer
-	// the unsharded server gave above (the relaxation fixpoint is
-	// unique), and /v1/stats reports the shard count plus the
-	// tripoline_shard_* counters aggregated across all four.
+	// Sharded serving: the same API over four hash-partitioned stores.
+	// Batches land on the shards in parallel; a query is evaluated once
+	// over the union of their mirrors and returns exactly the answer the
+	// unsharded server gave above, and /v1/stats reports the shard count
+	// plus the tripoline_shard_* batch-split counters.
 	router := shard.New(cfg.N(), false, 4, 8)
 	router.ApplyBatch(edges) // the full edge set in one bulk load
 	if err := router.Enable("SSWP"); err != nil {

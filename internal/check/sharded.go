@@ -21,8 +21,8 @@ import (
 // version sequences align by construction (the router publishes
 // global version v+1 for every admitted batch, exactly like an
 // unsharded system), so any mismatch in outcome, version, values, or
-// counts is a router bug: a mis-partitioned edge, a gather round that
-// stopped early, or a Δ-merge seeding hole.
+// counts is a router bug: a mis-routed arc, a union view that lost a
+// span, or standing state paired with the wrong barrier entry.
 //
 // Fault-seam ops degrade gracefully — the router has no streamgraph
 // seam surface, so OpForceFull replays as a plain insert, OpEvict as a

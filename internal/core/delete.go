@@ -29,8 +29,8 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 	// Exclusive before DeleteEdges publishes: deletions make converged
 	// standing values potentially *too good*, so no reader may pair
 	// pre-recovery standing bounds with the post-deletion snapshot.
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
+	s.ev.mu.Lock()
+	defer s.ev.mu.Unlock()
 	parent := s.cur
 	// Resolve each requested arc to its stored weight before the graph
 	// forgets it. Deletion requests identify arcs by endpoints (the
@@ -39,7 +39,7 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 	// against val(b) using the deleted arc's weight — seeding it with a
 	// phantom weight matches nothing, skips the taint, and leaves
 	// stale-too-good standing values behind.
-	resolved := resolveDeletionWeights(parent, batch)
+	resolved := ResolveDeletionWeights(parent, batch)
 	snap, changed := s.G.DeleteEdges(batch)
 	rep := BatchReport{
 		BatchEdges:     len(batch),
@@ -48,19 +48,13 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		Changed:        changed,
 	}
 	start := time.Now()
-	undirected := !s.G.Directed()
 	if len(changed) > 0 {
 		// Deletions invalidate span reuse (an unchanged vertex's span may
 		// alias arcs that no longer exist downstream of it), so the mirror
 		// is rebuilt in full — the data-structure analogue of the standing
 		// Rebuild recovery path.
 		view := snap.Flatten()
-		for _, set := range s.sets {
-			rep.StandingStats.Add(set.UpdateDeletions(view, resolved, undirected))
-		}
-		for _, ans := range s.answers {
-			rep.StandingStats.Add(ans.rebuild(view))
-		}
+		rep.StandingStats = s.ev.deleted(view, resolved)
 		sr := s.refreshSubscriptions(view)
 		rep.Subscribers, rep.FramesSent, rep.FramesDropped, rep.RefreshElapsed =
 			sr.subscribers, sr.sent, sr.dropped, sr.elapsed
@@ -69,12 +63,10 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		// subscribers have nothing to learn and cached answers are merely
 		// re-stamped to the new version (ResultCache.Advance handles both
 		// cases). The standing state is converged on the new version as it
-		// stands, and has to say so: DeltaMergeInto and the next insertion's
-		// maintenance both go by the version it records. No mirror is built
-		// for a version nobody may ever evaluate over.
-		for _, set := range s.sets {
-			set.StampVersion(snap.Version())
-		}
+		// stands, and has to say so: the next insertion's maintenance goes by
+		// the version it records. No mirror is built for a version nobody may
+		// ever evaluate over.
+		s.ev.stamp(snap.Version())
 	}
 	rep.StandingElapsed = time.Since(start)
 	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
@@ -82,13 +74,13 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 	return rep, nil
 }
 
-// resolveDeletionWeights returns batch with each arc's weight replaced
-// by the weight the pre-deletion snapshot actually stores for it. Arcs
-// the snapshot does not contain keep their requested weight — they
+// ResolveDeletionWeights returns batch with each arc's weight replaced
+// by the weight the pre-deletion view actually stores for it. Arcs
+// the view does not contain keep their requested weight — they
 // delete nothing, so at worst they over-taint, which is sound. On
 // undirected graphs the mirror arc carries the same weight, so the
 // forward lookup alone resolves every existing edge.
-func resolveDeletionWeights(view engine.View, batch []graph.Edge) []graph.Edge {
+func ResolveDeletionWeights(view engine.View, batch []graph.Edge) []graph.Edge {
 	out := append([]graph.Edge(nil), batch...)
 	n := view.NumVertices()
 	// Group requests by source so each adjacency list is walked once.

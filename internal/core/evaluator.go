@@ -1,0 +1,521 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"tripoline/internal/engine"
+	"tripoline/internal/graph"
+	"tripoline/internal/standing"
+	"tripoline/internal/triangle"
+)
+
+// View is what an Evaluator evaluates over: the flat adjacency of one
+// version of the graph. A System's *streamgraph.Flat mirror is one; the
+// shard router's union of its shards' pinned mirrors is another.
+type View interface {
+	engine.ArcView
+	engine.Versioned
+}
+
+// Pin returns a view of the latest version, pinned, and the release of
+// that pin. An Evaluator calls it under its shared lock (pinShared), so the
+// view and the standing state it Δ-initializes from describe the same
+// version; it must not call back into the Evaluator.
+type Pin func() (View, func())
+
+// Evaluator is the part of a Tripoline instance that evaluates: the
+// enabled problems (problems.go), one standing set per distinct engine
+// problem they evaluate and the maintained answers of PageRank and CC, the
+// lock that pairs all of them with the version they converged on, their
+// maintenance after each mutation, and the Δ-based, batched and full
+// evaluations of user queries. It owns no graph: it evaluates over the
+// View its owner hands it — a System over its flat mirror, the shard
+// router over the union of its shards' mirrors — so both run one
+// evaluation.
+type Evaluator struct {
+	k        int
+	directed bool
+	// mu pairs the standing state with a version. A writer holds it
+	// exclusively from before it publishes a version until maintenance has
+	// converged on it; a reader holds it shared only while it pins the
+	// latest version and Δ-initializes out of the standing arrays
+	// (pinShared), never across an engine run, so reader parallelism is
+	// preserved. A reader therefore never pairs standing bounds with a
+	// version they were not maintained for: after an insertion they would
+	// be too good for an older view, after a deletion for a newer one, and
+	// monotone relaxation cannot repair a bound that is too good.
+	mu sync.RWMutex
+	// problems holds the enabled problems; order preserves enable order
+	// for deterministic iteration.
+	problems map[string]*problem
+	order    []string
+	// sets holds one standing set per distinct ProblemDef.Base (found by
+	// its name), in creation order: whichever enabled problem needs a set
+	// first creates it (its roots are chosen then) and every later problem
+	// with the same Base shares it, so a mutation maintains each set once.
+	// answers are the Base-less problems' maintained answers.
+	sets    []*standing.Manager
+	answers []handler
+}
+
+// NewEvaluator returns an evaluator with k standing queries per standing
+// set (clamped to [1, 64]; 0 selects DefaultK) over a graph of the given
+// orientation.
+func NewEvaluator(k int, directed bool) *Evaluator {
+	if k == 0 {
+		k = DefaultK
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > 64 {
+		k = 64
+	}
+	return &Evaluator{k: k, directed: directed, problems: make(map[string]*problem)}
+}
+
+// TopDegreeRoots returns the top-k out-degree vertices of g — the
+// topology-based standing query selection (Eq. 14).
+func TopDegreeRoots(g engine.View, k int) []graph.VertexID {
+	n := g.NumVertices()
+	ids := make([]int, n)
+	deg := make([]int, n)
+	for v := 0; v < n; v++ {
+		ids[v] = v
+		deg[v] = g.Degree(graph.VertexID(v))
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		if deg[ids[a]] != deg[ids[b]] {
+			return deg[ids[a]] > deg[ids[b]]
+		}
+		return ids[a] < ids[b]
+	})
+	if k > n {
+		k = n
+	}
+	out := make([]graph.VertexID, k)
+	for i := 0; i < k; i++ {
+		out[i] = graph.VertexID(ids[i])
+	}
+	return out
+}
+
+// problem is an enabled problem: its definition plus the standing set
+// that bounds it (shared with every enabled problem of the same Base) or,
+// for a Base-less problem, its maintained answer.
+type problem struct {
+	ProblemDef
+	set *standing.Manager
+	ans handler
+}
+
+// Enable sets up def over g, the latest version. The standing set of its
+// Base is fully evaluated at the top-K-degree roots, unless an enabled
+// problem already maintains it — Radii shares SSSP's set and SSNSP shares
+// BFS's, in whichever order they are enabled; a Base-less problem's answer
+// is evaluated whole. Enable is setup-phase API: it is not synchronized
+// against mutations or queries.
+func (ev *Evaluator) Enable(def ProblemDef, g View) error {
+	if _, dup := ev.problems[def.Name]; dup {
+		return fmt.Errorf("core: problem %s already enabled", def.Name)
+	}
+	pr := &problem{ProblemDef: def}
+	if def.Base == nil {
+		pr.ans = def.maintain(g)
+		ev.answers = append(ev.answers, pr.ans)
+	} else if pr.set = ev.setFor(def.Base.Name()); pr.set == nil {
+		pr.set = standing.New(def.Base, g, TopDegreeRoots(g, ev.k), ev.directed)
+		ev.sets = append(ev.sets, pr.set)
+	}
+	ev.problems[def.Name] = pr
+	ev.order = append(ev.order, def.Name)
+	return nil
+}
+
+// setFor returns the standing set maintained for the named Base, or nil.
+func (ev *Evaluator) setFor(base string) *standing.Manager {
+	for _, set := range ev.sets {
+		if set.Problem.Name() == base {
+			return set
+		}
+	}
+	return nil
+}
+
+// Enabled lists enabled problems in enable order.
+func (ev *Evaluator) Enabled() []string { return append([]string(nil), ev.order...) }
+
+// StandingSets returns the standing sets in creation order, so tests and
+// checkers can assert on the managers' own counters and versions.
+func (ev *Evaluator) StandingSets() []*standing.Manager { return ev.sets }
+
+// lookup resolves an enabled problem.
+func (ev *Evaluator) lookup(name string) (*problem, error) {
+	pr, ok := ev.problems[name]
+	if !ok {
+		return nil, fmt.Errorf("core: problem %q not enabled: %w", name, ErrUnknownProblem)
+	}
+	return pr, nil
+}
+
+// sourceInRange validates a user-query source against a version with n
+// vertices.
+func sourceInRange(u graph.VertexID, n int, version uint64) error {
+	if int(u) >= n {
+		return fmt.Errorf("core: source %d out of range (version %d has %d vertices): %w",
+			u, version, n, ErrSourceOutOfRange)
+	}
+	return nil
+}
+
+// ---------------------------------------------------------------------
+// Maintenance: the writer's side of mu.
+
+// Inserted maintains every standing set and maintained answer onto g, the
+// version an insertion batch produced from the one they stand on (changed
+// lists the sources whose adjacency changed, sorted), then calls publish —
+// all under the exclusive lock, so no reader meets the new version before
+// the state that bounds it. publish must not block or call back into the
+// Evaluator. It is the shard router's writer window; a System, which
+// publishes before it maintains, holds the lock itself around the same
+// steps.
+func (ev *Evaluator) Inserted(g View, changed []graph.VertexID, publish func()) engine.Stats {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	stats := ev.inserted(g, changed)
+	publish()
+	return stats
+}
+
+// Deleted is Inserted for a deletion batch that removed arcs: deleted
+// lists the requested edges at the weights the graph stored for them
+// (ResolveDeletionWeights over the version before).
+func (ev *Evaluator) Deleted(g View, deleted []graph.Edge, publish func()) engine.Stats {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	stats := ev.deleted(g, deleted)
+	publish()
+	return stats
+}
+
+// Stamp is Inserted for a deletion batch that removed nothing: the graph
+// of the new version is the one the state already stands on, so the
+// standing sets only record the version — no view of it is needed — and
+// the maintained answers keep the version they converged at.
+func (ev *Evaluator) Stamp(version uint64, publish func()) {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	ev.stamp(version)
+	publish()
+}
+
+// inserted, deleted and stamp are the maintenance steps themselves. The
+// caller holds mu exclusively. Standing sets resume from the arcs the
+// batch stored, or recover by witness-based trimming (package standing);
+// maintained answers resume after insertions and re-evaluate from scratch
+// after deletions, which is always sound.
+func (ev *Evaluator) inserted(g View, changed []graph.VertexID) engine.Stats {
+	var stats engine.Stats
+	for _, set := range ev.sets {
+		stats.Add(set.Update(g, changed))
+	}
+	for _, ans := range ev.answers {
+		stats.Add(ans.update(g, changed))
+	}
+	return stats
+}
+
+func (ev *Evaluator) deleted(g View, deleted []graph.Edge) engine.Stats {
+	var stats engine.Stats
+	for _, set := range ev.sets {
+		stats.Add(set.UpdateDeletions(g, deleted, !ev.directed))
+	}
+	for _, ans := range ev.answers {
+		stats.Add(ans.rebuild(g))
+	}
+	return stats
+}
+
+func (ev *Evaluator) stamp(version uint64) {
+	for _, set := range ev.sets {
+		set.StampVersion(version)
+	}
+}
+
+// ReselectRoots re-roots the standing set that bounds the named problem
+// with standing.WeightedRoots over the latest version — hist blends in a
+// recorded query distribution; without one the selection equals the
+// top-degree rule — then fully evaluates the new roots. latest must
+// return the latest version's view without calling back into the
+// Evaluator; it is called under the exclusive lock, like batch
+// maintenance, because re-rooting rewrites the standing arrays wholesale. The set is what is re-rooted: every enabled problem
+// sharing it (Radii with SSSP, SSNSP with BFS) selects from the new roots
+// afterwards.
+func (ev *Evaluator) ReselectRoots(name string, latest func() View, hist *standing.QueryHistogram) error {
+	pr, err := ev.lookup(name)
+	if err != nil {
+		return err
+	}
+	if pr.set == nil {
+		return fmt.Errorf("core: problem %q does not use standing roots", name)
+	}
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	g := latest()
+	pr.set.Roots = standing.WeightedRoots(g, hist, ev.k)
+	pr.set.Rebuild(g)
+	return nil
+}
+
+// MaintainTime returns the wall time of the most recent (re-)evaluation
+// of the standing set that bounds the named problem — the set's, so
+// problems sharing one report the same figure — or of its maintained
+// answer.
+func (ev *Evaluator) MaintainTime(name string) (time.Duration, error) {
+	pr, err := ev.lookup(name)
+	if err != nil {
+		return 0, err
+	}
+	ev.mu.RLock()
+	defer ev.mu.RUnlock()
+	if pr.set == nil {
+		return pr.ans.lastMaintain(), nil
+	}
+	return pr.set.LastMaintain, nil
+}
+
+// ---------------------------------------------------------------------
+// Queries: the readers' side of mu.
+
+// Query answers a user query of the named problem rooted at u at the
+// latest version, which pin supplies: read off the maintained answer, or
+// evaluated Δ-based from the problem's standing set under cooperative
+// cancellation — the engine checks ctx at every superstep boundary. The
+// standing arrays are never touched by a user query (Δ-initialization
+// copies out of them), so cancellation at any point is safe.
+func (ev *Evaluator) Query(ctx context.Context, name string, u graph.VertexID, pin Pin) (*QueryResult, error) {
+	pr, err := ev.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return ev.query(ctx, pr, u, pin)
+}
+
+func (ev *Evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, pin Pin) (*QueryResult, error) {
+	if pr.set == nil {
+		// Nothing to cancel.
+		ev.mu.RLock()
+		vals, version := pr.ans.values()
+		ev.mu.RUnlock()
+		if err := sourceInRange(u, len(vals), version); err != nil {
+			return nil, err
+		}
+		return &QueryResult{Problem: pr.Name, Source: u, Values: vals, Width: 1, Incremental: true, Version: version}, nil
+	}
+	start := time.Now()
+	q, view, release, err := ev.evalDelta(ctx, pr.set, pin, func(g View) ([]graph.VertexID, error) {
+		if err := sourceInRange(u, g.NumVertices(), g.Version()); err != nil {
+			return nil, err
+		}
+		return pr.Sources(u, g.NumVertices()), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	res, err := pr.Answer(ctx, view, u, q.st.Interleaved(), q.st.K, q.stats)
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	res.Incremental, res.StandingSlot, res.PropUR = true, q.slots[0], q.propURs[0]
+	res.Version = view.Version()
+	return res, nil
+}
+
+// QueryMany evaluates up to 64 same-problem user queries at the latest
+// version, which pin supplies, in one batched Δ-based evaluation. The
+// result values are identical to issuing each Query separately; the work
+// is the batch-mode coalesced version. One deadline covers the whole batch
+// (it runs under a single combined frontier, so per-query cancellation is
+// not meaningful).
+func (ev *Evaluator) QueryMany(ctx context.Context, name string, sources []graph.VertexID, pin Pin) (*MultiResult, error) {
+	pr, err := ev.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if !pr.Batchable() {
+		return nil, fmt.Errorf("core: problem %q does not support batched user queries", name)
+	}
+	if len(sources) == 0 {
+		return nil, fmt.Errorf("core: no sources")
+	}
+	if len(sources) > 64 {
+		return nil, fmt.Errorf("core: at most 64 queries per batch (got %d)", len(sources))
+	}
+	start := time.Now()
+	q, view, release, err := ev.evalDelta(ctx, pr.set, pin, func(g View) ([]graph.VertexID, error) {
+		for _, u := range sources {
+			if err := sourceInRange(u, g.NumVertices(), g.Version()); err != nil {
+				return nil, err
+			}
+		}
+		return sources, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return &MultiResult{
+		Problem: name, Sources: sources,
+		Values: q.st.Interleaved(), Width: len(sources),
+		Stats: q.stats, Slots: q.slots, PropURs: q.propURs,
+		Elapsed: time.Since(start), Version: view.Version(),
+	}, nil
+}
+
+// QueryFull answers a user query of the named problem rooted at u from
+// scratch over g — the non-incremental baseline the paper's speedups
+// compare against, and the only evaluation valid at a version the
+// standing state has moved past — stamped with g's version. The caller
+// pins g.
+func (ev *Evaluator) QueryFull(ctx context.Context, name string, u graph.VertexID, g View) (*QueryResult, error) {
+	pr, err := ev.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := sourceInRange(u, g.NumVertices(), g.Version()); err != nil {
+		return nil, err
+	}
+	res, err := pr.queryFull(ctx, g, u)
+	if err != nil {
+		return nil, err
+	}
+	res.Version = g.Version()
+	return res, nil
+}
+
+// queryFull answers one user query from scratch over g: the maintained
+// answer's own full evaluation, or the engine from the problem's sources.
+func (pr *problem) queryFull(ctx context.Context, g View, u graph.VertexID) (res *QueryResult, err error) {
+	start := time.Now()
+	if pr.set == nil {
+		vals, stats, err := pr.ans.full(ctx, g)
+		if err != nil {
+			return nil, err
+		}
+		res = &QueryResult{Problem: pr.Name, Source: u, Values: vals, Width: 1, Stats: stats}
+	} else {
+		st, stats, err := engine.RunCtx(ctx, g, pr.Base, pr.Sources(u, g.NumVertices()))
+		if err != nil {
+			return nil, err
+		}
+		if res, err = pr.Answer(ctx, g, u, st.Interleaved(), st.K, stats); err != nil {
+			return nil, err
+		}
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// pinShared pins the latest view with pin and runs initFn on it while the
+// shared lock is held: under it no mutation is inside its publish+maintain
+// window, so the pinned view and the standing arrays describe the same
+// version (see mu). initFn must copy whatever it needs out of the standing
+// state and must not run the engine; the caller runs the engine on the
+// returned (pinned) view after pinShared returns, outside the lock, and
+// releases the view once it has read the answer off it.
+func (ev *Evaluator) pinShared(pin Pin, initFn func(View) error) (View, func(), error) {
+	ev.mu.RLock()
+	defer ev.mu.RUnlock()
+	view, release := pin()
+	if err := initFn(view); err != nil {
+		release()
+		return nil, nil, err
+	}
+	return view, release, nil
+}
+
+// evaluation is one Δ-based evaluation of a standing set's problem from
+// sources, one slot each: deltaInit prepares it out of the standing
+// arrays, run converges it.
+type evaluation struct {
+	sources []graph.VertexID
+	st      *engine.State
+	stats   engine.Stats
+	// slots and propURs record each source's chosen standing root (Eq. 15).
+	slots   []int
+	propURs []uint64
+}
+
+// deltaInit allocates the width-len(sources) state and Δ-initializes each
+// slot from its own best standing root, straight into the state's
+// storage. The caller holds mu (shared under pinShared, or exclusive in
+// the writer's window) and runs the engine after letting go of the shared
+// lock. Each slot is an O(N) parallel pass, so cancellation is honored
+// between slots as well as inside the engine run.
+func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.VertexID) (*evaluation, error) {
+	p, n, w := set.Problem, set.Forward.N, len(sources)
+	q := &evaluation{sources: sources, slots: make([]int, w), propURs: make([]uint64, w)}
+	if w == 1 {
+		// The one column is written whole by the Δ-init below, so it is not
+		// filled with the init value first: a width-1 query over a min/max
+		// problem is little more than this pass.
+		q.st = &engine.State{P: p, K: 1, N: n, Values: make([]uint64, n)}
+	} else {
+		q.st = engine.NewState(p, n, w)
+	}
+	for j, u := range sources {
+		if err := ctx.Err(); err != nil {
+			return nil, &engine.CanceledError{Cause: err}
+		}
+		slot, propUR := set.Select(u)
+		q.slots[j], q.propURs[j] = slot, propUR
+		col := set.StandingColumn(slot)
+		if dst, ok := q.st.ColumnView(j); ok {
+			triangle.DeltaInitInto(dst, p, u, propUR, col)
+		} else {
+			arr, stride, off := q.st.StrideView(j)
+			triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, col)
+		}
+	}
+	return q, nil
+}
+
+// run converges the Δ-initialized state over g. The Δ-initialization is
+// triangle-consistent — every value is property(u,r) ⊕ property(r,x) for
+// one root r over the graph g describes — so the sources alone seed it.
+func (q *evaluation) run(ctx context.Context, g engine.ArcView) (err error) {
+	seeds, masks := engine.SourceSeeds(q.sources)
+	q.stats, err = q.st.RunPushCtx(ctx, g, seeds, masks)
+	return err
+}
+
+// evalDelta is the one Δ-based evaluation every reader runs: pin the
+// latest view and Δ-initialize from set as one step under the shared lock
+// (pinShared), then converge on the pinned view outside it. sourcesOf
+// derives (and validates) the sources from the pinned view. The caller
+// releases the view once it has read the answer off it.
+func (ev *Evaluator) evalDelta(ctx context.Context, set *standing.Manager, pin Pin, sourcesOf func(View) ([]graph.VertexID, error)) (*evaluation, View, func(), error) {
+	var q *evaluation
+	view, release, err := ev.pinShared(pin, func(g View) error {
+		sources, err := sourcesOf(g)
+		if err != nil {
+			return err
+		}
+		q, err = deltaInit(ctx, set, sources)
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := q.run(ctx, view); err != nil {
+		release()
+		return nil, nil, nil, err
+	}
+	return q, view, release, nil
+}

@@ -4,4 +4,7 @@ import "tripoline/internal/standing"
 
 // StandingSets exposes the system's standing sets, in creation order, so
 // tests can assert on the managers' own counters.
-func (s *System) StandingSets() []*standing.Manager { return s.sets }
+func (s *System) StandingSets() []*standing.Manager { return s.ev.StandingSets() }
+
+// K exposes the evaluator's clamped standing-query count.
+func (ev *Evaluator) K() int { return ev.k }

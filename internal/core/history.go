@@ -47,9 +47,11 @@ func (s *System) HistoryAt(version uint64) (*streamgraph.Snapshot, bool) {
 }
 
 // QueryAtCtx answers a user query against the retained snapshot with
-// the given version, via full evaluation under cooperative cancellation —
-// historical queries are the most expensive kind, so deadlines matter
-// most here. The latest retained version still owns its mirror; an older
+// the given version, via full evaluation (Evaluator.QueryFull) under
+// cooperative cancellation — historical queries are the most expensive
+// kind, so deadlines matter most here. The source must be in range for
+// the queried version, which may have fewer vertices than the latest.
+// The latest retained version still owns its mirror; an older
 // one's was retired when the next version's was built, so the query
 // builds, evaluates over and frees a mirror of its own (PinMirror): a
 // one-off O(V+E) build plus a flat run costs less than the same run over
@@ -64,25 +66,9 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 		return nil, fmt.Errorf("core: version %d not retained (have %v): %w",
 			version, s.history.Versions(), ErrNoSuchVersion)
 	}
-	pr, err := s.lookup(problem)
-	if err != nil {
-		return nil, err
-	}
-	// The source must be in range *for the queried version*: the graph may
-	// have grown since, so checkSource (which looks at the latest
-	// snapshot) is not enough.
-	if n := snap.NumVertices(); int(u) >= n {
-		return nil, fmt.Errorf("core: source %d out of range (version %d has %d vertices): %w",
-			u, version, n, ErrSourceOutOfRange)
-	}
 	view, release := PinMirror(snap)
 	defer release()
-	res, err := pr.queryFull(ctx, view, u)
-	if err != nil {
-		return nil, err
-	}
-	res.Version = version
-	return res, nil
+	return s.ev.QueryFull(ctx, problem, u, view)
 }
 
 // recordHistory is called after every graph mutation.

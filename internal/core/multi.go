@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"tripoline/internal/engine"
@@ -37,40 +36,14 @@ func (r *MultiResult) Value(x graph.VertexID, j int) uint64 {
 }
 
 // QueryManyCtx evaluates up to 64 same-problem user queries in one
-// batched Δ-based evaluation. The result values are identical to issuing
-// each QueryCtx separately; the work is the batch-mode coalesced
-// version. One deadline covers the whole batch (it runs under a single
-// combined frontier, so per-query cancellation is not meaningful).
+// batched Δ-based evaluation (see Evaluator.QueryMany).
 func (s *System) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*MultiResult, error) {
-	pr, err := s.lookup(problem)
+	res, err := s.ev.QueryMany(ctx, problem, sources, s.pin)
 	if err != nil {
 		return nil, err
-	}
-	if !pr.Batchable() {
-		return nil, fmt.Errorf("core: problem %q does not support batched user queries", problem)
-	}
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("core: no sources")
-	}
-	if len(sources) > 64 {
-		return nil, fmt.Errorf("core: at most 64 queries per batch (got %d)", len(sources))
 	}
 	for _, u := range sources {
-		if err := s.checkSource(u); err != nil {
-			return nil, err
-		}
 		s.observe(u)
 	}
-	start := time.Now()
-	ev, view, release, err := s.evalDelta(ctx, pr.set, func(int) []graph.VertexID { return sources })
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return &MultiResult{
-		Problem: problem, Sources: sources,
-		Values: ev.st.Interleaved(), Width: len(sources),
-		Stats: ev.stats, Slots: ev.slots, PropURs: ev.propURs,
-		Elapsed: time.Since(start), Version: view.Version(),
-	}, nil
+	return res, nil
 }

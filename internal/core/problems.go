@@ -9,7 +9,6 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
-	"tripoline/internal/streamgraph"
 )
 
 // ProblemDef is what a named problem is — the one place that says so, for
@@ -35,7 +34,7 @@ type ProblemDef struct {
 	// the answer.
 	finish func(ctx context.Context, g engine.View, res *QueryResult) error
 	// maintain builds the maintained answer of a Base-less problem.
-	maintain func(g *streamgraph.Flat) handler
+	maintain func(g View) handler
 }
 
 // LookupProblem returns the definition of a built-in problem.
@@ -133,21 +132,21 @@ func countFinish(ctx context.Context, g engine.View, res *QueryResult) error {
 // handler is a maintained answer: the whole-graph problems (no triangle
 // needed) are kept converged like classic streaming systems keep them, and
 // a query reads the answer off. Maintenance never takes a context — a
-// half-maintained answer would desync from its snapshot version. The
-// System's stMu guards the state: the writer maintains under the
-// exclusive lock, values is called under either.
+// half-maintained answer would desync from its version. The Evaluator's
+// mu guards the state: the writer maintains under the exclusive lock,
+// values is called under either.
 type handler interface {
 	// update re-stabilizes after an insertion batch, rebuild after
 	// deletions (from scratch, which is always sound).
-	update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats
-	rebuild(g *streamgraph.Flat) engine.Stats
+	update(g View, changed []graph.VertexID) engine.Stats
+	rebuild(g View) engine.Stats
 	lastMaintain() time.Duration
-	// values returns a fresh copy of the answer and the snapshot version
-	// it converged at, which can trail the latest while a mutation is in
+	// values returns a fresh copy of the answer and the version it
+	// converged at, which can trail the latest while a mutation is in
 	// flight.
 	values() ([]uint64, uint64)
 	// full evaluates the answer from scratch over g.
-	full(ctx context.Context, g *streamgraph.Flat) ([]uint64, engine.Stats, error)
+	full(ctx context.Context, g View) ([]uint64, engine.Stats, error)
 }
 
 type pageRankHandler struct {
@@ -156,24 +155,24 @@ type pageRankHandler struct {
 	last    time.Duration
 }
 
-func newPageRankHandler(g *streamgraph.Flat) handler {
+func newPageRankHandler(g View) handler {
 	h := &pageRankHandler{}
 	h.rebuild(g)
 	return h
 }
 
 // converged installs a PageRank run started at start over g.
-func (h *pageRankHandler) converged(g *streamgraph.Flat, res *props.PageRankResult, start time.Time) engine.Stats {
+func (h *pageRankHandler) converged(g View, res *props.PageRankResult, start time.Time) engine.Stats {
 	h.ranks, h.version, h.last = res.Ranks, g.Version(), time.Since(start)
 	return engine.Stats{Iterations: res.Iterations}
 }
 
-func (h *pageRankHandler) update(g *streamgraph.Flat, _ []graph.VertexID) engine.Stats {
+func (h *pageRankHandler) update(g View, _ []graph.VertexID) engine.Stats {
 	start := time.Now()
 	return h.converged(g, props.PageRankFrom(g, h.ranks, 0.85, 100, 1e-9), start)
 }
 
-func (h *pageRankHandler) rebuild(g *streamgraph.Flat) engine.Stats {
+func (h *pageRankHandler) rebuild(g View) engine.Stats {
 	start := time.Now()
 	return h.converged(g, props.PageRank(g, 0.85, 100, 1e-9), start)
 }
@@ -182,7 +181,7 @@ func (h *pageRankHandler) lastMaintain() time.Duration { return h.last }
 
 func (h *pageRankHandler) values() ([]uint64, uint64) { return RankBits(h.ranks), h.version }
 
-func (h *pageRankHandler) full(ctx context.Context, g *streamgraph.Flat) ([]uint64, engine.Stats, error) {
+func (h *pageRankHandler) full(ctx context.Context, g View) ([]uint64, engine.Stats, error) {
 	res, err := props.PageRankCtx(ctx, g, 0.85, 100, 1e-9)
 	if err != nil {
 		return nil, engine.Stats{}, err
@@ -206,20 +205,20 @@ type ccHandler struct {
 	last    time.Duration
 }
 
-func newCCHandler(g *streamgraph.Flat) handler {
+func newCCHandler(g View) handler {
 	h := &ccHandler{}
 	h.rebuild(g)
 	return h
 }
 
-func (h *ccHandler) update(g *streamgraph.Flat, changed []graph.VertexID) engine.Stats {
+func (h *ccHandler) update(g View, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
 	stats := props.ResumeConnectedComponents(g, h.st, changed)
 	h.version, h.last = g.Version(), time.Since(start)
 	return stats
 }
 
-func (h *ccHandler) rebuild(g *streamgraph.Flat) engine.Stats {
+func (h *ccHandler) rebuild(g View) engine.Stats {
 	start := time.Now()
 	st, stats := props.ConnectedComponents(g)
 	h.st, h.version, h.last = st, g.Version(), time.Since(start)
@@ -232,7 +231,7 @@ func (h *ccHandler) values() ([]uint64, uint64) {
 	return append([]uint64(nil), h.st.Values...), h.version
 }
 
-func (h *ccHandler) full(ctx context.Context, g *streamgraph.Flat) ([]uint64, engine.Stats, error) {
+func (h *ccHandler) full(ctx context.Context, g View) ([]uint64, engine.Stats, error) {
 	st, stats, err := props.ConnectedComponentsCtx(ctx, g)
 	if err != nil {
 		return nil, engine.Stats{}, err

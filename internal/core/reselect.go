@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"tripoline/internal/graph"
 	"tripoline/internal/standing"
 )
@@ -12,8 +10,8 @@ import (
 // re-root a problem's standing queries to serve that distribution.
 
 // RecordQueries turns on (or off) query-source recording. While enabled,
-// every Query/QueryMany source is counted in an internal histogram that
-// ReselectRoots consumes.
+// the source of every answered Query/QueryMany is counted in an internal
+// histogram that ReselectRoots consumes.
 func (s *System) RecordQueries(on bool) {
 	if on && s.hist == nil {
 		s.hist = standing.NewQueryHistogram()
@@ -39,26 +37,10 @@ func (s *System) observe(u graph.VertexID) {
 
 // ReselectRoots re-roots the standing set that bounds the named problem
 // using the recorded query distribution blended with topology
-// (standing.WeightedRoots), then fully evaluates the new roots. The set
-// is what is re-rooted: every enabled problem sharing it (Radii with
-// SSSP, SSNSP with BFS) selects from the new roots afterwards. It is the
-// periodic adaptation step for workloads whose query hotspots drift.
-// Without recorded history the selection equals the top-degree rule.
+// (standing.WeightedRoots), then fully evaluates the new roots (see
+// Evaluator.ReselectRoots). It is the periodic adaptation step for
+// workloads whose query hotspots drift. Without recorded history the
+// selection equals the top-degree rule.
 func (s *System) ReselectRoots(problem string) error {
-	pr, err := s.lookup(problem)
-	if err != nil {
-		return err
-	}
-	if pr.set == nil {
-		return fmt.Errorf("core: problem %q does not use standing roots", problem)
-	}
-	snap := s.G.Acquire()
-	roots := standing.WeightedRoots(snap, s.hist, s.K)
-	// Re-rooting rewrites the standing arrays wholesale; exclude readers
-	// exactly like batch maintenance does.
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	pr.set.Roots = roots
-	pr.set.Rebuild(snap.Flatten())
-	return nil
+	return s.ev.ReselectRoots(problem, func() View { return s.G.Acquire().Flatten() }, s.hist)
 }

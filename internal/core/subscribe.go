@@ -8,7 +8,6 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/streamgraph"
 )
 
 // Subscriptions treat a user query as a continuously maintained
@@ -17,7 +16,7 @@ import (
 // ApplyBatch/ApplyDeletions advance refreshes all subscribed sources and
 // pushes only the changed (vertex, value) pairs as a delta frame.
 //
-// The refresh runs inside the writer's exclusive stMu window, right
+// The refresh runs inside the writer's exclusive ev.mu window, right
 // after standing maintenance: the standing arrays and the new snapshot
 // describe the same version there, so each subscribed source gets the
 // same Δ-initialized evaluation a fresh QueryCtx would — batched width-K
@@ -103,7 +102,7 @@ const DefaultSubscriptionBuffer = 8
 // Unsubscribe. Problems whose answer is not one value per vertex (Radii)
 // return an ErrSubscribeUnsupported-wrapping error.
 func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*Subscription, error) {
-	pr, err := s.lookup(problem)
+	pr, err := s.ev.lookup(problem)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +130,7 @@ func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.Verte
 	s.subs[sub.id] = sub
 	s.subMu.Unlock()
 
-	res, err := s.queryDelta(ctx, pr, u)
+	res, err := s.ev.query(ctx, pr, u, s.pin)
 	if err != nil {
 		s.Unsubscribe(sub)
 		return nil, err
@@ -189,9 +188,9 @@ type subRefreshReport struct {
 
 // refreshSubscriptions recomputes every ready subscription's answer on
 // the post-maintenance view and pushes frames. Writer-side only: the
-// caller holds stMu exclusively (lock order stMu → subMu), so the
+// caller holds ev.mu exclusively (lock order ev.mu → subMu), so the
 // standing state is quiescent and refresh reads it without locking.
-func (s *System) refreshSubscriptions(view *streamgraph.Flat) subRefreshReport {
+func (s *System) refreshSubscriptions(view View) subRefreshReport {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	var rep subRefreshReport
@@ -208,7 +207,7 @@ func (s *System) refreshSubscriptions(view *streamgraph.Flat) subRefreshReport {
 			byProblem[sub.Problem] = append(byProblem[sub.Problem], sub)
 		}
 	}
-	for _, name := range s.order {
+	for _, name := range s.ev.order {
 		list := byProblem[name]
 		if len(list) == 0 {
 			continue
@@ -218,7 +217,7 @@ func (s *System) refreshSubscriptions(view *streamgraph.Flat) subRefreshReport {
 		for i, sub := range list {
 			sources[i] = sub.Source
 		}
-		vals, counts, version := s.problems[name].refresh(view, sources)
+		vals, counts, version := s.ev.problems[name].refresh(view, sources)
 		for i, sub := range list {
 			frame := ResultFrame{
 				Kind: "delta", Problem: name, Source: sub.Source, Version: version,
@@ -270,7 +269,7 @@ func diffValues(base, next []uint64) []VertexDelta {
 // refresh is refreshCtx for the writer: an admitted mutation's maintenance
 // is not cancelable, so neither is the refresh inside it, and cancellation
 // is the only way refreshCtx fails.
-func (pr *problem) refresh(view *streamgraph.Flat, sources []graph.VertexID) (vals, counts [][]uint64, version uint64) {
+func (pr *problem) refresh(view View, sources []graph.VertexID) (vals, counts [][]uint64, version uint64) {
 	vals, counts, version, _ = pr.refreshCtx(context.Background(), view, sources)
 	return vals, counts, version
 }
@@ -283,7 +282,7 @@ func (pr *problem) refresh(view *streamgraph.Flat, sources []graph.VertexID) (va
 // slices are fresh — they become subscriber baselines and frame payloads —
 // except that a maintained answer, being source-independent, is copied
 // once and shared by all its subscribers.
-func (pr *problem) refreshCtx(ctx context.Context, view *streamgraph.Flat, sources []graph.VertexID) (vals, counts [][]uint64, version uint64, err error) {
+func (pr *problem) refreshCtx(ctx context.Context, view View, sources []graph.VertexID) (vals, counts [][]uint64, version uint64, err error) {
 	vals = make([][]uint64, len(sources))
 	if pr.set == nil {
 		shared, version := pr.ans.values()
@@ -294,16 +293,16 @@ func (pr *problem) refreshCtx(ctx context.Context, view *streamgraph.Flat, sourc
 	}
 	for base := 0; base < len(sources); base += 64 {
 		chunk := sources[base:min(base+64, len(sources))]
-		ev, err := deltaInit(ctx, pr.set, chunk)
+		q, err := deltaInit(ctx, pr.set, chunk)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		if err := ev.run(ctx, view); err != nil {
+		if err := q.run(ctx, view); err != nil {
 			return nil, nil, 0, err
 		}
 		for j, u := range chunk {
 			// Column always copies, so each subscriber gets its own slice.
-			res, err := pr.Answer(ctx, view, u, ev.st.Column(j), 1, engine.Stats{})
+			res, err := pr.Answer(ctx, view, u, q.st.Column(j), 1, engine.Stats{})
 			if err != nil {
 				return nil, nil, 0, err
 			}

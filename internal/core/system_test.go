@@ -215,14 +215,13 @@ func TestRadiiDeterministicSources(t *testing.T) {
 }
 
 func TestDefaultKClamping(t *testing.T) {
-	g := streamgraph.New(10, false)
-	if core.NewSystem(g, 0).K != core.DefaultK {
+	if core.NewEvaluator(0, false).K() != core.DefaultK {
 		t.Fatal("K=0 did not select default")
 	}
-	if core.NewSystem(g, -3).K != 1 {
+	if core.NewEvaluator(-3, false).K() != 1 {
 		t.Fatal("negative K not clamped to 1")
 	}
-	if core.NewSystem(g, 100).K != 64 {
+	if core.NewEvaluator(100, false).K() != 64 {
 		t.Fatal("K>64 not clamped")
 	}
 }

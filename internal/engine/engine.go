@@ -73,18 +73,15 @@ type View interface {
 // is the versioned store; a flat mirror of one version is what is
 // evaluated, so edge iteration is a plain loop over two slices with no
 // closure or interface call per edge. *graph.CSR and *streamgraph.Flat
-// satisfy it; the tree-backed *streamgraph.Snapshot deliberately does not,
-// so handing a snapshot to a kernel does not compile.
+// satisfy it, and so does the shard router's union of S mirrors (each
+// vertex's span lives on one of them); the tree-backed
+// *streamgraph.Snapshot deliberately does not, so handing a snapshot to a
+// kernel does not compile.
 type ArcView interface {
 	View
-	// OutSpan returns v's sorted out-neighbor and weight slices. The
-	// slices alias the graph and must not be modified.
+	// OutSpan returns v's out-neighbor and weight slices, sorted by
+	// destination. The slices alias the graph and must not be modified.
 	OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight)
-	// Arcs returns the whole CSR arc arrays at once, for the cache-blocked
-	// dense sweep: off has NumVertices()+1 entries and v's arcs are
-	// adj[off[v]:off[v+1]] (destination-sorted, weights at the same
-	// positions). The slices alias the graph and must not be modified.
-	Arcs() (off []int64, adj []graph.VertexID, wgt []graph.Weight)
 }
 
 // Versioned is optionally implemented by views that carry the snapshot
@@ -424,11 +421,11 @@ type workCounter struct {
 type pushScratch struct {
 	masks, next []uint64
 	inNext      *bitset.Atomic
-	// cursors backs the cache-blocked dense sweep's per-vertex arc
-	// positions. Allocated lazily (only blocked width-K runs use it) and
-	// never needs draining: each blocked iteration re-seeds it
-	// from the arc offsets before reading it.
-	cursors []int64
+	// cursors backs the cache-blocked dense sweep's per-vertex positions
+	// within each vertex's arc span. Allocated lazily (only blocked width-K
+	// runs use it) and never needs draining: each blocked iteration
+	// re-seeds it before reading it.
+	cursors []int32
 }
 
 var pushScratchPool sync.Pool
@@ -481,11 +478,11 @@ func (st *State) RunPush(g ArcView, seeds []graph.VertexID, seedMasks []uint64) 
 // sweeps), K=1 states its scalar specialization.
 //
 // Several RunPushCtx calls may run concurrently on one state, each over
-// its own view (the shard router's scatter rounds do): every value word
-// is read with an atomic load and improved by CAS, and all other working
-// state is per call, so by Theorem 4.4 the shared values only ever move
-// monotonically toward the fixpoint. The views must not outgrow the
-// state — Grow is not safe against a running kernel.
+// its own view: every value word is read with an atomic load and improved
+// by CAS, and all other working state is per call, so by Theorem 4.4 the
+// shared values only ever move monotonically toward the fixpoint. The
+// views must not outgrow the state — Grow is not safe against a running
+// kernel.
 func (st *State) RunPushCtx(ctx context.Context, g ArcView, seeds []graph.VertexID, seedMasks []uint64) (Stats, error) {
 	return st.runPush(ctx, g, seeds, seedMasks, nil)
 }
@@ -585,7 +582,7 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 			stats.DenseIterations++
 			if kc != nil && kc.windows > 1 {
 				if cap(scr.cursors) < n {
-					scr.cursors = make([]int64, n)
+					scr.cursors = make([]int32, n)
 				}
 				kc.denseWindowed(counters, n, scr.cursors[:n])
 			} else {

@@ -133,12 +133,38 @@ func TestFusedForcedRepresentations(t *testing.T) {
 	}
 }
 
+// spanView is an ArcView whose spans share no backing array: every
+// vertex's arcs are a slice of their own, as over the shard router's union
+// of S mirrors. A kernel that indexed spans through global arc offsets
+// instead of walking OutSpan would read the wrong arcs here.
+type spanView struct {
+	*graph.CSR
+	adj [][]graph.VertexID
+	wgt [][]graph.Weight
+}
+
+func newSpanView(g *graph.CSR) *spanView {
+	sv := &spanView{CSR: g, adj: make([][]graph.VertexID, g.N), wgt: make([][]graph.Weight, g.N)}
+	for v := range sv.adj {
+		dsts, ws := g.OutSpan(graph.VertexID(v))
+		sv.adj[v] = append([]graph.VertexID(nil), dsts...)
+		sv.wgt[v] = append([]graph.Weight(nil), ws...)
+	}
+	return sv
+}
+
+func (sv *spanView) OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
+	return sv.adj[v], sv.wgt[v]
+}
+
 // TestFusedWindowedDenseSweep shrinks the cache-blocking budget until
 // the dense sweep must split into many destination windows, then checks
 // the windowed result against the oracle and that the sweeps were
-// actually counted. Re-hoisting the register block per window is
-// only sound for monotonic problems — this is the test that would catch
-// a cursor or mask-lifetime bug in that machinery.
+// actually counted — over a CSR, and over a view whose spans live in
+// separate arrays (the sweep's cursors are span-relative). Re-hoisting the
+// register block per window is only sound for monotonic problems — this
+// is the test that would catch a cursor or mask-lifetime bug in that
+// machinery.
 func TestFusedWindowedDenseSweep(t *testing.T) {
 	const n, m, k = 400, 6000, 16
 	g := randomCSR(n, m, true, 79)
@@ -154,11 +180,13 @@ func TestFusedWindowedDenseSweep(t *testing.T) {
 		*engine.WindowBudgetForTest = oldBudget
 	}()
 
-	for name, p := range props.Registry() {
-		fused, stats := engine.Run(g, p, sources)
-		requireOracle(t, name+" windowed", fused, g, sources, oracle.BestPath)
-		if stats.BlockSweeps == 0 {
-			t.Fatalf("%s: no windowed sweeps recorded despite tiny budget", name)
+	for view, av := range map[string]engine.ArcView{"csr": g, "spans": newSpanView(g)} {
+		for name, p := range props.Registry() {
+			fused, stats := engine.Run(av, p, sources)
+			requireOracle(t, name+" windowed over "+view, fused, g, sources, oracle.BestPath)
+			if stats.BlockSweeps == 0 {
+				t.Fatalf("%s over %s: no windowed sweeps recorded despite tiny budget", name, view)
+			}
 		}
 	}
 }
@@ -179,12 +207,11 @@ func TestFusedStatsSurface(t *testing.T) {
 	}
 }
 
-// TestConcurrentPushSharedState pins the contract the shard router's
-// scatter rounds depend on: S goroutines may call RunPushCtx at once on
-// one width-16 state, each over its own arc partition of the graph. Every
-// value word is only ever CAS-improved, so re-seeding each round from the
-// vertices that moved, until nothing moves, must land every slot on the
-// union graph's fixpoint.
+// TestConcurrentPushSharedState pins RunPushCtx's concurrency contract: S
+// goroutines may call it at once on one width-16 state, each over its own
+// arc partition of the graph. Every value word is only ever CAS-improved,
+// so re-seeding each round from the vertices that moved, until nothing
+// moves, must land every slot on the union graph's fixpoint.
 func TestConcurrentPushSharedState(t *testing.T) {
 	const n, m, k, shards = 300, 3000, 16, 4
 	union := randomCSR(n, m, true, 101)

@@ -460,16 +460,16 @@ func (kc *pushKCtx) tail(c *workCounter, run []graph.Edge) {
 
 // denseWindowed is the cache-blocked dense superstep: kc.windows passes
 // over the frontier, pass wi relaxing only arcs whose destination falls
-// in the wi-th ascending window of the vertex ID space. cursors[v]
-// tracks v's position in its destination-sorted arc range; it is seeded
-// from the arc offsets in the first window and advances monotonically.
-// Frontier masks are cleared only in the last window (markActive targets
-// nextMasks, so re-reading curMasks across windows is safe), activations
-// are counted once (first window), and sources are re-hoisted per window
-// — each hoist sees equal-or-better values, which is sound for the same
-// monotonicity reason as hoisting itself.
-func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int64) {
-	off, adj, wgt := kc.g.Arcs()
+// in the wi-th ascending window of the vertex ID space. cursors[v] is v's
+// position within its destination-sorted span (OutSpan): zeroed in the
+// first window, it advances monotonically, and once the span is used up
+// it is parked at spanDone so later windows skip v without fetching the
+// span again. Frontier masks are cleared only in the last window
+// (markActive targets nextMasks, so re-reading curMasks across windows is
+// safe), activations are counted once (first window), and sources are
+// re-hoisted per window — each hoist sees equal-or-better values, which
+// is sound for the same monotonicity reason as hoisting itself.
+func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int32) {
 	windows := kc.windows
 	span := (n + windows - 1) / windows
 	for wi := 0; wi < windows; wi++ {
@@ -489,38 +489,47 @@ func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int64
 				}
 				if first {
 					c.acts += int64(bits.OnesCount64(mask))
-					cursors[v] = off[v]
+					cursors[v] = 0
 				}
 				if last {
 					kc.curMasks[v] = 0
 				}
 				cur := cursors[v]
-				stop := off[v+1]
-				// No arcs land in this window (power-law graphs put most
-				// vertices' handful of arcs in a few windows): skip the
-				// hoist entirely — the cursor already sits on the first
-				// later-window arc, so there is nothing to advance past.
-				if cur >= stop || int(adj[cur]) >= hi {
+				if cur == spanDone {
 					continue
 				}
 				// Find the window's arc run up front (a sequential scan of
-				// the already-cached adjacency), so the relaxation below is
-				// one span call with the spec switch outside the arc loop.
-				endArc := cur + 1
-				for endArc < stop && int(adj[endArc]) < hi {
-					endArc++
+				// the already-cached span), so the relaxation below is one
+				// span call with the spec switch outside the arc loop. An
+				// empty run (power-law graphs put most vertices' handful of
+				// arcs in a few windows) skips the hoist entirely.
+				dsts, ws := kc.g.OutSpan(graph.VertexID(v))
+				stop := int(cur)
+				for stop < len(dsts) && int(dsts[stop]) < hi {
+					stop++
 				}
-				cursors[v] = endArc
+				if stop == len(dsts) {
+					cursors[v] = spanDone
+				} else {
+					cursors[v] = int32(stop)
+				}
+				if stop == int(cur) {
+					continue
+				}
 				live := kc.hoist(graph.VertexID(v), mask, &src, c)
 				if live == 0 {
 					continue
 				}
-				kc.relaxSpan(c, adj[cur:endArc], wgt[cur:endArc], &src, live)
+				kc.relaxSpan(c, dsts[cur:stop], ws[cur:stop], &src, live)
 			}
 		})
 		counters[0].sweep++
 	}
 }
+
+// spanDone is the dense-sweep cursor of a vertex whose span has no arcs
+// left for later windows.
+const spanDone = -1
 
 // push1Ctx is the specialized K=1 push kernel: no mask loop, no slot
 // arithmetic — the frontier mask is a plain active bit and the value

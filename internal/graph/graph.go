@@ -57,19 +57,11 @@ func (g *CSR) Neighbors(v VertexID) ([]VertexID, []Weight) {
 	return g.Adj[lo:hi], g.Wgt[lo:hi]
 }
 
-// OutSpan returns the sorted out-neighbor and weight slices of v (with
-// Arcs, the engine's ArcView interface). The slices alias the graph and
-// must not be modified.
+// OutSpan returns the sorted out-neighbor and weight slices of v (the
+// engine's ArcView interface). The slices alias the graph and must not be
+// modified.
 func (g *CSR) OutSpan(v VertexID) ([]VertexID, []Weight) {
 	return g.Neighbors(v)
-}
-
-// Arcs exposes the whole CSR arc arrays at once (used by the engine's
-// cache-blocked dense sweep): v's arcs are
-// Adj[Off[v]:Off[v+1]], destination-sorted, weights at the same
-// positions. The slices alias the graph and must not be modified.
-func (g *CSR) Arcs() ([]int64, []VertexID, []Weight) {
-	return g.Off, g.Adj, g.Wgt
 }
 
 // ForEachOut calls f(dst, w) for every out-edge of v.

@@ -19,9 +19,9 @@ import (
 //
 // Scope: packages internal/engine, internal/core, and internal/shard
 // (by import path or package name). The sharded router is in scope
-// because its gather rounds hold no lock while fanning out to shard
-// engines — the admission token (a buffered channel) is the only
-// serialization, and it must never be acquired under a mutex. The
+// because its admission token (a buffered channel) serializes its
+// writers and must never be acquired under a mutex; the lock its writer
+// window and readers share is core.Evaluator's, checked in core. The
 // serving layer is deliberately out of scope — its writeMu exists
 // precisely to serialize ApplyBatch calls, which is this rule's
 // canonical violation everywhere else.

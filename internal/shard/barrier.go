@@ -10,15 +10,22 @@ import (
 // pins and a strong reference to each shard's snapshot at exactly that
 // vector. Snapshots are purely functional, so holding S of them per
 // retained global version costs a few pointers; flat mirrors are NOT
-// pinned here — a query pins its entry's S mirrors once (pinEntry),
-// building its own copy of any that was already retired.
+// pinned here — a query pins its entry's S mirrors once (pin), building
+// its own copy of any that was already retired.
 type entry struct {
 	global uint64
 	vec    []uint64
 	snaps  []*streamgraph.Snapshot
+	// applied marks the shards whose sub-batch produced this entry (their
+	// snapshots are new in it); the others carry over from the entry
+	// before.
+	applied []bool
 	// n is the union vertex count — the max over snaps (shards can
-	// disagree after an insertion grew only the owning shard).
+	// disagree after an insertion grew only the shards its arcs reached).
 	n int
+	// owner maps every vertex below n to the shard that stores its
+	// out-arcs (the router's table, which only ever grows).
+	owner []uint8
 }
 
 // barrier is the versioned cross-shard snapshot barrier: a ring of

@@ -13,12 +13,12 @@ import (
 
 // TestLedgerNoShardLeaks is the teardown proof for the sharded core: run
 // a router workload — batches interleaved with concurrent Δ-queries,
-// full re-evaluations, multi-source gathers, historical QueryAt, and
+// full re-evaluations, batched queries, historical QueryAt, and
 // Δ-result cache serving — and then, once every reader has returned,
-// consult the refcount ledger. Every per-shard mirror pin taken by the
-// scatter/gather path (the barrier's snapshot vectors, the per-query
-// view pins inside the gather rounds, the history pins behind QueryAt)
-// must have been released; only un-retired owner references may remain.
+// consult the refcount ledger. Every per-shard mirror pin taken through
+// a union view (the per-query pins of the latest entry, the pins of a
+// retained entry behind QueryAt) must have been released; only
+// un-retired owner references may remain.
 //
 // Build with -tags tripoline_ledger; without the tag the ledger is
 // compiled out and this test does not exist.
@@ -82,7 +82,7 @@ func TestLedgerNoShardLeaks(t *testing.T) {
 				t.Fatalf("QueryAt(%d): %v", ver, err)
 			}
 		}
-		// A multi-source gather shares one pinned view across sources.
+		// A batched query shares one pinned union across sources.
 		if _, err := r.QueryMany("SSSP", []graph.VertexID{1, 2, 3, 4}); err != nil {
 			t.Fatal(err)
 		}

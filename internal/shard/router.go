@@ -1,42 +1,43 @@
 // Package shard partitions one logical streaming graph across S
-// independent core.System instances — each with its own flat mirror
-// chain, standing manager, slab recycler, and writer path — behind a
-// Router that preserves the single-system API and its exact answers.
+// core.System shards — each with its own C-tree store, flat mirror chain,
+// slab recycler and writer path — behind a Router that preserves the
+// single-system API and evaluates every query exactly as a lone
+// core.System does.
 //
-// Partitioning is by edge ownership: a directed edge belongs to its
-// source's shard, an undirected edge to the shard of its smaller
-// endpoint (so both mirrored arcs land together and first-wins dedup
-// stays local). Every shard spans the full global vertex range; only the
-// edge set is split, making the union graph a disjoint union of the
+// Partitioning is by arc tail: every arc is stored on the shard that owns
+// its source vertex (a byte table, a pure function of the vertex). The
+// router mirrors undirected edges into their two arcs before it splits a
+// batch, so every shard is a directed store and each vertex's whole
+// out-adjacency — in the destination order a lone mirror holds — lives on
+// one shard. Every shard spans the global vertex range it has seen; only
+// the arc set is split, so the union graph is a disjoint union of the
 // shard graphs.
 //
 // Consistency across shards is a versioned snapshot barrier: each
 // admitted mutation advances one global version and publishes the
 // per-shard version vector plus the per-shard snapshots it pins
-// (barrier.go). Queries scatter over the pinned vector — never over
-// "whatever each shard currently has" — so a global version always
-// names one coherent cut of the partitioned graph, and QueryAt can
-// address any retained cut.
+// (barrier.go). A query evaluates over one entry's S mirrors, pinned once
+// (view.go) — never over "whatever each shard currently has" — so a global
+// version always names one coherent cut of the partitioned graph, and
+// QueryAt can address any retained cut.
 //
-// What a named problem is comes from core's table (core.ProblemDef); the
-// router only supplies how an evaluation gathers:
+// Evaluation is not partitioned. The union of an entry's mirrors is one
+// core.View — OutSpan(v) is one span, on v's owner shard — and one
+// core.Evaluator runs over it: the problem table, one standing set per
+// engine problem with the global K roots (the top-degree vertices of the
+// union, the roots a lone System picks), the maintained PageRank and CC
+// answers, Δ-initialization seeded at the source only, the batched and the
+// full evaluations. Sharding is write parallelism — shards insert and
+// patch their mirrors concurrently — plus the snapshot barrier; a shard is
+// a core.System with nothing enabled.
 //
-//   - Problems with a standing set (every Base: the simple problems,
-//     Radii's 16 SSSP slots, SSNSP's BFS round) are enabled by name on
-//     every shard. Each shard folds its best standing Δ-bound into a
-//     shared initialization (core.System.DeltaMergeInto), then
-//     scatter/gather rounds run every shard's kernel against one shared
-//     CAS-relaxed value array until no value moves — the min-merge for
-//     the SSSP family, executed in place — and the definition's finish
-//     step runs once over the union. The merged init is sound but not
-//     triangle-consistent for the union, so every initialized vertex is
-//     seeded (see query.go for the chain argument).
-//   - PageRank and CC are maintained at the router — PageRank as a
-//     warm-started float iteration over the union view, CC as a CCLabel
-//     state resumed through the same scatter/gather rounds (the min-label
-//     join across shard boundary vertices) — mirroring core's maintained
-//     answers batch for batch so version stamps line up with a single
-//     system's.
+// The writer holds the apply token, applies the sub-batches concurrently,
+// builds the new entry, then takes the evaluator's lock exclusively,
+// maintains the standing sets over the new entry's union, publishes the
+// entry and releases. A reader takes the lock shared, reads the latest
+// entry, pins it and Δ-initializes, and runs the engine outside the lock:
+// core's pinShared contract, so a reader never pairs standing bounds with
+// an entry they were not maintained for.
 //
 // A single-shard router routes every call straight to its one
 // core.System, so S=1 is bit-identical to an unsharded deployment by
@@ -55,9 +56,11 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/metrics"
-	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
 )
+
+// maxShards bounds the shard count: a vertex's owner is one byte.
+const maxShards = 256
 
 // Router hash-partitions a streaming graph across S core.System shards
 // under a versioned cross-shard snapshot barrier. It implements
@@ -72,28 +75,20 @@ type Router struct {
 
 	bar *barrier
 	// tok serializes mutations (capacity 1): the holder is the only
-	// writer of every shard graph and of the router's whole-graph
-	// standing state. Admission honors the caller's context; once the
-	// token is held the mutation always completes (matching core's
-	// apply semantics).
+	// writer of every shard graph, of the owner table and of the
+	// evaluator's standing state. Admission honors the caller's context;
+	// once the token is held the mutation always completes (matching
+	// core's apply semantics).
 	tok chan struct{}
 
-	// defs holds the enabled problems' definitions; order preserves
-	// enable order.
-	order []string
-	defs  map[string]core.ProblemDef
-
-	// Whole-graph standing state, maintained by the token holder and
-	// read by queries under wgMu. The maintainer computes off-lock (it
-	// is the only writer) and swaps results in under the write lock, so
-	// no engine run ever executes while holding wgMu.
-	wgMu      sync.RWMutex
-	prRanks   []float64
-	prVersion uint64
-	prLast    time.Duration
-	ccSt      *engine.State
-	ccVersion uint64
-	ccLast    time.Duration
+	// ev evaluates an S>1 router's queries over the union of a barrier
+	// entry's mirrors and holds its standing sets and maintained answers
+	// (S=1 uses its lone System's).
+	ev *core.Evaluator
+	// owner maps each vertex of the union to the shard that stores its
+	// out-arcs. The token holder grows it with the union's vertex count;
+	// entries share it, each reading only the prefix it covers.
+	owner []uint8
 
 	histOn bool
 	// cache, when non-nil, is the Δ-result cache of an S>1 router, keyed
@@ -102,61 +97,49 @@ type Router struct {
 	met   *Metrics
 }
 
-// New creates a router over S empty shard graphs spanning n vertices.
-// k is the GLOBAL standing-query budget per problem: each shard
-// maintains ceil(k/S) standing queries over its own subgraph, so total
-// standing memory and per-batch maintenance work match the unsharded
-// system's (S=1 keeps k unchanged and is bit-identical to a plain
-// core.System). Δ-initialization merges the best bound across all
-// shards' roots, so query quality degrades only marginally versus k
-// roots on the full graph. shards < 1 is treated as 1.
+// New creates a router over S empty shard graphs spanning n vertices. k is
+// the standing-query budget per problem, global as on a lone core.System:
+// an S>1 router keeps one standing set per engine problem, over the union
+// of its shards, at the same k roots a System over the whole graph would
+// pick; S=1 hands k to its one System. shards < 1 is treated as 1, and
+// shards > 256 as 256.
 func New(n int, directed bool, shards, k int) *Router {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 {
-		// Normalize k exactly like core.NewSystem does, then split the
-		// GLOBAL budget across shards: S shards × ceil(k/S) roots keeps
-		// total standing maintenance work comparable to the unsharded
-		// system instead of multiplying it by S. Δ-merge takes best-of
-		// across every shard's roots, so fewer roots per shard only
-		// weakens (never breaks) the warm-start bounds.
-		if k == 0 {
-			k = core.DefaultK
-		}
-		if k < 1 {
-			k = 1
-		}
-		if k > 64 {
-			k = 64
-		}
-		k = (k + shards - 1) / shards
-	}
+	shards = min(max(shards, 1), maxShards)
 	r := &Router{
 		s:        shards,
 		directed: directed,
 		tok:      make(chan struct{}, 1),
-		defs:     make(map[string]core.ProblemDef),
+		ev:       core.NewEvaluator(k, directed),
 	}
+	// At S>1 arcs are routed by their tail, so every shard stores directed
+	// arcs whatever the graph's orientation (apply mirrors undirected
+	// edges before it splits them).
+	stored := directed || shards > 1
 	snaps := make([]*streamgraph.Snapshot, shards)
 	for i := 0; i < shards; i++ {
-		g := streamgraph.New(n, directed)
+		g := streamgraph.New(n, stored)
 		r.graphs = append(r.graphs, g)
 		r.shards = append(r.shards, core.NewSystem(g, k))
 		snaps[i] = g.Acquire()
 	}
-	r.bar = newBarrier(newEntry(0, make([]uint64, shards), snaps))
+	r.bar = newBarrier(r.newEntry(0, make([]uint64, shards), snaps, make([]bool, shards)))
 	return r
 }
 
-// newEntry builds a barrier entry, precomputing the union vertex count.
-func newEntry(global uint64, vec []uint64, snaps []*streamgraph.Snapshot) *entry {
-	e := &entry{global: global, vec: vec, snaps: snaps}
+// newEntry builds a barrier entry, precomputing the union vertex count and
+// growing the owner table to cover it. applied marks the shards the
+// entry's mutation reached. Caller holds the apply token (or is New).
+func (r *Router) newEntry(global uint64, vec []uint64, snaps []*streamgraph.Snapshot, applied []bool) *entry {
+	e := &entry{global: global, vec: vec, snaps: snaps, applied: applied}
 	for _, s := range snaps {
 		if n := s.NumVertices(); n > e.n {
 			e.n = n
 		}
 	}
+	for v := len(r.owner); v < e.n; v++ {
+		r.owner = append(r.owner, uint8(r.shardOf(graph.VertexID(v))))
+	}
+	e.owner = r.owner
 	return e
 }
 
@@ -172,25 +155,33 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// ownerOf routes one edge: directed edges by source (a vertex's whole
-// out-adjacency stays in one shard), undirected edges by the smaller
-// endpoint (both mirrored arcs land together, so re-inserting the same
-// logical edge always dedups against the same shard).
-func (r *Router) ownerOf(e graph.Edge) int {
-	v := e.Src
-	if !r.directed && e.Dst < v {
-		v = e.Dst
-	}
+// shardOf names the shard that stores v's out-arcs.
+func (r *Router) shardOf(v graph.VertexID) int {
 	return int(mix64(uint64(v)) % uint64(r.s))
 }
 
-// split partitions a batch into per-shard sub-batches, preserving
-// relative edge order within each shard.
-func (r *Router) split(batch []graph.Edge) [][]graph.Edge {
-	parts := make([][]graph.Edge, r.s)
+// arcs returns the arcs a batch stores or deletes: the edges themselves
+// on a directed graph, each edge followed by its mirror on an undirected
+// one — the order an undirected streamgraph offers them in, so first-wins
+// deduplication keeps the same arc on every shard count.
+func (r *Router) arcs(batch []graph.Edge) []graph.Edge {
+	if r.directed {
+		return batch
+	}
+	out := make([]graph.Edge, 0, 2*len(batch))
 	for _, e := range batch {
-		i := r.ownerOf(e)
-		parts[i] = append(parts[i], e)
+		out = append(out, e, graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W})
+	}
+	return out
+}
+
+// split routes arcs to their tails' shards, preserving relative order
+// within each shard.
+func (r *Router) split(arcs []graph.Edge) [][]graph.Edge {
+	parts := make([][]graph.Edge, r.s)
+	for _, a := range arcs {
+		i := r.shardOf(a.Src)
+		parts[i] = append(parts[i], a)
 	}
 	return parts
 }
@@ -202,79 +193,33 @@ func (r *Router) Shards() int { return r.s }
 // every call delegates to the lone core.System unchanged.
 func (r *Router) single() bool { return r.s == 1 }
 
-// Enable sets up the named problem. On a sharded router a problem with a
-// standing set is enabled under its own name on every shard (each shard
-// shares the set among its problems exactly like a lone System), while
-// PageRank and CC initialize router-level whole-graph state over the union
-// of the shards' mirrors. Enable is setup-phase API: like
+// Enable sets up the named problem. On a sharded router the evaluator
+// sets it up over the union of the latest entry's mirrors (see
+// core.Evaluator.Enable). Enable is setup-phase API: like
 // core.System.Enable it is not synchronized against concurrent mutations
 // or queries.
 func (r *Router) Enable(name string) error {
 	if r.single() {
-		if err := r.shards[0].Enable(name); err != nil {
-			return err
-		}
-		r.order = append(r.order, name)
-		return nil
+		return r.shards[0].Enable(name)
 	}
 	def, ok := core.LookupProblem(name)
 	if !ok {
 		return fmt.Errorf("shard: unknown problem %q: %w", name, core.ErrUnknownProblem)
 	}
-	return r.enable(def, func(sys *core.System) error { return sys.Enable(name) })
+	return r.ev.Enable(def, current(r.bar.latest()))
 }
 
 // EnableCustom sets up standing queries for a user-defined triangle
-// problem on every shard.
+// problem.
 func (r *Router) EnableCustom(p engine.Problem) error {
 	if r.single() {
-		if err := r.shards[0].EnableCustom(p); err != nil {
-			return err
-		}
-		r.order = append(r.order, p.Name())
-		return nil
+		return r.shards[0].EnableCustom(p)
 	}
 	def, err := core.CustomProblem(p)
 	if err != nil {
 		return err
 	}
-	return r.enable(def, func(sys *core.System) error { return sys.EnableCustom(p) })
-}
-
-// enable registers def on an S>1 router: onShard enables it on each shard
-// when it has a standing set, otherwise its whole-graph state is evaluated
-// here over the latest entry.
-func (r *Router) enable(def core.ProblemDef, onShard func(*core.System) error) error {
-	if _, dup := r.defs[def.Name]; dup {
-		return fmt.Errorf("shard: problem %s already enabled", def.Name)
-	}
-	if def.Base != nil {
-		for _, sys := range r.shards {
-			if err := onShard(sys); err != nil {
-				return err
-			}
-		}
-	} else {
-		e := r.bar.latest()
-		views, release := pinEntry(e)
-		defer release()
-		start := time.Now()
-		if def.Name == "PageRank" {
-			res := props.PageRank(unionOf(views), 0.85, 100, 1e-9)
-			r.wgMu.Lock()
-			r.prRanks, r.prVersion, r.prLast = res.Ranks, e.global, time.Since(start)
-			r.wgMu.Unlock()
-		} else {
-			st, seeds, masks := props.NewCCState(e.n)
-			r.runRounds(views, st, seeds, masks)
-			r.wgMu.Lock()
-			r.ccSt, r.ccVersion, r.ccLast = st, e.global, time.Since(start)
-			r.wgMu.Unlock()
-		}
-	}
-	r.defs[def.Name] = def
-	r.order = append(r.order, def.Name)
-	return nil
+	return r.ev.Enable(def, current(r.bar.latest()))
 }
 
 // Enabled lists enabled problems in enable order.
@@ -282,7 +227,7 @@ func (r *Router) Enabled() []string {
 	if r.single() {
 		return r.shards[0].Enabled()
 	}
-	return append([]string(nil), r.order...)
+	return r.ev.Enabled()
 }
 
 // ApplyBatchCtx inserts an edge batch, splitting it across shards and
@@ -331,14 +276,21 @@ func (r *Router) admit(ctx context.Context) error {
 
 func (r *Router) release() { <-r.tok }
 
-// apply runs one admitted mutation: split by owner, apply the non-empty
-// sub-batches to their shards concurrently, merge the changed-source
-// lists, maintain the router-level whole-graph state, and publish the
-// new barrier entry. Caller holds the apply token.
+// apply runs one admitted mutation: route the batch's arcs by tail, apply
+// the non-empty sub-batches to their shards concurrently, build the new
+// barrier entry, then maintain the evaluator's standing state over the
+// entry's union and publish the entry in one exclusive window. Caller
+// holds the apply token.
 func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 	start := time.Now()
-	parts := r.split(batch)
 	prev := r.bar.latest()
+	var resolved []graph.Edge
+	if deletions {
+		// Stored weights, resolved over the union before the shards forget
+		// them (see core.ResolveDeletionWeights).
+		resolved = core.ResolveDeletionWeights(current(prev), batch)
+	}
+	parts := r.split(r.arcs(batch))
 	vec := append([]uint64(nil), prev.vec...)
 	snaps := append([]*streamgraph.Snapshot(nil), prev.snaps...)
 
@@ -367,102 +319,37 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 		}(i, parts[i])
 	}
 	wg.Wait()
-	agg := core.BatchReport{BatchEdges: len(batch)}
-	changedSet := make(map[graph.VertexID]struct{})
+	applied := make([]bool, r.s)
 	fan := 0
+	var changed []graph.VertexID
 	for i, rep := range reps {
 		if rep == nil {
 			continue
 		}
 		fan++
+		applied[i] = true
 		vec[i] = rep.Version
 		snaps[i] = r.graphs[i].Acquire()
-		agg.StandingStats.Add(rep.StandingStats)
-		for _, v := range rep.Changed {
-			changedSet[v] = struct{}{}
-		}
-	}
-	changed := make([]graph.VertexID, 0, len(changedSet))
-	for v := range changedSet {
-		changed = append(changed, v)
+		// Shards own disjoint tails, so their changed sources are disjoint.
+		changed = append(changed, rep.Changed...)
 	}
 	sort.Slice(changed, func(a, b int) bool { return changed[a] < changed[b] })
 
-	global := prev.global + 1
-	e := newEntry(global, vec, snaps)
-	agg.StandingStats.Add(r.maintainWholeGraph(e, changed, deletions))
-	agg.Version = global
-	agg.Changed = changed
-	agg.ChangedSources = len(changed)
+	e := r.newEntry(prev.global+1, vec, snaps, applied)
+	agg := core.BatchReport{BatchEdges: len(batch), Version: e.global, Changed: changed, ChangedSources: len(changed)}
+	publish := func() { r.bar.publish(e) }
+	switch {
+	case !deletions:
+		agg.StandingStats = r.ev.Inserted(current(e), changed, publish)
+	case len(changed) > 0:
+		agg.StandingStats = r.ev.Deleted(current(e), resolved, publish)
+	default:
+		r.ev.Stamp(e.global, publish)
+	}
 	agg.StandingElapsed = time.Since(start)
-
-	r.bar.publish(e)
-	r.cache.Advance(changed, prev.global, global)
+	r.cache.Advance(changed, prev.global, e.global)
 	r.met.noteBatch(fan)
 	return agg
-}
-
-// maintainWholeGraph re-stabilizes the router-level PageRank and CC
-// state for the new barrier entry, mirroring core's maintained answers
-// exactly so version stamps agree with a single system's:
-// insertions always warm-start PageRank and resume CC (stamping the new
-// global version even for no-op batches); deletions rebuild both from
-// scratch only when the union actually changed, keeping the old stamps
-// otherwise. Caller holds the apply token, so this goroutine is the only
-// writer of the state — each result is computed off-lock and swapped in
-// under wgMu. PageRank iterates over the union of the entry's mirrors; CC
-// is a CCLabel state driven through the same scatter/gather rounds as any
-// engine-driven query.
-func (r *Router) maintainWholeGraph(e *entry, changed []graph.VertexID, deletions bool) engine.Stats {
-	var stats engine.Stats
-	_, prOn := r.defs["PageRank"]
-	_, ccOn := r.defs["CC"]
-	if !prOn && !ccOn {
-		return stats
-	}
-	if deletions && len(changed) == 0 {
-		return stats
-	}
-	views, release := pinEntry(e)
-	defer release()
-	if prOn {
-		uv := unionOf(views)
-		start := time.Now()
-		var res *props.PageRankResult
-		if deletions {
-			res = props.PageRank(uv, 0.85, 100, 1e-9)
-		} else {
-			res = props.PageRankFrom(uv, r.prRanks, 0.85, 100, 1e-9)
-		}
-		stats.Add(engine.Stats{Iterations: res.Iterations})
-		r.wgMu.Lock()
-		r.prRanks, r.prVersion, r.prLast = res.Ranks, e.global, time.Since(start)
-		r.wgMu.Unlock()
-	}
-	if ccOn {
-		start := time.Now()
-		var (
-			st    *engine.State
-			seeds []graph.VertexID
-			masks []uint64
-		)
-		if deletions {
-			st, seeds, masks = props.NewCCState(e.n)
-		} else {
-			// Resume mutates the state in place; clone first so concurrent
-			// CC queries keep reading the previous converged labels until
-			// the swap below.
-			st = r.ccSt.Clone()
-			props.GrowCCState(st, e.n)
-			seeds, masks = changed, makeInit(len(changed), 1)
-		}
-		s := r.runRounds(views, st, seeds, masks)
-		stats.Add(s)
-		r.wgMu.Lock()
-		r.ccSt, r.ccVersion, r.ccLast = st, e.global, time.Since(start)
-		r.wgMu.Unlock()
-	}
-	return stats
 }
 
 // ---------------------------------------------------------------------
@@ -478,7 +365,8 @@ func (r *Router) NumVertices() int {
 }
 
 // NumEdges reports the union arc count at the latest global version.
-// Shards are disjoint, so the union count is the sum.
+// Shards store disjoint arcs — an undirected edge's two arcs on their own
+// tails' shards — so the union count is the sum.
 func (r *Router) NumEdges() int64 {
 	if r.single() {
 		return r.graphs[0].Acquire().NumEdges()
@@ -499,7 +387,8 @@ func (r *Router) Version() uint64 {
 	return r.bar.latest().global
 }
 
-// Directed reports the edge orientation shared by every shard.
+// Directed reports the logical graph's edge orientation (at S>1 the
+// shards themselves store directed arcs).
 func (r *Router) Directed() bool { return r.directed }
 
 // EnableHistory begins retaining barrier entries for QueryAt: up to
@@ -527,9 +416,9 @@ func (r *Router) HistoryVersions() []uint64 {
 	return r.bar.versions()
 }
 
-// RecordQueries is core's root-reselection feed. The sharded router has
-// no per-router standing roots to re-select (each shard selects over its
-// own subgraph), so S>1 records nothing.
+// RecordQueries is core's root-reselection feed. Query recording stays in
+// core.System, so S>1 records nothing and its ReselectRoots re-roots by
+// the top-degree rule.
 func (r *Router) RecordQueries(on bool) {
 	if r.single() {
 		r.shards[0].RecordQueries(on)
@@ -537,28 +426,17 @@ func (r *Router) RecordQueries(on bool) {
 }
 
 // ReselectRoots re-roots the standing set that bounds the named problem.
-// On a sharded router each shard re-selects over its own subgraph (without
-// recorded query history that equals the per-shard top-degree rule,
-// which is exactly how sharded roots were chosen at Enable time).
-// Whole-graph problems have no standing roots and reject, mirroring
-// core's error for the same cases.
+// On a sharded router that is the evaluator's one set, re-rooted over the
+// union of the latest entry's mirrors under the apply token (see
+// core.Evaluator.ReselectRoots); without recorded query history the
+// selection is the top-degree rule the roots were chosen by at Enable.
 func (r *Router) ReselectRoots(problem string) error {
 	if r.single() {
 		return r.shards[0].ReselectRoots(problem)
 	}
-	def, err := r.lookup(problem)
-	if err != nil {
-		return err
-	}
-	if def.Base == nil {
-		return fmt.Errorf("shard: problem %q does not use standing roots", problem)
-	}
-	for _, sys := range r.shards {
-		if err := sys.ReselectRoots(problem); err != nil {
-			return err
-		}
-	}
-	return nil
+	r.tok <- struct{}{}
+	defer r.release()
+	return r.ev.ReselectRoots(problem, func() core.View { return current(r.bar.latest()) }, nil)
 }
 
 // EnableResultCache turns on the global-version-keyed Δ-result cache.
@@ -625,36 +503,12 @@ func (r *Router) Subscribers() int {
 }
 
 // StandingMaintainTime reports the most recent standing re-stabilization
-// wall time for the named problem: the slowest shard's standing set
-// (shards maintain concurrently), or the router's own pass for the
-// whole-graph problems.
+// wall time for the named problem (see core.Evaluator.MaintainTime).
 func (r *Router) StandingMaintainTime(name string) (time.Duration, error) {
 	if r.single() {
 		return r.shards[0].StandingMaintainTime(name)
 	}
-	def, err := r.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	if def.Base == nil {
-		r.wgMu.RLock()
-		defer r.wgMu.RUnlock()
-		if name == "PageRank" {
-			return r.prLast, nil
-		}
-		return r.ccLast, nil
-	}
-	var worst time.Duration
-	for _, sys := range r.shards {
-		d, err := sys.StandingMaintainTime(name)
-		if err != nil {
-			return 0, err
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
+	return r.ev.MaintainTime(name)
 }
 
 // RegisterMetrics registers the router's tripoline_shard_* instruments
@@ -667,23 +521,4 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 		g.SetMirrorMetrics(m)
 	}
 	r.met = registerMetrics(reg)
-}
-
-// lookup resolves an enabled problem's definition on an S>1 router.
-func (r *Router) lookup(name string) (core.ProblemDef, error) {
-	def, ok := r.defs[name]
-	if !ok {
-		return def, fmt.Errorf("shard: problem %q not enabled: %w", name, core.ErrUnknownProblem)
-	}
-	return def, nil
-}
-
-// checkSource validates a query source against a barrier entry's union
-// vertex count.
-func checkSource(u graph.VertexID, e *entry) error {
-	if int(u) >= e.n {
-		return fmt.Errorf("shard: source %d out of range (graph has %d vertices): %w",
-			u, e.n, core.ErrSourceOutOfRange)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tripoline/internal/core"
@@ -117,6 +118,12 @@ func (p *pair) compareQueries(t *testing.T, problem string, sources []graph.Vert
 		}
 		if problem != "PageRank" && problem != "CC" && want.Version != got.Version {
 			t.Fatalf("%s query %d: version %d vs %d", problem, u, want.Version, got.Version)
+		}
+		// The same evaluation, not only the same answer: the same standing
+		// root, bound and warm start as the reference.
+		if want.StandingSlot != got.StandingSlot || want.PropUR != got.PropUR || want.Incremental != got.Incremental {
+			t.Fatalf("%s query %d: slot/property(u,r)/incremental %d/%d/%v vs %d/%d/%v", problem, u,
+				want.StandingSlot, want.PropUR, want.Incremental, got.StandingSlot, got.PropUR, got.Incremental)
 		}
 	}
 }
@@ -307,13 +314,49 @@ func TestSubscribeUnsupported(t *testing.T) {
 	}
 }
 
-// TestDeletionKeepsDeltaWarmStart: a deletion publishes a new version on
-// every shard it reaches, and each shard's standing state must record that
-// it converged on it — DeltaMergeInto gates on exactly that, so a shard
-// that forgets answers the next Δ-queries from the init value until it
-// happens to receive an insert. Insert → delete → query must stay
-// incremental, both for a deletion that removes nothing (the graph is the
-// same, so the Δ bounds must be too) and for one that removes stored arcs.
+// TestShardedRunsTheSingleEvaluation: with one worker the engine is
+// deterministic, so a Δ-query over the union of S mirrors must activate and
+// relax exactly what the reference System's does — the same standing root,
+// the same Δ-initialization seeded at the source only, the same engine run
+// over the same spans — on a directed graph and on an undirected one,
+// whose edges the router stores as two arcs on their tails' shards.
+func TestShardedRunsTheSingleEvaluation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 160
+	sources := []graph.VertexID{0, 3, 17, 42, 99, 158}
+	for _, c := range []struct {
+		directed bool
+		shards   int
+	}{{true, 4}, {false, 3}} {
+		p := newPair(t, n, c.directed, c.shards, []string{"SSSP", "SSWP"})
+		rng := rand.New(rand.NewSource(29))
+		for round := 0; round < 3; round++ {
+			p.insert(t, randBatch(rng, n, 300))
+			for _, prob := range []string{"SSSP", "SSWP"} {
+				p.compareQueries(t, prob, sources)
+				for _, u := range sources {
+					want, err1 := p.ref.Query(prob, u)
+					got, err2 := p.rt.Query(prob, u)
+					if err1 != nil || err2 != nil {
+						t.Fatalf("%s(%d): ref err %v, router err %v", prob, u, err1, err2)
+					}
+					if want.Stats.Activations != got.Stats.Activations || want.Stats.Relaxations != got.Stats.Relaxations {
+						t.Fatalf("directed=%v S=%d %s(%d): %d activations / %d relaxations, reference %d / %d",
+							c.directed, c.shards, prob, u, got.Stats.Activations, got.Stats.Relaxations,
+							want.Stats.Activations, want.Stats.Relaxations)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDeletionKeepsDeltaWarmStart: a deletion publishes a new global
+// version, and the router's standing set must record that it converged on
+// it — the next insertion's arc-driven maintenance goes by that version.
+// Insert → delete → query must stay the reference's evaluation, both for a
+// deletion that removes nothing (the graph is the same, so the set only
+// records the version) and for one that removes stored arcs.
 func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
 	const n, u = 200, graph.VertexID(17)
 	rng := rand.New(rand.NewSource(23))
@@ -339,35 +382,21 @@ func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
 			}
 		}
 	}
-	// warmStart is the merged Δ-initialization the router would start the
-	// query from, every shard required to contribute. (Activation counts at
-	// S>1 depend on how the scatter rounds interleave, so the bounds
-	// themselves are what is compared.)
-	warmStart := func(when string) []uint64 {
+	// warmStart requires the router's set to stand on the global version and
+	// the next Δ-query to start from the reference's root and bound.
+	warmStart := func(when string) {
 		t.Helper()
-		res, err := p.rt.Query("SSSP", u)
-		if err != nil || !res.Incremental {
-			t.Fatalf("query %s: incremental=%v err=%v", when, res != nil && res.Incremental, err)
+		set := p.rt.ev.StandingSets()[0]
+		if v := p.rt.Version(); set.LastVersion != v {
+			t.Fatalf("%s: the standing set stands on v%d, the router is at v%d", when, set.LastVersion, v)
 		}
-		init := make([]uint64, n)
-		for i := range init {
-			init[i] = math.MaxUint64
-		}
-		e := p.rt.bar.latest()
-		for i, sys := range p.rt.shards {
-			if _, _, ok := sys.DeltaMergeInto("SSSP", u, e.vec[i], init); !ok {
-				t.Fatalf("%s: shard %d's standing state does not stand on the version the barrier pinned", when, i)
-			}
-		}
-		return init
+		p.compareQueries(t, "SSSP", []graph.VertexID{u})
 	}
-	before := warmStart("before any deletion")
+	warmStart("before any deletion")
 
 	bothShards(absent)
 	p.remove(t, absent)
-	if after := warmStart("after a no-op deletion"); !valuesMatch("SSSP", before, after) {
-		t.Fatal("a deletion that removed nothing changed the Δ bounds")
-	}
+	warmStart("after a no-op deletion")
 
 	bothShards(batch[:40])
 	p.remove(t, batch[:40])

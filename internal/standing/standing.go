@@ -17,7 +17,8 @@
 // standing query q⁻¹(r) (property(x, r) for all x) using the pull model
 // over the same out-edge-only representation — the dual-model evaluation
 // of §4.2 — because property(u, r) on a directed graph is not available
-// from q(r) itself.
+// from q(r) itself. Only its evaluation from scratch (Rebuild) pushes over
+// a transient transposed copy instead.
 package standing
 
 import (
@@ -115,10 +116,14 @@ func (m *Manager) insertedArcs(g engine.ArcView, changed []graph.VertexID) []gra
 	return arcs
 }
 
-// Rebuild re-evaluates every standing query from scratch on the given
-// snapshot, keeping the same roots. It is the recovery path after edge
-// deletions, which break the monotonicity that incremental resumption
-// (Update) relies on.
+// Rebuild evaluates every standing query from scratch on g, keeping the
+// same roots: the initial evaluation (New) and re-rooting. On a directed
+// graph q⁻¹(r) is evaluated as q(r) over g's arcs reversed — a push from
+// the roots over a transient transposed copy of g relaxes the same arcs
+// with the same function as the pull model, so it reaches the same
+// fixpoint, at the push's lower cost per relaxation (EXPERIMENTS.md "One
+// evaluation over the union"). Maintenance afterwards (Update,
+// UpdateDeletions) pulls over g itself.
 func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 	start := time.Now()
 	m.noteVersion(g)
@@ -127,11 +132,39 @@ func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 	stats := m.Forward.RunPush(g, seeds, masks)
 	if m.directed {
 		m.Reverse = m.rootedState(g)
-		m.Reverse.RunPullAll(g, &stats)
+		stats.Add(m.Reverse.RunPush(transposed(g), seeds, masks))
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
 	return stats
+}
+
+// transposed returns g with every arc reversed. Tails are visited in
+// ascending order, so each reversed span comes out sorted by destination,
+// as an ArcView's must be.
+func transposed(g engine.ArcView) *graph.CSR {
+	n := g.NumVertices()
+	off := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		dsts, _ := g.OutSpan(graph.VertexID(v))
+		for _, d := range dsts {
+			off[d+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	adj := make([]graph.VertexID, off[n])
+	wgt := make([]graph.Weight, off[n])
+	next := append([]int64(nil), off[:n]...)
+	for v := 0; v < n; v++ {
+		dsts, ws := g.OutSpan(graph.VertexID(v))
+		for i, d := range dsts {
+			adj[next[d]], wgt[next[d]] = graph.VertexID(v), ws[i]
+			next[d]++
+		}
+	}
+	return &graph.CSR{Off: off, Adj: adj, Wgt: wgt, N: n, Directed: true}
 }
 
 // rootedState allocates a width-K state over g with slot k's root at the

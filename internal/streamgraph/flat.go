@@ -462,14 +462,6 @@ func (f *Flat) OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
 	return f.adj[lo:hi], f.wgt[lo:hi]
 }
 
-// Arcs exposes the mirror's whole arc arrays at once (used by the
-// engine's cache-blocked dense sweep): v's arcs
-// are adj[off[v]:off[v+1]], destination-sorted, weights at the same
-// positions. The slices alias the mirror and must not be modified.
-func (f *Flat) Arcs() ([]int64, []graph.VertexID, []graph.Weight) {
-	return f.off, f.adj, f.wgt
-}
-
 // ForEachOut calls fn(dst, w) for every out-edge of v in ascending
 // destination order (the engine.View iteration non-kernel code uses).
 func (f *Flat) ForEachOut(v graph.VertexID, fn func(dst graph.VertexID, w graph.Weight)) {

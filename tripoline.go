@@ -204,12 +204,12 @@ func WithResultCache(entries int) Option {
 	return func(c *config) { c.cacheEntries = entries; c.cacheOn = true }
 }
 
-// WithShards partitions the system into s independent shard cores, each
-// with its own standing queries, mirror chain and writer, coordinated by
-// a versioned cross-shard snapshot barrier (internal/shard). Queries
-// scatter to every shard in parallel and gather into exactly the answer
-// an unsharded system produces; the standing-query budget K is split
-// across shards so total maintenance work stays comparable. s <= 1 is
+// WithShards partitions the system's store into s shards, each with its
+// own mirror chain and writer, coordinated by a versioned cross-shard
+// snapshot barrier (internal/shard). Batches are applied to the shards in
+// parallel; queries are evaluated once, over the union of the shards'
+// mirrors, by the same evaluation and the same K standing roots an
+// unsharded system uses, so they return exactly its answers. s <= 1 is
 // the plain unsharded system. With s > 1, Subscribe is unsupported
 // (ErrSubscribeUnsupported) and the Graph passed to NewSystem is only
 // the construction-time source of edges — stream further updates through
@@ -228,9 +228,9 @@ type System struct {
 }
 
 // NewSystem wraps a streaming graph. With WithShards(s), s > 1, the
-// graph's current edges are hash-partitioned across s shard cores and
-// the returned System serves queries by scatter/gather over them; the
-// Graph itself is then detached (stream updates via System.ApplyBatch).
+// graph's current edges are hash-partitioned across s shards and the
+// returned System serves queries over the union of them; the Graph
+// itself is then detached (stream updates via System.ApplyBatch).
 func NewSystem(g *Graph, opts ...Option) *System {
 	var c config
 	for _, o := range opts {
