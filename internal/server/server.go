@@ -374,22 +374,6 @@ type statsResponse struct {
 	Subscribers int               `json:"subscribers"`
 }
 
-type queryResponse struct {
-	Problem     string  `json:"problem"`
-	Source      uint32  `json:"source"`
-	Incremental bool    `json:"incremental"`
-	Seconds     float64 `json:"seconds"`
-	Activations int64   `json:"activations"`
-	// Version is the snapshot version the result is valid for — under
-	// concurrent writes a client needs it to know *which* graph it got an
-	// answer about (and, with history enabled, to audit the answer via
-	// /query_at later).
-	Version uint64   `json:"version"`
-	Values  []uint64 `json:"values"`
-	Counts  []uint64 `json:"counts,omitempty"`
-	Radius  uint64   `json:"radius,omitempty"`
-}
-
 // errEnvelope is the unified v1 error body: every non-2xx response from
 // a /v1/* endpoint carries exactly this shape, with a small closed set
 // of machine-readable codes so clients switch on code, never on message
@@ -458,18 +442,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.met.reg.WritePrometheus(w)
 }
 
+// handleQuery and handleQueryAt run behind cached, which parsed r.Form.
 func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
-	problem := r.URL.Query().Get("problem")
+	problem := r.Form.Get("problem")
 	if problem == "" {
 		return writeErr(w, http.StatusBadRequest, "missing ?problem")
 	}
-	srcStr := r.URL.Query().Get("source")
+	srcStr := r.Form.Get("source")
 	src, err := strconv.ParseUint(srcStr, 10, 32)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "bad ?source=%q", srcStr)
 	}
 	var res *core.QueryResult
-	if r.URL.Query().Get("full") != "" {
+	if r.Form.Get("full") != "" {
 		s.met.queriesFull.Inc()
 		res, err = s.sys.QueryFullCtx(ctx, problem, graph.VertexID(src))
 	} else {
@@ -491,17 +476,7 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 // version-aware clients need not parse the body).
 func writeQueryResult(w http.ResponseWriter, res *core.QueryResult) int {
 	w.Header().Set("X-Tripoline-Version", strconv.FormatUint(res.Version, 10))
-	return writeJSON(w, queryResponse{
-		Problem:     res.Problem,
-		Source:      uint32(res.Source),
-		Incremental: res.Incremental,
-		Seconds:     res.Elapsed.Seconds(),
-		Activations: res.Stats.Activations,
-		Version:     res.Version,
-		Values:      res.Values,
-		Counts:      res.Counts,
-		Radius:      res.Radius,
-	})
+	return writeBody(w, func(b []byte) []byte { return appendQuery(b, res) })
 }
 
 // cached wraps a query endpoint with its Δ-result-cache fast path: on a
@@ -509,8 +484,14 @@ func writeQueryResult(w http.ResponseWriter, res *core.QueryResult) int {
 // of caching at user scale is that a hit costs an O(answer) copy, not an
 // evaluation slot. Draining still refuses the request (a drained server
 // serves nothing), and a miss falls through to the gated handler.
+//
+// The query string is parsed once, here: both the fast path and the
+// handler read r.Form.
 func (s *Server) cached(try func(w http.ResponseWriter, r *http.Request) bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		// A malformed pair is skipped, as r.URL.Query() skips it; the
+		// handlers report the fields they then miss.
+		_ = r.ParseForm()
 		if !s.isDraining() && try(w, r) {
 			return
 		}
@@ -525,7 +506,7 @@ func (s *Server) cached(try func(w http.ResponseWriter, r *http.Request) bool, h
 // X-Tripoline-Cache: hit and X-Tripoline-Stale-Batches (the number of
 // graph-changing batches applied since the answer's version).
 func (s *Server) tryCachedQuery(w http.ResponseWriter, r *http.Request) bool {
-	q := r.URL.Query()
+	q := r.Form
 	if q.Get("full") != "" {
 		return false
 	}
@@ -563,7 +544,7 @@ func (s *Server) tryCachedQuery(w http.ResponseWriter, r *http.Request) bool {
 // exact at v forever, so this skips both the gate and the historical
 // re-evaluation.
 func (s *Server) tryCachedQueryAt(w http.ResponseWriter, r *http.Request) bool {
-	q := r.URL.Query()
+	q := r.Form
 	problem := q.Get("problem")
 	src, errSrc := strconv.ParseUint(q.Get("source"), 10, 32)
 	version, errVer := strconv.ParseUint(q.Get("version"), 10, 64)
@@ -585,9 +566,9 @@ func (s *Server) tryCachedQueryAt(w http.ResponseWriter, r *http.Request) bool {
 // handleQueryAt answers against a retained historical snapshot; the
 // system must have history enabled (core.System.EnableHistory).
 func (s *Server) handleQueryAt(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
-	problem := r.URL.Query().Get("problem")
-	srcStr := r.URL.Query().Get("source")
-	verStr := r.URL.Query().Get("version")
+	problem := r.Form.Get("problem")
+	srcStr := r.Form.Get("source")
+	verStr := r.Form.Get("version")
 	src, err := strconv.ParseUint(srcStr, 10, 32)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "bad ?source=%q", srcStr)
@@ -610,17 +591,6 @@ type queryManyRequest struct {
 	Sources []uint32 `json:"sources"`
 }
 
-type queryManyResponse struct {
-	Problem string   `json:"problem"`
-	Sources []uint32 `json:"sources"`
-	Width   int      `json:"width"`
-	Version uint64   `json:"version"`
-	Seconds float64  `json:"seconds"`
-	// Values is the stride-Width array: Values[x*Width+j] is query j's
-	// value at vertex x.
-	Values []uint64 `json:"values"`
-}
-
 func (s *Server) handleQueryMany(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
 	var req queryManyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -640,14 +610,7 @@ func (s *Server) handleQueryMany(ctx context.Context, w http.ResponseWriter, r *
 	// Same version contract as /v1/query: the snapshot the whole batch
 	// evaluated against, in both the header and the body.
 	w.Header().Set("X-Tripoline-Version", strconv.FormatUint(res.Version, 10))
-	return writeJSON(w, queryManyResponse{
-		Problem: res.Problem,
-		Sources: req.Sources,
-		Width:   res.Width,
-		Version: res.Version,
-		Seconds: res.Elapsed.Seconds(),
-		Values:  res.Values,
-	})
+	return writeBody(w, func(b []byte) []byte { return appendQueryMany(b, req.Sources, res) })
 }
 
 func (s *Server) decodeEdges(w http.ResponseWriter, r *http.Request) ([]graph.Edge, bool) {

@@ -2,9 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -120,7 +119,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.F
 			if !ok {
 				return
 			}
-			if writeEvent(w, f.Kind, f) != nil {
+			if writeEvent(w, &f) != nil {
 				return
 			}
 			flusher.Flush()
@@ -129,21 +128,11 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.F
 		case <-s.drainCh:
 			// Tell the client this is a shutdown, not a failure, so it
 			// reconnects elsewhere instead of retrying here.
-			_ = writeEvent(w, "goodbye", struct{}{})
+			_, _ = io.WriteString(w, goodbyeEvent)
 			flusher.Flush()
 			return
 		}
 	}
-}
-
-// writeEvent emits one SSE frame: event name plus a single JSON data line.
-func writeEvent(w http.ResponseWriter, event string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-	return err
 }
 
 // servePoll is the long-poll fallback: skip the snapshot frame, block
@@ -169,7 +158,7 @@ func (s *Server) servePoll(w http.ResponseWriter, r *http.Request, sub *core.Sub
 				continue
 			}
 			w.Header().Set("X-Tripoline-Version", strconv.FormatUint(f.Version, 10))
-			writeJSON(w, f)
+			writeBody(w, func(b []byte) []byte { return appendFrame(b, &f) })
 			return
 		case <-timer.C:
 			w.WriteHeader(http.StatusNoContent)
