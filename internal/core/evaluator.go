@@ -295,8 +295,8 @@ func (ev *Evaluator) MaintainTime(name string) (time.Duration, error) {
 // latest version, which pin supplies: read off the maintained answer, or
 // evaluated Δ-based from the problem's standing set under cooperative
 // cancellation — the engine checks ctx at every superstep boundary. The
-// standing arrays are never touched by a user query (Δ-initialization
-// copies out of them), so cancellation at any point is safe.
+// standing arrays are never written by a user query (Δ-initialization
+// only reads them), so cancellation at any point is safe.
 func (ev *Evaluator) Query(ctx context.Context, name string, u graph.VertexID, pin Pin) (*QueryResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
@@ -453,10 +453,11 @@ type evaluation struct {
 }
 
 // deltaInit allocates the width-len(sources) state and Δ-initializes each
-// slot from its own best standing root, straight into the state's
-// storage. The caller holds mu (shared under pinShared, or exclusive in
-// the writer's window) and runs the engine after letting go of the shared
-// lock. Each slot is an O(N) parallel pass, so cancellation is honored
+// slot from its own best standing root in one blocked pass that reads the
+// root's slot in place in the standing state's storage and writes straight
+// into the new state's. The caller holds mu (shared under pinShared, or
+// exclusive in the writer's window) and runs the engine after letting go
+// of the shared lock. Each slot is an O(N) parallel pass, so cancellation is honored
 // between slots as well as inside the engine run.
 func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.VertexID) (*evaluation, error) {
 	p, n, w := set.Problem, set.Forward.N, len(sources)
@@ -475,13 +476,9 @@ func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.Verte
 		}
 		slot, propUR := set.Select(u)
 		q.slots[j], q.propURs[j] = slot, propUR
-		col := set.StandingColumn(slot)
-		if dst, ok := q.st.ColumnView(j); ok {
-			triangle.DeltaInitInto(dst, p, u, propUR, col)
-		} else {
-			arr, stride, off := q.st.StrideView(j)
-			triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, col)
-		}
+		dst, dstStride, dstOff := q.st.StrideView(j)
+		src, srcStride, srcOff := set.Forward.StrideView(slot)
+		triangle.DeltaInitStrided(dst, dstStride, dstOff, p, u, propUR, src, srcStride, srcOff, n)
 	}
 	return q, nil
 }

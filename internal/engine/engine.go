@@ -227,12 +227,21 @@ func NewState(p Problem, n, k int) *State {
 		st.padN = padVerts(n)
 		blocks := (k + lineWords - 1) / lineWords
 		st.cols = make([]uint64, blocks*st.padN*lineWords)
-		parallel.For(len(st.cols), func(i int) { st.cols[i] = init })
+		fill(st.cols, init)
 		return st
 	}
 	st.Values = make([]uint64, n)
-	parallel.For(n, func(i int) { st.Values[i] = init })
+	fill(st.Values, init)
 	return st
+}
+
+// fill sets every word of dst to v, in parallel blocks.
+func fill(dst []uint64, v uint64) {
+	parallel.ForRange(len(dst), parallel.BlockGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = v
+		}
+	})
 }
 
 // checkStorage panics on a K>1 state assembled as a literal: only
@@ -278,7 +287,11 @@ func (st *State) Column(k int) []uint64 {
 	out := make([]uint64, st.N)
 	if st.cols != nil {
 		base, cols := st.slotOff(k), st.cols
-		parallel.ForGrain(st.N, 1024, func(v int) { out[v] = cols[base+v*lineWords] })
+		parallel.ForRange(st.N, parallel.BlockGrain, func(lo, hi int) {
+			for v, i := lo, base+lo*lineWords; v < hi; v, i = v+1, i+lineWords {
+				out[v] = cols[i]
+			}
+		})
 		return out
 	}
 	copy(out, st.Values)
@@ -333,10 +346,12 @@ func (st *State) Interleaved() []uint64 {
 		soff[k] = st.slotOff(k)
 	}
 	out := make([]uint64, st.N*K)
-	parallel.ForGrain(st.N, 256, func(v int) {
-		vb := v * lineWords
-		for k := 0; k < K; k++ {
-			out[v*K+k] = cols[soff[k]+vb]
+	parallel.ForRange(st.N, parallel.BlockGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			vb, row := v*lineWords, out[v*K:v*K+K]
+			for k := range row {
+				row[k] = cols[soff[k]+vb]
+			}
 		}
 	})
 	return out
@@ -368,9 +383,7 @@ func (st *State) Grow(n int) {
 		cols := make([]uint64, blocks*newBS)
 		for b := 0; b < blocks; b++ {
 			copy(cols[b*newBS:], st.cols[b*oldBS:b*oldBS+st.N*lineWords])
-			for i := b*newBS + st.N*lineWords; i < (b+1)*newBS; i++ {
-				cols[i] = init
-			}
+			fill(cols[b*newBS+st.N*lineWords:(b+1)*newBS], init)
 		}
 		st.cols = cols
 		st.padN = padN
@@ -379,9 +392,7 @@ func (st *State) Grow(n int) {
 	}
 	vals := make([]uint64, n)
 	copy(vals, st.Values)
-	for i := st.N; i < len(vals); i++ {
-		vals[i] = init
-	}
+	fill(vals[st.N:], init)
 	st.N = n
 	st.Values = vals
 }

@@ -23,6 +23,12 @@ import (
 // within a factor of four.
 const DefaultGrain = 256
 
+// BlockGrain is the ForRange grain of the plain per-word passes over O(N)
+// arrays (fills, column copies, Δ-initialization): a block is a plain
+// loop with no call per word, so it can be long enough to make the
+// scheduling cost vanish and still leave every worker several blocks.
+const BlockGrain = 4096
+
 // maxProcs returns the degree of parallelism to use.
 func maxProcs() int {
 	p := runtime.GOMAXPROCS(0)

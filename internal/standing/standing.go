@@ -229,7 +229,9 @@ func (m *Manager) StampVersion(version uint64) {
 // standing state at K=1, where the column is stored contiguously, and a
 // parallel strided copy out of the slot-blocked storage at K>1; either
 // way the caller must treat it as read-only and use it before the next
-// maintenance pass.
+// maintenance pass. It is kept for probes and tests: the query path does
+// not use it, but Δ-initializes from Forward.StrideView(k) in place
+// (triangle.DeltaInitStrided).
 func (m *Manager) StandingColumn(k int) []uint64 {
 	if col, ok := m.Forward.ColumnView(k); ok {
 		return col

@@ -21,49 +21,39 @@ import (
 
 // DeltaInit materializes Δ(u,r) for a user query with source u: for each
 // vertex x, Combine(propUR, standing[x]). standing must hold
-// property(r, x) for all x (stride-K column access is handled by the
-// caller via engine.State.Column or the stride arguments below). The
-// source vertex u is reset to the problem's source value, and r's own
-// entry becomes Combine(propUR, property(r,r)).
+// property(r, x) for all x. The source vertex u is reset to the problem's
+// source value, and r's own entry becomes Combine(propUR, property(r,r)).
 //
 // The returned slice is freshly allocated and suitable as the Values of a
 // K=1 engine.State.
 func DeltaInit(p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) []uint64 {
-	n := len(standing)
-	init := make([]uint64, n)
-	parallel.For(n, func(x int) {
-		init[x] = p.Combine(propUR, standing[x])
-	})
-	if int(u) < n {
-		init[u] = p.SourceValue()
-	}
+	init := make([]uint64, len(standing))
+	DeltaInitInto(init, p, u, propUR, standing)
 	return init
 }
 
-// DeltaInitInto is DeltaInit writing into dst (len(dst) ≥ len(standing)),
-// so batch paths can fill a width-K state's column views in place with no
-// intermediate allocation or copy.
+// DeltaInitInto is DeltaInit writing into dst (len(dst) ≥ len(standing)).
 func DeltaInitInto(dst []uint64, p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) {
-	n := len(standing)
-	parallel.For(n, func(x int) {
-		dst[x] = p.Combine(propUR, standing[x])
-	})
-	if int(u) < n {
-		dst[u] = p.SourceValue()
-	}
+	DeltaInitStrided(dst, 1, 0, p, u, propUR, standing, 1, 0, len(standing))
 }
 
-// DeltaInitStridedInto is DeltaInit writing slot j of a width-stride
-// interleaved array (dst[x*stride+j] for every x covered by standing),
-// in parallel, with no intermediate column. It is the fallback for
-// states whose layout has no contiguous column to hand to DeltaInitInto.
-func DeltaInitStridedInto(dst []uint64, stride, j int, p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) {
-	n := len(standing)
-	parallel.For(n, func(x int) {
-		dst[x*stride+j] = p.Combine(propUR, standing[x])
+// DeltaInitStrided is DeltaInit over n vertices between two strided views
+// (engine.State.StrideView): it reads property(r,x) at
+// src[x*srcStride+srcOff] and writes Δ(u,r)[x] to dst[x*dstStride+dstOff].
+// A query Δ-initializes one slot of its own state straight out of the
+// standing state's slot-blocked storage this way, with no column copied
+// in between. It runs in parallel blocks with a plain loop inside each.
+func DeltaInitStrided(dst []uint64, dstStride, dstOff int, p engine.Problem, u graph.VertexID, propUR uint64, src []uint64, srcStride, srcOff, n int) {
+	parallel.ForRange(n, parallel.BlockGrain, func(lo, hi int) {
+		d, s := lo*dstStride+dstOff, lo*srcStride+srcOff
+		for x := lo; x < hi; x++ {
+			dst[d] = p.Combine(propUR, src[s])
+			d += dstStride
+			s += srcStride
+		}
 	})
 	if int(u) < n {
-		dst[int(u)*stride+j] = p.SourceValue()
+		dst[int(u)*dstStride+dstOff] = p.SourceValue()
 	}
 }
 

@@ -93,28 +93,68 @@ func TestDeltaInitUnreachableRoot(t *testing.T) {
 	}
 }
 
-func TestDeltaInitIntoVariantsMatchColumn(t *testing.T) {
-	p := props.SSWP{}
-	standing := []uint64{9, 4, 6}
-	b := triangle.DeltaInit(p, 1, 5, standing)
+// TestDeltaInitStridedMatchesColumn locks the one Δ-init loop to the
+// column it replaces: read in place out of a width-K standing state's
+// storage, it writes exactly what DeltaInit computes from that slot's
+// copied column — for every problem, width, slot and source position —
+// into a contiguous destination and into slots 0 and 8 of a width-9
+// state, whose other slots it must leave untouched.
+func TestDeltaInitStridedMatchesColumn(t *testing.T) {
+	const n = 5003 // more than one block, and not a multiple of 8
+	for name, p := range props.Registry() {
+		for _, K := range []int{1, 5, 8, 9, 16, 64} {
+			st := engine.NewState(p, n, K)
+			for v := 0; v < n; v++ {
+				for k := 0; k < K; k++ {
+					if (v+k)%5 != 0 {
+						st.SetValue(graph.VertexID(v), k, uint64((v*31+k*7)%50))
+					}
+				}
+			}
+			wide := engine.NewState(p, n, 9)
+			for k := 0; k < K; k++ {
+				col := st.Column(k)
+				src, srcStride, srcOff := st.StrideView(k)
+				for _, u := range []graph.VertexID{0, n - 1, n} {
+					for _, propUR := range []uint64{7, p.InitValue()} {
+						want := make([]uint64, n)
+						for x := range want {
+							want[x] = p.Combine(propUR, col[x])
+						}
+						if u < n {
+							want[u] = p.SourceValue()
+						}
+						check := func(what string, got []uint64) {
+							t.Helper()
+							for x := range want {
+								if got[x] != want[x] {
+									t.Fatalf("%s K=%d slot %d u=%d propUR=%d: %s[%d] = %d, want %d",
+										name, K, k, u, propUR, what, x, got[x], want[x])
+								}
+							}
+						}
+						check("DeltaInit", triangle.DeltaInit(p, u, propUR, col))
 
-	a := make([]uint64, len(standing))
-	triangle.DeltaInitInto(a, p, 1, 5, standing)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("into[%d]=%d, column=%d", i, a[i], b[i])
-		}
-	}
+						flat := make([]uint64, n)
+						triangle.DeltaInitStrided(flat, 1, 0, p, u, propUR, src, srcStride, srcOff, n)
+						check("stride-1 destination", flat)
 
-	// Strided fallback: slot 1 of a two-wide interleaved array.
-	strided := make([]uint64, 2*len(standing))
-	triangle.DeltaInitStridedInto(strided, 2, 1, p, 1, 5, standing)
-	for i := range b {
-		if strided[i*2+1] != b[i] {
-			t.Fatalf("strided[%d]=%d, column=%d", i, strided[i*2+1], b[i])
-		}
-		if strided[i*2] != 0 {
-			t.Fatalf("strided write leaked into slot 0 at %d", i)
+						for _, j := range []int{0, 8} {
+							arr, stride, off := wide.StrideView(j)
+							triangle.DeltaInitStrided(arr, stride, off, p, u, propUR, src, srcStride, srcOff, n)
+						}
+						check("width-9 slot 0", wide.Column(0))
+						check("width-9 slot 8", wide.Column(8))
+					}
+				}
+			}
+			for j := 1; j < 8; j++ {
+				for x, v := range wide.Column(j) {
+					if v != p.InitValue() {
+						t.Fatalf("%s K=%d: writing slots 0 and 8 changed slot %d at %d", name, K, j, x)
+					}
+				}
+			}
 		}
 	}
 }
