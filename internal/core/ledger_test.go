@@ -22,9 +22,18 @@ func TestLedgerCrossCheck(t *testing.T) {
 	if !streamgraph.LedgerEnabled() {
 		t.Fatal("test built without -tags tripoline_ledger")
 	}
+	for _, directed := range []bool{false, true} {
+		ledgerCrossCheck(t, directed)
+	}
+}
+
+// ledgerCrossCheck is one orientation of TestLedgerCrossCheck. A directed
+// graph's standing sets evaluate over transposed mirrors, which ride along
+// with each mirror and recycle with it.
+func ledgerCrossCheck(t *testing.T, directed bool) {
 	streamgraph.LedgerReset()
 
-	sys, _, edges := buildSystem(t, false, "BFS", "SSSP")
+	sys, _, edges := buildSystem(t, directed, "BFS", "SSSP")
 	sys.EnableResultCache(8)
 	sys.EnableHistory(2)
 
@@ -82,7 +91,7 @@ func TestLedgerCrossCheck(t *testing.T) {
 
 	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {
 		for _, l := range leaks {
-			t.Errorf("leaked mirror v%d: %d pin(s) from %v", l.Version, l.Pins, l.Sites)
+			t.Errorf("directed=%v: leaked mirror v%d: %d pin(s) from %v", directed, l.Version, l.Pins, l.Sites)
 		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 // TestArcRoundSharedEndpoints runs the arc round with two workers over
 // batches whose arcs share tails and heads heavily: a few dozen vertices
 // are tail and head of several hundred stored arcs, so runs straddle chunk
-// boundaries, many tails relax into one head (the push's CAS) and a tail's
-// whole run must land on one worker (the pull's owner-exclusive stores,
-// which forArcRuns guarantees by handing a run to the chunk its first arc
-// falls in). Run it under -race; every slot is held to the oracle.
+// boundaries and many tails relax into one head (the push's CAS). The
+// reversed queries push the same arcs reversed over the transposed mirror,
+// which each batch patches in parallel from the last. Run it under -race;
+// every slot is held to the oracle.
 func TestArcRoundSharedEndpoints(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n, core, base, batches, batchEdges = 60, 30, 150, 4, 350
@@ -31,22 +31,27 @@ func TestArcRoundSharedEndpoints(t *testing.T) {
 				edges[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(16))}
 			}
 			g := streamgraph.FromEdges(n, edges, true)
-			fwd, _ := engine.Run(g.Acquire().Flatten(), p, sources)
-			rev, _ := engine.RunReverse(g.Acquire().Flatten(), p, sources)
+			snap := g.Acquire()
+			fwd, _ := engine.Run(snap.Flatten(), p, sources)
+			rev, _ := engine.Run(snap.Flatten().Transposed(), p, sources)
 			for b := 0; b < batches; b++ {
 				batch := make([]graph.Edge, batchEdges)
 				for i := range batch {
 					batch[i] = graph.Edge{Src: graph.VertexID(rng.Intn(core)), Dst: graph.VertexID(rng.Intn(core)), W: graph.Weight(1 + rng.Intn(16))}
 				}
-				snap, _ := g.InsertEdges(batch)
-				flat := snap.Flatten()
+				prev := snap
+				var changed []graph.VertexID
+				snap, changed = g.InsertEdges(batch)
+				flat := snap.FlattenFrom(prev.BuiltFlat(), changed)
+				prev.RetireFlat()
 				arcs, ok := flat.InsertedArcs()
 				if !ok || (b == 0 && len(arcs) < 128) {
 					t.Fatalf("%s: batch %d recorded %d arcs (ok=%v); want several chunks' worth", name, b, len(arcs), ok)
 				}
 				fwd.RunPushArcs(flat, arcs)
-				var stats engine.Stats
-				rev.RunPullArcs(flat, arcs, &stats)
+				tr := flat.Transposed()
+				rarcs, _ := tr.(engine.ArcDelta).InsertedArcs()
+				rev.RunPushArcs(tr, rarcs)
 				csr := snap.CSR(true)
 				requireOracle(t, name+" forward after arc round", fwd, csr, sources, oracle.BestPath)
 				requireOracle(t, name+" reverse after arc round", rev, csr, sources, oracle.BestPathTo)
@@ -55,9 +60,8 @@ func TestArcRoundSharedEndpoints(t *testing.T) {
 	}
 }
 
-// TestArcRoundRejectsUnsortedArcs: one tail split over two runs could be
-// handed to two workers, so an arc list that is not sorted by source is
-// refused outright.
+// TestArcRoundRejectsUnsortedArcs: an arc list that is not sorted by
+// source would split one tail over two runs, so it is refused outright.
 func TestArcRoundRejectsUnsortedArcs(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}}, true)
 	st := engine.NewState(props.BFS{}, 3, 1)

@@ -46,15 +46,6 @@ func BenchmarkPushSSSPBatch16(b *testing.B) {
 	}
 }
 
-func BenchmarkPullReverseSSSP(b *testing.B) {
-	cfg := gen.Config{Name: "bench", LogN: 13, AvgDegree: 12, Directed: true, Seed: 2}
-	g := graph.FromEdges(cfg.N(), gen.RMAT(cfg), true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.RunReverse(g, props.SSSP{}, []graph.VertexID{0})
-	}
-}
-
 func BenchmarkIncrementalResume(b *testing.B) {
 	// Cost of re-stabilizing one standing query after a 1K-edge batch.
 	cfg := gen.Config{Name: "bench", LogN: 14, AvgDegree: 16, Directed: false, Seed: 3}

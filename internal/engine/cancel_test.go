@@ -88,53 +88,6 @@ func TestRunPushAfterCancelIsClean(t *testing.T) {
 	}
 }
 
-// TestRunPullCtxCancels cuts a from-scratch pull off at a round boundary:
-// the reversed BFS over the chain needs one round per hop, the context
-// expires after 16. The partial values must be sound — exact where set,
-// unreached elsewhere — and a later run over the same pool must converge
-// (the canceled run drops its live scratch).
-func TestRunPullCtxCancels(t *testing.T) {
-	g := chainCSR(100_000, t)
-	n := g.NumVertices()
-	last := graph.VertexID(n - 1)
-	st := engine.NewState(props.BFS{}, n, 1)
-	st.SetSource(last, 0)
-	var stats engine.Stats
-	start := time.Now()
-	err := st.RunPullAllCtx(engine.NewConsultCtx(16), g, &stats)
-	if !errors.Is(err, engine.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
-	}
-	var ce *engine.CanceledError
-	if !errors.As(err, &ce) || ce.Iterations != stats.Iterations || stats.Iterations != 16 {
-		t.Fatalf("err = %#v, stats = %+v: want cancellation at the 16-round boundary", err, stats)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("pull cancellation took %v", elapsed)
-	}
-	reached := 0
-	for v := 0; v < n; v++ {
-		switch st.Values[v] {
-		case props.Unreached:
-		case uint64(n - 1 - v):
-			reached++
-		default:
-			t.Fatalf("partial level[%d]=%d, want %d or unreached", v, st.Values[v], n-1-v)
-		}
-	}
-	if reached < 2 || reached >= n {
-		t.Fatalf("wavefront reached %d vertices, want partial progress", reached)
-	}
-
-	short := chainCSR(1000, t)
-	rev, _ := engine.RunReverse(short, props.BFS{}, []graph.VertexID{999})
-	for v := 0; v < 1000; v++ {
-		if rev.Values[v] != uint64(999-v) {
-			t.Fatalf("post-cancel pull wrong at %d: %d", v, rev.Values[v])
-		}
-	}
-}
-
 func TestRunPushCtxBackgroundMatchesRunPush(t *testing.T) {
 	g := chainCSR(1000, t)
 	st, stats, err := engine.RunCtx(context.Background(), g, props.BFS{}, []graph.VertexID{0})

@@ -1,8 +1,15 @@
 // Package engine implements Tripoline's vertex-centric evaluation runtime:
-// a frontier-based push-model engine, a change-driven pull-model engine for
-// reversed queries on directed graphs (the dual-model evaluation of §4.2),
-// and a K-wide batch mode that evaluates up to 64 queries of the same type
-// simultaneously under one combined frontier (§4.5).
+// one frontier-based push-model engine and a K-wide batch mode that
+// evaluates up to 64 queries of the same type simultaneously under one
+// combined frontier (§4.5).
+//
+// There is no pull model. The reversed query q⁻¹(r) of §4.2 — property(x,
+// r) for every x on a directed graph — is q(r) over the graph with every
+// arc reversed, so it runs as the same push over a view's transposed
+// mirror (Transposer). The paper pulls over out-edges alone to save the
+// in-edge index; this implementation keeps the index and pushes instead,
+// because a pull cannot find the tails of an improved head without
+// scanning every arc (DESIGN.md §15 has the measured trade).
 //
 // Vertex values are encoded uint64s (see package props for the encodings).
 // Relaxations use compare-and-swap "improve-or-retry" loops, which is
@@ -10,11 +17,11 @@
 // Theorem 4.4 of the paper requires for Δ-based incremental evaluation to
 // be correct.
 //
-// The kernels (kernel.go, pull.go) hoist a vertex's source values into a
-// register block, relax through a devirtualized scalar op where the
-// problem names one, and are picked from the state's width alone: K=1
-// runs the scalar kernel over the contiguous Values array, K>1 the
-// width-K kernel over NewState's slot-blocked storage.
+// The kernels (kernel.go) hoist a vertex's source values into a register
+// block, relax through a devirtualized scalar op where the problem names
+// one, and are picked from the state's width alone: K=1 runs the scalar
+// kernel over the contiguous Values array, K>1 the width-K kernel over
+// NewState's slot-blocked storage.
 package engine
 
 import (
@@ -97,10 +104,9 @@ type Versioned interface {
 
 // ArcDelta is optionally implemented by versioned views that also record
 // how they differ from the version before them (*streamgraph.Flat does).
-// State that converged on version v-1 is
-// re-stabilized on version v by relaxing just these arcs (RunPushArcs,
-// RunPullArcs) — the batch's cost follows what it stored, not the degrees
-// of the vertices it touched.
+// State that converged on version v-1 is re-stabilized on version v by
+// relaxing just these arcs (RunPushArcs) — the batch's cost follows what
+// it stored, not the degrees of the vertices it touched.
 type ArcDelta interface {
 	Versioned
 	// InsertedArcs returns the arcs this version added to its predecessor,
@@ -108,6 +114,19 @@ type ArcDelta interface {
 	// false when the version was not produced by an insertion. The slice
 	// aliases the view and must not be modified.
 	InsertedArcs() (arcs []graph.Edge, ok bool)
+}
+
+// Transposer is optionally implemented by views that also keep their
+// graph with every arc reversed (*streamgraph.Flat does, and so does the
+// shard router's union of its shards' mirrors). A push over the transposed
+// view from roots r evaluates the reversed queries q⁻¹(r). The transposed
+// view carries the same version, and when it comes from an insertion it
+// records the batch's arcs reversed and sorted by their new tail, so it is
+// an ArcDelta of its own.
+type Transposer interface {
+	// Transposed returns the graph with every arc reversed, each span
+	// sorted by destination: v's span lists the tails of v's in-arcs.
+	Transposed() ArcView
 }
 
 // Problem defines one vertex-specific graph problem over encoded values.
@@ -135,13 +154,10 @@ type Problem interface {
 
 // Stats accumulates work counters for one evaluation. Activations is the
 // number of vertex-function evaluations (per active (vertex, query) pair),
-// the numerator/denominator of the activation ratio R_act (Eq. 11). The
-// pull model counts the pairs it actually re-evaluated: K per dirty vertex
-// in round 0, and in a filtered sweep the slots a vertex relaxed because
-// an out-neighbor improved them — not K·N per round. An arc round
-// (RunPushArcs, RunPullArcs) evaluates no vertex function: it is one
-// iteration whose work shows in Relaxations, Updates, Hoists (one per
-// distinct tail) and GateSkips only.
+// the numerator/denominator of the activation ratio R_act (Eq. 11). An arc
+// round (RunPushArcs) evaluates no vertex function: it is one iteration
+// whose work shows in Relaxations, Updates, Hoists (one per distinct tail)
+// and GateSkips only.
 type Stats struct {
 	Activations int64
 	Relaxations int64 // edge relaxations attempted
@@ -153,7 +169,7 @@ type Stats struct {
 	// Hoists counts per-vertex source-block register loads performed by
 	// the fused push kernels: one per processed frontier vertex (per
 	// destination window when the dense sweep is cache-blocked), and one
-	// per distinct tail of an arc round in either model.
+	// per distinct tail of an arc round.
 	Hoists int64
 	// GateSkips counts active (vertex, slot) pairs whose hoisted source
 	// value was still at the problem's gate (init) value, pruned from the
@@ -682,41 +698,6 @@ func casImprove(addr *uint64, cand uint64, p Problem) bool {
 	}
 }
 
-// RunPull re-stabilizes the state with the pull model: a vertex recomputes
-// its value from its out-neighbors' values. With property(x) interpreted
-// as property(x, source), this computes the reversed query q⁻¹ of §4.2
-// using only the out-edge representation — the dual-model evaluation.
-//
-// The state must be a fixpoint of g except at the dirty vertices: those
-// whose own value slots were reset from outside (a deletion repair) or
-// whose out-arc set changed in a way the caller cannot name arc by arc
-// (RunPullArcs is the entry for the arcs an insertion stored). dirty must
-// not repeat a vertex. The cost is round 0 — the dirty vertices over all
-// their out-arcs at all K slots — plus one filtered sweep per propagation
-// round, which scans every arc but relaxes only the slots its head
-// improved in the round before (see pull.go). An empty dirty list costs
-// nothing: no round runs.
-func (st *State) RunPull(g ArcView, dirty []graph.VertexID, stats *Stats) {
-	_ = st.RunPullCtx(context.Background(), g, dirty, stats)
-}
-
-// RunPullArcs is the pull-model dual of RunPushArcs: the state must be a
-// fixpoint of g without the given arcs (sorted by Src, at the weights g
-// holds). Round 0 relaxes each arc once, head→tail at all K slots, and the
-// tails it improves are the first hot set of the filtered sweeps. An old
-// arc whose head did not move still satisfies its inequality. Round 0 is
-// accounted like RunPushArcs'; an empty list costs nothing.
-func (st *State) RunPullArcs(g ArcView, arcs []graph.Edge, stats *Stats) {
-	_ = st.RunPullArcsCtx(context.Background(), g, arcs, stats)
-}
-
-// RunPullAll is the from-scratch entry of the pull model: every vertex is
-// dirty. Values must be pre-initialized (sources at SourceValue, the rest
-// at the init value).
-func (st *State) RunPullAll(g ArcView, stats *Stats) {
-	_ = st.RunPullAllCtx(context.Background(), g, stats)
-}
-
 // Run performs a full (from-scratch) K-wide push evaluation with one
 // source per query slot. It is the non-incremental baseline of Table 3.
 func Run(g ArcView, p Problem, sources []graph.VertexID) (*State, Stats) {
@@ -753,16 +734,4 @@ func SourceSeeds(sources []graph.VertexID) (seeds []graph.VertexID, masks []uint
 		masks = append(masks, 1<<uint(k))
 	}
 	return seeds, masks
-}
-
-// RunReverse performs a full pull-model evaluation of the reversed query
-// q⁻¹(source): afterwards Value(x, k) = property(x, sources[k]).
-func RunReverse(g ArcView, p Problem, sources []graph.VertexID) (*State, Stats) {
-	st := NewState(p, g.NumVertices(), len(sources))
-	for k, s := range sources {
-		st.SetSource(s, k)
-	}
-	var stats Stats
-	st.RunPullAll(g, &stats)
-	return st, stats
 }

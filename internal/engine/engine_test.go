@@ -90,11 +90,15 @@ func TestDuplicateSourcesInBatch(t *testing.T) {
 	}
 }
 
+// TestRunReverseMatchesTransposeOracle: the reversed query q⁻¹(dst) —
+// property(x, dst) for every x — is a push from dst over the transposed
+// graph, held to the oracle's backward evaluation for every problem.
 func TestRunReverseMatchesTransposeOracle(t *testing.T) {
 	g := randomCSR(200, 1500, true, 41)
+	gt := g.Transpose()
 	for name, p := range props.Registry() {
 		dst := graph.VertexID(17)
-		st, _ := engine.RunReverse(g, p, []graph.VertexID{dst})
+		st, _ := engine.Run(gt, p, []graph.VertexID{dst})
 		want := oracle.BestPathTo(g, p, dst)
 		for v := range want {
 			if st.Values[v] != want[v] {
@@ -104,11 +108,13 @@ func TestRunReverseMatchesTransposeOracle(t *testing.T) {
 	}
 }
 
+// TestRunReverseUndirectedEqualsForward: on an undirected graph the
+// transposed push is the forward query.
 func TestRunReverseUndirectedEqualsForward(t *testing.T) {
 	g := randomCSR(150, 1200, false, 43)
 	src := graph.VertexID(9)
 	fwd, _ := engine.Run(g, props.SSSP{}, []graph.VertexID{src})
-	rev, _ := engine.RunReverse(g, props.SSSP{}, []graph.VertexID{src})
+	rev, _ := engine.Run(g.Transpose(), props.SSSP{}, []graph.VertexID{src})
 	for v := 0; v < g.N; v++ {
 		if fwd.Values[v] != rev.Values[v] {
 			t.Fatalf("undirected forward/reverse differ at %d: %d vs %d",
@@ -235,13 +241,13 @@ func TestNewStatePanicsOnBadK(t *testing.T) {
 }
 
 // A K>1 State literal has no slot-blocked storage for the width-K
-// kernels to index; both entry points must say so by name rather than
-// fault on a nil slice.
+// kernels to index; both round-0 producers must say so by name rather
+// than fault on a nil slice.
 func TestRunPanicsOnLiteralWideState(t *testing.T) {
 	g := randomCSR(4, 8, true, 5)
 	for name, run := range map[string]func(*engine.State){
-		"push": func(st *engine.State) { st.RunPush(g, []graph.VertexID{0}, []uint64{1}) },
-		"pull": func(st *engine.State) { st.RunPullAll(g, new(engine.Stats)) },
+		"push":      func(st *engine.State) { st.RunPush(g, []graph.VertexID{0}, []uint64{1}) },
+		"push-arcs": func(st *engine.State) { st.RunPushArcs(g, []graph.Edge{{Src: 0, Dst: 1, W: 1}}) },
 	} {
 		func() {
 			defer func() {

@@ -53,10 +53,13 @@ func requireOracle(t *testing.T, label string, st *engine.State, g *graph.CSR, s
 // TestFusedWidthSweepEquivalence is the kernels' correctness spine: for
 // every registered problem and K ∈ {1,4,16,64}, the width-K evaluation
 // must be bit-identical to (a) the sequential oracle, slot by slot, and
-// (b) K independent K=1 evaluations. Push and pull both.
+// (b) K independent K=1 evaluations — and over the transposed graph to the
+// oracle's backward evaluation, which is how the reversed standing queries
+// run.
 func TestFusedWidthSweepEquivalence(t *testing.T) {
 	const n, m = 300, 3000
 	g := randomCSR(n, m, true, 61)
+	gt := g.Transpose()
 	widths := []int{1, 4, 16, 64}
 	if testing.Short() {
 		widths = []int{1, 4, 64}
@@ -79,18 +82,9 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 				}
 			}
 
-			fusedRev, _ := engine.RunReverse(g, p, sources)
-			requireOracle(t, name+" pull", fusedRev, g, sources, oracle.BestPathTo)
-
-			for j, s := range sources {
-				single, _ := engine.RunReverse(g, p, []graph.VertexID{s})
-				for v := 0; v < n; v++ {
-					if fv, sv := fusedRev.Value(graph.VertexID(v), j), single.Value(graph.VertexID(v), 0); fv != sv {
-						t.Fatalf("%s K=%d slot %d: pull value(%d) fused=%#x single=%#x",
-							name, k, j, v, fv, sv)
-					}
-				}
-			}
+			// The reversed queries are the same push over the transposed graph.
+			rev, _ := engine.Run(gt, p, sources)
+			requireOracle(t, name+" reverse", rev, g, sources, oracle.BestPathTo)
 		}
 	}
 }

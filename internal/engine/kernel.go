@@ -458,6 +458,33 @@ func (kc *pushKCtx) tail(c *workCounter, run []graph.Edge) {
 	}
 }
 
+// forArcRuns calls body(worker, run) once for every maximal run of arcs
+// sharing a tail, in parallel: workers claim chunks of the list, and a run
+// belongs to the chunk its first arc falls in. arcs must be sorted by Src
+// (ArcDelta.InsertedArcs is), so each tail is handed to exactly one worker
+// and hoisted once per run. An unsorted list is a caller bug and panics
+// before any worker starts.
+func forArcRuns(arcs []graph.Edge, body func(worker int, run []graph.Edge)) {
+	for i := 1; i < len(arcs); i++ {
+		if arcs[i].Src < arcs[i-1].Src {
+			panic("engine: arc list not sorted by source")
+		}
+	}
+	parallel.ForRangeID(len(arcs), 64, func(wid, start, end int) {
+		for start < end && start > 0 && arcs[start].Src == arcs[start-1].Src {
+			start++ // the run in progress belongs to the chunk before
+		}
+		for start < end {
+			stop := start + 1
+			for stop < len(arcs) && arcs[stop].Src == arcs[start].Src {
+				stop++
+			}
+			body(wid, arcs[start:stop])
+			start = stop
+		}
+	})
+}
+
 // denseWindowed is the cache-blocked dense superstep: kc.windows passes
 // over the frontier, pass wi relaxing only arcs whose destination falls
 // in the wi-th ascending window of the vertex ID space. cursors[v] is v's

@@ -43,8 +43,7 @@ func ForwardReachable(g View, seeds []graph.VertexID) *bitset.Atomic {
 
 // BackwardReachable returns the set of vertices that can reach any seed
 // by following out-edges (seeds included). It uses pull-style fixpoint
-// rounds so only the out-edge representation is needed — the same
-// dual-model trick as reversed queries (§4.2).
+// rounds so only the out-edge representation is needed.
 func BackwardReachable(g View, seeds []graph.VertexID) *bitset.Atomic {
 	n := g.NumVertices()
 	reached := bitset.NewAtomic(n)

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"tripoline/internal/graph"
@@ -128,26 +129,6 @@ func TestPushScratchPoolReuse(t *testing.T) {
 				t.Fatalf("push-arcs: value(%d)=%d after %d rounds", 3+burst, st.Values[3+burst], stats.Iterations)
 			}
 		},
-		// The reversed query from the far end: round 0 improves the last
-		// hop, so filtered sweeps follow and both mask arrays get written.
-		"pull": func() {
-			st := NewState(minPlus{}, n, 1)
-			st.SetSource(graph.VertexID(3+burst), 0)
-			var stats Stats
-			st.RunPullAll(g, &stats)
-			if st.Values[0] != 4 || stats.Iterations < 2 {
-				t.Fatalf("pull: value(0)=%d after %d rounds", st.Values[0], stats.Iterations)
-			}
-		},
-		"pull-arcs": func() {
-			st := NewState(minPlus{}, n, 1)
-			st.SetSource(graph.VertexID(3+burst), 0)
-			var stats Stats
-			st.RunPullArcs(g, arcs, &stats)
-			if st.Values[0] != 4 || stats.Iterations < 2 {
-				t.Fatalf("pull-arcs: value(0)=%d after %d rounds", st.Values[0], stats.Iterations)
-			}
-		},
 	}
 	for name, evaluate := range evaluations {
 		// Drain whatever is pooled, then verify a run leaves reusable,
@@ -186,32 +167,48 @@ func TestPushScratchPoolReuse(t *testing.T) {
 	}
 }
 
-// TestCanceledArcPullDropsScratch: an arc-seeded pull canceled between its
-// arc round and the first sweep holds live masks in its scratch, so — like
-// a canceled push — it must not hand the scratch back to the pool. The
-// values it did reach are sound.
-func TestCanceledArcPullDropsScratch(t *testing.T) {
+// TestCanceledArcPushDropsScratch: an arc-seeded push canceled between its
+// arc round and the first frontier superstep holds live masks in its
+// scratch, so — like any canceled push — it must not hand the scratch back
+// to the pool. The values it did reach are sound.
+func TestCanceledArcPushDropsScratch(t *testing.T) {
 	const n, burst = 256, 64
 	g := burstGraph(n, burst)
-	for {
-		if s, _ := pushScratchPool.Get().(*pushScratch); s == nil {
-			break
-		}
-	}
+	// Two collections empty the pool on every P; draining it with Get would
+	// miss what sits in another P's private slot.
+	runtime.GC()
+	runtime.GC()
 	st := NewState(minPlus{}, n, 1)
-	st.SetSource(graph.VertexID(3+burst), 0)
-	var stats Stats
-	// One consult lets the arc round run; the second, before the first
-	// sweep, cancels.
-	err := st.RunPullArcsCtx(NewConsultCtx(1), g, allArcs(g), &stats)
+	st.SetSource(0, 0)
+	// One consult lets the arc round run; the second, before the frontier
+	// it produced is processed, cancels.
+	stats, err := st.RunPushArcsCtx(NewConsultCtx(1), g, allArcs(g))
 	var ce *CanceledError
 	if !errors.As(err, &ce) || ce.Iterations != 1 || stats.Iterations != 1 {
 		t.Fatalf("err = %v, stats = %+v: want cancellation after the arc round", err, stats)
 	}
-	if st.Values[2+burst] != 1 || st.Values[0] != mpUnreached {
-		t.Fatalf("partial values: last hop %d, far end %d", st.Values[2+burst], st.Values[0])
+	// Runs later in the round may already see what earlier ones improved,
+	// so how far the round got depends on scheduling; every value it set
+	// is exact on this graph of unit weights and one path per vertex.
+	exact := func(v int) uint64 {
+		switch {
+		case v <= 1:
+			return uint64(v)
+		case v < 2+burst:
+			return 2
+		default:
+			return uint64(v - burst + 1)
+		}
+	}
+	if st.Values[1] != 1 {
+		t.Fatalf("the arc round left the first hop at %d", st.Values[1])
+	}
+	for v := 0; v < 4+burst; v++ {
+		if got := st.Values[v]; got != mpUnreached && got != exact(v) {
+			t.Fatalf("partial value(%d) = %d, want %d or unreached", v, got, exact(v))
+		}
 	}
 	if s, _ := pushScratchPool.Get().(*pushScratch); s != nil {
-		t.Fatal("a canceled arc-seeded pull returned its live scratch to the pool")
+		t.Fatal("a canceled arc-seeded push returned its live scratch to the pool")
 	}
 }

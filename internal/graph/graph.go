@@ -164,6 +164,42 @@ func (g *CSR) Transpose() *CSR {
 	return FromEdges(g.N, edges, true)
 }
 
+// ReversedArcs returns a new list holding every arc of arcs reversed,
+// sorted by source. The sort is stable, so when arcs are sorted by source
+// the result is sorted by destination within each source too: the arcs as
+// the transposed graph stores them.
+func ReversedArcs(arcs []Edge) []Edge {
+	out := make([]Edge, len(arcs))
+	for i, a := range arcs {
+		out[i] = Edge{Src: a.Dst, Dst: a.Src, W: a.W}
+	}
+	// LSD radix sort on the new source, one byte per pass; a pass whose
+	// byte is the same for every arc changes nothing and is skipped.
+	var buf []Edge
+	for shift := 0; shift < 32 && len(out) > 1; shift += 8 {
+		var count [257]int
+		for _, a := range out {
+			count[(a.Src>>shift)&0xff+1]++
+		}
+		if count[(out[0].Src>>shift)&0xff+1] == len(out) {
+			continue
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		if buf == nil {
+			buf = make([]Edge, len(out))
+		}
+		for _, a := range out {
+			d := (a.Src >> shift) & 0xff
+			buf[count[d]] = a
+			count[d]++
+		}
+		out, buf = buf, out
+	}
+	return out
+}
+
 // Stats summarizes a graph for Table 2-style reporting.
 type Stats struct {
 	Name         string

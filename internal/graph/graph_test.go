@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -160,5 +161,39 @@ func TestSelfLoopKept(t *testing.T) {
 	g := FromEdges(2, []Edge{{Src: 0, Dst: 0, W: 3}}, true)
 	if g.NumEdges() != 1 {
 		t.Fatal("self loop dropped")
+	}
+}
+
+// TestReversedArcsQuick: the reversed list of a source-sorted arc list
+// holds every arc once, reversed, sorted by source and then destination —
+// over IDs wide enough that every byte pass of the radix sort runs.
+func TestReversedArcsQuick(t *testing.T) {
+	f := func(ids []uint32) bool {
+		var arcs []Edge
+		seen := make(map[[2]VertexID]bool)
+		for i := 0; i+1 < len(ids); i += 2 {
+			a := Edge{Src: ids[i] >> uint(i%24), Dst: ids[i+1] >> uint(i%24), W: Weight(i)}
+			if !seen[[2]VertexID{a.Src, a.Dst}] {
+				seen[[2]VertexID{a.Src, a.Dst}] = true
+				arcs = append(arcs, a)
+			}
+		}
+		sort.Slice(arcs, func(i, j int) bool { return arcs[i].Src < arcs[j].Src })
+		rev := ReversedArcs(arcs)
+		if len(rev) != len(arcs) {
+			return false
+		}
+		for i, r := range rev {
+			if !seen[[2]VertexID{r.Dst, r.Src}] {
+				return false
+			}
+			if i > 0 && (rev[i-1].Src > r.Src || rev[i-1].Src == r.Src && rev[i-1].Dst >= r.Dst) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -85,6 +85,10 @@ type Router struct {
 	// entry's mirrors and holds its standing sets and maintained answers
 	// (S=1 uses its lone System's).
 	ev *core.Evaluator
+	// tr is the transpose of the union the writer last maintained over
+	// (writerUnion.Transposed), nil until a directed standing set asks for
+	// one. Token holder only.
+	tr *streamgraph.Flat
 	// owner maps each vertex of the union to the shard that stores its
 	// out-arcs. The token holder grows it with the union's vertex count;
 	// entries share it, each reading only the prefix it covers.
@@ -206,7 +210,7 @@ func (r *Router) Enable(name string) error {
 	if !ok {
 		return fmt.Errorf("shard: unknown problem %q: %w", name, core.ErrUnknownProblem)
 	}
-	return r.ev.Enable(def, current(r.bar.latest()))
+	return r.ev.Enable(def, r.current(r.bar.latest()))
 }
 
 // EnableCustom sets up standing queries for a user-defined triangle
@@ -219,7 +223,7 @@ func (r *Router) EnableCustom(p engine.Problem) error {
 	if err != nil {
 		return err
 	}
-	return r.ev.Enable(def, current(r.bar.latest()))
+	return r.ev.Enable(def, r.current(r.bar.latest()))
 }
 
 // Enabled lists enabled problems in enable order.
@@ -288,7 +292,7 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 	if deletions {
 		// Stored weights, resolved over the union before the shards forget
 		// them (see core.ResolveDeletionWeights).
-		resolved = core.ResolveDeletionWeights(current(prev), batch)
+		resolved = core.ResolveDeletionWeights(r.current(prev), batch)
 	}
 	parts := r.split(r.arcs(batch))
 	vec := append([]uint64(nil), prev.vec...)
@@ -340,9 +344,9 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 	publish := func() { r.bar.publish(e) }
 	switch {
 	case !deletions:
-		agg.StandingStats = r.ev.Inserted(current(e), changed, publish)
+		agg.StandingStats = r.ev.Inserted(r.current(e), changed, publish)
 	case len(changed) > 0:
-		agg.StandingStats = r.ev.Deleted(current(e), resolved, publish)
+		agg.StandingStats = r.ev.Deleted(r.current(e), resolved, publish)
 	default:
 		r.ev.Stamp(e.global, publish)
 	}
@@ -436,7 +440,7 @@ func (r *Router) ReselectRoots(problem string) error {
 	}
 	r.tok <- struct{}{}
 	defer r.release()
-	return r.ev.ReselectRoots(problem, func() core.View { return current(r.bar.latest()) }, nil)
+	return r.ev.ReselectRoots(problem, func() core.View { return r.current(r.bar.latest()) }, nil)
 }
 
 // EnableResultCache turns on the global-version-keyed Δ-result cache.

@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tripoline/internal/core"
+	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 )
@@ -402,4 +405,63 @@ func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
 	p.remove(t, batch[:40])
 	warmStart("after a deletion")
 	p.compareQueries(t, "SSSP", []graph.VertexID{u, 3, 150})
+}
+
+// TestWriterUnionTransposeMatchesS1: the transpose a directed S>1 router
+// carries from entry to entry — patched with the merged record of the
+// shards a batch reached, rebuilt after a deletion — must be the one a lone
+// System's mirror chain carries, span for span, with the same reversed
+// record, after every batch.
+func TestWriterUnionTransposeMatchesS1(t *testing.T) {
+	const n = 160
+	for _, shards := range []int{3, 4} {
+		one := New(n, true, 1, 4)
+		many := New(n, true, shards, 4)
+		for _, rt := range []*Router{one, many} {
+			if err := rt.Enable("SSSP"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(31))
+		for round := 0; round < 6; round++ {
+			batch := randBatch(rng, n+round*3, 220) // grows the vertex range
+			one.ApplyBatch(batch)
+			many.ApplyBatch(batch)
+			what := fmt.Sprintf("S=%d batch %d", shards, round)
+			if round == 3 {
+				del := batch[:60]
+				one.ApplyDeletions(del)
+				many.ApplyDeletions(del)
+				what += " and a deletion"
+			}
+			want := one.graphs[0].Acquire().Flatten().Transposed()
+			got := many.current(many.bar.latest()).Transposed()
+			requireSameView(t, what, got, want)
+		}
+	}
+}
+
+// requireSameView holds two transposed views to the same vertex count,
+// spans, version and insertion record.
+func requireSameView(t *testing.T, what string, got, want engine.ArcView) {
+	t.Helper()
+	if got.NumVertices() != want.NumVertices() {
+		t.Fatalf("%s: %d vertices, want %d", what, got.NumVertices(), want.NumVertices())
+	}
+	for v := 0; v < want.NumVertices(); v++ {
+		gd, gw := got.OutSpan(graph.VertexID(v))
+		wd, ww := want.OutSpan(graph.VertexID(v))
+		if !slices.Equal(gd, wd) || !slices.Equal(gw, ww) {
+			t.Fatalf("%s: span of %d is %v/%v, want %v/%v", what, v, gd, gw, wd, ww)
+		}
+	}
+	gv, wv := got.(engine.ArcDelta), want.(engine.ArcDelta)
+	if gv.Version() != wv.Version() {
+		t.Fatalf("%s: version %d, want %d", what, gv.Version(), wv.Version())
+	}
+	ga, gok := gv.InsertedArcs()
+	wa, wok := wv.InsertedArcs()
+	if gok != wok || !slices.Equal(ga, wa) {
+		t.Fatalf("%s: record %v (ok=%v), want %v (ok=%v)", what, ga, gok, wa, wok)
+	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"tripoline/internal/core"
+	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 )
@@ -40,13 +41,39 @@ func pin(e *entry) (*union, func()) {
 // current is the writer's union of the latest entry e, the counterpart of
 // core's updateView: e's mirrors are the shards' own, retired only when a
 // shard applies its next sub-batch, which needs the apply token the caller
-// holds — so nothing is pinned.
-func current(e *entry) *union {
+// holds — so nothing is pinned. It carries the router's transposed mirror.
+func (r *Router) current(e *entry) *writerUnion {
 	u := &union{e: e, views: make([]*streamgraph.Flat, len(e.snaps))}
 	for i, s := range e.snaps {
 		u.views[i] = s.Flatten()
 	}
-	return u
+	return &writerUnion{union: u, r: r}
+}
+
+// writerUnion is the union the writer maintains the standing sets over:
+// the only one whose transpose anything asks for.
+type writerUnion struct {
+	*union
+	r *Router
+}
+
+var _ engine.Transposer = (*writerUnion)(nil)
+
+// Transposed is the union's transpose (engine.Transposer): the router's
+// own, carried from entry to entry — patched with the entry's merged
+// record when the entry is the insertion right after the one it was built
+// for, built from the union's spans otherwise — like a lone System's
+// mirror chain carries its transpose. Token holder only.
+func (w *writerUnion) Transposed() engine.ArcView {
+	r := w.r
+	if r.tr == nil || r.tr.Version() != w.e.global {
+		next := streamgraph.TransposeFrom(w, r.tr)
+		if r.tr != nil {
+			r.tr.Release()
+		}
+		r.tr = next
+	}
+	return r.tr
 }
 
 // mirror returns the mirror that stores v's out-arcs, or nil when v's

@@ -14,11 +14,13 @@
 // trimming (UpdateDeletions).
 //
 // For directed graphs the manager additionally maintains the reversed
-// standing query q⁻¹(r) (property(x, r) for all x) using the pull model
-// over the same out-edge-only representation — the dual-model evaluation
-// of §4.2 — because property(u, r) on a directed graph is not available
-// from q(r) itself. Only its evaluation from scratch (Rebuild) pushes over
-// a transient transposed copy instead.
+// standing query q⁻¹(r) (property(x, r) for all x), because property(u, r)
+// on a directed graph is not available from q(r) itself. q⁻¹(r) is q(r)
+// over the graph with every arc reversed, so every path — build, insertion,
+// deletion — is the forward one run over the view's transposed mirror
+// (engine.Transposer) with the arcs reversed. The paper evaluates q⁻¹ by
+// pulling over the out-edges alone (§4.2); the transposed mirror costs one
+// more copy of the arcs and removes the pull's whole-graph sweeps.
 package standing
 
 import (
@@ -26,6 +28,7 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/streamgraph"
 	"tripoline/internal/triangle"
 )
 
@@ -56,7 +59,7 @@ type Manager struct {
 }
 
 // New fully evaluates the K standing queries rooted at roots on the given
-// mirror. directed selects dual-model maintenance.
+// mirror. directed selects maintenance of the reversed queries as well.
 func New(p engine.Problem, g engine.ArcView, roots []graph.VertexID, directed bool) *Manager {
 	m := &Manager{Problem: p, Roots: roots, directed: directed}
 	m.Rebuild(g)
@@ -69,10 +72,10 @@ func (m *Manager) K() int { return len(m.Roots) }
 // Update incrementally re-stabilizes every standing query after a batch of
 // edge insertions. The state is a fixpoint of the graph before the batch,
 // so only the arcs the batch stored can violate it (§2, Figure 2-(c)):
-// each is relaxed once at all K slots — tail→head into Forward, head→tail
-// into Reverse — and the evaluation resumes from the endpoints that
-// improved. The cost follows the arcs stored and what they move, not the
-// degrees of the vertices they touch.
+// each is relaxed once at all K slots — tail→head into Forward over g, and
+// reversed into Reverse over g's transposed view — and the evaluation
+// resumes from the heads that improved. The cost follows the arcs stored
+// and what they move, not the degrees of the vertices they touch.
 //
 // The arcs come from the view when it records them (engine.ArcDelta) and
 // the state converged on exactly the version before it. Otherwise changed —
@@ -81,27 +84,38 @@ func (m *Manager) K() int { return len(m.Roots) }
 // of a changed source is relaxed the same way.
 func (m *Manager) Update(g engine.ArcView, changed []graph.VertexID) engine.Stats {
 	start := time.Now()
-	arcs := m.insertedArcs(g, changed)
-	m.noteVersion(g)
-	stats := m.Forward.RunPushArcs(g, arcs)
-	if m.Reverse != nil {
-		m.Reverse.RunPullArcs(g, arcs, &stats)
+	arcs, ok := m.recorded(g)
+	if !ok {
+		arcs = outArcs(g, changed)
 	}
+	stats := m.Forward.RunPushArcs(g, arcs)
+	if m.Reverse != nil && len(arcs) > 0 {
+		t := transposedOf(g)
+		rev, ok := m.recorded(t)
+		if !ok {
+			rev = graph.ReversedArcs(arcs)
+		}
+		stats.Add(m.Reverse.RunPushArcs(t, rev))
+	}
+	m.noteVersion(g)
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
 	return stats
 }
 
-// insertedArcs returns the arcs Update must relax to carry the state onto
-// g: the view's own insertion record when the state sits on the version
-// just before it, else all out-arcs of changed, at the weights g holds
-// (InsertEdges is first-wins, so never the batch's own weights).
-func (m *Manager) insertedArcs(g engine.ArcView, changed []graph.VertexID) []graph.Edge {
+// recorded returns g's own insertion record when the state sits on the
+// version just before g's.
+func (m *Manager) recorded(g engine.ArcView) ([]graph.Edge, bool) {
 	if d, ok := g.(engine.ArcDelta); ok && m.versioned && m.LastVersion+1 == d.Version() {
-		if arcs, ok := d.InsertedArcs(); ok {
-			return arcs
-		}
+		return d.InsertedArcs()
 	}
+	return nil, false
+}
+
+// outArcs lists every out-arc of the changed sources, sorted by source, at
+// the weights g holds (InsertEdges is first-wins, so never the batch's own
+// weights).
+func outArcs(g engine.ArcView, changed []graph.VertexID) []graph.Edge {
 	total := 0
 	for _, v := range changed {
 		total += g.Degree(v)
@@ -118,12 +132,7 @@ func (m *Manager) insertedArcs(g engine.ArcView, changed []graph.VertexID) []gra
 
 // Rebuild evaluates every standing query from scratch on g, keeping the
 // same roots: the initial evaluation (New) and re-rooting. On a directed
-// graph q⁻¹(r) is evaluated as q(r) over g's arcs reversed — a push from
-// the roots over a transient transposed copy of g relaxes the same arcs
-// with the same function as the pull model, so it reaches the same
-// fixpoint, at the push's lower cost per relaxation (EXPERIMENTS.md "One
-// evaluation over the union"). Maintenance afterwards (Update,
-// UpdateDeletions) pulls over g itself.
+// graph q⁻¹(r) is the same push from the roots over g's transposed view.
 func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 	start := time.Now()
 	m.noteVersion(g)
@@ -132,39 +141,20 @@ func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 	stats := m.Forward.RunPush(g, seeds, masks)
 	if m.directed {
 		m.Reverse = m.rootedState(g)
-		stats.Add(m.Reverse.RunPush(transposed(g), seeds, masks))
+		stats.Add(m.Reverse.RunPush(transposedOf(g), seeds, masks))
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
 	return stats
 }
 
-// transposed returns g with every arc reversed. Tails are visited in
-// ascending order, so each reversed span comes out sorted by destination,
-// as an ArcView's must be.
-func transposed(g engine.ArcView) *graph.CSR {
-	n := g.NumVertices()
-	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		dsts, _ := g.OutSpan(graph.VertexID(v))
-		for _, d := range dsts {
-			off[d+1]++
-		}
+// transposedOf returns g with every arc reversed: the view's own transpose
+// when it keeps one, else a copy built on the spot (a static *graph.CSR).
+func transposedOf(g engine.ArcView) engine.ArcView {
+	if t, ok := g.(engine.Transposer); ok {
+		return t.Transposed()
 	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	adj := make([]graph.VertexID, off[n])
-	wgt := make([]graph.Weight, off[n])
-	next := append([]int64(nil), off[:n]...)
-	for v := 0; v < n; v++ {
-		dsts, ws := g.OutSpan(graph.VertexID(v))
-		for i, d := range dsts {
-			adj[next[d]], wgt[next[d]] = graph.VertexID(v), ws[i]
-			next[d]++
-		}
-	}
-	return &graph.CSR{Off: off, Adj: adj, Wgt: wgt, N: n, Directed: true}
+	return streamgraph.TransposeFrom(g, nil)
 }
 
 // rootedState allocates a width-K state over g with slot k's root at the

@@ -2,7 +2,6 @@ package standing
 
 import (
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"tripoline/internal/engine"
@@ -30,20 +29,15 @@ import (
 // source, and deletions never improve anything.
 //
 // After tainting, tainted values reset to init (roots to the source
-// value) and the push evaluation resumes with every vertex seeded under
-// the complement mask — one sweep pushes correct boundary values back
-// into the tainted region, and iteration converges over that region
-// only.
+// value) and the push resumes from the region's boundary: every untainted
+// tail of an arc into a tainted vertex, under the slots tainted there. The
+// boundary holds exact values, so the push carries them into the region
+// and converges over it alone.
 //
-// The reversed standing state (directed graphs) is recovered the same
-// way over out-arcs only. A reversed value val(z) = property(z, r)
-// derives through one of z's out-arcs, so the seeds are the deleted arcs'
-// sources and taint spreads from an arc's head to its tail; with no
-// in-edge index, each propagation round is a filtered sweep — every
-// vertex scans its out-arcs and tests only those whose head gained taint
-// bits in the round before. The tainted slots are reset and the tainted
-// vertices handed to the change-driven pull as its dirty set: untainted
-// values are exact already, so nothing else can move.
+// The reversed standing state (directed graphs) is the forward state of
+// the transposed graph, so it is recovered by the same routine over the
+// transposed view with the deleted arcs reversed: taint spreads over
+// in-arcs, and the boundary is found over out-arcs.
 
 // UpdateDeletions re-stabilizes the standing queries after edge
 // deletions. It must be called with the post-deletion snapshot while the
@@ -55,25 +49,42 @@ import (
 // at the price of a view).
 func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
 	start := time.Now()
-	var stats engine.Stats
-
 	m.noteVersion(g)
-	m.Forward.Grow(g.NumVertices())
-	stats.Add(m.repairForward(g, m.taintForward(g, deleted, undirected)))
-
+	// The boundary search walks in-arcs, which an undirected graph stores
+	// as its out-arcs.
+	in := g
 	if m.Reverse != nil {
-		m.Reverse.Grow(g.NumVertices())
-		stats.Add(m.repairReverse(g, m.taintReverse(g, deleted, undirected)))
+		in = transposedOf(g)
+	}
+	stats := m.trim(m.Forward, g, in, deleted, undirected)
+	if m.Reverse != nil {
+		stats.Add(m.trimReverse(g, deleted, undirected))
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
 	return stats
 }
 
-// taintForward computes the per-slot taint masks over the pre-deletion
-// values. Returns nil when no deleted arc was a witness.
-func (m *Manager) taintForward(g engine.ArcView, deleted []graph.Edge, undirected bool) []uint64 {
-	st := m.Forward
+// trimReverse recovers the reversed state: trim over g's transposed view,
+// whose in-arcs are g's out-arcs, with the deleted arcs reversed.
+func (m *Manager) trimReverse(g engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
+	return m.trim(m.Reverse, transposedOf(g), g, graph.ReversedArcs(deleted), undirected)
+}
+
+// trim recovers st, converged on the graph before deleted were removed, on
+// g; in is g's transposed view.
+func (m *Manager) trim(st *engine.State, g, in engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
+	st.Grow(g.NumVertices())
+	taint := m.taint(st, g, deleted, undirected)
+	if taint == nil {
+		return engine.Stats{}
+	}
+	return m.repair(st, g, in, taint)
+}
+
+// taint computes the per-slot taint masks over the pre-deletion values.
+// Returns nil when no deleted arc was a witness.
+func (m *Manager) taint(st *engine.State, g engine.ArcView, deleted []graph.Edge, undirected bool) []uint64 {
 	p := m.Problem
 	n := st.N
 	K := st.K
@@ -143,156 +154,42 @@ func (m *Manager) taintForward(g engine.ArcView, deleted []graph.Edge, undirecte
 	return taint
 }
 
-// repairForward resets tainted value slots and resumes the evaluation
-// with every vertex seeded under its untainted mask (plus tainted roots
-// under their own slot).
-func (m *Manager) repairForward(g engine.ArcView, taint []uint64) engine.Stats {
-	if taint == nil {
-		return engine.Stats{}
-	}
-	st := m.Forward
-	p := m.Problem
-	init := p.InitValue()
+// repair resets the tainted value slots and resumes the push over g from
+// the boundary of the tainted region — found through in, g's transposed
+// view — plus the tainted roots under their own slot.
+func (m *Manager) repair(st *engine.State, g, in engine.ArcView, taint []uint64) engine.Stats {
+	init := m.Problem.InitValue()
 	n := st.N
-	K := st.K
-	fullMask := maskFor(K)
 	parallel.ForGrain(n, 256, func(v int) {
-		mask := taint[v]
-		for mk := mask; mk != 0; mk &= mk - 1 {
+		for mk := taint[v]; mk != 0; mk &= mk - 1 {
 			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mk), init)
 		}
 	})
-	seeds := make([]graph.VertexID, 0, n)
-	masks := make([]uint64, 0, n)
-	for v := 0; v < n; v++ {
-		if keep := fullMask &^ taint[v]; keep != 0 {
-			seeds = append(seeds, graph.VertexID(v))
-			masks = append(masks, keep)
+	// boundary[x] collects the slots in which x has an arc into a vertex
+	// tainted there while x itself is not.
+	boundary := make([]uint64, n)
+	for y, mask := range taint {
+		if mask == 0 {
+			continue
+		}
+		tails, _ := in.OutSpan(graph.VertexID(y))
+		for _, x := range tails {
+			boundary[x] |= mask &^ taint[x]
 		}
 	}
 	for k, r := range m.Roots {
 		if int(r) < n && taint[r]&(1<<uint(k)) != 0 {
 			st.SetSource(r, k)
-			seeds = append(seeds, r)
-			masks = append(masks, 1<<uint(k))
+			boundary[r] |= 1 << uint(k)
+		}
+	}
+	var seeds []graph.VertexID
+	var masks []uint64
+	for v, mask := range boundary {
+		if mask != 0 {
+			seeds = append(seeds, graph.VertexID(v))
+			masks = append(masks, mask)
 		}
 	}
 	return st.RunPush(g, seeds, masks)
-}
-
-// taintReverse computes per-slot taint masks for the reversed state.
-// A reversed value val(z) = property(z, r) derives through one of z's
-// out-arcs (z, y, w): the witness test is val(z) == Relax(val(y), w).
-// Seeds are the deleted arcs' sources. Each propagation round sweeps all
-// vertices in parallel; z tests an arc only at the slots its head gained
-// in the previous round and writes only taint[z], so the rounds need no
-// atomics and only the out-edge representation. Returns nil when no
-// deleted arc was a witness.
-func (m *Manager) taintReverse(g engine.ArcView, deleted []graph.Edge, undirected bool) []uint64 {
-	st := m.Reverse
-	p := m.Problem
-	n := st.N
-	K := st.K
-	init := p.InitValue()
-	taint := make([]uint64, n)
-
-	// witness returns the slots of mask in which arc (z, y, w) derives
-	// z's value from y's.
-	witness := func(z, y graph.VertexID, w graph.Weight, mask uint64) uint64 {
-		var hit uint64
-		for mk := mask; mk != 0; mk &= mk - 1 {
-			k := bits.TrailingZeros64(mk)
-			vy := st.Value(y, k)
-			if vy == init {
-				continue
-			}
-			if cand, ok := p.Relax(vy, w); ok && cand == st.Value(z, k) {
-				hit |= 1 << uint(k)
-			}
-		}
-		return hit
-	}
-
-	seeded := false
-	seed := func(a, b graph.VertexID, w graph.Weight) {
-		if int(a) >= n || int(b) >= n {
-			return
-		}
-		if hit := witness(a, b, w, maskFor(K)); hit != 0 {
-			taint[a] |= hit
-			seeded = true
-		}
-	}
-	for _, e := range deleted {
-		seed(e.Src, e.Dst, e.W)
-		if undirected {
-			seed(e.Dst, e.Src, e.W)
-		}
-	}
-	if !seeded {
-		return nil
-	}
-
-	// gained[y] is the mask of taint bits y gained in the previous round
-	// (the seeds, at first); next receives this round's.
-	gained := append([]uint64(nil), taint...)
-	next := make([]uint64, n)
-	for more := true; more; gained, next = next, gained {
-		var any atomic.Bool
-		parallel.ForRange(n, 256, func(start, end int) {
-			var seen uint64
-			for v := start; v < end; v++ {
-				z, have := graph.VertexID(v), taint[v]
-				var add uint64
-				dsts, ws := g.OutSpan(z)
-				for i, y := range dsts {
-					if mk := gained[y] &^ (have | add); mk != 0 {
-						add |= witness(z, y, ws[i], mk)
-					}
-				}
-				taint[v] = have | add
-				next[v] = add
-				seen |= add
-			}
-			if seen != 0 {
-				any.Store(true)
-			}
-		})
-		more = any.Load()
-	}
-	return taint
-}
-
-// repairReverse resets tainted reversed value slots and re-stabilizes
-// with the tainted vertices as the pull's dirty set: round 0 re-derives
-// them from their (exact) untainted out-neighbors, and the filtered
-// sweeps carry the recovered values up the tainted region.
-func (m *Manager) repairReverse(g engine.ArcView, taint []uint64) engine.Stats {
-	st := m.Reverse
-	init := m.Problem.InitValue()
-	var dirty []graph.VertexID
-	for v, mask := range taint {
-		if mask == 0 {
-			continue
-		}
-		dirty = append(dirty, graph.VertexID(v))
-		for mk := mask; mk != 0; mk &= mk - 1 {
-			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mk), init)
-		}
-	}
-	for k, r := range m.Roots {
-		if int(r) < len(taint) && taint[r]&(1<<uint(k)) != 0 {
-			st.SetSource(r, k)
-		}
-	}
-	var stats engine.Stats
-	st.RunPull(g, dirty, &stats)
-	return stats
-}
-
-func maskFor(k int) uint64 {
-	if k == 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(k) - 1
 }

@@ -83,7 +83,8 @@ func TestUpdateDeletionsMatchesRebuild(t *testing.T) {
 }
 
 // TestTrimLeavesTrueFixpoint audits the trimmed state with the engine's
-// edge-sweep convergence checker — independent of the oracle comparison.
+// edge-sweep convergence checker — independent of the oracle comparison —
+// in both directions.
 func TestTrimLeavesTrueFixpoint(t *testing.T) {
 	edges := gen.Uniform(120, 1100, 8, 93)
 	g := streamgraph.New(120, true)
@@ -91,16 +92,14 @@ func TestTrimLeavesTrueFixpoint(t *testing.T) {
 	m := standing.New(props.SSNP{}, g.Acquire().Flatten(), []graph.VertexID{1, 60}, true)
 	del := edges[50:150]
 	snap, _ := g.DeleteEdges(del)
-	m.UpdateDeletions(snap.Flatten(), del, false)
+	flat := snap.Flatten()
+	m.UpdateDeletions(flat, del, false)
 	if vs := m.Forward.CheckConverged(snap, 4); len(vs) != 0 {
 		t.Fatalf("forward state not a fixpoint after trim: %+v", vs)
 	}
-	if vs := m.Reverse.CheckConverged(snap, 4); len(vs) == 0 {
-		// Reverse state's fixpoint condition differs (pull semantics);
-		// CheckConverged's push-oriented sweep applies to the forward
-		// state only. Reverse correctness is covered by the oracle test;
-		// nothing to assert here beyond not panicking.
-		_ = vs
+	// The reversed state is the forward state of the transposed graph.
+	if vs := m.Reverse.CheckConverged(flat.Transposed(), 4); len(vs) != 0 {
+		t.Fatalf("reverse state not a fixpoint of the transposed graph after trim: %+v", vs)
 	}
 }
 
@@ -171,7 +170,7 @@ func TestUpdateDeletionsIsCheaperThanRebuild(t *testing.T) {
 			}
 		}
 	}
-	// The trimmed push still sweeps every untainted vertex once, but the
+	// The trimmed push starts from the tainted region's boundary, so its
 	// propagation work (updates) must be far smaller than a rebuild's.
 	if trimStats.Updates*2 >= fullStats.Updates {
 		t.Fatalf("trimming saved too little: %d vs %d updates",

@@ -2,6 +2,7 @@ package streamgraph
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"tripoline/internal/ctree"
@@ -42,6 +43,12 @@ type Flat struct {
 	offs   *offSlab
 	arcs   *arcSlab
 	refs   atomic.Int64
+
+	// t is the transposed mirror (see Transposed), nil until built or
+	// handed over by the parent's; it is recycled with this one. tmu
+	// guards it.
+	tmu sync.Mutex
+	t   *Flat
 }
 
 // flattenGrain is the vertex-chunk size used when filling the slab in
@@ -70,7 +77,9 @@ func (s *Snapshot) Flatten() *Flat {
 // not hold (nil prev, version gap, shrunken vertex range, unsorted
 // changed list) it falls back to a full build, so the result is always
 // correct. prev must stay retained until the call returns; the caller
-// typically retires it right after (core does).
+// typically retires it right after (core does). A delta patch also takes
+// over prev's transposed mirror, if built (see Transposed), and patches
+// the new mirror's from it.
 //
 // Like Flatten, the build happens at most once per snapshot; a later
 // Flatten/FlattenFrom call returns the cached mirror regardless of which
@@ -164,12 +173,7 @@ func buildFlat(s *Snapshot) *Flat {
 	met := sh.metrics()
 	n := s.n
 
-	met.SlabGets.Inc()
-	offs := sh.rec.getOff(classFor(int64(n) + 1))
-	if offs == nil {
-		met.SlabMisses.Inc()
-		offs = newOffSlab(classFor(int64(n) + 1))
-	}
+	offs := sh.takeOff(int64(n) + 1)
 	off := offs.off[:n+1]
 	off[0] = 0 // recycled slabs carry stale data
 	parallel.For(n, func(v int) {
@@ -179,32 +183,41 @@ func buildFlat(s *Snapshot) *Flat {
 		off[v+1] += off[v]
 	}
 
-	met.SlabGets.Inc()
-	arcs := sh.rec.getArc(classFor(off[n]))
-	if arcs == nil {
-		met.SlabMisses.Inc()
-		arcs = newArcSlab(classFor(off[n]))
-	}
+	arcs := sh.takeArc(off[n])
 	adj := arcs.adj[:off[n]]
 	wgt := arcs.wgt[:off[n]]
 	parallel.ForRange(n, flattenGrain, func(start, end int) {
-		i := off[start]
 		for v := start; v < end; v++ {
-			s.table.Get(v).ForEach(func(e uint64) {
-				adj[i] = ctree.Key(e)
-				wgt[i] = ctree.Payload(e)
-				i++
-			})
+			s.walk(v, adj[off[v]:off[v+1]], wgt[off[v]:off[v+1]])
 		}
 	})
 
 	met.FullBuilds.Inc()
 	met.WalkedBytes.Add(mirrorBytes(off[n], int64(n)))
-	f := &Flat{off: off, adj: adj, wgt: wgt, n: n, version: s.version,
-		inserted: s.inserted, insertion: s.insertion,
+	f := newMirror(sh, offs, arcs, n, s.version, s.inserted, s.insertion)
+	ledgerBuilt(f)
+	return f
+}
+
+// walk writes v's out-arcs, read off its C-tree, into adj and wgt, which
+// hold exactly its degree.
+func (s *Snapshot) walk(v int, adj []graph.VertexID, wgt []graph.Weight) {
+	i := 0
+	s.table.Get(v).ForEach(func(e uint64) {
+		adj[i] = ctree.Key(e)
+		wgt[i] = ctree.Payload(e)
+		i++
+	})
+}
+
+// newMirror assembles a mirror of n vertices over slabs whose off table is
+// filled, holding one (the owner's) reference.
+func newMirror(sh *flatShared, offs *offSlab, arcs *arcSlab, n int, version uint64, inserted []graph.Edge, insertion bool) *Flat {
+	m := offs.off[n]
+	f := &Flat{off: offs.off[:n+1], adj: arcs.adj[:m], wgt: arcs.wgt[:m], n: n, version: version,
+		inserted: inserted, insertion: insertion,
 		shared: sh, offs: offs, arcs: arcs}
 	f.refs.Store(1)
-	ledgerBuilt(f)
 	return f
 }
 
@@ -233,30 +246,67 @@ func chunked(spans []span, lo, hi int, shift int64, grain int) []span {
 // buildFlatFrom builds the snapshot's mirror from the parent version's.
 // Preconditions (deltaPatchable): prev mirrors version s.version-1 with
 // prev.n ≤ s.n, and changed is the sorted unique in-range source list of
-// the batch between them. The plan:
-//
-//  1. one pass over only the changed sources computes their new degrees
-//     and a running degree delta (prefix sum over |changed| terms);
-//  2. the off table is the parent's plus a per-segment constant shift —
-//     every index between two consecutive changed vertices shares one
-//     shift, so segments rewrite in parallel; growth entries extend it;
-//  3. unchanged vertex runs bulk-copy their arc spans (adj and wgt)
-//     straight out of the parent slab; only changed and new vertices
-//     re-walk their C-trees.
+// the batch between them. Unchanged vertex runs are copied out of the
+// parent slab; changed sources and the whole vertex-range growth re-walk
+// their C-trees (patch). A parent that holds its transposed mirror hands
+// it over, and the child's is patched from it in the same build.
 func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 	sh := s.fs()
 	met := sh.metrics()
 	oldN, n := prev.n, s.n
 
 	// Changed sources at or past the parent's vertex range fall in the
-	// growth region [oldN, n), which is re-walked wholesale below.
+	// growth region [oldN, n), which is re-walked wholesale.
+	cut := sort.Search(len(changed), func(i int) bool { return int(changed[i]) >= oldN })
+	walked := changed[:cut:cut]
+	for v := oldN; v < n; v++ {
+		walked = append(walked, graph.VertexID(v))
+	}
+	offs, arcs, walkedArcs := patch(sh, prev, n, walked,
+		func(i int) int64 { return int64(s.table.Get(int(walked[i])).Size()) },
+		func(i int, adj []graph.VertexID, wgt []graph.Weight) { s.walk(int(walked[i]), adj, wgt) })
+
+	m := offs.off[n]
+	met.DeltaBuilds.Inc()
+	met.WalkedBytes.Add(walkedArcs * arcBytes)
+	met.CopiedBytes.Add((m-walkedArcs)*arcBytes + int64(oldN+1)*offEntryBytes)
+
+	f := newMirror(sh, offs, arcs, n, s.version, s.inserted, s.insertion)
+	ledgerBuilt(f)
+	if pt := prev.takeTransposed(); pt != nil {
+		if s.insertion {
+			f.t = transposeFrom(sh, f, pt)
+		}
+		pt.Release()
+	}
+	if sh.seam.skewDelta.Load() {
+		skewFlat(f, changed[:cut])
+	}
+	return f
+}
+
+// patch lays out a mirror over n ≥ prev.n vertices whose spans are prev's
+// except at changed — sorted, unique, each below n: vertex changed[i] gets
+// deg(i) arcs, written by fill(i, adj, wgt) into slices of exactly that
+// length. Vertices at or past prev.n that changed does not list have no
+// arcs. It returns the slabs, with the off table filled, and the number of
+// arcs fill wrote. The cost is O(|changed| + n - prev.n) plus one copy of
+// the parent's off table and unchanged spans:
+//
+//  1. the off table is the parent's plus a per-segment constant shift —
+//     every index between two consecutive changed vertices shares one
+//     shift, so segments rewrite in parallel; growth entries extend it;
+//  2. unchanged vertex runs bulk-copy their spans (adj and wgt) straight
+//     out of the parent slab;
+//  3. fill writes the changed spans, in parallel.
+func patch(sh *flatShared, prev *Flat, n int, changed []graph.VertexID,
+	deg func(i int) int64, fill func(i int, adj []graph.VertexID, wgt []graph.Weight)) (*offSlab, *arcSlab, int64) {
+	oldN := prev.n
+	newDeg := make([]int64, len(changed))
+	parallel.For(len(changed), func(i int) { newDeg[i] = deg(i) })
 	cut := sort.Search(len(changed), func(i int) bool { return int(changed[i]) >= oldN })
 	chg := changed[:cut]
 
-	newDeg := make([]int64, len(chg))
-	parallel.For(len(chg), func(i int) {
-		newDeg[i] = int64(s.table.Get(int(chg[i])).Size())
-	})
 	// cum[i] is the total degree delta of chg[:i]: off indices in
 	// (chg[i-1], chg[i]] shift by cum[i].
 	cum := make([]int64, len(chg)+1)
@@ -264,12 +314,7 @@ func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 		cum[i+1] = cum[i] + newDeg[i] - (prev.off[c+1] - prev.off[c])
 	}
 
-	met.SlabGets.Inc()
-	offs := sh.rec.getOff(classFor(int64(n) + 1))
-	if offs == nil {
-		met.SlabMisses.Inc()
-		offs = newOffSlab(classFor(int64(n) + 1))
-	}
+	offs := sh.takeOff(int64(n) + 1)
 	off := offs.off[:n+1]
 
 	// Segment i covers off indices (chg[i-1], chg[i]] — shift cum[i] —
@@ -288,34 +333,25 @@ func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 			off[t] = prev.off[t] + sp.shift
 		}
 	})
-
-	// Vertex-range growth: extend the off table with the new vertices'
-	// degrees (each is either a changed source or isolated).
-	var grown int64
-	if n > oldN {
-		growDeg := make([]int64, n-oldN)
-		parallel.For(n-oldN, func(i int) {
-			growDeg[i] = int64(s.table.Get(oldN + i).Size())
-		})
-		for i, d := range growDeg {
-			off[oldN+1+i] = off[oldN+i] + d
-			grown += d
+	// Vertex-range growth: a listed vertex takes its degree, any other has
+	// none.
+	for v, j := oldN, cut; v < n; v++ {
+		var d int64
+		if j < len(changed) && int(changed[j]) == v {
+			d = newDeg[j]
+			j++
 		}
+		off[v+1] = off[v] + d
 	}
 
 	m := off[n]
-	met.SlabGets.Inc()
-	arcs := sh.rec.getArc(classFor(m))
-	if arcs == nil {
-		met.SlabMisses.Inc()
-		arcs = newArcSlab(classFor(m))
-	}
+	arcs := sh.takeArc(m)
 	adj := arcs.adj[:m]
 	wgt := arcs.wgt[:m]
 
-	// Bulk-copy the arc spans of the unchanged vertex runs between
-	// consecutive changed vertices. Source and destination spans have
-	// equal length by construction (the shift is constant inside a run).
+	// Bulk-copy the spans of the unchanged vertex runs between consecutive
+	// changed vertices. Source and destination spans have equal length by
+	// construction (the shift is constant inside a run).
 	copySpans := make([]span, 0, len(chg)+1+oldN/flattenGrain)
 	prevIdx = 0
 	for _, c := range chg {
@@ -331,35 +367,16 @@ func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 		copy(wgt[dstLo:dstLo+(srcHi-srcLo)], prev.wgt[srcLo:srcHi])
 	})
 
-	// Re-walk the C-tree only for changed and new vertices.
-	walk := func(v int) {
-		i := off[v]
-		s.table.Get(v).ForEach(func(e uint64) {
-			adj[i] = ctree.Key(e)
-			wgt[i] = ctree.Payload(e)
-			i++
-		})
-	}
-	parallel.For(len(chg), func(i int) { walk(int(chg[i])) })
-	parallel.For(n-oldN, func(i int) { walk(oldN + i) })
+	parallel.For(len(changed), func(i int) {
+		lo, hi := off[changed[i]], off[changed[i]+1]
+		fill(i, adj[lo:hi], wgt[lo:hi])
+	})
 
-	walked := grown
+	var filled int64
 	for _, d := range newDeg {
-		walked += d
+		filled += d
 	}
-	met.DeltaBuilds.Inc()
-	met.WalkedBytes.Add(walked * arcBytes)
-	met.CopiedBytes.Add((m-walked)*arcBytes + int64(oldN+1)*offEntryBytes)
-
-	f := &Flat{off: off, adj: adj, wgt: wgt, n: n, version: s.version,
-		inserted: s.inserted, insertion: s.insertion,
-		shared: sh, offs: offs, arcs: arcs}
-	f.refs.Store(1)
-	ledgerBuilt(f)
-	if sh.seam.skewDelta.Load() {
-		skewFlat(f, chg)
-	}
-	return f
+	return offs, arcs, filled
 }
 
 // arcBytes / offEntryBytes price one adjacency+weight pair and one
@@ -411,6 +428,9 @@ func (f *Flat) Release() {
 // any use-after-retire fail fast instead of observing a slab that a
 // newer build is overwriting.
 func (f *Flat) recycle() {
+	if t := f.takeTransposed(); t != nil {
+		t.Release()
+	}
 	sh := f.shared
 	offs, arcs := f.offs, f.arcs
 	f.off, f.adj, f.wgt = nil, nil, nil

@@ -3,9 +3,11 @@ package streamgraph
 import (
 	"encoding/binary"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
+	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 )
 
@@ -34,6 +36,52 @@ func requireSameFlat(t *testing.T, label string, got, want *Flat) {
 		}
 		if got.wgt[i] != want.wgt[i] {
 			t.Fatalf("%s: wgt[%d] = %d, want %d", label, i, got.wgt[i], want.wgt[i])
+		}
+	}
+}
+
+// requireTransposeOf asserts that tr is the transpose of snap: span for
+// span the in-arcs of a from-scratch transpose of the snapshot's CSR, at
+// snap's version, carrying the snapshot's insertion record reversed and
+// sorted by head.
+func requireTransposeOf(t *testing.T, label string, tr *Flat, snap *Snapshot) {
+	t.Helper()
+	want := snap.CSR(true).Transpose()
+	if tr.n != want.N || tr.version != snap.version {
+		t.Fatalf("%s: transpose has %d vertices at v%d, want %d at v%d", label, tr.n, tr.version, want.N, snap.version)
+	}
+	for v := 0; v < want.N; v++ {
+		gd, gw := tr.OutSpan(graph.VertexID(v))
+		wd, ww := want.Neighbors(graph.VertexID(v))
+		if tr.off[v] != want.Off[v] || len(gd) != len(wd) {
+			t.Fatalf("%s: span of %d at %d holds %d arcs, want %d at %d", label, v, tr.off[v], len(gd), len(wd), want.Off[v])
+		}
+		for i := range wd {
+			if gd[i] != wd[i] || gw[i] != ww[i] {
+				t.Fatalf("%s: in-arc %d of %d is (%d, w%d), want (%d, w%d)", label, i, v, gd[i], gw[i], wd[i], ww[i])
+			}
+		}
+	}
+	rec, ok := tr.InsertedArcs()
+	if ok != snap.insertion {
+		t.Fatalf("%s: transpose records an insertion: %v, the snapshot: %v", label, ok, snap.insertion)
+	}
+	wantRec := make([]graph.Edge, 0, len(snap.inserted))
+	for _, a := range snap.inserted {
+		wantRec = append(wantRec, graph.Edge{Src: a.Dst, Dst: a.Src, W: a.W})
+	}
+	sort.Slice(wantRec, func(i, j int) bool {
+		if wantRec[i].Src != wantRec[j].Src {
+			return wantRec[i].Src < wantRec[j].Src
+		}
+		return wantRec[i].Dst < wantRec[j].Dst
+	})
+	if len(rec) != len(wantRec) {
+		t.Fatalf("%s: transposed record holds %d arcs, want %d", label, len(rec), len(wantRec))
+	}
+	for i := range rec {
+		if rec[i] != wantRec[i] {
+			t.Fatalf("%s: transposed record[%d] = %+v, want %+v", label, i, rec[i], wantRec[i])
 		}
 	}
 }
@@ -91,6 +139,57 @@ func TestFlattenFromEquivalence(t *testing.T) {
 			prev.Release()
 		})
 	}
+}
+
+// TestTransposedFollowsFlattenFrom carries a transposed mirror down a
+// FlattenFrom chain — RMAT batches full of repeats that first-wins drops,
+// stored arcs offered again at new weights, vertex-range growth, and a
+// deletion, after which it is rebuilt — and holds it to a from-scratch
+// transpose after every step. Each insertion must have patched it from the
+// parent's rather than left it to be rebuilt.
+func TestTransposedFollowsFlattenFrom(t *testing.T) {
+	cfg := gen.Config{LogN: 7, AvgDegree: 12, Directed: true, Seed: 9}
+	rmat := gen.RMAT(cfg)
+	rng := rand.New(rand.NewSource(17))
+	g := New(cfg.N(), true)
+	snap, _ := g.InsertEdges(rmat[:len(rmat)/2])
+	snap.Flatten().Transposed()
+	rest := rmat[len(rmat)/2:]
+	idRange := cfg.N()
+	for step := 0; step < 12; step++ {
+		prev := snap
+		var batch []graph.Edge
+		switch step % 4 {
+		case 0, 2: // RMAT: hub arcs repeat within and across batches
+			batch, rest = rest[:100], rest[100:]
+		case 1: // stored arcs again at new weights, plus fresh ones
+			for len(batch) < 40 {
+				v := graph.VertexID(rng.Intn(prev.n))
+				if dsts, _ := prev.OutNeighbors(v); len(dsts) > 0 {
+					batch = append(batch, graph.Edge{Src: v, Dst: dsts[rng.Intn(len(dsts))], W: graph.Weight(200 + rng.Intn(50))})
+				}
+			}
+			batch = append(batch, randomBatch(rng, 40, idRange)...)
+		case 3: // vertex-range growth: arcs into and out of new vertices
+			idRange += 9
+			batch = randomBatch(rng, 60, idRange)
+		}
+		var changed []graph.VertexID
+		label := "insertion"
+		if step == 6 {
+			label = "deletion"
+			snap, changed = g.DeleteEdges(batch)
+		} else {
+			snap, changed = g.InsertEdges(batch)
+		}
+		f := snap.FlattenFrom(prev.BuiltFlat(), changed)
+		prev.RetireFlat()
+		if patched := f.t != nil; patched != snap.insertion {
+			t.Fatalf("step %d (%s): transpose patched = %v", step, label, patched)
+		}
+		requireTransposeOf(t, label, f.Transposed().(*Flat), snap)
+	}
+	snap.RetireFlat()
 }
 
 // TestFlattenFromFallback checks every precondition that must force a
@@ -322,7 +421,8 @@ func TestHistoryEvictionRecycles(t *testing.T) {
 
 // FuzzFlattenFrom decodes arbitrary bytes into a batch sequence
 // (including empty batches and vertex growth) and checks the chained
-// delta mirror against a fresh full build at every version.
+// delta mirror against a fresh full build, and the transpose patched along
+// with it against a from-scratch one, at every version.
 func FuzzFlattenFrom(f *testing.F) {
 	f.Add([]byte("\x01\x03\x01\x00\x02\x00\x05\x00\x06\x00\x09\x00\x04\x00"))
 	f.Add([]byte("\x00\x00\x02\x30\x00\x31\x00\x32\x00\x33\x00"))
@@ -334,6 +434,7 @@ func FuzzFlattenFrom(f *testing.F) {
 		directed := data[0]&1 == 1
 		g := New(8, directed)
 		prev := g.Acquire().MaterializeFlat()
+		prev.Transposed() // carried down the chain by every patch
 		i := 1
 		for batches := 0; batches < 8 && i < len(data); batches++ {
 			sz := int(data[i] % 17)
@@ -349,10 +450,29 @@ func FuzzFlattenFrom(f *testing.F) {
 			cur := snap.MaterializeFlatFrom(prev, changed)
 			fresh := snap.MaterializeFlat()
 			requireSameFlat(t, "fuzz", cur, fresh)
+			if cur.t == nil {
+				t.Fatal("fuzz: the transpose was not patched")
+			}
+			requireTransposeOf(t, "fuzz", cur.Transposed().(*Flat), snap)
 			fresh.Release()
 			prev.Release()
 			prev = cur
 		}
 		prev.Release()
 	})
+}
+
+// TestSlabClasses: every size is served by the smallest class that holds
+// it, and no class is more than half as big again as the size it serves.
+func TestSlabClasses(t *testing.T) {
+	sizes := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 1 << 20, 3 << 19, 3<<19 + 1, 1<<21 - 1}
+	for n := int64(10); n < 5000; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		c := classFor(n)
+		if c >= slabClasses || classCap(c) < n || (c > 0 && classCap(c-1) >= n) || 2*classCap(c) > 3*n+1 {
+			t.Fatalf("size %d: class %d holds %d (the class below %d)", n, c, classCap(c), classCap(max(c-1, 0)))
+		}
+	}
 }

@@ -19,7 +19,7 @@ import (
 // Ownership protocol (checked by the poolbalance lint analyzer for the
 // acquisition sites and by Flat's reference count at runtime):
 //
-//   - a builder acquires slabs via getOff/getArc and stores them into
+//   - a builder acquires slabs via takeOff/takeArc and stores them into
 //     the Flat it returns — the Flat owns them for its lifetime;
 //   - readers pin the Flat with Retain/Release while they scan it;
 //   - the owner drops its reference with Snapshot.RetireFlat (idempotent;
@@ -29,45 +29,47 @@ import (
 //     Flat's slices, so a use-after-retire fails fast instead of reading
 //     a slab that a newer build is concurrently overwriting.
 
-// slabClasses bounds the size-class space; class c holds slices with
-// capacity exactly 1<<c elements, so 48 classes cover any slab that
-// fits in memory.
-const slabClasses = 48
+// Slab size classes come two to a power of two — capacities 2^k and
+// 1.5·2^k — so a slab leaves at most a third of itself unused. A mirror
+// is held in one for as long as its version is current, and a directed
+// graph's standing sets keep a transposed mirror beside it, so the
+// rounding is paid twice over in live memory. 96 classes cover any slab
+// that fits in memory.
+const slabClasses = 96
 
-// classFor returns the size class whose capacity (1<<class) is the
-// smallest power of two ≥ n.
+// classCap is the capacity, in elements, of a slab of the class.
+func classCap(class int) int64 {
+	if class%2 == 0 {
+		return 1 << (class / 2)
+	}
+	return 3 << (class / 2) >> 1
+}
+
+// classFor returns the smallest size class whose capacity is at least n.
 func classFor(n int64) int {
 	if n <= 1 {
 		return 0
 	}
-	return bits.Len64(uint64(n - 1))
+	b := bits.Len64(uint64(n - 1)) // 2^(b-1) < n ≤ 2^b
+	if n <= classCap(2*b-1) {
+		return 2*b - 1
+	}
+	return 2 * b
 }
 
-// offSlab is a pooled offset array (capacity 1<<class entries).
+// offSlab is a pooled offset array (capacity classCap(class) entries).
 type offSlab struct {
 	off   []int64
 	class int
 }
 
-// arcSlab is a pooled adjacency+weight pair (capacity 1<<class arcs
+// arcSlab is a pooled adjacency+weight pair (capacity classCap(class) arcs
 // each; the two are always acquired and released together because they
 // are always the same length).
 type arcSlab struct {
 	adj   []graph.VertexID
 	wgt   []graph.Weight
 	class int
-}
-
-func newOffSlab(class int) *offSlab {
-	return &offSlab{off: make([]int64, 1<<class), class: class}
-}
-
-func newArcSlab(class int) *arcSlab {
-	return &arcSlab{
-		adj:   make([]graph.VertexID, 1<<class),
-		wgt:   make([]graph.Weight, 1<<class),
-		class: class,
-	}
 }
 
 // slabRecycler holds one sync.Pool per size class for each slab kind.
@@ -77,21 +79,8 @@ type slabRecycler struct {
 	arc [slabClasses]sync.Pool
 }
 
-// getOff returns a pooled off slab of the class, or nil on a miss (the
-// pools have no New: the caller allocates and counts the miss).
-func (r *slabRecycler) getOff(class int) *offSlab {
-	sl, _ := r.off[class].Get().(*offSlab)
-	return sl
-}
-
 func (r *slabRecycler) putOff(sl *offSlab) {
 	r.off[sl.class].Put(sl)
-}
-
-// getArc returns a pooled arc slab of the class, or nil on a miss.
-func (r *slabRecycler) getArc(class int) *arcSlab {
-	sl, _ := r.arc[class].Get().(*arcSlab)
-	return sl
 }
 
 func (r *slabRecycler) putArc(sl *arcSlab) {
@@ -158,8 +147,36 @@ func newFlatShared() *flatShared {
 
 func (sh *flatShared) metrics() *MirrorMetrics { return sh.met.Load() }
 
-// defaultFlatShared backs snapshots that were constructed without a
-// graph-owned flatShared (defensive: all constructors propagate one).
+// takeOff returns an off slab holding at least n entries: a recycled one
+// when the class's pool has one, a fresh one (a counted miss) otherwise —
+// the pools have no New. Recycled slabs carry stale data.
+func (sh *flatShared) takeOff(n int64) *offSlab {
+	met, class := sh.metrics(), classFor(n)
+	met.SlabGets.Inc()
+	sl, _ := sh.rec.off[class].Get().(*offSlab)
+	if sl == nil {
+		met.SlabMisses.Inc()
+		sl = &offSlab{off: make([]int64, classCap(class)), class: class}
+	}
+	return sl
+}
+
+// takeArc is takeOff for an arc slab holding at least m arcs.
+func (sh *flatShared) takeArc(m int64) *arcSlab {
+	met, class := sh.metrics(), classFor(m)
+	met.SlabGets.Inc()
+	sl, _ := sh.rec.arc[class].Get().(*arcSlab)
+	if sl == nil {
+		met.SlabMisses.Inc()
+		sl = &arcSlab{adj: make([]graph.VertexID, classCap(class)), wgt: make([]graph.Weight, classCap(class)), class: class}
+	}
+	return sl
+}
+
+// defaultFlatShared backs the transposed mirrors TransposeFrom builds
+// without a parent and those patched from them, and any snapshot
+// constructed without a graph-owned flatShared (defensive: all
+// constructors propagate one).
 var defaultFlatShared = newFlatShared()
 
 // fs returns the snapshot's mirror-maintenance state.

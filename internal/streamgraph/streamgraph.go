@@ -4,10 +4,12 @@
 // of readers (query evaluations) may traverse while a single writer
 // derives the next version by inserting a batch of weighted edges.
 //
-// Only out-edges are stored (one-way representation). The dual-model
-// evaluation of §4.2 in the paper lets both q(r) (push over out-edges) and
-// q⁻¹(r) (pull over out-edges) run on this representation, which is the
-// point of that design: no in-edge index, half the update cost.
+// The C-tree stores out-edges only (one-way representation). The paper's
+// dual-model evaluation (§4.2) runs q⁻¹(r) by pulling over that
+// representation to avoid an in-edge index; here the flat mirror a
+// directed graph's standing sets evaluate over keeps a transposed mirror
+// beside it instead (transpose.go), patched from batch to batch like the
+// mirror itself, so q⁻¹(r) is a push too.
 //
 // The paper's streaming scenario is insert-only (growing graphs); this
 // engine follows that and does not implement deletions.
