@@ -13,11 +13,16 @@
 //	tripoline-check -schedules 50 -seed 2 -json
 //	tripoline-check -schedules 10000 -seed 7 -repro-dir ./repros
 //	tripoline-check -serving -schedules 1000 -seed 1
+//	tripoline-check -serving -shards 4 -schedules 100 -seed 1
+//	tripoline-check -shards 4 -schedules 100 -seed 1
 //
 // -serving selects the serving-layer variant instead: the same generated
 // schedules replayed against the Δ-result cache and subscription
 // surface, verifying every cached answer and every pushed frame against
-// the from-scratch oracle at its reported version.
+// the from-scratch oracle at its reported version — through an N-shard
+// router with -shards N. -shards N alone selects the sharded variant: each
+// schedule replayed through a core.System and an N-shard router, every
+// result diffed.
 //
 // The run is deterministic: the same -schedules/-seed pair replays the
 // identical workloads and produces the identical verdicts (the *_fired
@@ -26,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,12 +53,12 @@ func run() int {
 	reproDir := flag.String("repro-dir", "", "write dd-minimized repros for diverging schedules into this directory")
 	corrupt := flag.Bool("corrupt-delta", false, "arm the skew-delta fault seam (self-test: every flat replay must diverge)")
 	serving := flag.Bool("serving", false, "run the serving-layer checker (Delta-result cache + subscriptions) instead of the replay checker")
-	shards := flag.Int("shards", 0, "run the sharded checker: replay each schedule through a 1-shard and an N-shard router and diff every result")
+	shards := flag.Int("shards", 0, "run the sharded checker: replay each schedule through a core.System and an N-shard router and diff every result; with -serving, serve through an N-shard router")
 	verbose := flag.Bool("v", false, "print one line per schedule")
 	flag.Parse()
 
 	if *serving {
-		return runServing(*schedules, *seed, *jsonOut, *verbose)
+		return runServing(*schedules, *seed, *shards, *jsonOut, *verbose)
 	}
 	if *shards > 1 {
 		return runSharded(*schedules, *seed, *shards, *jsonOut, *verbose)
@@ -109,11 +115,11 @@ func run() int {
 }
 
 // runSharded drives the sharded differential checker: each schedule is
-// replayed through a single-shard router and an S-shard router, and
-// every non-volatile observation is diffed at its exact global version.
+// replayed through a core.System and an S-shard router, and every
+// non-volatile observation is diffed at its exact version.
 func runSharded(schedules int, seed uint64, shards int, jsonOut, verbose bool) int {
 	start := time.Now()
-	sum := check.RunShardedMany(schedules, seed, shards, func(i int, v check.Verdict) {
+	sum := check.RunShardedMany(context.Background(), schedules, seed, shards, func(i int, v check.Verdict) {
 		if verbose || v.Diverged {
 			fmt.Fprintf(os.Stderr, "schedule %d: seed=%d n=%d ops=%d queries=%d diverged=%v\n",
 				i, v.Seed, v.N, v.Ops, v.Queries, v.Diverged)
@@ -140,6 +146,8 @@ func runSharded(schedules int, seed uint64, shards int, jsonOut, verbose bool) i
 	} else {
 		fmt.Printf("sharded-checked %d schedules (seed %d, S=%d) in %v: %d queries, %d divergences\n",
 			sum.Schedules, sum.Seed, shards, elapsed.Round(time.Millisecond), sum.Queries, sum.Divergences)
+		fmt.Printf("faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d\n",
+			sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain, sum.Faults.ForceFull, sum.Faults.Evicts)
 	}
 	if sum.Divergences > 0 {
 		return 1
@@ -148,10 +156,12 @@ func runSharded(schedules int, seed uint64, shards int, jsonOut, verbose bool) i
 }
 
 // runServing drives the serving-layer checker over the same derived
-// schedule sequence the replay checker uses.
-func runServing(schedules int, seed uint64, jsonOut, verbose bool) int {
+// schedule sequence the replay checker uses, through a core.System or,
+// with shards > 1, an S-shard router.
+func runServing(schedules int, seed uint64, shards int, jsonOut, verbose bool) int {
+	shards = max(shards, 1)
 	start := time.Now()
-	sum := check.RunServingMany(schedules, seed, func(i int, v check.ServingVerdict) {
+	sum := check.RunServingMany(context.Background(), schedules, seed, shards, func(i int, v check.ServingVerdict) {
 		if verbose || v.Diverged {
 			fmt.Fprintf(os.Stderr, "schedule %d: seed=%d n=%d ops=%d hits=%d frames=%d subs=%d diverged=%v\n",
 				i, v.Seed, v.N, v.Ops, v.CacheHits, v.Frames, v.Subscriptions, v.Diverged)
@@ -165,9 +175,10 @@ func runServing(schedules int, seed uint64, jsonOut, verbose bool) int {
 	if jsonOut {
 		out := struct {
 			check.ServingSummary
+			Shards          int     `json:"shards"`
 			ElapsedMS       int64   `json:"elapsed_ms"`
 			SchedulesPerSec float64 `json:"schedules_per_sec"`
-		}{sum, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds()}
+		}{sum, shards, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds()}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -175,8 +186,8 @@ func runServing(schedules int, seed uint64, jsonOut, verbose bool) int {
 			return 2
 		}
 	} else {
-		fmt.Printf("serving-checked %d schedules (seed %d) in %v: %d cache hits, %d frames over %d subscriptions, %d divergences\n",
-			sum.Schedules, sum.Seed, elapsed.Round(time.Millisecond),
+		fmt.Printf("serving-checked %d schedules (seed %d, S=%d) in %v: %d cache hits, %d frames over %d subscriptions, %d divergences\n",
+			sum.Schedules, sum.Seed, shards, elapsed.Round(time.Millisecond),
 			sum.CacheHits, sum.Frames, sum.Subscriptions, sum.Divergences)
 	}
 	if sum.Divergences > 0 {

@@ -153,7 +153,7 @@ func main() {
 
 // runConform replays the seeded conformance trace (core S=1 against
 // sharded S=N) and probes the admission gate's 429 contract on both,
-// exiting nonzero on any disallowed divergence.
+// exiting nonzero on any divergence.
 func runConform(ctx context.Context, shards int, seed uint64) {
 	if shards <= 1 {
 		shards = 4
@@ -162,13 +162,12 @@ func runConform(ctx context.Context, shards int, seed uint64) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("conformance: %d steps against S=1 and S=%d, %d allowed divergences (subscribe at S>1)\n",
-		rep.Steps, rep.Shards, rep.Allowed)
-	bad := rep.Disallowed()
-	for _, d := range bad {
-		fmt.Printf("  DIVERGENCE step %d %s: %s\n", d.Step, d.Op, d.Desc)
+	fmt.Printf("conformance: %d steps against S=1 and S=%d, %d divergences\n",
+		rep.Steps, rep.Shards, len(rep.Divergences))
+	for _, d := range rep.Divergences {
+		fmt.Printf("  DIVERGENCE %s\n", d)
 	}
-	failed := len(bad) > 0
+	failed := len(rep.Divergences) > 0
 	for _, s := range []int{1, shards} {
 		violations, err := loadgen.ProbeAdmission(ctx, s)
 		if err != nil {

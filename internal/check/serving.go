@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -18,7 +19,10 @@ import (
 // state are exact for the version they report, no matter how stale that
 // version is — so every observable is verified against the from-scratch
 // CSR oracle at its reported version, and cached copies are additionally
-// required to be bit-identical to the evaluation that produced them.
+// required to be bit-identical to the evaluation that produced them. The
+// system under test is any core.Backend — a core.System, or a shard.Router
+// at any shard count — so the oracle reads a reference streamgraph fed the
+// same mutations, never the system's own store.
 //
 // Subscribers here are synchronous: large buffers, drained after every
 // op. That removes the (legitimate, tested elsewhere) lossy-delivery
@@ -62,27 +66,23 @@ type servingClient struct {
 }
 
 type servingReplayer struct {
+	// oracleSet reads g, the reference graph: fed every mutation the
+	// system under test applies.
 	*oracleSet
-	sys     *core.System
+	sys     core.Backend
 	g       *streamgraph.Graph
 	rng     *xrand.RNG
 	clients []*servingClient
 	v       *ServingVerdict
 }
 
-// CheckServingSchedule replays the schedule once with the cache enabled
-// and subscribers churning, verifying every cached answer and every
-// applied frame against the oracle at its reported version.
-func CheckServingSchedule(s *Schedule) ServingVerdict {
-	g := streamgraph.New(s.N, false)
-	sys := core.NewSystem(g, replayK)
-	for _, p := range Problems {
-		if err := sys.Enable(p); err != nil {
-			panic("check: enable " + p + ": " + err.Error())
-		}
-	}
-	sys.EnableHistory(historyCap)
+// CheckServingSchedule replays the schedule once through sys — a fresh
+// newBackend, to which it adds the result cache — under ctx, with
+// subscribers churning, verifying every cached answer and every applied
+// frame against the oracle at its reported version.
+func CheckServingSchedule(ctx context.Context, s *Schedule, sys core.Backend) ServingVerdict {
 	sys.EnableResultCache(servingCacheEntries)
+	g := streamgraph.New(s.N, false)
 	r := &servingReplayer{
 		oracleSet: newOracleSet(g),
 		sys:       sys, g: g,
@@ -91,15 +91,15 @@ func CheckServingSchedule(s *Schedule) ServingVerdict {
 	}
 	r.record()
 	for i, op := range s.Ops {
-		r.step(i, op)
-		r.churn(i)
+		r.step(ctx, i, op)
+		r.churn(ctx, i)
 	}
 	// Final probes: every problem queried and read back through the cache
 	// on the final graph, then all remaining subscribers drained and torn
 	// down.
-	n := r.g.Acquire().NumVertices()
+	n := r.sys.NumVertices()
 	for _, p := range Problems {
-		r.query(len(s.Ops), Op{Kind: OpQuery, Problem: p, Source: graph.VertexID(n / 2)})
+		r.query(ctx, len(s.Ops), Op{Kind: OpQuery, Problem: p, Source: graph.VertexID(n / 2)})
 	}
 	for _, c := range r.clients {
 		r.drainClient(c, len(s.Ops))
@@ -115,18 +115,28 @@ func (r *servingReplayer) diverge(format string, args ...any) {
 	}
 }
 
-func (r *servingReplayer) step(i int, op Op) {
+func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 	switch op.Kind {
-	case OpInsert, OpForceFull:
-		rep := r.sys.ApplyBatch(op.Edges)
-		r.record()
-		if rep.FramesDropped != 0 {
-			r.diverge("serving: op %d dropped %d frames with buffer %d", i, rep.FramesDropped, servingSubBuffer)
+	case OpInsert, OpForceFull, OpDelete:
+		var (
+			rep core.BatchReport
+			err error
+		)
+		if op.Kind == OpDelete {
+			rep, err = r.sys.ApplyDeletionsCtx(ctx, op.Edges)
+			r.g.DeleteEdges(op.Edges)
+		} else {
+			rep, err = r.sys.ApplyBatchCtx(ctx, op.Edges)
+			r.g.InsertEdges(op.Edges)
 		}
-		r.drainAll(i)
-	case OpDelete:
-		rep := r.sys.ApplyDeletions(op.Edges)
+		if err != nil {
+			r.diverge("serving: op %d mutation: %v", i, err)
+			return
+		}
 		r.record()
+		if ref := r.g.Acquire().Version(); rep.Version != ref {
+			r.diverge("serving: op %d published v=%d, reference graph at v=%d", i, rep.Version, ref)
+		}
 		if rep.FramesDropped != 0 {
 			r.diverge("serving: op %d dropped %d frames with buffer %d", i, rep.FramesDropped, servingSubBuffer)
 		}
@@ -140,7 +150,7 @@ func (r *servingReplayer) step(i int, op Op) {
 			}
 			r.check(i, "cached-queryat", op.Problem, res)
 		}
-		res, err := r.sys.QueryAt(ver, op.Problem, op.Source)
+		res, err := r.sys.QueryAtCtx(ctx, ver, op.Problem, op.Source)
 		switch {
 		case err == nil:
 			r.check(i, "queryat", op.Problem, res)
@@ -154,7 +164,7 @@ func (r *servingReplayer) step(i int, op Op) {
 		// Every other op kind collapses to the cached-query exercise: the
 		// serving replay has no fault seams, so cancels/evicts/deny-retain
 		// ops are replayed as plain queries at the same (problem, source).
-		r.query(i, op)
+		r.query(ctx, i, op)
 	}
 }
 
@@ -162,9 +172,9 @@ func (r *servingReplayer) step(i int, op Op) {
 // rng-drawn staleness policy, verify any hit at its reported version,
 // then evaluate for real and require the freshly stored entry to read
 // back bit-identically at the current version.
-func (r *servingReplayer) query(i int, op Op) {
+func (r *servingReplayer) query(ctx context.Context, i int, op Op) {
 	staleOK := r.rng.Intn(2) == 0
-	cur := r.g.Acquire().Version()
+	cur := r.sys.Version()
 	if res, stale, ok := r.sys.CachedQuery(op.Problem, op.Source, 0, staleOK); ok {
 		r.v.CacheHits++
 		if !staleOK {
@@ -177,7 +187,7 @@ func (r *servingReplayer) query(i int, op Op) {
 		}
 		r.check(i, "cached-query", op.Problem, res)
 	}
-	res, err := r.sys.Query(op.Problem, op.Source)
+	res, err := r.sys.QueryCtx(ctx, op.Problem, op.Source)
 	if err != nil {
 		if !errors.Is(err, core.ErrSourceOutOfRange) {
 			r.diverge("serving: op %d query %s src=%d: %v", i, op.Problem, op.Source, err)
@@ -230,7 +240,7 @@ func bitIdentical(a, b *core.QueryResult) string {
 // existing subscriber departs (drained first, so its last frames are
 // still verified), sometimes a new one arrives and is checked from its
 // snapshot frame onward.
-func (r *servingReplayer) churn(i int) {
+func (r *servingReplayer) churn(ctx context.Context, i int) {
 	if len(r.clients) > 0 && r.rng.Intn(5) == 0 {
 		idx := r.rng.Intn(len(r.clients))
 		c := r.clients[idx]
@@ -240,9 +250,8 @@ func (r *servingReplayer) churn(i int) {
 	}
 	if len(r.clients) < maxServingClients && r.rng.Intn(3) != 0 {
 		problem := Problems[r.rng.Intn(len(Problems))]
-		n := r.g.Acquire().NumVertices()
-		src := graph.VertexID(r.rng.Intn(n))
-		sub, err := r.sys.Subscribe(problem, src, servingSubBuffer)
+		src := graph.VertexID(r.rng.Intn(r.sys.NumVertices()))
+		sub, err := r.sys.SubscribeCtx(ctx, problem, src, servingSubBuffer)
 		if err != nil {
 			r.diverge("serving: op %d subscribe %s src=%d: %v", i, problem, src, err)
 			return
@@ -326,12 +335,13 @@ type ServingSummary struct {
 
 // RunServingMany generates and serving-checks n schedules with the same
 // per-schedule seed derivation as RunMany, so the two checkers cover the
-// identical workloads through different surfaces.
-func RunServingMany(n int, seed uint64, onVerdict func(int, ServingVerdict)) ServingSummary {
+// identical workloads through different surfaces. Each schedule runs
+// through a newBackend with the given shard count, under ctx.
+func RunServingMany(ctx context.Context, n int, seed uint64, shards int, onVerdict func(int, ServingVerdict)) ServingSummary {
 	sum := ServingSummary{Schedules: n, Seed: seed}
 	for i := 0; i < n; i++ {
 		s := Generate(Params{Seed: xrand.Hash64(seed + uint64(i))})
-		verdict := CheckServingSchedule(s)
+		verdict := CheckServingSchedule(ctx, s, newBackend(s.N, shards))
 		sum.CacheHits += verdict.CacheHits
 		sum.Frames += verdict.Frames
 		sum.Subscriptions += verdict.Subscriptions

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"tripoline/internal/graph"
@@ -8,27 +10,32 @@ import (
 )
 
 // TestServingSchedules runs the serving checker over a batch of
-// generated schedules: zero divergences, and the run must actually have
-// exercised the serving surface (cache hits, frames, subscriber churn) —
-// a vacuously green checker would be worse than none.
+// generated schedules, through a core.System and through a 4-shard
+// router: zero divergences, and the run must actually have exercised the
+// serving surface (cache hits, frames, subscriber churn) — a vacuously
+// green checker would be worse than none.
 func TestServingSchedules(t *testing.T) {
 	n := 30
 	if testing.Short() {
 		n = 8
 	}
-	sum := RunServingMany(n, 1, func(i int, v ServingVerdict) {
-		if v.Diverged {
-			t.Errorf("schedule %d (seed %d) diverged: %v", i, v.Seed, v.Reasons)
-		}
-	})
-	if sum.Divergences != 0 {
-		t.Fatalf("%d divergences: failing seeds %v", sum.Divergences, sum.FailingSeeds)
-	}
-	if sum.CacheHits == 0 {
-		t.Fatal("serving run exercised no cache hits")
-	}
-	if sum.Frames == 0 || sum.Subscriptions == 0 {
-		t.Fatalf("serving run pushed %d frames over %d subscriptions", sum.Frames, sum.Subscriptions)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			sum := RunServingMany(context.Background(), n, 1, shards, func(i int, v ServingVerdict) {
+				if v.Diverged {
+					t.Errorf("schedule %d (seed %d) diverged: %v", i, v.Seed, v.Reasons)
+				}
+			})
+			if sum.Divergences != 0 {
+				t.Fatalf("%d divergences: failing seeds %v", sum.Divergences, sum.FailingSeeds)
+			}
+			if sum.CacheHits == 0 {
+				t.Fatal("serving run exercised no cache hits")
+			}
+			if sum.Frames == 0 || sum.Subscriptions == 0 {
+				t.Fatalf("serving run pushed %d frames over %d subscriptions", sum.Frames, sum.Subscriptions)
+			}
+		})
 	}
 }
 

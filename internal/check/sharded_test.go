@@ -1,12 +1,15 @@
 package check
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestShardedCheckerClean runs the sharded differential checker over a
 // batch of schedules: replaying through 1-shard and 4-shard routers must
 // observe identical results at every global version.
 func TestShardedCheckerClean(t *testing.T) {
-	sum := RunShardedMany(20, 77, 4, func(i int, v Verdict) {
+	sum := RunShardedMany(context.Background(), 20, 77, 4, func(i int, v Verdict) {
 		if v.Diverged {
 			t.Errorf("schedule %d (seed %d) diverged: %v", i, v.Seed, v.Reasons)
 		}
@@ -26,8 +29,8 @@ func TestShardedCheckerClean(t *testing.T) {
 func TestShardedCheckerCatchesDivergence(t *testing.T) {
 	a := Generate(Params{Seed: 1})
 	b := Generate(Params{Seed: 2})
-	ra := replaySharded(a, 1)
-	rb := replaySharded(b, 4)
+	ra := replaySharded(context.Background(), a, 1)
+	rb := replaySharded(context.Background(), b, 4)
 	if reasons := compareObs(ra, rb, "selftest", cmpCfg{}); len(reasons) == 0 {
 		t.Fatal("comparing replays of different schedules reported no divergence")
 	}

@@ -104,3 +104,15 @@ func (s *System) CachedQueryAt(problem string, u graph.VertexID, version uint64)
 // ResultCacheMetrics reports cache activity (zero value when the cache
 // is disabled).
 func (s *System) ResultCacheMetrics() CacheMetrics { return s.cache.Metrics() }
+
+// SubscribeCtx registers a subscription answered at the latest snapshot
+// (see Evaluator.SubscribeCtx).
+func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*Subscription, error) {
+	return s.ev.SubscribeCtx(ctx, problem, u, buffer, s.pin)
+}
+
+// Unsubscribe deregisters sub and closes its frame channel. Idempotent.
+func (s *System) Unsubscribe(sub *Subscription) { s.ev.Unsubscribe(sub) }
+
+// Subscribers returns the number of registered subscriptions.
+func (s *System) Subscribers() int { return s.ev.Subscribers() }

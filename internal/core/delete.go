@@ -41,23 +41,14 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 	// stale-too-good standing values behind.
 	resolved := ResolveDeletionWeights(parent, batch)
 	snap, changed := s.G.DeleteEdges(batch)
-	rep := BatchReport{
-		BatchEdges:     len(batch),
-		ChangedSources: len(changed),
-		Version:        snap.Version(),
-		Changed:        changed,
-	}
 	start := time.Now()
+	var rep BatchReport
 	if len(changed) > 0 {
 		// Deletions invalidate span reuse (an unchanged vertex's span may
 		// alias arcs that no longer exist downstream of it), so the mirror
 		// is rebuilt in full — the data-structure analogue of the standing
 		// Rebuild recovery path.
-		view := snap.Flatten()
-		rep.StandingStats = s.ev.deleted(view, resolved)
-		sr := s.refreshSubscriptions(view)
-		rep.Subscribers, rep.FramesSent, rep.FramesDropped, rep.RefreshElapsed =
-			sr.subscribers, sr.sent, sr.dropped, sr.elapsed
+		rep = s.ev.deleted(snap.Flatten(), resolved)
 	} else {
 		// With an empty changed list the graph content is identical, so
 		// subscribers have nothing to learn and cached answers are merely
@@ -68,9 +59,7 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		// ever evaluate over.
 		s.ev.stamp(snap.Version())
 	}
-	rep.StandingElapsed = time.Since(start)
-	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
-	s.advance(parent, snap)
+	s.finish(&rep, start, batch, parent, snap, changed)
 	return rep, nil
 }
 

@@ -31,11 +31,12 @@ type Pin func() (View, func())
 // enabled problems (problems.go), one standing set per distinct engine
 // problem they evaluate and the maintained answers of PageRank and CC, the
 // lock that pairs all of them with the version they converged on, their
-// maintenance after each mutation, and the Δ-based, batched and full
-// evaluations of user queries. It owns no graph: it evaluates over the
-// View its owner hands it — a System over its flat mirror, the shard
-// router over the union of its shards' mirrors — so both run one
-// evaluation.
+// maintenance after each mutation, the Δ-based, batched and full
+// evaluations of user queries, the subscriptions refreshed after each
+// mutation (subscribe.go) and the recorded query sources root reselection
+// reads (reselect.go). It owns no graph: it evaluates over the View its
+// owner hands it — a System over its flat mirror, the shard router over
+// the union of its shards' mirrors — so both run one evaluation.
 type Evaluator struct {
 	k        int
 	directed bool
@@ -60,6 +61,15 @@ type Evaluator struct {
 	// answers are the Base-less problems' maintained answers.
 	sets    []*standing.Manager
 	answers []handler
+	// hist, when non-nil, records the sources of answered user queries for
+	// ReselectRoots (see RecordQueries).
+	hist *standing.QueryHistogram
+	// subMu guards the subscription registry (subscribe.go). Lock order:
+	// mu before subMu — the writer refreshes subscriptions inside its
+	// exclusive window.
+	subMu  sync.Mutex
+	subs   map[uint64]*Subscription
+	subSeq uint64
 }
 
 // NewEvaluator returns an evaluator with k standing queries per standing
@@ -175,69 +185,72 @@ func sourceInRange(u graph.VertexID, n int, version uint64) error {
 // ---------------------------------------------------------------------
 // Maintenance: the writer's side of mu.
 
-// Inserted maintains every standing set and maintained answer onto g, the
-// version an insertion batch produced from the one they stand on (changed
-// lists the sources whose adjacency changed, sorted), then calls publish —
-// all under the exclusive lock, so no reader meets the new version before
-// the state that bounds it. publish must not block or call back into the
-// Evaluator. It is the shard router's writer window; a System, which
-// publishes before it maintains, holds the lock itself around the same
-// steps.
-func (ev *Evaluator) Inserted(g View, changed []graph.VertexID, publish func()) engine.Stats {
+// Inserted calls publish, then maintains every standing set and maintained
+// answer onto g, the version an insertion batch produced from the one they
+// stand on (changed lists the sources whose adjacency changed, sorted),
+// and refreshes the subscriptions on it — all under the exclusive lock, so
+// no reader pins the new version before the state that bounds it. publish
+// must not block or call back into the Evaluator. It is the shard router's
+// writer window; a System, whose publish is the insertion that yields g,
+// holds the lock itself around the same steps. The report carries the
+// maintenance work and the subscription fan-out.
+func (ev *Evaluator) Inserted(g View, changed []graph.VertexID, publish func()) BatchReport {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	stats := ev.inserted(g, changed)
 	publish()
-	return stats
+	return ev.inserted(g, changed)
 }
 
 // Deleted is Inserted for a deletion batch that removed arcs: deleted
 // lists the requested edges at the weights the graph stored for them
 // (ResolveDeletionWeights over the version before).
-func (ev *Evaluator) Deleted(g View, deleted []graph.Edge, publish func()) engine.Stats {
+func (ev *Evaluator) Deleted(g View, deleted []graph.Edge, publish func()) BatchReport {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	stats := ev.deleted(g, deleted)
 	publish()
-	return stats
+	return ev.deleted(g, deleted)
 }
 
 // Stamp is Inserted for a deletion batch that removed nothing: the graph
 // of the new version is the one the state already stands on, so the
-// standing sets only record the version — no view of it is needed — and
-// the maintained answers keep the version they converged at.
+// standing sets only record the version — no view of it is needed — the
+// maintained answers keep the version they converged at, and subscribers
+// have nothing to learn.
 func (ev *Evaluator) Stamp(version uint64, publish func()) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	ev.stamp(version)
 	publish()
+	ev.stamp(version)
 }
 
 // inserted, deleted and stamp are the maintenance steps themselves. The
 // caller holds mu exclusively. Standing sets resume from the arcs the
 // batch stored, or recover by witness-based trimming (package standing);
 // maintained answers resume after insertions and re-evaluate from scratch
-// after deletions, which is always sound.
-func (ev *Evaluator) inserted(g View, changed []graph.VertexID) engine.Stats {
-	var stats engine.Stats
+// after deletions, which is always sound. inserted and deleted then
+// refresh the subscriptions on g.
+func (ev *Evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
+	var rep BatchReport
 	for _, set := range ev.sets {
-		stats.Add(set.Update(g, changed))
+		rep.StandingStats.Add(set.Update(g, changed))
 	}
 	for _, ans := range ev.answers {
-		stats.Add(ans.update(g, changed))
+		rep.StandingStats.Add(ans.update(g, changed))
 	}
-	return stats
+	ev.refreshSubscriptions(g, &rep)
+	return rep
 }
 
-func (ev *Evaluator) deleted(g View, deleted []graph.Edge) engine.Stats {
-	var stats engine.Stats
+func (ev *Evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
+	var rep BatchReport
 	for _, set := range ev.sets {
-		stats.Add(set.UpdateDeletions(g, deleted, !ev.directed))
+		rep.StandingStats.Add(set.UpdateDeletions(g, deleted, !ev.directed))
 	}
 	for _, ans := range ev.answers {
-		stats.Add(ans.rebuild(g))
+		rep.StandingStats.Add(ans.rebuild(g))
 	}
-	return stats
+	ev.refreshSubscriptions(g, &rep)
+	return rep
 }
 
 func (ev *Evaluator) stamp(version uint64) {
@@ -247,15 +260,15 @@ func (ev *Evaluator) stamp(version uint64) {
 }
 
 // ReselectRoots re-roots the standing set that bounds the named problem
-// with standing.WeightedRoots over the latest version — hist blends in a
-// recorded query distribution; without one the selection equals the
-// top-degree rule — then fully evaluates the new roots. latest must
-// return the latest version's view without calling back into the
+// with standing.WeightedRoots over the latest version — blending in the
+// recorded query distribution (RecordQueries); without one the selection
+// equals the top-degree rule — then fully evaluates the new roots. latest
+// must return the latest version's view without calling back into the
 // Evaluator; it is called under the exclusive lock, like batch
-// maintenance, because re-rooting rewrites the standing arrays wholesale. The set is what is re-rooted: every enabled problem
-// sharing it (Radii with SSSP, SSNSP with BFS) selects from the new roots
-// afterwards.
-func (ev *Evaluator) ReselectRoots(name string, latest func() View, hist *standing.QueryHistogram) error {
+// maintenance, because re-rooting rewrites the standing arrays wholesale.
+// The set is what is re-rooted: every enabled problem sharing it (Radii
+// with SSSP, SSNSP with BFS) selects from the new roots afterwards.
+func (ev *Evaluator) ReselectRoots(name string, latest func() View) error {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return err
@@ -266,7 +279,7 @@ func (ev *Evaluator) ReselectRoots(name string, latest func() View, hist *standi
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	g := latest()
-	pr.set.Roots = standing.WeightedRoots(g, hist, ev.k)
+	pr.set.Roots = standing.WeightedRoots(g, ev.hist, ev.k)
 	pr.set.Rebuild(g)
 	return nil
 }
@@ -296,13 +309,19 @@ func (ev *Evaluator) MaintainTime(name string) (time.Duration, error) {
 // evaluated Δ-based from the problem's standing set under cooperative
 // cancellation — the engine checks ctx at every superstep boundary. The
 // standing arrays are never written by a user query (Δ-initialization
-// only reads them), so cancellation at any point is safe.
+// only reads them), so cancellation at any point is safe. An answered
+// query's source is recorded (RecordQueries).
 func (ev *Evaluator) Query(ctx context.Context, name string, u graph.VertexID, pin Pin) (*QueryResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return ev.query(ctx, pr, u, pin)
+	res, err := ev.query(ctx, pr, u, pin)
+	if err != nil {
+		return nil, err
+	}
+	ev.observe(u)
+	return res, nil
 }
 
 func (ev *Evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, pin Pin) (*QueryResult, error) {
@@ -342,7 +361,7 @@ func (ev *Evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, p
 // result values are identical to issuing each Query separately; the work
 // is the batch-mode coalesced version. One deadline covers the whole batch
 // (it runs under a single combined frontier, so per-query cancellation is
-// not meaningful).
+// not meaningful). Every source of an answered batch is recorded.
 func (ev *Evaluator) QueryMany(ctx context.Context, name string, sources []graph.VertexID, pin Pin) (*MultiResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
@@ -370,6 +389,9 @@ func (ev *Evaluator) QueryMany(ctx context.Context, name string, sources []graph
 		return nil, err
 	}
 	defer release()
+	for _, u := range sources {
+		ev.observe(u)
+	}
 	return &MultiResult{
 		Problem: name, Sources: sources,
 		Values: q.st.Interleaved(), Width: len(sources),

@@ -8,3 +8,12 @@ func (s *System) StandingSets() []*standing.Manager { return s.ev.StandingSets()
 
 // K exposes the evaluator's clamped standing-query count.
 func (ev *Evaluator) K() int { return ev.k }
+
+// QueryHistogramTotal reports how many query sources the system's
+// evaluator has recorded.
+func (s *System) QueryHistogramTotal() uint64 {
+	if s.ev.hist == nil {
+		return 0
+	}
+	return s.ev.hist.Total()
+}

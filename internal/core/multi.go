@@ -38,12 +38,5 @@ func (r *MultiResult) Value(x graph.VertexID, j int) uint64 {
 // QueryManyCtx evaluates up to 64 same-problem user queries in one
 // batched Δ-based evaluation (see Evaluator.QueryMany).
 func (s *System) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*MultiResult, error) {
-	res, err := s.ev.QueryMany(ctx, problem, sources, s.pin)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range sources {
-		s.observe(u)
-	}
-	return res, nil
+	return s.ev.QueryMany(ctx, problem, sources, s.pin)
 }

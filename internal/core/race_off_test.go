@@ -1,0 +1,7 @@
+//go:build !race
+
+package core
+
+// raceEnabled reports a -race build, whose shadow memory inflates
+// runtime.MemStats.TotalAlloc.
+const raceEnabled = false

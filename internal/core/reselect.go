@@ -6,34 +6,31 @@ import (
 )
 
 // Query-distribution-aware root reselection (§5's sketched refinement):
-// the system can record where user queries actually land and periodically
-// re-root a problem's standing queries to serve that distribution.
+// the evaluator can record where user queries actually land and
+// periodically re-root a problem's standing queries to serve that
+// distribution.
 
 // RecordQueries turns on (or off) query-source recording. While enabled,
-// the source of every answered Query/QueryMany is counted in an internal
-// histogram that ReselectRoots consumes.
-func (s *System) RecordQueries(on bool) {
-	if on && s.hist == nil {
-		s.hist = standing.NewQueryHistogram()
+// the source of every answered Query/QueryMany is counted in the histogram
+// ReselectRoots consumes. It is setup-phase API, like Enable.
+func (ev *Evaluator) RecordQueries(on bool) {
+	if on && ev.hist == nil {
+		ev.hist = standing.NewQueryHistogram()
 	}
 	if !on {
-		s.hist = nil
+		ev.hist = nil
 	}
 }
 
-// QueryHistogramTotal reports how many query sources have been recorded.
-func (s *System) QueryHistogramTotal() uint64 {
-	if s.hist == nil {
-		return 0
+func (ev *Evaluator) observe(u graph.VertexID) {
+	if ev.hist != nil {
+		ev.hist.Observe(u)
 	}
-	return s.hist.Total()
 }
 
-func (s *System) observe(u graph.VertexID) {
-	if s.hist != nil {
-		s.hist.Observe(u)
-	}
-}
+// RecordQueries turns query-source recording on or off (see
+// Evaluator.RecordQueries).
+func (s *System) RecordQueries(on bool) { s.ev.RecordQueries(on) }
 
 // ReselectRoots re-roots the standing set that bounds the named problem
 // using the recorded query distribution blended with topology
@@ -42,5 +39,5 @@ func (s *System) observe(u graph.VertexID) {
 // workloads whose query hotspots drift. Without recorded history the
 // selection equals the top-degree rule.
 func (s *System) ReselectRoots(problem string) error {
-	return s.ev.ReselectRoots(problem, func() View { return s.G.Acquire().Flatten() }, s.hist)
+	return s.ev.ReselectRoots(problem, func() View { return s.G.Acquire().Flatten() })
 }

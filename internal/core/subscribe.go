@@ -12,15 +12,18 @@ import (
 
 // Subscriptions treat a user query as a continuously maintained
 // materialized answer: SubscribeCtx registers (problem, source), answers
-// it once (the snapshot frame), and from then on every
-// ApplyBatch/ApplyDeletions advance refreshes all subscribed sources and
-// pushes only the changed (vertex, value) pairs as a delta frame.
+// it once (the snapshot frame), and from then on every mutation that
+// changes the graph refreshes all subscribed sources and pushes only the
+// changed (vertex, value) pairs as a delta frame. The registry and the
+// refresh belong to the Evaluator, so a System and the shard router — at
+// any shard count — serve subscriptions through the same code.
 //
-// The refresh runs inside the writer's exclusive ev.mu window, right
-// after standing maintenance: the standing arrays and the new snapshot
-// describe the same version there, so each subscribed source gets the
-// same Δ-initialized evaluation a fresh QueryCtx would — batched width-K
-// (≤64 sources per fused engine run) instead of per-source.
+// The refresh runs inside the writer's exclusive mu window, right after
+// standing maintenance (Evaluator.inserted/deleted): the standing arrays
+// and the new version describe the same graph there, so each subscribed
+// source gets the same Δ-initialized evaluation a fresh Query would —
+// batched width-K (≤64 sources per fused engine run) instead of
+// per-source.
 //
 // Delivery is lossy-but-consistent: a subscriber's baseline (the values
 // its client last received) advances only when a frame is actually
@@ -58,7 +61,7 @@ type ResultFrame struct {
 
 // Subscription is one registered (problem, source) push stream. Frames
 // are delivered on a buffered channel; the channel closes when
-// Unsubscribe is called. All mutable state is owned by the System
+// Unsubscribe is called. All mutable state is owned by the Evaluator
 // (guarded by subMu) — callers only read the identity fields and drain
 // Frames().
 type Subscription struct {
@@ -69,7 +72,7 @@ type Subscription struct {
 	frames chan ResultFrame
 
 	// Baseline: the values the client last received (nil until the
-	// snapshot frame is delivered). Guarded by System.subMu. The slices
+	// snapshot frame is delivered). Guarded by Evaluator.subMu. The slices
 	// are never mutated in place — refresh replaces them wholesale — so
 	// sharing them with delivered frames is safe.
 	baseVals    []uint64
@@ -97,20 +100,18 @@ func (sub *Subscription) Version() uint64 { return sub.baseVersion }
 const DefaultSubscriptionBuffer = 8
 
 // SubscribeCtx registers a subscription for (problem, u), computes its
-// initial answer (the engine honors ctx like any user query), and
-// delivers it as the snapshot frame. The caller must eventually call
-// Unsubscribe. Problems whose answer is not one value per vertex (Radii)
-// return an ErrSubscribeUnsupported-wrapping error.
-func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*Subscription, error) {
-	pr, err := s.ev.lookup(problem)
+// initial answer at the latest version, which pin supplies (the engine
+// honors ctx like any user query), and delivers it as the snapshot frame.
+// The caller must eventually call Unsubscribe. Problems whose answer is
+// not one value per vertex (Radii) return an
+// ErrSubscribeUnsupported-wrapping error.
+func (ev *Evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int, pin Pin) (*Subscription, error) {
+	pr, err := ev.lookup(problem)
 	if err != nil {
 		return nil, err
 	}
 	if !pr.Subscribable() {
 		return nil, fmt.Errorf("core: problem %q does not support subscriptions: %w", problem, ErrSubscribeUnsupported)
-	}
-	if err := s.checkSource(u); err != nil {
-		return nil, err
 	}
 	if buffer <= 0 {
 		buffer = DefaultSubscriptionBuffer
@@ -121,24 +122,24 @@ func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.Verte
 	// between sees ready=false and skips this subscription; the baseline
 	// then just reports an older version, and the first post-subscribe
 	// refresh diffs against it cumulatively — exact at every step.
-	s.subMu.Lock()
-	if s.subs == nil {
-		s.subs = make(map[uint64]*Subscription)
+	ev.subMu.Lock()
+	if ev.subs == nil {
+		ev.subs = make(map[uint64]*Subscription)
 	}
-	s.subSeq++
-	sub.id = s.subSeq
-	s.subs[sub.id] = sub
-	s.subMu.Unlock()
+	ev.subSeq++
+	sub.id = ev.subSeq
+	ev.subs[sub.id] = sub
+	ev.subMu.Unlock()
 
-	res, err := s.ev.query(ctx, pr, u, s.pin)
+	res, err := ev.query(ctx, pr, u, pin)
 	if err != nil {
-		s.Unsubscribe(sub)
+		ev.Unsubscribe(sub)
 		return nil, err
 	}
 
-	s.subMu.Lock()
+	ev.subMu.Lock()
 	if sub.closed {
-		s.subMu.Unlock()
+		ev.subMu.Unlock()
 		return nil, fmt.Errorf("core: subscription closed during setup: %w", ErrCanceled)
 	}
 	sub.baseVals = res.Values
@@ -155,59 +156,51 @@ func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.Verte
 		// Unreachable: the channel is fresh with buffer >= 1 and no
 		// refresh sends before ready is set (both under subMu).
 	}
-	s.subMu.Unlock()
+	ev.subMu.Unlock()
 	return sub, nil
 }
 
 // Unsubscribe deregisters sub and closes its frame channel. Idempotent.
-func (s *System) Unsubscribe(sub *Subscription) {
-	s.subMu.Lock()
+func (ev *Evaluator) Unsubscribe(sub *Subscription) {
+	ev.subMu.Lock()
 	if !sub.closed {
 		sub.closed = true
-		delete(s.subs, sub.id)
+		delete(ev.subs, sub.id)
 		close(sub.frames)
 	}
-	s.subMu.Unlock()
+	ev.subMu.Unlock()
 }
 
 // Subscribers returns the number of registered subscriptions.
-func (s *System) Subscribers() int {
-	s.subMu.Lock()
-	n := len(s.subs)
-	s.subMu.Unlock()
+func (ev *Evaluator) Subscribers() int {
+	ev.subMu.Lock()
+	n := len(ev.subs)
+	ev.subMu.Unlock()
 	return n
 }
 
-// subRefreshReport summarizes one per-batch subscription fan-out.
-type subRefreshReport struct {
-	subscribers int
-	sent        int
-	dropped     int
-	elapsed     time.Duration
-}
-
 // refreshSubscriptions recomputes every ready subscription's answer on
-// the post-maintenance view and pushes frames. Writer-side only: the
-// caller holds ev.mu exclusively (lock order ev.mu → subMu), so the
-// standing state is quiescent and refresh reads it without locking.
-func (s *System) refreshSubscriptions(view View) subRefreshReport {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	var rep subRefreshReport
-	rep.subscribers = len(s.subs)
-	if rep.subscribers == 0 {
-		return rep
+// the post-maintenance view, pushes frames, and records the fan-out in
+// rep. Writer-side only: the caller holds mu exclusively (lock order mu →
+// subMu), so the standing state is quiescent and refresh reads it without
+// locking.
+func (ev *Evaluator) refreshSubscriptions(view View, rep *BatchReport) {
+	ev.subMu.Lock()
+	defer ev.subMu.Unlock()
+	rep.Subscribers = len(ev.subs)
+	if rep.Subscribers == 0 {
+		return
 	}
 	start := time.Now()
 	// Group ready subscriptions by problem, ordered by id so the fused
 	// refresh batches are deterministic for a given registry state.
 	byProblem := make(map[string][]*Subscription)
-	for _, sub := range s.subs {
+	for _, sub := range ev.subs {
 		if sub.ready {
 			byProblem[sub.Problem] = append(byProblem[sub.Problem], sub)
 		}
 	}
-	for _, name := range s.ev.order {
+	for _, name := range ev.order {
 		list := byProblem[name]
 		if len(list) == 0 {
 			continue
@@ -217,7 +210,7 @@ func (s *System) refreshSubscriptions(view View) subRefreshReport {
 		for i, sub := range list {
 			sources[i] = sub.Source
 		}
-		vals, counts, version := s.ev.problems[name].refresh(view, sources)
+		vals, counts, version := ev.problems[name].refresh(view, sources)
 		for i, sub := range list {
 			frame := ResultFrame{
 				Kind: "delta", Problem: name, Source: sub.Source, Version: version,
@@ -233,18 +226,17 @@ func (s *System) refreshSubscriptions(view View) subRefreshReport {
 					sub.baseCounts = counts[i]
 				}
 				sub.baseVersion = version
-				rep.sent++
+				rep.FramesSent++
 			default:
 				// Full channel: the client missed this version. Keep the
 				// baseline where the client actually is — the next delivered
 				// delta is cumulative from there.
 				sub.dropped++
-				rep.dropped++
+				rep.FramesDropped++
 			}
 		}
 	}
-	rep.elapsed = time.Since(start)
-	return rep
+	rep.RefreshElapsed = time.Since(start)
 }
 
 // diffValues lists the entries of next that differ from base. Entries

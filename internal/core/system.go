@@ -24,12 +24,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/standing"
 	"tripoline/internal/streamgraph"
 )
 
@@ -92,15 +90,13 @@ type BatchReport struct {
 type System struct {
 	G *streamgraph.Graph
 	// ev holds the enabled problems, their standing sets and maintained
-	// answers, and the lock that pairs them with the latest snapshot. The
+	// answers, the subscriptions, the recorded query sources, and the lock
+	// that pairs the standing state with the latest snapshot. The
 	// System publishes every version under ev.mu, before it maintains ev
 	// onto it (so a reader can never pair pre-deletion standing bounds,
 	// possibly too good, with a post-deletion snapshot), and its readers
 	// pin the latest snapshot's mirror under it (pin).
 	ev *Evaluator
-	// hist, when non-nil, records user-query sources for
-	// ReselectRoots (see RecordQueries).
-	hist *standing.QueryHistogram
 	// history, when non-nil, retains past snapshots for QueryAt
 	// (see EnableHistory).
 	history *streamgraph.History
@@ -112,12 +108,6 @@ type System struct {
 	cur *streamgraph.Snapshot
 	// cache, when non-nil, is the Δ-result cache (see cache.go).
 	cache *ResultCache
-	// subMu guards the subscription registry (see subscribe.go). Lock
-	// order: ev.mu before subMu — the writer refreshes subscriptions
-	// inside its exclusive window.
-	subMu  sync.Mutex
-	subs   map[uint64]*Subscription
-	subSeq uint64
 }
 
 // NewSystem wraps a streaming graph. k is the number of standing queries
@@ -140,18 +130,6 @@ func updateView(parent, snap *streamgraph.Snapshot, changed []graph.VertexID) *s
 		}
 	}
 	return snap.Flatten()
-}
-
-// advance publishes snap as the system's current version: the parent's
-// mirror (if any) is retired so its slabs recycle into future builds —
-// queries that pinned it keep it alive until they release — and history,
-// when enabled, records the new snapshot.
-func (s *System) advance(parent, snap *streamgraph.Snapshot) {
-	s.cur = snap
-	if parent != nil && parent != snap {
-		parent.RetireFlat()
-	}
-	s.recordHistory()
 }
 
 // PinMirror is the view contract's read side, the one way a reader gets
@@ -237,22 +215,27 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchRe
 	defer s.ev.mu.Unlock()
 	parent := s.cur
 	snap, changed := s.G.InsertEdges(batch)
-	rep := BatchReport{
-		BatchEdges:     len(batch),
-		ChangedSources: len(changed),
-		Version:        snap.Version(),
-		Changed:        changed,
-	}
 	start := time.Now()
-	view := updateView(parent, snap, changed)
-	rep.StandingStats = s.ev.inserted(view, changed)
-	rep.StandingElapsed = time.Since(start)
-	sr := s.refreshSubscriptions(view)
-	rep.Subscribers, rep.FramesSent, rep.FramesDropped, rep.RefreshElapsed =
-		sr.subscribers, sr.sent, sr.dropped, sr.elapsed
-	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
-	s.advance(parent, snap)
+	rep := s.ev.inserted(updateView(parent, snap, changed), changed)
+	s.finish(&rep, start, batch, parent, snap, changed)
 	return rep, nil
+}
+
+// finish completes a mutation's report — the batch, the new version, the
+// changed sources, and the standing time since start, subscription
+// refresh excluded — and makes snap the system's current version: the
+// cache advances to it, the parent's mirror (if any) is retired so its
+// slabs recycle into future builds — queries that pinned it keep it alive
+// until they release — and history, when enabled, records snap.
+func (s *System) finish(rep *BatchReport, start time.Time, batch []graph.Edge, parent, snap *streamgraph.Snapshot, changed []graph.VertexID) {
+	rep.StandingElapsed = time.Since(start) - rep.RefreshElapsed
+	rep.BatchEdges, rep.ChangedSources, rep.Version, rep.Changed = len(batch), len(changed), snap.Version(), changed
+	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
+	s.cur = snap
+	if parent != nil && parent != snap {
+		parent.RetireFlat()
+	}
+	s.recordHistory()
 }
 
 // prevVersion is the version a mutation superseded. Without a parent
@@ -272,12 +255,6 @@ func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
 	return s.ev.MaintainTime(name)
 }
 
-// checkSource validates a user-query source against the current graph.
-func (s *System) checkSource(u graph.VertexID) error {
-	snap := s.G.Acquire()
-	return sourceInRange(u, snap.NumVertices(), snap.Version())
-}
-
 // QueryCtx answers a user query with Δ-based incremental evaluation
 // under cooperative cancellation: the engine checks ctx at every
 // superstep boundary, so a deadline or a dropped client stops the
@@ -288,7 +265,6 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 	if err != nil {
 		return nil, err
 	}
-	s.observe(u)
 	s.cache.Put(res)
 	return res, nil
 }

@@ -6,8 +6,7 @@
 // status-code accounting. The same deterministic scenario machinery
 // doubles as the server conformance suite: a seeded operation trace
 // replayed sequentially against an unsharded and a sharded server must
-// produce identical status-code and header contracts (modulo the one
-// documented divergence, subscriptions at S>1).
+// produce identical status-code and header contracts and answers.
 //
 // Everything is stdlib-only, like the rest of the repo: the pacer takes
 // a pluggable clock so its arithmetic is unit-testable without real

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -21,13 +22,14 @@ import (
 // envelope codes, the X-Tripoline-Version header, and a hash of the
 // answer values. The serving layer promises that sharding is invisible
 // to clients (same API, same versions, bit-identical answers for the
-// integer-semiring problems); this suite is that promise, executable.
-//
-// One divergence is structural and therefore allowed: /v1/subscribe
-// (both SSE and long-poll modes) is unsupported behind the sharded
-// router, so S=1 answers 200 where S>1 answers 400/bad_request. The
-// comparator recognizes exactly that pattern and records it as allowed;
-// anything else on those steps is a real divergence.
+// integer-semiring problems); this suite is that promise, executable,
+// with no exceptions — a subscription's snapshot frame is compared like
+// any other answer.
+
+// conformanceProblems are the integer-semiring problems: answers must be
+// bit-identical across shard counts. PageRank is only 1e-6-equal, so it
+// stays out of the hashing trace.
+var conformanceProblems = []string{"SSSP", "SSWP", "BFS"}
 
 // ConformanceConfig shapes one conformance run. The zero value is
 // usable: 1024 vertices, 4 shards, 160 steps, seed 1.
@@ -90,15 +92,10 @@ type Divergence struct {
 	Field   string `json:"field"`
 	Core    string `json:"core"`    // S=1 observation
 	Sharded string `json:"sharded"` // S>1 observation
-	Allowed bool   `json:"allowed"` // structural (subscribe at S>1)
 }
 
 func (d Divergence) String() string {
-	tag := ""
-	if d.Allowed {
-		tag = " [allowed]"
-	}
-	return fmt.Sprintf("step %d %s (%s): %s — core=%s sharded=%s%s", d.Step, d.Op, d.Desc, d.Field, d.Core, d.Sharded, tag)
+	return fmt.Sprintf("step %d %s (%s): %s — core=%s sharded=%s", d.Step, d.Op, d.Desc, d.Field, d.Core, d.Sharded)
 }
 
 // ConformanceReport summarizes one run.
@@ -107,23 +104,6 @@ type ConformanceReport struct {
 	Shards      int          `json:"shards"`
 	Seed        uint64       `json:"seed"`
 	Divergences []Divergence `json:"divergences,omitempty"`
-	Allowed     int          `json:"allowed_divergences"`
-}
-
-// Failed reports whether any disallowed divergence was observed.
-func (r *ConformanceReport) Failed() bool {
-	return len(r.Divergences) > r.Allowed
-}
-
-// Disallowed returns only the real divergences.
-func (r *ConformanceReport) Disallowed() []Divergence {
-	var out []Divergence
-	for _, d := range r.Divergences {
-		if !d.Allowed {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // traceStep is one deterministic op: the same request is issued to both
@@ -138,9 +118,6 @@ type traceStep struct {
 	// error code are always compared.
 	compareVersion bool
 	compareValues  bool
-	// subscribeStep marks the one op whose S>1 behavior is structurally
-	// different (ErrSubscribeUnsupported → 400/bad_request).
-	subscribeStep bool
 }
 
 // RunConformance builds the two servers, replays the trace, and reports
@@ -150,12 +127,9 @@ type traceStep struct {
 func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport, error) {
 	cfg = cfg.withDefaults()
 	base := SelfHostConfig{
-		Vertices: cfg.Vertices,
-		Edges:    cfg.Edges,
-		// The integer-semiring problems: answers must be bit-identical
-		// across shard counts. PageRank is only 1e-6-equal, so it stays
-		// out of the hashing trace.
-		Problems:        []string{"SSSP", "SSWP", "BFS"},
+		Vertices:        cfg.Vertices,
+		Edges:           cfg.Edges,
+		Problems:        conformanceProblems,
 		K:               8,
 		Seed:            cfg.Seed,
 		HistoryCapacity: 8,
@@ -194,11 +168,6 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 			return rep, fmt.Errorf("loadgen: conformance: step %d against sharded: %w", i, err)
 		}
 		rep.Divergences = append(rep.Divergences, compare(i, step, oa, ob)...)
-	}
-	for _, d := range rep.Divergences {
-		if d.Allowed {
-			rep.Allowed++
-		}
 	}
 	return rep, nil
 }
@@ -313,21 +282,20 @@ func (t *tracer) next() traceStep {
 			path: fmt.Sprintf("/v1/query?problem=NOPE&source=%d", t.source()),
 			desc: "unknown problem",
 		}
-	case roll < 97: // long-poll subscribe (structurally divergent at S>1)
+	case roll < 97: // long-poll subscribe: no write lands in its wait, so 204
 		p, u := t.problem(), t.source()
 		return traceStep{
 			op: "poll", method: http.MethodGet,
-			path:          fmt.Sprintf("/v1/subscribe?problem=%s&src=%d&mode=poll&wait=1", p, u),
-			desc:          fmt.Sprintf("%s src=%d poll", p, u),
-			subscribeStep: true,
+			path: fmt.Sprintf("/v1/subscribe?problem=%s&src=%d&mode=poll&wait=1", p, u),
+			desc: fmt.Sprintf("%s src=%d poll", p, u),
 		}
-	default: // SSE subscribe (structurally divergent at S>1)
+	default: // SSE subscribe: the snapshot frame is the answer
 		p, u := t.problem(), t.source()
 		return traceStep{
 			op: "subscribe", method: http.MethodGet,
-			path:          fmt.Sprintf("/v1/subscribe?problem=%s&src=%d", p, u),
-			desc:          fmt.Sprintf("%s src=%d sse", p, u),
-			subscribeStep: true,
+			path:           fmt.Sprintf("/v1/subscribe?problem=%s&src=%d", p, u),
+			desc:           fmt.Sprintf("%s src=%d sse", p, u),
+			compareVersion: true, compareValues: true,
 		}
 	}
 }
@@ -335,18 +303,11 @@ func (t *tracer) next() traceStep {
 // observe issues one step and reduces the response to its contract
 // surface. SSE responses are read up to the first frame then abandoned.
 func observe(ctx context.Context, hc *http.Client, base string, step traceStep) (Observation, error) {
-	// Subscribe streams don't end on their own; bound them.
-	rctx := ctx
-	if step.subscribeStep {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, 10*time.Second)
-		defer cancel()
-	}
 	var rd io.Reader
 	if step.body != nil {
 		rd = bytes.NewReader(step.body)
 	}
-	req, err := http.NewRequestWithContext(rctx, step.method, base+step.path, rd)
+	req, err := http.NewRequestWithContext(ctx, step.method, base+step.path, rd)
 	if err != nil {
 		return Observation{}, err
 	}
@@ -375,12 +336,8 @@ func observe(ctx context.Context, hc *http.Client, base string, step traceStep) 
 			obs.ErrCode = env.Error.Code
 		}
 	case step.op == "subscribe" && resp.StatusCode == http.StatusOK:
-		// Record whether a snapshot frame arrived first: a liveness check
-		// on the stream that is cheap to abandon.
-		out, err := consumeSSE(resp.Body, 1)
-		if err == nil && out.Frames > 0 && out.Snapshot {
-			obs.ValuesHash = hashStrings("snapshot")
-		}
+		// A stream never ends on its own: hash its first frame and hang up.
+		return obs, hashSnapshot(resp.Body, &obs)
 	case resp.StatusCode == http.StatusOK:
 		if err := hashBody(resp.Body, step, &obs); err != nil {
 			return obs, err
@@ -406,26 +363,19 @@ func hashBody(r io.Reader, step traceStep, obs *Observation) error {
 		return fmt.Errorf("decoding %s body: %w", step.op, err)
 	}
 	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
 	if step.compareValues {
 		for _, v := range body.Values {
-			put(v)
+			putWord(h, v)
 		}
 		if body.Value != nil {
-			put(*body.Value)
+			putWord(h, *body.Value)
 		}
-		put(uint64(body.Width))
-		put(uint64(body.Vertices))
-		put(uint64(body.Edges))
+		putWord(h, uint64(body.Width))
+		putWord(h, uint64(body.Vertices))
+		putWord(h, uint64(body.Edges))
 	}
 	if body.Version != nil {
-		put(*body.Version)
+		putWord(h, *body.Version)
 		// Body version doubles as the header when the endpoint reports it
 		// only in JSON (/v1/stats, /v1/batch).
 		if obs.Version == "" {
@@ -436,47 +386,63 @@ func hashBody(r io.Reader, step traceStep, obs *Observation) error {
 	return nil
 }
 
-func hashStrings(ss ...string) uint64 {
-	h := fnv.New64a()
-	for _, s := range ss {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+// hashSnapshot reads a subscription stream up to its first frame — the
+// snapshot — and folds the frame's kind, version and values into the
+// observation; the version doubles as the header, which a stream has not.
+func hashSnapshot(r io.Reader, obs *Observation) error {
+	var frame struct {
+		Kind    string   `json:"kind"`
+		Version uint64   `json:"version"`
+		Values  []uint64 `json:"values"`
 	}
-	return h.Sum64()
+	err := readSSE(r, func(ev SSEEvent) bool {
+		return json.Unmarshal(ev.Data, &frame) != nil // skip what is not a frame
+	})
+	if err != nil {
+		return fmt.Errorf("reading subscribe stream: %w", err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(frame.Kind))
+	for _, v := range frame.Values {
+		putWord(h, v)
+	}
+	putWord(h, frame.Version)
+	obs.Version = strconv.FormatUint(frame.Version, 10)
+	obs.ValuesHash = h.Sum64()
+	return nil
+}
+
+// putWord folds v into h as 8 little-endian bytes.
+func putWord(h hash.Hash64, v uint64) {
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = byte(v >> (8 * i))
+	}
+	h.Write(buf[:])
 }
 
 // compare reduces two observations of one step to divergences.
 func compare(i int, step traceStep, a, b Observation) []Divergence {
-	mk := func(field, av, bv string, allowed bool) Divergence {
-		return Divergence{Step: i, Op: step.op, Desc: step.desc, Field: field, Core: av, Sharded: bv, Allowed: allowed}
-	}
-	if step.subscribeStep && a.Status != b.Status {
-		// The one structural divergence: S=1 accepts (200 for a stream or
-		// a delivered delta, 204 for a long-poll that timed out with no
-		// change), S>1 answers 400 bad_request (ErrSubscribeUnsupported).
-		// Exactly that shape is allowed; anything else on a subscribe step
-		// is real.
-		coreOK := a.Status == http.StatusOK || a.Status == http.StatusNoContent
-		ok := coreOK && b.Status == http.StatusBadRequest && b.ErrCode == "bad_request"
-		return []Divergence{mk("status", a.String(), b.String(), ok)}
+	mk := func(field, av, bv string) Divergence {
+		return Divergence{Step: i, Op: step.op, Desc: step.desc, Field: field, Core: av, Sharded: bv}
 	}
 	var out []Divergence
 	if a.Status != b.Status {
-		out = append(out, mk("status", a.String(), b.String(), false))
+		out = append(out, mk("status", a.String(), b.String()))
 		return out // downstream fields are meaningless across differing statuses
 	}
 	if a.Status >= 400 && a.ErrCode != b.ErrCode {
-		out = append(out, mk("error_code", a.ErrCode, b.ErrCode, false))
+		out = append(out, mk("error_code", a.ErrCode, b.ErrCode))
 	}
 	if a.Status == 429 && (a.RetryAfter != b.RetryAfter || !a.RetryAfter) {
-		out = append(out, mk("retry_after", fmt.Sprint(a.RetryAfter), fmt.Sprint(b.RetryAfter), false))
+		out = append(out, mk("retry_after", fmt.Sprint(a.RetryAfter), fmt.Sprint(b.RetryAfter)))
 	}
 	if a.Status == http.StatusOK {
 		if step.compareVersion && a.Version != b.Version {
-			out = append(out, mk("version", a.Version, b.Version, false))
+			out = append(out, mk("version", a.Version, b.Version))
 		}
 		if step.compareValues && a.ValuesHash != b.ValuesHash {
-			out = append(out, mk("values", a.String(), b.String(), false))
+			out = append(out, mk("values", a.String(), b.String()))
 		}
 	}
 	return out

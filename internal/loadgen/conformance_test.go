@@ -4,12 +4,15 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"tripoline/internal/xrand"
 )
 
 // TestConformanceCoreVsSharded replays the seeded trace against S=1 and
-// S=4 and requires zero disallowed divergences: same status codes, same
-// error envelope codes, same X-Tripoline-Version, bit-identical answer
-// hashes. The trace is long enough that every op family appears.
+// S=4 and requires zero divergences: same status codes, same error
+// envelope codes, same X-Tripoline-Version, bit-identical answer hashes —
+// subscription snapshots included. The trace is long enough that every op
+// family appears, both subscribe modes among them.
 func TestConformanceCoreVsSharded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -21,15 +24,19 @@ func TestConformanceCoreVsSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range rep.Disallowed() {
+	for _, d := range rep.Divergences {
 		t.Errorf("divergence: %s", d)
 	}
-	// The allowed subscribe divergence must actually have been exercised:
-	// a trace that never hit /v1/subscribe proves nothing about it.
-	if rep.Allowed == 0 {
-		t.Fatalf("trace produced no subscribe steps (allowed=0); the structural divergence went untested")
+	// A trace that never subscribed proves nothing about subscriptions.
+	tr := &tracer{rng: xrand.New(cfg.Seed), vertices: cfg.Vertices, problems: conformanceProblems}
+	ops := map[string]int{}
+	for i := 0; i < cfg.Steps; i++ {
+		ops[tr.next().op]++
 	}
-	t.Logf("conformance: %d steps, %d allowed subscribe divergences, %d real", rep.Steps, rep.Allowed, len(rep.Disallowed()))
+	if ops["subscribe"] == 0 || ops["poll"] == 0 {
+		t.Fatalf("trace exercised %d SSE and %d long-poll subscribes, want both", ops["subscribe"], ops["poll"])
+	}
+	t.Logf("conformance: %d steps (%d SSE, %d long-poll subscribes), %d divergences", rep.Steps, ops["subscribe"], ops["poll"], len(rep.Divergences))
 }
 
 // TestConformanceSeedStability pins determinism: the same seed must
@@ -49,9 +56,8 @@ func TestConformanceSeedStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Allowed != b.Allowed || len(a.Divergences) != len(b.Divergences) {
-		t.Fatalf("same seed, different profile: %d/%d vs %d/%d divergences/allowed",
-			len(a.Divergences), a.Allowed, len(b.Divergences), b.Allowed)
+	if len(a.Divergences) != len(b.Divergences) {
+		t.Fatalf("same seed, different profile: %d vs %d divergences", len(a.Divergences), len(b.Divergences))
 	}
 }
 

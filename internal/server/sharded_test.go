@@ -1,13 +1,16 @@
 package server_test
 
 import (
+	"bufio"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"testing"
 
 	"tripoline/internal/core"
 	"tripoline/internal/gen"
+	"tripoline/internal/graph"
 	"tripoline/internal/server"
 	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
@@ -127,19 +130,65 @@ func TestShardedCacheServing(t *testing.T) {
 	}
 }
 
-func TestShardedSubscribeRefused(t *testing.T) {
-	ts, _ := newShardedTestServer(t, 4, "SSSP")
-	var e struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
+// TestShardedSubscribeSSE: a sharded server streams subscriptions like an
+// unsharded one — the snapshot frame and, after a batch, the delta frame
+// reconstruct exactly the answer the reference system gives at each
+// frame's version.
+func TestShardedSubscribeSSE(t *testing.T) {
+	ts, ref := newShardedTestServer(t, 4, "SSSP")
+	resp, err := http.Get(ts.URL + "/v1/subscribe?problem=SSSP&src=3")
+	if err != nil {
+		t.Fatal(err)
 	}
-	code := getJSON(t, ts.URL+"/v1/subscribe?problem=SSSP&src=3", &e)
-	if code == 200 {
-		t.Fatal("subscribe on a sharded server must be refused")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe status %d", resp.StatusCode)
 	}
-	if !strings.Contains(e.Error.Message, "shard") {
-		t.Fatalf("error %+v", e.Error)
+	br := bufio.NewReader(resp.Body)
+	var values []uint64
+	// frame applies the next frame to values and holds them to the
+	// reference's answer at the frame's version.
+	frame := func(kind string) {
+		t.Helper()
+		name, data := readEvent(t, br)
+		var f core.ResultFrame
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		if name != kind || f.Kind != kind {
+			t.Fatalf("frame %s %+v, want %s", name, f, kind)
+		}
+		if kind == "snapshot" {
+			values = f.Values
+		}
+		for _, d := range f.Changed {
+			values[d.Vertex] = d.Value
+		}
+		want, err := ref.Query("SSSP", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Version != want.Version || !slices.Equal(values, want.Values) {
+			t.Fatalf("%s frame at v%d diverges from the reference at v%d", kind, f.Version, want.Version)
+		}
 	}
+	frame("snapshot")
+
+	edges := []graph.Edge{{Src: 3, Dst: 94, W: 1}, {Src: 94, Dst: 95, W: 1}}
+	var rep struct {
+		Subscribers int `json:"subscribers"`
+		FramesSent  int `json:"frames_sent"`
+	}
+	var arcs []map[string]any
+	for _, e := range edges {
+		arcs = append(arcs, map[string]any{"src": e.Src, "dst": e.Dst, "w": e.W})
+	}
+	if code := postJSON(t, ts.URL+"/v1/batch", map[string]any{"edges": arcs}, &rep); code != 200 {
+		t.Fatalf("batch status %d", code)
+	}
+	if rep.Subscribers != 1 || rep.FramesSent != 1 {
+		t.Fatalf("batch fan-out %+v", rep)
+	}
+	ref.ApplyBatch(edges)
+	frame("delta")
 }

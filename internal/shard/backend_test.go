@@ -16,8 +16,7 @@ var (
 
 // TestBackendCacheContract drives one serving sequence through
 // core.Backend for every implementation — a System (snapshot versions),
-// a 1-shard Router (delegating) and a 4-shard Router (barrier global
-// versions): insert → query → cached re-ask → no-op batch re-stamp →
+// a 1-shard and a 4-shard Router (barrier global versions): insert → query → cached re-ask → no-op batch re-stamp →
 // changed-batch staleness → exact-version lookup. All three must agree
 // on versions, answers and cache accounting step by step.
 func TestBackendCacheContract(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // exerciseBuildOnMiss drives every reader that pins a mirror down
 // core.PinMirror's miss path — Retain denied by every shard's seam, then a
 // version whose mirrors the writers really retired — on a router of the
-// given width (one shard is a plain core.System), and holds each answer to
+// given width, and holds each answer to
 // the sequential oracle on the reference system's C-tree at the version the
 // answer reports. A query pins its S mirrors once, so a missed query costs
 // exactly S private full builds however many rounds it runs; the tagged
@@ -90,24 +90,22 @@ func exerciseBuildOnMiss(t *testing.T, shards int) {
 		exact("QueryMany", "SSSP", u, many.Version, many.Values, many.Width, j)
 	}
 	missed("QueryMany")
-	if shards == 1 { // subscriptions exist at S=1 only
-		sub, err := p.rt.Subscribe("SSSP", 13, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.rt.Unsubscribe(sub)
-		frame := <-sub.Frames()
-		values := frame.Values
-		exact("subscription snapshot", "SSSP", 13, frame.Version, values, 1, 0)
-		missed("Subscribe")
-		// The refresh evaluates over the writer's own mirror: no pin, no build.
-		p.insert(t, randBatch(rng, n, 40))
-		frame = <-sub.Frames()
-		for _, d := range frame.Changed {
-			values[d.Vertex] = d.Value
-		}
-		exact("subscription refresh", "SSSP", 13, frame.Version, values, 1, 0)
+	sub, err := p.rt.Subscribe("SSSP", 13, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer p.rt.Unsubscribe(sub)
+	frame := <-sub.Frames()
+	values := frame.Values
+	exact("subscription snapshot", "SSSP", 13, frame.Version, values, 1, 0)
+	missed("Subscribe")
+	// The refresh evaluates over the writer's own mirrors: no pin, no build.
+	p.insert(t, randBatch(rng, n, 40))
+	frame = <-sub.Frames()
+	for _, d := range frame.Changed {
+		values[d.Vertex] = d.Value
+	}
+	exact("subscription refresh", "SSSP", 13, frame.Version, values, 1, 0)
 	// The retired version: with the seam still armed, then — no seam — with
 	// its mirrors drained for real.
 	for _, problem := range []string{"SSSP", "CC"} {

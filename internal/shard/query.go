@@ -8,13 +8,13 @@ import (
 	"tripoline/internal/graph"
 )
 
-// Query paths of the sharded router. Every one of them is the evaluator's
+// Query paths of the router. Every one of them is the evaluator's
 // (core.Evaluator) over the union of one barrier entry's mirrors — the
 // latest entry's, pinned under the evaluator's shared lock, for the
-// Δ-based and batched queries; the latest or a retained entry's for the
-// full ones — so a result's Version names a coherent cut of the
-// partitioned graph, and a query at S>1 is the evaluation a lone
-// core.System runs: the same standing root, the same Δ-initialization
+// Δ-based and batched queries and the subscription snapshots; the latest
+// or a retained entry's for the full ones — so a result's Version names a
+// coherent cut of the partitioned graph, and a router's query is the
+// evaluation a lone core.System runs: the same standing root, the same Δ-initialization
 // seeded at the source only, the same engine run over the same spans.
 
 // pinLatest is the router's core.Pin: the latest entry's union, pinned.
@@ -26,9 +26,6 @@ func (r *Router) pinLatest() (core.View, func()) {
 // QueryCtx answers a user query with Δ-based incremental evaluation
 // under cooperative cancellation (see core.Evaluator.Query).
 func (r *Router) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error) {
-	if r.single() {
-		return r.shards[0].QueryCtx(ctx, name, u)
-	}
 	res, err := r.ev.Query(ctx, name, u, r.pinLatest)
 	if err != nil {
 		return nil, err
@@ -41,9 +38,6 @@ func (r *Router) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 // the union graph — the non-incremental baseline — under cooperative
 // cancellation.
 func (r *Router) QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error) {
-	if r.single() {
-		return r.shards[0].QueryFullCtx(ctx, name, u)
-	}
 	view, release := pin(r.bar.latest())
 	defer release()
 	return r.ev.QueryFull(ctx, name, u, view)
@@ -54,9 +48,6 @@ func (r *Router) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 // tracks only the latest version, so Δ-initialization is invalid for
 // older cuts — same reasoning as core's history path).
 func (r *Router) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*core.QueryResult, error) {
-	if r.single() {
-		return r.shards[0].QueryAtCtx(ctx, version, problem, u)
-	}
 	if !r.histOn {
 		return nil, fmt.Errorf("shard: history not enabled: %w", core.ErrNoSuchVersion)
 	}
@@ -73,8 +64,5 @@ func (r *Router) QueryAtCtx(ctx context.Context, version uint64, problem string,
 // QueryManyCtx evaluates up to 64 same-problem user queries in one
 // batched Δ-based evaluation (see core.Evaluator.QueryMany).
 func (r *Router) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*core.MultiResult, error) {
-	if r.single() {
-		return r.shards[0].QueryManyCtx(ctx, problem, sources)
-	}
 	return r.ev.QueryMany(ctx, problem, sources, r.pinLatest)
 }

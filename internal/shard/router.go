@@ -33,16 +33,18 @@
 //
 // The writer holds the apply token, applies the sub-batches concurrently,
 // builds the new entry, then takes the evaluator's lock exclusively,
-// maintains the standing sets over the new entry's union, publishes the
-// entry and releases. A reader takes the lock shared, reads the latest
-// entry, pins it and Δ-initializes, and runs the engine outside the lock:
-// core's pinShared contract, so a reader never pairs standing bounds with
-// an entry they were not maintained for.
+// publishes the entry, maintains the standing sets over its union,
+// refreshes the evaluator's subscriptions on it and releases. A reader
+// takes the lock shared, reads the latest entry, pins it and
+// Δ-initializes, and runs the engine outside the lock: core's pinShared
+// contract, so a reader never pairs standing bounds with an entry they
+// were not maintained for. Subscriptions and query recording are the
+// evaluator's too, so they work the same at every shard count.
 //
-// A single-shard router routes every call straight to its one
-// core.System, so S=1 is bit-identical to an unsharded deployment by
-// construction; the differential checker's sharded replay
-// (internal/check) verifies S>1 against it schedule by schedule.
+// One code path serves every S: a one-shard router is the union code over
+// a single shard. The differential checker's sharded replay
+// (internal/check) verifies a router against a lone core.System schedule
+// by schedule.
 package shard
 
 import (
@@ -81,9 +83,9 @@ type Router struct {
 	// core's apply semantics).
 	tok chan struct{}
 
-	// ev evaluates an S>1 router's queries over the union of a barrier
-	// entry's mirrors and holds its standing sets and maintained answers
-	// (S=1 uses its lone System's).
+	// ev evaluates the router's queries over the union of a barrier entry's
+	// mirrors and holds its standing sets, maintained answers,
+	// subscriptions and recorded query sources.
 	ev *core.Evaluator
 	// tr is the transpose of the union the writer last maintained over
 	// (writerUnion.Transposed), nil until a directed standing set asks for
@@ -95,18 +97,16 @@ type Router struct {
 	owner []uint8
 
 	histOn bool
-	// cache, when non-nil, is the Δ-result cache of an S>1 router, keyed
-	// by global version (S=1 uses its lone System's).
+	// cache, when non-nil, is the Δ-result cache, keyed by global version.
 	cache *core.ResultCache
 	met   *Metrics
 }
 
 // New creates a router over S empty shard graphs spanning n vertices. k is
 // the standing-query budget per problem, global as on a lone core.System:
-// an S>1 router keeps one standing set per engine problem, over the union
-// of its shards, at the same k roots a System over the whole graph would
-// pick; S=1 hands k to its one System. shards < 1 is treated as 1, and
-// shards > 256 as 256.
+// the router keeps one standing set per engine problem, over the union of
+// its shards, at the same k roots a System over the whole graph would
+// pick. shards < 1 is treated as 1, and shards > 256 as 256.
 func New(n int, directed bool, shards, k int) *Router {
 	shards = min(max(shards, 1), maxShards)
 	r := &Router{
@@ -115,13 +115,12 @@ func New(n int, directed bool, shards, k int) *Router {
 		tok:      make(chan struct{}, 1),
 		ev:       core.NewEvaluator(k, directed),
 	}
-	// At S>1 arcs are routed by their tail, so every shard stores directed
-	// arcs whatever the graph's orientation (apply mirrors undirected
-	// edges before it splits them).
-	stored := directed || shards > 1
+	// Arcs are routed by their tail, so every shard stores directed arcs
+	// whatever the graph's orientation (apply mirrors undirected edges
+	// before it splits them).
 	snaps := make([]*streamgraph.Snapshot, shards)
 	for i := 0; i < shards; i++ {
-		g := streamgraph.New(n, stored)
+		g := streamgraph.New(n, true)
 		r.graphs = append(r.graphs, g)
 		r.shards = append(r.shards, core.NewSystem(g, k))
 		snaps[i] = g.Acquire()
@@ -193,19 +192,11 @@ func (r *Router) split(arcs []graph.Edge) [][]graph.Edge {
 // Shards reports the shard count.
 func (r *Router) Shards() int { return r.s }
 
-// single reports whether the router is in its one-shard fast path, where
-// every call delegates to the lone core.System unchanged.
-func (r *Router) single() bool { return r.s == 1 }
-
-// Enable sets up the named problem. On a sharded router the evaluator
-// sets it up over the union of the latest entry's mirrors (see
-// core.Evaluator.Enable). Enable is setup-phase API: like
-// core.System.Enable it is not synchronized against concurrent mutations
-// or queries.
+// Enable sets up the named problem: the evaluator sets it up over the
+// union of the latest entry's mirrors (see core.Evaluator.Enable). Enable
+// is setup-phase API: like core.System.Enable it is not synchronized
+// against concurrent mutations or queries.
 func (r *Router) Enable(name string) error {
-	if r.single() {
-		return r.shards[0].Enable(name)
-	}
 	def, ok := core.LookupProblem(name)
 	if !ok {
 		return fmt.Errorf("shard: unknown problem %q: %w", name, core.ErrUnknownProblem)
@@ -216,9 +207,6 @@ func (r *Router) Enable(name string) error {
 // EnableCustom sets up standing queries for a user-defined triangle
 // problem.
 func (r *Router) EnableCustom(p engine.Problem) error {
-	if r.single() {
-		return r.shards[0].EnableCustom(p)
-	}
 	def, err := core.CustomProblem(p)
 	if err != nil {
 		return err
@@ -227,12 +215,7 @@ func (r *Router) EnableCustom(p engine.Problem) error {
 }
 
 // Enabled lists enabled problems in enable order.
-func (r *Router) Enabled() []string {
-	if r.single() {
-		return r.shards[0].Enabled()
-	}
-	return r.ev.Enabled()
-}
+func (r *Router) Enabled() []string { return r.ev.Enabled() }
 
 // ApplyBatchCtx inserts an edge batch, splitting it across shards and
 // advancing the global version by one. Admission is context-based:
@@ -240,9 +223,6 @@ func (r *Router) Enabled() []string {
 // after — an admitted mutation always completes so the barrier never
 // publishes a half-applied vector.
 func (r *Router) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error) {
-	if r.single() {
-		return r.shards[0].ApplyBatchCtx(ctx, batch)
-	}
 	if err := r.admit(ctx); err != nil {
 		return core.BatchReport{}, err
 	}
@@ -253,9 +233,6 @@ func (r *Router) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.Ba
 // ApplyDeletionsCtx removes an edge batch across shards, advancing the
 // global version by one, with ApplyBatchCtx's admission semantics.
 func (r *Router) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error) {
-	if r.single() {
-		return r.shards[0].ApplyDeletionsCtx(ctx, batch)
-	}
 	if err := r.admit(ctx); err != nil {
 		return core.BatchReport{}, err
 	}
@@ -282,9 +259,9 @@ func (r *Router) release() { <-r.tok }
 
 // apply runs one admitted mutation: route the batch's arcs by tail, apply
 // the non-empty sub-batches to their shards concurrently, build the new
-// barrier entry, then maintain the evaluator's standing state over the
-// entry's union and publish the entry in one exclusive window. Caller
-// holds the apply token.
+// barrier entry, then publish the entry and maintain the evaluator's
+// standing state and subscriptions over its union in one exclusive
+// window. Caller holds the apply token.
 func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 	start := time.Now()
 	prev := r.bar.latest()
@@ -340,17 +317,18 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 	sort.Slice(changed, func(a, b int) bool { return changed[a] < changed[b] })
 
 	e := r.newEntry(prev.global+1, vec, snaps, applied)
-	agg := core.BatchReport{BatchEdges: len(batch), Version: e.global, Changed: changed, ChangedSources: len(changed)}
 	publish := func() { r.bar.publish(e) }
+	var agg core.BatchReport
 	switch {
 	case !deletions:
-		agg.StandingStats = r.ev.Inserted(r.current(e), changed, publish)
+		agg = r.ev.Inserted(r.current(e), changed, publish)
 	case len(changed) > 0:
-		agg.StandingStats = r.ev.Deleted(r.current(e), resolved, publish)
+		agg = r.ev.Deleted(r.current(e), resolved, publish)
 	default:
 		r.ev.Stamp(e.global, publish)
 	}
-	agg.StandingElapsed = time.Since(start)
+	agg.StandingElapsed = time.Since(start) - agg.RefreshElapsed
+	agg.BatchEdges, agg.ChangedSources, agg.Version, agg.Changed = len(batch), len(changed), e.global, changed
 	r.cache.Advance(changed, prev.global, e.global)
 	r.met.noteBatch(fan)
 	return agg
@@ -361,20 +339,12 @@ func (r *Router) apply(batch []graph.Edge, deletions bool) core.BatchReport {
 
 // NumVertices reports the union vertex count at the latest global
 // version.
-func (r *Router) NumVertices() int {
-	if r.single() {
-		return r.graphs[0].Acquire().NumVertices()
-	}
-	return r.bar.latest().n
-}
+func (r *Router) NumVertices() int { return r.bar.latest().n }
 
 // NumEdges reports the union arc count at the latest global version.
 // Shards store disjoint arcs — an undirected edge's two arcs on their own
 // tails' shards — so the union count is the sum.
 func (r *Router) NumEdges() int64 {
-	if r.single() {
-		return r.graphs[0].Acquire().NumEdges()
-	}
 	var m int64
 	for _, s := range r.bar.latest().snaps {
 		m += s.NumEdges()
@@ -384,15 +354,10 @@ func (r *Router) NumEdges() int64 {
 
 // Version reports the latest global version (0 before any mutation, +1
 // per admitted apply — the same sequence a single streamgraph emits).
-func (r *Router) Version() uint64 {
-	if r.single() {
-		return r.graphs[0].Acquire().Version()
-	}
-	return r.bar.latest().global
-}
+func (r *Router) Version() uint64 { return r.bar.latest().global }
 
-// Directed reports the logical graph's edge orientation (at S>1 the
-// shards themselves store directed arcs).
+// Directed reports the logical graph's edge orientation (the shards
+// themselves store directed arcs).
 func (r *Router) Directed() bool { return r.directed }
 
 // EnableHistory begins retaining barrier entries for QueryAt: up to
@@ -400,10 +365,6 @@ func (r *Router) Directed() bool { return r.directed }
 // snapshot vector (C-trees only — flat mirrors are pinned, or rebuilt,
 // per query).
 func (r *Router) EnableHistory(capacity int) {
-	if r.single() {
-		r.shards[0].EnableHistory(capacity)
-		return
-	}
 	r.histOn = true
 	r.bar.widen(capacity)
 }
@@ -411,107 +372,61 @@ func (r *Router) EnableHistory(capacity int) {
 // HistoryVersions lists the retained global versions, oldest first (nil
 // when history was never enabled).
 func (r *Router) HistoryVersions() []uint64 {
-	if r.single() {
-		return r.shards[0].HistoryVersions()
-	}
 	if !r.histOn {
 		return nil
 	}
 	return r.bar.versions()
 }
 
-// RecordQueries is core's root-reselection feed. Query recording stays in
-// core.System, so S>1 records nothing and its ReselectRoots re-roots by
-// the top-degree rule.
-func (r *Router) RecordQueries(on bool) {
-	if r.single() {
-		r.shards[0].RecordQueries(on)
-	}
-}
+// RecordQueries turns query-source recording on or off (see
+// core.Evaluator.RecordQueries).
+func (r *Router) RecordQueries(on bool) { r.ev.RecordQueries(on) }
 
-// ReselectRoots re-roots the standing set that bounds the named problem.
-// On a sharded router that is the evaluator's one set, re-rooted over the
-// union of the latest entry's mirrors under the apply token (see
+// ReselectRoots re-roots the standing set that bounds the named problem:
+// the evaluator's one set, re-rooted over the union of the latest entry's
+// mirrors under the apply token from the recorded query distribution (see
 // core.Evaluator.ReselectRoots); without recorded query history the
 // selection is the top-degree rule the roots were chosen by at Enable.
 func (r *Router) ReselectRoots(problem string) error {
-	if r.single() {
-		return r.shards[0].ReselectRoots(problem)
-	}
 	r.tok <- struct{}{}
 	defer r.release()
-	return r.ev.ReselectRoots(problem, func() core.View { return r.current(r.bar.latest()) }, nil)
+	return r.ev.ReselectRoots(problem, func() core.View { return r.current(r.bar.latest()) })
 }
 
 // EnableResultCache turns on the global-version-keyed Δ-result cache.
-func (r *Router) EnableResultCache(entries int) {
-	if r.single() {
-		r.shards[0].EnableResultCache(entries)
-		return
-	}
-	r.cache = core.NewResultCache(entries)
-}
+func (r *Router) EnableResultCache(entries int) { r.cache = core.NewResultCache(entries) }
 
 // CachedQuery serves a cached answer under the stale=ok / min_version
 // policy against the latest global version (see core.System.CachedQuery).
 func (r *Router) CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (*core.QueryResult, uint64, bool) {
-	if r.single() {
-		return r.shards[0].CachedQuery(problem, u, minVersion, staleOK)
-	}
 	return r.cache.Get(problem, u, minVersion, staleOK, r.bar.latest().global)
 }
 
 // CachedQueryAt serves a cached answer whose global version matches
 // exactly.
 func (r *Router) CachedQueryAt(problem string, u graph.VertexID, version uint64) (*core.QueryResult, bool) {
-	if r.single() {
-		return r.shards[0].CachedQueryAt(problem, u, version)
-	}
 	return r.cache.GetAt(problem, u, version)
 }
 
 // ResultCacheMetrics reports cache activity (zero value when disabled).
-func (r *Router) ResultCacheMetrics() core.CacheMetrics {
-	if r.single() {
-		return r.shards[0].ResultCacheMetrics()
-	}
-	return r.cache.Metrics()
-}
+func (r *Router) ResultCacheMetrics() core.CacheMetrics { return r.cache.Metrics() }
 
-// SubscribeCtx registers a standing subscription. Subscriptions push
-// per-batch deltas from inside the writer's refresh window, which on a
-// sharded router would require a cross-shard ordered merge of S
-// independent refresh streams — not yet built, so S>1 reports
-// ErrSubscribeUnsupported and the serving layer degrades to polling.
+// SubscribeCtx registers a subscription answered at the latest global
+// version; the writer refreshes it after every batch that changes the
+// union (see core.Evaluator.SubscribeCtx).
 func (r *Router) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*core.Subscription, error) {
-	if r.single() {
-		return r.shards[0].SubscribeCtx(ctx, problem, u, buffer)
-	}
-	return nil, fmt.Errorf("shard: subscriptions on a %d-shard router: %w", r.s, core.ErrSubscribeUnsupported)
+	return r.ev.SubscribeCtx(ctx, problem, u, buffer, r.pinLatest)
 }
 
-// Unsubscribe closes a subscription (no-op on S>1, which never hands
-// one out).
-func (r *Router) Unsubscribe(sub *core.Subscription) {
-	if r.single() {
-		r.shards[0].Unsubscribe(sub)
-	}
-}
+// Unsubscribe deregisters sub and closes its frame channel. Idempotent.
+func (r *Router) Unsubscribe(sub *core.Subscription) { r.ev.Unsubscribe(sub) }
 
 // Subscribers reports the registered subscription count.
-func (r *Router) Subscribers() int {
-	if r.single() {
-		return r.shards[0].Subscribers()
-	}
-	return 0
-}
+func (r *Router) Subscribers() int { return r.ev.Subscribers() }
 
 // StandingMaintainTime reports the most recent standing re-stabilization
 // wall time for the named problem (see core.Evaluator.MaintainTime).
 func (r *Router) StandingMaintainTime(name string) (time.Duration, error) {
-	if r.single() {
-		return r.shards[0].StandingMaintainTime(name)
-	}
 	return r.ev.MaintainTime(name)
 }
 

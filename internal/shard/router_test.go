@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"tripoline/internal/core"
@@ -178,20 +181,25 @@ func TestEquivalenceDirectedS4(t *testing.T)   { testEquivalence(t, true, 4) }
 func TestEquivalenceUndirectedS4(t *testing.T) { testEquivalence(t, false, 4) }
 func TestEquivalenceDirectedS3(t *testing.T)   { testEquivalence(t, true, 3) }
 
-// TestSingleShardDelegation pins the S=1 fast path: every call routed to
-// the lone core.System, bit-identical results including subscriptions
-// and the Δ-result cache.
-func TestSingleShardDelegation(t *testing.T) {
+// TestSingleShardRunsTheUnion: a one-shard router is the union code over
+// one shard — an undirected graph stored as directed arcs, mirrored by the
+// router — and answers like a lone core.System, the same evaluation and
+// the Δ-result cache included.
+func TestSingleShardRunsTheUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	p := newPair(t, 100, true, 1, []string{"SSSP", "PageRank"})
+	p := newPair(t, 100, false, 1, []string{"SSSP", "PageRank"})
+	if !p.rt.graphs[0].Directed() {
+		t.Fatal("the one shard stores undirected edges; shards store directed arcs")
+	}
 	p.rt.EnableResultCache(16)
 	p.insert(t, randBatch(rng, 100, 150))
 	p.compareQueries(t, "SSSP", []graph.VertexID{5, 50})
-	if _, err := p.rt.Subscribe("SSSP", 5, 1); err != nil {
-		t.Fatalf("S=1 subscribe should delegate: %v", err)
-	}
+	p.compareQueries(t, "PageRank", []graph.VertexID{5})
 	if got := p.rt.Shards(); got != 1 {
 		t.Fatalf("Shards() = %d", got)
+	}
+	if got, want := p.rt.NumEdges(), p.ref.NumEdges(); got != want {
+		t.Fatalf("NumEdges() = %d, reference %d", got, want)
 	}
 	if _, _, ok := p.rt.CachedQuery("SSSP", 5, 0, true); !ok {
 		t.Fatal("S=1 cached query should hit after Query")
@@ -306,15 +314,217 @@ func TestQueryAt(t *testing.T) {
 	}
 }
 
-// TestSubscribeUnsupported pins the S>1 subscription contract.
-func TestSubscribeUnsupported(t *testing.T) {
-	p := newPair(t, 10, true, 2, []string{"BFS"})
-	if _, err := p.rt.Subscribe("BFS", 1, 1); err == nil {
-		t.Fatal("S>1 subscribe should be unsupported")
+// TestSubscriptionsMatchSystem: a router's subscriptions are the
+// evaluator's, so every frame a subscriber receives — the snapshot, then
+// one delta per batch that changes the graph — equals the frame a lone
+// core.System pushes for the same (problem, source), version by version,
+// across insertions, a deletion that trims the standing state and one that
+// removes nothing (no frame on either side), and the batch reports carry
+// the same fan-out.
+func TestSubscriptionsMatchSystem(t *testing.T) {
+	const n = 150
+	problems := []string{"SSSP", "SSWP", "SSNSP", "CC"}
+	for _, c := range []struct {
+		directed bool
+		shards   int
+	}{{true, 3}, {false, 4}, {true, 1}} {
+		t.Run(fmt.Sprintf("directed=%v/S=%d", c.directed, c.shards), func(t *testing.T) {
+			p := newPair(t, n, c.directed, c.shards, problems)
+			rng := rand.New(rand.NewSource(41))
+			first := randBatch(rng, n, 500)
+			p.insert(t, first)
+			type subPair struct{ ref, rt *core.Subscription }
+			var subs []subPair
+			for i, prob := range problems {
+				for _, u := range []graph.VertexID{graph.VertexID(i), 77} {
+					ref, err1 := p.ref.Subscribe(prob, u, 4)
+					rt, err2 := p.rt.Subscribe(prob, u, 4)
+					if err1 != nil || err2 != nil {
+						t.Fatalf("subscribe %s(%d): ref err %v, router err %v", prob, u, err1, err2)
+					}
+					subs = append(subs, subPair{ref, rt})
+				}
+			}
+			if got, want := p.rt.Subscribers(), p.ref.Subscribers(); got != want || got != len(subs) {
+				t.Fatalf("Subscribers() = %d, reference %d, want %d", got, want, len(subs))
+			}
+			// frames requires each pair to hold the same buffered frames: want of
+			// them each, or none.
+			frames := func(what string, want int) {
+				t.Helper()
+				for _, s := range subs {
+					for k := 0; k < want; k++ {
+						rf, gf := <-s.ref.Frames(), <-s.rt.Frames()
+						if !reflect.DeepEqual(rf, gf) {
+							t.Fatalf("%s: %s(%d) frame %+v, reference %+v", what, s.ref.Problem, s.ref.Source, gf, rf)
+						}
+					}
+					if len(s.ref.Frames()) != 0 || len(s.rt.Frames()) != 0 {
+						t.Fatalf("%s: %s(%d) has %d frames left, reference %d", what, s.ref.Problem, s.ref.Source,
+							len(s.rt.Frames()), len(s.ref.Frames()))
+					}
+				}
+			}
+			fanout := func(what string, rr, sr core.BatchReport, sent int) {
+				t.Helper()
+				if rr.Subscribers != sr.Subscribers || rr.FramesSent != sr.FramesSent || rr.FramesDropped != sr.FramesDropped || sr.FramesSent != sent {
+					t.Fatalf("%s: fan-out %d/%d/%d, reference %d/%d/%d, want %d sent", what,
+						sr.Subscribers, sr.FramesSent, sr.FramesDropped, rr.Subscribers, rr.FramesSent, rr.FramesDropped, sent)
+				}
+			}
+			frames("snapshot", 1)
+			for round := 0; round < 2; round++ {
+				batch := randBatch(rng, n+10, 120) // grows the vertex range
+				fanout("insertion", p.ref.ApplyBatch(batch), p.rt.ApplyBatch(batch), len(subs))
+				frames(fmt.Sprintf("insertion %d", round), 1)
+			}
+			fanout("deletion", p.ref.ApplyDeletions(first[:80]), p.rt.ApplyDeletions(first[:80]), len(subs))
+			frames("deletion", 1)
+			absent := []graph.Edge{{Src: n + 50, Dst: n + 51}, {Src: 1, Dst: n + 52}}
+			fanout("no-op deletion", p.ref.ApplyDeletions(absent), p.rt.ApplyDeletions(absent), 0)
+			frames("no-op deletion", 0)
+			batch := randBatch(rng, n, 60)
+			fanout("insertion after", p.ref.ApplyBatch(batch), p.rt.ApplyBatch(batch), len(subs))
+			frames("insertion after the deletions", 1)
+			for _, s := range subs {
+				p.ref.Unsubscribe(s.ref)
+				p.rt.Unsubscribe(s.rt)
+				if _, open := <-s.rt.Frames(); open {
+					t.Fatal("Unsubscribe left the frame channel open")
+				}
+			}
+			if got := p.rt.Subscribers(); got != 0 {
+				t.Fatalf("Subscribers() = %d after unsubscribing all", got)
+			}
+			if _, err := p.rt.Subscribe("Radii", 0, 1); err == nil {
+				t.Fatal("Radii is not one value per vertex: subscribe should fail")
+			}
+		})
 	}
-	if got := p.rt.Subscribers(); got != 0 {
-		t.Fatalf("Subscribers() = %d", got)
+}
+
+// TestSubscriberChurnDuringBatches: subscribers come and go on several
+// goroutines while the router's writer applies batches, so registration,
+// the snapshot's pin and the writer's refresh interleave. Every
+// subscriber's frame-reconstructed answer must be the full evaluation at
+// the version of its last frame.
+func TestSubscriberChurnDuringBatches(t *testing.T) {
+	const n, batches = 120, 24
+	rt := New(n, true, 3, 4)
+	for _, p := range []string{"SSSP", "BFS"} {
+		if err := rt.Enable(p); err != nil {
+			t.Fatal(err)
+		}
 	}
+	rt.EnableHistory(batches + 2)
+	rng := rand.New(rand.NewSource(5))
+	rt.ApplyBatch(randBatch(rng, n, 300))
+	pending := make([][]graph.Edge, batches)
+	for i := range pending {
+		pending[i] = randBatch(rng, n, 30)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, b := range pending {
+			rt.ApplyBatch(b)
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round, stop := 0, false; !stop; round++ {
+				problem := []string{"SSSP", "BFS"}[round%2]
+				src := graph.VertexID((w*31 + round*7) % n)
+				sub, err := rt.Subscribe(problem, src, batches+2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var values []uint64
+				var version uint64
+				apply := func(f core.ResultFrame) {
+					if f.Kind == "snapshot" {
+						values = f.Values
+					}
+					for _, d := range f.Changed {
+						values[d.Vertex] = d.Value
+					}
+					version = f.Version
+				}
+				apply(<-sub.Frames())
+				for k := 0; k < 2 && !stop; k++ {
+					select {
+					case f := <-sub.Frames():
+						apply(f)
+					case <-done:
+						stop = true
+					}
+				}
+				rt.Unsubscribe(sub)
+				for f := range sub.Frames() {
+					apply(f)
+				}
+				want, err := rt.QueryAt(version, problem, src)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(values, want.Values) {
+					t.Errorf("%s(%d): frames reconstruct a wrong answer at v%d", problem, src, version)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := rt.Subscribers(); got != 0 {
+		t.Fatalf("Subscribers() = %d after every subscriber left", got)
+	}
+}
+
+// TestReselectFollowsRecordedQueries: query recording is the evaluator's,
+// so after the same recorded hot queries RecordQueries+ReselectRoots
+// re-roots a 4-shard router onto the roots a one-shard router picks — not
+// the top-degree roots they started from — and evaluates like a lone
+// core.System re-rooted the same way.
+func TestReselectFollowsRecordedQueries(t *testing.T) {
+	const n = 150
+	p := newPair(t, n, false, 4, []string{"SSSP"})
+	one := New(n, false, 1, 4)
+	if err := one.Enable("SSSP"); err != nil {
+		t.Fatal(err)
+	}
+	batch := randBatch(rand.New(rand.NewSource(13)), n, 600)
+	p.insert(t, batch)
+	one.ApplyBatch(batch)
+	before := append([]graph.VertexID(nil), p.rt.ev.StandingSets()[0].Roots...)
+	backends := []core.Backend{p.ref, one, p.rt}
+	for _, b := range backends {
+		b.RecordQueries(true)
+		for i := 0; i < 100; i++ {
+			if _, err := b.QueryCtx(context.Background(), "SSSP", graph.VertexID(140+i%4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.ReselectRoots("SSSP"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := one.ev.StandingSets()[0].Roots, p.rt.ev.StandingSets()[0].Roots
+	if !slices.Equal(got, want) {
+		t.Fatalf("S=4 reselected roots %v, S=1 %v", got, want)
+	}
+	if slices.Equal(got, before) {
+		t.Fatalf("recorded hot queries did not move the roots %v", before)
+	}
+	// The System's roots are not visible here; its evaluation is: the same
+	// root slot and bound for every source.
+	p.compareQueries(t, "SSSP", []graph.VertexID{140, 141, 3, 99})
 }
 
 // TestShardedRunsTheSingleEvaluation: with one worker the engine is
@@ -407,7 +617,7 @@ func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
 	p.compareQueries(t, "SSSP", []graph.VertexID{u, 3, 150})
 }
 
-// TestWriterUnionTransposeMatchesS1: the transpose a directed S>1 router
+// TestWriterUnionTransposeMatchesS1: the transpose a directed router
 // carries from entry to entry — patched with the merged record of the
 // shards a batch reached, rebuilt after a deletion — must be the one a lone
 // System's mirror chain carries, span for span, with the same reversed
@@ -415,10 +625,11 @@ func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
 func TestWriterUnionTransposeMatchesS1(t *testing.T) {
 	const n = 160
 	for _, shards := range []int{3, 4} {
-		one := New(n, true, 1, 4)
+		g := streamgraph.New(n, true)
+		one := core.NewSystem(g, 4)
 		many := New(n, true, shards, 4)
-		for _, rt := range []*Router{one, many} {
-			if err := rt.Enable("SSSP"); err != nil {
+		for _, b := range []core.Backend{one, many} {
+			if err := b.Enable("SSSP"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -434,7 +645,7 @@ func TestWriterUnionTransposeMatchesS1(t *testing.T) {
 				many.ApplyDeletions(del)
 				what += " and a deletion"
 			}
-			want := one.graphs[0].Acquire().Flatten().Transposed()
+			want := g.Acquire().Flatten().Transposed()
 			got := many.current(many.bar.latest()).Transposed()
 			requireSameView(t, what, got, want)
 		}

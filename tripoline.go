@@ -209,10 +209,10 @@ func WithResultCache(entries int) Option {
 // snapshot barrier (internal/shard). Batches are applied to the shards in
 // parallel; queries are evaluated once, over the union of the shards'
 // mirrors, by the same evaluation and the same K standing roots an
-// unsharded system uses, so they return exactly its answers. s <= 1 is
-// the plain unsharded system. With s > 1, Subscribe is unsupported
-// (ErrSubscribeUnsupported) and the Graph passed to NewSystem is only
-// the construction-time source of edges — stream further updates through
+// unsharded system uses, so they return exactly its answers, and
+// subscriptions push exactly its frames. s <= 1 is the plain unsharded
+// system. With s > 1 the Graph passed to NewSystem is only the
+// construction-time source of edges — stream further updates through
 // System.ApplyBatch, not Graph.InsertEdges.
 func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }

@@ -2,6 +2,7 @@ package tripoline_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tripoline"
@@ -62,8 +63,31 @@ func TestFacadeSharded(t *testing.T) {
 		}
 	}
 
-	if _, err := sh.Subscribe("SSSP", 0, 0); !errors.Is(err, tripoline.ErrSubscribeUnsupported) {
-		t.Fatalf("Subscribe on sharded system: %v, want ErrSubscribeUnsupported", err)
+	// Subscriptions work at every shard count: the sharded system's frames
+	// are the unsharded one's.
+	rsub, err := ref.Subscribe("SSSP", 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssub, err := sh.Subscribe("SSSP", 7, 0)
+	if err != nil {
+		t.Fatalf("Subscribe on sharded system: %v", err)
+	}
+	more := gen.RMAT(gen.Config{Name: "t", LogN: 9, AvgDegree: 1, Seed: 12})
+	ref.ApplyBatch(more)
+	sh.ApplyBatch(more)
+	ref.ApplyDeletions(more[:10])
+	sh.ApplyDeletions(more[:10])
+	for _, kind := range []string{"snapshot", "delta", "delta"} {
+		rf, sf := <-rsub.Frames(), <-ssub.Frames()
+		if !reflect.DeepEqual(rf, sf) || sf.Kind != kind {
+			t.Fatalf("sharded %s frame diverges: %+v vs %+v", kind, sf, rf)
+		}
+	}
+	ref.Unsubscribe(rsub)
+	sh.Unsubscribe(ssub)
+	if sh.Subscribers() != 0 {
+		t.Fatalf("Subscribers()=%d after Unsubscribe", sh.Subscribers())
 	}
 	if _, err := sh.Query("SSSP", tripoline.VertexID(1<<30)); !errors.Is(err, tripoline.ErrSourceOutOfRange) {
 		t.Fatalf("out-of-range source: %v", err)
