@@ -33,8 +33,6 @@ import (
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/server"
-	"tripoline/internal/shard"
-	"tripoline/internal/streamgraph"
 )
 
 func main() {
@@ -46,7 +44,7 @@ func main() {
 		scale    = flag.Int("scale", 1, "graph scale factor")
 		probs    = flag.String("problems", "SSWP,SSSP,BFS", "problems to enable")
 		k        = flag.Int("k", 16, "standing queries per problem")
-		shards   = flag.Int("shards", 1, "hash-partitioned shard cores (1 = unsharded)")
+		shards   = flag.Int("shards", 1, "hash-partitioned stores the graph is split across")
 		seed     = flag.Uint64("seed", 42, "seed for synthetic graphs")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables)")
@@ -90,27 +88,19 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight, *queueDepth),
 		server.WithSubscriptionBuffer(*subBuffer),
 	}
-	var be core.Backend
-	if *shards > 1 {
-		r := shard.New(n, directedGraph, *shards, *k)
-		r.ApplyBatch(edges)
-		be = r
-	} else {
-		g := streamgraph.New(n, directedGraph)
-		g.InsertEdges(edges)
-		be = core.NewSystem(g, *k)
-	}
+	sys := core.NewSharded(n, directedGraph, *shards, *k)
+	sys.ApplyBatch(edges)
 	for _, p := range strings.Split(*probs, ",") {
-		if err := be.Enable(p); err != nil {
+		if err := sys.Enable(p); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if *resultCache > 0 {
-		be.EnableResultCache(*resultCache)
+		sys.EnableResultCache(*resultCache)
 	}
 	fmt.Printf("tripoline-server: %d vertices, %d arcs, %d shard(s), problems %v, listening on %s\n",
-		be.NumVertices(), be.NumEdges(), be.Shards(), be.Enabled(), *addr)
-	srv := server.New(be, serverOpts...)
+		sys.NumVertices(), sys.NumEdges(), sys.Shards(), sys.Enabled(), *addr)
+	srv := server.New(sys, serverOpts...)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop admitting (503), let

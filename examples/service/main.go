@@ -24,7 +24,6 @@ import (
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/server"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
@@ -199,21 +198,21 @@ func main() {
 	r.Body.Close()
 
 	// Sharded serving: the same API over four hash-partitioned stores.
-	// Batches land on the shards in parallel; a query is evaluated once
+	// Batches land on the stores in parallel; a query is evaluated once
 	// over the union of their mirrors and returns exactly the answer the
-	// unsharded server gave above, and /v1/stats reports the shard count
+	// one-store server gave above, and /v1/stats reports the store count
 	// plus the tripoline_shard_* batch-split counters.
-	router := shard.New(cfg.N(), false, 4, 8)
-	router.ApplyBatch(edges) // the full edge set in one bulk load
-	if err := router.Enable("SSWP"); err != nil {
+	sharded := core.NewSharded(cfg.N(), false, 4, 8)
+	sharded.ApplyBatch(edges) // the full edge set in one bulk load
+	if err := sharded.Enable("SSWP"); err != nil {
 		log.Fatal(err)
 	}
-	router.ApplyBatch([]graph.Edge{{Src: 123, Dst: 777, W: 200}}) // the chord from above
+	sharded.ApplyBatch([]graph.Edge{{Src: 123, Dst: 777, W: 200}}) // the chord from above
 	lnS, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	apiS := server.New(router, server.WithQueryTimeout(5*time.Second))
+	apiS := server.New(sharded, server.WithQueryTimeout(5*time.Second))
 	srvS := &http.Server{Handler: apiS}
 	go srvS.Serve(lnS)
 	defer srvS.Close()

@@ -118,13 +118,7 @@ func replay(s *Schedule, v variant) *replayResult {
 	if v.corrupt {
 		g.Seam().SetSkewDelta(true)
 	}
-	sys := core.NewSystem(g, replayK)
-	for _, p := range Problems {
-		if err := sys.Enable(p); err != nil {
-			panic("check: enable " + p + ": " + err.Error())
-		}
-	}
-	sys.EnableHistory(historyCap)
+	sys := checked(core.NewSystem(g, replayK))
 	r := &replayer{
 		oracleSet: newOracleSet(g),
 		v:         v, sys: sys, g: g,

@@ -59,8 +59,8 @@ const (
 	// deterministic.
 	OpEvict
 	// OpDenyRetain runs a query with Flat.Retain forced to fail, driving
-	// the reader down core.PinMirror's build-on-miss path: it evaluates
-	// over a private mirror it builds and frees.
+	// the reader down core's build-on-miss path: it evaluates over a
+	// private mirror it builds and frees.
 	OpDenyRetain
 
 	numOpKinds

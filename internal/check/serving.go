@@ -20,9 +20,9 @@ import (
 // version is — so every observable is verified against the from-scratch
 // CSR oracle at its reported version, and cached copies are additionally
 // required to be bit-identical to the evaluation that produced them. The
-// system under test is any core.Backend — a core.System, or a shard.Router
-// at any shard count — so the oracle reads a reference streamgraph fed the
-// same mutations, never the system's own store.
+// system under test is a System at any store count, so the oracle reads a
+// reference streamgraph fed the same mutations, never the system's own
+// stores.
 //
 // Subscribers here are synchronous: large buffers, drained after every
 // op. That removes the (legitimate, tested elsewhere) lossy-delivery
@@ -69,7 +69,7 @@ type servingReplayer struct {
 	// oracleSet reads g, the reference graph: fed every mutation the
 	// system under test applies.
 	*oracleSet
-	sys     core.Backend
+	sys     *core.System
 	g       *streamgraph.Graph
 	rng     *xrand.RNG
 	clients []*servingClient
@@ -77,10 +77,10 @@ type servingReplayer struct {
 }
 
 // CheckServingSchedule replays the schedule once through sys — a fresh
-// newBackend, to which it adds the result cache — under ctx, with
+// checked System, to which it adds the result cache — under ctx, with
 // subscribers churning, verifying every cached answer and every applied
 // frame against the oracle at its reported version.
-func CheckServingSchedule(ctx context.Context, s *Schedule, sys core.Backend) ServingVerdict {
+func CheckServingSchedule(ctx context.Context, s *Schedule, sys *core.System) ServingVerdict {
 	sys.EnableResultCache(servingCacheEntries)
 	g := streamgraph.New(s.N, false)
 	r := &servingReplayer{
@@ -336,12 +336,12 @@ type ServingSummary struct {
 // RunServingMany generates and serving-checks n schedules with the same
 // per-schedule seed derivation as RunMany, so the two checkers cover the
 // identical workloads through different surfaces. Each schedule runs
-// through a newBackend with the given shard count, under ctx.
+// through a System split across the given number of stores, under ctx.
 func RunServingMany(ctx context.Context, n int, seed uint64, shards int, onVerdict func(int, ServingVerdict)) ServingSummary {
 	sum := ServingSummary{Schedules: n, Seed: seed}
 	for i := 0; i < n; i++ {
 		s := Generate(Params{Seed: xrand.Hash64(seed + uint64(i))})
-		verdict := CheckServingSchedule(ctx, s, newBackend(s.N, shards))
+		verdict := CheckServingSchedule(ctx, s, newSharded(s.N, shards))
 		sum.CacheHits += verdict.CacheHits
 		sum.Frames += verdict.Frames
 		sum.Subscriptions += verdict.Subscriptions

@@ -9,59 +9,52 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 	"tripoline/internal/xrand"
 )
 
-// Sharded replay: the same generated schedules driven through the serving
-// surface (core.Backend), replayed twice — once through a plain
-// core.System over the whole graph (the configuration the main checker
-// already validates against the oracle) and once through a shard.Router
-// with S hash-partitioned shards — and diffed observation by observation
-// at the exact version each result reports. The version sequences align
-// by construction (the router publishes global version v+1 for every
-// admitted batch, exactly like an unsharded system), so any mismatch in
-// outcome, version, values, or counts is a router bug: a mis-routed arc, a
-// union view that lost a span, or standing state paired with the wrong
-// barrier entry.
+// Sharded replay: the same generated schedules replayed twice — once
+// through a System over one undirected store (the configuration the main
+// checker already validates against the oracle) and once through a System
+// whose arcs NewSharded splits across S stores — and diffed observation by
+// observation at the exact version each result reports. The version
+// sequences align by construction (every admitted batch publishes version
+// v+1 at any store count), so any mismatch in outcome, version, values,
+// or counts is a bug of the split: a mis-routed arc, a union view that
+// lost a span, or standing state paired with the wrong barrier entry.
 //
-// Fault-seam ops degrade gracefully — the router has no streamgraph
-// seam surface, so both replays run OpForceFull as a plain insert, OpEvict
-// as a full query, and OpDenyRetain as a Δ-query; cancellations stay
-// volatile exactly as in the core replayer.
+// Fault-seam ops degrade gracefully — an S-store System's stores expose no
+// streamgraph seam, so both replays run OpForceFull as a plain insert,
+// OpEvict as a full query, and OpDenyRetain as a Δ-query; cancellations
+// stay volatile exactly as in the core replayer.
 
-// newBackend returns the system a schedule is replayed through — a
-// core.System over an undirected graph of n vertices, or an S-shard router
-// over one when shards > 1 — with every checked problem enabled and
-// history on.
-func newBackend(n, shards int) core.Backend {
-	var b core.Backend
-	if shards > 1 {
-		b = shard.New(n, false, shards, replayK)
-	} else {
-		b = core.NewSystem(streamgraph.New(n, false), replayK)
-	}
+// checked enables every checked problem on sys and turns history on.
+func checked(sys *core.System) *core.System {
 	for _, p := range Problems {
-		if err := b.Enable(p); err != nil {
+		if err := sys.Enable(p); err != nil {
 			panic("check: enable " + p + ": " + err.Error())
 		}
 	}
-	b.EnableHistory(historyCap)
-	return b
+	sys.EnableHistory(historyCap)
+	return sys
 }
 
-// shardReplayer drives one backend through a schedule.
+// newSharded returns a checked System over an undirected graph of n
+// vertices split across S stores.
+func newSharded(n, shards int) *core.System {
+	return checked(core.NewSharded(n, false, shards, replayK))
+}
+
+// shardReplayer drives one System through a schedule.
 type shardReplayer struct {
-	rt       core.Backend
+	rt       *core.System
 	res      *replayResult
 	versions []uint64
 }
 
-// replaySharded replays s through a backend with the given shard count
-// (newBackend), under ctx.
-func replaySharded(ctx context.Context, s *Schedule, shards int) *replayResult {
-	r := &shardReplayer{rt: newBackend(s.N, shards), res: &replayResult{}}
+// replaySharded replays s through sys under ctx.
+func replaySharded(ctx context.Context, s *Schedule, sys *core.System) *replayResult {
+	r := &shardReplayer{rt: sys, res: &replayResult{}}
 	r.record()
 	for i, op := range s.Ops {
 		r.step(ctx, i, op)
@@ -190,14 +183,14 @@ func (r *shardReplayer) observe(i int, op Op, probe bool, res *core.QueryResult,
 	r.res.obs = append(r.res.obs, obs)
 }
 
-// CheckShardedSchedule replays one schedule through a core.System and an
-// S-shard router and diffs every non-volatile observation — outcome,
+// CheckShardedSchedule replays one schedule through a one-store System
+// and an S-store one and diffs every non-volatile observation — outcome,
 // reported version, values, counts (PageRank within tolerance, everything
 // else bit for bit).
 func CheckShardedSchedule(ctx context.Context, s *Schedule, shards int) Verdict {
-	base := replaySharded(ctx, s, 1)
+	base := replaySharded(ctx, s, checked(core.NewSystem(streamgraph.New(s.N, false), replayK)))
 	v := Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops), Queries: len(base.obs), Faults: base.faults}
-	shd := replaySharded(ctx, s, shards)
+	shd := replaySharded(ctx, s, newSharded(s.N, shards))
 	reasons := compareObs(base, shd, fmt.Sprintf("sharded-S%d-vs-system", shards), cmpCfg{})
 	if len(reasons) > maxReasons {
 		reasons = reasons[:maxReasons]

@@ -29,8 +29,8 @@ func TestShardedCheckerClean(t *testing.T) {
 func TestShardedCheckerCatchesDivergence(t *testing.T) {
 	a := Generate(Params{Seed: 1})
 	b := Generate(Params{Seed: 2})
-	ra := replaySharded(context.Background(), a, 1)
-	rb := replaySharded(context.Background(), b, 4)
+	ra := replaySharded(context.Background(), a, newSharded(a.N, 1))
+	rb := replaySharded(context.Background(), b, newSharded(b.N, 4))
 	if reasons := compareObs(ra, rb, "selftest", cmpCfg{}); len(reasons) == 0 {
 		t.Fatal("comparing replays of different schedules reported no divergence")
 	}

@@ -1,4 +1,4 @@
-package shard
+package core
 
 import (
 	"sync"
@@ -6,37 +6,36 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-// entry is one published global version: the per-shard version vector it
-// pins and a strong reference to each shard's snapshot at exactly that
-// vector. Snapshots are purely functional, so holding S of them per
-// retained global version costs a few pointers; flat mirrors are NOT
-// pinned here — a query pins its entry's S mirrors once (pin), building
-// its own copy of any that was already retired.
+// entry is one published version: the per-store version vector it pins
+// and a strong reference to each store's snapshot at exactly that vector.
+// Snapshots are purely functional, so holding S of them per retained
+// version costs a few pointers; mirrors are NOT pinned here — a query pins
+// its entry's mirrors once (pin), building its own copy of any that was
+// already retired.
 type entry struct {
 	global uint64
 	vec    []uint64
 	snaps  []*streamgraph.Snapshot
-	// applied marks the shards whose sub-batch produced this entry (their
+	// applied marks the stores whose sub-batch produced this entry (their
 	// snapshots are new in it); the others carry over from the entry
 	// before.
 	applied []bool
-	// n is the union vertex count — the max over snaps (shards can
-	// disagree after an insertion grew only the shards its arcs reached).
+	// n is the vertex count — the max over snaps (stores can disagree
+	// after an insertion grew only the stores its arcs reached).
 	n int
-	// owner maps every vertex below n to the shard that stores its
-	// out-arcs (the router's table, which only ever grows).
+	// owner maps every vertex below n to the store that holds its
+	// out-arcs (the System's table, which only ever grows).
 	owner []uint8
 }
 
-// barrier is the versioned cross-shard snapshot barrier: a ring of
-// published global versions, newest last. Capacity 1 retains only the
-// latest vector (the live serving state); EnableHistory widens the ring
-// so QueryAt can address older global versions, making the ring double
-// as the router's history window.
+// barrier is the versioned snapshot barrier: a ring of published
+// entries, newest last. Capacity 1 retains only the latest (the live
+// serving state); EnableHistory widens the ring so QueryAt can address
+// older versions, making the ring double as the System's history window.
 //
 // The lock protects only the ring bookkeeping — no barrier method blocks
-// or calls into a shard while holding it (the lockscope analyzer checks
-// this for the whole package).
+// or calls out while holding it (the lockscope analyzer checks this for
+// the whole package).
 type barrier struct {
 	mu      sync.RWMutex
 	cap     int
@@ -47,14 +46,10 @@ func newBarrier(first *entry) *barrier {
 	return &barrier{cap: 1, entries: []*entry{first}}
 }
 
-// widen grows the retention window to capacity entries (never shrinks
-// below 1).
+// widen sets the retention window to capacity entries (never below 1).
 func (b *barrier) widen(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
 	b.mu.Lock()
-	b.cap = capacity
+	b.cap = max(capacity, 1)
 	b.trimLocked()
 	b.mu.Unlock()
 }
@@ -68,8 +63,8 @@ func (b *barrier) latest() *entry {
 	return e
 }
 
-// at returns the entry published for the given global version, or false
-// when it was never published or already fell out of the ring.
+// at returns the entry published for the given version, or false when it
+// was never published or already fell out of the ring.
 func (b *barrier) at(global uint64) (*entry, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -81,7 +76,7 @@ func (b *barrier) at(global uint64) (*entry, bool) {
 	return nil, false
 }
 
-// versions lists the retained global versions in ascending order.
+// versions lists the retained versions in ascending order.
 func (b *barrier) versions() []uint64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -92,7 +87,7 @@ func (b *barrier) versions() []uint64 {
 	return out
 }
 
-// publish appends a new entry (its global must exceed the newest) and
+// publish appends a new entry (its version must exceed the newest) and
 // evicts the oldest entries beyond the ring capacity.
 func (b *barrier) publish(e *entry) {
 	b.mu.Lock()
@@ -105,9 +100,7 @@ func (b *barrier) trimLocked() {
 	if drop := len(b.entries) - b.cap; drop > 0 {
 		// Clear the evicted slots so the snapshots they pinned can be
 		// collected even while the backing array is reused.
-		for i := 0; i < drop; i++ {
-			b.entries[i] = nil
-		}
+		clear(b.entries[:drop])
 		b.entries = append(b.entries[:0], b.entries[drop:]...)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Δ-result cache: answers to user queries, keyed by (problem, source)
-// and stamped with the version they were computed at — a snapshot
-// version under a System, a barrier global version under a shard.Router.
+// and stamped with the version they were computed at — the barrier
+// entry's version, the System's Version.
 // The cache never reads a version itself; its owner passes the current
 // one to Get and the superseded/new pair to Advance. It leans on two
 // properties of the system:
@@ -61,7 +61,7 @@ type cacheEntry struct {
 	batchStamp uint64
 }
 
-// ResultCache is the LRU Δ-result cache, one per backend. A nil
+// ResultCache is the LRU Δ-result cache, one per System. A nil
 // *ResultCache is a valid disabled cache: Put and Advance do nothing,
 // lookups miss without counting, Metrics reports the zero value.
 type ResultCache struct {

@@ -1,4 +1,4 @@
-package shard
+package core_test
 
 import (
 	"context"
@@ -11,19 +11,19 @@ import (
 	"tripoline/internal/graph"
 )
 
-// BenchmarkShardedCC prices connected components on a 4-shard router — the
+// BenchmarkShardedCC prices connected components on a 4-store System — the
 // traffic no benchmark/ workload enables: a from-scratch evaluation on the
 // query path, the re-evaluation the apply path runs after a deletion batch,
 // and the resume after a 1k-edge insert batch. The apply rows report the
-// router's own CC pass (StandingMaintainTime) as cc-ms/op next to the whole
+// System's own CC pass (StandingMaintainTime) as cc-ms/op next to the whole
 // mutation's ns/op; the inverse mutation between iterations is not timed.
 func BenchmarkShardedCC(b *testing.B) {
 	for _, directed := range []bool{true, false} {
 		cfg := gen.Config{Name: "bench", LogN: 15, AvgDegree: 16, Directed: directed, Seed: 11}
 		edges := gen.RMAT(cfg)
 		cut := len(edges) - 1000
-		build := func(b *testing.B, preload []graph.Edge) *Router {
-			r := New(cfg.N(), directed, 4, 16)
+		build := func(b *testing.B, preload []graph.Edge) *core.System {
+			r := core.NewSharded(cfg.N(), directed, 4, 16)
 			if err := r.Enable("CC"); err != nil {
 				b.Fatal(err)
 			}
@@ -32,7 +32,7 @@ func BenchmarkShardedCC(b *testing.B) {
 			return r
 		}
 		// mutate times do, reports the CC pass it triggered, and undoes it.
-		mutate := func(b *testing.B, r *Router, do, undo func([]graph.Edge) core.BatchReport) {
+		mutate := func(b *testing.B, r *core.System, do, undo func([]graph.Edge) core.BatchReport) {
 			var cc time.Duration
 			for i := 0; i < b.N; i++ {
 				do(edges[cut:])

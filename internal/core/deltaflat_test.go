@@ -97,10 +97,10 @@ func TestSystemDeltaMirrorEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if n := delta.G.MirrorMetrics().DeltaBuilds.Value(); n < 4 {
+	if n := delta.stores[0].g.MirrorMetrics().DeltaBuilds.Value(); n < 4 {
 		t.Fatalf("delta system took the delta path %d times, want ≥ 4", n)
 	}
-	if n := full.G.MirrorMetrics().DeltaBuilds.Value(); n != 0 {
+	if n := full.stores[0].g.MirrorMetrics().DeltaBuilds.Value(); n != 0 {
 		t.Fatalf("force-full system took the delta path %d times", n)
 	}
 }

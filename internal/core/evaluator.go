@@ -13,31 +13,22 @@ import (
 	"tripoline/internal/triangle"
 )
 
-// View is what an Evaluator evaluates over: the flat adjacency of one
-// version of the graph. A System's *streamgraph.Flat mirror is one; the
-// shard router's union of its shards' pinned mirrors is another.
-type View interface {
-	engine.ArcView
-	engine.Versioned
-}
-
 // Pin returns a view of the latest version, pinned, and the release of
-// that pin. An Evaluator calls it under its shared lock (pinShared), so the
-// view and the standing state it Δ-initializes from describe the same
-// version; it must not call back into the Evaluator.
+// that pin. The evaluator calls it under its shared lock (pinShared), so
+// the view and the standing state it Δ-initializes from describe the same
+// version; it must not call back into the evaluator.
 type Pin func() (View, func())
 
-// Evaluator is the part of a Tripoline instance that evaluates: the
-// enabled problems (problems.go), one standing set per distinct engine
-// problem they evaluate and the maintained answers of PageRank and CC, the
-// lock that pairs all of them with the version they converged on, their
-// maintenance after each mutation, the Δ-based, batched and full
-// evaluations of user queries, the subscriptions refreshed after each
-// mutation (subscribe.go) and the recorded query sources root reselection
-// reads (reselect.go). It owns no graph: it evaluates over the View its
-// owner hands it — a System over its flat mirror, the shard router over
-// the union of its shards' mirrors — so both run one evaluation.
-type Evaluator struct {
+// evaluator is the part of a System that evaluates: the enabled problems
+// (problems.go), one standing set per distinct engine problem they
+// evaluate and the maintained answers of PageRank and CC, the lock that
+// pairs all of them with the version they converged on, their maintenance
+// after each mutation, the Δ-based, batched and full evaluations of user
+// queries, the subscriptions refreshed after each mutation (subscribe.go)
+// and the recorded query sources root reselection reads (reselect.go). It
+// owns no graph: it evaluates over the View of a barrier entry its System
+// hands it (view.go).
+type evaluator struct {
 	k        int
 	directed bool
 	// mu pairs the standing state with a version. A writer holds it
@@ -72,10 +63,10 @@ type Evaluator struct {
 	subSeq uint64
 }
 
-// NewEvaluator returns an evaluator with k standing queries per standing
+// newEvaluator returns an evaluator with k standing queries per standing
 // set (clamped to [1, 64]; 0 selects DefaultK) over a graph of the given
 // orientation.
-func NewEvaluator(k int, directed bool) *Evaluator {
+func newEvaluator(k int, directed bool) *evaluator {
 	if k == 0 {
 		k = DefaultK
 	}
@@ -85,7 +76,7 @@ func NewEvaluator(k int, directed bool) *Evaluator {
 	if k > 64 {
 		k = 64
 	}
-	return &Evaluator{k: k, directed: directed, problems: make(map[string]*problem)}
+	return &evaluator{k: k, directed: directed, problems: make(map[string]*problem)}
 }
 
 // TopDegreeRoots returns the top-k out-degree vertices of g — the
@@ -129,7 +120,7 @@ type problem struct {
 // BFS's, in whichever order they are enabled; a Base-less problem's answer
 // is evaluated whole. Enable is setup-phase API: it is not synchronized
 // against mutations or queries.
-func (ev *Evaluator) Enable(def ProblemDef, g View) error {
+func (ev *evaluator) Enable(def ProblemDef, g View) error {
 	if _, dup := ev.problems[def.Name]; dup {
 		return fmt.Errorf("core: problem %s already enabled", def.Name)
 	}
@@ -147,7 +138,7 @@ func (ev *Evaluator) Enable(def ProblemDef, g View) error {
 }
 
 // setFor returns the standing set maintained for the named Base, or nil.
-func (ev *Evaluator) setFor(base string) *standing.Manager {
+func (ev *evaluator) setFor(base string) *standing.Manager {
 	for _, set := range ev.sets {
 		if set.Problem.Name() == base {
 			return set
@@ -157,14 +148,10 @@ func (ev *Evaluator) setFor(base string) *standing.Manager {
 }
 
 // Enabled lists enabled problems in enable order.
-func (ev *Evaluator) Enabled() []string { return append([]string(nil), ev.order...) }
-
-// StandingSets returns the standing sets in creation order, so tests and
-// checkers can assert on the managers' own counters and versions.
-func (ev *Evaluator) StandingSets() []*standing.Manager { return ev.sets }
+func (ev *evaluator) Enabled() []string { return append([]string(nil), ev.order...) }
 
 // lookup resolves an enabled problem.
-func (ev *Evaluator) lookup(name string) (*problem, error) {
+func (ev *evaluator) lookup(name string) (*problem, error) {
 	pr, ok := ev.problems[name]
 	if !ok {
 		return nil, fmt.Errorf("core: problem %q not enabled: %w", name, ErrUnknownProblem)
@@ -185,51 +172,22 @@ func sourceInRange(u graph.VertexID, n int, version uint64) error {
 // ---------------------------------------------------------------------
 // Maintenance: the writer's side of mu.
 
-// Inserted calls publish, then maintains every standing set and maintained
-// answer onto g, the version an insertion batch produced from the one they
-// stand on (changed lists the sources whose adjacency changed, sorted),
-// and refreshes the subscriptions on it — all under the exclusive lock, so
-// no reader pins the new version before the state that bounds it. publish
-// must not block or call back into the Evaluator. It is the shard router's
-// writer window; a System, whose publish is the insertion that yields g,
-// holds the lock itself around the same steps. The report carries the
+// inserted, deleted and stamp are the maintenance steps of the writer's
+// exclusive window (System.publish), which holds mu: inserted maintains
+// every standing set and maintained answer onto g, the version an
+// insertion batch produced from the one they stand on (changed lists the
+// sources whose adjacency changed, sorted); deleted does so after a
+// deletion batch that removed arcs (deleted lists the requested edges at
+// the weights the graph stored for them); stamp records the version of a
+// deletion batch that removed nothing — the graph is the one the state
+// already stands on, so no view of it is needed and the maintained answers
+// keep the version they converged at. Standing sets resume from the arcs
+// the batch stored, or recover by witness-based trimming (package
+// standing); maintained answers resume after insertions and re-evaluate
+// from scratch after deletions, which is always sound. inserted and
+// deleted then refresh the subscriptions on g; the report carries the
 // maintenance work and the subscription fan-out.
-func (ev *Evaluator) Inserted(g View, changed []graph.VertexID, publish func()) BatchReport {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	publish()
-	return ev.inserted(g, changed)
-}
-
-// Deleted is Inserted for a deletion batch that removed arcs: deleted
-// lists the requested edges at the weights the graph stored for them
-// (ResolveDeletionWeights over the version before).
-func (ev *Evaluator) Deleted(g View, deleted []graph.Edge, publish func()) BatchReport {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	publish()
-	return ev.deleted(g, deleted)
-}
-
-// Stamp is Inserted for a deletion batch that removed nothing: the graph
-// of the new version is the one the state already stands on, so the
-// standing sets only record the version — no view of it is needed — the
-// maintained answers keep the version they converged at, and subscribers
-// have nothing to learn.
-func (ev *Evaluator) Stamp(version uint64, publish func()) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	publish()
-	ev.stamp(version)
-}
-
-// inserted, deleted and stamp are the maintenance steps themselves. The
-// caller holds mu exclusively. Standing sets resume from the arcs the
-// batch stored, or recover by witness-based trimming (package standing);
-// maintained answers resume after insertions and re-evaluate from scratch
-// after deletions, which is always sound. inserted and deleted then
-// refresh the subscriptions on g.
-func (ev *Evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
+func (ev *evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
 	var rep BatchReport
 	for _, set := range ev.sets {
 		rep.StandingStats.Add(set.Update(g, changed))
@@ -241,7 +199,7 @@ func (ev *Evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
 	return rep
 }
 
-func (ev *Evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
+func (ev *evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
 	var rep BatchReport
 	for _, set := range ev.sets {
 		rep.StandingStats.Add(set.UpdateDeletions(g, deleted, !ev.directed))
@@ -253,22 +211,22 @@ func (ev *Evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
 	return rep
 }
 
-func (ev *Evaluator) stamp(version uint64) {
+func (ev *evaluator) stamp(version uint64) {
 	for _, set := range ev.sets {
 		set.StampVersion(version)
 	}
 }
 
 // ReselectRoots re-roots the standing set that bounds the named problem
-// with standing.WeightedRoots over the latest version — blending in the
+// with standing.WeightedRoots over g, the latest version — blending in the
 // recorded query distribution (RecordQueries); without one the selection
-// equals the top-degree rule — then fully evaluates the new roots. latest
-// must return the latest version's view without calling back into the
-// Evaluator; it is called under the exclusive lock, like batch
-// maintenance, because re-rooting rewrites the standing arrays wholesale.
-// The set is what is re-rooted: every enabled problem sharing it (Radii
-// with SSSP, SSNSP with BFS) selects from the new roots afterwards.
-func (ev *Evaluator) ReselectRoots(name string, latest func() View) error {
+// equals the top-degree rule — then fully evaluates the new roots. It
+// holds the exclusive lock, like batch maintenance, because re-rooting
+// rewrites the standing arrays wholesale; the caller keeps g the latest
+// version throughout (the System holds its apply token). The set is what
+// is re-rooted: every enabled problem sharing it (Radii with SSSP, SSNSP
+// with BFS) selects from the new roots afterwards.
+func (ev *evaluator) ReselectRoots(name string, g View) error {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return err
@@ -278,7 +236,6 @@ func (ev *Evaluator) ReselectRoots(name string, latest func() View) error {
 	}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	g := latest()
 	pr.set.Roots = standing.WeightedRoots(g, ev.hist, ev.k)
 	pr.set.Rebuild(g)
 	return nil
@@ -288,7 +245,7 @@ func (ev *Evaluator) ReselectRoots(name string, latest func() View) error {
 // of the standing set that bounds the named problem — the set's, so
 // problems sharing one report the same figure — or of its maintained
 // answer.
-func (ev *Evaluator) MaintainTime(name string) (time.Duration, error) {
+func (ev *evaluator) MaintainTime(name string) (time.Duration, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return 0, err
@@ -311,7 +268,7 @@ func (ev *Evaluator) MaintainTime(name string) (time.Duration, error) {
 // standing arrays are never written by a user query (Δ-initialization
 // only reads them), so cancellation at any point is safe. An answered
 // query's source is recorded (RecordQueries).
-func (ev *Evaluator) Query(ctx context.Context, name string, u graph.VertexID, pin Pin) (*QueryResult, error) {
+func (ev *evaluator) Query(ctx context.Context, name string, u graph.VertexID, pin Pin) (*QueryResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return nil, err
@@ -324,7 +281,7 @@ func (ev *Evaluator) Query(ctx context.Context, name string, u graph.VertexID, p
 	return res, nil
 }
 
-func (ev *Evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, pin Pin) (*QueryResult, error) {
+func (ev *evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, pin Pin) (*QueryResult, error) {
 	if pr.set == nil {
 		// Nothing to cancel.
 		ev.mu.RLock()
@@ -362,7 +319,7 @@ func (ev *Evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, p
 // is the batch-mode coalesced version. One deadline covers the whole batch
 // (it runs under a single combined frontier, so per-query cancellation is
 // not meaningful). Every source of an answered batch is recorded.
-func (ev *Evaluator) QueryMany(ctx context.Context, name string, sources []graph.VertexID, pin Pin) (*MultiResult, error) {
+func (ev *evaluator) QueryMany(ctx context.Context, name string, sources []graph.VertexID, pin Pin) (*MultiResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return nil, err
@@ -405,7 +362,7 @@ func (ev *Evaluator) QueryMany(ctx context.Context, name string, sources []graph
 // compare against, and the only evaluation valid at a version the
 // standing state has moved past — stamped with g's version. The caller
 // pins g.
-func (ev *Evaluator) QueryFull(ctx context.Context, name string, u graph.VertexID, g View) (*QueryResult, error) {
+func (ev *evaluator) QueryFull(ctx context.Context, name string, u graph.VertexID, g View) (*QueryResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return nil, err
@@ -451,7 +408,7 @@ func (pr *problem) queryFull(ctx context.Context, g View, u graph.VertexID) (res
 // state and must not run the engine; the caller runs the engine on the
 // returned (pinned) view after pinShared returns, outside the lock, and
 // releases the view once it has read the answer off it.
-func (ev *Evaluator) pinShared(pin Pin, initFn func(View) error) (View, func(), error) {
+func (ev *evaluator) pinShared(pin Pin, initFn func(View) error) (View, func(), error) {
 	ev.mu.RLock()
 	defer ev.mu.RUnlock()
 	view, release := pin()
@@ -519,7 +476,7 @@ func (q *evaluation) run(ctx context.Context, g engine.ArcView) (err error) {
 // (pinShared), then converge on the pinned view outside it. sourcesOf
 // derives (and validates) the sources from the pinned view. The caller
 // releases the view once it has read the answer off it.
-func (ev *Evaluator) evalDelta(ctx context.Context, set *standing.Manager, pin Pin, sourcesOf func(View) ([]graph.VertexID, error)) (*evaluation, View, func(), error) {
+func (ev *evaluator) evalDelta(ctx context.Context, set *standing.Manager, pin Pin, sourcesOf func(View) ([]graph.VertexID, error)) (*evaluation, View, func(), error) {
 	var q *evaluation
 	view, release, err := ev.pinShared(pin, func(g View) error {
 		sources, err := sourcesOf(g)

@@ -1,6 +1,6 @@
 //go:build tripoline_ledger
 
-package shard
+package core
 
 import (
 	"testing"

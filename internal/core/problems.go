@@ -11,13 +11,12 @@ import (
 	"tripoline/internal/props"
 )
 
-// ProblemDef is what a named problem is — the one place that says so, for
-// core.System and shard.Router alike. A user query of the problem rooted
-// at u is the engine evaluation of Base from Sources(u), Δ-initialized
-// out of the standing set maintained for Base (§4.1: the set supplies the
-// column property(r,·) and the scalar property(u,r), nothing else), and
-// then Answer over the converged values. Problems with the same Base
-// share one standing set.
+// ProblemDef is what a named problem is — the one place that says so. A
+// user query of the problem rooted at u is the engine evaluation of Base
+// from Sources(u), Δ-initialized out of the standing set maintained for
+// Base (§4.1: the set supplies the column property(r,·) and the scalar
+// property(u,r), nothing else), and then Answer over the converged values.
+// Problems with the same Base share one standing set.
 type ProblemDef struct {
 	Name string
 	// Base is the engine.Problem whose standing set bounds the problem and
@@ -132,7 +131,7 @@ func countFinish(ctx context.Context, g engine.View, res *QueryResult) error {
 // handler is a maintained answer: the whole-graph problems (no triangle
 // needed) are kept converged like classic streaming systems keep them, and
 // a query reads the answer off. Maintenance never takes a context — a
-// half-maintained answer would desync from its version. The Evaluator's
+// half-maintained answer would desync from its version. The evaluator's
 // mu guards the state: the writer maintains under the exclusive lock,
 // values is called under either.
 type handler interface {

@@ -13,7 +13,7 @@ import (
 // RecordQueries turns on (or off) query-source recording. While enabled,
 // the source of every answered Query/QueryMany is counted in the histogram
 // ReselectRoots consumes. It is setup-phase API, like Enable.
-func (ev *Evaluator) RecordQueries(on bool) {
+func (ev *evaluator) RecordQueries(on bool) {
 	if on && ev.hist == nil {
 		ev.hist = standing.NewQueryHistogram()
 	}
@@ -22,22 +22,26 @@ func (ev *Evaluator) RecordQueries(on bool) {
 	}
 }
 
-func (ev *Evaluator) observe(u graph.VertexID) {
+func (ev *evaluator) observe(u graph.VertexID) {
 	if ev.hist != nil {
 		ev.hist.Observe(u)
 	}
 }
 
 // RecordQueries turns query-source recording on or off (see
-// Evaluator.RecordQueries).
+// evaluator.RecordQueries).
 func (s *System) RecordQueries(on bool) { s.ev.RecordQueries(on) }
 
 // ReselectRoots re-roots the standing set that bounds the named problem
 // using the recorded query distribution blended with topology
 // (standing.WeightedRoots), then fully evaluates the new roots (see
-// Evaluator.ReselectRoots). It is the periodic adaptation step for
+// evaluator.ReselectRoots). It is the periodic adaptation step for
 // workloads whose query hotspots drift. Without recorded history the
-// selection equals the top-degree rule.
+// selection equals the top-degree rule. Re-rooting rewrites the standing
+// arrays wholesale over the writer's view, so it runs under the apply
+// token, like a batch.
 func (s *System) ReselectRoots(problem string) error {
-	return s.ev.ReselectRoots(problem, func() View { return s.G.Acquire().Flatten() })
+	s.tok <- struct{}{}
+	defer s.release()
+	return s.ev.ReselectRoots(problem, s.current(s.bar.latest()))
 }

@@ -15,11 +15,11 @@ import (
 // it once (the snapshot frame), and from then on every mutation that
 // changes the graph refreshes all subscribed sources and pushes only the
 // changed (vertex, value) pairs as a delta frame. The registry and the
-// refresh belong to the Evaluator, so a System and the shard router — at
-// any shard count — serve subscriptions through the same code.
+// refresh belong to the evaluator, so they work the same at every store
+// count.
 //
 // The refresh runs inside the writer's exclusive mu window, right after
-// standing maintenance (Evaluator.inserted/deleted): the standing arrays
+// standing maintenance (evaluator.inserted/deleted): the standing arrays
 // and the new version describe the same graph there, so each subscribed
 // source gets the same Δ-initialized evaluation a fresh Query would —
 // batched width-K (≤64 sources per fused engine run) instead of
@@ -61,7 +61,7 @@ type ResultFrame struct {
 
 // Subscription is one registered (problem, source) push stream. Frames
 // are delivered on a buffered channel; the channel closes when
-// Unsubscribe is called. All mutable state is owned by the Evaluator
+// Unsubscribe is called. All mutable state is owned by the evaluator
 // (guarded by subMu) — callers only read the identity fields and drain
 // Frames().
 type Subscription struct {
@@ -72,7 +72,7 @@ type Subscription struct {
 	frames chan ResultFrame
 
 	// Baseline: the values the client last received (nil until the
-	// snapshot frame is delivered). Guarded by Evaluator.subMu. The slices
+	// snapshot frame is delivered). Guarded by evaluator.subMu. The slices
 	// are never mutated in place — refresh replaces them wholesale — so
 	// sharing them with delivered frames is safe.
 	baseVals    []uint64
@@ -105,7 +105,7 @@ const DefaultSubscriptionBuffer = 8
 // The caller must eventually call Unsubscribe. Problems whose answer is
 // not one value per vertex (Radii) return an
 // ErrSubscribeUnsupported-wrapping error.
-func (ev *Evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int, pin Pin) (*Subscription, error) {
+func (ev *evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int, pin Pin) (*Subscription, error) {
 	pr, err := ev.lookup(problem)
 	if err != nil {
 		return nil, err
@@ -161,7 +161,7 @@ func (ev *Evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.V
 }
 
 // Unsubscribe deregisters sub and closes its frame channel. Idempotent.
-func (ev *Evaluator) Unsubscribe(sub *Subscription) {
+func (ev *evaluator) Unsubscribe(sub *Subscription) {
 	ev.subMu.Lock()
 	if !sub.closed {
 		sub.closed = true
@@ -172,7 +172,7 @@ func (ev *Evaluator) Unsubscribe(sub *Subscription) {
 }
 
 // Subscribers returns the number of registered subscriptions.
-func (ev *Evaluator) Subscribers() int {
+func (ev *evaluator) Subscribers() int {
 	ev.subMu.Lock()
 	n := len(ev.subs)
 	ev.subMu.Unlock()
@@ -184,7 +184,7 @@ func (ev *Evaluator) Subscribers() int {
 // rep. Writer-side only: the caller holds mu exclusively (lock order mu →
 // subMu), so the standing state is quiescent and refresh reads it without
 // locking.
-func (ev *Evaluator) refreshSubscriptions(view View, rep *BatchReport) {
+func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport) {
 	ev.subMu.Lock()
 	defer ev.subMu.Unlock()
 	rep.Subscribers = len(ev.subs)

@@ -6,9 +6,8 @@ import (
 	"tripoline/internal/graph"
 )
 
-// Non-Ctx sugar: each call is its Ctx form under context.Background().
-// None of these is part of Backend; tests, examples and batch drivers
-// that have no deadline to carry use them.
+// Non-Ctx sugar: each call is its Ctx form under context.Background(),
+// for tests, examples and batch jobs that have no deadline to carry.
 
 // ApplyBatch is ApplyBatchCtx without admission control.
 func (s *System) ApplyBatch(batch []graph.Edge) BatchReport {

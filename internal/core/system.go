@@ -5,7 +5,8 @@
 //
 // The system composes four components, mirroring Figure 10 of the paper:
 //
-//   - the streaming graph engine (package streamgraph, Aspen-like);
+//   - the streaming graph engine (package streamgraph, Aspen-like), run as
+//     S stores behind a versioned snapshot barrier (store.go, barrier.go);
 //   - the standing query evaluation module (package standing), which
 //     incrementally maintains K pre-selected queries per standing set —
 //     one set per distinct engine problem the enabled problems evaluate
@@ -19,20 +20,33 @@
 // standing queries, evaluating user queries — execute exclusively (in
 // series), each internally parallel, exactly the configuration described
 // in §5.
+//
+// One System serves every store count S. NewSystem wraps the caller's
+// streaming graph as the one store; NewSharded builds S directed stores
+// and routes every arc to the store that owns its tail, so writes
+// parallelize across stores while only the arc set is split. Evaluation is
+// never split: one evaluator (evaluator.go) runs over one View of a
+// barrier entry — the store's own mirror at S=1, the union of the stores'
+// mirrors at S>1 (view.go).
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/metrics"
 	"tripoline/internal/streamgraph"
 )
 
 // DefaultK is the default number of standing queries per problem (§6.1).
 const DefaultK = 16
+
+// maxStores bounds the store count: a vertex's owner is one byte.
+const maxStores = 256
 
 // QueryResult reports one user-query evaluation.
 type QueryResult struct {
@@ -58,24 +72,25 @@ type QueryResult struct {
 	// (Eq. 15) on incremental runs from a standing set.
 	StandingSlot int
 	PropUR       uint64
-	// Version is the snapshot version the result is valid for: the pinned
-	// view's version for vertex-specific problems, the version the
-	// standing state last converged at for the whole-graph problems, and
-	// the requested version for QueryAt.
+	// Version is the version the result is valid for: the pinned view's
+	// version for vertex-specific problems, the version the standing state
+	// last converged at for the whole-graph problems, and the requested
+	// version for QueryAt.
 	Version uint64
 }
 
 // BatchReport summarizes one applied update batch.
 type BatchReport struct {
-	BatchEdges      int
-	ChangedSources  int
+	BatchEdges     int
+	ChangedSources int
+	// StandingElapsed is the wall time of the standing maintenance the
+	// batch triggered, subscription refresh excluded.
 	StandingElapsed time.Duration
 	StandingStats   engine.Stats
 	Version         uint64
 	// Changed lists the distinct source vertices whose adjacency changed,
-	// as returned by the streamgraph mutation. The shard router unions
-	// these across shards to drive whole-graph maintenance (CC resumption)
-	// and cache invalidation at the global version.
+	// sorted: what drives whole-graph maintenance (CC resumption) and
+	// cache invalidation.
 	Changed []graph.VertexID
 	// Subscription fan-out for this batch: registered subscribers at
 	// refresh time, frames delivered, frames dropped on full channels,
@@ -86,83 +101,115 @@ type BatchReport struct {
 	RefreshElapsed time.Duration
 }
 
-// System is a Tripoline instance over one streaming graph.
+// System is a Tripoline instance: S graph stores behind a versioned
+// snapshot barrier, and one evaluator over them.
 type System struct {
-	G *streamgraph.Graph
+	directed bool
+	stores   []*store
+	// bar publishes one entry per admitted mutation — every store's
+	// snapshot at one version — and its ring is the history window.
+	bar *barrier
+	// tok serializes mutations (capacity 1): the holder is the only writer
+	// of every store, of the owner table and of tr. Admission honors the
+	// caller's context; once the token is held the mutation always
+	// completes.
+	tok chan struct{}
 	// ev holds the enabled problems, their standing sets and maintained
 	// answers, the subscriptions, the recorded query sources, and the lock
-	// that pairs the standing state with the latest snapshot. The
-	// System publishes every version under ev.mu, before it maintains ev
-	// onto it (so a reader can never pair pre-deletion standing bounds,
-	// possibly too good, with a post-deletion snapshot), and its readers
-	// pin the latest snapshot's mirror under it (pin).
-	ev *Evaluator
-	// history, when non-nil, retains past snapshots for QueryAt
-	// (see EnableHistory).
-	history *streamgraph.History
-	// cur is the snapshot produced by the most recent mutation through
-	// this system (initially the construction-time snapshot). The single
-	// writer uses it to delta-patch the next version's mirror from the
-	// parent's and to retire the parent's slabs afterwards; query paths
-	// never read it.
-	cur *streamgraph.Snapshot
+	// that pairs the standing state with an entry: the writer publishes
+	// every entry under ev.mu before it maintains ev onto it (so a reader
+	// can never pair pre-deletion standing bounds, possibly too good, with
+	// a post-deletion view), and readers pin the latest entry under it.
+	ev *evaluator
+	// tr is the transpose of the union the writer last maintained over
+	// (writerUnion.Transposed), nil until a directed standing set over S>1
+	// stores asks for one; a single store's mirror carries its own. Token
+	// holder only.
+	tr *streamgraph.Flat
+	// owner maps each vertex to the store that holds its out-arcs. The
+	// token holder grows it with the vertex count; entries share it, each
+	// reading only the prefix it covers.
+	owner []uint8
+
+	histOn bool
 	// cache, when non-nil, is the Δ-result cache (see cache.go).
 	cache *ResultCache
+	met   *storeMetrics
 }
 
-// NewSystem wraps a streaming graph. k is the number of standing queries
-// per standing set (clamped to [1, 64]; 0 selects DefaultK).
+// NewSystem wraps a streaming graph, of either orientation, as a System's
+// one store. k is the number of standing queries per standing set
+// (clamped to [1, 64]; 0 selects DefaultK). The System starts at g's
+// version, and since every batch — an empty one included — reaches the
+// one store, g's version advances with the System's: g.Acquire() is always
+// the System's latest version, and g.Seam() reaches the mirrors it
+// evaluates over. Mutate through the System, not through g.
 func NewSystem(g *streamgraph.Graph, k int) *System {
-	return &System{G: g, ev: NewEvaluator(k, g.Directed()), cur: g.Acquire()}
+	return newSystem([]*streamgraph.Graph{g}, g.Directed(), k)
 }
 
-// updateView returns the mirror the standing maintenance that follows an
-// insertion batch evaluates over. It is delta-patched from the parent
-// version's mirror using the batch's changed-source list — O(|changed| +
-// Δdegree + memcpy) instead of a full O(V+E) walk — with a full build when
-// the parent's was never materialized (FlattenFrom itself also falls back
-// if the delta preconditions don't hold, e.g. after out-of-band
-// mutations). Writer-side only: query paths pin (PinMirror).
-func updateView(parent, snap *streamgraph.Snapshot, changed []graph.VertexID) *streamgraph.Flat {
-	if parent != nil {
-		if pf := parent.BuiltFlat(); pf != nil {
-			return snap.FlattenFrom(pf, changed)
-		}
+// NewSharded builds a System over n vertices whose arcs are split by tail
+// across S fresh stores (shards < 1 is treated as 1, and shards > 256 as
+// 256). The stores hold directed arcs whatever the graph's orientation:
+// the writer mirrors an undirected edge into its two arcs before routing
+// them. Versions start at 0.
+func NewSharded(n int, directed bool, shards, k int) *System {
+	graphs := make([]*streamgraph.Graph, min(max(shards, 1), maxStores))
+	for i := range graphs {
+		graphs[i] = streamgraph.New(n, true)
 	}
-	return snap.Flatten()
+	return newSystem(graphs, directed, k)
 }
 
-// PinMirror is the view contract's read side, the one way a reader gets
-// something to evaluate over: the C-tree snapshot is the store, its flat
-// mirror is what is evaluated, and a pin is retain-or-build. The snapshot's
-// shared mirror (built on first use) is retained so a writer retiring it
-// mid-query cannot recycle the slabs under the reader; when it can no
-// longer be retained — a batch or a history eviction retired and drained
-// it — the reader builds a mirror of its own, which the release frees.
-// Either way the view is exactly snap's version.
-func PinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, func()) {
-	if f := snap.Flatten(); f.Retain() {
-		return f, f.Release
+func newSystem(graphs []*streamgraph.Graph, directed bool, k int) *System {
+	s := &System{directed: directed, tok: make(chan struct{}, 1), ev: newEvaluator(k, directed)}
+	snaps := make([]*streamgraph.Snapshot, len(graphs))
+	vec := make([]uint64, len(graphs))
+	for i, g := range graphs {
+		snaps[i] = g.Acquire()
+		vec[i] = snaps[i].Version()
+		s.stores = append(s.stores, &store{g: g, cur: snaps[i]})
 	}
-	f := snap.MaterializeFlat()
-	return f, f.Release
+	s.bar = newBarrier(s.newEntry(slices.Max(vec), vec, snaps, make([]bool, len(graphs))))
+	return s
 }
 
-// pin is the System's Pin: the latest snapshot's mirror, pinned.
-func (s *System) pin() (View, func()) {
-	view, release := PinMirror(s.G.Acquire())
-	return view, release
+// Partition serves g's current graph from S stores. At S ≤ 1 the one
+// store is g itself (NewSystem). At S > 1, g's edges are loaded into
+// NewSharded's stores as one batch — version 1, or 0 for an empty graph —
+// and g is left behind.
+func Partition(g *streamgraph.Graph, shards, k int) *System {
+	if shards <= 1 {
+		return NewSystem(g, k)
+	}
+	snap := g.Acquire()
+	s := NewSharded(snap.NumVertices(), g.Directed(), shards, k)
+	var edges []graph.Edge
+	for v := range snap.NumVertices() {
+		u := graph.VertexID(v)
+		snap.ForEachOut(u, func(dst graph.VertexID, w graph.Weight) {
+			// An undirected snapshot stores both arcs of each edge (a
+			// self-loop once); the writer mirrors each edge itself.
+			if g.Directed() || dst >= u {
+				edges = append(edges, graph.Edge{Src: u, Dst: dst, W: w})
+			}
+		})
+	}
+	if len(edges) > 0 {
+		s.ApplyBatch(edges)
+	}
+	return s
 }
 
 // Enable sets up the named problem ("BFS", "SSSP", "SSWP", "SSNP",
 // "Viterbi", "SSR", "Radii", "SSNSP", "PageRank", "CC" — see
-// LookupProblem) on the current snapshot (see Evaluator.Enable).
+// LookupProblem) over the latest version (see evaluator.Enable).
 func (s *System) Enable(name string) error {
 	def, ok := LookupProblem(name)
 	if !ok {
 		return fmt.Errorf("core: unknown problem %q: %w", name, ErrUnknownProblem)
 	}
-	return s.enable(def)
+	return s.ev.Enable(def, s.current(s.bar.latest()))
 }
 
 // EnableCustom sets up standing queries for a user-defined problem: any
@@ -177,80 +224,15 @@ func (s *System) EnableCustom(p engine.Problem) error {
 	if err != nil {
 		return err
 	}
-	return s.enable(def)
-}
-
-func (s *System) enable(def ProblemDef) error {
-	snap := s.G.Acquire()
-	if err := s.ev.Enable(def, snap.Flatten()); err != nil {
-		return err
-	}
-	// The enable-time snapshot becomes the delta-patch parent of the
-	// first batch.
-	s.cur = snap
-	return nil
+	return s.ev.Enable(def, s.current(s.bar.latest()))
 }
 
 // Enabled lists enabled problems in enable order.
 func (s *System) Enabled() []string { return s.ev.Enabled() }
 
-// ApplyBatchCtx inserts an edge batch into the streaming graph and
-// incrementally re-stabilizes every enabled standing query. Admission is
-// context-based: a context that is already canceled (or past its
-// deadline) rejects the batch before any mutation, returning an ErrCanceled-wrapping error. Once the
-// insertion begins the batch always runs to completion, standing
-// maintenance included — honoring cancellation mid-maintenance would
-// leave some problems' standing state stale relative to the new snapshot
-// version and silently shrink every later query's Δ warm start, so the
-// update path trades cancellation granularity for an invariant: standing
-// state is always converged for the version it is paired with.
-func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchReport, error) {
-	if err := ctx.Err(); err != nil {
-		return BatchReport{}, &engine.CanceledError{Cause: err}
-	}
-	// Exclusive from before the snapshot is published until maintenance
-	// finishes: no reader may Δ-initialize from standing state that is
-	// mid-rewrite or paired with the wrong version.
-	s.ev.mu.Lock()
-	defer s.ev.mu.Unlock()
-	parent := s.cur
-	snap, changed := s.G.InsertEdges(batch)
-	start := time.Now()
-	rep := s.ev.inserted(updateView(parent, snap, changed), changed)
-	s.finish(&rep, start, batch, parent, snap, changed)
-	return rep, nil
-}
-
-// finish completes a mutation's report — the batch, the new version, the
-// changed sources, and the standing time since start, subscription
-// refresh excluded — and makes snap the system's current version: the
-// cache advances to it, the parent's mirror (if any) is retired so its
-// slabs recycle into future builds — queries that pinned it keep it alive
-// until they release — and history, when enabled, records snap.
-func (s *System) finish(rep *BatchReport, start time.Time, batch []graph.Edge, parent, snap *streamgraph.Snapshot, changed []graph.VertexID) {
-	rep.StandingElapsed = time.Since(start) - rep.RefreshElapsed
-	rep.BatchEdges, rep.ChangedSources, rep.Version, rep.Changed = len(batch), len(changed), snap.Version(), changed
-	s.cache.Advance(changed, prevVersion(parent, snap), snap.Version())
-	s.cur = snap
-	if parent != nil && parent != snap {
-		parent.RetireFlat()
-	}
-	s.recordHistory()
-}
-
-// prevVersion is the version a mutation superseded. Without a parent
-// snapshot (nothing enabled yet) it degenerates to the new version,
-// which disables cache re-stamping — there is nothing cached to re-stamp.
-func prevVersion(parent, snap *streamgraph.Snapshot) uint64 {
-	if parent == nil {
-		return snap.Version()
-	}
-	return parent.Version()
-}
-
 // StandingMaintainTime returns the wall time of the most recent
 // (re-)evaluation of the standing set that bounds the named problem, or
-// of its maintained answer (see Evaluator.MaintainTime).
+// of its maintained answer (see evaluator.MaintainTime).
 func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
 	return s.ev.MaintainTime(name)
 }
@@ -259,9 +241,9 @@ func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
 // under cooperative cancellation: the engine checks ctx at every
 // superstep boundary, so a deadline or a dropped client stops the
 // convergence loop promptly and the call returns an ErrCanceled-wrapping
-// error (see Evaluator.Query).
+// error (see evaluator.Query).
 func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
-	res, err := s.ev.Query(ctx, name, u, s.pin)
+	res, err := s.ev.Query(ctx, name, u, s.pinLatest)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +255,121 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 // (non-incremental) evaluation — the baseline the paper's speedups
 // compare against — under cooperative cancellation (see QueryCtx).
 func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
-	view, release := PinMirror(s.G.Acquire())
+	view, release := s.pinLatest()
 	defer release()
 	return s.ev.QueryFull(ctx, name, u, view)
 }
+
+// EnableHistory retains up to capacity entries (minimum 1) for QueryAt,
+// the latest included: the evolving-graph analysis scenario of
+// Chronos/GraphTau (§7), nearly free because snapshots are purely
+// functional and an entry holds its snapshots only.
+func (s *System) EnableHistory(capacity int) {
+	s.histOn = true
+	s.bar.widen(capacity)
+}
+
+// HistoryVersions lists the retained versions in ascending order (nil
+// when history is disabled).
+func (s *System) HistoryVersions() []uint64 {
+	if !s.histOn {
+		return nil
+	}
+	return s.bar.versions()
+}
+
+// QueryAtCtx answers a user query against the retained entry with the
+// given version, via full evaluation (evaluator.QueryFull) under
+// cooperative cancellation — historical queries are the most expensive
+// kind, so deadlines matter most here. The standing state tracks only the
+// latest version, so Δ-initialization is not valid against older ones (its
+// bounds could be too good: edges present now may be absent then). The
+// source must be in range for the queried version, which may have fewer
+// vertices than the latest. An older entry's mirrors were retired when the
+// next version's were built, so the query builds, evaluates over and frees
+// mirrors of its own (pin): a one-off O(V+E) build plus a flat run costs
+// less than the same run over the tree did for the weighted problems,
+// somewhat more for BFS (EXPERIMENTS.md "One adjacency path").
+func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
+	if !s.histOn {
+		return nil, fmt.Errorf("core: history not enabled: %w", ErrNoSuchVersion)
+	}
+	e, ok := s.bar.at(version)
+	if !ok {
+		return nil, fmt.Errorf("core: version %d not retained (have %v): %w",
+			version, s.bar.versions(), ErrNoSuchVersion)
+	}
+	view, release := pin(e)
+	defer release()
+	return s.ev.QueryFull(ctx, problem, u, view)
+}
+
+// NumVertices reports the vertex count of the latest version.
+func (s *System) NumVertices() int { return s.bar.latest().n }
+
+// NumEdges reports the arc count of the latest version. Stores hold
+// disjoint arcs, so it is their sum.
+func (s *System) NumEdges() int64 {
+	var m int64
+	for _, snap := range s.bar.latest().snaps {
+		m += snap.NumEdges()
+	}
+	return m
+}
+
+// Version reports the latest version: +1 per admitted mutation.
+func (s *System) Version() uint64 { return s.bar.latest().global }
+
+// Directed reports the graph's edge orientation.
+func (s *System) Directed() bool { return s.directed }
+
+// Shards reports the store count S.
+func (s *System) Shards() int { return len(s.stores) }
+
+// RegisterMetrics registers the System's instruments on reg: the
+// tripoline_shard_* batch-split counters, and the mirror-maintenance
+// counters (delta vs. full builds, bytes copied vs. walked, slab recycler
+// traffic) of every store in one shared block, so they aggregate across
+// stores by construction.
+func (s *System) RegisterMetrics(reg *metrics.Registry) {
+	m := streamgraph.RegisterMirrorMetrics(reg)
+	for _, st := range s.stores {
+		st.g.SetMirrorMetrics(m)
+	}
+	s.met = registerStoreMetrics(reg)
+}
+
+// EnableResultCache turns on the Δ-result cache with the given LRU
+// capacity (entries <= 0 selects DefaultCacheEntries). Every successful
+// QueryCtx answer is cached; CachedQuery serves them under the
+// stale=ok / min_version policy. Enabling must happen before serving
+// starts (it is not synchronized against concurrent queries).
+func (s *System) EnableResultCache(entries int) { s.cache = NewResultCache(entries) }
+
+// CachedQuery serves a cached answer for (problem, u) under the serving
+// policy of ResultCache.Get against the latest version.
+func (s *System) CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (res *QueryResult, staleBatches uint64, ok bool) {
+	return s.cache.Get(problem, u, minVersion, staleOK, s.Version())
+}
+
+// CachedQueryAt serves a cached answer whose version matches exactly.
+func (s *System) CachedQueryAt(problem string, u graph.VertexID, version uint64) (*QueryResult, bool) {
+	return s.cache.GetAt(problem, u, version)
+}
+
+// ResultCacheMetrics reports cache activity (zero value when the cache
+// is disabled).
+func (s *System) ResultCacheMetrics() CacheMetrics { return s.cache.Metrics() }
+
+// SubscribeCtx registers a subscription answered at the latest version;
+// the writer refreshes it after every batch that changes the graph (see
+// evaluator.SubscribeCtx).
+func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*Subscription, error) {
+	return s.ev.SubscribeCtx(ctx, problem, u, buffer, s.pinLatest)
+}
+
+// Unsubscribe deregisters sub and closes its frame channel. Idempotent.
+func (s *System) Unsubscribe(sub *Subscription) { s.ev.Unsubscribe(sub) }
+
+// Subscribers returns the number of registered subscriptions.
+func (s *System) Subscribers() int { return s.ev.Subscribers() }

@@ -227,3 +227,35 @@ func TestDefaultKClamping(t *testing.T) {
 }
 
 func float64FromBits(b uint64) float64 { return math.Float64frombits(b) }
+
+// TestVersionContract: over a System wrapping the caller's graph, every
+// batch — an insertion, the same insertion re-offered (it stores
+// nothing), a deletion, the same deletion again (it removes nothing) and
+// an empty batch of either kind — advances the report's, the System's,
+// the next answer's and the graph's version together, by one. A caller
+// that starts from g.Acquire().Version() and counts batches relies on it.
+// An empty batch reaches the one store, so it, too, advances the graph.
+func TestVersionContract(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		sys, g, edges := buildSystem(t, directed, "SSSP")
+		want := g.Acquire().Version()
+		step := func(what string, rep core.BatchReport) {
+			t.Helper()
+			want++
+			res, err := sys.Query("SSSP", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Version != want || res.Version != want || sys.Version() != want || g.Acquire().Version() != want {
+				t.Fatalf("directed=%v %s: report v%d, answer v%d, system v%d, graph v%d, want v%d",
+					directed, what, rep.Version, res.Version, sys.Version(), g.Acquire().Version(), want)
+			}
+		}
+		step("insertion", sys.ApplyBatch(edges[1000:1100]))
+		step("re-offered insertion", sys.ApplyBatch(edges[1000:1100]))
+		step("deletion", sys.ApplyDeletions(edges[:50]))
+		step("no-op deletion", sys.ApplyDeletions(edges[:50]))
+		step("empty insertion", sys.ApplyBatch(nil))
+		step("empty deletion", sys.ApplyDeletions(nil))
+	}
+}

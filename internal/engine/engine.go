@@ -9,7 +9,7 @@
 // mirror (Transposer). The paper pulls over out-edges alone to save the
 // in-edge index; this implementation keeps the index and pushes instead,
 // because a pull cannot find the tails of an improved head without
-// scanning every arc (DESIGN.md §15 has the measured trade).
+// scanning every arc (DESIGN.md §14 has the measured trade).
 //
 // Vertex values are encoded uint64s (see package props for the encodings).
 // Relaxations use compare-and-swap "improve-or-retry" loops, which is

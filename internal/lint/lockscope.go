@@ -17,14 +17,12 @@ import (
 // turns that serialization into a latent deadlock under the serving
 // layer's concurrency.
 //
-// Scope: packages internal/engine, internal/core, and internal/shard
-// (by import path or package name). The sharded router is in scope
-// because its admission token (a buffered channel) serializes its
-// writers and must never be acquired under a mutex; the lock its writer
-// window and readers share is core.Evaluator's, checked in core. The
-// serving layer is deliberately out of scope — its writeMu exists
-// precisely to serialize ApplyBatch calls, which is this rule's
-// canonical violation everywhere else.
+// Scope: packages internal/engine and internal/core (by import path or
+// package name). In core that covers the evaluator's lock, which the
+// writer's window and the readers share, the barrier's ring lock, and the
+// System's apply token (a buffered channel), which serializes writers and
+// must never be acquired under a mutex. The serving layer is out of scope:
+// it holds no lock across the System's entry points.
 //
 // The analysis is intra-procedural and lexical: a lock is held from
 // x.Lock()/x.RLock() until the matching x.Unlock()/x.RUnlock() in the
@@ -39,12 +37,11 @@ var Lockscope = &Analyzer{
 
 // lockscopeInScope reports whether the package is subject to the rule.
 func lockscopeInScope(pkg *Package) bool {
-	if strings.Contains(pkg.Path, "internal/engine") || strings.Contains(pkg.Path, "internal/core") ||
-		strings.Contains(pkg.Path, "internal/shard") {
+	if strings.Contains(pkg.Path, "internal/engine") || strings.Contains(pkg.Path, "internal/core") {
 		return true
 	}
 	name := pkg.Pkg.Name()
-	return name == "engine" || name == "core" || name == "shard"
+	return name == "engine" || name == "core"
 }
 
 func runLockscope(pass *Pass) {

@@ -8,7 +8,7 @@ import (
 
 // Refbalance enforces the mirror pin protocol interprocedurally: every
 // successful Flat.Retain() and every received release obligation (a
-// release-func result of a summarized call, e.g. core.PinMirror's, which
+// release-func result of a summarized call, e.g. core.pinMirror's, which
 // hands out the mirror it retained — or built, on a miss — with its
 // release) must reach a discharge on all paths out of the function.
 // Recognized discharges:

@@ -9,7 +9,7 @@ import (
 // Interprocedural function summaries. The original five analyzers are
 // intraprocedural (plus ad-hoc wrapper classification in poolbalance);
 // the ownership analyzers refbalance and goroleak need to see *through*
-// calls: core.PinMirror's `return f, f.Release` hands a pin obligation to
+// calls: core.pinMirror's `return f, f.Release` hands a pin obligation to
 // its caller — whether f is the shared mirror it retained or the private
 // one it built on a miss — a callee may discharge one by storing the
 // retained value in a field that a teardown method later Releases
@@ -33,7 +33,7 @@ import (
 //     forever on a channel operation with no escape edge.
 //
 // Summaries are computed to a fixpoint (the module's wrapper chains are
-// shallow — PinMirror → pinShared → queryDelta is the deepest — but the
+// shallow — pinMirror → pin → pinShared is the deepest — but the
 // iteration makes depth a non-issue), and both new analyzers read the
 // same Summaries object, so the two passes agree on what an ownership
 // transfer is.
@@ -479,7 +479,7 @@ func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 	// Per return statement, a release callback among the results is the
 	// whole obligation: marking a co-returned retained value too would
 	// saddle every caller with a phantom second obligation for the value
-	// the callback releases (PinMirror's `return f, f.Release`). Only a
+	// the callback releases (pinMirror's `return f, f.Release`). Only a
 	// return with no callback hands out the retained value itself.
 	changed := false
 	mark := func(positions []int) {

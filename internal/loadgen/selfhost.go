@@ -9,8 +9,6 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/gen"
 	"tripoline/internal/server"
-	"tripoline/internal/shard"
-	"tripoline/internal/streamgraph"
 )
 
 // SelfHostConfig shapes an in-process server: the same construction
@@ -25,7 +23,7 @@ type SelfHostConfig struct {
 	Directed  bool
 	Problems  []string // default SSWP, SSSP, BFS
 	K         int      // standing queries per problem; default 16
-	Shards    int      // 1 = unsharded core.System, >1 = shard.Router
+	Shards    int      // stores the graph is split across; default 1
 	Seed      uint64
 
 	MaxInFlight  int // 0 = unbounded admission
@@ -92,28 +90,20 @@ func SelfHost(cfg SelfHostConfig) (*Target, error) {
 		server.WithMaxInFlight(cfg.MaxInFlight, cfg.QueueDepth),
 		server.WithSubscriptionBuffer(cfg.SubBuffer),
 	}
-	var be core.Backend
-	if cfg.Shards > 1 {
-		r := shard.New(cfg.Vertices, cfg.Directed, cfg.Shards, cfg.K)
-		r.ApplyBatch(edges)
-		be = r
-	} else {
-		g := streamgraph.New(cfg.Vertices, cfg.Directed)
-		g.InsertEdges(edges)
-		be = core.NewSystem(g, cfg.K)
-	}
+	sys := core.NewSharded(cfg.Vertices, cfg.Directed, cfg.Shards, cfg.K)
+	sys.ApplyBatch(edges)
 	for _, p := range cfg.Problems {
-		if err := be.Enable(p); err != nil {
+		if err := sys.Enable(p); err != nil {
 			return nil, fmt.Errorf("loadgen: selfhost: %w", err)
 		}
 	}
 	if cfg.HistoryCapacity > 0 {
-		be.EnableHistory(cfg.HistoryCapacity)
+		sys.EnableHistory(cfg.HistoryCapacity)
 	}
 	if cfg.CacheEntries > 0 {
-		be.EnableResultCache(cfg.CacheEntries)
+		sys.EnableResultCache(cfg.CacheEntries)
 	}
-	srv := server.New(be, opts...)
+	srv := server.New(sys, opts...)
 	ts := httptest.NewServer(srv)
 	return &Target{URL: ts.URL, Shards: cfg.Shards, srv: srv, ts: ts}, nil
 }

@@ -21,14 +21,15 @@ import (
 
 // TestInterleavedWritesAndReads hammers one server with concurrent batch
 // writers, query readers, and a Drain, then audits every successful
-// query after the fact: with history retaining all versions, each
-// response's reported version names the exact graph it was computed
-// against, so a from-scratch oracle on that snapshot must reproduce the
-// values bit for bit. This is the soundness contract of the standing
-// lock (core.System.stMu) made testable — a reader that paired
-// post-batch standing bounds with a pre-batch snapshot (or vice versa)
-// would converge to values no historical graph can explain. Run it with
-// -race for the full effect; it is also what CI does.
+// query after the fact: each response's reported version names the exact
+// graph it was computed against — the initial graph plus the batches that
+// published versions up to it, replayed into a reference graph — so a
+// from-scratch oracle on that graph must reproduce the values bit for
+// bit. This is the soundness contract of the evaluator's lock made
+// testable — a reader that paired post-batch standing bounds with a
+// pre-batch snapshot (or vice versa) would converge to values no
+// historical graph can explain. Run it with -race for the full effect; it
+// is also what CI does.
 func TestInterleavedWritesAndReads(t *testing.T) {
 	const (
 		n       = 64
@@ -37,15 +38,14 @@ func TestInterleavedWritesAndReads(t *testing.T) {
 		readers = 4
 		queries = 25 // per reader
 	)
+	initial := gen.Uniform(n, 3*n, 8, 77)
 	g := streamgraph.New(n, false)
-	g.InsertEdges(gen.Uniform(n, 3*n, 8, 77))
+	g.InsertEdges(initial)
+	base := g.Acquire().Version()
 	sys := core.NewSystem(g, 4)
 	if err := sys.Enable("BFS"); err != nil {
 		t.Fatal(err)
 	}
-	// Retain every version so the audit can reconstruct any graph a
-	// response claims to be about.
-	sys.EnableHistory(1 << 14)
 	srv := server.New(sys)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -59,6 +59,8 @@ func TestInterleavedWritesAndReads(t *testing.T) {
 		mu       sync.Mutex
 		results  []obs
 		failures []string
+		// applied maps each version a batch published to its edges.
+		applied = make(map[uint64][]graph.Edge)
 	)
 	report := func(format string, args ...any) {
 		mu.Lock()
@@ -97,7 +99,13 @@ func TestInterleavedWritesAndReads(t *testing.T) {
 				}
 				// 503 after Drain starts is a legal outcome; anything else
 				// non-200 is not.
-				if code := postJSONCode(t, ts.URL+"/v1/batch", body); code != http.StatusOK && code != http.StatusServiceUnavailable {
+				switch code, version := postBatch(t, ts.URL+"/v1/batch", body); code {
+				case http.StatusOK:
+					mu.Lock()
+					applied[version] = edges
+					mu.Unlock()
+				case http.StatusServiceUnavailable:
+				default:
 					report("writer %d batch %d: status %d", w, b, code)
 				}
 			}
@@ -164,17 +172,22 @@ func TestInterleavedWritesAndReads(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("no successful queries to audit")
 	}
-	// Post-hoc audit: each result against the oracle for its version.
-	csrs := make(map[uint64]*graph.CSR)
+	// Post-hoc audit: each result against the oracle for its version,
+	// whose graph the batches rebuild in version order.
+	ref := streamgraph.New(n, false)
+	ref.InsertEdges(initial)
+	csrs := map[uint64]*graph.CSR{base: ref.Acquire().CSR(false)}
+	for v := base + 1; applied[v] != nil; v++ {
+		snap, _ := ref.InsertEdges(applied[v])
+		csrs[v] = snap.CSR(false)
+	}
+	if len(csrs) != len(applied)+1 {
+		t.Fatalf("batches published versions %d..%d with gaps: %d of %d", base+1, base+uint64(len(applied)), len(csrs)-1, len(applied))
+	}
 	for _, o := range results {
 		csr, ok := csrs[o.version]
 		if !ok {
-			snap, found := sys.HistoryAt(o.version)
-			if !found {
-				t.Fatalf("src %d: reported version %d not in history", o.source, o.version)
-			}
-			csr = snap.CSR(false)
-			csrs[o.version] = csr
+			t.Fatalf("src %d: reported version %d was never published", o.source, o.version)
 		}
 		if len(o.values) != csr.N {
 			t.Fatalf("src %d v=%d: %d values for %d vertices", o.source, o.version, len(o.values), csr.N)
@@ -190,19 +203,27 @@ func TestInterleavedWritesAndReads(t *testing.T) {
 	t.Logf("audited %d successful queries across %d distinct versions", len(results), len(csrs))
 }
 
-// postJSONCode posts without decoding the response (concurrent-safe: no
-// t.Fatal).
-func postJSONCode(t *testing.T, url string, body any) int {
+// postBatch posts a batch and returns the status and the version a
+// successful one published (concurrent-safe: no t.Fatal).
+func postBatch(t *testing.T, url string, body any) (int, uint64) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		t.Error(err)
-		return 0
+		return 0, 0
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Error(err)
-		return 0
+		return 0, 0
 	}
 	defer resp.Body.Close()
-	return resp.StatusCode
+	var rep struct {
+		Version uint64 `json:"version"`
+	}
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+			t.Error(err)
+		}
+	}
+	return resp.StatusCode, rep.Version
 }

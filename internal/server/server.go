@@ -50,24 +50,18 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/graph"
 	"tripoline/internal/metrics"
-	"tripoline/internal/shard"
 )
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) code
 // reported when a query was abandoned because the client went away.
 const StatusClientClosedRequest = 499
 
-// Server is the HTTP front end over one Tripoline backend. Every handler
-// goes through core.Backend, so the endpoints behave identically over
-// one core.System or a shard.Router's S hash-partitioned ones.
+// Server is the HTTP front end over one Tripoline system, at any store
+// count.
 type Server struct {
-	sys core.Backend
+	sys *core.System
 
-	// writeMu serializes graph mutations; queries need no lock (they
-	// operate on acquired snapshots and read-only standing arrays, which
-	// mutate only under writeMu between batches).
-	writeMu sync.Mutex
-	mux     *http.ServeMux
+	mux *http.ServeMux
 
 	queryTimeout time.Duration // per-query deadline; 0 = none
 	writeTimeout time.Duration // per-batch/delete deadline; 0 = none
@@ -138,18 +132,18 @@ func WithSubscriptionBuffer(n int) Option {
 	return func(s *Server) { s.subBuffer = n }
 }
 
-// New serves a backend. The caller keeps ownership: batches may also be
+// New serves a system. The caller keeps ownership: batches may also be
 // applied directly as long as they are not concurrent with ServeHTTP
 // writes (use the server's endpoints once serving).
-func New(be core.Backend, opts ...Option) *Server {
-	s := &Server{sys: be, mux: http.NewServeMux(), drainCh: make(chan struct{})}
+func New(sys *core.System, opts ...Option) *Server {
+	s := &Server{sys: sys, mux: http.NewServeMux(), drainCh: make(chan struct{})}
 	for _, o := range opts {
 		o(s)
 	}
 	if s.met == nil {
 		s.met = newServerMetrics(metrics.NewRegistry())
 	}
-	// The backend's own instruments (mirror maintenance, and a router's
+	// The system's own instruments (mirror maintenance and the
 	// tripoline_shard_* counters) surface in /v1/stats and /v1/metrics.
 	s.sys.RegisterMetrics(s.met.reg)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -163,8 +157,9 @@ func New(be core.Backend, opts ...Option) *Server {
 	return s
 }
 
-// NewSharded is New for a shard.Router.
-func NewSharded(r *shard.Router, opts ...Option) *Server { return New(r, opts...) }
+// NewSharded is New, under the name the benchmark builds its sharded
+// serving stack by.
+func NewSharded(sys *core.System, opts ...Option) *Server { return New(sys, opts...) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -361,10 +356,9 @@ type statsResponse struct {
 	Edges    int64  `json:"edges"`
 	Version  uint64 `json:"version"`
 	Directed bool   `json:"directed"`
-	// Shards is the number of partitioned cores serving this system (1
-	// when unsharded); with shards > 1 the metrics map carries the
-	// tripoline_shard_* counters and the mirror/cache figures aggregate
-	// over all shards.
+	// Shards is the system's store count; the metrics map's
+	// tripoline_shard_* counters and mirror figures aggregate over all
+	// stores.
 	Shards   int            `json:"shards"`
 	Problems []string       `json:"problems"`
 	Metrics  map[string]any `json:"metrics"`
@@ -638,9 +632,7 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 	if !ok {
 		return http.StatusBadRequest
 	}
-	s.writeMu.Lock()
 	rep, err := s.sys.ApplyBatchCtx(ctx, edges)
-	s.writeMu.Unlock()
 	if err != nil {
 		return writeErr(w, statusFor(err), "%v", err)
 	}
@@ -663,9 +655,7 @@ func (s *Server) handleDelete(ctx context.Context, w http.ResponseWriter, r *htt
 	if !ok {
 		return http.StatusBadRequest
 	}
-	s.writeMu.Lock()
 	rep, err := s.sys.ApplyDeletionsCtx(ctx, edges)
-	s.writeMu.Unlock()
 	if err != nil {
 		return writeErr(w, statusFor(err), "%v", err)
 	}

@@ -12,19 +12,18 @@ import (
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/server"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
-// newShardedTestServer serves a 4-shard router plus an identically fed
-// unsharded reference system for answer comparison.
+// newShardedTestServer serves a System split across S stores plus an
+// identically fed one-store reference system for answer comparison.
 func newShardedTestServer(t *testing.T, shards int, problems ...string) (*httptest.Server, *core.System) {
 	t.Helper()
 	edges := gen.Uniform(100, 900, 8, 201)
 	g := streamgraph.New(100, false)
 	g.InsertEdges(edges)
 	ref := core.NewSystem(g, 4)
-	r := shard.New(100, false, shards, 4)
+	r := core.NewSharded(100, false, shards, 4)
 	r.ApplyBatch(edges)
 	for _, p := range problems {
 		if err := ref.Enable(p); err != nil {

@@ -9,25 +9,20 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-var (
-	_ core.Backend = (*core.System)(nil)
-	_ core.Backend = (*Router)(nil)
-)
-
-// TestBackendCacheContract drives one serving sequence through
-// core.Backend for every implementation — a System (snapshot versions),
-// a 1-shard and a 4-shard Router (barrier global versions): insert → query → cached re-ask → no-op batch re-stamp →
-// changed-batch staleness → exact-version lookup. All three must agree
-// on versions, answers and cache accounting step by step.
+// TestBackendCacheContract drives one serving sequence through a System
+// over the caller's graph and through a 1-store and a 4-store split:
+// insert → query → cached re-ask → no-op batch re-stamp → changed-batch
+// staleness → exact-version lookup. All three must agree on versions,
+// answers and cache accounting step by step.
 func TestBackendCacheContract(t *testing.T) {
 	const n = 80
 	backends := []struct {
 		name string
-		be   core.Backend
+		be   *core.System
 	}{
 		{"system", core.NewSystem(streamgraph.New(n, true), 4)},
-		{"router-1", New(n, true, 1, 4)},
-		{"router-4", New(n, true, 4, 4)},
+		{"router-1", core.NewSharded(n, true, 1, 4)},
+		{"router-4", core.NewSharded(n, true, 4, 4)},
 	}
 	var want []uint64 // the first backend's answer; the others must match it
 	for _, tc := range backends {

@@ -12,14 +12,14 @@ import (
 	"testing"
 
 	"tripoline/internal/core"
-	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 )
 
-// The router's contract is exactness: S>1 must answer every query with
-// the same values a single core.System produces over the same logical
-// graph at the same version — bit-identical for the integer problems,
+// A Router is a core.System whose arcs New (core.NewSharded) splits across
+// S stores. The contract is exactness: it must answer every query with the
+// same values a one-store System over the caller's graph (core.NewSystem)
+// produces at the same version — bit-identical for the integer problems,
 // within PageRank's convergence tolerance for the float one.
 
 const prTol = 1e-6
@@ -38,8 +38,8 @@ func randBatch(rng *rand.Rand, n, m int) []graph.Edge {
 	return out
 }
 
-// pair is one reference system plus one sharded router fed identical
-// mutations.
+// pair is one reference system over the caller's graph plus one split
+// across S stores, fed identical mutations.
 type pair struct {
 	ref *core.System
 	rt  *Router
@@ -181,16 +181,13 @@ func TestEquivalenceDirectedS4(t *testing.T)   { testEquivalence(t, true, 4) }
 func TestEquivalenceUndirectedS4(t *testing.T) { testEquivalence(t, false, 4) }
 func TestEquivalenceDirectedS3(t *testing.T)   { testEquivalence(t, true, 3) }
 
-// TestSingleShardRunsTheUnion: a one-shard router is the union code over
-// one shard — an undirected graph stored as directed arcs, mirrored by the
-// router — and answers like a lone core.System, the same evaluation and
-// the Δ-result cache included.
+// TestSingleShardRunsTheUnion: a one-store split — an undirected graph
+// stored as directed arcs, mirrored by the writer — answers like a System
+// over the undirected graph itself, the same evaluation and the Δ-result
+// cache included.
 func TestSingleShardRunsTheUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := newPair(t, 100, false, 1, []string{"SSSP", "PageRank"})
-	if !p.rt.graphs[0].Directed() {
-		t.Fatal("the one shard stores undirected edges; shards store directed arcs")
-	}
 	p.rt.EnableResultCache(16)
 	p.insert(t, randBatch(rng, 100, 150))
 	p.compareQueries(t, "SSSP", []graph.VertexID{5, 50})
@@ -489,11 +486,13 @@ func TestSubscriberChurnDuringBatches(t *testing.T) {
 
 // TestReselectFollowsRecordedQueries: query recording is the evaluator's,
 // so after the same recorded hot queries RecordQueries+ReselectRoots
-// re-roots a 4-shard router onto the roots a one-shard router picks — not
-// the top-degree roots they started from — and evaluates like a lone
-// core.System re-rooted the same way.
+// re-roots a 4-store System next to the hot sources — their bounds
+// property(u,r) shrink from the top-degree roots' — and every source then
+// evaluates from the same root slot and bound as on a one-store split and
+// on the reference, so all three picked the same roots.
 func TestReselectFollowsRecordedQueries(t *testing.T) {
 	const n = 150
+	hot := []graph.VertexID{140, 141, 142, 143}
 	p := newPair(t, n, false, 4, []string{"SSSP"})
 	one := New(n, false, 1, 4)
 	if err := one.Enable("SSSP"); err != nil {
@@ -502,29 +501,37 @@ func TestReselectFollowsRecordedQueries(t *testing.T) {
 	batch := randBatch(rand.New(rand.NewSource(13)), n, 600)
 	p.insert(t, batch)
 	one.ApplyBatch(batch)
-	before := append([]graph.VertexID(nil), p.rt.ev.StandingSets()[0].Roots...)
-	backends := []core.Backend{p.ref, one, p.rt}
-	for _, b := range backends {
-		b.RecordQueries(true)
+	bounds := func(sys *Router) (sum uint64) {
+		for _, u := range hot {
+			res, err := sys.Query("SSSP", u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += res.PropUR
+		}
+		return sum
+	}
+	before := bounds(p.rt)
+	for _, sys := range []*Router{p.ref, one, p.rt} {
+		sys.RecordQueries(true)
 		for i := 0; i < 100; i++ {
-			if _, err := b.QueryCtx(context.Background(), "SSSP", graph.VertexID(140+i%4)); err != nil {
+			if _, err := sys.QueryCtx(context.Background(), "SSSP", hot[i%len(hot)]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := b.ReselectRoots("SSSP"); err != nil {
+		if err := sys.ReselectRoots("SSSP"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, got := one.ev.StandingSets()[0].Roots, p.rt.ev.StandingSets()[0].Roots
-	if !slices.Equal(got, want) {
-		t.Fatalf("S=4 reselected roots %v, S=1 %v", got, want)
+	if after := bounds(p.rt); after >= before {
+		t.Fatalf("recorded hot queries did not move the roots: hot bounds sum to %d before reselection, %d after", before, after)
 	}
-	if slices.Equal(got, before) {
-		t.Fatalf("recorded hot queries did not move the roots %v", before)
+	sources := make([]graph.VertexID, n)
+	for u := range sources {
+		sources[u] = graph.VertexID(u)
 	}
-	// The System's roots are not visible here; its evaluation is: the same
-	// root slot and bound for every source.
-	p.compareQueries(t, "SSSP", []graph.VertexID{140, 141, 3, 99})
+	p.compareQueries(t, "SSSP", sources)
+	(&pair{ref: one, rt: p.rt}).compareQueries(t, "SSSP", sources)
 }
 
 // TestShardedRunsTheSingleEvaluation: with one worker the engine is
@@ -564,18 +571,45 @@ func TestShardedRunsTheSingleEvaluation(t *testing.T) {
 	}
 }
 
-// TestDeletionKeepsDeltaWarmStart: a deletion publishes a new global
-// version, and the router's standing set must record that it converged on
-// it — the next insertion's arc-driven maintenance goes by that version.
-// Insert → delete → query must stay the reference's evaluation, both for a
-// deletion that removes nothing (the graph is the same, so the set only
-// records the version) and for one that removes stored arcs.
+// TestDeletionKeepsDeltaWarmStart: a deletion publishes a new version, and
+// the standing set must record that it converged on it — the next
+// insertion's maintenance pushes only the arcs the batch stored when the
+// set stands on the version right before, and every out-arc of the
+// batch's sources otherwise. So after a deletion that removes nothing (the
+// graph is the same, so the set only records the version) and after one
+// that removes stored arcs, an insertion must cost exactly what it costs a
+// System built over the same graph without any deletion, and queries stay
+// the reference's evaluation. With one worker the engine is deterministic,
+// so the costs compare exactly.
 func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n, u = 200, graph.VertexID(17)
 	rng := rand.New(rand.NewSource(23))
 	p := newPair(t, n, true, 2, []string{"SSSP"})
 	batch := randBatch(rng, n, 900)
 	p.insert(t, batch)
+	// warmStart inserts a batch after a deletion and requires the router's
+	// maintenance of it to be a fresh System's over kept, the arcs the
+	// graph holds, then the next Δ-query to start from the reference's root
+	// and bound.
+	warmStart := func(when string, kept []graph.Edge) {
+		t.Helper()
+		fresh := New(n, true, 2, 4)
+		if err := fresh.Enable("SSSP"); err != nil {
+			t.Fatal(err)
+		}
+		fresh.ApplyBatch(kept)
+		more := randBatch(rng, n, 30)
+		want := fresh.ApplyBatch(more).StandingStats
+		p.ref.ApplyBatch(more)
+		if got := p.rt.ApplyBatch(more).StandingStats; got != want {
+			t.Fatalf("%s: the next insertion's maintenance cost %+v, over the same graph without a deletion %+v", when, got, want)
+		}
+		p.compareQueries(t, "SSSP", []graph.VertexID{u})
+		batch = append(kept, more...)
+	}
+	warmStart("before any deletion", batch)
+
 	stored := make(map[[2]graph.VertexID]bool, len(batch))
 	for _, e := range batch {
 		stored[[2]graph.VertexID{e.Src, e.Dst}] = true
@@ -586,93 +620,21 @@ func TestDeletionKeepsDeltaWarmStart(t *testing.T) {
 			absent = append(absent, graph.Edge{Src: v, Dst: d})
 		}
 	}
-	// bothShards fails the test unless the batch reaches both shards.
-	bothShards := func(batch []graph.Edge) {
-		t.Helper()
-		for i, part := range p.rt.split(batch) {
-			if len(part) == 0 {
-				t.Fatalf("shard %d receives none of the %d deletions", i, len(batch))
-			}
-		}
-	}
-	// warmStart requires the router's set to stand on the global version and
-	// the next Δ-query to start from the reference's root and bound.
-	warmStart := func(when string) {
-		t.Helper()
-		set := p.rt.ev.StandingSets()[0]
-		if v := p.rt.Version(); set.LastVersion != v {
-			t.Fatalf("%s: the standing set stands on v%d, the router is at v%d", when, set.LastVersion, v)
-		}
-		p.compareQueries(t, "SSSP", []graph.VertexID{u})
-	}
-	warmStart("before any deletion")
-
-	bothShards(absent)
 	p.remove(t, absent)
-	warmStart("after a no-op deletion")
+	warmStart("after a no-op deletion", batch)
 
-	bothShards(batch[:40])
-	p.remove(t, batch[:40])
-	warmStart("after a deletion")
+	del := batch[:40]
+	gone := make(map[[2]graph.VertexID]bool, len(del))
+	for _, e := range del {
+		gone[[2]graph.VertexID{e.Src, e.Dst}] = true
+	}
+	p.remove(t, del)
+	var kept []graph.Edge
+	for _, e := range batch {
+		if !gone[[2]graph.VertexID{e.Src, e.Dst}] {
+			kept = append(kept, e)
+		}
+	}
+	warmStart("after a deletion", kept)
 	p.compareQueries(t, "SSSP", []graph.VertexID{u, 3, 150})
-}
-
-// TestWriterUnionTransposeMatchesS1: the transpose a directed router
-// carries from entry to entry — patched with the merged record of the
-// shards a batch reached, rebuilt after a deletion — must be the one a lone
-// System's mirror chain carries, span for span, with the same reversed
-// record, after every batch.
-func TestWriterUnionTransposeMatchesS1(t *testing.T) {
-	const n = 160
-	for _, shards := range []int{3, 4} {
-		g := streamgraph.New(n, true)
-		one := core.NewSystem(g, 4)
-		many := New(n, true, shards, 4)
-		for _, b := range []core.Backend{one, many} {
-			if err := b.Enable("SSSP"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(31))
-		for round := 0; round < 6; round++ {
-			batch := randBatch(rng, n+round*3, 220) // grows the vertex range
-			one.ApplyBatch(batch)
-			many.ApplyBatch(batch)
-			what := fmt.Sprintf("S=%d batch %d", shards, round)
-			if round == 3 {
-				del := batch[:60]
-				one.ApplyDeletions(del)
-				many.ApplyDeletions(del)
-				what += " and a deletion"
-			}
-			want := g.Acquire().Flatten().Transposed()
-			got := many.current(many.bar.latest()).Transposed()
-			requireSameView(t, what, got, want)
-		}
-	}
-}
-
-// requireSameView holds two transposed views to the same vertex count,
-// spans, version and insertion record.
-func requireSameView(t *testing.T, what string, got, want engine.ArcView) {
-	t.Helper()
-	if got.NumVertices() != want.NumVertices() {
-		t.Fatalf("%s: %d vertices, want %d", what, got.NumVertices(), want.NumVertices())
-	}
-	for v := 0; v < want.NumVertices(); v++ {
-		gd, gw := got.OutSpan(graph.VertexID(v))
-		wd, ww := want.OutSpan(graph.VertexID(v))
-		if !slices.Equal(gd, wd) || !slices.Equal(gw, ww) {
-			t.Fatalf("%s: span of %d is %v/%v, want %v/%v", what, v, gd, gw, wd, ww)
-		}
-	}
-	gv, wv := got.(engine.ArcDelta), want.(engine.ArcDelta)
-	if gv.Version() != wv.Version() {
-		t.Fatalf("%s: version %d, want %d", what, gv.Version(), wv.Version())
-	}
-	ga, gok := gv.InsertedArcs()
-	wa, wok := wv.InsertedArcs()
-	if gok != wok || !slices.Equal(ga, wa) {
-		t.Fatalf("%s: record %v (ok=%v), want %v (ok=%v)", what, ga, gok, wa, wok)
-	}
 }

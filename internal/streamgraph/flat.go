@@ -77,7 +77,8 @@ func (s *Snapshot) Flatten() *Flat {
 // not hold (nil prev, version gap, shrunken vertex range, unsorted
 // changed list) it falls back to a full build, so the result is always
 // correct. prev must stay retained until the call returns; the caller
-// typically retires it right after (core does). A delta patch also takes
+// typically retires it afterwards (core does, once the new version is
+// published). A delta patch also takes
 // over prev's transposed mirror, if built (see Transposed), and patches
 // the new mirror's from it.
 //
@@ -104,9 +105,8 @@ func (s *Snapshot) BuiltFlat() *Flat {
 
 // RetireFlat drops the snapshot's owner reference on its mirror, letting
 // the backing slabs recycle once pinned readers release theirs. It is
-// idempotent and a no-op when no mirror was ever built; both core (after
-// the next version's mirror is built) and History (when the snapshot
-// falls out of the retention window) call it without coordinating.
+// idempotent and a no-op when no mirror was ever built; core's writer
+// calls it once the version that superseded the snapshot is published.
 func (s *Snapshot) RetireFlat() {
 	if !s.flatBuilt.Load() {
 		return
@@ -120,8 +120,8 @@ func (s *Snapshot) RetireFlat() {
 // MaterializeFlat builds a fresh, uncached mirror of the snapshot (full
 // walk). The caller owns the sole reference and must Release it: a reader
 // that could not retain the shared mirror evaluates over one of these
-// (core.PinMirror), and benchmarks use it to measure builds without the
-// per-snapshot cache getting in the way.
+// (core's pin contract), and benchmarks use it to measure builds without
+// the per-snapshot cache getting in the way.
 func (s *Snapshot) MaterializeFlat() *Flat {
 	f := buildFlat(s)
 	ledgerPrivate(f)

@@ -393,32 +393,6 @@ func TestFlattenFromConcurrentReaders(t *testing.T) {
 	snap2.RetireFlat()
 }
 
-// TestHistoryEvictionRecycles proves the trim path: mirrors of versions
-// falling out of the history window are retired and their slabs return
-// to the recycler (no readers pinned them here).
-func TestHistoryEvictionRecycles(t *testing.T) {
-	g := New(16, true)
-	h := NewHistory(2)
-	rng := rand.New(rand.NewSource(3))
-	var snaps []*Snapshot
-	for i := 0; i < 4; i++ {
-		snap, _ := g.InsertEdges(randomBatch(rng, 10, 16))
-		snap.Flatten()
-		snaps = append(snaps, snap)
-		h.Record(g)
-	}
-	// Versions 1 and 2 were evicted (window keeps 3 and 4).
-	if snaps[0].BuiltFlat() != nil || snaps[1].BuiltFlat() != nil {
-		t.Fatal("evicted snapshots must have retired mirrors")
-	}
-	if snaps[2].BuiltFlat() == nil || snaps[3].BuiltFlat() == nil {
-		t.Fatal("retained snapshots must keep their mirrors")
-	}
-	if puts := g.MirrorMetrics().SlabPuts.Value(); puts < 4 {
-		t.Fatalf("expected ≥ 4 slab puts from 2 evicted mirrors, got %d", puts)
-	}
-}
-
 // FuzzFlattenFrom decodes arbitrary bytes into a batch sequence
 // (including empty batches and vertex growth) and checks the chained
 // delta mirror against a fresh full build, and the transpose patched along

@@ -23,8 +23,7 @@ import (
 //     the Flat it returns — the Flat owns them for its lifetime;
 //   - readers pin the Flat with Retain/Release while they scan it;
 //   - the owner drops its reference with Snapshot.RetireFlat (idempotent;
-//     called by core after the next version's mirror is built, and by
-//     History when it trims a version out of its window);
+//     called by core once the next version is published);
 //   - the last Release returns the slabs to the pools and poisons the
 //     Flat's slices, so a use-after-retire fails fast instead of reading
 //     a slab that a newer build is concurrently overwriting.

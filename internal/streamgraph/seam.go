@@ -29,7 +29,8 @@ type FaultSeam struct {
 func (g *Graph) Seam() *FaultSeam { return &g.shared.seam }
 
 // SetDenyRetain makes every Flat.Retain on this graph's mirrors report
-// failure, forcing readers onto the build-on-miss path of core.PinMirror.
+// failure, forcing readers onto core's build-on-miss path: a reader builds
+// a private mirror.
 func (fs *FaultSeam) SetDenyRetain(on bool) { fs.denyRetain.Store(on) }
 
 // SetForceFull makes MaterializeFlatFrom (and therefore FlattenFrom)

@@ -53,7 +53,6 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
@@ -204,31 +203,29 @@ func WithResultCache(entries int) Option {
 	return func(c *config) { c.cacheEntries = entries; c.cacheOn = true }
 }
 
-// WithShards partitions the system's store into s shards, each with its
-// own mirror chain and writer, coordinated by a versioned cross-shard
-// snapshot barrier (internal/shard). Batches are applied to the shards in
-// parallel; queries are evaluated once, over the union of the shards'
-// mirrors, by the same evaluation and the same K standing roots an
-// unsharded system uses, so they return exactly its answers, and
-// subscriptions push exactly its frames. s <= 1 is the plain unsharded
-// system. With s > 1 the Graph passed to NewSystem is only the
-// construction-time source of edges — stream further updates through
+// WithShards splits the system's store into s stores, each holding the
+// out-arcs of the vertices it owns in its own mirror chain, behind one
+// versioned snapshot barrier (internal/core). Batches are applied to the
+// stores in parallel; queries are evaluated once, over the union of the
+// stores' mirrors, by the same evaluation and the same K standing roots a
+// one-store system uses, so they return exactly its answers, and
+// subscriptions push exactly its frames. s <= 1 is the one-store system
+// over the Graph itself. With s > 1 the Graph passed to NewSystem is only
+// the construction-time source of edges — stream further updates through
 // System.ApplyBatch, not Graph.InsertEdges.
 func WithShards(s int) Option {
 	return func(c *config) { c.shards = s }
 }
 
 // System couples a streaming graph with standing-query maintenance and
-// Δ-based user query evaluation. It delegates to one core.Backend — an
-// unsharded core.System or a shard.Router, whichever the options
-// selected.
+// Δ-based user query evaluation. It delegates to a core.System.
 type System struct {
-	inner core.Backend
+	inner *core.System
 	g     *Graph
 }
 
 // NewSystem wraps a streaming graph. With WithShards(s), s > 1, the
-// graph's current edges are hash-partitioned across s shards and the
+// graph's current edges are hash-partitioned across s stores and the
 // returned System serves queries over the union of them; the Graph
 // itself is then detached (stream updates via System.ApplyBatch).
 func NewSystem(g *Graph, opts ...Option) *System {
@@ -236,12 +233,7 @@ func NewSystem(g *Graph, opts ...Option) *System {
 	for _, o := range opts {
 		o(&c)
 	}
-	s := &System{g: g}
-	if c.shards > 1 {
-		s.inner = newShardedBackend(g.inner, c.shards, c.k)
-	} else {
-		s.inner = core.NewSystem(g.inner, c.k)
-	}
+	s := &System{g: g, inner: core.Partition(g.inner, c.shards, c.k)}
 	if c.history > 0 {
 		s.inner.EnableHistory(c.history)
 	}
@@ -254,39 +246,13 @@ func NewSystem(g *Graph, opts ...Option) *System {
 	return s
 }
 
-// newShardedBackend builds a shard.Router over the graph's current
-// snapshot: every existing edge is collected and bulk-loaded as one
-// batch (the router numbers versions from scratch — version 1 after a
-// non-empty load, 0 for an empty graph).
-func newShardedBackend(g *streamgraph.Graph, shards, k int) *shard.Router {
-	snap := g.Acquire()
-	r := shard.New(snap.NumVertices(), g.Directed(), shards, k)
-	var edges []graph.Edge
-	for v := 0; v < snap.NumVertices(); v++ {
-		u := graph.VertexID(v)
-		snap.ForEachOut(u, func(dst graph.VertexID, w graph.Weight) {
-			// Undirected snapshots store both arcs of each logical edge
-			// (a self-loop once); emit each edge exactly once so the
-			// router's own mirroring reconstructs the same arc set.
-			if !g.Directed() && dst < u {
-				return
-			}
-			edges = append(edges, graph.Edge{Src: u, Dst: dst, W: w})
-		})
-	}
-	if len(edges) > 0 {
-		r.ApplyBatch(edges)
-	}
-	return r
-}
-
 // Graph returns the underlying streaming graph. On a sharded system
 // (WithShards > 1) this is the construction-time graph only — the shards
 // hold their own partitions, so mutate through System.ApplyBatch and
 // ApplyDeletions, never Graph.InsertEdges.
 func (s *System) Graph() *Graph { return s.g }
 
-// Shards reports the number of shard cores (1 for an unsharded system).
+// Shards reports the number of stores (1 without WithShards).
 func (s *System) Shards() int { return s.inner.Shards() }
 
 // Enable sets up a problem. Recognized names: BFS, SSSP, SSWP, SSNP,
