@@ -1,10 +1,10 @@
 // Command tripoline-check runs the workload-replay differential checker
 // (internal/check): it generates seeded op schedules, replays each
 // through a full core.System four ways (as written, shuffled batches,
-// split batches, delete-then-reinsert), verifies every
-// successful query against a from-scratch sequential oracle, and exits
-// nonzero on any divergence. Diverging schedules are dd-minimized and,
-// with -repro-dir, written out in the textual repro format that
+// split batches, delete-then-reinsert), verifies every successful query
+// against a from-scratch sequential oracle, and exits nonzero on any
+// divergence. Diverging schedules are dd-minimized and, with -repro-dir,
+// written out in the textual repro format that
 // internal/check/testdata/repros replays as a regression corpus.
 //
 // Usage:
@@ -12,22 +12,26 @@
 //	tripoline-check -schedules 200 -seed 1
 //	tripoline-check -schedules 50 -seed 2 -json
 //	tripoline-check -schedules 10000 -seed 7 -repro-dir ./repros
+//	tripoline-check -shards 4 -schedules 200 -seed 1
 //	tripoline-check -serving -schedules 1000 -seed 1
 //	tripoline-check -serving -shards 4 -schedules 100 -seed 1
-//	tripoline-check -shards 4 -schedules 100 -seed 1
 //
-// -serving selects the serving-layer variant instead: the same generated
-// schedules replayed against the Δ-result cache and subscription
-// surface, verifying every cached answer and every pushed frame against
-// the from-scratch oracle at its reported version — through an N-shard
-// router with -shards N. -shards N alone selects the sharded variant: each
-// schedule replayed through a core.System and an N-shard router, every
-// result diffed.
+// -shards S adds a fifth replay of each schedule, through a System whose
+// arcs are split across S stores: verified against the oracle like the
+// others and compared with the one-store replay down to the versions.
+// -serving replays the same schedules against the Δ-result cache and
+// subscription surface instead, verifying every cached answer and every
+// pushed frame against the oracle at its reported version — through S
+// stores with -shards S. -corrupt-delta arms the one-store replays' fault
+// seam, which the serving replay does not have, so -corrupt-delta with
+// -serving is a usage error.
 //
-// The run is deterministic: the same -schedules/-seed pair replays the
-// identical workloads and produces the identical verdicts (the *_fired
-// fault counters report whether an injected fault landed before the run
-// converged, which depends on engine scheduling and may vary).
+// Exit status: 0 when every schedule passes, 1 on any divergence, 2 on a
+// usage or output error. The run is deterministic: the same
+// -schedules/-seed pair replays the identical workloads and produces the
+// identical verdicts (the *_fired fault counters and the verified count
+// depend on whether an injected fault landed before the run converged,
+// which depends on engine scheduling and may vary).
 package main
 
 import (
@@ -35,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -43,44 +48,49 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	schedules := flag.Int("schedules", 200, "number of schedules to generate and check")
-	seed := flag.Uint64("seed", 1, "master seed; per-schedule seeds are derived from it")
-	jsonOut := flag.Bool("json", false, "emit the summary as JSON")
-	reproDir := flag.String("repro-dir", "", "write dd-minimized repros for diverging schedules into this directory")
-	corrupt := flag.Bool("corrupt-delta", false, "arm the skew-delta fault seam (self-test: every flat replay must diverge)")
-	serving := flag.Bool("serving", false, "run the serving-layer checker (Delta-result cache + subscriptions) instead of the replay checker")
-	shards := flag.Int("shards", 0, "run the sharded checker: replay each schedule through a core.System and an N-shard router and diff every result; with -serving, serve through an N-shard router")
-	verbose := flag.Bool("v", false, "print one line per schedule")
-	flag.Parse()
-
-	if *serving {
-		return runServing(*schedules, *seed, *shards, *jsonOut, *verbose)
+// run is main with its environment made explicit (args without the
+// program name, output streams) so the CLI test can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tripoline-check", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	schedules := fs.Int("schedules", 200, "number of schedules to generate and check")
+	seed := fs.Uint64("seed", 1, "master seed; per-schedule seeds are derived from it")
+	jsonOut := fs.Bool("json", false, "emit the summary as JSON")
+	reproDir := fs.String("repro-dir", "", "write dd-minimized repros for diverging schedules into this directory")
+	corrupt := fs.Bool("corrupt-delta", false, "arm the skew-delta fault seam of the one-store replays (self-test: the run must diverge)")
+	serving := fs.Bool("serving", false, "run the serving-layer checker (Delta-result cache + subscriptions) instead of the replay checker")
+	shards := fs.Int("shards", 0, "add a replay through a System split across N stores, checked against the oracle and the one-store replay; with -serving, serve through N stores")
+	verbose := fs.Bool("v", false, "print one line per schedule")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *shards > 1 {
-		return runSharded(*schedules, *seed, *shards, *jsonOut, *verbose)
+	if *corrupt && *serving {
+		fmt.Fprintln(stderr, "tripoline-check: -corrupt-delta arms a store seam the -serving replay does not have")
+		fs.Usage()
+		return 2
 	}
 
-	opts := check.Options{CorruptDelta: *corrupt}
+	ctx := context.Background()
+	opts := check.Options{CorruptDelta: *corrupt, Shards: *shards, Serving: *serving}
 	start := time.Now()
 	repros := 0
-	sum := check.RunMany(*schedules, *seed, opts, func(i int, v check.Verdict) {
+	sum := check.RunMany(ctx, *schedules, *seed, opts, func(i int, v check.Verdict) {
 		if *verbose || v.Diverged {
-			fmt.Fprintf(os.Stderr, "schedule %d: seed=%d n=%d ops=%d queries=%d diverged=%v\n",
-				i, v.Seed, v.N, v.Ops, v.Queries, v.Diverged)
+			fmt.Fprintf(stderr, "schedule %d: seed=%d n=%d ops=%d queries=%d verified=%d hits=%d frames=%d subs=%d diverged=%v\n",
+				i, v.Seed, v.N, v.Ops, v.Queries, v.Verified, v.CacheHits, v.Frames, v.Subscriptions, v.Diverged)
 		}
 		if !v.Diverged {
 			return
 		}
 		for _, r := range v.Reasons {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
+			fmt.Fprintf(stderr, "  %s\n", r)
 		}
 		if *reproDir != "" {
-			if err := writeRepro(*reproDir, v.Seed, opts); err != nil {
-				fmt.Fprintf(os.Stderr, "  repro: %v\n", err)
+			if err := writeRepro(ctx, *reproDir, v.Seed, opts); err != nil {
+				fmt.Fprintf(stderr, "  repro: %v\n", err)
 			} else {
 				repros++
 			}
@@ -91,104 +101,29 @@ func run() int {
 	if *jsonOut {
 		out := struct {
 			check.Summary
+			Shards          int     `json:"shards,omitempty"`
+			Serving         bool    `json:"serving,omitempty"`
 			ElapsedMS       int64   `json:"elapsed_ms"`
 			SchedulesPerSec float64 `json:"schedules_per_sec"`
 			ReprosWritten   int     `json:"repros_written,omitempty"`
-		}{sum, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds(), repros}
-		enc := json.NewEncoder(os.Stdout)
+		}{sum, *shards, *serving, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds(), repros}
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "tripoline-check: %v\n", err)
+			fmt.Fprintf(stderr, "tripoline-check: %v\n", err)
 			return 2
 		}
 	} else {
-		fmt.Printf("checked %d schedules (seed %d) in %v: %d queries, %d divergences\n",
-			sum.Schedules, sum.Seed, elapsed.Round(time.Millisecond), sum.Queries, sum.Divergences)
-		fmt.Printf("faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d (fired %d)\n",
-			sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain,
-			sum.Faults.ForceFull, sum.Faults.Evicts, sum.Faults.EvictsFired)
-	}
-	if sum.Divergences > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runSharded drives the sharded differential checker: each schedule is
-// replayed through a core.System and an S-shard router, and every
-// non-volatile observation is diffed at its exact version.
-func runSharded(schedules int, seed uint64, shards int, jsonOut, verbose bool) int {
-	start := time.Now()
-	sum := check.RunShardedMany(context.Background(), schedules, seed, shards, func(i int, v check.Verdict) {
-		if verbose || v.Diverged {
-			fmt.Fprintf(os.Stderr, "schedule %d: seed=%d n=%d ops=%d queries=%d diverged=%v\n",
-				i, v.Seed, v.N, v.Ops, v.Queries, v.Diverged)
+		fmt.Fprintf(stdout, "checked %d schedules (seed %d, S=%d, serving=%v) in %v: %d queries, %d answers verified, %d divergences\n",
+			sum.Schedules, sum.Seed, max(*shards, 1), *serving, elapsed.Round(time.Millisecond), sum.Queries, sum.Verified, sum.Divergences)
+		if *serving {
+			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions\n",
+				sum.CacheHits, sum.Frames, sum.Subscriptions)
+		} else {
+			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d (fired %d)\n",
+				sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain,
+				sum.Faults.ForceFull, sum.Faults.Evicts, sum.Faults.EvictsFired)
 		}
-		for _, r := range v.Reasons {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-	})
-	elapsed := time.Since(start)
-
-	if jsonOut {
-		out := struct {
-			check.Summary
-			Shards          int     `json:"shards"`
-			ElapsedMS       int64   `json:"elapsed_ms"`
-			SchedulesPerSec float64 `json:"schedules_per_sec"`
-		}{sum, shards, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds()}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "tripoline-check: %v\n", err)
-			return 2
-		}
-	} else {
-		fmt.Printf("sharded-checked %d schedules (seed %d, S=%d) in %v: %d queries, %d divergences\n",
-			sum.Schedules, sum.Seed, shards, elapsed.Round(time.Millisecond), sum.Queries, sum.Divergences)
-		fmt.Printf("faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d\n",
-			sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain, sum.Faults.ForceFull, sum.Faults.Evicts)
-	}
-	if sum.Divergences > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runServing drives the serving-layer checker over the same derived
-// schedule sequence the replay checker uses, through a core.System or,
-// with shards > 1, an S-shard router.
-func runServing(schedules int, seed uint64, shards int, jsonOut, verbose bool) int {
-	shards = max(shards, 1)
-	start := time.Now()
-	sum := check.RunServingMany(context.Background(), schedules, seed, shards, func(i int, v check.ServingVerdict) {
-		if verbose || v.Diverged {
-			fmt.Fprintf(os.Stderr, "schedule %d: seed=%d n=%d ops=%d hits=%d frames=%d subs=%d diverged=%v\n",
-				i, v.Seed, v.N, v.Ops, v.CacheHits, v.Frames, v.Subscriptions, v.Diverged)
-		}
-		for _, r := range v.Reasons {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-	})
-	elapsed := time.Since(start)
-
-	if jsonOut {
-		out := struct {
-			check.ServingSummary
-			Shards          int     `json:"shards"`
-			ElapsedMS       int64   `json:"elapsed_ms"`
-			SchedulesPerSec float64 `json:"schedules_per_sec"`
-		}{sum, shards, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds()}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "tripoline-check: %v\n", err)
-			return 2
-		}
-	} else {
-		fmt.Printf("serving-checked %d schedules (seed %d, S=%d) in %v: %d cache hits, %d frames over %d subscriptions, %d divergences\n",
-			sum.Schedules, sum.Seed, shards, elapsed.Round(time.Millisecond),
-			sum.CacheHits, sum.Frames, sum.Subscriptions, sum.Divergences)
 	}
 	if sum.Divergences > 0 {
 		return 1
@@ -197,12 +132,12 @@ func runServing(schedules int, seed uint64, shards int, jsonOut, verbose bool) i
 }
 
 // writeRepro regenerates, shrinks, and saves one diverging schedule.
-func writeRepro(dir string, seed uint64, opts check.Options) error {
+func writeRepro(ctx context.Context, dir string, seed uint64, opts check.Options) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	s := check.Generate(check.Params{Seed: seed})
-	min := check.Shrink(s, opts)
+	min := check.Shrink(ctx, s, opts)
 	path := filepath.Join(dir, fmt.Sprintf("seed-%d.txt", seed))
 	return os.WriteFile(path, check.Encode(min), 0o644)
 }

@@ -79,7 +79,7 @@ func TestCleanSchedulesPass(t *testing.T) {
 	if testing.Short() {
 		n = 10
 	}
-	RunMany(n, 11, Options{}, func(i int, v Verdict) {
+	RunMany(context.Background(), n, 11, Options{}, func(i int, v Verdict) {
 		if v.Diverged {
 			t.Errorf("schedule %d (seed %d) diverged: %v", i, v.Seed, v.Reasons)
 		}
@@ -89,12 +89,14 @@ func TestCleanSchedulesPass(t *testing.T) {
 func TestVerdictDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := Generate(Params{Seed: seed})
-		a := CheckSchedule(s, Options{})
-		b := CheckSchedule(s, Options{})
-		// The *Fired counters depend on engine superstep counts and are
-		// explicitly informational; everything else must be identical.
+		a := CheckSchedule(context.Background(), s, Options{})
+		b := CheckSchedule(context.Background(), s, Options{})
+		// The *Fired counters and Verified depend on engine superstep
+		// counts and are explicitly informational; everything else must be
+		// identical.
 		a.Faults.CancelsFired, b.Faults.CancelsFired = 0, 0
 		a.Faults.EvictsFired, b.Faults.EvictsFired = 0, 0
+		a.Verified, b.Verified = 0, 0
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: verdicts differ\n%+v\n%+v", seed, a, b)
 		}
@@ -102,7 +104,7 @@ func TestVerdictDeterministic(t *testing.T) {
 }
 
 func TestFaultModesAllExercised(t *testing.T) {
-	sum := RunMany(20, 1, Options{}, nil)
+	sum := RunMany(context.Background(), 20, 1, Options{}, nil)
 	f := sum.Faults
 	if f.Cancels == 0 || f.DenyRetain == 0 || f.ForceFull == 0 || f.Evicts == 0 {
 		t.Fatalf("a fault mode was never attempted: %+v", f)
@@ -121,13 +123,13 @@ func TestCorruptDeltaCaughtAndMinimized(t *testing.T) {
 	caught := 0
 	for seed := uint64(1); seed <= 4; seed++ {
 		s := Generate(Params{Seed: seed})
-		v := CheckSchedule(s, opts)
+		v := CheckSchedule(context.Background(), s, opts)
 		if !v.Diverged {
 			continue
 		}
 		caught++
-		min := Shrink(s, opts)
-		if !CheckSchedule(min, opts).Diverged {
+		min := Shrink(context.Background(), s, opts)
+		if !CheckSchedule(context.Background(), min, opts).Diverged {
 			t.Fatalf("seed %d: shrunk schedule no longer diverges", seed)
 		}
 		if len(min.Ops) > 12 {
@@ -151,7 +153,7 @@ func TestShrinkCoverageKeepsKinds(t *testing.T) {
 	if len(min.Ops) > len(s.Ops) {
 		t.Fatalf("coverage shrink grew the schedule: %d -> %d", len(s.Ops), len(min.Ops))
 	}
-	if CheckSchedule(min, Options{}).Diverged {
+	if CheckSchedule(context.Background(), min, Options{}).Diverged {
 		t.Fatal("coverage-shrunk schedule diverges")
 	}
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -9,25 +10,41 @@ import (
 
 // Options configures a check run.
 type Options struct {
-	// CorruptDelta arms the streamgraph skew seam in every replay: each delta-patched mirror build silently corrupts one arc.
+	// CorruptDelta arms the streamgraph skew seam in every one-store
+	// replay: each delta-patched mirror build silently corrupts one arc.
 	// This is the checker's self-test — a harness that cannot catch a
 	// deliberately broken delta patch validates nothing — and the
 	// acceptance gate requires the resulting divergence to dd-minimize to
-	// a handful of ops.
+	// a handful of ops. The serving replay has no store seam to arm.
 	CorruptDelta bool
+	// Shards > 1 adds a fifth replay, through a System split across that
+	// many stores; with Serving, the serving replay runs through such a
+	// System.
+	Shards int
+	// Serving replays against the serving surface (result cache and
+	// subscriptions) instead of the query surface.
+	Serving bool
 }
 
 // Verdict is the deterministic outcome of checking one schedule: same
 // schedule, same code, same verdict (the informational *Fired fault
-// counts excepted — see FaultCounts).
+// counts and Verified excepted — see FaultCounts).
 type Verdict struct {
-	Seed     uint64      `json:"seed"`
-	N        int         `json:"n"`
-	Ops      int         `json:"ops"`
-	Queries  int         `json:"queries"`
+	Seed    uint64 `json:"seed"`
+	N       int    `json:"n"`
+	Ops     int    `json:"ops"`
+	Queries int    `json:"queries"`
+	// Verified counts the answers compared with the oracle across every
+	// replay; a cancellation that fires leaves nothing to verify, so it
+	// moves with engine scheduling like the *Fired counts.
+	Verified int         `json:"verified"`
 	Diverged bool        `json:"diverged"`
 	Reasons  []string    `json:"reasons,omitempty"`
 	Faults   FaultCounts `json:"faults"`
+	// The serving replay's counters.
+	CacheHits     int `json:"cache_hits,omitempty"`
+	Frames        int `json:"frames,omitempty"`
+	Subscriptions int `json:"subscriptions,omitempty"`
 }
 
 // cmpCfg tunes a cross-variant comparison for variants whose version
@@ -44,36 +61,47 @@ type cmpCfg struct {
 	skipProbeVersion bool
 }
 
-// CheckSchedule replays the schedule four ways and returns the combined
-// verdict:
+// CheckSchedule checks one schedule under ctx and returns the combined
+// verdict. With opts.Serving it is the serving replay (see serving.go);
+// otherwise the schedule is replayed four ways through a System over one
+// store, plus a fifth through S stores when opts.Shards > 1, and every
+// successful result of every replay is verified against the oracle — a
+// from-scratch sequential recomputation on a reference graph fed the
+// same mutations — at the version it reports:
 //
-//   - base: every successful result verified against the sequential CSR
-//     oracle, materialized from the C-tree, for the version it reports —
-//     the proof that the mirrors the system evaluates over match the tree
-//     they mirror (the CorruptDelta self-test shows it bites);
+//   - base: batches as written (the CorruptDelta self-test shows the
+//     oracle bites);
 //   - shuffle: each batch's edges permuted — insertion-order invariance;
 //   - split: each insert batch applied as two sub-batches — batch-split
 //     invariance (compared on everything but version numbering);
 //   - delete-reinsert: after the last op, half the surviving edges are
-//     deleted and reinserted — the probe matrix must still agree.
-func CheckSchedule(s *Schedule, opts Options) Verdict {
+//     deleted and reinserted — the probe matrix must still agree;
+//   - S stores: batches as written through NewSharded, its fault ops run
+//     as the plain op — store-count invariance, down to the versions.
+//
+// Every replay but the base is also compared with the base.
+func CheckSchedule(ctx context.Context, s *Schedule, opts Options) Verdict {
+	if opts.Serving {
+		return checkServing(ctx, s, opts.Shards)
+	}
 	corrupt := opts.CorruptDelta
-	base := replay(s, variant{name: "base", corrupt: corrupt})
-	v := Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops), Queries: len(base.obs), Faults: base.faults}
-	reasons := append([]string(nil), base.divergences...)
-
-	shuffle := replay(s, variant{name: "shuffle", shuffle: true, corrupt: corrupt})
-	reasons = append(reasons, shuffle.divergences...)
-	reasons = append(reasons, compareObs(base, shuffle, "shuffle", cmpCfg{})...)
-
-	split := replay(s, variant{name: "split", split: 2, corrupt: corrupt})
-	reasons = append(reasons, split.divergences...)
-	reasons = append(reasons, compareObs(base, split, "split", cmpCfg{skipQueryAt: true, skipVersions: true})...)
-
-	delre := replay(s, variant{name: "delre", deleteReinsert: true, corrupt: corrupt})
-	reasons = append(reasons, delre.divergences...)
-	reasons = append(reasons, compareObs(base, delre, "delete-reinsert", cmpCfg{skipProbeVersion: true})...)
-
+	base := replay(ctx, s, variant{name: "base", corrupt: corrupt})
+	v := Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops), Queries: len(base.obs), Verified: base.verified, Faults: base.faults}
+	reasons := append([]string(nil), base.reasons...)
+	others := []variant{
+		{name: "shuffle", shuffle: true, corrupt: corrupt},
+		{name: "split", split: true, corrupt: corrupt, cmp: cmpCfg{skipQueryAt: true, skipVersions: true}},
+		{name: "delete-reinsert", deleteReinsert: true, corrupt: corrupt, cmp: cmpCfg{skipProbeVersion: true}},
+	}
+	if opts.Shards > 1 {
+		others = append(others, variant{name: fmt.Sprintf("S=%d", opts.Shards), shards: opts.Shards})
+	}
+	for _, o := range others {
+		r := replay(ctx, s, o)
+		v.Verified += r.verified
+		reasons = append(reasons, r.reasons...)
+		reasons = append(reasons, compareObs(base, r)...)
+	}
 	if len(reasons) > maxReasons {
 		reasons = reasons[:maxReasons]
 	}
@@ -87,7 +115,8 @@ func CheckSchedule(s *Schedule, opts Options) Verdict {
 // whether a cancellation fires before convergence depends on engine
 // scheduling, and both outcomes are individually verified against the
 // oracle when they complete.
-func compareObs(base, other *replayResult, label string, cfg cmpCfg) []string {
+func compareObs(base, other *replayer) []string {
+	label, cfg := other.v.name, other.v.cmp
 	var out []string
 	add := func(format string, args ...any) {
 		if len(out) < maxReasons {
@@ -158,26 +187,35 @@ func valuesDiffer(a, b *observation) string {
 
 // Summary aggregates a multi-schedule run (the CLI's JSON output).
 type Summary struct {
-	Schedules    int         `json:"schedules"`
-	Seed         uint64      `json:"seed"`
-	Queries      int         `json:"queries"`
-	Divergences  int         `json:"divergences"`
-	FailingSeeds []uint64    `json:"failing_seeds,omitempty"`
-	Faults       FaultCounts `json:"faults"`
+	Schedules     int         `json:"schedules"`
+	Seed          uint64      `json:"seed"`
+	Queries       int         `json:"queries"`
+	Verified      int         `json:"verified"`
+	Divergences   int         `json:"divergences"`
+	FailingSeeds  []uint64    `json:"failing_seeds,omitempty"`
+	Faults        FaultCounts `json:"faults"`
+	CacheHits     int         `json:"cache_hits,omitempty"`
+	Frames        int         `json:"frames,omitempty"`
+	Subscriptions int         `json:"subscriptions,omitempty"`
 }
 
-// RunMany generates and checks n schedules whose per-schedule seeds are
-// derived from seed (so one master seed names the whole run), invoking
-// onVerdict (if non-nil) after each. The derivation is Hash64-based:
-// schedule i's workload is unrelated to schedule i+1's beyond the master
-// seed, and re-running with the same arguments replays identical work.
-func RunMany(n int, seed uint64, opts Options, onVerdict func(int, Verdict)) Summary {
+// RunMany generates and checks n schedules under ctx, whose per-schedule
+// seeds are derived from seed (so one master seed names the whole run,
+// whatever the Options), invoking onVerdict (if non-nil) after each. The
+// derivation is Hash64-based: schedule i's workload is unrelated to
+// schedule i+1's beyond the master seed, and re-running with the same
+// arguments replays identical work.
+func RunMany(ctx context.Context, n int, seed uint64, opts Options, onVerdict func(int, Verdict)) Summary {
 	sum := Summary{Schedules: n, Seed: seed}
 	for i := 0; i < n; i++ {
 		s := Generate(Params{Seed: xrand.Hash64(seed + uint64(i))})
-		verdict := CheckSchedule(s, opts)
+		verdict := CheckSchedule(ctx, s, opts)
 		sum.Queries += verdict.Queries
+		sum.Verified += verdict.Verified
 		sum.Faults.add(verdict.Faults)
+		sum.CacheHits += verdict.CacheHits
+		sum.Frames += verdict.Frames
+		sum.Subscriptions += verdict.Subscriptions
 		if verdict.Diverged {
 			sum.Divergences++
 			if len(sum.FailingSeeds) < 32 {

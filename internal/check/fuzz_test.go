@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,7 +33,7 @@ func FuzzCheckSchedule(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if v := CheckSchedule(s, Options{}); v.Diverged {
+		if v := CheckSchedule(context.Background(), s, Options{}); v.Diverged {
 			t.Fatalf("decoded schedule diverges: %v", v.Reasons)
 		}
 	})

@@ -1,21 +1,24 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"tripoline/internal/core"
 	"tripoline/internal/graph"
 	"tripoline/internal/oracle"
+	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
 )
 
-// oracleSet memoizes the from-scratch oracle answers per published
-// version: the snapshot pinned at each op boundary, the CSR materialized
-// from the C-tree (never from a flat mirror — a corrupted mirror cannot
-// fool an oracle that never reads it), and the per-problem sequential
-// recomputations. Shared by the replay checker and the serving checker,
-// which verify different observables (query results vs. cached/pushed
-// serving state) against the same ground truth.
+// oracleSet is one replay's ground truth. It owns a reference graph that
+// receives every mutation the System under test applies, and memoizes
+// the from-scratch oracle answers per published version: the snapshot
+// pinned at each op boundary, the CSR materialized from the reference
+// C-tree (never from a mirror the System evaluated over — a corrupted
+// mirror cannot fool an oracle that never reads it), and the per-problem
+// sequential recomputations. It also collects the replay's divergences.
 type oracleSet struct {
 	g *streamgraph.Graph
 	// versions records every published version in order; Op.VerIdx
@@ -25,26 +28,69 @@ type oracleSet struct {
 	csrs     map[uint64]*graph.CSR
 	pr       map[uint64][]float64
 	cc       map[uint64][]uint64
-	ssnsp    map[[2]uint64][2][]uint64
+	// paths memoizes the single-source problems: SSNSP/BFS levels and
+	// counts, SSSP distances (nil counts).
+	paths   map[pathKey][2][]uint64
+	reasons []string
+	// verified counts the answers compared with the oracle.
+	verified int
 }
 
-func newOracleSet(g *streamgraph.Graph) *oracleSet {
-	return &oracleSet{
-		g:     g,
+type pathKey struct {
+	ver     uint64
+	src     graph.VertexID
+	problem string
+}
+
+// newOracleSet returns the ground truth for a replay over an undirected
+// graph of n vertices, with the initial version recorded.
+func newOracleSet(n int) *oracleSet {
+	o := &oracleSet{
+		g:     streamgraph.New(n, false),
 		snaps: make(map[uint64]*streamgraph.Snapshot),
 		csrs:  make(map[uint64]*graph.CSR),
 		pr:    make(map[uint64][]float64),
 		cc:    make(map[uint64][]uint64),
-		ssnsp: make(map[[2]uint64][2][]uint64),
+		paths: make(map[pathKey][2][]uint64),
+	}
+	o.record()
+	return o
+}
+
+func (o *oracleSet) diverge(format string, args ...any) {
+	if len(o.reasons) < maxReasons {
+		o.reasons = append(o.reasons, fmt.Sprintf(format, args...))
 	}
 }
 
-// record pins the current snapshot so the oracle can materialize this
-// version later. Called at every op boundary that may have published.
+// record pins the reference graph's current snapshot so the oracle can
+// materialize this version later.
 func (o *oracleSet) record() {
 	snap := o.g.Acquire()
 	o.snaps[snap.Version()] = snap
 	o.versions = append(o.versions, snap.Version())
+}
+
+// apply applies one batch — deletions when del is set — to sys and to the
+// reference graph, records the version, and reports a divergence when
+// the mutation fails or the two versions differ. where labels the
+// divergence.
+func (o *oracleSet) apply(ctx context.Context, sys *core.System, where string, del bool, edges []graph.Edge) core.BatchReport {
+	apply, ref := sys.ApplyBatchCtx, o.g.InsertEdges
+	if del {
+		apply, ref = sys.ApplyDeletionsCtx, o.g.DeleteEdges
+	}
+	rep, err := apply(ctx, edges)
+	if err != nil {
+		o.diverge("%s: mutation: %v", where, err)
+		return rep
+	}
+	ref(edges)
+	o.record()
+	if v := o.g.Acquire().Version(); rep.Version != v {
+		o.diverge("%s: published v=%d, reference graph at v=%d", where, rep.Version, v)
+	}
+	return rep
 }
 
 func (o *oracleSet) csrAt(ver uint64) *graph.CSR {
@@ -78,14 +124,23 @@ func (o *oracleSet) ccAt(ver uint64) []uint64 {
 	return v
 }
 
-func (o *oracleSet) ssnspAt(ver uint64, src graph.VertexID) [2][]uint64 {
-	key := [2]uint64{ver, uint64(src)}
-	if v, ok := o.ssnsp[key]; ok {
+// pathsAt returns the oracle's single-source answer: levels and counts
+// for SSNSP and BFS (which share the key), distances for SSSP.
+func (o *oracleSet) pathsAt(ver uint64, problem string, src graph.VertexID) [2][]uint64 {
+	if problem == "BFS" {
+		problem = "SSNSP"
+	}
+	key := pathKey{ver, src, problem}
+	if v, ok := o.paths[key]; ok {
 		return v
 	}
-	levels, counts := oracle.CountShortestPaths(o.csrAt(ver), src)
-	v := [2][]uint64{levels, counts}
-	o.ssnsp[key] = v
+	var v [2][]uint64
+	if problem == "SSSP" {
+		v[0] = oracle.BestPath(o.csrAt(ver), props.SSSP{}, src)
+	} else {
+		v[0], v[1] = oracle.CountShortestPaths(o.csrAt(ver), src)
+	}
+	o.paths[key] = v
 	return v
 }
 
@@ -94,6 +149,7 @@ func (o *oracleSet) ssnspAt(ver uint64, src graph.VertexID) [2][]uint64 {
 // agreement or a one-line reason on the first difference. counts is
 // consulted only for SSNSP; BFS is its level half.
 func (o *oracleSet) verifyAt(problem string, src graph.VertexID, version uint64, values, counts []uint64) string {
+	o.verified++
 	csr := o.csrAt(version)
 	if csr == nil {
 		return "result version not tracked"
@@ -102,11 +158,11 @@ func (o *oracleSet) verifyAt(problem string, src graph.VertexID, version uint64,
 		return fmt.Sprintf("%d values for %d vertices", len(values), csr.N)
 	}
 	switch problem {
-	case "SSNSP", "BFS":
-		want := o.ssnspAt(version, src)
+	case "SSNSP", "BFS", "SSSP":
+		want := o.pathsAt(version, problem, src)
 		for x := range values {
 			if values[x] != want[0][x] {
-				return fmt.Sprintf("level[%d]=%d, oracle %d", x, values[x], want[0][x])
+				return fmt.Sprintf("value[%d]=%d, oracle %d", x, values[x], want[0][x])
 			}
 		}
 		for x := range counts {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,25 +33,31 @@ const (
 	replayK = 8
 )
 
-// variant describes one way of replaying a schedule. The base variant
-// (batches as written) is cross-checked against the CSR oracle inline; the metamorphic variants replay the same logical
-// workload through different code paths and must observe the same
-// results.
+// variant describes one way of replaying a schedule. Every variant is
+// verified against the oracle; all but the base (batches as written,
+// one store) are also compared with the base under cmp, because they
+// replay the same logical workload through different code paths and must
+// observe the same results.
 type variant struct {
 	name string
 	// shuffle permutes each batch's edges (order invariance: the graph is
 	// a set of edges, and first-wins dedup happened at Decode).
 	shuffle bool
-	// split applies each insert batch as this many consecutive
-	// sub-batches (batch-split invariance: more versions, more standing
-	// maintenance rounds, identical graph at every op boundary).
-	split int
+	// split applies each insert batch as two consecutive sub-batches
+	// (batch-split invariance: more versions, more standing maintenance
+	// rounds, identical graph at every op boundary).
+	split bool
 	// deleteReinsert deletes half the surviving edges after the last op
 	// and reinserts exactly what was deleted; the probe phase must then
 	// observe the identical final graph.
 	deleteReinsert bool
-	// corrupt arms the streamgraph skew seam (the checker's self-test).
+	// shards > 1 replays through NewSharded's S stores instead of
+	// NewSystem's one, where the fault seams live: the fault ops then run
+	// as the plain op.
+	shards int
+	// corrupt arms the one store's skew seam (the checker's self-test).
 	corrupt bool
+	cmp     cmpCfg
 }
 
 // observation is one query's observable outcome, in replay order.
@@ -93,47 +100,65 @@ func (f *FaultCounts) add(o FaultCounts) {
 	f.EvictsFired += o.EvictsFired
 }
 
-type replayResult struct {
-	obs         []observation
-	faults      FaultCounts
-	divergences []string
-}
-
+// replayer drives one System through a schedule. The embedded oracleSet
+// is its ground truth and collects its divergences; Op.VerIdx indexes
+// its versions list.
 type replayer struct {
-	// oracleSet caches the per-version snapshots, CSRs, and sequential
-	// oracle answers; Op.VerIdx indexes its versions list.
 	*oracleSet
 	v   variant
 	sys *core.System
-	g   *streamgraph.Graph
-	res *replayResult
-	rng *xrand.RNG // shuffle permutations
+	// store is the System's one store, the home of the fault seams; nil
+	// at S > 1.
+	store  *streamgraph.Graph
+	rng    *xrand.RNG // shuffle permutations
+	obs    []observation
+	faults FaultCounts
 }
 
-// replay drives one core.System through the schedule under the given
-// variant, verifying every successful result against the CSR oracle for
-// the version the result reports.
-func replay(s *Schedule, v variant) *replayResult {
-	g := streamgraph.New(s.N, false)
-	if v.corrupt {
-		g.Seam().SetSkewDelta(true)
+// checked enables every checked problem on sys and turns history on.
+func checked(sys *core.System) *core.System {
+	for _, p := range Problems {
+		if err := sys.Enable(p); err != nil {
+			panic("check: enable " + p + ": " + err.Error())
+		}
 	}
-	sys := checked(core.NewSystem(g, replayK))
+	sys.EnableHistory(historyCap)
+	return sys
+}
+
+// replay drives one System through the schedule under the given variant
+// and ctx, verifying every successful result against the oracle for the
+// version the result reports.
+func replay(ctx context.Context, s *Schedule, v variant) *replayer {
 	r := &replayer{
-		oracleSet: newOracleSet(g),
-		v:         v, sys: sys, g: g,
-		res: &replayResult{},
-		rng: xrand.New(s.Seed ^ 0x9e3779b97f4a7c15),
+		oracleSet: newOracleSet(s.N),
+		v:         v,
+		rng:       xrand.New(s.Seed ^ 0x9e3779b97f4a7c15),
 	}
-	r.record()
+	if v.shards > 1 {
+		r.sys = checked(core.NewSharded(s.N, false, v.shards, replayK))
+	} else {
+		r.store = streamgraph.New(s.N, false)
+		r.store.Seam().SetSkewDelta(v.corrupt)
+		r.sys = checked(core.NewSystem(r.store, replayK))
+	}
 	for i, op := range s.Ops {
-		r.step(i, op)
+		r.step(ctx, i, op)
 	}
 	if v.deleteReinsert {
-		r.deleteReinsertPhase()
+		r.deleteReinsertPhase(ctx)
 	}
-	r.probes(len(s.Ops) + 1)
-	return r.res
+	r.probes(ctx, len(s.Ops)+1)
+	return r
+}
+
+// seam returns the one store's fault seam, or at S > 1 a detached one
+// whose faults reach nothing.
+func (r *replayer) seam() *streamgraph.FaultSeam {
+	if r.store == nil {
+		return new(streamgraph.FaultSeam)
+	}
+	return r.store.Seam()
 }
 
 // batches applies the variant's shuffle/split transforms to one insert
@@ -144,38 +169,37 @@ func (r *replayer) batches(edges []graph.Edge) [][]graph.Edge {
 		e = append([]graph.Edge(nil), edges...)
 		r.rng.Shuffle(len(e), func(i, j int) { e[i], e[j] = e[j], e[i] })
 	}
-	if r.v.split <= 1 || len(e) < 2 {
+	if !r.v.split || len(e) < 2 {
 		return [][]graph.Edge{e}
 	}
 	mid := len(e) / 2
 	return [][]graph.Edge{e[:mid], e[mid:]}
 }
 
-func (r *replayer) step(i int, op Op) {
+func (r *replayer) step(ctx context.Context, i int, op Op) {
+	where := fmt.Sprintf("%s: op %d", r.v.name, i)
 	switch op.Kind {
 	case OpInsert:
 		for _, b := range r.batches(op.Edges) {
-			r.sys.ApplyBatch(b)
-			r.record()
+			r.apply(ctx, r.sys, where, false, b)
 		}
 	case OpForceFull:
-		r.g.Seam().SetForceFull(true)
-		r.sys.ApplyBatch(op.Edges)
-		r.g.Seam().SetForceFull(false)
-		r.record()
-		r.res.faults.ForceFull++
+		seam := r.seam()
+		seam.SetForceFull(true)
+		r.apply(ctx, r.sys, where, false, op.Edges)
+		seam.SetForceFull(false)
+		r.faults.ForceFull++
 	case OpDelete:
-		r.sys.ApplyDeletions(op.Edges)
-		r.record()
+		r.apply(ctx, r.sys, where, true, op.Edges)
 	case OpQuery:
-		res, err := r.sys.Query(op.Problem, op.Source)
+		res, err := r.sys.QueryCtx(ctx, op.Problem, op.Source)
 		r.observe(i, op, false, res, err, false)
 	case OpQueryFull:
-		res, err := r.sys.QueryFull(op.Problem, op.Source)
+		res, err := r.sys.QueryFullCtx(ctx, op.Problem, op.Source)
 		r.observe(i, op, false, res, err, false)
 	case OpQueryAt:
 		ver := r.versions[op.VerIdx%len(r.versions)]
-		res, err := r.sys.QueryAt(ver, op.Problem, op.Source)
+		res, err := r.sys.QueryAtCtx(ctx, ver, op.Problem, op.Source)
 		r.observe(i, op, false, res, err, false)
 	case OpCancel:
 		// PageRank and CC answer Δ-queries instantly from standing state,
@@ -192,36 +216,40 @@ func (r *replayer) step(i int, op Op) {
 		} else {
 			res, err = r.sys.QueryFullCtx(ctx, op.Problem, op.Source)
 		}
-		r.res.faults.Cancels++
+		r.faults.Cancels++
 		if err != nil && errors.Is(err, engine.ErrCanceled) {
-			r.res.faults.CancelsFired++
+			r.faults.CancelsFired++
 		}
 		r.observe(i, op, false, res, err, true)
 	case OpReaders:
-		r.readers(i, op)
+		r.readers(ctx, i, op)
 	case OpEvict:
 		// Retire the pinned snapshot's mirror in the middle of the run —
 		// the history-eviction interleaving. The query must still return
 		// the correct result for the version it pinned.
-		snap := r.g.Acquire()
-		ctx := newHookCtx(evictHookStep, snap.RetireFlat)
+		retire := func() {}
+		if r.store != nil {
+			retire = r.store.Acquire().RetireFlat
+		}
+		ctx := newHookCtx(evictHookStep, retire)
 		res, err := r.sys.QueryFullCtx(ctx, op.Problem, op.Source)
-		r.res.faults.Evicts++
+		r.faults.Evicts++
 		if ctx.fired() {
-			r.res.faults.EvictsFired++
+			r.faults.EvictsFired++
 		}
 		r.observe(i, op, false, res, err, false)
 	case OpDenyRetain:
-		r.g.Seam().SetDenyRetain(true)
-		res, err := r.sys.Query(op.Problem, op.Source)
-		r.g.Seam().SetDenyRetain(false)
-		r.res.faults.DenyRetain++
+		seam := r.seam()
+		seam.SetDenyRetain(true)
+		res, err := r.sys.QueryCtx(ctx, op.Problem, op.Source)
+		seam.SetDenyRetain(false)
+		r.faults.DenyRetain++
 		r.observe(i, op, false, res, err, false)
 	}
 }
 
-func (r *replayer) readers(i int, op Op) {
-	n := r.g.Acquire().NumVertices()
+func (r *replayer) readers(ctx context.Context, i int, op Op) {
+	n := r.sys.NumVertices()
 	type outcome struct {
 		res *core.QueryResult
 		err error
@@ -233,7 +261,7 @@ func (r *replayer) readers(i int, op Op) {
 		go func(j int) {
 			defer wg.Done()
 			src := graph.VertexID((int(op.Source) + j) % n)
-			res, err := r.sys.Query(op.Problem, src)
+			res, err := r.sys.QueryCtx(ctx, op.Problem, src)
 			outs[j] = outcome{res, err}
 		}(j)
 	}
@@ -246,10 +274,10 @@ func (r *replayer) readers(i int, op Op) {
 }
 
 // deleteReinsertPhase removes every other surviving edge and reinserts
-// exactly what it removed, with the weights read back from the graph —
-// the final graph is identical, so the probe phase must agree with the
-// base replay.
-func (r *replayer) deleteReinsertPhase() {
+// exactly what it removed, with the weights read back from the reference
+// graph — the final graph is identical, so the probe phase must agree
+// with the base replay.
+func (r *replayer) deleteReinsertPhase(ctx context.Context) {
 	csr := r.g.Acquire().CSR(false)
 	var pairs []graph.Edge
 	for v := 0; v < csr.N; v++ {
@@ -266,29 +294,29 @@ func (r *replayer) deleteReinsertPhase() {
 	if len(half) == 0 {
 		return
 	}
-	r.sys.ApplyDeletions(half)
-	r.record()
-	r.sys.ApplyBatch(half)
-	r.record()
+	r.apply(ctx, r.sys, r.v.name, true, half)
+	r.apply(ctx, r.sys, r.v.name, false, half)
 }
 
 // probes issues a fixed query matrix against the final graph: per
 // problem, Δ-queries at three spread-out sources plus one full
 // evaluation. Probe observations are what the order-shifting variants
 // (split, delete-reinsert) are compared on.
-func (r *replayer) probes(opIdx int) {
-	n := r.g.Acquire().NumVertices()
+func (r *replayer) probes(ctx context.Context, opIdx int) {
+	n := r.sys.NumVertices()
 	sources := []graph.VertexID{0, graph.VertexID(n / 2), graph.VertexID(n - 1)}
 	for _, p := range Problems {
 		for _, src := range sources {
-			res, err := r.sys.Query(p, src)
+			res, err := r.sys.QueryCtx(ctx, p, src)
 			r.observe(opIdx, Op{Kind: OpQuery, Problem: p, Source: src}, true, res, err, false)
 		}
-		res, err := r.sys.QueryFull(p, graph.VertexID(n/3))
+		res, err := r.sys.QueryFullCtx(ctx, p, graph.VertexID(n/3))
 		r.observe(opIdx, Op{Kind: OpQueryFull, Problem: p, Source: graph.VertexID(n / 3)}, true, res, err, false)
 	}
 }
 
+// observe records one query's outcome and verifies a successful result
+// against the oracle at the version it reports.
 func (r *replayer) observe(i int, op Op, probe bool, res *core.QueryResult, err error, volatileObs bool) {
 	obs := observation{
 		op: i, kind: op.Kind, probe: probe,
@@ -300,7 +328,9 @@ func (r *replayer) observe(i int, op Op, probe bool, res *core.QueryResult, err 
 		obs.version = res.Version
 		obs.values = res.Values
 		obs.counts = res.Counts
-		r.verify(&obs)
+		if msg := r.verifyAt(obs.problem, obs.source, obs.version, obs.values, obs.counts); msg != "" {
+			r.diverge("%s: op %d %s src=%d v=%d: %s", r.v.name, i, obs.problem, obs.source, obs.version, msg)
+		}
 	case errors.Is(err, engine.ErrCanceled):
 		obs.outcome = "canceled"
 	case errors.Is(err, core.ErrSourceOutOfRange):
@@ -310,22 +340,5 @@ func (r *replayer) observe(i int, op Op, probe bool, res *core.QueryResult, err 
 	default:
 		obs.outcome = "error"
 	}
-	r.res.obs = append(r.res.obs, obs)
-}
-
-func (r *replayer) diverge(format string, args ...any) {
-	if len(r.res.divergences) < maxReasons {
-		r.res.divergences = append(r.res.divergences, fmt.Sprintf(format, args...))
-	}
-}
-
-// verify cross-checks one successful result against a from-scratch
-// sequential oracle on the CSR materialized from the C-tree at the
-// version the result reports. Materializing from the tree is the point:
-// a corrupted flat mirror cannot fool an oracle that never reads it.
-func (r *replayer) verify(obs *observation) {
-	if msg := r.verifyAt(obs.problem, obs.source, obs.version, obs.values, obs.counts); msg != "" {
-		r.diverge("%s: op %d %s src=%d v=%d: %s",
-			r.v.name, obs.op, obs.problem, obs.source, obs.version, msg)
-	}
+	r.obs = append(r.obs, obs)
 }

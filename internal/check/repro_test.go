@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,7 +36,7 @@ func TestReproCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if v := CheckSchedule(s, Options{}); v.Diverged {
+			if v := CheckSchedule(context.Background(), s, Options{}); v.Diverged {
 				t.Fatalf("repro diverges: %v", v.Reasons)
 			}
 		})

@@ -5,11 +5,15 @@
 // cancellations at chosen supersteps, concurrent readers, and injected
 // mirror-lifecycle faults — and cross-checks every observable result
 // against a from-scratch sequential recomputation (internal/oracle) on a
-// CSR materialized from the C-tree, never from the mirror the system
-// evaluated over. On top of the oracle it checks metamorphic invariants:
-// batch-split invariance, insertion-order invariance within a batch and
-// delete-then-reinsert identity. Divergences are shrunk through
-// internal/dd's ddmin into checked-in repros (testdata/repros).
+// reference graph fed the same mutations, materialized from its C-tree,
+// never from a mirror the system evaluated over. One replayer serves
+// every store count: on top of the oracle it checks metamorphic
+// invariants — batch-split invariance, insertion-order invariance within
+// a batch, delete-then-reinsert identity and, with Options.Shards,
+// store-count invariance — and Options.Serving replays the serving
+// surface (result cache, subscriptions) instead. CheckSchedule is the one
+// entry point. Divergences are shrunk through internal/dd's ddmin into
+// checked-in repros (testdata/repros).
 package check
 
 import (
@@ -26,11 +30,13 @@ import (
 // system has: a standing set with two readers — BFS (Δ-initialized
 // vertex-specific query) and SSNSP (the same evaluation over the same
 // set, plus an exact recount round), so every schedule drives a shared
-// set through each fault with both — and the two maintained answers,
-// PageRank (whole-graph, resumed float iteration) and CC (whole-graph,
-// resumed min-label propagation). Graphs are always undirected so the CC
-// min-label fixpoint equals the oracle's union-find components.
-var Problems = []string{"SSNSP", "PageRank", "CC", "BFS"}
+// set through each fault with both — a weighted standing set, SSSP
+// (weighted Δ-initialization, and deletions that trim by witness
+// weight), and the two maintained answers, PageRank (whole-graph,
+// resumed float iteration) and CC (whole-graph, resumed min-label
+// propagation). Graphs are always undirected so the CC min-label
+// fixpoint equals the oracle's union-find components.
+var Problems = []string{"SSNSP", "PageRank", "CC", "BFS", "SSSP"}
 
 // OpKind enumerates the schedule operations.
 type OpKind uint8

@@ -7,7 +7,6 @@ import (
 
 	"tripoline/internal/core"
 	"tripoline/internal/graph"
-	"tripoline/internal/streamgraph"
 	"tripoline/internal/xrand"
 )
 
@@ -19,10 +18,10 @@ import (
 // state are exact for the version they report, no matter how stale that
 // version is — so every observable is verified against the from-scratch
 // CSR oracle at its reported version, and cached copies are additionally
-// required to be bit-identical to the evaluation that produced them. The
-// system under test is a System at any store count, so the oracle reads a
-// reference streamgraph fed the same mutations, never the system's own
-// stores.
+// required to be bit-identical to the evaluation that produced them. As
+// in every replay, the oracle reads a reference graph fed the same
+// mutations, never the System's own stores. CheckSchedule runs it when
+// Options.Serving is set; Options.CorruptDelta has no seam to arm here.
 //
 // Subscribers here are synchronous: large buffers, drained after every
 // op. That removes the (legitimate, tested elsewhere) lossy-delivery
@@ -42,19 +41,6 @@ const (
 	maxServingClients = 6
 )
 
-// ServingVerdict is the deterministic outcome of serving-checking one
-// schedule.
-type ServingVerdict struct {
-	Seed          uint64   `json:"seed"`
-	N             int      `json:"n"`
-	Ops           int      `json:"ops"`
-	CacheHits     int      `json:"cache_hits"`
-	Frames        int      `json:"frames"`
-	Subscriptions int      `json:"subscriptions"`
-	Diverged      bool     `json:"diverged"`
-	Reasons       []string `json:"reasons,omitempty"`
-}
-
 // servingClient mirrors what a subscriber's client would hold: the value
 // arrays reconstructed purely by applying frames in order. Its state
 // after frame k must equal the exact answer at frame k's version.
@@ -66,30 +52,28 @@ type servingClient struct {
 }
 
 type servingReplayer struct {
-	// oracleSet reads g, the reference graph: fed every mutation the
-	// system under test applies.
+	// oracleSet is the ground truth, fed every mutation the System under
+	// test applies; it collects the divergences.
 	*oracleSet
 	sys     *core.System
-	g       *streamgraph.Graph
 	rng     *xrand.RNG
 	clients []*servingClient
-	v       *ServingVerdict
+	v       Verdict
 }
 
-// CheckServingSchedule replays the schedule once through sys — a fresh
-// checked System, to which it adds the result cache — under ctx, with
-// subscribers churning, verifying every cached answer and every applied
-// frame against the oracle at its reported version.
-func CheckServingSchedule(ctx context.Context, s *Schedule, sys *core.System) ServingVerdict {
+// checkServing replays the schedule once under ctx through a fresh
+// checked System over the given number of stores, with the result cache
+// on and subscribers churning, verifying every cached answer and every
+// applied frame against the oracle at its reported version.
+func checkServing(ctx context.Context, s *Schedule, shards int) Verdict {
+	sys := checked(core.NewSharded(s.N, false, shards, replayK))
 	sys.EnableResultCache(servingCacheEntries)
-	g := streamgraph.New(s.N, false)
 	r := &servingReplayer{
-		oracleSet: newOracleSet(g),
-		sys:       sys, g: g,
-		rng: xrand.New(s.Seed ^ 0xc2b2ae3d27d4eb4f),
-		v:   &ServingVerdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops)},
+		oracleSet: newOracleSet(s.N),
+		sys:       sys,
+		rng:       xrand.New(s.Seed ^ 0xc2b2ae3d27d4eb4f),
+		v:         Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops)},
 	}
-	r.record()
 	for i, op := range s.Ops {
 		r.step(ctx, i, op)
 		r.churn(ctx, i)
@@ -105,38 +89,15 @@ func CheckServingSchedule(ctx context.Context, s *Schedule, sys *core.System) Se
 		r.drainClient(c, len(s.Ops))
 		r.sys.Unsubscribe(c.sub)
 	}
-	r.v.Diverged = len(r.v.Reasons) > 0
-	return *r.v
-}
-
-func (r *servingReplayer) diverge(format string, args ...any) {
-	if len(r.v.Reasons) < maxReasons {
-		r.v.Reasons = append(r.v.Reasons, fmt.Sprintf(format, args...))
-	}
+	r.v.Verified, r.v.Reasons = r.verified, r.reasons
+	r.v.Diverged = len(r.reasons) > 0
+	return r.v
 }
 
 func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 	switch op.Kind {
 	case OpInsert, OpForceFull, OpDelete:
-		var (
-			rep core.BatchReport
-			err error
-		)
-		if op.Kind == OpDelete {
-			rep, err = r.sys.ApplyDeletionsCtx(ctx, op.Edges)
-			r.g.DeleteEdges(op.Edges)
-		} else {
-			rep, err = r.sys.ApplyBatchCtx(ctx, op.Edges)
-			r.g.InsertEdges(op.Edges)
-		}
-		if err != nil {
-			r.diverge("serving: op %d mutation: %v", i, err)
-			return
-		}
-		r.record()
-		if ref := r.g.Acquire().Version(); rep.Version != ref {
-			r.diverge("serving: op %d published v=%d, reference graph at v=%d", i, rep.Version, ref)
-		}
+		rep := r.apply(ctx, r.sys, fmt.Sprintf("serving: op %d", i), op.Kind == OpDelete, op.Edges)
 		if rep.FramesDropped != 0 {
 			r.diverge("serving: op %d dropped %d frames with buffer %d", i, rep.FramesDropped, servingSubBuffer)
 		}
@@ -151,6 +112,7 @@ func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 			r.check(i, "cached-queryat", op.Problem, res)
 		}
 		res, err := r.sys.QueryAtCtx(ctx, ver, op.Problem, op.Source)
+		r.v.Queries++
 		switch {
 		case err == nil:
 			r.check(i, "queryat", op.Problem, res)
@@ -188,6 +150,7 @@ func (r *servingReplayer) query(ctx context.Context, i int, op Op) {
 		r.check(i, "cached-query", op.Problem, res)
 	}
 	res, err := r.sys.QueryCtx(ctx, op.Problem, op.Source)
+	r.v.Queries++
 	if err != nil {
 		if !errors.Is(err, core.ErrSourceOutOfRange) {
 			r.diverge("serving: op %d query %s src=%d: %v", i, op.Problem, op.Source, err)
@@ -320,40 +283,4 @@ func applyDeltas(arr []uint64, deltas []core.VertexDelta) []uint64 {
 		arr[d.Vertex] = d.Value
 	}
 	return arr
-}
-
-// ServingSummary aggregates a multi-schedule serving run.
-type ServingSummary struct {
-	Schedules     int      `json:"schedules"`
-	Seed          uint64   `json:"seed"`
-	CacheHits     int      `json:"cache_hits"`
-	Frames        int      `json:"frames"`
-	Subscriptions int      `json:"subscriptions"`
-	Divergences   int      `json:"divergences"`
-	FailingSeeds  []uint64 `json:"failing_seeds,omitempty"`
-}
-
-// RunServingMany generates and serving-checks n schedules with the same
-// per-schedule seed derivation as RunMany, so the two checkers cover the
-// identical workloads through different surfaces. Each schedule runs
-// through a System split across the given number of stores, under ctx.
-func RunServingMany(ctx context.Context, n int, seed uint64, shards int, onVerdict func(int, ServingVerdict)) ServingSummary {
-	sum := ServingSummary{Schedules: n, Seed: seed}
-	for i := 0; i < n; i++ {
-		s := Generate(Params{Seed: xrand.Hash64(seed + uint64(i))})
-		verdict := CheckServingSchedule(ctx, s, newSharded(s.N, shards))
-		sum.CacheHits += verdict.CacheHits
-		sum.Frames += verdict.Frames
-		sum.Subscriptions += verdict.Subscriptions
-		if verdict.Diverged {
-			sum.Divergences++
-			if len(sum.FailingSeeds) < 32 {
-				sum.FailingSeeds = append(sum.FailingSeeds, s.Seed)
-			}
-		}
-		if onVerdict != nil {
-			onVerdict(i, verdict)
-		}
-	}
-	return sum
 }

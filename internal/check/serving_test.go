@@ -3,17 +3,18 @@ package check
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
+	"tripoline/internal/core"
 	"tripoline/internal/graph"
-	"tripoline/internal/streamgraph"
 )
 
 // TestServingSchedules runs the serving checker over a batch of
-// generated schedules, through a core.System and through a 4-shard
-// router: zero divergences, and the run must actually have exercised the
-// serving surface (cache hits, frames, subscriber churn) — a vacuously
-// green checker would be worse than none.
+// generated schedules, through a System over one store and one split
+// across 4: zero divergences, and the run must actually have exercised
+// the serving surface (cache hits, frames, subscriber churn) — a
+// vacuously green checker would be worse than none.
 func TestServingSchedules(t *testing.T) {
 	n := 30
 	if testing.Short() {
@@ -21,7 +22,7 @@ func TestServingSchedules(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
-			sum := RunServingMany(context.Background(), n, 1, shards, func(i int, v ServingVerdict) {
+			sum := RunMany(context.Background(), n, 1, Options{Serving: true, Shards: shards}, func(i int, v Verdict) {
 				if v.Diverged {
 					t.Errorf("schedule %d (seed %d) diverged: %v", i, v.Seed, v.Reasons)
 				}
@@ -39,25 +40,40 @@ func TestServingSchedules(t *testing.T) {
 	}
 }
 
-// TestServingDetectsCorruption is the serving checker's self-test: the
-// oracle comparison it leans on must actually flag a wrong value at the
-// reported version.
+// TestServingDetectsCorruption is the oracle's self-test, one case per
+// checked problem: a System's correct answer passes verifyAt, the same
+// answer with one entry changed is flagged, and so is an answer at a
+// version the oracle never recorded.
 func TestServingDetectsCorruption(t *testing.T) {
-	g := streamgraph.New(4, false)
-	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}})
-	o := newOracleSet(g)
-	o.record()
-	ver := g.Acquire().Version()
-	good := append([]uint64(nil), o.ccAt(ver)...)
-	if msg := o.verifyAt("CC", 0, ver, good, nil); msg != "" {
-		t.Fatalf("correct labels flagged: %s", msg)
+	o := newOracleSet(6)
+	sys := checked(core.NewSharded(6, false, 1, replayK))
+	o.apply(context.Background(), sys, "setup", false, []graph.Edge{
+		{Src: 0, Dst: 1, W: 3}, {Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 5}, {Src: 0, Dst: 3, W: 2},
+	})
+	if len(o.reasons) != 0 {
+		t.Fatalf("setup diverged: %v", o.reasons)
 	}
-	bad := append([]uint64(nil), good...)
-	bad[2]++
-	if msg := o.verifyAt("CC", 0, ver, bad, nil); msg == "" {
-		t.Fatal("tampered label not flagged")
-	}
-	if msg := o.verifyAt("CC", 0, ver+999, good, nil); msg == "" {
-		t.Fatal("untracked version not flagged")
+	for _, p := range Problems {
+		t.Run(p, func(t *testing.T) {
+			res, err := sys.Query(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := o.verifyAt(p, 0, res.Version, res.Values, res.Counts); msg != "" {
+				t.Fatalf("correct answer flagged: %s", msg)
+			}
+			bad := append([]uint64(nil), res.Values...)
+			if p == "PageRank" {
+				bad[2] = math.Float64bits(math.Float64frombits(bad[2]) + 1e-3)
+			} else {
+				bad[2]++
+			}
+			if msg := o.verifyAt(p, 0, res.Version, bad, res.Counts); msg == "" {
+				t.Fatal("changed entry not flagged")
+			}
+			if msg := o.verifyAt(p, 0, res.Version+999, res.Values, res.Counts); msg == "" {
+				t.Fatal("untracked version not flagged")
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"fmt"
 
 	"tripoline/internal/dd"
@@ -12,9 +13,9 @@ import (
 // batch at edge granularity. The result still diverges under the same
 // Options and is what gets encoded into testdata/repros. Schedules that
 // do not diverge are returned unchanged.
-func Shrink(s *Schedule, opts Options) *Schedule {
+func Shrink(ctx context.Context, s *Schedule, opts Options) *Schedule {
 	fails := func(ops []Op) bool {
-		return CheckSchedule(&Schedule{Seed: s.Seed, N: s.N, Ops: ops}, opts).Diverged
+		return CheckSchedule(ctx, &Schedule{Seed: s.Seed, N: s.N, Ops: ops}, opts).Diverged
 	}
 	ops := append([]Op(nil), s.Ops...)
 	if !fails(ops) {
