@@ -117,8 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "checked %d schedules (seed %d, S=%d, serving=%v) in %v: %d queries, %d answers verified, %d divergences\n",
 			sum.Schedules, sum.Seed, max(*shards, 1), *serving, elapsed.Round(time.Millisecond), sum.Queries, sum.Verified, sum.Divergences)
 		if *serving {
-			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions\n",
-				sum.CacheHits, sum.Frames, sum.Subscriptions)
+			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions, %d frames dropped by lossy ones\n",
+				sum.CacheHits, sum.Frames, sum.Subscriptions, sum.FramesDropped)
 		} else {
 			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d (fired %d)\n",
 				sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain,

@@ -28,6 +28,17 @@ func New(n int) *Set {
 // Len returns the capacity of the set in bits.
 func (s *Set) Len() int { return s.n }
 
+// Grow extends the set to hold bits [0, n); the new bits are clear.
+func (s *Set) Grow(n int) {
+	if n <= s.n {
+		return
+	}
+	if w := (n + wordBits - 1) / wordBits; w > len(s.words) {
+		s.words = append(s.words, make([]uint64, w-len(s.words))...)
+	}
+	s.n = n
+}
+
 // Set sets bit i.
 func (s *Set) Set(i int) { s.words[i/wordBits] |= 1 << uint(i%wordBits) }
 

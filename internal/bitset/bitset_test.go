@@ -185,3 +185,18 @@ func TestLen(t *testing.T) {
 		t.Fatal("Atomic.Len wrong")
 	}
 }
+
+func TestGrowKeepsBitsAndClearsNew(t *testing.T) {
+	s := New(70)
+	s.Set(3)
+	s.Set(69)
+	s.Grow(200)
+	if s.Len() != 200 || !s.Get(3) || !s.Get(69) || s.Count() != 2 {
+		t.Fatalf("after Grow(200): len %d, members %v", s.Len(), s.Members(nil))
+	}
+	s.Set(199)
+	s.Grow(100) // never shrinks
+	if s.Len() != 200 || !s.Get(199) {
+		t.Fatalf("Grow(100) changed a 200-bit set: len %d", s.Len())
+	}
+}

@@ -45,6 +45,8 @@ type Verdict struct {
 	CacheHits     int `json:"cache_hits,omitempty"`
 	Frames        int `json:"frames,omitempty"`
 	Subscriptions int `json:"subscriptions,omitempty"`
+	// FramesDropped counts the frames lossy subscribers missed.
+	FramesDropped int `json:"frames_dropped,omitempty"`
 }
 
 // cmpCfg tunes a cross-variant comparison for variants whose version
@@ -197,6 +199,7 @@ type Summary struct {
 	CacheHits     int         `json:"cache_hits,omitempty"`
 	Frames        int         `json:"frames,omitempty"`
 	Subscriptions int         `json:"subscriptions,omitempty"`
+	FramesDropped int         `json:"frames_dropped,omitempty"`
 }
 
 // RunMany generates and checks n schedules under ctx, whose per-schedule
@@ -216,6 +219,7 @@ func RunMany(ctx context.Context, n int, seed uint64, opts Options, onVerdict fu
 		sum.CacheHits += verdict.CacheHits
 		sum.Frames += verdict.Frames
 		sum.Subscriptions += verdict.Subscriptions
+		sum.FramesDropped += verdict.FramesDropped
 		if verdict.Diverged {
 			sum.Divergences++
 			if len(sum.FailingSeeds) < 32 {

@@ -23,10 +23,13 @@ import (
 // mutations, never the System's own stores. CheckSchedule runs it when
 // Options.Serving is set; Options.CorruptDelta has no seam to arm here.
 //
-// Subscribers here are synchronous: large buffers, drained after every
-// op. That removes the (legitimate, tested elsewhere) lossy-delivery
-// behavior from the picture, so every frame is observed and every
-// intermediate version is checked.
+// Subscribers come in two kinds. Most are synchronous: large buffers,
+// drained after every op, so every frame is observed, every intermediate
+// version is checked, and none may be dropped. Every third is lossy: a
+// one-frame buffer drained only every few ops, so the writer drops their
+// frames and the next delivered one must be cumulative from what the
+// client actually applied — each delivered frame's reconstructed state is
+// still verified at its version.
 
 const (
 	// servingCacheEntries keeps the LRU small enough that long schedules
@@ -37,6 +40,9 @@ const (
 	// never drops a frame (at most a handful of versions publish between
 	// drains).
 	servingSubBuffer = 64
+	// lossyDrainEvery is how many ops pass between drains of a lossy
+	// subscriber, whose buffer holds one frame.
+	lossyDrainEvery = 4
 	// maxServingClients bounds the concurrent subscriber population.
 	maxServingClients = 6
 )
@@ -46,6 +52,7 @@ const (
 // after frame k must equal the exact answer at frame k's version.
 type servingClient struct {
 	sub     *core.Subscription
+	lossy   bool
 	vals    []uint64
 	counts  []uint64
 	version uint64
@@ -98,10 +105,8 @@ func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 	switch op.Kind {
 	case OpInsert, OpForceFull, OpDelete:
 		rep := r.apply(ctx, r.sys, fmt.Sprintf("serving: op %d", i), op.Kind == OpDelete, op.Edges)
-		if rep.FramesDropped != 0 {
-			r.diverge("serving: op %d dropped %d frames with buffer %d", i, rep.FramesDropped, servingSubBuffer)
-		}
-		r.drainAll(i)
+		r.v.FramesDropped += rep.FramesDropped
+		r.drainAll(i, rep.Version)
 	case OpQueryAt:
 		ver := r.versions[op.VerIdx%len(r.versions)]
 		if res, ok := r.sys.CachedQueryAt(op.Problem, op.Source, ver); ok {
@@ -214,21 +219,40 @@ func (r *servingReplayer) churn(ctx context.Context, i int) {
 	if len(r.clients) < maxServingClients && r.rng.Intn(3) != 0 {
 		problem := Problems[r.rng.Intn(len(Problems))]
 		src := graph.VertexID(r.rng.Intn(r.sys.NumVertices()))
-		sub, err := r.sys.SubscribeCtx(ctx, problem, src, servingSubBuffer)
+		// Every third subscription is lossy. Counting instead of drawing
+		// keeps the schedule's random stream what it was without them.
+		lossy := r.v.Subscriptions%3 == 2
+		buffer := servingSubBuffer
+		if lossy {
+			buffer = 1
+		}
+		sub, err := r.sys.SubscribeCtx(ctx, problem, src, buffer)
 		if err != nil {
 			r.diverge("serving: op %d subscribe %s src=%d: %v", i, problem, src, err)
 			return
 		}
-		c := &servingClient{sub: sub}
+		c := &servingClient{sub: sub, lossy: lossy}
 		r.clients = append(r.clients, c)
 		r.v.Subscriptions++
 		r.drainClient(c, i) // the snapshot frame
 	}
 }
 
-func (r *servingReplayer) drainAll(i int) {
+// drainAll drains every synchronous client after op i, which published
+// version: each must have been delivered that version. Lossy clients are
+// drained every lossyDrainEvery ops only.
+func (r *servingReplayer) drainAll(i int, version uint64) {
 	for _, c := range r.clients {
+		if c.lossy {
+			if i%lossyDrainEvery == 0 {
+				r.drainClient(c, i)
+			}
+			continue
+		}
 		r.drainClient(c, i)
+		if c.version != version {
+			r.diverge("serving: op %d sub %s src=%d: synchronous client at v=%d after v=%d was published", i, c.sub.Problem, c.sub.Source, c.version, version)
+		}
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // TestServingSchedules runs the serving checker over a batch of
 // generated schedules, through a System over one store and one split
 // across 4: zero divergences, and the run must actually have exercised
-// the serving surface (cache hits, frames, subscriber churn) — a
-// vacuously green checker would be worse than none.
+// the serving surface (cache hits, frames, subscriber churn, frames
+// dropped by lossy subscribers) — a vacuously green checker would be
+// worse than none.
 func TestServingSchedules(t *testing.T) {
 	n := 30
 	if testing.Short() {
@@ -35,6 +36,9 @@ func TestServingSchedules(t *testing.T) {
 			}
 			if sum.Frames == 0 || sum.Subscriptions == 0 {
 				t.Fatalf("serving run pushed %d frames over %d subscriptions", sum.Frames, sum.Subscriptions)
+			}
+			if sum.FramesDropped == 0 {
+				t.Fatal("serving run dropped no frame: the lossy subscribers were never lossy")
 			}
 		})
 	}

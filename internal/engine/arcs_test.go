@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -72,4 +73,63 @@ func TestArcRoundRejectsUnsortedArcs(t *testing.T) {
 		}
 	}()
 	st.RunPushArcs(g, []graph.Edge{{Src: 1, Dst: 2, W: 1}, {Src: 0, Dst: 1, W: 1}})
+}
+
+// TestChangedRecordsWhatMoved: a state with a Changed record gets, after
+// an arc round that also grows it, exactly the (vertex, slot) pairs whose
+// value the round improved — at widths 1 and 5 — and a state without one
+// is evaluated the same.
+func TestChangedRecordsWhatMoved(t *testing.T) {
+	const n, grown = 80, 90
+	rng := xrand.New(409)
+	moved := 0
+	for name, p := range props.Registry() {
+		for _, k := range []int{1, 5} {
+			sources := pickSources(n, k, rng)
+			edges := make([]graph.Edge, 160)
+			for i := range edges {
+				edges[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(16))}
+			}
+			g := streamgraph.FromEdges(n, edges, true)
+			prev := g.Acquire()
+			tracked, _ := engine.Run(prev.Flatten(), p, sources)
+			plain := tracked.Clone()
+			before := tracked.Clone()
+			tracked.Changed = make([]uint64, n)
+			batch := make([]graph.Edge, 60)
+			for i := range batch {
+				batch[i] = graph.Edge{Src: graph.VertexID(rng.Intn(grown)), Dst: graph.VertexID(rng.Intn(grown)), W: graph.Weight(1 + rng.Intn(16))}
+			}
+			snap, changed := g.InsertEdges(batch)
+			flat := snap.FlattenFrom(prev.BuiltFlat(), changed)
+			arcs, _ := flat.InsertedArcs()
+			tracked.RunPushArcs(flat, arcs)
+			plain.RunPushArcs(flat, arcs)
+			if m := flat.NumVertices(); len(tracked.Changed) != tracked.N || tracked.N != m || m <= n {
+				t.Fatalf("%s K=%d: Changed has %d entries for %d vertices (graph grew to %d)", name, k, len(tracked.Changed), tracked.N, m)
+			}
+			for v := 0; v < tracked.N; v++ {
+				var want uint64
+				for s := 0; s < k; s++ {
+					old := p.InitValue()
+					if v < n {
+						old = before.Value(graph.VertexID(v), s)
+					}
+					if got := tracked.Value(graph.VertexID(v), s); got != old {
+						want |= 1 << uint(s)
+					}
+					if tracked.Value(graph.VertexID(v), s) != plain.Value(graph.VertexID(v), s) {
+						t.Fatalf("%s K=%d: recording changed value(%d, %d)", name, k, v, s)
+					}
+				}
+				if tracked.Changed[v] != want {
+					t.Fatalf("%s K=%d: Changed[%d] = %b, moved %b", name, k, v, tracked.Changed[v], want)
+				}
+				moved += bits.OnesCount64(want)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no batch moved any value: the record was never tested")
+	}
 }

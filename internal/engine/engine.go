@@ -230,6 +230,12 @@ type State struct {
 	// lanes pinned at the init value. nil on K=1 states.
 	cols []uint64
 	padN int
+	// Changed, when non-nil, records what runs move: every run ORs into
+	// Changed[v] the bit of each slot whose value at v it improved. The
+	// state's owner sets it (len N; Grow extends it) and reads and clears
+	// it between runs; nil on every query state, where it costs one check
+	// per superstep. Not safe for runs that share the state concurrently.
+	Changed []uint64
 }
 
 // NewState allocates a state with every value at the problem's init value.
@@ -373,8 +379,21 @@ func (st *State) Interleaved() []uint64 {
 	return out
 }
 
-// Clone returns a deep copy of the state (used to snapshot standing-query
-// results before speculative work).
+// CopySlot overwrites slot k's values with slot j of src over the vertices
+// both states hold, whatever either's width.
+func (st *State) CopySlot(k int, src *State, j int) {
+	dst, ds, do := st.StrideView(k)
+	arr, ss, so := src.StrideView(j)
+	parallel.ForRange(min(st.N, src.N), parallel.BlockGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			dst[v*ds+do] = arr[v*ss+so]
+		}
+	})
+}
+
+// Clone returns a deep copy of the state's values (used to snapshot
+// standing-query results before speculative work); the copy records no
+// changes.
 func (st *State) Clone() *State {
 	out := &State{P: st.P, K: st.K, N: st.N, padN: st.padN}
 	if st.Values != nil {
@@ -390,6 +409,9 @@ func (st *State) Clone() *State {
 func (st *State) Grow(n int) {
 	if n <= st.N {
 		return
+	}
+	if st.Changed != nil {
+		st.Changed = append(st.Changed, make([]uint64, n-len(st.Changed))...)
 	}
 	init := st.P.InitValue()
 	if st.cols != nil {
@@ -644,6 +666,10 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 				cur.masks[v] = atomic.LoadUint64(&nextMasks[v])
 				atomic.StoreUint64(&nextMasks[v], 0)
 			})
+		}
+		if st.Changed != nil {
+			// cur.masks now holds exactly the slots each vertex improved in.
+			inNext.ForEach(func(v int) { st.Changed[v] |= cur.masks[v] })
 		}
 		inNext.Reset()
 		active = count

@@ -43,6 +43,8 @@ type Manager struct {
 	// where property(x, r) = property(r, x).
 	Reverse *engine.State
 
+	// directed is the graph's orientation, which a manager built by
+	// NewForward keeps although it keeps no Reverse.
 	directed bool
 	// LastMaintain is the wall time of the most recent Update (or the
 	// initial evaluation), the quantity reported in Tables 5 and 6.
@@ -63,6 +65,20 @@ type Manager struct {
 func New(p engine.Problem, g engine.ArcView, roots []graph.VertexID, directed bool) *Manager {
 	m := &Manager{Problem: p, Roots: roots, directed: directed}
 	m.Rebuild(g)
+	return m
+}
+
+// NewForward returns a manager of st, the converged forward state of the
+// queries rooted at roots (slot k at roots[k]) on the version given, that
+// maintains it like any standing set (Update, UpdateDeletions,
+// StampVersion) but keeps no reversed state even on a directed graph: it
+// holds the answers q(r) themselves and is never asked for property(u, r),
+// so Select, PropURInto and Rebuild do not apply to it. Subscribed slots
+// are such managers. directed is still the graph's orientation, which
+// deletion recovery needs to find in-arcs.
+func NewForward(p engine.Problem, roots []graph.VertexID, st *engine.State, version uint64, directed bool) *Manager {
+	m := &Manager{Problem: p, Roots: roots, Forward: st, directed: directed}
+	m.StampVersion(version)
 	return m
 }
 
