@@ -55,16 +55,17 @@ type evaluator struct {
 	// hist, when non-nil, records the sources of answered user queries for
 	// ReselectRoots (see RecordQueries).
 	hist *standing.QueryHistogram
-	// subMu guards the subscription registry and the subscribed slots
-	// (subscribe.go). Lock order: mu before subMu — the writer maintains
-	// the slots and refreshes subscriptions inside its exclusive window.
-	// slots holds each standing set's slot groups; whole holds the latest
-	// maintained answer of every subscribed PageRank or CC; catchups
-	// holds the batch logs of subscribes still evaluating their snapshot.
+	// subMu guards the subscription registry (subscribe.go). Lock order:
+	// mu before subMu. The writer maintains the lanes in the standing sets
+	// under mu alone, so installing or freeing one takes mu shared, then
+	// subMu. lanes indexes each set's subscribed lanes by id (nil where
+	// free); whole holds the latest maintained answer of every subscribed
+	// PageRank or CC; catchups holds the batch logs of subscribes still
+	// evaluating their snapshot.
 	subMu    sync.Mutex
 	subs     map[uint64]*Subscription
 	subSeq   uint64
-	slots    map[*standing.Manager][]*slotGroup
+	lanes    map[*standing.Manager][]*lane
 	whole    map[string][]uint64
 	catchups map[*catchup]struct{}
 	// evaluated, when set (tests only), runs after each snapshot
@@ -87,7 +88,7 @@ func newEvaluator(k int, directed bool) *evaluator {
 	}
 	return &evaluator{
 		k: k, directed: directed, problems: make(map[string]*problem),
-		subs: make(map[uint64]*Subscription), slots: make(map[*standing.Manager][]*slotGroup), whole: make(map[string][]uint64),
+		subs: make(map[uint64]*Subscription), lanes: make(map[*standing.Manager][]*lane), whole: make(map[string][]uint64),
 		catchups: make(map[*catchup]struct{}),
 	}
 }
@@ -196,11 +197,11 @@ func sourceInRange(u graph.VertexID, n int, version uint64) error {
 // already stands on, so no view of it is needed and the maintained answers
 // keep the version they converged at. Standing sets resume from the arcs
 // the batch stored, or recover by witness-based trimming (package
-// standing); maintained answers resume after insertions and re-evaluate
-// from scratch after deletions, which is always sound. inserted and
-// deleted then maintain the subscribed slots the same way and refresh the
-// subscriptions on g, and stamp stamps the slots too; the report carries
-// the standing maintenance work and the subscription fan-out.
+// standing), their subscribed lanes with them; maintained answers resume
+// after insertions and re-evaluate from scratch after deletions, which is
+// always sound. inserted and deleted then refresh the subscriptions on g;
+// the report carries the standing maintenance work and the subscription
+// fan-out.
 func (ev *evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
 	var rep BatchReport
 	for _, set := range ev.sets {
@@ -209,8 +210,7 @@ func (ev *evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
 	for _, ans := range ev.answers {
 		rep.StandingStats.Add(ans.update(g, changed))
 	}
-	ev.note(changed, false)
-	ev.refreshSubscriptions(g, &rep, func(m *standing.Manager) { m.Update(g, changed) })
+	ev.refreshSubscriptions(g, &rep, changed, false)
 	return rep
 }
 
@@ -222,21 +222,13 @@ func (ev *evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
 	for _, ans := range ev.answers {
 		rep.StandingStats.Add(ans.rebuild(g))
 	}
-	ev.note(nil, true)
-	ev.refreshSubscriptions(g, &rep, func(m *standing.Manager) { m.UpdateDeletions(g, deleted, !ev.directed) })
+	ev.refreshSubscriptions(g, &rep, nil, true)
 	return rep
 }
 
 func (ev *evaluator) stamp(version uint64) {
 	for _, set := range ev.sets {
 		set.StampVersion(version)
-	}
-	ev.subMu.Lock()
-	defer ev.subMu.Unlock()
-	for _, groups := range ev.slots {
-		for _, g := range groups {
-			g.m.StampVersion(version)
-		}
 	}
 }
 

@@ -26,26 +26,31 @@ func (s *System) QueryHistogramTotal() uint64 {
 	return s.ev.hist.Total()
 }
 
-// SlotColumn is one subscribed slot as the evaluator holds it: the
-// problem of the standing set it belongs to, its source, the version its
-// group stands on and a copy of its column.
+// SlotColumn is one subscribed lane as its standing set holds it: the
+// problem of the set, the lane's id and source, the version the set stands
+// on and a copy of the lane's values.
 type SlotColumn struct {
 	Problem string
+	Lane    int
 	Source  graph.VertexID
 	Version uint64
 	Values  []uint64
 }
 
-// SubscribedSlots returns every subscribed slot, in standing-set order.
+// SubscribedSlots returns every subscribed lane, in standing-set and lane
+// order, read through the sets under the shared lock (lock order mu →
+// subMu).
 func (s *System) SubscribedSlots() []SlotColumn {
 	ev := s.ev
+	ev.mu.RLock()
+	defer ev.mu.RUnlock()
 	ev.subMu.Lock()
 	defer ev.subMu.Unlock()
 	var out []SlotColumn
 	for _, set := range ev.sets {
-		for _, g := range ev.slots[set] {
-			for _, sl := range g.slots {
-				out = append(out, SlotColumn{set.Problem.Name(), sl.source, g.m.LastVersion, g.m.Forward.Column(sl.k)})
+		for _, l := range ev.lanes[set] {
+			if l != nil {
+				out = append(out, SlotColumn{set.Problem.Name(), l.id, l.source, set.LastVersion, set.LaneColumn(l.id)})
 			}
 		}
 	}

@@ -168,12 +168,12 @@ func (h *pageRankHandler) converged(g View, res *props.PageRankResult, start tim
 
 func (h *pageRankHandler) update(g View, _ []graph.VertexID) engine.Stats {
 	start := time.Now()
-	return h.converged(g, props.PageRankFrom(g, h.ranks, 0.85, 100, 1e-9), start)
+	return h.converged(g, props.PageRank(g, h.ranks, 0.85, 100, 1e-9), start)
 }
 
 func (h *pageRankHandler) rebuild(g View) engine.Stats {
 	start := time.Now()
-	return h.converged(g, props.PageRank(g, 0.85, 100, 1e-9), start)
+	return h.converged(g, props.PageRank(g, nil, 0.85, 100, 1e-9), start)
 }
 
 func (h *pageRankHandler) lastMaintain() time.Duration { return h.last }
@@ -181,7 +181,7 @@ func (h *pageRankHandler) lastMaintain() time.Duration { return h.last }
 func (h *pageRankHandler) values() ([]uint64, uint64) { return RankBits(h.ranks), h.version }
 
 func (h *pageRankHandler) full(ctx context.Context, g View) ([]uint64, engine.Stats, error) {
-	res, err := props.PageRankCtx(ctx, g, 0.85, 100, 1e-9)
+	res, err := props.PageRankCtx(ctx, g, nil, 0.85, 100, 1e-9)
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}

@@ -18,27 +18,32 @@ import (
 // is the evaluator's own.
 var slotProblems = []string{"SSSP", "SSWP", "Viterbi", "BFS", "SSNP", "SSR", "SSNSP", "CC"}
 
-// TestSubscribedSlotsStayExact is the lock on subscribed slots, in the
+// TestSubscribedSlotsStayExact is the lock on subscribed lanes, in the
 // shape of TestStandingStaysExact: directed and undirected graphs, one
 // store and four, every subscribable problem but PageRank, and a schedule
 // of insertion batches, one that grows the vertex count, and trimmed
-// deletions, with subscribers leaving and arriving between batches (slot
-// compaction and re-widening). After every step every slot is held to
+// deletions, with subscribers leaving and arriving between batches (lanes
+// freed and reused). After every step every lane is held to
 // oracle.BestPath and every SSNSP subscriber's counts to
-// oracle.CountShortestPaths at the version its group stands on, and two
+// oracle.CountShortestPaths at the version its set stands on, and two
 // kinds of client are held to the oracle at the version of the frames
 // they applied: one drained after every batch, and one with a one-frame
 // buffer, drained every third step, so it drops frames and catches up
 // from cumulative ones. The differential checker replays undirected
-// graphs only, so directed slot trimming is locked here and nowhere else.
+// graphs only, so directed lane trimming is locked here and nowhere else.
+// One more input subscribes 70 further SSSP sources, so that SSSP's set
+// holds more than 64 lanes and its overflow page is maintained through
+// the same insertions, deletions and growth. In every input the SSSP
+// subscriber that leaves and comes back lands on the lane it freed.
 func TestSubscribedSlotsStayExact(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("directed=%v/S=%d", directed, shards), func(t *testing.T) {
-				runSlotSchedule(t, directed, shards)
+				runSlotSchedule(t, directed, shards, 0)
 			})
 		}
 	}
+	t.Run("directed=true/S=4/overflow", func(t *testing.T) { runSlotSchedule(t, true, 4, 70) })
 }
 
 type slotClient struct {
@@ -60,7 +65,7 @@ type slotSchedule struct {
 	dropped int
 }
 
-func runSlotSchedule(t *testing.T, directed bool, shards int) {
+func runSlotSchedule(t *testing.T, directed bool, shards, extra int) {
 	const n, preload, steps, batchEdges = 100, 300, 12, 30
 	rng := xrand.New(uint64(7 + 3*shards))
 	if directed {
@@ -99,6 +104,14 @@ func runSlotSchedule(t *testing.T, directed bool, shards int) {
 		s.subscribe(p, 3, true)
 		s.subscribe(p, 41, false)
 	}
+	for u := graph.VertexID(20); u < graph.VertexID(20+extra); u++ {
+		if u != 41 && u != 77 {
+			s.subscribe("SSSP", u, false)
+		}
+	}
+	if extra > 0 && s.laneOf("SSSP", 20+graph.VertexID(extra)-1) < 64 {
+		t.Fatalf("%d more SSSP sources left no lane past 63: no overflow page", extra)
+	}
 	s.check("subscribed", 0)
 
 	limit := n
@@ -118,13 +131,17 @@ func runSlotSchedule(t *testing.T, directed bool, shards int) {
 		}
 		s.record()
 		if step == 6 {
-			// Leave and arrive between batches: SSSP at 41 frees its slot
-			// in the middle of its group, BFS's drained client at 3 leaves a
-			// slot other subscribers still read, and two fresh sources
-			// widen the compacted groups again.
+			// Leave and arrive between batches: SSSP at 41 frees its lane,
+			// BFS's drained client at 3 leaves a lane other subscribers
+			// still read, and SSSP at 41 comes back on the lane it freed
+			// while two fresh sources take free lanes.
+			freed := s.laneOf("SSSP", 41)
 			s.unsubscribe("SSSP", 41)
 			s.unsubscribe("BFS", 3)
 			s.subscribe("SSSP", 41, false)
+			if got := s.laneOf("SSSP", 41); got != freed {
+				t.Fatalf("SSSP at 41 came back on lane %d, it freed lane %d", got, freed)
+			}
 			s.subscribe("SSWP", 77, false)
 			s.subscribe("SSNSP", 77, false)
 		}
@@ -196,6 +213,17 @@ func (s *slotSchedule) unsubscribe(problem string, u graph.VertexID) {
 		}
 	}
 	s.t.Fatalf("no drained %s client at %d", problem, u)
+}
+
+// laneOf returns the lane of problem's standing set that holds u.
+func (s *slotSchedule) laneOf(problem string, u graph.VertexID) int {
+	for _, sl := range s.sys.SubscribedSlots() {
+		if sl.Problem == problem && sl.Source == u {
+			return sl.Lane
+		}
+	}
+	s.t.Fatalf("no %s lane holds %d", problem, u)
+	return -1
 }
 
 // want returns the oracle's answer to (problem, u) at version ver: the

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -19,29 +17,22 @@ import (
 // Subscriptions are standing queries kept for their answers. SubscribeCtx
 // registers (problem, source), answers it once with the same Δ-initialized
 // evaluation a fresh Query runs (the snapshot frame) and installs that
-// answer as a subscribed slot: a column of a forward-only
-// standing.Manager kept per standing set, at most 64 slots each, whose
-// roots are the subscribed sources. Subscribers of one standing set and
-// source (BFS and SSNSP at u) share a slot; the last one out frees it.
-// The snapshot is evaluated outside the lock, like a query; batches
-// published meanwhile are caught up before the install (SubscribeCtx).
-// The registry and the slots belong to the evaluator, so they work the
-// same at every store count.
+// answer as a lane of the problem's standing set (standing.Manager.Install).
+// Subscribers of one standing set and source (BFS and SSNSP at u) share a
+// lane; the last one out frees it. The snapshot is evaluated outside the
+// lock, like a query; batches published meanwhile are caught up before the
+// install (SubscribeCtx). The evaluator keeps only the registry — each
+// lane's subscribers, their pending sets and frames — at every store count.
 //
-// The writer maintains the slots inside its exclusive mu window, right
-// after the standing sets, exactly as it maintains them: after an
-// insertion the batch's recorded arcs are relaxed into every slot and the
-// push resumes from the heads they improved (Manager.Update), after a
-// deletion the slots are trimmed (taint → reset → push from the boundary,
-// Manager.UpdateDeletions). Each pass records the (vertex, slot) pairs it
-// moved (engine.State.Changed), and those are what a delta frame carries:
-// nothing is re-evaluated and no answer is diffed. After an insertion the
-// record is exactly what changed; after a deletion it also holds every
-// value trim reset, which may have come back unchanged, so a delta frame
-// that follows a deletion can repeat a value the client already has.
+// The writer maintains the lanes with the roots, in one pass over each
+// batch (standing.Manager.Update, UpdateDeletions), under mu alone; install
+// and free therefore hold mu shared, then subMu. The pass records the
+// (lane, vertex) pairs it moved — after a deletion also every value trim
+// reset, which may come back unchanged — and a delta frame carries exactly
+// those (DrainMoved): nothing is re-evaluated and no answer is diffed.
 //
 // SSNSP's counts are not a triangle problem: each SSNSP subscriber's
-// counts are recounted over its slot's levels after every batch and
+// counts are recounted over its lane's levels after every batch and
 // compared with the previous ones. PageRank and CC have one maintained
 // answer each, which is compared with its previous copy — one copy per
 // problem, not per subscriber.
@@ -96,12 +87,12 @@ type Subscription struct {
 	// version is the version of the last delivered frame.
 	version atomic.Uint64
 
-	// Guarded by evaluator.subMu. slot is the maintained answer (nil for
+	// Guarded by evaluator.subMu. lane is the maintained answer (nil for
 	// PageRank and CC, whose answer is the evaluator's). pending holds the
 	// vertices whose value the client may not have; counts is SSNSP's
 	// count column at the latest version and pendingCounts its pending
 	// set, both nil for every other problem.
-	slot          *slot
+	lane          *lane
 	pending       *bitset.Set
 	counts        []uint64
 	pendingCounts *bitset.Set
@@ -125,20 +116,11 @@ func (sub *Subscription) Version() uint64 { return sub.version.Load() }
 // client pin arbitrarily many frames.
 const DefaultSubscriptionBuffer = 8
 
-// slotGroup is one forward-only manager of subscribed slots over the
-// standing set it is keyed by in evaluator.slots: slots[k] is the
-// manager's slot k, rooted at its source.
-type slotGroup struct {
-	set   *standing.Manager
-	m     *standing.Manager
-	slots []*slot
-}
-
-// slot is one subscribed source's maintained answer: column k of its
-// group's manager, read by the subscribers listed.
-type slot struct {
-	group  *slotGroup
-	k      int
+// lane is one subscribed source's maintained answer: lane id of set, read
+// by the subscribers listed.
+type lane struct {
+	set    *standing.Manager
+	id     int
 	source graph.VertexID
 	subs   []*Subscription
 }
@@ -151,12 +133,12 @@ type slot struct {
 // per vertex (Radii) return an ErrSubscribeUnsupported-wrapping error.
 //
 // The snapshot is evaluated like a query, the engine run outside the lock,
-// so a subscribe blocks neither writers nor queries while it runs. A slot
-// must join its group at the version the group stands on, so the install
+// so a subscribe blocks neither writers nor queries while it runs. A lane
+// must join its set at the version the set stands on, so the install
 // re-checks the version under the lock. Batches published meanwhile are
 // logged for the subscribe (catchup): after insertions the snapshot
-// resumes from the out-arcs they changed, as the slots themselves did,
-// and after a deletion it is evaluated again.
+// resumes from the sources whose out-arcs they changed, and after a
+// deletion it is evaluated again.
 func (ev *evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int, pin Pin) (*Subscription, error) {
 	pr, err := ev.lookup(problem)
 	if err != nil {
@@ -185,7 +167,7 @@ func (ev *evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.V
 	for {
 		caughtUp := false
 		if res != nil {
-			res, err = ev.catchUp(ctx, pr, u, pin, q, res.Version, c)
+			res, err = ev.catchUp(ctx, pr, u, pin, q, c)
 			caughtUp = res != nil
 		}
 		if res == nil && err == nil {
@@ -206,22 +188,12 @@ func (ev *evaluator) SubscribeCtx(ctx context.Context, problem string, u graph.V
 // catchup logs, for one subscribe evaluating outside the lock, the
 // batches published since the version its evaluation stands on: the
 // sources whose out-arcs insertions changed, and whether a deletion
-// removed arcs. The writer appends inside its exclusive window (note);
-// the subscribe reads and resets it under the shared lock.
+// removed arcs. The writer appends inside its exclusive window
+// (refreshSubscriptions); the subscribe reads and resets it under the
+// shared lock.
 type catchup struct {
 	changed []graph.VertexID
 	deleted bool
-}
-
-// note logs a published batch in every pending subscribe's catchup.
-// Writer-side only: the caller holds mu exclusively.
-func (ev *evaluator) note(changed []graph.VertexID, deleted bool) {
-	ev.subMu.Lock()
-	defer ev.subMu.Unlock()
-	for c := range ev.catchups {
-		c.changed = append(c.changed, changed...)
-		c.deleted = c.deleted || deleted
-	}
 }
 
 // snapshot answers (pr, u) with the Δ-evaluation a fresh Query runs, on
@@ -246,12 +218,12 @@ func (ev *evaluator) snapshot(ctx context.Context, pr *problem, u graph.VertexID
 	return q, res, nil
 }
 
-// catchUp brings q, converged at version from, to the latest version
-// outside the lock, from what c logged since: the out-arcs of the changed
-// sources are relaxed into it and the push resumes from the heads they
-// improve (standing.Manager.Update, as for the slots). It returns a nil
-// result when a deletion was logged; the caller evaluates again.
-func (ev *evaluator) catchUp(ctx context.Context, pr *problem, u graph.VertexID, pin Pin, q *evaluation, from uint64, c *catchup) (*QueryResult, error) {
+// catchUp brings q, converged on an earlier version, to the latest version
+// outside the lock, from what c logged since: insertions only add arcs,
+// all of them out of the changed sources, so the push resumes from those
+// sources. It returns a nil result when a deletion was logged; the caller
+// evaluates again.
+func (ev *evaluator) catchUp(ctx context.Context, pr *problem, u graph.VertexID, pin Pin, q *evaluation, c *catchup) (*QueryResult, error) {
 	var log catchup
 	// The init step below cannot fail, so neither can pinShared.
 	view, release, _ := ev.pinShared(pin, func(View) error {
@@ -262,9 +234,11 @@ func (ev *evaluator) catchUp(ctx context.Context, pr *problem, u graph.VertexID,
 	if log.deleted {
 		return nil, nil
 	}
-	slices.Sort(log.changed)
-	m := standing.NewForward(pr.set.Problem, []graph.VertexID{u}, q.st, from, ev.directed)
-	q.stats.Add(m.Update(view, slices.Compact(log.changed)))
+	masks := make([]uint64, len(log.changed))
+	for i := range masks {
+		masks[i] = 1
+	}
+	q.stats.Add(q.st.RunPush(view, log.changed, masks))
 	res, err := pr.Answer(ctx, view, u, q.st.Values, 1, q.stats)
 	if err != nil {
 		return nil, err
@@ -276,7 +250,7 @@ func (ev *evaluator) catchUp(ctx context.Context, pr *problem, u graph.VertexID,
 // install registers a subscription to (pr, u) and delivers its snapshot
 // frame under the shared lock, so that no batch is published meanwhile.
 // q and res are the snapshot evaluation of a problem with a standing set:
-// its column becomes the subscription's slot, unless the set no longer
+// its column becomes the subscription's lane, unless the set no longer
 // stands on res's version, in which case install returns (nil, nil) and
 // the caller catches up. A Base-less problem's snapshot (q == nil) is its
 // maintained answer, read here.
@@ -304,7 +278,7 @@ func (ev *evaluator) install(pr *problem, u graph.VertexID, buffer int, q *evalu
 	sub.id = ev.subSeq
 	ev.subs[sub.id] = sub
 	if q != nil {
-		ev.attach(sub, pr.set, q.st, res.Version)
+		ev.attach(sub, pr.set, q.st)
 	} else if ev.whole[pr.Name] == nil {
 		ev.whole[pr.Name] = res.Values
 	}
@@ -322,63 +296,30 @@ func (ev *evaluator) install(pr *problem, u graph.VertexID, buffer int, q *evalu
 	return sub, nil
 }
 
-// attach gives sub the slot of its source among set's groups, installing
-// col's one column — the snapshot evaluation, converged on version — as a
-// new slot when the source has none. Caller holds subMu and mu shared.
-func (ev *evaluator) attach(sub *Subscription, set *standing.Manager, col *engine.State, version uint64) {
-	groups := ev.slots[set]
-	for _, g := range groups {
-		for _, s := range g.slots {
-			if s.source == sub.Source {
-				s.subs = append(s.subs, sub)
-				sub.slot = s
-				return
-			}
-		}
+// attach gives sub the lane of its source in set, installing col's one
+// column — the snapshot evaluation, converged on the version set stands
+// on — as a new lane when the source has none. Caller holds mu shared and
+// subMu.
+func (ev *evaluator) attach(sub *Subscription, set *standing.Manager, col *engine.State) {
+	lanes := ev.lanes[set]
+	id := slices.IndexFunc(lanes, func(l *lane) bool { return l != nil && l.source == sub.Source })
+	if id < 0 {
+		id = set.Install(sub.Source, col)
+		lanes = append(lanes, make([]*lane, max(0, id+1-len(lanes)))...)
+		lanes[id] = &lane{set: set, id: id, source: sub.Source}
+		ev.lanes[set] = lanes
 	}
-	var g *slotGroup
-	for _, cand := range groups {
-		if len(cand.slots) < 64 {
-			g = cand
-			break
-		}
-	}
-	if g == nil {
-		g = &slotGroup{set: set}
-		ev.slots[set] = append(groups, g)
-	} else if g.m.LastVersion != version {
-		panic(fmt.Sprintf("core: slot group stands on version %d, snapshot evaluated at %d", g.m.LastVersion, version))
-	}
-	sub.slot = &slot{group: g, k: -1, source: sub.Source, subs: []*Subscription{sub}}
-	g.slots = append(g.slots, sub.slot)
-	g.relayout(ev.directed, version, col)
+	sub.lane = lanes[id]
+	sub.lane.subs = append(sub.lane.subs, sub)
 }
 
-// relayout rebuilds the group's manager over its slots as listed, at
-// version: each slot's column is copied out of the old manager's state (k
-// is its old index) or, for the slot being installed (k < 0), out of
-// fresh's one column. O(N·W), on subscribe and unsubscribe only.
-func (g *slotGroup) relayout(directed bool, version uint64, fresh *engine.State) {
-	n := fresh.N
-	if g.m != nil {
-		n = max(n, g.m.Forward.N)
-	}
-	st := engine.NewState(g.set.Problem, n, len(g.slots))
-	roots := make([]graph.VertexID, len(g.slots))
-	for k, s := range g.slots {
-		if s.k < 0 {
-			st.CopySlot(k, fresh, 0)
-		} else {
-			st.CopySlot(k, g.m.Forward, s.k)
-		}
-		s.k, roots[k] = k, s.source
-	}
-	g.m = standing.NewForward(g.set.Problem, roots, st, version, directed)
-}
-
-// Unsubscribe deregisters sub, frees its slot when no other subscriber
-// reads it, and closes its frame channel. Idempotent.
+// Unsubscribe deregisters sub, frees its lane when no other subscriber
+// reads it, and closes its frame channel. Idempotent. Freeing writes the
+// lane, which the writer maintains under mu alone, so Unsubscribe holds mu
+// shared as well as subMu.
 func (ev *evaluator) Unsubscribe(sub *Subscription) {
+	ev.mu.RLock()
+	defer ev.mu.RUnlock()
 	ev.subMu.Lock()
 	defer ev.subMu.Unlock()
 	if sub.closed {
@@ -387,8 +328,11 @@ func (ev *evaluator) Unsubscribe(sub *Subscription) {
 	sub.closed = true
 	delete(ev.subs, sub.id)
 	close(sub.frames)
-	if s := sub.slot; s != nil {
-		ev.detach(sub, s)
+	if l := sub.lane; l != nil {
+		if l.subs = slices.DeleteFunc(l.subs, func(x *Subscription) bool { return x == sub }); len(l.subs) == 0 {
+			ev.lanes[l.set][l.id] = nil
+			l.set.Free(l.id)
+		}
 		return
 	}
 	for _, other := range ev.subs {
@@ -399,23 +343,6 @@ func (ev *evaluator) Unsubscribe(sub *Subscription) {
 	delete(ev.whole, sub.Problem)
 }
 
-// detach removes sub from slot s, and s from its group once no subscriber
-// reads it: the surviving slots are compacted into a narrower manager, and
-// an emptied group is dropped. Caller holds subMu.
-func (ev *evaluator) detach(sub *Subscription, s *slot) {
-	s.subs = slices.DeleteFunc(s.subs, func(x *Subscription) bool { return x == sub })
-	if len(s.subs) > 0 {
-		return
-	}
-	g := s.group
-	g.slots = slices.DeleteFunc(g.slots, func(x *slot) bool { return x == s })
-	if len(g.slots) == 0 {
-		ev.slots[g.set] = slices.DeleteFunc(ev.slots[g.set], func(x *slotGroup) bool { return x == g })
-		return
-	}
-	g.relayout(ev.directed, g.m.LastVersion, g.m.Forward)
-}
-
 // Subscribers returns the number of registered subscriptions.
 func (ev *evaluator) Subscribers() int {
 	ev.subMu.Lock()
@@ -424,73 +351,66 @@ func (ev *evaluator) Subscribers() int {
 	return n
 }
 
-// refreshSubscriptions brings every subscription to view, the version the
-// writer just published and maintained the standing state onto: maintain
-// runs each slot group's manager onto it, the moved values, recounts and
+// refreshSubscriptions logs the batch that produced view — the sources it
+// changed, or a deletion — in every pending subscribe's catchup, then
+// brings every subscription to view, onto which the writer just maintained
+// the standing sets and their lanes: the moved lane values, recounts and
 // changed maintained answers join each subscriber's pending sets, and a
 // delta frame is pushed to each. The fan-out is recorded in rep.
 // Writer-side only: the caller holds mu exclusively (lock order mu →
 // subMu).
-func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, maintain func(*standing.Manager)) {
+func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, changed []graph.VertexID, deleted bool) {
 	ev.subMu.Lock()
 	defer ev.subMu.Unlock()
+	for c := range ev.catchups {
+		c.changed = append(c.changed, changed...)
+		c.deleted = c.deleted || deleted
+	}
 	rep.Subscribers = len(ev.subs)
 	if rep.Subscribers == 0 {
 		return
 	}
 	start := time.Now()
 	n := view.NumVertices()
-	list := make([]*Subscription, 0, len(ev.subs))
-	for _, sub := range ev.subs {
-		list = append(list, sub)
-	}
-	slices.SortFunc(list, func(a, b *Subscription) int { return cmp.Compare(a.id, b.id) })
 	// Vertices the batch added are pending for everyone.
-	for _, sub := range list {
+	for _, sub := range ev.subs {
 		growPending(sub.pending, n)
 		if sub.pendingCounts != nil {
 			growPending(sub.pendingCounts, n)
 		}
 	}
-	// One change record serves every group in turn: flush leaves it zero.
-	var changed []uint64
-	for _, set := range ev.sets {
-		for _, g := range ev.slots[set] {
-			st := g.m.Forward
-			if cap(changed) < st.N {
-				changed = make([]uint64, st.N)
+	for set, lanes := range ev.lanes {
+		set.DrainMoved(func(l, v int) {
+			for _, sub := range lanes[l].subs {
+				sub.pending.Set(v)
 			}
-			st.Changed = changed[:st.N]
-			maintain(g.m)
-			g.flush()
-			changed, st.Changed = st.Changed, nil
-		}
+		})
 	}
 	for name, prev := range ev.whole {
 		cur, _ := ev.problems[name].ans.values()
-		for _, sub := range list {
+		for _, sub := range ev.subs {
 			if sub.Problem == name {
 				markMoved(sub.pending, prev, cur)
 			}
 		}
 		ev.whole[name] = cur
 	}
-	recounts := make(map[*slot][]uint64)
-	for _, sub := range list {
+	recounts := make(map[*lane][]uint64)
+	for _, sub := range ev.subs {
 		if sub.counts == nil {
 			continue
 		}
-		s := sub.slot
-		counts, ok := recounts[s]
+		l := sub.lane
+		counts, ok := recounts[l]
 		if !ok {
-			counts = s.recount(view)
-			recounts[s] = counts
+			counts = l.recount(view)
+			recounts[l] = counts
 		}
 		markMoved(sub.pendingCounts, sub.counts, counts)
 		sub.counts = counts
 	}
 	version := view.Version()
-	for _, sub := range list {
+	for _, sub := range ev.subs {
 		select {
 		case sub.frames <- ev.frame(sub, version):
 			sub.pending.Reset()
@@ -510,32 +430,15 @@ func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, maintain 
 
 // recount is recountCtx for the writer, whose recount inside its window
 // is not cancellable.
-func (s *slot) recount(g engine.ArcView) []uint64 {
-	return s.recountCtx(context.Background(), g)
+func (l *lane) recount(g engine.ArcView) []uint64 {
+	return l.recountCtx(context.Background(), g)
 }
 
-// recountCtx counts the shortest paths from the slot's source over its
+// recountCtx counts the shortest paths from the lane's source over its
 // levels (SSNSP's count round).
-func (s *slot) recountCtx(ctx context.Context, g engine.ArcView) []uint64 {
-	counts, _, _ := props.CountShortestPaths(ctx, g, s.source, s.group.m.Forward.Column(s.k))
+func (l *lane) recountCtx(ctx context.Context, g engine.ArcView) []uint64 {
+	counts, _, _ := props.CountShortestPaths(ctx, g, l.source, l.set.LaneColumn(l.id))
 	return counts
-}
-
-// flush moves the group's recorded changes into its subscribers' pending
-// sets and clears the record.
-func (g *slotGroup) flush() {
-	changed := g.m.Forward.Changed
-	for v, mask := range changed {
-		if mask == 0 {
-			continue
-		}
-		changed[v] = 0
-		for ; mask != 0; mask &= mask - 1 {
-			for _, sub := range g.slots[bits.TrailingZeros64(mask)].subs {
-				sub.pending.Set(v)
-			}
-		}
-	}
 }
 
 // growPending extends a pending set to n vertices, the new ones pending.
@@ -563,9 +466,8 @@ func (ev *evaluator) frame(sub *Subscription, version uint64) ResultFrame {
 	f := ResultFrame{Kind: "delta", Problem: sub.Problem, Source: sub.Source, Version: version}
 	vals := ev.whole[sub.Problem]
 	value := func(v int) uint64 { return vals[v] }
-	if s := sub.slot; s != nil {
-		st, k := s.group.m.Forward, s.k
-		value = func(v int) uint64 { return st.Value(graph.VertexID(v), k) }
+	if l := sub.lane; l != nil {
+		value = func(v int) uint64 { return l.set.LaneValue(l.id, graph.VertexID(v)) }
 	}
 	f.Changed = deltas(sub.pending, value)
 	if sub.counts != nil {

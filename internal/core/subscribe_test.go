@@ -333,9 +333,12 @@ func TestSubscribeCatchesUpAcrossABatch(t *testing.T) {
 // batches and one deletion (run it under -race): every subscribe waits,
 // after evaluating its snapshot, for the writer's next batch, so its
 // install is refused and it catches up (or, across the deletion,
-// evaluates again) while other subscribes and the writer run. After the
-// writer stops, every subscriber's frames must reproduce the full
-// evaluation at the latest version.
+// evaluates again) while other subscribes and the writer run. One more
+// goroutine subscribes and at once unsubscribes, so lanes are freed while
+// the writer maintains their pages: the race detector reports it unless
+// the free holds the lock the writer holds. After the writer stops, every
+// subscriber's frames must reproduce the full evaluation at the latest
+// version.
 func TestSubscribeCatchUpUnderConcurrentBatches(t *testing.T) {
 	problems := []string{"SSSP", "SSWP", "BFS", "SSNSP"}
 	sys, _, edges := buildSystem(t, true, problems...)
@@ -401,6 +404,30 @@ func TestSubscribeCatchUpUnderConcurrentBatches(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; ; round++ {
+			sub, err := sys.Subscribe("SSWP", graph.VertexID(159-round%40), 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sys.Unsubscribe(sub)
+			// Wait out the next batch before subscribing again, whose
+			// snapshot would take the shared lock: nothing but
+			// Unsubscribe's own locking may order the free before that
+			// batch's maintenance.
+			mu.Lock()
+			published := next
+			mu.Unlock()
+			select {
+			case <-published:
+			case <-done:
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	if catchUps.Load() == 0 {
 		t.Fatal("no subscribe caught up")

@@ -103,42 +103,30 @@ type PageRankResult struct {
 	Delta      float64 // L1 change in the final iteration
 }
 
-// PageRank runs damped PageRank to the given L1 tolerance (or maxIters),
-// starting from a uniform distribution.
-func PageRank(g engine.View, damping float64, maxIters int, tol float64) *PageRankResult {
-	res, _ := PageRankCtx(context.Background(), g, damping, maxIters, tol)
+// PageRank is PageRankCtx for the writer, whose maintenance is not
+// cancellable.
+func PageRank(g engine.ArcView, init []float64, damping float64, maxIters int, tol float64) *PageRankResult {
+	res, _ := PageRankCtx(context.Background(), g, init, damping, maxIters, tol)
 	return res
 }
 
-// PageRankCtx is PageRank with a cancellation check per iteration. On
-// cancellation it returns (nil, *engine.CanceledError).
-func PageRankCtx(ctx context.Context, g engine.View, damping float64, maxIters int, tol float64) (*PageRankResult, error) {
-	n := g.NumVertices()
-	init := make([]float64, n)
-	for i := range init {
-		init[i] = 1.0 / float64(n)
-	}
-	return PageRankFromCtx(ctx, g, init, damping, maxIters, tol)
-}
-
-// PageRankFrom runs PageRank starting from prior ranks — the incremental
-// ("standing query") mode: after a graph update, resuming from the
-// previous converged ranks re-stabilizes in a handful of iterations.
-func PageRankFrom(g engine.View, init []float64, damping float64, maxIters int, tol float64) *PageRankResult {
-	res, _ := PageRankFromCtx(context.Background(), g, init, damping, maxIters, tol)
-	return res
-}
-
-// PageRankFromCtx is PageRankFrom with a cancellation check per
-// iteration. The ranks slice it was building is discarded on
-// cancellation — the caller's prior converged ranks are never mutated.
-func PageRankFromCtx(ctx context.Context, g engine.View, init []float64, damping float64, maxIters int, tol float64) (*PageRankResult, error) {
+// PageRankCtx runs damped PageRank to the given L1 tolerance (or
+// maxIters), checking ctx once per iteration. It starts from init, prior
+// ranks (the incremental, "standing query" mode: after a graph update,
+// resuming from the previous converged ranks re-stabilizes in a handful of
+// iterations), or from the uniform distribution when init is nil.
+// Vertices init lacks start at zero; each iteration restores a share of
+// the missing mass. On cancellation it returns (nil,
+// *engine.CanceledError). init is never mutated.
+func PageRankCtx(ctx context.Context, g engine.ArcView, init []float64, damping float64, maxIters int, tol float64) (*PageRankResult, error) {
 	n := g.NumVertices()
 	ranks := make([]float64, n)
-	copy(ranks, init)
-	for len(ranks) < n {
-		ranks = append(ranks, 1.0/float64(n))
+	if init == nil {
+		for v := range ranks {
+			ranks[v] = 1.0 / float64(n)
+		}
 	}
+	copy(ranks, init)
 	contrib := make([]uint64, n) // float64 bits, accumulated atomically
 	res := &PageRankResult{Ranks: ranks}
 	for iter := 0; iter < maxIters; iter++ {
@@ -151,15 +139,15 @@ func PageRankFromCtx(ctx context.Context, g engine.View, init []float64, damping
 		// Dangling mass is redistributed uniformly.
 		var danglingBits atomic.Uint64
 		parallel.ForGrain(n, 64, func(v int) {
-			deg := g.Degree(graph.VertexID(v))
-			if deg == 0 {
+			dsts, _ := g.OutSpan(graph.VertexID(v))
+			if len(dsts) == 0 {
 				atomicAddFloat(&danglingBits, ranks[v])
 				return
 			}
-			share := ranks[v] / float64(deg)
-			g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, _ graph.Weight) {
+			share := ranks[v] / float64(len(dsts))
+			for _, d := range dsts {
 				atomicAddFloatBits(&contrib[d], share)
-			})
+			}
 		})
 		dangling := math.Float64frombits(danglingBits.Load()) / float64(n)
 		base := (1 - damping) / float64(n)

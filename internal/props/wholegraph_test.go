@@ -54,7 +54,7 @@ func TestResumeConnectedComponents(t *testing.T) {
 
 func TestPageRankSumsToOne(t *testing.T) {
 	g := graph.FromEdges(300, gen.Uniform(300, 2400, 4, 7), true)
-	res := props.PageRank(g, 0.85, 100, 1e-10)
+	res := props.PageRank(g, nil, 0.85, 100, 1e-10)
 	var sum float64
 	for _, r := range res.Ranks {
 		sum += r
@@ -74,7 +74,7 @@ func TestPageRankHighDegreeRanksHigher(t *testing.T) {
 		edges = append(edges, graph.Edge{Src: v, Dst: 0, W: 1})
 	}
 	g := graph.FromEdges(21, edges, true)
-	res := props.PageRank(g, 0.85, 100, 1e-12)
+	res := props.PageRank(g, nil, 0.85, 100, 1e-12)
 	for v := 1; v <= 20; v++ {
 		if res.Ranks[0] <= res.Ranks[v] {
 			t.Fatalf("hub rank %v not above leaf rank %v", res.Ranks[0], res.Ranks[v])
@@ -87,9 +87,9 @@ func TestPageRankIncrementalConvergesFaster(t *testing.T) {
 	g1 := graph.FromEdges(400, edges[:3900], true)
 	g2 := graph.FromEdges(400, edges, true)
 
-	full := props.PageRank(g2, 0.85, 200, 1e-10)
-	warm := props.PageRank(g1, 0.85, 200, 1e-10)
-	inc := props.PageRankFrom(g2, warm.Ranks, 0.85, 200, 1e-10)
+	full := props.PageRank(g2, nil, 0.85, 200, 1e-10)
+	warm := props.PageRank(g1, nil, 0.85, 200, 1e-10)
+	inc := props.PageRank(g2, warm.Ranks, 0.85, 200, 1e-10)
 
 	if inc.Iterations >= full.Iterations {
 		t.Fatalf("incremental PageRank took %d iterations, full took %d",
@@ -105,7 +105,7 @@ func TestPageRankIncrementalConvergesFaster(t *testing.T) {
 func TestPageRankDanglingMass(t *testing.T) {
 	// 0→1, 1 has no out-edges (dangling); mass must not leak.
 	g := graph.FromEdges(2, []graph.Edge{{Src: 0, Dst: 1, W: 1}}, true)
-	res := props.PageRank(g, 0.85, 200, 1e-12)
+	res := props.PageRank(g, nil, 0.85, 200, 1e-12)
 	sum := res.Ranks[0] + res.Ranks[1]
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("dangling graph ranks sum to %v", sum)

@@ -21,6 +21,9 @@
 // (engine.Transposer) with the arcs reversed. The paper evaluates q⁻¹ by
 // pulling over the out-edges alone (§4.2); the transposed mirror costs one
 // more copy of the arcs and removes the pull's whole-graph sweeps.
+//
+// Beside the roots, a manager maintains subscribed lanes in the same passes
+// (lanes.go): the answers q(s) of subscribed sources, in pages of ≤64.
 package standing
 
 import (
@@ -43,13 +46,14 @@ type Manager struct {
 	// where property(x, r) = property(r, x).
 	Reverse *engine.State
 
-	// directed is the graph's orientation, which a manager built by
-	// NewForward keeps although it keeps no Reverse.
+	// directed is the graph's orientation. pages hold the subscribed lanes.
 	directed bool
+	pages    []*page
 	// LastMaintain is the wall time of the most recent Update (or the
 	// initial evaluation), the quantity reported in Tables 5 and 6.
 	LastMaintain time.Duration
-	// TotalStats accumulates engine work across the lifetime.
+	// TotalStats accumulates the roots' engine work (not the lanes', like
+	// every Stats a maintenance pass returns) across the lifetime.
 	TotalStats engine.Stats
 	// LastVersion is the snapshot version the standing state last
 	// converged on, when the evaluation view carries one
@@ -68,30 +72,17 @@ func New(p engine.Problem, g engine.ArcView, roots []graph.VertexID, directed bo
 	return m
 }
 
-// NewForward returns a manager of st, the converged forward state of the
-// queries rooted at roots (slot k at roots[k]) on the version given, that
-// maintains it like any standing set (Update, UpdateDeletions,
-// StampVersion) but keeps no reversed state even on a directed graph: it
-// holds the answers q(r) themselves and is never asked for property(u, r),
-// so Select, PropURInto and Rebuild do not apply to it. Subscribed slots
-// are such managers. directed is still the graph's orientation, which
-// deletion recovery needs to find in-arcs.
-func NewForward(p engine.Problem, roots []graph.VertexID, st *engine.State, version uint64, directed bool) *Manager {
-	m := &Manager{Problem: p, Roots: roots, Forward: st, directed: directed}
-	m.StampVersion(version)
-	return m
-}
-
 // K returns the number of standing queries.
 func (m *Manager) K() int { return len(m.Roots) }
 
 // Update incrementally re-stabilizes every standing query after a batch of
 // edge insertions. The state is a fixpoint of the graph before the batch,
 // so only the arcs the batch stored can violate it (§2, Figure 2-(c)):
-// each is relaxed once at all K slots — tail→head into Forward over g, and
-// reversed into Reverse over g's transposed view — and the evaluation
-// resumes from the heads that improved. The cost follows the arcs stored
-// and what they move, not the degrees of the vertices they touch.
+// each is relaxed once at all K slots — tail→head into Forward and every
+// page of subscribed lanes over g, and reversed into Reverse over g's
+// transposed view — and the evaluation resumes from the heads that
+// improved. The cost follows the arcs stored and what they move, not the
+// degrees of the vertices they touch.
 //
 // The arcs come from the view when it records them (engine.ArcDelta) and
 // the state converged on exactly the version before it. Otherwise changed —
@@ -105,6 +96,9 @@ func (m *Manager) Update(g engine.ArcView, changed []graph.VertexID) engine.Stat
 		arcs = outArcs(g, changed)
 	}
 	stats := m.Forward.RunPushArcs(g, arcs)
+	for _, pg := range m.pages {
+		pg.st.RunPushArcs(g, arcs)
+	}
 	if m.Reverse != nil && len(arcs) > 0 {
 		t := transposedOf(g)
 		rev, ok := m.recorded(t)

@@ -57,7 +57,10 @@ func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undire
 	if m.directed {
 		in = transposedOf(g)
 	}
-	stats := m.trim(m.Forward, g, in, deleted, undirected)
+	stats := m.trim(m.Forward, m.Roots, g, in, deleted, undirected)
+	for _, pg := range m.pages {
+		m.trim(pg.st, pg.sources[:pg.st.K], g, in, deleted, undirected)
+	}
 	if m.Reverse != nil {
 		stats.Add(m.trimReverse(g, deleted, undirected))
 	}
@@ -69,12 +72,12 @@ func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undire
 // trimReverse recovers the reversed state: trim over g's transposed view,
 // whose in-arcs are g's out-arcs, with the deleted arcs reversed.
 func (m *Manager) trimReverse(g engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
-	return m.trim(m.Reverse, transposedOf(g), g, graph.ReversedArcs(deleted), undirected)
+	return m.trim(m.Reverse, m.Roots, transposedOf(g), g, graph.ReversedArcs(deleted), undirected)
 }
 
 // trim recovers st, converged on the graph before deleted were removed, on
-// g; in is g's transposed view.
-func (m *Manager) trim(st *engine.State, g, in engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
+// g; in is g's transposed view and sources[k] is slot k's source.
+func (m *Manager) trim(st *engine.State, sources []graph.VertexID, g, in engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
 	st.Grow(g.NumVertices())
 	taint := m.taint(st, g, deleted, undirected)
 	if taint == nil {
@@ -87,7 +90,7 @@ func (m *Manager) trim(st *engine.State, g, in engine.ArcView, deleted []graph.E
 			st.Changed[v] |= mask
 		}
 	}
-	return m.repair(st, g, in, taint)
+	return m.repair(st, sources, g, in, taint)
 }
 
 // taint computes the per-slot taint masks over the pre-deletion values.
@@ -164,8 +167,9 @@ func (m *Manager) taint(st *engine.State, g engine.ArcView, deleted []graph.Edge
 
 // repair resets the tainted value slots and resumes the push over g from
 // the boundary of the tainted region — found through in, g's transposed
-// view — plus the tainted roots under their own slot.
-func (m *Manager) repair(st *engine.State, g, in engine.ArcView, taint []uint64) engine.Stats {
+// view — plus each tainted slot's own source. A free lane holds init, so
+// it is never tainted and its stale source entry is never read.
+func (m *Manager) repair(st *engine.State, sources []graph.VertexID, g, in engine.ArcView, taint []uint64) engine.Stats {
 	init := m.Problem.InitValue()
 	n := st.N
 	parallel.ForGrain(n, 256, func(v int) {
@@ -185,7 +189,7 @@ func (m *Manager) repair(st *engine.State, g, in engine.ArcView, taint []uint64)
 			boundary[x] |= mask &^ taint[x]
 		}
 	}
-	for k, r := range m.Roots {
+	for k, r := range sources {
 		if int(r) < n && taint[r]&(1<<uint(k)) != 0 {
 			st.SetSource(r, k)
 			boundary[r] |= 1 << uint(k)
