@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tripoline/internal/core"
+	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/oracle"
 	"tripoline/internal/props"
@@ -41,6 +42,10 @@ type pathKey struct {
 	src     graph.VertexID
 	problem string
 }
+
+// bestPath holds the checked problems the oracle answers by its generic
+// best-path evaluation.
+var bestPath = map[string]engine.Problem{"SSSP": props.SSSP{}, "SSWP": props.SSWP{}, "SSR": props.SSR{}}
 
 // newOracleSet returns the ground truth for a replay over an undirected
 // graph of n vertices, with the initial version recorded.
@@ -125,7 +130,8 @@ func (o *oracleSet) ccAt(ver uint64) []uint64 {
 }
 
 // pathsAt returns the oracle's single-source answer: levels and counts
-// for SSNSP and BFS (which share the key), distances for SSSP.
+// for SSNSP and BFS (which share the key), best-path values for SSSP,
+// SSWP and SSR.
 func (o *oracleSet) pathsAt(ver uint64, problem string, src graph.VertexID) [2][]uint64 {
 	if problem == "BFS" {
 		problem = "SSNSP"
@@ -135,8 +141,8 @@ func (o *oracleSet) pathsAt(ver uint64, problem string, src graph.VertexID) [2][
 		return v
 	}
 	var v [2][]uint64
-	if problem == "SSSP" {
-		v[0] = oracle.BestPath(o.csrAt(ver), props.SSSP{}, src)
+	if p, ok := bestPath[problem]; ok {
+		v[0] = oracle.BestPath(o.csrAt(ver), p, src)
 	} else {
 		v[0], v[1] = oracle.CountShortestPaths(o.csrAt(ver), src)
 	}
@@ -158,7 +164,7 @@ func (o *oracleSet) verifyAt(problem string, src graph.VertexID, version uint64,
 		return fmt.Sprintf("%d values for %d vertices", len(values), csr.N)
 	}
 	switch problem {
-	case "SSNSP", "BFS", "SSSP":
+	case "SSNSP", "BFS", "SSSP", "SSWP", "SSR":
 		want := o.pathsAt(version, problem, src)
 		for x := range values {
 			if values[x] != want[0][x] {

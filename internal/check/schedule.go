@@ -32,11 +32,14 @@ import (
 // set, plus an exact recount round), so every schedule drives a shared
 // set through each fault with both — a weighted standing set, SSSP
 // (weighted Δ-initialization, and deletions that trim by witness
-// weight), and the two maintained answers, PageRank (whole-graph,
-// resumed float iteration) and CC (whole-graph, resumed min-label
-// propagation). Graphs are always undirected so the CC min-label
-// fixpoint equals the oracle's union-find components.
-var Problems = []string{"SSNSP", "PageRank", "CC", "BFS", "SSSP"}
+// weight), two plateau standing sets, SSWP and SSR (min/max combines
+// whose witness test taints most of the reached region, so a deletion
+// floods the trim's taint worklist and its repair), and the two
+// maintained answers, PageRank (whole-graph, resumed float iteration)
+// and CC (whole-graph, resumed min-label propagation). Graphs are always
+// undirected so the CC min-label fixpoint equals the oracle's union-find
+// components.
+var Problems = []string{"SSNSP", "PageRank", "CC", "BFS", "SSSP", "SSWP", "SSR"}
 
 // OpKind enumerates the schedule operations.
 type OpKind uint8

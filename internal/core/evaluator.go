@@ -9,6 +9,7 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/parallel"
 	"tripoline/internal/standing"
 	"tripoline/internal/triangle"
 )
@@ -33,13 +34,15 @@ type evaluator struct {
 	directed bool
 	// mu pairs the standing state with a version. A writer holds it
 	// exclusively from before it publishes a version until maintenance has
-	// converged on it; a reader holds it shared only while it pins the
-	// latest version and Δ-initializes out of the standing arrays
-	// (pinShared), never across an engine run, so reader parallelism is
-	// preserved. A reader therefore never pairs standing bounds with a
-	// version they were not maintained for: after an insertion they would
-	// be too good for an older view, after a deletion for a newer one, and
-	// monotone relaxation cannot repair a bound that is too good.
+	// converged on it, and inside that window maintains the standing sets
+	// concurrently (maintainSets). A reader holds
+	// it shared only while it pins the latest version and Δ-initializes
+	// out of the standing arrays (pinShared), never across an engine run,
+	// so reader parallelism is preserved. A reader therefore never pairs
+	// standing bounds with a version they were not maintained for: after
+	// an insertion they would be too good for an older view, after a
+	// deletion for a newer one, and monotone relaxation cannot repair a
+	// bound that is too good.
 	mu sync.RWMutex
 	// problems holds the enabled problems; order preserves enable order
 	// for deterministic iteration.
@@ -197,16 +200,15 @@ func sourceInRange(u graph.VertexID, n int, version uint64) error {
 // already stands on, so no view of it is needed and the maintained answers
 // keep the version they converged at. Standing sets resume from the arcs
 // the batch stored, or recover by witness-based trimming (package
-// standing), their subscribed lanes with them; maintained answers resume
-// after insertions and re-evaluate from scratch after deletions, which is
-// always sound. inserted and deleted then refresh the subscriptions on g;
+// standing), their subscribed lanes with them, all sets at once
+// (maintainSets); maintained answers then resume after insertions and
+// re-evaluate from scratch after deletions, which is always sound, one
+// after another. inserted and deleted then refresh the subscriptions on g;
 // the report carries the standing maintenance work and the subscription
 // fan-out.
 func (ev *evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
 	var rep BatchReport
-	for _, set := range ev.sets {
-		rep.StandingStats.Add(set.Update(g, changed))
-	}
+	ev.maintainSets(&rep, func(set *standing.Manager) engine.Stats { return set.Update(g, changed) })
 	for _, ans := range ev.answers {
 		rep.StandingStats.Add(ans.update(g, changed))
 	}
@@ -216,14 +218,29 @@ func (ev *evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
 
 func (ev *evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
 	var rep BatchReport
-	for _, set := range ev.sets {
-		rep.StandingStats.Add(set.UpdateDeletions(g, deleted, !ev.directed))
-	}
+	ev.maintainSets(&rep, func(set *standing.Manager) engine.Stats {
+		return set.UpdateDeletions(g, deleted, !ev.directed)
+	})
 	for _, ans := range ev.answers {
 		rep.StandingStats.Add(ans.rebuild(g))
 	}
 	ev.refreshSubscriptions(g, &rep, nil, true)
 	return rep
+}
+
+// maintainSets runs maintain on every standing set concurrently and adds
+// their work to rep in set order, so the report does not depend on the
+// schedule. Each set owns its state (roots, reversed state, lanes); what
+// the sets share — the view, the batch's arcs, the view's transpose — they
+// only read, and a view builds its transpose under its own lock
+// (streamgraph.Flat, writerUnion). The sets are few and of uneven cost,
+// so each is one unit of work, and each parallelizes its own passes.
+func (ev *evaluator) maintainSets(rep *BatchReport, maintain func(*standing.Manager) engine.Stats) {
+	stats := make([]engine.Stats, len(ev.sets))
+	parallel.ForGrain(len(ev.sets), 1, func(i int) { stats[i] = maintain(ev.sets[i]) })
+	for _, st := range stats {
+		rep.StandingStats.Add(st)
+	}
 }
 
 func (ev *evaluator) stamp(version uint64) {

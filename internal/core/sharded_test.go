@@ -326,12 +326,15 @@ func TestBuildOnMiss(t *testing.T) {
 // carries from entry to entry — patched with the merged record of the
 // stores a batch reached, rebuilt after a deletion — must be the one a
 // one-store System's mirror chain carries, span for span, with the same
-// reversed record, after every batch.
+// reversed record, after every batch. Two directed standing sets (SSSP and
+// SSWP) are maintained concurrently, so both ask the union for its
+// transpose at once in every batch, the deletion included; under -race
+// this is the lock on that transpose.
 func TestWriterUnionTransposeMatchesS1(t *testing.T) {
 	const n = 160
 	for _, shards := range []int{3, 4} {
-		one := enabled(t, NewSystem(streamgraph.New(n, true), 4), "SSSP")
-		many := enabled(t, NewSharded(n, true, shards, 4), "SSSP")
+		one := enabled(t, NewSystem(streamgraph.New(n, true), 4), "SSSP", "SSWP")
+		many := enabled(t, NewSharded(n, true, shards, 4), "SSSP", "SSWP")
 		rng := rand.New(rand.NewSource(31))
 		for round := 0; round < 6; round++ {
 			batch := randArcs(rng, n+round*3, 220) // grows the vertex range

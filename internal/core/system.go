@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"tripoline/internal/engine"
@@ -124,8 +125,10 @@ type System struct {
 	// tr is the transpose of the union the writer last maintained over
 	// (writerUnion.Transposed), nil until a directed standing set over S>1
 	// stores asks for one; a single store's mirror carries its own. Token
-	// holder only.
-	tr *streamgraph.Flat
+	// holder only, under trMu: the holder's standing sets ask for it
+	// concurrently.
+	trMu sync.Mutex
+	tr   *streamgraph.Flat
 	// owner maps each vertex to the store that holds its out-arcs. The
 	// token holder grows it with the vertex count; entries share it, each
 	// reading only the prefix it covers.

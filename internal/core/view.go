@@ -94,9 +94,13 @@ var _ engine.Transposer = (*writerUnion)(nil)
 // own, carried from entry to entry — patched with the entry's merged
 // record when the entry is the insertion right after the one it was built
 // for, built from the union's spans otherwise — like a single store's
-// mirror chain carries its transpose. Token holder only.
+// mirror chain carries its transpose. Token holder only, but safe for the
+// standing sets it maintains concurrently: trMu makes the first caller
+// build the transpose and the others wait for it, as a mirror's tmu does.
 func (w *writerUnion) Transposed() engine.ArcView {
 	s := w.s
+	s.trMu.Lock()
+	defer s.trMu.Unlock()
 	if s.tr == nil || s.tr.Version() != w.e.global {
 		next := streamgraph.TransposeFrom(w, s.tr)
 		if s.tr != nil {

@@ -95,13 +95,36 @@ func (m *Manager) trim(st *engine.State, sources []graph.VertexID, g, in engine.
 
 // taint computes the per-slot taint masks over the pre-deletion values.
 // Returns nil when no deleted arc was a witness.
+//
+// The worklist propagates only what a vertex newly gained: fresh[x] holds
+// the bits x gained since its last pop, x is pushed when fresh[x] turns
+// non-zero, and a pop takes and clears it, reads x's values for those bits
+// once and tests each out-arc (x, y) only for the bits y lacks. Each bit
+// of x is thus tested once per out-arc — at most K tests per arc in all —
+// and since values do not move while tainting, the closure is the one a
+// whole-mask re-test would reach. That matters on plateau problems (SSWP,
+// SSNP, SSR, a saturated Viterbi), whose witness test taints about half
+// the reached region in every slot, the slots arriving at x at different
+// times: re-testing the whole mask would re-scan x's arcs on each arrival.
+// The worklist stays sequential because the standing sets are maintained
+// concurrently in the writer's window, which already fills the cores; the
+// repair push afterwards is parallel.
 func (m *Manager) taint(st *engine.State, g engine.ArcView, deleted []graph.Edge, undirected bool) []uint64 {
 	p := m.Problem
 	n := st.N
 	K := st.K
 	init := p.InitValue()
+	arr, stride, offs := st.StrideViews()
 	taint := make([]uint64, n)
+	fresh := make([]uint64, n)
 	var frontier []graph.VertexID
+	gain := func(y graph.VertexID, add uint64) {
+		taint[y] |= add
+		if fresh[y] == 0 {
+			frontier = append(frontier, y)
+		}
+		fresh[y] |= add
+	}
 
 	seed := func(a, b graph.VertexID, w graph.Weight) {
 		if int(a) >= n || int(b) >= n {
@@ -118,9 +141,8 @@ func (m *Manager) taint(st *engine.State, g engine.ArcView, deleted []graph.Edge
 				mask |= 1 << uint(k)
 			}
 		}
-		if mask != 0 && taint[b]|mask != taint[b] {
-			taint[b] |= mask
-			frontier = append(frontier, b)
+		if mask != 0 {
+			gain(b, mask)
 		}
 	}
 	for _, e := range deleted {
@@ -133,32 +155,36 @@ func (m *Manager) taint(st *engine.State, g engine.ArcView, deleted []graph.Edge
 		return nil
 	}
 
-	// Propagate witnesses over the surviving arcs. Sequential worklist —
-	// taint sets are usually tiny relative to the graph; the repair push
-	// afterwards is the parallel part. A vertex re-enters the worklist
-	// only when it gains new taint bits, so the loop terminates after at
-	// most n*K bit additions.
+	var vx [64]uint64
 	for len(frontier) > 0 {
 		x := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		mask := taint[x]
+		xb := int(x) * stride
+		var mask uint64
+		for mk := fresh[x]; mk != 0; mk &= mk - 1 {
+			k := bits.TrailingZeros64(mk)
+			if vx[k] = arr[xb+offs[k]]; vx[k] != init {
+				mask |= 1 << uint(k)
+			}
+		}
+		fresh[x] = 0
 		dsts, ws := g.OutSpan(x)
 		for i, y := range dsts {
+			test := mask &^ taint[y]
+			if test == 0 {
+				continue
+			}
+			yb := int(y) * stride
 			var add uint64
-			for mk := mask; mk != 0; mk &= mk - 1 {
-				k := bits.TrailingZeros64(mk)
-				vx := st.Value(x, k)
-				if vx == init {
-					continue
-				}
-				cand, ok := p.Relax(vx, ws[i])
-				if ok && cand == st.Value(y, k) && taint[y]&(1<<uint(k)) == 0 {
+			for ; test != 0; test &= test - 1 {
+				k := bits.TrailingZeros64(test)
+				cand, ok := p.Relax(vx[k], ws[i])
+				if ok && cand == arr[yb+offs[k]] {
 					add |= 1 << uint(k)
 				}
 			}
 			if add != 0 {
-				taint[y] |= add
-				frontier = append(frontier, y)
+				gain(y, add)
 			}
 		}
 	}
