@@ -88,8 +88,8 @@ func (s *Set) Or(t *Set) {
 	}
 }
 
-// Atomic is a bit set whose Set and TestAndSet are safe for concurrent
-// writers. Reads concurrent with writes see either state of the bit.
+// Atomic is a bit set whose Set is safe for concurrent writers; it is
+// read (Count, ForEach) once they are done.
 type Atomic struct {
 	words []atomic.Uint64
 	n     int
@@ -116,27 +116,6 @@ func (a *Atomic) Set(i int) {
 			return
 		}
 	}
-}
-
-// TestAndSet sets bit i and reports whether this call changed it
-// (i.e. returns true exactly once per bit among racing callers).
-func (a *Atomic) TestAndSet(i int) bool {
-	w := &a.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := w.Load()
-		if old&mask != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|mask) {
-			return true
-		}
-	}
-}
-
-// Get reports whether bit i is set.
-func (a *Atomic) Get(i int) bool {
-	return a.words[i/wordBits].Load()&(1<<uint(i%wordBits)) != 0
 }
 
 // Reset clears every bit. Not safe concurrently with writers.
@@ -167,10 +146,4 @@ func (a *Atomic) ForEach(f func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Members appends the indices of all set bits to dst and returns it.
-func (a *Atomic) Members(dst []int) []int {
-	a.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }

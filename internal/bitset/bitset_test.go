@@ -131,37 +131,6 @@ func TestAtomicConcurrentSet(t *testing.T) {
 	}
 }
 
-func TestAtomicTestAndSetExactlyOnce(t *testing.T) {
-	const n = 1024
-	a := NewAtomic(n)
-	wins := make([]int, n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]int, 0, n)
-			for i := 0; i < n; i++ {
-				if a.TestAndSet(i) {
-					local = append(local, i)
-				}
-			}
-			mu.Lock()
-			for _, i := range local {
-				wins[i]++
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	for i, c := range wins {
-		if c != 1 {
-			t.Fatalf("bit %d won %d times, want exactly 1", i, c)
-		}
-	}
-}
-
 func TestAtomicForEachAndReset(t *testing.T) {
 	a := NewAtomic(256)
 	a.Set(0)

@@ -281,11 +281,12 @@ func (r *replayer) deleteReinsertPhase(ctx context.Context) {
 	csr := r.g.Acquire().CSR(false)
 	var pairs []graph.Edge
 	for v := 0; v < csr.N; v++ {
-		csr.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
+		adj, wgt := csr.OutSpan(graph.VertexID(v))
+		for i, d := range adj {
 			if graph.VertexID(v) < d {
-				pairs = append(pairs, graph.Edge{Src: graph.VertexID(v), Dst: d, W: w})
+				pairs = append(pairs, graph.Edge{Src: graph.VertexID(v), Dst: d, W: wgt[i]})
 			}
-		})
+		}
 	}
 	var half []graph.Edge
 	for i := 0; i < len(pairs); i += 2 {

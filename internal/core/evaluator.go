@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -97,29 +96,10 @@ func newEvaluator(k int, directed bool) *evaluator {
 }
 
 // TopDegreeRoots returns the top-k out-degree vertices of g — the
-// topology-based standing query selection (Eq. 14).
-func TopDegreeRoots(g engine.View, k int) []graph.VertexID {
-	n := g.NumVertices()
-	ids := make([]int, n)
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		ids[v] = v
-		deg[v] = g.Degree(graph.VertexID(v))
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if deg[ids[a]] != deg[ids[b]] {
-			return deg[ids[a]] > deg[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	if k > n {
-		k = n
-	}
-	out := make([]graph.VertexID, k)
-	for i := 0; i < k; i++ {
-		out[i] = graph.VertexID(ids[i])
-	}
-	return out
+// topology-based standing query selection (Eq. 14), which is
+// standing.WeightedRoots without a history.
+func TopDegreeRoots(g standing.Degrees, k int) []graph.VertexID {
+	return standing.TopRoots(standing.DegreeScores(g), k)
 }
 
 // problem is an enabled problem: its definition plus the standing set

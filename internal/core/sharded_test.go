@@ -329,7 +329,10 @@ func TestBuildOnMiss(t *testing.T) {
 // reversed record, after every batch. Two directed standing sets (SSSP and
 // SSWP) are maintained concurrently, so both ask the union for its
 // transpose at once in every batch, the deletion included; under -race
-// this is the lock on that transpose.
+// this is the lock on that transpose. After every batch each set's Forward
+// must also be a fixpoint of the writer's view and its Reverse of that
+// view's transpose, at S=1 and at S: the answers alone would not show an
+// under-converged root.
 func TestWriterUnionTransposeMatchesS1(t *testing.T) {
 	const n = 160
 	for _, shards := range []int{3, 4} {
@@ -350,6 +353,24 @@ func TestWriterUnionTransposeMatchesS1(t *testing.T) {
 			want := one.stores[0].g.Acquire().Flatten().Transposed()
 			got := many.current(many.bar.latest()).(engine.Transposer).Transposed()
 			requireSameView(t, what, got, want)
+			requireFixpoint(t, what+" S=1", one)
+			requireFixpoint(t, what, many)
+		}
+	}
+}
+
+// requireFixpoint holds every standing set of sys to the fixpoint of the
+// writer's view of the latest entry: Forward over the view, Reverse over
+// its transpose.
+func requireFixpoint(t *testing.T, what string, sys *System) {
+	t.Helper()
+	view := sys.current(sys.bar.latest())
+	for _, set := range sys.ev.sets {
+		if vs := set.Forward.CheckConverged(view, 4); len(vs) != 0 {
+			t.Fatalf("%s: %s forward state is not a fixpoint: %+v", what, set.Problem.Name(), vs)
+		}
+		if vs := set.Reverse.CheckConverged(view.(engine.Transposer).Transposed(), 4); len(vs) != 0 {
+			t.Fatalf("%s: %s reverse state is not a fixpoint of the transpose: %+v", what, set.Problem.Name(), vs)
 		}
 	}
 }

@@ -140,12 +140,6 @@ func (u *union) OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
 	return nil, nil
 }
 
-func (u *union) ForEachOut(v graph.VertexID, fn func(dst graph.VertexID, w graph.Weight)) {
-	if f := u.mirror(v); f != nil {
-		f.ForEachOut(v, fn)
-	}
-}
-
 // InsertedArcs is the union's insertion record (engine.ArcDelta): the
 // records of the stores the entry's mutation reached, merged by tail. A
 // store it skipped contributes nothing — its mirror's record describes an

@@ -357,35 +357,6 @@ func (n *node) forEach(f func(e uint64)) {
 	n.right.forEach(f)
 }
 
-// ForEachWhile visits elements in ascending key order until f returns
-// false. It reports whether the traversal ran to completion.
-func (t Tree) ForEachWhile(f func(e uint64) bool) bool {
-	for _, e := range t.prefix {
-		if !f(e) {
-			return false
-		}
-	}
-	return t.root.forEachWhile(f)
-}
-
-func (n *node) forEachWhile(f func(e uint64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !n.left.forEachWhile(f) {
-		return false
-	}
-	if !f(n.head) {
-		return false
-	}
-	for _, e := range n.chunk {
-		if !f(e) {
-			return false
-		}
-	}
-	return n.right.forEachWhile(f)
-}
-
 // Elements appends all elements in ascending key order to dst.
 func (t Tree) Elements(dst []uint64) []uint64 {
 	t.ForEach(func(e uint64) { dst = append(dst, e) })

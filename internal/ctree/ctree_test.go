@@ -187,31 +187,6 @@ func TestInsertBatch(t *testing.T) {
 	}
 }
 
-func TestForEachWhile(t *testing.T) {
-	tr := Empty()
-	for k := uint32(0); k < 100; k++ {
-		tr = tr.Insert(Elem(k, 0))
-	}
-	count := 0
-	done := tr.ForEachWhile(func(e uint64) bool {
-		count++
-		return Key(e) < 10
-	})
-	if done {
-		t.Fatal("traversal claimed completion despite early stop")
-	}
-	if count != 12 { // keys 0..10 pass/stop check; stop fires at key 10... count includes the failing call
-		// The exact count depends only on order: keys 0..9 return true,
-		// key 10 returns false → 11 calls.
-		if count != 11 {
-			t.Fatalf("visited %d elements", count)
-		}
-	}
-	if !tr.ForEachWhile(func(uint64) bool { return true }) {
-		t.Fatal("full traversal reported early stop")
-	}
-}
-
 func TestShapeChunking(t *testing.T) {
 	tr := Empty()
 	const n = 4096

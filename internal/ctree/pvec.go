@@ -118,26 +118,3 @@ func (v VertexTable) Grow(n int) VertexTable {
 	}
 	return VertexTable{root: root, length: n, depth: d}
 }
-
-// ForEach calls f(i, tree) for every vertex with a non-empty edge tree.
-func (v VertexTable) ForEach(f func(i int, t Tree)) {
-	var walk func(n *vtNode, depth, base int)
-	walk = func(n *vtNode, depth, base int) {
-		if n == nil {
-			return
-		}
-		if depth == 1 {
-			for j, t := range n.leaves {
-				if t.Size() > 0 {
-					f(base+j, t)
-				}
-			}
-			return
-		}
-		step := 1 << (uint(depth-1) * vtBits)
-		for j, c := range n.children {
-			walk(c, depth-1, base+j*step)
-		}
-	}
-	walk(v.root, v.depth, 0)
-}

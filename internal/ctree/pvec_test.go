@@ -86,29 +86,6 @@ func TestVertexTableSetOutOfRangePanics(t *testing.T) {
 	NewVertexTable(4).Set(4, Empty())
 }
 
-func TestVertexTableForEach(t *testing.T) {
-	v := NewVertexTable(200)
-	set := map[int]bool{7: true, 64: true, 150: true}
-	for i := range set {
-		v = v.Set(i, Empty().Insert(Elem(0, 0)))
-	}
-	got := map[int]bool{}
-	v.ForEach(func(i int, tr Tree) {
-		if tr.Size() == 0 {
-			t.Fatalf("ForEach visited empty vertex %d", i)
-		}
-		got[i] = true
-	})
-	if len(got) != len(set) {
-		t.Fatalf("visited %v, want %v", got, set)
-	}
-	for i := range set {
-		if !got[i] {
-			t.Fatalf("missed vertex %d", i)
-		}
-	}
-}
-
 func TestVertexTableQuick(t *testing.T) {
 	f := func(idxs []uint16) bool {
 		const n = 2048

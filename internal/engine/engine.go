@@ -65,27 +65,18 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 // Unwrap exposes the context error for errors.Is(err, context.DeadlineExceeded).
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// View is the iteration interface of code that is not a kernel: PageRank,
-// the SSNSP counting round, the reachability and verification helpers, the
-// oracles. *streamgraph.Snapshot, *streamgraph.Flat and *graph.CSR all
-// satisfy it.
-type View interface {
+// ArcView is the one interface through which anything reads a graph: the
+// kernels, standing maintenance, PageRank, the SSNSP count, the fixpoint
+// check and the oracles. Its adjacency lives in flat arrays. The C-tree is
+// the versioned store; a flat mirror of one version is what is read, so
+// edge iteration is a plain loop over two slices with no closure or
+// interface call per edge. *graph.CSR and *streamgraph.Flat satisfy it,
+// and so does core's union of S store mirrors (each vertex's span lives
+// on one of them); the tree-backed *streamgraph.Snapshot deliberately
+// does not, so handing a snapshot to a kernel does not compile.
+type ArcView interface {
 	NumVertices() int
 	Degree(v graph.VertexID) int
-	ForEachOut(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight))
-}
-
-// ArcView is what every kernel and every standing-maintenance entry point
-// evaluates over: a graph whose adjacency lives in flat arrays. The C-tree
-// is the versioned store; a flat mirror of one version is what is
-// evaluated, so edge iteration is a plain loop over two slices with no
-// closure or interface call per edge. *graph.CSR and *streamgraph.Flat
-// satisfy it, and so does the shard router's union of S mirrors (each
-// vertex's span lives on one of them); the tree-backed
-// *streamgraph.Snapshot deliberately does not, so handing a snapshot to a
-// kernel does not compile.
-type ArcView interface {
-	View
 	// OutSpan returns v's out-neighbor and weight slices, sorted by
 	// destination. The slices alias the graph and must not be modified.
 	OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight)
@@ -117,8 +108,8 @@ type ArcDelta interface {
 }
 
 // Transposer is optionally implemented by views that also keep their
-// graph with every arc reversed (*streamgraph.Flat does, and so does the
-// shard router's union of its shards' mirrors). A push over the transposed
+// graph with every arc reversed (*streamgraph.Flat does, and so does
+// core's writer union of its stores' mirrors). A push over the transposed
 // view from roots r evaluates the reversed queries q⁻¹(r). The transposed
 // view carries the same version, and when it comes from an insertion it
 // records the batch's arcs reversed and sorted by their new tail, so it is

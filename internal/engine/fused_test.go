@@ -212,10 +212,11 @@ func TestConcurrentPushSharedState(t *testing.T) {
 	// Deal the union's (deduplicated) arcs round-robin into the partitions.
 	own := make([][]graph.Edge, shards)
 	for v, i := 0, 0; v < n; v++ {
-		union.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
-			own[i%shards] = append(own[i%shards], graph.Edge{Src: graph.VertexID(v), Dst: d, W: w})
+		adj, wgt := union.OutSpan(graph.VertexID(v))
+		for j, d := range adj {
+			own[i%shards] = append(own[i%shards], graph.Edge{Src: graph.VertexID(v), Dst: d, W: wgt[j]})
 			i++
-		})
+		}
 	}
 	parts := make([]*graph.CSR, shards)
 	for i := range parts {

@@ -18,11 +18,10 @@ type Violation struct {
 
 // CheckConverged sweeps every edge and reports up to max violations of
 // the fixpoint condition (no relaxation can improve any value). A
-// converged state returns an empty slice. The check is the runtime
-// analogue of the test suite's oracle comparisons: cheap (one edge
-// sweep), independent of how the state was produced, and usable as a
-// production audit after incremental maintenance or trimmed recovery.
-func (st *State) CheckConverged(g View, max int) []Violation {
+// converged state returns an empty slice. The tests use it to audit
+// standing state after incremental maintenance or trimmed recovery: one
+// edge sweep, independent of how the state was produced.
+func (st *State) CheckConverged(g ArcView, max int) []Violation {
 	if max <= 0 {
 		max = 16
 	}
@@ -35,10 +34,11 @@ func (st *State) CheckConverged(g View, max int) []Violation {
 		if mu.Load() >= int64(max) {
 			return
 		}
-		g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
+		adj, wgt := g.OutSpan(graph.VertexID(v))
+		for j, d := range adj {
 			for k := 0; k < K; k++ {
 				sv := st.Value(graph.VertexID(v), k)
-				cand, ok := p.Relax(sv, w)
+				cand, ok := p.Relax(sv, wgt[j])
 				if !ok {
 					continue
 				}
@@ -52,7 +52,7 @@ func (st *State) CheckConverged(g View, max int) []Violation {
 					}
 				}
 			}
-		})
+		}
 	})
 	count := mu.Load()
 	if count > int64(max) {

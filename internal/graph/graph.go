@@ -41,8 +41,7 @@ type CSR struct {
 // NumEdges returns the number of stored directed arcs.
 func (g *CSR) NumEdges() int64 { return int64(len(g.Adj)) }
 
-// NumVertices returns the number of vertices (it satisfies the engine's
-// graph View interface).
+// NumVertices returns the number of vertices.
 func (g *CSR) NumVertices() int { return g.N }
 
 // Degree returns the out-degree of v.
@@ -50,26 +49,12 @@ func (g *CSR) Degree(v VertexID) int {
 	return int(g.Off[v+1] - g.Off[v])
 }
 
-// Neighbors returns the sorted out-neighbor and weight slices of v.
-// The slices alias the graph and must not be modified.
-func (g *CSR) Neighbors(v VertexID) ([]VertexID, []Weight) {
-	lo, hi := g.Off[v], g.Off[v+1]
-	return g.Adj[lo:hi], g.Wgt[lo:hi]
-}
-
 // OutSpan returns the sorted out-neighbor and weight slices of v (the
 // engine's ArcView interface). The slices alias the graph and must not be
 // modified.
 func (g *CSR) OutSpan(v VertexID) ([]VertexID, []Weight) {
-	return g.Neighbors(v)
-}
-
-// ForEachOut calls f(dst, w) for every out-edge of v.
-func (g *CSR) ForEachOut(v VertexID, f func(dst VertexID, w Weight)) {
 	lo, hi := g.Off[v], g.Off[v+1]
-	for i := lo; i < hi; i++ {
-		f(g.Adj[i], g.Wgt[i])
-	}
+	return g.Adj[lo:hi], g.Wgt[lo:hi]
 }
 
 // FromEdges builds a CSR over n vertices from an edge list. Parallel edges
@@ -157,9 +142,10 @@ func (g *CSR) sortAndDedup() {
 func (g *CSR) Transpose() *CSR {
 	edges := make([]Edge, 0, len(g.Adj))
 	for v := 0; v < g.N; v++ {
-		g.ForEachOut(VertexID(v), func(d VertexID, w Weight) {
-			edges = append(edges, Edge{Src: d, Dst: VertexID(v), W: w})
-		})
+		adj, wgt := g.OutSpan(VertexID(v))
+		for i, d := range adj {
+			edges = append(edges, Edge{Src: d, Dst: VertexID(v), W: wgt[i]})
+		}
 	}
 	return FromEdges(g.N, edges, true)
 }

@@ -21,7 +21,7 @@ func TestFromEdgesDirected(t *testing.T) {
 	if g.Degree(0) != 2 || g.Degree(1) != 1 || g.Degree(3) != 1 {
 		t.Fatal("degrees wrong")
 	}
-	adj, wgt := g.Neighbors(0)
+	adj, wgt := g.OutSpan(0)
 	if len(adj) != 2 || adj[0] != 1 || adj[1] != 2 || wgt[0] != 2 || wgt[1] != 5 {
 		t.Fatalf("neighbors of 0 = %v %v", adj, wgt)
 	}
@@ -35,7 +35,7 @@ func TestFromEdgesUndirectedMirrors(t *testing.T) {
 	if g.Degree(1) != 2 {
 		t.Fatalf("deg(1)=%d", g.Degree(1))
 	}
-	adj, wgt := g.Neighbors(2)
+	adj, wgt := g.OutSpan(2)
 	if len(adj) != 1 || adj[0] != 1 || wgt[0] != 3 {
 		t.Fatal("mirror arc missing")
 	}
@@ -46,7 +46,7 @@ func TestFromEdgesDedupFirstWins(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("M=%d, want 1", g.NumEdges())
 	}
-	_, wgt := g.Neighbors(0)
+	_, wgt := g.OutSpan(0)
 	if wgt[0] != 1 {
 		t.Fatalf("weight=%d, want first duplicate 1", wgt[0])
 	}
@@ -54,20 +54,11 @@ func TestFromEdgesDedupFirstWins(t *testing.T) {
 
 func TestAdjacencySorted(t *testing.T) {
 	g := FromEdges(5, []Edge{{Src: 0, Dst: 4, W: 1}, {Src: 0, Dst: 2, W: 1}, {Src: 0, Dst: 3, W: 1}, {Src: 0, Dst: 1, W: 1}}, true)
-	adj, _ := g.Neighbors(0)
+	adj, _ := g.OutSpan(0)
 	for i := 1; i < len(adj); i++ {
 		if adj[i-1] >= adj[i] {
 			t.Fatalf("adjacency not sorted: %v", adj)
 		}
-	}
-}
-
-func TestForEachOut(t *testing.T) {
-	g := smallDirected()
-	var visited []VertexID
-	g.ForEachOut(0, func(d VertexID, w Weight) { visited = append(visited, d) })
-	if len(visited) != 2 || visited[0] != 1 || visited[1] != 2 {
-		t.Fatalf("visited %v", visited)
 	}
 }
 
@@ -78,15 +69,15 @@ func TestTranspose(t *testing.T) {
 		t.Fatal("transpose changed edge count")
 	}
 	// 0→1 in g must be 1→0 in gt with the same weight.
-	adj, wgt := gt.Neighbors(1)
+	adj, wgt := gt.OutSpan(1)
 	if len(adj) != 1 || adj[0] != 0 || wgt[0] != 2 {
 		t.Fatalf("transpose of 0→1 wrong: %v %v", adj, wgt)
 	}
 	// Double transpose is the identity on the arc set.
 	gtt := gt.Transpose()
 	for v := 0; v < g.N; v++ {
-		a1, w1 := g.Neighbors(VertexID(v))
-		a2, w2 := gtt.Neighbors(VertexID(v))
+		a1, w1 := g.OutSpan(VertexID(v))
+		a2, w2 := gtt.OutSpan(VertexID(v))
 		if len(a1) != len(a2) {
 			t.Fatalf("vertex %d degree differs after double transpose", v)
 		}
@@ -112,17 +103,19 @@ func TestTransposeQuick(t *testing.T) {
 		// every arc u→v in g appears as v→u in gt
 		ok := true
 		for v := 0; v < n && ok; v++ {
-			g.ForEachOut(VertexID(v), func(d VertexID, w Weight) {
+			adj, wgt := g.OutSpan(VertexID(v))
+			for i, d := range adj {
 				found := false
-				gt.ForEachOut(d, func(d2 VertexID, w2 Weight) {
-					if d2 == VertexID(v) && w2 == w {
+				adj2, wgt2 := gt.OutSpan(d)
+				for j, d2 := range adj2 {
+					if d2 == VertexID(v) && wgt2[j] == wgt[i] {
 						found = true
 					}
-				})
+				}
 				if !found {
 					ok = false
 				}
-			})
+			}
 		}
 		return ok && g.NumEdges() == gt.NumEdges()
 	}

@@ -24,14 +24,14 @@ func BestPath(g *graph.CSR, p engine.Problem, src graph.VertexID) []uint64 {
 	for changed := true; changed; {
 		changed = false
 		for v := 0; v < g.N; v++ {
-			sv := vals[v]
-			g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
-				cand, ok := p.Relax(sv, w)
+			adj, wgt := g.OutSpan(graph.VertexID(v))
+			for i, d := range adj {
+				cand, ok := p.Relax(vals[v], wgt[i])
 				if ok && p.Better(cand, vals[d]) {
 					vals[d] = cand
 					changed = true
 				}
-			})
+			}
 		}
 	}
 	return vals
@@ -59,12 +59,13 @@ func CountShortestPaths(g *graph.CSR, src graph.VertexID) (levels, counts []uint
 	for level := uint64(0); len(frontier) > 0; level++ {
 		var next []graph.VertexID
 		for _, u := range frontier {
-			g.ForEachOut(u, func(d graph.VertexID, _ graph.Weight) {
+			adj, _ := g.OutSpan(u)
+			for _, d := range adj {
 				if levels[d] == unreached {
 					levels[d] = level + 1
 					next = append(next, d)
 				}
-			})
+			}
 		}
 		frontier = next
 	}
@@ -82,11 +83,12 @@ func CountShortestPaths(g *graph.CSR, src graph.VertexID) (levels, counts []uint
 	}
 	for _, layer := range order {
 		for _, u := range layer {
-			g.ForEachOut(u, func(d graph.VertexID, _ graph.Weight) {
+			adj, _ := g.OutSpan(u)
+			for _, d := range adj {
 				if levels[d] == levels[u]+1 {
 					counts[d] += counts[u]
 				}
-			})
+			}
 		}
 	}
 	return levels, counts
@@ -120,9 +122,10 @@ func Components(g *graph.CSR) []uint64 {
 		}
 	}
 	for v := 0; v < g.N; v++ {
-		g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, _ graph.Weight) {
+		adj, _ := g.OutSpan(graph.VertexID(v))
+		for _, d := range adj {
 			union(v, int(d))
-		})
+		}
 	}
 	labels := make([]uint64, g.N)
 	// With union-by-min the root is already the minimum member.

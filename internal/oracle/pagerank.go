@@ -32,15 +32,15 @@ func PageRank(g *graph.CSR, damping float64, maxIters int, tol float64) []float6
 		}
 		dangling := 0.0
 		for v := 0; v < n; v++ {
-			deg := g.Off[v+1] - g.Off[v]
-			if deg == 0 {
+			adj, _ := g.OutSpan(graph.VertexID(v))
+			if len(adj) == 0 {
 				dangling += ranks[v]
 				continue
 			}
-			share := ranks[v] / float64(deg)
-			g.ForEachOut(graph.VertexID(v), func(d graph.VertexID, _ graph.Weight) {
+			share := ranks[v] / float64(len(adj))
+			for _, d := range adj {
 				contrib[d] += share
-			})
+			}
 		}
 		base := (1 - damping) / float64(n)
 		dshare := dangling / float64(n)

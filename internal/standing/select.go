@@ -56,6 +56,41 @@ func (h *QueryHistogram) snapshot() (map[graph.VertexID]uint64, uint64) {
 	return counts, h.total
 }
 
+// Degrees is what topology-based root selection reads of a graph: every
+// engine.ArcView has it, and so does the tree-backed *streamgraph.Snapshot.
+type Degrees interface {
+	NumVertices() int
+	Degree(v graph.VertexID) int
+}
+
+// DegreeScores scores every vertex of g by its out-degree — Eq. 14's
+// topology rule.
+func DegreeScores(g Degrees) []float64 {
+	score := make([]float64, g.NumVertices())
+	for v := range score {
+		score[v] = float64(g.Degree(graph.VertexID(v)))
+	}
+	return score
+}
+
+// TopRoots returns the k highest-scored vertices (all of them when k
+// exceeds their number), ties going to the lower id: the one ranking
+// every standing root selection takes its roots from.
+func TopRoots(score []float64, k int) []graph.VertexID {
+	ids := make([]graph.VertexID, len(score))
+	for i := range ids {
+		ids[i] = graph.VertexID(i)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		if score[ids[a]] != score[ids[b]] {
+			return score[ids[a]] > score[ids[b]]
+		}
+		return ids[a] < ids[b]
+	})
+	// A copy, so the roots do not hold the whole ranking alive.
+	return append([]graph.VertexID(nil), ids[:min(k, len(ids))]...)
+}
+
 // WeightedRoots selects k standing roots that balance topology (Eq. 14's
 // degree heuristic) against the observed query distribution: each
 // candidate's score is its out-degree plus, for each historically
@@ -63,15 +98,9 @@ func (h *QueryHistogram) snapshot() (map[graph.VertexID]uint64, uint64) {
 // adjacency — the query frequency mass it covers. With an empty history
 // the selection degenerates to the plain top-degree rule, so callers can
 // use it unconditionally.
-func WeightedRoots(g engine.View, h *QueryHistogram, k int) []graph.VertexID {
+func WeightedRoots(g engine.ArcView, h *QueryHistogram, k int) []graph.VertexID {
 	n := g.NumVertices()
-	if k > n {
-		k = n
-	}
-	score := make([]float64, n)
-	for v := 0; v < n; v++ {
-		score[v] = float64(g.Degree(graph.VertexID(v)))
-	}
+	score := DegreeScores(g)
 	var counts map[graph.VertexID]uint64
 	var total uint64
 	if h != nil {
@@ -86,8 +115,8 @@ func WeightedRoots(g engine.View, h *QueryHistogram, k int) []graph.VertexID {
 		avgDeg := 1.0
 		if n > 0 {
 			var m float64
-			for v := 0; v < n; v++ {
-				m += float64(g.Degree(graph.VertexID(v)))
+			for _, d := range score {
+				m += d
 			}
 			avgDeg = m / float64(n)
 		}
@@ -98,24 +127,11 @@ func WeightedRoots(g engine.View, h *QueryHistogram, k int) []graph.VertexID {
 			}
 			w := boost * float64(c)
 			score[u] += w
-			g.ForEachOut(u, func(d graph.VertexID, _ graph.Weight) {
+			adj, _ := g.OutSpan(u)
+			for _, d := range adj {
 				score[d] += w
-			})
+			}
 		}
 	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if score[ids[a]] != score[ids[b]] {
-			return score[ids[a]] > score[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	out := make([]graph.VertexID, k)
-	for i := 0; i < k; i++ {
-		out[i] = graph.VertexID(ids[i])
-	}
-	return out
+	return TopRoots(score, k)
 }

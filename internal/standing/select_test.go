@@ -20,12 +20,12 @@ func TestWeightedRootsWithoutHistoryIsTopDegree(t *testing.T) {
 		{Src: 1, Dst: 2, W: 1}, {Src: 1, Dst: 3, W: 1},
 		{Src: 2, Dst: 3, W: 1},
 	})
-	got := standing.WeightedRoots(g.Acquire(), nil, 2)
+	got := standing.WeightedRoots(g.Acquire().Flatten(), nil, 2)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("roots=%v, want top-degree [0 1]", got)
 	}
 	// Empty (non-nil) histogram behaves identically.
-	got2 := standing.WeightedRoots(g.Acquire(), standing.NewQueryHistogram(), 2)
+	got2 := standing.WeightedRoots(g.Acquire().Flatten(), standing.NewQueryHistogram(), 2)
 	for i := range got {
 		if got[i] != got2[i] {
 			t.Fatal("empty histogram changed selection")
@@ -51,7 +51,7 @@ func TestWeightedRootsFollowsQueryMass(t *testing.T) {
 	if hist.Total() != 100 {
 		t.Fatalf("total=%d", hist.Total())
 	}
-	roots := standing.WeightedRoots(g.Acquire(), hist, 2)
+	roots := standing.WeightedRoots(g.Acquire().Flatten(), hist, 2)
 	found := false
 	for _, r := range roots {
 		if r == 9 || r == 8 {
@@ -66,7 +66,7 @@ func TestWeightedRootsFollowsQueryMass(t *testing.T) {
 func TestWeightedRootsClampsK(t *testing.T) {
 	g := streamgraph.New(3, true)
 	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}})
-	if got := standing.WeightedRoots(g.Acquire(), nil, 10); len(got) != 3 {
+	if got := standing.WeightedRoots(g.Acquire().Flatten(), nil, 10); len(got) != 3 {
 		t.Fatalf("len=%d", len(got))
 	}
 }
@@ -99,8 +99,8 @@ func TestWeightedRootsImproveHotspotQueries(t *testing.T) {
 		_, prop := m.Select(hotspot)
 		return prop
 	}
-	plain := propAt(standing.WeightedRoots(snap, nil, 4))
-	aware := propAt(standing.WeightedRoots(snap, hist, 4))
+	plain := propAt(standing.WeightedRoots(snap.Flatten(), nil, 4))
+	aware := propAt(standing.WeightedRoots(snap.Flatten(), hist, 4))
 	if aware > plain {
 		t.Fatalf("history-aware roots give worse property(u,r): %d vs %d", aware, plain)
 	}
@@ -130,7 +130,7 @@ func TestSelectBeatsWorstRoot(t *testing.T) {
 		t.Fatalf("only %d sampled sources", len(sources))
 	}
 	for _, p := range []engine.Problem{props.SSSP{}, props.SSWP{}} {
-		m := standing.New(p, view, standing.WeightedRoots(snap, nil, 8), true)
+		m := standing.New(p, view, standing.WeightedRoots(view, nil, 8), true)
 		run := func(u graph.VertexID, slot int, propUR uint64) (*engine.State, int64) {
 			init := triangle.DeltaInit(p, u, propUR, m.StandingColumn(slot))
 			st := &engine.State{P: p, K: 1, N: len(init), Values: init}

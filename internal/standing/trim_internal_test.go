@@ -90,9 +90,10 @@ func TestTaintMatchesReference(t *testing.T) {
 		pre := snap.Flatten()
 		top := gen.TopDegreeVertices(n, edges, directed, 1)[0]
 		var hub []graph.Edge
-		pre.ForEachOut(top, func(d graph.VertexID, w graph.Weight) {
-			hub = append(hub, graph.Edge{Src: top, Dst: d, W: w})
-		})
+		adj, wgt := pre.OutSpan(top)
+		for i, d := range adj {
+			hub = append(hub, graph.Edge{Src: top, Dst: d, W: wgt[i]})
+		}
 		rng := rand.New(rand.NewSource(7))
 		var random []graph.Edge
 		for _, i := range rng.Perm(len(edges))[:60] {

@@ -94,7 +94,7 @@ func TestTrimLeavesTrueFixpoint(t *testing.T) {
 	snap, _ := g.DeleteEdges(del)
 	flat := snap.Flatten()
 	m.UpdateDeletions(flat, del, false)
-	if vs := m.Forward.CheckConverged(snap, 4); len(vs) != 0 {
+	if vs := m.Forward.CheckConverged(flat, 4); len(vs) != 0 {
 		t.Fatalf("forward state not a fixpoint after trim: %+v", vs)
 	}
 	// The reversed state is the forward state of the transposed graph.

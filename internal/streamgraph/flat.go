@@ -481,12 +481,3 @@ func (f *Flat) OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
 	lo, hi := f.off[v], f.off[v+1]
 	return f.adj[lo:hi], f.wgt[lo:hi]
 }
-
-// ForEachOut calls fn(dst, w) for every out-edge of v in ascending
-// destination order (the engine.View iteration non-kernel code uses).
-func (f *Flat) ForEachOut(v graph.VertexID, fn func(dst graph.VertexID, w graph.Weight)) {
-	lo, hi := f.off[v], f.off[v+1]
-	for i := lo; i < hi; i++ {
-		fn(f.adj[i], f.wgt[i])
-	}
-}

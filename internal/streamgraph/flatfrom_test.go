@@ -52,7 +52,7 @@ func requireTransposeOf(t *testing.T, label string, tr *Flat, snap *Snapshot) {
 	}
 	for v := 0; v < want.N; v++ {
 		gd, gw := tr.OutSpan(graph.VertexID(v))
-		wd, ww := want.Neighbors(graph.VertexID(v))
+		wd, ww := want.OutSpan(graph.VertexID(v))
 		if tr.off[v] != want.Off[v] || len(gd) != len(wd) {
 			t.Fatalf("%s: span of %d at %d holds %d arcs, want %d at %d", label, v, tr.off[v], len(gd), len(wd), want.Off[v])
 		}

@@ -68,18 +68,12 @@ func (s *Snapshot) Degree(v graph.VertexID) int {
 }
 
 // ForEachOut calls f(dst, w) for every out-edge of v in ascending
-// destination order.
+// destination order. It is the store's tree walk, which CSR, Save and
+// Partition read; evaluation reads a flat mirror (Flatten) through
+// engine.ArcView instead.
 func (s *Snapshot) ForEachOut(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight)) {
 	s.table.Get(int(v)).ForEach(func(e uint64) {
 		f(ctree.Key(e), ctree.Payload(e))
-	})
-}
-
-// ForEachOutWhile is ForEachOut with early termination; it reports whether
-// the traversal completed.
-func (s *Snapshot) ForEachOutWhile(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight) bool) bool {
-	return s.table.Get(int(v)).ForEachWhile(func(e uint64) bool {
-		return f(ctree.Key(e), ctree.Payload(e))
 	})
 }
 

@@ -114,19 +114,6 @@ func TestOutNeighborsSorted(t *testing.T) {
 	}
 }
 
-func TestForEachOutWhile(t *testing.T) {
-	g := New(3, true)
-	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 0, Dst: 2, W: 1}})
-	count := 0
-	done := g.Acquire().ForEachOutWhile(0, func(graph.VertexID, graph.Weight) bool {
-		count++
-		return false
-	})
-	if done || count != 1 {
-		t.Fatalf("done=%v count=%d", done, count)
-	}
-}
-
 // TestMatchesCSR streams a random edge list and checks the final snapshot
 // agrees with a CSR built directly from the same edges.
 func TestMatchesCSR(t *testing.T) {
@@ -143,7 +130,7 @@ func TestMatchesCSR(t *testing.T) {
 		// Both loaders apply the first-wins duplicate rule, so the arc
 		// sets and weights must agree exactly.
 		for v := 0; v < 200; v++ {
-			wantAdj, wantW := want.Neighbors(graph.VertexID(v))
+			wantAdj, wantW := want.OutSpan(graph.VertexID(v))
 			gotAdj, gotW := snap.OutNeighbors(graph.VertexID(v))
 			if len(wantAdj) != len(gotAdj) {
 				t.Fatalf("directed=%v v=%d degree %d vs %d", directed, v, len(gotAdj), len(wantAdj))
