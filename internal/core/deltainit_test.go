@@ -7,6 +7,8 @@ import (
 
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
+	"tripoline/internal/props"
+	"tripoline/internal/standing"
 	"tripoline/internal/streamgraph"
 	"tripoline/internal/triangle"
 )
@@ -56,14 +58,41 @@ func TestDeltaQueryCopiesNoColumn(t *testing.T) {
 	}
 }
 
+// TestDeltaQueryFromASink locks the width-1 query path, which does not
+// fill its answer with the init value first, on a source whose Δ-init
+// meets over no root: a directed sink reaches none, so its answer is the
+// init value everywhere but at the source.
+func TestDeltaQueryFromASink(t *testing.T) {
+	edges := []graph.Edge{{Src: 0, Dst: 1, W: 2}, {Src: 1, Dst: 2, W: 2}, {Src: 2, Dst: 0, W: 2}, {Src: 2, Dst: 3, W: 2}}
+	sys := NewSystem(streamgraph.FromEdges(4, edges, true), 2)
+	if err := sys.Enable("SSSP"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.QueryCtx(context.Background(), "SSSP", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Incremental {
+		t.Fatal("the query did not take the Δ path")
+	}
+	for x, v := range res.Values {
+		if want := uint64(props.Unreached); x == 3 && v != 0 || x != 3 && v != want {
+			t.Fatalf("answer from sink 3: value(%d) = %d, want Unreached everywhere but 0 at 3", x, v)
+		}
+	}
+}
+
 // deltaInitSink keeps BenchmarkDeltaInit's results alive.
 var deltaInitSink []uint64
 
 // BenchmarkDeltaInit prices a width-1 Δ-initialization out of a K=16
-// standing set at N=2^18: "column" copies the chosen slot out of the
-// slot-blocked slab (Manager.StandingColumn) and Δ-initializes from the
-// copy (DeltaInitInto); "slab" is the query path's deltaInit, one pass
-// that reads the slot in place. Both include the answer's allocation.
+// standing set at N=2^18: "column" copies the chosen slot of an SSWP set
+// out of the slot-blocked slab (Manager.StandingColumn) and
+// Δ-initializes from the copy (DeltaInitInto); "slab" is the query
+// path's deltaInit on the same set, one pass that reads the slot in
+// place (SSWP's meet keeps one lane); "meet" is deltaInit over a
+// directed SSSP set, whose meet keeps several lanes. All include the
+// answer's allocation.
 func BenchmarkDeltaInit(b *testing.B) {
 	const logN = 18
 	set := deltaInitSystem(b, logN).ev.sets[0]
@@ -79,14 +108,23 @@ func BenchmarkDeltaInit(b *testing.B) {
 			deltaInitSink = dst
 		}
 	})
-	b.Run("slab", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q, err := deltaInit(context.Background(), set, []graph.VertexID{source(i)})
-			if err != nil {
-				b.Fatal(err)
+	slab := func(set *standing.Manager) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q, err := deltaInit(context.Background(), set, []graph.VertexID{source(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				deltaInitSink = q.st.Values
 			}
-			deltaInitSink = q.st.Values
 		}
-	})
+	}
+	b.Run("slab", slab(set))
+	cfg := gen.Config{Name: "deltainit-meet", LogN: logN, AvgDegree: 8, Directed: true, MaxWeight: 64, Seed: 5}
+	sys := NewSystem(streamgraph.FromEdges(cfg.N(), gen.RMAT(cfg), true), 16)
+	if err := sys.Enable("SSSP"); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("meet", slab(sys.ev.sets[0]))
 }

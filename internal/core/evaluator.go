@@ -438,18 +438,20 @@ type evaluation struct {
 	sources []graph.VertexID
 	st      *engine.State
 	stats   engine.Stats
-	// slots and propURs record each source's chosen standing root (Eq. 15).
+	// slots and propURs record each source's best standing root (Eq. 15),
+	// the first of the lanes its Δ-initialization meets over.
 	slots   []int
 	propURs []uint64
 }
 
 // deltaInit allocates the width-len(sources) state and Δ-initializes each
-// slot from its own best standing root in one blocked pass that reads the
-// root's slot in place in the standing state's storage and writes straight
-// into the new state's. The caller holds mu (shared under pinShared, or
-// exclusive in the writer's window) and runs the engine after letting go
-// of the shared lock. Each slot is an O(N) parallel pass, so cancellation is honored
-// between slots as well as inside the engine run.
+// slot with the meet over the standing roots Manager.Meet keeps for its
+// source, in one blocked pass that reads the roots' slots in place in the
+// standing state's storage and writes straight into the new state's. The
+// caller holds mu (shared under pinShared, or exclusive in the writer's
+// window) and runs the engine after letting go of the shared lock. Each
+// slot is an O(N) parallel pass, so cancellation is honored between
+// slots as well as inside the engine run.
 func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.VertexID) (*evaluation, error) {
 	p, n, w := set.Problem, set.Forward.N, len(sources)
 	q := &evaluation{sources: sources, slots: make([]int, w), propURs: make([]uint64, w)}
@@ -461,22 +463,24 @@ func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.Verte
 	} else {
 		q.st = engine.NewState(p, n, w)
 	}
+	src, srcStride, _ := set.Forward.StrideView(0)
+	lanes := make([]triangle.Lane, 0, len(set.Roots))
 	for j, u := range sources {
 		if err := ctx.Err(); err != nil {
 			return nil, &engine.CanceledError{Cause: err}
 		}
-		slot, propUR := set.Select(u)
-		q.slots[j], q.propURs[j] = slot, propUR
+		lanes, q.slots[j], q.propURs[j] = set.Meet(lanes, u)
 		dst, dstStride, dstOff := q.st.StrideView(j)
-		src, srcStride, srcOff := set.Forward.StrideView(slot)
-		triangle.DeltaInitStrided(dst, dstStride, dstOff, p, u, propUR, src, srcStride, srcOff, n)
+		triangle.DeltaInitMeet(dst, dstStride, dstOff, p, u, lanes, src, srcStride, n)
 	}
 	return q, nil
 }
 
 // run converges the Δ-initialized state over g. The Δ-initialization is
-// triangle-consistent — every value is property(u,r) ⊕ property(r,x) for
-// one root r over the graph g describes — so the sources alone seed it.
+// triangle-consistent — every value is the ⊕-best over kept roots r of
+// property(u,r) ⊕ property(r,x), each term read from a fixpoint column
+// over the graph g describes, so their meet is a fixpoint everywhere but
+// at the sources — so the sources alone seed it.
 func (q *evaluation) run(ctx context.Context, g engine.ArcView) (err error) {
 	seeds, masks := engine.SourceSeeds(q.sources)
 	q.stats, err = q.st.RunPushCtx(ctx, g, seeds, masks)

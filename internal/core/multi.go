@@ -22,7 +22,8 @@ type MultiResult struct {
 	Values []uint64
 	Width  int
 	Stats  engine.Stats
-	// Slots and PropURs record each query's chosen standing root.
+	// Slots and PropURs record each query's Eq. 15 pick, the first of
+	// the roots its Δ-initialization meets over (QueryResult.StandingSlot).
 	Slots   []int
 	PropURs []uint64
 	Elapsed time.Duration

@@ -69,8 +69,11 @@ type QueryResult struct {
 	Elapsed    time.Duration
 	// Incremental reports whether Δ-based initialization was used.
 	Incremental bool
-	// StandingSlot and PropUR record the standing query chosen for u
-	// (Eq. 15) on incremental runs from a standing set.
+	// StandingSlot and PropUR record Eq. 15's pick for u — the standing
+	// root with the best property(u, r) — on incremental runs from a
+	// standing set. The Δ-initialization meets over every root that no
+	// other root dominates (standing.Manager.Meet); this one is its
+	// first lane.
 	StandingSlot int
 	PropUR       uint64
 	// Version is the version the result is valid for: the pinned view's

@@ -590,7 +590,7 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
 		_, _, kc.soff = st.StrideViews()
-		kc.spec, kc.hasSpec = kernelSpecFor(p)
+		kc.spec, kc.hasSpec = KernelSpecOf(p)
 		kc.windows = blockWindows(K, n)
 		process, tail = kc.process, kc.tail
 	} else {
@@ -598,7 +598,7 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 			g: g, p: p, vals: st.Values,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
-		k1.spec, k1.hasSpec = kernelSpecFor(p)
+		k1.spec, k1.hasSpec = KernelSpecOf(p)
 		process, tail = k1.process, k1.tail
 	}
 

@@ -68,7 +68,11 @@ const (
 //   - Relax(src, w) returns ok=false exactly when src == Gate, and
 //     otherwise returns the Kind's scalar op (never consulting more
 //     state);
-//   - Better(a, b) is a > b when MaxWins, a < b otherwise.
+//   - Better(a, b) is a > b when MaxWins, a < b otherwise;
+//   - Combine(a, b) is the Kind's ⊕: SatAdd for the two additive kinds,
+//     min for RelaxMinWeight, max for RelaxMaxWeight, SatMul for
+//     RelaxMulSat and a & b for RelaxConst. Package triangle's
+//     Δ-initialization meet runs it without interface dispatch.
 type KernelSpec struct {
 	Kind RelaxKind
 	// Gate is the source value that propagates nothing (the init value).
@@ -86,7 +90,8 @@ type SpecProblem interface {
 	KernelSpec() KernelSpec
 }
 
-func kernelSpecFor(p Problem) (KernelSpec, bool) {
+// KernelSpecOf returns p's spec when p has one with a fused op.
+func KernelSpecOf(p Problem) (KernelSpec, bool) {
 	if sp, ok := p.(SpecProblem); ok {
 		spec := sp.KernelSpec()
 		if spec.Kind != RelaxGeneric {
@@ -96,10 +101,20 @@ func kernelSpecFor(p Problem) (KernelSpec, bool) {
 	return KernelSpec{}, false
 }
 
-// satMulFused is a bit-identical transcription of props.satMul, local to
+// SatAdd is a + b saturated at ^uint64(0), the additive problems'
+// Unreached, which absorbs: a bit-identical transcription of props'
+// saturating add.
+func SatAdd(a, b uint64) uint64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return ^uint64(0)
+}
+
+// SatMul is a bit-identical transcription of props.satMul, local to
 // the engine so the fused Viterbi relaxation needs no props import (which
 // would be an import cycle).
-func satMulFused(a, b uint64) uint64 {
+func SatMul(a, b uint64) uint64 {
 	const unreached = ^uint64(0)
 	if a == unreached || b == unreached {
 		return unreached
@@ -294,7 +309,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 		for m := live; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			c.relax++
-			if casImproveLess(&cols[soff[k]+db], satMulFused(src[k], wv)) {
+			if casImproveLess(&cols[soff[k]+db], SatMul(src[k], wv)) {
 				c.upd++
 				markActive(kc.nextMasks, kc.inNext, d, k)
 			}
@@ -400,7 +415,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			wv := uint64(wgts[i])
 			db := int(d) * lineWords
 			for j := 0; j < ns; j++ {
-				if casImproveLess(&cols[offs[j]+db], satMulFused(vals[j], wv)) {
+				if casImproveLess(&cols[offs[j]+db], SatMul(vals[j], wv)) {
 					c.upd++
 					markActive(kc.nextMasks, kc.inNext, d, ks[j])
 				}
@@ -679,7 +694,7 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 	case RelaxMulSat:
 		for i, d := range dsts {
 			c.relax++
-			if casImproveLess(&vals[d], satMulFused(src, uint64(ws[i]))) {
+			if casImproveLess(&vals[d], SatMul(src, uint64(ws[i]))) {
 				c.upd++
 				markActive(kc.nextMasks, kc.inNext, d, 0)
 			}
@@ -720,7 +735,7 @@ func (kc *push1Ctx) specEdge(c *workCounter, d graph.VertexID, w graph.Weight, s
 			cand = wv
 		}
 	case RelaxMulSat:
-		cand = satMulFused(src, uint64(w))
+		cand = SatMul(src, uint64(w))
 	default:
 		cand = kc.spec.Const
 	}

@@ -206,6 +206,51 @@ func (m *Manager) Select(u graph.VertexID) (slot int, propUR uint64) {
 	return triangle.SelectStanding(m.Problem, m.PropURInto(buf[:0], u))
 }
 
+// Meet returns the lanes a Δ-initialization for user source u meets over
+// (triangle.DeltaInitMeet), in dst's storage, and Eq. 15's pick — Select's
+// slot and property(u, r_slot) — which results report. Roots are taken
+// best property(u, r) first, ties in slot order, so the pick comes first.
+// A root r′ is left out when property(u, r′) is the init value (its Δ
+// term is init everywhere), or when a kept root r dominates it:
+// Combine(property(u,r), property(r,r′)) is at least as good as
+// property(u,r′). By the triangle inequality over r's exact column, r′'s
+// term is then nowhere better than r's, so the meet over the kept lanes
+// equals the meet over all K roots bit for bit. On min/max problems one
+// lane is usually all that is kept. Meet costs at most K² scalar ⊕ and
+// allocates nothing when dst holds K lanes.
+func (m *Manager) Meet(dst []triangle.Lane, u graph.VertexID) (lanes []triangle.Lane, slot int, propUR uint64) {
+	var buf [64]uint64
+	var order, kept [64]uint8
+	p := m.Problem
+	prop := m.PropURInto(buf[:0], u)
+	byProp := order[:len(prop)]
+	for k := range byProp {
+		byProp[k] = uint8(k)
+		for i := k; i > 0 && p.Better(prop[byProp[i]], prop[byProp[i-1]]); i-- {
+			byProp[i], byProp[i-1] = byProp[i-1], byProp[i]
+		}
+	}
+	lanes, nKept, init := dst[:0], 0, p.InitValue()
+	for _, r2 := range byProp {
+		if prop[r2] == init {
+			continue
+		}
+		dominated := false
+		for _, r := range kept[:nKept] {
+			if !p.Better(prop[r2], p.Combine(prop[r], m.Forward.Value(m.Roots[r2], int(r)))) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			kept[nKept], nKept = r2, nKept+1
+			_, _, off := m.Forward.StrideView(int(r2))
+			lanes = append(lanes, triangle.Lane{Off: off, PropUR: prop[r2]})
+		}
+	}
+	return lanes, int(byProp[0]), prop[byProp[0]]
+}
+
 // noteVersion records the snapshot version of the view the state is about
 // to converge on, or that the view carries none.
 func (m *Manager) noteVersion(g engine.ArcView) {
@@ -231,7 +276,7 @@ func (m *Manager) StampVersion(version uint64) {
 // way the caller must treat it as read-only and use it before the next
 // maintenance pass. It is kept for probes and tests: the query path does
 // not use it, but Δ-initializes from Forward.StrideView(k) in place
-// (triangle.DeltaInitStrided).
+// (Meet, triangle.DeltaInitMeet).
 func (m *Manager) StandingColumn(k int) []uint64 {
 	if col, ok := m.Forward.ColumnView(k); ok {
 		return col

@@ -167,6 +167,46 @@ func TestSelectPicksBestRoot(t *testing.T) {
 	}
 }
 
+// TestMeetDegenerateRoots covers the root lists Meet must cut down: a
+// directed sink that reaches no root keeps no lane, so the meet writes
+// the init value everywhere but at the source; a source that is itself a
+// root keeps exactly its own lane; and a duplicated root and a root the
+// source cannot reach are dropped.
+func TestMeetDegenerateRoots(t *testing.T) {
+	// 0→1→2→3→4→9 and 8→7: 9 is a sink, 7 is reached from 8 alone.
+	edges := []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 1},
+		{Src: 3, Dst: 4, W: 1}, {Src: 4, Dst: 9, W: 1}, {Src: 8, Dst: 7, W: 1}}
+	g := streamgraph.FromEdges(10, edges, true)
+	p := props.SSSP{}
+	m := standing.New(p, g.Acquire().Flatten(), []graph.VertexID{0, 0, 2, 2, 7, 3}, true)
+	src, stride, _ := m.Forward.StrideView(0)
+	offOf := func(k int) int { _, _, off := m.Forward.StrideView(k); return off }
+
+	lanes, slot, propUR := m.Meet(nil, 9)
+	if len(lanes) != 0 || slot != 0 || propUR != p.InitValue() {
+		t.Fatalf("sink: %d lanes, pick %d/%d; want none and slot 0 at init", len(lanes), slot, propUR)
+	}
+	dst := make([]uint64, 10) // zeros: SSSP's best value, not its init
+	triangle.DeltaInitMeet(dst, 1, 0, p, 9, lanes, src, stride, 10)
+	for x, v := range dst {
+		if want := p.InitValue(); x == 9 && v != p.SourceValue() || x != 9 && v != want {
+			t.Fatalf("sink: Δ[%d] = %d, want init everywhere but the source", x, v)
+		}
+	}
+
+	lanes, slot, propUR = m.Meet(nil, 3)
+	if len(lanes) != 1 || slot != 5 || propUR != p.SourceValue() || lanes[0].Off != offOf(5) {
+		t.Fatalf("root source: lanes %v, pick %d/%d; want only root 3's own lane", lanes, slot, propUR)
+	}
+
+	// From 1: both copies of root 0 and root 7 are unreachable, the second
+	// copy of root 2 ties with the first, and 3 lies behind 2.
+	lanes, slot, propUR = m.Meet(nil, 1)
+	if len(lanes) != 1 || slot != 2 || propUR != 1 || lanes[0] != (triangle.Lane{Off: offOf(2), PropUR: 1}) {
+		t.Fatalf("from 1: lanes %v, pick %d/%d; want only the first root 2's lane", lanes, slot, propUR)
+	}
+}
+
 func TestSelectedColumnProducesValidInit(t *testing.T) {
 	edges := gen.Uniform(140, 1100, 8, 13)
 	g := streamgraph.FromEdges(140, edges, false)

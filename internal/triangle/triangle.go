@@ -11,6 +11,15 @@
 // converged value property(u,x). Seeding a monotonic, async-safe
 // evaluation with Δ(u,r) therefore converges to exactly the same result
 // as a from-scratch evaluation (Theorem 4.4), usually after far less work.
+//
+// A query does not stop at Eq. 15's one root: DeltaInitMeet writes the
+// meet Δ(u)[x] = ⊕-best over roots r of Δ(u,r)[x]. It is sound because
+// no term is better than property(u,x), and each term comes from a
+// fixpoint column, so their meet is a fixpoint everywhere but at u and
+// the source alone still seeds the evaluation. A root r′ can be left out
+// exactly when a kept root r has property(u,r) ⊕ property(r,r′) at least
+// as good as property(u,r′): by the triangle inequality over r's exact
+// column, Δ(u,r′) is then nowhere better than Δ(u,r).
 package triangle
 
 import (
@@ -34,26 +43,146 @@ func DeltaInit(p engine.Problem, u graph.VertexID, propUR uint64, standing []uin
 
 // DeltaInitInto is DeltaInit writing into dst (len(dst) ≥ len(standing)).
 func DeltaInitInto(dst []uint64, p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) {
-	DeltaInitStrided(dst, 1, 0, p, u, propUR, standing, 1, 0, len(standing))
+	DeltaInitMeet(dst, 1, 0, p, u, []Lane{{Off: 0, PropUR: propUR}}, standing, 1, len(standing))
 }
 
-// DeltaInitStrided is DeltaInit over n vertices between two strided views
-// (engine.State.StrideView): it reads property(r,x) at
-// src[x*srcStride+srcOff] and writes Δ(u,r)[x] to dst[x*dstStride+dstOff].
-// A query Δ-initializes one slot of its own state straight out of the
-// standing state's slot-blocked storage this way, with no column copied
-// in between. It runs in parallel blocks with a plain loop inside each.
-func DeltaInitStrided(dst []uint64, dstStride, dstOff int, p engine.Problem, u graph.VertexID, propUR uint64, src []uint64, srcStride, srcOff, n int) {
+// Lane is one standing root a Δ-initialization meets over: the offset of
+// the root's slot in the standing state's storage (the off of
+// engine.State.StrideView) and property(u, r).
+type Lane struct {
+	Off    int
+	PropUR uint64
+}
+
+// DeltaInitMeet writes the meet over lanes of Δ(u,r) to n vertices of a
+// strided destination (engine.State.StrideView): dst[x*dstStride+dstOff]
+// becomes the ⊕-best over lanes l of Combine(l.PropUR, property(r,x)),
+// which it reads in place at src[x*srcStride+l.Off], and u's entry the
+// source value. With no lanes every other entry is the init value. A
+// query Δ-initializes each slot of its own state this way straight out
+// of the standing state's slot-blocked storage, with no column copied in
+// between. It runs in parallel blocks with a plain loop inside each.
+func DeltaInitMeet(dst []uint64, dstStride, dstOff int, p engine.Problem, u graph.VertexID, lanes []Lane, src []uint64, srcStride, n int) {
+	meet, init := meetOf(p), p.InitValue()
 	parallel.ForRange(n, parallel.BlockGrain, func(lo, hi int) {
-		d, s := lo*dstStride+dstOff, lo*srcStride+srcOff
+		d, s := lo*dstStride+dstOff, lo*srcStride
+		if len(lanes) > 0 {
+			meet(dst, d, dstStride, src, s, srcStride, lanes, hi-lo)
+			return
+		}
 		for x := lo; x < hi; x++ {
-			dst[d] = p.Combine(propUR, src[s])
+			dst[d] = init
 			d += dstStride
-			s += srcStride
 		}
 	})
 	if int(u) < n {
 		dst[int(u)*dstStride+dstOff] = p.SourceValue()
+	}
+}
+
+// meetFunc writes the meet over a non-empty list of lanes for cnt
+// consecutive vertices: the first vertex's value goes to dst[d] and its
+// lanes sit at src[s+l.Off]; each next vertex is ds and ss further on.
+type meetFunc func(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int)
+
+// meetOf returns p's meetFunc. Each engine.KernelSpec kind has its own,
+// whose ⊕ and order are inline, so the loop over vertices and lanes
+// makes no call (through the interface the meet costs more than it
+// saves); a problem with no spec runs the same loop through the
+// interface.
+func meetOf(p engine.Problem) meetFunc {
+	spec, fused := engine.KernelSpecOf(p)
+	switch {
+	case fused && !spec.MaxWins && (spec.Kind == engine.RelaxAddWeight || spec.Kind == engine.RelaxAddOne):
+		return meetSatAdd
+	case fused && spec.MaxWins && spec.Kind == engine.RelaxMinWeight:
+		return meetMin
+	case fused && !spec.MaxWins && spec.Kind == engine.RelaxMaxWeight:
+		return meetMax
+	case fused && !spec.MaxWins && spec.Kind == engine.RelaxMulSat:
+		return meetSatMul
+	case fused && spec.MaxWins && spec.Kind == engine.RelaxConst:
+		return meetAnd
+	}
+	return func(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+		first, rest := lanes[0], lanes[1:]
+		for ; cnt > 0; cnt-- {
+			best := p.Combine(first.PropUR, src[s+first.Off])
+			for _, l := range rest {
+				if c := p.Combine(l.PropUR, src[s+l.Off]); p.Better(c, best) {
+					best = c
+				}
+			}
+			dst[d] = best
+			d, s = d+ds, s+ss
+		}
+	}
+}
+
+// meetSatAdd is the meet of the additive problems (SSSP, BFS): the least
+// saturating sum.
+func meetSatAdd(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	first, rest := lanes[0], lanes[1:]
+	for ; cnt > 0; cnt-- {
+		best := engine.SatAdd(first.PropUR, src[s+first.Off])
+		for _, l := range rest {
+			best = min(best, engine.SatAdd(l.PropUR, src[s+l.Off]))
+		}
+		dst[d] = best
+		d, s = d+ds, s+ss
+	}
+}
+
+// meetMin is the widest path's meet: the widest of the narrower halves.
+func meetMin(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	first, rest := lanes[0], lanes[1:]
+	for ; cnt > 0; cnt-- {
+		best := min(first.PropUR, src[s+first.Off])
+		for _, l := range rest {
+			best = max(best, min(l.PropUR, src[s+l.Off]))
+		}
+		dst[d] = best
+		d, s = d+ds, s+ss
+	}
+}
+
+// meetMax is the narrowest path's meet: the narrowest of the wider
+// halves (Unreached, the largest word, absorbs).
+func meetMax(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	first, rest := lanes[0], lanes[1:]
+	for ; cnt > 0; cnt-- {
+		best := max(first.PropUR, src[s+first.Off])
+		for _, l := range rest {
+			best = min(best, max(l.PropUR, src[s+l.Off]))
+		}
+		dst[d] = best
+		d, s = d+ds, s+ss
+	}
+}
+
+// meetSatMul is Viterbi's meet: the least saturating product of weights.
+func meetSatMul(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	first, rest := lanes[0], lanes[1:]
+	for ; cnt > 0; cnt-- {
+		best := engine.SatMul(first.PropUR, src[s+first.Off])
+		for _, l := range rest {
+			best = min(best, engine.SatMul(l.PropUR, src[s+l.Off]))
+		}
+		dst[d] = best
+		d, s = d+ds, s+ss
+	}
+}
+
+// meetAnd is reachability's meet: reached through any lane.
+func meetAnd(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	first, rest := lanes[0], lanes[1:]
+	for ; cnt > 0; cnt-- {
+		best := first.PropUR & src[s+first.Off]
+		for _, l := range rest {
+			best = max(best, l.PropUR&src[s+l.Off])
+		}
+		dst[d] = best
+		d, s = d+ds, s+ss
 	}
 }
 
