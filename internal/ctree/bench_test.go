@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"sort"
 	"testing"
 
 	"tripoline/internal/xrand"
@@ -66,13 +67,30 @@ func BenchmarkRemove(b *testing.B) {
 	}
 }
 
+// BenchmarkVertexTableSet prices one batch's table write: SetMany over a
+// sorted set of 10k random vertices of a 2^17-vertex table, the shape of
+// a 10k-edge insertion batch.
 func BenchmarkVertexTableSet(b *testing.B) {
 	b.ReportAllocs()
-	v := NewVertexTable(1 << 16)
+	const n = 1 << 17
+	v := NewVertexTable(n)
 	t := Empty().Insert(Elem(1, 1))
 	rng := xrand.New(4)
+	seen := map[int]bool{}
+	for len(seen) < 10_000 {
+		seen[rng.Intn(n)] = true
+	}
+	idx := make([]int, 0, len(seen))
+	for i := range seen {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	trees := make([]Tree, len(idx))
+	for k := range trees {
+		trees[k] = t
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v = v.Set(rng.Intn(1<<16), t)
+		v.SetMany(idx, trees)
 	}
 }

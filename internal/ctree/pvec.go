@@ -3,7 +3,9 @@ package ctree
 // VertexTable is a persistent (immutable, path-copied) vector mapping dense
 // vertex IDs to edge Trees. It plays the role of Aspen's vertex tree: each
 // streaming-graph version holds one VertexTable, and deriving a new version
-// copies only the O(log n) trie path of each updated vertex.
+// copies, once, each trie node on the path to an updated vertex (SetMany):
+// at most O(log n) nodes per updated vertex, fewer where their paths share
+// nodes.
 //
 // The trie has fanout 32; leaves hold 32 consecutive Trees. The zero value
 // is an empty table of length 0.
@@ -68,33 +70,52 @@ func (v VertexTable) Get(i int) Tree {
 	return n.leaves[i&vtMask]
 }
 
-// Set returns a table identical to v except vertex i maps to t.
-// i must be < Len().
-func (v VertexTable) Set(i int, t Tree) VertexTable {
-	if i < 0 || i >= v.length {
-		panic("ctree: VertexTable.Set out of range")
+// SetMany returns a table identical to v except that vertex idx[k] maps
+// to trees[k]. idx must be sorted ascending, unique and below Len(). It is
+// one pass over idx: every trie node on a touched path is copied once,
+// however many of the updated vertices lie below it, and v is unchanged.
+func (v VertexTable) SetMany(idx []int, trees []Tree) VertexTable {
+	if len(idx) != len(trees) {
+		panic("ctree: VertexTable.SetMany with unequal index and tree counts")
 	}
-	return VertexTable{root: vtSet(v.root, v.depth, i, t), length: v.length, depth: v.depth}
+	if len(idx) == 0 {
+		return v
+	}
+	for k, i := range idx {
+		if i < 0 || i >= v.length || (k > 0 && i <= idx[k-1]) {
+			panic("ctree: VertexTable.SetMany indices out of range or not ascending")
+		}
+	}
+	return VertexTable{root: vtSetMany(v.root, v.depth, idx, trees), length: v.length, depth: v.depth}
 }
 
-func vtSet(n *vtNode, depth, i int, t Tree) *vtNode {
+// vtSetMany copies n, a node at the given depth, with the vertices idx —
+// sorted, all below n — set to trees: at a leaf the slots are written,
+// above one each run of idx that shares a child recurses into that child.
+func vtSetMany(n *vtNode, depth int, idx []int, trees []Tree) *vtNode {
 	out := &vtNode{}
 	if n != nil {
 		*out = *n
 	}
 	if depth == 1 {
-		if out.leaves == nil {
-			out.leaves = make([]Tree, vtFan)
-		} else {
-			l := make([]Tree, vtFan)
-			copy(l, out.leaves)
-			out.leaves = l
+		l := make([]Tree, vtFan)
+		copy(l, out.leaves)
+		for k, i := range idx {
+			l[i&vtMask] = trees[k]
 		}
-		out.leaves[i&vtMask] = t
+		out.leaves = l
 		return out
 	}
-	slot := (i >> (uint(depth-1) * vtBits)) & vtMask
-	out.children[slot] = vtSet(out.children[slot], depth-1, i, t)
+	shift := uint(depth-1) * vtBits
+	for lo := 0; lo < len(idx); {
+		slot := (idx[lo] >> shift) & vtMask
+		hi := lo + 1
+		for hi < len(idx) && (idx[hi]>>shift)&vtMask == slot {
+			hi++
+		}
+		out.children[slot] = vtSetMany(out.children[slot], depth-1, idx[lo:hi], trees[lo:hi])
+		lo = hi
+	}
 	return out
 }
 

@@ -159,31 +159,54 @@ func ReversedArcs(arcs []Edge) []Edge {
 	for i, a := range arcs {
 		out[i] = Edge{Src: a.Dst, Dst: a.Src, W: a.W}
 	}
-	// LSD radix sort on the new source, one byte per pass; a pass whose
-	// byte is the same for every arc changes nothing and is skipped.
-	var buf []Edge
-	for shift := 0; shift < 32 && len(out) > 1; shift += 8 {
-		var count [257]int
-		for _, a := range out {
-			count[(a.Src>>shift)&0xff+1]++
+	out, _ = radixSort(out, nil, false)
+	return out
+}
+
+// SortArcs sorts arcs by source, then by destination. The sort is stable:
+// arcs that share both keep their order.
+func SortArcs(arcs []Edge) {
+	out, buf := radixSort(arcs, nil, true)
+	out, _ = radixSort(out, buf, false)
+	if len(out) > 0 && &out[0] != &arcs[0] {
+		copy(arcs, out)
+	}
+}
+
+// radixSort sorts arcs stably by destination (byDst) or by source: an LSD
+// radix sort, one byte per pass; a pass whose byte is the same for every
+// arc changes nothing and is skipped. buf, if not nil, is scratch of
+// len(arcs). It returns the sorted list, which is arcs or the scratch, and
+// the other one.
+func radixSort(arcs, buf []Edge, byDst bool) (sorted, scratch []Edge) {
+	key := func(a Edge) VertexID {
+		if byDst {
+			return a.Dst
 		}
-		if count[(out[0].Src>>shift)&0xff+1] == len(out) {
+		return a.Src
+	}
+	for shift := 0; shift < 32 && len(arcs) > 1; shift += 8 {
+		var count [257]int
+		for _, a := range arcs {
+			count[(key(a)>>shift)&0xff+1]++
+		}
+		if count[(key(arcs[0])>>shift)&0xff+1] == len(arcs) {
 			continue
 		}
 		for d := 1; d < len(count); d++ {
 			count[d] += count[d-1]
 		}
 		if buf == nil {
-			buf = make([]Edge, len(out))
+			buf = make([]Edge, len(arcs))
 		}
-		for _, a := range out {
-			d := (a.Src >> shift) & 0xff
+		for _, a := range arcs {
+			d := (key(a) >> shift) & 0xff
 			buf[count[d]] = a
 			count[d]++
 		}
-		out, buf = buf, out
+		arcs, buf = buf, arcs
 	}
-	return out
+	return arcs, buf
 }
 
 // Stats summarizes a graph for Table 2-style reporting.

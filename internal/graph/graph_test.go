@@ -190,3 +190,37 @@ func TestReversedArcsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSortArcsQuick: SortArcs orders arcs exactly as a stable comparison
+// sort by source, then destination — repeated pairs, told apart by weight,
+// keep their order — over IDs wide enough that every byte pass runs.
+func TestSortArcsQuick(t *testing.T) {
+	f := func(ids []uint32) bool {
+		var arcs, again []Edge
+		for i := 0; i+1 < len(ids); i += 2 {
+			a := Edge{Src: ids[i] >> uint(i%24), Dst: ids[i+1] >> uint(i%24), W: Weight(i)}
+			arcs = append(arcs, a)
+			if i%3 == 0 { // the same pair again, later in the list
+				again = append(again, Edge{Src: a.Src, Dst: a.Dst, W: Weight(i + 1)})
+			}
+		}
+		arcs = append(arcs, again...)
+		want := append([]Edge(nil), arcs...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Src != want[j].Src {
+				return want[i].Src < want[j].Src
+			}
+			return want[i].Dst < want[j].Dst
+		})
+		SortArcs(arcs)
+		for i := range want {
+			if arcs[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -25,30 +25,18 @@ func (g *Graph) DeleteEdges(batch []graph.Edge) (*Snapshot, []graph.VertexID) {
 
 	old := g.latest.Load()
 
-	bySrc := make(map[graph.VertexID][]graph.VertexID)
-	for _, e := range batch {
-		bySrc[e.Src] = append(bySrc[e.Src], e.Dst)
-		if !g.directed {
-			bySrc[e.Dst] = append(bySrc[e.Dst], e.Src)
-		}
-	}
-	sources := make([]graph.VertexID, 0, len(bySrc))
-	for s := range bySrc {
-		if int(s) < old.n {
-			sources = append(sources, s)
-		}
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
+	arcs, sources, runs := g.bySource(batch)
+	// Sources past the vertex range hold no arcs to remove.
+	sources = sources[:sort.Search(len(sources), func(i int) bool { return int(sources[i]) >= old.n })]
 
 	table := old.table
 	trees := make([]ctree.Tree, len(sources))
 	removed := make([]int64, len(sources))
 	parallel.For(len(sources), func(i int) {
-		src := sources[i]
-		t := table.Get(int(src))
-		for _, dst := range bySrc[src] {
+		t := table.Get(int(sources[i]))
+		for _, a := range arcs[runs[i]:runs[i+1]] {
 			var ok bool
-			if t, ok = t.Remove(dst); ok {
+			if t, ok = t.Remove(a.Dst); ok {
 				removed[i]++
 			}
 		}
@@ -56,15 +44,18 @@ func (g *Graph) DeleteEdges(batch []graph.Edge) (*Snapshot, []graph.VertexID) {
 	})
 
 	m := old.m
+	idx := make([]int, 0, len(sources))
 	actual := sources[:0]
 	for i, src := range sources {
 		if removed[i] == 0 {
 			continue
 		}
-		table = table.Set(int(src), trees[i])
+		trees[len(actual)] = trees[i]
+		idx = append(idx, int(src))
 		m -= removed[i]
 		actual = append(actual, src)
 	}
+	table = table.SetMany(idx, trees[:len(actual)])
 
 	snap := &Snapshot{table: table, n: old.n, m: m, version: old.version + 1, shared: g.shared}
 	g.latest.Store(snap)

@@ -17,6 +17,9 @@ import (
 // lands, the same immutable snapshot is traversed by K standing-query
 // maintenance rounds plus every user query until the next batch, and a
 // flat slab turns each of those per-edge tree walks into an array scan.
+// Only a full build (Flatten) walks the tree: after an insertion the
+// mirror is the parent's with the batch's insertion record merged in
+// (FlattenFrom).
 //
 // A Flat is the engine's ArcView: the C-tree snapshot is the versioned
 // store, its mirror is what kernels and standing maintenance evaluate
@@ -69,18 +72,19 @@ func (s *Snapshot) Flatten() *Flat {
 }
 
 // FlattenFrom materializes (once) the snapshot's mirror by delta-patching
-// the parent version's mirror: unchanged vertex spans are bulk-copied
-// from prev's slab and only the changed sources (as returned by
-// InsertEdges for the batch that produced this snapshot) plus any
-// vertex-range growth are re-walked out of the C-tree — O(|changed| +
-// Δdegree + memcpy) instead of O(V+E). When the delta preconditions do
-// not hold (nil prev, version gap, shrunken vertex range, unsorted
-// changed list) it falls back to a full build, so the result is always
-// correct. prev must stay retained until the call returns; the caller
-// typically retires it afterwards (core does, once the new version is
-// published). A delta patch also takes
-// over prev's transposed mirror, if built (see Transposed), and patches
-// the new mirror's from it.
+// the parent version's mirror: the batch's insertion record is merged into
+// it — each changed source's span is its parent span merged with the
+// source's run of the record, every other span is bulk-copied from prev's
+// slab — O(|record| + memcpy) instead of O(V+E), and the C-tree is not
+// read. changed must be the source list InsertEdges returned for the batch
+// that produced this snapshot. When the delta preconditions do not hold
+// (nil prev, version gap, shrunken vertex range, an arc count the record
+// does not account for, a changed list that is not the record's sources)
+// it falls back to a full build, so the result is always correct. prev
+// must stay retained until the call returns; the caller typically retires
+// it afterwards (core does, once the new version is published). A delta
+// patch also takes over prev's transposed mirror, if built (see
+// Transposed), and patches the new mirror's from it.
 //
 // Like Flatten, the build happens at most once per snapshot; a later
 // Flatten/FlattenFrom call returns the cached mirror regardless of which
@@ -147,25 +151,29 @@ func buildFlatDelta(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 }
 
 // deltaPatchable reports whether prev's spans can seed this snapshot's
-// mirror: prev must mirror the immediate parent version (skipped
-// versions invalidate span reuse), the vertex range and the arc count
-// must not have shrunk (a shrunken arc count means the step was a
-// deletion — those rebuild in full, matching the standing Rebuild
-// recovery policy), and changed must be sorted, unique and in range
-// (the contract of InsertEdges; verified in O(|changed|) because a
-// violation would silently corrupt the mirror).
+// mirror: prev must mirror the immediate parent version (skipped versions
+// invalidate span reuse), the vertex range must not have shrunk, the arc
+// count must be prev's plus the insertion record's (a deletion that
+// removed arcs fails this — those rebuild in full, matching the standing
+// Rebuild recovery policy), and changed must be exactly the record's
+// distinct sources in order (the contract of InsertEdges, verified in
+// O(|record|)): a list that disagrees means the caller paired the
+// snapshot with some other batch's sources, and its patch is not trusted.
 func deltaPatchable(s *Snapshot, prev *Flat, changed []graph.VertexID) bool {
-	if prev == nil || prev.version+1 != s.version || prev.n > s.n || s.m < prev.off[prev.n] {
+	if prev == nil || prev.version+1 != s.version || prev.n > s.n || s.m != prev.off[prev.n]+int64(len(s.inserted)) {
 		return false
 	}
-	last := -1
-	for _, c := range changed {
-		if int(c) <= last || int(c) >= s.n {
+	j := 0
+	for i, a := range s.inserted {
+		if i > 0 && a.Src == s.inserted[i-1].Src {
+			continue
+		}
+		if j == len(changed) || changed[j] != a.Src {
 			return false
 		}
-		last = int(c)
+		j++
 	}
-	return true
+	return j == len(changed)
 }
 
 func buildFlat(s *Snapshot) *Flat {
@@ -188,7 +196,11 @@ func buildFlat(s *Snapshot) *Flat {
 	wgt := arcs.wgt[:off[n]]
 	parallel.ForRange(n, flattenGrain, func(start, end int) {
 		for v := start; v < end; v++ {
-			s.walk(v, adj[off[v]:off[v+1]], wgt[off[v]:off[v+1]])
+			i := off[v]
+			s.table.Get(v).ForEach(func(e uint64) {
+				adj[i], wgt[i] = ctree.Key(e), ctree.Payload(e)
+				i++
+			})
 		}
 	})
 
@@ -197,17 +209,6 @@ func buildFlat(s *Snapshot) *Flat {
 	f := newMirror(sh, offs, arcs, n, s.version, s.inserted, s.insertion)
 	ledgerBuilt(f)
 	return f
-}
-
-// walk writes v's out-arcs, read off its C-tree, into adj and wgt, which
-// hold exactly its degree.
-func (s *Snapshot) walk(v int, adj []graph.VertexID, wgt []graph.Weight) {
-	i := 0
-	s.table.Get(v).ForEach(func(e uint64) {
-		adj[i] = ctree.Key(e)
-		wgt[i] = ctree.Payload(e)
-		i++
-	})
 }
 
 // newMirror assembles a mirror of n vertices over slabs whose off table is
@@ -245,33 +246,23 @@ func chunked(spans []span, lo, hi int, shift int64, grain int) []span {
 
 // buildFlatFrom builds the snapshot's mirror from the parent version's.
 // Preconditions (deltaPatchable): prev mirrors version s.version-1 with
-// prev.n ≤ s.n, and changed is the sorted unique in-range source list of
-// the batch between them. Unchanged vertex runs are copied out of the
-// parent slab; changed sources and the whole vertex-range growth re-walk
-// their C-trees (patch). A parent that holds its transposed mirror hands
-// it over, and the child's is patched from it in the same build.
+// prev.n ≤ s.n, and changed is the distinct sources of the insertion
+// record between them. patch merges the record into prev's spans. A parent
+// that holds its transposed mirror hands it over, and the child's is
+// patched from it in the same build.
 func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 	sh := s.fs()
 	met := sh.metrics()
-	oldN, n := prev.n, s.n
+	offs, arcs := patch(sh, prev, s.n, s.inserted)
 
-	// Changed sources at or past the parent's vertex range fall in the
-	// growth region [oldN, n), which is re-walked wholesale.
-	cut := sort.Search(len(changed), func(i int) bool { return int(changed[i]) >= oldN })
-	walked := changed[:cut:cut]
-	for v := oldN; v < n; v++ {
-		walked = append(walked, graph.VertexID(v))
-	}
-	offs, arcs, walkedArcs := patch(sh, prev, n, walked,
-		func(i int) int64 { return int64(s.table.Get(int(walked[i])).Size()) },
-		func(i int, adj []graph.VertexID, wgt []graph.Weight) { s.walk(int(walked[i]), adj, wgt) })
-
-	m := offs.off[n]
+	// The record's arcs are the walked bytes; every parent arc, copied
+	// with its run or merged into a changed span, is a copied one.
+	added := int64(len(s.inserted))
 	met.DeltaBuilds.Inc()
-	met.WalkedBytes.Add(walkedArcs * arcBytes)
-	met.CopiedBytes.Add((m-walkedArcs)*arcBytes + int64(oldN+1)*offEntryBytes)
+	met.WalkedBytes.Add(added * arcBytes)
+	met.CopiedBytes.Add((offs.off[s.n]-added)*arcBytes + int64(prev.n+1)*offEntryBytes)
 
-	f := newMirror(sh, offs, arcs, n, s.version, s.inserted, s.insertion)
+	f := newMirror(sh, offs, arcs, s.n, s.version, s.inserted, s.insertion)
 	ledgerBuilt(f)
 	if pt := prev.takeTransposed(); pt != nil {
 		if s.insertion {
@@ -280,65 +271,60 @@ func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
 		pt.Release()
 	}
 	if sh.seam.skewDelta.Load() {
-		skewFlat(f, changed[:cut])
+		skewFlat(f, changed)
 	}
 	return f
 }
 
-// patch lays out a mirror over n ≥ prev.n vertices whose spans are prev's
-// except at changed — sorted, unique, each below n: vertex changed[i] gets
-// deg(i) arcs, written by fill(i, adj, wgt) into slices of exactly that
-// length. Vertices at or past prev.n that changed does not list have no
-// arcs. It returns the slabs, with the off table filled, and the number of
-// arcs fill wrote. The cost is O(|changed| + n - prev.n) plus one copy of
-// the parent's off table and unchanged spans:
+// patch lays out the mirror over n ≥ prev.n vertices that holds prev's
+// arcs plus rec's, which is sorted by source and then destination, shares
+// no arc with prev, and has every source below n. A head — a source of
+// rec — gets its parent span merged with its run of rec; a vertex at or
+// past prev.n has an empty parent span. It returns the slabs, with the off
+// table filled. Both directions use it: the forward mirror with the
+// snapshot's record, the transpose with that record reversed. The cost is
+// O(|rec| + n - prev.n) plus one copy of the parent's off table and spans:
 //
 //  1. the off table is the parent's plus a per-segment constant shift —
-//     every index between two consecutive changed vertices shares one
-//     shift, so segments rewrite in parallel; growth entries extend it;
+//     every index between two consecutive heads shares one shift, the
+//     length of the runs before it, so segments rewrite in parallel;
+//     growth entries extend it;
 //  2. unchanged vertex runs bulk-copy their spans (adj and wgt) straight
 //     out of the parent slab;
-//  3. fill writes the changed spans, in parallel.
-func patch(sh *flatShared, prev *Flat, n int, changed []graph.VertexID,
-	deg func(i int) int64, fill func(i int, adj []graph.VertexID, wgt []graph.Weight)) (*offSlab, *arcSlab, int64) {
+//  3. each head's span is the merge of its parent span and its run, in
+//     parallel.
+func patch(sh *flatShared, prev *Flat, n int, rec []graph.Edge) (*offSlab, *arcSlab) {
 	oldN := prev.n
-	newDeg := make([]int64, len(changed))
-	parallel.For(len(changed), func(i int) { newDeg[i] = deg(i) })
-	cut := sort.Search(len(changed), func(i int) bool { return int(changed[i]) >= oldN })
-	chg := changed[:cut]
-
-	// cum[i] is the total degree delta of chg[:i]: off indices in
-	// (chg[i-1], chg[i]] shift by cum[i].
-	cum := make([]int64, len(chg)+1)
-	for i, c := range chg {
-		cum[i+1] = cum[i] + newDeg[i] - (prev.off[c+1] - prev.off[c])
-	}
+	heads, runs := sourceRuns(rec)
+	cut := sort.Search(len(heads), func(i int) bool { return int(heads[i]) >= oldN })
+	chg := heads[:cut]
 
 	offs := sh.takeOff(int64(n) + 1)
 	off := offs.off[:n+1]
 
-	// Segment i covers off indices (chg[i-1], chg[i]] — shift cum[i] —
-	// expressed half-open as [prevIdx, chg[i]+1). The trailing segment
-	// runs to oldN+1 with the full delta.
+	// Segment i covers off indices (chg[i-1], chg[i]], shifted by the arcs
+	// the runs before chg[i] add — runs[i] — expressed half-open as
+	// [prevIdx, chg[i]+1). The trailing segment runs to oldN+1 with every
+	// run below oldN.
 	offSpans := make([]span, 0, len(chg)+1+(oldN+1)/flattenGrain)
 	prevIdx := 0
 	for i, c := range chg {
-		offSpans = chunked(offSpans, prevIdx, int(c)+1, cum[i], flattenGrain)
+		offSpans = chunked(offSpans, prevIdx, int(c)+1, int64(runs[i]), flattenGrain)
 		prevIdx = int(c) + 1
 	}
-	offSpans = chunked(offSpans, prevIdx, oldN+1, cum[len(chg)], flattenGrain)
+	offSpans = chunked(offSpans, prevIdx, oldN+1, int64(runs[cut]), flattenGrain)
 	parallel.For(len(offSpans), func(i int) {
 		sp := offSpans[i]
 		for t := sp.lo; t < sp.hi; t++ {
 			off[t] = prev.off[t] + sp.shift
 		}
 	})
-	// Vertex-range growth: a listed vertex takes its degree, any other has
-	// none.
+	// Vertex-range growth: a head takes its run, any other vertex has no
+	// arcs.
 	for v, j := oldN, cut; v < n; v++ {
 		var d int64
-		if j < len(changed) && int(changed[j]) == v {
-			d = newDeg[j]
+		if j < len(heads) && int(heads[j]) == v {
+			d = int64(runs[j+1] - runs[j])
 			j++
 		}
 		off[v+1] = off[v] + d
@@ -350,7 +336,7 @@ func patch(sh *flatShared, prev *Flat, n int, changed []graph.VertexID,
 	wgt := arcs.wgt[:m]
 
 	// Bulk-copy the spans of the unchanged vertex runs between consecutive
-	// changed vertices. Source and destination spans have equal length by
+	// heads. Source and destination spans have equal length by
 	// construction (the shift is constant inside a run).
 	copySpans := make([]span, 0, len(chg)+1+oldN/flattenGrain)
 	prevIdx = 0
@@ -367,16 +353,32 @@ func patch(sh *flatShared, prev *Flat, n int, changed []graph.VertexID,
 		copy(wgt[dstLo:dstLo+(srcHi-srcLo)], prev.wgt[srcLo:srcHi])
 	})
 
-	parallel.For(len(changed), func(i int) {
-		lo, hi := off[changed[i]], off[changed[i]+1]
-		fill(i, adj[lo:hi], wgt[lo:hi])
+	parallel.For(len(heads), func(i int) {
+		h := heads[i]
+		var dsts []graph.VertexID
+		var ws []graph.Weight
+		if int(h) < oldN {
+			dsts, ws = prev.OutSpan(h)
+		}
+		lo, hi := off[h], off[h+1]
+		mergeRun(adj[lo:hi], wgt[lo:hi], dsts, ws, rec[runs[i]:runs[i+1]])
 	})
+	return offs, arcs
+}
 
-	var filled int64
-	for _, d := range newDeg {
-		filled += d
+// mergeRun writes the span (dsts, ws) and the arcs of run — both sorted
+// by destination, sharing none — into adj and wgt in destination order.
+func mergeRun(adj []graph.VertexID, wgt []graph.Weight, dsts []graph.VertexID, ws []graph.Weight, run []graph.Edge) {
+	i, j := 0, 0
+	for k := range adj {
+		if j == len(run) || (i < len(dsts) && dsts[i] < run[j].Dst) {
+			adj[k], wgt[k] = dsts[i], ws[i]
+			i++
+		} else {
+			adj[k], wgt[k] = run[j].Dst, run[j].W
+			j++
+		}
 	}
-	return offs, arcs, filled
 }
 
 // arcBytes / offEntryBytes price one adjacency+weight pair and one
@@ -460,8 +462,8 @@ func (f *Flat) Version() uint64 { return f.version }
 
 // InsertedArcs returns the arcs by which this version differs from the
 // one before it, when InsertEdges published it: every arc the batch
-// stored, at the weight the graph holds for it, sorted by source, with the
-// mirrored arcs on undirected graphs. Arcs the batch offered but first-wins
+// stored, at the weight the graph holds for it, sorted by source and then
+// destination, with the mirrored arcs on undirected graphs. Arcs the batch offered but first-wins
 // insertion skipped (present already, or repeated within the batch) are
 // not in it. ok is false on the initial snapshot and on one published by
 // DeleteEdges. The slice aliases the mirror and must not be modified.

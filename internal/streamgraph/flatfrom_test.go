@@ -141,6 +141,55 @@ func TestFlattenFromEquivalence(t *testing.T) {
 	}
 }
 
+// TestFlattenFromMergesRecord chains merged mirrors over hand-built
+// batches that each stress one case of the record — repeats within a
+// batch at different weights (the first wins), stored arcs offered again
+// at new weights (the stored weight stays), vertex growth with and without
+// arcs, a batch that stores nothing — on directed and undirected graphs.
+// Every merged mirror must equal a full build bit for bit, its patched
+// transpose a fresh TransposeFrom, and the byte counters must count the
+// record as walked and every parent arc as copied.
+func TestFlattenFromMergesRecord(t *testing.T) {
+	batches := [][]graph.Edge{
+		{{Src: 5, Dst: 9, W: 3}, {Src: 5, Dst: 2, W: 4}, {Src: 1, Dst: 7, W: 2}, {Src: 9, Dst: 5, W: 8}},
+		{{Src: 5, Dst: 6, W: 10}, {Src: 5, Dst: 6, W: 11}, {Src: 6, Dst: 5, W: 12}, {Src: 0, Dst: 3, W: 1}}, // repeats: the first wins
+		{{Src: 5, Dst: 9, W: 30}, {Src: 1, Dst: 7, W: 20}, {Src: 5, Dst: 4, W: 5}},                          // stored arcs at new weights
+		{{Src: 2, Dst: 40, W: 6}, {Src: 41, Dst: 3, W: 7}},                                                  // growth: 16..39 get no arcs
+		{{Src: 5, Dst: 9, W: 99}, {Src: 2, Dst: 40, W: 99}},                                                 // stores nothing
+		{{Src: 44, Dst: 44, W: 1}, {Src: 3, Dst: 0, W: 2}, {Src: 3, Dst: 1, W: 3}},                          // growth by a self-loop
+	}
+	for _, directed := range []bool{true, false} {
+		g := New(16, directed)
+		prev := g.Acquire().MaterializeFlat()
+		prev.Transposed()
+		for step, batch := range batches {
+			snap, changed := g.InsertEdges(batch)
+			mm := g.MirrorMetrics()
+			walked, copied := mm.WalkedBytes.Value(), mm.CopiedBytes.Value()
+			cur := snap.MaterializeFlatFrom(prev, changed)
+			rec, _ := cur.InsertedArcs()
+			if got, want := mm.WalkedBytes.Value()-walked, int64(len(rec))*arcBytes; got != want {
+				t.Fatalf("directed=%v step %d: walked %d bytes, want %d (the record)", directed, step, got, want)
+			}
+			if got, want := mm.CopiedBytes.Value()-copied, (prev.NumEdges())*arcBytes+int64(prev.n+1)*offEntryBytes; got != want {
+				t.Fatalf("directed=%v step %d: copied %d bytes, want %d (every parent arc and offset)", directed, step, got, want)
+			}
+			fresh := snap.MaterializeFlat()
+			requireSameFlat(t, "merged", cur, fresh)
+			if cur.t == nil {
+				t.Fatalf("directed=%v step %d: the transpose was not patched", directed, step)
+			}
+			freshT := TransposeFrom(fresh, nil)
+			requireSameFlat(t, "merged transpose", cur.t, freshT)
+			freshT.Release()
+			fresh.Release()
+			prev.Release()
+			prev = cur
+		}
+		prev.Release()
+	}
+}
+
 // TestTransposedFollowsFlattenFrom carries a transposed mirror down a
 // FlattenFrom chain — RMAT batches full of repeats that first-wins drops,
 // stored arcs offered again at new weights, vertex-range growth, and a
@@ -217,9 +266,13 @@ func TestFlattenFromFallback(t *testing.T) {
 	fBad := snap2.MaterializeFlatFrom(f1, []graph.VertexID{9, 2})
 	// out-of-range changed entry.
 	fOOR := snap2.MaterializeFlatFrom(f1, []graph.VertexID{graph.VertexID(snap2.NumVertices())})
+	// a changed list that leaves out a source the batch changed.
+	fShort := snap1.MaterializeFlatFrom(f0, changed1[:1])
+	// a changed list that names a source the batch did not change.
+	fLong := snap1.MaterializeFlatFrom(f0, append(append([]graph.VertexID(nil), changed1...), 5))
 
-	if got := g.MirrorMetrics().FullBuilds.Value() - before; got != 5 {
-		t.Fatalf("FullBuilds advanced by %d, want 5 (every fallback plus the explicit full build)", got)
+	if got := g.MirrorMetrics().FullBuilds.Value() - before; got != 7 {
+		t.Fatalf("FullBuilds advanced by %d, want 7 (every fallback plus the explicit full build)", got)
 	}
 
 	fresh1 := snap1.MaterializeFlat()
@@ -228,7 +281,9 @@ func TestFlattenFromFallback(t *testing.T) {
 	requireSameFlat(t, "version-gap", fGap, fresh2)
 	requireSameFlat(t, "unsorted-changed", fBad, fresh2)
 	requireSameFlat(t, "oor-changed", fOOR, fresh2)
-	for _, f := range []*Flat{fNil, fGap, fBad, fOOR, f1, fresh1, fresh2} {
+	requireSameFlat(t, "short-changed", fShort, fresh1)
+	requireSameFlat(t, "long-changed", fLong, fresh1)
+	for _, f := range []*Flat{fNil, fGap, fBad, fOOR, fShort, fLong, f1, fresh1, fresh2} {
 		f.Release()
 	}
 }

@@ -87,10 +87,16 @@ func (r *slabRecycler) putArc(sl *arcSlab) {
 }
 
 // MirrorMetrics instruments mirror maintenance: how often the delta
-// path is taken versus a full rebuild, how many bytes each build copied
-// from the parent slab versus walked out of the C-tree, and how often
-// slab acquisitions were served from the recycler. The recycler hit
-// rate is 1 - misses/gets.
+// path is taken versus a full rebuild, how many bytes each build took
+// from the parent mirror versus from new arcs, and how often slab
+// acquisitions were served from the recycler. The recycler hit rate is
+// 1 - misses/gets.
+//
+// WalkedBytes counts the arcs a build adds from outside the parent: a
+// full build's whole walk of the C-tree, a delta build's insertion
+// record. CopiedBytes counts what a delta build takes from the parent:
+// every parent arc, bulk-copied with its unchanged run or merged into a
+// changed source's span, plus the parent's offset table.
 type MirrorMetrics struct {
 	FullBuilds  *metrics.Counter
 	DeltaBuilds *metrics.Counter
@@ -122,8 +128,8 @@ func RegisterMirrorMetrics(reg *metrics.Registry) *MirrorMetrics {
 	return &MirrorMetrics{
 		FullBuilds:  reg.Counter("tripoline_mirror_full_builds_total", "Flat mirrors built by a full O(V+E) walk."),
 		DeltaBuilds: reg.Counter("tripoline_mirror_delta_builds_total", "Flat mirrors built by delta-patching the parent mirror."),
-		CopiedBytes: reg.Counter("tripoline_mirror_copied_bytes_total", "Mirror bytes bulk-copied from the parent slab."),
-		WalkedBytes: reg.Counter("tripoline_mirror_walked_bytes_total", "Mirror bytes produced by walking the C-tree."),
+		CopiedBytes: reg.Counter("tripoline_mirror_copied_bytes_total", "Mirror bytes a delta patch took from the parent mirror: its arcs, copied or merged, and its offsets."),
+		WalkedBytes: reg.Counter("tripoline_mirror_walked_bytes_total", "Mirror bytes of new arcs: a full build's C-tree walk, a delta patch's insertion record."),
 		SlabGets:    reg.Counter("tripoline_slab_gets_total", "Slab acquisitions for mirror builds."),
 		SlabMisses:  reg.Counter("tripoline_slab_misses_total", "Slab acquisitions that fell back to a fresh allocation."),
 		SlabPuts:    reg.Counter("tripoline_slab_puts_total", "Slabs returned to the recycler by retired mirrors."),

@@ -16,7 +16,6 @@
 package streamgraph
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,8 +33,9 @@ type Snapshot struct {
 	version uint64
 
 	// inserted records, on a snapshot published by InsertEdges, the arcs
-	// that batch actually stored (see Flat.InsertedArcs); insertion marks
-	// such a snapshot, whose record may be empty.
+	// that batch actually stored, sorted by source and then destination
+	// (see Flat.InsertedArcs); insertion marks such a snapshot, whose
+	// record may be empty. FlattenFrom merges it into the parent mirror.
 	inserted  []graph.Edge
 	insertion bool
 
@@ -173,80 +173,91 @@ func (g *Graph) InsertEdges(batch []graph.Edge) (*Snapshot, []graph.VertexID) {
 
 	old := g.latest.Load()
 
-	// Group the batch by source so each vertex's edge tree is rebuilt
-	// once. Mirror arcs for undirected graphs.
-	bySrc := make(map[graph.VertexID][]uint64)
-	addArc := func(s, d graph.VertexID, w graph.Weight) {
-		bySrc[s] = append(bySrc[s], ctree.Elem(d, w))
-	}
+	arcs, sources, runs := g.bySource(batch)
 	maxID := graph.VertexID(0)
 	for _, e := range batch {
-		addArc(e.Src, e.Dst, e.W)
-		if !g.directed {
-			addArc(e.Dst, e.Src, e.W)
-		}
-		if e.Src > maxID {
-			maxID = e.Src
-		}
-		if e.Dst > maxID {
-			maxID = e.Dst
-		}
+		maxID = max(maxID, e.Src, e.Dst)
 	}
-
 	n := old.n
 	if int(maxID)+1 > n {
 		n = int(maxID) + 1
 	}
 	table := old.table.Grow(n)
 
-	// Deterministic iteration order over changed sources.
-	sources := make([]graph.VertexID, 0, len(bySrc))
-	for s := range bySrc {
-		sources = append(sources, s)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-
-	// Each source's new edge tree can be built independently; the table
-	// update itself is sequential path-copying (cheap relative to the
-	// per-vertex tree merges). First-wins: arcs already present (or
-	// duplicated within the batch) are skipped; stored[i] keeps the ones
-	// source i took, compacted in place over its share of the batch.
+	// Each source's new edge tree is built independently. First-wins: arcs
+	// already present (or repeated within the batch, which the sort left in
+	// batch order) are skipped; kept[i] counts the ones source i took,
+	// compacted in place at the front of its run.
 	trees := make([]ctree.Tree, len(sources))
-	stored := make([][]uint64, len(sources))
+	kept := make([]int, len(sources))
 	parallel.For(len(sources), func(i int) {
-		src := sources[i]
-		t := table.Get(int(src))
-		offered := bySrc[src]
-		kept := offered[:0]
-		for _, e := range offered {
-			if _, exists := t.Find(ctree.Key(e)); exists {
+		t := table.Get(int(sources[i]))
+		run := arcs[runs[i]:runs[i+1]]
+		k := 0
+		for _, a := range run {
+			if _, exists := t.Find(a.Dst); exists {
 				continue
 			}
-			t = t.Insert(e)
-			kept = append(kept, e)
+			t = t.Insert(ctree.Elem(a.Dst, a.W))
+			run[k] = a
+			k++
 		}
-		trees[i], stored[i] = t, kept
+		trees[i], kept[i] = t, k
 	})
+	// The record is the kept arcs, compacted to the front of arcs: sorted
+	// by source, then destination. The table takes every changed tree in
+	// one pass.
 	total := 0
-	for _, kept := range stored {
-		total += len(kept)
-	}
-	inserted := make([]graph.Edge, 0, total)
+	idx := make([]int, 0, len(sources))
 	actual := sources[:0]
 	for i, src := range sources {
-		if len(stored[i]) == 0 {
+		if kept[i] == 0 {
 			continue
 		}
-		table = table.Set(int(src), trees[i])
-		for _, e := range stored[i] {
-			inserted = append(inserted, graph.Edge{Src: src, Dst: ctree.Key(e), W: ctree.Payload(e)})
-		}
+		total += copy(arcs[total:], arcs[runs[i]:runs[i]+kept[i]])
+		trees[len(actual)] = trees[i]
+		idx = append(idx, int(src))
 		actual = append(actual, src)
 	}
-	sources = actual
+	inserted := arcs[:total:total]
+	table = table.SetMany(idx, trees[:len(actual)])
 
 	snap := &Snapshot{table: table, n: n, m: old.m + int64(total), version: old.version + 1,
 		inserted: inserted, insertion: true, shared: g.shared}
 	g.latest.Store(snap)
-	return snap, sources
+	return snap, actual
+}
+
+// bySource groups a batch by source with one stable sort: it lists the
+// batch's arcs, with their mirrors on an undirected graph, sorted by
+// source and then destination, so a pair offered twice keeps its batch
+// order, and splits them into runs (sourceRuns).
+func (g *Graph) bySource(batch []graph.Edge) (arcs []graph.Edge, sources []graph.VertexID, runs []int) {
+	size := len(batch)
+	if !g.directed {
+		size *= 2
+	}
+	arcs = make([]graph.Edge, 0, size)
+	for _, e := range batch {
+		arcs = append(arcs, e)
+		if !g.directed {
+			arcs = append(arcs, graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W})
+		}
+	}
+	graph.SortArcs(arcs)
+	sources, runs = sourceRuns(arcs)
+	return arcs, sources, runs
+}
+
+// sourceRuns splits arcs, sorted by source, into runs: sources are the
+// distinct sources, ascending, and sources[i]'s arcs are
+// arcs[runs[i]:runs[i+1]].
+func sourceRuns(arcs []graph.Edge) (sources []graph.VertexID, runs []int) {
+	for i, a := range arcs {
+		if i == 0 || a.Src != arcs[i-1].Src {
+			sources = append(sources, a.Src)
+			runs = append(runs, i)
+		}
+	}
+	return sources, append(runs, len(arcs))
 }

@@ -209,8 +209,9 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 }
 
 // TestInsertedArcsRecordsWhatWasStored: the insertion record a version's
-// mirror carries is exactly the arcs the batch stored — sorted by source,
-// at the stored weight, mirrors included on an undirected graph, and
+// mirror carries is exactly the arcs the batch stored — sorted by source
+// and then destination, whatever order the batch offered them in, at the
+// stored weight, mirrors included on an undirected graph, and
 // without what first-wins insertion skipped (arcs present already or
 // repeated within the batch). A full build and a delta patch carry the
 // same record; the initial snapshot's mirror and one published by a
@@ -223,14 +224,16 @@ func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 	parent, _ := g.InsertEdges([]graph.Edge{{Src: 2, Dst: 3, W: 5}})
 	snap, changed := g.InsertEdges([]graph.Edge{
 		{Src: 3, Dst: 2, W: 9}, // stored already (as the mirror of 2–3)
+		{Src: 1, Dst: 3, W: 6}, // source 1 offers destination 3, then 0
 		{Src: 1, Dst: 0, W: 7},
 		{Src: 0, Dst: 1, W: 8}, // repeated within the batch: first wins
 		{Src: 2, Dst: 0, W: 4},
 	})
 	want := []graph.Edge{
 		{Src: 0, Dst: 1, W: 7}, {Src: 0, Dst: 2, W: 4},
-		{Src: 1, Dst: 0, W: 7},
+		{Src: 1, Dst: 0, W: 7}, {Src: 1, Dst: 3, W: 6},
 		{Src: 2, Dst: 0, W: 4},
+		{Src: 3, Dst: 1, W: 6},
 	}
 	patched := snap.MaterializeFlatFrom(parent.Flatten(), changed)
 	defer patched.Release()
@@ -242,6 +245,9 @@ func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("recorded %v, want %v", got, want)
+			}
+			if i > 0 && (got[i-1].Src > got[i].Src || got[i-1].Src == got[i].Src && got[i-1].Dst >= got[i].Dst) {
+				t.Fatalf("record %v is not sorted by (source, destination)", got)
 			}
 		}
 	}

@@ -15,10 +15,11 @@ import (
 // the arcs. After that it follows the mirror chain: when FlattenFrom
 // patches a child mirror from a parent holding one, the parent hands its
 // transpose over and the child's is patched from it with the batch's
-// insertion record reversed — the record radix-sorted by head, the offsets
-// shifted segment by segment between heads, the unchanged spans
-// bulk-copied and each head's new in-arcs merged into its old span —
-// O(|record| + memcpy), like the forward patch (patch in flat.go). A
+// insertion record reversed — the record radix-sorted by head, then by
+// tail — through the same patch (flat.go) that merges the record into the
+// forward mirror: the offsets shifted segment by segment between heads,
+// the unchanged spans bulk-copied and each head's new in-arcs merged into
+// its old span, O(|record| + memcpy). A
 // version no insertion produced has no record, so its transpose is built
 // again on first use. The slabs come from the graph's recycler and go back
 // with the mirror's.
@@ -120,47 +121,9 @@ func buildTransposed(sh *flatShared, g engine.ArcView, version uint64, rev []gra
 
 // patchTransposed patches prev, the transpose of the version before, into
 // the transpose of a version over n vertices whose new arcs, reversed and
-// sorted, are rev: each head of rev gets its old span merged with its run
-// of rev, every other span is copied.
+// sorted, are rev: patch merges rev into prev's spans, as it merges the
+// forward record into the forward mirror.
 func patchTransposed(sh *flatShared, prev *Flat, n int, version uint64, rev []graph.Edge) *Flat {
-	var heads []graph.VertexID
-	var runs []int // heads[i]'s new in-arcs are rev[runs[i]:runs[i+1]]
-	for i, a := range rev {
-		if i == 0 || a.Src != rev[i-1].Src {
-			heads = append(heads, a.Src)
-			runs = append(runs, i)
-		}
-	}
-	runs = append(runs, len(rev))
-	old := func(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
-		if int(v) < prev.n {
-			return prev.OutSpan(v)
-		}
-		return nil, nil
-	}
-	offs, arcs, _ := patch(sh, prev, n, heads,
-		func(i int) int64 {
-			dsts, _ := old(heads[i])
-			return int64(len(dsts) + runs[i+1] - runs[i])
-		},
-		func(i int, adj []graph.VertexID, wgt []graph.Weight) {
-			dsts, ws := old(heads[i])
-			mergeRun(adj, wgt, dsts, ws, rev[runs[i]:runs[i+1]])
-		})
+	offs, arcs := patch(sh, prev, n, rev)
 	return newMirror(sh, offs, arcs, n, version, rev, true)
-}
-
-// mergeRun writes the span (dsts, ws) and the arcs of run — both sorted
-// by destination, sharing none — into adj and wgt in destination order.
-func mergeRun(adj []graph.VertexID, wgt []graph.Weight, dsts []graph.VertexID, ws []graph.Weight, run []graph.Edge) {
-	i, j := 0, 0
-	for k := range adj {
-		if j == len(run) || (i < len(dsts) && dsts[i] < run[j].Dst) {
-			adj[k], wgt[k] = dsts[i], ws[i]
-			i++
-		} else {
-			adj[k], wgt[k] = run[j].Dst, run[j].W
-			j++
-		}
-	}
 }
