@@ -32,7 +32,7 @@ func main() {
 		scale    = flag.Int("scale", 1, "graph scale factor (1 = laptop scale; each +1 doubles vertices)")
 		queries  = flag.Int("queries", 24, "user queries per configuration (paper: 256)")
 		repeats  = flag.Int("repeats", 1, "evaluations averaged per query (paper: 3)")
-		k        = flag.Int("k", 16, "standing queries per problem")
+		k        = flag.Int("k", 16, "upper bound on standing queries per standing set (each set narrows to the roots its Δ-init meet uses)")
 		bsize    = flag.Int("batch", 10000, "update batch size")
 		batches  = flag.Int("batches", 1, "update batches applied per load point (paper: 5)")
 		probs    = flag.String("problems", "", "comma-separated problem subset (default: all eight)")

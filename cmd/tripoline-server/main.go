@@ -43,7 +43,7 @@ func main() {
 		directed = flag.Bool("directed", false, "treat -file graph as directed")
 		scale    = flag.Int("scale", 1, "graph scale factor")
 		probs    = flag.String("problems", "SSWP,SSSP,BFS", "problems to enable")
-		k        = flag.Int("k", 16, "standing queries per problem")
+		k        = flag.Int("k", 16, "upper bound on standing queries per standing set (each set narrows to the roots its Δ-init meet uses)")
 		shards   = flag.Int("shards", 1, "hash-partitioned stores the graph is split across")
 		seed     = flag.Uint64("seed", 42, "seed for synthetic graphs")
 

@@ -36,7 +36,7 @@ type Options struct {
 	Scale           int       // graph scale (1 = default laptop scale)
 	Queries         int       // user queries sampled per configuration
 	Repeats         int       // evaluations averaged per query
-	K               int       // standing queries per problem
+	K               int       // upper bound on standing queries per set (narrowed by the meet)
 	BatchSize       int       // update batch size (edges)
 	BatchesPerPoint int       // update batches applied per load point
 	LoadFracs       []float64 // graph load points

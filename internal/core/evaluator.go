@@ -29,6 +29,7 @@ type Pin func() (View, func())
 // owns no graph: it evaluates over the View of a barrier entry its System
 // hands it (view.go).
 type evaluator struct {
+	// k is the width a standing set is built at, before Narrow.
 	k        int
 	directed bool
 	// mu pairs the standing state with a version. A writer holds it
@@ -75,9 +76,9 @@ type evaluator struct {
 	evaluated func(caughtUp bool)
 }
 
-// newEvaluator returns an evaluator with k standing queries per standing
-// set (clamped to [1, 64]; 0 selects DefaultK) over a graph of the given
-// orientation.
+// newEvaluator returns an evaluator with at most k standing queries per
+// standing set (clamped to [1, 64]; 0 selects DefaultK) over a graph of
+// the given orientation.
 func newEvaluator(k int, directed bool) *evaluator {
 	if k == 0 {
 		k = DefaultK
@@ -112,7 +113,8 @@ type problem struct {
 }
 
 // Enable sets up def over g, the latest version. The standing set of its
-// Base is fully evaluated at the top-K-degree roots, unless an enabled
+// Base is fully evaluated at the top-K-degree roots and narrowed to the
+// roots its meet uses over standing.MeetSample(g), unless an enabled
 // problem already maintains it — Radii shares SSSP's set and SSNSP shares
 // BFS's, in whichever order they are enabled; a Base-less problem's answer
 // is evaluated whole. Enable is setup-phase API: it is not synchronized
@@ -127,6 +129,7 @@ func (ev *evaluator) Enable(def ProblemDef, g View) error {
 		ev.answers = append(ev.answers, pr.ans)
 	} else if pr.set = ev.setFor(def.Base.Name()); pr.set == nil {
 		pr.set = standing.New(def.Base, g, TopDegreeRoots(g, ev.k), ev.directed)
+		pr.set.Narrow(standing.MeetSample(g))
 		ev.sets = append(ev.sets, pr.set)
 	}
 	ev.problems[def.Name] = pr
@@ -232,7 +235,8 @@ func (ev *evaluator) stamp(version uint64) {
 // ReselectRoots re-roots the standing set that bounds the named problem
 // with standing.WeightedRoots over g, the latest version — blending in the
 // recorded query distribution (RecordQueries); without one the selection
-// equals the top-degree rule — then fully evaluates the new roots. It
+// equals the top-degree rule — then fully evaluates the new roots and
+// narrows them like Enable, the one place a set widens again. It
 // holds the exclusive lock, like batch maintenance, because re-rooting
 // rewrites the standing arrays wholesale; the caller keeps g the latest
 // version throughout (the System holds its apply token). The set is what
@@ -250,6 +254,7 @@ func (ev *evaluator) ReselectRoots(name string, g View) error {
 	defer ev.mu.Unlock()
 	pr.set.Roots = standing.WeightedRoots(g, ev.hist, ev.k)
 	pr.set.Rebuild(g)
+	pr.set.Narrow(standing.MeetSample(g))
 	return nil
 }
 

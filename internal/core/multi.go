@@ -23,7 +23,8 @@ type MultiResult struct {
 	Width  int
 	Stats  engine.Stats
 	// Slots and PropURs record each query's Eq. 15 pick, the first of
-	// the roots its Δ-initialization meets over (QueryResult.StandingSlot).
+	// the roots its Δ-initialization meets over (QueryResult.StandingSlot):
+	// an index into the set's narrowed Roots.
 	Slots   []int
 	PropURs []uint64
 	Elapsed time.Duration

@@ -43,7 +43,9 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-// DefaultK is the default number of standing queries per problem (§6.1).
+// DefaultK is the default upper bound on the standing queries per
+// standing set (§6.1's K): a set is built at this width, then narrowed to
+// the roots its meet uses (standing.Manager.Narrow).
 const DefaultK = 16
 
 // maxStores bounds the store count: a vertex's owner is one byte.
@@ -73,7 +75,8 @@ type QueryResult struct {
 	// root with the best property(u, r) — on incremental runs from a
 	// standing set. The Δ-initialization meets over every root that no
 	// other root dominates (standing.Manager.Meet); this one is its
-	// first lane.
+	// first lane. StandingSlot indexes the set's Roots as narrowed
+	// (standing.Manager.Narrow), not the top-K degree ranking.
 	StandingSlot int
 	PropUR       uint64
 	// Version is the version the result is valid for: the pinned view's
@@ -144,8 +147,9 @@ type System struct {
 }
 
 // NewSystem wraps a streaming graph, of either orientation, as a System's
-// one store. k is the number of standing queries per standing set
-// (clamped to [1, 64]; 0 selects DefaultK). The System starts at g's
+// one store. k bounds the standing queries per standing set (clamped to
+// [1, 64]; 0 selects DefaultK): each set is built at width k, then
+// narrowed to the roots its meet uses. The System starts at g's
 // version, and since every batch — an empty one included — reaches the
 // one store, g's version advances with the System's: g.Acquire() is always
 // the System's latest version, and g.Seam() reaches the mirrors it
@@ -158,7 +162,8 @@ func NewSystem(g *streamgraph.Graph, k int) *System {
 // across S fresh stores (shards < 1 is treated as 1, and shards > 256 as
 // 256). The stores hold directed arcs whatever the graph's orientation:
 // the writer mirrors an undirected edge into its two arcs before routing
-// them. Versions start at 0.
+// them. Versions start at 0. k bounds the standing queries per set, as
+// for NewSystem; a set narrows to the same roots at every shard count.
 func NewSharded(n int, directed bool, shards, k int) *System {
 	graphs := make([]*streamgraph.Graph, min(max(shards, 1), maxStores))
 	for i := range graphs {

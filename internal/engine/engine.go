@@ -183,12 +183,17 @@ func (s *Stats) Add(other Stats) {
 	s.BlockSweeps += other.BlockSweeps
 }
 
-// lineWords is one cache line in uint64s. It is both the slot-block
-// width (8 slots per block, so one vertex's block is one cache line) and
-// the vertex-count padding granularity.
+// lineWords is one cache line in uint64s. It is both the widest slot
+// block (8 slots, so one vertex's block is one cache line) and the
+// vertex-count padding granularity.
 const lineWords = 8
 
 func padVerts(n int) int { return (n + lineWords - 1) &^ (lineWords - 1) }
+
+// blockWords is the slot-block width of a K>1 state: K itself below a
+// cache line, so a narrow state holds no padding lanes and a column read
+// strides K words rather than a whole line; lineWords from K=8 up.
+func blockWords(k int) int { return min(k, lineWords) }
 
 // fullMask is the slot mask with all of a K-wide state's K bits set.
 func fullMask(k int) uint64 { return ^uint64(0) >> uint(64-k) }
@@ -205,8 +210,9 @@ func fullMask(k int) uint64 { return ^uint64(0) >> uint(64-k) }
 // values occupy one cache line. A width-64 hoist or multi-slot relaxation
 // therefore touches 8 consecutive lines instead of 64 lines scattered one
 // per 8·padN-byte column, which is what makes the width-K kernels win
-// once the value arrays outgrow the last-level cache. The accessors below
-// work on either width.
+// once the value arrays outgrow the last-level cache. Below K=8 the one
+// block is K slots wide (blockWords), so a width-2 state costs 16 bytes a
+// vertex, not a line. The accessors below work on either width.
 type State struct {
 	P Problem
 	K int
@@ -215,12 +221,14 @@ type State struct {
 	// states — use the accessors, or Interleaved for a stride-K
 	// materialization.
 	Values []uint64
-	// cols is the K>1 slot-blocked storage: ceil(K/8) blocks of padN·8
+	// cols is the K>1 slot-blocked storage: ceil(K/bw) blocks of padN·bw
 	// words, slot k's value of vertex v at
-	// cols[(k/8)·padN·8 + v·8 + k%8]. Slots K..ceil(K/8)·8-1 are padding
-	// lanes pinned at the init value. nil on K=1 states.
+	// cols[(k/bw)·padN·bw + v·bw + k%bw], where bw = blockWords(K). Slots
+	// K..ceil(K/bw)·bw-1 are padding lanes pinned at the init value. nil
+	// on K=1 states.
 	cols []uint64
 	padN int
+	bw   int
 	// Changed, when non-nil, records what runs move: every run ORs into
 	// Changed[v] the bit of each slot whose value at v it improved. The
 	// state's owner sets it (len N; Grow extends it) and reads and clears
@@ -237,9 +245,9 @@ func NewState(p Problem, n, k int) *State {
 	st := &State{P: p, K: k, N: n}
 	init := p.InitValue()
 	if k > 1 {
-		st.padN = padVerts(n)
-		blocks := (k + lineWords - 1) / lineWords
-		st.cols = make([]uint64, blocks*st.padN*lineWords)
+		st.padN, st.bw = padVerts(n), blockWords(k)
+		blocks := (k + st.bw - 1) / st.bw
+		st.cols = make([]uint64, blocks*st.padN*st.bw)
 		fill(st.cols, init)
 		return st
 	}
@@ -266,15 +274,15 @@ func (st *State) checkStorage() {
 }
 
 // slotOff returns slot k's base offset in the slot-blocked slab: the
-// value of (v, k) lives at cols[slotOff(k) + v·lineWords].
+// value of (v, k) lives at cols[slotOff(k) + v·bw].
 func (st *State) slotOff(k int) int {
-	return (k/lineWords)*st.padN*lineWords + k%lineWords
+	return (k/st.bw)*st.padN*st.bw + k%st.bw
 }
 
 // Value returns the value of vertex v under query slot k.
 func (st *State) Value(v graph.VertexID, k int) uint64 {
 	if st.cols != nil {
-		return st.cols[st.slotOff(k)+int(v)*lineWords]
+		return st.cols[st.slotOff(k)+int(v)*st.bw]
 	}
 	return st.Values[v]
 }
@@ -284,7 +292,7 @@ func (st *State) Value(v graph.VertexID, k int) uint64 {
 // use against a running kernel needs the kernels' atomics instead.
 func (st *State) SetValue(v graph.VertexID, k int, val uint64) {
 	if st.cols != nil {
-		st.cols[st.slotOff(k)+int(v)*lineWords] = val
+		st.cols[st.slotOff(k)+int(v)*st.bw] = val
 		return
 	}
 	st.Values[v] = val
@@ -299,9 +307,9 @@ func (st *State) SetSource(v graph.VertexID, k int) {
 func (st *State) Column(k int) []uint64 {
 	out := make([]uint64, st.N)
 	if st.cols != nil {
-		base, cols := st.slotOff(k), st.cols
+		base, cols, bw := st.slotOff(k), st.cols, st.bw
 		parallel.ForRange(st.N, parallel.BlockGrain, func(lo, hi int) {
-			for v, i := lo, base+lo*lineWords; v < hi; v, i = v+1, i+lineWords {
+			for v, i := lo, base+lo*bw; v < hi; v, i = v+1, i+bw {
 				out[v] = cols[i]
 			}
 		})
@@ -327,10 +335,10 @@ func (st *State) ColumnView(k int) (col []uint64, ok bool) {
 // at every width: the value of (v, k) is arr[v*stride+off]. The view
 // aliases the state; (arr, stride, off) feed triangle's strided
 // Δ-initialization directly. K=1 states return (Values, 1, 0); K>1
-// states return the slab with the cache-line stride.
+// states return the slab with the block stride (blockWords(K)).
 func (st *State) StrideView(k int) (arr []uint64, stride, off int) {
 	if st.cols != nil {
-		return st.cols, lineWords, st.slotOff(k)
+		return st.cols, st.bw, st.slotOff(k)
 	}
 	return st.Values, 1, 0
 }
@@ -353,7 +361,7 @@ func (st *State) Interleaved() []uint64 {
 	if st.cols == nil {
 		return st.Values
 	}
-	K, cols := st.K, st.cols
+	K, cols, bw := st.K, st.cols, st.bw
 	soff := make([]int, K)
 	for k := range soff {
 		soff[k] = st.slotOff(k)
@@ -361,7 +369,7 @@ func (st *State) Interleaved() []uint64 {
 	out := make([]uint64, st.N*K)
 	parallel.ForRange(st.N, parallel.BlockGrain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			vb, row := v*lineWords, out[v*K:v*K+K]
+			vb, row := v*bw, out[v*K:v*K+K]
 			for k := range row {
 				row[k] = cols[soff[k]+vb]
 			}
@@ -386,7 +394,7 @@ func (st *State) CopySlot(k int, src *State, j int) {
 // standing-query results before speculative work); the copy records no
 // changes.
 func (st *State) Clone() *State {
-	out := &State{P: st.P, K: st.K, N: st.N, padN: st.padN}
+	out := &State{P: st.P, K: st.K, N: st.N, padN: st.padN, bw: st.bw}
 	if st.Values != nil {
 		out.Values = append([]uint64(nil), st.Values...)
 	}
@@ -406,13 +414,13 @@ func (st *State) Grow(n int) {
 	}
 	init := st.P.InitValue()
 	if st.cols != nil {
-		padN := padVerts(n)
-		blocks := (st.K + lineWords - 1) / lineWords
-		oldBS, newBS := st.padN*lineWords, padN*lineWords
+		padN, bw := padVerts(n), st.bw
+		blocks := (st.K + bw - 1) / bw
+		oldBS, newBS := st.padN*bw, padN*bw
 		cols := make([]uint64, blocks*newBS)
 		for b := 0; b < blocks; b++ {
-			copy(cols[b*newBS:], st.cols[b*oldBS:b*oldBS+st.N*lineWords])
-			fill(cols[b*newBS+st.N*lineWords:(b+1)*newBS], init)
+			copy(cols[b*newBS:], st.cols[b*oldBS:b*oldBS+st.N*bw])
+			fill(cols[b*newBS+st.N*bw:(b+1)*newBS], init)
 		}
 		st.cols = cols
 		st.padN = padN
@@ -586,7 +594,7 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 	if K > 1 {
 		kc = &pushKCtx{
 			g: g, p: p,
-			K: K, cols: st.cols,
+			K: K, cols: st.cols, stride: st.bw,
 			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
 		}
 		_, _, kc.soff = st.StrideViews()

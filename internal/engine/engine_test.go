@@ -168,8 +168,9 @@ func TestRunOnMirrorMatchesCSR(t *testing.T) {
 }
 
 func TestStateGrow(t *testing.T) {
-	// Both storages: contiguous at K=1, slot-blocked above.
-	for _, k := range []int{1, 2} {
+	// Both storages: contiguous at K=1, slot-blocked above — one block
+	// narrower than a line (2), one full line (8), two blocks (9).
+	for _, k := range []int{1, 2, 8, 9} {
 		st := engine.NewState(props.SSSP{}, 4, k)
 		st.SetSource(1, 0)
 		st.Grow(10)
@@ -186,7 +187,7 @@ func TestStateGrow(t *testing.T) {
 }
 
 func TestStateColumnAndClone(t *testing.T) {
-	for _, k := range []int{1, 2} {
+	for _, k := range []int{1, 2, 3, 8, 9} {
 		st := engine.NewState(props.BFS{}, 3, k)
 		for v := 0; v < 3; v++ {
 			for j := 0; j < k; j++ {
@@ -201,6 +202,11 @@ func TestStateColumnAndClone(t *testing.T) {
 		}
 		// StrideView must address every width: value(v,j) = arr[v*stride+off].
 		arr, stride, off := st.StrideView(last)
+		// A block is as wide as K up to a cache line, so a narrow state
+		// strides its columns by K words, not by a padded line.
+		if want := min(k, 8); stride != want {
+			t.Fatalf("K=%d: stride %d, want %d", k, stride, want)
+		}
 		for v := 0; v < 3; v++ {
 			want := uint64(k*v + last)
 			if col[v] != want {

@@ -51,18 +51,19 @@ func requireOracle(t *testing.T, label string, st *engine.State, g *graph.CSR, s
 }
 
 // TestFusedWidthSweepEquivalence is the kernels' correctness spine: for
-// every registered problem and K ∈ {1,4,16,64}, the width-K evaluation
-// must be bit-identical to (a) the sequential oracle, slot by slot, and
-// (b) K independent K=1 evaluations — and over the transposed graph to the
-// oracle's backward evaluation, which is how the reversed standing queries
-// run.
+// every registered problem and K ∈ {1,2,4,7,9,16,64}, the width-K
+// evaluation must be bit-identical to (a) the sequential oracle, slot by
+// slot, and (b) K independent K=1 evaluations — and over the transposed
+// graph to the oracle's backward evaluation, which is how the reversed
+// standing queries run. 2, 4 and 7 are one block narrower than a cache
+// line, 9 is a full block plus a padded one.
 func TestFusedWidthSweepEquivalence(t *testing.T) {
 	const n, m = 300, 3000
 	g := randomCSR(n, m, true, 61)
 	gt := g.Transpose()
-	widths := []int{1, 4, 16, 64}
+	widths := []int{1, 2, 4, 7, 9, 16, 64}
 	if testing.Short() {
-		widths = []int{1, 4, 64}
+		widths = []int{1, 4, 7, 64}
 	}
 	rng := xrand.New(67)
 	for name, p := range props.Registry() {

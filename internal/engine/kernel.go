@@ -190,9 +190,11 @@ type pushKCtx struct {
 	K       int
 	cols    []uint64
 	// soff[k] is slot k's base offset in the slot-blocked slab; the value
-	// of (v, k) is cols[soff[k] + v·lineWords]. Precomputed so the hot
-	// loops pay one add per slot access.
-	soff []int
+	// of (v, k) is cols[soff[k] + v·stride], stride being the state's
+	// block width. Precomputed so the hot loops pay one add per slot
+	// access.
+	soff   []int
+	stride int
 	// windows > 1 selects the cache-blocked dense sweep.
 	windows int
 
@@ -210,7 +212,7 @@ type pushKCtx struct {
 func (kc *pushKCtx) hoist(u graph.VertexID, mask uint64, src *[64]uint64, c *workCounter) (live uint64) {
 	c.hoists++
 	soff, cols := kc.soff, kc.cols
-	ub := int(u) * lineWords
+	ub := int(u) * kc.stride
 	if !kc.hasSpec {
 		for m := mask; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
@@ -239,7 +241,7 @@ func (kc *pushKCtx) hoist(u graph.VertexID, mask uint64, src *[64]uint64, c *wor
 // with a monomorphic CAS.
 func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, src *[64]uint64, live uint64) {
 	soff, cols := kc.soff, kc.cols
-	db := int(d) * lineWords
+	db := int(d) * kc.stride
 	if !kc.hasSpec {
 		p := kc.p
 		for m := live; m != 0; m &= m - 1 {
@@ -345,7 +347,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 		}
 		return
 	}
-	soff, cols := kc.soff, kc.cols
+	soff, cols, stride := kc.soff, kc.cols, kc.stride
 	var offs [64]int
 	var vals [64]uint64
 	var ks [64]int
@@ -359,7 +361,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 	case RelaxAddWeight:
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
-			db := int(d) * lineWords
+			db := int(d) * stride
 			for j := 0; j < ns; j++ {
 				if casImproveLess(&cols[offs[j]+db], vals[j]+wv) {
 					c.upd++
@@ -372,7 +374,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			vals[j]++
 		}
 		for _, d := range dsts {
-			db := int(d) * lineWords
+			db := int(d) * stride
 			for j := 0; j < ns; j++ {
 				if casImproveLess(&cols[offs[j]+db], vals[j]) {
 					c.upd++
@@ -383,7 +385,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 	case RelaxMinWeight:
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
-			db := int(d) * lineWords
+			db := int(d) * stride
 			for j := 0; j < ns; j++ {
 				cand := vals[j]
 				if wv < cand {
@@ -398,7 +400,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 	case RelaxMaxWeight:
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
-			db := int(d) * lineWords
+			db := int(d) * stride
 			for j := 0; j < ns; j++ {
 				cand := vals[j]
 				if wv > cand {
@@ -413,7 +415,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 	case RelaxMulSat:
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
-			db := int(d) * lineWords
+			db := int(d) * stride
 			for j := 0; j < ns; j++ {
 				if casImproveLess(&cols[offs[j]+db], SatMul(vals[j], wv)) {
 					c.upd++
@@ -428,7 +430,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			improve = casImproveGreater
 		}
 		for _, d := range dsts {
-			db := int(d) * lineWords
+			db := int(d) * stride
 			for j := 0; j < ns; j++ {
 				if improve(&cols[offs[j]+db], cand) {
 					c.upd++

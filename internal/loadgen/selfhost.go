@@ -22,7 +22,7 @@ type SelfHostConfig struct {
 	MaxWeight uint32 // uniform weight range; default 8
 	Directed  bool
 	Problems  []string // default SSWP, SSSP, BFS
-	K         int      // standing queries per problem; default 16
+	K         int      // upper bound on standing queries per set (narrowed by the meet); default 16
 	Shards    int      // stores the graph is split across; default 1
 	Seed      uint64
 

@@ -14,8 +14,9 @@ import (
 // the same arcs and in-arc view. A page grows by a block of 8 lanes only
 // when full; a new page opens only when every page holds 64. A free lane
 // holds init, which no push improves and no taint seed matches. Queries
-// read the root state alone, which lanes never touch: Roots and K stay K
-// wide. Lane id i is slot i%64 of page i/64.
+// read the root state alone, which lanes never touch: lanes do not count
+// in Roots or K, and Narrow leaves them be. Lane id i is slot i%64 of
+// page i/64.
 
 // page is one state of lanes: slot k is rooted at sources[k] while live
 // has bit k set.

@@ -1,17 +1,21 @@
-// Package standing maintains Tripoline's standing queries: the K
+// Package standing maintains Tripoline's standing queries: the
 // pre-selected vertex-specific queries q(r_1..r_K) that are evaluated
 // continuously and incrementally as the graph streams, and whose converged
 // property arrays seed the Δ-based evaluation of arbitrary user queries.
 //
-// Selection follows §4.5: the K roots are the top-K out-degree vertices
-// (topology-based selection, Eq. 14), and at user-query time the best of
-// the K is picked by argmin property(u, r) under the problem's order
-// (Eq. 15). Maintenance uses the batch mode of §4.5: all K queries share
-// one combined frontier and one K-wide value array, so the graph and the
-// value arrays are traversed once per update instead of K times. An
-// insertion batch is absorbed by relaxing the arcs it stored and resuming
-// from the endpoints that improved (Update); a deletion by witness-based
-// trimming (UpdateDeletions).
+// Selection follows §4.5: the candidate roots are the top-K out-degree
+// vertices (topology-based selection, Eq. 14), and at user-query time the
+// best of them is picked by argmin property(u, r) under the problem's
+// order (Eq. 15). A query Δ-initializes from the meet over every root no
+// other root dominates (Meet). K is an upper bound, not a fixed width:
+// Narrow drops the roots no meet over a sample of sources keeps — on
+// min/max problems all but one, usually — so a set maintains only the
+// columns queries read. Maintenance uses the batch mode of §4.5: all K
+// queries share one combined frontier and one K-wide value array, so the
+// graph and the value arrays are traversed once per update instead of K
+// times. An insertion batch is absorbed by relaxing the arcs it stored and
+// resuming from the endpoints that improved (Update); a deletion by
+// witness-based trimming (UpdateDeletions).
 //
 // For directed graphs the manager additionally maintains the reversed
 // standing query q⁻¹(r) (property(x, r) for all x), because property(u, r)
@@ -27,12 +31,14 @@
 package standing
 
 import (
+	"math/bits"
 	"time"
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
 	"tripoline/internal/triangle"
+	"tripoline/internal/xrand"
 )
 
 // Manager owns one problem's standing queries over one streaming graph.
@@ -72,7 +78,8 @@ func New(p engine.Problem, g engine.ArcView, roots []graph.VertexID, directed bo
 	return m
 }
 
-// K returns the number of standing queries.
+// K returns the number of standing queries: the width the set was built
+// at, or less once Narrow has dropped roots.
 func (m *Manager) K() int { return len(m.Roots) }
 
 // Update incrementally re-stabilizes every standing query after a batch of
@@ -208,21 +215,35 @@ func (m *Manager) Select(u graph.VertexID) (slot int, propUR uint64) {
 
 // Meet returns the lanes a Δ-initialization for user source u meets over
 // (triangle.DeltaInitMeet), in dst's storage, and Eq. 15's pick — Select's
-// slot and property(u, r_slot) — which results report. Roots are taken
-// best property(u, r) first, ties in slot order, so the pick comes first.
-// A root r′ is left out when property(u, r′) is the init value (its Δ
-// term is init everywhere), or when a kept root r dominates it:
-// Combine(property(u,r), property(r,r′)) is at least as good as
-// property(u,r′). By the triangle inequality over r's exact column, r′'s
-// term is then nowhere better than r's, so the meet over the kept lanes
-// equals the meet over all K roots bit for bit. On min/max problems one
-// lane is usually all that is kept. Meet costs at most K² scalar ⊕ and
-// allocates nothing when dst holds K lanes.
+// slot and property(u, r_slot) — which results report. The lanes are the
+// roots keep leaves in, best property(u, r) first. Meet costs at most K²
+// scalar ⊕ and allocates nothing when dst holds K lanes.
 func (m *Manager) Meet(dst []triangle.Lane, u graph.VertexID) (lanes []triangle.Lane, slot int, propUR uint64) {
 	var buf [64]uint64
-	var order, kept [64]uint8
-	p := m.Problem
+	var kept [64]uint8
 	prop := m.PropURInto(buf[:0], u)
+	n, best := m.keep(prop, &kept)
+	lanes = dst[:0]
+	for _, r := range kept[:n] {
+		_, _, off := m.Forward.StrideView(int(r))
+		lanes = append(lanes, triangle.Lane{Off: off, PropUR: prop[r]})
+	}
+	return lanes, best, prop[best]
+}
+
+// keep writes into kept the slots whose roots a meet for a source with
+// properties prop (prop[k] = property(u, r_k)) needs, and returns their
+// number and the best slot. Roots are taken best property(u, r) first,
+// ties in slot order, so the best comes first. A root r′ is left out when
+// property(u, r′) is the init value (its Δ term is init everywhere), or
+// when a kept root r dominates it: Combine(property(u,r), property(r,r′))
+// is at least as good as property(u,r′). By the triangle inequality over
+// r's exact column, r′'s term is then nowhere better than r's, so the meet
+// over the kept roots equals the meet over all K bit for bit. On min/max
+// problems one root is usually all that is kept.
+func (m *Manager) keep(prop []uint64, kept *[64]uint8) (n, best int) {
+	var order [64]uint8
+	p := m.Problem
 	byProp := order[:len(prop)]
 	for k := range byProp {
 		byProp[k] = uint8(k)
@@ -230,25 +251,89 @@ func (m *Manager) Meet(dst []triangle.Lane, u graph.VertexID) (lanes []triangle.
 			byProp[i], byProp[i-1] = byProp[i-1], byProp[i]
 		}
 	}
-	lanes, nKept, init := dst[:0], 0, p.InitValue()
+	init := p.InitValue()
 	for _, r2 := range byProp {
 		if prop[r2] == init {
 			continue
 		}
 		dominated := false
-		for _, r := range kept[:nKept] {
+		for _, r := range kept[:n] {
 			if !p.Better(prop[r2], p.Combine(prop[r], m.Forward.Value(m.Roots[r2], int(r)))) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			kept[nKept], nKept = r2, nKept+1
-			_, _, off := m.Forward.StrideView(int(r2))
-			lanes = append(lanes, triangle.Lane{Off: off, PropUR: prop[r2]})
+			kept[n], n = r2, n+1
 		}
 	}
-	return lanes, int(byProp[0]), prop[byProp[0]]
+	return n, int(byProp[0])
+}
+
+// Narrow shrinks the set to the roots its meet uses: the union, over the
+// sources of sample, of the roots keep leaves in for each, in their
+// original slot order. Forward and Reverse are replaced by states of that
+// width holding the kept columns, which are exact fixpoints of the version
+// the set stands on, so nothing is re-evaluated; a width-1 set lands on
+// the contiguous K=1 layout. A dropped root's term could still be the
+// unique best for a source outside the sample, which then Δ-initializes
+// from a weaker (still sound) bound and converges further. Subscribed lanes
+// are separate states and stay as they are. An empty sample, or one no
+// root reaches, leaves the set as it is. Only re-rooting — new Roots, then
+// Rebuild — widens a set again. sample must hold vertices of the graph the
+// set stands on.
+func (m *Manager) Narrow(sample []graph.VertexID) {
+	var used uint64
+	var buf [64]uint64
+	var kept [64]uint8
+	for _, u := range sample {
+		n, _ := m.keep(m.PropURInto(buf[:0], u), &kept)
+		for _, r := range kept[:n] {
+			used |= 1 << r
+		}
+	}
+	if used == 0 || bits.OnesCount64(used) == len(m.Roots) {
+		return
+	}
+	roots := make([]graph.VertexID, 0, bits.OnesCount64(used))
+	for mk := used; mk != 0; mk &= mk - 1 {
+		roots = append(roots, m.Roots[bits.TrailingZeros64(mk)])
+	}
+	m.Roots = roots
+	m.Forward = narrowed(m.Forward, used)
+	if m.Reverse != nil {
+		m.Reverse = narrowed(m.Reverse, used)
+	}
+}
+
+// narrowed returns a state holding st's slots in used, in slot order.
+func narrowed(st *engine.State, used uint64) *engine.State {
+	out := engine.NewState(st.P, st.N, bits.OnesCount64(used))
+	for j, mk := 0, used; mk != 0; j, mk = j+1, mk&(mk-1) {
+		out.CopySlot(j, st, bits.TrailingZeros64(mk))
+	}
+	return out
+}
+
+// MeetSample returns the sources a set is narrowed on (Narrow): 64
+// vertices of out-degree > 2 in g (all of them when fewer), drawn by a
+// shuffle with a fixed seed. It depends on g's degrees alone, so every
+// view of the same graph — one store's mirror or the union of S shards'
+// — yields the same sample.
+func MeetSample(g Degrees) []graph.VertexID {
+	var cand []graph.VertexID
+	for v := range g.NumVertices() {
+		if g.Degree(graph.VertexID(v)) > 2 {
+			cand = append(cand, graph.VertexID(v))
+		}
+	}
+	rng := xrand.New(0x5eed5a3b1e)
+	n := min(64, len(cand))
+	for i := range n {
+		j := i + rng.Intn(len(cand)-i)
+		cand[i], cand[j] = cand[j], cand[i]
+	}
+	return append([]graph.VertexID(nil), cand[:n]...)
 }
 
 // noteVersion records the snapshot version of the view the state is about

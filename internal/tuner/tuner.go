@@ -9,6 +9,12 @@
 //	cost(K) = standingTime(K) + queriesPerBatch × avgQueryTime(K)
 //
 // exactly the tradeoff discussion of §4.5.
+//
+// The K it picks is an upper bound: core builds each standing set at K
+// roots and then narrows it to the roots its Δ-initialization meet uses
+// (standing.Manager.Narrow). On min/max problems that is usually one root
+// whatever the bound, so the candidates converge to the same set and
+// their costs differ by noise alone.
 package tuner
 
 import (

@@ -5,8 +5,10 @@
 //
 // A Graph grows by batches of weighted edge insertions. For each enabled
 // problem (BFS, SSSP, SSWP, SSNP, Viterbi, SSR, Radii, SSNSP — plus the
-// whole-graph PageRank and CC), the system keeps K standing queries
-// rooted at high-degree vertices incrementally up to date. A user query
+// whole-graph PageRank and CC), the system keeps up to K standing queries
+// rooted at high-degree vertices incrementally up to date — the K
+// top-degree roots narrowed to those a sample of queries' Δ-initializations
+// use (on min/max problems usually one). A user query
 // with an arbitrary source vertex u is then answered incrementally: the
 // problem's graph triangle inequality turns the standing query's
 // converged property array into a valid warm-start initialization
@@ -174,8 +176,10 @@ type config struct {
 	shards       int
 }
 
-// WithStandingQueries sets K, the number of standing queries maintained
-// per enabled problem (default 16, max 64).
+// WithStandingQueries sets K, the upper bound on the standing queries
+// maintained per standing set (default 16, max 64). Each set is built at
+// K roots, then narrowed to the roots its Δ-initialization meet uses over
+// a fixed sample of sources.
 func WithStandingQueries(k int) Option {
 	return func(c *config) { c.k = k }
 }
@@ -207,8 +211,8 @@ func WithResultCache(entries int) Option {
 // out-arcs of the vertices it owns in its own mirror chain, behind one
 // versioned snapshot barrier (internal/core). Batches are applied to the
 // stores in parallel; queries are evaluated once, over the union of the
-// stores' mirrors, by the same evaluation and the same K standing roots a
-// one-store system uses, so they return exactly its answers, and
+// stores' mirrors, by the same evaluation and the same (narrowed) standing
+// roots a one-store system uses, so they return exactly its answers, and
 // subscriptions push exactly its frames. s <= 1 is the one-store system
 // over the Graph itself. With s > 1 the Graph passed to NewSystem is only
 // the construction-time source of edges — stream further updates through
@@ -257,7 +261,8 @@ func (s *System) Shards() int { return s.inner.Shards() }
 
 // Enable sets up a problem. Recognized names: BFS, SSSP, SSWP, SSNP,
 // Viterbi, SSR, Radii, SSNSP, PageRank, CC. Its standing queries are
-// fully evaluated at the top-K-degree roots of the current graph — unless
+// fully evaluated at the top-K-degree roots of the current graph, then
+// narrowed to the roots the Δ-initialization meet uses — unless
 // an enabled problem already maintains the same standing set: Radii is 16
 // SSSP slots and shares SSSP's set, SSNSP counts over BFS levels and
 // shares BFS's, in whichever order they are enabled, so enabling both of
