@@ -114,8 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		fmt.Fprintf(stdout, "checked %d schedules (seed %d, S=%d, serving=%v) in %v: %d queries, %d answers verified, %d divergences\n",
-			sum.Schedules, sum.Seed, max(*shards, 1), *serving, elapsed.Round(time.Millisecond), sum.Queries, sum.Verified, sum.Divergences)
+		fmt.Fprintf(stdout, "checked %d schedules (%d directed, %d undirected; seed %d, S=%d, serving=%v) in %v: %d queries, %d answers verified, %d divergences\n",
+			sum.Schedules, sum.Directed, sum.Undirected, sum.Seed, max(*shards, 1), *serving, elapsed.Round(time.Millisecond), sum.Queries, sum.Verified, sum.Divergences)
 		if *serving {
 			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions, %d frames dropped by lossy ones\n",
 				sum.CacheHits, sum.Frames, sum.Subscriptions, sum.FramesDropped)

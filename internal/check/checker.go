@@ -189,7 +189,10 @@ func valuesDiffer(a, b *observation) string {
 
 // Summary aggregates a multi-schedule run (the CLI's JSON output).
 type Summary struct {
-	Schedules     int         `json:"schedules"`
+	Schedules int `json:"schedules"`
+	// Directed and Undirected split Schedules by the graph they replay.
+	Directed      int         `json:"directed"`
+	Undirected    int         `json:"undirected"`
 	Seed          uint64      `json:"seed"`
 	Queries       int         `json:"queries"`
 	Verified      int         `json:"verified"`
@@ -213,6 +216,11 @@ func RunMany(ctx context.Context, n int, seed uint64, opts Options, onVerdict fu
 	for i := 0; i < n; i++ {
 		s := Generate(Params{Seed: xrand.Hash64(seed + uint64(i))})
 		verdict := CheckSchedule(ctx, s, opts)
+		if s.Directed {
+			sum.Directed++
+		} else {
+			sum.Undirected++
+		}
 		sum.Queries += verdict.Queries
 		sum.Verified += verdict.Verified
 		sum.Faults.add(verdict.Faults)

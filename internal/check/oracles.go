@@ -21,7 +21,8 @@ import (
 // mirror cannot fool an oracle that never reads it), and the per-problem
 // sequential recomputations. It also collects the replay's divergences.
 type oracleSet struct {
-	g *streamgraph.Graph
+	g        *streamgraph.Graph
+	directed bool
 	// versions records every published version in order; Op.VerIdx
 	// indexes this list.
 	versions []uint64
@@ -47,16 +48,17 @@ type pathKey struct {
 // best-path evaluation.
 var bestPath = map[string]engine.Problem{"SSSP": props.SSSP{}, "SSWP": props.SSWP{}, "SSR": props.SSR{}}
 
-// newOracleSet returns the ground truth for a replay over an undirected
-// graph of n vertices, with the initial version recorded.
-func newOracleSet(n int) *oracleSet {
+// newOracleSet returns the ground truth for a replay over a graph of n
+// vertices, with the initial version recorded.
+func newOracleSet(n int, directed bool) *oracleSet {
 	o := &oracleSet{
-		g:     streamgraph.New(n, false),
-		snaps: make(map[uint64]*streamgraph.Snapshot),
-		csrs:  make(map[uint64]*graph.CSR),
-		pr:    make(map[uint64][]float64),
-		cc:    make(map[uint64][]uint64),
-		paths: make(map[pathKey][2][]uint64),
+		g:        streamgraph.New(n, directed),
+		directed: directed,
+		snaps:    make(map[uint64]*streamgraph.Snapshot),
+		csrs:     make(map[uint64]*graph.CSR),
+		pr:       make(map[uint64][]float64),
+		cc:       make(map[uint64][]uint64),
+		paths:    make(map[pathKey][2][]uint64),
 	}
 	o.record()
 	return o
@@ -106,7 +108,7 @@ func (o *oracleSet) csrAt(ver uint64) *graph.CSR {
 	if !ok {
 		return nil
 	}
-	c := snap.CSR(false)
+	c := snap.CSR(o.directed)
 	o.csrs[ver] = c
 	return c
 }

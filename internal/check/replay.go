@@ -105,8 +105,9 @@ func (f *FaultCounts) add(o FaultCounts) {
 // its versions list.
 type replayer struct {
 	*oracleSet
-	v   variant
-	sys *core.System
+	v        variant
+	problems []string // the schedule's (Schedule.Problems)
+	sys      *core.System
 	// store is the System's one store, the home of the fault seams; nil
 	// at S > 1.
 	store  *streamgraph.Graph
@@ -115,9 +116,9 @@ type replayer struct {
 	faults FaultCounts
 }
 
-// checked enables every checked problem on sys and turns history on.
-func checked(sys *core.System) *core.System {
-	for _, p := range Problems {
+// checked enables the schedule's problems on sys and turns history on.
+func checked(sys *core.System, problems []string) *core.System {
+	for _, p := range problems {
 		if err := sys.Enable(p); err != nil {
 			panic("check: enable " + p + ": " + err.Error())
 		}
@@ -131,16 +132,17 @@ func checked(sys *core.System) *core.System {
 // version the result reports.
 func replay(ctx context.Context, s *Schedule, v variant) *replayer {
 	r := &replayer{
-		oracleSet: newOracleSet(s.N),
+		oracleSet: newOracleSet(s.N, s.Directed),
+		problems:  s.Problems(),
 		v:         v,
 		rng:       xrand.New(s.Seed ^ 0x9e3779b97f4a7c15),
 	}
 	if v.shards > 1 {
-		r.sys = checked(core.NewSharded(s.N, false, v.shards, replayK))
+		r.sys = checked(core.NewSharded(s.N, s.Directed, v.shards, replayK), r.problems)
 	} else {
-		r.store = streamgraph.New(s.N, false)
+		r.store = streamgraph.New(s.N, s.Directed)
 		r.store.Seam().SetSkewDelta(v.corrupt)
-		r.sys = checked(core.NewSystem(r.store, replayK))
+		r.sys = checked(core.NewSystem(r.store, replayK), r.problems)
 	}
 	for i, op := range s.Ops {
 		r.step(ctx, i, op)
@@ -283,7 +285,7 @@ func (r *replayer) deleteReinsertPhase(ctx context.Context) {
 	for v := 0; v < csr.N; v++ {
 		adj, wgt := csr.OutSpan(graph.VertexID(v))
 		for i, d := range adj {
-			if graph.VertexID(v) < d {
+			if r.directed || graph.VertexID(v) < d {
 				pairs = append(pairs, graph.Edge{Src: graph.VertexID(v), Dst: d, W: wgt[i]})
 			}
 		}
@@ -306,7 +308,7 @@ func (r *replayer) deleteReinsertPhase(ctx context.Context) {
 func (r *replayer) probes(ctx context.Context, opIdx int) {
 	n := r.sys.NumVertices()
 	sources := []graph.VertexID{0, graph.VertexID(n / 2), graph.VertexID(n - 1)}
-	for _, p := range Problems {
+	for _, p := range r.problems {
 		for _, src := range sources {
 			res, err := r.sys.QueryCtx(ctx, p, src)
 			r.observe(opIdx, Op{Kind: OpQuery, Problem: p, Source: src}, true, res, err, false)

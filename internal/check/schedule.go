@@ -18,6 +18,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,10 +37,13 @@ import (
 // whose witness test taints most of the reached region, so a deletion
 // floods the trim's taint worklist and its repair), and the two
 // maintained answers, PageRank (whole-graph, resumed float iteration)
-// and CC (whole-graph, resumed min-label propagation). Graphs are always
-// undirected so the CC min-label fixpoint equals the oracle's union-find
-// components.
+// and CC (whole-graph, resumed min-label propagation). CC is enabled on
+// undirected schedules only: there the CC min-label fixpoint equals the
+// oracle's union-find components (Schedule.Problems).
 var Problems = []string{"SSNSP", "PageRank", "CC", "BFS", "SSSP", "SSWP", "SSR"}
+
+// directedProblems is Problems without CC, for directed schedules.
+var directedProblems = []string{"SSNSP", "PageRank", "BFS", "SSSP", "SSWP", "SSR"}
 
 // OpKind enumerates the schedule operations.
 type OpKind uint8
@@ -103,7 +107,18 @@ type Op struct {
 type Schedule struct {
 	Seed uint64 // generation seed, recorded for repros
 	N    int    // initial vertex range
-	Ops  []Op
+	// Directed makes every batch edge an arc src→dst of a directed graph;
+	// otherwise edges are undirected and written src<dst.
+	Directed bool
+	Ops      []Op
+}
+
+// Problems lists the problems a replay of s enables and queries.
+func (s *Schedule) Problems() []string {
+	if s.Directed {
+		return directedProblems
+	}
+	return Problems
 }
 
 // WeightFor derives an edge's weight from its unordered endpoints, so
@@ -125,8 +140,14 @@ type Params struct {
 	Ops        int // op count; 0 draws 10..26 from the seed
 }
 
+// directedSalt derives a schedule's directedness from its seed, apart
+// from the generator's random stream: an undirected schedule is the one
+// the same seed generated before directed schedules existed.
+const directedSalt = 0x5851f42d4c957f2d
+
 // Generate derives a schedule deterministically from p: the same Params
-// always produce the identical schedule.
+// always produce the identical schedule. About half the seeds make a
+// directed schedule.
 func Generate(p Params) *Schedule {
 	if p.MinN <= 1 {
 		p.MinN = 24
@@ -140,8 +161,9 @@ func Generate(p Params) *Schedule {
 	if nops <= 0 {
 		nops = 10 + rng.Intn(17)
 	}
-	g := &genState{rng: rng, n: n, present: make(map[[2]graph.VertexID]bool)}
-	s := &Schedule{Seed: p.Seed, N: n, Ops: make([]Op, 0, nops)}
+	directed := xrand.Hash64(p.Seed^directedSalt)&1 == 1
+	s := &Schedule{Seed: p.Seed, N: n, Directed: directed, Ops: make([]Op, 0, nops)}
+	g := &genState{rng: rng, n: n, problems: s.Problems(), directed: directed, present: make(map[[2]graph.VertexID]bool)}
 	// A seed batch first, so the schedule starts from a connected-ish
 	// graph instead of n isolated vertices.
 	s.Ops = append(s.Ops, g.insertOp(OpInsert, 2*n))
@@ -154,11 +176,13 @@ func Generate(p Params) *Schedule {
 // genState tracks what the generator knows about the evolving graph so
 // deletions target edges that exist and sources stay in range.
 type genState struct {
-	rng     *xrand.RNG
-	n       int // current vertex range
-	present map[[2]graph.VertexID]bool
-	edges   [][2]graph.VertexID // present edges, insertion-ordered
-	muts    int                 // mutations so far (recorded versions = muts+1)
+	rng      *xrand.RNG
+	n        int // current vertex range
+	problems []string
+	directed bool
+	present  map[[2]graph.VertexID]bool
+	edges    [][2]graph.VertexID // present edges, insertion-ordered
+	muts     int                 // mutations so far (recorded versions = muts+1)
 }
 
 func (g *genState) pair() (graph.VertexID, graph.VertexID) {
@@ -175,7 +199,7 @@ func (g *genState) pair() (graph.VertexID, graph.VertexID) {
 		if a == b {
 			continue
 		}
-		if a > b {
+		if a > b && !g.directed {
 			a, b = b, a
 		}
 		return a, b
@@ -225,7 +249,7 @@ func (g *genState) deleteOp() Op {
 	return Op{Kind: OpDelete, Edges: batch}
 }
 
-func (g *genState) problem() string { return Problems[g.rng.Intn(len(Problems))] }
+func (g *genState) problem() string { return g.problems[g.rng.Intn(len(g.problems))] }
 
 func (g *genState) source() graph.VertexID { return graph.VertexID(g.rng.Intn(g.n)) }
 
@@ -277,10 +301,15 @@ const (
 	maxVerIdx     = 4095
 )
 
-// Encode renders the schedule in the textual repro format.
+// Encode renders the schedule in the textual repro format. A directed
+// schedule's header carries the line "directed 1"; a header without it
+// is undirected.
 func Encode(s *Schedule) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\nseed %d\nn %d\n", encodeHeader, s.Seed, s.N)
+	if s.Directed {
+		b.WriteString("directed 1\n")
+	}
 	for _, op := range s.Ops {
 		b.WriteString(op.Kind.String())
 		switch op.Kind {
@@ -304,9 +333,10 @@ func Encode(s *Schedule) []byte {
 
 // Decode parses the textual format, enforcing the fuzz-safety limits and
 // canonicalizing batches: within one batch, later mentions of the same
-// unordered endpoint pair are dropped (the streaming graph is undirected
-// and first-wins, so a duplicate with a different weight would make the
-// shuffle variant order-sensitive for reasons that are not bugs).
+// endpoint pair — unordered on an undirected schedule, ordered on a
+// directed one — are dropped (the streaming graph is first-wins, so a
+// duplicate with a different weight would make the shuffle variant
+// order-sensitive for reasons that are not bugs).
 func Decode(data []byte) (*Schedule, error) {
 	lines := strings.Split(string(data), "\n")
 	if len(lines) < 3 || strings.TrimSpace(lines[0]) != encodeHeader {
@@ -322,12 +352,20 @@ func Decode(data []byte) (*Schedule, error) {
 	if s.N < 2 || s.N > maxN {
 		return nil, fmt.Errorf("check: n %d out of [2, %d]", s.N, maxN)
 	}
+	body := lines[3:]
+	if len(body) > 0 && strings.HasPrefix(strings.TrimSpace(body[0]), "directed") {
+		var d int
+		if _, err := fmt.Sscanf(body[0], "directed %d", &d); err != nil || d > 1 {
+			return nil, fmt.Errorf("check: bad directed line %q", body[0])
+		}
+		s.Directed, body = d == 1, body[1:]
+	}
 	kindOf := make(map[string]OpKind, numOpKinds)
 	for k, l := range letters {
 		kindOf[l] = OpKind(k)
 	}
 	total := 0
-	for _, line := range lines[3:] {
+	for _, line := range body {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
@@ -348,7 +386,7 @@ func Decode(data []byte) (*Schedule, error) {
 			}
 			seen := make(map[[2]graph.VertexID]bool, len(fields)-1)
 			for _, f := range fields[1:] {
-				e, err := parseEdge(f)
+				e, err := parseEdge(f, s.Directed)
 				if err != nil {
 					return nil, err
 				}
@@ -368,7 +406,7 @@ func Decode(data []byte) (*Schedule, error) {
 				return nil, fmt.Errorf("check: op %q needs a problem and source", line)
 			}
 			op.Problem = fields[1]
-			if !validProblem(op.Problem) {
+			if !slices.Contains(s.Problems(), op.Problem) {
 				return nil, fmt.Errorf("check: unknown problem %q", op.Problem)
 			}
 			src, err := strconv.ParseUint(fields[2], 10, 32)
@@ -406,9 +444,9 @@ func Decode(data []byte) (*Schedule, error) {
 	return s, nil
 }
 
-// parseEdge parses "src-dst-w", canonicalizing src<dst and clamping
-// everything into the fuzz-safe ranges.
-func parseEdge(f string) (graph.Edge, error) {
+// parseEdge parses "src-dst-w", canonicalizing src<dst unless directed
+// and clamping everything into the fuzz-safe ranges.
+func parseEdge(f string, directed bool) (graph.Edge, error) {
 	parts := strings.Split(f, "-")
 	if len(parts) != 3 {
 		return graph.Edge{}, fmt.Errorf("check: bad edge %q (want src-dst-w)", f)
@@ -428,7 +466,7 @@ func parseEdge(f string) (graph.Edge, error) {
 		return graph.Edge{}, fmt.Errorf("check: self-loop %q", f)
 	}
 	s, d := graph.VertexID(nums[0]), graph.VertexID(nums[1])
-	if s > d {
+	if s > d && !directed {
 		s, d = d, s
 	}
 	// Bounded and nonzero, identity on 1..256 so generated schedules
@@ -438,15 +476,6 @@ func parseEdge(f string) (graph.Edge, error) {
 		w = 1
 	}
 	return graph.Edge{Src: s, Dst: d, W: w}, nil
-}
-
-func validProblem(p string) bool {
-	for _, q := range Problems {
-		if p == q {
-			return true
-		}
-	}
-	return false
 }
 
 // kindsPresent returns the distinct op kinds in the schedule, sorted —

@@ -62,10 +62,11 @@ type servingReplayer struct {
 	// oracleSet is the ground truth, fed every mutation the System under
 	// test applies; it collects the divergences.
 	*oracleSet
-	sys     *core.System
-	rng     *xrand.RNG
-	clients []*servingClient
-	v       Verdict
+	problems []string // the schedule's (Schedule.Problems)
+	sys      *core.System
+	rng      *xrand.RNG
+	clients  []*servingClient
+	v        Verdict
 }
 
 // checkServing replays the schedule once under ctx through a fresh
@@ -73,10 +74,12 @@ type servingReplayer struct {
 // on and subscribers churning, verifying every cached answer and every
 // applied frame against the oracle at its reported version.
 func checkServing(ctx context.Context, s *Schedule, shards int) Verdict {
-	sys := checked(core.NewSharded(s.N, false, shards, replayK))
+	problems := s.Problems()
+	sys := checked(core.NewSharded(s.N, s.Directed, shards, replayK), problems)
 	sys.EnableResultCache(servingCacheEntries)
 	r := &servingReplayer{
-		oracleSet: newOracleSet(s.N),
+		oracleSet: newOracleSet(s.N, s.Directed),
+		problems:  problems,
 		sys:       sys,
 		rng:       xrand.New(s.Seed ^ 0xc2b2ae3d27d4eb4f),
 		v:         Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops)},
@@ -89,7 +92,7 @@ func checkServing(ctx context.Context, s *Schedule, shards int) Verdict {
 	// on the final graph, then all remaining subscribers drained and torn
 	// down.
 	n := r.sys.NumVertices()
-	for _, p := range Problems {
+	for _, p := range problems {
 		r.query(ctx, len(s.Ops), Op{Kind: OpQuery, Problem: p, Source: graph.VertexID(n / 2)})
 	}
 	for _, c := range r.clients {
@@ -217,7 +220,7 @@ func (r *servingReplayer) churn(ctx context.Context, i int) {
 		r.clients = append(r.clients[:idx], r.clients[idx+1:]...)
 	}
 	if len(r.clients) < maxServingClients && r.rng.Intn(3) != 0 {
-		problem := Problems[r.rng.Intn(len(Problems))]
+		problem := r.problems[r.rng.Intn(len(r.problems))]
 		src := graph.VertexID(r.rng.Intn(r.sys.NumVertices()))
 		// Every third subscription is lossy. Counting instead of drawing
 		// keeps the schedule's random stream what it was without them.

@@ -49,8 +49,8 @@ func TestServingSchedules(t *testing.T) {
 // answer with one entry changed is flagged, and so is an answer at a
 // version the oracle never recorded.
 func TestServingDetectsCorruption(t *testing.T) {
-	o := newOracleSet(6)
-	sys := checked(core.NewSharded(6, false, 1, replayK))
+	o := newOracleSet(6, false)
+	sys := checked(core.NewSharded(6, false, 1, replayK), Problems)
 	o.apply(context.Background(), sys, "setup", false, []graph.Edge{
 		{Src: 0, Dst: 1, W: 3}, {Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 5}, {Src: 0, Dst: 3, W: 2},
 	})

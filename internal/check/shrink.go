@@ -15,7 +15,7 @@ import (
 // do not diverge are returned unchanged.
 func Shrink(ctx context.Context, s *Schedule, opts Options) *Schedule {
 	fails := func(ops []Op) bool {
-		return CheckSchedule(ctx, &Schedule{Seed: s.Seed, N: s.N, Ops: ops}, opts).Diverged
+		return CheckSchedule(ctx, &Schedule{Seed: s.Seed, N: s.N, Directed: s.Directed, Ops: ops}, opts).Diverged
 	}
 	ops := append([]Op(nil), s.Ops...)
 	if !fails(ops) {
@@ -33,7 +33,7 @@ func Shrink(ctx context.Context, s *Schedule, opts Options) *Schedule {
 			return fails(trial)
 		})
 	}
-	return &Schedule{Seed: s.Seed, N: s.N, Ops: ops}
+	return &Schedule{Seed: s.Seed, N: s.N, Directed: s.Directed, Ops: ops}
 }
 
 // ShrinkCoverage minimizes a schedule while preserving its set of op
@@ -46,5 +46,5 @@ func ShrinkCoverage(s *Schedule) *Schedule {
 	ops := dd.Minimize(s.Ops, func(ops []Op) bool {
 		return fmt.Sprint(kindsPresent(ops)) == want
 	})
-	return &Schedule{Seed: s.Seed, N: s.N, Ops: ops}
+	return &Schedule{Seed: s.Seed, N: s.N, Directed: s.Directed, Ops: ops}
 }
