@@ -15,6 +15,7 @@
 //	tripoline-check -shards 4 -schedules 200 -seed 1
 //	tripoline-check -serving -schedules 1000 -seed 1
 //	tripoline-check -serving -shards 4 -schedules 100 -seed 1
+//	tripoline-check -corrupt-transpose -shards 4 -schedules 5
 //
 // -shards S adds a fifth replay of each schedule, through a System whose
 // arcs are split across S stores: verified against the oracle like the
@@ -22,9 +23,10 @@
 // -serving replays the same schedules against the Δ-result cache and
 // subscription surface instead, verifying every cached answer and every
 // pushed frame against the oracle at its reported version — through S
-// stores with -shards S. -corrupt-delta arms the one-store replays' fault
-// seam, which the serving replay does not have, so -corrupt-delta with
-// -serving is a usage error.
+// stores with -shards S. -corrupt-delta and -corrupt-transpose arm the
+// one-store replays' skew seams — a corrupted mirror, a corrupted
+// transposed mirror — which the serving replay does not have, so either
+// with -serving is a usage error. Both self-tests must exit 1.
 //
 // Exit status: 0 when every schedule passes, 1 on any divergence, 2 on a
 // usage or output error. The run is deterministic: the same
@@ -61,20 +63,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit the summary as JSON")
 	reproDir := fs.String("repro-dir", "", "write dd-minimized repros for diverging schedules into this directory")
 	corrupt := fs.Bool("corrupt-delta", false, "arm the skew-delta fault seam of the one-store replays (self-test: the run must diverge)")
+	corruptT := fs.Bool("corrupt-transpose", false, "arm the skew-transpose fault seam of the one-store replays (self-test: the run must diverge on directed schedules)")
 	serving := fs.Bool("serving", false, "run the serving-layer checker (Delta-result cache + subscriptions) instead of the replay checker")
 	shards := fs.Int("shards", 0, "add a replay through a System split across N stores, checked against the oracle and the one-store replay; with -serving, serve through N stores")
 	verbose := fs.Bool("v", false, "print one line per schedule")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *corrupt && *serving {
-		fmt.Fprintln(stderr, "tripoline-check: -corrupt-delta arms a store seam the -serving replay does not have")
+	if (*corrupt || *corruptT) && *serving {
+		fmt.Fprintln(stderr, "tripoline-check: -corrupt-delta and -corrupt-transpose arm a store seam the -serving replay does not have")
 		fs.Usage()
 		return 2
 	}
 
 	ctx := context.Background()
-	opts := check.Options{CorruptDelta: *corrupt, Shards: *shards, Serving: *serving}
+	opts := check.Options{CorruptDelta: *corrupt, CorruptTranspose: *corruptT, Shards: *shards, Serving: *serving}
 	start := time.Now()
 	repros := 0
 	sum := check.RunMany(ctx, *schedules, *seed, opts, func(i int, v check.Verdict) {
@@ -120,9 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions, %d frames dropped by lossy ones\n",
 				sum.CacheHits, sum.Frames, sum.Subscriptions, sum.FramesDropped)
 		} else {
-			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d (fired %d)\n",
+			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) deny-retain=%d evicts=%d (fired %d)\n",
 				sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain,
-				sum.Faults.ForceFull, sum.Faults.Evicts, sum.Faults.EvictsFired)
+				sum.Faults.Evicts, sum.Faults.EvictsFired)
 		}
 	}
 	if sum.Divergences > 0 {

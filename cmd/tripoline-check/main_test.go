@@ -40,6 +40,31 @@ func TestCorruptDeltaUnderShards(t *testing.T) {
 	}
 }
 
+// TestCorruptTransposeUnderShards: the transpose self-test diverges
+// (exit 1) within five schedules, and -repro-dir writes a shrunk repro
+// that decodes as a directed schedule.
+func TestCorruptTransposeUnderShards(t *testing.T) {
+	dir := t.TempDir()
+	code, _, stderr := runCLI(t, "-corrupt-transpose", "-shards", "4", "-schedules", "5", "-repro-dir", dir)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr %q)", code, stderr)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no repro written (err %v)", err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := check.Decode(data); err != nil || !s.Directed {
+		t.Fatalf("repro does not decode as a directed schedule: %v", err)
+	}
+	if code, _, _ := runCLI(t, "-corrupt-transpose", "-serving", "-schedules", "1"); code != 2 {
+		t.Fatalf("-corrupt-transpose with -serving: exit = %d, want 2", code)
+	}
+}
+
 // TestCorruptDeltaUnderServing: the serving replay has no store seam to
 // arm, so the combination is a usage error (exit 2) that says why.
 func TestCorruptDeltaUnderServing(t *testing.T) {

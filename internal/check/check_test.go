@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -106,7 +107,7 @@ func TestVerdictDeterministic(t *testing.T) {
 func TestFaultModesAllExercised(t *testing.T) {
 	sum := RunMany(context.Background(), 20, 1, Options{}, nil)
 	f := sum.Faults
-	if f.Cancels == 0 || f.DenyRetain == 0 || f.ForceFull == 0 || f.Evicts == 0 {
+	if f.Cancels == 0 || f.DenyRetain == 0 || f.Evicts == 0 {
 		t.Fatalf("a fault mode was never attempted: %+v", f)
 	}
 	if f.EvictsFired == 0 {
@@ -141,6 +142,83 @@ func TestCorruptDeltaCaughtAndMinimized(t *testing.T) {
 	}
 	if caught == 0 {
 		t.Fatal("skewed delta patches were never detected — the checker is blind")
+	}
+}
+
+// TestCorruptTransposeCaughtAndMinimized is the transpose self-test: with
+// the transpose skew seam armed, every patched transposed mirror has one
+// arc off by one, which only a directed schedule's reversed standing
+// queries read; the divergence must be detected and shrink to a handful
+// of ops that still describe a directed graph.
+func TestCorruptTransposeCaughtAndMinimized(t *testing.T) {
+	opts := Options{CorruptTranspose: true}
+	caught := 0
+	for seed := uint64(1); seed <= 6 && caught < 2; seed++ {
+		s := Generate(Params{Seed: seed})
+		v := CheckSchedule(context.Background(), s, opts)
+		if !v.Diverged {
+			continue
+		}
+		if !s.Directed {
+			t.Fatalf("seed %d: an undirected schedule reads no transpose, yet diverged: %v", seed, v.Reasons)
+		}
+		caught++
+		min := Shrink(context.Background(), s, opts)
+		if !min.Directed || !CheckSchedule(context.Background(), min, opts).Diverged {
+			t.Fatalf("seed %d: shrunk schedule no longer diverges on a directed graph", seed)
+		}
+		if len(min.Ops) > 12 {
+			t.Fatalf("seed %d: shrunk to %d ops, want <= 12", seed, len(min.Ops))
+		}
+		if back, err := Decode(Encode(min)); err != nil || !back.Directed {
+			t.Fatalf("seed %d: shrunk repro does not round-trip as directed: %v", seed, err)
+		}
+	}
+	if caught == 0 {
+		t.Fatal("skewed transposes were never detected — the checker is blind to them")
+	}
+}
+
+// TestGenerateDrawsDirectedness: about half the seeds make a directed
+// schedule, whose edges keep their orientation and whose problems leave
+// out CC; an undirected schedule's header has no directed line, and the
+// retired letter F decodes as an insertion.
+func TestGenerateDrawsDirectedness(t *testing.T) {
+	directed, reversed := 0, 0
+	for seed := uint64(0); seed < 40; seed++ {
+		s := Generate(Params{Seed: seed})
+		if !s.Directed {
+			if strings.Contains(string(Encode(s)), "directed") {
+				t.Fatalf("seed %d: undirected schedule's header names directedness", seed)
+			}
+			continue
+		}
+		directed++
+		for _, p := range s.Problems() {
+			if p == "CC" {
+				t.Fatalf("seed %d: a directed schedule enables CC", seed)
+			}
+		}
+		for _, op := range s.Ops {
+			for _, e := range op.Edges {
+				if e.Src > e.Dst {
+					reversed++
+				}
+			}
+		}
+	}
+	if directed < 10 || directed > 30 {
+		t.Fatalf("%d of 40 schedules directed, want about half", directed)
+	}
+	if reversed == 0 {
+		t.Fatal("directed schedules never hold an arc from a higher to a lower vertex")
+	}
+	s, err := Decode([]byte("check/v1\nseed 1\nn 4\nF 0-1-2 1-2-3\nq BFS 0\n"))
+	if err != nil || s.Directed || len(s.Ops) != 2 || s.Ops[0].Kind != OpInsert || len(s.Ops[0].Edges) != 2 {
+		t.Fatalf("F did not decode as an undirected insertion: %+v, %v", s, err)
+	}
+	if _, err := Decode([]byte("check/v1\nseed 1\nn 4\ndirected 1\nq CC 0\n")); err == nil {
+		t.Fatal("CC decoded on a directed schedule")
 	}
 }
 

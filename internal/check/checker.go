@@ -17,6 +17,11 @@ type Options struct {
 	// acceptance gate requires the resulting divergence to dd-minimize to
 	// a handful of ops. The serving replay has no store seam to arm.
 	CorruptDelta bool
+	// CorruptTranspose arms the streamgraph transpose skew seam in every
+	// one-store replay: each patched transposed mirror silently corrupts
+	// one arc. Only a directed schedule's reversed standing queries read a
+	// transpose, so this self-test bites on directed schedules alone.
+	CorruptTranspose bool
 	// Shards > 1 adds a fifth replay, through a System split across that
 	// many stores; with Serving, the serving replay runs through such a
 	// System.
@@ -49,6 +54,9 @@ type Verdict struct {
 	FramesDropped int `json:"frames_dropped,omitempty"`
 }
 
+// corruption names the skew seams a one-store replay arms.
+type corruption struct{ delta, transpose bool }
+
 // cmpCfg tunes a cross-variant comparison for variants whose version
 // numbering legitimately shifts.
 type cmpCfg struct {
@@ -71,8 +79,8 @@ type cmpCfg struct {
 // from-scratch sequential recomputation on a reference graph fed the
 // same mutations — at the version it reports:
 //
-//   - base: batches as written (the CorruptDelta self-test shows the
-//     oracle bites);
+//   - base: batches as written (the CorruptDelta and CorruptTranspose
+//     self-tests show the oracle bites);
 //   - shuffle: each batch's edges permuted — insertion-order invariance;
 //   - split: each insert batch applied as two sub-batches — batch-split
 //     invariance (compared on everything but version numbering);
@@ -86,7 +94,7 @@ func CheckSchedule(ctx context.Context, s *Schedule, opts Options) Verdict {
 	if opts.Serving {
 		return checkServing(ctx, s, opts.Shards)
 	}
-	corrupt := opts.CorruptDelta
+	corrupt := corruption{delta: opts.CorruptDelta, transpose: opts.CorruptTranspose}
 	base := replay(ctx, s, variant{name: "base", corrupt: corrupt})
 	v := Verdict{Seed: s.Seed, N: s.N, Ops: len(s.Ops), Queries: len(base.obs), Verified: base.verified, Faults: base.faults}
 	reasons := append([]string(nil), base.reasons...)

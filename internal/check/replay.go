@@ -55,8 +55,8 @@ type variant struct {
 	// NewSystem's one, where the fault seams live: the fault ops then run
 	// as the plain op.
 	shards int
-	// corrupt arms the one store's skew seam (the checker's self-test).
-	corrupt bool
+	// corrupt arms the one store's skew seams (the checker's self-tests).
+	corrupt corruption
 	cmp     cmpCfg
 }
 
@@ -86,7 +86,6 @@ type FaultCounts struct {
 	Cancels      int `json:"cancels"`
 	CancelsFired int `json:"cancels_fired"`
 	DenyRetain   int `json:"deny_retain"`
-	ForceFull    int `json:"force_full"`
 	Evicts       int `json:"evicts"`
 	EvictsFired  int `json:"evicts_fired"`
 }
@@ -95,7 +94,6 @@ func (f *FaultCounts) add(o FaultCounts) {
 	f.Cancels += o.Cancels
 	f.CancelsFired += o.CancelsFired
 	f.DenyRetain += o.DenyRetain
-	f.ForceFull += o.ForceFull
 	f.Evicts += o.Evicts
 	f.EvictsFired += o.EvictsFired
 }
@@ -141,7 +139,8 @@ func replay(ctx context.Context, s *Schedule, v variant) *replayer {
 		r.sys = checked(core.NewSharded(s.N, s.Directed, v.shards, replayK), r.problems)
 	} else {
 		r.store = streamgraph.New(s.N, s.Directed)
-		r.store.Seam().SetSkewDelta(v.corrupt)
+		r.store.Seam().SetSkewDelta(v.corrupt.delta)
+		r.store.Seam().SetSkewTranspose(v.corrupt.transpose)
 		r.sys = checked(core.NewSystem(r.store, replayK), r.problems)
 	}
 	for i, op := range s.Ops {
@@ -185,12 +184,6 @@ func (r *replayer) step(ctx context.Context, i int, op Op) {
 		for _, b := range r.batches(op.Edges) {
 			r.apply(ctx, r.sys, where, false, b)
 		}
-	case OpForceFull:
-		seam := r.seam()
-		seam.SetForceFull(true)
-		r.apply(ctx, r.sys, where, false, op.Edges)
-		seam.SetForceFull(false)
-		r.faults.ForceFull++
 	case OpDelete:
 		r.apply(ctx, r.sys, where, true, op.Edges)
 	case OpQuery:

@@ -51,9 +51,6 @@ type OpKind uint8
 const (
 	// OpInsert applies one edge batch through ApplyBatch.
 	OpInsert OpKind = iota
-	// OpForceFull is OpInsert with the streamgraph seam forcing the
-	// mirror rebuild down the full-build path instead of the delta patch.
-	OpForceFull
 	// OpDelete applies one edge batch through ApplyDeletions.
 	OpDelete
 	// OpQuery runs a Δ-initialized user query.
@@ -71,16 +68,16 @@ const (
 	// snapshot's mirror mid-run — the history-eviction race, made
 	// deterministic.
 	OpEvict
-	// OpDenyRetain runs a query with Flat.Retain forced to fail, driving
-	// the reader down core's build-on-miss path: it evaluates over a
-	// private mirror it builds and frees.
+	// OpDenyRetain runs a query whose first Flat.Retain is forced to
+	// fail, driving the reader down core's retry path: it re-reads the
+	// latest entry and pins again.
 	OpDenyRetain
 
 	numOpKinds
 )
 
 // letters maps op kinds to their one-character encoding.
-var letters = [numOpKinds]string{"i", "F", "d", "q", "Q", "h", "c", "r", "e", "x"}
+var letters = [numOpKinds]string{"i", "d", "q", "Q", "h", "c", "r", "e", "x"}
 
 func (k OpKind) String() string {
 	if int(k) < len(letters) {
@@ -277,7 +274,7 @@ func (g *genState) nextOp() Op {
 	case r < 94:
 		return Op{Kind: OpDenyRetain, Problem: g.problem(), Source: g.source()}
 	default:
-		return g.insertOp(OpForceFull, 1+g.rng.Intn(g.n))
+		return g.insertOp(OpInsert, 1+g.rng.Intn(g.n))
 	}
 }
 
@@ -313,7 +310,7 @@ func Encode(s *Schedule) []byte {
 	for _, op := range s.Ops {
 		b.WriteString(op.Kind.String())
 		switch op.Kind {
-		case OpInsert, OpForceFull, OpDelete:
+		case OpInsert, OpDelete:
 			for _, e := range op.Edges {
 				fmt.Fprintf(&b, " %d-%d-%d", e.Src, e.Dst, e.W)
 			}
@@ -336,7 +333,9 @@ func Encode(s *Schedule) []byte {
 // endpoint pair — unordered on an undirected schedule, ordered on a
 // directed one — are dropped (the streaming graph is first-wins, so a
 // duplicate with a different weight would make the shuffle variant
-// order-sensitive for reasons that are not bugs).
+// order-sensitive for reasons that are not bugs). The letter F, which
+// named an insertion through a since-removed full-rebuild fault, decodes
+// as an insertion.
 func Decode(data []byte) (*Schedule, error) {
 	lines := strings.Split(string(data), "\n")
 	if len(lines) < 3 || strings.TrimSpace(lines[0]) != encodeHeader {
@@ -360,7 +359,7 @@ func Decode(data []byte) (*Schedule, error) {
 		}
 		s.Directed, body = d == 1, body[1:]
 	}
-	kindOf := make(map[string]OpKind, numOpKinds)
+	kindOf := map[string]OpKind{"F": OpInsert}
 	for k, l := range letters {
 		kindOf[l] = OpKind(k)
 	}
@@ -380,7 +379,7 @@ func Decode(data []byte) (*Schedule, error) {
 		}
 		op := Op{Kind: kind}
 		switch kind {
-		case OpInsert, OpForceFull, OpDelete:
+		case OpInsert, OpDelete:
 			if len(fields)-1 > maxBatch {
 				return nil, fmt.Errorf("check: batch larger than %d", maxBatch)
 			}

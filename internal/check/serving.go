@@ -106,7 +106,7 @@ func checkServing(ctx context.Context, s *Schedule, shards int) Verdict {
 
 func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 	switch op.Kind {
-	case OpInsert, OpForceFull, OpDelete:
+	case OpInsert, OpDelete:
 		rep := r.apply(ctx, r.sys, fmt.Sprintf("serving: op %d", i), op.Kind == OpDelete, op.Edges)
 		r.v.FramesDropped += rep.FramesDropped
 		r.drainAll(i, rep.Version)

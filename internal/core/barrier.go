@@ -1,17 +1,18 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"tripoline/internal/streamgraph"
 )
 
 // entry is one published version: the per-store version vector it pins
-// and a strong reference to each store's snapshot at exactly that vector.
-// Snapshots are purely functional, so holding S of them per retained
-// version costs a few pointers; mirrors are NOT pinned here — a query pins
-// its entry's mirrors once (pin), building its own copy of any that was
-// already retired.
+// and a strong reference to each store's snapshot at exactly that vector,
+// whose mirror it holds (Flat.Hold) while the barrier's ring retains it.
+// A mirror is the store, so a retained version costs O(E) bytes — the
+// arcs of its stores that later versions do not share — and a query pins
+// its entry's mirrors once (pin).
 type entry struct {
 	global uint64
 	vec    []uint64
@@ -50,8 +51,9 @@ func newBarrier(first *entry) *barrier {
 func (b *barrier) widen(capacity int) {
 	b.mu.Lock()
 	b.cap = max(capacity, 1)
-	b.trimLocked()
+	evicted := b.trimLocked()
 	b.mu.Unlock()
+	unhold(evicted)
 }
 
 // latest returns the newest published entry. Entries are immutable after
@@ -88,19 +90,36 @@ func (b *barrier) versions() []uint64 {
 }
 
 // publish appends a new entry (its version must exceed the newest) and
-// evicts the oldest entries beyond the ring capacity.
+// evicts the oldest entries beyond the ring capacity, dropping their
+// holds once the lock is released.
 func (b *barrier) publish(e *entry) {
 	b.mu.Lock()
 	b.entries = append(b.entries, e)
-	b.trimLocked()
+	evicted := b.trimLocked()
 	b.mu.Unlock()
+	unhold(evicted)
 }
 
-func (b *barrier) trimLocked() {
-	if drop := len(b.entries) - b.cap; drop > 0 {
-		// Clear the evicted slots so the snapshots they pinned can be
-		// collected even while the backing array is reused.
-		clear(b.entries[:drop])
-		b.entries = append(b.entries[:0], b.entries[drop:]...)
+// trimLocked evicts the oldest entries beyond the capacity and returns
+// them.
+func (b *barrier) trimLocked() []*entry {
+	drop := len(b.entries) - b.cap
+	if drop <= 0 {
+		return nil
+	}
+	evicted := slices.Clone(b.entries[:drop])
+	// Clear the evicted slots so the snapshots they held can be collected
+	// even while the backing array is reused.
+	clear(b.entries[:drop])
+	b.entries = append(b.entries[:0], b.entries[drop:]...)
+	return evicted
+}
+
+// unhold drops the holds of evicted entries on their mirrors.
+func unhold(evicted []*entry) {
+	for _, e := range evicted {
+		for _, snap := range e.snaps {
+			snap.Flatten().Unhold()
+		}
 	}
 }

@@ -47,33 +47,29 @@ func TestDeltaFlattenSmoke(t *testing.T) {
 	}
 }
 
-// TestSystemDeltaMirrorEquivalence runs the same batch/query sequence
-// through a delta-patching system and one whose every mirror is rebuilt in
-// full from the C-tree (Seam().SetForceFull) and requires identical query
-// results at every version — the end-to-end proof that delta-patched
+// TestSystemDeltaMirrorEquivalence runs a batch/query sequence through a
+// system whose mirrors are patched batch by batch and, at every version,
+// through a fresh system loaded with every edge so far in one batch, and
+// requires identical query results — the end-to-end proof that patched
 // mirrors are transparent.
 func TestSystemDeltaMirrorEquivalence(t *testing.T) {
-	build := func(forceFull bool) (*System, *rand.Rand) {
-		rng := rand.New(rand.NewSource(23))
-		g := streamgraph.FromEdges(512, deltaTestBatch(rng, 4000, 512), true)
-		g.Seam().SetForceFull(forceFull)
-		sys := NewSystem(g, 8)
+	enable := func(sys *System) *System {
 		for _, p := range []string{"BFS", "SSSP"} {
 			if err := sys.Enable(p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return sys, rng
+		return sys
 	}
-	delta, rngA := build(false)
-	full, rngB := build(true)
+	rng := rand.New(rand.NewSource(23))
+	edges := deltaTestBatch(rng, 4000, 512)
+	delta := enable(NewSystem(streamgraph.FromEdges(512, edges, true), 8))
 
 	for round := 0; round < 4; round++ {
-		// Same pseudo-random batch on both systems (same seed stream).
-		ba := deltaTestBatch(rngA, 60, 540)
-		bb := deltaTestBatch(rngB, 60, 540)
-		delta.ApplyBatch(ba)
-		full.ApplyBatch(bb)
+		batch := deltaTestBatch(rng, 60, 540)
+		edges = append(edges, batch...)
+		delta.ApplyBatch(batch)
+		full := enable(NewSystem(streamgraph.FromEdges(512, edges, true), 8))
 		for _, p := range []string{"BFS", "SSSP"} {
 			for _, u := range []graph.VertexID{0, 17, 311} {
 				ra, err := delta.Query(p, u)
@@ -90,7 +86,7 @@ func TestSystemDeltaMirrorEquivalence(t *testing.T) {
 				}
 				for x := range ra.Values {
 					if ra.Values[x] != rb.Values[x] {
-						t.Fatalf("round %d %s(%d): value[%d] = %d (delta mirror) vs %d (full rebuild)",
+						t.Fatalf("round %d %s(%d): value[%d] = %d (patched mirror) vs %d (one-batch load)",
 							round, p, u, x, ra.Values[x], rb.Values[x])
 					}
 				}
@@ -100,15 +96,12 @@ func TestSystemDeltaMirrorEquivalence(t *testing.T) {
 	if n := delta.stores[0].g.MirrorMetrics().DeltaBuilds.Value(); n < 4 {
 		t.Fatalf("delta system took the delta path %d times, want ≥ 4", n)
 	}
-	if n := full.stores[0].g.MirrorMetrics().DeltaBuilds.Value(); n != 0 {
-		t.Fatalf("force-full system took the delta path %d times", n)
-	}
 }
 
-// TestDeletionForcesFullRebuild checks the recovery policy: a deletion
-// rebuilds the mirror in full, and the next insertion resumes
-// delta-patching from the rebuilt mirror.
-func TestDeletionForcesFullRebuild(t *testing.T) {
+// TestDeletionPatchesMirror checks the deletion path: a deletion patches
+// the parent mirror with its arcs taken out — no full build — and the next
+// insertion patches on from it.
+func TestDeletionPatchesMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	seed := deltaTestBatch(rng, 1500, 128)
 	g := streamgraph.FromEdges(128, seed, true)
@@ -120,16 +113,20 @@ func TestDeletionForcesFullRebuild(t *testing.T) {
 	met := g.MirrorMetrics()
 	full, delta := met.FullBuilds.Value(), met.DeltaBuilds.Value()
 
+	before := g.Acquire().NumEdges()
 	sys.ApplyDeletions(seed[:10])
-	if met.FullBuilds.Value() != full+1 || met.DeltaBuilds.Value() != delta {
-		t.Fatalf("deletion: full %d->%d delta %d->%d, want exactly one more full build",
+	if met.FullBuilds.Value() != full || met.DeltaBuilds.Value() != delta+1 {
+		t.Fatalf("deletion: full %d->%d delta %d->%d, want exactly one more delta build",
 			full, met.FullBuilds.Value(), delta, met.DeltaBuilds.Value())
+	}
+	if got := g.Acquire().Flatten().NumEdges(); got >= before || got != g.Acquire().NumEdges() {
+		t.Fatalf("deletion: mirror holds %d arcs, snapshot %d, before %d", got, g.Acquire().NumEdges(), before)
 	}
 
 	sys.ApplyBatch(deltaTestBatch(rng, 20, 128))
-	if met.DeltaBuilds.Value() != delta+1 {
-		t.Fatalf("insertion after deletion: delta %d->%d, want resume on the delta path",
-			delta, met.DeltaBuilds.Value())
+	if met.DeltaBuilds.Value() != delta+2 {
+		t.Fatalf("insertion after deletion: delta %d->%d, want one more delta build",
+			delta+1, met.DeltaBuilds.Value())
 	}
 }
 
@@ -151,7 +148,7 @@ func TestHistoryTrimRecyclesMirrors(t *testing.T) {
 	if met.SlabPuts.Value() < 8 {
 		t.Fatalf("SlabPuts = %d, want ≥ 8 after five advances under a 2-deep history", met.SlabPuts.Value())
 	}
-	// Historical queries still work, mirrors retired or not.
+	// Historical queries still work: the ring holds their mirrors.
 	vs := sys.HistoryVersions()
 	if _, err := sys.QueryAt(vs[0], "BFS", 3); err != nil {
 		t.Fatal(err)

@@ -8,9 +8,8 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-// TestLedgerBuildOnMiss is the ledger half of TestBuildOnMiss: every
-// private mirror a missed pin built, at S=1 and at S=4, was released by
-// the reader that built it.
+// TestLedgerBuildOnMiss is the ledger half of TestBuildOnMiss: every pin
+// a reader took after a missed retain, at S=1 and at S=4, was released.
 func TestLedgerBuildOnMiss(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		streamgraph.LedgerReset()

@@ -27,27 +27,17 @@ type store struct {
 	cur *streamgraph.Snapshot
 }
 
-// apply applies one sub-batch and builds the new version's mirror (the
-// update view). After an insertion it is delta-patched from the current
-// version's — O(|changed| + Δdegree + memcpy) instead of a full O(V+E)
-// walk — or built in full when that one was never materialized
-// (FlattenFrom also falls back when the delta preconditions fail). After a
-// deletion that removed arcs it is rebuilt in full: deletions invalidate
-// span reuse (an unchanged vertex's span may alias arcs that no longer
-// exist downstream of it). A deletion that removed nothing builds no
-// mirror for a version nobody may ever evaluate over. apply returns the
-// snapshot it superseded, whose mirror the writer retires only once the
-// new entry is published.
+// apply applies one sub-batch, which publishes the new version with its
+// mirror patched from the current version's, and returns the snapshot it
+// superseded, whose mirror the writer retires only once the new entry is
+// published.
 func (st *store) apply(part []graph.Edge, deletions bool) (parent *streamgraph.Snapshot, changed []graph.VertexID) {
 	parent = st.cur
 	if deletions {
-		if st.cur, changed = st.g.DeleteEdges(part); len(changed) > 0 {
-			st.cur.Flatten()
-		}
-		return parent, changed
+		st.cur, changed = st.g.DeleteEdges(part)
+	} else {
+		st.cur, changed = st.g.InsertEdges(part)
 	}
-	st.cur, changed = st.g.InsertEdges(part)
-	st.cur.FlattenFrom(parent.BuiltFlat(), changed)
 	return parent, changed
 }
 
@@ -159,12 +149,12 @@ func (s *System) apply(batch []graph.Edge, deletions bool) BatchReport {
 // publish is the writer's exclusive window. Under the evaluator's lock it
 // publishes e, maintains every standing set and maintained answer onto it
 // and refreshes the subscriptions — so no reader pins e before the state
-// that bounds it — and only then retires the mirrors e superseded. A
+// that bounds it — and only then retires the snapshots e superseded. A
 // reader pins under the shared lock: one that pinned the entry before e
 // did so before this window, and its pins keep those mirrors alive until
-// it releases; any later one pins e. Retiring before publishing would let
-// a reader pin the still-latest entry with its mirrors already retired,
-// and build each of them privately.
+// it releases; any later one pins e. A superseded mirror recycles once
+// the history ring has evicted every entry that holds it and its readers
+// have released it.
 func (s *System) publish(e *entry, parents []*streamgraph.Snapshot, changed []graph.VertexID, resolved []graph.Edge, deletions bool) (rep BatchReport) {
 	s.ev.mu.Lock()
 	defer s.ev.mu.Unlock()
@@ -190,14 +180,18 @@ func (s *System) publish(e *entry, parents []*streamgraph.Snapshot, changed []gr
 	return rep
 }
 
-// newEntry builds a barrier entry, precomputing the vertex count and
-// growing the owner table to cover it. applied marks the stores the
+// newEntry builds a barrier entry, holding its snapshots' mirrors until
+// the history ring evicts it, precomputing the vertex count and growing
+// the owner table to cover it. applied marks the stores the
 // entry's mutation reached. Caller holds the apply token (or is
 // newSystem).
 func (s *System) newEntry(global uint64, vec []uint64, snaps []*streamgraph.Snapshot, applied []bool) *entry {
 	e := &entry{global: global, vec: vec, snaps: snaps, applied: applied}
 	for _, snap := range snaps {
 		e.n = max(e.n, snap.NumVertices())
+		// Every snapshot is its store's latest, whose mirror the store's
+		// graph holds, so the hold cannot fail.
+		snap.Flatten().Hold()
 	}
 	for v := len(s.owner); v < e.n; v++ {
 		s.owner = append(s.owner, uint8(s.ownerOf(graph.VertexID(v))))
@@ -257,7 +251,7 @@ func (s *System) split(arcs []graph.Edge) [][]graph.Edge {
 }
 
 // resolveDeletionWeights returns batch with each arc's weight replaced
-// by the weight entry e's stores hold for it, read off the C-tree of the
+// by the weight entry e's stores hold for it, read off the mirror of the
 // arc's tail's store. Deletion requests identify arcs by endpoints
 // (/v1/delete lets clients omit the weight), but the trimmed recovery's
 // witness test compares Relax(val(a), w) against val(b) using the deleted

@@ -273,8 +273,10 @@ func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 
 // EnableHistory retains up to capacity entries (minimum 1) for QueryAt,
 // the latest included: the evolving-graph analysis scenario of
-// Chronos/GraphTau (§7), nearly free because snapshots are purely
-// functional and an entry holds its snapshots only.
+// Chronos/GraphTau (§7). A retained entry holds its stores' mirrors, which
+// are the store, so each retained version costs O(E) bytes — the arcs of
+// every store its mutation reached — not the O(batch) a persistent tree
+// would share.
 func (s *System) EnableHistory(capacity int) {
 	s.histOn = true
 	s.bar.widen(capacity)
@@ -296,23 +298,33 @@ func (s *System) HistoryVersions() []uint64 {
 // latest version, so Δ-initialization is not valid against older ones (its
 // bounds could be too good: edges present now may be absent then). The
 // source must be in range for the queried version, which may have fewer
-// vertices than the latest. An older entry's mirrors were retired when the
-// next version's were built, so the query builds, evaluates over and frees
-// mirrors of its own (pin): a one-off O(V+E) build plus a flat run costs
-// less than the same run over the tree did for the weighted problems,
-// somewhat more for BFS (EXPERIMENTS.md "One adjacency path").
+// vertices than the latest. A retained entry holds its mirrors, so the
+// query pins them; should the entry be evicted between the lookup and the
+// pin, the lookup fails the next time round.
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
 	if !s.histOn {
 		return nil, fmt.Errorf("core: history not enabled: %w", ErrNoSuchVersion)
 	}
-	e, ok := s.bar.at(version)
-	if !ok {
-		return nil, fmt.Errorf("core: version %d not retained (have %v): %w",
-			version, s.bar.versions(), ErrNoSuchVersion)
+	view, release, err := s.pinAt(version)
+	if err != nil {
+		return nil, err
 	}
-	view, release := pin(e)
 	defer release()
 	return s.ev.QueryFull(ctx, problem, u, view)
+}
+
+// pinAt pins the retained entry with the given version.
+func (s *System) pinAt(version uint64) (View, func(), error) {
+	for {
+		e, ok := s.bar.at(version)
+		if !ok {
+			return nil, nil, fmt.Errorf("core: version %d not retained (have %v): %w",
+				version, s.bar.versions(), ErrNoSuchVersion)
+		}
+		if view, release, ok := pin(e); ok {
+			return view, release, nil
+		}
+	}
 }
 
 // NumVertices reports the vertex count of the latest version.

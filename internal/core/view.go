@@ -17,47 +17,62 @@ type View interface {
 	engine.Versioned
 }
 
-// pinMirror is the view contract's read side for one store, the one way a
-// reader gets a mirror to evaluate over: the C-tree snapshot is the store,
-// its flat mirror is what is evaluated, and a pin is retain-or-build. The
-// snapshot's shared mirror (built on first use) is retained so a writer
-// retiring it mid-query cannot recycle the slabs under the reader; when it
-// can no longer be retained — a later mutation retired and drained it —
-// the reader builds a mirror of its own, which the release frees. Either
-// way the view is exactly snap's version.
-func pinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, func()) {
-	if f := snap.Flatten(); f.Retain() {
-		return f, f.Release
-	}
-	f := snap.MaterializeFlat()
-	return f, f.Release
+// pinMirror pins snap's mirror for a reader, so that a writer retiring it
+// mid-query cannot recycle the slabs under the reader. It reports false
+// when the mirror can no longer be retained: every reference was dropped
+// — the entry that held it was evicted and later versions superseded it.
+func pinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, bool) {
+	f := snap.Flatten()
+	return f, f.Retain()
 }
 
 // pin pins entry e's mirrors once, for everything one query evaluates
-// over it, each under pinMirror's contract. The release drops every pin.
-func pin(e *entry) (View, func()) {
+// over it. The release drops every pin. ok is false, with nothing pinned,
+// when one of them can no longer be retained; the caller looks the entry
+// up again (pinLatest, QueryAtCtx).
+func pin(e *entry) (view View, release func(), ok bool) {
 	if len(e.snaps) == 1 {
-		view, release := pinMirror(e.snaps[0])
-		return view, release
+		f, ok := pinMirror(e.snaps[0])
+		if !ok {
+			return nil, nil, false
+		}
+		return f, f.Release, true
 	}
 	u := &union{e: e, views: make([]*streamgraph.Flat, len(e.snaps))}
-	releases := make([]func(), len(e.snaps))
-	for i, snap := range e.snaps {
-		u.views[i], releases[i] = pinMirror(snap)
+	release = func() {
+		for _, f := range u.views {
+			if f != nil {
+				f.Release()
+			}
+		}
 	}
-	return u, func() {
-		for _, release := range releases {
+	for i, snap := range e.snaps {
+		f, ok := pinMirror(snap)
+		if !ok {
 			release()
+			return nil, nil, false
+		}
+		u.views[i] = f
+	}
+	return u, release, true
+}
+
+// pinLatest is the System's Pin: the latest entry's view, pinned. An entry
+// holds its mirrors until the ring evicts it, so a retain fails only when
+// a later entry has been published meanwhile; the pin then re-reads the
+// latest entry and tries again. It never builds a mirror.
+func (s *System) pinLatest() (View, func()) {
+	for {
+		if view, release, ok := pin(s.bar.latest()); ok {
+			return view, release
 		}
 	}
 }
 
-// pinLatest is the System's Pin: the latest entry's view, pinned.
-func (s *System) pinLatest() (View, func()) { return pin(s.bar.latest()) }
-
 // current is the writer's view of the latest entry e, the counterpart of
-// pin: e's mirrors are the stores' own, retired only by a later mutation,
-// which needs the apply token the writer holds — so nothing is pinned.
+// pin: e's mirrors are the stores' latest, held by their graphs until a
+// later mutation, which needs the apply token the writer holds — so
+// nothing is pinned.
 // Over S>1 stores it carries the System's transposed union mirror.
 func (s *System) current(e *entry) View {
 	if len(e.snaps) == 1 {

@@ -53,10 +53,11 @@ func BenchmarkSnapshotEdgeTraversal(b *testing.B) {
 }
 
 // BenchmarkFlattenFromVsFull prices one mirror build per batch size: the
-// delta patch from the parent mirror (MaterializeFlatFrom) against a
-// full rebuild (MaterializeFlat) of the same snapshot. Every iteration
-// releases its mirror back to the recycler, so both paths measure
-// steady-state patch/walk work rather than page allocation.
+// patch that publishes a version — the parent mirror with the batch's
+// record merged in — against a full build of the same version, a load of
+// all its arcs into an empty mirror. Every iteration returns its slabs to
+// the recycler, so both paths measure steady-state patch work rather than
+// page allocation.
 func BenchmarkFlattenFromVsFull(b *testing.B) {
 	cfg := gen.Config{Name: "bench", LogN: 16, AvgDegree: 12, Directed: true, Seed: 6}
 	edges := gen.RMAT(cfg)
@@ -66,21 +67,26 @@ func BenchmarkFlattenFromVsFull(b *testing.B) {
 	for _, size := range []int{100, 1_000, 10_000, 100_000} {
 		g := FromEdges(cfg.N(), base, true)
 		prev := g.Acquire().Flatten()
-		snap2, changed := g.InsertEdges(tail[:size])
-		b.Run(fmt.Sprintf("delta/batch=%d", size), func(b *testing.B) {
+		snap, _ := g.InsertEdges(tail[:size])
+		rec, _ := snap.Flatten().InsertedArcs()
+		var all []graph.Edge
+		for v := range snap.NumVertices() {
+			snap.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
+				all = append(all, graph.Edge{Src: graph.VertexID(v), Dst: d, W: w})
+			})
+		}
+		empty := New(snap.NumVertices(), true).Acquire().Flatten()
+		sh := g.shared
+		build := func(b *testing.B, from *Flat, arcs []graph.Edge) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f := snap2.MaterializeFlatFrom(prev, changed)
-				f.Release()
+				offs, slab := patch(sh, from, snap.NumVertices(), arcs, false)
+				sh.rec.putOff(offs)
+				sh.rec.putArc(slab)
 			}
-		})
-		b.Run(fmt.Sprintf("full/batch=%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := snap2.MaterializeFlat()
-				f.Release()
-			}
-		})
+		}
+		b.Run(fmt.Sprintf("delta/batch=%d", size), func(b *testing.B) { build(b, prev, rec) })
+		b.Run(fmt.Sprintf("full/batch=%d", size), func(b *testing.B) { build(b, empty, all) })
 	}
 }
 

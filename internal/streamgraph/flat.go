@@ -5,43 +5,36 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tripoline/internal/ctree"
 	"tripoline/internal/graph"
 	"tripoline/internal/parallel"
 )
 
-// Flat is a packed CSR-style mirror of one snapshot: the out-edges of
-// vertex v are adj[off[v]:off[v+1]] with weights at the same positions
-// in wgt, sorted by destination (the C-tree iteration order). It exists
-// because Tripoline's workload is build-once, read-many: after a batch
-// lands, the same immutable snapshot is traversed by K standing-query
-// maintenance rounds plus every user query until the next batch, and a
-// flat slab turns each of those per-edge tree walks into an array scan.
-// Only a full build (Flatten) walks the tree: after an insertion the
-// mirror is the parent's with the batch's insertion record merged in
-// (FlattenFrom).
+// Flat is a packed CSR-style mirror of one version: the out-edges of
+// vertex v are adj[off[v]:off[v+1]] with weights at the same positions in
+// wgt, sorted by destination. It is the store: a Snapshot is its mirror,
+// which the writer builds when it publishes the version by patching the
+// parent's (patch), and the engine's ArcView, which kernels and standing
+// maintenance evaluate over.
 //
-// A Flat is the engine's ArcView: the C-tree snapshot is the versioned
-// store, its mirror is what kernels and standing maintenance evaluate
-// over. Its arrays are immutable while at least one reference is held; the slabs
-// backing them come from the graph's recycler and return there when the
-// last reference drops (see Retain/Release and Snapshot.RetireFlat), so
-// readers that outlive the snapshot's tenure as the latest version must
-// pin the mirror with Retain.
+// Its arrays are immutable while at least one reference is held. The
+// references are the snapshot's (dropped by Snapshot.RetireFlat), the
+// Graph's while the version is the latest, holders' (Hold) and readers'
+// pins (Retain); the slabs backing the arrays come from the graph's
+// recycler and return there when the last reference drops, so a reader
+// that may outlive the version's tenure as the latest must pin it.
 type Flat struct {
 	off     []int64
 	adj     []graph.VertexID
 	wgt     []graph.Weight
 	n       int
 	version uint64
-	// inserted/insertion are the snapshot's insertion record (see
+	// inserted/insertion are the version's insertion record (see
 	// InsertedArcs).
 	inserted  []graph.Edge
 	insertion bool
 
 	// shared/offs/arcs tie the mirror to the recycler that owns its
-	// backing slabs; refs counts the owner (the snapshot, dropped by
-	// RetireFlat) plus any pinned readers.
+	// backing slabs; refs counts the references.
 	shared *flatShared
 	offs   *offSlab
 	arcs   *arcSlab
@@ -54,161 +47,39 @@ type Flat struct {
 	t   *Flat
 }
 
-// flattenGrain is the vertex-chunk size used when filling the slab in
-// parallel; with power-law degrees the dynamic chunk scheduler evens
-// out the skew.
+// flattenGrain is the vertex-chunk size used when patching in parallel;
+// with power-law degrees the dynamic chunk scheduler evens out the skew.
 const flattenGrain = 256
 
-// Flatten materializes (once) and returns the flat-adjacency mirror of
-// this snapshot via a full build. The first caller pays the build; every
-// subsequent caller on the same snapshot gets the cached slab. Safe for
-// concurrent use.
-func (s *Snapshot) Flatten() *Flat {
-	s.flatOnce.Do(func() {
-		s.flat = buildFlat(s)
-		s.flatBuilt.Store(true)
-	})
-	return s.flat
-}
+// Flatten returns the snapshot's mirror, built when the version was
+// published. Safe for concurrent use.
+func (s *Snapshot) Flatten() *Flat { return s.flat }
 
-// FlattenFrom materializes (once) the snapshot's mirror by delta-patching
-// the parent version's mirror: the batch's insertion record is merged into
-// it — each changed source's span is its parent span merged with the
-// source's run of the record, every other span is bulk-copied from prev's
-// slab — O(|record| + memcpy) instead of O(V+E), and the C-tree is not
-// read. changed must be the source list InsertEdges returned for the batch
-// that produced this snapshot. When the delta preconditions do not hold
-// (nil prev, version gap, shrunken vertex range, an arc count the record
-// does not account for, a changed list that is not the record's sources)
-// it falls back to a full build, so the result is always correct. prev
-// must stay retained until the call returns; the caller typically retires
-// it afterwards (core does, once the new version is published). A delta
-// patch also takes over prev's transposed mirror, if built (see
-// Transposed), and patches the new mirror's from it.
-//
-// Like Flatten, the build happens at most once per snapshot; a later
-// Flatten/FlattenFrom call returns the cached mirror regardless of which
-// path built it.
-func (s *Snapshot) FlattenFrom(prev *Flat, changed []graph.VertexID) *Flat {
-	s.flatOnce.Do(func() {
-		s.flat = buildFlatDelta(s, prev, changed)
-		s.flatBuilt.Store(true)
-	})
-	return s.flat
-}
+// FlattenFrom returns the snapshot's mirror, like Flatten: the writer
+// patched it from the parent's when it published the version, so prev and
+// changed are not consulted. It is kept for callers written against a
+// store whose mirrors were built on demand.
+func (s *Snapshot) FlattenFrom(prev *Flat, changed []graph.VertexID) *Flat { return s.flat }
 
-// BuiltFlat returns the snapshot's mirror if it has been materialized
-// and not yet retired, else nil. It never triggers a build — this is
-// how core decides whether the next version can delta-patch.
+// BuiltFlat returns the snapshot's mirror unless RetireFlat dropped the
+// snapshot's reference, else nil.
 func (s *Snapshot) BuiltFlat() *Flat {
-	if s.flatBuilt.Load() && !s.flatRetired.Load() {
-		return s.flat
+	if s.retired.Load() {
+		return nil
 	}
-	return nil
+	return s.flat
 }
 
-// RetireFlat drops the snapshot's owner reference on its mirror, letting
-// the backing slabs recycle once pinned readers release theirs. It is
-// idempotent and a no-op when no mirror was ever built; core's writer
-// calls it once the version that superseded the snapshot is published.
+// RetireFlat drops the snapshot's reference on its mirror, letting the
+// backing slabs recycle once the Graph, holders and pinned readers have
+// dropped theirs. It is idempotent; core's writer calls it once the
+// version that superseded the snapshot is published. A snapshot nobody
+// retires keeps its mirror readable for as long as it is referenced.
 func (s *Snapshot) RetireFlat() {
-	if !s.flatBuilt.Load() {
-		return
-	}
-	if s.flatRetired.CompareAndSwap(false, true) {
+	if s.retired.CompareAndSwap(false, true) {
 		ledgerRetire(s.flat)
 		s.flat.Release()
 	}
-}
-
-// MaterializeFlat builds a fresh, uncached mirror of the snapshot (full
-// walk). The caller owns the sole reference and must Release it: a reader
-// that could not retain the shared mirror evaluates over one of these
-// (core's pin contract), and benchmarks use it to measure builds without
-// the per-snapshot cache getting in the way.
-func (s *Snapshot) MaterializeFlat() *Flat {
-	f := buildFlat(s)
-	ledgerPrivate(f)
-	return f
-}
-
-// MaterializeFlatFrom is FlattenFrom without the per-snapshot cache: it
-// builds a fresh mirror (delta-patched when the preconditions hold, full
-// otherwise) that the caller owns and must Release.
-func (s *Snapshot) MaterializeFlatFrom(prev *Flat, changed []graph.VertexID) *Flat {
-	f := buildFlatDelta(s, prev, changed)
-	ledgerPrivate(f)
-	return f
-}
-
-// buildFlatDelta delta-patches prev into s's mirror when the preconditions
-// hold and the seam does not force the full path, else builds in full.
-func buildFlatDelta(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
-	if deltaPatchable(s, prev, changed) && !s.fs().seam.forceFull.Load() {
-		return buildFlatFrom(s, prev, changed)
-	}
-	return buildFlat(s)
-}
-
-// deltaPatchable reports whether prev's spans can seed this snapshot's
-// mirror: prev must mirror the immediate parent version (skipped versions
-// invalidate span reuse), the vertex range must not have shrunk, the arc
-// count must be prev's plus the insertion record's (a deletion that
-// removed arcs fails this — those rebuild in full, matching the standing
-// Rebuild recovery policy), and changed must be exactly the record's
-// distinct sources in order (the contract of InsertEdges, verified in
-// O(|record|)): a list that disagrees means the caller paired the
-// snapshot with some other batch's sources, and its patch is not trusted.
-func deltaPatchable(s *Snapshot, prev *Flat, changed []graph.VertexID) bool {
-	if prev == nil || prev.version+1 != s.version || prev.n > s.n || s.m != prev.off[prev.n]+int64(len(s.inserted)) {
-		return false
-	}
-	j := 0
-	for i, a := range s.inserted {
-		if i > 0 && a.Src == s.inserted[i-1].Src {
-			continue
-		}
-		if j == len(changed) || changed[j] != a.Src {
-			return false
-		}
-		j++
-	}
-	return j == len(changed)
-}
-
-func buildFlat(s *Snapshot) *Flat {
-	sh := s.fs()
-	met := sh.metrics()
-	n := s.n
-
-	offs := sh.takeOff(int64(n) + 1)
-	off := offs.off[:n+1]
-	off[0] = 0 // recycled slabs carry stale data
-	parallel.For(n, func(v int) {
-		off[v+1] = int64(s.table.Get(v).Size())
-	})
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-
-	arcs := sh.takeArc(off[n])
-	adj := arcs.adj[:off[n]]
-	wgt := arcs.wgt[:off[n]]
-	parallel.ForRange(n, flattenGrain, func(start, end int) {
-		for v := start; v < end; v++ {
-			i := off[v]
-			s.table.Get(v).ForEach(func(e uint64) {
-				adj[i], wgt[i] = ctree.Key(e), ctree.Payload(e)
-				i++
-			})
-		}
-	})
-
-	met.FullBuilds.Inc()
-	met.WalkedBytes.Add(mirrorBytes(off[n], int64(n)))
-	f := newMirror(sh, offs, arcs, n, s.version, s.inserted, s.insertion)
-	ledgerBuilt(f)
-	return f
 }
 
 // newMirror assembles a mirror of n vertices over slabs whose off table is
@@ -244,75 +115,50 @@ func chunked(spans []span, lo, hi int, shift int64, grain int) []span {
 	return spans
 }
 
-// buildFlatFrom builds the snapshot's mirror from the parent version's.
-// Preconditions (deltaPatchable): prev mirrors version s.version-1 with
-// prev.n ≤ s.n, and changed is the distinct sources of the insertion
-// record between them. patch merges the record into prev's spans. A parent
-// that holds its transposed mirror hands it over, and the child's is
-// patched from it in the same build.
-func buildFlatFrom(s *Snapshot, prev *Flat, changed []graph.VertexID) *Flat {
-	sh := s.fs()
-	met := sh.metrics()
-	offs, arcs := patch(sh, prev, s.n, s.inserted)
-
-	// The record's arcs are the walked bytes; every parent arc, copied
-	// with its run or merged into a changed span, is a copied one.
-	added := int64(len(s.inserted))
-	met.DeltaBuilds.Inc()
-	met.WalkedBytes.Add(added * arcBytes)
-	met.CopiedBytes.Add((offs.off[s.n]-added)*arcBytes + int64(prev.n+1)*offEntryBytes)
-
-	f := newMirror(sh, offs, arcs, s.n, s.version, s.inserted, s.insertion)
-	ledgerBuilt(f)
-	if pt := prev.takeTransposed(); pt != nil {
-		if s.insertion {
-			f.t = transposeFrom(sh, f, pt)
-		}
-		pt.Release()
-	}
-	if sh.seam.skewDelta.Load() {
-		skewFlat(f, changed)
-	}
-	return f
-}
-
-// patch lays out the mirror over n ≥ prev.n vertices that holds prev's
-// arcs plus rec's, which is sorted by source and then destination, shares
-// no arc with prev, and has every source below n. A head — a source of
-// rec — gets its parent span merged with its run of rec; a vertex at or
+// patch lays out the mirror over n vertices that holds prev's arcs plus
+// rec's — or, with out set, prev's arcs less rec's. rec is sorted by
+// source and then destination and has every source below n; merged in, it
+// shares no arc with prev, and n ≥ prev.n; taken out, every arc of it is
+// prev's, and n = prev.n. A head — a source of rec — gets its parent span
+// merged with its run of rec, or with the run taken out; a vertex at or
 // past prev.n has an empty parent span. It returns the slabs, with the off
-// table filled. Both directions use it: the forward mirror with the
-// snapshot's record, the transpose with that record reversed. The cost is
-// O(|rec| + n - prev.n) plus one copy of the parent's off table and spans:
+// table filled. Every publish of either direction uses it: the forward
+// mirror with the batch's record, the transpose with that record reversed.
+// The cost is O(|rec| + n - prev.n) plus one copy of the parent's off
+// table and spans:
 //
 //  1. the off table is the parent's plus a per-segment constant shift —
 //     every index between two consecutive heads shares one shift, the
-//     length of the runs before it, so segments rewrite in parallel;
-//     growth entries extend it;
+//     length of the runs before it, added or taken away, so segments
+//     rewrite in parallel; growth entries extend it;
 //  2. unchanged vertex runs bulk-copy their spans (adj and wgt) straight
 //     out of the parent slab;
-//  3. each head's span is the merge of its parent span and its run, in
-//     parallel.
-func patch(sh *flatShared, prev *Flat, n int, rec []graph.Edge) (*offSlab, *arcSlab) {
+//  3. each head's span is its parent span merged with its run, or with
+//     the run taken out, in parallel.
+func patch(sh *flatShared, prev *Flat, n int, rec []graph.Edge, out bool) (*offSlab, *arcSlab) {
 	oldN := prev.n
 	heads, runs := sourceRuns(rec)
 	cut := sort.Search(len(heads), func(i int) bool { return int(heads[i]) >= oldN })
 	chg := heads[:cut]
+	sign := int64(1)
+	if out {
+		sign = -1
+	}
 
 	offs := sh.takeOff(int64(n) + 1)
 	off := offs.off[:n+1]
 
 	// Segment i covers off indices (chg[i-1], chg[i]], shifted by the arcs
-	// the runs before chg[i] add — runs[i] — expressed half-open as
-	// [prevIdx, chg[i]+1). The trailing segment runs to oldN+1 with every
-	// run below oldN.
+	// the runs before chg[i] add or remove — runs[i] — expressed half-open
+	// as [prevIdx, chg[i]+1). The trailing segment runs to oldN+1 with
+	// every run below oldN.
 	offSpans := make([]span, 0, len(chg)+1+(oldN+1)/flattenGrain)
 	prevIdx := 0
 	for i, c := range chg {
-		offSpans = chunked(offSpans, prevIdx, int(c)+1, int64(runs[i]), flattenGrain)
+		offSpans = chunked(offSpans, prevIdx, int(c)+1, sign*int64(runs[i]), flattenGrain)
 		prevIdx = int(c) + 1
 	}
-	offSpans = chunked(offSpans, prevIdx, oldN+1, int64(runs[cut]), flattenGrain)
+	offSpans = chunked(offSpans, prevIdx, oldN+1, sign*int64(runs[cut]), flattenGrain)
 	parallel.For(len(offSpans), func(i int) {
 		sp := offSpans[i]
 		for t := sp.lo; t < sp.hi; t++ {
@@ -361,22 +207,30 @@ func patch(sh *flatShared, prev *Flat, n int, rec []graph.Edge) (*offSlab, *arcS
 			dsts, ws = prev.OutSpan(h)
 		}
 		lo, hi := off[h], off[h+1]
-		mergeRun(adj[lo:hi], wgt[lo:hi], dsts, ws, rec[runs[i]:runs[i+1]])
+		mergeRun(adj[lo:hi], wgt[lo:hi], dsts, ws, rec[runs[i]:runs[i+1]], out)
 	})
 	return offs, arcs
 }
 
-// mergeRun writes the span (dsts, ws) and the arcs of run — both sorted
-// by destination, sharing none — into adj and wgt in destination order.
-func mergeRun(adj []graph.VertexID, wgt []graph.Weight, dsts []graph.VertexID, ws []graph.Weight, run []graph.Edge) {
+// mergeRun writes the span (dsts, ws) merged with the arcs of run, or
+// with them taken out, into adj and wgt in destination order. Both are
+// sorted by destination; merged in, they share no destination, and taken
+// out, every destination of run is in dsts.
+func mergeRun(adj []graph.VertexID, wgt []graph.Weight, dsts []graph.VertexID, ws []graph.Weight, run []graph.Edge, out bool) {
 	i, j := 0, 0
-	for k := range adj {
-		if j == len(run) || (i < len(dsts) && dsts[i] < run[j].Dst) {
+	for k := 0; k < len(adj); {
+		switch {
+		case j == len(run) || (i < len(dsts) && dsts[i] < run[j].Dst):
 			adj[k], wgt[k] = dsts[i], ws[i]
 			i++
-		} else {
+			k++
+		case out:
+			i++
+			j++
+		default:
 			adj[k], wgt[k] = run[j].Dst, run[j].W
 			j++
+			k++
 		}
 	}
 }
@@ -388,31 +242,53 @@ const (
 	offEntryBytes = 8
 )
 
-// mirrorBytes is the byte size of a full mirror with m arcs over n
-// vertices.
-func mirrorBytes(m, n int64) int64 { return m*arcBytes + (n+1)*offEntryBytes }
-
 // Retain pins the mirror for a reader, preventing its slabs from being
 // recycled until the matching Release. It reports false when the last
 // reference is already gone (the mirror was retired and drained), in
 // which case the caller must re-acquire a current snapshot instead.
 func (f *Flat) Retain() bool {
-	if f.shared != nil && f.shared.seam.denyRetain.Load() {
+	if sh := f.shared; sh != nil && sh.seam.denyRetain.Load() && sh.seam.denyRetain.CompareAndSwap(true, false) {
 		return false
 	}
+	if !f.acquire() {
+		return false
+	}
+	ledgerRetain(f)
+	return true
+}
+
+// acquire adds a reference unless the last one is already gone.
+func (f *Flat) acquire() bool {
 	for {
 		old := f.refs.Load()
 		if old < 1 {
 			return false
 		}
 		if f.refs.CompareAndSwap(old, old+1) {
-			ledgerRetain(f)
 			return true
 		}
 	}
 }
 
-// Release drops one reference (a reader's pin, or the owner's via
+// Hold adds a holder's reference, for a structure that keeps the mirror
+// for as long as it keeps the version (core's history ring), until the
+// matching Unhold. Unlike Retain it is not a reader's pin: it must be
+// taken while another reference is known to be held, and panics
+// otherwise.
+func (f *Flat) Hold() {
+	if !f.acquire() {
+		panic("streamgraph: Hold on a drained mirror")
+	}
+	ledgerHold(f)
+}
+
+// Unhold drops a reference taken by Hold.
+func (f *Flat) Unhold() {
+	ledgerUnhold(f)
+	f.Release()
+}
+
+// Release drops one reference (a reader's pin, or the snapshot's via
 // Snapshot.RetireFlat). The last release returns the backing slabs to
 // the recycler and poisons the mirror's slices.
 func (f *Flat) Release() {
@@ -463,10 +339,10 @@ func (f *Flat) Version() uint64 { return f.version }
 // InsertedArcs returns the arcs by which this version differs from the
 // one before it, when InsertEdges published it: every arc the batch
 // stored, at the weight the graph holds for it, sorted by source and then
-// destination, with the mirrored arcs on undirected graphs. Arcs the batch offered but first-wins
-// insertion skipped (present already, or repeated within the batch) are
-// not in it. ok is false on the initial snapshot and on one published by
-// DeleteEdges. The slice aliases the mirror and must not be modified.
+// destination, with the mirrored arcs on undirected graphs. Arcs the
+// batch offered but first-wins insertion skipped (present already, or
+// repeated within the batch) are not in it. ok is false on the initial
+// snapshot and on one published by DeleteEdges. The slice aliases the mirror and must not be modified.
 // Together with Version this is the engine's ArcDelta view.
 func (f *Flat) InsertedArcs() (arcs []graph.Edge, ok bool) {
 	return f.inserted, f.insertion

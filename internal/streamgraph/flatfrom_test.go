@@ -2,6 +2,7 @@ package streamgraph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -63,11 +64,12 @@ func requireTransposeOf(t *testing.T, label string, tr *Flat, snap *Snapshot) {
 		}
 	}
 	rec, ok := tr.InsertedArcs()
-	if ok != snap.insertion {
-		t.Fatalf("%s: transpose records an insertion: %v, the snapshot: %v", label, ok, snap.insertion)
+	fwd, insertion := snap.flat.InsertedArcs()
+	if ok != insertion {
+		t.Fatalf("%s: transpose records an insertion: %v, the snapshot: %v", label, ok, insertion)
 	}
-	wantRec := make([]graph.Edge, 0, len(snap.inserted))
-	for _, a := range snap.inserted {
+	wantRec := make([]graph.Edge, 0, len(fwd))
+	for _, a := range fwd {
 		wantRec = append(wantRec, graph.Edge{Src: a.Dst, Dst: a.Src, W: a.W})
 	}
 	sort.Slice(wantRec, func(i, j int) bool {
@@ -100,10 +102,118 @@ func randomBatch(rng *rand.Rand, sz, idRange int) []graph.Edge {
 	return batch
 }
 
-// TestFlattenFromEquivalence chains delta-patched mirrors across a
-// random batch sequence — mixed sizes, duplicate arcs, empty batches,
-// vertex-range growth — and checks each one against a fresh full build
-// of the same snapshot.
+// model is the map a mirror chain is held to: the arcs of one version with
+// their weights, and its vertex count.
+type model struct {
+	directed bool
+	n        int
+	arcs     map[[2]graph.VertexID]graph.Weight
+}
+
+func newModel(n int, directed bool) *model {
+	return &model{directed: directed, n: n, arcs: map[[2]graph.VertexID]graph.Weight{}}
+}
+
+// offers lists a batch's arcs in offer order, each edge followed by its
+// mirror on an undirected graph.
+func (m *model) offers(batch []graph.Edge) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range batch {
+		out = append(out, e)
+		if !m.directed {
+			out = append(out, graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W})
+		}
+	}
+	return out
+}
+
+// insert applies a batch first-wins and returns the arcs it stored,
+// sorted by source and then destination.
+func (m *model) insert(batch []graph.Edge) []graph.Edge {
+	var rec []graph.Edge
+	for _, a := range m.offers(batch) {
+		m.n = max(m.n, int(a.Src)+1, int(a.Dst)+1)
+		if _, ok := m.arcs[[2]graph.VertexID{a.Src, a.Dst}]; !ok {
+			m.arcs[[2]graph.VertexID{a.Src, a.Dst}] = a.W
+			rec = append(rec, a)
+		}
+	}
+	graph.SortArcs(rec)
+	return rec
+}
+
+// remove applies a deletion batch.
+func (m *model) remove(batch []graph.Edge) {
+	for _, a := range m.offers(batch) {
+		delete(m.arcs, [2]graph.VertexID{a.Src, a.Dst})
+	}
+}
+
+// clone copies the model, for a version kept to be re-read later.
+func (m *model) clone() *model {
+	c := newModel(m.n, m.directed)
+	for k, w := range m.arcs {
+		c.arcs[k] = w
+	}
+	return c
+}
+
+// requireModel asserts f holds exactly the model's arcs: its vertex and
+// arc counts, every span sorted and at the model's weights, and HasEdge on
+// snap (when given) agreeing with the model on every arc and on absent
+// pairs.
+func requireModel(t *testing.T, label string, f *Flat, snap *Snapshot, m *model) {
+	t.Helper()
+	if f.n != m.n || f.NumEdges() != int64(len(m.arcs)) {
+		t.Fatalf("%s: mirror has %d vertices and %d arcs, want %d and %d", label, f.n, f.NumEdges(), m.n, len(m.arcs))
+	}
+	if snap != nil && (snap.NumVertices() != m.n || snap.NumEdges() != int64(len(m.arcs))) {
+		t.Fatalf("%s: snapshot has %d vertices and %d arcs, want %d and %d", label, snap.NumVertices(), snap.NumEdges(), m.n, len(m.arcs))
+	}
+	for v := 0; v < f.n; v++ {
+		dsts, ws := f.OutSpan(graph.VertexID(v))
+		for i, d := range dsts {
+			if i > 0 && dsts[i-1] >= d {
+				t.Fatalf("%s: span of %d not strictly sorted: %v", label, v, dsts)
+			}
+			if w, ok := m.arcs[[2]graph.VertexID{graph.VertexID(v), d}]; !ok || w != ws[i] {
+				t.Fatalf("%s: arc %d→%d at w%d, model has it: %v at w%d", label, v, d, ws[i], ok, w)
+			}
+		}
+	}
+	if snap == nil {
+		return
+	}
+	for k, w := range m.arcs {
+		if got, ok := snap.HasEdge(k[0], k[1]); !ok || got != w {
+			t.Fatalf("%s: HasEdge(%d, %d) = w%d, %v; want w%d", label, k[0], k[1], got, ok, w)
+		}
+		if _, ok := m.arcs[[2]graph.VertexID{k[1], k[0]}]; !ok {
+			if _, ok := snap.HasEdge(k[1], k[0]); ok {
+				t.Fatalf("%s: HasEdge(%d, %d) finds an arc the model lacks", label, k[1], k[0])
+			}
+		}
+	}
+}
+
+// requireRecord asserts a mirror's insertion record.
+func requireRecord(t *testing.T, label string, f *Flat, want []graph.Edge, ok bool) {
+	t.Helper()
+	got, gotOK := f.InsertedArcs()
+	if gotOK != ok || len(got) != len(want) {
+		t.Fatalf("%s: record %v (ok=%v), want %v (ok=%v)", label, got, gotOK, want, ok)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %v, want %v", label, got, want)
+		}
+	}
+}
+
+// TestFlattenFromEquivalence chains patched mirrors across a random batch
+// sequence — mixed sizes, duplicate arcs, empty batches, vertex-range
+// growth — and holds each one to the map model. FlattenFrom, whatever
+// parent it is handed, returns the mirror the writer published.
 func TestFlattenFromEquivalence(t *testing.T) {
 	sizes := []int{0, 1, 7, 50, 300, 0, 25}
 	for _, directed := range []bool{true, false} {
@@ -114,29 +224,25 @@ func TestFlattenFromEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			g := New(64, directed)
-			prev := g.Acquire().MaterializeFlat()
+			m := newModel(64, directed)
 			idRange := 64
 			for round, sz := range sizes {
 				idRange += 37 // every non-empty batch can grow the vertex range
-				snap, changed := g.InsertEdges(randomBatch(rng, sz, idRange))
-				cur := snap.MaterializeFlatFrom(prev, changed)
-				fresh := snap.MaterializeFlat()
-				if sz > 0 && round > 0 {
-					// A real insertion must have taken the delta path: its
-					// off table depends on prev's, which a full build never
-					// reads. Spot-check via the byte counters instead of
-					// instrumenting the call: copied bytes only move on the
-					// delta path.
-					if g.MirrorMetrics().DeltaBuilds.Value() == 0 {
-						t.Fatalf("round %d: delta path never taken", round)
-					}
+				prev := g.Acquire()
+				batch := randomBatch(rng, sz, idRange)
+				snap, changed := g.InsertEdges(batch)
+				rec := m.insert(batch)
+				cur := snap.FlattenFrom(prev.BuiltFlat(), changed)
+				prev.RetireFlat()
+				if cur != snap.Flatten() {
+					t.Fatalf("round %d: FlattenFrom and Flatten disagree", round)
 				}
-				requireSameFlat(t, name, cur, fresh)
-				fresh.Release()
-				prev.Release()
-				prev = cur
+				if prev.NumEdges() > 0 && g.MirrorMetrics().DeltaBuilds.Value() == 0 {
+					t.Fatalf("round %d: delta path never taken", round)
+				}
+				requireModel(t, name, cur, snap, m)
+				requireRecord(t, name, cur, rec, true)
 			}
-			prev.Release()
 		})
 	}
 }
@@ -146,9 +252,9 @@ func TestFlattenFromEquivalence(t *testing.T) {
 // batch at different weights (the first wins), stored arcs offered again
 // at new weights (the stored weight stays), vertex growth with and without
 // arcs, a batch that stores nothing — on directed and undirected graphs.
-// Every merged mirror must equal a full build bit for bit, its patched
-// transpose a fresh TransposeFrom, and the byte counters must count the
-// record as walked and every parent arc as copied.
+// Every merged mirror must hold the model's arcs and record, its patched
+// transpose must equal a fresh TransposeFrom, and the byte counters must
+// count the record as walked and every parent arc as copied.
 func TestFlattenFromMergesRecord(t *testing.T) {
 	batches := [][]graph.Edge{
 		{{Src: 5, Dst: 9, W: 3}, {Src: 5, Dst: 2, W: 4}, {Src: 1, Dst: 7, W: 2}, {Src: 9, Dst: 5, W: 8}},
@@ -160,41 +266,39 @@ func TestFlattenFromMergesRecord(t *testing.T) {
 	}
 	for _, directed := range []bool{true, false} {
 		g := New(16, directed)
-		prev := g.Acquire().MaterializeFlat()
-		prev.Transposed()
+		m := newModel(16, directed)
+		g.Acquire().Flatten().Transposed()
 		for step, batch := range batches {
-			snap, changed := g.InsertEdges(batch)
+			prev := g.Acquire().Flatten()
 			mm := g.MirrorMetrics()
 			walked, copied := mm.WalkedBytes.Value(), mm.CopiedBytes.Value()
-			cur := snap.MaterializeFlatFrom(prev, changed)
-			rec, _ := cur.InsertedArcs()
+			snap, _ := g.InsertEdges(batch)
+			cur := snap.Flatten()
+			rec := m.insert(batch)
+			label := fmt.Sprintf("directed=%v step %d", directed, step)
 			if got, want := mm.WalkedBytes.Value()-walked, int64(len(rec))*arcBytes; got != want {
-				t.Fatalf("directed=%v step %d: walked %d bytes, want %d (the record)", directed, step, got, want)
+				t.Fatalf("%s: walked %d bytes, want %d (the record)", label, got, want)
 			}
-			if got, want := mm.CopiedBytes.Value()-copied, (prev.NumEdges())*arcBytes+int64(prev.n+1)*offEntryBytes; got != want {
-				t.Fatalf("directed=%v step %d: copied %d bytes, want %d (every parent arc and offset)", directed, step, got, want)
+			if got, want := mm.CopiedBytes.Value()-copied, prev.NumEdges()*arcBytes+int64(prev.n+1)*offEntryBytes; got != want {
+				t.Fatalf("%s: copied %d bytes, want %d (every parent arc and offset)", label, got, want)
 			}
-			fresh := snap.MaterializeFlat()
-			requireSameFlat(t, "merged", cur, fresh)
+			requireModel(t, label, cur, snap, m)
+			requireRecord(t, label, cur, rec, true)
 			if cur.t == nil {
-				t.Fatalf("directed=%v step %d: the transpose was not patched", directed, step)
+				t.Fatalf("%s: the transpose was not patched", label)
 			}
-			freshT := TransposeFrom(fresh, nil)
+			freshT := TransposeFrom(cur, nil)
 			requireSameFlat(t, "merged transpose", cur.t, freshT)
 			freshT.Release()
-			fresh.Release()
-			prev.Release()
-			prev = cur
 		}
-		prev.Release()
 	}
 }
 
 // TestTransposedFollowsFlattenFrom carries a transposed mirror down a
-// FlattenFrom chain — RMAT batches full of repeats that first-wins drops,
+// mirror chain — RMAT batches full of repeats that first-wins drops,
 // stored arcs offered again at new weights, vertex-range growth, and a
-// deletion, after which it is rebuilt — and holds it to a from-scratch
-// transpose after every step. Each insertion must have patched it from the
+// deletion — and holds it to a from-scratch transpose after every step.
+// Each step, the deletion included, must have patched it from the
 // parent's rather than left it to be rebuilt.
 func TestTransposedFollowsFlattenFrom(t *testing.T) {
 	cfg := gen.Config{LogN: 7, AvgDegree: 12, Directed: true, Seed: 9}
@@ -225,7 +329,7 @@ func TestTransposedFollowsFlattenFrom(t *testing.T) {
 		}
 		var changed []graph.VertexID
 		label := "insertion"
-		if step == 6 {
+		if step == 5 || step == 6 {
 			label = "deletion"
 			snap, changed = g.DeleteEdges(batch)
 		} else {
@@ -233,105 +337,105 @@ func TestTransposedFollowsFlattenFrom(t *testing.T) {
 		}
 		f := snap.FlattenFrom(prev.BuiltFlat(), changed)
 		prev.RetireFlat()
-		if patched := f.t != nil; patched != snap.insertion {
-			t.Fatalf("step %d (%s): transpose patched = %v", step, label, patched)
+		if f.t == nil {
+			t.Fatalf("step %d (%s): the transpose was not patched", step, label)
 		}
 		requireTransposeOf(t, label, f.Transposed().(*Flat), snap)
 	}
 	snap.RetireFlat()
 }
 
-// TestFlattenFromFallback checks every precondition that must force a
-// full rebuild — and that the result is correct either way.
+// TestFlattenFromFallback: FlattenFrom no longer has a fallback to take —
+// whatever parent and changed list it is handed (none, a version too old,
+// unsorted, out of range, short or long), it returns the mirror the writer
+// published, which holds exactly the version's arcs, and no call builds
+// anything.
 func TestFlattenFromFallback(t *testing.T) {
 	g := New(16, true)
-	snap0 := g.Acquire()
-	f0 := snap0.MaterializeFlat()
-	defer f0.Release()
+	m := newModel(16, true)
+	f0 := g.Acquire().Flatten()
+	b1 := []graph.Edge{{Src: 1, Dst: 2, W: 5}, {Src: 3, Dst: 4, W: 7}}
+	snap1, changed1 := g.InsertEdges(b1)
+	m.insert(b1)
+	m1 := m.clone()
+	b2 := []graph.Edge{{Src: 2, Dst: 3, W: 9}}
+	snap2, _ := g.InsertEdges(b2)
+	m.insert(b2)
+	f1 := snap1.Flatten()
 
-	snap1, changed1 := g.InsertEdges([]graph.Edge{{Src: 1, Dst: 2, W: 5}, {Src: 3, Dst: 4, W: 7}})
-	snap2, _ := g.InsertEdges([]graph.Edge{{Src: 2, Dst: 3, W: 9}})
-
-	before := g.MirrorMetrics().FullBuilds.Value()
-
-	// nil prev.
-	if deltaPatchable(snap1, nil, changed1) {
-		t.Fatal("nil prev must not be delta-patchable")
+	met := g.MirrorMetrics()
+	full, delta := met.FullBuilds.Value(), met.DeltaBuilds.Value()
+	for _, c := range []struct {
+		label   string
+		snap    *Snapshot
+		prev    *Flat
+		changed []graph.VertexID
+		want    *model
+	}{
+		{"nil-prev", snap1, nil, changed1, m1},
+		{"version-gap", snap2, f0, changed1, m},
+		{"unsorted-changed", snap2, f1, []graph.VertexID{9, 2}, m},
+		{"oor-changed", snap2, f1, []graph.VertexID{graph.VertexID(snap2.NumVertices())}, m},
+		{"short-changed", snap1, f0, changed1[:1], m1},
+		{"long-changed", snap1, f0, append(append([]graph.VertexID(nil), changed1...), 5), m1},
+	} {
+		got := c.snap.FlattenFrom(c.prev, c.changed)
+		if got != c.snap.Flatten() {
+			t.Fatalf("%s: FlattenFrom built a mirror of its own", c.label)
+		}
+		requireModel(t, c.label, got, c.snap, c.want)
 	}
-	fNil := snap1.MaterializeFlatFrom(nil, changed1)
-	// version gap: f0 is two versions behind snap2.
-	fGap := snap2.MaterializeFlatFrom(f0, changed1)
-	// unsorted changed list.
-	f1 := snap1.MaterializeFlat()
-	fBad := snap2.MaterializeFlatFrom(f1, []graph.VertexID{9, 2})
-	// out-of-range changed entry.
-	fOOR := snap2.MaterializeFlatFrom(f1, []graph.VertexID{graph.VertexID(snap2.NumVertices())})
-	// a changed list that leaves out a source the batch changed.
-	fShort := snap1.MaterializeFlatFrom(f0, changed1[:1])
-	// a changed list that names a source the batch did not change.
-	fLong := snap1.MaterializeFlatFrom(f0, append(append([]graph.VertexID(nil), changed1...), 5))
-
-	if got := g.MirrorMetrics().FullBuilds.Value() - before; got != 7 {
-		t.Fatalf("FullBuilds advanced by %d, want 7 (every fallback plus the explicit full build)", got)
-	}
-
-	fresh1 := snap1.MaterializeFlat()
-	requireSameFlat(t, "nil-prev", fNil, fresh1)
-	fresh2 := snap2.MaterializeFlat()
-	requireSameFlat(t, "version-gap", fGap, fresh2)
-	requireSameFlat(t, "unsorted-changed", fBad, fresh2)
-	requireSameFlat(t, "oor-changed", fOOR, fresh2)
-	requireSameFlat(t, "short-changed", fShort, fresh1)
-	requireSameFlat(t, "long-changed", fLong, fresh1)
-	for _, f := range []*Flat{fNil, fGap, fBad, fOOR, fShort, fLong, f1, fresh1, fresh2} {
-		f.Release()
+	if met.FullBuilds.Value() != full || met.DeltaBuilds.Value() != delta {
+		t.Fatal("FlattenFrom built a mirror")
 	}
 }
 
-// TestFlattenFromDeletionInvalidates checks that a deletion step refuses
-// span reuse (the arc count shrank) and rebuilds in full — and that a
-// later insertion resumes delta-patching from the rebuilt mirror.
+// TestFlattenFromDeletionInvalidates: a deletion invalidates the insertion
+// record — its mirror, patched with the deleted arcs taken out, records no
+// insertion — and the insertion after it records one again, patched from
+// the deletion's mirror.
 func TestFlattenFromDeletionInvalidates(t *testing.T) {
 	g := New(8, true)
-	snap1, _ := g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 2, Dst: 3, W: 2}, {Src: 4, Dst: 5, W: 3}})
-	f1 := snap1.MaterializeFlat()
-	defer f1.Release()
+	m := newModel(8, true)
+	b1 := []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 2, Dst: 3, W: 2}, {Src: 4, Dst: 5, W: 3}}
+	g.InsertEdges(b1)
+	m.insert(b1)
 
-	snapDel, changedDel := g.DeleteEdges([]graph.Edge{{Src: 2, Dst: 3}})
-	if deltaPatchable(snapDel, f1, changedDel) {
-		t.Fatal("deletion step must not be delta-patchable")
+	met := g.MirrorMetrics()
+	full, delta := met.FullBuilds.Value(), met.DeltaBuilds.Value()
+	gone := []graph.Edge{{Src: 2, Dst: 3}, {Src: 6, Dst: 7}}
+	snapDel, changedDel := g.DeleteEdges(gone)
+	m.remove(gone)
+	if len(changedDel) != 1 || changedDel[0] != 2 {
+		t.Fatalf("deletion changed %v, want [2]", changedDel)
 	}
-	deltaBefore := g.MirrorMetrics().DeltaBuilds.Value()
-	fDel := snapDel.MaterializeFlatFrom(f1, changedDel)
-	if g.MirrorMetrics().DeltaBuilds.Value() != deltaBefore {
-		t.Fatal("deletion step took the delta path")
+	if met.FullBuilds.Value() != full || met.DeltaBuilds.Value() != delta+1 {
+		t.Fatal("deletion step was not patched")
 	}
-	fresh := snapDel.MaterializeFlat()
-	requireSameFlat(t, "post-delete", fDel, fresh)
-	fresh.Release()
+	requireModel(t, "post-delete", snapDel.Flatten(), snapDel, m)
+	requireRecord(t, "post-delete", snapDel.Flatten(), nil, false)
 
-	snapIns, changedIns := g.InsertEdges([]graph.Edge{{Src: 6, Dst: 7, W: 4}})
-	fIns := snapIns.MaterializeFlatFrom(fDel, changedIns)
-	if g.MirrorMetrics().DeltaBuilds.Value() != deltaBefore+1 {
-		t.Fatal("insertion after deletion did not resume the delta path")
+	b2 := []graph.Edge{{Src: 6, Dst: 7, W: 4}}
+	snapIns, _ := g.InsertEdges(b2)
+	rec := m.insert(b2)
+	if met.DeltaBuilds.Value() != delta+2 {
+		t.Fatal("insertion after deletion was not patched")
 	}
-	freshIns := snapIns.MaterializeFlat()
-	requireSameFlat(t, "post-delete-insert", fIns, freshIns)
-	freshIns.Release()
-	fIns.Release()
-	fDel.Release()
+	requireModel(t, "post-delete-insert", snapIns.Flatten(), snapIns, m)
+	requireRecord(t, "post-delete-insert", snapIns.Flatten(), rec, true)
 }
 
 // TestFlatLifecycle exercises the reference-counting protocol: the
-// cached mirror survives RetireFlat while a reader holds a pin, recycles
-// on the last release, and poisons its slices so use-after-retire fails
-// fast. RetireFlat is idempotent.
+// mirror survives RetireFlat while it is the latest (the Graph holds it)
+// and, once superseded, while a reader holds a pin; it recycles on the
+// last release, and poisons its slices so use-after-retire fails fast.
+// RetireFlat is idempotent.
 func TestFlatLifecycle(t *testing.T) {
 	g := New(8, true)
 	snap, _ := g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}})
 	f := snap.Flatten()
 	if snap.BuiltFlat() != f {
-		t.Fatal("BuiltFlat must return the cached mirror")
+		t.Fatal("BuiltFlat must return the mirror")
 	}
 	if !f.Retain() {
 		t.Fatal("Retain on a live mirror must succeed")
@@ -343,6 +447,7 @@ func TestFlatLifecycle(t *testing.T) {
 	if snap.BuiltFlat() != nil {
 		t.Fatal("BuiltFlat must be nil after retire")
 	}
+	g.InsertEdges([]graph.Edge{{Src: 1, Dst: 2, W: 1}}) // the Graph lets go
 	if got := g.MirrorMetrics().SlabPuts.Value(); got != putsBefore {
 		t.Fatalf("slabs recycled while a reader held a pin (puts %d -> %d)", putsBefore, got)
 	}
@@ -363,15 +468,16 @@ func TestFlatLifecycle(t *testing.T) {
 }
 
 // TestFlattenFromConcurrentReaders pins the parent mirror from several
-// reader goroutines while the child mirror delta-patches from it and
-// the writer retires it. Under -race this proves the recycler never
+// reader goroutines while the writer patches the child mirror from it and
+// retires it. Under -race this proves the recycler never
 // mutably aliases the parent slab before the pins drop: the readers'
 // scans, the child build's bulk copies, and the final recycle would
 // otherwise race.
 func TestFlattenFromConcurrentReaders(t *testing.T) {
 	g := New(32, true)
 	rng := rand.New(rand.NewSource(7))
-	snap1, _ := g.InsertEdges(randomBatch(rng, 200, 32))
+	first := randomBatch(rng, 200, 32)
+	snap1, _ := g.InsertEdges(first)
 	parent := snap1.Flatten()
 
 	// The expected parent contents, deep-copied before any concurrency.
@@ -429,8 +535,12 @@ func TestFlattenFromConcurrentReaders(t *testing.T) {
 		<-pinned
 	}
 
-	snap2, changed := g.InsertEdges(randomBatch(rng, 50, 32))
-	child := snap2.FlattenFrom(parent, changed) // concurrent with reader scans
+	m := newModel(32, true)
+	m.insert(first)
+	second := randomBatch(rng, 50, 32)
+	snap2, _ := g.InsertEdges(second) // patches parent, concurrent with reader scans
+	m.insert(second)
+	child := snap2.Flatten()
 	putsBefore := g.MirrorMetrics().SlabPuts.Value()
 	snap1.RetireFlat()
 	if got := g.MirrorMetrics().SlabPuts.Value(); got != putsBefore {
@@ -442,16 +552,14 @@ func TestFlattenFromConcurrentReaders(t *testing.T) {
 		t.Fatalf("parent slabs not recycled after last reader released: puts %d -> %d", putsBefore, got)
 	}
 
-	fresh := snap2.MaterializeFlat()
-	requireSameFlat(t, "child-under-concurrency", child, fresh)
-	fresh.Release()
+	requireModel(t, "child-under-concurrency", child, snap2, m)
 	snap2.RetireFlat()
 }
 
 // FuzzFlattenFrom decodes arbitrary bytes into a batch sequence
 // (including empty batches and vertex growth) and checks the chained
-// delta mirror against a fresh full build, and the transpose patched along
-// with it against a from-scratch one, at every version.
+// mirror against the map model, and the transpose patched along with it
+// against a from-scratch one, at every version.
 func FuzzFlattenFrom(f *testing.F) {
 	f.Add([]byte("\x01\x03\x01\x00\x02\x00\x05\x00\x06\x00\x09\x00\x04\x00"))
 	f.Add([]byte("\x00\x00\x02\x30\x00\x31\x00\x32\x00\x33\x00"))
@@ -462,8 +570,8 @@ func FuzzFlattenFrom(f *testing.F) {
 		}
 		directed := data[0]&1 == 1
 		g := New(8, directed)
-		prev := g.Acquire().MaterializeFlat()
-		prev.Transposed() // carried down the chain by every patch
+		m := newModel(8, directed)
+		g.Acquire().Flatten().Transposed() // carried down the chain by every patch
 		i := 1
 		for batches := 0; batches < 8 && i < len(data); batches++ {
 			sz := int(data[i] % 17)
@@ -475,19 +583,84 @@ func FuzzFlattenFrom(f *testing.F) {
 				i += 4
 				batch = append(batch, graph.Edge{Src: src, Dst: dst, W: graph.Weight(src) + graph.Weight(dst) + 1})
 			}
-			snap, changed := g.InsertEdges(batch)
-			cur := snap.MaterializeFlatFrom(prev, changed)
-			fresh := snap.MaterializeFlat()
-			requireSameFlat(t, "fuzz", cur, fresh)
+			snap, _ := g.InsertEdges(batch)
+			rec := m.insert(batch)
+			cur := snap.Flatten()
+			requireModel(t, "fuzz", cur, snap, m)
+			requireRecord(t, "fuzz", cur, rec, true)
 			if cur.t == nil {
 				t.Fatal("fuzz: the transpose was not patched")
 			}
 			requireTransposeOf(t, "fuzz", cur.Transposed().(*Flat), snap)
-			fresh.Release()
-			prev.Release()
-			prev = cur
 		}
-		prev.Release()
+	})
+}
+
+// FuzzMirrorChain decodes arbitrary bytes into interleaved insertion and
+// deletion batches — vertex growth, pairs repeated within a batch and
+// across batches, deletions of present and absent arcs — on a directed or
+// undirected graph, and after every step holds the published version to
+// the map model: its forward spans and weights (first wins), NumEdges,
+// HasEdge, its insertion record, and its transpose, carried down the
+// chain. Every snapshot nobody retired must still read exactly its own
+// version at the end.
+func FuzzMirrorChain(f *testing.F) {
+	f.Add([]byte("\x01\x05\x01\x00\x02\x00\x02\x00\x01\x00\x01\x00\x02\x00\x80\x01\x01\x00\x02\x00"))
+	f.Add([]byte("\x00\x04\x03\x00\x09\x00\x09\x00\x03\x00\x03\x00\x09\x00\x82\x03\x00\x09\x00\x05\x00"))
+	f.Add([]byte("\x01\x10\x07\x00\x07\x00\x3a\x00\x00\x00\x81\x07\x00\x07\x00\x03\x3a\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		directed := data[0]&1 == 1
+		g := New(8, directed)
+		m := newModel(8, directed)
+		g.Acquire().Flatten().Transposed()
+		type kept struct {
+			snap *Snapshot
+			m    *model
+		}
+		var keep []kept
+		i := 1
+		for step := 0; step < 10 && i < len(data); step++ {
+			del := data[i]&0x80 != 0 && step > 0
+			sz := int(data[i] % 17)
+			i++
+			var batch []graph.Edge
+			for e := 0; e < sz && i+3 < len(data); e++ {
+				src := graph.VertexID(binary.LittleEndian.Uint16(data[i:]) % 60)
+				dst := graph.VertexID(binary.LittleEndian.Uint16(data[i+2:]) % 60)
+				i += 4
+				batch = append(batch, graph.Edge{Src: src, Dst: dst, W: graph.Weight(src)*3 + graph.Weight(dst) + graph.Weight(e)})
+			}
+			label := fmt.Sprintf("step %d (delete=%v)", step, del)
+			prev := g.Acquire()
+			var snap *Snapshot
+			if del {
+				snap, _ = g.DeleteEdges(batch)
+				m.remove(batch)
+				requireRecord(t, label, snap.Flatten(), nil, false)
+			} else {
+				snap, _ = g.InsertEdges(batch)
+				requireRecord(t, label, snap.Flatten(), m.insert(batch), true)
+			}
+			if snap.Version() != prev.Version()+1 {
+				t.Fatalf("%s: version %d after %d", label, snap.Version(), prev.Version())
+			}
+			requireModel(t, label, snap.Flatten(), snap, m)
+			if snap.Flatten().t == nil {
+				t.Fatalf("%s: the transpose was not patched", label)
+			}
+			requireTransposeOf(t, label, snap.Flatten().Transposed().(*Flat), snap)
+			if step%2 == 0 {
+				keep = append(keep, kept{snap, m.clone()})
+			} else {
+				snap.RetireFlat() // the Graph keeps it until it is superseded
+			}
+		}
+		for _, k := range keep {
+			requireModel(t, fmt.Sprintf("kept v%d", k.snap.Version()), k.snap.Flatten(), k.snap, k.m)
+		}
 	})
 }
 

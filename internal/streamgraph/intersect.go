@@ -7,10 +7,10 @@ import (
 // CommonNeighbors returns the vertices adjacent to both u and v (by
 // out-edges), in ascending order — the "overlap of friends of two
 // specific users" query the paper's introduction cites as a motivating
-// vertex-specific workload. The merge walks both sorted edge trees once.
+// vertex-specific workload. The merge walks both sorted spans once.
 func (s *Snapshot) CommonNeighbors(u, v graph.VertexID) []graph.VertexID {
-	au, _ := s.OutNeighbors(u)
-	av, _ := s.OutNeighbors(v)
+	au, _ := s.flat.OutSpan(u)
+	av, _ := s.flat.OutSpan(v)
 	var out []graph.VertexID
 	i, j := 0, 0
 	for i < len(au) && j < len(av) {
@@ -32,7 +32,7 @@ func (s *Snapshot) CommonNeighbors(u, v graph.VertexID) []graph.VertexID {
 // of v's neighbors that are themselves adjacent), a building block for
 // local clustering coefficients on the streaming graph.
 func (s *Snapshot) CountTrianglesAt(v graph.VertexID) int {
-	adj, _ := s.OutNeighbors(v)
+	adj, _ := s.flat.OutSpan(v)
 	count := 0
 	for _, u := range adj {
 		if u == v {

@@ -22,13 +22,16 @@ import (
 const ledgerOn = true
 
 // ledgerRec is the live account of one mirror: its current reference
-// count as the ledger saw it, whether a snapshot's owner reference is
-// among them (dropped by RetireFlat, never there on a caller-owned
-// mirror), and the net outstanding Retain sites.
+// count as the ledger saw it, whether the snapshot's reference is among
+// them (dropped by RetireFlat) and the Graph's (dropped when the next
+// version is published), the holders' references (Hold), and the net
+// outstanding Retain sites.
 type ledgerRec struct {
 	version      uint64
 	live         int64
 	ownerDropped bool
+	writer       bool
+	holds        int64
 	retains      map[string]int
 }
 
@@ -54,22 +57,38 @@ func ledgerSite() string {
 	}
 }
 
+// ledgerBuilt opens the account of a published mirror, born with the
+// snapshot's reference and the Graph's.
 func ledgerBuilt(f *Flat) {
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()
-	ledgerLive[f] = &ledgerRec{version: f.version, live: 1, retains: map[string]int{}}
+	ledgerLive[f] = &ledgerRec{version: f.version, live: 2, writer: true, retains: map[string]int{}}
 }
 
-// ledgerPrivate marks a caller-owned mirror (MaterializeFlat[From]): no
-// snapshot owns a reference, so the one it was born with is its builder's
-// pin — outstanding, like any Retain, until the builder releases it.
-func ledgerPrivate(f *Flat) {
-	site := ledgerSite()
+// ledgerSuperseded notes that the Graph is about to drop its reference.
+func ledgerSuperseded(f *Flat) {
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()
 	if r := ledgerLive[f]; r != nil {
-		r.ownerDropped = true
-		r.retains[site]++
+		r.writer = false
+	}
+}
+
+func ledgerHold(f *Flat) {
+	ledgerMu.Lock()
+	defer ledgerMu.Unlock()
+	if r := ledgerLive[f]; r != nil {
+		r.live++
+		r.holds++
+	}
+}
+
+// ledgerUnhold notes that a holder is about to drop its reference.
+func ledgerUnhold(f *Flat) {
+	ledgerMu.Lock()
+	defer ledgerMu.Unlock()
+	if r := ledgerLive[f]; r != nil {
+		r.holds--
 	}
 }
 
@@ -102,19 +121,21 @@ func ledgerRetire(f *Flat) {
 	}
 }
 
-// LedgerReport returns the mirrors holding reader pins beyond any
-// legitimate un-retired owner reference, oldest version first. An empty
-// report at teardown (after a final batch has advanced the version)
-// means every Retain found its Release and every caller-owned mirror was
-// released by its builder.
+// LedgerReport returns the mirrors holding reader pins beyond their
+// legitimate references — an un-retired snapshot's, the Graph's on the
+// latest mirror, and holders' — oldest version first. An empty report at
+// teardown means every Retain found its Release.
 func LedgerReport() []LedgerLeak {
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()
 	var out []LedgerLeak
 	for _, r := range ledgerLive {
-		pins := r.live
+		pins := r.live - r.holds
 		if !r.ownerDropped {
 			pins-- // the snapshot's own reference is not a leak
+		}
+		if r.writer {
+			pins-- // nor is the Graph's on its latest mirror
 		}
 		if pins <= 0 {
 			continue

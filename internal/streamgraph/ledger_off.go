@@ -9,11 +9,13 @@ package streamgraph
 
 const ledgerOn = false
 
-func ledgerBuilt(*Flat)   {}
-func ledgerPrivate(*Flat) {}
-func ledgerRetain(*Flat)  {}
-func ledgerRelease(*Flat) {}
-func ledgerRetire(*Flat)  {}
+func ledgerBuilt(*Flat)      {}
+func ledgerSuperseded(*Flat) {}
+func ledgerHold(*Flat)       {}
+func ledgerUnhold(*Flat)     {}
+func ledgerRetain(*Flat)     {}
+func ledgerRelease(*Flat)    {}
+func ledgerRetire(*Flat)     {}
 
 // LedgerReport always reports clean in untagged builds.
 func LedgerReport() []LedgerLeak { return nil }

@@ -63,21 +63,37 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 }
 
-// TestLedgerCallerOwnedMirror covers the MaterializeFlat path: no
-// snapshot owns the mirror, so its sole reference is its builder's pin —
-// reported, with the building site, until the builder releases it.
-func TestLedgerCallerOwnedMirror(t *testing.T) {
+// TestLedgerHolders: the Graph's reference on its latest mirror and a
+// holder's (Hold) are not leaks, before or after a later version
+// supersedes the mirror; an unmatched Retain beside them is, and Unhold
+// with the snapshot retired drains the mirror.
+func TestLedgerHolders(t *testing.T) {
 	streamgraph.LedgerReset()
 	cfg := gen.Config{Name: "ledger2", LogN: 8, AvgDegree: 6, Directed: false, Seed: 4}
 	g := streamgraph.FromEdges(cfg.N(), gen.RMAT(cfg), true)
-	f := g.Acquire().MaterializeFlat()
-	leaks := streamgraph.LedgerReport()
-	if len(leaks) != 1 || leaks[0].Pins != 1 || len(leaks[0].Sites) != 1 ||
-		!strings.Contains(leaks[0].Sites[0], "ledger_test.go") {
-		t.Fatalf("unreleased caller-owned mirror: report = %+v, want one 1-pin leak born here", leaks)
+	snap := g.Acquire()
+	f := snap.Flatten()
+	f.Hold()
+	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {
+		t.Fatalf("held latest mirror reported: %+v", leaks)
+	}
+	g.InsertEdges(gen.RMAT(cfg)[:10])
+	snap.RetireFlat()
+	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {
+		t.Fatalf("held superseded mirror reported: %+v", leaks)
+	}
+	if !f.Retain() {
+		t.Fatal("Retain on a held mirror failed")
+	}
+	if leaks := streamgraph.LedgerReport(); len(leaks) != 1 || leaks[0].Pins != 1 {
+		t.Fatalf("unmatched Retain beside a hold: report = %+v, want one 1-pin leak", leaks)
 	}
 	f.Release()
+	f.Unhold()
+	if f.Retain() {
+		t.Fatal("mirror still retainable after its last reference dropped")
+	}
 	if leaks := streamgraph.LedgerReport(); len(leaks) != 0 {
-		t.Fatalf("released caller-owned mirror still reported: %+v", leaks)
+		t.Fatalf("drained mirror still reported: %+v", leaks)
 	}
 }

@@ -3,6 +3,7 @@ package streamgraph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -27,8 +28,19 @@ const (
 	persistVersion = 1
 )
 
-// Save writes the snapshot to w in the compressed binary format.
+// ErrRetired reports that a snapshot's mirror was retired and drained
+// before Save could pin it; nothing was written.
+var ErrRetired = errors.New("streamgraph: snapshot retired before it could be saved")
+
+// Save writes the snapshot to w in the compressed binary format. The
+// snapshot's mirror is pinned for the write; a retired snapshot whose
+// mirror is already drained fails with ErrRetired.
 func Save(w io.Writer, s *Snapshot, directed bool) error {
+	f := s.Flatten()
+	if !f.Retain() {
+		return fmt.Errorf("version %d: %w", s.Version(), ErrRetired)
+	}
+	defer f.Release()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return err
@@ -56,25 +68,20 @@ func Save(w io.Writer, s *Snapshot, directed bool) error {
 		return err
 	}
 	for v := 0; v < s.NumVertices(); v++ {
-		if err := putUvarint(uint64(s.Degree(graph.VertexID(v)))); err != nil {
+		dsts, ws := f.OutSpan(graph.VertexID(v))
+		if err := putUvarint(uint64(len(dsts))); err != nil {
 			return err
 		}
 		prev := uint64(0)
-		var werr error
-		s.ForEachOut(graph.VertexID(v), func(d graph.VertexID, wgt graph.Weight) {
-			if werr != nil {
-				return
+		for i, d := range dsts {
+			// Destinations are sorted; gap encoding.
+			if err := putUvarint(uint64(d) - prev); err != nil {
+				return err
 			}
-			// Destinations are visited in ascending order; gap encoding.
-			gap := uint64(d) - prev
+			if err := putUvarint(uint64(ws[i])); err != nil {
+				return err
+			}
 			prev = uint64(d)
-			if werr = putUvarint(gap); werr != nil {
-				return
-			}
-			werr = putUvarint(uint64(wgt))
-		})
-		if werr != nil {
-			return werr
 		}
 	}
 	return bw.Flush()
@@ -111,10 +118,7 @@ func Load(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("streamgraph: reading edge count: %w", err)
 	}
 	n := int(n64)
-	// The file stores arcs (post-mirroring), so load as a directed graph
-	// regardless of the logical directedness flag, then restore the flag.
-	g := New(n, true)
-	edges := make([]graph.Edge, 0, 4096)
+	edges := make([]graph.Edge, 0, min(m64, 1<<20))
 	var total uint64
 	for v := 0; v < n; v++ {
 		deg, err := binary.ReadUvarint(br)
@@ -136,21 +140,16 @@ func Load(r io.Reader) (*Graph, error) {
 				Src: graph.VertexID(v), Dst: graph.VertexID(prev), W: graph.Weight(wgt),
 			})
 			total++
-			if len(edges) == cap(edges) {
-				g.InsertEdges(edges)
-				edges = edges[:0]
-			}
 		}
-	}
-	if len(edges) > 0 {
-		g.InsertEdges(edges)
 	}
 	if total != m64 {
 		return nil, fmt.Errorf("streamgraph: arc count mismatch: read %d, header says %d", total, m64)
 	}
+	// The file stores arcs (post-mirroring), so they load as one batch
+	// into a directed graph, whatever the logical directedness, which is
+	// restored after: version 1.
+	g := New(n, true)
+	g.InsertEdges(edges)
 	g.directed = dir == 1
-	// Collapse the load batches into a single logical version.
-	snap := g.latest.Load()
-	g.latest.Store(&Snapshot{table: snap.table, n: snap.n, m: snap.m, version: 1, shared: g.shared})
 	return g, nil
 }

@@ -2,6 +2,7 @@ package streamgraph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -46,6 +47,51 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 					t.Fatalf("directed=%v vertex %d arc %d differs", directed, v, i)
 				}
 			}
+		}
+	}
+}
+
+// TestSaveLoadAfterDeletions round-trips a graph whose mirror went
+// through deletions — spans emptied, shrunk and regrown — and an older
+// version nobody retired, and refuses a retired one it can no longer pin.
+func TestSaveLoadAfterDeletions(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		edges := gen.Uniform(120, 1500, 8, 7)
+		g := New(120, directed)
+		g.InsertEdges(edges)
+		older, _ := g.DeleteEdges(edges[:600])
+		g.InsertEdges(edges[100:300])
+		g.DeleteEdges(edges[900:1000])
+		for _, snap := range []*Snapshot{older, g.Acquire()} {
+			var buf bytes.Buffer
+			if err := Save(&buf, snap, directed); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls := loaded.Acquire()
+			if loaded.Directed() != directed || ls.NumVertices() != snap.NumVertices() || ls.NumEdges() != snap.NumEdges() {
+				t.Fatalf("directed=%v v%d: loaded %d/%d, saved %d/%d", directed, snap.Version(),
+					ls.NumVertices(), ls.NumEdges(), snap.NumVertices(), snap.NumEdges())
+			}
+			for v := 0; v < snap.NumVertices(); v++ {
+				a1, w1 := snap.OutNeighbors(graph.VertexID(v))
+				a2, w2 := ls.OutNeighbors(graph.VertexID(v))
+				if len(a1) != len(a2) {
+					t.Fatalf("directed=%v v%d: vertex %d degree %d, loaded %d", directed, snap.Version(), v, len(a1), len(a2))
+				}
+				for i := range a1 {
+					if a1[i] != a2[i] || w1[i] != w2[i] {
+						t.Fatalf("directed=%v v%d: vertex %d arc %d differs", directed, snap.Version(), v, i)
+					}
+				}
+			}
+		}
+		older.RetireFlat()
+		if err := Save(&bytes.Buffer{}, older, directed); !errors.Is(err, ErrRetired) {
+			t.Fatalf("saving a retired, superseded snapshot: %v, want ErrRetired", err)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"tripoline/internal/metrics"
 )
 
-// Slab recycling for flat mirrors. Every batch produces a new snapshot
+// Slab recycling for flat mirrors. Every batch publishes a new version
 // and therefore a new mirror; without reuse that is a multi-GB
 // allocation per batch on large graphs, all of it garbage as soon as
 // the next version lands. The recycler keeps retired mirrors' off/adj/
@@ -21,8 +21,10 @@ import (
 //
 //   - a builder acquires slabs via takeOff/takeArc and stores them into
 //     the Flat it returns — the Flat owns them for its lifetime;
-//   - readers pin the Flat with Retain/Release while they scan it;
-//   - the owner drops its reference with Snapshot.RetireFlat (idempotent;
+//   - readers pin the Flat with Retain/Release while they scan it, and
+//     holders (core's history ring) keep it with Hold/Unhold;
+//   - the Graph drops its reference when the next version is published,
+//     and the snapshot's goes with Snapshot.RetireFlat (idempotent;
 //     called by core once the next version is published);
 //   - the last Release returns the slabs to the pools and poisons the
 //     Flat's slices, so a use-after-retire fails fast instead of reading
@@ -92,11 +94,12 @@ func (r *slabRecycler) putArc(sl *arcSlab) {
 // acquisitions were served from the recycler. The recycler hit rate is
 // 1 - misses/gets.
 //
-// WalkedBytes counts the arcs a build adds from outside the parent: a
-// full build's whole walk of the C-tree, a delta build's insertion
-// record. CopiedBytes counts what a delta build takes from the parent:
-// every parent arc, bulk-copied with its unchanged run or merged into a
-// changed source's span, plus the parent's offset table.
+// Every version's mirror is patched from its parent's: a full build is
+// a load into an empty graph, a delta build any other batch. WalkedBytes
+// counts the batch arcs a build merges in or takes out. CopiedBytes counts
+// what it takes from the parent: every parent arc, bulk-copied with its
+// unchanged run or merged into a changed source's span, plus the parent's
+// offset table.
 type MirrorMetrics struct {
 	FullBuilds  *metrics.Counter
 	DeltaBuilds *metrics.Counter
@@ -126,18 +129,19 @@ func NewMirrorMetrics() *MirrorMetrics {
 // the fields reach /v1/stats and /v1/metrics).
 func RegisterMirrorMetrics(reg *metrics.Registry) *MirrorMetrics {
 	return &MirrorMetrics{
-		FullBuilds:  reg.Counter("tripoline_mirror_full_builds_total", "Flat mirrors built by a full O(V+E) walk."),
-		DeltaBuilds: reg.Counter("tripoline_mirror_delta_builds_total", "Flat mirrors built by delta-patching the parent mirror."),
+		FullBuilds:  reg.Counter("tripoline_mirror_full_builds_total", "Flat mirrors built by a load into an empty graph."),
+		DeltaBuilds: reg.Counter("tripoline_mirror_delta_builds_total", "Flat mirrors built by patching a non-empty parent mirror."),
 		CopiedBytes: reg.Counter("tripoline_mirror_copied_bytes_total", "Mirror bytes a delta patch took from the parent mirror: its arcs, copied or merged, and its offsets."),
-		WalkedBytes: reg.Counter("tripoline_mirror_walked_bytes_total", "Mirror bytes of new arcs: a full build's C-tree walk, a delta patch's insertion record."),
+		WalkedBytes: reg.Counter("tripoline_mirror_walked_bytes_total", "Mirror bytes of the batch arcs a patch merged in or took out."),
 		SlabGets:    reg.Counter("tripoline_slab_gets_total", "Slab acquisitions for mirror builds."),
 		SlabMisses:  reg.Counter("tripoline_slab_misses_total", "Slab acquisitions that fell back to a fresh allocation."),
 		SlabPuts:    reg.Counter("tripoline_slab_puts_total", "Slabs returned to the recycler by retired mirrors."),
 	}
 }
 
-// flatShared is the mirror-maintenance state shared by every snapshot
-// of one Graph: the slab recycler and the (swappable) instruments.
+// flatShared is the mirror-maintenance state shared by every mirror of
+// one Graph: the slab recycler, the (swappable) instruments and the fault
+// seam.
 type flatShared struct {
 	rec  slabRecycler
 	met  atomic.Pointer[MirrorMetrics]
@@ -179,18 +183,8 @@ func (sh *flatShared) takeArc(m int64) *arcSlab {
 }
 
 // defaultFlatShared backs the transposed mirrors TransposeFrom builds
-// without a parent and those patched from them, and any snapshot
-// constructed without a graph-owned flatShared (defensive: all
-// constructors propagate one).
+// without a parent and those patched from them.
 var defaultFlatShared = newFlatShared()
-
-// fs returns the snapshot's mirror-maintenance state.
-func (s *Snapshot) fs() *flatShared {
-	if s.shared != nil {
-		return s.shared
-	}
-	return defaultFlatShared
-}
 
 // MirrorMetrics returns the graph's mirror-maintenance instruments.
 func (g *Graph) MirrorMetrics() *MirrorMetrics { return g.shared.metrics() }

@@ -1,55 +1,52 @@
-// Package streamgraph implements the streaming graph engine of Tripoline:
-// an Aspen-like versioned graph built on purely functional C-trees
-// (package ctree). Each version is an immutable Snapshot that any number
-// of readers (query evaluations) may traverse while a single writer
-// derives the next version by inserting a batch of weighted edges.
+// Package streamgraph implements the streaming graph store of Tripoline:
+// a versioned graph whose every version is an immutable Snapshot that any
+// number of readers (query evaluations) may traverse while a single writer
+// derives the next version by inserting or deleting a batch of weighted
+// arcs.
 //
-// The C-tree stores out-edges only (one-way representation). The paper's
-// dual-model evaluation (§4.2) runs q⁻¹(r) by pulling over that
-// representation to avoid an in-edge index; here the flat mirror a
-// directed graph's standing sets evaluate over keeps a transposed mirror
-// beside it instead (transpose.go), patched from batch to batch like the
+// A snapshot is its flat mirror (Flat: a CSR-style array of sorted
+// out-spans) plus the insertion record by which it differs from its
+// parent. The writer publishes each version by patching the parent's
+// mirror with the batch: the unchanged spans are bulk-copied, each changed
+// source's span is its parent span merged with the batch's arcs for it, or
+// with the deleted ones taken out. The paper builds on Aspen's persistent
+// C-trees (§5); Δ-initialization never reads them, and a mirror takes a
+// sixth of a tree's bytes, so this store keeps the mirror alone. The price
+// is that a version costs O(E) bytes to retain instead of O(batch): the
+// writer recycles a superseded mirror's slabs as soon as its last reader
+// releases it (recycle.go).
+//
+// The store keeps out-arcs only. The paper's dual-model evaluation (§4.2)
+// runs q⁻¹(r) by pulling over that representation; here a directed
+// graph's standing sets evaluate over a transposed mirror kept beside the
+// mirror instead (transpose.go), patched from batch to batch like the
 // mirror itself, so q⁻¹(r) is a push too.
 //
-// The paper's streaming scenario is insert-only (growing graphs); this
-// engine follows that and does not implement deletions.
+// Insertions are first-wins: re-inserting a stored arc keeps its weight.
+// Deletions are an extension beyond the paper's growing-graph scenario;
+// core recovers standing state after them by trimming.
 package streamgraph
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
-	"tripoline/internal/ctree"
 	"tripoline/internal/graph"
 	"tripoline/internal/parallel"
 )
 
-// Snapshot is one immutable version of the graph. It is safe for
-// concurrent use by any number of goroutines.
+// Snapshot is one immutable version of the graph: its mirror, built when
+// the version was published. It is safe for concurrent use by any number
+// of goroutines while the mirror is held — always for the latest version,
+// which the Graph holds, and for any snapshot nobody retired (RetireFlat);
+// a reader of a retired snapshot must have pinned its mirror (Flat.Retain).
 type Snapshot struct {
-	table   ctree.VertexTable
+	flat    *Flat
 	n       int
 	m       int64
 	version uint64
-
-	// inserted records, on a snapshot published by InsertEdges, the arcs
-	// that batch actually stored, sorted by source and then destination
-	// (see Flat.InsertedArcs); insertion marks such a snapshot, whose
-	// record may be empty. FlattenFrom merges it into the parent mirror.
-	inserted  []graph.Edge
-	insertion bool
-
-	// flat is the lazily built flat-adjacency mirror of this version
-	// (see Flatten/FlattenFrom). Built at most once per snapshot and
-	// shared by all readers. Its backing slabs come from the graph-wide
-	// recycler (shared) and are reclaimed when the mirror is retired
-	// (RetireFlat) and every pinned reader has released it — a new batch
-	// no longer just invalidates the mirror, it recycles it.
-	flatOnce    sync.Once
-	flat        *Flat
-	flatBuilt   atomic.Bool
-	flatRetired atomic.Bool
-	shared      *flatShared
+	retired atomic.Bool
 }
 
 // NumVertices returns the number of vertices.
@@ -63,72 +60,55 @@ func (s *Snapshot) NumEdges() int64 { return s.m }
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Degree returns the out-degree of v.
-func (s *Snapshot) Degree(v graph.VertexID) int {
-	return s.table.Get(int(v)).Size()
-}
+func (s *Snapshot) Degree(v graph.VertexID) int { return s.flat.Degree(v) }
 
 // ForEachOut calls f(dst, w) for every out-edge of v in ascending
-// destination order. It is the store's tree walk, which CSR, Save and
-// Partition read; evaluation reads a flat mirror (Flatten) through
-// engine.ArcView instead.
+// destination order.
 func (s *Snapshot) ForEachOut(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight)) {
-	s.table.Get(int(v)).ForEach(func(e uint64) {
-		f(ctree.Key(e), ctree.Payload(e))
-	})
+	dsts, ws := s.flat.OutSpan(v)
+	for i, d := range dsts {
+		f(d, ws[i])
+	}
 }
 
 // HasEdge reports whether arc v→u exists and returns its weight.
 func (s *Snapshot) HasEdge(v, u graph.VertexID) (graph.Weight, bool) {
-	e, ok := s.table.Get(int(v)).Find(u)
-	if !ok {
+	if int(v) >= s.n {
 		return 0, false
 	}
-	return ctree.Payload(e), true
-}
-
-// OutNeighbors materializes the adjacency of v (sorted by destination).
-func (s *Snapshot) OutNeighbors(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
-	t := s.table.Get(int(v))
-	adj := make([]graph.VertexID, 0, t.Size())
-	wgt := make([]graph.Weight, 0, t.Size())
-	t.ForEach(func(e uint64) {
-		adj = append(adj, ctree.Key(e))
-		wgt = append(wgt, ctree.Payload(e))
-	})
-	return adj, wgt
-}
-
-// CSR materializes the snapshot as a static CSR graph (for oracles and
-// baselines that want flat arrays).
-func (s *Snapshot) CSR(directed bool) *graph.CSR {
-	off := make([]int64, s.n+1)
-	parallel.For(s.n, func(v int) {
-		off[v+1] = int64(s.Degree(graph.VertexID(v)))
-	})
-	for v := 0; v < s.n; v++ {
-		off[v+1] += off[v]
+	dsts, ws := s.flat.OutSpan(v)
+	if i, ok := sort.Find(len(dsts), func(i int) int { return int(u) - int(dsts[i]) }); ok {
+		return ws[i], true
 	}
-	adj := make([]graph.VertexID, off[s.n])
-	wgt := make([]graph.Weight, off[s.n])
-	parallel.For(s.n, func(v int) {
-		i := off[v]
-		s.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
-			adj[i] = d
-			wgt[i] = w
-			i++
-		})
-	})
-	return &graph.CSR{Off: off, Adj: adj, Wgt: wgt, N: s.n, Directed: directed}
+	return 0, false
+}
+
+// OutNeighbors returns a copy of the adjacency of v (sorted by
+// destination).
+func (s *Snapshot) OutNeighbors(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
+	dsts, ws := s.flat.OutSpan(v)
+	return append([]graph.VertexID(nil), dsts...), append([]graph.Weight(nil), ws...)
+}
+
+// CSR copies the snapshot into a static CSR graph (for oracles and
+// baselines that want arrays of their own).
+func (s *Snapshot) CSR(directed bool) *graph.CSR {
+	f := s.flat
+	return &graph.CSR{Off: append([]int64(nil), f.off...), Adj: append([]graph.VertexID(nil), f.adj...),
+		Wgt: append([]graph.Weight(nil), f.wgt...), N: s.n, Directed: directed}
 }
 
 // Graph is the versioned streaming graph. A single writer applies batches
-// through InsertEdges; Acquire returns the latest immutable snapshot.
+// through InsertEdges and DeleteEdges; Acquire returns the latest
+// immutable snapshot. The Graph holds a reference on the latest mirror —
+// the next batch patches it — and drops it when a new version supersedes
+// it, so retiring the latest snapshot never recycles it.
 type Graph struct {
 	mu       sync.Mutex // serializes writers
 	latest   atomic.Pointer[Snapshot]
 	directed bool
-	// shared is the mirror-maintenance state (slab recycler +
-	// instruments) every snapshot of this graph draws from.
+	// shared is the mirror-maintenance state (slab recycler, instruments,
+	// fault seam) every mirror of this graph draws from.
 	shared *flatShared
 }
 
@@ -136,8 +116,11 @@ type Graph struct {
 // whether InsertEdges mirrors each edge.
 func New(n int, directed bool) *Graph {
 	g := &Graph{directed: directed, shared: newFlatShared()}
-	snap := &Snapshot{table: ctree.NewVertexTable(n), n: n, shared: g.shared}
-	g.latest.Store(snap)
+	offs := g.shared.takeOff(int64(n) + 1)
+	clear(offs.off[:n+1]) // recycled slabs carry stale data
+	f := newMirror(g.shared, offs, g.shared.takeArc(0), n, 0, nil, false)
+	g.hold(f)
+	g.latest.Store(&Snapshot{flat: f, n: n})
 	return g
 }
 
@@ -153,7 +136,7 @@ func FromEdges(n int, edges []graph.Edge, directed bool) *Graph {
 func (g *Graph) Directed() bool { return g.directed }
 
 // Acquire returns the latest snapshot. The snapshot remains valid (and
-// unchanged) regardless of subsequent insertions.
+// unchanged) regardless of subsequent batches.
 func (g *Graph) Acquire() *Snapshot { return g.latest.Load() }
 
 // InsertEdges applies one batch of edge insertions, producing and
@@ -162,70 +145,135 @@ func (g *Graph) Acquire() *Snapshot { return g.latest.Load() }
 // incremental evaluation must re-activate (§2 of the paper). For
 // undirected graphs the mirrored arcs' sources are included.
 //
-// The stream is grow-only (the paper's scenario): re-inserting an
-// existing arc is a no-op and its original weight is kept. This keeps
-// every graph change monotone, which is what lets converged query state
-// be resumed incrementally — a weight change would require KickStarter-
-// style trimming, which is orthogonal to this work (§2).
+// Insertion is first-wins: re-inserting an existing arc is a no-op and its
+// original weight is kept, as is the first of a pair the batch offers more
+// than once. This keeps every insertion monotone, which is what lets
+// converged query state be resumed incrementally.
 func (g *Graph) InsertEdges(batch []graph.Edge) (*Snapshot, []graph.VertexID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-
 	old := g.latest.Load()
-
-	arcs, sources, runs := g.bySource(batch)
-	maxID := graph.VertexID(0)
-	for _, e := range batch {
-		maxID = max(maxID, e.Src, e.Dst)
-	}
 	n := old.n
-	if int(maxID)+1 > n {
-		n = int(maxID) + 1
+	for _, e := range batch {
+		n = max(n, int(e.Src)+1, int(e.Dst)+1)
 	}
-	table := old.table.Grow(n)
+	rec, changed := g.pick(old.flat, batch, false)
+	return g.publish(old, n, rec, changed, false), changed
+}
 
-	// Each source's new edge tree is built independently. First-wins: arcs
-	// already present (or repeated within the batch, which the sort left in
-	// batch order) are skipped; kept[i] counts the ones source i took,
-	// compacted in place at the front of its run.
-	trees := make([]ctree.Tree, len(sources))
+// DeleteEdges removes a batch of arcs (and their mirrors on undirected
+// graphs), publishing a new version. It returns the new snapshot and the
+// distinct source vertices whose adjacency changed. Arcs that do not
+// exist are ignored; weights are not compared.
+//
+// Deletions break the monotonicity that incremental resumption relies on,
+// so consumers of converged query state must not resume after one — core
+// trims the standing state instead (see core.System.ApplyDeletions). The
+// published mirror records no insertion (Flat.InsertedArcs reports
+// ok=false).
+func (g *Graph) DeleteEdges(batch []graph.Edge) (*Snapshot, []graph.VertexID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	old := g.latest.Load()
+	gone, changed := g.pick(old.flat, batch, true)
+	return g.publish(old, old.n, gone, changed, true), changed
+}
+
+// pick sorts the batch by source (bySource) and keeps, for an
+// insertion, the first offer of each pair prev does not hold, or, for a
+// deletion, one offer of each pair it does. The kept arcs come back
+// sorted by source and then destination, with the distinct sources among
+// them.
+func (g *Graph) pick(prev *Flat, batch []graph.Edge, present bool) ([]graph.Edge, []graph.VertexID) {
+	arcs, sources, runs := g.bySource(batch)
+	// Each source's run is filtered independently, its kept arcs compacted
+	// at its front; kept[i] counts them.
 	kept := make([]int, len(sources))
 	parallel.For(len(sources), func(i int) {
-		t := table.Get(int(sources[i]))
+		var dsts []graph.VertexID
+		if int(sources[i]) < prev.n {
+			dsts, _ = prev.OutSpan(sources[i])
+		}
 		run := arcs[runs[i]:runs[i+1]]
 		k := 0
-		for _, a := range run {
-			if _, exists := t.Find(a.Dst); exists {
-				continue
+		for j, a := range run {
+			if j > 0 && a.Dst == run[j-1].Dst {
+				continue // a repeat: its first offer was decided already
 			}
-			t = t.Insert(ctree.Elem(a.Dst, a.W))
-			run[k] = a
-			k++
+			at := sort.Search(len(dsts), func(x int) bool { return dsts[x] >= a.Dst })
+			if (at < len(dsts) && dsts[at] == a.Dst) == present {
+				run[k] = a
+				k++
+			}
+			dsts = dsts[at:]
 		}
-		trees[i], kept[i] = t, k
+		kept[i] = k
 	})
-	// The record is the kept arcs, compacted to the front of arcs: sorted
-	// by source, then destination. The table takes every changed tree in
-	// one pass.
 	total := 0
-	idx := make([]int, 0, len(sources))
-	actual := sources[:0]
+	changed := sources[:0]
 	for i, src := range sources {
-		if kept[i] == 0 {
-			continue
+		if kept[i] > 0 {
+			total += copy(arcs[total:], arcs[runs[i]:runs[i]+kept[i]])
+			changed = append(changed, src)
 		}
-		total += copy(arcs[total:], arcs[runs[i]:runs[i]+kept[i]])
-		trees[len(actual)] = trees[i]
-		idx = append(idx, int(src))
-		actual = append(actual, src)
 	}
-	inserted := arcs[:total:total]
-	table = table.SetMany(idx, trees[:len(actual)])
+	return arcs[:total:total], changed
+}
 
-	snap := &Snapshot{table: table, n: n, m: old.m + int64(total), version: old.version + 1,
-		inserted: inserted, insertion: true, shared: g.shared}
+// publish makes the next version from old: old's mirror patched with rec
+// (merged in, or taken out when out is set) over n vertices, its
+// transpose, if old's mirror holds one, handed over and patched the same
+// way. The Graph moves its reference from old's mirror to the new one.
+func (g *Graph) publish(old *Snapshot, n int, rec []graph.Edge, changed []graph.VertexID, out bool) *Snapshot {
+	sh, prev := g.shared, old.flat
+	offs, arcs := patch(sh, prev, n, rec, out)
+	version := old.version + 1
+	record, insertion := rec, !out
+	if out {
+		record = nil
+	}
+	f := newMirror(sh, offs, arcs, n, version, record, insertion)
+	g.hold(f)
+
+	met := sh.metrics()
+	if prev.NumEdges() == 0 {
+		met.FullBuilds.Inc() // a load into an empty graph
+	} else {
+		met.DeltaBuilds.Inc()
+	}
+	// The record's arcs are the walked bytes; every parent arc, copied
+	// with its run or merged into a changed span, is a copied one.
+	met.WalkedBytes.Add(int64(len(rec)) * arcBytes)
+	met.CopiedBytes.Add(prev.NumEdges()*arcBytes + int64(prev.n+1)*offEntryBytes)
+	if sh.seam.skewDelta.Load() {
+		skewFlat(f, changed)
+	}
+	if pt := prev.takeTransposed(); pt != nil {
+		rev := graph.ReversedArcs(rec)
+		f.t = patchTransposed(sh, pt, n, version, rev, out)
+		pt.Release()
+		if sh.seam.skewTranspose.Load() {
+			heads, _ := sourceRuns(rev)
+			skewFlat(f.t, heads)
+		}
+	}
+
+	m := old.m + int64(len(rec))
+	if out {
+		m = old.m - int64(len(rec))
+	}
+	snap := &Snapshot{flat: f, n: n, m: m, version: version}
 	g.latest.Store(snap)
-	return snap, actual
+	ledgerSuperseded(prev)
+	prev.Release()
+	return snap
+}
+
+// hold adds the Graph's reference to a mirror born with its snapshot's,
+// for as long as the mirror is the latest.
+func (g *Graph) hold(f *Flat) {
+	f.refs.Add(1)
+	ledgerBuilt(f)
 }
 
 // bySource groups a batch by source with one stable sort: it lists the

@@ -213,8 +213,8 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 // and then destination, whatever order the batch offered them in, at the
 // stored weight, mirrors included on an undirected graph, and
 // without what first-wins insertion skipped (arcs present already or
-// repeated within the batch). A full build and a delta patch carry the
-// same record; the initial snapshot's mirror and one published by a
+// repeated within the batch). FlattenFrom returns the same mirror, with
+// the same record; the initial snapshot's mirror and one published by a
 // deletion carry none.
 func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 	g := New(4, false)
@@ -235,8 +235,7 @@ func TestInsertedArcsRecordsWhatWasStored(t *testing.T) {
 		{Src: 2, Dst: 0, W: 4},
 		{Src: 3, Dst: 1, W: 6},
 	}
-	patched := snap.MaterializeFlatFrom(parent.Flatten(), changed)
-	defer patched.Release()
+	patched := snap.FlattenFrom(parent.Flatten(), changed)
 	for _, view := range []*Flat{snap.Flatten(), patched} {
 		got, ok := view.InsertedArcs()
 		if !ok || len(got) != len(want) {

@@ -12,24 +12,22 @@ import (
 // tails of v's in-arcs sorted by tail, at the arcs' weights.
 //
 // The first Transposed call builds it from the mirror in one pass over
-// the arcs. After that it follows the mirror chain: when FlattenFrom
-// patches a child mirror from a parent holding one, the parent hands its
-// transpose over and the child's is patched from it with the batch's
-// insertion record reversed — the record radix-sorted by head, then by
-// tail — through the same patch (flat.go) that merges the record into the
-// forward mirror: the offsets shifted segment by segment between heads,
-// the unchanged spans bulk-copied and each head's new in-arcs merged into
-// its old span, O(|record| + memcpy). A
-// version no insertion produced has no record, so its transpose is built
-// again on first use. The slabs come from the graph's recycler and go back
-// with the mirror's.
+// the arcs. After that it follows the mirror chain: when the writer
+// publishes a version whose parent mirror holds one, the parent hands its
+// transpose over and the child's is patched from it with the batch's arcs
+// reversed — radix-sorted by head, then by tail — through the same patch
+// (flat.go) that merges them into, or takes them out of, the forward
+// mirror: the offsets shifted segment by segment between heads, the
+// unchanged spans bulk-copied and each head's in-arcs merged into its old
+// span or taken out of it, O(|batch| + memcpy). The slabs come from the
+// graph's recycler and go back with the mirror's.
 
 // Transposed returns the mirror's graph with every arc reversed
 // (engine.Transposer). Its Version is the mirror's, and when the mirror
 // records an insertion its InsertedArcs are the mirror's reversed and
 // sorted by their new tail. It is valid while the mirror is retained and
-// until a FlattenFrom from this mirror takes it over (after which a call
-// here builds it again), so it is the writer's: readers never need it.
+// until the next version's publish takes it over (after which a call here
+// builds it again), so it is the writer's: readers never need it.
 // Safe for concurrent use.
 func (f *Flat) Transposed() engine.ArcView {
 	f.tmu.Lock()
@@ -84,7 +82,7 @@ func transposeFrom(sh *flatShared, g engine.ArcView, prev *Flat) *Flat {
 	}
 	n := g.NumVertices()
 	if insertion && prev != nil && prev.version+1 == version && prev.n <= n {
-		return patchTransposed(sh, prev, n, version, rev)
+		return patchTransposed(sh, prev, n, version, rev, false)
 	}
 	return buildTransposed(sh, g, version, rev, insertion)
 }
@@ -120,10 +118,14 @@ func buildTransposed(sh *flatShared, g engine.ArcView, version uint64, rev []gra
 }
 
 // patchTransposed patches prev, the transpose of the version before, into
-// the transpose of a version over n vertices whose new arcs, reversed and
-// sorted, are rev: patch merges rev into prev's spans, as it merges the
-// forward record into the forward mirror.
-func patchTransposed(sh *flatShared, prev *Flat, n int, version uint64, rev []graph.Edge) *Flat {
-	offs, arcs := patch(sh, prev, n, rev)
+// the transpose of a version over n vertices that differs from it by the
+// arcs rev reverses and sorts: patch merges rev into prev's spans, or with
+// out set takes it out of them, as it does to the forward mirror. Only a
+// merge is an insertion record.
+func patchTransposed(sh *flatShared, prev *Flat, n int, version uint64, rev []graph.Edge, out bool) *Flat {
+	offs, arcs := patch(sh, prev, n, rev, out)
+	if out {
+		return newMirror(sh, offs, arcs, n, version, nil, false)
+	}
 	return newMirror(sh, offs, arcs, n, version, rev, true)
 }

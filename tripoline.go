@@ -49,6 +49,7 @@ package tripoline
 
 import (
 	"context"
+	"errors"
 	"io"
 
 	"tripoline/internal/core"
@@ -108,7 +109,8 @@ type QueryResult = core.QueryResult
 type BatchReport = core.BatchReport
 
 // Snapshot is an immutable version of the streaming graph, safe for
-// concurrent readers.
+// concurrent readers while its mirror is held: the latest snapshot always
+// is, and so is any snapshot nobody retired.
 type Snapshot = streamgraph.Snapshot
 
 // Directedness selects the edge interpretation of a graph.
@@ -151,8 +153,16 @@ func (g *Graph) Acquire() *Snapshot { return g.inner.Acquire() }
 // Save writes the graph's current snapshot to w in a compressed binary
 // format (gap + varint encoded adjacency). Standing query state is not
 // persisted; re-enable problems after LoadGraph to rebuild it.
+//
+// A System applying batches concurrently may retire the snapshot before
+// Save pins it; Save then saves the newer latest one instead.
 func (g *Graph) Save(w io.Writer) error {
-	return streamgraph.Save(w, g.inner.Acquire(), g.inner.Directed())
+	for {
+		err := streamgraph.Save(w, g.inner.Acquire(), g.inner.Directed())
+		if !errors.Is(err, streamgraph.ErrRetired) {
+			return err
+		}
+	}
 }
 
 // LoadGraph reads a graph previously written by Save.
@@ -185,8 +195,9 @@ func WithStandingQueries(k int) Option {
 }
 
 // WithHistory retains up to capacity past snapshots so QueryAt can
-// answer against earlier graph versions (time-travel queries). Purely
-// functional snapshots make retention nearly free.
+// answer against earlier graph versions (time-travel queries). A snapshot
+// is its flat mirror, so each retained version costs O(E) memory — a copy
+// of the arcs — not the O(batch) a persistent tree would share.
 func WithHistory(capacity int) Option {
 	return func(c *config) { c.history = capacity }
 }
