@@ -10,23 +10,24 @@ import (
 	"tripoline/internal/graph"
 	"tripoline/internal/oracle"
 	"tripoline/internal/props"
-	"tripoline/internal/streamgraph"
 )
 
-// oracleSet is one replay's ground truth. It owns a reference graph that
-// receives every mutation the System under test applies, and memoizes
-// the from-scratch oracle answers per published version: the snapshot
-// pinned at each op boundary, the CSR materialized from the reference
-// C-tree (never from a mirror the System evaluated over — a corrupted
-// mirror cannot fool an oracle that never reads it), and the per-problem
-// sequential recomputations. It also collects the replay's divergences.
+// oracleSet is one replay's ground truth. It owns a reference graph — a
+// plain map of arcs — that receives every mutation the System under test
+// applies, first wins, and memoizes the from-scratch oracle answers per
+// published version: the CSR built from the map at each op boundary (by
+// graph.FromEdges, never by the store's mirror patch — a corrupted or
+// mis-patched mirror cannot fool an oracle that shares none of its code),
+// and the per-problem sequential recomputations. It also collects the
+// replay's divergences.
 type oracleSet struct {
-	g        *streamgraph.Graph
 	directed bool
+	n        int
+	arcs     map[[2]graph.VertexID]graph.Weight
+	version  uint64
 	// versions records every published version in order; Op.VerIdx
 	// indexes this list.
 	versions []uint64
-	snaps    map[uint64]*streamgraph.Snapshot
 	csrs     map[uint64]*graph.CSR
 	pr       map[uint64][]float64
 	cc       map[uint64][]uint64
@@ -52,9 +53,9 @@ var bestPath = map[string]engine.Problem{"SSSP": props.SSSP{}, "SSWP": props.SSW
 // vertices, with the initial version recorded.
 func newOracleSet(n int, directed bool) *oracleSet {
 	o := &oracleSet{
-		g:        streamgraph.New(n, directed),
 		directed: directed,
-		snaps:    make(map[uint64]*streamgraph.Snapshot),
+		n:        n,
+		arcs:     make(map[[2]graph.VertexID]graph.Weight),
 		csrs:     make(map[uint64]*graph.CSR),
 		pr:       make(map[uint64][]float64),
 		cc:       make(map[uint64][]uint64),
@@ -70,12 +71,40 @@ func (o *oracleSet) diverge(format string, args ...any) {
 	}
 }
 
-// record pins the reference graph's current snapshot so the oracle can
-// materialize this version later.
+// record builds the CSR of the reference graph's current version.
 func (o *oracleSet) record() {
-	snap := o.g.Acquire()
-	o.snaps[snap.Version()] = snap
-	o.versions = append(o.versions, snap.Version())
+	edges := make([]graph.Edge, 0, len(o.arcs))
+	for k, w := range o.arcs {
+		edges = append(edges, graph.Edge{Src: k[0], Dst: k[1], W: w})
+	}
+	csr := graph.FromEdges(o.n, edges, true)
+	csr.Directed = o.directed
+	o.csrs[o.version] = csr
+	o.versions = append(o.versions, o.version)
+}
+
+// mutate applies one batch to the reference graph — each edge followed by
+// its mirror on an undirected graph, inserted first-wins or deleted — and
+// advances its version.
+func (o *oracleSet) mutate(del bool, edges []graph.Edge) {
+	for _, e := range edges {
+		arcs := []graph.Edge{e, {Src: e.Dst, Dst: e.Src, W: e.W}}
+		if o.directed {
+			arcs = arcs[:1]
+		}
+		for _, a := range arcs {
+			k := [2]graph.VertexID{a.Src, a.Dst}
+			if del {
+				delete(o.arcs, k)
+				continue
+			}
+			o.n = max(o.n, int(a.Src)+1, int(a.Dst)+1)
+			if _, ok := o.arcs[k]; !ok {
+				o.arcs[k] = a.W
+			}
+		}
+	}
+	o.version++
 }
 
 // apply applies one batch — deletions when del is set — to sys and to the
@@ -83,35 +112,24 @@ func (o *oracleSet) record() {
 // the mutation fails or the two versions differ. where labels the
 // divergence.
 func (o *oracleSet) apply(ctx context.Context, sys *core.System, where string, del bool, edges []graph.Edge) core.BatchReport {
-	apply, ref := sys.ApplyBatchCtx, o.g.InsertEdges
+	apply := sys.ApplyBatchCtx
 	if del {
-		apply, ref = sys.ApplyDeletionsCtx, o.g.DeleteEdges
+		apply = sys.ApplyDeletionsCtx
 	}
 	rep, err := apply(ctx, edges)
 	if err != nil {
 		o.diverge("%s: mutation: %v", where, err)
 		return rep
 	}
-	ref(edges)
+	o.mutate(del, edges)
 	o.record()
-	if v := o.g.Acquire().Version(); rep.Version != v {
+	if v := o.version; rep.Version != v {
 		o.diverge("%s: published v=%d, reference graph at v=%d", where, rep.Version, v)
 	}
 	return rep
 }
 
-func (o *oracleSet) csrAt(ver uint64) *graph.CSR {
-	if c, ok := o.csrs[ver]; ok {
-		return c
-	}
-	snap, ok := o.snaps[ver]
-	if !ok {
-		return nil
-	}
-	c := snap.CSR(o.directed)
-	o.csrs[ver] = c
-	return c
-}
+func (o *oracleSet) csrAt(ver uint64) *graph.CSR { return o.csrs[ver] }
 
 func (o *oracleSet) prAt(ver uint64) []float64 {
 	if v, ok := o.pr[ver]; ok {

@@ -273,7 +273,7 @@ func (r *replayer) readers(ctx context.Context, i int, op Op) {
 // graph — the final graph is identical, so the probe phase must agree
 // with the base replay.
 func (r *replayer) deleteReinsertPhase(ctx context.Context) {
-	csr := r.g.Acquire().CSR(false)
+	csr := r.csrAt(r.version)
 	var pairs []graph.Edge
 	for v := 0; v < csr.N; v++ {
 		adj, wgt := csr.OutSpan(graph.VertexID(v))

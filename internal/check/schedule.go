@@ -5,8 +5,8 @@
 // cancellations at chosen supersteps, concurrent readers, and injected
 // mirror-lifecycle faults — and cross-checks every observable result
 // against a from-scratch sequential recomputation (internal/oracle) on a
-// reference graph fed the same mutations, materialized from its C-tree,
-// never from a mirror the system evaluated over. One replayer serves
+// reference graph fed the same mutations — a map of arcs, built into a
+// CSR by code the store does not share. One replayer serves
 // every store count: on top of the oracle it checks metamorphic
 // invariants — batch-split invariance, insertion-order invariance within
 // a batch, delete-then-reinsert identity and, with Options.Shards,
@@ -184,8 +184,8 @@ type genState struct {
 
 func (g *genState) pair() (graph.VertexID, graph.VertexID) {
 	// Mostly in-range endpoints; occasionally one just past the current
-	// range, exercising vertex growth in the C-tree table, the delta
-	// patch's growth region, and standing-state Grow.
+	// range, exercising vertex growth in the mirror patch's growth region
+	// and standing-state Grow.
 	span := g.n
 	if g.rng.Intn(10) == 0 {
 		span = g.n + 2

@@ -17,19 +17,13 @@ type View interface {
 	engine.Versioned
 }
 
-// pinMirror pins snap's mirror for a reader, so that a writer retiring it
-// mid-query cannot recycle the slabs under the reader. It reports false
-// when the mirror can no longer be retained: every reference was dropped
-// — the entry that held it was evicted and later versions superseded it.
-func pinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, bool) {
-	f := snap.Flatten()
-	return f, f.Retain()
-}
-
 // pin pins entry e's mirrors once, for everything one query evaluates
-// over it. The release drops every pin. ok is false, with nothing pinned,
-// when one of them can no longer be retained; the caller looks the entry
-// up again (pinLatest, QueryAtCtx).
+// over it, so that a writer retiring them mid-query cannot recycle the
+// slabs under the reader. The release drops every pin. ok is false, with
+// nothing pinned, when one of them can no longer be retained — every
+// reference was dropped: the ring evicted the entry and later versions
+// superseded the mirror — and the caller looks the entry up again
+// (pinLatest, QueryAtCtx).
 func pin(e *entry) (view View, release func(), ok bool) {
 	if len(e.snaps) == 1 {
 		f, ok := pinMirror(e.snaps[0])
@@ -55,6 +49,12 @@ func pin(e *entry) (view View, release func(), ok bool) {
 		u.views[i] = f
 	}
 	return u, release, true
+}
+
+// pinMirror retains snap's mirror, reporting whether it could.
+func pinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, bool) {
+	f := snap.Flatten()
+	return f, f.Retain()
 }
 
 // pinLatest is the System's Pin: the latest entry's view, pinned. An entry

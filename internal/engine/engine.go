@@ -67,13 +67,13 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 
 // ArcView is the one interface through which anything reads a graph: the
 // kernels, standing maintenance, PageRank, the SSNSP count, the fixpoint
-// check and the oracles. Its adjacency lives in flat arrays. The C-tree is
-// the versioned store; a flat mirror of one version is what is read, so
-// edge iteration is a plain loop over two slices with no closure or
-// interface call per edge. *graph.CSR and *streamgraph.Flat satisfy it,
-// and so does core's union of S store mirrors (each vertex's span lives
-// on one of them); the tree-backed *streamgraph.Snapshot deliberately
-// does not, so handing a snapshot to a kernel does not compile.
+// check and the oracles. Its adjacency lives in flat arrays — a version's
+// flat mirror is the store — so edge iteration is a plain loop over two
+// slices with no closure or interface call per edge. *graph.CSR and
+// *streamgraph.Flat satisfy it, and so does core's union of S store
+// mirrors (each vertex's span lives on one of them); *streamgraph.Snapshot
+// deliberately does not, so handing a snapshot to a kernel does not
+// compile.
 type ArcView interface {
 	NumVertices() int
 	Degree(v graph.VertexID) int

@@ -8,9 +8,9 @@ import (
 
 // Refbalance enforces the mirror pin protocol interprocedurally: every
 // successful Flat.Retain() and every received release obligation (a
-// release-func result of a summarized call, e.g. core.pinMirror's, which
-// hands out the mirror it retained — or built, on a miss — with its
-// release) must reach a discharge on all paths out of the function.
+// release-func result of a summarized call, e.g. core.pin's, which hands
+// out the mirrors it retained with their release) must reach a discharge
+// on all paths out of the function.
 // Recognized discharges:
 //
 //   - calling the release-func (directly, deferred, or via `go`);

@@ -9,10 +9,10 @@ import (
 // Interprocedural function summaries. The original five analyzers are
 // intraprocedural (plus ad-hoc wrapper classification in poolbalance);
 // the ownership analyzers refbalance and goroleak need to see *through*
-// calls: core.pinMirror's `return f, f.Release` hands a pin obligation to
-// its caller — whether f is the shared mirror it retained or the private
-// one it built on a miss — a callee may discharge one by storing the
-// retained value in a field that a teardown method later Releases
+// calls: core.pin's `return f, f.Release, true` hands a pin obligation to
+// its caller — the mirror it retained, with its release — a callee may
+// discharge one by storing the retained value in a field that a teardown
+// method later Releases
 // (keep/entry.m/drop in testdata/src/refbalance), and a `go worker(ch)`
 // statement blocks wherever worker does. summarize computes, bottom-up over the
 // call graph the type-checked module already encodes, one FuncSummary
@@ -33,7 +33,7 @@ import (
 //     forever on a channel operation with no escape edge.
 //
 // Summaries are computed to a fixpoint (the module's wrapper chains are
-// shallow — pinMirror → pin → pinShared is the deepest — but the
+// shallow — pin → pinLatest → pinShared is the deepest — but the
 // iteration makes depth a non-issue), and both new analyzers read the
 // same Summaries object, so the two passes agree on what an ownership
 // transfer is.
@@ -479,7 +479,7 @@ func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 	// Per return statement, a release callback among the results is the
 	// whole obligation: marking a co-returned retained value too would
 	// saddle every caller with a phantom second obligation for the value
-	// the callback releases (pinMirror's `return f, f.Release`). Only a
+	// the callback releases (pin's `return f, f.Release, true`). Only a
 	// return with no callback hands out the retained value itself.
 	changed := false
 	mark := func(positions []int) {

@@ -26,7 +26,7 @@ var current = &mirror{refs: 1}
 func use(m *mirror) {}
 
 // pin transfers the obligation to the caller via the returned
-// release-func: legal (the getter shape of core.pinMirror — retain the
+// release-func: legal (the getter shape of core.pin — retain the
 // shared mirror, or on a miss build one the caller owns; either way the
 // value goes out with its release).
 func pin() (*mirror, func()) {

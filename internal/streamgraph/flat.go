@@ -57,8 +57,7 @@ func (s *Snapshot) Flatten() *Flat { return s.flat }
 
 // FlattenFrom returns the snapshot's mirror, like Flatten: the writer
 // patched it from the parent's when it published the version, so prev and
-// changed are not consulted. It is kept for callers written against a
-// store whose mirrors were built on demand.
+// changed are not consulted.
 func (s *Snapshot) FlattenFrom(prev *Flat, changed []graph.VertexID) *Flat { return s.flat }
 
 // BuiltFlat returns the snapshot's mirror unless RetireFlat dropped the

@@ -11,7 +11,7 @@
 // source's span is its parent span merged with the batch's arcs for it, or
 // with the deleted ones taken out. The paper builds on Aspen's persistent
 // C-trees (§5); Δ-initialization never reads them, and a mirror takes a
-// sixth of a tree's bytes, so this store keeps the mirror alone. The price
+// fraction of a tree's bytes, so this store keeps the mirror alone. The price
 // is that a version costs O(E) bytes to retain instead of O(batch): the
 // writer recycles a superseded mirror's slabs as soon as its last reader
 // releases it (recycle.go).

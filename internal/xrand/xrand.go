@@ -1,7 +1,6 @@
 // Package xrand provides a small, fast, deterministic pseudo-random number
 // generator (splitmix64) used everywhere Tripoline needs reproducible
-// randomness: graph generation, edge-stream shuffling, query sampling, and
-// the treap priorities of the persistent C-tree.
+// randomness: graph generation, edge-stream shuffling and query sampling.
 //
 // Determinism matters for this codebase: every experiment in EXPERIMENTS.md
 // must be reproducible bit-for-bit from a seed.
