@@ -310,7 +310,7 @@ func (f *Flat) recycle() {
 	}
 	sh := f.shared
 	offs, arcs := f.offs, f.arcs
-	f.off, f.adj, f.wgt = nil, nil, nil
+	f.off, f.adj, f.wgt, f.inserted = nil, nil, nil, nil
 	f.offs, f.arcs = nil, nil
 	if sh == nil {
 		return
