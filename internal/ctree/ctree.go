@@ -20,6 +20,12 @@
 // The expected chunk length is ExpectedChunk; with B-way head selection the
 // treap holds ~n/B nodes, giving Aspen's cache-friendly layout and low
 // space overhead while keeping O(log n) functional updates.
+//
+// No store uses this package: a streamgraph snapshot is its flat mirror
+// plus its insertion record (DESIGN.md §9, "The mirror is the store").
+// It stays as the insert-only reference of §5's edge trees, with the
+// tests that pin its history independence and persistence; the vertex
+// table and removal it once offered the store are gone.
 package ctree
 
 import (
