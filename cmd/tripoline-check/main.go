@@ -123,9 +123,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions, %d frames dropped by lossy ones\n",
 				sum.CacheHits, sum.Frames, sum.Subscriptions, sum.FramesDropped)
 		} else {
-			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) deny-retain=%d evicts=%d (fired %d)\n",
-				sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain,
-				sum.Faults.Evicts, sum.Faults.EvictsFired)
+			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) evicts=%d (fired %d)\n",
+				sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.Evicts, sum.Faults.EvictsFired)
 		}
 	}
 	if sum.Divergences > 0 {

@@ -107,7 +107,7 @@ func TestVerdictDeterministic(t *testing.T) {
 func TestFaultModesAllExercised(t *testing.T) {
 	sum := RunMany(context.Background(), 20, 1, Options{}, nil)
 	f := sum.Faults
-	if f.Cancels == 0 || f.DenyRetain == 0 || f.Evicts == 0 {
+	if f.Cancels == 0 || f.Evicts == 0 {
 		t.Fatalf("a fault mode was never attempted: %+v", f)
 	}
 	if f.EvictsFired == 0 {
@@ -182,7 +182,7 @@ func TestCorruptTransposeCaughtAndMinimized(t *testing.T) {
 // TestGenerateDrawsDirectedness: about half the seeds make a directed
 // schedule, whose edges keep their orientation and whose problems leave
 // out CC; an undirected schedule's header has no directed line, and the
-// retired letter F decodes as an insertion.
+// retired letters F and x decode as an insertion and a Δ-query.
 func TestGenerateDrawsDirectedness(t *testing.T) {
 	directed, reversed := 0, 0
 	for seed := uint64(0); seed < 40; seed++ {
@@ -213,9 +213,12 @@ func TestGenerateDrawsDirectedness(t *testing.T) {
 	if reversed == 0 {
 		t.Fatal("directed schedules never hold an arc from a higher to a lower vertex")
 	}
-	s, err := Decode([]byte("check/v1\nseed 1\nn 4\nF 0-1-2 1-2-3\nq BFS 0\n"))
+	s, err := Decode([]byte("check/v1\nseed 1\nn 4\nF 0-1-2 1-2-3\nx BFS 0\n"))
 	if err != nil || s.Directed || len(s.Ops) != 2 || s.Ops[0].Kind != OpInsert || len(s.Ops[0].Edges) != 2 {
 		t.Fatalf("F did not decode as an undirected insertion: %+v, %v", s, err)
+	}
+	if op := s.Ops[1]; op.Kind != OpQuery || op.Problem != "BFS" || op.Source != 0 {
+		t.Fatalf("x did not decode as a Δ-query: %+v", op)
 	}
 	if _, err := Decode([]byte("check/v1\nseed 1\nn 4\ndirected 1\nq CC 0\n")); err == nil {
 		t.Fatal("CC decoded on a directed schedule")

@@ -85,7 +85,6 @@ type observation struct {
 type FaultCounts struct {
 	Cancels      int `json:"cancels"`
 	CancelsFired int `json:"cancels_fired"`
-	DenyRetain   int `json:"deny_retain"`
 	Evicts       int `json:"evicts"`
 	EvictsFired  int `json:"evicts_fired"`
 }
@@ -93,7 +92,6 @@ type FaultCounts struct {
 func (f *FaultCounts) add(o FaultCounts) {
 	f.Cancels += o.Cancels
 	f.CancelsFired += o.CancelsFired
-	f.DenyRetain += o.DenyRetain
 	f.Evicts += o.Evicts
 	f.EvictsFired += o.EvictsFired
 }
@@ -151,15 +149,6 @@ func replay(ctx context.Context, s *Schedule, v variant) *replayer {
 	}
 	r.probes(ctx, len(s.Ops)+1)
 	return r
-}
-
-// seam returns the one store's fault seam, or at S > 1 a detached one
-// whose faults reach nothing.
-func (r *replayer) seam() *streamgraph.FaultSeam {
-	if r.store == nil {
-		return new(streamgraph.FaultSeam)
-	}
-	return r.store.Seam()
 }
 
 // batches applies the variant's shuffle/split transforms to one insert
@@ -232,13 +221,6 @@ func (r *replayer) step(ctx context.Context, i int, op Op) {
 		if ctx.fired() {
 			r.faults.EvictsFired++
 		}
-		r.observe(i, op, false, res, err, false)
-	case OpDenyRetain:
-		seam := r.seam()
-		seam.SetDenyRetain(true)
-		res, err := r.sys.QueryCtx(ctx, op.Problem, op.Source)
-		seam.SetDenyRetain(false)
-		r.faults.DenyRetain++
 		r.observe(i, op, false, res, err, false)
 	}
 }

@@ -68,16 +68,12 @@ const (
 	// snapshot's mirror mid-run — the history-eviction race, made
 	// deterministic.
 	OpEvict
-	// OpDenyRetain runs a query whose first Flat.Retain is forced to
-	// fail, driving the reader down core's retry path: it re-reads the
-	// latest entry and pins again.
-	OpDenyRetain
 
 	numOpKinds
 )
 
 // letters maps op kinds to their one-character encoding.
-var letters = [numOpKinds]string{"i", "d", "q", "Q", "h", "c", "r", "e", "x"}
+var letters = [numOpKinds]string{"i", "d", "q", "Q", "h", "c", "r", "e"}
 
 func (k OpKind) String() string {
 	if int(k) < len(letters) {
@@ -272,7 +268,9 @@ func (g *genState) nextOp() Op {
 	case r < 88:
 		return Op{Kind: OpEvict, Problem: g.problem(), Source: g.source()}
 	case r < 94:
-		return Op{Kind: OpDenyRetain, Problem: g.problem(), Source: g.source()}
+		// The share of a retired fault op (letter x): a plain query, so a
+		// seed still draws the schedule it always drew.
+		return Op{Kind: OpQuery, Problem: g.problem(), Source: g.source()}
 	default:
 		return g.insertOp(OpInsert, 1+g.rng.Intn(g.n))
 	}
@@ -314,7 +312,7 @@ func Encode(s *Schedule) []byte {
 			for _, e := range op.Edges {
 				fmt.Fprintf(&b, " %d-%d-%d", e.Src, e.Dst, e.W)
 			}
-		case OpQuery, OpQueryFull, OpEvict, OpDenyRetain:
+		case OpQuery, OpQueryFull, OpEvict:
 			fmt.Fprintf(&b, " %s %d", op.Problem, op.Source)
 		case OpQueryAt:
 			fmt.Fprintf(&b, " %s %d %d", op.Problem, op.Source, op.VerIdx)
@@ -333,9 +331,10 @@ func Encode(s *Schedule) []byte {
 // endpoint pair — unordered on an undirected schedule, ordered on a
 // directed one — are dropped (the streaming graph is first-wins, so a
 // duplicate with a different weight would make the shuffle variant
-// order-sensitive for reasons that are not bugs). The letter F, which
-// named an insertion through a since-removed full-rebuild fault, decodes
-// as an insertion.
+// order-sensitive for reasons that are not bugs). The letters of two
+// since-removed fault ops decode as the plain op they ran: F, an insertion
+// through a forced full rebuild, as an insertion, and x, a query through a
+// denied mirror pin, as a query.
 func Decode(data []byte) (*Schedule, error) {
 	lines := strings.Split(string(data), "\n")
 	if len(lines) < 3 || strings.TrimSpace(lines[0]) != encodeHeader {
@@ -359,7 +358,7 @@ func Decode(data []byte) (*Schedule, error) {
 		}
 		s.Directed, body = d == 1, body[1:]
 	}
-	kindOf := map[string]OpKind{"F": OpInsert}
+	kindOf := map[string]OpKind{"F": OpInsert, "x": OpQuery}
 	for k, l := range letters {
 		kindOf[l] = OpKind(k)
 	}

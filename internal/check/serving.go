@@ -132,8 +132,8 @@ func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 		}
 	default:
 		// Every other op kind collapses to the cached-query exercise: the
-		// serving replay has no fault seams, so cancels/evicts/deny-retain
-		// ops are replayed as plain queries at the same (problem, source).
+		// serving replay has no fault seams, so cancel and evict ops are
+		// replayed as plain queries at the same (problem, source).
 		r.query(ctx, i, op)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -34,9 +35,11 @@ type entry struct {
 // serving state); EnableHistory widens the ring so QueryAt can address
 // older versions, making the ring double as the System's history window.
 //
-// The lock protects only the ring bookkeeping — no barrier method blocks
-// or calls out while holding it (the lockscope analyzer checks this for
-// the whole package).
+// The lock guards the ring and the holds its entries keep on their
+// mirrors: a reader pins under the read lock, and an eviction drops its
+// holds under the write lock, so a pin always finds its entry's mirrors
+// held and cannot fail. No barrier method blocks while holding the lock
+// (the lockscope analyzer checks this for the whole package).
 type barrier struct {
 	mu      sync.RWMutex
 	cap     int
@@ -50,10 +53,9 @@ func newBarrier(first *entry) *barrier {
 // widen sets the retention window to capacity entries (never below 1).
 func (b *barrier) widen(capacity int) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.cap = max(capacity, 1)
-	evicted := b.trimLocked()
-	b.mu.Unlock()
-	unhold(evicted)
+	unhold(b.trimLocked())
 }
 
 // latest returns the newest published entry. Entries are immutable after
@@ -65,23 +67,40 @@ func (b *barrier) latest() *entry {
 	return e
 }
 
-// at returns the entry published for the given version, or false when it
-// was never published or already fell out of the ring.
-func (b *barrier) at(global uint64) (*entry, bool) {
+// pinLatest is the System's Pin: the latest entry's view, pinned (see
+// pin). It pins under the read lock, so the entry is in the ring and holds
+// its mirrors for as long as the pin takes.
+func (b *barrier) pinLatest() (View, func()) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	view, release := pin(b.entries[len(b.entries)-1])
+	return view, release
+}
+
+// pinAt pins the retained entry with the given version under the read
+// lock, like pinLatest, or fails with an ErrNoSuchVersion-wrapping error
+// when the version was never published or already fell out of the ring.
+func (b *barrier) pinAt(global uint64) (View, func(), error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	for i := len(b.entries) - 1; i >= 0; i-- {
-		if b.entries[i].global == global {
-			return b.entries[i], true
+		if e := b.entries[i]; e.global == global {
+			view, release := pin(e)
+			return view, release, nil
 		}
 	}
-	return nil, false
+	return nil, nil, fmt.Errorf("core: version %d not retained (have %v): %w",
+		global, b.versionsLocked(), ErrNoSuchVersion)
 }
 
 // versions lists the retained versions in ascending order.
 func (b *barrier) versions() []uint64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	return b.versionsLocked()
+}
+
+func (b *barrier) versionsLocked() []uint64 {
 	out := make([]uint64, len(b.entries))
 	for i, e := range b.entries {
 		out[i] = e.global
@@ -91,13 +110,12 @@ func (b *barrier) versions() []uint64 {
 
 // publish appends a new entry (its version must exceed the newest) and
 // evicts the oldest entries beyond the ring capacity, dropping their
-// holds once the lock is released.
+// holds under the lock.
 func (b *barrier) publish(e *entry) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.entries = append(b.entries, e)
-	evicted := b.trimLocked()
-	b.mu.Unlock()
-	unhold(evicted)
+	unhold(b.trimLocked())
 }
 
 // trimLocked evicts the oldest entries beyond the capacity and returns

@@ -86,3 +86,16 @@ func (s *System) SubscribeAcross(problem string, u graph.VertexID, mutate func()
 // evaluation or catch-up, outside the lock and before its install. Set it
 // before any subscribe runs.
 func (s *System) OnSubscribeEvaluated(f func(caughtUp bool)) { s.ev.evaluated = f }
+
+// at returns the entry published for the given version, or false when it
+// was never published or already fell out of the ring.
+func (b *barrier) at(global uint64) (*entry, bool) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for _, e := range b.entries {
+		if e.global == global {
+			return e, true
+		}
+	}
+	return nil, false
+}

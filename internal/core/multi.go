@@ -40,5 +40,5 @@ func (r *MultiResult) Value(x graph.VertexID, j int) uint64 {
 // QueryManyCtx evaluates up to 64 same-problem user queries in one
 // batched Δ-based evaluation (see evaluator.QueryMany).
 func (s *System) QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*MultiResult, error) {
-	return s.ev.QueryMany(ctx, problem, sources, s.pinLatest)
+	return s.ev.QueryMany(ctx, problem, sources, s.bar.pinLatest)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,18 +14,20 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-// TestPinRacesBatchesAndHistory races Δ-queries (QueryCtx, through
-// pinLatest) and historical queries (QueryAt, through pinAt) against a
-// writer applying insertions and deletions, with history rings of two to
-// four entries, at S=1 and S=3. Every pin either holds a mirror its entry
-// or the Graph still references or retries; every answer must equal the
-// oracle's on the graph at the version it reports, and a QueryAt may only
-// miss a version that fell out of the ring. Under -race this is the
-// pin/retire/evict protocol of mirrors that are the store.
+// TestPinRacesBatchesAndHistory races Δ-queries (QueryCtx), full queries
+// (QueryFullCtx), both through barrier.pinLatest, and historical queries
+// (QueryAt, through barrier.pinAt) against a writer applying insertions
+// and deletions, with history rings of one to four entries, at S=1 and
+// S=3. With one entry every publish evicts the entry a reader may be about
+// to pin. Every pin is taken under the ring's read lock and cannot fail (a
+// failed retain panics); every answer must equal the oracle's on the graph
+// at the version it reports, and a QueryAt may only miss a version that
+// fell out of the ring. Under -race this is the pin/retire/evict protocol
+// of mirrors that are the store.
 func TestPinRacesBatchesAndHistory(t *testing.T) {
 	const n = 96
 	for _, shards := range []int{1, 3} {
-		for capacity := 2; capacity <= 4; capacity++ {
+		for capacity := 1; capacity <= 4; capacity++ {
 			t.Run(fmt.Sprintf("S=%d/history=%d", shards, capacity), func(t *testing.T) {
 				var sys *System
 				if shards == 1 {
@@ -77,6 +80,11 @@ func TestPinRacesBatchesAndHistory(t *testing.T) {
 								return
 							}
 							check("Query", u, res)
+							if res, err = sys.QueryFullCtx(context.Background(), "SSSP", u); err != nil {
+								t.Error(err)
+								return
+							}
+							check("QueryFull", u, res)
 							vs := sys.HistoryVersions()
 							v := vs[i%len(vs)]
 							res, err = sys.QueryAt(v, "SSSP", u)

@@ -11,8 +11,6 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/metrics"
-	"tripoline/internal/oracle"
-	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
 )
 
@@ -194,143 +192,6 @@ func TestReadersNeverPinARetiredMirror(t *testing.T) {
 				t.Fatalf("%d delta builds for %d stores reached", delta, reached)
 			}
 		})
-	}
-}
-
-// exerciseBuildOnMiss drives every reader that pins a mirror down the pin's
-// miss path — a Retain denied by every store's seam, which the pin retries
-// — on a System of the given store count, including a version the writer
-// retired that the history ring still holds, and holds each answer to the
-// sequential oracle on a one-store reference System's mirror at the
-// version the answer reports. A miss builds no mirror: the retry pins the
-// same one; the tagged TestLedgerBuildOnMiss asserts every pin was
-// released.
-func exerciseBuildOnMiss(t *testing.T, shards int) {
-	t.Helper()
-	const n = 120
-	ref := enabled(t, NewSystem(streamgraph.New(n, false), 4), "SSSP", "CC")
-	sys := enabled(t, NewSharded(n, false, shards, 4), "SSSP", "CC")
-	for _, s := range []*System{ref, sys} {
-		s.EnableHistory(16)
-	}
-	insert := func(batch []graph.Edge) {
-		ref.ApplyBatch(batch)
-		sys.ApplyBatch(batch)
-	}
-	rng := rand.New(rand.NewSource(18))
-	insert(randArcs(rng, n, 80))
-	retired := sys.Version()
-	insert(randArcs(rng, n, 80)) // retires that version's mirrors
-
-	// exact holds column off of the stride-wide got to the oracle at version.
-	exact := func(label, problem string, u graph.VertexID, version uint64, got []uint64, stride, off int) {
-		t.Helper()
-		e, ok := ref.bar.at(version)
-		if !ok {
-			t.Fatalf("%s: version %d not retained", label, version)
-		}
-		csr := e.snaps[0].CSR(false)
-		want := oracle.Components(csr)
-		if problem != "CC" {
-			want = oracle.BestPath(csr, props.Registry()[problem], u)
-		}
-		for x := range want {
-			if g := got[x*stride+off]; g != want[x] {
-				t.Fatalf("%s: %s(%d) at v%d: value[%d] = %d, oracle %d", label, problem, u, version, x, g, want[x])
-			}
-		}
-	}
-	var builds int64
-	fullBuilds := func() (total int64) {
-		for _, st := range sys.stores {
-			total += st.g.MirrorMetrics().FullBuilds.Value()
-		}
-		return total
-	}
-	deny := func(on bool) {
-		for _, st := range sys.stores {
-			st.g.Seam().SetDenyRetain(on)
-		}
-	}
-	// missed checks that the reader consumed every store's denial — the
-	// latest mirrors retain again — and built nothing, then re-arms.
-	missed := func(label string) {
-		t.Helper()
-		for i, st := range sys.stores {
-			f := st.g.Acquire().Flatten()
-			if !f.Retain() {
-				t.Fatalf("%s: store %d's denial was not consumed at S=%d", label, i, shards)
-			}
-			f.Release()
-		}
-		if got := fullBuilds() - builds; got != 0 {
-			t.Fatalf("%s: %d mirrors built after a missed retain at S=%d", label, got, shards)
-		}
-		deny(true)
-	}
-
-	builds = fullBuilds()
-	deny(true)
-	res, err := sys.Query("SSSP", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact("Query", "SSSP", 7, res.Version, res.Values, 1, 0)
-	missed("Query")
-	for _, problem := range []string{"SSSP", "CC"} {
-		if res, err = sys.QueryFull(problem, 51); err != nil {
-			t.Fatal(err)
-		}
-		exact("QueryFull", problem, 51, res.Version, res.Values, 1, 0)
-		missed("QueryFull " + problem)
-	}
-	sources := []graph.VertexID{2, 63, 119}
-	many, err := sys.QueryMany("SSSP", sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, u := range sources {
-		exact("QueryMany", "SSSP", u, many.Version, many.Values, many.Width, j)
-	}
-	missed("QueryMany")
-	sub, err := sys.Subscribe("SSSP", 13, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Unsubscribe(sub)
-	frame := <-sub.Frames()
-	values := frame.Values
-	exact("subscription snapshot", "SSSP", 13, frame.Version, values, 1, 0)
-	missed("Subscribe")
-	// The refresh evaluates over the writer's own mirrors: no pin.
-	deny(false)
-	insert(randArcs(rng, n, 40))
-	frame = <-sub.Frames()
-	for _, d := range frame.Changed {
-		values[d.Vertex] = d.Value
-	}
-	exact("subscription refresh", "SSSP", 13, frame.Version, values, 1, 0)
-	// The retired version, which the ring holds: with the seam armed, then
-	// without.
-	deny(true)
-	for _, problem := range []string{"SSSP", "CC"} {
-		if res, err = sys.QueryAt(retired, problem, 5); err != nil {
-			t.Fatal(err)
-		}
-		exact("QueryAt", problem, 5, res.Version, res.Values, 1, 0)
-		if problem == "SSSP" {
-			missed("QueryAt " + problem)
-			deny(false)
-		}
-	}
-	if fullBuilds() != builds {
-		t.Fatalf("%d mirrors built by missed pins", fullBuilds()-builds)
-	}
-}
-
-func TestBuildOnMiss(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) { exerciseBuildOnMiss(t, shards) })
 	}
 }
 

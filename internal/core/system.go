@@ -254,7 +254,7 @@ func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
 // convergence loop promptly and the call returns an ErrCanceled-wrapping
 // error (see evaluator.Query).
 func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
-	res, err := s.ev.Query(ctx, name, u, s.pinLatest)
+	res, err := s.ev.Query(ctx, name, u, s.bar.pinLatest)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 // (non-incremental) evaluation — the baseline the paper's speedups
 // compare against — under cooperative cancellation (see QueryCtx).
 func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*QueryResult, error) {
-	view, release := s.pinLatest()
+	view, release := s.bar.pinLatest()
 	defer release()
 	return s.ev.QueryFull(ctx, name, u, view)
 }
@@ -298,33 +298,18 @@ func (s *System) HistoryVersions() []uint64 {
 // latest version, so Δ-initialization is not valid against older ones (its
 // bounds could be too good: edges present now may be absent then). The
 // source must be in range for the queried version, which may have fewer
-// vertices than the latest. A retained entry holds its mirrors, so the
-// query pins them; should the entry be evicted between the lookup and the
-// pin, the lookup fails the next time round.
+// vertices than the latest. A retained entry holds its mirrors, and the
+// query pins them in the same lookup (barrier.pinAt).
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
 	if !s.histOn {
 		return nil, fmt.Errorf("core: history not enabled: %w", ErrNoSuchVersion)
 	}
-	view, release, err := s.pinAt(version)
+	view, release, err := s.bar.pinAt(version)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	return s.ev.QueryFull(ctx, problem, u, view)
-}
-
-// pinAt pins the retained entry with the given version.
-func (s *System) pinAt(version uint64) (View, func(), error) {
-	for {
-		e, ok := s.bar.at(version)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: version %d not retained (have %v): %w",
-				version, s.bar.versions(), ErrNoSuchVersion)
-		}
-		if view, release, ok := pin(e); ok {
-			return view, release, nil
-		}
-	}
 }
 
 // NumVertices reports the vertex count of the latest version.
@@ -388,7 +373,7 @@ func (s *System) ResultCacheMetrics() CacheMetrics { return s.cache.Metrics() }
 // the writer refreshes it after every batch that changes the graph (see
 // evaluator.SubscribeCtx).
 func (s *System) SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*Subscription, error) {
-	return s.ev.SubscribeCtx(ctx, problem, u, buffer, s.pinLatest)
+	return s.ev.SubscribeCtx(ctx, problem, u, buffer, s.bar.pinLatest)
 }
 
 // Unsubscribe deregisters sub and closes its frame channel. Idempotent.

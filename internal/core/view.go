@@ -19,54 +19,33 @@ type View interface {
 
 // pin pins entry e's mirrors once, for everything one query evaluates
 // over it, so that a writer retiring them mid-query cannot recycle the
-// slabs under the reader. The release drops every pin. ok is false, with
-// nothing pinned, when one of them can no longer be retained — every
-// reference was dropped: the ring evicted the entry and later versions
-// superseded the mirror — and the caller looks the entry up again
-// (pinLatest, QueryAtCtx).
-func pin(e *entry) (view View, release func(), ok bool) {
+// slabs under the reader. The release drops every pin. The caller holds
+// the barrier's read lock (barrier.pinLatest, barrier.pinAt), under which
+// e is in the ring and holds each of its mirrors, so no retain can fail.
+func pin(e *entry) (View, func()) {
 	if len(e.snaps) == 1 {
-		f, ok := pinMirror(e.snaps[0])
-		if !ok {
-			return nil, nil, false
-		}
-		return f, f.Release, true
+		f := pinMirror(e.snaps[0])
+		return f, f.Release
 	}
 	u := &union{e: e, views: make([]*streamgraph.Flat, len(e.snaps))}
-	release = func() {
-		for _, f := range u.views {
-			if f != nil {
-				f.Release()
-			}
-		}
-	}
 	for i, snap := range e.snaps {
-		f, ok := pinMirror(snap)
-		if !ok {
-			release()
-			return nil, nil, false
-		}
-		u.views[i] = f
+		u.views[i] = pinMirror(snap)
 	}
-	return u, release, true
+	return u, func() {
+		for _, f := range u.views {
+			f.Release()
+		}
+	}
 }
 
-// pinMirror retains snap's mirror, reporting whether it could.
-func pinMirror(snap *streamgraph.Snapshot) (*streamgraph.Flat, bool) {
+// pinMirror retains snap's mirror. A held mirror always retains, so a
+// failure breaks the ring's invariant and panics.
+func pinMirror(snap *streamgraph.Snapshot) *streamgraph.Flat {
 	f := snap.Flatten()
-	return f, f.Retain()
-}
-
-// pinLatest is the System's Pin: the latest entry's view, pinned. An entry
-// holds its mirrors until the ring evicts it, so a retain fails only when
-// a later entry has been published meanwhile; the pin then re-reads the
-// latest entry and tries again. It never builds a mirror.
-func (s *System) pinLatest() (View, func()) {
-	for {
-		if view, release, ok := pin(s.bar.latest()); ok {
-			return view, release
-		}
+	if !f.Retain() {
+		panic("core: pinned a mirror no entry holds")
 	}
+	return f
 }
 
 // current is the writer's view of the latest entry e, the counterpart of

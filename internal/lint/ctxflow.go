@@ -23,18 +23,12 @@ import (
 //     cancellability it does not deliver.
 //
 //  3. context.Context must not be stored in struct fields (contexts are
-//     call-scoped, per the context package's own contract). The serving
-//     layer (internal/server) is the one approved exception, where a
-//     request-scoped object may legitimately carry its request context.
+//     call-scoped, per the context package's own contract).
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "contexts must flow through parameters: no Background/TODO outside commands and wrappers, exported ...Ctx funcs forward ctx, no ctx in structs",
 	Run:  runCtxflow,
 }
-
-// ctxStructAllowlist names package paths (by suffix) whose structs may
-// hold a context.Context.
-var ctxStructAllowlist = []string{"internal/server"}
 
 func isContextType(t types.Type) bool {
 	path, name, ok := namedPathName(t)
@@ -44,15 +38,9 @@ func isContextType(t types.Type) bool {
 func runCtxflow(pass *Pass) {
 	for _, pkg := range pass.Pkgs {
 		isMain := pkg.Pkg.Name() == "main"
-		serving := false
-		for _, suffix := range ctxStructAllowlist {
-			if strings.HasSuffix(pkg.Path, suffix) || pkg.Pkg.Name() == "server" {
-				serving = true
-			}
-		}
 		for _, file := range pkg.Files {
 			checkBackgroundCalls(pass, pkg, file, isMain)
-			checkStructFields(pass, pkg, file, serving)
+			checkStructFields(pass, pkg, file)
 			checkCtxForwarding(pass, pkg, file)
 		}
 	}
@@ -112,12 +100,8 @@ func wrapperForwarded(pkg *Package, bg *ast.CallExpr, stack []ast.Node) bool {
 	return callee != nil && callee.Name() == fd.Name.Name+"Ctx"
 }
 
-// checkStructFields flags context.Context struct fields outside the
-// serving-layer allowlist.
-func checkStructFields(pass *Pass, pkg *Package, file *ast.File, serving bool) {
-	if serving {
-		return
-	}
+// checkStructFields flags context.Context struct fields.
+func checkStructFields(pass *Pass, pkg *Package, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		st, ok := n.(*ast.StructType)
 		if !ok || st.Fields == nil {
@@ -126,7 +110,7 @@ func checkStructFields(pass *Pass, pkg *Package, file *ast.File, serving bool) {
 		for _, f := range st.Fields.List {
 			if t := pkg.Info.Types[f.Type].Type; isContextType(t) {
 				pass.Reportf(f.Pos(),
-					"context.Context stored in a struct field; contexts are call-scoped — pass ctx as the first parameter instead (serving-layer request objects are the only approved exception)")
+					"context.Context stored in a struct field; contexts are call-scoped — pass ctx as the first parameter instead")
 			}
 		}
 		return true

@@ -11,11 +11,8 @@ import (
 // operation reachable from a launch (through module calls, via the
 // Blocks summary) must have an escape edge:
 //
-//   - a select arm on a cancellation-shaped channel — ctx.Done(), a
-//     time.Timer/Ticker channel, or a channel close()d somewhere in the
-//     module (the drainCh idiom);
-//   - a select default clause (non-blocking poll, the subscriber
-//     fan-out idiom);
+//   - a receive, or a select arm, on a Done() channel (ctx.Done(), the
+//     load generator's runner);
 //   - a send on a locally made buffered channel (`errCh := make(chan
 //     error, 1)` hand-off, cmd/tripoline-server's ListenAndServe relay).
 //
@@ -58,7 +55,7 @@ func checkGoSite(pass *Pass, site *GoSite, sum *Summaries) {
 		buffered := bufferedChans(info, site.Encl.Body)
 		if pos, blocks := firstBlockingOp(info, site.Body, buffered, sum); blocks {
 			pass.Reportf(site.Stmt.Pos(),
-				"goroutine can block forever at %s on a channel operation with no escape edge; add a ctx.Done()/closed-channel arm, a default case, or a buffered hand-off channel",
+				"goroutine can block forever at %s on a channel operation with no escape edge; add a ctx.Done() arm or a buffered hand-off channel",
 				pass.Fset.Position(pos))
 		}
 		return

@@ -13,22 +13,20 @@
 //   - atomicmix:   values updated via sync/atomic (or the parallel
 //     helpers) must not also be accessed plainly where it races
 //   - poolbalance: every sync.Pool acquisition must reach a Put (or the
-//     documented error-guarded cancel-drop) on all return paths
+//     documented `err == nil`-guarded cancel-drop) on all return paths
 //   - ctxflow:     context discipline — no context.Background()/TODO()
 //     outside commands and the Foo→FooCtx wrapper idiom, exported ...Ctx
-//     functions must forward their ctx, no ctx stored in structs outside
-//     the serving layer
+//     functions must forward their ctx, no ctx stored in structs
 //   - sentinelcmp: sentinel errors must be matched with errors.Is, not ==
 //   - lockscope:   engine/core locks must not be held across calls that
 //     can block indefinitely (channel ops, Wait, query entry points)
 //   - refbalance:  every successful Flat.Retain() and every received
 //     release-func must be discharged on all paths — released, returned,
-//     stored into a tracked teardown field, or waived behind an err
-//     guard — checked interprocedurally via the per-function ownership
-//     summaries of summary.go
+//     or waived behind an `err != nil` guard — checked interprocedurally
+//     via the per-function ownership summaries of summary.go
 //   - goroleak:    every go statement that can block forever on a
-//     channel op needs an escape edge (ctx.Done()/closed-channel arm,
-//     default case, timer arm, or buffered hand-off channel)
+//     channel op needs an escape edge (a ctx.Done() arm or a buffered
+//     hand-off channel)
 //
 // Diagnostics print as "file:line:col: [analyzer] message"; a
 // machine-readable -json mode and mandatory-reason

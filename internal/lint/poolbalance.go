@@ -17,7 +17,9 @@ import (
 // its caller, who is then checked); a function that Puts its parameter
 // is a putter (calling it counts as a Put). Values that escape the
 // function some other way (returned, stored in a field, passed to a
-// non-putter call) transfer ownership and are not tracked further.
+// non-putter call) transfer ownership and are not tracked further. A Put
+// inside a loop, switch or select body does not count: the body may not
+// run.
 var Poolbalance = &Analyzer{
 	Name: "poolbalance",
 	Doc:  "sync.Pool acquisitions must reach a Put (or the documented cancel-drop) on all return paths",
@@ -401,9 +403,8 @@ func (bc *balanceChecker) walkSeq(acq acquisition, stmts []ast.Stmt, st *pathSta
 			return true
 		case *ast.IfStmt:
 			if bc.errGuardedRelease(s, acq.obj) {
-				// The documented cancel-drop: `if err == nil { put(x) }`
-				// (or the != nil mirror). The other side deliberately
-				// drops the scratch.
+				// The documented cancel-drop: `if err == nil { put(x) }`.
+				// The other side deliberately drops the scratch.
 				st.released = true
 				continue
 			}
@@ -431,25 +432,6 @@ func (bc *balanceChecker) walkSeq(acq acquisition, stmts []ast.Stmt, st *pathSta
 			if bc.walkSeq(acq, s.List, st, fname) {
 				return true
 			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			// Optimistic inside irregular control flow: any release in
-			// there satisfies the path (loops may run zero times, but a
-			// release placed in a loop is almost always paired with the
-			// loop's own exit logic; precision here is not worth the
-			// false positives).
-			released := false
-			ast.Inspect(stmt, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok && fl != nil {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok && bc.isRelease(call, acq.obj) {
-					released = true
-				}
-				return !released
-			})
-			if released {
-				st.released = true
-			}
 		}
 		if !st.released && bc.escapes(stmt, acq.obj) {
 			st.released = true // ownership transferred
@@ -458,45 +440,32 @@ func (bc *balanceChecker) walkSeq(acq acquisition, stmts []ast.Stmt, st *pathSta
 	return false
 }
 
-// errGuardedRelease matches the cancel-drop idiom: an if whose
-// condition compares an error-typed value against nil and whose taken
-// branch releases the value.
+// errGuardedRelease matches the cancel-drop idiom: `if err == nil {
+// put(x) }` for an error-typed err.
 func (bc *balanceChecker) errGuardedRelease(s *ast.IfStmt, obj types.Object) bool {
 	bin, ok := ast.Unparen(s.Cond).(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+	if !ok || bin.Op != token.EQL {
 		return false
 	}
-	var errSide ast.Expr
-	if isNilIdent(bin.Y) {
-		errSide = bin.X
-	} else if isNilIdent(bin.X) {
+	errSide := bin.X
+	if isNilIdent(bin.X) {
 		errSide = bin.Y
-	} else {
+	} else if !isNilIdent(bin.Y) {
 		return false
 	}
 	if t := bc.pkg.Info.Types[errSide].Type; !isErrorType(t) {
 		return false
 	}
-	releasedIn := func(stmts []ast.Stmt) bool {
-		found := false
-		for _, stmt := range stmts {
-			ast.Inspect(stmt, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && bc.isRelease(call, obj) {
-					found = true
-				}
-				return !found
-			})
-		}
-		return found
+	found := false
+	for _, stmt := range s.Body.List {
+		ast.Inspect(stmt, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && bc.isRelease(call, obj) {
+				found = true
+			}
+			return !found
+		})
 	}
-	if bin.Op == token.EQL { // if err == nil { put }
-		return releasedIn(s.Body.List)
-	}
-	// if err != nil { ... } else { put }
-	if eb, ok := s.Else.(*ast.BlockStmt); ok {
-		return releasedIn(eb.List)
-	}
-	return false
+	return found
 }
 
 func isNilIdent(e ast.Expr) bool {

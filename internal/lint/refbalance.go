@@ -11,26 +11,23 @@ import (
 // release-func result of a summarized call, e.g. core.pin's, which hands
 // out the mirrors it retained with their release) must reach a discharge
 // on all paths out of the function.
-// Recognized discharges:
+// Recognized discharges, each as a statement of its own or deferred:
 //
-//   - calling the release-func (directly, deferred, or via `go`);
-//   - calling Release/RetireFlat on the retained value;
-//   - retargeting (`pin = f.Release`) — the obligation moves to pin;
-//   - forwarding to a callee whose summary releases that parameter
-//     (the golden fixture's keep and finish; the real tree currently has
-//     no such callee);
-//   - returning the carrier (ownership transfers to the caller, whose
-//     own body is then checked against the producer's summary);
-//   - storing the retained value into a tracked teardown field or
-//     sending the carrier on a channel (hand-off).
+//   - calling the release-func;
+//   - calling Release on the retained value;
+//   - returning the carrier or its Release method value (ownership
+//     transfers to the caller, whose own body is then checked against the
+//     producer's summary).
 //
-// The error-result waiver mirrors the house contract of pinShared: on a
-// path guarded by `err != nil` for the err returned alongside the
-// obligation, the producer already released internally, so the caller
-// owes nothing there.
+// Nothing inside a loop, switch or select discharges an obligation born
+// outside it (the body may not run), and break/continue/goto end the path
+// being followed. The error-result waiver mirrors the house contract of
+// pinShared: on a path guarded by `err != nil` for the err returned
+// alongside the obligation, the producer already released internally, so
+// the caller owes nothing there (core's QueryAtCtx after barrier.pinAt).
 var Refbalance = &Analyzer{
 	Name: "refbalance",
-	Doc:  "successful Retain()s and received release-funcs must reach Release/RetireFlat or a recognized ownership transfer on all paths",
+	Doc:  "successful Retain()s and received release-funcs must reach their Release or be returned on all paths",
 	Run:  runRefbalance,
 }
 
@@ -50,23 +47,19 @@ func runRefbalance(pass *Pass) {
 }
 
 // refOb is one live obligation being walked along the paths of a
-// function: obj is the current carrier (it changes on retarget), errObj
-// the error result born by the same call (enabling the waiver), inLoop
-// softens the verdict to a whole-function scan when the birth sits
-// inside irregular control flow.
+// function: obj is its carrier, errObj the error result born by the same
+// call (enabling the waiver).
 type refOb struct {
 	obj      types.Object
 	pos      token.Pos
 	what     string
 	errObj   types.Object
-	inLoop   bool
 	released bool
 }
 
 type refChecker struct {
 	pass *Pass
 	pkg  *Package
-	sum  *Summaries
 	fd   *ast.FuncDecl
 }
 
@@ -75,16 +68,15 @@ type refChecker struct {
 // each through its continuation.
 func checkRefFunc(pass *Pass, pkg *Package, fd *ast.FuncDecl, sum *Summaries) {
 	info := pkg.Info
-	rc := &refChecker{pass: pass, pkg: pkg, sum: sum, fd: fd}
+	rc := &refChecker{pass: pass, pkg: pkg, fd: fd}
 	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IfStmt:
 			if obj := condRetainReceiver(info, n.Cond); obj != nil {
 				// `if f.Retain() { ... }`: the obligation exists in the
 				// then-branch and whatever continues after the if.
-				segs, inLoop := continuationFrom(stack, n)
-				segs = append([][]ast.Stmt{n.Body.List}, segs...)
-				rc.track(&refOb{obj: obj, pos: n.Cond.Pos(), what: "retained value", inLoop: inLoop}, segs)
+				segs := append([][]ast.Stmt{n.Body.List}, continuationFrom(stack, n)...)
+				rc.track(&refOb{obj: obj, pos: n.Cond.Pos(), what: "retained value"}, segs)
 				break
 			}
 			if ue, ok := ast.Unparen(n.Cond).(*ast.UnaryExpr); ok && ue.Op == token.NOT {
@@ -92,20 +84,18 @@ func checkRefFunc(pass *Pass, pkg *Package, fd *ast.FuncDecl, sum *Summaries) {
 					if obj := retainCallReceiver(info, call); obj != nil {
 						// `if !f.Retain() { bail }`: the obligation lives on
 						// the fallthrough path only.
-						segs, inLoop := continuationFrom(stack, n)
-						rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value", inLoop: inLoop}, segs)
+						rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value"}, continuationFrom(stack, n))
 					}
 				}
 			}
 		case *ast.ExprStmt:
 			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 				if obj := retainCallReceiver(info, call); obj != nil {
-					segs, inLoop := continuationFrom(stack, n)
-					rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value", inLoop: inLoop}, segs)
+					rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value"}, continuationFrom(stack, n))
 				}
 			}
 		case *ast.AssignStmt:
-			rc.birthFromCall(n, stack)
+			rc.birthFromCall(n, stack, sum)
 		}
 		return true
 	})
@@ -114,7 +104,7 @@ func checkRefFunc(pass *Pass, pkg *Package, fd *ast.FuncDecl, sum *Summaries) {
 // birthFromCall births obligations from `lhs... := call(...)` when the
 // callee's summary marks results as release-carrying, or when the call
 // is itself a Retain (`ok := f.Retain()`).
-func (rc *refChecker) birthFromCall(n *ast.AssignStmt, stack []ast.Node) {
+func (rc *refChecker) birthFromCall(n *ast.AssignStmt, stack []ast.Node, sum *Summaries) {
 	info := rc.pkg.Info
 	if len(n.Rhs) != 1 {
 		return
@@ -124,11 +114,10 @@ func (rc *refChecker) birthFromCall(n *ast.AssignStmt, stack []ast.Node) {
 		return
 	}
 	if obj := retainCallReceiver(info, call); obj != nil {
-		segs, inLoop := continuationFrom(stack, n)
-		rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value", inLoop: inLoop}, segs)
+		rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value"}, continuationFrom(stack, n))
 		return
 	}
-	cs := rc.sum.Of(calleeFunc(info, call))
+	cs := sum.Of(calleeFunc(info, call))
 	if cs == nil {
 		return
 	}
@@ -158,22 +147,20 @@ func (rc *refChecker) birthFromCall(n *ast.AssignStmt, stack []ast.Node) {
 			}
 			continue
 		}
-		segs, inLoop := continuationFrom(stack, n)
 		rc.track(&refOb{
 			obj: obj, pos: call.Pos(),
 			what:   "release obligation from " + cs.Fn.Name(),
-			errObj: errObj, inLoop: inLoop,
-		}, segs)
+			errObj: errObj,
+		}, continuationFrom(stack, n))
 	}
 }
 
 // continuationFrom computes the statement sequence that executes after
 // child, as segments from innermost enclosing block outward, stopping
 // at the nearest function boundary (a literal's obligations never leak
-// into its lexical parent). inLoop reports whether a loop sits between
-// child and the boundary, in which case linear path reasoning is
-// unsound and the caller falls back to a whole-function scan.
-func continuationFrom(stack []ast.Node, child ast.Node) (segs [][]ast.Stmt, inLoop bool) {
+// into its lexical parent). Past an enclosing loop it follows the path
+// that leaves the loop.
+func continuationFrom(stack []ast.Node, child ast.Node) (segs [][]ast.Stmt) {
 	cur := child
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch a := stack[i].(type) {
@@ -198,14 +185,12 @@ func continuationFrom(stack []ast.Node, child ast.Node) (segs [][]ast.Stmt, inLo
 					break
 				}
 			}
-		case *ast.ForStmt, *ast.RangeStmt:
-			inLoop = true
 		case *ast.FuncLit, *ast.FuncDecl:
-			return segs, inLoop
+			return segs
 		}
 		cur = stack[i]
 	}
-	return segs, inLoop
+	return segs
 }
 
 // track walks one obligation through its continuation segments and
@@ -219,15 +204,8 @@ func (rc *refChecker) track(ob *refOb, segs [][]ast.Stmt) {
 			return
 		}
 	}
-	if ob.released {
-		return
-	}
-	if ob.inLoop && (funcDischargesObj(rc.pkg.Info, rc.fd.Body, ob.obj, rc.sum) ||
-		returnsMention(rc.pkg.Info, rc.fd.Body, ob.obj)) {
-		return // optimistic under irregular control flow
-	}
 	rc.pass.Reportf(ob.pos,
-		"%s is never discharged on some path through %s; call its release, return it, or store it in a tracked teardown field",
+		"%s is never discharged on some path through %s; call its release or return it",
 		ob.what, rc.fd.Name.Name)
 }
 
@@ -242,23 +220,13 @@ func (rc *refChecker) walkSeq(ob *refOb, stmts []ast.Stmt) bool {
 		}
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && callDischargesObj(info, call, ob.obj, rc.sum) {
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && callDischargesObj(info, call, ob.obj) {
 				ob.released = true
 			}
 		case *ast.DeferStmt:
-			if callDischargesObj(info, s.Call, ob.obj, rc.sum) {
+			if callDischargesObj(info, s.Call, ob.obj) {
 				ob.released = true
 			}
-		case *ast.GoStmt:
-			if callDischargesObj(info, s.Call, ob.obj, rc.sum) {
-				ob.released = true
-			}
-		case *ast.SendStmt:
-			if id, ok := ast.Unparen(s.Value).(*ast.Ident); ok && info.Uses[id] == ob.obj {
-				ob.released = true // channel hand-off transfers ownership
-			}
-		case *ast.AssignStmt:
-			rc.assignStep(ob, s)
 		case *ast.ReturnStmt:
 			if rc.returnCarries(s, ob.obj) {
 				ob.released = true
@@ -276,84 +244,21 @@ func (rc *refChecker) walkSeq(ob *refOb, stmts []ast.Stmt) bool {
 			if rc.walkSeq(ob, s.List) {
 				return true
 			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			// Optimistic inside irregular control flow: any discharge or
-			// carrying return in there satisfies the path.
-			if funcDischargesObj(info, stmt, ob.obj, rc.sum) || returnsMention(info, stmt, ob.obj) {
-				ob.released = true
-			}
 		case *ast.BranchStmt:
-			// break/continue/goto end linear reasoning; fall back to the
-			// whole-function scan.
-			if funcDischargesObj(info, rc.fd.Body, ob.obj, rc.sum) || returnsMention(info, rc.fd.Body, ob.obj) {
-				ob.released = true
-			}
-			return true
+			return true // break/continue/goto: the path is not followed further
 		}
 	}
 	return false
 }
 
-// assignStep applies one assignment to the obligation: retargets
-// (`pin = f.Release`), stores of the retained value into a tracked field,
-// discharging call results, and composite-literal stores into tracked
-// fields.
-func (rc *refChecker) assignStep(ob *refOb, s *ast.AssignStmt) {
-	info := rc.pkg.Info
-	for i, rhs := range s.Rhs {
-		if i >= len(s.Lhs) {
-			break
-		}
-		if releaseMethodValue(info, rhs) == ob.obj && ob.obj != nil {
-			if obj := identObj(info, s.Lhs[i]); obj != nil {
-				ob.obj = obj // obligation moves to the bound release-func
-				continue
-			}
-		}
-		if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && info.Uses[id] == ob.obj {
-			if fo := fieldObjOf(info, s.Lhs[i]); fo != nil && rc.sum.TrackedField(fo) {
-				ob.released = true
-			}
-			continue
-		}
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && callDischargesObj(info, call, ob.obj, rc.sum) {
-			ob.released = true
-			continue
-		}
-		lit, ok := ast.Unparen(rhs).(*ast.CompositeLit)
-		if !ok {
-			if ue, isAddr := ast.Unparen(rhs).(*ast.UnaryExpr); isAddr && ue.Op == token.AND {
-				lit, ok = ast.Unparen(ue.X).(*ast.CompositeLit)
-			}
-		}
-		if ok && lit != nil && litStoresObjTracked(info, lit, ob.obj, rc.sum) {
-			ob.released = true
-		}
-	}
-}
-
 // ifStep walks both sides of an if with copied states and joins them,
-// applying the error-result waiver when the condition tests ob's
-// companion error against nil.
+// applying the error-result waiver to the then-branch of `if err != nil`
+// for ob's companion error.
 func (rc *refChecker) ifStep(ob *refOb, s *ast.IfStmt) bool {
-	thenWaived, elseWaived := false, false
-	if ob.errObj != nil {
-		switch errNilSide(rc.pkg.Info, s.Cond, ob.errObj) {
-		case token.NEQ: // if err != nil { ... }: then is the error path
-			thenWaived = true
-		case token.EQL: // if err == nil { ... }: the (implicit) else is
-			elseWaived = true
-		}
-	}
 	thenSt := *ob
-	if thenWaived {
-		thenSt.released = true
-	}
+	thenSt.released = ob.errObj != nil && errNonNil(rc.pkg.Info, s.Cond, ob.errObj)
 	thenTerm := rc.walkSeq(&thenSt, s.Body.List)
 	elseSt := *ob
-	if elseWaived {
-		elseSt.released = true
-	}
 	elseTerm := false
 	switch e := s.Else.(type) {
 	case *ast.BlockStmt:
@@ -369,14 +274,7 @@ func (rc *refChecker) ifStep(ob *refOb, s *ast.IfStmt) bool {
 	case elseTerm:
 		*ob = thenSt
 	default:
-		merged := *ob
-		merged.released = thenSt.released && elseSt.released
-		if thenSt.obj != ob.obj {
-			merged.obj = thenSt.obj // a branch retargeted the carrier
-		} else if elseSt.obj != ob.obj {
-			merged.obj = elseSt.obj
-		}
-		*ob = merged
+		ob.released = thenSt.released && elseSt.released
 	}
 	return false
 }
@@ -392,59 +290,32 @@ func (rc *refChecker) returnCarries(ret *ast.ReturnStmt, obj types.Object) bool 
 		if releaseMethodValue(info, r) == obj {
 			return true
 		}
-		if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && callDischargesObj(info, call, obj, rc.sum) {
-			return true
-		}
 	}
 	return false
 }
 
-// returnsMention reports whether any return under n (outside nested
-// function literals) carries obj.
-func returnsMention(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := m.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, r := range ret.Results {
-			if id, ok := ast.Unparen(r).(*ast.Ident); ok && info.Uses[id] == obj {
-				found = true
-			}
-			if releaseMethodValue(info, r) == obj {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+// callDischargesObj reports whether call discharges obj: obj() or
+// obj.Release().
+func callDischargesObj(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && info.Uses[id] == obj {
+		return true
+	}
+	return releaseCallTarget(info, call) == obj
 }
 
-// errNilSide classifies cond as a nil test of errObj: token.NEQ for
-// `err != nil`, token.EQL for `err == nil`, token.ILLEGAL otherwise.
-func errNilSide(info *types.Info, cond ast.Expr, errObj types.Object) token.Token {
+// errNonNil reports whether cond is `err != nil` (either way round) for
+// errObj.
+func errNonNil(info *types.Info, cond ast.Expr, errObj types.Object) bool {
 	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-		return token.ILLEGAL
+	if !ok || bin.Op != token.NEQ {
+		return false
 	}
-	var side ast.Expr
-	switch {
-	case isNilIdent(bin.Y):
-		side = bin.X
-	case isNilIdent(bin.X):
+	side := bin.X
+	if isNilIdent(bin.X) {
 		side = bin.Y
-	default:
-		return token.ILLEGAL
+	} else if !isNilIdent(bin.Y) {
+		return false
 	}
-	if id, ok := ast.Unparen(side).(*ast.Ident); ok && info.Uses[id] == errObj {
-		return bin.Op
-	}
-	return token.ILLEGAL
+	id, ok := ast.Unparen(side).(*ast.Ident)
+	return ok && info.Uses[id] == errObj
 }

@@ -6,26 +6,18 @@ import (
 	"go/types"
 )
 
-// Interprocedural function summaries. The original five analyzers are
-// intraprocedural (plus ad-hoc wrapper classification in poolbalance);
-// the ownership analyzers refbalance and goroleak need to see *through*
-// calls: core.pin's `return f, f.Release, true` hands a pin obligation to
-// its caller — the mirror it retained, with its release — a callee may
-// discharge one by storing the retained value in a field that a teardown
-// method later Releases
-// (keep/entry.m/drop in testdata/src/refbalance), and a `go worker(ch)`
-// statement blocks wherever worker does. summarize computes, bottom-up over the
-// call graph the type-checked module already encodes, one FuncSummary
-// per declared function:
+// Interprocedural function summaries. The ownership analyzers refbalance
+// and goroleak need to see *through* calls: core.pin's `return f,
+// f.Release` hands a pin obligation to its caller — the mirror it
+// retained, with its release — and a `go worker(ch)` statement blocks
+// wherever worker does. summarize computes, bottom-up over the call graph
+// the type-checked module already encodes, one FuncSummary per declared
+// function:
 //
 //   - ReturnsRelease: which results carry a release obligation to the
 //     caller — a func() release callback (f.Release as a method value,
 //     or a forwarded release-func received from another summarized
 //     call) or a retained refcounted value itself;
-//   - ReleasesParam: which parameters the function discharges on the
-//     caller's behalf — by calling them, by calling Release/RetireFlat
-//     on them, by storing them into a tracked teardown field, or by
-//     forwarding them to another discharging function;
 //   - Spawns: the function's `go` launch sites, with enough context
 //     (body or resolved callee, enclosing declaration) for goroleak to
 //     judge each one;
@@ -33,10 +25,8 @@ import (
 //     forever on a channel operation with no escape edge.
 //
 // Summaries are computed to a fixpoint (the module's wrapper chains are
-// shallow — pin → pinLatest → pinShared is the deepest — but the
-// iteration makes depth a non-issue), and both new analyzers read the
-// same Summaries object, so the two passes agree on what an ownership
-// transfer is.
+// shallow — pin → barrier.pinAt → QueryAtCtx — but the iteration makes
+// depth a non-issue), and both analyzers read the same Summaries object.
 
 // FuncSummary is the interprocedural abstract of one declared function.
 type FuncSummary struct {
@@ -48,10 +38,6 @@ type FuncSummary struct {
 	// obligation: a func() the caller must invoke (or transfer), or a
 	// retained refcounted value the caller must Release (or transfer).
 	ReturnsRelease []bool
-	// ReleasesParam[i] reports that passing an owned value as parameter i
-	// discharges the caller's obligation for it (receiver excluded; the
-	// indices match the call's argument list).
-	ReleasesParam []bool
 	// Spawns lists the function's directly launched goroutines.
 	Spawns []*GoSite
 	// Blocks marks a function whose synchronous execution can park
@@ -80,14 +66,6 @@ type GoSite struct {
 // analyzers.
 type Summaries struct {
 	funcs map[*types.Func]*FuncSummary
-	// tracked holds struct fields with a teardown site somewhere in the
-	// module: a refcounted field some function Releases (Snapshot.flat).
-	// Storing an owned value into a tracked field is a legal transfer.
-	tracked map[types.Object]bool
-	// closed holds channel objects that some function in the module
-	// closes; receiving from one is a recognized goroutine escape edge
-	// (the close is the wake-up signal).
-	closed map[types.Object]bool
 }
 
 // Of returns fn's summary, or nil for functions declared outside the
@@ -99,27 +77,11 @@ func (s *Summaries) Of(fn *types.Func) *FuncSummary {
 	return s.funcs[fn]
 }
 
-// TrackedField reports whether obj is a struct field with a recognized
-// teardown site.
-func (s *Summaries) TrackedField(obj types.Object) bool {
-	return s != nil && obj != nil && s.tracked[obj]
-}
-
-// ClosedChan reports whether some function in the module closes the
-// channel held in obj.
-func (s *Summaries) ClosedChan(obj types.Object) bool {
-	return s != nil && obj != nil && s.closed[obj]
-}
-
 // summarize builds the module summary table. The per-function facts are
 // recomputed until no summary changes, so facts propagate through
 // wrapper chains of any depth regardless of declaration order.
 func summarize(pass *Pass) *Summaries {
-	sum := &Summaries{
-		funcs:   make(map[*types.Func]*FuncSummary),
-		tracked: make(map[types.Object]bool),
-		closed:  make(map[types.Object]bool),
-	}
+	sum := &Summaries{funcs: make(map[*types.Func]*FuncSummary)}
 	for _, pkg := range pass.Pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -134,21 +96,16 @@ func summarize(pass *Pass) *Summaries {
 				fs := &FuncSummary{Fn: fn, Decl: fd, Pkg: pkg}
 				sig := fn.Type().(*types.Signature)
 				fs.ReturnsRelease = make([]bool, sig.Results().Len())
-				fs.ReleasesParam = make([]bool, sig.Params().Len())
 				sum.funcs[fn] = fs
 			}
 		}
 	}
-	sum.scanModuleFacts(pass)
 	for _, fs := range sum.funcs {
 		fs.collectSpawns()
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, fs := range sum.funcs {
-			if fs.updateReleases(sum) {
-				changed = true
-			}
 			if fs.updateReturns(sum) {
 				changed = true
 			}
@@ -158,38 +115,6 @@ func summarize(pass *Pass) *Summaries {
 		}
 	}
 	return sum
-}
-
-// scanModuleFacts records the module-wide point facts the per-function
-// passes consult: tracked teardown fields and closed channels.
-func (s *Summaries) scanModuleFacts(pass *Pass) {
-	for _, pkg := range pass.Pkgs {
-		info := pkg.Info
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				// close(x) marks x's channel object closed-somewhere.
-				if len(call.Args) == 1 && isBuiltinCall(info, call, "close") {
-					if obj := baseObject(info, call.Args[0]); obj != nil {
-						s.closed[obj] = true
-					}
-				}
-				// x.f.Release() / x.f.RetireFlat() marks the refcounted
-				// field f as having a teardown site.
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isReleaseName(sel.Sel.Name) {
-					if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-						if selection, ok := info.Selections[inner]; ok && selection.Kind() == types.FieldVal {
-							s.tracked[selection.Obj()] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
 }
 
 // collectSpawns records the function's `go` statements (not recursing
@@ -213,12 +138,6 @@ func (fs *FuncSummary) collectSpawns() {
 		fs.Spawns = append(fs.Spawns, site)
 		return true
 	})
-}
-
-// isReleaseName reports whether name is one of the house teardown
-// method names of the refcount protocol.
-func isReleaseName(name string) bool {
-	return name == "Release" || name == "RetireFlat"
 }
 
 // isRetainableType reports whether t (possibly a pointer) names a type
@@ -263,11 +182,11 @@ func retainCallReceiver(info *types.Info, call *ast.CallExpr) types.Object {
 	return baseObject(info, sel.X)
 }
 
-// releaseCallTarget returns the object whose refcount a Release or
-// RetireFlat call drops (x in x.Release()), or nil.
+// releaseCallTarget returns the object whose refcount a Release call
+// drops (x in x.Release()), or nil.
 func releaseCallTarget(info *types.Info, call *ast.CallExpr) types.Object {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !isReleaseName(sel.Sel.Name) || len(call.Args) != 0 {
+	if !ok || sel.Sel.Name != "Release" || len(call.Args) != 0 {
 		return nil
 	}
 	if _, ok := info.Uses[sel.Sel].(*types.Func); !ok {
@@ -277,149 +196,16 @@ func releaseCallTarget(info *types.Info, call *ast.CallExpr) types.Object {
 }
 
 // releaseMethodValue returns the object x when expr is the method value
-// x.Release or x.RetireFlat (not called), or nil.
+// x.Release (not called), or nil.
 func releaseMethodValue(info *types.Info, expr ast.Expr) types.Object {
 	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
-	if !ok || !isReleaseName(sel.Sel.Name) {
+	if !ok || sel.Sel.Name != "Release" {
 		return nil
 	}
 	if _, ok := info.Uses[sel.Sel].(*types.Func); !ok {
 		return nil
 	}
 	return baseObject(info, sel.X)
-}
-
-// paramObjects lists fd's parameter objects in signature order
-// (anonymous parameters contribute nil placeholders).
-func paramObjects(info *types.Info, fd *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	if fd.Type.Params == nil {
-		return out
-	}
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, name := range field.Names {
-			out = append(out, info.Defs[name])
-		}
-	}
-	return out
-}
-
-// updateReleases recomputes ReleasesParam; it reports whether anything
-// changed (the fixpoint driver's signal).
-func (fs *FuncSummary) updateReleases(sum *Summaries) bool {
-	info := fs.Pkg.Info
-	params := paramObjects(info, fs.Decl)
-	changed := false
-	for i, p := range params {
-		if p == nil || fs.ReleasesParam[i] {
-			continue
-		}
-		if !isReleaseFuncType(p.Type()) && !isRetainableType(p.Type()) {
-			continue
-		}
-		if funcDischargesObj(info, fs.Decl.Body, p, sum) {
-			fs.ReleasesParam[i] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-// funcDischargesObj reports whether body contains a discharge of obj:
-// calling it, releasing it, storing it into a tracked field, or
-// forwarding it to a function whose summary discharges that parameter.
-func funcDischargesObj(info *types.Info, body ast.Node, obj types.Object, sum *Summaries) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if callDischargesObj(info, n, obj, sum) {
-				found = true
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				if id, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok && info.Uses[id] == obj {
-					if fieldObjOf(info, lhs) != nil && sum.TrackedField(fieldObjOf(info, lhs)) {
-						found = true
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			if litStoresObjTracked(info, n, obj, sum) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// callDischargesObj reports whether call discharges obj: obj(),
-// obj.Release(), obj.RetireFlat(), or g(..., obj, ...) with g's summary
-// releasing that parameter.
-func callDischargesObj(info *types.Info, call *ast.CallExpr, obj types.Object, sum *Summaries) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && info.Uses[id] == obj {
-		return true // obj()
-	}
-	if releaseCallTarget(info, call) == obj {
-		return true // obj.Release() / obj.RetireFlat()
-	}
-	callee := calleeFunc(info, call)
-	cs := sum.Of(callee)
-	if cs == nil {
-		return false
-	}
-	for i, arg := range call.Args {
-		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && info.Uses[id] == obj {
-			if i < len(cs.ReleasesParam) && cs.ReleasesParam[i] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// fieldObjOf resolves expr to a struct-field object when expr is a
-// field selection lvalue, else nil.
-func fieldObjOf(info *types.Info, expr ast.Expr) types.Object {
-	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.FieldVal {
-		return selection.Obj()
-	}
-	return nil
-}
-
-// litStoresObjTracked reports whether the composite literal stores obj
-// into a tracked field (keyed entries only; the house style always keys
-// struct literals that carry ownership).
-func litStoresObjTracked(info *types.Info, lit *ast.CompositeLit, obj types.Object, sum *Summaries) bool {
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		id, ok := ast.Unparen(kv.Value).(*ast.Ident)
-		if !ok || info.Uses[id] != obj {
-			continue
-		}
-		if key, ok := kv.Key.(*ast.Ident); ok && sum.TrackedField(info.Uses[key]) {
-			return true
-		}
-	}
-	return false
 }
 
 // updateReturns recomputes ReturnsRelease: a result is marked when some
@@ -479,7 +265,7 @@ func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 	// Per return statement, a release callback among the results is the
 	// whole obligation: marking a co-returned retained value too would
 	// saddle every caller with a phantom second obligation for the value
-	// the callback releases (pin's `return f, f.Release, true`). Only a
+	// the callback releases (pin's `return f, f.Release`). Only a
 	// return with no callback hands out the retained value itself.
 	changed := false
 	mark := func(positions []int) {
@@ -625,10 +411,8 @@ func bufferedChans(info *types.Info, scope ast.Node) map[types.Object]bool {
 
 // firstBlockingOp scans body (skipping nested function literals and go
 // statements, which do not block the current goroutine) for the first
-// channel operation with no escape edge. Escape edges: a select with a
-// default clause or a cancellation arm (ctx.Done(), a timer channel, or
-// a receive on a channel the module closes); a send on a locally
-// buffered channel; a receive or range on a channel the module closes;
+// channel operation with no escape edge. Escape edges: a select or a
+// receive on a Done() channel; a send on a locally buffered channel;
 // within selects, only the clause bodies are rescanned.
 func firstBlockingOp(info *types.Info, body ast.Node, buffered map[types.Object]bool, sum *Summaries) (token.Pos, bool) {
 	var pos token.Pos
@@ -648,7 +432,7 @@ func firstBlockingOp(info *types.Info, body ast.Node, buffered map[types.Object]
 			case *ast.FuncLit, *ast.GoStmt:
 				return false
 			case *ast.SelectStmt:
-				if !selectHasEscape(info, n, sum) {
+				if !selectHasEscape(n) {
 					report(n.Pos())
 					return false
 				}
@@ -666,17 +450,15 @@ func firstBlockingOp(info *types.Info, body ast.Node, buffered map[types.Object]
 				report(n.Pos())
 				return false
 			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !recvHasEscape(info, n.X, sum) {
+				if n.Op == token.ARROW && !recvHasEscape(n.X) {
 					report(n.Pos())
 					return false
 				}
 			case *ast.RangeStmt:
 				if t := info.Types[n.X].Type; t != nil {
 					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						if obj := baseObject(info, n.X); obj == nil || !sum.ClosedChan(obj) {
-							report(n.X.Pos())
-							return false
-						}
+						report(n.X.Pos())
+						return false
 					}
 				}
 			case *ast.CallExpr:
@@ -693,15 +475,11 @@ func firstBlockingOp(info *types.Info, body ast.Node, buffered map[types.Object]
 }
 
 // selectHasEscape reports whether the select has an arm that bounds its
-// wait: a default clause, or a receive on a cancellation-shaped channel.
-func selectHasEscape(info *types.Info, sel *ast.SelectStmt, sum *Summaries) bool {
+// wait: a receive on a Done() channel.
+func selectHasEscape(sel *ast.SelectStmt) bool {
 	for _, cl := range sel.Body.List {
-		cc := cl.(*ast.CommClause)
-		if cc.Comm == nil {
-			return true // default: non-blocking
-		}
 		var ch ast.Expr
-		switch comm := cc.Comm.(type) {
+		switch comm := cl.(*ast.CommClause).Comm.(type) {
 		case *ast.ExprStmt:
 			if ue, ok := ast.Unparen(comm.X).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
 				ch = ue.X
@@ -713,33 +491,20 @@ func selectHasEscape(info *types.Info, sel *ast.SelectStmt, sum *Summaries) bool
 				}
 			}
 		}
-		if ch != nil && recvHasEscape(info, ch, sum) {
+		if ch != nil && recvHasEscape(ch) {
 			return true
 		}
 	}
 	return false
 }
 
-// recvHasEscape reports whether receiving from ch is a recognized
-// escape edge rather than a potentially unbounded park: ctx.Done()-style
-// calls, timer channels, and channels the module closes.
-func recvHasEscape(info *types.Info, ch ast.Expr, sum *Summaries) bool {
-	ch = ast.Unparen(ch)
-	if call, ok := ch.(*ast.CallExpr); ok {
+// recvHasEscape reports whether receiving from ch is a recognized escape
+// edge rather than a potentially unbounded park: a ctx.Done()-style call.
+func recvHasEscape(ch ast.Expr) bool {
+	if call, ok := ast.Unparen(ch).(*ast.CallExpr); ok {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
 			return true // ctx.Done() (or any Done() chan accessor)
 		}
-		if isPkgCall(info, call, "time", "After", "Tick") {
-			return true
-		}
-		return false
 	}
-	// Timer/Ticker C fields fire on their own.
-	if sel, ok := ch.(*ast.SelectorExpr); ok && sel.Sel.Name == "C" {
-		if path, name, ok := namedPathName(info.Types[sel.X].Type); ok && path == "time" && (name == "Timer" || name == "Ticker") {
-			return true
-		}
-	}
-	obj := baseObject(info, ch)
-	return obj != nil && sum.ClosedChan(obj)
+	return false
 }

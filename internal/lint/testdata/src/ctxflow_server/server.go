@@ -1,12 +1,11 @@
-// Package server shows the ctxflow serving-layer exemption: a
-// request-scoped object in the serving layer may carry its request
-// context.
+// Package server shows that the ctxflow struct-field rule has no
+// serving-layer exemption: a request object carries no context.
 package server
 
 import "context"
 
 type request struct {
-	ctx context.Context // legal: serving-layer request object
+	ctx context.Context // want "stored in a struct field"
 }
 
 func (r *request) context() context.Context { return r.ctx }

@@ -1,7 +1,8 @@
 // Package goroleak is the golden corpus for the goroleak analyzer:
 // launched goroutines whose channel operations lack an escape edge are
-// leaks; the recognized escapes are ctx.Done()/timer/closed-channel
-// select arms, default clauses, and locally buffered hand-off channels.
+// leaks; the recognized escapes are ctx.Done() arms and locally buffered
+// hand-off channels. A default clause, a timer arm and a channel closed
+// elsewhere are not escapes.
 package goroleak
 
 import (
@@ -48,6 +49,49 @@ func leakNamed(ch chan int) {
 	go drain(ch) // want "can block forever"
 }
 
+// leakClosed receives from a channel the module closes at shutdown.
+var done = make(chan struct{})
+
+func shutdown() { close(done) }
+
+func leakClosed() {
+	go func() { // want "block forever"
+		<-done
+	}()
+}
+
+// leakDefault polls without blocking, but a default clause is no
+// recognized escape: no goroutine in the module polls.
+func leakDefault(ch chan int) {
+	go func() { // want "block forever"
+		select {
+		case v := <-ch:
+			_ = v
+		default:
+		}
+	}()
+}
+
+// leakAfter bounds the wait with time.After.
+func leakAfter(ch chan int) {
+	go func() { // want "block forever"
+		select {
+		case <-ch:
+		case <-time.After(time.Second):
+		}
+	}()
+}
+
+// leakTimer bounds the wait with a Timer's channel.
+func leakTimer(ch chan int, t *time.Timer) {
+	go func() { // want "block forever"
+		select {
+		case <-ch:
+		case <-t.C:
+		}
+	}()
+}
+
 // --------------------------------------------------------------------- legal
 
 // legalHandoff sends into a locally made buffered channel: the send
@@ -66,39 +110,6 @@ func legalCtx(ctx context.Context, ch chan int) {
 		select {
 		case <-ch:
 		case <-ctx.Done():
-		}
-	}()
-}
-
-// legalClosed receives from a channel the module closes at shutdown:
-// the close is the wake-up edge.
-var done = make(chan struct{})
-
-func shutdown() { close(done) }
-
-func legalClosed() {
-	go func() {
-		<-done
-	}()
-}
-
-// legalDefault is a non-blocking poll (the subscriber fan-out idiom).
-func legalDefault(ch chan int) {
-	go func() {
-		select {
-		case v := <-ch:
-			_ = v
-		default:
-		}
-	}()
-}
-
-// legalTimer bounds the wait with a timer channel.
-func legalTimer(ch chan int) {
-	go func() {
-		select {
-		case <-ch:
-		case <-time.After(time.Second):
 		}
 	}()
 }

@@ -35,6 +35,28 @@ func halfPut(cond bool) {
 	}
 }
 
+// --- violation 4: a Put inside a loop that may not run ----------------
+
+func loopPut(n int) {
+	b := bufPool.Get().(*[]byte) // want "never reaches a Put"
+	for i := 0; i < n; i++ {
+		bufPool.Put(b)
+	}
+}
+
+// --- violation 5: the cancel-drop is `err == nil { Put }` only ---------
+
+func elseDrop() error {
+	b := bufPool.Get().(*[]byte)
+	err := work()
+	if err != nil {
+		*b = (*b)[:0]
+	} else {
+		bufPool.Put(b)
+	}
+	return err // want "return leaks the pool value"
+}
+
 // --- legal 1: defer Put covers every path ----------------------------
 
 func deferPut() {

@@ -1,10 +1,10 @@
 // Package refbalance is the golden corpus for the refbalance analyzer:
 // the mirror pin protocol in miniature. mirror carries the recognized
-// refcount shape (Retain() bool paired with Release()), pin/pinChecked
-// are getters whose summaries transfer the obligation to callers, entry
-// has a tracked teardown field (drop Releases it), and keep and finish
-// are releasing callees (their summaries discharge the parameter they
-// store or call).
+// refcount shape (Retain() bool paired with Release()), and pin/pinChecked
+// are getters whose summaries transfer the obligation to callers. An
+// obligation is discharged only by calling its release (directly or
+// deferred) or by returning it: storing it, sending it, launching its
+// release, or handing it to a callee that releases it all leave it owed.
 package refbalance
 
 import "errors"
@@ -20,6 +20,8 @@ func (m *mirror) Retain() bool {
 }
 
 func (m *mirror) Release() { m.refs-- }
+
+func (m *mirror) RetireFlat() { m.refs-- }
 
 var current = &mirror{refs: 1}
 
@@ -49,8 +51,8 @@ func pinChecked() (*mirror, func(), error) {
 	return m, release, nil
 }
 
-// entry has a tracked teardown field: drop Releases m, so storing a
-// retained mirror there is a recognized ownership transfer.
+// entry's drop releases its mirror, but storing a retained mirror in it
+// is no discharge.
 type entry struct{ m *mirror }
 
 func (e *entry) drop() {
@@ -59,18 +61,19 @@ func (e *entry) drop() {
 	}
 }
 
-// keep discharges its parameter by stashing it in the tracked field.
+// keep stores its parameter; finish calls it and reports that it did.
+// Neither discharges the caller's obligation.
 func keep(m *mirror) *entry { return &entry{m: m} }
 
-// finish discharges its parameter by calling it.
-func finish(f func()) {
+func finish(f func()) bool {
 	if f != nil {
 		f()
 	}
+	return f != nil
 }
 
-// holder's func-typed field is no teardown site — only a refcounted field
-// something Releases is — so a store into it loses the obligation.
+// holder's func-typed field is no teardown site, so a store into it loses
+// the obligation.
 type holder struct{ f func() }
 
 // ---------------------------------------------------------------- violations
@@ -115,6 +118,83 @@ func leakGuard() int {
 	return m.refs // want "return leaks"
 }
 
+// leakStash stores the retained mirror in an entry and returns that.
+func leakStash() *entry {
+	m := current
+	if !m.Retain() {
+		return nil
+	}
+	e := &entry{m: m}
+	return e // want "return leaks"
+}
+
+// leakForward hands the retained mirror to a callee and returns its
+// result.
+func leakForward() *entry {
+	m := current
+	if !m.Retain() {
+		return nil
+	}
+	return keep(m) // want "return leaks"
+}
+
+// leakRetarget binds the release to another variable and passes that on.
+func leakRetarget() {
+	var pinFn func()
+	if m := current; m.Retain() { // want "never discharged"
+		pinFn = m.Release
+	}
+	finish(pinFn)
+}
+
+// leakSend sends the release-func on a channel.
+func leakSend(ch chan func()) {
+	_, release := pin() // want "never discharged"
+	ch <- release
+}
+
+// leakGo releases on another goroutine, which may never run it.
+func leakGo() {
+	_, release := pin() // want "never discharged"
+	go release()
+}
+
+// leakAssign hands the release-func to a callee in an assignment.
+func leakAssign() bool {
+	_, release := pin()
+	done := finish(release)
+	return done // want "return leaks"
+}
+
+// leakRetire drops the mirror's snapshot reference, not the pin.
+func leakRetire() {
+	m := current
+	if !m.Retain() { // want "never discharged"
+		return
+	}
+	m.RetireFlat()
+}
+
+// leakLoop releases inside a loop that may not run.
+func leakLoop(n int) {
+	m, release := pin() // want "never discharged"
+	for i := 0; i < n; i++ {
+		release()
+	}
+	use(m)
+}
+
+// leakErrNil waives only the `err != nil` branch: the implicit else of
+// `err == nil` still owes the release.
+func leakErrNil() (int, error) {
+	m, release, err := pinChecked()
+	if err == nil {
+		defer release()
+		return m.refs, nil
+	}
+	return 0, err // want "return leaks"
+}
+
 // --------------------------------------------------------------------- legal
 
 // legalDefer is the standard caller shape: defer covers every path.
@@ -133,34 +213,4 @@ func legalErrGuard() (int, error) {
 	}
 	defer release()
 	return m.refs, nil
-}
-
-// legalStash transfers the retained mirror into the tracked teardown
-// field.
-func legalStash() *entry {
-	m := current
-	if !m.Retain() {
-		return nil
-	}
-	e := &entry{m: m}
-	return e
-}
-
-// legalForward hands the retained mirror to a releasing callee.
-func legalForward() *entry {
-	m := current
-	if !m.Retain() {
-		return nil
-	}
-	return keep(m)
-}
-
-// legalRetarget moves the obligation from the retained value to the
-// bound release-func, then to the callee that calls it.
-func legalRetarget() {
-	var pinFn func()
-	if m := current; m.Retain() {
-		pinFn = m.Release
-	}
-	finish(pinFn)
 }

@@ -244,11 +244,10 @@ const (
 // Retain pins the mirror for a reader, preventing its slabs from being
 // recycled until the matching Release. It reports false when the last
 // reference is already gone (the mirror was retired and drained), in
-// which case the caller must re-acquire a current snapshot instead.
+// which case the caller must re-acquire a current snapshot instead. A pin
+// taken while a holder keeps the mirror (core's, under its ring's read
+// lock) always succeeds; Save and callers outside core may see false.
 func (f *Flat) Retain() bool {
-	if sh := f.shared; sh != nil && sh.seam.denyRetain.Load() && sh.seam.denyRetain.CompareAndSwap(true, false) {
-		return false
-	}
 	if !f.acquire() {
 		return false
 	}

@@ -29,6 +29,10 @@ import (
 //   - the last Release returns the slabs to the pools and poisons the
 //     Flat's slices, so a use-after-retire fails fast instead of reading
 //     a slab that a newer build is concurrently overwriting.
+//
+// Fresh slabs per build, with the garbage collector owning mirrors, cost
+// serve-sharded 18–27 % in batch p50 (EXPERIMENTS.md, "Mirror lifetimes
+// without the recycler").
 
 // Slab size classes come two to a power of two — capacities 2^k and
 // 1.5·2^k — so a slab leaves at most a third of itself unused. A mirror

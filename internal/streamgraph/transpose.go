@@ -49,13 +49,14 @@ func (f *Flat) takeTransposed() *Flat {
 }
 
 // TransposeFrom returns the transpose of g, which need not be a single
-// mirror — the shard router keeps one for the union of its shards'
-// mirrors. It is patched from prev, the transpose of the version before
-// g's, when g records the insertion between them (engine.ArcDelta), and
-// built from g's spans otherwise; its Version and InsertedArcs follow g's
-// as Transposed's do. The caller owns the result and releases it; prev
-// stays the caller's, and its slabs are recycled into the result's
-// builds.
+// mirror — core's System keeps one for the union of its stores' mirrors.
+// It is patched from prev, the transpose of the version before g's, when
+// g records the insertion between them (engine.ArcDelta), and built from
+// g's spans otherwise; its Version and InsertedArcs follow g's as
+// Transposed's do. The caller owns the result and releases it; prev stays
+// the caller's and is only read. The result's slabs come from the pool of
+// prev's graph (the package's default pool when prev is nil), where
+// prev's own go back once the caller releases it.
 func TransposeFrom(g engine.ArcView, prev *Flat) *Flat {
 	sh := defaultFlatShared
 	if prev != nil {
