@@ -26,10 +26,11 @@ import (
 //
 // The writer maintains the lanes with the roots, in one pass over each
 // batch (standing.Manager.Update, UpdateDeletions), under mu alone; install
-// and free therefore hold mu shared, then subMu. The pass records the
-// (lane, vertex) pairs it moved — after a deletion also every value trim
-// reset, which may come back unchanged — and a delta frame carries exactly
-// those (DrainMoved): nothing is re-evaluated and no answer is diffed.
+// and free therefore hold mu shared, then subMu. The pass records exactly
+// the (lane, vertex) pairs it moved — after a deletion too: trim resets a
+// tainted lane value to the meet over the roots and records it only when
+// it comes back different — and a delta frame carries exactly those
+// (DrainMoved): nothing is re-evaluated and no answer is diffed.
 //
 // SSNSP's counts are not a triangle problem: each SSNSP subscriber's
 // counts are recounted over its lane's levels after every batch and
@@ -54,11 +55,10 @@ type VertexDelta struct {
 
 // ResultFrame is one push to a subscriber. Kind "snapshot" carries the
 // full value array (the first frame); kind "delta" carries the entries
-// that may differ from the previous delivered frame, in ascending vertex
-// order: every entry that does, and after a deletion possibly some that do
-// not (see the package notes above). Vertices added by a batch are always
-// included in Changed, so a client extends its array without knowing the
-// problem's identity value.
+// that moved since the previous delivered frame, in ascending vertex
+// order, after insertions and deletions alike (see the package notes
+// above). Vertices added by a batch are always included in Changed, so a
+// client extends its array without knowing the problem's identity value.
 type ResultFrame struct {
 	Kind    string         `json:"kind"` // "snapshot" | "delta"
 	Problem string         `json:"problem"`

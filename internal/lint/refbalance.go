@@ -79,14 +79,10 @@ func checkRefFunc(pass *Pass, pkg *Package, fd *ast.FuncDecl, sum *Summaries) {
 				rc.track(&refOb{obj: obj, pos: n.Cond.Pos(), what: "retained value"}, segs)
 				break
 			}
-			if ue, ok := ast.Unparen(n.Cond).(*ast.UnaryExpr); ok && ue.Op == token.NOT {
-				if call, ok := ast.Unparen(ue.X).(*ast.CallExpr); ok {
-					if obj := retainCallReceiver(info, call); obj != nil {
-						// `if !f.Retain() { bail }`: the obligation lives on
-						// the fallthrough path only.
-						rc.track(&refOb{obj: obj, pos: call.Pos(), what: "retained value"}, continuationFrom(stack, n))
-					}
-				}
+			if obj := negRetainReceiver(info, n.Cond); obj != nil {
+				// `if !f.Retain() { bail }`: the obligation lives on the
+				// fallthrough path only.
+				rc.track(&refOb{obj: obj, pos: n.Cond.Pos(), what: "retained value"}, continuationFrom(stack, n))
 			}
 		case *ast.ExprStmt:
 			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {

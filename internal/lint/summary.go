@@ -225,6 +225,10 @@ func (fs *FuncSummary) updateReturns(sum *Summaries) bool {
 		case *ast.IfStmt:
 			if obj := condRetainReceiver(info, n.Cond); obj != nil {
 				retained[obj] = true
+			} else if obj := negRetainReceiver(info, n.Cond); obj != nil && terminates(info, n.Body) {
+				// `if !f.Retain() { panic(…) }`: past the guard, where the
+				// function goes on, f is retained (core.pinMirror).
+				retained[obj] = true
 			}
 		case *ast.AssignStmt:
 			// v = x.Release (method value binding).
@@ -322,6 +326,38 @@ func condRetainReceiver(info *types.Info, cond ast.Expr) types.Object {
 		return retainCallReceiver(info, call)
 	}
 	return nil
+}
+
+// negRetainReceiver extracts the Retain receiver from the negated guard
+// `!f.Retain()`. The obligation lives past the guard, not in its body, so
+// condRetainReceiver must not see through the `!`: Save's and the
+// benchmark rig's bodies bail out owing nothing.
+func negRetainReceiver(info *types.Info, cond ast.Expr) types.Object {
+	ue, ok := ast.Unparen(cond).(*ast.UnaryExpr)
+	if !ok || ue.Op != token.NOT {
+		return nil
+	}
+	call, ok := ast.Unparen(ue.X).(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	return retainCallReceiver(info, call)
+}
+
+// terminates reports whether body ends the function: its last statement
+// is a return or a call of panic.
+func terminates(info *types.Info, body *ast.BlockStmt) bool {
+	if len(body.List) == 0 {
+		return false
+	}
+	switch s := body.List[len(body.List)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+		return ok && isBuiltinCall(info, call, "panic")
+	}
+	return false
 }
 
 // isBuiltinCall reports whether call invokes the named predeclared

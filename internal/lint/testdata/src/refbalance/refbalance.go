@@ -51,6 +51,17 @@ func pinChecked() (*mirror, func(), error) {
 	return m, release, nil
 }
 
+// pinMust retains the shared mirror or panics: the guard's body ends the
+// function, so what it returns past the guard is retained (the
+// core.pinMirror shape), and its callers owe the release.
+func pinMust() *mirror {
+	m := current
+	if !m.Retain() {
+		panic("refbalance: no mirror to pin")
+	}
+	return m
+}
+
 // entry's drop releases its mirror, but storing a retained mirror in it
 // is no discharge.
 type entry struct{ m *mirror }
@@ -195,6 +206,12 @@ func leakErrNil() (int, error) {
 	return 0, err // want "return leaks"
 }
 
+// leakMust drops what pinMust retained.
+func leakMust() int {
+	m := pinMust()
+	return m.refs // want "return leaks"
+}
+
 // --------------------------------------------------------------------- legal
 
 // legalDefer is the standard caller shape: defer covers every path.
@@ -213,4 +230,11 @@ func legalErrGuard() (int, error) {
 	}
 	defer release()
 	return m.refs, nil
+}
+
+// legalMust releases what pinMust retained.
+func legalMust() int {
+	m := pinMust()
+	defer m.Release()
+	return m.refs
 }

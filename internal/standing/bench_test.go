@@ -2,6 +2,9 @@ package standing
 
 import (
 	"context"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,6 +110,89 @@ func BenchmarkUpdateSplit(b *testing.B) {
 			b.ReportMetric(float64(stored)/n, "stored-arcs/batch")
 			b.ReportMetric(float64(fwd0.Relaxations)/n, "fwd-round0-relax/batch")
 			b.ReportMetric(float64(rev0.Relaxations)/n, "rev-round0-relax/batch")
+		})
+	}
+}
+
+// BenchmarkUpdateDeletions times the parts of UpdateDeletions apart on
+// the shape of the benchmark's ingest-churn deletion batch: a directed
+// RMAT graph of 2^15 vertices at degree 8, K=16 top-degree roots narrowed
+// on MeetSample as the system narrows them, 32 subscribed lanes (the
+// sample's first 32 sources) in one page, 100-edge deletion batches of
+// stored arcs. The roots' trim (Forward, then Reverse
+// over the transpose), the lanes' taint and the lanes' repair from the
+// meet are timed in that order, the order UpdateDeletions runs them in.
+// One iteration is one batch; run it with a fixed count, e.g.
+//
+//	go test ./internal/standing -run '^$' -bench UpdateDeletions -benchtime 6x
+//
+// Beside the times it reports the lanes' tainted values per batch and how
+// many of them the repair moved — the record DrainMoved hands the
+// subscribers. SSWP is a plateau problem, whose taint covers about half of
+// what each lane reaches; SSSP is additive.
+func BenchmarkUpdateDeletions(b *testing.B) {
+	for _, p := range []engine.Problem{props.SSWP{}, props.SSSP{}} {
+		b.Run(p.Name()+"/2^15x8", func(b *testing.B) {
+			cfg := gen.Config{LogN: 15, AvgDegree: 8, Directed: true, Seed: 1}
+			edges := gen.RMAT(cfg)
+			g := streamgraph.New(cfg.N(), true)
+			snap, _ := g.InsertEdges(edges)
+			m := New(p, snap.Flatten(), gen.TopDegreeVertices(cfg.N(), edges, true, 16), true)
+			sample := MeetSample(snap.Flatten())
+			m.Narrow(sample)
+			for _, s := range sample[:32] {
+				col, _ := engine.Run(snap.Flatten(), p, []graph.VertexID{s})
+				m.Install(s, col)
+			}
+			pg := m.pages[0]
+			rng := rand.New(rand.NewSource(2))
+
+			var roots, taint, repair time.Duration
+			var tainted, moved int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var del []graph.Edge
+				for len(del) < 100 {
+					e := edges[rng.Intn(len(edges))]
+					if w, ok := snap.HasEdge(e.Src, e.Dst); ok && !slices.ContainsFunc(del, func(d graph.Edge) bool { return d.Src == e.Src && d.Dst == e.Dst }) {
+						del = append(del, graph.Edge{Src: e.Src, Dst: e.Dst, W: w})
+					}
+				}
+				prev := snap
+				snap, _ = g.DeleteEdges(del)
+				prev.RetireFlat()
+				flat := snap.Flatten()
+				b.StartTimer()
+
+				t0 := time.Now()
+				in := flat.Transposed()
+				m.trim(m.Forward, m.Roots, flat, in, del, false)
+				m.trimReverse(flat, del, false)
+				t1 := time.Now()
+				pg.st.Grow(flat.NumVertices())
+				tm := m.taint(pg.st, flat, del, false)
+				t2 := time.Now()
+				if tm != nil {
+					m.repairLanes(pg, flat, in, tm)
+				}
+				roots += t1.Sub(t0)
+				taint += t2.Sub(t1)
+				repair += time.Since(t2)
+
+				b.StopTimer()
+				for _, mask := range tm {
+					tainted += bits.OnesCount64(mask)
+				}
+				m.DrainMoved(func(int, int) { moved++ })
+				b.StartTimer()
+			}
+			n := float64(b.N)
+			b.ReportMetric(roots.Seconds()*1e3/n, "roots-ms/batch")
+			b.ReportMetric(taint.Seconds()*1e3/n, "lane-taint-ms/batch")
+			b.ReportMetric(repair.Seconds()*1e3/n, "lane-repair-ms/batch")
+			b.ReportMetric(float64(tainted)/n, "lane-tainted/batch")
+			b.ReportMetric(float64(moved)/n, "lane-moved/batch")
 		})
 	}
 }

@@ -11,7 +11,9 @@ import (
 // Subscribed lanes are forward answers q(s) kept for their own sake, in
 // pages: forward-only states of at most 64 lanes (a frontier mask is one
 // word) that Update and UpdateDeletions carry with the root state, over
-// the same arcs and in-arc view. A page grows by a block of 8 lanes only
+// the same arcs and in-arc view. A deletion resets a lane's tainted values
+// to the meet of its source over the roots, which are recovered first, and
+// not to init (trim.go). A page grows by a block of 8 lanes only
 // when full; a new page opens only when every page holds 64. A free lane
 // holds init, which no push improves and no taint seed matches. Queries
 // read the root state alone, which lanes never touch: lanes do not count
@@ -91,9 +93,9 @@ func (m *Manager) LaneColumn(lane int) []uint64 {
 	return m.pages[lane/64].st.Column(lane % 64)
 }
 
-// DrainMoved calls f for every (lane, vertex) whose value maintenance may
-// have moved since the last drain — every improvement, and every value a
-// trim reset — and clears the record.
+// DrainMoved calls f for every (lane, vertex) whose value maintenance
+// moved since the last drain — every improvement, and every value a trim
+// reset that came back different — and clears the record.
 func (m *Manager) DrainMoved(f func(lane, v int)) {
 	for i, pg := range m.pages {
 		for v, mask := range pg.st.Changed {

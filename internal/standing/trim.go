@@ -7,6 +7,7 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/parallel"
+	"tripoline/internal/triangle"
 )
 
 // Trimmed deletion recovery — the KickStarter-flavored alternative to
@@ -28,11 +29,24 @@ import (
 // are still exact: they have an untainted witness chain from their
 // source, and deletions never improve anything.
 //
-// After tainting, tainted values reset to init (roots to the source
-// value) and the push resumes from the region's boundary: every untainted
-// tail of an arc into a tainted vertex, under the slots tainted there. The
-// boundary holds exact values, so the push carries them into the region
-// and converges over it alone.
+// After tainting, a root's tainted values reset to init (its source to
+// the source value) and a lane's to the meet of its source over the roots
+// (Meet), which are recovered first; then the push resumes from the
+// region's boundary: every untainted tail of an arc into a tainted vertex,
+// under the slots tainted there. The boundary holds exact values, so the
+// push carries them into the region and converges over it alone.
+//
+// The meet is the paper's Δ-init bound (§4, Theorem 4.4) over the roots'
+// post-deletion columns: each term property(u,r) ⊕ property(r,x) is the
+// value of a real path u→r→x of the new graph, so it is never better than
+// the truth, and a meet of fixpoint columns holds on every arc between
+// two reset values. An arc from the boundary into the region is seeded,
+// one out of the region cannot improve an exact head, and the lane's own
+// source, when tainted, is set to the source value and seeded — so the
+// same boundary push converges to the exact answer, and moves only the
+// values the bound left above it. A page records a tainted value as moved
+// only when it came back different, so after a deletion the record is
+// exactly what moved, as after an insertion.
 //
 // The reversed standing state (directed graphs) is the forward state of
 // the transposed graph, so it is recovered by the same routine over the
@@ -47,6 +61,9 @@ import (
 // that removed nothing still published a version: StampVersion records
 // that the state stands on it (calling this with no edges does the same,
 // at the price of a view).
+//
+// The order is Forward, Reverse, then every page of lanes: a lane's reset
+// reads Meet, which reads both root states.
 func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
 	start := time.Now()
 	m.noteVersion(g)
@@ -58,11 +75,11 @@ func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undire
 		in = transposedOf(g)
 	}
 	stats := m.trim(m.Forward, m.Roots, g, in, deleted, undirected)
-	for _, pg := range m.pages {
-		m.trim(pg.st, pg.sources[:pg.st.K], g, in, deleted, undirected)
-	}
 	if m.Reverse != nil {
 		stats.Add(m.trimReverse(g, deleted, undirected))
+	}
+	for _, pg := range m.pages {
+		m.trimLanes(pg, g, in, deleted, undirected)
 	}
 	m.LastMaintain = time.Since(start)
 	m.TotalStats.Add(stats)
@@ -76,21 +93,92 @@ func (m *Manager) trimReverse(g engine.ArcView, deleted []graph.Edge, undirected
 }
 
 // trim recovers st, converged on the graph before deleted were removed, on
-// g; in is g's transposed view and sources[k] is slot k's source.
+// g; in is g's transposed view and sources[k] is slot k's source. Tainted
+// values reset to init.
 func (m *Manager) trim(st *engine.State, sources []graph.VertexID, g, in engine.ArcView, deleted []graph.Edge, undirected bool) engine.Stats {
 	st.Grow(g.NumVertices())
 	taint := m.taint(st, g, deleted, undirected)
 	if taint == nil {
 		return engine.Stats{}
 	}
-	if st.Changed != nil {
-		// A tainted value is reset and recomputed; it may come back the
-		// same, so what st records is a superset of what moved.
-		for v, mask := range taint {
-			st.Changed[v] |= mask
+	init := m.Problem.InitValue()
+	parallel.ForGrain(st.N, 256, func(v int) {
+		for mk := taint[v]; mk != 0; mk &= mk - 1 {
+			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mk), init)
+		}
+	})
+	return m.repair(st, sources, g, in, taint)
+}
+
+// trimLanes recovers a page of lanes like trim, but resets each tainted
+// value to the meet of its lane's source over the roots, which must
+// already stand on g, and records in the page's Changed only the values
+// that came back different — beside the bits earlier passes set that no
+// drain has taken yet.
+func (m *Manager) trimLanes(pg *page, g, in engine.ArcView, deleted []graph.Edge, undirected bool) {
+	pg.st.Grow(g.NumVertices())
+	if taint := m.taint(pg.st, g, deleted, undirected); taint != nil {
+		m.repairLanes(pg, g, in, taint)
+	}
+}
+
+// repairLanes is trimLanes past the taint.
+func (m *Manager) repairLanes(pg *page, g, in engine.ArcView, taint []uint64) {
+	st := pg.st
+	// verts lists the tainted vertices; old[at[i]:at[i+1]] holds verts[i]'s
+	// values in its tainted slots, lowest slot first, and prior[i] the bits
+	// of those slots an undrained pass recorded. A page with tainted values
+	// holds live lanes, so it records (Install).
+	var verts []graph.VertexID
+	at := []int{0}
+	var slots uint64
+	for v, mask := range taint {
+		if mask != 0 {
+			verts = append(verts, graph.VertexID(v))
+			at = append(at, at[len(at)-1]+bits.OnesCount64(mask))
+			slots |= mask
 		}
 	}
-	return m.repair(st, sources, g, in, taint)
+	var lanes [64][]triangle.Lane
+	for mk := slots; mk != 0; mk &= mk - 1 {
+		k := bits.TrailingZeros64(mk)
+		lanes[k], _, _ = m.Meet(make([]triangle.Lane, 0, m.K()), pg.sources[k])
+	}
+	meet, init := triangle.MeetOf(m.Problem), m.Problem.InitValue()
+	arr, stride, offs := st.StrideViews()
+	cols, cstride, _ := m.Forward.StrideView(0)
+	old, prior := make([]uint64, at[len(verts)]), make([]uint64, len(verts))
+	parallel.ForRange(len(verts), 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, j := int(verts[i]), at[i]
+			prior[i] = st.Changed[x] & taint[x]
+			for mk := taint[x]; mk != 0; mk, j = mk&(mk-1), j+1 {
+				k := bits.TrailingZeros64(mk)
+				d := x*stride + offs[k]
+				old[j] = arr[d]
+				if len(lanes[k]) == 0 {
+					arr[d] = init
+				} else {
+					meet(arr, d, 0, cols, x*cstride, 0, lanes[k], 1)
+				}
+			}
+		}
+	})
+	m.repair(st, pg.sources[:st.K], g, in, taint)
+	// Only tainted values can move: every other one is exact already.
+	parallel.ForRange(len(verts), 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, j := int(verts[i]), at[i]
+			moved := prior[i]
+			for mk := taint[x]; mk != 0; mk, j = mk&(mk-1), j+1 {
+				k := bits.TrailingZeros64(mk)
+				if arr[x*stride+offs[k]] != old[j] {
+					moved |= 1 << uint(k)
+				}
+			}
+			st.Changed[x] = st.Changed[x]&^taint[x] | moved
+		}
+	})
 }
 
 // taint computes the per-slot taint masks over the pre-deletion values.
@@ -191,18 +279,12 @@ func (m *Manager) taint(st *engine.State, g engine.ArcView, deleted []graph.Edge
 	return taint
 }
 
-// repair resets the tainted value slots and resumes the push over g from
-// the boundary of the tainted region — found through in, g's transposed
-// view — plus each tainted slot's own source. A free lane holds init, so
-// it is never tainted and its stale source entry is never read.
+// repair resumes the push over g from the boundary of the tainted region
+// — found through in, g's transposed view — plus each tainted slot's own
+// source, once the tainted values are reset. A free lane holds init, so it
+// is never tainted and its stale source entry is never read.
 func (m *Manager) repair(st *engine.State, sources []graph.VertexID, g, in engine.ArcView, taint []uint64) engine.Stats {
-	init := m.Problem.InitValue()
 	n := st.N
-	parallel.ForGrain(n, 256, func(v int) {
-		for mk := taint[v]; mk != 0; mk &= mk - 1 {
-			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mk), init)
-		}
-	})
 	// boundary[x] collects the slots in which x has an arc into a vertex
 	// tainted there while x itself is not.
 	boundary := make([]uint64, n)

@@ -63,7 +63,7 @@ type Lane struct {
 // of the standing state's slot-blocked storage, with no column copied in
 // between. It runs in parallel blocks with a plain loop inside each.
 func DeltaInitMeet(dst []uint64, dstStride, dstOff int, p engine.Problem, u graph.VertexID, lanes []Lane, src []uint64, srcStride, n int) {
-	meet, init := meetOf(p), p.InitValue()
+	meet, init := MeetOf(p), p.InitValue()
 	parallel.ForRange(n, parallel.BlockGrain, func(lo, hi int) {
 		d, s := lo*dstStride+dstOff, lo*srcStride
 		if len(lanes) > 0 {
@@ -80,17 +80,19 @@ func DeltaInitMeet(dst []uint64, dstStride, dstOff int, p engine.Problem, u grap
 	}
 }
 
-// meetFunc writes the meet over a non-empty list of lanes for cnt
+// MeetFunc writes the meet over a non-empty list of lanes for cnt
 // consecutive vertices: the first vertex's value goes to dst[d] and its
 // lanes sit at src[s+l.Off]; each next vertex is ds and ss further on.
-type meetFunc func(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int)
+// With cnt = 1 it is the meet at one vertex, which is how a deletion
+// repair resets a tainted lane value (standing.Manager.UpdateDeletions).
+type MeetFunc func(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int)
 
-// meetOf returns p's meetFunc. Each engine.KernelSpec kind has its own,
+// MeetOf returns p's MeetFunc. Each engine.KernelSpec kind has its own,
 // whose ⊕ and order are inline, so the loop over vertices and lanes
 // makes no call (through the interface the meet costs more than it
 // saves); a problem with no spec runs the same loop through the
 // interface.
-func meetOf(p engine.Problem) meetFunc {
+func MeetOf(p engine.Problem) MeetFunc {
 	spec, fused := engine.KernelSpecOf(p)
 	switch {
 	case fused && !spec.MaxWins && (spec.Kind == engine.RelaxAddWeight || spec.Kind == engine.RelaxAddOne):
