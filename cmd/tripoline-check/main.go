@@ -12,27 +12,22 @@
 //	tripoline-check -schedules 200 -seed 1
 //	tripoline-check -schedules 50 -seed 2 -json
 //	tripoline-check -schedules 10000 -seed 7 -repro-dir ./repros
-//	tripoline-check -shards 4 -schedules 200 -seed 1
 //	tripoline-check -serving -schedules 1000 -seed 1
-//	tripoline-check -serving -shards 4 -schedules 100 -seed 1
-//	tripoline-check -corrupt-transpose -shards 4 -schedules 5
+//	tripoline-check -corrupt-transpose -schedules 5
 //
-// -shards S adds a fifth replay of each schedule, through a System whose
-// arcs are split across S stores: verified against the oracle like the
-// others and compared with the one-store replay down to the versions.
 // -serving replays the same schedules against the Δ-result cache and
 // subscription surface instead, verifying every cached answer and every
-// pushed frame against the oracle at its reported version — through S
-// stores with -shards S. -corrupt-delta and -corrupt-transpose arm the
-// one-store replays' skew seams — a corrupted mirror, a corrupted
-// transposed mirror — which the serving replay does not have, so either
-// with -serving is a usage error. Both self-tests must exit 1.
+// pushed frame against the oracle at its reported version.
+// -corrupt-delta and -corrupt-transpose arm the replays' skew seams — a
+// corrupted mirror, a corrupted transposed mirror — which the serving
+// replay does not have, so either with -serving is a usage error. Both
+// self-tests must exit 1.
 //
 // Exit status: 0 when every schedule passes, 1 on any divergence, 2 on a
 // usage or output error. The run is deterministic: the same
 // -schedules/-seed pair replays the identical workloads and produces the
-// identical verdicts (the *_fired fault counters and the verified count
-// depend on whether an injected fault landed before the run converged,
+// identical verdicts (the cancels_fired counter and the verified count
+// depend on whether a cancellation landed before the run converged,
 // which depends on engine scheduling and may vary).
 package main
 
@@ -62,10 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "master seed; per-schedule seeds are derived from it")
 	jsonOut := fs.Bool("json", false, "emit the summary as JSON")
 	reproDir := fs.String("repro-dir", "", "write dd-minimized repros for diverging schedules into this directory")
-	corrupt := fs.Bool("corrupt-delta", false, "arm the skew-delta fault seam of the one-store replays (self-test: the run must diverge)")
-	corruptT := fs.Bool("corrupt-transpose", false, "arm the skew-transpose fault seam of the one-store replays (self-test: the run must diverge on directed schedules)")
+	corrupt := fs.Bool("corrupt-delta", false, "arm the skew-delta fault seam of the replays (self-test: the run must diverge)")
+	corruptT := fs.Bool("corrupt-transpose", false, "arm the skew-transpose fault seam of the replays (self-test: the run must diverge on directed schedules)")
 	serving := fs.Bool("serving", false, "run the serving-layer checker (Delta-result cache + subscriptions) instead of the replay checker")
-	shards := fs.Int("shards", 0, "add a replay through a System split across N stores, checked against the oracle and the one-store replay; with -serving, serve through N stores")
 	verbose := fs.Bool("v", false, "print one line per schedule")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ctx := context.Background()
-	opts := check.Options{CorruptDelta: *corrupt, CorruptTranspose: *corruptT, Shards: *shards, Serving: *serving}
+	opts := check.Options{CorruptDelta: *corrupt, CorruptTranspose: *corruptT, Serving: *serving}
 	start := time.Now()
 	repros := 0
 	sum := check.RunMany(ctx, *schedules, *seed, opts, func(i int, v check.Verdict) {
@@ -104,12 +98,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		out := struct {
 			check.Summary
-			Shards          int     `json:"shards,omitempty"`
 			Serving         bool    `json:"serving,omitempty"`
 			ElapsedMS       int64   `json:"elapsed_ms"`
 			SchedulesPerSec float64 `json:"schedules_per_sec"`
 			ReprosWritten   int     `json:"repros_written,omitempty"`
-		}{sum, *shards, *serving, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds(), repros}
+		}{sum, *serving, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds(), repros}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -117,14 +110,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		fmt.Fprintf(stdout, "checked %d schedules (%d directed, %d undirected; seed %d, S=%d, serving=%v) in %v: %d queries, %d answers verified, %d divergences\n",
-			sum.Schedules, sum.Directed, sum.Undirected, sum.Seed, max(*shards, 1), *serving, elapsed.Round(time.Millisecond), sum.Queries, sum.Verified, sum.Divergences)
+		fmt.Fprintf(stdout, "checked %d schedules (%d directed, %d undirected; seed %d, serving=%v) in %v: %d queries, %d answers verified, %d divergences\n",
+			sum.Schedules, sum.Directed, sum.Undirected, sum.Seed, *serving, elapsed.Round(time.Millisecond), sum.Queries, sum.Verified, sum.Divergences)
 		if *serving {
 			fmt.Fprintf(stdout, "serving: %d cache hits, %d frames over %d subscriptions, %d frames dropped by lossy ones\n",
 				sum.CacheHits, sum.Frames, sum.Subscriptions, sum.FramesDropped)
 		} else {
-			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d) evicts=%d (fired %d)\n",
-				sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.Evicts, sum.Faults.EvictsFired)
+			fmt.Fprintf(stdout, "faults: cancels=%d (fired %d)\n",
+				sum.Faults.Cancels, sum.Faults.CancelsFired)
 		}
 	}
 	if sum.Divergences > 0 {

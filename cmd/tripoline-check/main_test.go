@@ -18,18 +18,17 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestCorruptDeltaUnderShards: under -shards the self-test flag still
-// arms the one-store replays, so the run diverges (exit 1), and
-// -repro-dir writes a shrunk repro that decodes.
-func TestCorruptDeltaUnderShards(t *testing.T) {
+// TestCorruptDelta: the self-test flag arms the replays, so the run
+// diverges (exit 1), and -repro-dir writes a shrunk repro that decodes.
+func TestCorruptDelta(t *testing.T) {
 	dir := t.TempDir()
-	code, _, stderr := runCLI(t, "-corrupt-delta", "-shards", "4", "-schedules", "3", "-seed", "1", "-repro-dir", dir)
+	code, _, stderr := runCLI(t, "-corrupt-delta", "-schedules", "3", "-seed", "1", "-repro-dir", dir)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr %q)", code, stderr)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
 	if err != nil || len(files) == 0 {
-		t.Fatalf("no repro written under -shards (err %v)", err)
+		t.Fatalf("no repro written (err %v)", err)
 	}
 	data, err := os.ReadFile(files[0])
 	if err != nil {
@@ -40,12 +39,12 @@ func TestCorruptDeltaUnderShards(t *testing.T) {
 	}
 }
 
-// TestCorruptTransposeUnderShards: the transpose self-test diverges
-// (exit 1) within five schedules, and -repro-dir writes a shrunk repro
-// that decodes as a directed schedule.
-func TestCorruptTransposeUnderShards(t *testing.T) {
+// TestCorruptTranspose: the transpose self-test diverges (exit 1) within
+// five schedules, and -repro-dir writes a shrunk repro that decodes as a
+// directed schedule.
+func TestCorruptTranspose(t *testing.T) {
 	dir := t.TempDir()
-	code, _, stderr := runCLI(t, "-corrupt-transpose", "-shards", "4", "-schedules", "5", "-repro-dir", dir)
+	code, _, stderr := runCLI(t, "-corrupt-transpose", "-schedules", "5", "-repro-dir", dir)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr %q)", code, stderr)
 	}
@@ -81,8 +80,8 @@ func TestCorruptDeltaUnderServing(t *testing.T) {
 // the counters of the path taken.
 func TestCleanRuns(t *testing.T) {
 	for _, args := range [][]string{
-		{"-shards", "4", "-schedules", "3", "-seed", "1", "-json"},
-		{"-serving", "-shards", "4", "-schedules", "3", "-seed", "1", "-json"},
+		{"-schedules", "3", "-seed", "1", "-json"},
+		{"-serving", "-schedules", "3", "-seed", "1", "-json"},
 	} {
 		code, stdout, stderr := runCLI(t, args...)
 		if code != 0 {

@@ -7,11 +7,11 @@
 //	tripoline-loadgen -scenario query-heavy -duration 10s          # self-hosted target
 //	tripoline-loadgen -target http://host:8080 -scenario all       # live server
 //	tripoline-loadgen -scenario all -duration 5s -max-inflight 4,16,64  # scenarios + saturation sweep
-//	tripoline-loadgen -conform                                     # S=1 vs S=4 conformance + 429 probe
+//	tripoline-loadgen -conform                                     # 429 admission probe
 //
 // With no -target the driver self-hosts an in-process server built the
 // same way cmd/tripoline-server builds one, so a seeded run doubles as
-// a conformance smoke test. SIGINT mid-run prints the summary of
+// a contract smoke test. SIGINT mid-run prints the summary of
 // everything recorded so far instead of discarding the run.
 package main
 
@@ -43,8 +43,7 @@ func main() {
 		rate     = flag.Float64("rate", 0, "offered req/s across all workers (0 = scenario default, negative = unpaced)")
 		seed     = flag.Uint64("seed", 0x51ab, "deterministic op-stream seed")
 		sweepArg = flag.String("max-inflight", "", "comma-separated admission settings for a saturation sweep over self-hosted servers (e.g. 4,16,64)")
-		conform  = flag.Bool("conform", false, "run the S=1 vs S=4 conformance replay and 429 admission probe, then exit")
-		shards   = flag.Int("shards", 1, "self-hosted shard count (ignored with -target)")
+		conform  = flag.Bool("conform", false, "run the 429 admission probe against a self-hosted server, then exit")
 		vertices = flag.Int("vertices", 2048, "self-hosted graph size (ignored with -target)")
 		edges    = flag.Int("edges", 0, "self-hosted seed edge count (0 = 8x vertices; ignored with -target)")
 	)
@@ -56,7 +55,7 @@ func main() {
 	defer stop()
 
 	if *conform {
-		runConform(ctx, *shards, *seed)
+		runConform(ctx)
 		return
 	}
 
@@ -72,7 +71,7 @@ func main() {
 	}
 
 	selfHost := loadgen.SelfHostConfig{
-		Vertices: *vertices, Edges: *edges, Shards: *shards, Seed: *seed,
+		Vertices: *vertices, Edges: *edges, Seed: *seed,
 		HistoryCapacity: 16, CacheEntries: 256,
 	}
 
@@ -151,40 +150,21 @@ func main() {
 	os.Exit(exitCode)
 }
 
-// runConform replays the seeded conformance trace (core S=1 against
-// sharded S=N) and probes the admission gate's 429 contract on both,
-// exiting nonzero on any divergence.
-func runConform(ctx context.Context, shards int, seed uint64) {
-	if shards <= 1 {
-		shards = 4
-	}
-	rep, err := loadgen.RunConformance(ctx, loadgen.ConformanceConfig{Shards: shards, Seed: seed})
+// runConform probes the admission gate's 429 contract on every gated
+// endpoint of a self-hosted server, exiting nonzero on any violation.
+func runConform(ctx context.Context) {
+	violations, err := loadgen.ProbeAdmission(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("conformance: %d steps against S=1 and S=%d, %d divergences\n",
-		rep.Steps, rep.Shards, len(rep.Divergences))
-	for _, d := range rep.Divergences {
-		fmt.Printf("  DIVERGENCE %s\n", d)
+	if len(violations) == 0 {
+		fmt.Println("admission probe: all endpoints answered 429 with Retry-After")
+		return
 	}
-	failed := len(rep.Divergences) > 0
-	for _, s := range []int{1, shards} {
-		violations, err := loadgen.ProbeAdmission(ctx, s)
-		if err != nil {
-			fatal(err)
-		}
-		if len(violations) == 0 {
-			fmt.Printf("admission probe S=%d: all endpoints answered 429 with Retry-After\n", s)
-			continue
-		}
-		failed = true
-		for _, v := range violations {
-			fmt.Printf("  ADMISSION VIOLATION S=%d: %s\n", s, v)
-		}
+	for _, v := range violations {
+		fmt.Printf("  ADMISSION VIOLATION: %s\n", v)
 	}
-	if failed {
-		os.Exit(1)
-	}
+	os.Exit(1)
 }
 
 func parseInts(s string) ([]int, error) {

@@ -33,6 +33,7 @@ import (
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/server"
+	"tripoline/internal/streamgraph"
 )
 
 func main() {
@@ -44,7 +45,6 @@ func main() {
 		scale    = flag.Int("scale", 1, "graph scale factor")
 		probs    = flag.String("problems", "SSWP,SSSP,BFS", "problems to enable")
 		k        = flag.Int("k", 16, "upper bound on standing queries per standing set (each set narrows to the roots its Δ-init meet uses)")
-		shards   = flag.Int("shards", 1, "hash-partitioned stores the graph is split across")
 		seed     = flag.Uint64("seed", 42, "seed for synthetic graphs")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables)")
@@ -88,7 +88,7 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight, *queueDepth),
 		server.WithSubscriptionBuffer(*subBuffer),
 	}
-	sys := core.NewSharded(n, directedGraph, *shards, *k)
+	sys := core.NewSystem(streamgraph.New(n, directedGraph), *k)
 	sys.ApplyBatch(edges)
 	for _, p := range strings.Split(*probs, ",") {
 		if err := sys.Enable(p); err != nil {
@@ -98,8 +98,8 @@ func main() {
 	if *resultCache > 0 {
 		sys.EnableResultCache(*resultCache)
 	}
-	fmt.Printf("tripoline-server: %d vertices, %d arcs, %d shard(s), problems %v, listening on %s\n",
-		sys.NumVertices(), sys.NumEdges(), sys.Shards(), sys.Enabled(), *addr)
+	fmt.Printf("tripoline-server: %d vertices, %d arcs, problems %v, listening on %s\n",
+		sys.NumVertices(), sys.NumEdges(), sys.Enabled(), *addr)
 	srv := server.New(sys, serverOpts...)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 

@@ -22,7 +22,6 @@ import (
 
 	"tripoline/internal/core"
 	"tripoline/internal/gen"
-	"tripoline/internal/graph"
 	"tripoline/internal/server"
 	"tripoline/internal/streamgraph"
 )
@@ -196,52 +195,4 @@ func main() {
 		}
 	}
 	r.Body.Close()
-
-	// Sharded serving: the same API over four hash-partitioned stores.
-	// Batches land on the stores in parallel; a query is evaluated once
-	// over the union of their mirrors and returns exactly the answer the
-	// one-store server gave above, and /v1/stats reports the store count
-	// plus the tripoline_shard_* batch-split counters.
-	sharded := core.NewSharded(cfg.N(), false, 4, 8)
-	sharded.ApplyBatch(edges) // the full edge set in one bulk load
-	if err := sharded.Enable("SSWP"); err != nil {
-		log.Fatal(err)
-	}
-	sharded.ApplyBatch([]graph.Edge{{Src: 123, Dst: 777, W: 200}}) // the chord from above
-	lnS, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	apiS := server.New(sharded, server.WithQueryTimeout(5*time.Second))
-	srvS := &http.Server{Handler: apiS}
-	go srvS.Serve(lnS)
-	defer srvS.Close()
-	baseS := "http://" + lnS.Addr().String()
-
-	var shStats struct {
-		Shards  int    `json:"shards"`
-		Edges   int64  `json:"edges"`
-		Version uint64 `json:"version"`
-	}
-	rs, err := http.Get(baseS + "/v1/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	json.NewDecoder(rs.Body).Decode(&shStats)
-	rs.Body.Close()
-	fmt.Printf("sharded server: %d shards, %d arcs, version %d\n",
-		shStats.Shards, shStats.Edges, shStats.Version)
-
-	rq, err := http.Get(baseS + "/v1/query?problem=SSWP&source=123")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var sq struct {
-		Incremental bool     `json:"incremental"`
-		Values      []uint64 `json:"values"`
-	}
-	json.NewDecoder(rq.Body).Decode(&sq)
-	rq.Body.Close()
-	fmt.Printf("sharded SSWP(123): incremental=%v bottleneck(123→777)=%d (unsharded said 200)\n",
-		sq.Incremental, sq.Values[777])
 }

@@ -10,22 +10,19 @@ import (
 
 // Options configures a check run.
 type Options struct {
-	// CorruptDelta arms the streamgraph skew seam in every one-store
-	// replay: each delta-patched mirror build silently corrupts one arc.
-	// This is the checker's self-test — a harness that cannot catch a
+	// CorruptDelta arms the streamgraph skew seam in every replay of the
+	// query surface: each delta-patched mirror build silently corrupts one
+	// arc. This is the checker's self-test — a harness that cannot catch a
 	// deliberately broken delta patch validates nothing — and the
 	// acceptance gate requires the resulting divergence to dd-minimize to
 	// a handful of ops. The serving replay has no store seam to arm.
 	CorruptDelta bool
 	// CorruptTranspose arms the streamgraph transpose skew seam in every
-	// one-store replay: each patched transposed mirror silently corrupts
-	// one arc. Only a directed schedule's reversed standing queries read a
-	// transpose, so this self-test bites on directed schedules alone.
+	// replay of the query surface: each patched transposed mirror silently
+	// corrupts one arc. Only a directed schedule's reversed standing
+	// queries read a transpose, so this self-test bites on directed
+	// schedules alone.
 	CorruptTranspose bool
-	// Shards > 1 adds a fifth replay, through a System split across that
-	// many stores; with Serving, the serving replay runs through such a
-	// System.
-	Shards int
 	// Serving replays against the serving surface (result cache and
 	// subscriptions) instead of the query surface.
 	Serving bool
@@ -54,7 +51,7 @@ type Verdict struct {
 	FramesDropped int `json:"frames_dropped,omitempty"`
 }
 
-// corruption names the skew seams a one-store replay arms.
+// corruption names the skew seams a replay arms.
 type corruption struct{ delta, transpose bool }
 
 // cmpCfg tunes a cross-variant comparison for variants whose version
@@ -73,11 +70,10 @@ type cmpCfg struct {
 
 // CheckSchedule checks one schedule under ctx and returns the combined
 // verdict. With opts.Serving it is the serving replay (see serving.go);
-// otherwise the schedule is replayed four ways through a System over one
-// store, plus a fifth through S stores when opts.Shards > 1, and every
-// successful result of every replay is verified against the oracle — a
-// from-scratch sequential recomputation on a reference graph fed the
-// same mutations — at the version it reports:
+// otherwise the schedule is replayed four ways, each through a fresh
+// System, and every successful result of every replay is verified
+// against the oracle — a from-scratch sequential recomputation on a
+// reference graph fed the same mutations — at the version it reports:
 //
 //   - base: batches as written (the CorruptDelta and CorruptTranspose
 //     self-tests show the oracle bites);
@@ -85,14 +81,12 @@ type cmpCfg struct {
 //   - split: each insert batch applied as two sub-batches — batch-split
 //     invariance (compared on everything but version numbering);
 //   - delete-reinsert: after the last op, half the surviving edges are
-//     deleted and reinserted — the probe matrix must still agree;
-//   - S stores: batches as written through NewSharded, its fault ops run
-//     as the plain op — store-count invariance, down to the versions.
+//     deleted and reinserted — the probe matrix must still agree.
 //
 // Every replay but the base is also compared with the base.
 func CheckSchedule(ctx context.Context, s *Schedule, opts Options) Verdict {
 	if opts.Serving {
-		return checkServing(ctx, s, opts.Shards)
+		return checkServing(ctx, s)
 	}
 	corrupt := corruption{delta: opts.CorruptDelta, transpose: opts.CorruptTranspose}
 	base := replay(ctx, s, variant{name: "base", corrupt: corrupt})
@@ -102,9 +96,6 @@ func CheckSchedule(ctx context.Context, s *Schedule, opts Options) Verdict {
 		{name: "shuffle", shuffle: true, corrupt: corrupt},
 		{name: "split", split: true, corrupt: corrupt, cmp: cmpCfg{skipQueryAt: true, skipVersions: true}},
 		{name: "delete-reinsert", deleteReinsert: true, corrupt: corrupt, cmp: cmpCfg{skipProbeVersion: true}},
-	}
-	if opts.Shards > 1 {
-		others = append(others, variant{name: fmt.Sprintf("S=%d", opts.Shards), shards: opts.Shards})
 	}
 	for _, o := range others {
 		r := replay(ctx, s, o)

@@ -22,10 +22,6 @@ const (
 	// ≈ 5.7e-9 of the true fixpoint (see oracle.PageRank), so 1e-6 is
 	// comfortable and immune to atomic-add rounding.
 	prTolerance = 1e-6
-	// evictHookStep is the context consultation at which OpEvict retires
-	// the pinned snapshot's mirror — after the run has started, before it
-	// usually converges.
-	evictHookStep = 2
 	// maxReasons caps divergence messages per replay; one is enough to
 	// fail, the rest is diagnostics.
 	maxReasons = 8
@@ -34,10 +30,10 @@ const (
 )
 
 // variant describes one way of replaying a schedule. Every variant is
-// verified against the oracle; all but the base (batches as written,
-// one store) are also compared with the base under cmp, because they
-// replay the same logical workload through different code paths and must
-// observe the same results.
+// verified against the oracle; all but the base (batches as written) are
+// also compared with the base under cmp, because they replay the same
+// logical workload through different code paths and must observe the
+// same results.
 type variant struct {
 	name string
 	// shuffle permutes each batch's edges (order invariance: the graph is
@@ -51,11 +47,7 @@ type variant struct {
 	// and reinserts exactly what was deleted; the probe phase must then
 	// observe the identical final graph.
 	deleteReinsert bool
-	// shards > 1 replays through NewSharded's S stores instead of
-	// NewSystem's one, where the fault seams live: the fault ops then run
-	// as the plain op.
-	shards int
-	// corrupt arms the one store's skew seams (the checker's self-tests).
+	// corrupt arms the store's skew seams (the checker's self-tests).
 	corrupt corruption
 	cmp     cmpCfg
 }
@@ -85,15 +77,11 @@ type observation struct {
 type FaultCounts struct {
 	Cancels      int `json:"cancels"`
 	CancelsFired int `json:"cancels_fired"`
-	Evicts       int `json:"evicts"`
-	EvictsFired  int `json:"evicts_fired"`
 }
 
 func (f *FaultCounts) add(o FaultCounts) {
 	f.Cancels += o.Cancels
 	f.CancelsFired += o.CancelsFired
-	f.Evicts += o.Evicts
-	f.EvictsFired += o.EvictsFired
 }
 
 // replayer drives one System through a schedule. The embedded oracleSet
@@ -104,12 +92,9 @@ type replayer struct {
 	v        variant
 	problems []string // the schedule's (Schedule.Problems)
 	sys      *core.System
-	// store is the System's one store, the home of the fault seams; nil
-	// at S > 1.
-	store  *streamgraph.Graph
-	rng    *xrand.RNG // shuffle permutations
-	obs    []observation
-	faults FaultCounts
+	rng      *xrand.RNG // shuffle permutations
+	obs      []observation
+	faults   FaultCounts
 }
 
 // checked enables the schedule's problems on sys and turns history on.
@@ -133,14 +118,10 @@ func replay(ctx context.Context, s *Schedule, v variant) *replayer {
 		v:         v,
 		rng:       xrand.New(s.Seed ^ 0x9e3779b97f4a7c15),
 	}
-	if v.shards > 1 {
-		r.sys = checked(core.NewSharded(s.N, s.Directed, v.shards, replayK), r.problems)
-	} else {
-		r.store = streamgraph.New(s.N, s.Directed)
-		r.store.Seam().SetSkewDelta(v.corrupt.delta)
-		r.store.Seam().SetSkewTranspose(v.corrupt.transpose)
-		r.sys = checked(core.NewSystem(r.store, replayK), r.problems)
-	}
+	store := streamgraph.New(s.N, s.Directed)
+	store.Seam().SetSkewDelta(v.corrupt.delta)
+	store.Seam().SetSkewTranspose(v.corrupt.transpose)
+	r.sys = checked(core.NewSystem(store, replayK), r.problems)
 	for i, op := range s.Ops {
 		r.step(ctx, i, op)
 	}
@@ -207,21 +188,6 @@ func (r *replayer) step(ctx context.Context, i int, op Op) {
 		r.observe(i, op, false, res, err, true)
 	case OpReaders:
 		r.readers(ctx, i, op)
-	case OpEvict:
-		// Retire the pinned snapshot's mirror in the middle of the run —
-		// the history-eviction interleaving. The query must still return
-		// the correct result for the version it pinned.
-		retire := func() {}
-		if r.store != nil {
-			retire = r.store.Acquire().RetireFlat
-		}
-		ctx := newHookCtx(evictHookStep, retire)
-		res, err := r.sys.QueryFullCtx(ctx, op.Problem, op.Source)
-		r.faults.Evicts++
-		if ctx.fired() {
-			r.faults.EvictsFired++
-		}
-		r.observe(i, op, false, res, err, false)
 	}
 }
 

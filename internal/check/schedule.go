@@ -2,15 +2,13 @@
 // full core.System through a seeded, generated schedule of operations —
 // insertion and deletion batches (with the standing-query maintenance
 // they trigger), user queries at arbitrary sources, historical queries,
-// cancellations at chosen supersteps, concurrent readers, and injected
-// mirror-lifecycle faults — and cross-checks every observable result
-// against a from-scratch sequential recomputation (internal/oracle) on a
-// reference graph fed the same mutations — a map of arcs, built into a
-// CSR by code the store does not share. One replayer serves
-// every store count: on top of the oracle it checks metamorphic
-// invariants — batch-split invariance, insertion-order invariance within
-// a batch, delete-then-reinsert identity and, with Options.Shards,
-// store-count invariance — and Options.Serving replays the serving
+// cancellations at chosen supersteps and concurrent readers — and
+// cross-checks every observable result against a from-scratch sequential
+// recomputation (internal/oracle) on a reference graph fed the same
+// mutations — a map of arcs, built into a CSR by code the store does not
+// share. On top of the oracle the replayer checks metamorphic invariants
+// — batch-split invariance, insertion-order invariance within a batch and
+// delete-then-reinsert identity — and Options.Serving replays the serving
 // surface (result cache, subscriptions) instead. CheckSchedule is the one
 // entry point. Divergences are shrunk through internal/dd's ddmin into
 // checked-in repros (testdata/repros).
@@ -64,16 +62,12 @@ const (
 	OpCancel
 	// OpReaders runs Readers concurrent Δ-initialized queries.
 	OpReaders
-	// OpEvict runs a full query whose context hook retires the latest
-	// snapshot's mirror mid-run — the history-eviction race, made
-	// deterministic.
-	OpEvict
 
 	numOpKinds
 )
 
 // letters maps op kinds to their one-character encoding.
-var letters = [numOpKinds]string{"i", "d", "q", "Q", "h", "c", "r", "e"}
+var letters = [numOpKinds]string{"i", "d", "q", "Q", "h", "c", "r"}
 
 func (k OpKind) String() string {
 	if int(k) < len(letters) {
@@ -266,10 +260,11 @@ func (g *genState) nextOp() Op {
 	case r < 82:
 		return Op{Kind: OpReaders, Problem: g.problem(), Source: g.source(), Readers: 2 + g.rng.Intn(3)}
 	case r < 88:
-		return Op{Kind: OpEvict, Problem: g.problem(), Source: g.source()}
+		// The shares of two retired fault ops (letters e and x): the plain
+		// full and Δ-query they wrapped, so a seed still draws the schedule
+		// it always drew.
+		return Op{Kind: OpQueryFull, Problem: g.problem(), Source: g.source()}
 	case r < 94:
-		// The share of a retired fault op (letter x): a plain query, so a
-		// seed still draws the schedule it always drew.
 		return Op{Kind: OpQuery, Problem: g.problem(), Source: g.source()}
 	default:
 		return g.insertOp(OpInsert, 1+g.rng.Intn(g.n))
@@ -312,7 +307,7 @@ func Encode(s *Schedule) []byte {
 			for _, e := range op.Edges {
 				fmt.Fprintf(&b, " %d-%d-%d", e.Src, e.Dst, e.W)
 			}
-		case OpQuery, OpQueryFull, OpEvict:
+		case OpQuery, OpQueryFull:
 			fmt.Fprintf(&b, " %s %d", op.Problem, op.Source)
 		case OpQueryAt:
 			fmt.Fprintf(&b, " %s %d %d", op.Problem, op.Source, op.VerIdx)
@@ -331,10 +326,11 @@ func Encode(s *Schedule) []byte {
 // endpoint pair — unordered on an undirected schedule, ordered on a
 // directed one — are dropped (the streaming graph is first-wins, so a
 // duplicate with a different weight would make the shuffle variant
-// order-sensitive for reasons that are not bugs). The letters of two
+// order-sensitive for reasons that are not bugs). The letters of three
 // since-removed fault ops decode as the plain op they ran: F, an insertion
-// through a forced full rebuild, as an insertion, and x, a query through a
-// denied mirror pin, as a query.
+// through a forced full rebuild, as an insertion, x, a query through a
+// denied mirror pin, as a query, and e, a full query that retired the
+// latest mirror mid-run, as a full query.
 func Decode(data []byte) (*Schedule, error) {
 	lines := strings.Split(string(data), "\n")
 	if len(lines) < 3 || strings.TrimSpace(lines[0]) != encodeHeader {
@@ -358,7 +354,7 @@ func Decode(data []byte) (*Schedule, error) {
 		}
 		s.Directed, body = d == 1, body[1:]
 	}
-	kindOf := map[string]OpKind{"F": OpInsert, "x": OpQuery}
+	kindOf := map[string]OpKind{"F": OpInsert, "x": OpQuery, "e": OpQueryFull}
 	for k, l := range letters {
 		kindOf[l] = OpKind(k)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"tripoline/internal/core"
 	"tripoline/internal/graph"
+	"tripoline/internal/streamgraph"
 	"tripoline/internal/xrand"
 )
 
@@ -20,7 +21,7 @@ import (
 // CSR oracle at its reported version, and cached copies are additionally
 // required to be bit-identical to the evaluation that produced them. As
 // in every replay, the oracle reads a reference graph fed the same
-// mutations, never the System's own stores. CheckSchedule runs it when
+// mutations, never the System's own store. CheckSchedule runs it when
 // Options.Serving is set; Options.CorruptDelta has no seam to arm here.
 //
 // Subscribers come in two kinds. Most are synchronous: large buffers,
@@ -70,12 +71,12 @@ type servingReplayer struct {
 }
 
 // checkServing replays the schedule once under ctx through a fresh
-// checked System over the given number of stores, with the result cache
-// on and subscribers churning, verifying every cached answer and every
-// applied frame against the oracle at its reported version.
-func checkServing(ctx context.Context, s *Schedule, shards int) Verdict {
+// checked System, with the result cache on and subscribers churning,
+// verifying every cached answer and every applied frame against the
+// oracle at its reported version.
+func checkServing(ctx context.Context, s *Schedule) Verdict {
 	problems := s.Problems()
-	sys := checked(core.NewSharded(s.N, s.Directed, shards, replayK), problems)
+	sys := checked(core.NewSystem(streamgraph.New(s.N, s.Directed), replayK), problems)
 	sys.EnableResultCache(servingCacheEntries)
 	r := &servingReplayer{
 		oracleSet: newOracleSet(s.N, s.Directed),
@@ -132,8 +133,8 @@ func (r *servingReplayer) step(ctx context.Context, i int, op Op) {
 		}
 	default:
 		// Every other op kind collapses to the cached-query exercise: the
-		// serving replay has no fault seams, so cancel and evict ops are
-		// replayed as plain queries at the same (problem, source).
+		// serving replay has no fault seams, so cancel ops are replayed as
+		// plain queries at the same (problem, source).
 		r.query(ctx, i, op)
 	}
 }

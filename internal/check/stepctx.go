@@ -9,10 +9,7 @@ import (
 // stepCtx is a context.Context whose cancellation is counted in engine
 // consultations instead of wall-clock time: the engine polls ctx.Err()
 // once per superstep boundary, so "cancel after step 3" becomes a
-// deterministic schedule operation rather than a timing race. It can
-// also fire a hook at a chosen consultation — the checker uses that to
-// retire a snapshot's flat mirror in the middle of a run, reproducing
-// the history-eviction interleaving on demand.
+// deterministic schedule operation rather than a timing race.
 //
 // It deliberately has no Done channel: the engine's cooperative
 // cancellation only calls Err(), and a nil Done keeps every select-free
@@ -23,16 +20,9 @@ type stepCtx struct {
 	// (cancelAfter+1)-th consultation on. Sticky by construction — the
 	// counter only grows.
 	cancelAfter int64
-	// hookAfter > 0: hook runs during the hookAfter-th consultation.
-	hookAfter int64
-	hook      func()
 }
 
 func newCancelCtx(step int) *stepCtx { return &stepCtx{cancelAfter: int64(step)} }
-
-func newHookCtx(step int, hook func()) *stepCtx {
-	return &stepCtx{hookAfter: int64(step), hook: hook}
-}
 
 func (c *stepCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (c *stepCtx) Done() <-chan struct{}       { return nil }
@@ -40,18 +30,8 @@ func (c *stepCtx) Value(any) any               { return nil }
 
 func (c *stepCtx) Err() error {
 	n := c.consults.Add(1)
-	if c.hook != nil && n == c.hookAfter {
-		c.hook()
-	}
 	if c.cancelAfter > 0 && n > c.cancelAfter {
 		return context.Canceled
 	}
 	return nil
-}
-
-// fired reports whether the consultation count reached the hook point —
-// i.e. whether the injected event actually happened before the run
-// converged.
-func (c *stepCtx) fired() bool {
-	return c.hookAfter > 0 && c.consults.Load() >= c.hookAfter
 }

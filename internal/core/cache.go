@@ -8,8 +8,8 @@ import (
 )
 
 // Δ-result cache: answers to user queries, keyed by (problem, source)
-// and stamped with the version they were computed at — the barrier
-// entry's version, the System's Version.
+// and stamped with the version they were computed at — the pinned
+// snapshot's version, the System's Version.
 // The cache never reads a version itself; its owner passes the current
 // one to Get and the superseded/new pair to Advance. It leans on two
 // properties of the system:

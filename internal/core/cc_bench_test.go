@@ -9,21 +9,22 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
+	"tripoline/internal/streamgraph"
 )
 
-// BenchmarkShardedCC prices connected components on a 4-store System — the
-// traffic no benchmark/ workload enables: a from-scratch evaluation on the
+// BenchmarkCC prices connected components on a System — the traffic no
+// benchmark/ workload enables: a from-scratch evaluation on the
 // query path, the re-evaluation the apply path runs after a deletion batch,
 // and the resume after a 1k-edge insert batch. The apply rows report the
 // System's own CC pass (StandingMaintainTime) as cc-ms/op next to the whole
 // mutation's ns/op; the inverse mutation between iterations is not timed.
-func BenchmarkShardedCC(b *testing.B) {
+func BenchmarkCC(b *testing.B) {
 	for _, directed := range []bool{true, false} {
 		cfg := gen.Config{Name: "bench", LogN: 15, AvgDegree: 16, Directed: directed, Seed: 11}
 		edges := gen.RMAT(cfg)
 		cut := len(edges) - 1000
 		build := func(b *testing.B, preload []graph.Edge) *core.System {
-			r := core.NewSharded(cfg.N(), directed, 4, 16)
+			r := core.NewSystem(streamgraph.New(cfg.N(), directed), 16)
 			if err := r.Enable("CC"); err != nil {
 				b.Fatal(err)
 			}

@@ -93,7 +93,7 @@ func TestSystemDeltaMirrorEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if n := delta.stores[0].g.MirrorMetrics().DeltaBuilds.Value(); n < 4 {
+	if n := delta.g.MirrorMetrics().DeltaBuilds.Value(); n < 4 {
 		t.Fatalf("delta system took the delta path %d times, want ≥ 4", n)
 	}
 }

@@ -26,8 +26,8 @@ type Pin func() (View, func())
 // after each mutation, the Δ-based, batched and full evaluations of user
 // queries, the subscriptions refreshed after each mutation (subscribe.go)
 // and the recorded query sources root reselection reads (reselect.go). It
-// owns no graph: it evaluates over the View of a barrier entry its System
-// hands it (view.go).
+// owns no graph: it evaluates over the View of a published snapshot its
+// System hands it (view.go).
 type evaluator struct {
 	// k is the width a standing set is built at, before Narrow.
 	k        int
@@ -215,8 +215,8 @@ func (ev *evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
 // their work to rep in set order, so the report does not depend on the
 // schedule. Each set owns its state (roots, reversed state, lanes); what
 // the sets share — the view, the batch's arcs, the view's transpose — they
-// only read, and a view builds its transpose under its own lock
-// (streamgraph.Flat, writerUnion). The sets are few and of uneven cost,
+// only read, and a mirror builds its transpose under its own lock
+// (streamgraph.Flat.Transposed). The sets are few and of uneven cost,
 // so each is one unit of work, and each parallelizes its own passes.
 func (ev *evaluator) maintainSets(rep *BatchReport, maintain func(*standing.Manager) engine.Stats) {
 	stats := make([]engine.Stats, len(ev.sets))

@@ -5,6 +5,7 @@ import (
 
 	"tripoline/internal/graph"
 	"tripoline/internal/standing"
+	"tripoline/internal/streamgraph"
 )
 
 // NewEvaluator exposes the evaluator's constructor, for its K clamping.
@@ -87,14 +88,14 @@ func (s *System) SubscribeAcross(problem string, u graph.VertexID, mutate func()
 // before any subscribe runs.
 func (s *System) OnSubscribeEvaluated(f func(caughtUp bool)) { s.ev.evaluated = f }
 
-// at returns the entry published for the given version, or false when it
-// was never published or already fell out of the ring.
-func (b *barrier) at(global uint64) (*entry, bool) {
+// at returns the snapshot published for the given version, or false when
+// it was never published or already fell out of the ring.
+func (b *barrier) at(version uint64) (*streamgraph.Snapshot, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	for _, e := range b.entries {
-		if e.global == global {
-			return e, true
+	for _, snap := range b.snaps {
+		if snap.Version() == version {
+			return snap, true
 		}
 	}
 	return nil, false

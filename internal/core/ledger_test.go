@@ -97,22 +97,22 @@ func ledgerCrossCheck(t *testing.T, directed bool) {
 	}
 }
 
-// TestLedgerNoShardLeaks is the teardown proof for a System split across
-// stores: run a workload — batches interleaved with concurrent Δ-queries,
-// full re-evaluations, batched queries, historical QueryAt, and Δ-result
-// cache serving — and then, once every reader has returned, consult the
-// refcount ledger. Every per-store mirror pin taken through a union view
-// (the per-query pins of the latest entry, the pins of a retained entry
-// behind QueryAt) must have been released; only un-retired owner
+// TestLedgerTeardown is the teardown proof for every query path: run a
+// workload — batches and a deletion interleaved with concurrent
+// Δ-queries, full re-evaluations, batched queries, historical QueryAt,
+// and Δ-result cache serving — and then, once every reader has returned,
+// consult the refcount ledger. Every mirror pin (the per-query pins of the
+// latest snapshot, the pins of a retained one behind QueryAt, the one pin
+// of a batched query) must have been released; only un-retired owner
 // references may remain.
-func TestLedgerNoShardLeaks(t *testing.T) {
+func TestLedgerTeardown(t *testing.T) {
 	if !streamgraph.LedgerEnabled() {
 		t.Skip("ledger disabled")
 	}
 	streamgraph.LedgerReset()
 
 	const n = 150
-	r := core.NewSharded(n, false, 3, 6)
+	r := core.NewSystem(streamgraph.New(n, false), 6)
 	for _, p := range []string{"SSSP", "PageRank"} {
 		if err := r.Enable(p); err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestLedgerNoShardLeaks(t *testing.T) {
 				t.Fatalf("QueryAt(%d): %v", ver, err)
 			}
 		}
-		// A batched query shares one pinned union across sources.
+		// A batched query shares one pinned mirror across sources.
 		if _, err := r.QueryMany("SSSP", []graph.VertexID{1, 2, 3, 4}); err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +176,8 @@ func TestLedgerNoShardLeaks(t *testing.T) {
 		}
 	}
 
-	// One final batch with no readers in flight: every store it reaches
-	// retires its previous mirror, and nothing else should hold a pin.
+	// One final batch with no readers in flight: it retires the previous
+	// mirror, and nothing else should hold a pin.
 	r.ApplyBatch(batch(99))
 
 	for _, l := range streamgraph.LedgerReport() {

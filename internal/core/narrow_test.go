@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,8 +12,9 @@ import (
 )
 
 // TestEnableNarrowsByMeet: Enable and ReselectRoots narrow each standing
-// set to the roots its meet keeps over the sample, the same at S=1 and
-// S=4, and every query over a narrowed set is still exact. At this shape
+// set to the roots its meet keeps over the sample, the same over a
+// preloaded graph and over one loaded by a batch, and every query over a
+// narrowed set is still exact. At this shape
 // (directed R-MAT, 2^10 vertices, average degree 8, K=16) the SSWP set
 // keeps 5 roots and the SSNP set 4; the SSSP set (shared with Radii) and
 // the BFS set (shared with SSNSP) keep all 16.
@@ -32,8 +32,8 @@ func TestEnableNarrowsByMeet(t *testing.T) {
 		}
 		return sys
 	}
-	build := func(shards int, edges ...[]graph.Edge) *core.System {
-		sys := core.NewSharded(n, true, shards, k)
+	build := func(edges ...[]graph.Edge) *core.System {
+		sys := core.NewSystem(streamgraph.New(n, true), k)
 		for _, batch := range edges {
 			sys.ApplyBatch(batch)
 		}
@@ -42,7 +42,7 @@ func TestEnableNarrowsByMeet(t *testing.T) {
 	g := streamgraph.New(n, true)
 	g.InsertEdges(stream.Initial)
 	one := enable(core.NewSystem(g, k))
-	four := build(4, stream.Initial)
+	loaded := build(stream.Initial)
 
 	widths := map[string]int{}
 	for _, base := range []string{"SSSP", "BFS", "SSWP", "SSNP"} {
@@ -52,8 +52,8 @@ func TestEnableNarrowsByMeet(t *testing.T) {
 		if set.Forward.K != w || set.Reverse.K != w {
 			t.Fatalf("%s: %d roots over Forward width %d, Reverse width %d", base, w, set.Forward.K, set.Reverse.K)
 		}
-		if got := setOf(t, four, base).Roots; !slices.Equal(got, set.Roots) {
-			t.Fatalf("%s: S=4 narrowed to roots %v, S=1 to %v", base, got, set.Roots)
+		if got := setOf(t, loaded, base).Roots; !slices.Equal(got, set.Roots) {
+			t.Fatalf("%s: loaded by a batch, narrowed to roots %v; preloaded, to %v", base, got, set.Roots)
 		}
 	}
 	if widths["SSSP"] != k || widths["BFS"] != k || widths["SSWP"] >= k || widths["SSNP"] >= k {
@@ -80,33 +80,33 @@ func TestEnableNarrowsByMeet(t *testing.T) {
 			}
 		}
 	}
-	requireExact("S=1", one)
-	requireExact("S=4", four)
+	requireExact("preloaded", one)
+	requireExact("loaded", loaded)
 
 	// After a batch, re-rooting each set re-applies the rule: without a
 	// recorded history the roots are a fresh system's, narrowed the same.
-	for _, sys := range []*core.System{one, four} {
+	for _, sys := range []*core.System{one, loaded} {
 		sys.ApplyBatch(stream.Batches[0])
 	}
-	fresh := build(1, stream.Initial, stream.Batches[0])
+	fresh := build(stream.Initial, stream.Batches[0])
 	for _, name := range []string{"Radii", "BFS", "SSWP", "SSNP"} {
 		base := baseOf(name)
 		want := setOf(t, fresh, base).Roots
-		for s, sys := range map[int]*core.System{1: one, 4: four} {
+		for label, sys := range map[string]*core.System{"preloaded": one, "loaded": loaded} {
 			if err := sys.ReselectRoots(name); err != nil {
 				t.Fatal(err)
 			}
 			set := setOf(t, sys, base)
 			if !slices.Equal(set.Roots, want) || set.Forward.K != len(want) || set.Reverse.K != len(want) {
-				t.Fatalf("S=%d: reselecting %s left roots %v (width %d), a fresh system narrows to %v",
-					s, name, set.Roots, set.Forward.K, want)
+				t.Fatalf("%s: reselecting %s left roots %v (width %d), a fresh system narrows to %v",
+					label, name, set.Roots, set.Forward.K, want)
 			}
 		}
 	}
 	if w := len(setOf(t, one, "SSWP").Roots); w >= k {
 		t.Fatalf("the reselected SSWP set keeps %d roots", w)
 	}
-	for s, sys := range map[int]*core.System{1: one, 4: four} {
-		requireExact(fmt.Sprintf("S=%d reselected", s), sys)
+	for label, sys := range map[string]*core.System{"preloaded": one, "loaded": loaded} {
+		requireExact(label+" reselected", sys)
 	}
 }

@@ -43,5 +43,5 @@ func (s *System) RecordQueries(on bool) { s.ev.RecordQueries(on) }
 func (s *System) ReselectRoots(problem string) error {
 	s.tok <- struct{}{}
 	defer s.release()
-	return s.ev.ReselectRoots(problem, s.current(s.bar.latest()))
+	return s.ev.ReselectRoots(problem, s.current())
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -93,9 +92,8 @@ func TestReselectWithoutHistoryEqualsTopDegree(t *testing.T) {
 }
 
 // TestReselectUnderLoad alternates ReselectRoots with small batches while
-// query goroutines and one SSSP subscriber run, over one store and over
-// four. Reselection re-roots from the recorded queries — at S=4 through
-// the union's spans — and rebuilds the set under the apply token, as a
+// query goroutines and one SSSP subscriber run. Reselection re-roots from
+// the recorded queries and rebuilds the set under the apply token, as a
 // batch maintains it. Every answer a reader got must equal the oracle's at
 // the answer's version, and at the end the subscriber's frames must
 // reproduce the oracle's answer at the latest version.
@@ -104,114 +102,112 @@ func TestReselectUnderLoad(t *testing.T) {
 	edges := gen.Uniform(n, base+batch*rounds, 8, 131)
 	problems := map[string]engine.Problem{"SSSP": props.SSSP{}, "SSWP": props.SSWP{}}
 	hot := []graph.VertexID{3, 17, 101, 102, 150}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
-			g := streamgraph.New(n, true)
-			g.InsertEdges(edges[:base])
-			sys := core.Partition(g, shards, 8)
-			for name := range problems {
-				if err := sys.Enable(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sys.RecordQueries(true)
-			first, err := sys.Query("SSSP", 0)
-			if err != nil {
+	t.Run("S=1", func(t *testing.T) {
+		g := streamgraph.New(n, true)
+		g.InsertEdges(edges[:base])
+		sys := core.NewSystem(g, 8)
+		for name := range problems {
+			if err := sys.Enable(name); err != nil {
 				t.Fatal(err)
 			}
-			// prefix maps a version to the number of edges it holds.
-			prefix := map[uint64]int{first.Version: base}
-			// Room for every frame, so none is dropped: the last batch's
-			// frame is the one the client ends on.
-			sub, err := sys.Subscribe("SSSP", 17, rounds+1)
-			if err != nil {
-				t.Fatal(err)
+		}
+		sys.RecordQueries(true)
+		first, err := sys.Query("SSSP", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// prefix maps a version to the number of edges it holds.
+		prefix := map[uint64]int{first.Version: base}
+		// Room for every frame, so none is dropped: the last batch's
+		// frame is the one the client ends on.
+		sub, err := sys.Subscribe("SSSP", 17, rounds+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []core.ResultFrame
+		var results [3][]*core.QueryResult
+		stop := make(chan struct{})
+		var readers, subscriber sync.WaitGroup
+		subscriber.Add(1)
+		go func() {
+			defer subscriber.Done()
+			for f := range sub.Frames() {
+				frames = append(frames, f)
 			}
-			var frames []core.ResultFrame
-			var results [3][]*core.QueryResult
-			stop := make(chan struct{})
-			var readers, subscriber sync.WaitGroup
-			subscriber.Add(1)
+		}()
+		for w := range results {
+			readers.Add(1)
 			go func() {
-				defer subscriber.Done()
-				for f := range sub.Frames() {
-					frames = append(frames, f)
+				defer readers.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					name := "SSSP"
+					if i%3 == 2 {
+						name = "SSWP"
+					}
+					res, err := sys.Query(name, hot[(w+i)%len(hot)])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[w] = append(results[w], res)
 				}
 			}()
-			for w := range results {
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						name := "SSSP"
-						if i%3 == 2 {
-							name = "SSWP"
-						}
-						res, err := sys.Query(name, hot[(w+i)%len(hot)])
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						results[w] = append(results[w], res)
-					}
-				}()
+		}
+		latest := first.Version
+		for r := range rounds {
+			if err := sys.ReselectRoots("SSSP"); err != nil {
+				t.Fatal(err)
 			}
-			latest := first.Version
-			for r := range rounds {
-				if err := sys.ReselectRoots("SSSP"); err != nil {
-					t.Fatal(err)
-				}
-				end := base + batch*(r+1)
-				latest = sys.ApplyBatch(edges[end-batch : end]).Version
-				prefix[latest] = end
-			}
-			close(stop)
-			readers.Wait()
-			sys.Unsubscribe(sub)
-			subscriber.Wait()
-			if sys.QueryHistogramTotal() == 0 {
-				t.Fatal("no query was recorded for reselection")
-			}
+			end := base + batch*(r+1)
+			latest = sys.ApplyBatch(edges[end-batch : end]).Version
+			prefix[latest] = end
+		}
+		close(stop)
+		readers.Wait()
+		sys.Unsubscribe(sub)
+		subscriber.Wait()
+		if sys.QueryHistogramTotal() == 0 {
+			t.Fatal("no query was recorded for reselection")
+		}
 
-			type key struct {
-				version uint64
-				name    string
-				u       graph.VertexID
-			}
-			want := map[key][]uint64{}
-			oracleAt := func(version uint64, name string, u graph.VertexID) []uint64 {
-				k := key{version, name, u}
-				if _, ok := want[k]; !ok {
-					end, ok := prefix[version]
-					if !ok {
-						t.Fatalf("an answer at unknown version %d", version)
-					}
-					want[k] = oracle.BestPath(graph.FromEdges(n, edges[:end], true), problems[name], u)
+		type key struct {
+			version uint64
+			name    string
+			u       graph.VertexID
+		}
+		want := map[key][]uint64{}
+		oracleAt := func(version uint64, name string, u graph.VertexID) []uint64 {
+			k := key{version, name, u}
+			if _, ok := want[k]; !ok {
+				end, ok := prefix[version]
+				if !ok {
+					t.Fatalf("an answer at unknown version %d", version)
 				}
-				return want[k]
+				want[k] = oracle.BestPath(graph.FromEdges(n, edges[:end], true), problems[name], u)
 			}
-			answers := 0
-			for _, rs := range results {
-				for _, res := range rs {
-					if !slices.Equal(res.Values, oracleAt(res.Version, res.Problem, res.Source)) {
-						t.Fatalf("%s(%d) at version %d differs from the oracle", res.Problem, res.Source, res.Version)
-					}
-					answers++
+			return want[k]
+		}
+		answers := 0
+		for _, rs := range results {
+			for _, res := range rs {
+				if !slices.Equal(res.Values, oracleAt(res.Version, res.Problem, res.Source)) {
+					t.Fatalf("%s(%d) at version %d differs from the oracle", res.Problem, res.Source, res.Version)
 				}
+				answers++
 			}
-			client := &subClient{}
-			for _, f := range frames {
-				client.apply(t, f)
-			}
-			if client.version != latest || !slices.Equal(client.values, oracleAt(latest, "SSSP", 17)) {
-				t.Fatalf("subscriber at version %d differs from the oracle at version %d", client.version, latest)
-			}
-			t.Logf("%d answers checked, %d frames", answers, len(frames))
-		})
-	}
+		}
+		client := &subClient{}
+		for _, f := range frames {
+			client.apply(t, f)
+		}
+		if client.version != latest || !slices.Equal(client.values, oracleAt(latest, "SSSP", 17)) {
+			t.Fatalf("subscriber at version %d differs from the oracle at version %d", client.version, latest)
+		}
+		t.Logf("%d answers checked, %d frames", answers, len(frames))
+	})
 }

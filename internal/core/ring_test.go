@@ -41,9 +41,9 @@ func enabled(t testing.TB, sys *System, problems ...string) *System {
 // The history window is the barrier's ring; the TestHistory* tests below
 // hold it to what a retained-version window promises.
 
-// TestHistoryRecordAndLookup: every batch publishes one entry, at finds a
-// retained version and nothing else, and an older entry's snapshot does
-// not see arcs inserted after it.
+// TestHistoryRecordAndLookup: every batch publishes one snapshot, at finds
+// a retained version and nothing else, and an older snapshot does not see
+// arcs inserted after it.
 func TestHistoryRecordAndLookup(t *testing.T) {
 	sys := NewSystem(streamgraph.New(4, true), 4)
 	sys.EnableHistory(8)                                 // version 0
@@ -53,14 +53,14 @@ func TestHistoryRecordAndLookup(t *testing.T) {
 	if got := sys.HistoryVersions(); !slices.Equal(got, []uint64{0, 1, 2}) {
 		t.Fatalf("versions=%v", got)
 	}
-	e1, ok := sys.bar.at(1)
-	if !ok || e1.global != 1 || e1.snaps[0].NumEdges() != 1 {
-		t.Fatalf("version 1: %v %v", e1, ok)
+	s1, ok := sys.bar.at(1)
+	if !ok || s1.Version() != 1 || s1.NumEdges() != 1 {
+		t.Fatalf("version 1: %v %v", s1, ok)
 	}
-	if _, ok := e1.snaps[0].HasEdge(1, 2); ok {
+	if _, ok := s1.HasEdge(1, 2); ok {
 		t.Fatal("old version sees newer arc")
 	}
-	if latest := sys.bar.latest(); latest.global != 2 || latest.snaps[0].NumEdges() != 2 {
+	if latest := sys.bar.latest(); latest.Version() != 2 || latest.NumEdges() != 2 {
 		t.Fatal("latest wrong")
 	}
 	if _, ok := sys.bar.at(99); ok {
@@ -68,26 +68,28 @@ func TestHistoryRecordAndLookup(t *testing.T) {
 	}
 }
 
-// TestHistoryEviction: the ring retains the newest capacity entries,
+// TestHistoryEviction: the ring retains the newest capacity snapshots,
 // oldest first, and narrowing it evicts down to the new capacity.
 func TestHistoryEviction(t *testing.T) {
-	b := newBarrier(&entry{global: 0})
+	g := streamgraph.New(8, true)
+	b := newBarrier(g.Acquire())
 	b.widen(3)
-	for v := uint64(1); v <= 5; v++ {
-		b.publish(&entry{global: v})
+	for v := 1; v <= 5; v++ {
+		snap, _ := g.InsertEdges([]graph.Edge{{Src: graph.VertexID(v), Dst: 0, W: 1}})
+		b.publish(snap)
 	}
 	if got := b.versions(); !slices.Equal(got, []uint64{3, 4, 5}) {
 		t.Fatalf("capacity 3 retained %v", got)
 	}
-	if e, ok := b.at(4); !ok || e.global != 4 {
+	if snap, ok := b.at(4); !ok || snap.Version() != 4 {
 		t.Fatal("retained version 4 not found")
 	}
 	if _, ok := b.at(2); ok {
 		t.Fatal("evicted version 2 found")
 	}
 	b.widen(2)
-	if got := b.versions(); !slices.Equal(got, []uint64{4, 5}) || b.latest().global != 5 {
-		t.Fatalf("narrowed to %v, latest %d", got, b.latest().global)
+	if got := b.versions(); !slices.Equal(got, []uint64{4, 5}) || b.latest().Version() != 5 {
+		t.Fatalf("narrowed to %v, latest %d", got, b.latest().Version())
 	}
 }
 
@@ -112,10 +114,10 @@ func TestHistoryEvictionRecycles(t *testing.T) {
 	sys := enabled(t, NewSystem(g, 4), "SSSP")
 	sys.EnableHistory(2)
 	rng := rand.New(rand.NewSource(3))
-	snaps := []*streamgraph.Snapshot{sys.bar.latest().snaps[0]}
+	snaps := []*streamgraph.Snapshot{sys.bar.latest()}
 	for i := 0; i < 4; i++ {
 		sys.ApplyBatch(randArcs(rng, n, 10))
-		snaps = append(snaps, sys.bar.latest().snaps[0])
+		snaps = append(snaps, sys.bar.latest())
 	}
 	if got := sys.HistoryVersions(); !slices.Equal(got, []uint64{3, 4}) {
 		t.Fatalf("versions=%v", got)
@@ -133,111 +135,94 @@ func TestHistoryEvictionRecycles(t *testing.T) {
 	}
 }
 
-// TestReadersNeverPinARetiredMirror: the writer retires the mirrors an
-// entry superseded only after publishing it, inside its exclusive window,
-// and a Δ-reader pins the latest entry under the evaluator's shared lock —
-// so it always finds the mirrors it pins retainable. With Δ-query loops
-// running throughout a stream of batches no mirror is built in full, and
-// every batch delta-patches exactly the mirrors of the stores it reaches.
-// Run under -race in CI.
+// TestReadersNeverPinARetiredMirror: the writer retires the mirror a
+// snapshot superseded only after publishing it, inside its exclusive
+// window, and a Δ-reader pins the latest snapshot under the evaluator's
+// shared lock — so it always finds the mirror it pins retainable. With
+// Δ-query loops running throughout a stream of batches no mirror is built
+// in full, and every batch delta-patches exactly one. Run under -race in
+// CI.
 func TestReadersNeverPinARetiredMirror(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
-			const n, readers, batches = 1 << 12, 4, 40
-			rng := rand.New(rand.NewSource(61))
-			initial := randArcs(rng, n, 8*n)
-			var sys *System
-			if shards == 1 {
-				sys = NewSystem(streamgraph.FromEdges(n, initial, true), 8)
-			} else {
-				sys = NewSharded(n, true, shards, 8)
-				sys.ApplyBatch(initial)
-			}
-			enabled(t, sys, "SSSP")
-			reg := metrics.NewRegistry()
-			sys.RegisterMetrics(reg)
+	t.Run("S=1", func(t *testing.T) {
+		const n, readers, batches = 1 << 12, 4, 40
+		rng := rand.New(rand.NewSource(61))
+		sys := enabled(t, NewSystem(streamgraph.FromEdges(n, randArcs(rng, n, 8*n), true), 8), "SSSP")
+		reg := metrics.NewRegistry()
+		sys.RegisterMetrics(reg)
 
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if _, err := sys.QueryCtx(context.Background(), "SSSP", graph.VertexID((r*977+i*131)%n)); err != nil {
-							t.Error(err)
-							return
-						}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}()
-			}
-			for b := 0; b < batches; b++ {
-				sys.ApplyBatch(randArcs(rng, n, 500))
-			}
-			close(stop)
-			wg.Wait()
+					if _, err := sys.QueryCtx(context.Background(), "SSSP", graph.VertexID((r*977+i*131)%n)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		for b := 0; b < batches; b++ {
+			sys.ApplyBatch(randArcs(rng, n, 500))
+		}
+		close(stop)
+		wg.Wait()
 
-			full := reg.Counter("tripoline_mirror_full_builds_total", "").Value()
-			delta := reg.Counter("tripoline_mirror_delta_builds_total", "").Value()
-			reached := reg.Counter("tripoline_shard_subbatches_total", "").Value()
-			if full != 0 {
-				t.Fatalf("%d mirrors built in full across %d batches with %d readers", full, batches, readers)
-			}
-			if delta != reached {
-				t.Fatalf("%d delta builds for %d stores reached", delta, reached)
-			}
-		})
-	}
+		full := reg.Counter("tripoline_mirror_full_builds_total", "").Value()
+		delta := reg.Counter("tripoline_mirror_delta_builds_total", "").Value()
+		if full != 0 {
+			t.Fatalf("%d mirrors built in full across %d batches with %d readers", full, batches, readers)
+		}
+		if delta != batches {
+			t.Fatalf("%d delta builds for %d batches", delta, batches)
+		}
+	})
 }
 
-// TestWriterUnionTransposeMatchesS1: the transpose an S-store System
-// carries from entry to entry — patched with the merged record of the
-// stores a batch reached, rebuilt after a deletion — must be the one a
-// one-store System's mirror chain carries, span for span, with the same
-// reversed record, after every batch. Two directed standing sets (SSSP and
-// SSWP) are maintained concurrently, so both ask the union for its
-// transpose at once in every batch, the deletion included; under -race
-// this is the lock on that transpose. After every batch each set's Forward
-// must also be a fixpoint of the writer's view and its Reverse of that
-// view's transpose, at S=1 and at S: the answers alone would not show an
+// TestWriterUnionTransposeMatchesS1: the transpose the standing sets
+// share — the one the writer's mirror carries from version to version,
+// patched with each insertion's reversed record and rebuilt after a
+// deletion — must be the transpose of that mirror, span for span, with the
+// same reversed record, after every batch. Two directed standing sets
+// (SSSP and SSWP) are maintained concurrently, so both ask the mirror for
+// its transpose at once in every batch, the deletion included; under
+// -race this is the lock on that transpose. After every batch each set's
+// Forward must also be a fixpoint of the writer's view and its Reverse of
+// that view's transpose: the answers alone would not show an
 // under-converged root.
 func TestWriterUnionTransposeMatchesS1(t *testing.T) {
 	const n = 160
-	for _, shards := range []int{3, 4} {
-		one := enabled(t, NewSystem(streamgraph.New(n, true), 4), "SSSP", "SSWP")
-		many := enabled(t, NewSharded(n, true, shards, 4), "SSSP", "SSWP")
-		rng := rand.New(rand.NewSource(31))
-		for round := 0; round < 6; round++ {
-			batch := randArcs(rng, n+round*3, 220) // grows the vertex range
-			one.ApplyBatch(batch)
-			many.ApplyBatch(batch)
-			what := fmt.Sprintf("S=%d batch %d", shards, round)
-			if round == 3 {
-				del := batch[:60]
-				one.ApplyDeletions(del)
-				many.ApplyDeletions(del)
-				what += " and a deletion"
-			}
-			want := one.stores[0].g.Acquire().Flatten().Transposed()
-			got := many.current(many.bar.latest()).(engine.Transposer).Transposed()
-			requireSameView(t, what, got, want)
-			requireFixpoint(t, what+" S=1", one)
-			requireFixpoint(t, what, many)
+	sys := enabled(t, NewSystem(streamgraph.New(n, true), 4), "SSSP", "SSWP")
+	rng := rand.New(rand.NewSource(31))
+	for round := 0; round < 6; round++ {
+		batch := randArcs(rng, n+round*3, 220) // grows the vertex range
+		sys.ApplyBatch(batch)
+		what := fmt.Sprintf("batch %d", round)
+		if round == 3 {
+			sys.ApplyDeletions(batch[:60])
+			what += " and a deletion"
 		}
+		view := sys.current()
+		fresh := streamgraph.TransposeFrom(view)
+		requireSameView(t, what, view.(engine.Transposer).Transposed(), fresh)
+		fresh.Release()
+		requireFixpoint(t, what, sys)
 	}
 }
 
 // requireFixpoint holds every standing set of sys to the fixpoint of the
-// writer's view of the latest entry: Forward over the view, Reverse over
-// its transpose.
+// writer's view of the latest version: Forward over the view, Reverse
+// over its transpose.
 func requireFixpoint(t *testing.T, what string, sys *System) {
 	t.Helper()
-	view := sys.current(sys.bar.latest())
+	view := sys.current()
 	for _, set := range sys.ev.sets {
 		if vs := set.Forward.CheckConverged(view, 4); len(vs) != 0 {
 			t.Fatalf("%s: %s forward state is not a fixpoint: %+v", what, set.Problem.Name(), vs)

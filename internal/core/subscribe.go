@@ -22,7 +22,7 @@ import (
 // lane; the last one out frees it. The snapshot is evaluated outside the
 // lock, like a query; batches published meanwhile are caught up before the
 // install (SubscribeCtx). The evaluator keeps only the registry — each
-// lane's subscribers, their pending sets and frames — at every store count.
+// lane's subscribers, their pending sets and frames.
 //
 // The writer maintains the lanes with the roots, in one pass over each
 // batch (standing.Manager.Update, UpdateDeletions), under mu alone; install

@@ -5,8 +5,8 @@
 //
 // The system composes four components, mirroring Figure 10 of the paper:
 //
-//   - the streaming graph engine (package streamgraph, Aspen-like), run as
-//     S stores behind a versioned snapshot barrier (store.go, barrier.go);
+//   - the streaming graph engine (package streamgraph, Aspen-like): one
+//     store behind a versioned snapshot barrier (store.go, barrier.go);
 //   - the standing query evaluation module (package standing), which
 //     incrementally maintains K pre-selected queries per standing set —
 //     one set per distinct engine problem the enabled problems evaluate
@@ -21,20 +21,14 @@
 // series), each internally parallel, exactly the configuration described
 // in §5.
 //
-// One System serves every store count S. NewSystem wraps the caller's
-// streaming graph as the one store; NewSharded builds S directed stores
-// and routes every arc to the store that owns its tail, so writes
-// parallelize across stores while only the arc set is split. Evaluation is
-// never split: one evaluator (evaluator.go) runs over one View of a
-// barrier entry — the store's own mirror at S=1, the union of the stores'
-// mirrors at S>1 (view.go).
+// The writer applies each batch to the one store and publishes its
+// snapshot; one evaluator (evaluator.go) evaluates over the snapshot's
+// flat mirror (view.go).
 package core
 
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"tripoline/internal/engine"
@@ -47,9 +41,6 @@ import (
 // standing set (§6.1's K): a set is built at this width, then narrowed to
 // the roots its meet uses (standing.Manager.Narrow).
 const DefaultK = 16
-
-// maxStores bounds the store count: a vertex's owner is one byte.
-const maxStores = 256
 
 // QueryResult reports one user-query evaluation.
 type QueryResult struct {
@@ -108,108 +99,47 @@ type BatchReport struct {
 	RefreshElapsed time.Duration
 }
 
-// System is a Tripoline instance: S graph stores behind a versioned
-// snapshot barrier, and one evaluator over them.
+// System is a Tripoline instance: one graph store behind a versioned
+// snapshot barrier, and one evaluator over it.
 type System struct {
-	directed bool
-	stores   []*store
-	// bar publishes one entry per admitted mutation — every store's
-	// snapshot at one version — and its ring is the history window.
+	// g is the store: its latest snapshot is the barrier's latest, and the
+	// apply token's holder is its only mutator.
+	g *streamgraph.Graph
+	// bar publishes the store's snapshot after every admitted mutation,
+	// and its ring is the history window.
 	bar *barrier
-	// tok serializes mutations (capacity 1): the holder is the only writer
-	// of every store, of the owner table and of tr. Admission honors the
-	// caller's context; once the token is held the mutation always
-	// completes.
+	// tok serializes mutations (capacity 1). Admission honors the caller's
+	// context; once the token is held the mutation always completes.
 	tok chan struct{}
 	// ev holds the enabled problems, their standing sets and maintained
 	// answers, the subscriptions, the recorded query sources, and the lock
-	// that pairs the standing state with an entry: the writer publishes
-	// every entry under ev.mu before it maintains ev onto it (so a reader
-	// can never pair pre-deletion standing bounds, possibly too good, with
-	// a post-deletion view), and readers pin the latest entry under it.
+	// that pairs the standing state with a version: the writer publishes
+	// every snapshot under ev.mu before it maintains ev onto it (so a
+	// reader can never pair pre-deletion standing bounds, possibly too
+	// good, with a post-deletion view), and readers pin the latest
+	// snapshot under it.
 	ev *evaluator
-	// tr is the transpose of the union the writer last maintained over
-	// (writerUnion.Transposed), nil until a directed standing set over S>1
-	// stores asks for one; a single store's mirror carries its own. Token
-	// holder only, under trMu: the holder's standing sets ask for it
-	// concurrently.
-	trMu sync.Mutex
-	tr   *streamgraph.Flat
-	// owner maps each vertex to the store that holds its out-arcs. The
-	// token holder grows it with the vertex count; entries share it, each
-	// reading only the prefix it covers.
-	owner []uint8
 
 	histOn bool
 	// cache, when non-nil, is the Δ-result cache (see cache.go).
 	cache *ResultCache
-	met   *storeMetrics
 }
 
 // NewSystem wraps a streaming graph, of either orientation, as a System's
-// one store. k bounds the standing queries per standing set (clamped to
+// store. k bounds the standing queries per standing set (clamped to
 // [1, 64]; 0 selects DefaultK): each set is built at width k, then
-// narrowed to the roots its meet uses. The System starts at g's
-// version, and since every batch — an empty one included — reaches the
-// one store, g's version advances with the System's: g.Acquire() is always
-// the System's latest version, and g.Seam() reaches the mirrors it
+// narrowed to the roots its meet uses. The System starts at g's version,
+// and since every batch — an empty one included — publishes the store's
+// next version, g's version advances with the System's: g.Acquire() is
+// always the System's latest version, and g.Seam() reaches the mirrors it
 // evaluates over. Mutate through the System, not through g.
 func NewSystem(g *streamgraph.Graph, k int) *System {
-	return newSystem([]*streamgraph.Graph{g}, g.Directed(), k)
-}
-
-// NewSharded builds a System over n vertices whose arcs are split by tail
-// across S fresh stores (shards < 1 is treated as 1, and shards > 256 as
-// 256). The stores hold directed arcs whatever the graph's orientation:
-// the writer mirrors an undirected edge into its two arcs before routing
-// them. Versions start at 0. k bounds the standing queries per set, as
-// for NewSystem; a set narrows to the same roots at every shard count.
-func NewSharded(n int, directed bool, shards, k int) *System {
-	graphs := make([]*streamgraph.Graph, min(max(shards, 1), maxStores))
-	for i := range graphs {
-		graphs[i] = streamgraph.New(n, true)
+	return &System{
+		g:   g,
+		bar: newBarrier(g.Acquire()),
+		tok: make(chan struct{}, 1),
+		ev:  newEvaluator(k, g.Directed()),
 	}
-	return newSystem(graphs, directed, k)
-}
-
-func newSystem(graphs []*streamgraph.Graph, directed bool, k int) *System {
-	s := &System{directed: directed, tok: make(chan struct{}, 1), ev: newEvaluator(k, directed)}
-	snaps := make([]*streamgraph.Snapshot, len(graphs))
-	vec := make([]uint64, len(graphs))
-	for i, g := range graphs {
-		snaps[i] = g.Acquire()
-		vec[i] = snaps[i].Version()
-		s.stores = append(s.stores, &store{g: g, cur: snaps[i]})
-	}
-	s.bar = newBarrier(s.newEntry(slices.Max(vec), vec, snaps, make([]bool, len(graphs))))
-	return s
-}
-
-// Partition serves g's current graph from S stores. At S ≤ 1 the one
-// store is g itself (NewSystem). At S > 1, g's edges are loaded into
-// NewSharded's stores as one batch — version 1, or 0 for an empty graph —
-// and g is left behind.
-func Partition(g *streamgraph.Graph, shards, k int) *System {
-	if shards <= 1 {
-		return NewSystem(g, k)
-	}
-	snap := g.Acquire()
-	s := NewSharded(snap.NumVertices(), g.Directed(), shards, k)
-	var edges []graph.Edge
-	for v := range snap.NumVertices() {
-		u := graph.VertexID(v)
-		snap.ForEachOut(u, func(dst graph.VertexID, w graph.Weight) {
-			// An undirected snapshot stores both arcs of each edge (a
-			// self-loop once); the writer mirrors each edge itself.
-			if g.Directed() || dst >= u {
-				edges = append(edges, graph.Edge{Src: u, Dst: dst, W: w})
-			}
-		})
-	}
-	if len(edges) > 0 {
-		s.ApplyBatch(edges)
-	}
-	return s
 }
 
 // Enable sets up the named problem ("BFS", "SSSP", "SSWP", "SSNP",
@@ -220,7 +150,7 @@ func (s *System) Enable(name string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown problem %q: %w", name, ErrUnknownProblem)
 	}
-	return s.ev.Enable(def, s.current(s.bar.latest()))
+	return s.ev.Enable(def, s.current())
 }
 
 // EnableCustom sets up standing queries for a user-defined problem: any
@@ -235,7 +165,7 @@ func (s *System) EnableCustom(p engine.Problem) error {
 	if err != nil {
 		return err
 	}
-	return s.ev.Enable(def, s.current(s.bar.latest()))
+	return s.ev.Enable(def, s.current())
 }
 
 // Enabled lists enabled problems in enable order.
@@ -273,10 +203,9 @@ func (s *System) QueryFullCtx(ctx context.Context, name string, u graph.VertexID
 
 // EnableHistory retains up to capacity entries (minimum 1) for QueryAt,
 // the latest included: the evolving-graph analysis scenario of
-// Chronos/GraphTau (§7). A retained entry holds its stores' mirrors, which
-// are the store, so each retained version costs O(E) bytes — the arcs of
-// every store its mutation reached — not the O(batch) a persistent tree
-// would share.
+// Chronos/GraphTau (§7). A retained snapshot holds its mirror, which is
+// the store, so each retained version costs O(E) bytes — a copy of the
+// arcs — not the O(batch) a persistent tree would share.
 func (s *System) EnableHistory(capacity int) {
 	s.histOn = true
 	s.bar.widen(capacity)
@@ -291,15 +220,15 @@ func (s *System) HistoryVersions() []uint64 {
 	return s.bar.versions()
 }
 
-// QueryAtCtx answers a user query against the retained entry with the
+// QueryAtCtx answers a user query against the retained snapshot with the
 // given version, via full evaluation (evaluator.QueryFull) under
 // cooperative cancellation — historical queries are the most expensive
 // kind, so deadlines matter most here. The standing state tracks only the
 // latest version, so Δ-initialization is not valid against older ones (its
 // bounds could be too good: edges present now may be absent then). The
 // source must be in range for the queried version, which may have fewer
-// vertices than the latest. A retained entry holds its mirrors, and the
-// query pins them in the same lookup (barrier.pinAt).
+// vertices than the latest. A retained snapshot holds its mirror, and the
+// query pins it in the same lookup (barrier.pinAt).
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
 	if !s.histOn {
 		return nil, fmt.Errorf("core: history not enabled: %w", ErrNoSuchVersion)
@@ -313,38 +242,23 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 }
 
 // NumVertices reports the vertex count of the latest version.
-func (s *System) NumVertices() int { return s.bar.latest().n }
+func (s *System) NumVertices() int { return s.bar.latest().NumVertices() }
 
-// NumEdges reports the arc count of the latest version. Stores hold
-// disjoint arcs, so it is their sum.
-func (s *System) NumEdges() int64 {
-	var m int64
-	for _, snap := range s.bar.latest().snaps {
-		m += snap.NumEdges()
-	}
-	return m
-}
+// NumEdges reports the arc count of the latest version (both arcs of an
+// undirected edge count).
+func (s *System) NumEdges() int64 { return s.bar.latest().NumEdges() }
 
 // Version reports the latest version: +1 per admitted mutation.
-func (s *System) Version() uint64 { return s.bar.latest().global }
+func (s *System) Version() uint64 { return s.bar.latest().Version() }
 
 // Directed reports the graph's edge orientation.
-func (s *System) Directed() bool { return s.directed }
+func (s *System) Directed() bool { return s.g.Directed() }
 
-// Shards reports the store count S.
-func (s *System) Shards() int { return len(s.stores) }
-
-// RegisterMetrics registers the System's instruments on reg: the
-// tripoline_shard_* batch-split counters, and the mirror-maintenance
-// counters (delta vs. full builds, bytes copied vs. walked, slab recycler
-// traffic) of every store in one shared block, so they aggregate across
-// stores by construction.
+// RegisterMetrics registers the store's mirror-maintenance counters
+// (delta vs. full builds, bytes copied vs. walked, slab recycler traffic)
+// on reg.
 func (s *System) RegisterMetrics(reg *metrics.Registry) {
-	m := streamgraph.RegisterMirrorMetrics(reg)
-	for _, st := range s.stores {
-		st.g.SetMirrorMetrics(m)
-	}
-	s.met = registerStoreMetrics(reg)
+	s.g.SetMirrorMetrics(streamgraph.RegisterMirrorMetrics(reg))
 }
 
 // EnableResultCache turns on the Δ-result cache with the given LRU

@@ -70,10 +70,8 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // check and the oracles. Its adjacency lives in flat arrays — a version's
 // flat mirror is the store — so edge iteration is a plain loop over two
 // slices with no closure or interface call per edge. *graph.CSR and
-// *streamgraph.Flat satisfy it, and so does core's union of S store
-// mirrors (each vertex's span lives on one of them); *streamgraph.Snapshot
-// deliberately does not, so handing a snapshot to a kernel does not
-// compile.
+// *streamgraph.Flat satisfy it; *streamgraph.Snapshot deliberately does
+// not, so handing a snapshot to a kernel does not compile.
 type ArcView interface {
 	NumVertices() int
 	Degree(v graph.VertexID) int
@@ -108,12 +106,11 @@ type ArcDelta interface {
 }
 
 // Transposer is optionally implemented by views that also keep their
-// graph with every arc reversed (*streamgraph.Flat does, and so does
-// core's writer union of its stores' mirrors). A push over the transposed
-// view from roots r evaluates the reversed queries q⁻¹(r). The transposed
-// view carries the same version, and when it comes from an insertion it
-// records the batch's arcs reversed and sorted by their new tail, so it is
-// an ArcDelta of its own.
+// graph with every arc reversed (*streamgraph.Flat does). A push over the
+// transposed view from roots r evaluates the reversed queries q⁻¹(r). The
+// transposed view carries the same version, and when it comes from an
+// insertion it records the batch's arcs reversed and sorted by their new
+// tail, so it is an ArcDelta of its own.
 type Transposer interface {
 	// Transposed returns the graph with every arc reversed, each span
 	// sorted by destination: v's span lists the tails of v's in-arcs.

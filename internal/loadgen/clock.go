@@ -3,10 +3,10 @@
 // scenario-defined mixes of queries, update batches, and subscription
 // streams against a server (live over the network, or self-hosted
 // in-process), recording per-endpoint latency histograms and
-// status-code accounting. The same deterministic scenario machinery
-// doubles as the server conformance suite: a seeded operation trace
-// replayed sequentially against an unsharded and a sharded server must
-// produce identical status-code and header contracts and answers.
+// status-code accounting, and every run checks the server's protocol
+// contracts (a 429 carries Retry-After, status codes stay in the
+// documented vocabulary); ProbeAdmission saturates a self-hosted server's
+// gate and checks the 429 contract on every gated endpoint.
 //
 // Everything is stdlib-only, like the rest of the repo: the pacer takes
 // a pluggable clock so its arithmetic is unit-testable without real

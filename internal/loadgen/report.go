@@ -19,7 +19,7 @@ import (
 var LatencyBuckets = metrics.ExpBuckets(50e-6, 1.5, 34)
 
 // The tracked status codes, in reporting order. Everything else falls
-// into the "other" slot — a conformance-relevant surprise, since the
+// into the "other" slot — a contract-relevant surprise, since the
 // server's documented vocabulary is exactly this set.
 var trackedStatus = [...]int{200, 204, 400, 404, 429, 499, 503, 504}
 
@@ -46,8 +46,8 @@ type keyStats struct {
 	lat   *metrics.Histogram
 	slots [numSlots]metrics.Counter
 	// missingRetryAfter counts 429 responses without a Retry-After
-	// header — a contract violation the conformance suite also asserts
-	// on; any nonzero count fails the run's contract check.
+	// header — a contract violation the admission probe also asserts on;
+	// any nonzero count fails the run's contract check.
 	missingRetryAfter metrics.Counter
 }
 

@@ -159,8 +159,7 @@ func ScenarioNames() string {
 // Scheduler deterministically samples a scenario's op mix: one seeded
 // RNG per worker (derived from the run seed and the worker index), so
 // a run's op sequence is a pure function of (scenario, seed, workers)
-// regardless of scheduling interleavings. The same property makes the
-// conformance trace reproducible across the S=1 and S=4 replays.
+// regardless of scheduling interleavings.
 type Scheduler struct {
 	cum []int // cumulative weights, aligned with ops
 	ops []Op

@@ -9,13 +9,14 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/gen"
 	"tripoline/internal/server"
+	"tripoline/internal/streamgraph"
 )
 
 // SelfHostConfig shapes an in-process server: the same construction
-// path cmd/tripoline-server uses, over a loopback listener. The sweep
-// and conformance suites need to own the server (to vary -max-inflight
-// per point, to drain on cue, to compare S=1 against S=4); the CLI uses
-// it when no -target is given.
+// path cmd/tripoline-server uses, over a loopback listener. The sweep and
+// the admission probe need to own the server (to vary -max-inflight per
+// point, to drain on cue, to hold a request inside the gate); the CLI
+// uses it when no -target is given.
 type SelfHostConfig struct {
 	Vertices  int    // graph size; default 2048
 	Edges     int    // seed edge count; default 8·Vertices
@@ -23,7 +24,6 @@ type SelfHostConfig struct {
 	Directed  bool
 	Problems  []string // default SSWP, SSSP, BFS
 	K         int      // upper bound on standing queries per set (narrowed by the meet); default 16
-	Shards    int      // stores the graph is split across; default 1
 	Seed      uint64
 
 	MaxInFlight  int // 0 = unbounded admission
@@ -52,9 +52,6 @@ func (c SelfHostConfig) withDefaults() SelfHostConfig {
 	if c.K <= 0 {
 		c.K = 16
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -64,18 +61,13 @@ func (c SelfHostConfig) withDefaults() SelfHostConfig {
 // Target is one self-hosted server: URL for the driver, handles for
 // drain and teardown.
 type Target struct {
-	URL    string
-	Shards int
-	srv    *server.Server
-	ts     *httptest.Server
+	URL string
+	srv *server.Server
+	ts  *httptest.Server
 }
 
 // Drain flips the server into drain mode and waits for in-flight work.
 func (t *Target) Drain(ctx context.Context) error { return t.srv.Drain(ctx) }
-
-// Server exposes the underlying HTTP front end (the conformance 429
-// probe needs its admission internals via the test hook).
-func (t *Target) Server() *server.Server { return t.srv }
 
 // Close tears the listener down.
 func (t *Target) Close() { t.ts.Close() }
@@ -90,7 +82,7 @@ func SelfHost(cfg SelfHostConfig) (*Target, error) {
 		server.WithMaxInFlight(cfg.MaxInFlight, cfg.QueueDepth),
 		server.WithSubscriptionBuffer(cfg.SubBuffer),
 	}
-	sys := core.NewSharded(cfg.Vertices, cfg.Directed, cfg.Shards, cfg.K)
+	sys := core.NewSystem(streamgraph.New(cfg.Vertices, cfg.Directed), cfg.K)
 	sys.ApplyBatch(edges)
 	for _, p := range cfg.Problems {
 		if err := sys.Enable(p); err != nil {
@@ -105,5 +97,5 @@ func SelfHost(cfg SelfHostConfig) (*Target, error) {
 	}
 	srv := server.New(sys, opts...)
 	ts := httptest.NewServer(srv)
-	return &Target{URL: ts.URL, Shards: cfg.Shards, srv: srv, ts: ts}, nil
+	return &Target{URL: ts.URL, srv: srv, ts: ts}, nil
 }

@@ -86,7 +86,7 @@ func TestQueryManyVersionContract(t *testing.T) {
 }
 
 func TestQueryManyVersionContractSharded(t *testing.T) {
-	ts, _ := newShardedTestServer(t, 4, "SSSP")
+	ts, _ := newShardedTestServer(t, "SSSP")
 	assertQueryManyVersion(t, ts)
 }
 

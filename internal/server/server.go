@@ -143,8 +143,8 @@ func New(sys *core.System, opts ...Option) *Server {
 	if s.met == nil {
 		s.met = newServerMetrics(metrics.NewRegistry())
 	}
-	// The system's own instruments (mirror maintenance and the
-	// tripoline_shard_* counters) surface in /v1/stats and /v1/metrics.
+	// The system's own instruments (mirror maintenance) surface in
+	// /v1/stats and /v1/metrics.
 	s.sys.RegisterMetrics(s.met.reg)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -157,8 +157,8 @@ func New(sys *core.System, opts ...Option) *Server {
 	return s
 }
 
-// NewSharded is New, under the name the benchmark builds its sharded
-// serving stack by.
+// NewSharded is New, under the name the benchmark builds its serving
+// stack by.
 func NewSharded(sys *core.System, opts ...Option) *Server { return New(sys, opts...) }
 
 // ServeHTTP implements http.Handler.
@@ -352,14 +352,10 @@ type batchResponse struct {
 }
 
 type statsResponse struct {
-	Vertices int    `json:"vertices"`
-	Edges    int64  `json:"edges"`
-	Version  uint64 `json:"version"`
-	Directed bool   `json:"directed"`
-	// Shards is the system's store count; the metrics map's
-	// tripoline_shard_* counters and mirror figures aggregate over all
-	// stores.
-	Shards   int            `json:"shards"`
+	Vertices int            `json:"vertices"`
+	Edges    int64          `json:"edges"`
+	Version  uint64         `json:"version"`
+	Directed bool           `json:"directed"`
 	Problems []string       `json:"problems"`
 	Metrics  map[string]any `json:"metrics"`
 	// Cache summarizes the Δ-result cache (all zero when disabled);
@@ -423,7 +419,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Edges:       s.sys.NumEdges(),
 		Version:     s.sys.Version(),
 		Directed:    s.sys.Directed(),
-		Shards:      s.sys.Shards(),
 		Problems:    s.sys.Enabled(),
 		Metrics:     s.met.reg.Snapshot(),
 		Cache:       s.sys.ResultCacheMetrics(),

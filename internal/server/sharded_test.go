@@ -15,15 +15,17 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
-// newShardedTestServer serves a System split across S stores plus an
-// identically fed one-store reference system for answer comparison.
-func newShardedTestServer(t *testing.T, shards int, problems ...string) (*httptest.Server, *core.System) {
+// newShardedTestServer serves, through NewSharded (the constructor the
+// benchmark builds its serving stack by), a System whose graph was loaded
+// by one batch, plus a reference System over the same graph preloaded, for
+// answer comparison.
+func newShardedTestServer(t *testing.T, problems ...string) (*httptest.Server, *core.System) {
 	t.Helper()
 	edges := gen.Uniform(100, 900, 8, 201)
 	g := streamgraph.New(100, false)
 	g.InsertEdges(edges)
 	ref := core.NewSystem(g, 4)
-	r := core.NewSharded(100, false, shards, 4)
+	r := core.NewSystem(streamgraph.New(100, false), 4)
 	r.ApplyBatch(edges)
 	for _, p := range problems {
 		if err := ref.Enable(p); err != nil {
@@ -40,17 +42,16 @@ func newShardedTestServer(t *testing.T, shards int, problems ...string) (*httpte
 }
 
 func TestShardedStatsEndpoint(t *testing.T) {
-	ts, _ := newShardedTestServer(t, 4, "SSSP")
+	ts, _ := newShardedTestServer(t, "SSSP")
 	var stats struct {
 		Vertices int            `json:"vertices"`
 		Edges    int64          `json:"edges"`
 		Version  uint64         `json:"version"`
-		Shards   int            `json:"shards"`
 		Problems []string       `json:"problems"`
 		Metrics  map[string]any `json:"metrics"`
 	}
-	// One API batch, then stats: shard counters attach at NewSharded, so
-	// this batch (fanned to up to 4 sub-batches) is their first sample.
+	// One API batch, then stats: the server's counters attach at
+	// NewSharded, so this batch is their first sample.
 	var rep struct {
 		Version uint64 `json:"version"`
 	}
@@ -64,31 +65,24 @@ func TestShardedStatsEndpoint(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if stats.Shards != 4 {
-		t.Fatalf("shards=%d, want 4", stats.Shards)
-	}
 	if stats.Vertices != 100 || stats.Version != 2 {
 		t.Fatalf("stats %+v", stats)
 	}
-	if got, ok := stats.Metrics["tripoline_shard_batches_total"]; !ok || got.(float64) != 1 {
-		t.Fatalf("tripoline_shard_batches_total=%v ok=%v", got, ok)
+	if got, ok := stats.Metrics["tripoline_batches_total"]; !ok || got.(float64) != 1 {
+		t.Fatalf("tripoline_batches_total=%v ok=%v", got, ok)
 	}
-	if got := stats.Metrics["tripoline_shard_subbatches_total"]; got.(float64) < 2 {
-		t.Fatalf("tripoline_shard_subbatches_total=%v, want >= 2", got)
-	}
-	// Mirror metrics aggregate across all shard graphs in the same
-	// registry keys the unsharded server uses.
-	if _, ok := stats.Metrics["tripoline_mirror_delta_builds_total"]; !ok {
+	// The store's mirror metrics share the server's registry.
+	if got, ok := stats.Metrics["tripoline_mirror_delta_builds_total"]; !ok || got.(float64) != 1 {
 		keys := make([]string, 0, len(stats.Metrics))
 		for k := range stats.Metrics {
 			keys = append(keys, k)
 		}
-		t.Fatalf("mirror metrics missing from sharded stats: %v", keys)
+		t.Fatalf("tripoline_mirror_delta_builds_total=%v in %v, want 1", got, keys)
 	}
 }
 
 func TestShardedQueryMatchesUnsharded(t *testing.T) {
-	ts, ref := newShardedTestServer(t, 4, "SSSP", "BFS")
+	ts, ref := newShardedTestServer(t, "SSSP", "BFS")
 	for _, p := range []string{"SSSP", "BFS"} {
 		want, err := ref.Query(p, 7)
 		if err != nil {
@@ -106,16 +100,16 @@ func TestShardedQueryMatchesUnsharded(t *testing.T) {
 		}
 		for v := range want.Values {
 			if got.Values[v] != want.Values[v] {
-				t.Fatalf("%s: sharded server diverges from core at vertex %d", p, v)
+				t.Fatalf("%s: the server diverges from core at vertex %d", p, v)
 			}
 		}
 	}
 }
 
 func TestShardedCacheServing(t *testing.T) {
-	ts, _ := newShardedTestServer(t, 4, "SSSP")
-	// First query populates the router cache; the repeat must be served
-	// from it (X-Tripoline-Cache: hit), keyed by the global version.
+	ts, _ := newShardedTestServer(t, "SSSP")
+	// First query populates the cache; the repeat must be served from it
+	// (X-Tripoline-Cache: hit), keyed by the version.
 	for i, wantHit := range []bool{false, true} {
 		resp, err := http.Get(ts.URL + "/v1/query?problem=SSSP&source=3")
 		if err != nil {
@@ -129,12 +123,11 @@ func TestShardedCacheServing(t *testing.T) {
 	}
 }
 
-// TestShardedSubscribeSSE: a sharded server streams subscriptions like an
-// unsharded one — the snapshot frame and, after a batch, the delta frame
-// reconstruct exactly the answer the reference system gives at each
-// frame's version.
+// TestShardedSubscribeSSE: the snapshot frame and, after a batch, the
+// delta frame reconstruct exactly the answer the reference system gives at
+// each frame's version.
 func TestShardedSubscribeSSE(t *testing.T) {
-	ts, ref := newShardedTestServer(t, 4, "SSSP")
+	ts, ref := newShardedTestServer(t, "SSSP")
 	resp, err := http.Get(ts.URL + "/v1/subscribe?problem=SSSP&src=3")
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestBackendCacheContract drives one serving sequence through a System
-// over the caller's graph and through a 1-store and a 4-store split:
+// over the caller's graph and through Routers built for 1 and 4 shards:
 // insert → query → cached re-ask → no-op batch re-stamp → changed-batch
 // staleness → exact-version lookup. All three must agree on versions,
 // answers and cache accounting step by step.
@@ -21,8 +21,8 @@ func TestBackendCacheContract(t *testing.T) {
 		be   *core.System
 	}{
 		{"system", core.NewSystem(streamgraph.New(n, true), 4)},
-		{"router-1", core.NewSharded(n, true, 1, 4)},
-		{"router-4", core.NewSharded(n, true, 4, 4)},
+		{"router-1", New(n, true, 1, 4)},
+		{"router-4", New(n, true, 4, 4)},
 	}
 	var want []uint64 // the first backend's answer; the others must match it
 	for _, tc := range backends {

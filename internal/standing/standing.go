@@ -171,7 +171,7 @@ func transposedOf(g engine.ArcView) engine.ArcView {
 	if t, ok := g.(engine.Transposer); ok {
 		return t.Transposed()
 	}
-	return streamgraph.TransposeFrom(g, nil)
+	return streamgraph.TransposeFrom(g)
 }
 
 // rootedState allocates a width-K state over g with slot k's root at the
@@ -318,8 +318,7 @@ func narrowed(st *engine.State, used uint64) *engine.State {
 // MeetSample returns the sources a set is narrowed on (Narrow): 64
 // vertices of out-degree > 2 in g (all of them when fewer), drawn by a
 // shuffle with a fixed seed. It depends on g's degrees alone, so every
-// view of the same graph — one store's mirror or the union of S shards'
-// — yields the same sample.
+// view of the same graph — a mirror, a CSR — yields the same sample.
 func MeetSample(g Degrees) []graph.VertexID {
 	var cand []graph.VertexID
 	for v := range g.NumVertices() {

@@ -287,7 +287,7 @@ func TestFlattenFromMergesRecord(t *testing.T) {
 			if cur.t == nil {
 				t.Fatalf("%s: the transpose was not patched", label)
 			}
-			freshT := TransposeFrom(cur, nil)
+			freshT := TransposeFrom(cur)
 			requireSameFlat(t, "merged transpose", cur.t, freshT)
 			freshT.Release()
 		}

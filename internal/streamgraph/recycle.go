@@ -186,8 +186,7 @@ func (sh *flatShared) takeArc(m int64) *arcSlab {
 	return sl
 }
 
-// defaultFlatShared backs the transposed mirrors TransposeFrom builds
-// without a parent and those patched from them.
+// defaultFlatShared backs the transposed mirrors TransposeFrom builds.
 var defaultFlatShared = newFlatShared()
 
 // MirrorMetrics returns the graph's mirror-maintenance instruments.

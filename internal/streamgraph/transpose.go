@@ -33,7 +33,7 @@ func (f *Flat) Transposed() engine.ArcView {
 	f.tmu.Lock()
 	defer f.tmu.Unlock()
 	if f.t == nil {
-		f.t = transposeFrom(f.shared, f, nil)
+		f.t = transposeFrom(f.shared, f)
 	}
 	return f.t
 }
@@ -48,42 +48,28 @@ func (f *Flat) takeTransposed() *Flat {
 	return t
 }
 
-// TransposeFrom returns the transpose of g, which need not be a single
-// mirror — core's System keeps one for the union of its stores' mirrors.
-// It is patched from prev, the transpose of the version before g's, when
-// g records the insertion between them (engine.ArcDelta), and built from
-// g's spans otherwise; its Version and InsertedArcs follow g's as
-// Transposed's do. The caller owns the result and releases it; prev stays
-// the caller's and is only read. The result's slabs come from the pool of
-// prev's graph (the package's default pool when prev is nil), where
-// prev's own go back once the caller releases it.
-func TransposeFrom(g engine.ArcView, prev *Flat) *Flat {
-	sh := defaultFlatShared
-	if prev != nil {
-		sh = prev.shared
-	}
-	return transposeFrom(sh, g, prev)
+// TransposeFrom builds the transpose of g, a view that keeps none of its
+// own (a static *graph.CSR), from g's spans. Its Version and
+// InsertedArcs follow g's as Transposed's do. The caller owns the result
+// and releases it; its slabs come from the package's default pool.
+func TransposeFrom(g engine.ArcView) *Flat {
+	return transposeFrom(defaultFlatShared, g)
 }
 
 // transposeFrom is TransposeFrom with the slabs drawn from sh.
-func transposeFrom(sh *flatShared, g engine.ArcView, prev *Flat) *Flat {
+func transposeFrom(sh *flatShared, g engine.ArcView) *Flat {
 	var version uint64
-	var rec []graph.Edge
+	var rev []graph.Edge
 	insertion := false
 	switch d := g.(type) {
 	case engine.ArcDelta:
 		version = d.Version()
-		rec, insertion = d.InsertedArcs()
+		var rec []graph.Edge
+		if rec, insertion = d.InsertedArcs(); insertion {
+			rev = graph.ReversedArcs(rec)
+		}
 	case engine.Versioned:
 		version = d.Version()
-	}
-	var rev []graph.Edge
-	if insertion {
-		rev = graph.ReversedArcs(rec)
-	}
-	n := g.NumVertices()
-	if insertion && prev != nil && prev.version+1 == version && prev.n <= n {
-		return patchTransposed(sh, prev, n, version, rev, false)
 	}
 	return buildTransposed(sh, g, version, rev, insertion)
 }

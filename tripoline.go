@@ -33,9 +33,9 @@
 //
 // Every evaluating or mutating call has this context form; the plain
 // forms (Query, ApplyBatch, …) run under context.Background(). History
-// retention, query recording, the Δ-result cache and sharding are fixed
-// at construction through options (WithHistory, WithQueryRecording,
-// WithResultCache, WithShards) — there are no post-construction toggles.
+// retention, query recording and the Δ-result cache are fixed at
+// construction through options (WithHistory, WithQueryRecording,
+// WithResultCache) — there are no post-construction toggles.
 //
 // Failures are reported through the sentinel errors ErrUnknownProblem,
 // ErrSourceOutOfRange, ErrNoSuchVersion and ErrCanceled (test with
@@ -183,7 +183,6 @@ type config struct {
 	record       bool
 	cacheEntries int
 	cacheOn      bool
-	shards       int
 }
 
 // WithStandingQueries sets K, the upper bound on the standing queries
@@ -218,20 +217,6 @@ func WithResultCache(entries int) Option {
 	return func(c *config) { c.cacheEntries = entries; c.cacheOn = true }
 }
 
-// WithShards splits the system's store into s stores, each holding the
-// out-arcs of the vertices it owns in its own mirror chain, behind one
-// versioned snapshot barrier (internal/core). Batches are applied to the
-// stores in parallel; queries are evaluated once, over the union of the
-// stores' mirrors, by the same evaluation and the same (narrowed) standing
-// roots a one-store system uses, so they return exactly its answers, and
-// subscriptions push exactly its frames. s <= 1 is the one-store system
-// over the Graph itself. With s > 1 the Graph passed to NewSystem is only
-// the construction-time source of edges — stream further updates through
-// System.ApplyBatch, not Graph.InsertEdges.
-func WithShards(s int) Option {
-	return func(c *config) { c.shards = s }
-}
-
 // System couples a streaming graph with standing-query maintenance and
 // Δ-based user query evaluation. It delegates to a core.System.
 type System struct {
@@ -239,16 +224,14 @@ type System struct {
 	g     *Graph
 }
 
-// NewSystem wraps a streaming graph. With WithShards(s), s > 1, the
-// graph's current edges are hash-partitioned across s stores and the
-// returned System serves queries over the union of them; the Graph
-// itself is then detached (stream updates via System.ApplyBatch).
+// NewSystem wraps a streaming graph: the System serves queries over it
+// and streams updates into it (System.ApplyBatch).
 func NewSystem(g *Graph, opts ...Option) *System {
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	s := &System{g: g, inner: core.Partition(g.inner, c.shards, c.k)}
+	s := &System{g: g, inner: core.NewSystem(g.inner, c.k)}
 	if c.history > 0 {
 		s.inner.EnableHistory(c.history)
 	}
@@ -261,14 +244,10 @@ func NewSystem(g *Graph, opts ...Option) *System {
 	return s
 }
 
-// Graph returns the underlying streaming graph. On a sharded system
-// (WithShards > 1) this is the construction-time graph only — the shards
-// hold their own partitions, so mutate through System.ApplyBatch and
-// ApplyDeletions, never Graph.InsertEdges.
+// Graph returns the underlying streaming graph. Mutate through
+// System.ApplyBatch and ApplyDeletions, never Graph.InsertEdges, so the
+// standing queries follow.
 func (s *System) Graph() *Graph { return s.g }
-
-// Shards reports the number of stores (1 without WithShards).
-func (s *System) Shards() int { return s.inner.Shards() }
 
 // Enable sets up a problem. Recognized names: BFS, SSSP, SSWP, SSNP,
 // Viterbi, SSR, Radii, SSNSP, PageRank, CC. Its standing queries are

@@ -166,28 +166,26 @@ type renamed struct {
 func (p renamed) Name() string { return p.name }
 
 // TestEnableProblemRejectsBuiltinNames: standing sets are keyed by problem
-// name, so a custom problem may not take a built-in's — at any shard
-// count, whether or not that built-in (or one sharing its set) is enabled.
+// name, so a custom problem may not take a built-in's — whether or not
+// that built-in (or one sharing its set) is enabled.
 func TestEnableProblemRejectsBuiltinNames(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		g := tripoline.NewGraph(32, tripoline.Undirected)
-		g.InsertEdges(ringEdges(32, 7))
-		sys := tripoline.NewSystem(g, tripoline.WithShards(shards))
-		if err := sys.Enable("Radii"); err != nil {
-			t.Fatal(err)
+	g := tripoline.NewGraph(32, tripoline.Undirected)
+	g.InsertEdges(ringEdges(32, 7))
+	sys := tripoline.NewSystem(g)
+	if err := sys.Enable("Radii"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tripoline.BuiltinProblems() {
+		err := sys.EnableProblem(renamed{name: name})
+		if !errors.Is(err, tripoline.ErrReservedName) {
+			t.Fatalf("custom problem named %s: got %v, want ErrReservedName", name, err)
 		}
-		for _, name := range tripoline.BuiltinProblems() {
-			err := sys.EnableProblem(renamed{name: name})
-			if !errors.Is(err, tripoline.ErrReservedName) {
-				t.Fatalf("S=%d: custom problem named %s: got %v, want ErrReservedName", shards, name, err)
-			}
-		}
-		if got := sys.Enabled(); len(got) != 1 || got[0] != "Radii" {
-			t.Fatalf("S=%d: rejected problems left a trace: %v", shards, got)
-		}
-		if err := sys.EnableProblem(renamed{name: "Hops"}); err != nil {
-			t.Fatalf("S=%d: fresh custom name rejected: %v", shards, err)
-		}
+	}
+	if got := sys.Enabled(); len(got) != 1 || got[0] != "Radii" {
+		t.Fatalf("rejected problems left a trace: %v", got)
+	}
+	if err := sys.EnableProblem(renamed{name: "Hops"}); err != nil {
+		t.Fatalf("fresh custom name rejected: %v", err)
 	}
 }
 
