@@ -52,7 +52,7 @@ func main() {
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrent evaluations (0 = unbounded)")
 		queueDepth   = flag.Int("queue-depth", 64, "admission wait-queue depth once -max-inflight is reached")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight queries at shutdown")
-		resultCache  = flag.Int("result-cache", core.DefaultCacheEntries, "Delta-result cache capacity in entries (0 disables caching)")
+		resultCache  = flag.Int("result-cache", core.DefaultCacheEntries, "Delta-result cache capacity in entries, also capped by a fixed budget of resident answer bytes (0 disables caching)")
 		subBuffer    = flag.Int("sub-buffer", core.DefaultSubscriptionBuffer, "per-subscriber frame buffer for /v1/subscribe")
 	)
 	flag.Parse()

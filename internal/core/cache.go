@@ -28,21 +28,35 @@ import (
 // snapshot is referenced, so a cached entry carries no release
 // obligation.
 //
-// All operations are O(1) under one mutex (Advance's re-stamp walk
-// aside): the serving layer consults the cache *before* its admission
-// gate, so a lookup must never be the contended path.
+// Residency is bounded twice: by the entry capacity and by the answer
+// bytes the entries hold (8 B per value and per count). An answer is
+// N × 8 B whatever the capacity, so the byte budget is what keeps the
+// cache's footprint independent of the graph's size. The most recent
+// entry is never evicted for bytes: an answer larger than the budget is
+// cached alone, so a repeated query still hits at any N.
+//
+// All operations are O(1) under one mutex (Advance's re-stamp walk and
+// Put's eviction aside); the O(N) copies in and out happen outside it.
+// The serving layer consults the cache *before* its admission gate, so
+// a lookup must never be the contended path.
 
 // DefaultCacheEntries is the capacity EnableResultCache(0) selects.
 const DefaultCacheEntries = 1024
+
+// cacheBudgetBytes bounds the answer bytes resident in one cache. It is
+// fixed, not configured: the entry capacity stays the one knob.
+const cacheBudgetBytes = 32 << 20
 
 // CacheMetrics is a point-in-time snapshot of cache activity.
 type CacheMetrics struct {
 	Entries     int    // entries currently resident
 	Capacity    int    // configured LRU capacity
+	Bytes       int64  // answer bytes currently resident (values and counts)
+	BudgetBytes int64  // resident answer bytes above which the LRU evicts
 	Hits        uint64 // lookups served (fresh or stale)
 	StaleServed uint64 // of which served a non-current version
 	Misses      uint64 // lookups that found nothing servable
-	Evictions   uint64 // entries dropped by LRU pressure
+	Evictions   uint64 // entries dropped from the LRU tail (capacity or byte budget)
 	Restamps    uint64 // entries re-stamped by empty-changed batches
 }
 
@@ -56,6 +70,8 @@ type cacheEntry struct {
 	// res holds the cached answer; Values/Counts are owned by the cache
 	// (copied in, copied out) so callers can never mutate an entry.
 	res QueryResult
+	// bytes is the answer bytes res holds: 8 × (len(Values)+len(Counts)).
+	bytes int64
 	// batchStamp is the cache's mutation counter when the entry was last
 	// computed or re-stamped; batches-since = cache.batches - batchStamp.
 	batchStamp uint64
@@ -67,6 +83,8 @@ type cacheEntry struct {
 type ResultCache struct {
 	mu      sync.Mutex
 	cap     int
+	budget  int64      // cacheBudgetBytes; tests lower it
+	bytes   int64      // sum of the resident entries' bytes
 	ll      *list.List // front = most recently used; values are *cacheEntry
 	entries map[cacheKey]*list.Element
 	// batches counts mutations that actually changed the graph (non-empty
@@ -84,6 +102,7 @@ func NewResultCache(capacity int) *ResultCache {
 	}
 	return &ResultCache{
 		cap:     capacity,
+		budget:  cacheBudgetBytes,
 		ll:      list.New(),
 		entries: make(map[cacheKey]*list.Element, capacity),
 	}
@@ -99,6 +118,8 @@ func (c *ResultCache) Metrics() CacheMetrics {
 	return CacheMetrics{
 		Entries:     c.ll.Len(),
 		Capacity:    c.cap,
+		Bytes:       c.bytes,
+		BudgetBytes: c.budget,
 		Hits:        c.hits,
 		StaleServed: c.staleServed,
 		Misses:      c.misses,
@@ -110,7 +131,9 @@ func (c *ResultCache) Metrics() CacheMetrics {
 // Put copies res into the cache, replacing any older entry for the same
 // (problem, source); the caller keeps ownership of res. Only the answer
 // is retained — work counters and timings describe the evaluation that
-// produced it, not a later cache hit.
+// produced it, not a later cache hit. It then evicts from the LRU tail
+// while the entries exceed the capacity or their bytes exceed the
+// budget, never evicting the entry it just stored.
 func (c *ResultCache) Put(res *QueryResult) {
 	if c == nil {
 		return
@@ -127,19 +150,24 @@ func (c *ResultCache) Put(res *QueryResult) {
 		Incremental: res.Incremental,
 		Version:     res.Version,
 	}
+	e.bytes = 8 * int64(len(e.res.Values)+len(e.res.Counts))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.batchStamp = c.batches
 	if old, ok := c.entries[key]; ok {
+		c.bytes -= old.Value.(*cacheEntry).bytes
 		old.Value = e
 		c.ll.MoveToFront(old)
-		return
+	} else {
+		c.entries[key] = c.ll.PushFront(e)
 	}
-	c.entries[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
+	c.bytes += e.bytes
+	for c.ll.Len() > c.cap || (c.bytes > c.budget && c.ll.Len() > 1) {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
+		victim := back.Value.(*cacheEntry)
+		delete(c.entries, victim.key)
+		c.bytes -= victim.bytes
 		c.evictions++
 	}
 }
@@ -150,20 +178,25 @@ func (c *ResultCache) Put(res *QueryResult) {
 // version). On a hit it returns a caller-owned copy of the result —
 // exact for the version it reports — plus the number of graph-changing
 // batches applied since that version (the Age analogue).
+//
+// The copy is made after unlocking: an entry's slices are never written
+// after Put (a replacement stores a new entry, Advance rewrites only the
+// version), so the header taken under the lock stays valid.
 func (c *ResultCache) Get(problem string, u graph.VertexID, minVersion uint64, staleOK bool, curVersion uint64) (res *QueryResult, staleBatches uint64, ok bool) {
 	if c == nil {
 		return nil, 0, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, found := c.entries[cacheKey{problem: problem, source: u}]
 	if !found {
 		c.misses++
+		c.mu.Unlock()
 		return nil, 0, false
 	}
 	e := el.Value.(*cacheEntry)
 	if e.res.Version < minVersion || (!staleOK && e.res.Version != curVersion) {
 		c.misses++
+		c.mu.Unlock()
 		return nil, 0, false
 	}
 	c.ll.MoveToFront(el)
@@ -172,9 +205,11 @@ func (c *ResultCache) Get(problem string, u graph.VertexID, minVersion uint64, s
 		c.staleServed++
 	}
 	out := e.res
-	out.Values = append([]uint64(nil), e.res.Values...)
-	out.Counts = append([]uint64(nil), e.res.Counts...)
-	return &out, c.batches - e.batchStamp, true
+	staleBatches = c.batches - e.batchStamp
+	c.mu.Unlock()
+	out.Values = append([]uint64(nil), out.Values...)
+	out.Counts = append([]uint64(nil), out.Counts...)
+	return &out, staleBatches, true
 }
 
 // GetAt serves a cached answer whose version matches exactly — the

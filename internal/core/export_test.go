@@ -100,3 +100,10 @@ func (b *barrier) at(version uint64) (*streamgraph.Snapshot, bool) {
 	}
 	return nil, false
 }
+
+// Cache returns the system's result cache (nil when disabled).
+func (s *System) Cache() *ResultCache { return s.cache }
+
+// SetBudget replaces the cache's resident-byte budget, so tests can make
+// it bind on small graphs.
+func (c *ResultCache) SetBudget(bytes int64) { c.budget = bytes }

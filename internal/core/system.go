@@ -262,7 +262,8 @@ func (s *System) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // EnableResultCache turns on the Δ-result cache with the given LRU
-// capacity (entries <= 0 selects DefaultCacheEntries). Every successful
+// capacity (entries <= 0 selects DefaultCacheEntries); a fixed budget of
+// resident answer bytes bounds it as well (see cache.go). Every successful
 // QueryCtx answer is cached; CachedQuery serves them under the
 // stale=ok / min_version policy. Enabling must happen before serving
 // starts (it is not synchronized against concurrent queries).

@@ -229,6 +229,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tripoline_query_seconds_bucket{le="+Inf"} 5`,
 		"tripoline_query_seconds_count 5",
 		"# TYPE tripoline_inflight gauge",
+		"# TYPE tripoline_cache_bytes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/v1/metrics missing %q in:\n%s", want, text)

@@ -31,6 +31,7 @@ type serverMetrics struct {
 	subDropped         *metrics.Counter // subscription frames dropped (slow client)
 	inflight           *metrics.Gauge   // requests currently executing
 	subscribers        *metrics.Gauge   // open subscription streams
+	cacheBytes         *metrics.Gauge   // answer bytes resident in the Δ-result cache, set when read
 
 	queryLatency *metrics.Histogram // seconds, wall time incl. queueing
 	writeLatency *metrics.Histogram // seconds, batch/delete wall time
@@ -64,6 +65,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		subDropped:         reg.Counter("tripoline_subscribe_dropped_total", "Subscription frames dropped because a client's buffer was full."),
 		inflight:           reg.Gauge("tripoline_inflight", "Requests currently executing."),
 		subscribers:        reg.Gauge("tripoline_subscribers", "Subscription streams currently open."),
+		cacheBytes:         reg.Gauge("tripoline_cache_bytes", "Answer bytes resident in the Delta-result cache."),
 		queryLatency:       reg.Histogram("tripoline_query_seconds", "Query request latency in seconds.", metrics.DefBuckets),
 		writeLatency:       reg.Histogram("tripoline_write_seconds", "Batch/delete request latency in seconds.", metrics.DefBuckets),
 		fanoutFrames:       reg.Histogram("tripoline_subscribe_fanout_frames", "Result frames produced by one batch's subscription refresh.", []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000}),

@@ -414,6 +414,8 @@ func writeJSON(w http.ResponseWriter, v any) int {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	cache := s.sys.ResultCacheMetrics()
+	s.met.cacheBytes.Set(cache.Bytes)
 	writeJSON(w, statsResponse{
 		Vertices:    s.sys.NumVertices(),
 		Edges:       s.sys.NumEdges(),
@@ -421,12 +423,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Directed:    s.sys.Directed(),
 		Problems:    s.sys.Enabled(),
 		Metrics:     s.met.reg.Snapshot(),
-		Cache:       s.sys.ResultCacheMetrics(),
+		Cache:       cache,
 		Subscribers: s.sys.Subscribers(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	s.met.cacheBytes.Set(s.sys.ResultCacheMetrics().Bytes)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.met.reg.WritePrometheus(w)
 }

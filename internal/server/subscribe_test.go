@@ -215,13 +215,22 @@ func TestCachedQueryServing(t *testing.T) {
 		t.Fatal("refreshed entry not served")
 	}
 
-	// Cache activity is visible under /v1/stats.
+	// Cache activity is visible under /v1/stats; its resident bytes (one
+	// width-1 answer over 100 vertices) also as the tripoline_cache_bytes
+	// gauge.
 	var stats struct {
-		Cache core.CacheMetrics `json:"cache"`
+		Cache   core.CacheMetrics `json:"cache"`
+		Metrics map[string]any    `json:"metrics"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Cache.Hits < 3 || stats.Cache.StaleServed < 1 {
 		t.Fatalf("stats cache section %+v", stats.Cache)
+	}
+	if stats.Cache.Bytes != 8*100 || stats.Cache.BudgetBytes < stats.Cache.Bytes {
+		t.Fatalf("stats cache bytes %d budget %d, want 800 within the budget", stats.Cache.Bytes, stats.Cache.BudgetBytes)
+	}
+	if got, ok := stats.Metrics["tripoline_cache_bytes"].(float64); !ok || got != 8*100 {
+		t.Fatalf("stats metrics tripoline_cache_bytes = %v", stats.Metrics["tripoline_cache_bytes"])
 	}
 }
 

@@ -98,8 +98,13 @@ func TestBackendCacheContract(t *testing.T) {
 				t.Fatalf("CachedQueryAt(2): ok=%v", ok)
 			}
 
+			// The one entry holds one width-1 answer: n values of 8 B,
+			// inside the fixed byte budget.
 			got := be.ResultCacheMetrics()
-			wantM := core.CacheMetrics{Entries: 1, Capacity: 8, Hits: 4, StaleServed: 1, Misses: 4, Restamps: 1}
+			if got.BudgetBytes < 8*n {
+				t.Fatalf("cache budget %d B cannot hold one answer of %d B", got.BudgetBytes, 8*n)
+			}
+			wantM := core.CacheMetrics{Entries: 1, Capacity: 8, Bytes: 8 * n, BudgetBytes: got.BudgetBytes, Hits: 4, StaleServed: 1, Misses: 4, Restamps: 1}
 			if got != wantM {
 				t.Fatalf("cache metrics %+v, want %+v", got, wantM)
 			}

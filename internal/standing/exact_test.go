@@ -86,7 +86,7 @@ func runExactSchedule(t *testing.T, label string, p engine.Problem, directed boo
 	storedArc := func() graph.Edge {
 		for {
 			v := graph.VertexID(rng.Intn(snap.NumVertices()))
-			if dsts, _ := snap.OutNeighbors(v); len(dsts) > 0 {
+			if dsts, _ := snap.Flatten().OutSpan(v); len(dsts) > 0 {
 				return graph.Edge{Src: v, Dst: dsts[rng.Intn(len(dsts))], W: graph.Weight(17 + rng.Intn(16))}
 			}
 		}

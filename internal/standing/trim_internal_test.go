@@ -45,9 +45,10 @@ func TestReverseRepairIsChangeDriven(t *testing.T) {
 	// Every arc out of a vertex that reaches the roots: its reversed
 	// values derive through one of them.
 	var del []graph.Edge
-	next.ForEachOut(7, func(d graph.VertexID, w graph.Weight) {
-		del = append(del, graph.Edge{Src: 7, Dst: d, W: w})
-	})
+	dsts, ws := next.Flatten().OutSpan(7)
+	for i, d := range dsts {
+		del = append(del, graph.Edge{Src: 7, Dst: d, W: ws[i]})
+	}
 	next, _ = g.DeleteEdges(del)
 	flat := next.Flatten()
 	stats := m.trimReverse(flat, del, false)

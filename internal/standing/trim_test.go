@@ -18,11 +18,12 @@ func storedArcs(snap *streamgraph.Snapshot, keep func(src, dst graph.VertexID) b
 	var arcs []graph.Edge
 	for v := 0; v < snap.NumVertices(); v++ {
 		src := graph.VertexID(v)
-		snap.ForEachOut(src, func(dst graph.VertexID, w graph.Weight) {
+		dsts, ws := snap.Flatten().OutSpan(src)
+		for i, dst := range dsts {
 			if keep(src, dst) {
-				arcs = append(arcs, graph.Edge{Src: src, Dst: dst, W: w})
+				arcs = append(arcs, graph.Edge{Src: src, Dst: dst, W: ws[i]})
 			}
-		})
+		}
 	}
 	return arcs
 }
@@ -146,10 +147,8 @@ func TestUpdateDeletionsIsCheaperThanRebuild(t *testing.T) {
 	snap0 := g.Acquire()
 	var del []graph.Edge
 	for v := 0; v < cfg.N() && len(del) < 3; v++ {
-		if snap0.Degree(graph.VertexID(v)) == 1 {
-			snap0.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
-				del = append(del, graph.Edge{Src: graph.VertexID(v), Dst: d, W: w})
-			})
+		if dsts, ws := snap0.Flatten().OutSpan(graph.VertexID(v)); len(dsts) == 1 {
+			del = append(del, graph.Edge{Src: graph.VertexID(v), Dst: dsts[0], W: ws[0]})
 		}
 	}
 	if len(del) == 0 {

@@ -41,12 +41,13 @@ func BenchmarkSnapshotDegreeScan(b *testing.B) {
 func BenchmarkSnapshotEdgeTraversal(b *testing.B) {
 	cfg := gen.Config{Name: "bench", LogN: 14, AvgDegree: 12, Directed: true, Seed: 3}
 	g := FromEdges(cfg.N(), gen.RMAT(cfg), true)
-	snap := g.Acquire()
+	f := g.Acquire().Flatten()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var count int64
-		for v := 0; v < snap.NumVertices(); v++ {
-			snap.ForEachOut(graph.VertexID(v), func(graph.VertexID, graph.Weight) { count++ })
+		for v := 0; v < f.NumVertices(); v++ {
+			dsts, _ := f.OutSpan(graph.VertexID(v))
+			count += int64(len(dsts))
 		}
 		b.SetBytes(count * 8)
 	}
@@ -71,9 +72,10 @@ func BenchmarkFlattenFromVsFull(b *testing.B) {
 		rec, _ := snap.Flatten().InsertedArcs()
 		var all []graph.Edge
 		for v := range snap.NumVertices() {
-			snap.ForEachOut(graph.VertexID(v), func(d graph.VertexID, w graph.Weight) {
-				all = append(all, graph.Edge{Src: graph.VertexID(v), Dst: d, W: w})
-			})
+			dsts, ws := snap.Flatten().OutSpan(graph.VertexID(v))
+			for i, d := range dsts {
+				all = append(all, graph.Edge{Src: graph.VertexID(v), Dst: d, W: ws[i]})
+			}
 		}
 		empty := New(snap.NumVertices(), true).Acquire().Flatten()
 		sh := g.shared

@@ -73,8 +73,8 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatalf("m=%d, want %d after reinserting", back.NumEdges(), full.NumEdges())
 	}
 	for v := 0; v < 100; v++ {
-		a1, w1 := full.OutNeighbors(graph.VertexID(v))
-		a2, w2 := back.OutNeighbors(graph.VertexID(v))
+		a1, w1 := full.Flatten().OutSpan(graph.VertexID(v))
+		a2, w2 := back.Flatten().OutSpan(graph.VertexID(v))
 		if len(a1) != len(a2) {
 			t.Fatalf("vertex %d degree differs", v)
 		}

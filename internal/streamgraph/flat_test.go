@@ -10,7 +10,9 @@ import (
 
 func TestFlattenMatchesTree(t *testing.T) {
 	cfg := gen.Config{Name: "flat", LogN: 10, AvgDegree: 8, Directed: true, Seed: 9}
-	g := streamgraph.FromEdges(cfg.N(), gen.RMAT(cfg), true)
+	edges := gen.RMAT(cfg)
+	g := streamgraph.FromEdges(cfg.N(), edges, true)
+	want := graph.FromEdges(cfg.N(), edges, true) // same first-wins rule
 	snap := g.Acquire()
 	f := snap.Flatten()
 
@@ -28,12 +30,7 @@ func TestFlattenMatchesTree(t *testing.T) {
 		if f.Degree(id) != snap.Degree(id) {
 			t.Fatalf("v=%d: Degree = %d, want %d", v, f.Degree(id), snap.Degree(id))
 		}
-		var wantAdj []graph.VertexID
-		var wantWgt []graph.Weight
-		snap.ForEachOut(id, func(d graph.VertexID, w graph.Weight) {
-			wantAdj = append(wantAdj, d)
-			wantWgt = append(wantWgt, w)
-		})
+		wantAdj, wantWgt := want.OutSpan(id)
 		adj, wgt := f.OutSpan(id)
 		if len(adj) != len(wantAdj) {
 			t.Fatalf("v=%d: OutSpan has %d edges, want %d", v, len(adj), len(wantAdj))

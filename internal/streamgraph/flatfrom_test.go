@@ -318,7 +318,7 @@ func TestTransposedFollowsFlattenFrom(t *testing.T) {
 		case 1: // stored arcs again at new weights, plus fresh ones
 			for len(batch) < 40 {
 				v := graph.VertexID(rng.Intn(prev.n))
-				if dsts, _ := prev.OutNeighbors(v); len(dsts) > 0 {
+				if dsts, _ := prev.Flatten().OutSpan(v); len(dsts) > 0 {
 					batch = append(batch, graph.Edge{Src: v, Dst: dsts[rng.Intn(len(dsts))], W: graph.Weight(200 + rng.Intn(50))})
 				}
 			}

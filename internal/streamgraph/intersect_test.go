@@ -39,8 +39,8 @@ func TestCommonNeighborsAgainstBrute(t *testing.T) {
 	for _, pair := range [][2]graph.VertexID{{1, 2}, {10, 40}, {59, 0}} {
 		u, v := pair[0], pair[1]
 		want := map[graph.VertexID]bool{}
-		au, _ := s.OutNeighbors(u)
-		av, _ := s.OutNeighbors(v)
+		au, _ := s.Flatten().OutSpan(u)
+		av, _ := s.Flatten().OutSpan(v)
 		setU := map[graph.VertexID]bool{}
 		for _, x := range au {
 			setU[x] = true

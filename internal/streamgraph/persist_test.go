@@ -37,8 +37,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("version=%d", ls.Version())
 		}
 		for v := 0; v < 200; v++ {
-			a1, w1 := snap.OutNeighbors(graph.VertexID(v))
-			a2, w2 := ls.OutNeighbors(graph.VertexID(v))
+			a1, w1 := snap.Flatten().OutSpan(graph.VertexID(v))
+			a2, w2 := ls.Flatten().OutSpan(graph.VertexID(v))
 			if len(a1) != len(a2) {
 				t.Fatalf("directed=%v vertex %d degree differs", directed, v)
 			}
@@ -77,8 +77,8 @@ func TestSaveLoadAfterDeletions(t *testing.T) {
 					ls.NumVertices(), ls.NumEdges(), snap.NumVertices(), snap.NumEdges())
 			}
 			for v := 0; v < snap.NumVertices(); v++ {
-				a1, w1 := snap.OutNeighbors(graph.VertexID(v))
-				a2, w2 := ls.OutNeighbors(graph.VertexID(v))
+				a1, w1 := snap.Flatten().OutSpan(graph.VertexID(v))
+				a2, w2 := ls.Flatten().OutSpan(graph.VertexID(v))
 				if len(a1) != len(a2) {
 					t.Fatalf("directed=%v v%d: vertex %d degree %d, loaded %d", directed, snap.Version(), v, len(a1), len(a2))
 				}

@@ -62,15 +62,6 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // Degree returns the out-degree of v.
 func (s *Snapshot) Degree(v graph.VertexID) int { return s.flat.Degree(v) }
 
-// ForEachOut calls f(dst, w) for every out-edge of v in ascending
-// destination order.
-func (s *Snapshot) ForEachOut(v graph.VertexID, f func(dst graph.VertexID, w graph.Weight)) {
-	dsts, ws := s.flat.OutSpan(v)
-	for i, d := range dsts {
-		f(d, ws[i])
-	}
-}
-
 // HasEdge reports whether arc v→u exists and returns its weight.
 func (s *Snapshot) HasEdge(v, u graph.VertexID) (graph.Weight, bool) {
 	if int(v) >= s.n {
@@ -81,13 +72,6 @@ func (s *Snapshot) HasEdge(v, u graph.VertexID) (graph.Weight, bool) {
 		return ws[i], true
 	}
 	return 0, false
-}
-
-// OutNeighbors returns a copy of the adjacency of v (sorted by
-// destination).
-func (s *Snapshot) OutNeighbors(v graph.VertexID) ([]graph.VertexID, []graph.Weight) {
-	dsts, ws := s.flat.OutSpan(v)
-	return append([]graph.VertexID(nil), dsts...), append([]graph.Weight(nil), ws...)
 }
 
 // CSR copies the snapshot into a static CSR graph (for oracles and

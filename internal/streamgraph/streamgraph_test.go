@@ -105,7 +105,7 @@ func TestVertexGrowth(t *testing.T) {
 func TestOutNeighborsSorted(t *testing.T) {
 	g := New(5, true)
 	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 4, W: 1}, {Src: 0, Dst: 1, W: 2}, {Src: 0, Dst: 3, W: 3}})
-	adj, wgt := g.Acquire().OutNeighbors(0)
+	adj, wgt := g.Acquire().Flatten().OutSpan(0)
 	if len(adj) != 3 || adj[0] != 1 || adj[1] != 3 || adj[2] != 4 {
 		t.Fatalf("adj=%v", adj)
 	}
@@ -131,7 +131,7 @@ func TestMatchesCSR(t *testing.T) {
 		// sets and weights must agree exactly.
 		for v := 0; v < 200; v++ {
 			wantAdj, wantW := want.OutSpan(graph.VertexID(v))
-			gotAdj, gotW := snap.OutNeighbors(graph.VertexID(v))
+			gotAdj, gotW := snap.Flatten().OutSpan(graph.VertexID(v))
 			if len(wantAdj) != len(gotAdj) {
 				t.Fatalf("directed=%v v=%d degree %d vs %d", directed, v, len(gotAdj), len(wantAdj))
 			}
@@ -199,7 +199,8 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 		s := g.Acquire()
 		var count int64
 		for v := 0; v < s.NumVertices(); v++ {
-			s.ForEachOut(graph.VertexID(v), func(graph.VertexID, graph.Weight) { count++ })
+			dsts, _ := s.Flatten().OutSpan(graph.VertexID(v))
+			count += int64(len(dsts))
 		}
 		if count != s.NumEdges() {
 			t.Fatalf("snapshot internally inconsistent: iterated %d of %d arcs", count, s.NumEdges())

@@ -208,8 +208,9 @@ func WithQueryRecording() Option {
 }
 
 // WithResultCache enables the Δ-result cache: every answered user query
-// is retained (LRU, up to entries; <= 0 selects the default capacity)
-// keyed by problem and source and stamped with its snapshot version.
+// is retained (LRU, up to entries; <= 0 selects the default capacity,
+// and a fixed budget of resident answer bytes caps it too) keyed by
+// problem and source and stamped with its snapshot version.
 // CachedQuery serves retained answers — exact for the version they
 // report — without any evaluation, and the HTTP layer uses the same
 // entries for its stale=ok / min_version serving policy.
