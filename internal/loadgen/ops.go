@@ -167,7 +167,7 @@ func (w *worker) Do(ctx context.Context, op Op) {
 	case OpQuery:
 		p := w.problem(rng)
 		u := w.source(rng)
-		w.get(ctx, "query", fmt.Sprintf("/v1/query?problem=%s&source=%d", p, u), []string{"query/" + p}, nil)
+		w.get(ctx, "query", fmt.Sprintf("/v1/query?problem=%s&source=%d", p, u), []string{"query/" + p}, w.cacheOutcome("query"))
 
 	case OpQueryFull:
 		p := w.problem(rng)
@@ -280,7 +280,15 @@ func (w *worker) staleQuery(ctx context.Context, rng *xrand.RNG, minVersion uint
 	}
 	w.get(ctx, "query_stale",
 		fmt.Sprintf("/v1/query?problem=%s&source=%d&stale=ok&min_version=%d", p, u, minVersion),
-		nil, nil)
+		nil, w.cacheOutcome("query_stale"))
+}
+
+// cacheOutcome returns the inspect that records under key whether the
+// result cache answered the response.
+func (w *worker) cacheOutcome(key string) func(*http.Response) {
+	return func(resp *http.Response) {
+		w.c.rec.RecordCache(key, resp.Header.Get("X-Tripoline-Cache") == "hit")
+	}
 }
 
 func (w *worker) genEdges(rng *xrand.RNG, k int) []edgeJSON {

@@ -49,6 +49,9 @@ type keyStats struct {
 	// header — a contract violation the admission probe also asserts on;
 	// any nonzero count fails the run's contract check.
 	missingRetryAfter metrics.Counter
+	// cacheChecked counts the 200 responses whose X-Tripoline-Cache
+	// header was read (the query keys); cacheHits those that said hit.
+	cacheChecked, cacheHits metrics.Counter
 }
 
 // Recorder collects OpStats per op key for one run.
@@ -90,6 +93,16 @@ func (r *Recorder) RecordHTTP(key string, status int, hasRetryAfter bool, latenc
 	}
 }
 
+// RecordCache records the cache outcome of one 200 response: whether the
+// server answered it from its Δ-result cache (X-Tripoline-Cache: hit).
+func (r *Recorder) RecordCache(key string, hit bool) {
+	st := r.get(key)
+	st.cacheChecked.Inc()
+	if hit {
+		st.cacheHits.Inc()
+	}
+}
+
 // RecordTransportErr records a request that failed below HTTP (refused
 // connection, reset, malformed response).
 func (r *Recorder) RecordTransportErr(key string, latency time.Duration) {
@@ -116,6 +129,10 @@ type OpReport struct {
 	ClientAborts int64 `json:"client_aborts,omitempty"`
 	// MissingRetryAfter counts 429s violating the Retry-After contract.
 	MissingRetryAfter int64 `json:"missing_retry_after,omitempty"`
+	// CacheChecked counts the 200 responses whose cache outcome was read
+	// (query keys only), CacheHits those the result cache answered.
+	CacheChecked int64 `json:"cache_checked,omitempty"`
+	CacheHits    int64 `json:"cache_hits,omitempty"`
 	// Latency quantiles in seconds, interpolated from the histogram.
 	P50  float64 `json:"p50"`
 	P99  float64 `json:"p99"`
@@ -177,6 +194,7 @@ func (r *Recorder) Snapshot(now time.Time) *Report {
 		or.ClientAborts = st.slots[slotClientAbort].Value()
 		or.Count += or.Transport + or.ClientAborts
 		or.MissingRetryAfter = st.missingRetryAfter.Value()
+		or.CacheChecked, or.CacheHits = st.cacheChecked.Value(), st.cacheHits.Value()
 		if c := st.lat.Count(); c > 0 {
 			or.Mean = st.lat.Sum() / float64(c)
 		}
@@ -191,6 +209,15 @@ func (r *Recorder) Snapshot(now time.Time) *Report {
 		rep.AchievedRPS = float64(rep.Total) / rep.Seconds
 	}
 	return rep
+}
+
+// HitShare is the share of the checked responses the result cache
+// answered; 0 when none was checked.
+func (or OpReport) HitShare() float64 {
+	if or.CacheChecked == 0 {
+		return 0
+	}
+	return float64(or.CacheHits) / float64(or.CacheChecked)
 }
 
 func isSubKey(k string) bool {
@@ -247,6 +274,9 @@ func (rep *Report) WriteText(w io.Writer) {
 		}
 		if or.ClientAborts > 0 {
 			fmt.Fprintf(w, "  aborted=%d", or.ClientAborts)
+		}
+		if or.CacheChecked > 0 {
+			fmt.Fprintf(w, "  hit=%.1f%%", 100*or.HitShare())
 		}
 		fmt.Fprintln(w)
 	}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -175,5 +176,42 @@ func TestSaturationSweep(t *testing.T) {
 	}
 	if points[0].MaxInFlight != 1 || points[2].MaxInFlight != 16 {
 		t.Fatalf("points out of order: %+v", points)
+	}
+}
+
+// TestStaleQueryHitShare drives stale=ok reads alone at a cached server
+// small enough that (problem, source) pairs repeat and no write moves the
+// version: the report must read each response's cache outcome and show a
+// nonzero hit share.
+func TestStaleQueryHitShare(t *testing.T) {
+	tgt, err := SelfHost(SelfHostConfig{Vertices: 16, Seed: 13, CacheEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tgt.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep, err := Run(ctx, Config{
+		BaseURL:  tgt.URL,
+		Scenario: Scenario{Name: "stale-only", Mix: []OpWeight{{OpQueryStale, 1}}},
+		Workers:  2,
+		RateRPS:  -1,
+		Duration: 500 * time.Millisecond,
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	or := rep.Ops["query_stale"]
+	if or.CacheChecked == 0 || or.CacheChecked != or.Status["200"] {
+		t.Fatalf("cache outcome read on %d responses, %d answered 200", or.CacheChecked, or.Status["200"])
+	}
+	if or.HitShare() <= 0 {
+		t.Fatalf("stale=ok hit share %.3f over %d responses, want > 0", or.HitShare(), or.CacheChecked)
+	}
+	var buf strings.Builder
+	rep.WriteText(&buf)
+	if !strings.Contains(buf.String(), "hit=") {
+		t.Fatalf("report prints no hit share:\n%s", buf.String())
 	}
 }

@@ -116,19 +116,24 @@ func BenchmarkUpdateSplit(b *testing.B) {
 // RMAT graph of 2^15 vertices at degree 8, K=16 top-degree roots narrowed
 // on MeetSample as the system narrows them, 32 subscribed lanes (the
 // sample's first 32 sources) in one page, 100-edge deletion batches of
-// stored arcs. The roots' trim (Forward, then Reverse
-// over the transpose), the lanes' taint and the lanes' repair from the
-// meet are timed in that order, the order UpdateDeletions runs them in.
-// One iteration is one batch; run it with a fixed count, e.g.
+// stored arcs. The roots' trim (Forward, then Reverse over the
+// transpose), the lanes' taint with its settle test and the lanes'
+// support, reset to the meet and push are timed in that order, the order
+// UpdateDeletions runs them in. One iteration is one batch; run it with a
+// fixed count, e.g.
 //
 //	go test ./internal/standing -run '^$' -bench UpdateDeletions -benchtime 6x
 //
-// Beside the times it reports the lanes' tainted values per batch and how
-// many of them the repair moved — the record DrainMoved hands the
-// subscribers. SSWP is a plateau problem, whose taint covers about half of
-// what each lane reaches; SSSP is additive.
+// Beside the times it reports, per batch, the root values the taint marks
+// (both directions) and those left to reset once support has cleared the
+// exact ones, the lane values the settled taint marks and those left to
+// reset, and how many lane values moved — the record DrainMoved hands the
+// subscribers. The root counts are taken off the clock on the values the
+// trim starts from. SSWP and SSNP are plateau problems, whose witness
+// taint covers much of what each slot reaches; Viterbi's saturated
+// products plateau too; SSSP is additive.
 func BenchmarkUpdateDeletions(b *testing.B) {
-	for _, p := range []engine.Problem{props.SSWP{}, props.SSSP{}} {
+	for _, p := range []engine.Problem{props.SSWP{}, props.SSSP{}, props.Viterbi{}, props.SSNP{}} {
 		b.Run(p.Name()+"/2^15x8", func(b *testing.B) {
 			cfg := gen.Config{LogN: 15, AvgDegree: 8, Directed: true, Seed: 1}
 			edges := gen.RMAT(cfg)
@@ -145,7 +150,7 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 
 			var roots, taint, repair time.Duration
-			var tainted, moved int
+			var rootsTainted, rootsReset, tainted, reset, moved int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -160,27 +165,38 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 				snap, _ = g.DeleteEdges(del)
 				prev.RetireFlat()
 				flat := snap.Flatten()
+				in := flat.Transposed()
+				for _, d := range []struct {
+					st    *engine.State
+					g, in engine.ArcView
+					del   []graph.Edge
+				}{{m.Forward, flat, in, del}, {m.Reverse, in, flat, graph.ReversedArcs(del)}} {
+					if tm := m.taint(d.st, d.g, d.del, false, nil); tm != nil {
+						rootsTainted += ones(tm)
+						m.support(d.st, m.Roots, d.g, d.in, tm)
+						rootsReset += ones(tm)
+					}
+				}
 				b.StartTimer()
 
 				t0 := time.Now()
-				in := flat.Transposed()
 				m.trim(m.Forward, m.Roots, flat, in, del, false)
 				m.trimReverse(flat, del, false)
 				t1 := time.Now()
 				pg.st.Grow(flat.NumVertices())
-				tm := m.taint(pg.st, flat, del, false)
+				meets := m.laneMeets(pg)
+				tm := m.taint(pg.st, flat, del, false, m.settler(pg, meets))
 				t2 := time.Now()
 				if tm != nil {
-					m.repairLanes(pg, flat, in, tm)
+					tainted += ones(tm)
+					m.repairLanes(pg, flat, in, tm, meets)
+					reset += ones(tm)
 				}
 				roots += t1.Sub(t0)
 				taint += t2.Sub(t1)
 				repair += time.Since(t2)
 
 				b.StopTimer()
-				for _, mask := range tm {
-					tainted += bits.OnesCount64(mask)
-				}
 				m.DrainMoved(func(int, int) { moved++ })
 				b.StartTimer()
 			}
@@ -188,8 +204,19 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 			b.ReportMetric(roots.Seconds()*1e3/n, "roots-ms/batch")
 			b.ReportMetric(taint.Seconds()*1e3/n, "lane-taint-ms/batch")
 			b.ReportMetric(repair.Seconds()*1e3/n, "lane-repair-ms/batch")
+			b.ReportMetric(float64(rootsTainted)/n, "roots-tainted/batch")
+			b.ReportMetric(float64(rootsReset)/n, "roots-reset/batch")
 			b.ReportMetric(float64(tainted)/n, "lane-tainted/batch")
+			b.ReportMetric(float64(reset)/n, "lane-reset/batch")
 			b.ReportMetric(float64(moved)/n, "lane-moved/batch")
 		})
 	}
+}
+
+// ones counts the bits set over masks.
+func ones(masks []uint64) (c int) {
+	for _, mask := range masks {
+		c += bits.OnesCount64(mask)
+	}
+	return c
 }

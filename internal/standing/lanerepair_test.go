@@ -19,8 +19,9 @@ import (
 // directed graph the only path from u to any root. Lanes sit at a root,
 // at plain vertices, on the cycle and at u. Three deletion batches run —
 // a mixed slice that also cuts the chain and the cycle, every arc into a
-// lane's source (a plateau problem taints the source itself), and every
-// out-arc of a root — with an insertion left undrained before the second.
+// lane's source (a plateau problem's witness test reaches the source
+// itself, which the settle test keeps), and every out-arc of a root —
+// with an insertion left undrained before the second.
 // After each one every lane equals oracle.BestPath, and DrainMoved reports
 // exactly the (lane, v) pairs whose value moved since the last drain.
 func TestLaneRepairFromMeet(t *testing.T) {
@@ -151,13 +152,14 @@ func (lr *laneRepair) delete(label string, keep func(graph.Edge) bool) {
 	}
 	lr.snap, _ = lr.g.DeleteEdges(del)
 	post := lr.snap.Flatten()
-	// Which lanes the pass resets where, read before it runs. Lane 4's
-	// source is on the cycle, which no root reaches.
+	// Where the witness test reaches, read before the pass runs and
+	// without the settle test, which must then stop at a lane's own
+	// source. Lane 4's source is on the cycle, which no root reaches.
 	if lanes, _, _ := lr.m.Meet(nil, lr.sources[4]); len(lanes) != 0 {
 		t.Fatalf("%s: the meet of the cycle's lane keeps %d roots", label, len(lanes))
 	}
 	for _, pg := range lr.m.pages {
-		taint := lr.m.taint(pg.st, post, del, !lr.directed)
+		taint := lr.m.taint(pg.st, post, del, !lr.directed, nil)
 		for lane, s := range lr.sources {
 			lr.sourceTainted = lr.sourceTainted || taint != nil && taint[s]>>lane&1 != 0
 		}

@@ -12,6 +12,7 @@ import (
 	"tripoline/internal/oracle"
 	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
+	"tripoline/internal/triangle"
 )
 
 // TestReverseRepairIsChangeDriven observes the reversed half of
@@ -82,27 +83,12 @@ func TestTaintMatchesReference(t *testing.T) {
 	const logN = 9
 	const n = 1 << logN
 	for _, directed := range []bool{true, false} {
-		edges := gen.RMAT(gen.Config{LogN: logN, AvgDegree: 6, Directed: directed, Seed: 41})
-		for v := 0; v < n; v++ {
-			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n), W: graph.Weight(1 + v%7)})
-		}
+		edges := ringRMAT(logN, directed)
 		g := streamgraph.New(n, directed)
 		snap, _ := g.InsertEdges(edges)
 		pre := snap.Flatten()
-		top := gen.TopDegreeVertices(n, edges, directed, 1)[0]
-		var hub []graph.Edge
-		adj, wgt := pre.OutSpan(top)
-		for i, d := range adj {
-			hub = append(hub, graph.Edge{Src: top, Dst: d, W: wgt[i]})
-		}
-		rng := rand.New(rand.NewSource(7))
-		var random []graph.Edge
-		for _, i := range rng.Perm(len(edges))[:60] {
-			e := edges[i]
-			if w, ok := snap.HasEdge(e.Src, e.Dst); ok {
-				random = append(random, graph.Edge{Src: e.Src, Dst: e.Dst, W: w})
-			}
-		}
+		hub := hubArcs(pre, gen.TopDegreeVertices(n, edges, directed, 1)[0])
+		random := randomArcs(snap, edges, rand.New(rand.NewSource(7)), 60)
 		posts := make([]engine.ArcView, 2)
 		for i, del := range [][]graph.Edge{hub, random} {
 			gd := streamgraph.New(n, directed)
@@ -135,7 +121,7 @@ func TestTaintMatchesReference(t *testing.T) {
 // requireSameTaint fails unless taint and taintReference agree on st.
 func requireSameTaint(t *testing.T, what string, m *Manager, st *engine.State, g engine.ArcView, del []graph.Edge, undirected bool) []uint64 {
 	t.Helper()
-	got := m.taint(st, g, del, undirected)
+	got := m.taint(st, g, del, undirected, nil)
 	want := m.taintReference(st, g, del, undirected)
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: taint nil=%v, reference nil=%v", what, got == nil, want == nil)
@@ -227,4 +213,228 @@ func (m *Manager) taintReference(st *engine.State, g engine.ArcView, deleted []g
 		}
 	}
 	return taint
+}
+
+// ringRMAT is a 2^logN-vertex RMAT graph of degree 6 made strongly
+// connected by a ring.
+func ringRMAT(logN int, directed bool) []graph.Edge {
+	n := 1 << logN
+	edges := gen.RMAT(gen.Config{LogN: logN, AvgDegree: 6, Directed: directed, Seed: 41})
+	for v := 0; v < n; v++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n), W: graph.Weight(1 + v%7)})
+	}
+	return edges
+}
+
+// hubArcs lists every out-arc of hub in g, at its stored weight.
+func hubArcs(g engine.ArcView, hub graph.VertexID) []graph.Edge {
+	var arcs []graph.Edge
+	dsts, ws := g.OutSpan(hub)
+	for i, d := range dsts {
+		arcs = append(arcs, graph.Edge{Src: hub, Dst: d, W: ws[i]})
+	}
+	return arcs
+}
+
+// randomArcs draws tries edges of edges and keeps those snap stores, at
+// their stored weights.
+func randomArcs(snap *streamgraph.Snapshot, edges []graph.Edge, rng *rand.Rand, tries int) []graph.Edge {
+	var arcs []graph.Edge
+	for _, i := range rng.Perm(len(edges))[:tries] {
+		e := edges[i]
+		if w, ok := snap.HasEdge(e.Src, e.Dst); ok {
+			arcs = append(arcs, graph.Edge{Src: e.Src, Dst: e.Dst, W: w})
+		}
+	}
+	return arcs
+}
+
+// TestTrimMatchesReference holds UpdateDeletions — the roots' trim forward
+// and reversed, with support, and every lane page's, with settle and
+// support — to trimReference, which resets every tainted value, bit for
+// bit: root values, lane values and the lanes' Changed record, which is
+// never drained in between. Every registered problem runs at K = 1, 8 and
+// 16, with eight lanes (the hub, a root and six others), on a directed
+// and an undirected ring-closed RMAT, over four deletion batches in turn:
+// every out-arc of the top-degree vertex (on SSR a flood of the whole
+// graph), then three random ones. The roots are also held to the oracle.
+func TestTrimMatchesReference(t *testing.T) {
+	const logN = 9
+	const n = 1 << logN
+	for _, directed := range []bool{true, false} {
+		edges := ringRMAT(logN, directed)
+		g := streamgraph.New(n, directed)
+		snap, _ := g.InsertEdges(edges)
+		pre := snap.Flatten()
+		top := gen.TopDegreeVertices(n, edges, directed, 1)[0]
+		rng := rand.New(rand.NewSource(11))
+		var dels [][]graph.Edge
+		var posts []*streamgraph.Snapshot
+		for i := range 4 {
+			del := hubArcs(snap.Flatten(), top)
+			if i > 0 {
+				del = randomArcs(snap, edges, rng, 40)
+			}
+			snap, _ = g.DeleteEdges(del)
+			dels, posts = append(dels, del), append(posts, snap)
+		}
+		sources := []graph.VertexID{top}
+		for _, v := range rng.Perm(n)[:7] {
+			sources = append(sources, graph.VertexID(v))
+		}
+		for name, p := range props.Registry() {
+			for _, k := range []int{1, 8, 16} {
+				roots := gen.TopDegreeVertices(n, edges, directed, k)
+				sources[1] = roots[len(roots)-1]
+				got := New(p, pre, roots, directed)
+				want := New(p, pre, roots, directed)
+				for _, s := range sources {
+					col, _ := engine.Run(pre, p, []graph.VertexID{s})
+					got.Install(s, col)
+					want.Install(s, col)
+				}
+				for i, del := range dels {
+					what := fmt.Sprintf("%s directed=%v K=%d batch %d", name, directed, k, i)
+					post := posts[i].Flatten()
+					got.UpdateDeletions(post, del, !directed)
+					want.updateDeletionsReference(post, del, !directed)
+					requireSameState(t, what+" forward", got.Forward, want.Forward)
+					if directed {
+						requireSameState(t, what+" reverse", got.Reverse, want.Reverse)
+					}
+					requireSameState(t, what+" lanes", got.pages[0].st, want.pages[0].st)
+					csr := posts[i].CSR(directed)
+					for slot, r := range roots {
+						requireColumn(t, fmt.Sprintf("%s forward root %d", what, r), got.Forward, slot, oracle.BestPath(csr, p, r))
+						if directed {
+							requireColumn(t, fmt.Sprintf("%s reverse root %d", what, r), got.Reverse, slot, oracle.BestPathTo(csr, p, r))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// requireSameState fails unless got and want hold the same values and the
+// same Changed record.
+func requireSameState(t *testing.T, what string, got, want *engine.State) {
+	t.Helper()
+	for v := range want.N {
+		for k := range want.K {
+			if g, w := got.Value(graph.VertexID(v), k), want.Value(graph.VertexID(v), k); g != w {
+				t.Fatalf("%s: value(%d, %d) = %#x, reference %#x", what, v, k, g, w)
+			}
+		}
+	}
+	for v := range want.Changed {
+		if got.Changed[v] != want.Changed[v] {
+			t.Fatalf("%s: vertex %d recorded moved in %#x, reference %#x", what, v, got.Changed[v], want.Changed[v])
+		}
+	}
+}
+
+// requireColumn fails unless slot k of st equals want.
+func requireColumn(t *testing.T, what string, st *engine.State, k int, want []uint64) {
+	t.Helper()
+	for v, w := range want {
+		if g := st.Value(graph.VertexID(v), k); g != w {
+			t.Fatalf("%s: value(%d) = %#x, oracle %#x", what, v, g, w)
+		}
+	}
+}
+
+// updateDeletionsReference is UpdateDeletions before the settle and support
+// steps, kept as their oracle: every tainted value resets.
+func (m *Manager) updateDeletionsReference(g engine.ArcView, deleted []graph.Edge, undirected bool) {
+	in := g
+	if m.directed {
+		in = transposedOf(g)
+	}
+	m.trimReference(m.Forward, m.Roots, g, in, deleted, undirected)
+	if m.Reverse != nil {
+		m.trimReference(m.Reverse, m.Roots, transposedOf(g), g, graph.ReversedArcs(deleted), undirected)
+	}
+	for _, pg := range m.pages {
+		pg.st.Grow(g.NumVertices())
+		if taint := m.taint(pg.st, g, deleted, undirected, nil); taint != nil {
+			m.repairLanesReference(pg, g, in, taint)
+		}
+	}
+}
+
+// trimReference is trim resetting every tainted value to init.
+func (m *Manager) trimReference(st *engine.State, sources []graph.VertexID, g, in engine.ArcView, deleted []graph.Edge, undirected bool) {
+	st.Grow(g.NumVertices())
+	taint := m.taint(st, g, deleted, undirected, nil)
+	if taint == nil {
+		return
+	}
+	for v, mask := range taint {
+		for ; mask != 0; mask &= mask - 1 {
+			st.SetValue(graph.VertexID(v), bits.TrailingZeros64(mask), m.Problem.InitValue())
+		}
+	}
+	repairReference(st, sources, g, in, taint)
+}
+
+// repairLanesReference resets every tainted lane value to the meet and
+// records, beside what an undrained pass recorded, the tainted values
+// that came back different.
+func (m *Manager) repairLanesReference(pg *page, g, in engine.ArcView, taint []uint64) {
+	st := pg.st
+	meet := triangle.MeetOf(m.Problem)
+	cols, cstride, _ := m.Forward.StrideView(0)
+	arr, stride, offs := st.StrideViews()
+	old := make(map[[2]int]uint64)
+	prior := make([]uint64, len(taint))
+	for x, mask := range taint {
+		prior[x] = st.Changed[x] & mask
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			k := bits.TrailingZeros64(mk)
+			d := x*stride + offs[k]
+			old[[2]int{x, k}] = arr[d]
+			if lanes, _, _ := m.Meet(nil, pg.sources[k]); len(lanes) == 0 {
+				arr[d] = m.Problem.InitValue()
+			} else {
+				meet(arr, d, 0, cols, x*cstride, 0, lanes, 1)
+			}
+		}
+	}
+	repairReference(st, pg.sources[:st.K], g, in, taint)
+	for x, mask := range taint {
+		st.Changed[x] = st.Changed[x]&^mask | prior[x]
+	}
+	for xk, was := range old {
+		if arr[xk[0]*stride+offs[xk[1]]] != was {
+			st.Changed[xk[0]] |= 1 << uint(xk[1])
+		}
+	}
+}
+
+// repairReference pushes from the boundary of the whole taint, a tainted
+// source set to the source value and seeded.
+func repairReference(st *engine.State, sources []graph.VertexID, g, in engine.ArcView, taint []uint64) {
+	boundary := make([]uint64, st.N)
+	for y, mask := range taint {
+		tails, _ := in.OutSpan(graph.VertexID(y))
+		for _, x := range tails {
+			boundary[x] |= mask &^ taint[x]
+		}
+	}
+	for k, r := range sources {
+		if taint[r]&(1<<uint(k)) != 0 {
+			st.SetSource(r, k)
+			boundary[r] |= 1 << uint(k)
+		}
+	}
+	var seeds []graph.VertexID
+	var masks []uint64
+	for v, mask := range boundary {
+		if mask != 0 {
+			seeds = append(seeds, graph.VertexID(v))
+			masks = append(masks, mask)
+		}
+	}
+	st.RunPush(g, seeds, masks)
 }
