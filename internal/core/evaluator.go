@@ -189,17 +189,17 @@ func sourceInRange(u graph.VertexID, n int, version uint64) error {
 // after another. inserted and deleted then refresh the subscriptions on g;
 // the report carries the standing maintenance work and the subscription
 // fan-out.
-func (ev *evaluator) inserted(g View, changed []graph.VertexID) BatchReport {
+func (ev *evaluator) inserted(ctx context.Context, g View, changed []graph.VertexID) BatchReport {
 	var rep BatchReport
 	ev.maintainSets(&rep, func(set *standing.Manager) engine.Stats { return set.Update(g, changed) })
 	for _, ans := range ev.answers {
 		rep.StandingStats.Add(ans.update(g, changed))
 	}
-	ev.refreshSubscriptions(g, &rep, changed, false)
+	ev.refreshSubscriptions(ctx, g, &rep, changed, false)
 	return rep
 }
 
-func (ev *evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
+func (ev *evaluator) deleted(ctx context.Context, g View, deleted []graph.Edge) BatchReport {
 	var rep BatchReport
 	ev.maintainSets(&rep, func(set *standing.Manager) engine.Stats {
 		return set.UpdateDeletions(g, deleted, !ev.directed)
@@ -207,7 +207,7 @@ func (ev *evaluator) deleted(g View, deleted []graph.Edge) BatchReport {
 	for _, ans := range ev.answers {
 		rep.StandingStats.Add(ans.rebuild(g))
 	}
-	ev.refreshSubscriptions(g, &rep, nil, true)
+	ev.refreshSubscriptions(ctx, g, &rep, nil, true)
 	return rep
 }
 

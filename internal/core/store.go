@@ -32,7 +32,7 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchRe
 		return BatchReport{}, err
 	}
 	defer s.release()
-	return s.apply(batch, false), nil
+	return s.apply(ctx, batch, false), nil
 }
 
 // ApplyDeletionsCtx removes a batch of edges and recovers every enabled
@@ -49,7 +49,7 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		return BatchReport{}, err
 	}
 	defer s.release()
-	return s.apply(batch, true), nil
+	return s.apply(ctx, batch, true), nil
 }
 
 // admit takes the apply token, honoring ctx while waiting. A context
@@ -70,8 +70,9 @@ func (s *System) release() { <-s.tok }
 
 // apply runs one admitted mutation. Caller holds the apply token. Every
 // batch, an empty one included, publishes the store's next version, so
-// the store's version is the System's.
-func (s *System) apply(batch []graph.Edge, deletions bool) BatchReport {
+// the store's version is the System's. ctx is the admitted caller's; the
+// mutation runs to completion whatever becomes of it.
+func (s *System) apply(ctx context.Context, batch []graph.Edge, deletions bool) BatchReport {
 	parent := s.bar.latest()
 	var (
 		snap     *streamgraph.Snapshot
@@ -86,7 +87,7 @@ func (s *System) apply(batch []graph.Edge, deletions bool) BatchReport {
 	}
 
 	start := time.Now()
-	rep := s.publish(snap, parent, changed, resolved, deletions)
+	rep := s.publish(ctx, snap, parent, changed, resolved, deletions)
 	rep.StandingElapsed = time.Since(start) - rep.RefreshElapsed
 	rep.BatchEdges, rep.ChangedSources, rep.Version, rep.Changed = len(batch), len(changed), snap.Version(), changed
 	s.cache.Advance(changed, parent.Version(), snap.Version())
@@ -101,15 +102,15 @@ func (s *System) apply(batch []graph.Edge, deletions bool) BatchReport {
 // window, and its pin keeps that mirror alive until it releases; any later
 // one pins snap. A superseded mirror recycles once the history ring has
 // evicted its snapshot and its readers have released it.
-func (s *System) publish(snap, parent *streamgraph.Snapshot, changed []graph.VertexID, resolved []graph.Edge, deletions bool) (rep BatchReport) {
+func (s *System) publish(ctx context.Context, snap, parent *streamgraph.Snapshot, changed []graph.VertexID, resolved []graph.Edge, deletions bool) (rep BatchReport) {
 	s.ev.mu.Lock()
 	defer s.ev.mu.Unlock()
 	s.bar.publish(snap)
 	switch {
 	case !deletions:
-		rep = s.ev.inserted(s.current(), changed)
+		rep = s.ev.inserted(ctx, s.current(), changed)
 	case len(changed) > 0:
-		rep = s.ev.deleted(s.current(), resolved)
+		rep = s.ev.deleted(ctx, s.current(), resolved)
 	default:
 		// A deletion that removed nothing: the graph is the one the state
 		// already stands on, so subscribers have nothing to learn and cached

@@ -10,6 +10,7 @@ import (
 	"tripoline/internal/bitset"
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
+	"tripoline/internal/parallel"
 	"tripoline/internal/props"
 	"tripoline/internal/standing"
 )
@@ -32,9 +33,11 @@ import (
 // it comes back different — and a delta frame carries exactly those
 // (DrainMoved): nothing is re-evaluated and no answer is diffed.
 //
-// SSNSP's counts are not a triangle problem: each SSNSP subscriber's
-// counts are recounted over its lane's levels after every batch and
-// compared with the previous ones. PageRank and CC have one maintained
+// SSNSP's counts are not a triangle problem: after every batch each
+// distinct SSNSP lane is recounted exactly over its levels — the lanes
+// side by side, one per worker, each count one sequential walk
+// (countLanes) — and each subscriber's counts are compared with its
+// previous ones. PageRank and CC have one maintained
 // answer each, which is compared with its previous copy — one copy per
 // problem, not per subscriber.
 //
@@ -356,10 +359,11 @@ func (ev *evaluator) Subscribers() int {
 // brings every subscription to view, onto which the writer just maintained
 // the standing sets and their lanes: the moved lane values, recounts and
 // changed maintained answers join each subscriber's pending sets, and a
-// delta frame is pushed to each. The fan-out is recorded in rep.
+// delta frame is pushed to each. The fan-out is recorded in rep. ctx is
+// the batch's: the refresh carries its values but not its cancellation.
 // Writer-side only: the caller holds mu exclusively (lock order mu →
 // subMu).
-func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, changed []graph.VertexID, deleted bool) {
+func (ev *evaluator) refreshSubscriptions(ctx context.Context, view View, rep *BatchReport, changed []graph.VertexID, deleted bool) {
 	ev.subMu.Lock()
 	defer ev.subMu.Unlock()
 	for c := range ev.catchups {
@@ -372,11 +376,18 @@ func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, changed [
 	}
 	start := time.Now()
 	n := view.NumVertices()
-	// Vertices the batch added are pending for everyone.
+	// Vertices the batch added are pending for everyone. counted lists
+	// the distinct SSNSP lanes.
+	subs := make([]*Subscription, 0, len(ev.subs))
+	var counted []*lane
 	for _, sub := range ev.subs {
+		subs = append(subs, sub)
 		growPending(sub.pending, n)
-		if sub.pendingCounts != nil {
+		if sub.counts != nil {
 			growPending(sub.pendingCounts, n)
+			if !slices.Contains(counted, sub.lane) {
+				counted = append(counted, sub.lane)
+			}
 		}
 	}
 	for set, lanes := range ev.lanes {
@@ -388,31 +399,29 @@ func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, changed [
 	}
 	for name, prev := range ev.whole {
 		cur, _ := ev.problems[name].ans.values()
-		for _, sub := range ev.subs {
+		for _, sub := range subs {
 			if sub.Problem == name {
 				markMoved(sub.pending, prev, cur)
 			}
 		}
 		ev.whole[name] = cur
 	}
-	recounts := make(map[*lane][]uint64)
-	for _, sub := range ev.subs {
-		if sub.counts == nil {
-			continue
+	counts := countLanes(context.WithoutCancel(ctx), view, counted)
+	for _, sub := range subs {
+		if sub.counts != nil {
+			c := counts[slices.Index(counted, sub.lane)]
+			markMoved(sub.pendingCounts, sub.counts, c)
+			sub.counts = c
 		}
-		l := sub.lane
-		counts, ok := recounts[l]
-		if !ok {
-			counts = l.recount(view)
-			recounts[l] = counts
-		}
-		markMoved(sub.pendingCounts, sub.counts, counts)
-		sub.counts = counts
 	}
+	// The frames only read, so they are built side by side, then sent in
+	// turn.
 	version := view.Version()
-	for _, sub := range ev.subs {
+	frames := make([]ResultFrame, len(subs))
+	parallel.ForGrain(len(subs), 1, func(i int) { frames[i] = ev.frame(subs[i], version) })
+	for i, sub := range subs {
 		select {
-		case sub.frames <- ev.frame(sub, version):
+		case sub.frames <- frames[i]:
 			sub.pending.Reset()
 			if sub.pendingCounts != nil {
 				sub.pendingCounts.Reset()
@@ -428,16 +437,16 @@ func (ev *evaluator) refreshSubscriptions(view View, rep *BatchReport, changed [
 	rep.RefreshElapsed = time.Since(start)
 }
 
-// recount is recountCtx for the writer, whose recount inside its window
-// is not cancellable.
-func (l *lane) recount(g engine.ArcView) []uint64 {
-	return l.recountCtx(context.Background(), g)
-}
-
-// recountCtx counts the shortest paths from the lane's source over its
-// levels (SSNSP's count round).
-func (l *lane) recountCtx(ctx context.Context, g engine.ArcView) []uint64 {
-	counts, _, _ := props.CountShortestPaths(ctx, g, l.source, l.set.LaneColumn(l.id))
+// countLanes runs SSNSP's count round from each lane's source over its
+// levels, the lanes side by side, one per worker: one count is a
+// sequential walk (props.CountShortestPaths). The writer passes a ctx
+// that is never done: its window runs to completion.
+func countLanes(ctx context.Context, g engine.ArcView, lanes []*lane) [][]uint64 {
+	counts := make([][]uint64, len(lanes))
+	parallel.ForGrain(len(lanes), 1, func(i int) {
+		l := lanes[i]
+		counts[i], _, _ = props.CountShortestPaths(ctx, g, l.source, l.set.LaneColumn(l.id))
+	})
 	return counts
 }
 
@@ -464,25 +473,25 @@ func markMoved(pending *bitset.Set, prev, cur []uint64) {
 // pending vertex. Caller holds subMu.
 func (ev *evaluator) frame(sub *Subscription, version uint64) ResultFrame {
 	f := ResultFrame{Kind: "delta", Problem: sub.Problem, Source: sub.Source, Version: version}
-	vals := ev.whole[sub.Problem]
-	value := func(v int) uint64 { return vals[v] }
+	arr, stride, off := ev.whole[sub.Problem], 1, 0
 	if l := sub.lane; l != nil {
-		value = func(v int) uint64 { return l.set.LaneValue(l.id, graph.VertexID(v)) }
+		arr, stride, off = l.set.LaneView(l.id)
 	}
-	f.Changed = deltas(sub.pending, value)
+	f.Changed = deltas(sub.pending, arr, stride, off)
 	if sub.counts != nil {
-		f.ChangedCounts = deltas(sub.pendingCounts, func(v int) uint64 { return sub.counts[v] })
+		f.ChangedCounts = deltas(sub.pendingCounts, sub.counts, 1, 0)
 	}
 	return f
 }
 
-// deltas lists (v, value(v)) for every vertex in pending, ascending.
-func deltas(pending *bitset.Set, value func(v int) uint64) []VertexDelta {
+// deltas lists (v, arr[v*stride+off]) for every vertex v in pending,
+// ascending: a lane's strided view or a contiguous column (stride 1).
+func deltas(pending *bitset.Set, arr []uint64, stride, off int) []VertexDelta {
 	count := pending.Count()
 	if count == 0 {
 		return nil
 	}
 	out := make([]VertexDelta, 0, count)
-	pending.ForEach(func(v int) { out = append(out, VertexDelta{Vertex: graph.VertexID(v), Value: value(v)}) })
+	pending.ForEach(func(v int) { out = append(out, VertexDelta{Vertex: graph.VertexID(v), Value: arr[v*stride+off]}) })
 	return out
 }

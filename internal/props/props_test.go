@@ -223,6 +223,42 @@ func TestSSNSPDiamondCounts(t *testing.T) {
 	}
 }
 
+// TestSSNSPCountsWrap holds the count round to the oracle where counts
+// wrap to 0 mod 2^64 mid-DAG: 64 diamonds in a chain double the count 64
+// times, so their last bottom z counts 0, and x has two parents a level
+// below, z (ahead of y in vertex order) and y (counting 2^63). A round
+// that took a zero count for "not yet visited" would visit x twice and
+// count x's child w twice (2^64 = 0 instead of 2^63).
+func TestSSNSPCountsWrap(t *testing.T) {
+	var edges []graph.Edge
+	arc := func(u, v graph.VertexID) { edges = append(edges, graph.Edge{Src: u, Dst: v, W: 1}) }
+	const diamonds = 64
+	for i := graph.VertexID(0); i < diamonds; i++ {
+		top, bottom := 3*i, 3*i+3
+		arc(top, top+1)
+		arc(top, top+2)
+		arc(top+1, bottom)
+		arc(top+2, bottom)
+	}
+	z := graph.VertexID(3 * diamonds)
+	y, x, w := z+1, z+2, z+3
+	arc(z-2, y) // y sits on z's level, a child of one of its middles
+	arc(z, x)
+	arc(y, x)
+	arc(x, w)
+	g := graph.FromEdges(int(w)+1, edges, true)
+	_, counts := runSSNSP(t, g, 0)
+	_, want := oracle.CountShortestPaths(g, 0)
+	for v := range want {
+		if counts[v] != want[v] {
+			t.Fatalf("count[%d]=%d, want %d", v, counts[v], want[v])
+		}
+	}
+	if counts[z] != 0 || counts[y] != 1<<63 || counts[w] != 1<<63 {
+		t.Fatalf("counts z=%d y=%d w=%d, want 0, 2^63, 2^63", counts[z], counts[y], counts[w])
+	}
+}
+
 func TestRadiiEstimate(t *testing.T) {
 	vals := []uint64{
 		0, 5,

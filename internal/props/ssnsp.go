@@ -2,12 +2,10 @@ package props
 
 import (
 	"context"
-	"sync/atomic"
+	"slices"
 
-	"tripoline/internal/bitset"
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/parallel"
 )
 
 // SSNSP computes the single-source number of shortest paths (on unweighted
@@ -34,56 +32,61 @@ import (
 
 // CountShortestPaths is round two: given the converged BFS levels from
 // src, it returns the number of shortest paths from src to every vertex
-// and the round's work (the paper's Table 4 reports this round). It walks
-// each frontier vertex's out-span and keeps its work counts per worker
-// (parallel.ForRangeID), so the arc loop pays no call and no shared atomic
-// beyond the count it adds. ctx is checked once per BFS level; on
-// cancellation it returns an *engine.CanceledError.
+// and the round's work (the paper's Table 4 reports this round). It is a
+// plain walk in level order: a counting sort lists the reached vertices
+// by level, each once, and every vertex of a level adds its count to
+// each out-neighbor one level deeper. Counts are exact modulo 2^64, so a
+// count may read 0 mid-DAG; the walk never reads a count to decide what
+// to visit. It is sequential and atomic-free: one count is no faster
+// split over workers, and the subscription refresh counts its lanes side
+// by side instead. ctx is checked once per BFS level; on cancellation it
+// returns an *engine.CanceledError.
 func CountShortestPaths(ctx context.Context, g engine.ArcView, src graph.VertexID, levels []uint64) ([]uint64, engine.Stats, error) {
 	n := g.NumVertices()
+	// Level l's vertices are order[at[l]:at[l+1]], ascending. A BFS level
+	// is below n; Unreached is not.
+	at := []int{0}
+	for _, l := range levels[:n] {
+		if l < uint64(n) {
+			for uint64(len(at)) <= l+1 {
+				at = append(at, 0)
+			}
+			at[l+1]++
+		}
+	}
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
+	}
+	order := make([]graph.VertexID, at[len(at)-1])
+	fill := slices.Clone(at)
+	for v, l := range levels[:n] {
+		if l < uint64(n) {
+			order[fill[l]] = graph.VertexID(v)
+			fill[l]++
+		}
+	}
 	counts := make([]uint64, n)
 	counts[src] = 1
-	cur := []graph.VertexID{src}
-	next := bitset.NewAtomic(n)
 	var stats engine.Stats
-	counters := make([]countWork, parallel.MaxWorkers())
-	for len(cur) > 0 {
+	for l := 0; l+1 < len(at); l++ {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, &engine.CanceledError{Iterations: stats.Iterations, Cause: err}
 		}
 		stats.Iterations++
-		parallel.ForRangeID(len(cur), 64, func(wid, start, end int) {
-			c := &counters[wid]
-			for _, u := range cur[start:end] {
-				want := levels[u] + 1
-				cu := atomic.LoadUint64(&counts[u])
-				dsts, _ := g.OutSpan(u)
-				c.acts++
-				c.relax += int64(len(dsts))
-				for _, d := range dsts {
-					if levels[d] == want {
-						atomic.AddUint64(&counts[d], cu)
-						c.upd++
-						next.Set(int(d))
-					}
+		level := order[at[l]:at[l+1]]
+		stats.Activations += int64(len(level))
+		want := uint64(l) + 1
+		for _, u := range level {
+			cu := counts[u]
+			dsts, _ := g.OutSpan(u)
+			stats.Relaxations += int64(len(dsts))
+			for _, d := range dsts {
+				if levels[d] == want {
+					counts[d] += cu
+					stats.Updates++
 				}
 			}
-		})
-		cur = cur[:0]
-		next.ForEach(func(v int) { cur = append(cur, graph.VertexID(v)) })
-		next.Reset()
-	}
-	for _, c := range counters {
-		stats.Activations += c.acts
-		stats.Relaxations += c.relax
-		stats.Updates += c.upd
+		}
 	}
 	return counts, stats, nil
-}
-
-// countWork is one worker's share of a count round's work, padded to a
-// cache line so neighboring workers do not share one.
-type countWork struct {
-	acts, relax, upd int64
-	_                [5]int64
 }

@@ -111,16 +111,18 @@ func BenchmarkUpdateSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateDeletions times the parts of UpdateDeletions apart on
+// BenchmarkUpdateDeletions times the steps of UpdateDeletions apart on
 // the shape of the benchmark's ingest-churn deletion batch: a directed
 // RMAT graph of 2^15 vertices at degree 8, K=16 top-degree roots narrowed
 // on MeetSample as the system narrows them, 32 subscribed lanes (the
 // sample's first 32 sources) in one page, 100-edge deletion batches of
-// stored arcs. The roots' trim (Forward, then Reverse over the
-// transpose), the lanes' taint with its settle test and the lanes'
-// support, reset to the meet and push are timed in that order, the order
-// UpdateDeletions runs them in. One iteration is one batch; run it with a
-// fixed count, e.g.
+// stored arcs. The roots (Forward, then Reverse over the transpose) and
+// then the lanes run their trim's steps in the order UpdateDeletions runs
+// them, and each step is timed apart: the taint (the lanes' with its
+// meets and settle test), the support, and the push — the residue's reset
+// (roots to init, lanes to the meet) and the push from its boundary, for
+// lanes with the record of what moved. The root times add both
+// directions. One iteration is one batch; run it with a fixed count, e.g.
 //
 //	go test ./internal/standing -run '^$' -bench UpdateDeletions -benchtime 6x
 //
@@ -128,12 +130,12 @@ func BenchmarkUpdateSplit(b *testing.B) {
 // (both directions) and those left to reset once support has cleared the
 // exact ones, the lane values the settled taint marks and those left to
 // reset, and how many lane values moved — the record DrainMoved hands the
-// subscribers. The root counts are taken off the clock on the values the
-// trim starts from. SSWP and SSNP are plateau problems, whose witness
-// taint covers much of what each slot reaches; Viterbi's saturated
-// products plateau too; SSSP is additive.
+// subscribers. SSWP and SSNP are plateau problems, whose witness taint
+// covers much of what each slot reaches; Viterbi's saturated products
+// plateau too; SSR's one reachability value plateaus everywhere; SSSP is
+// additive and BFS counts hops.
 func BenchmarkUpdateDeletions(b *testing.B) {
-	for _, p := range []engine.Problem{props.SSWP{}, props.SSSP{}, props.Viterbi{}, props.SSNP{}} {
+	for _, p := range []engine.Problem{props.SSWP{}, props.SSSP{}, props.Viterbi{}, props.SSNP{}, props.SSR{}, props.BFS{}} {
 		b.Run(p.Name()+"/2^15x8", func(b *testing.B) {
 			cfg := gen.Config{LogN: 15, AvgDegree: 8, Directed: true, Seed: 1}
 			edges := gen.RMAT(cfg)
@@ -149,8 +151,10 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 			pg := m.pages[0]
 			rng := rand.New(rand.NewSource(2))
 
-			var roots, taint, repair time.Duration
-			var rootsTainted, rootsReset, tainted, reset, moved int
+			// [0] roots, [1] lanes.
+			var taint, support, push [2]time.Duration
+			var tainted, reset [2]int
+			var moved int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -166,48 +170,57 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 				prev.RetireFlat()
 				flat := snap.Flatten()
 				in := flat.Transposed()
+				b.StartTimer()
+
 				for _, d := range []struct {
 					st    *engine.State
 					g, in engine.ArcView
 					del   []graph.Edge
 				}{{m.Forward, flat, in, del}, {m.Reverse, in, flat, graph.ReversedArcs(del)}} {
-					if tm := m.taint(d.st, d.g, d.del, false, nil); tm != nil {
-						rootsTainted += ones(tm)
-						m.support(d.st, m.Roots, d.g, d.in, tm)
-						rootsReset += ones(tm)
+					t0 := time.Now()
+					d.st.Grow(d.g.NumVertices())
+					tm := m.taint(d.st, d.g, d.del, false, nil)
+					taint[0] += time.Since(t0)
+					if tm == nil {
+						continue
 					}
+					tainted[0] += ones(tm)
+					t1 := time.Now()
+					residue := m.support(d.st, m.Roots, d.g, d.in, tm)
+					t2 := time.Now()
+					m.repairRoots(d.st, d.g, d.in, tm, residue)
+					support[0] += t2.Sub(t1)
+					push[0] += time.Since(t2)
+					reset[0] += ones(tm)
 				}
-				b.StartTimer()
-
 				t0 := time.Now()
-				m.trim(m.Forward, m.Roots, flat, in, del, false)
-				m.trimReverse(flat, del, false)
-				t1 := time.Now()
 				pg.st.Grow(flat.NumVertices())
 				meets := m.laneMeets(pg)
 				tm := m.taint(pg.st, flat, del, false, m.settler(pg, meets))
-				t2 := time.Now()
+				taint[1] += time.Since(t0)
 				if tm != nil {
-					tainted += ones(tm)
-					m.repairLanes(pg, flat, in, tm, meets)
-					reset += ones(tm)
+					tainted[1] += ones(tm)
+					t1 := time.Now()
+					residue := m.support(pg.st, pg.sources[:pg.st.K], flat, in, tm)
+					t2 := time.Now()
+					m.repairLanes(pg, flat, in, tm, residue, meets)
+					support[1] += t2.Sub(t1)
+					push[1] += time.Since(t2)
+					reset[1] += ones(tm)
 				}
-				roots += t1.Sub(t0)
-				taint += t2.Sub(t1)
-				repair += time.Since(t2)
 
 				b.StopTimer()
 				m.DrainMoved(func(int, int) { moved++ })
 				b.StartTimer()
 			}
 			n := float64(b.N)
-			b.ReportMetric(roots.Seconds()*1e3/n, "roots-ms/batch")
-			b.ReportMetric(taint.Seconds()*1e3/n, "lane-taint-ms/batch")
-			b.ReportMetric(repair.Seconds()*1e3/n, "lane-repair-ms/batch")
-			b.ReportMetric(float64(rootsTainted)/n, "roots-tainted/batch")
-			b.ReportMetric(float64(rootsReset)/n, "roots-reset/batch")
-			b.ReportMetric(float64(tainted)/n, "lane-tainted/batch")
-			b.ReportMetric(float64(reset)/n, "lane-reset/batch")
+			for i, who := range []string{"roots", "lane"} {
+				b.ReportMetric(taint[i].Seconds()*1e3/n, who+"-taint-ms/batch")
+				b.ReportMetric(support[i].Seconds()*1e3/n, who+"-support-ms/batch")
+				b.ReportMetric(push[i].Seconds()*1e3/n, who+"-push-ms/batch")
+				b.ReportMetric(float64(tainted[i])/n, who+"-tainted/batch")
+				b.ReportMetric(float64(reset[i])/n, who+"-reset/batch")
+			}
 			b.ReportMetric(float64(moved)/n, "lane-moved/batch")
 		})
 	}

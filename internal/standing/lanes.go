@@ -83,9 +83,12 @@ func (m *Manager) Free(lane int) {
 	}
 }
 
-// LaneValue returns lane's value at v.
-func (m *Manager) LaneValue(lane int, v graph.VertexID) uint64 {
-	return m.pages[lane/64].st.Value(v, lane%64)
+// LaneView returns lane's values as a zero-copy strided view: the value
+// at v is arr[v*stride+off] (engine.State.StrideView). It aliases the
+// lane, so it reads what the last maintenance left only while no
+// maintenance runs.
+func (m *Manager) LaneView(lane int) (arr []uint64, stride, off int) {
+	return m.pages[lane/64].st.StrideView(lane % 64)
 }
 
 // LaneColumn returns a copy of lane's values.

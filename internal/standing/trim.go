@@ -118,7 +118,12 @@ func (m *Manager) trim(st *engine.State, sources []graph.VertexID, g, in engine.
 	if taint == nil {
 		return engine.Stats{}
 	}
-	residue := m.support(st, sources, g, in, taint)
+	return m.repairRoots(st, g, in, taint, m.support(st, sources, g, in, taint))
+}
+
+// repairRoots is trim past the support: reset the residue to init and
+// push.
+func (m *Manager) repairRoots(st *engine.State, g, in engine.ArcView, taint []uint64, residue []graph.VertexID) engine.Stats {
 	init := m.Problem.InitValue()
 	parallel.ForGrain(len(residue), 256, func(i int) {
 		v := residue[i]
@@ -138,7 +143,7 @@ func (m *Manager) trimLanes(pg *page, g, in engine.ArcView, deleted []graph.Edge
 	pg.st.Grow(g.NumVertices())
 	meets := m.laneMeets(pg)
 	if taint := m.taint(pg.st, g, deleted, undirected, m.settler(pg, meets)); taint != nil {
-		m.repairLanes(pg, g, in, taint, meets)
+		m.repairLanes(pg, g, in, taint, m.support(pg.st, pg.sources[:pg.st.K], g, in, taint), meets)
 	}
 }
 
@@ -178,11 +183,10 @@ func (m *Manager) settler(pg *page, meets [][]triangle.Lane) func(y graph.Vertex
 	}
 }
 
-// repairLanes is trimLanes past the taint: support, reset to the meet,
-// push and record.
-func (m *Manager) repairLanes(pg *page, g, in engine.ArcView, taint []uint64, meets [][]triangle.Lane) {
+// repairLanes is trimLanes past the support: reset the residue to the
+// meet, push and record.
+func (m *Manager) repairLanes(pg *page, g, in engine.ArcView, taint []uint64, residue []graph.VertexID, meets [][]triangle.Lane) {
 	st := pg.st
-	residue := m.support(st, pg.sources[:st.K], g, in, taint)
 	meet, init := triangle.MeetOf(m.Problem), m.Problem.InitValue()
 	arr, stride, offs := st.StrideViews()
 	cols, cstride, _ := m.Forward.StrideView(0)
