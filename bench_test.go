@@ -10,6 +10,7 @@
 package tripoline
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -197,13 +198,13 @@ func BenchmarkBatchedUserQueries(b *testing.B) {
 	qs := setup.SampleQueries(16, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := setup.Sys.QueryMany("SSSP", qs); err != nil {
+		if _, err := setup.Sys.QueryManyCtx(context.Background(), "SSSP", qs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	if b.N > 0 {
-		multi, _ := setup.Sys.QueryMany("SSSP", qs)
+		multi, _ := setup.Sys.QueryManyCtx(context.Background(), "SSSP", qs)
 		var singles int64
 		for _, u := range qs {
 			r, _ := setup.Sys.Query("SSSP", u)

@@ -22,6 +22,7 @@ import (
 	"tripoline/internal/graph"
 	"tripoline/internal/oracle"
 	"tripoline/internal/props"
+	"tripoline/internal/standing"
 	"tripoline/internal/triangle"
 )
 
@@ -36,12 +37,12 @@ func main() {
 		arr.NumEdges(), arr.NumVertices())
 
 	// A standing query at the top-degree vertex supplies the Δ bounds.
-	root := gen.TopDegreeVertices(cfg.N(), edges, false, 1)[0]
+	root := standing.TopDegreeRoots(csr, 1)[0]
 
 	for _, p := range []engine.Problem{props.BFS{}, props.SSSP{}, props.SSWP{}} {
-		standing := oracle.BestPath(csr, p, root)
+		fromRoot := oracle.BestPath(csr, p, root)
 		const user = 777
-		bound := triangle.DeltaInit(p, user, standing[user], standing)
+		bound := triangle.DeltaInit(p, user, fromRoot[user], fromRoot)
 
 		h := arr.Import()
 		t0 := time.Now()

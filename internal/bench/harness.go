@@ -25,7 +25,6 @@ import (
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
-	"tripoline/internal/xrand"
 )
 
 // Options configures an experiment sweep. Zero values select defaults
@@ -131,19 +130,7 @@ func (s *Setup) ApplyNextBatch() bool {
 // SampleQueries draws count distinct non-trivial user query sources
 // (out-degree > 2, per §6.1) from the current snapshot.
 func (s *Setup) SampleQueries(count int, seed uint64) []graph.VertexID {
-	snap := s.G.Acquire()
-	rng := xrand.New(seed)
-	seen := map[graph.VertexID]bool{}
-	out := make([]graph.VertexID, 0, count)
-	for attempts := 0; len(out) < count && attempts < 50*count+1000; attempts++ {
-		v := graph.VertexID(rng.Intn(snap.NumVertices()))
-		if seen[v] || snap.Degree(v) <= 2 {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
-	}
-	return out
+	return gen.SampleSources(s.G.Acquire(), count, seed)
 }
 
 // QueryMeasurement is the measured outcome of one user query.

@@ -11,9 +11,9 @@ import (
 	"tripoline/internal/graph"
 	"tripoline/internal/oracle"
 	"tripoline/internal/props"
+	"tripoline/internal/standing"
 	"tripoline/internal/triangle"
 	"tripoline/internal/tuner"
-	"tripoline/internal/xrand"
 )
 
 // Table1 prints the benchmark registry: the eight vertex-specific
@@ -320,17 +320,17 @@ func Table7and8(o Options) []DDResult {
 			arr := dd.Arrange(cfg.N(), stream.Initial, cfg.Directed)
 			csr := graph.FromEdges(cfg.N(), stream.Initial, cfg.Directed)
 			// Standing query for the bound: the top-degree root.
-			root := gen.TopDegreeVertices(cfg.N(), stream.Initial, cfg.Directed, 1)[0]
-			qs := sampleFromCSR(csr, o.Queries, o.Seed+uint64(frac*100))
+			root := standing.TopDegreeRoots(csr, 1)[0]
+			qs := gen.SampleSources(csr, o.Queries, o.Seed+uint64(frac*100))
 			row := map[string]*DDResult{}
 			for _, pname := range problems {
 				p := reg[pname]
-				standing := oracle.BestPath(csr, p, root)
+				fromRoot := oracle.BestPath(csr, p, root)
 				var toRoot []uint64
 				if cfg.Directed {
 					toRoot = oracle.BestPathTo(csr, p, root)
 				} else {
-					toRoot = standing
+					toRoot = fromRoot
 				}
 				res := &DDResult{Graph: gname, Frac: frac, Problem: pname}
 				for _, u := range qs {
@@ -338,7 +338,7 @@ func Table7and8(o Options) []DDResult {
 					t0 := time.Now()
 					plain := dd.Iterate(h, p, u, nil)
 					res.PlainSec += time.Since(t0).Seconds()
-					bound := triangle.DeltaInit(p, u, toRoot[u], standing)
+					bound := triangle.DeltaInit(p, u, toRoot[u], fromRoot)
 					t1 := time.Now()
 					tri := dd.Iterate(h, p, u, &dd.TriFilter{P: p, Bound: bound})
 					res.TriSec += time.Since(t1).Seconds()
@@ -384,21 +384,6 @@ func Table7and8(o Options) []DDResult {
 		}
 	}
 	return results
-}
-
-func sampleFromCSR(g *graph.CSR, count int, seed uint64) []graph.VertexID {
-	rng := xrand.New(seed)
-	seen := map[graph.VertexID]bool{}
-	var out []graph.VertexID
-	for attempts := 0; len(out) < count && attempts < 50*count+1000; attempts++ {
-		v := graph.VertexID(rng.Intn(g.N))
-		if seen[v] || g.Degree(v) <= 2 {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
-	}
-	return out
 }
 
 // Figure11 prints the sorted per-query speedup distribution on the LJ

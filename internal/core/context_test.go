@@ -135,14 +135,14 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := sys.Query("BFS", 999); !errors.Is(err, core.ErrSourceOutOfRange) {
 		t.Fatalf("Query out-of-range: %v", err)
 	}
-	if _, err := sys.QueryAt(1, "BFS", 0); !errors.Is(err, core.ErrNoSuchVersion) {
+	if _, err := sys.QueryAtCtx(context.Background(), 1, "BFS", 0); !errors.Is(err, core.ErrNoSuchVersion) {
 		t.Fatalf("QueryAt without history: %v", err)
 	}
 	sys.EnableHistory(2)
-	if _, err := sys.QueryAt(999, "BFS", 0); !errors.Is(err, core.ErrNoSuchVersion) {
+	if _, err := sys.QueryAtCtx(context.Background(), 999, "BFS", 0); !errors.Is(err, core.ErrNoSuchVersion) {
 		t.Fatalf("QueryAt unknown version: %v", err)
 	}
-	if _, err := sys.QueryAt(g.Acquire().Version(), "BFS", 0); err != nil {
+	if _, err := sys.QueryAtCtx(context.Background(), g.Acquire().Version(), "BFS", 0); err != nil {
 		t.Fatalf("QueryAt live version: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -150,7 +151,7 @@ func TestHistoryTrimRecyclesMirrors(t *testing.T) {
 	}
 	// Historical queries still work: the ring holds their mirrors.
 	vs := sys.HistoryVersions()
-	if _, err := sys.QueryAt(vs[0], "BFS", 3); err != nil {
+	if _, err := sys.QueryAtCtx(context.Background(), vs[0], "BFS", 3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,10 +24,9 @@ type Pin func() (View, func())
 // evaluate and the maintained answers of PageRank and CC, the lock that
 // pairs all of them with the version they converged on, their maintenance
 // after each mutation, the Δ-based, batched and full evaluations of user
-// queries, the subscriptions refreshed after each mutation (subscribe.go)
-// and the recorded query sources root reselection reads (reselect.go). It
-// owns no graph: it evaluates over the View of a published snapshot its
-// System hands it (view.go).
+// queries, and the subscriptions refreshed after each mutation
+// (subscribe.go). It owns no graph: it evaluates over the View of a
+// published snapshot its System hands it (view.go).
 type evaluator struct {
 	// k is the width a standing set is built at, before Narrow.
 	k        int
@@ -55,9 +54,6 @@ type evaluator struct {
 	// answers are the Base-less problems' maintained answers.
 	sets    []*standing.Manager
 	answers []handler
-	// hist, when non-nil, records the sources of answered user queries for
-	// ReselectRoots (see RecordQueries).
-	hist *standing.QueryHistogram
 	// subMu guards the subscription registry (subscribe.go). Lock order:
 	// mu before subMu. The writer maintains the lanes in the standing sets
 	// under mu alone, so installing or freeing one takes mu shared, then
@@ -96,11 +92,10 @@ func newEvaluator(k int, directed bool) *evaluator {
 	}
 }
 
-// TopDegreeRoots returns the top-k out-degree vertices of g — the
-// topology-based standing query selection (Eq. 14), which is
-// standing.WeightedRoots without a history.
+// TopDegreeRoots is standing.TopDegreeRoots: the top-k out-degree
+// vertices of g, the roots every standing set is built at before Narrow.
 func TopDegreeRoots(g standing.Degrees, k int) []graph.VertexID {
-	return standing.TopRoots(standing.DegreeScores(g), k)
+	return standing.TopDegreeRoots(g, k)
 }
 
 // problem is an enabled problem: its definition plus the standing set
@@ -113,8 +108,8 @@ type problem struct {
 }
 
 // Enable sets up def over g, the latest version. The standing set of its
-// Base is fully evaluated at the top-K-degree roots and narrowed to the
-// roots its meet uses over standing.MeetSample(g), unless an enabled
+// Base is built by the root rule (standing.Rooted: the top-K out-degree
+// roots, narrowed to those their meet uses), unless an enabled
 // problem already maintains it — Radii shares SSSP's set and SSNSP shares
 // BFS's, in whichever order they are enabled; a Base-less problem's answer
 // is evaluated whole. Enable is setup-phase API: it is not synchronized
@@ -128,8 +123,7 @@ func (ev *evaluator) Enable(def ProblemDef, g View) error {
 		pr.ans = def.maintain(g)
 		ev.answers = append(ev.answers, pr.ans)
 	} else if pr.set = ev.setFor(def.Base.Name()); pr.set == nil {
-		pr.set = standing.New(def.Base, g, TopDegreeRoots(g, ev.k), ev.directed)
-		pr.set.Narrow(standing.MeetSample(g))
+		pr.set = standing.Rooted(def.Base, g, ev.k, ev.directed)
 		ev.sets = append(ev.sets, pr.set)
 	}
 	ev.problems[def.Name] = pr
@@ -232,11 +226,10 @@ func (ev *evaluator) stamp(version uint64) {
 	}
 }
 
-// ReselectRoots re-roots the standing set that bounds the named problem
-// with standing.WeightedRoots over g, the latest version — blending in the
-// recorded query distribution (RecordQueries); without one the selection
-// equals the top-degree rule — then fully evaluates the new roots and
-// narrows them like Enable, the one place a set widens again. It
+// ReselectRoots re-applies the root rule to the standing set that bounds
+// the named problem over g, the latest version (standing.Manager.Reroot,
+// the path Enable builds the set by): the top-K out-degree roots of g are
+// fully evaluated and narrowed, the one place a set widens again. It
 // holds the exclusive lock, like batch maintenance, because re-rooting
 // rewrites the standing arrays wholesale; the caller keeps g the latest
 // version throughout (the System holds its apply token). The set is what
@@ -252,9 +245,7 @@ func (ev *evaluator) ReselectRoots(name string, g View) error {
 	}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	pr.set.Roots = standing.WeightedRoots(g, ev.hist, ev.k)
-	pr.set.Rebuild(g)
-	pr.set.Narrow(standing.MeetSample(g))
+	pr.set.Reroot(g, ev.k)
 	return nil
 }
 
@@ -283,19 +274,13 @@ func (ev *evaluator) MaintainTime(name string) (time.Duration, error) {
 // evaluated Δ-based from the problem's standing set under cooperative
 // cancellation — the engine checks ctx at every superstep boundary. The
 // standing arrays are never written by a user query (Δ-initialization
-// only reads them), so cancellation at any point is safe. An answered
-// query's source is recorded (RecordQueries).
+// only reads them), so cancellation at any point is safe.
 func (ev *evaluator) Query(ctx context.Context, name string, u graph.VertexID, pin Pin) (*QueryResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ev.query(ctx, pr, u, pin)
-	if err != nil {
-		return nil, err
-	}
-	ev.observe(u)
-	return res, nil
+	return ev.query(ctx, pr, u, pin)
 }
 
 func (ev *evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, pin Pin) (*QueryResult, error) {
@@ -335,7 +320,7 @@ func (ev *evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, p
 // result values are identical to issuing each Query separately; the work
 // is the batch-mode coalesced version. One deadline covers the whole batch
 // (it runs under a single combined frontier, so per-query cancellation is
-// not meaningful). Every source of an answered batch is recorded.
+// not meaningful).
 func (ev *evaluator) QueryMany(ctx context.Context, name string, sources []graph.VertexID, pin Pin) (*MultiResult, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
@@ -363,9 +348,6 @@ func (ev *evaluator) QueryMany(ctx context.Context, name string, sources []graph
 		return nil, err
 	}
 	defer release()
-	for _, u := range sources {
-		ev.observe(u)
-	}
 	return &MultiResult{
 		Problem: name, Sources: sources,
 		Values: q.st.Interleaved(), Width: len(sources),

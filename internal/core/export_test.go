@@ -18,15 +18,6 @@ func (ev *evaluator) K() int { return ev.k }
 // tests can assert on the managers' own counters.
 func (s *System) StandingSets() []*standing.Manager { return s.ev.sets }
 
-// QueryHistogramTotal reports how many query sources the system's
-// evaluator has recorded.
-func (s *System) QueryHistogramTotal() uint64 {
-	if s.ev.hist == nil {
-		return 0
-	}
-	return s.ev.hist.Total()
-}
-
 // SlotColumn is one subscribed lane as its standing set holds it: the
 // problem of the set, the lane's id and source, the version the set stands
 // on and a copy of the lane's values.

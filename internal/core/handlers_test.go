@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"tripoline/internal/gen"
@@ -112,7 +113,7 @@ func TestQuerySourceOutOfRange(t *testing.T) {
 	if _, err := sys.QueryFull("SSSP", 99); err == nil {
 		t.Fatal("out-of-range QueryFull accepted")
 	}
-	if _, err := sys.QueryMany("SSSP", []graph.VertexID{0, 99}); err == nil {
+	if _, err := sys.QueryManyCtx(context.Background(), "SSSP", []graph.VertexID{0, 99}); err == nil {
 		t.Fatal("out-of-range QueryMany accepted")
 	}
 }

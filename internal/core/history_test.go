@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"tripoline/internal/gen"
@@ -30,7 +31,7 @@ func TestQueryAtHistoricalVersions(t *testing.T) {
 	}
 
 	// Query against the pre-batch version.
-	res, err := sys.QueryAt(oldVersion, "SSSP", 7)
+	res, err := sys.QueryAtCtx(context.Background(), oldVersion, "SSSP", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +63,14 @@ func TestQueryAtErrors(t *testing.T) {
 	g := streamgraph.New(10, true)
 	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}})
 	sys := newSystem(t, g, "BFS")
-	if _, err := sys.QueryAt(1, "BFS", 0); err == nil {
+	if _, err := sys.QueryAtCtx(context.Background(), 1, "BFS", 0); err == nil {
 		t.Fatal("history disabled but QueryAt succeeded")
 	}
 	sys.EnableHistory(2)
-	if _, err := sys.QueryAt(99, "BFS", 0); err == nil {
+	if _, err := sys.QueryAtCtx(context.Background(), 99, "BFS", 0); err == nil {
 		t.Fatal("unknown version accepted")
 	}
-	if _, err := sys.QueryAt(1, "SSSP", 0); err == nil {
+	if _, err := sys.QueryAtCtx(context.Background(), 1, "SSSP", 0); err == nil {
 		t.Fatal("disabled problem accepted")
 	}
 	if sys.HistoryVersions() == nil {
@@ -86,7 +87,7 @@ func TestHistoryRecordsDeletions(t *testing.T) {
 	sys.ApplyDeletions([]graph.Edge{{Src: 1, Dst: 2, W: 1}})
 
 	// Before the deletion, 2 was reachable at level 2.
-	res, err := sys.QueryAt(v1, "BFS", 0)
+	res, err := sys.QueryAtCtx(context.Background(), v1, "BFS", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package core_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -38,7 +39,7 @@ func ledgerCrossCheck(t *testing.T, directed bool) {
 	sys.EnableResultCache(8)
 	sys.EnableHistory(2)
 
-	sub, err := sys.Subscribe("BFS", 13, 16)
+	sub, err := sys.SubscribeCtx(context.Background(), "BFS", 13, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func ledgerCrossCheck(t *testing.T, directed bool) {
 
 		// Historical queries pin retained snapshots' mirrors.
 		for _, v := range sys.HistoryVersions() {
-			if _, err := sys.QueryAt(v, "BFS", 13); err != nil {
+			if _, err := sys.QueryAtCtx(context.Background(), v, "BFS", 13); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,12 +162,12 @@ func TestLedgerTeardown(t *testing.T) {
 
 		// Historical reads against every retained version.
 		for _, ver := range r.HistoryVersions() {
-			if _, err := r.QueryAt(ver, "SSSP", graph.VertexID(round%n)); err != nil {
+			if _, err := r.QueryAtCtx(context.Background(), ver, "SSSP", graph.VertexID(round%n)); err != nil {
 				t.Fatalf("QueryAt(%d): %v", ver, err)
 			}
 		}
 		// A batched query shares one pinned mirror across sources.
-		if _, err := r.QueryMany("SSSP", []graph.VertexID{1, 2, 3, 4}); err != nil {
+		if _, err := r.QueryManyCtx(context.Background(), "SSSP", []graph.VertexID{1, 2, 3, 4}); err != nil {
 			t.Fatal(err)
 		}
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"tripoline/internal/gen"
@@ -16,7 +17,7 @@ func TestQueryManyMatchesSingleQueries(t *testing.T) {
 
 	sources := []graph.VertexID{3, 9, 42, 77, 120, 159}
 	for _, problem := range []string{"SSSP", "SSWP"} {
-		multi, err := sys.QueryMany(problem, sources)
+		multi, err := sys.QueryManyCtx(context.Background(), problem, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestQueryManySharedWork(t *testing.T) {
 	sys := newSystem(t, g, "SSSP")
 
 	sources := []graph.VertexID{5, 17, 33, 64, 99, 130, 150, 190}
-	multi, err := sys.QueryMany("SSSP", sources)
+	multi, err := sys.QueryManyCtx(context.Background(), "SSSP", sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestQueryManyDuplicateSources(t *testing.T) {
 	g := streamgraph.New(80, false)
 	g.InsertEdges(edges)
 	sys := newSystem(t, g, "SSWP")
-	multi, err := sys.QueryMany("SSWP", []graph.VertexID{7, 7, 9})
+	multi, err := sys.QueryManyCtx(context.Background(), "SSWP", []graph.VertexID{7, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +91,17 @@ func TestQueryManyErrors(t *testing.T) {
 	g := streamgraph.New(10, true)
 	g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}})
 	sys := newSystem(t, g, "SSSP", "PageRank")
-	if _, err := sys.QueryMany("SSSP", nil); err == nil {
+	if _, err := sys.QueryManyCtx(context.Background(), "SSSP", nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := sys.QueryMany("Nope", []graph.VertexID{0}); err == nil {
+	if _, err := sys.QueryManyCtx(context.Background(), "Nope", []graph.VertexID{0}); err == nil {
 		t.Fatal("unknown problem accepted")
 	}
-	if _, err := sys.QueryMany("PageRank", []graph.VertexID{0}); err == nil {
+	if _, err := sys.QueryManyCtx(context.Background(), "PageRank", []graph.VertexID{0}); err == nil {
 		t.Fatal("whole-graph problem accepted for batching")
 	}
 	big := make([]graph.VertexID, 65)
-	if _, err := sys.QueryMany("SSSP", big); err == nil {
+	if _, err := sys.QueryManyCtx(context.Background(), "SSSP", big); err == nil {
 		t.Fatal("65-wide batch accepted")
 	}
 }

@@ -83,8 +83,8 @@ func TestEnableNarrowsByMeet(t *testing.T) {
 	requireExact("preloaded", one)
 	requireExact("loaded", loaded)
 
-	// After a batch, re-rooting each set re-applies the rule: without a
-	// recorded history the roots are a fresh system's, narrowed the same.
+	// After a batch, re-rooting each set re-applies the rule: the roots
+	// are a fresh system's, narrowed the same.
 	for _, sys := range []*core.System{one, loaded} {
 		sys.ApplyBatch(stream.Batches[0])
 	}

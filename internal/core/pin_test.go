@@ -79,7 +79,7 @@ func TestPinRacesBatchesAndHistory(t *testing.T) {
 						check("QueryFull", u, res)
 						vs := sys.HistoryVersions()
 						v := vs[i%len(vs)]
-						res, err = sys.QueryAt(v, "SSSP", u)
+						res, err = sys.QueryAtCtx(context.Background(), v, "SSSP", u)
 						switch {
 						case errors.Is(err, ErrNoSuchVersion):
 							// Evicted since HistoryVersions: a legal miss.

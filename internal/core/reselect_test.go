@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"testing"
@@ -13,47 +14,6 @@ import (
 	"tripoline/internal/props"
 	"tripoline/internal/streamgraph"
 )
-
-func TestRecordQueriesAndReselect(t *testing.T) {
-	edges := gen.Uniform(150, 1200, 8, 121)
-	g := streamgraph.New(150, false)
-	g.InsertEdges(edges)
-	sys := newSystem(t, g, "SSSP")
-
-	if sys.QueryHistogramTotal() != 0 {
-		t.Fatal("histogram non-empty before recording")
-	}
-	sys.RecordQueries(true)
-	for i := 0; i < 10; i++ {
-		if _, err := sys.Query("SSSP", 42); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sys.QueryHistogramTotal() != 10 {
-		t.Fatalf("recorded %d, want 10", sys.QueryHistogramTotal())
-	}
-
-	if err := sys.ReselectRoots("SSSP"); err != nil {
-		t.Fatal(err)
-	}
-	// After reselection, queries remain exactly correct.
-	csr := g.Acquire().CSR(false)
-	res, err := sys.Query("SSSP", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle.BestPath(csr, props.SSSP{}, 42)
-	for v := range want {
-		if res.Values[v] != want[v] {
-			t.Fatalf("post-reselect query wrong at %d", v)
-		}
-	}
-
-	sys.RecordQueries(false)
-	if sys.QueryHistogramTotal() != 0 {
-		t.Fatal("histogram survived disable")
-	}
-}
 
 func TestReselectErrors(t *testing.T) {
 	g := streamgraph.New(10, true)
@@ -72,7 +32,7 @@ func TestReselectWithoutHistoryEqualsTopDegree(t *testing.T) {
 	g := streamgraph.New(100, false)
 	g.InsertEdges(edges)
 	sys := newSystem(t, g, "SSWP")
-	// No recording: reselection is still valid (top-degree roots).
+	// Reselection re-applies the top-degree rule and stays exact.
 	if err := sys.ReselectRoots("SSWP"); err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +52,9 @@ func TestReselectWithoutHistoryEqualsTopDegree(t *testing.T) {
 }
 
 // TestReselectUnderLoad alternates ReselectRoots with small batches while
-// query goroutines and one SSSP subscriber run. Reselection re-roots from
-// the recorded queries and rebuilds the set under the apply token, as a
-// batch maintains it. Every answer a reader got must equal the oracle's at
+// query goroutines and one SSSP subscriber run. Reselection re-roots by
+// the degree rule and rebuilds the set under the apply token, as a batch
+// maintains it. Every answer a reader got must equal the oracle's at
 // the answer's version, and at the end the subscriber's frames must
 // reproduce the oracle's answer at the latest version.
 func TestReselectUnderLoad(t *testing.T) {
@@ -111,7 +71,6 @@ func TestReselectUnderLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sys.RecordQueries(true)
 		first, err := sys.Query("SSSP", 0)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +79,7 @@ func TestReselectUnderLoad(t *testing.T) {
 		prefix := map[uint64]int{first.Version: base}
 		// Room for every frame, so none is dropped: the last batch's
 		// frame is the one the client ends on.
-		sub, err := sys.Subscribe("SSSP", 17, rounds+1)
+		sub, err := sys.SubscribeCtx(context.Background(), "SSSP", 17, rounds+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,9 +130,6 @@ func TestReselectUnderLoad(t *testing.T) {
 		readers.Wait()
 		sys.Unsubscribe(sub)
 		subscriber.Wait()
-		if sys.QueryHistogramTotal() == 0 {
-			t.Fatal("no query was recorded for reselection")
-		}
 
 		type key struct {
 			version uint64

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tripoline/internal/core"
@@ -98,7 +100,7 @@ func (s *shareSystem) enable(t *testing.T, name string) {
 	if name == "Radii" {
 		return
 	}
-	sub, err := s.sys.Subscribe(name, shareSubSource, 16)
+	sub, err := s.sys.SubscribeCtx(context.Background(), name, shareSubSource, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func (s *shareSystem) checkAnswers(t *testing.T, f *shareFixture, alone map[stri
 			}
 		}
 		if name == "SSSP" || name == "BFS" {
-			many, err := s.sys.QueryMany(name, sources)
+			many, err := s.sys.QueryManyCtx(context.Background(), name, sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +347,8 @@ func (s *shareSystem) checkAnswers(t *testing.T, f *shareFixture, alone map[stri
 }
 
 // TestReselectRootsActsOnTheSharedSet: re-rooting Radii re-roots the set
-// SSSP queries select from, and both problems stay exact.
+// SSSP queries select from, and both problems stay exact. A batch makes
+// vertices 140–144 the graph's hubs, so the degree rule moves the roots.
 func TestReselectRootsActsOnTheSharedSet(t *testing.T) {
 	edges := gen.Uniform(150, 1200, 8, 121)
 	g := streamgraph.New(150, true)
@@ -353,20 +356,21 @@ func TestReselectRootsActsOnTheSharedSet(t *testing.T) {
 	sys := newSystem(t, g, "Radii", "SSSP")
 	set := setOf(t, sys, "SSSP")
 	before := append([]graph.VertexID(nil), set.Roots...)
-	sys.RecordQueries(true)
-	for i := 0; i < 200; i++ {
-		if _, err := sys.Query("SSSP", graph.VertexID(140+i%5)); err != nil {
-			t.Fatal(err)
+	var hubs []graph.Edge
+	for u := graph.VertexID(140); u < 145; u++ {
+		for v := graph.VertexID(0); v < 60; v++ {
+			hubs = append(hubs, graph.Edge{Src: u, Dst: v, W: 1 + graph.Weight(v)%8})
 		}
 	}
+	sys.ApplyBatch(hubs)
 	if err := sys.ReselectRoots("Radii"); err != nil {
 		t.Fatal(err)
 	}
 	if setOf(t, sys, "SSSP") != set || len(sys.StandingSets()) != 1 {
 		t.Fatal("reselection replaced or duplicated the shared set")
 	}
-	if reflect.DeepEqual(set.Roots, before) {
-		t.Fatalf("roots unchanged by a 200-query hotspot: %v", set.Roots)
+	if reflect.DeepEqual(set.Roots, before) || !slices.ContainsFunc(set.Roots, func(r graph.VertexID) bool { return r >= 140 && r < 145 }) {
+		t.Fatalf("roots %v (before %v) took none of the new hubs 140–144", set.Roots, before)
 	}
 	csr := g.Acquire().CSR(true)
 	for _, u := range []graph.VertexID{3, 141} {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -187,7 +188,7 @@ func (s *slotSchedule) subscribe(problem string, u graph.VertexID, lossy bool) {
 	if lossy {
 		buffer = 1
 	}
-	sub, err := s.sys.Subscribe(problem, u, buffer)
+	sub, err := s.sys.SubscribeCtx(context.Background(), problem, u, buffer)
 	if err != nil {
 		s.t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -68,7 +69,7 @@ func (c *subClient) drain(t *testing.T, sub *core.Subscription) {
 func TestSubscribeSnapshotAndDeltas(t *testing.T) {
 	for _, problem := range []string{"BFS", "SSSP", "SSNSP"} {
 		sys, _, edges := buildSystem(t, false, problem)
-		sub, err := sys.Subscribe(problem, 13, 16)
+		sub, err := sys.SubscribeCtx(context.Background(), problem, 13, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestSubscribeSnapshotAndDeltas(t *testing.T) {
 func TestSubscribeDeletionsRefresh(t *testing.T) {
 	sys, _, edges := buildSystem(t, false, "BFS")
 	sys.ApplyBatch(edges[1000:1400])
-	sub, err := sys.Subscribe("BFS", 13, 16)
+	sub, err := sys.SubscribeCtx(context.Background(), "BFS", 13, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestSubscribeDeletionsRefresh(t *testing.T) {
 // cumulative from the client's actual state.
 func TestSubscribeSlowClientCumulativeDeltas(t *testing.T) {
 	sys, _, edges := buildSystem(t, false, "BFS")
-	sub, err := sys.Subscribe("BFS", 13, 1)
+	sub, err := sys.SubscribeCtx(context.Background(), "BFS", 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestSubscribeSlowClientCumulativeDeltas(t *testing.T) {
 func TestSubscribeWholeGraph(t *testing.T) {
 	for _, problem := range []string{"PageRank", "CC"} {
 		sys, _, edges := buildSystem(t, false, problem)
-		sub, err := sys.Subscribe(problem, 0, 16)
+		sub, err := sys.SubscribeCtx(context.Background(), problem, 0, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,14 +221,14 @@ func TestSubscribeWholeGraph(t *testing.T) {
 // sentinel; unknown problems and out-of-range sources fail like queries.
 func TestSubscribeUnsupported(t *testing.T) {
 	sys, _, _ := buildSystem(t, false, "Radii")
-	if _, err := sys.Subscribe("Radii", 0, 0); !errors.Is(err, core.ErrSubscribeUnsupported) {
+	if _, err := sys.SubscribeCtx(context.Background(), "Radii", 0, 0); !errors.Is(err, core.ErrSubscribeUnsupported) {
 		t.Fatalf("Radii subscribe err = %v, want ErrSubscribeUnsupported", err)
 	}
-	if _, err := sys.Subscribe("BFS", 0, 0); !errors.Is(err, core.ErrUnknownProblem) {
+	if _, err := sys.SubscribeCtx(context.Background(), "BFS", 0, 0); !errors.Is(err, core.ErrUnknownProblem) {
 		t.Fatalf("unknown problem err = %v", err)
 	}
 	sys2, _, _ := buildSystem(t, false, "BFS")
-	if _, err := sys2.Subscribe("BFS", graph.VertexID(1<<20), 0); !errors.Is(err, core.ErrSourceOutOfRange) {
+	if _, err := sys2.SubscribeCtx(context.Background(), "BFS", graph.VertexID(1<<20), 0); !errors.Is(err, core.ErrSourceOutOfRange) {
 		t.Fatalf("out-of-range err = %v", err)
 	}
 }
@@ -237,7 +238,7 @@ func TestSubscribeUnsupported(t *testing.T) {
 // (run under -race), and it never goes backwards.
 func TestSubscriptionVersionDuringBatches(t *testing.T) {
 	sys, _, edges := buildSystem(t, false, "BFS")
-	sub, err := sys.Subscribe("BFS", 13, 4)
+	sub, err := sys.SubscribeCtx(context.Background(), "BFS", 13, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestSubscribeCatchUpUnderConcurrentBatches(t *testing.T) {
 				default:
 				}
 				problem := problems[(w+round)%len(problems)]
-				sub, err := sys.Subscribe(problem, graph.VertexID((w*37+round*11)%160), batches+2)
+				sub, err := sys.SubscribeCtx(context.Background(), problem, graph.VertexID((w*37+round*11)%160), batches+2)
 				if err != nil {
 					t.Error(err)
 					return
@@ -408,7 +409,7 @@ func TestSubscribeCatchUpUnderConcurrentBatches(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for round := 0; ; round++ {
-			sub, err := sys.Subscribe("SSWP", graph.VertexID(159-round%40), 1)
+			sub, err := sys.SubscribeCtx(context.Background(), "SSWP", graph.VertexID(159-round%40), 1)
 			if err != nil {
 				t.Error(err)
 				return

@@ -30,18 +30,3 @@ func (s *System) Query(name string, u graph.VertexID) (*QueryResult, error) {
 func (s *System) QueryFull(name string, u graph.VertexID) (*QueryResult, error) {
 	return s.QueryFullCtx(context.Background(), name, u)
 }
-
-// QueryMany is QueryManyCtx without cancellation.
-func (s *System) QueryMany(problem string, sources []graph.VertexID) (*MultiResult, error) {
-	return s.QueryManyCtx(context.Background(), problem, sources)
-}
-
-// QueryAt is QueryAtCtx without cancellation.
-func (s *System) QueryAt(version uint64, problem string, u graph.VertexID) (*QueryResult, error) {
-	return s.QueryAtCtx(context.Background(), version, problem, u)
-}
-
-// Subscribe is SubscribeCtx without cancellation.
-func (s *System) Subscribe(problem string, u graph.VertexID, buffer int) (*Subscription, error) {
-	return s.SubscribeCtx(context.Background(), problem, u, buffer)
-}

@@ -112,12 +112,11 @@ type System struct {
 	// context; once the token is held the mutation always completes.
 	tok chan struct{}
 	// ev holds the enabled problems, their standing sets and maintained
-	// answers, the subscriptions, the recorded query sources, and the lock
-	// that pairs the standing state with a version: the writer publishes
-	// every snapshot under ev.mu before it maintains ev onto it (so a
-	// reader can never pair pre-deletion standing bounds, possibly too
-	// good, with a post-deletion view), and readers pin the latest
-	// snapshot under it.
+	// answers, the subscriptions, and the lock that pairs the standing
+	// state with a version: the writer publishes every snapshot under
+	// ev.mu before it maintains ev onto it (so a reader can never pair
+	// pre-deletion standing bounds, possibly too good, with a
+	// post-deletion view), and readers pin the latest snapshot under it.
 	ev *evaluator
 
 	histOn bool
@@ -176,6 +175,19 @@ func (s *System) Enabled() []string { return s.ev.Enabled() }
 // of its maintained answer (see evaluator.MaintainTime).
 func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
 	return s.ev.MaintainTime(name)
+}
+
+// ReselectRoots re-roots the standing set that bounds the named problem by
+// the rule Enable built it with — the top-K out-degree vertices of the
+// latest version, fully evaluated and narrowed to the roots their meet
+// uses (see evaluator.ReselectRoots) — so the roots follow the graph's
+// degrees as it streams. Re-rooting rewrites the standing arrays
+// wholesale over the writer's view, so it runs under the apply token,
+// like a batch.
+func (s *System) ReselectRoots(problem string) error {
+	s.tok <- struct{}{}
+	defer s.release()
+	return s.ev.ReselectRoots(problem, s.current())
 }
 
 // QueryCtx answers a user query with Δ-based incremental evaluation

@@ -10,8 +10,6 @@
 package gen
 
 import (
-	"sort"
-
 	"tripoline/internal/graph"
 	"tripoline/internal/xrand"
 )
@@ -188,33 +186,24 @@ func ByName(name string, scale int) (Config, bool) {
 	return Config{}, false
 }
 
-// TopDegreeVertices returns the k vertices with highest out-degree over an
-// edge multiset, breaking ties by lower ID. It is the offline topology-
-// based standing-query selection of §4.5 (Eq. 14).
-func TopDegreeVertices(n int, edges []graph.Edge, directed bool, k int) []graph.VertexID {
-	deg := make([]int, n)
-	for _, e := range edges {
-		deg[e.Src]++
-		if !directed {
-			deg[e.Dst]++
+// SampleSources draws count distinct non-trivial user-query sources of g —
+// vertices of out-degree > 2, per §6.1 — by rejection from the generator
+// seeded with seed, giving up after 50·count+1000 draws. The draw depends
+// on the seed and g's degrees alone.
+func SampleSources(g interface {
+	NumVertices() int
+	Degree(v graph.VertexID) int
+}, count int, seed uint64) []graph.VertexID {
+	rng := xrand.New(seed)
+	seen := map[graph.VertexID]bool{}
+	out := make([]graph.VertexID, 0, count)
+	for attempts := 0; len(out) < count && attempts < 50*count+1000; attempts++ {
+		v := graph.VertexID(rng.Intn(g.NumVertices()))
+		if seen[v] || g.Degree(v) <= 2 {
+			continue
 		}
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if deg[ids[a]] != deg[ids[b]] {
-			return deg[ids[a]] > deg[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	if k > n {
-		k = n
-	}
-	out := make([]graph.VertexID, k)
-	for i := 0; i < k; i++ {
-		out[i] = graph.VertexID(ids[i])
+		seen[v] = true
+		out = append(out, v)
 	}
 	return out
 }

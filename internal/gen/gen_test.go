@@ -174,27 +174,3 @@ func TestByNameUnknown(t *testing.T) {
 		t.Fatal("found nonexistent config")
 	}
 }
-
-func TestTopDegreeVertices(t *testing.T) {
-	edges := []graph.Edge{
-		{Src: 0, Dst: 1, W: 1}, {Src: 0, Dst: 2, W: 1}, {Src: 0, Dst: 3, W: 1}, // deg(0)=3
-		{Src: 1, Dst: 2, W: 1}, {Src: 1, Dst: 3, W: 1}, // deg(1)=2
-		{Src: 2, Dst: 3, W: 1}, // deg(2)=1
-	}
-	top := TopDegreeVertices(4, edges, true, 2)
-	if len(top) != 2 || top[0] != 0 || top[1] != 1 {
-		t.Fatalf("top = %v", top)
-	}
-	// Undirected counts both endpoints: deg(3) becomes 3.
-	topU := TopDegreeVertices(4, edges, false, 1)
-	if topU[0] != 0 {
-		t.Fatalf("undirected top = %v", topU)
-	}
-}
-
-func TestTopDegreeVerticesClamped(t *testing.T) {
-	top := TopDegreeVertices(3, nil, true, 10)
-	if len(top) != 3 {
-		t.Fatalf("len = %d", len(top))
-	}
-}

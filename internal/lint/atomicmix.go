@@ -7,15 +7,12 @@ import (
 )
 
 // Atomicmix enforces the async-safe monotonic-update invariant of
-// Theorem 4.4: a word that is updated through sync/atomic (or the
-// parallel.CASMin*/Add* helpers) must never race with a plain access.
-// A single plain read of an atomically-updated property array inside a
-// parallel worker silently breaks the triangle-inequality bound
-// Δ(u,r)[x] ⪰ property(u,x).
+// Theorem 4.4: a word that is updated through a sync/atomic function must
+// never race with a plain access. A single plain read of an
+// atomically-updated property array inside a parallel worker silently
+// breaks the triangle-inequality bound Δ(u,r)[x] ⪰ property(u,x).
 //
-// Two rules, tuned to the engine's idioms so the quiescent patterns
-// (zero-initializing an array before publishing it, harvesting results
-// after the parallel barrier) stay legal:
+// Two rules:
 //
 //   - scalar rule (module-wide): a variable or struct field whose
 //     address is passed to an atomic function anywhere in the module
@@ -24,12 +21,11 @@ import (
 //     methods make plain access impossible.
 //
 //   - element rule (per function): inside a function that atomically
-//     accesses elements of a slice (atomic.XxxUint64(&s[i], ...)), any
-//     plain read or write of that slice's elements from within a
-//     function literal of the same function is flagged — closures are
-//     what parallel.For and go statements run concurrently, so a plain
-//     element access there races with the CAS loop. Straight-line
-//     accesses before the workers start or after they join are allowed.
+//     accesses elements of a slice (atomic.XxxUint64(&s[i], ...)), every
+//     other access to that slice's elements is flagged, whether it runs
+//     in a closure (what parallel.For and go statements run
+//     concurrently) or before the workers start or after they join, and
+//     whether it reads the element or hands its address on.
 var Atomicmix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "atomically-updated words must not also be accessed plainly where it races",
@@ -37,8 +33,7 @@ var Atomicmix = &Analyzer{
 }
 
 // atomicCallArg returns the expression whose address call passes to a
-// sync/atomic function or a parallel CAS helper (the first argument of
-// the form &expr), or nil.
+// sync/atomic function (the first argument of the form &expr), or nil.
 func atomicCallArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 	if !isPkgCall(info, call, "sync/atomic",
 		"LoadInt32", "LoadInt64", "LoadUint32", "LoadUint64", "LoadUintptr", "LoadPointer",
@@ -46,8 +41,7 @@ func atomicCallArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 		"AddInt32", "AddInt64", "AddUint32", "AddUint64", "AddUintptr",
 		"SwapInt32", "SwapInt64", "SwapUint32", "SwapUint64", "SwapUintptr", "SwapPointer",
 		"CompareAndSwapInt32", "CompareAndSwapInt64", "CompareAndSwapUint32",
-		"CompareAndSwapUint64", "CompareAndSwapUintptr", "CompareAndSwapPointer") &&
-		!isPkgCall(info, call, "tripoline/internal/parallel", "CASMinUint64", "AddUint64") {
+		"CompareAndSwapUint64", "CompareAndSwapUintptr", "CompareAndSwapPointer") {
 		return nil
 	}
 	if len(call.Args) == 0 {
@@ -57,14 +51,6 @@ func atomicCallArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 		return ast.Unparen(u.X)
 	}
 	return nil
-}
-
-// isAtomicType reports whether t is one of sync/atomic's method-based
-// types (atomic.Uint64 etc.), which cannot be accessed plainly and so
-// need no checking.
-func isAtomicType(t types.Type) bool {
-	path, _, ok := namedPathName(t)
-	return ok && path == "sync/atomic"
 }
 
 func runAtomicmix(pass *Pass) {
@@ -108,7 +94,7 @@ func runAtomicmix(pass *Pass) {
 					return true
 				}
 				obj := baseObject(pkg.Info, target)
-				if obj == nil || isAtomicType(obj.Type()) {
+				if obj == nil {
 					return true
 				}
 				if _, seen := scalars[obj]; !seen {
@@ -120,8 +106,8 @@ func runAtomicmix(pass *Pass) {
 		}
 	}
 
-	// Element rule: plain index accesses inside function literals of a
-	// function that also accesses the same slice atomically.
+	// Element rule: plain index accesses in a function that also accesses
+	// the same slice atomically.
 	for key, objs := range elems {
 		info := key.pkg.Info
 		inspectStack(key.fn, func(n ast.Node, stack []ast.Node) bool {
@@ -133,11 +119,8 @@ func runAtomicmix(pass *Pass) {
 			if obj == nil || !objs[obj] {
 				return true
 			}
-			if !withinFuncLit(stack) || addressTaken(idx, stack) {
-				return true
-			}
 			pass.Reportf(idx.Pos(),
-				"%s is accessed atomically elsewhere in %s; this plain element access runs inside a closure (a concurrent worker body) and races with the atomic updates — use atomic.LoadUint64/StoreUint64",
+				"%s is accessed atomically elsewhere in %s; this plain element access races with the atomic updates — use atomic.LoadUint64/StoreUint64",
 				exprText(idx.X), key.fn.Name.Name)
 			return true
 		})
@@ -169,7 +152,7 @@ func runAtomicmix(pass *Pass) {
 				if !isExpr || partOfTrackedSelector(expr, stack, pkg.Info, scalars) {
 					return true
 				}
-				if addressTaken(expr, stack) || scalarSiteAbove(expr, stack, scalarSites) {
+				if scalarSiteAbove(expr, stack, scalarSites) {
 					return false
 				}
 				pass.Reportf(n.Pos(),
@@ -179,31 +162,6 @@ func runAtomicmix(pass *Pass) {
 			})
 		}
 	}
-}
-
-// withinFuncLit reports whether the stack passes through a function
-// literal below the outermost function declaration.
-func withinFuncLit(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// addressTaken reports whether expr is the direct operand of a unary &
-// (whoever receives the pointer is responsible for how it is used; the
-// atomic call sites themselves are recorded separately).
-func addressTaken(expr ast.Expr, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	parent := stack[len(stack)-1]
-	if u, ok := parent.(*ast.UnaryExpr); ok && u.Op == token.AND && ast.Unparen(u.X) == expr {
-		return true
-	}
-	return false
 }
 
 // scalarSiteAbove reports whether expr is (part of) an expression

@@ -50,12 +50,16 @@ func elemRace(vals []uint64) {
 	wg.Wait()
 }
 
-// --- legal 1: plain init before the workers are published ------------
+// --- violation 4: plain init before the workers are published --------
+//
+// Straight-line accesses before the workers start or after they join are
+// flagged as well: no site needs them, so the rule has no carve-out for
+// them.
 
 func initThenShare(n int) []uint64 {
 	vals := make([]uint64, n)
 	for i := range vals {
-		vals[i] = 0 // straight-line pre-publish init: legal
+		vals[i] = 0 // want "races with the atomic updates"
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -67,7 +71,10 @@ func initThenShare(n int) []uint64 {
 	return vals
 }
 
-// --- legal 2: method-based atomic types cannot be misused ------------
+// --- legal: method-based atomic types cannot be misused --------------
+//
+// Their methods are not sync/atomic functions, so nothing tracks them and
+// no exception is needed.
 
 type gauge struct {
 	v atomic.Uint64
@@ -81,7 +88,10 @@ func (g *gauge) get() uint64 {
 	return g.v.Load()
 }
 
-// --- legal 3: passing the element's address on (helper owns it) ------
+// --- violation 5: passing the element's address on --------------------
+//
+// A helper handed the address is not trusted to use it atomically: no
+// site needs the hand-off, so it is flagged.
 
 func casHelper(p *uint64) {
 	atomic.AddUint64(p, 1)
@@ -93,12 +103,18 @@ func addrHandOff(vals []uint64) {
 	go func() {
 		defer wg.Done()
 		atomic.AddUint64(&vals[0], 1)
-		casHelper(&vals[1]) // address passed to a helper: legal
+		casHelper(&vals[1]) // want "races with the atomic updates"
 	}()
 	wg.Wait()
 }
 
-// --- violation 4: owner-snapshot register block ------------------------
+// --- violation 6: handing a scalar's address on ------------------------
+
+func counterAddr() *uint64 {
+	return &counter // want "accessed atomically"
+}
+
+// --- violation 7: owner-snapshot register block ------------------------
 //
 // Each worker owns vals[v] outright, snapshots it with a plain read and
 // republishes with an atomic store at the same index. Even so the read

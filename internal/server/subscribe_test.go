@@ -315,7 +315,7 @@ func TestSubscriberChurnDuringDrain(t *testing.T) {
 					return
 				default:
 				}
-				sub, err := sys.Subscribe("BFS", graph.VertexID(src), 2)
+				sub, err := sys.SubscribeCtx(context.Background(), "BFS", graph.VertexID(src), 2)
 				if err != nil {
 					return
 				}

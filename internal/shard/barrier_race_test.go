@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestBarrierRaceQueryAtDuringAdvance(t *testing.T) {
 	sources := []graph.VertexID{0, 17, 99, 150}
 	want := make(map[graph.VertexID][]uint64)
 	for _, u := range sources {
-		res, err := r.QueryAt(pinned, "SSSP", u)
+		res, err := r.QueryAtCtx(context.Background(), pinned, "SSSP", u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestBarrierRaceQueryAtDuringAdvance(t *testing.T) {
 				default:
 				}
 				u := sources[(w+i)%len(sources)]
-				res, err := r.QueryAt(pinned, "SSSP", u)
+				res, err := r.QueryAtCtx(context.Background(), pinned, "SSSP", u)
 				if err != nil {
 					t.Errorf("reader %d: QueryAt(%d): %v", w, pinned, err)
 					return
@@ -110,7 +111,7 @@ func TestBarrierRaceQueryAtDuringAdvance(t *testing.T) {
 	// After the dust settles the pinned version must still answer
 	// identically.
 	for _, u := range sources {
-		res, err := r.QueryAt(pinned, "SSSP", u)
+		res, err := r.QueryAtCtx(context.Background(), pinned, "SSSP", u)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,7 +231,7 @@ func TestQueryMany(t *testing.T) {
 	// leaves 7 padding lanes; width 5 stays inside one block. Both name
 	// one source twice.
 	for _, sources := range [][]graph.VertexID{sources, {4, 9, 9, 33, 77, 0, 119, 51, 64}} {
-		mr, err := p.rt.QueryMany("SSSP", sources)
+		mr, err := p.rt.QueryManyCtx(context.Background(), "SSSP", sources)
 		if err != nil {
 			t.Fatalf("QueryMany: %v", err)
 		}
@@ -247,10 +247,10 @@ func TestQueryMany(t *testing.T) {
 			}
 		}
 	}
-	if _, err := p.rt.QueryMany("SSSP", nil); err == nil {
+	if _, err := p.rt.QueryManyCtx(context.Background(), "SSSP", nil); err == nil {
 		t.Fatal("empty QueryMany should error")
 	}
-	if _, err := p.rt.QueryMany("Radii", sources); err == nil {
+	if _, err := p.rt.QueryManyCtx(context.Background(), "Radii", sources); err == nil {
 		t.Fatal("non-simple QueryMany should error")
 	}
 }
@@ -283,8 +283,8 @@ func TestQueryAt(t *testing.T) {
 			continue
 		}
 		for _, prob := range []string{"SSSP", "SSNSP"} {
-			want, err1 := p.ref.QueryAt(v, prob, 42)
-			got, err2 := p.rt.QueryAt(v, prob, 42)
+			want, err1 := p.ref.QueryAtCtx(context.Background(), v, prob, 42)
+			got, err2 := p.rt.QueryAtCtx(context.Background(), v, prob, 42)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("QueryAt v%d %s: ref err %v, router err %v", v, prob, err1, err2)
 			}
@@ -304,7 +304,7 @@ func TestQueryAt(t *testing.T) {
 		t.Fatal("no common retained versions")
 	}
 	// A version that was never retained errors with the sentinel.
-	if _, err := p.rt.QueryAt(9999, "SSSP", 1); err == nil {
+	if _, err := p.rt.QueryAtCtx(context.Background(), 9999, "SSSP", 1); err == nil {
 		t.Fatal("missing version should error")
 	}
 }
@@ -332,8 +332,8 @@ func TestSubscriptionsMatchSystem(t *testing.T) {
 			var subs []subPair
 			for i, prob := range problems {
 				for _, u := range []graph.VertexID{graph.VertexID(i), 77} {
-					ref, err1 := p.ref.Subscribe(prob, u, 4)
-					rt, err2 := p.rt.Subscribe(prob, u, 4)
+					ref, err1 := p.ref.SubscribeCtx(context.Background(), prob, u, 4)
+					rt, err2 := p.rt.SubscribeCtx(context.Background(), prob, u, 4)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("subscribe %s(%d): ref err %v, router err %v", prob, u, err1, err2)
 					}
@@ -391,7 +391,7 @@ func TestSubscriptionsMatchSystem(t *testing.T) {
 			if got := p.rt.Subscribers(); got != 0 {
 				t.Fatalf("Subscribers() = %d after unsubscribing all", got)
 			}
-			if _, err := p.rt.Subscribe("Radii", 0, 1); err == nil {
+			if _, err := p.rt.SubscribeCtx(context.Background(), "Radii", 0, 1); err == nil {
 				t.Fatal("Radii is not one value per vertex: subscribe should fail")
 			}
 		})
@@ -435,7 +435,7 @@ func TestSubscriberChurnDuringBatches(t *testing.T) {
 			for round, stop := 0, false; !stop; round++ {
 				problem := []string{"SSSP", "BFS"}[round%2]
 				src := graph.VertexID((w*31 + round*7) % n)
-				sub, err := rt.Subscribe(problem, src, batches+2)
+				sub, err := rt.SubscribeCtx(context.Background(), problem, src, batches+2)
 				if err != nil {
 					t.Error(err)
 					return
@@ -464,7 +464,7 @@ func TestSubscriberChurnDuringBatches(t *testing.T) {
 				for f := range sub.Frames() {
 					apply(f)
 				}
-				want, err := rt.QueryAt(version, problem, src)
+				want, err := rt.QueryAtCtx(context.Background(), version, problem, src)
 				if err != nil {
 					t.Error(err)
 					return
@@ -480,56 +480,6 @@ func TestSubscriberChurnDuringBatches(t *testing.T) {
 	if got := rt.Subscribers(); got != 0 {
 		t.Fatalf("Subscribers() = %d after every subscriber left", got)
 	}
-}
-
-// TestReselectFollowsRecordedQueries: query recording is the evaluator's,
-// so after the same recorded hot queries RecordQueries+ReselectRoots
-// re-roots a 4-store System next to the hot sources — their bounds
-// property(u,r) shrink from the top-degree roots' — and every source then
-// evaluates from the same root slot and bound as on a one-store split and
-// on the reference, so all three picked the same roots.
-func TestReselectFollowsRecordedQueries(t *testing.T) {
-	const n = 150
-	hot := []graph.VertexID{140, 141, 142, 143}
-	p := newPair(t, n, false, 4, []string{"SSSP"})
-	one := New(n, false, 1, 4)
-	if err := one.Enable("SSSP"); err != nil {
-		t.Fatal(err)
-	}
-	batch := randBatch(rand.New(rand.NewSource(13)), n, 600)
-	p.insert(t, batch)
-	one.ApplyBatch(batch)
-	bounds := func(sys *Router) (sum uint64) {
-		for _, u := range hot {
-			res, err := sys.Query("SSSP", u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.PropUR
-		}
-		return sum
-	}
-	before := bounds(p.rt)
-	for _, sys := range []*Router{p.ref, one, p.rt} {
-		sys.RecordQueries(true)
-		for i := 0; i < 100; i++ {
-			if _, err := sys.QueryCtx(context.Background(), "SSSP", hot[i%len(hot)]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sys.ReselectRoots("SSSP"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := bounds(p.rt); after >= before {
-		t.Fatalf("recorded hot queries did not move the roots: hot bounds sum to %d before reselection, %d after", before, after)
-	}
-	sources := make([]graph.VertexID, n)
-	for u := range sources {
-		sources[u] = graph.VertexID(u)
-	}
-	p.compareQueries(t, "SSSP", sources)
-	(&pair{ref: one, rt: p.rt}).compareQueries(t, "SSSP", sources)
 }
 
 // TestShardedRunsTheSingleEvaluation: with one worker the engine is

@@ -62,7 +62,7 @@ func BenchmarkUpdateSplit(b *testing.B) {
 			}
 			g := streamgraph.New(cfg.N(), true)
 			snap, _ := g.InsertEdges(stream.Initial)
-			roots := gen.TopDegreeVertices(cfg.N(), stream.Initial, true, 16)
+			roots := TopDegreeRoots(snap, 16)
 			// New builds the mirror's transpose, so every publish below
 			// patches the one its parent hands over.
 			m := New(c.p, snap.Flatten(), roots, true)
@@ -141,7 +141,7 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 			edges := gen.RMAT(cfg)
 			g := streamgraph.New(cfg.N(), true)
 			snap, _ := g.InsertEdges(edges)
-			m := New(p, snap.Flatten(), gen.TopDegreeVertices(cfg.N(), edges, true, 16), true)
+			m := New(p, snap.Flatten(), TopDegreeRoots(snap, 16), true)
 			sample := MeetSample(snap.Flatten())
 			m.Narrow(sample)
 			for _, s := range sample[:32] {

@@ -52,7 +52,7 @@ func TestNarrowKeepsTheMeet(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, 16} {
 				label := fmt.Sprintf("%s directed=%v K=%d", name, directed, k)
-				roots := standing.TopRoots(standing.DegreeScores(flat), k)
+				roots := standing.TopDegreeRoots(flat, k)
 				wide := standing.New(p, flat, roots, directed)
 				m := standing.New(p, flat, roots, directed)
 

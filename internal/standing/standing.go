@@ -279,9 +279,8 @@ func (m *Manager) keep(prop []uint64, kept *[64]uint8) (n, best int) {
 // unique best for a source outside the sample, which then Δ-initializes
 // from a weaker (still sound) bound and converges further. Subscribed lanes
 // are separate states and stay as they are. An empty sample, or one no
-// root reaches, leaves the set as it is. Only re-rooting — new Roots, then
-// Rebuild — widens a set again. sample must hold vertices of the graph the
-// set stands on.
+// root reaches, leaves the set as it is. Only Reroot widens a set again.
+// sample must hold vertices of the graph the set stands on.
 func (m *Manager) Narrow(sample []graph.VertexID) {
 	var used uint64
 	var buf [64]uint64

@@ -87,7 +87,7 @@ func TestTaintMatchesReference(t *testing.T) {
 		g := streamgraph.New(n, directed)
 		snap, _ := g.InsertEdges(edges)
 		pre := snap.Flatten()
-		hub := hubArcs(pre, gen.TopDegreeVertices(n, edges, directed, 1)[0])
+		hub := hubArcs(pre, TopDegreeRoots(pre, 1)[0])
 		random := randomArcs(snap, edges, rand.New(rand.NewSource(7)), 60)
 		posts := make([]engine.ArcView, 2)
 		for i, del := range [][]graph.Edge{hub, random} {
@@ -98,7 +98,7 @@ func TestTaintMatchesReference(t *testing.T) {
 		}
 		for name, p := range props.Registry() {
 			for _, k := range []int{1, 8, 16, 64} {
-				m := New(p, pre, gen.TopDegreeVertices(n, edges, directed, k), directed)
+				m := New(p, pre, TopDegreeRoots(pre, k), directed)
 				for i, del := range [][]graph.Edge{hub, random} {
 					what := fmt.Sprintf("%s directed=%v K=%d deletion %d", name, directed, k, i)
 					got := requireSameTaint(t, what+" forward", m, m.Forward, posts[i], del, !directed)
@@ -266,7 +266,7 @@ func TestTrimMatchesReference(t *testing.T) {
 		g := streamgraph.New(n, directed)
 		snap, _ := g.InsertEdges(edges)
 		pre := snap.Flatten()
-		top := gen.TopDegreeVertices(n, edges, directed, 1)[0]
+		top := TopDegreeRoots(pre, 1)[0]
 		rng := rand.New(rand.NewSource(11))
 		var dels [][]graph.Edge
 		var posts []*streamgraph.Snapshot
@@ -284,7 +284,7 @@ func TestTrimMatchesReference(t *testing.T) {
 		}
 		for name, p := range props.Registry() {
 			for _, k := range []int{1, 8, 16} {
-				roots := gen.TopDegreeVertices(n, edges, directed, k)
+				roots := TopDegreeRoots(pre, k)
 				sources[1] = roots[len(roots)-1]
 				got := New(p, pre, roots, directed)
 				want := New(p, pre, roots, directed)

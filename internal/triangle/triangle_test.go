@@ -180,7 +180,7 @@ func TestDeltaInitMeetMatchesReference(t *testing.T) {
 		n := g.NumVertices()
 		for name, p := range props.Registry() {
 			for _, K := range []int{1, 5, 12, 16} {
-				m := standing.New(p, g, standing.TopRoots(standing.DegreeScores(g), K), directed)
+				m := standing.New(p, g, standing.TopDegreeRoots(g, K), directed)
 				cols := make([][]uint64, K)
 				for k := range cols {
 					cols[k] = m.StandingColumn(k)

@@ -23,9 +23,9 @@ import (
 
 	"tripoline/internal/core"
 	"tripoline/internal/engine"
+	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/streamgraph"
-	"tripoline/internal/xrand"
 )
 
 // Config describes one tuning run.
@@ -126,7 +126,7 @@ func measureK(cfg Config, k int) (Cost, error) {
 	if batches > 0 {
 		c.Standing /= time.Duration(batches)
 	}
-	qs := sampleQueries(g.Acquire(), cfg.SampleQueries, cfg.Seed+uint64(k))
+	qs := gen.SampleSources(g.Acquire(), cfg.SampleQueries, cfg.Seed+uint64(k))
 	for _, u := range qs {
 		r, err := sys.Query(cfg.Problem, u)
 		if err != nil {
@@ -139,19 +139,4 @@ func measureK(cfg Config, k int) (Cost, error) {
 	}
 	c.Total = c.Standing + time.Duration(cfg.QueriesPerBatch*float64(c.Query))
 	return c, nil
-}
-
-func sampleQueries(snap *streamgraph.Snapshot, count int, seed uint64) []graph.VertexID {
-	rng := xrand.New(seed)
-	seen := map[graph.VertexID]bool{}
-	var out []graph.VertexID
-	for attempts := 0; len(out) < count && attempts < 50*count+1000; attempts++ {
-		v := graph.VertexID(rng.Intn(snap.NumVertices()))
-		if seen[v] || snap.Degree(v) <= 2 {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
-	}
-	return out
 }

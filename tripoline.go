@@ -33,9 +33,9 @@
 //
 // Every evaluating or mutating call has this context form; the plain
 // forms (Query, ApplyBatch, …) run under context.Background(). History
-// retention, query recording and the Δ-result cache are fixed at
-// construction through options (WithHistory, WithQueryRecording,
-// WithResultCache) — there are no post-construction toggles.
+// retention and the Δ-result cache are fixed at construction through
+// options (WithHistory, WithResultCache) — there are no post-construction
+// toggles.
 //
 // Failures are reported through the sentinel errors ErrUnknownProblem,
 // ErrSourceOutOfRange, ErrNoSuchVersion and ErrCanceled (test with
@@ -180,7 +180,6 @@ type Option func(*config)
 type config struct {
 	k            int
 	history      int
-	record       bool
 	cacheEntries int
 	cacheOn      bool
 }
@@ -199,12 +198,6 @@ func WithStandingQueries(k int) Option {
 // of the arcs — not the O(batch) a persistent tree would share.
 func WithHistory(capacity int) Option {
 	return func(c *config) { c.history = capacity }
-}
-
-// WithQueryRecording turns on recording of user-query sources into the
-// workload histogram consumed by ReselectRoots.
-func WithQueryRecording() Option {
-	return func(c *config) { c.record = true }
 }
 
 // WithResultCache enables the Δ-result cache: every answered user query
@@ -235,9 +228,6 @@ func NewSystem(g *Graph, opts ...Option) *System {
 	s := &System{g: g, inner: core.NewSystem(g.inner, c.k)}
 	if c.history > 0 {
 		s.inner.EnableHistory(c.history)
-	}
-	if c.record {
-		s.inner.RecordQueries(true)
 	}
 	if c.cacheOn {
 		s.inner.EnableResultCache(c.cacheEntries)
@@ -361,10 +351,10 @@ func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string,
 	return s.inner.QueryAtCtx(ctx, version, problem, source)
 }
 
-// ReselectRoots re-roots a problem's standing queries using the recorded
-// query distribution blended with topology — the paper's §5 refinement
-// for workloads whose query hotspots drift. Without recorded history it
-// falls back to the top-degree rule.
+// ReselectRoots re-roots a problem's standing queries by the rule they were
+// built with at Enable — the top-K out-degree vertices of the current
+// graph, narrowed to the roots their Δ-initialization meet uses — so the
+// roots follow the graph's degrees as it streams.
 func (s *System) ReselectRoots(problem string) error { return s.inner.ReselectRoots(problem) }
 
 // CacheMetrics summarizes Δ-result cache activity.

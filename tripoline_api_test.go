@@ -204,7 +204,7 @@ func TestFacadeHistoryAndReselect(t *testing.T) {
 	g := tripoline.NewGraph(8, tripoline.Undirected)
 	g.InsertEdges(ringEdges(8, 1))
 	sys := tripoline.NewSystem(g, tripoline.WithStandingQueries(2),
-		tripoline.WithHistory(4), tripoline.WithQueryRecording())
+		tripoline.WithHistory(4))
 	if err := sys.Enable("BFS"); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFacadeHistoryAndReselect(t *testing.T) {
 	if now.Values[4] != 1 {
 		t.Fatalf("live level(4)=%d, want 1", now.Values[4])
 	}
-	// Reselection with the recorded history keeps answers exact.
+	// Reselection keeps answers exact.
 	if err := sys.ReselectRoots("BFS"); err != nil {
 		t.Fatal(err)
 	}
@@ -284,15 +284,14 @@ func TestFacadeSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestFacadeOptions covers the NewSystem option forms of history, query
-// recording and the Δ-result cache.
+// TestFacadeOptions covers the NewSystem option forms of history and the
+// Δ-result cache.
 func TestFacadeOptions(t *testing.T) {
 	g := tripoline.NewGraph(16, tripoline.Undirected)
 	g.InsertEdges(ringEdges(16, 1))
 	sys := tripoline.NewSystem(g,
 		tripoline.WithStandingQueries(2),
 		tripoline.WithHistory(4),
-		tripoline.WithQueryRecording(),
 		tripoline.WithResultCache(8),
 	)
 	if err := sys.Enable("BFS"); err != nil {
@@ -325,8 +324,7 @@ func TestFacadeOptions(t *testing.T) {
 		t.Fatalf("QueryAt version %d, want %d", at.Version, res.Version)
 	}
 
-	// WithQueryRecording: ReselectRoots consumes the recorded workload
-	// without error (it falls back to topology when the histogram is thin).
+	// ReselectRoots re-roots by the degree rule without error.
 	if err := sys.ReselectRoots("BFS"); err != nil {
 		t.Fatal(err)
 	}
