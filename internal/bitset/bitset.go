@@ -2,9 +2,9 @@
 // frontiers and per-query activity masks in the Tripoline engine.
 //
 // Two flavors are provided: Set, a plain bit set for single-threaded
-// phases, and Atomic, whose Set operation is safe for concurrent writers
-// (the pattern required when many relaxations activate the same vertex in
-// one parallel step).
+// phases, and Atomic, whose TrySet is safe for concurrent writers and
+// tells exactly one of them that it set the bit (the pattern required
+// when many relaxations activate the same vertex in one parallel step).
 package bitset
 
 import (
@@ -88,8 +88,8 @@ func (s *Set) Or(t *Set) {
 	}
 }
 
-// Atomic is a bit set whose Set is safe for concurrent writers; it is
-// read (Count, ForEach) once they are done.
+// Atomic is a bit set whose TrySet is safe for concurrent writers; it is
+// read (Word, Count) and cleared (Clear, Reset) once they are done.
 type Atomic struct {
 	words []atomic.Uint64
 	n     int
@@ -103,20 +103,35 @@ func NewAtomic(n int) *Atomic {
 // Len returns the capacity of the set in bits.
 func (a *Atomic) Len() int { return a.n }
 
-// Set sets bit i; safe for concurrent use.
-func (a *Atomic) Set(i int) {
+// TrySet sets bit i and reports whether this call is the one that set it:
+// of any number of concurrent TrySets of a clear bit, exactly one returns
+// true. A bit already set costs one load.
+func (a *Atomic) TrySet(i int) bool {
 	w := &a.words[i/wordBits]
 	mask := uint64(1) << uint(i%wordBits)
 	for {
 		old := w.Load()
 		if old&mask != 0 {
-			return
+			return false
 		}
 		if w.CompareAndSwap(old, old|mask) {
-			return
+			return true
 		}
 	}
 }
+
+// Clear clears bit i. Not safe concurrently with writers: it lets a
+// caller that knows every set bit empty the set in O(set bits) instead of
+// Reset's O(capacity/64).
+func (a *Atomic) Clear(i int) {
+	w := &a.words[i/wordBits]
+	w.Store(w.Load() &^ (1 << uint(i%wordBits)))
+}
+
+// Word returns bits [64·wi, 64·wi+64), bit j of the result being bit
+// 64·wi+j of the set, so a scan can be split across workers by word.
+// Intended for use between parallel steps.
+func (a *Atomic) Word(wi int) uint64 { return a.words[wi].Load() }
 
 // Reset clears every bit. Not safe concurrently with writers.
 func (a *Atomic) Reset() {
@@ -133,17 +148,4 @@ func (a *Atomic) Count() int {
 		c += bits.OnesCount64(a.words[i].Load())
 	}
 	return c
-}
-
-// ForEach calls f for every set bit in ascending order. Intended for use
-// between parallel steps.
-func (a *Atomic) ForEach(f func(i int)) {
-	for wi := range a.words {
-		w := a.words[wi].Load()
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			f(wi*wordBits + b)
-			w &= w - 1
-		}
-	}
 }

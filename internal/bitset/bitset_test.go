@@ -121,7 +121,7 @@ func TestAtomicConcurrentSet(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += 2 { // heavy overlap between workers
-				a.Set(i)
+				a.TrySet(i)
 			}
 		}(w)
 	}
@@ -131,14 +131,54 @@ func TestAtomicConcurrentSet(t *testing.T) {
 	}
 }
 
-func TestAtomicForEachAndReset(t *testing.T) {
+// TestAtomicTrySetOneWinner: of concurrent TrySets of one bit exactly one
+// wins, and clearing every winner's bit empties the set.
+func TestAtomicTrySetOneWinner(t *testing.T) {
+	const n, workers = 1000, 4
+	a := NewAtomic(n)
+	wins := make([][]int, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i += 3 {
+				if a.TrySet(i) {
+					wins[w] = append(wins[w], i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	won := make(map[int]bool)
+	for _, ws := range wins {
+		for _, i := range ws {
+			if won[i] {
+				t.Fatalf("bit %d won twice", i)
+			}
+			won[i] = true
+		}
+	}
+	if len(won) != (n+2)/3 || a.Count() != len(won) {
+		t.Fatalf("%d winners, %d bits set, want %d", len(won), a.Count(), (n+2)/3)
+	}
+	if a.TrySet(3) {
+		t.Fatal("TrySet of a set bit won")
+	}
+	for i := range won {
+		a.Clear(i)
+	}
+	if a.Count() != 0 {
+		t.Fatalf("%d bits survive clearing every winner", a.Count())
+	}
+}
+
+func TestAtomicWordAndReset(t *testing.T) {
 	a := NewAtomic(256)
-	a.Set(0)
-	a.Set(255)
-	var got []int
-	a.ForEach(func(i int) { got = append(got, i) })
-	if len(got) != 2 || got[0] != 0 || got[1] != 255 {
-		t.Fatalf("ForEach = %v", got)
+	a.TrySet(0)
+	a.TrySet(255)
+	if a.Word(0) != 1 || a.Word(3) != 1<<63 || a.Word(1)|a.Word(2) != 0 {
+		t.Fatalf("words = %#x %#x %#x %#x", a.Word(0), a.Word(1), a.Word(2), a.Word(3))
 	}
 	a.Reset()
 	if a.Count() != 0 {

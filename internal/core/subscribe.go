@@ -439,13 +439,28 @@ func (ev *evaluator) refreshSubscriptions(ctx context.Context, view View, rep *B
 
 // countLanes runs SSNSP's count round from each lane's source over its
 // levels, the lanes side by side, one per worker: one count is a
-// sequential walk (props.CountShortestPaths). The writer passes a ctx
-// that is never done: its window runs to completion.
+// sequential walk (props.CountShortestPaths). The levels are gathered
+// first, every lane of a standing set in one pass over its pages, since
+// lanes share slot blocks. The writer passes a ctx that is never done:
+// its window runs to completion.
 func countLanes(ctx context.Context, g engine.ArcView, lanes []*lane) [][]uint64 {
+	levels := make([][]uint64, len(lanes))
+	bySet := make(map[*standing.Manager][]int)
+	for i, l := range lanes {
+		bySet[l.set] = append(bySet[l.set], i)
+	}
+	for set, at := range bySet {
+		ids := make([]int, len(at))
+		for j, i := range at {
+			ids[j] = lanes[i].id
+		}
+		for j, col := range set.LaneColumns(ids) {
+			levels[at[j]] = col
+		}
+	}
 	counts := make([][]uint64, len(lanes))
 	parallel.ForGrain(len(lanes), 1, func(i int) {
-		l := lanes[i]
-		counts[i], _, _ = props.CountShortestPaths(ctx, g, l.source, l.set.LaneColumn(l.id))
+		counts[i], _, _ = props.CountShortestPaths(ctx, g, lanes[i].source, levels[i])
 	})
 	return counts
 }

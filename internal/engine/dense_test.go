@@ -91,3 +91,56 @@ func TestDenseModeWithBatchMasks(t *testing.T) {
 		}
 	}
 }
+
+// TestWidth1RepeatedAndZeroSeeds: a width-1 run seeded with repeated
+// vertices and zero masks — what a subscription's catch-up passes when it
+// accumulates the changed vertices of several batches — converges to the
+// oracle at both forced frontier representations, activates each seed
+// once and seeds nothing from a zero mask.
+func TestWidth1RepeatedAndZeroSeeds(t *testing.T) {
+	g := randomCSR(300, 2400, true, 107)
+	const src = graph.VertexID(4)
+	// 0 → 1 → 2 → 3, and 4 → 0 from a vertex that is seeded only with a
+	// zero mask: BFS from 0 activates exactly 0..3, once each.
+	path := graph.FromEdges(5, []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 1}, {Src: 4, Dst: 0, W: 1}}, true)
+	for _, mode := range []struct {
+		name     string
+		fraction int
+	}{
+		{"sparse", 1},      // count*1 > n never holds: every round runs a list
+		{"dense", 1 << 20}, // every nonempty round walks the membership bits
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			old := *engine.DenseFractionForTest
+			*engine.DenseFractionForTest = mode.fraction
+			defer func() { *engine.DenseFractionForTest = old }()
+			for name, p := range props.Registry() {
+				st := engine.NewState(p, g.N, 1)
+				st.SetSource(src, 0)
+				stats := st.RunPush(g, []graph.VertexID{src, 9, src, 17, src}, []uint64{1, 0, 1, 0, 1})
+				want := oracle.BestPath(g, p, src)
+				for v := range want {
+					if st.Values[v] != want[v] {
+						t.Fatalf("%s: value[%d] = %d, want %d", name, v, st.Values[v], want[v])
+					}
+				}
+				if dense := stats.DenseIterations > 0; dense != (mode.name == "dense") {
+					t.Fatalf("%s: %d of %d iterations dense in the %s mode", name, stats.DenseIterations, stats.Iterations, mode.name)
+				}
+			}
+
+			st := engine.NewState(props.BFS{}, path.N, 1)
+			st.SetSource(0, 0)
+			stats := st.RunPush(path, []graph.VertexID{0, 4, 0, 0}, []uint64{1, 0, 1, 1})
+			if stats.Activations != 4 || stats.Iterations != 4 {
+				t.Fatalf("activations=%d iterations=%d, want 4/4", stats.Activations, stats.Iterations)
+			}
+			if st.Values[3] != 3 || st.Values[4] != props.Unreached {
+				t.Fatalf("levels %v", st.Values)
+			}
+			if stats := st.RunPush(path, []graph.VertexID{4, 4}, []uint64{0, 0}); stats.Iterations != 0 {
+				t.Fatalf("zero-mask seeds ran %d iterations", stats.Iterations)
+			}
+		})
+	}
+}

@@ -21,13 +21,16 @@
 // block, relax through a devirtualized scalar op where the problem names
 // one, and are picked from the state's width alone: K=1 runs the scalar
 // kernel over the contiguous Values array, K>1 the width-K kernel over
-// NewState's slot-blocked storage.
+// NewState's slot-blocked storage. Both run under one frontier —
+// membership bits and per-worker queues, plus slot masks at K>1 only — so
+// a sparse superstep costs O(active) whatever N is.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -152,7 +155,7 @@ type Stats struct {
 	Updates     int64 // relaxations that changed a value
 	Iterations  int
 	// DenseIterations counts the RunPush iterations that used the dense
-	// (whole-vertex-sweep) frontier representation.
+	// (membership-bit walk) frontier representation.
 	DenseIterations int
 	// Hoists counts per-vertex source-block register loads performed by
 	// the fused push kernels: one per processed frontier vertex (per
@@ -301,18 +304,35 @@ func (st *State) SetSource(v graph.VertexID, k int) {
 }
 
 // Column copies slot k's values into a fresh []uint64 of length N.
-func (st *State) Column(k int) []uint64 {
-	out := make([]uint64, st.N)
-	if st.cols != nil {
-		base, cols, bw := st.slotOff(k), st.cols, st.bw
-		parallel.ForRange(st.N, parallel.BlockGrain, func(lo, hi int) {
-			for v, i := lo, base+lo*bw; v < hi; v, i = v+1, i+bw {
-				out[v] = cols[i]
-			}
-		})
+func (st *State) Column(k int) []uint64 { return st.Columns([]int{k})[0] }
+
+// Columns copies the given slots' values, out[i] holding slot slots[i]'s
+// column, in one pass over the vertices: slots that share a slot block are
+// read from one cache line per vertex, not once per slot.
+func (st *State) Columns(slots []int) [][]uint64 {
+	out := make([][]uint64, len(slots))
+	for i := range out {
+		out[i] = make([]uint64, st.N)
+	}
+	if st.cols == nil {
+		for _, col := range out {
+			copy(col, st.Values)
+		}
 		return out
 	}
-	copy(out, st.Values)
+	offs := make([]int, len(slots))
+	for i, k := range slots {
+		offs[i] = st.slotOff(k)
+	}
+	cols, bw := st.cols, st.bw
+	parallel.ForRange(st.N, parallel.BlockGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			vb := v * bw
+			for i, off := range offs {
+				out[i][v] = cols[off+vb]
+			}
+		}
+	})
 	return out
 }
 
@@ -431,41 +451,63 @@ func (st *State) Grow(n int) {
 	st.Values = vals
 }
 
-// frontier pairs the sparse active list with the per-vertex query masks.
-type frontier struct {
-	verts []graph.VertexID
-	masks []uint64 // active query bitmask per vertex, stride 1 over all N
-}
-
 // denseFraction controls the Ligra-style frontier representation switch:
-// when more than n/denseFraction vertices are active, the engine skips
-// materializing the sparse active list and sweeps all vertices checking
-// their masks — cheaper and more cache-friendly for the huge mid-BFS
+// when more than n/denseFraction vertices are active, the round walks the
+// frontier's membership bits in vertex order instead of running its
+// member list — cheaper and more cache-friendly for the huge mid-BFS
 // frontiers of power-law graphs. It is a variable only so tests can pin
 // one representation and compare results across the switch.
 var denseFraction = 16
+
+// denseGrainWords is the number of membership words (64 vertices each) a
+// worker claims at a time in a dense round.
+const denseGrainWords = 2
 
 // onIteration, when non-nil, observes each RunPush iteration's frontier
 // representation. Test hook; nil in production.
 var onIteration func(dense bool)
 
-// workCounter accumulates one worker's engine statistics. Workers index
-// a []workCounter by the stable id parallel.ForRangeID hands them, so
-// the hot loop needs no atomic adds; the pad keeps neighboring workers'
-// slots on separate cache lines.
+// workCounter accumulates one worker's engine statistics and its share of
+// the next frontier. Workers index a []workCounter by the stable id
+// parallel.ForRangeID hands them, so the hot loop needs no atomic adds
+// and no shared queue; the pad keeps neighboring workers' slots on
+// separate cache lines.
 type workCounter struct {
 	acts, relax, upd     int64
 	hoists, gates, sweep int64
-	_                    [2]int64
+	// queue lists the vertices this worker added to the next frontier
+	// (frontier.add).
+	queue []graph.VertexID
+	_     [7]int64
 }
 
-// pushScratch is the O(N) working state of one RunPush evaluation,
-// recycled through a pool: the Table 3 workload runs hundreds of user
-// queries per snapshot, and without pooling each one allocates (and
-// faults in) three N-sized arrays just to throw them away.
-type pushScratch struct {
-	masks, next []uint64
-	inNext      *bitset.Atomic
+// frontier is the push loop's active set and the rest of one RunPush
+// evaluation's working state, one bookkeeping for every width, recycled
+// through a pool: the Table 3 workload runs hundreds of user queries per
+// snapshot.
+//
+// A mark for the next round sets the vertex's bit in next; the worker
+// whose TrySet wins appends the vertex to its own queue, so the next
+// round's size is the sum of the queue lengths and finding its members
+// scans nothing. A sparse round runs the concatenated queues (verts) and
+// clears just their bits, so it costs O(active) however large the graph.
+// A dense round swaps the bitsets and walks cur's set bits in vertex
+// order while the round marks the emptied next. At K=1 the bit is the
+// whole activity state. K>1 adds per-vertex slot masks: a slot bit is
+// CASed into nextMasks, and the slot that turns the mask nonzero adds the
+// vertex; advance moves each member's mask into masks for the round.
+type frontier struct {
+	next *bitset.Atomic // the next round's members
+	cur  *bitset.Atomic // a dense round's members; empty otherwise
+	// verts is a sparse round's member list.
+	verts []graph.VertexID
+	// wide selects the K>1 slot masks, masks[v] being v's active slots in
+	// this round and nextMasks[v] in the next. A pooled frontier keeps
+	// them (zeroed) through K=1 runs, which do not read them; a frontier
+	// that only ever ran K=1 has none.
+	wide             bool
+	masks, nextMasks []uint64
+	counters         []workCounter
 	// cursors backs the cache-blocked dense sweep's per-vertex positions
 	// within each vertex's arc span. Allocated lazily (only blocked width-K
 	// runs use it) and never needs draining: each blocked iteration
@@ -473,34 +515,117 @@ type pushScratch struct {
 	cursors []int32
 }
 
-var pushScratchPool sync.Pool
+var frontierPool sync.Pool
 
-// getPushScratch returns scratch able to hold n vertices with all masks
-// zero and the bitset empty. RunPush always returns its scratch drained
-// (every mask it sets is cleared before it exits, and slots past the
-// active length were zeroed by whichever earlier run sized them), so
-// pooled buffers are handed out without an O(N) re-zeroing sweep.
-func getPushScratch(n int) *pushScratch {
-	if s, _ := pushScratchPool.Get().(*pushScratch); s != nil {
-		if cap(s.masks) >= n && s.inNext.Len() >= n {
-			s.masks = s.masks[:n]
-			s.next = s.next[:n]
-			return s
-		}
-		// Too small for this graph: drop it and allocate at the new size.
+// getFrontier returns a frontier able to hold n vertices at width k, with
+// both bitsets empty, every queue empty, every mask zero and the counters
+// at zero. RunPush always returns its frontier drained (advance empties
+// the queues and the next bits it moves, a dense round resets cur, and
+// the kernels clear each mask they consume), so pooled frontiers are
+// handed out without an O(N) re-zeroing sweep.
+func getFrontier(n, k int) *frontier {
+	f, _ := frontierPool.Get().(*frontier)
+	if f == nil || f.next.Len() < n {
+		// None pooled, or too small for this graph: allocate at the new size.
+		f = &frontier{next: bitset.NewAtomic(n), cur: bitset.NewAtomic(n)}
 	}
-	return &pushScratch{
-		masks:  make([]uint64, n),
-		next:   make([]uint64, n),
-		inNext: bitset.NewAtomic(n),
+	f.wide = k > 1
+	if f.wide && len(f.masks) < n {
+		f.masks, f.nextMasks = make([]uint64, n), make([]uint64, n)
+	}
+	if w := parallel.MaxWorkers(); len(f.counters) < w {
+		f.counters = make([]workCounter, w)
+	}
+	for i := range f.counters {
+		f.counters[i] = workCounter{queue: f.counters[i].queue}
+	}
+	return f
+}
+
+// add puts v in the next round; the first of concurrent adds of v queues
+// it.
+func (f *frontier) add(c *workCounter, v graph.VertexID) {
+	if f.next.TrySet(int(v)) {
+		c.queue = append(c.queue, v)
 	}
 }
 
-func putPushScratch(s *pushScratch) { pushScratchPool.Put(s) }
+// addMask ors slot bits m into v's next-round mask (K>1) and adds v when
+// the mask was empty.
+func (f *frontier) addMask(c *workCounter, v graph.VertexID, m uint64) {
+	addr := &f.nextMasks[v]
+	for {
+		old := atomic.LoadUint64(addr)
+		if old&m == m {
+			return
+		}
+		if atomic.CompareAndSwapUint64(addr, old, old|m) {
+			if old == 0 {
+				f.add(c, v)
+			}
+			return
+		}
+	}
+}
+
+// advance turns the marks of the round just run into the next round and
+// returns its size and representation. changed, when non-nil, receives
+// each member's marked slots (State.Changed): a member was marked because
+// its value at those slots improved.
+func (f *frontier) advance(n int, changed []uint64) (count int, dense bool) {
+	for i := range f.counters {
+		count += len(f.counters[i].queue)
+	}
+	dense = count*denseFraction > n
+	if dense {
+		f.cur, f.next = f.next, f.cur
+	}
+	f.verts = f.verts[:0]
+	for i := range f.counters {
+		q := f.counters[i].queue
+		if f.wide {
+			for _, v := range q {
+				m := f.nextMasks[v]
+				f.nextMasks[v] = 0
+				f.masks[v] = m
+				if changed != nil {
+					changed[v] |= m
+				}
+			}
+		} else if changed != nil {
+			for _, v := range q {
+				changed[v] |= 1
+			}
+		}
+		if !dense {
+			for _, v := range q {
+				f.next.Clear(int(v))
+			}
+			f.verts = append(f.verts, q...)
+		}
+		f.counters[i].queue = q[:0]
+	}
+	return count, dense
+}
+
+// forDense calls visit for every member of a dense round in ascending
+// vertex order within each worker's chunk, split across workers by
+// membership word.
+func (f *frontier) forDense(n int, visit func(c *workCounter, v graph.VertexID)) {
+	parallel.ForRangeID((n+63)/64, denseGrainWords, func(wid, lo, hi int) {
+		c := &f.counters[wid]
+		for wi := lo; wi < hi; wi++ {
+			for w := f.cur.Word(wi); w != 0; w &= w - 1 {
+				visit(c, graph.VertexID(wi*64+bits.TrailingZeros64(w)))
+			}
+		}
+	})
+}
 
 // RunPush evaluates the state to convergence with the push model, starting
 // from the given seed vertices with the given per-seed active masks
-// (bit k set = query slot k active at that seed). Values must already hold
+// (bit k set = query slot k active at that seed). Seeds may repeat (their
+// masks are ored) and a zero mask seeds nothing. Values must already hold
 // the desired initial values — callers choose between full evaluation
 // (init values + sources), Δ-based initialization, or resumed incremental
 // state. Returns work statistics.
@@ -555,8 +680,8 @@ func (st *State) RunPushArcsCtx(ctx context.Context, g ArcView, arcs []graph.Edg
 
 // runPush is the push model's one loop. The first superstep comes from one
 // of two producers: the seed frontier (processed like every later one), or
-// arcs, relaxed individually by the kernel's arc round — both feed the
-// same next-frontier masks.
+// arcs, relaxed individually by the kernel's arc round — both mark the
+// next frontier the same way.
 func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID, seedMasks []uint64, arcs []graph.Edge) (Stats, error) {
 	st.checkStorage()
 	n := g.NumVertices()
@@ -564,25 +689,20 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 		st.Grow(n)
 	}
 	var stats Stats
-	scr := getPushScratch(st.N)
-	cur := frontier{masks: scr.masks}
-	nextMasks := scr.next
-	inNext := scr.inNext
-
-	for i, v := range seeds {
-		m := seedMasks[i]
-		if m == 0 {
-			continue
-		}
-		if cur.masks[v] == 0 {
-			cur.verts = append(cur.verts, v)
-		}
-		cur.masks[v] |= m
-	}
-
 	K := st.K
 	p := st.P
-	counters := make([]workCounter, parallel.MaxWorkers())
+	f := getFrontier(st.N, K)
+	counters := f.counters
+
+	for i, v := range seeds {
+		switch m := seedMasks[i]; {
+		case m == 0:
+		case K > 1:
+			f.addMask(&counters[0], v, m)
+		default:
+			f.add(&counters[0], v)
+		}
+	}
 
 	// Pick the kernel for this run (see RunPushCtx).
 	var process func(c *workCounter, u graph.VertexID)
@@ -592,24 +712,21 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 		kc = &pushKCtx{
 			g: g, p: p,
 			K: K, cols: st.cols, stride: st.bw,
-			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
+			f: f,
 		}
 		_, _, kc.soff = st.StrideViews()
 		kc.spec, kc.hasSpec = KernelSpecOf(p)
 		kc.windows = blockWindows(K, n)
 		process, tail = kc.process, kc.tail
 	} else {
-		k1 := &push1Ctx{
-			g: g, p: p, vals: st.Values,
-			curMasks: cur.masks, nextMasks: nextMasks, inNext: inNext,
-		}
+		k1 := &push1Ctx{g: g, p: p, vals: st.Values, f: f}
 		k1.spec, k1.hasSpec = KernelSpecOf(p)
 		process, tail = k1.process, k1.tail
 	}
 
 	var canceled error
-	dense := false
-	active := len(cur.verts)
+	// The seeds are the first frontier; they moved nothing.
+	active, dense := f.advance(n, nil)
 	arcRound := len(arcs) > 0
 	for active > 0 || arcRound {
 		if err := ctx.Err(); err != nil {
@@ -620,55 +737,31 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 		if onIteration != nil {
 			onIteration(dense)
 		}
-		if arcRound {
+		switch {
+		case arcRound:
 			arcRound = false
 			forArcRuns(arcs, func(wid int, run []graph.Edge) { tail(&counters[wid], run) })
-		} else if dense {
+		case dense:
 			stats.DenseIterations++
 			if kc != nil && kc.windows > 1 {
-				if cap(scr.cursors) < n {
-					scr.cursors = make([]int32, n)
+				if cap(f.cursors) < n {
+					f.cursors = make([]int32, n)
 				}
-				kc.denseWindowed(counters, n, scr.cursors[:n])
+				kc.denseWindowed(n, f.cursors[:n])
 			} else {
-				parallel.ForRangeID(n, 128, func(wid, start, end int) {
-					c := &counters[wid]
-					for v := start; v < end; v++ {
-						process(c, graph.VertexID(v))
-					}
-				})
+				f.forDense(n, process)
 			}
-		} else {
-			parallel.ForRangeID(len(cur.verts), 64, func(wid, start, end int) {
+			f.cur.Reset()
+		default:
+			verts := f.verts
+			parallel.ForRangeID(len(verts), 64, func(wid, start, end int) {
 				c := &counters[wid]
-				for i := start; i < end; i++ {
-					process(c, cur.verts[i])
+				for _, v := range verts[start:end] {
+					process(c, v)
 				}
 			})
 		}
-		// Swap frontiers. Above the density threshold the next round
-		// sweeps masks directly; below it, materialize the sparse list.
-		cur.verts = cur.verts[:0]
-		count := inNext.Count()
-		dense = count*denseFraction > n
-		if dense {
-			inNext.ForEach(func(v int) {
-				cur.masks[v] = atomic.LoadUint64(&nextMasks[v])
-				atomic.StoreUint64(&nextMasks[v], 0)
-			})
-		} else {
-			inNext.ForEach(func(v int) {
-				cur.verts = append(cur.verts, graph.VertexID(v))
-				cur.masks[v] = atomic.LoadUint64(&nextMasks[v])
-				atomic.StoreUint64(&nextMasks[v], 0)
-			})
-		}
-		if st.Changed != nil {
-			// cur.masks now holds exactly the slots each vertex improved in.
-			inNext.ForEach(func(v int) { st.Changed[v] |= cur.masks[v] })
-		}
-		inNext.Reset()
-		active = count
+		active, dense = f.advance(n, st.Changed)
 	}
 	for i := range counters {
 		stats.Activations += counters[i].acts
@@ -678,32 +771,14 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 		stats.GateSkips += counters[i].gates
 		stats.BlockSweeps += counters[i].sweep
 	}
-	// The pool invariant is that scratch is handed back drained. A
-	// canceled run abandons a live frontier (masks set at positions no
-	// cheap sweep can enumerate in dense mode), so its scratch is dropped
-	// rather than drained — cancellations are rare enough that losing the
-	// buffers costs nothing.
+	// The pool invariant is that a frontier is handed back drained. A
+	// canceled run abandons a live one (queued members, set bits, masks),
+	// so it is dropped rather than drained — cancellations are rare
+	// enough that losing the buffers costs nothing.
 	if canceled == nil {
-		putPushScratch(scr)
+		frontierPool.Put(f)
 	}
 	return stats, canceled
-}
-
-// markActive atomically ors query bit k into v's next-frontier mask and
-// registers v in the next frontier set.
-func markActive(masks []uint64, set *bitset.Atomic, v graph.VertexID, k int) {
-	addr := &masks[v]
-	bit := uint64(1) << uint(k)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&bit != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|bit) {
-			break
-		}
-	}
-	set.Set(int(v))
 }
 
 // casImprove lowers (in the problem's order) *addr to cand, returning

@@ -92,8 +92,8 @@ func TestFusedWidthSweepEquivalence(t *testing.T) {
 
 // TestFusedForcedRepresentations pins the frontier representation to
 // each side of the Ligra-style switch and checks the width-K kernel
-// against the oracle on both, so neither the sparse per-vertex path nor
-// the dense mask sweep hides behind the heuristic.
+// against the oracle on both, so neither the sparse member list nor the
+// dense membership-bit walk hides behind the heuristic.
 func TestFusedForcedRepresentations(t *testing.T) {
 	const n, m, k = 256, 2600, 16
 	g := randomCSR(n, m, true, 71)

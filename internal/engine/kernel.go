@@ -9,7 +9,7 @@
 //     active-slot values into a stack block once per vertex before the
 //     edge loop. This is sound for monotonic problems: if another worker
 //     improves the source concurrently, it also re-marks the vertex
-//     active (markActive), so the improvement propagates in a later
+//     active (frontier.add), so the improvement propagates in a later
 //     superstep; the hoisted (stale but still sound) values can only
 //     under-propagate, never corrupt.
 //
@@ -35,7 +35,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"tripoline/internal/bitset"
 	"tripoline/internal/graph"
 	"tripoline/internal/parallel"
 )
@@ -162,7 +161,7 @@ func casImproveGreater(addr *uint64, cand uint64) bool {
 var windowBudget = 4 << 20
 
 // maxWindows caps the number of destination windows: each window pass
-// re-scans the O(N) frontier masks, so unbounded splitting would trade
+// re-walks the frontier's members, so unbounded splitting would trade
 // cache hits for sweep overhead.
 const maxWindows = 32
 
@@ -198,9 +197,7 @@ type pushKCtx struct {
 	// windows > 1 selects the cache-blocked dense sweep.
 	windows int
 
-	curMasks  []uint64
-	nextMasks []uint64
-	inNext    *bitset.Atomic
+	f *frontier
 }
 
 // hoist loads u's active-slot source values into the stack register
@@ -253,7 +250,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if casImprove(&cols[soff[k]+db], cand, p) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 		return
@@ -266,7 +263,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if casImproveLess(&cols[soff[k]+db], src[k]+wv) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 	case RelaxAddOne:
@@ -275,7 +272,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if casImproveLess(&cols[soff[k]+db], src[k]+1) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 	case RelaxMinWeight:
@@ -289,7 +286,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if casImproveGreater(&cols[soff[k]+db], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 	case RelaxMaxWeight:
@@ -303,7 +300,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if casImproveLess(&cols[soff[k]+db], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 	case RelaxMulSat:
@@ -313,7 +310,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if casImproveLess(&cols[soff[k]+db], SatMul(src[k], wv)) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 	case RelaxConst:
@@ -327,7 +324,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 			c.relax++
 			if improve(&cols[soff[k]+db], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, k)
+				kc.f.addMask(c, d, 1<<uint(k))
 			}
 		}
 	}
@@ -337,7 +334,7 @@ func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, 
 // slot, with the spec switch hoisted out of the arc loop entirely — the
 // width-K analogue of the K=1 kernel's flatEdges. The live slots are
 // compacted once per span into dense stack arrays (destination offset,
-// hoisted source value, slot index), so the (arc × slot) double loops
+// hoisted source value, slot bit), so the (arc × slot) double loops
 // below run with no mask arithmetic and no per-arc call or dispatch.
 // Problems without a spec keep the per-edge interface path.
 func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []graph.Weight, src *[64]uint64, live uint64) {
@@ -350,11 +347,11 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 	soff, cols, stride := kc.soff, kc.cols, kc.stride
 	var offs [64]int
 	var vals [64]uint64
-	var ks [64]int
+	var slot [64]uint64
 	ns := 0
 	for m := live; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
-		offs[ns], vals[ns], ks[ns] = soff[k], src[k], k
+		offs[ns], vals[ns], slot[ns] = soff[k], src[k], m&-m
 		ns++
 	}
 	switch kc.spec.Kind {
@@ -365,7 +362,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			for j := 0; j < ns; j++ {
 				if casImproveLess(&cols[offs[j]+db], vals[j]+wv) {
 					c.upd++
-					markActive(kc.nextMasks, kc.inNext, d, ks[j])
+					kc.f.addMask(c, d, slot[j])
 				}
 			}
 		}
@@ -378,7 +375,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			for j := 0; j < ns; j++ {
 				if casImproveLess(&cols[offs[j]+db], vals[j]) {
 					c.upd++
-					markActive(kc.nextMasks, kc.inNext, d, ks[j])
+					kc.f.addMask(c, d, slot[j])
 				}
 			}
 		}
@@ -393,7 +390,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 				}
 				if casImproveGreater(&cols[offs[j]+db], cand) {
 					c.upd++
-					markActive(kc.nextMasks, kc.inNext, d, ks[j])
+					kc.f.addMask(c, d, slot[j])
 				}
 			}
 		}
@@ -408,7 +405,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 				}
 				if casImproveLess(&cols[offs[j]+db], cand) {
 					c.upd++
-					markActive(kc.nextMasks, kc.inNext, d, ks[j])
+					kc.f.addMask(c, d, slot[j])
 				}
 			}
 		}
@@ -419,7 +416,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			for j := 0; j < ns; j++ {
 				if casImproveLess(&cols[offs[j]+db], SatMul(vals[j], wv)) {
 					c.upd++
-					markActive(kc.nextMasks, kc.inNext, d, ks[j])
+					kc.f.addMask(c, d, slot[j])
 				}
 			}
 		}
@@ -434,7 +431,7 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 			for j := 0; j < ns; j++ {
 				if improve(&cols[offs[j]+db], cand) {
 					c.upd++
-					markActive(kc.nextMasks, kc.inNext, d, ks[j])
+					kc.f.addMask(c, d, slot[j])
 				}
 			}
 		}
@@ -447,11 +444,8 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 // process is the fused vertex function: hoist once, then relax every
 // out-edge from the register block.
 func (kc *pushKCtx) process(c *workCounter, u graph.VertexID) {
-	mask := kc.curMasks[u]
-	if mask == 0 {
-		return
-	}
-	kc.curMasks[u] = 0
+	mask := kc.f.masks[u]
+	kc.f.masks[u] = 0
 	c.acts += int64(bits.OnesCount64(mask))
 	var src [64]uint64
 	live := kc.hoist(u, mask, &src, c)
@@ -503,19 +497,21 @@ func forArcRuns(arcs []graph.Edge, body func(worker int, run []graph.Edge)) {
 }
 
 // denseWindowed is the cache-blocked dense superstep: kc.windows passes
-// over the frontier, pass wi relaxing only arcs whose destination falls
-// in the wi-th ascending window of the vertex ID space. cursors[v] is v's
-// position within its destination-sorted span (OutSpan): zeroed in the
-// first window, it advances monotonically, and once the span is used up
-// it is parked at spanDone so later windows skip v without fetching the
-// span again. Frontier masks are cleared only in the last window
-// (markActive targets nextMasks, so re-reading curMasks across windows is
-// safe), activations are counted once (first window), and sources are
-// re-hoisted per window — each hoist sees equal-or-better values, which
-// is sound for the same monotonicity reason as hoisting itself.
-func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int32) {
+// over the frontier's members, pass wi relaxing only arcs whose
+// destination falls in the wi-th ascending window of the vertex ID space.
+// cursors[v] is v's position within its destination-sorted span
+// (OutSpan): zeroed in the first window, it advances monotonically, and
+// once the span is used up it is parked at spanDone so later windows skip
+// v without fetching the span again. Slot masks are cleared only in the
+// last window (marks go to the next round's masks, so re-reading this
+// round's across windows is safe), activations are counted once (first
+// window), and sources are re-hoisted per window — each hoist sees
+// equal-or-better values, which is sound for the same monotonicity reason
+// as hoisting itself.
+func (kc *pushKCtx) denseWindowed(n int, cursors []int32) {
 	windows := kc.windows
 	span := (n + windows - 1) / windows
+	masks := kc.f.masks
 	for wi := 0; wi < windows; wi++ {
 		hi := (wi + 1) * span
 		if hi > n {
@@ -523,51 +519,45 @@ func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int32
 		}
 		first := wi == 0
 		last := wi == windows-1
-		parallel.ForRangeID(n, 128, func(wid, start, end int) {
-			c := &counters[wid]
-			var src [64]uint64
-			for v := start; v < end; v++ {
-				mask := kc.curMasks[v]
-				if mask == 0 {
-					continue
-				}
-				if first {
-					c.acts += int64(bits.OnesCount64(mask))
-					cursors[v] = 0
-				}
-				if last {
-					kc.curMasks[v] = 0
-				}
-				cur := cursors[v]
-				if cur == spanDone {
-					continue
-				}
-				// Find the window's arc run up front (a sequential scan of
-				// the already-cached span), so the relaxation below is one
-				// span call with the spec switch outside the arc loop. An
-				// empty run (power-law graphs put most vertices' handful of
-				// arcs in a few windows) skips the hoist entirely.
-				dsts, ws := kc.g.OutSpan(graph.VertexID(v))
-				stop := int(cur)
-				for stop < len(dsts) && int(dsts[stop]) < hi {
-					stop++
-				}
-				if stop == len(dsts) {
-					cursors[v] = spanDone
-				} else {
-					cursors[v] = int32(stop)
-				}
-				if stop == int(cur) {
-					continue
-				}
-				live := kc.hoist(graph.VertexID(v), mask, &src, c)
-				if live == 0 {
-					continue
-				}
-				kc.relaxSpan(c, dsts[cur:stop], ws[cur:stop], &src, live)
+		kc.f.forDense(n, func(c *workCounter, v graph.VertexID) {
+			mask := masks[v]
+			if first {
+				c.acts += int64(bits.OnesCount64(mask))
+				cursors[v] = 0
 			}
+			if last {
+				masks[v] = 0
+			}
+			cur := cursors[v]
+			if cur == spanDone {
+				return
+			}
+			// Find the window's arc run up front (a sequential scan of
+			// the already-cached span), so the relaxation below is one
+			// span call with the spec switch outside the arc loop. An
+			// empty run (power-law graphs put most vertices' handful of
+			// arcs in a few windows) skips the hoist entirely.
+			dsts, ws := kc.g.OutSpan(v)
+			stop := int(cur)
+			for stop < len(dsts) && int(dsts[stop]) < hi {
+				stop++
+			}
+			if stop == len(dsts) {
+				cursors[v] = spanDone
+			} else {
+				cursors[v] = int32(stop)
+			}
+			if stop == int(cur) {
+				return
+			}
+			var src [64]uint64
+			live := kc.hoist(v, mask, &src, c)
+			if live == 0 {
+				return
+			}
+			kc.relaxSpan(c, dsts[cur:stop], ws[cur:stop], &src, live)
 		})
-		counters[0].sweep++
+		kc.f.counters[0].sweep++
 	}
 }
 
@@ -575,26 +565,21 @@ func (kc *pushKCtx) denseWindowed(counters []workCounter, n int, cursors []int32
 // left for later windows.
 const spanDone = -1
 
-// push1Ctx is the specialized K=1 push kernel: no mask loop, no slot
-// arithmetic — the frontier mask is a plain active bit and the value
-// array is indexed by vertex directly.
+// push1Ctx is the specialized K=1 push kernel: no masks, no slot
+// arithmetic — a frontier member is active by membership alone, and the
+// value array is indexed by vertex directly.
 type push1Ctx struct {
 	g       ArcView
 	p       Problem
 	spec    KernelSpec
 	hasSpec bool
 	vals    []uint64
-
-	curMasks  []uint64
-	nextMasks []uint64
-	inNext    *bitset.Atomic
+	f       *frontier
 }
 
+// process is the K=1 vertex function: load u's value once, then relax
+// every out-edge from it.
 func (kc *push1Ctx) process(c *workCounter, u graph.VertexID) {
-	if kc.curMasks[u] == 0 {
-		return
-	}
-	kc.curMasks[u] = 0
 	c.acts++
 	c.hoists++
 	src := atomic.LoadUint64(&kc.vals[u])
@@ -622,7 +607,7 @@ func (kc *push1Ctx) genericEdge(c *workCounter, d graph.VertexID, w graph.Weight
 	c.relax++
 	if casImprove(&kc.vals[d], cand, kc.p) {
 		c.upd++
-		markActive(kc.nextMasks, kc.inNext, d, 0)
+		kc.f.add(c, d)
 	}
 }
 
@@ -646,27 +631,28 @@ func (kc *push1Ctx) tail(c *workCounter, run []graph.Edge) {
 	}
 }
 
-// flatEdges is the devirtualized edge loop of the K=1 kernel: the spec switch is hoisted out of the edge loop entirely, so
-// each case is a tight loop of load/op/CAS over the arc span.
+// flatEdges is the devirtualized edge loop of the K=1 kernel: the spec
+// switch is hoisted out of the edge loop entirely, so each case is a
+// tight loop of load/op/CAS over the arc span. Every arc is one
+// relaxation attempt, counted in bulk.
 func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 	dsts, ws := kc.g.OutSpan(u)
 	vals := kc.vals
+	c.relax += int64(len(dsts))
 	switch kc.spec.Kind {
 	case RelaxAddWeight:
 		for i, d := range dsts {
-			c.relax++
 			if casImproveLess(&vals[d], src+uint64(ws[i])) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
+				kc.f.add(c, d)
 			}
 		}
 	case RelaxAddOne:
 		cand := src + 1
 		for _, d := range dsts {
-			c.relax++
 			if casImproveLess(&vals[d], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
+				kc.f.add(c, d)
 			}
 		}
 	case RelaxMinWeight:
@@ -675,10 +661,9 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 			if wv := uint64(ws[i]); wv < cand {
 				cand = wv
 			}
-			c.relax++
 			if casImproveGreater(&vals[d], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
+				kc.f.add(c, d)
 			}
 		}
 	case RelaxMaxWeight:
@@ -687,18 +672,16 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 			if wv := uint64(ws[i]); wv > cand {
 				cand = wv
 			}
-			c.relax++
 			if casImproveLess(&vals[d], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
+				kc.f.add(c, d)
 			}
 		}
 	case RelaxMulSat:
 		for i, d := range dsts {
-			c.relax++
 			if casImproveLess(&vals[d], SatMul(src, uint64(ws[i]))) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
+				kc.f.add(c, d)
 			}
 		}
 	case RelaxConst:
@@ -708,10 +691,9 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 			improve = casImproveGreater
 		}
 		for _, d := range dsts {
-			c.relax++
 			if improve(&vals[d], cand) {
 				c.upd++
-				markActive(kc.nextMasks, kc.inNext, d, 0)
+				kc.f.add(c, d)
 			}
 		}
 	}
@@ -750,6 +732,6 @@ func (kc *push1Ctx) specEdge(c *workCounter, d graph.VertexID, w graph.Weight, s
 	}
 	if won {
 		c.upd++
-		markActive(kc.nextMasks, kc.inNext, d, 0)
+		kc.f.add(c, d)
 	}
 }

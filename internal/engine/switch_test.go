@@ -117,45 +117,70 @@ func TestPushScratchPoolReuse(t *testing.T) {
 	const n, burst = 256, 64
 	g := burstGraph(n, burst)
 	arcs := allArcs(g)
-	evaluations := map[string]func(){
-		"push": func() { runMinPlus(g, n) },
+	evaluations := []struct {
+		name     string
+		k        int
+		evaluate func()
+	}{
+		{"push", 1, func() { runMinPlus(g, n) }},
 		// A state holding only its source is a fixpoint of the graph without
 		// any of its arcs, so every arc may be handed to the arc round: it
 		// improves the first hop and the push carries on from there.
-		"push-arcs": func() {
+		{"push-arcs", 1, func() {
 			st := NewState(minPlus{}, n, 1)
 			st.SetSource(0, 0)
 			if stats := st.RunPushArcs(g, arcs); st.Values[3+burst] != 4 || stats.Iterations < 2 {
 				t.Fatalf("push-arcs: value(%d)=%d after %d rounds", 3+burst, st.Values[3+burst], stats.Iterations)
 			}
-		},
-	}
-	for name, evaluate := range evaluations {
-		// Drain whatever is pooled, then verify a run leaves reusable,
-		// fully drained scratch behind.
-		for {
-			if s, _ := pushScratchPool.Get().(*pushScratch); s == nil {
-				break
+		}},
+		// Width 4 from four sources: the burst's round is dense, and the
+		// slot masks ride along with the membership bits.
+		{"push-k4", 4, func() {
+			st, _ := Run(g, minPlus{}, []graph.VertexID{0, 1, 2, 0})
+			if st.Value(3+burst, 0) != 4 || st.Value(3+burst, 2) != 2 {
+				t.Fatalf("push-k4: value(%d) = %d/%d", 3+burst, st.Value(3+burst, 0), st.Value(3+burst, 2))
 			}
-		}
-		evaluate()
+		}},
+	}
+	for _, e := range evaluations {
+		// Empty the pool (two collections empty it on every P; draining
+		// it with Get would miss what sits in another P's private slot),
+		// then verify a run leaves reusable, fully drained scratch behind.
+		runtime.GC()
+		runtime.GC()
+		e.evaluate()
 
-		s, _ := pushScratchPool.Get().(*pushScratch)
-		if s == nil {
+		f, _ := frontierPool.Get().(*frontier)
+		if f == nil {
 			t.Skip("pool evicted the scratch (GC ran); nothing to verify")
 		}
-		if len(s.masks) != n || len(s.next) != n {
-			t.Fatalf("%s: pooled scratch sized %d/%d, want %d", name, len(s.masks), len(s.next), n)
+		if f.next.Len() != n || f.cur.Len() != n {
+			t.Fatalf("%s: pooled bitsets sized %d/%d, want %d", e.name, f.next.Len(), f.cur.Len(), n)
 		}
-		for i := 0; i < n; i++ {
-			if s.masks[i] != 0 || s.next[i] != 0 {
-				t.Fatalf("%s: pooled scratch dirty at %d: masks=%d next=%d", name, i, s.masks[i], s.next[i])
+		if f.next.Count() != 0 || f.cur.Count() != 0 {
+			t.Fatalf("%s: pooled bitsets hold %d/%d set bits", e.name, f.next.Count(), f.cur.Count())
+		}
+		for i := range f.counters {
+			if q := f.counters[i].queue; len(q) != 0 {
+				t.Fatalf("%s: worker %d's pooled queue holds %v", e.name, i, q)
 			}
 		}
-		if s.inNext.Count() != 0 {
-			t.Fatalf("%s: pooled bitset has %d set bits", name, s.inNext.Count())
+		// A width-1 run's scratch is the bitsets and the queues: no
+		// per-vertex word anywhere.
+		if e.k == 1 && (f.masks != nil || f.nextMasks != nil) {
+			t.Fatalf("%s: a width-1 run allocated slot masks", e.name)
 		}
-		pushScratchPool.Put(s)
+		if e.k > 1 {
+			if len(f.masks) != n || len(f.nextMasks) != n {
+				t.Fatalf("%s: pooled masks sized %d/%d, want %d", e.name, len(f.masks), len(f.nextMasks), n)
+			}
+			for i := 0; i < n; i++ {
+				if f.masks[i] != 0 || f.nextMasks[i] != 0 {
+					t.Fatalf("%s: pooled masks dirty at %d: masks=%d next=%d", e.name, i, f.masks[i], f.nextMasks[i])
+				}
+			}
+		}
+		frontierPool.Put(f)
 	}
 
 	// A smaller graph must reuse the larger buffers; results unchanged.
@@ -168,7 +193,7 @@ func TestPushScratchPoolReuse(t *testing.T) {
 }
 
 // TestCanceledArcPushDropsScratch: an arc-seeded push canceled between its
-// arc round and the first frontier superstep holds live masks in its
+// arc round and the first frontier superstep holds a live frontier in its
 // scratch, so — like any canceled push — it must not hand the scratch back
 // to the pool. The values it did reach are sound.
 func TestCanceledArcPushDropsScratch(t *testing.T) {
@@ -208,7 +233,7 @@ func TestCanceledArcPushDropsScratch(t *testing.T) {
 			t.Fatalf("partial value(%d) = %d, want %d or unreached", v, got, exact(v))
 		}
 	}
-	if s, _ := pushScratchPool.Get().(*pushScratch); s != nil {
+	if f, _ := frontierPool.Get().(*frontier); f != nil {
 		t.Fatal("a canceled arc-seeded push returned its live scratch to the pool")
 	}
 }

@@ -96,6 +96,28 @@ func (m *Manager) LaneColumn(lane int) []uint64 {
 	return m.pages[lane/64].st.Column(lane % 64)
 }
 
+// LaneColumns returns a copy of each listed lane's values, out[i] holding
+// lanes[i]'s, reading each page once for all of its listed lanes
+// (engine.State.Columns).
+func (m *Manager) LaneColumns(lanes []int) [][]uint64 {
+	out := make([][]uint64, len(lanes))
+	for pi, pg := range m.pages {
+		var at, slots []int
+		for i, l := range lanes {
+			if l/64 == pi {
+				at, slots = append(at, i), append(slots, l%64)
+			}
+		}
+		if len(slots) == 0 {
+			continue
+		}
+		for j, col := range pg.st.Columns(slots) {
+			out[at[j]] = col
+		}
+	}
+	return out
+}
+
 // DrainMoved calls f for every (lane, vertex) whose value maintenance
 // moved since the last drain — every improvement, and every value a trim
 // reset that came back different — and clears the record.

@@ -121,9 +121,31 @@ func MeetOf(p engine.Problem) MeetFunc {
 	}
 }
 
+// single returns the destination and source runs of a one-lane meet over
+// contiguous storage (both strides 1) with the lane's property(u, r);
+// ok is false for any other meet. A width-1 query out of a width-1
+// standing set — what Narrow leaves the min/max problems — is this case.
+// Over two runs of one length (the caller reslices one to the other) the
+// loop checks its bounds once instead of indexing two strided arrays per
+// vertex, which halves the pass.
+func single(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) (dr, sr []uint64, pu uint64, ok bool) {
+	if len(lanes) != 1 || ds != 1 || ss != 1 {
+		return nil, nil, 0, false
+	}
+	s += lanes[0].Off
+	return dst[d : d+cnt], src[s : s+cnt], lanes[0].PropUR, true
+}
+
 // meetSatAdd is the meet of the additive problems (SSSP, BFS): the least
 // saturating sum.
 func meetSatAdd(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	if dr, sr, pu, ok := single(dst, d, ds, src, s, ss, lanes, cnt); ok {
+		dr = dr[:len(sr)]
+		for i, v := range sr {
+			dr[i] = engine.SatAdd(pu, v)
+		}
+		return
+	}
 	first, rest := lanes[0], lanes[1:]
 	for ; cnt > 0; cnt-- {
 		best := engine.SatAdd(first.PropUR, src[s+first.Off])
@@ -137,6 +159,13 @@ func meetSatAdd(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, 
 
 // meetMin is the widest path's meet: the widest of the narrower halves.
 func meetMin(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	if dr, sr, pu, ok := single(dst, d, ds, src, s, ss, lanes, cnt); ok {
+		dr = dr[:len(sr)]
+		for i, v := range sr {
+			dr[i] = min(pu, v)
+		}
+		return
+	}
 	first, rest := lanes[0], lanes[1:]
 	for ; cnt > 0; cnt-- {
 		best := min(first.PropUR, src[s+first.Off])
@@ -151,6 +180,13 @@ func meetMin(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt
 // meetMax is the narrowest path's meet: the narrowest of the wider
 // halves (Unreached, the largest word, absorbs).
 func meetMax(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	if dr, sr, pu, ok := single(dst, d, ds, src, s, ss, lanes, cnt); ok {
+		dr = dr[:len(sr)]
+		for i, v := range sr {
+			dr[i] = max(pu, v)
+		}
+		return
+	}
 	first, rest := lanes[0], lanes[1:]
 	for ; cnt > 0; cnt-- {
 		best := max(first.PropUR, src[s+first.Off])
@@ -164,6 +200,13 @@ func meetMax(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt
 
 // meetSatMul is Viterbi's meet: the least saturating product of weights.
 func meetSatMul(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	if dr, sr, pu, ok := single(dst, d, ds, src, s, ss, lanes, cnt); ok {
+		dr = dr[:len(sr)]
+		for i, v := range sr {
+			dr[i] = engine.SatMul(pu, v)
+		}
+		return
+	}
 	first, rest := lanes[0], lanes[1:]
 	for ; cnt > 0; cnt-- {
 		best := engine.SatMul(first.PropUR, src[s+first.Off])
@@ -177,6 +220,13 @@ func meetSatMul(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, 
 
 // meetAnd is reachability's meet: reached through any lane.
 func meetAnd(dst []uint64, d, ds int, src []uint64, s, ss int, lanes []Lane, cnt int) {
+	if dr, sr, pu, ok := single(dst, d, ds, src, s, ss, lanes, cnt); ok {
+		dr = dr[:len(sr)]
+		for i, v := range sr {
+			dr[i] = pu & v
+		}
+		return
+	}
 	first, rest := lanes[0], lanes[1:]
 	for ; cnt > 0; cnt-- {
 		best := first.PropUR & src[s+first.Off]
