@@ -19,7 +19,7 @@
 // subscription surface instead, verifying every cached answer and every
 // pushed frame against the oracle at its reported version.
 // -corrupt-delta and -corrupt-transpose arm the replays' skew seams — a
-// corrupted mirror, a corrupted transposed mirror — which the serving
+// corrupted mirror, a corrupted transpose — which the serving
 // replay does not have, so either with -serving is a usage error. Both
 // self-tests must exit 1.
 //

@@ -157,8 +157,8 @@ func TestCorruptDeltaCaughtAndMinimized(t *testing.T) {
 }
 
 // TestCorruptTransposeCaughtAndMinimized is the transpose self-test: with
-// the transpose skew seam armed, every patched transposed mirror has one
-// arc off by one, which only a directed schedule's reversed standing
+// the transpose skew seam armed, every publish puts one arc of the
+// transpose off by one, which only a directed schedule's reversed standing
 // queries read; the divergence must be detected and shrink to a handful
 // of ops that still describe a directed graph.
 func TestCorruptTransposeCaughtAndMinimized(t *testing.T) {

@@ -18,8 +18,8 @@ type Options struct {
 	// a handful of ops. The serving replay has no store seam to arm.
 	CorruptDelta bool
 	// CorruptTranspose arms the streamgraph transpose skew seam in every
-	// replay of the query surface: each patched transposed mirror silently
-	// corrupts one arc. Only a directed schedule's reversed standing
+	// replay of the query surface: each publish silently corrupts one arc
+	// of the transpose. Only a directed schedule's reversed standing
 	// queries read a transpose, so this self-test bites on directed
 	// schedules alone.
 	CorruptTranspose bool

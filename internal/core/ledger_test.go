@@ -30,8 +30,8 @@ func TestLedgerCrossCheck(t *testing.T) {
 }
 
 // ledgerCrossCheck is one orientation of TestLedgerCrossCheck. A directed
-// graph's standing sets evaluate over transposed mirrors, which ride along
-// with each mirror and recycle with it.
+// graph's standing sets evaluate over the Graph's transpose, which holds
+// no mirror reference and takes no slab.
 func ledgerCrossCheck(t *testing.T, directed bool) {
 	streamgraph.LedgerReset()
 

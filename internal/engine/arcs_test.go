@@ -17,8 +17,8 @@ import (
 // batches whose arcs share tails and heads heavily: a few dozen vertices
 // are tail and head of several hundred stored arcs, so runs straddle chunk
 // boundaries and many tails relax into one head (the push's CAS). The
-// reversed queries push the same arcs reversed over the transposed mirror,
-// which each batch patches in parallel from the last. Run it under -race;
+// reversed queries push the same arcs reversed over the transpose, which
+// each batch changes in place, in parallel over heads. Run it under -race;
 // every slot is held to the oracle.
 func TestArcRoundSharedEndpoints(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))

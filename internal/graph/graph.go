@@ -174,35 +174,61 @@ func SortArcs(arcs []Edge) {
 }
 
 // radixSort sorts arcs stably by destination (byDst) or by source: an LSD
-// radix sort, one byte per pass; a pass whose byte is the same for every
-// arc changes nothing and is skipped. buf, if not nil, is scratch of
-// len(arcs). It returns the sorted list, which is arcs or the scratch, and
-// the other one.
+// radix sort over three digits of a 32-bit ID, 11, 11 and 10 bits wide,
+// whose counts are all taken in one read of the arcs; a pass whose digit
+// is the same for every arc changes nothing and is skipped, so IDs below
+// 2^22 take two passes. buf, if not nil, is scratch of len(arcs). It
+// returns the sorted list, which is arcs or the scratch, and the other
+// one.
 func radixSort(arcs, buf []Edge, byDst bool) (sorted, scratch []Edge) {
-	key := func(a Edge) VertexID {
-		if byDst {
-			return a.Dst
-		}
-		return a.Src
+	const (
+		digit   = 11
+		buckets = 1 << digit
+		mask    = buckets - 1
+	)
+	if len(arcs) < 2 {
+		return arcs, buf
 	}
-	for shift := 0; shift < 32 && len(arcs) > 1; shift += 8 {
-		var count [257]int
-		for _, a := range arcs {
-			count[(key(a)>>shift)&0xff+1]++
+	var counts [3][buckets]int
+	for _, a := range arcs {
+		k := a.Src
+		if byDst {
+			k = a.Dst
 		}
-		if count[(key(arcs[0])>>shift)&0xff+1] == len(arcs) {
+		counts[0][k&mask]++
+		counts[1][k>>digit&mask]++
+		counts[2][k>>(2*digit)]++
+	}
+	first := arcs[0].Src
+	if byDst {
+		first = arcs[0].Dst
+	}
+	for p := range counts {
+		shift := uint(p * digit)
+		count := &counts[p]
+		if count[first>>shift&mask] == len(arcs) {
 			continue
 		}
-		for d := 1; d < len(count); d++ {
-			count[d] += count[d-1]
+		at := 0
+		for d, c := range count {
+			count[d] = at
+			at += c
 		}
 		if buf == nil {
 			buf = make([]Edge, len(arcs))
 		}
-		for _, a := range arcs {
-			d := (key(a) >> shift) & 0xff
-			buf[count[d]] = a
-			count[d]++
+		if byDst {
+			for _, a := range arcs {
+				d := a.Dst >> shift & mask
+				buf[count[d]] = a
+				count[d]++
+			}
+		} else {
+			for _, a := range arcs {
+				d := a.Src >> shift & mask
+				buf[count[d]] = a
+				count[d]++
+			}
 		}
 		arcs, buf = buf, arcs
 	}

@@ -193,7 +193,7 @@ func TestReversedArcsQuick(t *testing.T) {
 
 // TestSortArcsQuick: SortArcs orders arcs exactly as a stable comparison
 // sort by source, then destination — repeated pairs, told apart by weight,
-// keep their order — over IDs wide enough that every byte pass runs.
+// keep their order — over IDs wide enough that every digit's pass runs.
 func TestSortArcsQuick(t *testing.T) {
 	f := func(ids []uint32) bool {
 		var arcs, again []Edge

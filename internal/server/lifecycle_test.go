@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,11 +39,17 @@ func newLifecycleServer(t *testing.T, opts ...server.Option) (*httptest.Server, 
 func TestAdmissionGateSaturation(t *testing.T) {
 	ts, _ := newLifecycleServer(t, server.WithMaxInFlight(1, 0))
 
+	// The hook holds only the first admitted request, the in-flight one.
+	// A probe below admitted before the drain flag is set returns at once
+	// (200), and the loop asks again until it sees 503.
 	hold := make(chan struct{})
 	admitted := make(chan struct{}, 1)
+	var held atomic.Bool
 	restore := server.SetTestHookAdmitted(func(string) {
-		admitted <- struct{}{}
-		<-hold
+		if held.CompareAndSwap(false, true) {
+			admitted <- struct{}{}
+			<-hold
+		}
 	})
 	defer restore()
 
@@ -253,11 +260,17 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestDrain(t *testing.T) {
 	ts, srv := newLifecycleServer(t)
 
+	// The hook holds only the first admitted request, the in-flight one.
+	// A probe below admitted before the drain flag is set returns at once
+	// (200), and the loop asks again until it sees 503.
 	hold := make(chan struct{})
 	admitted := make(chan struct{}, 1)
+	var held atomic.Bool
 	restore := server.SetTestHookAdmitted(func(string) {
-		admitted <- struct{}{}
-		<-hold
+		if held.CompareAndSwap(false, true) {
+			admitted <- struct{}{}
+			<-hold
+		}
 	})
 	defer restore()
 

@@ -63,8 +63,8 @@ func BenchmarkUpdateSplit(b *testing.B) {
 			g := streamgraph.New(cfg.N(), true)
 			snap, _ := g.InsertEdges(stream.Initial)
 			roots := TopDegreeRoots(snap, 16)
-			// New builds the mirror's transpose, so every publish below
-			// patches the one its parent hands over.
+			// New builds the Graph's transpose, so every publish below
+			// changes it in place.
 			m := New(c.p, snap.Flatten(), roots, true)
 
 			var publish, fwd, rev time.Duration

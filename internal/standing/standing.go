@@ -21,10 +21,10 @@
 // standing query q⁻¹(r) (property(x, r) for all x), because property(u, r)
 // on a directed graph is not available from q(r) itself. q⁻¹(r) is q(r)
 // over the graph with every arc reversed, so every path — build, insertion,
-// deletion — is the forward one run over the view's transposed mirror
+// deletion — is the forward one run over the view's transpose
 // (engine.Transposer) with the arcs reversed. The paper evaluates q⁻¹ by
-// pulling over the out-edges alone (§4.2); the transposed mirror costs one
-// more copy of the arcs and removes the pull's whole-graph sweeps.
+// pulling over the out-edges alone (§4.2); the transpose costs one more
+// copy of the arcs and removes the pull's whole-graph sweeps.
 //
 // Beside the roots, a manager maintains subscribed lanes in the same passes
 // (lanes.go): the answers q(s) of subscribed sources, in pages of ≤64.

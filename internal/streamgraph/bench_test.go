@@ -2,26 +2,91 @@ package streamgraph
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 )
 
-func BenchmarkInsertBatch10K(b *testing.B) {
-	cfg := gen.Config{Name: "bench", LogN: 15, AvgDegree: 12, Directed: true, Seed: 1}
-	edges := gen.RMAT(cfg)
-	base := edges[:len(edges)-10_000*2]
-	batch := edges[len(edges)-10_000 : len(edges)]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := FromEdges(cfg.N(), base, true)
-		b.StartTimer()
-		g.InsertEdges(batch)
+// BenchmarkPublishChain prices one insert batch of a steady-state chain
+// at two benchmark shapes — 2^18 vertices × 4 (query-minmax) and 2^17 × 16
+// (query-additive), directed RMAT, 60 % preloaded, 10k-edge batches from
+// the rest — with the Graph's transpose attached and each parent snapshot
+// retired once its child is published, as core's writer does. An
+// iteration is one InsertEdges, step by step: pick (sort and first-wins
+// filter), forward (the mirror's patch), transpose (its in-place change,
+// which publish overlaps with the forward patch but which is timed here
+// after it) and commit. Between batches, off the clock, two collections
+// stand for the queries a workload answers between its batches, whose
+// garbage empties the slab pools as it does there. It reports each
+// step's time per batch and the slab misses per batch. When the stream
+// runs out, the chain starts again from the preload off the clock.
+func BenchmarkPublishChain(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		logN   int
+		degree float64
+	}{{"minmax-2^18x4", 18, 4}, {"additive-2^17x16", 17, 16}} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := gen.Config{Name: "bench", LogN: shape.logN, AvgDegree: shape.degree, Directed: true, Seed: 7}
+			edges := gen.RMAT(cfg)
+			pre := len(edges) * 6 / 10
+			const batchEdges = 10_000
+			var g *Graph
+			var stream []graph.Edge
+			start := func() {
+				g = FromEdges(cfg.N(), edges[:pre], true)
+				g.Acquire().Flatten().Transposed()
+				stream = edges[pre:]
+			}
+			start()
+			var pick, forward, transpose time.Duration
+			var misses int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if len(stream) < batchEdges {
+					start()
+				}
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
+				batch := stream[:batchEdges]
+				stream = stream[batchEdges:]
+				missed := g.MirrorMetrics().SlabMisses.Value()
+
+				g.mu.Lock()
+				old := g.latest.Load()
+				n := old.n
+				for _, e := range batch {
+					n = max(n, int(e.Src)+1, int(e.Dst)+1)
+				}
+				t0 := time.Now()
+				rec, changed := g.pick(old.flat, batch, false)
+				t1 := time.Now()
+				f := g.patchMirror(old.flat, n, rec, changed, false)
+				t2 := time.Now()
+				g.shared.changeTranspose(g.shared.t, n, f.version, rec, false)
+				t3 := time.Now()
+				g.shared.head = f
+				g.commit(old, f)
+				g.mu.Unlock()
+				old.RetireFlat()
+
+				pick += t1.Sub(t0)
+				forward += t2.Sub(t1)
+				transpose += t3.Sub(t2)
+				misses += g.MirrorMetrics().SlabMisses.Value() - missed
+			}
+			per := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(b.N) }
+			b.ReportMetric(per(pick), "pick-us")
+			b.ReportMetric(per(forward), "forward-us")
+			b.ReportMetric(per(transpose), "transpose-us")
+			b.ReportMetric(float64(misses)/float64(b.N), "misses/batch")
+		})
 	}
-	b.SetBytes(int64(len(batch)) * 12)
 }
 
 func BenchmarkSnapshotDegreeScan(b *testing.B) {

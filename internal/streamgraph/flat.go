@@ -2,7 +2,6 @@ package streamgraph
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"tripoline/internal/graph"
@@ -40,11 +39,9 @@ type Flat struct {
 	arcs   *arcSlab
 	refs   atomic.Int64
 
-	// t is the transposed mirror (see Transposed), nil until built or
-	// handed over by the parent's; it is recycled with this one. tmu
-	// guards it.
-	tmu sync.Mutex
-	t   *Flat
+	// t is the private transpose a superseded mirror builds (Transposed),
+	// nil until asked for; the shared state's tmu guards it.
+	t *Transpose
 }
 
 // flattenGrain is the vertex-chunk size used when patching in parallel;
@@ -121,10 +118,8 @@ func chunked(spans []span, lo, hi int, shift int64, grain int) []span {
 // prev's, and n = prev.n. A head — a source of rec — gets its parent span
 // merged with its run of rec, or with the run taken out; a vertex at or
 // past prev.n has an empty parent span. It returns the slabs, with the off
-// table filled. Every publish of either direction uses it: the forward
-// mirror with the batch's record, the transpose with that record reversed.
-// The cost is O(|rec| + n - prev.n) plus one copy of the parent's off
-// table and spans:
+// table filled. Every publish of either direction uses it. The cost is
+// O(|rec| + n - prev.n) plus one copy of the parent's off table and spans:
 //
 //  1. the off table is the parent's plus a per-segment constant shift —
 //     every index between two consecutive heads shares one shift, the
@@ -214,24 +209,61 @@ func patch(sh *flatShared, prev *Flat, n int, rec []graph.Edge, out bool) (*offS
 // mergeRun writes the span (dsts, ws) merged with the arcs of run, or
 // with them taken out, into adj and wgt in destination order. Both are
 // sorted by destination; merged in, they share no destination, and taken
-// out, every destination of run is in dsts.
+// out, every destination of run is in dsts (one that is not, which only
+// a corrupted span can hold, is skipped). Each run arc finds its place in
+// what is left of the span by binary search, and the gap before it is
+// block-copied. Taken out, adj and wgt may alias the front of dsts and ws.
 func mergeRun(adj []graph.VertexID, wgt []graph.Weight, dsts []graph.VertexID, ws []graph.Weight, run []graph.Edge, out bool) {
-	i, j := 0, 0
-	for k := 0; k < len(adj); {
-		switch {
-		case j == len(run) || (i < len(dsts) && dsts[i] < run[j].Dst):
-			adj[k], wgt[k] = dsts[i], ws[i]
-			i++
-			k++
-		case out:
-			i++
-			j++
-		default:
-			adj[k], wgt[k] = run[j].Dst, run[j].W
-			j++
-			k++
+	i, k := 0, 0
+	for _, a := range run {
+		p := i + searchDst(dsts[i:], a.Dst)
+		copy(wgt[k:], ws[i:p])
+		k += copy(adj[k:], dsts[i:p])
+		i = p
+		if out {
+			if p < len(dsts) && dsts[p] == a.Dst {
+				i++
+			}
+			continue
+		}
+		adj[k], wgt[k] = a.Dst, a.W
+		k++
+	}
+	copy(wgt[k:], ws[i:])
+	copy(adj[k:], dsts[i:])
+}
+
+// mergeBack merges the arcs of run into the span held in the first d
+// slots of adj and wgt, in place, from the back: each run arc, last
+// first, finds its place among the span's arcs still unplaced by binary
+// search, and the arcs past that place shift up in one block copy. adj
+// and wgt hold the merged span, d+len(run) arcs; span and run are sorted
+// by destination and share none.
+func mergeBack(adj []graph.VertexID, wgt []graph.Weight, d int64, run []graph.Edge) {
+	i := int(d)
+	for j := len(run) - 1; j >= 0; j-- {
+		a := run[j]
+		p := searchDst(adj[:i], a.Dst)
+		copy(adj[p+j+1:], adj[p:i])
+		copy(wgt[p+j+1:], wgt[p:i])
+		adj[p+j], wgt[p+j] = a.Dst, a.W
+		i = p
+	}
+}
+
+// searchDst returns the index of the first destination in dsts, which is
+// sorted, that is at least x (len(dsts) when there is none).
+func searchDst(dsts []graph.VertexID, x graph.VertexID) int {
+	lo, hi := 0, len(dsts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if dsts[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	return lo
 }
 
 // arcBytes / offEntryBytes price one adjacency+weight pair and one
@@ -304,12 +336,9 @@ func (f *Flat) Release() {
 // any use-after-retire fail fast instead of observing a slab that a
 // newer build is overwriting.
 func (f *Flat) recycle() {
-	if t := f.takeTransposed(); t != nil {
-		t.Release()
-	}
 	sh := f.shared
 	offs, arcs := f.offs, f.arcs
-	f.off, f.adj, f.wgt, f.inserted = nil, nil, nil, nil
+	f.off, f.adj, f.wgt, f.inserted, f.t = nil, nil, nil, nil, nil
 	f.offs, f.arcs = nil, nil
 	if sh == nil {
 		return

@@ -4,66 +4,59 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"tripoline/internal/engine"
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 )
 
-// requireSameFlat asserts two mirrors are byte-identical: same off, adj
-// and wgt contents element for element.
-func requireSameFlat(t *testing.T, label string, got, want *Flat) {
+// requireSameTranspose asserts two transposes hold the same graph at the
+// same version with the same record: vertex count, every span's tails and
+// weights, Version and InsertedArcs. Where the spans sit in the arena is
+// not compared.
+func requireSameTranspose(t *testing.T, label string, got, want *Transpose) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("%s: n = %d, want %d", label, got.n, want.n)
+	if got.NumVertices() != want.NumVertices() || got.Version() != want.Version() {
+		t.Fatalf("%s: %d vertices at v%d, want %d at v%d", label, got.NumVertices(), got.Version(), want.NumVertices(), want.Version())
 	}
-	if got.version != want.version {
-		t.Fatalf("%s: version = %d, want %d", label, got.version, want.version)
-	}
-	for v := 0; v <= want.n; v++ {
-		if got.off[v] != want.off[v] {
-			t.Fatalf("%s: off[%d] = %d, want %d", label, v, got.off[v], want.off[v])
+	for v := 0; v < want.NumVertices(); v++ {
+		gd, gw := got.OutSpan(graph.VertexID(v))
+		wd, ww := want.OutSpan(graph.VertexID(v))
+		if !slices.Equal(gd, wd) || !slices.Equal(gw, ww) {
+			t.Fatalf("%s: span of %d is %v/%v, want %v/%v", label, v, gd, gw, wd, ww)
 		}
 	}
-	if len(got.adj) != len(want.adj) || len(got.wgt) != len(want.wgt) {
-		t.Fatalf("%s: slab sizes adj %d/%d wgt %d/%d",
-			label, len(got.adj), len(want.adj), len(got.wgt), len(want.wgt))
-	}
-	for i := range want.adj {
-		if got.adj[i] != want.adj[i] {
-			t.Fatalf("%s: adj[%d] = %d, want %d", label, i, got.adj[i], want.adj[i])
-		}
-		if got.wgt[i] != want.wgt[i] {
-			t.Fatalf("%s: wgt[%d] = %d, want %d", label, i, got.wgt[i], want.wgt[i])
-		}
+	gr, gok := got.InsertedArcs()
+	wr, wok := want.InsertedArcs()
+	if gok != wok || !slices.Equal(gr, wr) {
+		t.Fatalf("%s: record %v (ok=%v), want %v (ok=%v)", label, gr, gok, wr, wok)
 	}
 }
 
 // requireTransposeOf asserts that tr is the transpose of snap: span for
 // span the in-arcs of a from-scratch transpose of the snapshot's CSR, at
 // snap's version, carrying the snapshot's insertion record reversed and
-// sorted by head.
-func requireTransposeOf(t *testing.T, label string, tr *Flat, snap *Snapshot) {
+// sorted by head. Where the spans sit in the arena is not compared; that
+// the rooms are disjoint and inside the arena is (requireArena).
+func requireTransposeOf(t *testing.T, label string, tr engine.ArcView, snap *Snapshot) {
 	t.Helper()
 	want := snap.CSR(true).Transpose()
-	if tr.n != want.N || tr.version != snap.version {
-		t.Fatalf("%s: transpose has %d vertices at v%d, want %d at v%d", label, tr.n, tr.version, want.N, snap.version)
+	d := tr.(engine.ArcDelta)
+	if tr.NumVertices() != want.N || d.Version() != snap.version {
+		t.Fatalf("%s: transpose has %d vertices at v%d, want %d at v%d", label, tr.NumVertices(), d.Version(), want.N, snap.version)
 	}
 	for v := 0; v < want.N; v++ {
 		gd, gw := tr.OutSpan(graph.VertexID(v))
 		wd, ww := want.OutSpan(graph.VertexID(v))
-		if tr.off[v] != want.Off[v] || len(gd) != len(wd) {
-			t.Fatalf("%s: span of %d at %d holds %d arcs, want %d at %d", label, v, tr.off[v], len(gd), len(wd), want.Off[v])
-		}
-		for i := range wd {
-			if gd[i] != wd[i] || gw[i] != ww[i] {
-				t.Fatalf("%s: in-arc %d of %d is (%d, w%d), want (%d, w%d)", label, i, v, gd[i], gw[i], wd[i], ww[i])
-			}
+		if tr.Degree(graph.VertexID(v)) != len(wd) || !slices.Equal(gd, wd) || !slices.Equal(gw, ww) {
+			t.Fatalf("%s: in-arcs of %d are %v/%v (degree %d), want %v/%v", label, v, gd, gw, tr.Degree(graph.VertexID(v)), wd, ww)
 		}
 	}
-	rec, ok := tr.InsertedArcs()
+	rec, ok := d.InsertedArcs()
 	fwd, insertion := snap.flat.InsertedArcs()
 	if ok != insertion {
 		t.Fatalf("%s: transpose records an insertion: %v, the snapshot: %v", label, ok, insertion)
@@ -78,12 +71,36 @@ func requireTransposeOf(t *testing.T, label string, tr *Flat, snap *Snapshot) {
 		}
 		return wantRec[i].Dst < wantRec[j].Dst
 	})
-	if len(rec) != len(wantRec) {
-		t.Fatalf("%s: transposed record holds %d arcs, want %d", label, len(rec), len(wantRec))
+	if !slices.Equal(rec, wantRec) {
+		t.Fatalf("%s: transposed record %v, want %v", label, rec, wantRec)
 	}
-	for i := range rec {
-		if rec[i] != wantRec[i] {
-			t.Fatalf("%s: transposed record[%d] = %+v, want %+v", label, i, rec[i], wantRec[i])
+	if tt, ok := tr.(*Transpose); ok {
+		requireArena(t, label, tt)
+	}
+}
+
+// requireArena asserts the transpose's layout invariant: every span fits
+// its room, every room lies inside the used arena, and no two rooms
+// overlap.
+func requireArena(t *testing.T, label string, tr *Transpose) {
+	t.Helper()
+	if len(tr.spans) != tr.n || tr.top > int64(len(tr.adj)) || len(tr.wgt) != len(tr.adj) {
+		t.Fatalf("%s: %d spans for %d vertices, top %d past the arena's %d", label, len(tr.spans), tr.n, tr.top, len(tr.adj))
+	}
+	var rooms []inSpan
+	for v, sp := range tr.spans {
+		if sp.deg > sp.room {
+			t.Fatalf("%s: %d holds %d arcs in a room of %d", label, v, sp.deg, sp.room)
+		}
+		if sp.room > 0 {
+			rooms = append(rooms, sp)
+		}
+	}
+
+	sort.Slice(rooms, func(i, j int) bool { return rooms[i].at < rooms[j].at })
+	for i, r := range rooms {
+		if r.at < 0 || r.at+int64(r.room) > tr.top || (i > 0 && r.at < rooms[i-1].at+int64(rooms[i-1].room)) {
+			t.Fatalf("%s: room [%d, %d) overlaps another or leaves the arena [0, %d)", label, r.at, r.at+int64(r.room), tr.top)
 		}
 	}
 }
@@ -284,32 +301,34 @@ func TestFlattenFromMergesRecord(t *testing.T) {
 			}
 			requireModel(t, label, cur, snap, m)
 			requireRecord(t, label, cur, rec, true)
-			if cur.t == nil {
+			if g.shared.t == nil || g.shared.t.Version() != cur.version {
 				t.Fatalf("%s: the transpose was not patched", label)
 			}
-			freshT := TransposeFrom(cur)
-			requireSameFlat(t, "merged transpose", cur.t, freshT)
-			freshT.Release()
+			requireSameTranspose(t, "merged transpose", g.shared.t, TransposeFrom(cur))
+			requireArena(t, label, g.shared.t)
 		}
 	}
 }
 
-// TestTransposedFollowsFlattenFrom carries a transposed mirror down a
+// TestTransposedFollowsFlattenFrom carries the Graph's transpose down a
 // mirror chain — RMAT batches full of repeats that first-wins drops,
-// stored arcs offered again at new weights, vertex-range growth, and a
-// deletion — and holds it to a from-scratch transpose after every step.
-// Each step, the deletion included, must have patched it from the
-// parent's rather than left it to be rebuilt.
+// stored arcs offered again at new weights, vertex-range growth, and
+// deletions between the insertions — and holds it to a from-scratch
+// transpose after every step. Every step must have changed the one
+// transpose in place rather than left it to be rebuilt, and the chain
+// must have moved spans that outgrew their rooms to the free tail and
+// re-packed the arena.
 func TestTransposedFollowsFlattenFrom(t *testing.T) {
 	cfg := gen.Config{LogN: 7, AvgDegree: 12, Directed: true, Seed: 9}
 	rmat := gen.RMAT(cfg)
 	rng := rand.New(rand.NewSource(17))
 	g := New(cfg.N(), true)
-	snap, _ := g.InsertEdges(rmat[:len(rmat)/2])
-	snap.Flatten().Transposed()
-	rest := rmat[len(rmat)/2:]
+	snap, _ := g.InsertEdges(rmat[:len(rmat)/3])
+	tr := snap.Flatten().Transposed().(*Transpose)
+	rest := rmat[len(rmat)/3:]
 	idRange := cfg.N()
-	for step := 0; step < 12; step++ {
+	moves, repacks := 0, 0
+	for step := 0; step < 16; step++ {
 		prev := snap
 		var batch []graph.Edge
 		switch step % 4 {
@@ -327,22 +346,99 @@ func TestTransposedFollowsFlattenFrom(t *testing.T) {
 			idRange += 9
 			batch = randomBatch(rng, 60, idRange)
 		}
+		arena, top, spans := &tr.adj[0], tr.top, slices.Clone(tr.spans)
 		var changed []graph.VertexID
-		label := "insertion"
-		if step == 5 || step == 6 {
-			label = "deletion"
+		label := fmt.Sprintf("step %d: insertion", step)
+		if step == 5 || step == 6 || step == 13 {
+			label = fmt.Sprintf("step %d: deletion", step)
 			snap, changed = g.DeleteEdges(batch)
 		} else {
 			snap, changed = g.InsertEdges(batch)
 		}
 		f := snap.FlattenFrom(prev.BuiltFlat(), changed)
 		prev.RetireFlat()
-		if f.t == nil {
-			t.Fatalf("step %d (%s): the transpose was not patched", step, label)
+		if f.Transposed() != tr {
+			t.Fatalf("%s: the transpose was rebuilt, not patched", label)
 		}
-		requireTransposeOf(t, label, f.Transposed().(*Flat), snap)
+		requireTransposeOf(t, label, tr, snap)
+		if &tr.adj[0] != arena {
+			repacks++
+			continue
+		}
+		for v, sp := range spans {
+			if at := tr.spans[v].at; at != sp.at {
+				if at < top {
+					t.Fatalf("%s: %d moved from %d to %d, below the free tail at %d", label, v, sp.at, at, top)
+				}
+				moves++
+			}
+		}
+	}
+	if moves == 0 || repacks == 0 {
+		t.Fatalf("the chain moved %d spans to the free tail and re-packed the arena %d times; want both", moves, repacks)
 	}
 	snap.RetireFlat()
+}
+
+// TestRetiredMirrorTransposesPrivately: once a newer version is published,
+// Transposed on the superseded mirror builds a private copy at that
+// mirror's version, which later publishes leave alone, while the latest
+// mirror's is the Graph's.
+func TestRetiredMirrorTransposesPrivately(t *testing.T) {
+	g := New(8, true)
+	snap1, _ := g.InsertEdges([]graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 2, Dst: 1, W: 2}})
+	shared := snap1.Flatten().Transposed()
+	f1 := snap1.Flatten()
+	if !f1.Retain() {
+		t.Fatal("Retain on a live mirror must succeed")
+	}
+	defer f1.Release()
+	snap1.RetireFlat()
+	snap2, _ := g.InsertEdges([]graph.Edge{{Src: 3, Dst: 1, W: 3}, {Src: 1, Dst: 9, W: 4}})
+	old := f1.Transposed()
+	if old == shared || f1.Transposed() != old {
+		t.Fatal("a superseded mirror must keep a private transpose of its own")
+	}
+	if snap2.Flatten().Transposed() != shared {
+		t.Fatal("the latest mirror's transpose must be the Graph's")
+	}
+	requireTransposeOf(t, "retired v1", old, snap1)
+	g.DeleteEdges([]graph.Edge{{Src: 0, Dst: 1}})
+	requireTransposeOf(t, "retired v1 after more publishes", old, snap1)
+}
+
+// TestTransposedDuringPublish: Transposed on superseded mirrors, asked
+// from several goroutines while the writer publishes and changes the
+// Graph's transpose, returns each mirror's private copy at its own
+// version. Run it under -race.
+func TestTransposedDuringPublish(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := New(64, true)
+	snap, _ := g.InsertEdges(randomBatch(rng, 300, 64))
+	snap.Flatten().Transposed()
+	var kept []*Snapshot
+	for i := 0; i < 6; i++ {
+		kept = append(kept, snap)
+		snap, _ = g.InsertEdges(randomBatch(rng, 80, 70))
+	}
+	var wg sync.WaitGroup
+	for _, k := range kept {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v := k.Flatten().Transposed().(engine.ArcDelta).Version(); v != k.Version() {
+				t.Errorf("superseded v%d: transpose at v%d", k.Version(), v)
+			}
+		}()
+	}
+	for i := 0; i < 6; i++ {
+		g.InsertEdges(randomBatch(rng, 80, 80))
+	}
+	wg.Wait()
+	for _, k := range kept {
+		requireTransposeOf(t, fmt.Sprintf("superseded v%d", k.Version()), k.Flatten().Transposed(), k)
+	}
+	requireTransposeOf(t, "latest", g.Acquire().Flatten().Transposed(), g.Acquire())
 }
 
 // TestFlattenFromFallback: FlattenFrom no longer has a fallback to take —
@@ -588,12 +684,48 @@ func FuzzFlattenFrom(f *testing.F) {
 			cur := snap.Flatten()
 			requireModel(t, "fuzz", cur, snap, m)
 			requireRecord(t, "fuzz", cur, rec, true)
-			if cur.t == nil {
-				t.Fatal("fuzz: the transpose was not patched")
+			if cur.Transposed() != g.shared.t {
+				t.Fatal("fuzz: the latest mirror's transpose is not the Graph's")
 			}
-			requireTransposeOf(t, "fuzz", cur.Transposed().(*Flat), snap)
+			requireTransposeOf(t, "fuzz", cur.Transposed(), snap)
 		}
 	})
+}
+
+// chainStep is one batch of a FuzzMirrorChain input: its arcs as (src,
+// dst) pairs, deleted or inserted.
+type chainStep struct {
+	del  bool
+	arcs [][2]uint16
+}
+
+// chainSeed encodes steps as a FuzzMirrorChain input.
+func chainSeed(directed bool, steps ...chainStep) []byte {
+	data := []byte{0}
+	if directed {
+		data[0] = 1
+	}
+	for _, st := range steps {
+		b := byte(len(st.arcs)) // the batch size is the byte mod 17
+		if st.del {
+			b = 0x80 + byte((len(st.arcs)+17-0x80%17)%17)
+		}
+		data = append(data, b)
+		for _, a := range st.arcs {
+			data = binary.LittleEndian.AppendUint16(data, a[0])
+			data = binary.LittleEndian.AppendUint16(data, a[1])
+		}
+	}
+	return data
+}
+
+// from lists the arcs from src to each of dsts.
+func from(src uint16, dsts ...uint16) [][2]uint16 {
+	var arcs [][2]uint16
+	for _, d := range dsts {
+		arcs = append(arcs, [2]uint16{src, d})
+	}
+	return arcs
 }
 
 // FuzzMirrorChain decodes arbitrary bytes into interleaved insertion and
@@ -601,13 +733,27 @@ func FuzzFlattenFrom(f *testing.F) {
 // across batches, deletions of present and absent arcs — on a directed or
 // undirected graph, and after every step holds the published version to
 // the map model: its forward spans and weights (first wins), NumEdges,
-// HasEdge, its insertion record, and its transpose, carried down the
-// chain. Every snapshot nobody retired must still read exactly its own
-// version at the end.
+// HasEdge, its insertion record, and its transpose, changed in place down
+// the chain. Every snapshot nobody retired must still read exactly its
+// own version, and its transpose, a private copy, its own arcs, at the
+// end. The last seed grows heads' in-spans batch after batch, with
+// deletions and vertex growth between, so spans outgrow their rooms, move
+// to the free tail, and the arena is re-packed.
 func FuzzMirrorChain(f *testing.F) {
 	f.Add([]byte("\x01\x05\x01\x00\x02\x00\x02\x00\x01\x00\x01\x00\x02\x00\x80\x01\x01\x00\x02\x00"))
 	f.Add([]byte("\x00\x04\x03\x00\x09\x00\x09\x00\x03\x00\x03\x00\x09\x00\x82\x03\x00\x09\x00\x05\x00"))
 	f.Add([]byte("\x01\x10\x07\x00\x07\x00\x3a\x00\x00\x00\x81\x07\x00\x07\x00\x03\x3a\x00\x00\x00"))
+	f.Add(chainSeed(true,
+		chainStep{arcs: from(20, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)},
+		chainStep{arcs: append(from(21, 0, 1, 2, 3, 4, 5, 6, 7), from(22, 0, 1, 2, 3, 4, 5, 6, 7)...)},
+		chainStep{arcs: from(23, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)},
+		chainStep{arcs: from(24, 0)},
+		chainStep{del: true, arcs: from(20, 1, 3, 9)},
+		chainStep{arcs: from(25, 0, 1, 3, 40, 41)},
+		chainStep{arcs: append(from(26, 0, 2, 4, 6, 8, 10, 12, 14), from(27, 0, 2, 4, 6, 8, 10, 12, 14)...)},
+		chainStep{del: true, arcs: from(21, 0, 2, 4)},
+		chainStep{arcs: from(28, 0, 2, 4, 6, 8, 10, 12, 14, 42, 43)},
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -615,7 +761,7 @@ func FuzzMirrorChain(f *testing.F) {
 		directed := data[0]&1 == 1
 		g := New(8, directed)
 		m := newModel(8, directed)
-		g.Acquire().Flatten().Transposed()
+		tr := g.Acquire().Flatten().Transposed()
 		type kept struct {
 			snap *Snapshot
 			m    *model
@@ -648,10 +794,10 @@ func FuzzMirrorChain(f *testing.F) {
 				t.Fatalf("%s: version %d after %d", label, snap.Version(), prev.Version())
 			}
 			requireModel(t, label, snap.Flatten(), snap, m)
-			if snap.Flatten().t == nil {
-				t.Fatalf("%s: the transpose was not patched", label)
+			if snap.Flatten().Transposed() != tr {
+				t.Fatalf("%s: the transpose was rebuilt, not patched", label)
 			}
-			requireTransposeOf(t, label, snap.Flatten().Transposed().(*Flat), snap)
+			requireTransposeOf(t, label, tr, snap)
 			if step%2 == 0 {
 				keep = append(keep, kept{snap, m.clone()})
 			} else {
@@ -659,14 +805,27 @@ func FuzzMirrorChain(f *testing.F) {
 			}
 		}
 		for _, k := range keep {
-			requireModel(t, fmt.Sprintf("kept v%d", k.snap.Version()), k.snap.Flatten(), k.snap, k.m)
+			label := fmt.Sprintf("kept v%d", k.snap.Version())
+			requireModel(t, label, k.snap.Flatten(), k.snap, k.m)
+			requireTransposeOf(t, label, k.snap.Flatten().Transposed(), k.snap)
 		}
 	})
 }
 
 // TestSlabClasses: every size is served by the smallest class that holds
-// it, and no class is more than half as big again as the size it serves.
+// it, and no class is more than half as big again as the size it serves;
+// a span's room (roomFor, its small degrees from a table) is the class
+// that holds one arc more, and an empty span's is none.
 func TestSlabClasses(t *testing.T) {
+	for d := int64(0); d < 300; d++ {
+		want := classCap(classFor(d + 1))
+		if d == 0 {
+			want = 0
+		}
+		if got := roomFor(d); got != want {
+			t.Fatalf("roomFor(%d) = %d, want %d", d, got, want)
+		}
+	}
 	sizes := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 1 << 20, 3 << 19, 3<<19 + 1, 1<<21 - 1}
 	for n := int64(10); n < 5000; n++ {
 		sizes = append(sizes, n)

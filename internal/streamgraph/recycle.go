@@ -35,11 +35,10 @@ import (
 // without the recycler").
 
 // Slab size classes come two to a power of two — capacities 2^k and
-// 1.5·2^k — so a slab leaves at most a third of itself unused. A mirror
-// is held in one for as long as its version is current, and a directed
-// graph's standing sets keep a transposed mirror beside it, so the
-// rounding is paid twice over in live memory. 96 classes cover any slab
-// that fits in memory.
+// 1.5·2^k — so a slab leaves at most a third of itself unused; a mirror is
+// held in one for as long as its version is current. The transpose's
+// rooms (transpose.go) round to the same classes but take no slabs. 96
+// classes cover any slab that fits in memory.
 const slabClasses = 96
 
 // classCap is the capacity, in elements, of a slab of the class.
@@ -144,12 +143,19 @@ func RegisterMirrorMetrics(reg *metrics.Registry) *MirrorMetrics {
 }
 
 // flatShared is the mirror-maintenance state shared by every mirror of
-// one Graph: the slab recycler, the (swappable) instruments and the fault
-// seam.
+// one Graph: the slab recycler, the (swappable) instruments, the fault
+// seam and the Graph's transpose.
 type flatShared struct {
 	rec  slabRecycler
 	met  atomic.Pointer[MirrorMetrics]
 	seam FaultSeam
+
+	// head is the Graph's latest mirror and t its transpose, nil until
+	// head's Transposed first asks for it (transpose.go). tmu guards them
+	// and the private transposes of superseded mirrors.
+	tmu  sync.Mutex
+	head *Flat
+	t    *Transpose
 }
 
 func newFlatShared() *flatShared {
@@ -185,9 +191,6 @@ func (sh *flatShared) takeArc(m int64) *arcSlab {
 	}
 	return sl
 }
-
-// defaultFlatShared backs the transposed mirrors TransposeFrom builds.
-var defaultFlatShared = newFlatShared()
 
 // MirrorMetrics returns the graph's mirror-maintenance instruments.
 func (g *Graph) MirrorMetrics() *MirrorMetrics { return g.shared.metrics() }

@@ -29,10 +29,10 @@ func (g *Graph) Seam() *FaultSeam { return &g.shared.seam }
 // exists to catch.
 func (fs *FaultSeam) SetSkewDelta(on bool) { fs.skewDelta.Store(on) }
 
-// SetSkewTranspose makes every patched transposed mirror corrupt one arc
-// of the first head the batch changed, the same off-by-one as
-// SetSkewDelta, so only what reads a transpose — a directed graph's
-// reversed standing queries — diverges.
+// SetSkewTranspose makes every publish that changes the Graph's
+// transpose corrupt one arc of the first head the batch changed, the same
+// off-by-one as SetSkewDelta, so only what reads a transpose — a directed
+// graph's reversed standing queries — diverges.
 func (fs *FaultSeam) SetSkewTranspose(on bool) { fs.skewTranspose.Store(on) }
 
 // skewFlat applies the skew corruption to a freshly patched mirror: bump

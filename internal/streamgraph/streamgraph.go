@@ -18,9 +18,9 @@
 //
 // The store keeps out-arcs only. The paper's dual-model evaluation (§4.2)
 // runs q⁻¹(r) by pulling over that representation; here a directed
-// graph's standing sets evaluate over a transposed mirror kept beside the
-// mirror instead (transpose.go), patched from batch to batch like the
-// mirror itself, so q⁻¹(r) is a push too.
+// graph's standing sets evaluate over the latest version's transpose
+// instead (transpose.go), which the Graph keeps as writer state and
+// changes in place with every batch, so q⁻¹(r) is a push too.
 //
 // Insertions are first-wins: re-inserting a stored arc keeps its weight.
 // Deletions are an extension beyond the paper's growing-graph scenario;
@@ -104,6 +104,7 @@ func New(n int, directed bool) *Graph {
 	clear(offs.off[:n+1]) // recycled slabs carry stale data
 	f := newMirror(g.shared, offs, g.shared.takeArc(0), n, 0, nil, false)
 	g.hold(f)
+	g.shared.head = f
 	g.latest.Store(&Snapshot{flat: f, n: n})
 	return g
 }
@@ -205,18 +206,39 @@ func (g *Graph) pick(prev *Flat, batch []graph.Edge, present bool) ([]graph.Edge
 }
 
 // publish makes the next version from old: old's mirror patched with rec
-// (merged in, or taken out when out is set) over n vertices, its
-// transpose, if old's mirror holds one, handed over and patched the same
-// way. The Graph moves its reference from old's mirror to the new one.
+// (merged in, or taken out when out is set) over n vertices, and the
+// Graph's transpose, if it keeps one, changed the same way in place. The
+// two read only rec and write apart, so the transpose changes on a
+// goroutine of its own while the mirror is patched; tmu is held until
+// both are done, so Transposed never finds the transpose between versions.
+// The Graph moves its reference from old's mirror to the new one.
 func (g *Graph) publish(old *Snapshot, n int, rec []graph.Edge, changed []graph.VertexID, out bool) *Snapshot {
-	sh, prev := g.shared, old.flat
+	sh := g.shared
+	sh.tmu.Lock()
+	var wg sync.WaitGroup
+	if t := sh.t; t != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.changeTranspose(t, n, old.version+1, rec, out)
+		}()
+	}
+	f := g.patchMirror(old.flat, n, rec, changed, out)
+	wg.Wait()
+	sh.head = f
+	sh.tmu.Unlock()
+	return g.commit(old, f)
+}
+
+// patchMirror builds the next version's mirror: prev's patched with rec.
+func (g *Graph) patchMirror(prev *Flat, n int, rec []graph.Edge, changed []graph.VertexID, out bool) *Flat {
+	sh := g.shared
 	offs, arcs := patch(sh, prev, n, rec, out)
-	version := old.version + 1
 	record, insertion := rec, !out
 	if out {
 		record = nil
 	}
-	f := newMirror(sh, offs, arcs, n, version, record, insertion)
+	f := newMirror(sh, offs, arcs, n, prev.version+1, record, insertion)
 	g.hold(f)
 
 	met := sh.metrics()
@@ -232,24 +254,29 @@ func (g *Graph) publish(old *Snapshot, n int, rec []graph.Edge, changed []graph.
 	if sh.seam.skewDelta.Load() {
 		skewFlat(f, changed)
 	}
-	if pt := prev.takeTransposed(); pt != nil {
-		rev := graph.ReversedArcs(rec)
-		f.t = patchTransposed(sh, pt, n, version, rev, out)
-		pt.Release()
-		if sh.seam.skewTranspose.Load() {
-			heads, _ := sourceRuns(rev)
-			skewFlat(f.t, heads)
-		}
-	}
+	return f
+}
 
-	m := old.m + int64(len(rec))
-	if out {
-		m = old.m - int64(len(rec))
+// changeTranspose changes t, the Graph's transpose, into the transpose of
+// the version over n vertices that rec tells from the one before: rec, the
+// version's record or the arcs a deletion took out, reversed and merged in
+// or taken out.
+func (sh *flatShared) changeTranspose(t *Transpose, n int, version uint64, rec []graph.Edge, out bool) {
+	rev := graph.ReversedArcs(rec)
+	t.patch(n, version, rev, out)
+	if sh.seam.skewTranspose.Load() {
+		heads, _ := sourceRuns(rev)
+		t.skew(heads)
 	}
-	snap := &Snapshot{flat: f, n: n, m: m, version: version}
+}
+
+// commit publishes f, patched from old's mirror, as the latest version and
+// drops the Graph's reference on old's mirror.
+func (g *Graph) commit(old *Snapshot, f *Flat) *Snapshot {
+	snap := &Snapshot{flat: f, n: f.n, m: f.NumEdges(), version: f.version}
 	g.latest.Store(snap)
-	ledgerSuperseded(prev)
-	prev.Release()
+	ledgerSuperseded(old.flat)
+	old.flat.Release()
 	return snap
 }
 
@@ -285,6 +312,13 @@ func (g *Graph) bySource(batch []graph.Edge) (arcs []graph.Edge, sources []graph
 // distinct sources, ascending, and sources[i]'s arcs are
 // arcs[runs[i]:runs[i+1]].
 func sourceRuns(arcs []graph.Edge) (sources []graph.VertexID, runs []int) {
+	n := 0
+	for i, a := range arcs {
+		if i == 0 || a.Src != arcs[i-1].Src {
+			n++
+		}
+	}
+	sources, runs = make([]graph.VertexID, 0, n), make([]int, 0, n+1)
 	for i, a := range arcs {
 		if i == 0 || a.Src != arcs[i-1].Src {
 			sources = append(sources, a.Src)
