@@ -85,19 +85,23 @@ func BenchmarkTable4ActivationRatio(b *testing.B) {
 }
 
 // BenchmarkTable5KSweep regenerates the standing-query-count sweep
-// (K = 1..64 on the TW stand-in at 60%).
+// (K = 1, 2, 4, …, 64 on the TW stand-in at 60%) and its K picks.
 func BenchmarkTable5KSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOpts(out())
 		o.Queries = 8
-		rows := bench.Table5(o, []int{1, 2, 4, 16, 64})
+		res, err := bench.Table5(o, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 {
-			for _, r := range rows {
+			for _, r := range res.Rows {
 				b.Logf("K=%-3d SSSP=%.2fx[%.3fs] SSWP=%.2fx[%.3fs] BFS=%.2fx[%.3fs]",
 					r.K, r.Speedup["SSSP"], r.Standing["SSSP"].Seconds(),
 					r.Speedup["SSWP"], r.Standing["SSWP"].Seconds(),
 					r.Speedup["BFS"], r.Standing["BFS"].Seconds())
 			}
+			b.Logf("picks at 1, 4, 16, 64 queries per batch: SSSP %v, BFS %v", res.Picks["SSSP"], res.Picks["BFS"])
 		}
 	}
 }

@@ -7,7 +7,13 @@
 //	tripoline-bench -figure 11               # one figure
 //	tripoline-bench -all                     # the whole evaluation
 //	tripoline-bench -all -queries 256 -repeats 3 -scale 2   # closer to paper scale
-//	tripoline-bench -autotune -graphs TW-sim -problems SSSP -qpb 8   # §5's K auto-tuner
+//	tripoline-bench -table 5 -graphs LJ-sim -problems SSSP  # K sweep and §5's K pick
+//
+// Table 5 is also §5's K auto-tuner: beside each K's speedup and standing
+// time it prints the counted work of maintenance and of a Δ-query, and the
+// K that minimizes a batch cycle's work at 1, 4, 16 and 64 Δ-queries per
+// batch. It sweeps the first -graphs entry (TW-sim when -graphs is not
+// given).
 //
 // Every experiment is deterministic in -seed. Expect minutes at default
 // sizes and hours at paper-methodology sizes.
@@ -40,8 +46,6 @@ func main() {
 		seed     = flag.Uint64("seed", 0x7121, "experiment seed")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		verify   = flag.Bool("verify", false, "run the cross-validation self-check instead of benchmarks")
-		autotune = flag.Bool("autotune", false, "auto-tune K for the first -graphs/-problems entry instead of running benchmarks")
-		qpb      = flag.Float64("qpb", 4, "expected user queries per update batch (for -autotune)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -83,14 +87,6 @@ func main() {
 		o.Graphs = strings.Split(*graphs, ",")
 	}
 
-	if *autotune {
-		if _, err := bench.Autotune(o, *qpb); err != nil {
-			fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	report := bench.NewReport(o, time.Now())
 
 	run := func(name string, f func()) {
@@ -124,7 +120,14 @@ func main() {
 	}
 	if want(5) {
 		selected = true
-		run("table 5", func() { report.AddTable5(bench.Table5(o, nil)) })
+		run("table 5", func() {
+			res, err := bench.Table5(o, nil)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
+				os.Exit(1)
+			}
+			report.AddTable5(res)
+		})
 	}
 	if want(6) {
 		selected = true
@@ -143,7 +146,7 @@ func main() {
 		run("figure 12", func() { report.Fig12 = bench.Figure12(o) })
 	}
 	if !selected {
-		fmt.Fprintln(os.Stderr, "nothing selected: pass -all, -table N, -figure N, -verify, or -autotune")
+		fmt.Fprintln(os.Stderr, "nothing selected: pass -all, -table N, -figure N, or -verify")
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -144,6 +144,10 @@ type QueryMeasurement struct {
 	// paper's Table 4 note.
 	ActRatio float64
 	PropUR   uint64 // property(u, r*) of the chosen standing query
+	// Work is the Δ-based evaluation's counted work: engine relaxations
+	// (both of SSNSP's rounds) plus the words its meet read, lanes met ×
+	// vertices.
+	Work float64
 }
 
 // MeasureQuery evaluates one user query both ways, repeats times each,
@@ -171,6 +175,7 @@ func (s *Setup) MeasureQuery(problem string, u graph.VertexID, repeats int) Quer
 		}
 		m.DeltaSeconds += inc.Elapsed.Seconds()
 		m.FullSeconds += full.Elapsed.Seconds()
+		m.Work += float64(inc.Stats.Relaxations + int64(inc.LanesMet*len(inc.Values)/inc.Width))
 		if problem == "SSNSP" {
 			deltaActs, fullActs = inc.CountStats.Activations, full.CountStats.Activations
 		} else {
@@ -180,6 +185,7 @@ func (s *Setup) MeasureQuery(problem string, u graph.VertexID, repeats int) Quer
 	}
 	m.DeltaSeconds /= float64(repeats)
 	m.FullSeconds /= float64(repeats)
+	m.Work /= float64(repeats)
 	if m.DeltaSeconds > 0 {
 		m.Speedup = m.FullSeconds / m.DeltaSeconds
 	}
@@ -205,6 +211,7 @@ type Aggregate struct {
 	MeanDeltaSec float64
 	MeanActRatio float64
 	StdActRatio  float64
+	MeanWork     float64
 	N            int
 }
 
@@ -221,11 +228,13 @@ func AggregateMeasurements(ms []QueryMeasurement) Aggregate {
 		a.MeanSpeedup += m.Speedup
 		a.MeanDeltaSec += m.DeltaSeconds
 		a.MeanActRatio += m.ActRatio
+		a.MeanWork += m.Work
 	}
 	n := float64(a.N)
 	a.MeanSpeedup /= n
 	a.MeanDeltaSec /= n
 	a.MeanActRatio /= n
+	a.MeanWork /= n
 	for _, m := range ms {
 		a.StdevSpeedup += (m.Speedup - a.MeanSpeedup) * (m.Speedup - a.MeanSpeedup)
 		a.StdActRatio += (m.ActRatio - a.MeanActRatio) * (m.ActRatio - a.MeanActRatio)

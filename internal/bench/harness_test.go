@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,34 +164,101 @@ func TestTable5Smoke(t *testing.T) {
 		t.Skip("harness smoke test")
 	}
 	var buf bytes.Buffer
-	rows := Table5(tiny(&buf), []int{1, 2})
-	if len(rows) != 2 || rows[0].K != 1 || rows[1].K != 2 {
-		t.Fatalf("rows %+v", rows)
-	}
-	if rows[0].Standing["SSSP"] <= 0 {
-		t.Fatal("no standing time")
-	}
-}
-
-func TestAutotuneSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness smoke test")
-	}
-	var buf bytes.Buffer
-	res, err := Autotune(tiny(&buf), 2)
+	res, err := Table5(tiny(&buf), []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Costs) == 0 || res.Best == 0 {
-		t.Fatalf("result %+v", res)
+	rows := res.Rows
+	if len(rows) != 2 || rows[0].K != 1 || rows[1].K != 4 {
+		t.Fatalf("rows %+v", rows)
 	}
-	if !strings.Contains(buf.String(), "SSSP on LJ-60") || !strings.Contains(buf.String(), "auto-tuned K") {
+	for _, r := range rows {
+		for _, p := range []string{"SSSP", "SSWP"} {
+			if r.Standing[p] <= 0 || r.StandingWork[p] <= 0 || r.QueryWork[p] <= 0 {
+				t.Fatalf("K=%d %s: standing %v, work %d, query work %v", r.K, p, r.Standing[p], r.StandingWork[p], r.QueryWork[p])
+			}
+		}
+	}
+	// SSSP keeps every root, so four roots maintain more than one.
+	if rows[1].StandingWork["SSSP"] <= rows[0].StandingWork["SSSP"] {
+		t.Fatalf("SSSP standing work %d at K=1, %d at K=4", rows[0].StandingWork["SSSP"], rows[1].StandingWork["SSSP"])
+	}
+	for _, p := range []string{"SSSP", "SSWP"} {
+		if ks := res.Picks[p]; len(ks) != len(pickRates) || !slices.Contains([]int{1, 4}, ks[0]) {
+			t.Fatalf("%s picks %v", p, ks)
+		}
+	}
+	if !strings.Contains(buf.String(), "(LJ-sim, 60% loaded)") || !strings.Contains(buf.String(), "rate = [1 4 16 64]") {
 		t.Fatalf("output %q", buf.String())
 	}
 	o := tiny(&buf)
 	o.Graphs = []string{"nope"}
-	if _, err := Autotune(o, 2); err == nil {
+	if _, err := Table5(o, []int{1}); err == nil {
 		t.Fatal("unknown graph accepted")
+	}
+}
+
+// TestTable5SharedSample: every K is measured on the same sources, so the
+// rows differ by K alone.
+func TestTable5SharedSample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness smoke test")
+	}
+	var buf bytes.Buffer
+	o := tiny(&buf)
+	o.Problems = []string{"SSSP"}
+	res, err := Table5(o, []int{1, 2, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		if len(r.Sources) != o.Queries || !slices.Equal(r.Sources, res.Rows[0].Sources) {
+			t.Fatalf("K=%d measured on %v, K=%d on %v", r.K, r.Sources, res.Rows[0].K, res.Rows[0].Sources)
+		}
+	}
+}
+
+// TestPickK: the pick is the arg-min of the cycle cost, the same rows and
+// rate give the same K, and where standing work grows with K and query
+// work falls, the pick does not fall as the rate rises.
+func TestPickK(t *testing.T) {
+	var rows []Table5Row
+	for k := 1; k <= 64; k *= 2 {
+		rows = append(rows, Table5Row{K: k,
+			StandingWork: map[string]int64{"SSSP": int64(50_000 * k)},
+			QueryWork:    map[string]float64{"SSSP": 9_000 + 150_000/float64(k)},
+		})
+	}
+	cost := func(r Table5Row, rate float64) float64 {
+		return maintainRelaxCost*float64(r.StandingWork["SSSP"]) + rate*r.QueryWork["SSSP"]
+	}
+	last := 0
+	for rate := 0.25; rate <= 4096; rate *= 2 {
+		k := pickK(rows, "SSSP", rate)
+		if again := pickK(rows, "SSSP", rate); again != k {
+			t.Fatalf("rate %g: picked K=%d, then K=%d", rate, k, again)
+		}
+		i := slices.IndexFunc(rows, func(r Table5Row) bool { return r.K == k })
+		for _, r := range rows {
+			if cost(r, rate) < cost(rows[i], rate) {
+				t.Fatalf("rate %g: picked K=%d at cost %g, K=%d costs %g", rate, k, cost(rows[i], rate), r.K, cost(r, rate))
+			}
+		}
+		if k < last {
+			t.Fatalf("rate %g: pick fell from K=%d to K=%d", rate, last, k)
+		}
+		last = k
+	}
+	if last == rows[0].K || pickK(rows, "SSSP", 0.25) != rows[0].K {
+		t.Fatalf("picks span K=%d..%d, want the rates to reach past the first row", pickK(rows, "SSSP", 0.25), last)
+	}
+	// Equal costs go to the earlier row.
+	tied := []Table5Row{
+		{K: 4, StandingWork: map[string]int64{"SSSP": 0}, QueryWork: map[string]float64{"SSSP": 10}},
+		{K: 2, StandingWork: map[string]int64{"SSSP": 0}, QueryWork: map[string]float64{"SSSP": 10}},
+	}
+	if k := pickK(tied, "SSSP", 1); k != 4 {
+		t.Fatalf("tie picked K=%d", k)
 	}
 }
 

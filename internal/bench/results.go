@@ -20,12 +20,14 @@ type Report struct {
 		Seed      uint64    `json:"seed"`
 		Timestamp time.Time `json:"timestamp"`
 	} `json:"meta"`
-	Table3 []Table3JSON                `json:"table3,omitempty"`
-	Table4 []Table4JSON                `json:"table4,omitempty"`
-	Table5 []Table5JSON                `json:"table5,omitempty"`
-	DD     []DDResult                  `json:"dd,omitempty"`
-	Fig11  map[string][]float64        `json:"figure11,omitempty"`
-	Fig12  map[string][]Figure12Bucket `json:"figure12,omitempty"`
+	Table3 []Table3JSON `json:"table3,omitempty"`
+	Table4 []Table4JSON `json:"table4,omitempty"`
+	Table5 []Table5JSON `json:"table5,omitempty"`
+	// Table5Picks lists, per problem, the K picked at each query rate.
+	Table5Picks map[string][]Table5Pick     `json:"table5_picks,omitempty"`
+	DD          []DDResult                  `json:"dd,omitempty"`
+	Fig11       map[string][]float64        `json:"figure11,omitempty"`
+	Fig12       map[string][]Figure12Bucket `json:"figure12,omitempty"`
 }
 
 // Table3JSON flattens a Table3Cell for serialization.
@@ -49,9 +51,17 @@ type Table4JSON struct {
 
 // Table5JSON is one K-sweep entry.
 type Table5JSON struct {
-	K           int                `json:"k"`
-	Speedup     map[string]float64 `json:"speedup"`
-	StandingSec map[string]float64 `json:"standing_sec"`
+	K            int                `json:"k"`
+	Speedup      map[string]float64 `json:"speedup"`
+	StandingSec  map[string]float64 `json:"standing_sec"`
+	StandingWork map[string]int64   `json:"standing_work"`
+	QueryWork    map[string]float64 `json:"query_work"`
+}
+
+// Table5Pick is the K Table 5 picks at one query rate.
+type Table5Pick struct {
+	Rate float64 `json:"rate"`
+	K    int     `json:"k"`
 }
 
 // NewReport captures the options metadata.
@@ -91,14 +101,21 @@ func (r *Report) AddTable4(res map[string]map[string]Aggregate) {
 	}
 }
 
-// AddTable5 records the K sweep.
-func (r *Report) AddTable5(rows []Table5Row) {
-	for _, row := range rows {
-		j := Table5JSON{K: row.K, Speedup: row.Speedup, StandingSec: map[string]float64{}}
+// AddTable5 records the K sweep and its picks.
+func (r *Report) AddTable5(res Table5Result) {
+	for _, row := range res.Rows {
+		j := Table5JSON{K: row.K, Speedup: row.Speedup, StandingSec: map[string]float64{},
+			StandingWork: row.StandingWork, QueryWork: row.QueryWork}
 		for p, d := range row.Standing {
 			j.StandingSec[p] = d.Seconds()
 		}
 		r.Table5 = append(r.Table5, j)
+	}
+	r.Table5Picks = map[string][]Table5Pick{}
+	for p, ks := range res.Picks {
+		for i, k := range ks {
+			r.Table5Picks[p] = append(r.Table5Picks[p], Table5Pick{Rate: pickRates[i], K: k})
+		}
 	}
 }
 

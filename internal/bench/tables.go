@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"tripoline/internal/props"
 	"tripoline/internal/standing"
 	"tripoline/internal/triangle"
-	"tripoline/internal/tuner"
 )
 
 // Table1 prints the benchmark registry: the eight vertex-specific
@@ -165,83 +165,132 @@ func fmtRatio(r float64) string {
 	return fmt.Sprintf("%.1f%%", 100*r)
 }
 
-// Table5Row is one K configuration of Table 5.
+// Table5Row is one K configuration of Table 5, per problem: the mean
+// speedup, the wall time and counted work of the bounding standing set's
+// maintenance of one batch, and the mean counted work of a Δ-query.
 type Table5Row struct {
 	K        int
 	Speedup  map[string]float64
 	Standing map[string]time.Duration
+	// StandingWork is the set's relaxations for the batch; QueryWork a
+	// Δ-query's relaxations plus the words its meet read (lanes met × N).
+	StandingWork map[string]int64
+	QueryWork    map[string]float64
+	// Sources is the sample the row's queries ran from: every row's is
+	// the same, so the rows differ by K alone.
+	Sources []graph.VertexID
+}
+
+// Table5Result is Table 5's sweep and, per problem, the K pickK picks
+// at each of pickRates.
+type Table5Result struct {
+	Rows  []Table5Row
+	Picks map[string][]int
+}
+
+// pickRates are the query rates, Δ-queries per update batch, at which
+// Table 5 prints its pick.
+var pickRates = []float64{1, 4, 16, 64}
+
+// maintainRelaxCost is the time of one fused width-K maintenance
+// relaxation, one (arc, slot) pair, in width-1 query relaxations:
+// BenchmarkUpdateSplit's SSSP/2^17x16 fwd-ns/relax, 11.1 (median of eight
+// runs of six batches), over BenchmarkDeltaRun's ns/relax on the same
+// shape, 5.4 (median of nine runs of 50 queries), on a 2-CPU Xeon.
+const maintainRelaxCost = 2.0
+
+// pickK is §5's auto-tuner over Table 5's rows: the K whose batch cycle,
+// maintenance plus rate Δ-queries (§4.5's trade-off), costs the least
+// counted work for problem, ties going to the earlier row. It prices
+// counts, not times, so the same rows and rate give the same K.
+func pickK(rows []Table5Row, problem string, rate float64) int {
+	best, bestCost := 0, math.Inf(1)
+	for _, r := range rows {
+		cost := maintainRelaxCost*float64(r.StandingWork[problem]) + rate*r.QueryWork[problem]
+		if cost < bestCost {
+			best, bestCost = r.K, cost
+		}
+	}
+	return best
 }
 
 // Table5 reproduces the standing-query-count sweep: user-query speedup
-// and standing-query (re-)evaluation time as K varies, on the TW stand-in
-// at 60% (the paper's Table 5).
-func Table5(o Options, ks []int) []Table5Row {
+// and standing-query (re-)evaluation time as K varies (the paper's Table
+// 5), on the first of o.Graphs when given (the TW stand-in otherwise) at
+// 60%, with every K measured on one sample of sources. It also prints
+// each K's counted work and the K pickK picks at each of pickRates.
+func Table5(o Options, ks []int) (Table5Result, error) {
+	gname := "TW-sim"
+	if len(o.Graphs) > 0 {
+		gname = o.Graphs[0]
+	}
 	o = o.withDefaults()
 	if len(ks) == 0 {
-		ks = []int{1, 2, 4, 16, 64}
+		ks = []int{1, 2, 4, 8, 16, 32, 64}
 	}
-	w := o.Out
-	fmt.Fprintln(w, "Table 5: Benefits and Costs of K Standing Queries (TW-sim, 60% loaded)")
-	fmt.Fprintf(w, "%-8s", "#SQ")
+	var res Table5Result
+	var qs []graph.VertexID
 	for _, k := range ks {
-		fmt.Fprintf(w, " %-16s", fmt.Sprintf("K=%d", k))
-	}
-	fmt.Fprintln(w)
-	rows := make([]Table5Row, len(ks))
-	gname := "TW-sim"
-	for i, k := range ks {
-		rows[i] = Table5Row{K: k, Speedup: map[string]float64{}, Standing: map[string]time.Duration{}}
 		setup, err := Prepare(gname, o.Scale, 0.6, o.BatchSize, k, 0, o.Problems, o.Seed)
 		if err != nil {
-			panic(err)
+			return Table5Result{}, err
 		}
-		// One update batch so LastMaintain reflects incremental cost.
+		// One update batch so the set's last maintenance is incremental.
 		setup.ApplyNextBatch()
-		qs := setup.SampleQueries(o.Queries, o.Seed+5)
+		if qs == nil {
+			qs = setup.SampleQueries(o.Queries, o.Seed+5)
+		}
+		row := Table5Row{K: k, Speedup: map[string]float64{}, Standing: map[string]time.Duration{},
+			StandingWork: map[string]int64{}, QueryWork: map[string]float64{}, Sources: qs}
 		for _, p := range o.Problems {
 			agg := AggregateMeasurements(setup.MeasureQueries(p, qs, o.Repeats))
-			rows[i].Speedup[p] = agg.MeanSpeedup
-			d, err := setup.Sys.StandingMaintainTime(p)
+			d, work, err := setup.Sys.StandingMaintainTime(p)
 			if err != nil {
-				panic(err)
+				return Table5Result{}, err
 			}
-			rows[i].Standing[p] = d
+			row.Speedup[p], row.QueryWork[p] = agg.MeanSpeedup, agg.MeanWork
+			row.Standing[p], row.StandingWork[p] = d, work.Relaxations
 		}
+		res.Rows = append(res.Rows, row)
 	}
+	res.Picks = map[string][]int{}
 	for _, p := range o.Problems {
-		fmt.Fprintf(w, "%-8s", p)
-		for _, r := range rows {
-			fmt.Fprintf(w, " %-16s", fmt.Sprintf("%.2f [%s]", r.Speedup[p], fmtSeconds(r.Standing[p])))
+		for _, rate := range pickRates {
+			res.Picks[p] = append(res.Picks[p], pickK(res.Rows, p, rate))
 		}
-		fmt.Fprintln(w)
 	}
-	return rows
+	printTable5(o, gname, res)
+	return res, nil
 }
 
-// Autotune runs §5's basic K auto-tuner on the first of o.Graphs and
-// o.Problems, preloaded to 60% as in Tables 5–6, for a workload of qpb
-// user queries per update batch, and prints the measured cost of each
-// candidate K and the chosen one.
-func Autotune(o Options, qpb float64) (tuner.Result, error) {
-	o = o.withDefaults()
-	gname, problem := o.Graphs[0], o.Problems[0]
-	cfg, ok := gen.ByName(gname, o.Scale)
-	if !ok {
-		return tuner.Result{}, fmt.Errorf("bench: unknown graph %q", gname)
+func printTable5(o Options, gname string, res Table5Result) {
+	w := o.Out
+	cells := func(title string, cell func(Table5Row, string) string) {
+		fmt.Fprintln(w, title)
+		fmt.Fprintf(w, "%-8s", "#SQ")
+		for _, r := range res.Rows {
+			fmt.Fprintf(w, " %-16s", fmt.Sprintf("K=%d", r.K))
+		}
+		fmt.Fprintln(w)
+		for _, p := range o.Problems {
+			fmt.Fprintf(w, "%-8s", p)
+			for _, r := range res.Rows {
+				fmt.Fprintf(w, " %-16s", cell(r, p))
+			}
+			fmt.Fprintln(w)
+		}
 	}
-	stream := gen.MakeStream(cfg.N(), gen.RMAT(cfg), cfg.Directed, 0.6, o.BatchSize, o.Seed)
-	res, err := tuner.TuneK(tuner.Config{
-		N: cfg.N(), Directed: cfg.Directed,
-		Initial: stream.Initial, Batches: stream.Batches,
-		Problem: problem, QueriesPerBatch: qpb, Seed: o.Seed,
-	})
-	if err != nil {
-		return tuner.Result{}, err
+	cells(fmt.Sprintf("Table 5: Benefits and Costs of K Standing Queries (%s, 60%% loaded)", gname),
+		func(r Table5Row, p string) string {
+			return fmt.Sprintf("%.2f [%s]", r.Speedup[p], fmtSeconds(r.Standing[p]))
+		})
+	cells("Counted work: standing relaxations per batch / mean Δ-query relaxations + meet reads",
+		func(r Table5Row, p string) string { return fmt.Sprintf("%d/%.0f", r.StandingWork[p], r.QueryWork[p]) })
+	fmt.Fprintf(w, "K picked by %.1f × standing + rate × query work at rate = %v Δ-queries per batch\n",
+		maintainRelaxCost, pickRates)
+	for _, p := range o.Problems {
+		fmt.Fprintf(w, "%-8s %v\n", p, res.Picks[p])
 	}
-	fmt.Fprintf(o.Out, "workload: %s on %s-60, %g user queries per %d-edge batch\n",
-		problem, shortName(gname), qpb, o.BatchSize)
-	fmt.Fprint(o.Out, res.String())
-	return res, nil
 }
 
 // Table6 reproduces the update-batch-size sweep: standing query
@@ -273,7 +322,7 @@ func Table6(o Options, sizes []int) map[string]map[int]map[string]time.Duration 
 			out[gname][bs] = map[string]time.Duration{}
 			fmt.Fprintf(w, "%-8s %-8d", shortName(gname)+"-60", bs)
 			for _, p := range o.Problems {
-				d, err := setup.Sys.StandingMaintainTime(p)
+				d, _, err := setup.Sys.StandingMaintainTime(p)
 				if err != nil {
 					panic(err)
 				}

@@ -37,7 +37,7 @@ func BenchmarkCC(b *testing.B) {
 			var cc time.Duration
 			for i := 0; i < b.N; i++ {
 				do(edges[cut:])
-				d, _ := r.StandingMaintainTime("CC")
+				d, _, _ := r.StandingMaintainTime("CC")
 				cc += d
 				b.StopTimer()
 				undo(edges[cut:])

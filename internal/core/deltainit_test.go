@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
@@ -92,7 +93,9 @@ var deltaInitSink []uint64
 // path's deltaInit on the same set, one pass that reads the slot in
 // place (SSWP's meet keeps one lane); "meet" is deltaInit over a
 // directed SSSP set, whose meet keeps several lanes. All include the
-// answer's allocation.
+// answer's allocation. lanes/op is the lanes each meet read, and
+// ns/word the time per word read (lanes × N), the price of Table 5's meet
+// term.
 func BenchmarkDeltaInit(b *testing.B) {
 	const logN = 18
 	set := deltaInitSystem(b, logN).ev.sets[0]
@@ -111,12 +114,19 @@ func BenchmarkDeltaInit(b *testing.B) {
 	slab := func(set *standing.Manager) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
+			lanes := 0
+			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				q, err := deltaInit(context.Background(), set, []graph.VertexID{source(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
 				deltaInitSink = q.st.Values
+				lanes += q.lanesMet
+			}
+			b.ReportMetric(float64(lanes)/float64(b.N), "lanes/op")
+			if lanes > 0 {
+				b.ReportMetric(float64(time.Since(start).Nanoseconds())/(float64(lanes)*float64(n)), "ns/word")
 			}
 		}
 	}

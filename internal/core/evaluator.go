@@ -249,21 +249,21 @@ func (ev *evaluator) ReselectRoots(name string, g View) error {
 	return nil
 }
 
-// MaintainTime returns the wall time of the most recent (re-)evaluation
-// of the standing set that bounds the named problem — the set's, so
-// problems sharing one report the same figure — or of its maintained
-// answer.
-func (ev *evaluator) MaintainTime(name string) (time.Duration, error) {
+// MaintainTime returns the wall time and the roots' engine work of the
+// most recent (re-)evaluation of the standing set that bounds the named
+// problem — the set's, so problems sharing one report the same figures —
+// or the wall time of its maintained answer, with no work counted.
+func (ev *evaluator) MaintainTime(name string) (time.Duration, engine.Stats, error) {
 	pr, err := ev.lookup(name)
 	if err != nil {
-		return 0, err
+		return 0, engine.Stats{}, err
 	}
 	ev.mu.RLock()
 	defer ev.mu.RUnlock()
 	if pr.set == nil {
-		return pr.ans.lastMaintain(), nil
+		return pr.ans.lastMaintain(), engine.Stats{}, nil
 	}
-	return pr.set.LastMaintain, nil
+	return pr.set.LastMaintain, pr.set.LastStats, nil
 }
 
 // ---------------------------------------------------------------------
@@ -311,6 +311,7 @@ func (ev *evaluator) query(ctx context.Context, pr *problem, u graph.VertexID, p
 	}
 	res.Elapsed = time.Since(start)
 	res.Incremental, res.StandingSlot, res.PropUR = true, q.slots[0], q.propURs[0]
+	res.LanesMet = q.lanesMet
 	res.Version = view.Version()
 	return res, nil
 }
@@ -429,6 +430,9 @@ type evaluation struct {
 	// the first of the lanes its Δ-initialization meets over.
 	slots   []int
 	propURs []uint64
+	// lanesMet sums the lanes each slot's meet read, every one over all N
+	// vertices.
+	lanesMet int
 }
 
 // deltaInit allocates the width-len(sources) state and Δ-initializes each
@@ -457,6 +461,7 @@ func deltaInit(ctx context.Context, set *standing.Manager, sources []graph.Verte
 			return nil, &engine.CanceledError{Cause: err}
 		}
 		lanes, q.slots[j], q.propURs[j] = set.Meet(lanes, u)
+		q.lanesMet += len(lanes)
 		dst, dstStride, dstOff := q.st.StrideView(j)
 		triangle.DeltaInitMeet(dst, dstStride, dstOff, p, u, lanes, src, srcStride, n)
 	}

@@ -145,8 +145,9 @@ func TestQueryHighSourceAfterGrowth(t *testing.T) {
 	}
 }
 
-// TestStandingSlotRecorded: the chosen standing query and property(u,r)
-// surface in the result for the simple problems.
+// TestStandingSlotRecorded: the chosen standing query, property(u,r) and
+// the number of lanes the meet read surface in the result for the simple
+// problems.
 func TestStandingSlotRecorded(t *testing.T) {
 	edges := gen.Uniform(80, 700, 8, 83)
 	g := streamgraph.New(80, false)
@@ -161,5 +162,15 @@ func TestStandingSlotRecorded(t *testing.T) {
 	}
 	if res.PropUR == props.Unreached {
 		t.Fatal("connected graph reported unreachable standing root")
+	}
+	if res.LanesMet < 1 || res.LanesMet > 4 {
+		t.Fatalf("meet read %d lanes of a K=4 set", res.LanesMet)
+	}
+	full, err := sys.QueryFull("SSSP", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.LanesMet != 0 {
+		t.Fatalf("full evaluation met %d lanes", full.LanesMet)
 	}
 }

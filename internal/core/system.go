@@ -70,6 +70,9 @@ type QueryResult struct {
 	// (standing.Manager.Narrow), not the top-K degree ranking.
 	StandingSlot int
 	PropUR       uint64
+	// LanesMet counts the standing lanes the Δ-initialization met over,
+	// summed over the problem's sources; the meet read LanesMet × N words.
+	LanesMet int
 	// Version is the version the result is valid for: the pinned view's
 	// version for vertex-specific problems, the version the standing state
 	// last converged at for the whole-graph problems, and the requested
@@ -170,10 +173,11 @@ func (s *System) EnableCustom(p engine.Problem) error {
 // Enabled lists enabled problems in enable order.
 func (s *System) Enabled() []string { return s.ev.Enabled() }
 
-// StandingMaintainTime returns the wall time of the most recent
-// (re-)evaluation of the standing set that bounds the named problem, or
-// of its maintained answer (see evaluator.MaintainTime).
-func (s *System) StandingMaintainTime(name string) (time.Duration, error) {
+// StandingMaintainTime returns the wall time and the engine work of the
+// most recent (re-)evaluation of the standing set that bounds the named
+// problem, or the time of its maintained answer (see
+// evaluator.MaintainTime).
+func (s *System) StandingMaintainTime(name string) (time.Duration, engine.Stats, error) {
 	return s.ev.MaintainTime(name)
 }
 

@@ -109,7 +109,7 @@ func TestQueryUnknownProblem(t *testing.T) {
 	if _, err := sys.QueryFull("SSSP", 0); err == nil {
 		t.Fatal("full query on disabled problem did not error")
 	}
-	if _, err := sys.StandingMaintainTime("SSSP"); err == nil {
+	if _, _, err := sys.StandingMaintainTime("SSSP"); err == nil {
 		t.Fatal("maintain time on disabled problem did not error")
 	}
 }
@@ -126,9 +126,13 @@ func TestApplyBatchReport(t *testing.T) {
 	if rep.StandingElapsed <= 0 {
 		t.Fatal("no standing time recorded")
 	}
-	d, err := sys.StandingMaintainTime("SSSP")
+	d, work, err := sys.StandingMaintainTime("SSSP")
 	if err != nil || d <= 0 {
 		t.Fatalf("maintain time %v err %v", d, err)
+	}
+	// The set's own share of the batch's standing work.
+	if work.Relaxations <= 0 || work.Relaxations > rep.StandingStats.Relaxations {
+		t.Fatalf("set work %d relaxations, batch %d", work.Relaxations, rep.StandingStats.Relaxations)
 	}
 }
 

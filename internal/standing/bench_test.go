@@ -43,7 +43,11 @@ func (c *oneRound) Err() error {
 //
 // Beside the times it reports what the batch cost in the model's own
 // units: arcs stored and round-0 relaxations per direction (measured on
-// copies of the state, off the clock). EXPERIMENTS.md records the series.
+// copies of the state, off the clock), and each push's time per
+// relaxation (fwd-ns/relax, rev-ns/relax), a relaxation being one (arc,
+// slot) pair of the fused width-K push: the counterpart of
+// BenchmarkDeltaRun's width-1 ns/relax (internal/core), which Table 5's
+// pick calibrates against. EXPERIMENTS.md records the series.
 func BenchmarkUpdateSplit(b *testing.B) {
 	for _, c := range []struct {
 		name         string
@@ -69,7 +73,7 @@ func BenchmarkUpdateSplit(b *testing.B) {
 
 			var publish, fwd, rev time.Duration
 			var stored int
-			var fwd0, rev0 engine.Stats
+			var fwd0, rev0, fwdAll, revAll engine.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -82,11 +86,11 @@ func BenchmarkUpdateSplit(b *testing.B) {
 				t1 := time.Now()
 				flat := snap.Flatten()
 				arcs, _ := flat.InsertedArcs()
-				m.Forward.RunPushArcs(flat, arcs)
+				fwdAll.Add(m.Forward.RunPushArcs(flat, arcs))
 				t2 := time.Now()
 				t := flat.Transposed()
 				rarcs, _ := t.(engine.ArcDelta).InsertedArcs()
-				m.Reverse.RunPushArcs(t, rarcs)
+				revAll.Add(m.Reverse.RunPushArcs(t, rarcs))
 				publish += t1.Sub(t0)
 				fwd += t2.Sub(t1)
 				rev += time.Since(t2)
@@ -107,6 +111,8 @@ func BenchmarkUpdateSplit(b *testing.B) {
 			b.ReportMetric(float64(stored)/n, "stored-arcs/batch")
 			b.ReportMetric(float64(fwd0.Relaxations)/n, "fwd-round0-relax/batch")
 			b.ReportMetric(float64(rev0.Relaxations)/n, "rev-round0-relax/batch")
+			b.ReportMetric(float64(fwd.Nanoseconds())/float64(max(fwdAll.Relaxations, 1)), "fwd-ns/relax")
+			b.ReportMetric(float64(rev.Nanoseconds())/float64(max(revAll.Relaxations, 1)), "rev-ns/relax")
 		})
 	}
 }
@@ -133,10 +139,23 @@ func BenchmarkUpdateSplit(b *testing.B) {
 // subscribers. SSWP and SSNP are plateau problems, whose witness taint
 // covers much of what each slot reaches; Viterbi's saturated products
 // plateau too; SSR's one reachability value plateaus everywhere; SSSP is
-// additive and BFS counts hops.
+// additive and BFS counts hops. Each plateau problem also runs flood
+// batches (/flood): each deletes 100 stored out-arcs of the set's first
+// root, whose values every other value derives from.
 func BenchmarkUpdateDeletions(b *testing.B) {
-	for _, p := range []engine.Problem{props.SSWP{}, props.SSSP{}, props.Viterbi{}, props.SSNP{}, props.SSR{}, props.BFS{}} {
-		b.Run(p.Name()+"/2^15x8", func(b *testing.B) {
+	for _, c := range []struct {
+		p     engine.Problem
+		flood bool
+	}{
+		{props.SSWP{}, false}, {props.SSWP{}, true}, {props.SSSP{}, false},
+		{props.Viterbi{}, false}, {props.Viterbi{}, true}, {props.SSNP{}, false}, {props.SSNP{}, true},
+		{props.SSR{}, false}, {props.SSR{}, true}, {props.BFS{}, false},
+	} {
+		p, name := c.p, c.p.Name()+"/2^15x8"
+		if c.flood {
+			name += "/flood"
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg := gen.Config{LogN: 15, AvgDegree: 8, Directed: true, Seed: 1}
 			edges := gen.RMAT(cfg)
 			g := streamgraph.New(cfg.N(), true)
@@ -159,6 +178,15 @@ func BenchmarkUpdateDeletions(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				var del []graph.Edge
+				if c.flood {
+					dsts, ws := snap.Flatten().OutSpan(m.Roots[0])
+					if len(dsts) == 0 {
+						b.Fatalf("root %d has no out-arcs left", m.Roots[0])
+					}
+					for j := range dsts[:min(len(dsts), 100)] {
+						del = append(del, graph.Edge{Src: m.Roots[0], Dst: dsts[j], W: ws[j]})
+					}
+				}
 				for len(del) < 100 {
 					e := edges[rng.Intn(len(edges))]
 					if w, ok := snap.HasEdge(e.Src, e.Dst); ok && !slices.ContainsFunc(del, func(d graph.Edge) bool { return d.Src == e.Src && d.Dst == e.Dst }) {

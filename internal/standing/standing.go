@@ -56,8 +56,10 @@ type Manager struct {
 	directed bool
 	pages    []*page
 	// LastMaintain is the wall time of the most recent Update (or the
-	// initial evaluation), the quantity reported in Tables 5 and 6.
+	// initial evaluation), the quantity reported in Tables 5 and 6, and
+	// LastStats the roots' engine work behind it (Table 5 prices K by it).
 	LastMaintain time.Duration
+	LastStats    engine.Stats
 	// TotalStats accumulates the roots' engine work (not the lanes', like
 	// every Stats a maintenance pass returns) across the lifetime.
 	TotalStats engine.Stats
@@ -115,8 +117,7 @@ func (m *Manager) Update(g engine.ArcView, changed []graph.VertexID) engine.Stat
 		stats.Add(m.Reverse.RunPushArcs(t, rev))
 	}
 	m.noteVersion(g)
-	m.LastMaintain = time.Since(start)
-	m.TotalStats.Add(stats)
+	m.noteMaintain(start, stats)
 	return stats
 }
 
@@ -160,9 +161,14 @@ func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 		m.Reverse = m.rootedState(g)
 		stats.Add(m.Reverse.RunPush(transposedOf(g), seeds, masks))
 	}
-	m.LastMaintain = time.Since(start)
-	m.TotalStats.Add(stats)
+	m.noteMaintain(start, stats)
 	return stats
+}
+
+// noteMaintain records a maintenance pass begun at start that did stats.
+func (m *Manager) noteMaintain(start time.Time, stats engine.Stats) {
+	m.LastMaintain, m.LastStats = time.Since(start), stats
+	m.TotalStats.Add(stats)
 }
 
 // transposedOf returns g with every arc reversed: the view's own transpose

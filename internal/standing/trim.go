@@ -98,8 +98,7 @@ func (m *Manager) UpdateDeletions(g engine.ArcView, deleted []graph.Edge, undire
 	for _, pg := range m.pages {
 		m.trimLanes(pg, g, in, deleted, undirected)
 	}
-	m.LastMaintain = time.Since(start)
-	m.TotalStats.Add(stats)
+	m.noteMaintain(start, stats)
 	return stats
 }
 

@@ -424,6 +424,6 @@ func BuiltinProblems() []string {
 // problem. The figure is the set's: SSSP and Radii report the same time,
 // as do BFS and SSNSP (whose exact per-query count is not standing work).
 func (s *System) StandingMaintainTime(problem string) (float64, error) {
-	d, err := s.inner.StandingMaintainTime(problem)
+	d, _, err := s.inner.StandingMaintainTime(problem)
 	return d.Seconds(), err
 }
