@@ -144,9 +144,9 @@ type QueryMeasurement struct {
 	// paper's Table 4 note.
 	ActRatio float64
 	PropUR   uint64 // property(u, r*) of the chosen standing query
-	// Work is the Δ-based evaluation's counted work: engine relaxations
-	// (both of SSNSP's rounds) plus the words its meet read, lanes met ×
-	// vertices.
+	// Work is the Δ-based evaluation's counted work (queryWork): engine
+	// relaxations (both of SSNSP's rounds) plus the words its meet read,
+	// lanes met × vertices, priced at meetWordCost.
 	Work float64
 }
 
@@ -175,7 +175,7 @@ func (s *Setup) MeasureQuery(problem string, u graph.VertexID, repeats int) Quer
 		}
 		m.DeltaSeconds += inc.Elapsed.Seconds()
 		m.FullSeconds += full.Elapsed.Seconds()
-		m.Work += float64(inc.Stats.Relaxations + int64(inc.LanesMet*len(inc.Values)/inc.Width))
+		m.Work += queryWork(inc.Stats.Relaxations, inc.LanesMet*len(inc.Values)/inc.Width)
 		if problem == "SSNSP" {
 			deltaActs, fullActs = inc.CountStats.Activations, full.CountStats.Activations
 		} else {

@@ -260,6 +260,21 @@ func TestPickK(t *testing.T) {
 	if k := pickK(tied, "SSSP", 1); k != 4 {
 		t.Fatalf("tie picked K=%d", k)
 	}
+	// Meet reads are priced at meetWordCost, not at one relaxation each: a
+	// wide set whose queries trade 60k relaxations for 100k meet words
+	// wins at the calibrated price and loses at one relaxation per word.
+	rowsAt := func(query float64) []Table5Row {
+		return []Table5Row{
+			{K: 1, StandingWork: map[string]int64{"SSSP": 1_000}, QueryWork: map[string]float64{"SSSP": 100_000}},
+			{K: 16, StandingWork: map[string]int64{"SSSP": 2_000}, QueryWork: map[string]float64{"SSSP": query}},
+		}
+	}
+	if k := pickK(rowsAt(40_000+100_000), "SSSP", 16); k != 1 {
+		t.Fatalf("meet words at one relaxation each: picked K=%d, want 1", k)
+	}
+	if k := pickK(rowsAt(queryWork(40_000, 100_000)), "SSSP", 16); k != 16 {
+		t.Fatalf("meet words at %.2f: picked K=%d, want 16", meetWordCost, k)
+	}
 }
 
 func TestTable6Smoke(t *testing.T) {

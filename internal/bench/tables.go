@@ -173,7 +173,8 @@ type Table5Row struct {
 	Speedup  map[string]float64
 	Standing map[string]time.Duration
 	// StandingWork is the set's relaxations for the batch; QueryWork a
-	// Δ-query's relaxations plus the words its meet read (lanes met × N).
+	// Δ-query's queryWork: relaxations plus the words its meet read (lanes
+	// met × N) at meetWordCost each.
 	StandingWork map[string]int64
 	QueryWork    map[string]float64
 	// Sources is the sample the row's queries ran from: every row's is
@@ -198,6 +199,18 @@ var pickRates = []float64{1, 4, 16, 64}
 // runs of six batches), over BenchmarkDeltaRun's ns/relax on the same
 // shape, 5.4 (median of nine runs of 50 queries), on a 2-CPU Xeon.
 const maintainRelaxCost = 2.0
+
+// meetWordCost is the time of one word the Δ-initialization's meet reads,
+// one (lane, vertex) pair, in width-1 query relaxations:
+// BenchmarkDeltaInit/meet's ns/word, 3.0 (directed SSSP, 2^18), over
+// BenchmarkDeltaRun's ns/relax, 5.4, on a 2-CPU Xeon.
+const meetWordCost = 0.55
+
+// queryWork is a Δ-query's counted work in width-1 relaxations: its
+// engine relaxations plus its meet's words, each priced at meetWordCost.
+func queryWork(relax int64, meetWords int) float64 {
+	return float64(relax) + meetWordCost*float64(meetWords)
+}
 
 // pickK is §5's auto-tuner over Table 5's rows: the K whose batch cycle,
 // maintenance plus rate Δ-queries (§4.5's trade-off), costs the least
@@ -284,7 +297,7 @@ func printTable5(o Options, gname string, res Table5Result) {
 		func(r Table5Row, p string) string {
 			return fmt.Sprintf("%.2f [%s]", r.Speedup[p], fmtSeconds(r.Standing[p]))
 		})
-	cells("Counted work: standing relaxations per batch / mean Δ-query relaxations + meet reads",
+	cells(fmt.Sprintf("Counted work: standing relaxations per batch / mean Δ-query relaxations + %.2f × meet reads", meetWordCost),
 		func(r Table5Row, p string) string { return fmt.Sprintf("%d/%.0f", r.StandingWork[p], r.QueryWork[p]) })
 	fmt.Fprintf(w, "K picked by %.1f × standing + rate × query work at rate = %v Δ-queries per batch\n",
 		maintainRelaxCost, pickRates)

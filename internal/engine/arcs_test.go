@@ -1,8 +1,11 @@
 package engine_test
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tripoline/internal/engine"
@@ -131,5 +134,93 @@ func TestChangedRecordsWhatMoved(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no batch moved any value: the record was never tested")
+	}
+}
+
+// specless hides a problem's KernelSpec, so the kernels relax it through
+// the Problem interface.
+type specless struct{ engine.Problem }
+
+// TestArcRoundCountsPerArc holds the arc round's counters to a sequential
+// per-arc count: one hoist per run of arcs sharing a tail, one gate skip
+// per slot whose hoisted value is the spec's gate, and one relaxation per
+// (arc, slot) that propagates — for every registered problem and its
+// spec-less twin at K ∈ {1, 2, 9, 16, 64}. The lists hold at most 64 arcs,
+// so the round runs on one worker in list order, and the round's values
+// must equal the reference's too. The run is stopped after round 0.
+func TestArcRoundCountsPerArc(t *testing.T) {
+	const n, core = 48, 12
+	rng := xrand.New(521)
+	var gated, moved int64
+	for name, p := range props.Registry() {
+		for _, p := range []engine.Problem{p, specless{p}} {
+			spec, hasSpec := engine.KernelSpecOf(p)
+			for _, k := range []int{1, 2, 9, 16, 64} {
+				label := fmt.Sprintf("%s (spec %v) K=%d", name, hasSpec, k)
+				base := make([]graph.Edge, 70)
+				for i := range base {
+					base[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(16))}
+				}
+				st, _ := engine.Run(graph.FromEdges(n, base, true), p, pickSources(n, k, rng))
+				// 64 arcs over a few tails: long runs, repeated heads.
+				arcs := make([]graph.Edge, 64)
+				for i := range arcs {
+					arcs[i] = graph.Edge{Src: graph.VertexID(rng.Intn(core)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(16))}
+				}
+				slices.SortStableFunc(arcs, func(a, b graph.Edge) int { return int(a.Src) - int(b.Src) })
+				g := graph.FromEdges(n, append(base, arcs...), true)
+
+				ref := st.Clone()
+				var want engine.Stats
+				for i := 0; i < len(arcs); {
+					j := i + 1
+					for j < len(arcs) && arcs[j].Src == arcs[i].Src {
+						j++
+					}
+					want.Hoists++
+					src := make([]uint64, k)
+					for s := range src {
+						src[s] = ref.Value(arcs[i].Src, s)
+					}
+					for _, a := range arcs[i:j] {
+						for s, v := range src {
+							if hasSpec && v == spec.Gate {
+								continue
+							}
+							cand, ok := p.Relax(v, a.W)
+							if !ok {
+								continue
+							}
+							want.Relaxations++
+							if p.Better(cand, ref.Value(a.Dst, s)) {
+								ref.SetValue(a.Dst, s, cand)
+								want.Updates++
+							}
+						}
+					}
+					for _, v := range src {
+						if hasSpec && v == spec.Gate {
+							want.GateSkips++
+						}
+					}
+					i = j
+				}
+
+				got, err := st.RunPushArcsCtx(engine.NewConsultCtx(1), g, arcs)
+				if err != nil && !errors.Is(err, engine.ErrCanceled) {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got.Iterations != 1 || got.Relaxations != want.Relaxations || got.GateSkips != want.GateSkips ||
+					got.Hoists != want.Hoists || got.Updates != want.Updates || got.Activations != 0 {
+					t.Fatalf("%s: round 0 counted %+v, per-arc reference %+v", label, got, want)
+				}
+				requireSameValues(t, label, st, ref, n, k)
+				gated += want.GateSkips
+				moved += want.Updates
+			}
+		}
+	}
+	if gated == 0 || moved == 0 {
+		t.Fatalf("the arc lists gated %d slots and moved %d values: the counts were not exercised", gated, moved)
 	}
 }

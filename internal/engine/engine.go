@@ -468,17 +468,50 @@ const denseGrainWords = 2
 var onIteration func(dense bool)
 
 // workCounter accumulates one worker's engine statistics and its share of
-// the next frontier. Workers index a []workCounter by the stable id
-// parallel.ForRangeID hands them, so the hot loop needs no atomic adds
-// and no shared queue; the pad keeps neighboring workers' slots on
-// separate cache lines.
+// the next frontier, and holds the worker's kernel scratch. Workers index
+// a []workCounter by the stable id parallel.ForRangeID hands them, so the
+// hot loop needs no atomic adds and no shared queue; the pad keeps
+// neighboring workers' counters on separate cache lines.
 type workCounter struct {
 	acts, relax, upd     int64
 	hoists, gates, sweep int64
 	// queue lists the vertices this worker added to the next frontier
 	// (frontier.add).
 	queue []graph.VertexID
-	_     [7]int64
+	// dsts and ws are the arc round's run laid out as a span (arcSpan),
+	// reused from run to run.
+	dsts []graph.VertexID
+	ws   []graph.Weight
+	// blk is the width-K kernel's register block (pushKCtx.hoist).
+	blk regBlock
+	_   [8]int64
+}
+
+// regBlock is a width-K hoist of one vertex: its live slots compacted into
+// slots[:n], each with its offset in the slab, its source value and its
+// slot bit. Every hoist rewrites it before relaxSpan reads it.
+type regBlock struct {
+	n     int
+	slots [64]hoisted
+}
+
+// hoisted is one live slot of a register block.
+type hoisted struct {
+	off      int
+	val, bit uint64
+}
+
+func (b *regBlock) live() []hoisted { return b.slots[:b.n] }
+
+// arcSpan lays run's heads and weights out as a span in c's scratch.
+func (c *workCounter) arcSpan(run []graph.Edge) ([]graph.VertexID, []graph.Weight) {
+	dsts, ws := c.dsts[:0], c.ws[:0]
+	for _, a := range run {
+		dsts = append(dsts, a.Dst)
+		ws = append(ws, a.W)
+	}
+	c.dsts, c.ws = dsts, ws
+	return dsts, ws
 }
 
 // frontier is the push loop's active set and the rest of one RunPush
@@ -537,7 +570,8 @@ func getFrontier(n, k int) *frontier {
 		f.counters = make([]workCounter, w)
 	}
 	for i := range f.counters {
-		f.counters[i] = workCounter{queue: f.counters[i].queue}
+		c := &f.counters[i]
+		c.acts, c.relax, c.upd, c.hoists, c.gates, c.sweep = 0, 0, 0, 0, 0, 0
 	}
 	return f
 }

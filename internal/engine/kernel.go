@@ -1,30 +1,35 @@
 // Push kernels: the width-K kernel over the slot-blocked value storage
-// and its K=1 specialization over the contiguous value array.
+// and its K=1 specialization over the contiguous value array. Every push
+// round — a frontier superstep, a dense window pass, the arc round's run
+// of arcs sharing a tail — takes the same two steps: hoist the source
+// once, then relax a span of arcs from it.
 //
 // Three ideas, layered:
 //
 //  1. Register-block hoisting. Re-loading the source value atomically per
-//     (edge × active slot) costs up to 64 dependent atomic loads per edge
-//     at K=64. The kernel instead hoists the frontier vertex's
-//     active-slot values into a stack block once per vertex before the
-//     edge loop. This is sound for monotonic problems: if another worker
-//     improves the source concurrently, it also re-marks the vertex
-//     active (frontier.add), so the improvement propagates in a later
-//     superstep; the hoisted (stale but still sound) values can only
-//     under-propagate, never corrupt.
+//     (arc × active slot) costs up to 64 dependent atomic loads per arc
+//     at K=64. The kernel instead hoists the source vertex's live slots
+//     into its worker's register block once (regBlock: offset, value and
+//     slot bit per slot, compacted), before the arc loop. This is sound
+//     for monotonic problems: if another worker improves the source
+//     concurrently, it also re-marks the vertex active (frontier.add), so
+//     the improvement propagates in a later superstep; the hoisted (stale
+//     but still sound) values can only under-propagate, never corrupt.
 //
 //  2. Devirtualized relaxation. All of package props' problems relax with
-//     one of six scalar ops; KernelSpec names the op so the kernel's edge
-//     loop runs a direct switch (one predictable branch per edge) instead
-//     of two interface calls per (edge × slot). Problems without a spec
-//     fall back to interface dispatch — still hoisted, still correct.
+//     one of six scalar ops; KernelSpec names the op so one switch per
+//     width (relaxSpan at K>1, flatEdges at K=1) runs outside the arc
+//     loop, and each case is a straight loop of op and monomorphic CAS.
+//     Problems without a spec fall back to interface dispatch — still
+//     hoisted, still correct.
 //
-//  3. Cache-blocked dense sweeps. A dense superstep touches K·N·8 bytes of destination values with power-law-random
-//     access. When that working set exceeds windowBudget, the kernel
-//     splits the vertex ID space into ascending destination windows and
-//     runs one pass per window, advancing a per-vertex arc cursor through
-//     the destination-sorted adjacency, so each pass's random writes land
-//     in a bounded value window.
+//  3. Cache-blocked dense sweeps. A dense superstep touches K·N·8 bytes of
+//     destination values with power-law-random access. When that working
+//     set exceeds windowBudget, the kernel splits the vertex ID space into
+//     ascending destination windows and runs one pass per window,
+//     advancing a per-vertex arc cursor through the destination-sorted
+//     adjacency, so each pass's random writes land in a bounded value
+//     window.
 //
 // The spec ops are transcriptions of the props implementations; the
 // width-sweep tests hold every problem and width to the sequential
@@ -54,7 +59,7 @@ const (
 	RelaxMinWeight
 	// RelaxMaxWeight propagates max(src, w) (SSNP narrowest-path dual).
 	RelaxMaxWeight
-	// RelaxMulSat propagates satMul(src, w) (Viterbi probability chains).
+	// RelaxMulSat propagates SatMul(src, w) (Viterbi probability chains).
 	RelaxMulSat
 	// RelaxConst propagates the spec's Const (SSR reachability).
 	RelaxConst
@@ -101,8 +106,7 @@ func KernelSpecOf(p Problem) (KernelSpec, bool) {
 }
 
 // SatAdd is a + b saturated at ^uint64(0), the additive problems'
-// Unreached, which absorbs: a bit-identical transcription of props'
-// saturating add.
+// Unreached, which absorbs: SSSP's and BFS's ⊕.
 func SatAdd(a, b uint64) uint64 {
 	if s := a + b; s >= a {
 		return s
@@ -110,9 +114,8 @@ func SatAdd(a, b uint64) uint64 {
 	return ^uint64(0)
 }
 
-// SatMul is a bit-identical transcription of props.satMul, local to
-// the engine so the fused Viterbi relaxation needs no props import (which
-// would be an import cycle).
+// SatMul is a · b with ^uint64(0) (Unreached) absorbing and overflow
+// saturating just below it: Viterbi's relaxation and ⊕.
 func SatMul(a, b uint64) uint64 {
 	const unreached = ^uint64(0)
 	if a == unreached || b == unreached {
@@ -200,182 +203,85 @@ type pushKCtx struct {
 	f *frontier
 }
 
-// hoist loads u's active-slot source values into the stack register
-// block src, once, before the edge loop. Loads are atomic: the words are
-// concurrently CASed by other workers, and a plain read would be a data
-// race (an atomic load costs the same as a plain one on amd64). With a
-// spec, slots whose hoisted value is still the gate are pruned here —
-// the returned live mask is what the edge loop iterates.
-func (kc *pushKCtx) hoist(u graph.VertexID, mask uint64, src *[64]uint64, c *workCounter) (live uint64) {
+// hoist loads u's active-slot source values into c's register block,
+// once, before the arc loop. Loads are atomic: the words are concurrently
+// CASed by other workers, and a plain read would be a data race (an atomic
+// load costs the same as a plain one on amd64). With a spec, slots whose
+// hoisted value is still the gate are pruned here, so the block holds only
+// the slots the arc loop relaxes; hoist reports whether any are left.
+func (kc *pushKCtx) hoist(c *workCounter, u graph.VertexID, mask uint64) bool {
 	c.hoists++
 	soff, cols := kc.soff, kc.cols
 	ub := int(u) * kc.stride
-	if !kc.hasSpec {
-		for m := mask; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			src[k] = atomic.LoadUint64(&cols[soff[k]+ub])
-		}
-		return mask
-	}
-	gate := kc.spec.Gate
+	gated, gate := kc.hasSpec, kc.spec.Gate
+	blk := &c.blk
+	n := 0
 	for m := mask; m != 0; m &= m - 1 {
-		k := bits.TrailingZeros64(m)
-		v := atomic.LoadUint64(&cols[soff[k]+ub])
-		if v == gate {
+		off := soff[bits.TrailingZeros64(m)]
+		v := atomic.LoadUint64(&cols[off+ub])
+		if gated && v == gate {
 			continue
 		}
-		src[k] = v
-		live |= 1 << uint(k)
+		blk.slots[n] = hoisted{off: off, val: v, bit: m & -m}
+		n++
 	}
-	c.gates += int64(bits.OnesCount64(mask ^ live))
-	return live
+	blk.n = n
+	c.gates += int64(bits.OnesCount64(mask) - n)
+	return n > 0
 }
 
-// relaxEdge relaxes one edge (u → d, weight w) for every live slot,
-// reading sources from the hoisted register block. The spec switch sits
-// per edge, outside the slot loop, so its cost amortizes over the K
-// slots; each case's inner loop is branch-predictable straight-line code
-// with a monomorphic CAS.
-func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight, src *[64]uint64, live uint64) {
-	soff, cols := kc.soff, kc.cols
+// relaxEdge relaxes one arc (→ d, weight w) through the Problem interface
+// for every slot of c's register block: the path of problems that name no
+// fused op.
+func (kc *pushKCtx) relaxEdge(c *workCounter, d graph.VertexID, w graph.Weight) {
+	p, cols := kc.p, kc.cols
 	db := int(d) * kc.stride
-	if !kc.hasSpec {
-		p := kc.p
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			cand, ok := p.Relax(src[k], w)
-			if !ok {
-				continue
-			}
-			c.relax++
-			if casImprove(&cols[soff[k]+db], cand, p) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
+	for _, s := range c.blk.live() {
+		cand, ok := p.Relax(s.val, w)
+		if !ok {
+			continue
 		}
-		return
-	}
-	switch kc.spec.Kind {
-	case RelaxAddWeight:
-		wv := uint64(w)
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			c.relax++
-			if casImproveLess(&cols[soff[k]+db], src[k]+wv) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
-		}
-	case RelaxAddOne:
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			c.relax++
-			if casImproveLess(&cols[soff[k]+db], src[k]+1) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
-		}
-	case RelaxMinWeight:
-		wv := uint64(w)
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			cand := src[k]
-			if wv < cand {
-				cand = wv
-			}
-			c.relax++
-			if casImproveGreater(&cols[soff[k]+db], cand) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
-		}
-	case RelaxMaxWeight:
-		wv := uint64(w)
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			cand := src[k]
-			if wv > cand {
-				cand = wv
-			}
-			c.relax++
-			if casImproveLess(&cols[soff[k]+db], cand) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
-		}
-	case RelaxMulSat:
-		wv := uint64(w)
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			c.relax++
-			if casImproveLess(&cols[soff[k]+db], SatMul(src[k], wv)) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
-		}
-	case RelaxConst:
-		cand := kc.spec.Const
-		improve := casImproveLess
-		if kc.spec.MaxWins {
-			improve = casImproveGreater
-		}
-		for m := live; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros64(m)
-			c.relax++
-			if improve(&cols[soff[k]+db], cand) {
-				c.upd++
-				kc.f.addMask(c, d, 1<<uint(k))
-			}
+		c.relax++
+		if casImprove(&cols[s.off+db], cand, p) {
+			c.upd++
+			kc.f.addMask(c, d, s.bit)
 		}
 	}
 }
 
-// relaxSpan relaxes a run of arcs (dsts[i], wgts[i]) for every live
-// slot, with the spec switch hoisted out of the arc loop entirely — the
-// width-K analogue of the K=1 kernel's flatEdges. The live slots are
-// compacted once per span into dense stack arrays (destination offset,
-// hoisted source value, slot bit), so the (arc × slot) double loops
-// below run with no mask arithmetic and no per-arc call or dispatch.
-// Problems without a spec keep the per-edge interface path.
-func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []graph.Weight, src *[64]uint64, live uint64) {
+// relaxSpan relaxes a run of arcs (dsts[i], wgts[i]) for every slot of c's
+// register block, with the spec switch hoisted out of the arc loop
+// entirely — the width-K analogue of the K=1 kernel's flatEdges. The block
+// is already compacted, so the (arc × slot) double loops below run with no
+// mask arithmetic and no per-arc call or dispatch.
+func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []graph.Weight) {
 	if !kc.hasSpec {
 		for i, d := range dsts {
-			kc.relaxEdge(c, d, wgts[i], src, live)
+			kc.relaxEdge(c, d, wgts[i])
 		}
 		return
 	}
-	soff, cols, stride := kc.soff, kc.cols, kc.stride
-	var offs [64]int
-	var vals [64]uint64
-	var slot [64]uint64
-	ns := 0
-	for m := live; m != 0; m &= m - 1 {
-		k := bits.TrailingZeros64(m)
-		offs[ns], vals[ns], slot[ns] = soff[k], src[k], m&-m
-		ns++
-	}
+	cols, stride := kc.cols, kc.stride
+	live := c.blk.live()
 	switch kc.spec.Kind {
 	case RelaxAddWeight:
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
 			db := int(d) * stride
-			for j := 0; j < ns; j++ {
-				if casImproveLess(&cols[offs[j]+db], vals[j]+wv) {
+			for _, s := range live {
+				if casImproveLess(&cols[s.off+db], s.val+wv) {
 					c.upd++
-					kc.f.addMask(c, d, slot[j])
+					kc.f.addMask(c, d, s.bit)
 				}
 			}
 		}
 	case RelaxAddOne:
-		for j := 0; j < ns; j++ {
-			vals[j]++
-		}
 		for _, d := range dsts {
 			db := int(d) * stride
-			for j := 0; j < ns; j++ {
-				if casImproveLess(&cols[offs[j]+db], vals[j]) {
+			for _, s := range live {
+				if casImproveLess(&cols[s.off+db], s.val+1) {
 					c.upd++
-					kc.f.addMask(c, d, slot[j])
+					kc.f.addMask(c, d, s.bit)
 				}
 			}
 		}
@@ -383,14 +289,10 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
 			db := int(d) * stride
-			for j := 0; j < ns; j++ {
-				cand := vals[j]
-				if wv < cand {
-					cand = wv
-				}
-				if casImproveGreater(&cols[offs[j]+db], cand) {
+			for _, s := range live {
+				if casImproveGreater(&cols[s.off+db], min(s.val, wv)) {
 					c.upd++
-					kc.f.addMask(c, d, slot[j])
+					kc.f.addMask(c, d, s.bit)
 				}
 			}
 		}
@@ -398,14 +300,10 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
 			db := int(d) * stride
-			for j := 0; j < ns; j++ {
-				cand := vals[j]
-				if wv > cand {
-					cand = wv
-				}
-				if casImproveLess(&cols[offs[j]+db], cand) {
+			for _, s := range live {
+				if casImproveLess(&cols[s.off+db], max(s.val, wv)) {
 					c.upd++
-					kc.f.addMask(c, d, slot[j])
+					kc.f.addMask(c, d, s.bit)
 				}
 			}
 		}
@@ -413,10 +311,10 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 		for i, d := range dsts {
 			wv := uint64(wgts[i])
 			db := int(d) * stride
-			for j := 0; j < ns; j++ {
-				if casImproveLess(&cols[offs[j]+db], SatMul(vals[j], wv)) {
+			for _, s := range live {
+				if casImproveLess(&cols[s.off+db], SatMul(s.val, wv)) {
 					c.upd++
-					kc.f.addMask(c, d, slot[j])
+					kc.f.addMask(c, d, s.bit)
 				}
 			}
 		}
@@ -428,44 +326,38 @@ func (kc *pushKCtx) relaxSpan(c *workCounter, dsts []graph.VertexID, wgts []grap
 		}
 		for _, d := range dsts {
 			db := int(d) * stride
-			for j := 0; j < ns; j++ {
-				if improve(&cols[offs[j]+db], cand) {
+			for _, s := range live {
+				if improve(&cols[s.off+db], cand) {
 					c.upd++
-					kc.f.addMask(c, d, slot[j])
+					kc.f.addMask(c, d, s.bit)
 				}
 			}
 		}
 	}
-	// Every (arc, live slot) pair is one relaxation attempt — counted in
+	// Every (arc, block slot) pair is one relaxation attempt — counted in
 	// bulk; the gate pruning already happened at hoist time.
-	c.relax += int64(len(dsts)) * int64(ns)
+	c.relax += int64(len(dsts)) * int64(len(live))
 }
 
 // process is the fused vertex function: hoist once, then relax every
-// out-edge from the register block.
+// out-arc from the register block.
 func (kc *pushKCtx) process(c *workCounter, u graph.VertexID) {
 	mask := kc.f.masks[u]
 	kc.f.masks[u] = 0
 	c.acts += int64(bits.OnesCount64(mask))
-	var src [64]uint64
-	live := kc.hoist(u, mask, &src, c)
-	if live == 0 {
-		return
+	if kc.hoist(c, u, mask) {
+		dsts, ws := kc.g.OutSpan(u)
+		kc.relaxSpan(c, dsts, ws)
 	}
-	dsts, ws := kc.g.OutSpan(u)
-	kc.relaxSpan(c, dsts, ws, &src, live)
 }
 
 // tail is the arc round's unit of work: relax the arcs of run, which share
-// a tail, into their heads at all K slots from one hoist of the tail.
+// a tail, into their heads at all K slots from one hoist of the tail —
+// laid out as a span, through the same relaxSpan as every other round.
 func (kc *pushKCtx) tail(c *workCounter, run []graph.Edge) {
-	var src [64]uint64
-	live := kc.hoist(run[0].Src, fullMask(kc.K), &src, c)
-	if live == 0 {
-		return
-	}
-	for _, a := range run {
-		kc.relaxEdge(c, a.Dst, a.W, &src, live)
+	if kc.hoist(c, run[0].Src, fullMask(kc.K)) {
+		dsts, ws := c.arcSpan(run)
+		kc.relaxSpan(c, dsts, ws)
 	}
 }
 
@@ -550,12 +442,9 @@ func (kc *pushKCtx) denseWindowed(n int, cursors []int32) {
 			if stop == int(cur) {
 				return
 			}
-			var src [64]uint64
-			live := kc.hoist(v, mask, &src, c)
-			if live == 0 {
-				return
+			if kc.hoist(c, v, mask) {
+				kc.relaxSpan(c, dsts[cur:stop], ws[cur:stop])
 			}
-			kc.relaxSpan(c, dsts[cur:stop], ws[cur:stop], &src, live)
 		})
 		kc.f.counters[0].sweep++
 	}
@@ -577,67 +466,59 @@ type push1Ctx struct {
 	f       *frontier
 }
 
-// process is the K=1 vertex function: load u's value once, then relax
-// every out-edge from it.
-func (kc *push1Ctx) process(c *workCounter, u graph.VertexID) {
-	c.acts++
+// hoist loads u's value once, the K=1 register block, and reports
+// whether it propagates anything (a spec's gate does not).
+func (kc *push1Ctx) hoist(c *workCounter, u graph.VertexID) (src uint64, live bool) {
 	c.hoists++
-	src := atomic.LoadUint64(&kc.vals[u])
-	if kc.hasSpec {
-		if src == kc.spec.Gate {
-			c.gates++
-			return
-		}
-		kc.flatEdges(c, u, src)
-		return
+	src = atomic.LoadUint64(&kc.vals[u])
+	if kc.hasSpec && src == kc.spec.Gate {
+		c.gates++
+		return src, false
 	}
-	dsts, ws := kc.g.OutSpan(u)
-	for i, d := range dsts {
-		kc.genericEdge(c, d, ws[i], src)
-	}
+	return src, true
 }
 
-// genericEdge relaxes one edge through the Problem interface, for problems
-// that name no fused op.
-func (kc *push1Ctx) genericEdge(c *workCounter, d graph.VertexID, w graph.Weight, src uint64) {
-	cand, ok := kc.p.Relax(src, w)
-	if !ok {
-		return
-	}
-	c.relax++
-	if casImprove(&kc.vals[d], cand, kc.p) {
-		c.upd++
-		kc.f.add(c, d)
+// process is the K=1 vertex function: hoist u's value, then relax every
+// out-arc from it.
+func (kc *push1Ctx) process(c *workCounter, u graph.VertexID) {
+	c.acts++
+	if src, live := kc.hoist(c, u); live {
+		dsts, ws := kc.g.OutSpan(u)
+		kc.flatEdges(c, dsts, ws, src)
 	}
 }
 
 // tail is the arc round's unit of work at K=1: relax the arcs of run,
-// which share a tail, into their heads from one load of the tail's value.
+// which share a tail, into their heads from one load of the tail's value,
+// laid out as a span.
 func (kc *push1Ctx) tail(c *workCounter, run []graph.Edge) {
-	c.hoists++
-	src := atomic.LoadUint64(&kc.vals[run[0].Src])
-	if !kc.hasSpec {
-		for _, a := range run {
-			kc.genericEdge(c, a.Dst, a.W, src)
-		}
-		return
-	}
-	if src == kc.spec.Gate {
-		c.gates++
-		return
-	}
-	for _, a := range run {
-		kc.specEdge(c, a.Dst, a.W, src)
+	if src, live := kc.hoist(c, run[0].Src); live {
+		dsts, ws := c.arcSpan(run)
+		kc.flatEdges(c, dsts, ws, src)
 	}
 }
 
-// flatEdges is the devirtualized edge loop of the K=1 kernel: the spec
-// switch is hoisted out of the edge loop entirely, so each case is a
-// tight loop of load/op/CAS over the arc span. Every arc is one
-// relaxation attempt, counted in bulk.
-func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
-	dsts, ws := kc.g.OutSpan(u)
+// flatEdges is the K=1 kernel's arc loop: the spec switch is hoisted out
+// of the loop entirely, so each case is a tight loop of load/op/CAS over
+// the span, and every arc is one relaxation attempt, counted in bulk.
+// Problems without a spec relax through the Problem interface.
+func (kc *push1Ctx) flatEdges(c *workCounter, dsts []graph.VertexID, ws []graph.Weight, src uint64) {
 	vals := kc.vals
+	if !kc.hasSpec {
+		p := kc.p
+		for i, d := range dsts {
+			cand, ok := p.Relax(src, ws[i])
+			if !ok {
+				continue
+			}
+			c.relax++
+			if casImprove(&vals[d], cand, p) {
+				c.upd++
+				kc.f.add(c, d)
+			}
+		}
+		return
+	}
 	c.relax += int64(len(dsts))
 	switch kc.spec.Kind {
 	case RelaxAddWeight:
@@ -657,22 +538,14 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 		}
 	case RelaxMinWeight:
 		for i, d := range dsts {
-			cand := src
-			if wv := uint64(ws[i]); wv < cand {
-				cand = wv
-			}
-			if casImproveGreater(&vals[d], cand) {
+			if casImproveGreater(&vals[d], min(src, uint64(ws[i]))) {
 				c.upd++
 				kc.f.add(c, d)
 			}
 		}
 	case RelaxMaxWeight:
 		for i, d := range dsts {
-			cand := src
-			if wv := uint64(ws[i]); wv > cand {
-				cand = wv
-			}
-			if casImproveLess(&vals[d], cand) {
+			if casImproveLess(&vals[d], max(src, uint64(ws[i]))) {
 				c.upd++
 				kc.f.add(c, d)
 			}
@@ -696,42 +569,5 @@ func (kc *push1Ctx) flatEdges(c *workCounter, u graph.VertexID, src uint64) {
 				kc.f.add(c, d)
 			}
 		}
-	}
-}
-
-// specEdge relaxes one edge under the spec where edges arrive one at a time
-// — the arc round.
-func (kc *push1Ctx) specEdge(c *workCounter, d graph.VertexID, w graph.Weight, src uint64) {
-	var cand uint64
-	switch kc.spec.Kind {
-	case RelaxAddWeight:
-		cand = src + uint64(w)
-	case RelaxAddOne:
-		cand = src + 1
-	case RelaxMinWeight:
-		cand = src
-		if wv := uint64(w); wv < cand {
-			cand = wv
-		}
-	case RelaxMaxWeight:
-		cand = src
-		if wv := uint64(w); wv > cand {
-			cand = wv
-		}
-	case RelaxMulSat:
-		cand = SatMul(src, uint64(w))
-	default:
-		cand = kc.spec.Const
-	}
-	c.relax++
-	var won bool
-	if kc.spec.MaxWins {
-		won = casImproveGreater(&kc.vals[d], cand)
-	} else {
-		won = casImproveLess(&kc.vals[d], cand)
-	}
-	if won {
-		c.upd++
-		kc.f.add(c, d)
 	}
 }

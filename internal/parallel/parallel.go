@@ -1,6 +1,6 @@
 // Package parallel provides the shared-memory parallel runtime used by the
 // Tripoline engine: a chunked dynamically-scheduled parallel-for, parallel
-// reductions, and atomic helpers for monotonic value updates.
+// reductions.
 //
 // The scheduler is intentionally simple: a fixed worker pool pulls
 // fixed-size chunks of the iteration space from an atomic counter. For the
@@ -131,15 +131,6 @@ func ForRange(n, grain int, body func(start, end int)) {
 	wg.Wait()
 }
 
-// Workers returns the number of workers For would use for n iterations.
-func Workers(n int) int {
-	p := maxProcs()
-	if w := (n + DefaultGrain - 1) / DefaultGrain; w < p {
-		return w
-	}
-	return p
-}
-
 // MaxWorkers returns the upper bound on the worker index ForRangeID may
 // pass to its body — callers size per-worker accumulator arrays with it.
 func MaxWorkers() int { return maxProcs() }
@@ -188,67 +179,11 @@ func ForRangeID(n, grain int, body func(worker, start, end int)) {
 	wg.Wait()
 }
 
-// SumInt64 computes sum over i in [0,n) of f(i) in parallel.
-func SumInt64(n int, f func(i int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	p := maxProcs()
-	if p == 1 || n <= DefaultGrain {
-		var s int64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	var total atomic.Int64
-	ForRange(n, DefaultGrain, func(start, end int) {
-		var local int64
-		for i := start; i < end; i++ {
-			local += f(i)
-		}
-		total.Add(local)
-	})
-	return total.Load()
-}
-
 // pad64 pads a per-worker accumulator slot out to a cache line so
 // neighboring workers do not false-share.
 type pad64 struct {
-	f float64
 	i int64
-	_ [6]int64
-}
-
-// SumFloat64 computes sum over i in [0,n) of f(i) in parallel using
-// per-worker partial sums merged once at the end — no locks on the hot
-// path. The reduction order is nondeterministic; callers that need
-// bitwise reproducibility should reduce serially.
-func SumFloat64(n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	p := maxProcs()
-	if p == 1 || n <= DefaultGrain {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	locals := make([]pad64, MaxWorkers())
-	ForRangeID(n, DefaultGrain, func(w, start, end int) {
-		var local float64
-		for i := start; i < end; i++ {
-			local += f(i)
-		}
-		locals[w].f += local
-	})
-	var total float64
-	for i := range locals {
-		total += locals[i].f
-	}
-	return total
+	_ [7]int64
 }
 
 // MaxInt64 computes the maximum of f(i) over [0,n); it returns def for
@@ -281,25 +216,4 @@ func MaxInt64(n int, def int64, f func(i int) int64) int64 {
 		}
 	}
 	return best
-}
-
-// CASMinUint64 atomically lowers *addr to v under less and reports whether
-// the stored value changed. less defines a strict total order on encoded
-// values ("a is better than b"). The loop is the monotonic update primitive
-// required by Tripoline's async-safe vertex functions.
-func CASMinUint64(addr *atomic.Uint64, v uint64, less func(a, b uint64) bool) bool {
-	for {
-		old := addr.Load()
-		if !less(v, old) {
-			return false
-		}
-		if addr.CompareAndSwap(old, v) {
-			return true
-		}
-	}
-}
-
-// AddUint64 atomically adds delta to *addr and returns the new value.
-func AddUint64(addr *atomic.Uint64, delta uint64) uint64 {
-	return addr.Add(delta)
 }

@@ -53,41 +53,6 @@ func TestForRangeCoversDisjointRanges(t *testing.T) {
 	}
 }
 
-func TestSumInt64(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 10_000} {
-		got := SumInt64(n, func(i int) int64 { return int64(i) })
-		want := int64(n) * int64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if got != want {
-			t.Fatalf("SumInt64(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestSumInt64Quick(t *testing.T) {
-	f := func(vals []int32) bool {
-		var want int64
-		for _, v := range vals {
-			want += int64(v)
-		}
-		got := SumInt64(len(vals), func(i int) int64 { return int64(vals[i]) })
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSumFloat64(t *testing.T) {
-	const n = 4096
-	got := SumFloat64(n, func(i int) float64 { return 1 })
-	if got != n {
-		t.Fatalf("SumFloat64 = %v, want %v", got, float64(n))
-	}
-}
-
 func TestMaxInt64(t *testing.T) {
 	vals := []int64{3, -7, 42, 0, 41}
 	got := MaxInt64(len(vals), -1, func(i int) int64 { return vals[i] })
@@ -107,17 +72,6 @@ func TestMaxInt64AllNegative(t *testing.T) {
 		got := MaxInt64(n, 0, func(i int) int64 { return -int64(i) - 1 })
 		if got != -1 {
 			t.Fatalf("n=%d: MaxInt64 = %d, want -1", n, got)
-		}
-	}
-}
-
-func TestSumFloat64SmallN(t *testing.T) {
-	// n < grain takes the serial path; the parallel path must agree.
-	for _, n := range []int{1, 2, DefaultGrain, DefaultGrain + 1, 3000} {
-		got := SumFloat64(n, func(i int) float64 { return float64(i) })
-		want := float64(n) * float64(n-1) / 2
-		if got != want {
-			t.Fatalf("n=%d: SumFloat64 = %v, want %v", n, got, want)
 		}
 	}
 }
@@ -170,44 +124,5 @@ func TestMaxInt64Quick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCASMinUint64(t *testing.T) {
-	var v atomic.Uint64
-	v.Store(100)
-	less := func(a, b uint64) bool { return a < b }
-	if !CASMinUint64(&v, 50, less) {
-		t.Fatal("50 should improve 100")
-	}
-	if CASMinUint64(&v, 75, less) {
-		t.Fatal("75 should not improve 50")
-	}
-	if CASMinUint64(&v, 50, less) {
-		t.Fatal("equal value should not count as improvement")
-	}
-	if v.Load() != 50 {
-		t.Fatalf("value = %d", v.Load())
-	}
-}
-
-func TestCASMinUint64Concurrent(t *testing.T) {
-	var v atomic.Uint64
-	v.Store(1 << 62)
-	less := func(a, b uint64) bool { return a < b }
-	For(10_000, func(i int) {
-		CASMinUint64(&v, uint64(10_000-i), less)
-	})
-	if v.Load() != 1 {
-		t.Fatalf("concurrent min = %d, want 1", v.Load())
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	if Workers(1) != 1 {
-		t.Fatalf("Workers(1) = %d", Workers(1))
-	}
-	if w := Workers(1 << 20); w < 1 {
-		t.Fatalf("Workers(big) = %d", w)
 	}
 }

@@ -43,18 +43,6 @@ func TestForRangeSerialPath(t *testing.T) {
 	})
 }
 
-func TestSumsSerialPath(t *testing.T) {
-	withProcs(t, 1, func() {
-		const n = 2048
-		if got := SumInt64(n, func(i int) int64 { return 1 }); got != n {
-			t.Fatalf("SumInt64 serial = %d", got)
-		}
-		if got := SumFloat64(n, func(i int) float64 { return 0.5 }); got != n/2 {
-			t.Fatalf("SumFloat64 serial = %v", got)
-		}
-	})
-}
-
 func TestSmallInputsTakeSerialPath(t *testing.T) {
 	// Inputs at or below the grain must not spawn goroutines; observable
 	// only behaviorally: results are correct and body runs exactly once
@@ -63,12 +51,6 @@ func TestSmallInputsTakeSerialPath(t *testing.T) {
 	ForGrain(DefaultGrain, DefaultGrain, func(i int) { count.Add(1) })
 	if count.Load() != DefaultGrain {
 		t.Fatalf("count=%d", count.Load())
-	}
-	if got := SumInt64(3, func(i int) int64 { return int64(i) }); got != 3 {
-		t.Fatalf("small SumInt64 = %d", got)
-	}
-	if got := SumFloat64(3, func(i int) float64 { return 1 }); got != 3 {
-		t.Fatalf("small SumFloat64 = %v", got)
 	}
 }
 
@@ -81,8 +63,8 @@ func TestForNegativeAndZero(t *testing.T) {
 	if ran {
 		t.Fatal("body ran for non-positive n")
 	}
-	if SumInt64(0, nil) != 0 || SumFloat64(-1, nil) != 0 {
-		t.Fatal("empty sums nonzero")
+	if MaxInt64(0, 7, nil) != 7 || MaxInt64(-1, 7, nil) != 7 {
+		t.Fatal("empty max is not the default")
 	}
 }
 
@@ -97,21 +79,6 @@ func TestMaxInt64SerialAndParallelAgree(t *testing.T) {
 	withProcs(t, 1, func() { ser = MaxInt64(len(vals), 0, f) })
 	if par != ser {
 		t.Fatalf("parallel max %d != serial max %d", par, ser)
-	}
-}
-
-func TestWorkersSerial(t *testing.T) {
-	withProcs(t, 1, func() {
-		if Workers(1<<20) != 1 {
-			t.Fatalf("Workers under GOMAXPROCS=1 = %d", Workers(1<<20))
-		}
-	})
-}
-
-func TestAddUint64(t *testing.T) {
-	var v atomic.Uint64
-	if AddUint64(&v, 5) != 5 || AddUint64(&v, 3) != 8 {
-		t.Fatal("AddUint64 wrong")
 	}
 }
 
@@ -173,27 +140,9 @@ func TestForParallelFewerWorkersThanProcs(t *testing.T) {
 func TestSumsParallelPath(t *testing.T) {
 	withProcs(t, 4, func() {
 		const n = 10_000
-		if got := SumInt64(n, func(i int) int64 { return 2 }); got != 2*n {
-			t.Fatalf("SumInt64 parallel = %d", got)
-		}
-		if got := SumFloat64(n, func(i int) float64 { return 0.25 }); got != n/4 {
-			t.Fatalf("SumFloat64 parallel = %v", got)
-		}
 		want := int64(n - 1)
 		if got := MaxInt64(n, 0, func(i int) int64 { return int64(i) }); got != want {
 			t.Fatalf("MaxInt64 parallel = %d", got)
-		}
-	})
-}
-
-func TestCASMinParallelContention(t *testing.T) {
-	withProcs(t, 4, func() {
-		var v atomic.Uint64
-		v.Store(^uint64(0))
-		less := func(a, b uint64) bool { return a < b }
-		For(50_000, func(i int) { CASMinUint64(&v, uint64(i+1), less) })
-		if v.Load() != 1 {
-			t.Fatalf("contended min = %d", v.Load())
 		}
 	})
 }

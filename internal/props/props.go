@@ -31,17 +31,6 @@ import (
 // Unreached is the encoded init value for minimizing problems.
 const Unreached = math.MaxUint64
 
-// saturating add that preserves Unreached as an absorbing element.
-func satAdd(a, b uint64) uint64 {
-	if a == Unreached || b == Unreached {
-		return Unreached
-	}
-	if s := a + b; s >= a {
-		return s
-	}
-	return Unreached
-}
-
 // ---------------------------------------------------------------- SSSP --
 
 // SSSP is single-source shortest paths over positive integer weights.
@@ -60,7 +49,7 @@ func (SSSP) Relax(srcVal uint64, w graph.Weight) (uint64, bool) {
 }
 
 func (SSSP) Better(a, b uint64) bool    { return a < b }
-func (SSSP) Combine(a, b uint64) uint64 { return satAdd(a, b) }
+func (SSSP) Combine(a, b uint64) uint64 { return engine.SatAdd(a, b) }
 
 // KernelSpec describes Relax to the engine's fused kernels: gated on
 // Unreached, then src + w, smaller wins — exactly the code above. Every
@@ -89,7 +78,7 @@ func (BFS) Relax(srcVal uint64, _ graph.Weight) (uint64, bool) {
 }
 
 func (BFS) Better(a, b uint64) bool    { return a < b }
-func (BFS) Combine(a, b uint64) uint64 { return satAdd(a, b) }
+func (BFS) Combine(a, b uint64) uint64 { return engine.SatAdd(a, b) }
 
 // KernelSpec: gated on Unreached, then src + 1, smaller wins.
 func (BFS) KernelSpec() engine.KernelSpec {
@@ -193,14 +182,14 @@ func (Viterbi) Relax(srcVal uint64, w graph.Weight) (uint64, bool) {
 	if srcVal == Unreached {
 		return 0, false
 	}
-	return satMul(srcVal, uint64(w)), true
+	return engine.SatMul(srcVal, uint64(w)), true
 }
 
 func (Viterbi) Better(a, b uint64) bool    { return a < b }
-func (Viterbi) Combine(a, b uint64) uint64 { return satMul(a, b) }
+func (Viterbi) Combine(a, b uint64) uint64 { return engine.SatMul(a, b) }
 
-// KernelSpec: gated on Unreached, then satMul(src, w) (the engine holds
-// a bit-identical satMul transcription), smaller wins.
+// KernelSpec: gated on Unreached, then engine.SatMul(src, w), smaller
+// wins.
 func (Viterbi) KernelSpec() engine.KernelSpec {
 	return engine.KernelSpec{Kind: engine.RelaxMulSat, Gate: Unreached}
 }
@@ -211,20 +200,6 @@ func ViterbiProb(encoded uint64) float64 {
 		return 0
 	}
 	return 1 / float64(encoded)
-}
-
-// satMul is saturating multiplication with Unreached absorbing.
-func satMul(a, b uint64) uint64 {
-	if a == Unreached || b == Unreached {
-		return Unreached
-	}
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > (Unreached-1)/b {
-		return Unreached - 1 // saturate below the unreachable sentinel
-	}
-	return a * b
 }
 
 // ----------------------------------------------------------------- SSR --
