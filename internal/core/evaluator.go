@@ -229,7 +229,7 @@ func (ev *evaluator) stamp(version uint64) {
 // ReselectRoots re-applies the root rule to the standing set that bounds
 // the named problem over g, the latest version (standing.Manager.Reroot,
 // the path Enable builds the set by): the top-K out-degree roots of g are
-// fully evaluated and narrowed, the one place a set widens again. It
+// evaluated and narrowed, the one place a set widens again. It
 // holds the exclusive lock, like batch maintenance, because re-rooting
 // rewrites the standing arrays wholesale; the caller keeps g the latest
 // version throughout (the System holds its apply token). The set is what

@@ -176,15 +176,17 @@ func (s *System) Enabled() []string { return s.ev.Enabled() }
 // StandingMaintainTime returns the wall time and the engine work of the
 // most recent (re-)evaluation of the standing set that bounds the named
 // problem, or the time of its maintained answer (see
-// evaluator.MaintainTime).
+// evaluator.MaintainTime). After Enable or ReselectRoots on a directed
+// graph the work is q⁻¹ evaluated at K plus q evaluated at the width the
+// set kept (standing.Manager.Reroot), not both at K.
 func (s *System) StandingMaintainTime(name string) (time.Duration, engine.Stats, error) {
 	return s.ev.MaintainTime(name)
 }
 
 // ReselectRoots re-roots the standing set that bounds the named problem by
 // the rule Enable built it with — the top-K out-degree vertices of the
-// latest version, fully evaluated and narrowed to the roots their meet
-// uses (see evaluator.ReselectRoots) — so the roots follow the graph's
+// latest version, narrowed to the roots their meet uses and evaluated
+// (see evaluator.ReselectRoots) — so the roots follow the graph's
 // degrees as it streams. Re-rooting rewrites the standing arrays
 // wholesale over the writer's view, so it runs under the apply token,
 // like a batch.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -37,17 +38,21 @@ func (c *oneRound) Err() error {
 // transpose, each push entered through its arc round with the arcs the
 // snapshot recorded — on the benchmark's write-path shapes: a directed
 // RMAT graph, 60 % preloaded, K=16 top-degree roots, 10k-edge insert
-// batches. One iteration is one batch; run it with a fixed count, e.g.
+// batches. An iteration is a batch, and the b.N batches are run in
+// updateSplitPasses passes, each from a freshly loaded graph and set built
+// off the clock, so that every batch is timed that many times in one
+// process; run it with a fixed count, e.g.
 //
 //	go test ./internal/standing -run '^$' -bench UpdateSplit -benchtime 6x
 //
-// Beside the times it reports what the batch cost in the model's own
-// units: arcs stored and round-0 relaxations per direction (measured on
-// copies of the state, off the clock), and each push's time per
-// relaxation (fwd-ns/relax, rev-ns/relax), a relaxation being one (arc,
-// slot) pair of the fused width-K push: the counterpart of
-// BenchmarkDeltaRun's width-1 ns/relax (internal/core), which Table 5's
-// pick calibrates against. EXPERIMENTS.md records the series.
+// The times are medians over the passes' batches. Beside them it reports
+// what a batch cost in the model's own units: arcs stored and round-0
+// relaxations per direction (measured on copies of the state, off the
+// clock, in the first pass), and each push's median time per relaxation
+// (fwd-ns/relax, rev-ns/relax), a relaxation being one (arc, slot) pair of
+// the fused width-K push: the counterpart of BenchmarkDeltaRun's width-1
+// ns/relax (internal/core), which Table 5's pick calibrates against.
+// EXPERIMENTS.md records the series.
 func BenchmarkUpdateSplit(b *testing.B) {
 	for _, c := range []struct {
 		name         string
@@ -64,57 +69,84 @@ func BenchmarkUpdateSplit(b *testing.B) {
 			if b.N > len(stream.Batches) {
 				b.Skipf("stream holds %d batches", len(stream.Batches))
 			}
-			g := streamgraph.New(cfg.N(), true)
-			snap, _ := g.InsertEdges(stream.Initial)
-			roots := TopDegreeRoots(snap, 16)
-			// New builds the Graph's transpose, so every publish below
-			// changes it in place.
-			m := New(c.p, snap.Flatten(), roots, true)
-
-			var publish, fwd, rev time.Duration
+			// Per timed batch: publish, forward and reverse times and
+			// each push's ns per relaxation.
+			var publish, fwd, rev, fwdRelax, revRelax []float64
 			var stored int
-			var fwd0, rev0, fwdAll, revAll engine.Stats
+			var fwd0, rev0 engine.Stats
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for pass := range updateSplitPasses {
 				b.StopTimer()
-				fwdState, revState := m.Forward.Clone(), m.Reverse.Clone()
-				prev := snap
+				g := streamgraph.New(cfg.N(), true)
+				snap, _ := g.InsertEdges(stream.Initial)
+				// New builds the Graph's transpose, so every publish below
+				// changes it in place.
+				m := New(c.p, snap.Flatten(), TopDegreeRoots(snap, 16), true)
+				runtime.GC()
 				b.StartTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					var fwdState, revState *engine.State
+					if pass == 0 {
+						fwdState, revState = m.Forward.Clone(), m.Reverse.Clone()
+					}
+					prev := snap
+					b.StartTimer()
 
-				t0 := time.Now()
-				snap, _ = g.InsertEdges(stream.Batches[i])
-				t1 := time.Now()
-				flat := snap.Flatten()
-				arcs, _ := flat.InsertedArcs()
-				fwdAll.Add(m.Forward.RunPushArcs(flat, arcs))
-				t2 := time.Now()
-				t := flat.Transposed()
-				rarcs, _ := t.(engine.ArcDelta).InsertedArcs()
-				revAll.Add(m.Reverse.RunPushArcs(t, rarcs))
-				publish += t1.Sub(t0)
-				fwd += t2.Sub(t1)
-				rev += time.Since(t2)
+					t0 := time.Now()
+					snap, _ = g.InsertEdges(stream.Batches[i])
+					t1 := time.Now()
+					flat := snap.Flatten()
+					arcs, _ := flat.InsertedArcs()
+					fs := m.Forward.RunPushArcs(flat, arcs)
+					t2 := time.Now()
+					t := flat.Transposed()
+					rarcs, _ := t.(engine.ArcDelta).InsertedArcs()
+					rs := m.Reverse.RunPushArcs(t, rarcs)
+					t3 := time.Now()
 
-				b.StopTimer()
-				prev.RetireFlat()
-				stored += len(arcs)
-				s0, _ := fwdState.RunPushArcsCtx(&oneRound{Context: context.Background()}, flat, arcs)
-				fwd0.Add(s0)
-				s0, _ = revState.RunPushArcsCtx(&oneRound{Context: context.Background()}, t, rarcs)
-				rev0.Add(s0)
-				b.StartTimer()
+					b.StopTimer()
+					publish = append(publish, float64(t1.Sub(t0).Nanoseconds()))
+					fwd = append(fwd, float64(t2.Sub(t1).Nanoseconds()))
+					rev = append(rev, float64(t3.Sub(t2).Nanoseconds()))
+					fwdRelax = append(fwdRelax, float64(t2.Sub(t1).Nanoseconds())/float64(max(fs.Relaxations, 1)))
+					revRelax = append(revRelax, float64(t3.Sub(t2).Nanoseconds())/float64(max(rs.Relaxations, 1)))
+					prev.RetireFlat()
+					if pass == 0 {
+						stored += len(arcs)
+						s0, _ := fwdState.RunPushArcsCtx(&oneRound{Context: context.Background()}, flat, arcs)
+						fwd0.Add(s0)
+						s0, _ = revState.RunPushArcsCtx(&oneRound{Context: context.Background()}, t, rarcs)
+						rev0.Add(s0)
+					}
+					b.StartTimer()
+				}
 			}
 			n := float64(b.N)
-			b.ReportMetric(publish.Seconds()*1e3/n, "publish-ms/batch")
-			b.ReportMetric(fwd.Seconds()*1e3/n, "fwd-ms/batch")
-			b.ReportMetric(rev.Seconds()*1e3/n, "rev-ms/batch")
+			b.ReportMetric(median(publish)/1e6, "publish-ms/batch")
+			b.ReportMetric(median(fwd)/1e6, "fwd-ms/batch")
+			b.ReportMetric(median(rev)/1e6, "rev-ms/batch")
 			b.ReportMetric(float64(stored)/n, "stored-arcs/batch")
 			b.ReportMetric(float64(fwd0.Relaxations)/n, "fwd-round0-relax/batch")
 			b.ReportMetric(float64(rev0.Relaxations)/n, "rev-round0-relax/batch")
-			b.ReportMetric(float64(fwd.Nanoseconds())/float64(max(fwdAll.Relaxations, 1)), "fwd-ns/relax")
-			b.ReportMetric(float64(rev.Nanoseconds())/float64(max(revAll.Relaxations, 1)), "rev-ns/relax")
+			b.ReportMetric(median(fwdRelax), "fwd-ns/relax")
+			b.ReportMetric(median(revRelax), "rev-ns/relax")
 		})
 	}
+}
+
+// updateSplitPasses is how many times BenchmarkUpdateSplit times each
+// batch: five samples a batch let its medians resolve a change of a few
+// percent, where one could not resolve one under about 10 %.
+const updateSplitPasses = 5
+
+// median returns the median of xs, reordering them.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	if n := len(xs); n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[len(xs)/2]
 }
 
 // BenchmarkUpdateDeletions times the steps of UpdateDeletions apart on

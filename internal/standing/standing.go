@@ -148,21 +148,33 @@ func outArcs(g engine.ArcView, changed []graph.VertexID) []graph.Edge {
 	return arcs
 }
 
-// Rebuild evaluates every standing query from scratch on g, keeping the
-// same roots: the initial evaluation (New) and re-rooting. On a directed
-// graph q⁻¹(r) is the same push from the roots over g's transposed view.
+// Rebuild evaluates every standing query from scratch on g at the set's
+// width, keeping the same roots: the initial evaluation (New). On a
+// directed graph q⁻¹(r) is the same push from the roots over g's
+// transposed view.
 func (m *Manager) Rebuild(g engine.ArcView) engine.Stats {
 	start := time.Now()
 	m.noteVersion(g)
-	m.Forward = m.rootedState(g)
-	seeds, masks := engine.SourceSeeds(m.Roots)
-	stats := m.Forward.RunPush(g, seeds, masks)
+	var stats engine.Stats
+	m.Forward = m.evaluate(g, &stats)
 	if m.directed {
-		m.Reverse = m.rootedState(g)
-		stats.Add(m.Reverse.RunPush(transposedOf(g), seeds, masks))
+		m.Reverse = m.evaluate(transposedOf(g), &stats)
 	}
 	m.noteMaintain(start, stats)
 	return stats
+}
+
+// evaluate returns the fixpoint over g of a push from the roots, slot k's
+// root at the source value and everything else at the init value, and adds
+// its work to stats. Over g's transpose it is q⁻¹.
+func (m *Manager) evaluate(g engine.ArcView, stats *engine.Stats) *engine.State {
+	st := engine.NewState(m.Problem, g.NumVertices(), len(m.Roots))
+	for k, r := range m.Roots {
+		st.SetSource(r, k)
+	}
+	seeds, masks := engine.SourceSeeds(m.Roots)
+	stats.Add(st.RunPush(g, seeds, masks))
+	return st
 }
 
 // noteMaintain records a maintenance pass begun at start that did stats.
@@ -178,16 +190,6 @@ func transposedOf(g engine.ArcView) engine.ArcView {
 		return t.Transposed()
 	}
 	return streamgraph.TransposeFrom(g)
-}
-
-// rootedState allocates a width-K state over g with slot k's root at the
-// source value and everything else at the init value.
-func (m *Manager) rootedState(g engine.ArcView) *engine.State {
-	st := engine.NewState(m.Problem, g.NumVertices(), len(m.Roots))
-	for k, r := range m.Roots {
-		st.SetSource(r, k)
-	}
-	return st
 }
 
 // PropURInto writes property(u, r_k) for every standing root into dst
@@ -264,7 +266,7 @@ func (m *Manager) keep(prop []uint64, kept *[64]uint8) (n, best int) {
 		}
 		dominated := false
 		for _, r := range kept[:n] {
-			if !p.Better(prop[r2], p.Combine(prop[r], m.Forward.Value(m.Roots[r2], int(r)))) {
+			if !p.Better(prop[r2], p.Combine(prop[r], m.rootPair(int(r), int(r2)))) {
 				dominated = true
 				break
 			}
@@ -276,12 +278,23 @@ func (m *Manager) keep(prop []uint64, kept *[64]uint8) (n, best int) {
 	return n, int(byProp[0])
 }
 
+// rootPair returns property(r_i, r_j) from the state PropURInto reads, so
+// keep needs no other: on a directed graph Reverse.Value(r_i, j), the same
+// exact value as Forward.Value(r_j, i), which the undirected set reads.
+func (m *Manager) rootPair(i, j int) uint64 {
+	if m.directed {
+		return m.Reverse.Value(m.Roots[i], j)
+	}
+	return m.Forward.Value(m.Roots[j], i)
+}
+
 // Narrow shrinks the set to the roots its meet uses: the union, over the
 // sources of sample, of the roots keep leaves in for each, in their
-// original slot order. Forward and Reverse are replaced by states of that
-// width holding the kept columns, which are exact fixpoints of the version
-// the set stands on, so nothing is re-evaluated; a width-1 set lands on
-// the contiguous K=1 layout. A dropped root's term could still be the
+// original slot order. Forward and Reverse (those present: Reroot narrows
+// before it evaluates Forward) are replaced by states of that width
+// holding the kept columns, which are exact fixpoints of the version the
+// set stands on, so nothing is re-evaluated; a width-1 set lands on the
+// contiguous K=1 layout. A dropped root's term could still be the
 // unique best for a source outside the sample, which then Δ-initializes
 // from a weaker (still sound) bound and converges further. Subscribed lanes
 // are separate states and stay as they are. An empty sample, or one no
@@ -305,7 +318,9 @@ func (m *Manager) Narrow(sample []graph.VertexID) {
 		roots = append(roots, m.Roots[bits.TrailingZeros64(mk)])
 	}
 	m.Roots = roots
-	m.Forward = narrowed(m.Forward, used)
+	if m.Forward != nil {
+		m.Forward = narrowed(m.Forward, used)
+	}
 	if m.Reverse != nil {
 		m.Reverse = narrowed(m.Reverse, used)
 	}
