@@ -49,7 +49,7 @@ func TestCountLanesMatchesPerLane(t *testing.T) {
 		view := s.current()
 		got := countLanes(ctx, view, counted)
 		for i, l := range counted {
-			want, _, err := props.CountShortestPaths(ctx, view, l.source, l.set.LaneColumn(l.id))
+			want, _, err := props.CountShortestPaths(ctx, view, l.source, l.set.LaneColumns([]int{l.id})[0])
 			if err != nil {
 				t.Fatal(err)
 			}

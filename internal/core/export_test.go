@@ -42,7 +42,7 @@ func (s *System) SubscribedSlots() []SlotColumn {
 	for _, set := range ev.sets {
 		for _, l := range ev.lanes[set] {
 			if l != nil {
-				out = append(out, SlotColumn{set.Problem.Name(), l.id, l.source, set.LastVersion, set.LaneColumn(l.id)})
+				out = append(out, SlotColumn{set.Problem.Name(), l.id, l.source, set.LastVersion, set.LaneColumns([]int{l.id})[0]})
 			}
 		}
 	}

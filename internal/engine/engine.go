@@ -158,17 +158,13 @@ type Stats struct {
 	// (membership-bit walk) frontier representation.
 	DenseIterations int
 	// Hoists counts per-vertex source-block register loads performed by
-	// the fused push kernels: one per processed frontier vertex (per
-	// destination window when the dense sweep is cache-blocked), and one
+	// the fused push kernels: one per processed frontier vertex, and one
 	// per distinct tail of an arc round.
 	Hoists int64
 	// GateSkips counts active (vertex, slot) pairs whose hoisted source
 	// value was still at the problem's gate (init) value, pruned from the
 	// edge loop before it started.
 	GateSkips int64
-	// BlockSweeps counts cache-blocked destination-window passes of the
-	// fused dense sweep (0 when the value working set fits the budget).
-	BlockSweeps int64
 }
 
 // Add accumulates other into s.
@@ -180,7 +176,6 @@ func (s *Stats) Add(other Stats) {
 	s.DenseIterations += other.DenseIterations
 	s.Hoists += other.Hoists
 	s.GateSkips += other.GateSkips
-	s.BlockSweeps += other.BlockSweeps
 }
 
 // lineWords is one cache line in uint64s. It is both the widest slot
@@ -473,8 +468,8 @@ var onIteration func(dense bool)
 // hot loop needs no atomic adds and no shared queue; the pad keeps
 // neighboring workers' counters on separate cache lines.
 type workCounter struct {
-	acts, relax, upd     int64
-	hoists, gates, sweep int64
+	acts, relax, upd int64
+	hoists, gates    int64
 	// queue lists the vertices this worker added to the next frontier
 	// (frontier.add).
 	queue []graph.VertexID
@@ -541,11 +536,6 @@ type frontier struct {
 	wide             bool
 	masks, nextMasks []uint64
 	counters         []workCounter
-	// cursors backs the cache-blocked dense sweep's per-vertex positions
-	// within each vertex's arc span. Allocated lazily (only blocked width-K
-	// runs use it) and never needs draining: each blocked iteration
-	// re-seeds it before reading it.
-	cursors []int32
 }
 
 var frontierPool sync.Pool
@@ -571,7 +561,7 @@ func getFrontier(n, k int) *frontier {
 	}
 	for i := range f.counters {
 		c := &f.counters[i]
-		c.acts, c.relax, c.upd, c.hoists, c.gates, c.sweep = 0, 0, 0, 0, 0, 0
+		c.acts, c.relax, c.upd, c.hoists, c.gates = 0, 0, 0, 0, 0
 	}
 	return f
 }
@@ -678,8 +668,8 @@ func (st *State) RunPush(g ArcView, seeds []graph.VertexID, seedMasks []uint64) 
 // the query and is simply discarded.
 //
 // Kernel selection follows the width: K>1 states run the width-K kernel
-// (hoisted source blocks, devirtualized relaxations, cache-blocked dense
-// sweeps), K=1 states its scalar specialization.
+// (hoisted source blocks, devirtualized relaxations), K=1 states its
+// scalar specialization.
 //
 // Several RunPushCtx calls may run concurrently on one state, each over
 // its own view: every value word is read with an atomic load and improved
@@ -741,16 +731,14 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 	// Pick the kernel for this run (see RunPushCtx).
 	var process func(c *workCounter, u graph.VertexID)
 	var tail func(c *workCounter, run []graph.Edge)
-	var kc *pushKCtx // non-nil selects the width-K kernel
 	if K > 1 {
-		kc = &pushKCtx{
+		kc := &pushKCtx{
 			g: g, p: p,
 			K: K, cols: st.cols, stride: st.bw,
 			f: f,
 		}
 		_, _, kc.soff = st.StrideViews()
 		kc.spec, kc.hasSpec = KernelSpecOf(p)
-		kc.windows = blockWindows(K, n)
 		process, tail = kc.process, kc.tail
 	} else {
 		k1 := &push1Ctx{g: g, p: p, vals: st.Values, f: f}
@@ -777,14 +765,7 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 			forArcRuns(arcs, func(wid int, run []graph.Edge) { tail(&counters[wid], run) })
 		case dense:
 			stats.DenseIterations++
-			if kc != nil && kc.windows > 1 {
-				if cap(f.cursors) < n {
-					f.cursors = make([]int32, n)
-				}
-				kc.denseWindowed(n, f.cursors[:n])
-			} else {
-				f.forDense(n, process)
-			}
+			f.forDense(n, process)
 			f.cur.Reset()
 		default:
 			verts := f.verts
@@ -803,7 +784,6 @@ func (st *State) runPush(ctx context.Context, g ArcView, seeds []graph.VertexID,
 		stats.Updates += counters[i].upd
 		stats.Hoists += counters[i].hoists
 		stats.GateSkips += counters[i].gates
-		stats.BlockSweeps += counters[i].sweep
 	}
 	// The pool invariant is that a frontier is handed back drained. A
 	// canceled run abandons a live one (queued members, set bits, masks),

@@ -7,11 +7,8 @@ import (
 
 // Test-only re-exports so the external engine_test package (which can
 // import props — the package itself cannot) can pin the frontier
-// representation and force multi-window cache-blocked sweeps.
-var (
-	DenseFractionForTest = &denseFraction
-	WindowBudgetForTest  = &windowBudget
-)
+// representation.
+var DenseFractionForTest = &denseFraction
 
 // ConsultCtx "times out" after a fixed number of Err() consults — a
 // deterministic stand-in for a wall-clock deadline firing

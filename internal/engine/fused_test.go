@@ -152,35 +152,27 @@ func (sv *spanView) OutSpan(v graph.VertexID) ([]graph.VertexID, []graph.Weight)
 	return sv.adj[v], sv.wgt[v]
 }
 
-// TestFusedWindowedDenseSweep shrinks the cache-blocking budget until
-// the dense sweep must split into many destination windows, then checks
-// the windowed result against the oracle and that the sweeps were
-// actually counted — over a CSR, and over a view whose spans live in
-// separate arrays (the sweep's cursors are span-relative). Re-hoisting the
-// register block per window is only sound for monotonic problems — this
-// is the test that would catch a cursor or mask-lifetime bug in that
-// machinery.
-func TestFusedWindowedDenseSweep(t *testing.T) {
+// TestFusedDenseSeparateSpans forces every superstep dense and runs every
+// registered problem at width 16 over a CSR and over a view whose spans
+// live in separate arrays, against the oracle. The dense round walks each
+// member's span through OutSpan alone, so split spans must evaluate
+// exactly like one CSR.
+func TestFusedDenseSeparateSpans(t *testing.T) {
 	const n, m, k = 400, 6000, 16
 	g := randomCSR(n, m, true, 79)
 	rng := xrand.New(83)
 	sources := pickSources(n, k, rng)
 
 	oldFrac := *engine.DenseFractionForTest
-	oldBudget := *engine.WindowBudgetForTest
 	*engine.DenseFractionForTest = 1 << 20 // force dense supersteps
-	*engine.WindowBudgetForTest = 2048     // K*n*8 = 51200 bytes → many windows
-	defer func() {
-		*engine.DenseFractionForTest = oldFrac
-		*engine.WindowBudgetForTest = oldBudget
-	}()
+	defer func() { *engine.DenseFractionForTest = oldFrac }()
 
 	for view, av := range map[string]engine.ArcView{"csr": g, "spans": newSpanView(g)} {
 		for name, p := range props.Registry() {
 			fused, stats := engine.Run(av, p, sources)
-			requireOracle(t, name+" windowed over "+view, fused, g, sources, oracle.BestPath)
-			if stats.BlockSweeps == 0 {
-				t.Fatalf("%s over %s: no windowed sweeps recorded despite tiny budget", name, view)
+			requireOracle(t, name+" dense over "+view, fused, g, sources, oracle.BestPath)
+			if stats.DenseIterations == 0 {
+				t.Fatalf("%s over %s: forced-dense run recorded no dense iterations", name, view)
 			}
 		}
 	}
@@ -189,9 +181,9 @@ func TestFusedWindowedDenseSweep(t *testing.T) {
 // TestFusedStatsSurface checks the kernel counters flow into Stats and
 // through Add, so the server metrics and bench reports can trust them.
 func TestFusedStatsSurface(t *testing.T) {
-	a := engine.Stats{Hoists: 1, GateSkips: 2, BlockSweeps: 3}
-	a.Add(engine.Stats{Hoists: 10, GateSkips: 20, BlockSweeps: 30})
-	if a.Hoists != 11 || a.GateSkips != 22 || a.BlockSweeps != 33 {
+	a := engine.Stats{Hoists: 1, GateSkips: 2}
+	a.Add(engine.Stats{Hoists: 10, GateSkips: 20})
+	if a.Hoists != 11 || a.GateSkips != 22 {
 		t.Fatalf("Add dropped kernel counters: %+v", a)
 	}
 

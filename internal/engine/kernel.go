@@ -1,10 +1,10 @@
 // Push kernels: the width-K kernel over the slot-blocked value storage
 // and its K=1 specialization over the contiguous value array. Every push
-// round — a frontier superstep, a dense window pass, the arc round's run
-// of arcs sharing a tail — takes the same two steps: hoist the source
-// once, then relax a span of arcs from it.
+// round — a sparse or dense frontier superstep, the arc round's run of
+// arcs sharing a tail — takes the same two steps: hoist the source once,
+// then relax a span of arcs from it.
 //
-// Three ideas, layered:
+// Two ideas, layered:
 //
 //  1. Register-block hoisting. Re-loading the source value atomically per
 //     (arc × active slot) costs up to 64 dependent atomic loads per arc
@@ -22,14 +22,6 @@
 //     loop, and each case is a straight loop of op and monomorphic CAS.
 //     Problems without a spec fall back to interface dispatch — still
 //     hoisted, still correct.
-//
-//  3. Cache-blocked dense sweeps. A dense superstep touches K·N·8 bytes of
-//     destination values with power-law-random access. When that working
-//     set exceeds windowBudget, the kernel splits the vertex ID space into
-//     ascending destination windows and runs one pass per window,
-//     advancing a per-vertex arc cursor through the destination-sorted
-//     adjacency, so each pass's random writes land in a bounded value
-//     window.
 //
 // The spec ops are transcriptions of the props implementations; the
 // width-sweep tests hold every problem and width to the sequential
@@ -157,31 +149,6 @@ func casImproveGreater(addr *uint64, cand uint64) bool {
 	}
 }
 
-// windowBudget is the destination-value working-set budget (bytes) of one
-// dense-sweep window. 4 MiB keeps a window's K·span·8 bytes of randomly
-// written values within a typical per-core L2+L3 share. A variable only
-// so tests can force multi-window sweeps on small graphs.
-var windowBudget = 4 << 20
-
-// maxWindows caps the number of destination windows: each window pass
-// re-walks the frontier's members, so unbounded splitting would trade
-// cache hits for sweep overhead.
-const maxWindows = 32
-
-// blockWindows returns how many destination windows a dense sweep of an
-// N-vertex, K-wide state should use (1 = unblocked).
-func blockWindows(k, n int) int {
-	bytes := k * n * 8
-	w := (bytes + windowBudget - 1) / windowBudget
-	if w > maxWindows {
-		w = maxWindows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // pushKCtx is the per-run context of the width-K push kernel over a
 // slot-blocked (K>1) state.
 type pushKCtx struct {
@@ -197,8 +164,6 @@ type pushKCtx struct {
 	// access.
 	soff   []int
 	stride int
-	// windows > 1 selects the cache-blocked dense sweep.
-	windows int
 
 	f *frontier
 }
@@ -387,72 +352,6 @@ func forArcRuns(arcs []graph.Edge, body func(worker int, run []graph.Edge)) {
 		}
 	})
 }
-
-// denseWindowed is the cache-blocked dense superstep: kc.windows passes
-// over the frontier's members, pass wi relaxing only arcs whose
-// destination falls in the wi-th ascending window of the vertex ID space.
-// cursors[v] is v's position within its destination-sorted span
-// (OutSpan): zeroed in the first window, it advances monotonically, and
-// once the span is used up it is parked at spanDone so later windows skip
-// v without fetching the span again. Slot masks are cleared only in the
-// last window (marks go to the next round's masks, so re-reading this
-// round's across windows is safe), activations are counted once (first
-// window), and sources are re-hoisted per window — each hoist sees
-// equal-or-better values, which is sound for the same monotonicity reason
-// as hoisting itself.
-func (kc *pushKCtx) denseWindowed(n int, cursors []int32) {
-	windows := kc.windows
-	span := (n + windows - 1) / windows
-	masks := kc.f.masks
-	for wi := 0; wi < windows; wi++ {
-		hi := (wi + 1) * span
-		if hi > n {
-			hi = n
-		}
-		first := wi == 0
-		last := wi == windows-1
-		kc.f.forDense(n, func(c *workCounter, v graph.VertexID) {
-			mask := masks[v]
-			if first {
-				c.acts += int64(bits.OnesCount64(mask))
-				cursors[v] = 0
-			}
-			if last {
-				masks[v] = 0
-			}
-			cur := cursors[v]
-			if cur == spanDone {
-				return
-			}
-			// Find the window's arc run up front (a sequential scan of
-			// the already-cached span), so the relaxation below is one
-			// span call with the spec switch outside the arc loop. An
-			// empty run (power-law graphs put most vertices' handful of
-			// arcs in a few windows) skips the hoist entirely.
-			dsts, ws := kc.g.OutSpan(v)
-			stop := int(cur)
-			for stop < len(dsts) && int(dsts[stop]) < hi {
-				stop++
-			}
-			if stop == len(dsts) {
-				cursors[v] = spanDone
-			} else {
-				cursors[v] = int32(stop)
-			}
-			if stop == int(cur) {
-				return
-			}
-			if kc.hoist(c, v, mask) {
-				kc.relaxSpan(c, dsts[cur:stop], ws[cur:stop])
-			}
-		})
-		kc.f.counters[0].sweep++
-	}
-}
-
-// spanDone is the dense-sweep cursor of a vertex whose span has no arcs
-// left for later windows.
-const spanDone = -1
 
 // push1Ctx is the specialized K=1 push kernel: no masks, no slot
 // arithmetic — a frontier member is active by membership alone, and the

@@ -16,10 +16,12 @@ import (
 // returns the result of pool.Get is a getter (ownership transfers to
 // its caller, who is then checked); a function that Puts its parameter
 // is a putter (calling it counts as a Put). Values that escape the
-// function some other way (returned, stored in a field, passed to a
-// non-putter call) transfer ownership and are not tracked further. A Put
-// inside a loop, switch or select body does not count: the body may not
-// run.
+// function some other way (returned, sent, assigned through a field,
+// index or pointer, passed to a non-putter call) transfer ownership and
+// are not tracked further. Placing the value in a composite literal held
+// by a local transfers nothing: the local is not tracked, so the value
+// must still reach a Put. A Put inside a loop, switch or select body does
+// not count: the body may not run.
 var Poolbalance = &Analyzer{
 	Name: "poolbalance",
 	Doc:  "sync.Pool acquisitions must reach a Put (or the documented cancel-drop) on all return paths",
@@ -228,7 +230,7 @@ func (bc *balanceChecker) isRelease(call *ast.CallExpr, obj types.Object) bool {
 }
 
 // escapes reports whether stmt hands obj to something other than a
-// release: returned, stored into a field/index/global, sent on a
+// release: returned, assigned through a field/index/pointer, sent on a
 // channel, or passed to an unrelated call. Ownership moves, so tracking
 // stops (released=true).
 func (bc *balanceChecker) escapes(stmt ast.Stmt, obj types.Object) bool {
@@ -260,17 +262,6 @@ func (bc *balanceChecker) escapes(stmt ast.Stmt, obj types.Object) bool {
 			for _, arg := range n.Args {
 				if bc.mentions(arg, obj) {
 					esc = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				if id, ok := ast.Unparen(el).(*ast.Ident); ok && bc.pkg.Info.Uses[id] == obj {
-					esc = true
-				}
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if id, ok := ast.Unparen(kv.Value).(*ast.Ident); ok && bc.pkg.Info.Uses[id] == obj {
-						esc = true
-					}
 				}
 			}
 		}

@@ -57,6 +57,16 @@ func elseDrop() error {
 	return err // want "return leaks the pool value"
 }
 
+// --- violation 6: a struct literal held by a local is not a transfer -
+
+type holder struct{ b *[]byte }
+
+func storedNeverPut() {
+	b := bufPool.Get().(*[]byte) // want "never reaches a Put"
+	h := &holder{b: b}
+	_ = h
+}
+
 // --- legal 1: defer Put covers every path ----------------------------
 
 func deferPut() {

@@ -21,7 +21,6 @@ type serverMetrics struct {
 	activations        *metrics.Counter // engine vertex activations spent on queries
 	hoists             *metrics.Counter // register-block hoists in the fused kernels
 	gateSkips          *metrics.Counter // slots pruned at hoist time (still at the gate value)
-	blockSweeps        *metrics.Counter // cache-blocked dense sweep passes
 	rejected           *metrics.Counter // 429s from the admission gate
 	canceled           *metrics.Counter // queries ended by deadline/disconnect
 	errors             *metrics.Counter // other 4xx/5xx responses
@@ -55,7 +54,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		activations:        reg.Counter("tripoline_query_activations_total", "Engine vertex activations spent answering queries."),
 		hoists:             reg.Counter("tripoline_kernel_hoists_total", "Register-block hoists performed by the fused width-K kernels."),
 		gateSkips:          reg.Counter("tripoline_kernel_gate_skips_total", "Batch slots pruned at hoist time because the source was still at the gate value."),
-		blockSweeps:        reg.Counter("tripoline_kernel_block_sweeps_total", "Cache-blocked dense sweep passes executed by the fused kernels."),
 		rejected:           reg.Counter("tripoline_rejected_total", "Requests refused 429 by the admission gate."),
 		canceled:           reg.Counter("tripoline_canceled_total", "Queries ended early by deadline or client disconnect."),
 		errors:             reg.Counter("tripoline_errors_total", "Requests answered with another 4xx/5xx status."),
@@ -92,5 +90,4 @@ func (m *serverMetrics) observeEngine(st engine.Stats) {
 	m.activations.Add(st.Activations)
 	m.hoists.Add(st.Hoists)
 	m.gateSkips.Add(st.GateSkips)
-	m.blockSweeps.Add(st.BlockSweeps)
 }

@@ -103,7 +103,7 @@ func newLaneRepair(t *testing.T, p engine.Problem, directed bool) *laneRepair {
 func (lr *laneRepair) columns() [][]uint64 {
 	cols := make([][]uint64, len(lr.sources))
 	for lane := range cols {
-		cols[lane] = lr.m.LaneColumn(lane)
+		cols[lane] = lr.m.LaneColumns([]int{lane})[0]
 	}
 	return cols
 }

@@ -91,11 +91,6 @@ func (m *Manager) LaneView(lane int) (arr []uint64, stride, off int) {
 	return m.pages[lane/64].st.StrideView(lane % 64)
 }
 
-// LaneColumn returns a copy of lane's values.
-func (m *Manager) LaneColumn(lane int) []uint64 {
-	return m.pages[lane/64].st.Column(lane % 64)
-}
-
 // LaneColumns returns a copy of each listed lane's values, out[i] holding
 // lanes[i]'s, reading each page once for all of its listed lanes
 // (engine.State.Columns).

@@ -136,7 +136,7 @@ func (lp *lanePool) check(label string) {
 	for i, pg := range lp.m.pages {
 		for k := range pg.st.K {
 			lane := i*64 + k
-			col := lp.m.LaneColumn(lane)
+			col := lp.m.LaneColumns([]int{lane})[0]
 			if len(col) != lp.snap.NumVertices() {
 				t.Fatalf("%s: lane %d holds %d values, the graph has %d vertices", label, lane, len(col), lp.snap.NumVertices())
 			}
